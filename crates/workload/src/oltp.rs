@@ -162,6 +162,26 @@ mod tests {
     }
 
     #[test]
+    fn default_mix_is_pinned() {
+        let mut g = OltpGen::new(OltpConfig::default(), 11);
+        let got: Vec<Vec<(u64, bool)>> = (0..4)
+            .map(|_| {
+                let t = g.next_txn();
+                t.accesses.iter().map(|a| (a.page, a.dirty)).collect()
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                [(1997, false), (1921, false), (3902, false), (1039, true)],
+                [(2706, true), (189, false), (1233, false), (2489, true)],
+                [(2803, true), (2738, true), (3971, true), (926, true)],
+                [(2595, false), (3167, true), (3754, true), (558, true)],
+            ]
+        );
+    }
+
+    #[test]
     fn skew_makes_some_pages_hot() {
         let mut g = OltpGen::new(
             OltpConfig {

@@ -70,6 +70,59 @@ fn oltp_generation_replays_identically() {
     }
 }
 
+/// The input stream every `oltp_*` benchmark fingerprint and every
+/// checked-in OLTP table is a function of, pinned as literals: a sampler
+/// change that moves it moves all of them.
+#[test]
+fn zipfian_input_stream_is_pinned() {
+    use requiem::workload::oltp::{OltpConfig, OltpGen};
+    let mut p = AddressPattern::new(Pattern::Zipfian { theta: 0.8 }, 4096, 11);
+    assert_eq!(
+        p.take_vec(16),
+        [
+            1997, 1921, 3902, 1039, 2706, 189, 1233, 2489, 2803, 2738, 3971, 926, 2595, 3167, 3754,
+            558
+        ]
+    );
+    let mut g = OltpGen::new(OltpConfig::default(), 11);
+    let txns: Vec<Vec<(u64, bool)>> = (0..4)
+        .map(|_| {
+            let t = g.next_txn();
+            t.accesses.iter().map(|a| (a.page, a.dirty)).collect()
+        })
+        .collect();
+    assert_eq!(
+        txns,
+        [
+            [(1997, false), (1921, false), (3902, false), (1039, true)],
+            [(2706, true), (189, false), (1233, false), (2489, true)],
+            [(2803, true), (2738, true), (3971, true), (926, true)],
+            [(2595, false), (3167, true), (3754, true), (558, true)],
+        ]
+    );
+}
+
+/// The pinned stream is also the right distribution: rank 1 of a zipfian
+/// over n pages draws `1/H_{n,theta}` of the accesses.
+#[test]
+fn zipfian_hottest_rank_share_matches_the_harmonic() {
+    const SPAN: u64 = 4096;
+    const DRAWS: u32 = 200_000;
+    let theta = 0.8;
+    let mut p = AddressPattern::new(Pattern::Zipfian { theta }, SPAN, 11);
+    let mut counts = vec![0u32; SPAN as usize];
+    for _ in 0..DRAWS {
+        counts[p.next_addr() as usize] += 1;
+    }
+    let harmonic: f64 = (1..=SPAN).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+    let share = f64::from(*counts.iter().max().expect("non-empty")) / f64::from(DRAWS);
+    let want = 1.0 / harmonic;
+    assert!(
+        (share / want - 1.0).abs() < 0.05,
+        "hottest page drew {share:.5} of the accesses, 1/H is {want:.5}"
+    );
+}
+
 #[test]
 fn nameless_device_is_deterministic_too() {
     use requiem::iface::nameless::{NamelessConfig, NamelessSsd};
