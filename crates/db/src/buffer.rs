@@ -206,9 +206,8 @@ impl BufferPool {
                 // victim found
                 let old_id = f.page_id;
                 let was_dirty = f.dirty;
-                let image = std::mem::take(&mut f.page);
+                let image = std::mem::replace(&mut f.page, page);
                 f.page_id = page_id;
-                f.page = page;
                 f.dirty = dirty;
                 f.referenced = true;
                 self.map.remove(&old_id);
