@@ -54,11 +54,10 @@ pub struct AddressPattern {
     span: u64,
     cursor: u64,
     rng: SimRng,
-    /// Zipf inverse-CDF table, built once: entry `i - 1` is the running
-    /// sum `1/1^theta + … + 1/i^theta` (8 B per rank).
+    /// Zipf inverse-CDF table, built once (8 B per rank): entry `i - 1`
+    /// is the running sum `1/1^theta + … + 1/i^theta`, so the last entry
+    /// is the generalized harmonic number the draws are scaled by.
     zipf_cdf: Vec<f64>,
-    /// Generalized harmonic number the draws are scaled by.
-    zipf_harmonic: f64,
     /// Multiplier coprime to `span`, scattering zipf ranks over the space
     /// as a bijection.
     zipf_mult: u64,
@@ -94,31 +93,18 @@ impl AddressPattern {
         if let Pattern::Strided { stride } = &pattern {
             assert!(*stride > 0, "stride must be positive");
         }
-        let mut zipf_cdf = Vec::new();
-        let zipf_harmonic = match &pattern {
+        let zipf_cdf = match &pattern {
             Pattern::Zipfian { theta } => {
                 assert!(*theta >= 0.0, "zipf theta must be non-negative");
-                // generalized harmonic number H_{span, theta}; cap the sum
-                // work for huge spans by integral approximation past 10^6
-                let n = span.min(1_000_000);
-                let mut h = 0.0;
-                zipf_cdf.extend((1..=n).map(|i| {
-                    h += 1.0 / (i as f64).powf(*theta);
-                    h
-                }));
-                if span > n {
-                    // ∫ x^-theta dx from n to span
-                    let a = n as f64;
-                    let b = span as f64;
-                    h += if (*theta - 1.0).abs() < 1e-9 {
-                        (b / a).ln()
-                    } else {
-                        (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta)
-                    };
-                }
-                h
+                let mut acc = 0.0;
+                (1..=span)
+                    .map(|i| {
+                        acc += 1.0 / (i as f64).powf(*theta);
+                        acc
+                    })
+                    .collect()
             }
-            _ => 0.0,
+            _ => Vec::new(),
         };
         // pick a scatter multiplier coprime to the span so the rank →
         // address map is a bijection (hot ranks land on distinct pages)
@@ -132,7 +118,6 @@ impl AddressPattern {
             cursor: 0,
             rng: SimRng::from_seed(seed).derive("pattern"),
             zipf_cdf,
-            zipf_harmonic,
             zipf_mult,
         }
     }
@@ -159,13 +144,8 @@ impl AddressPattern {
             Pattern::Zipfian { .. } => {
                 // inverse CDF by binary search over the cumulative table:
                 // the first rank whose running sum reaches `u`
-                let u = self.rng.unit() * self.zipf_harmonic;
-                let below = self.zipf_cdf.partition_point(|&c| c < u);
-                let rank = if below < self.zipf_cdf.len() {
-                    below as u64 + 1
-                } else {
-                    self.span // fallback: coldest
-                };
+                let u = self.rng.unit() * self.zipf_cdf[self.zipf_cdf.len() - 1];
+                let rank = self.zipf_cdf.partition_point(|&c| c < u) as u64 + 1;
                 // scatter ranks over the address space deterministically
                 // (bijective affine map: gcd(mult, span) == 1)
                 rank.wrapping_mul(self.zipf_mult) % self.span
@@ -313,6 +293,27 @@ mod tests {
                 3754, 558
             ]
         );
+    }
+
+    #[test]
+    fn zipfian_tail_ranks_are_drawn_past_a_million() {
+        // a scan capped at rank 10^6 let the remaining mass (0.98 % here)
+        // fall through to `rank = span`, which the scatter maps to address 0
+        const SPAN: u64 = (1 << 20) + 1;
+        const DRAWS: usize = 200_000;
+        let mut p = AddressPattern::new(Pattern::Zipfian { theta: 0.8 }, SPAN, 11);
+        let tail: std::collections::BTreeSet<u64> = (1_000_001..SPAN)
+            .map(|rank| rank * p.zipf_mult % SPAN)
+            .collect();
+        let v = p.take_vec(DRAWS);
+        let in_tail = v.iter().filter(|a| tail.contains(a)).count();
+        assert!(
+            in_tail > DRAWS / 200,
+            "ranks above 10^6 drew {in_tail}/{DRAWS}, expected about 1 %"
+        );
+        // address 0 is rank `span`, the coldest: 2e-7 of the mass
+        let at_zero = v.iter().filter(|&&a| a == 0).count();
+        assert!(at_zero <= 2, "address 0 drew {at_zero}/{DRAWS}");
     }
 
     #[test]
