@@ -29,6 +29,10 @@
 //!   aggregated probe's per-resource accumulators. Same simulated work,
 //!   same sampled totals — the events/sec ratio is the cost of keeping
 //!   (and copying) unbounded event history on an aging run.
+//! * `zipf_sample` — the workload generator's zipfian draw alone, at the
+//!   benchmark's 4096-page span and at E17's 2^20-client span (table
+//!   construction included): the cost the pair above carries per
+//!   overwrite, and every `oltp_*` input per page access.
 
 use requiem_bench::aging::{device, AgingConfig};
 use requiem_sim::time::{SimDuration, SimTime};
@@ -127,6 +131,19 @@ fn probe_workload(probe: Probe, sample: impl Fn(&Probe) -> u64) -> (u64, u64) {
     (pages + OVERWRITES, checksum)
 }
 
+/// `DRAWS` zipfian addresses (theta 0.8) at each of two spans.
+fn zipf_sample() -> (u64, u64) {
+    const DRAWS: u64 = 1 << 20;
+    let mut checksum = 0u64;
+    for span in [4096, 1 << 20] {
+        let mut pat = AddressPattern::new(Pattern::Zipfian { theta: 0.8 }, span, 42);
+        for _ in 0..DRAWS {
+            checksum = checksum.wrapping_mul(31).wrapping_add(pat.next_addr());
+        }
+    }
+    (2 * DRAWS, checksum)
+}
+
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
     let (events, checksum) = match name.as_str() {
@@ -139,10 +156,11 @@ fn main() {
         "probe_aggregated" => probe_workload(Probe::aggregated(), |p| {
             p.resource_summary().iter().map(|s| s.count).sum()
         }),
+        "zipf_sample" => zipf_sample(),
         _ => {
             eprintln!(
                 "usage: bench_kernel <queue_churn|blame_alloc|blame_scratch|\
-                 probe_recording_clone|probe_aggregated>"
+                 probe_recording_clone|probe_aggregated|zipf_sample>"
             );
             std::process::exit(2);
         }

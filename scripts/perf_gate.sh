@@ -23,7 +23,7 @@ cd "$(dirname "$0")/.."
 
 BIN=${BENCH_KERNEL_BIN:-target/release/bench_kernel}
 JSON=BENCH_kernel.json
-BENCHES="queue_churn blame_alloc blame_scratch probe_recording_clone probe_aggregated"
+BENCHES="queue_churn blame_alloc blame_scratch probe_recording_clone probe_aggregated zipf_sample"
 REGRESS_TOL=${REGRESS_TOL:-20}      # percent
 MIN_PROBE_SPEEDUP=${MIN_PROBE_SPEEDUP:-5}
 
