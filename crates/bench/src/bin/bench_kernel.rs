@@ -144,9 +144,23 @@ fn zipf_sample() -> (u64, u64) {
     (2 * DRAWS, checksum)
 }
 
+const BENCHES: [&str; 6] = [
+    "queue_churn",
+    "blame_alloc",
+    "blame_scratch",
+    "probe_recording_clone",
+    "probe_aggregated",
+    "zipf_sample",
+];
+
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
     let (events, checksum) = match name.as_str() {
+        // the sub-bench names, for scripts/perf_gate.sh
+        "--list" => {
+            println!("{}", BENCHES.join(" "));
+            return;
+        }
         "queue_churn" => queue_churn(),
         "blame_alloc" => blame(false),
         "blame_scratch" => blame(true),
@@ -158,10 +172,7 @@ fn main() {
         }),
         "zipf_sample" => zipf_sample(),
         _ => {
-            eprintln!(
-                "usage: bench_kernel <queue_churn|blame_alloc|blame_scratch|\
-                 probe_recording_clone|probe_aggregated|zipf_sample>"
-            );
+            eprintln!("usage: bench_kernel <--list|{}>", BENCHES.join("|"));
             std::process::exit(2);
         }
     };

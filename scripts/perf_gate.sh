@@ -1,33 +1,47 @@
 #!/usr/bin/env bash
-# Perf gate for the simulation kernel.
+# Perf gate for the deterministic micro-bench binaries.
 #
-# The bench binary (`bench_kernel`) is virtual-time deterministic and
-# never reads a clock — the determinism lint bans wall-clock sources in
-# every simulation-path crate. So this script owns the stopwatch: it
-# times each sub-bench (best of 3), composes `BENCH_kernel.json`, and in
-# check mode fails the build when
+# The bench binaries (`bench_kernel`: the simulation kernel;
+# `bench_stack`: the per-command path from the block stack down) are
+# virtual-time deterministic and never read a clock — the determinism
+# lint bans wall-clock sources in every simulation-path crate. So this
+# script owns the stopwatch: it asks the binary for its sub-benches
+# (`--list`), times each (best of 3), composes the binary's
+# `BENCH_*.json`, and in check mode fails the build when
 #
 #   * a sub-bench checksum changed (the deterministic work itself
 #     changed — regenerate the JSON deliberately, don't let it drift),
 #   * events/sec regressed more than REGRESS_TOL vs the checked-in
 #     numbers (machine-dependent, hence the generous tolerance), or
-#   * the aggregated-probe sampling path is no longer at least
-#     MIN_PROBE_SPEEDUP x the recording-clone baseline (a wall-clock
-#     *ratio* on the same machine, so this one is machine-independent).
+#   * (bench_kernel only) the aggregated-probe sampling path is no
+#     longer at least MIN_PROBE_SPEEDUP x the recording-clone baseline
+#     (a wall-clock *ratio* on the same machine, so this one is
+#     machine-independent).
+#
+# Every row also carries `ns_per_event` (host nanoseconds per event —
+# per simulated command for bench_stack) and `wall_ms_before`: the
+# `wall_ms` of the code the row was first written for. `--write` carries
+# an existing `wall_ms_before` forward, so a row reads before → after
+# across the change that claims a speed-up.
 #
 # Usage:
-#   scripts/perf_gate.sh --write   # regenerate BENCH_kernel.json
-#   scripts/perf_gate.sh check     # gate against BENCH_kernel.json
+#   scripts/perf_gate.sh --write [BIN JSON]   # regenerate JSON
+#   scripts/perf_gate.sh check   [BIN JSON]   # gate against JSON
+# BIN and JSON default to target/release/bench_kernel and
+# BENCH_kernel.json; the stack gate is
+#   scripts/perf_gate.sh check target/release/bench_stack BENCH_stack.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN=${BENCH_KERNEL_BIN:-target/release/bench_kernel}
-JSON=BENCH_kernel.json
-BENCHES="queue_churn blame_alloc blame_scratch probe_recording_clone probe_aggregated zipf_sample"
+MODE=${1:-check}
+BIN=${2:-${BENCH_KERNEL_BIN:-target/release/bench_kernel}}
+JSON=${3:-BENCH_kernel.json}
 REGRESS_TOL=${REGRESS_TOL:-20}      # percent
 MIN_PROBE_SPEEDUP=${MIN_PROBE_SPEEDUP:-5}
 
-[ -x "$BIN" ] || { echo "perf_gate: $BIN missing; build with: cargo build --release -p requiem-bench --bin bench_kernel" >&2; exit 1; }
+name=$(basename "$BIN")
+[ -x "$BIN" ] || { echo "perf_gate: $BIN missing; build with: cargo build --release -p requiem-bench --bin $name" >&2; exit 1; }
+BENCHES=$("$BIN" --list)
 
 declare -A EVENTS CHECKSUM WALL_MS EPS
 
@@ -47,38 +61,55 @@ run_bench() {
     echo "  $name: events=${EVENTS[$name]} wall_ms=${best_ms} events/sec=${EPS[$name]}"
 }
 
-echo "perf_gate: timing kernel sub-benches (best of 3)"
+echo "perf_gate: timing $name sub-benches (best of 3)"
 for b in $BENCHES; do run_bench "$b"; done
 
-speedup_x100=$(( EPS[probe_aggregated] * 100 / EPS[probe_recording_clone] ))
-speedup_str=$(printf '%d.%02dx' $((speedup_x100 / 100)) $((speedup_x100 % 100)))
-echo "  probe aggregated-vs-clone speedup: $speedup_str"
+# bench_kernel's headline pair; other binaries have no such ratio
+speedup_x100=
+if [ -n "${EPS[probe_aggregated]:-}" ] && [ -n "${EPS[probe_recording_clone]:-}" ]; then
+    speedup_x100=$(( EPS[probe_aggregated] * 100 / EPS[probe_recording_clone] ))
+    speedup_str=$(printf '%d.%02dx' $((speedup_x100 / 100)) $((speedup_x100 % 100)))
+    echo "  probe aggregated-vs-clone speedup: $speedup_str"
+fi
 
-json_field() { # file bench field
-    sed -n "s/.*{\"name\":\"$2\",\"events\":\([0-9]*\),\"checksum\":\"\([0-9]*\)\",\"wall_ms\":\([0-9]*\),\"events_per_sec\":\([0-9]*\)}.*/\\$3/p" "$1"
+json_field() { # file bench field (1 events, 2 checksum, 3 wall_ms, 4 events_per_sec)
+    sed -n "s/.*{\"name\":\"$2\",\"events\":\([0-9]*\),\"checksum\":\"\([0-9]*\)\",\"wall_ms\":\([0-9]*\),\"events_per_sec\":\([0-9]*\)[,}].*/\\$3/p" "$1"
 }
 
-case "${1:-check}" in
+wall_ms_before() { # bench: the recorded "before", else the recorded wall_ms, else this run's
+    local v=
+    if [ -f "$JSON" ]; then
+        v=$(sed -n "s/.*{\"name\":\"$1\",.*\"wall_ms_before\":\([0-9]*\)}.*/\1/p" "$JSON")
+        [ -n "$v" ] || v=$(json_field "$JSON" "$1" 3)
+    fi
+    echo "${v:-${WALL_MS[$1]}}"
+}
+
+case "$MODE" in
 --write)
+    rows=
+    for b in $BENCHES; do
+        ns_x10=$(( WALL_MS[$b] * 10000000 / EVENTS[$b] ))
+        rows+=$(printf '    {"name":"%s","events":%s,"checksum":"%s","wall_ms":%s,"events_per_sec":%s,"ns_per_event":%d.%d,"wall_ms_before":%s}' \
+            "$b" "${EVENTS[$b]}" "${CHECKSUM[$b]}" "${WALL_MS[$b]}" "${EPS[$b]}" \
+            $((ns_x10 / 10)) $((ns_x10 % 10)) "$(wall_ms_before "$b")")$',\n'
+    done
     {
         printf '{\n'
-        printf '  "_regenerate": "cargo build --release -p requiem-bench --bin bench_kernel && scripts/perf_gate.sh --write (wall-clock best-of-3; events and checksums are deterministic, times are machine-dependent)",\n'
-        printf '  "gate": {"regression_tolerance_pct": %s, "min_probe_speedup": %s},\n' "$REGRESS_TOL" "$MIN_PROBE_SPEEDUP"
-        printf '  "probe_speedup_x100": %s,\n' "$speedup_x100"
-        printf '  "benches": [\n'
-        first=1
-        for b in $BENCHES; do
-            [ $first -eq 0 ] && printf ',\n'
-            first=0
-            printf '    {"name":"%s","events":%s,"checksum":"%s","wall_ms":%s,"events_per_sec":%s}' \
-                "$b" "${EVENTS[$b]}" "${CHECKSUM[$b]}" "${WALL_MS[$b]}" "${EPS[$b]}"
-        done
-        printf '\n  ]\n}\n'
-    } >"$JSON"
+        printf '  "_regenerate": "cargo build --release -p requiem-bench --bin %s && scripts/perf_gate.sh --write %s %s (wall-clock best-of-3; events and checksums are deterministic, times are machine-dependent; wall_ms_before is carried forward from the previous file)",\n' "$name" "$BIN" "$JSON"
+        if [ -n "$speedup_x100" ]; then
+            printf '  "gate": {"regression_tolerance_pct": %s, "min_probe_speedup": %s},\n' "$REGRESS_TOL" "$MIN_PROBE_SPEEDUP"
+            printf '  "probe_speedup_x100": %s,\n' "$speedup_x100"
+        else
+            printf '  "gate": {"regression_tolerance_pct": %s},\n' "$REGRESS_TOL"
+        fi
+        printf '  "benches": [\n%s\n  ]\n}\n' "${rows%$',\n'}"
+    } >"$JSON.tmp"
+    mv "$JSON.tmp" "$JSON"
     echo "perf_gate: wrote $JSON"
     ;;
 check)
-    [ -f "$JSON" ] || { echo "perf_gate: $JSON missing; run scripts/perf_gate.sh --write" >&2; exit 1; }
+    [ -f "$JSON" ] || { echo "perf_gate: $JSON missing; run scripts/perf_gate.sh --write $BIN $JSON" >&2; exit 1; }
     fail=0
     for b in $BENCHES; do
         want_sum=$(json_field "$JSON" "$b" 2)
@@ -98,16 +129,18 @@ check)
             echo "perf_gate: ok   $b events/sec ${EPS[$b]} >= floor $floor"
         fi
     done
-    if [ "$speedup_x100" -lt $(( MIN_PROBE_SPEEDUP * 100 )) ]; then
-        echo "perf_gate: FAIL aggregated-probe speedup $speedup_str < ${MIN_PROBE_SPEEDUP}x"
-        fail=1
-    else
-        echo "perf_gate: ok   aggregated-probe speedup >= ${MIN_PROBE_SPEEDUP}x"
+    if [ -n "$speedup_x100" ]; then
+        if [ "$speedup_x100" -lt $(( MIN_PROBE_SPEEDUP * 100 )) ]; then
+            echo "perf_gate: FAIL aggregated-probe speedup $speedup_str < ${MIN_PROBE_SPEEDUP}x"
+            fail=1
+        else
+            echo "perf_gate: ok   aggregated-probe speedup >= ${MIN_PROBE_SPEEDUP}x"
+        fi
     fi
     exit $fail
     ;;
 *)
-    echo "usage: scripts/perf_gate.sh [--write|check]" >&2
+    echo "usage: scripts/perf_gate.sh [--write|check] [BIN JSON]" >&2
     exit 2
     ;;
 esac
