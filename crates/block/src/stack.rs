@@ -25,6 +25,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::completion::{CompletionHeap, InflightWindow};
+use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Histogram, Layer, Probe, Resource, ResourceBank};
 use serde::{Deserialize, Serialize};
@@ -278,17 +279,18 @@ impl<B: StorageBackend> IoStack<B> {
     #[allow(clippy::too_many_arguments)]
     fn span_submit_stages(
         &self,
-        core_res: &str,
-        q_res: &str,
+        core: usize,
+        q: usize,
         now: SimTime,
-        g_submit: &requiem_sim::resource::Grant,
-        g_lock: &requiem_sim::resource::Grant,
-        g_bell: &requiem_sim::resource::Grant,
+        g_submit: &Grant,
+        g_lock: &Grant,
+        g_bell: &Grant,
         admit: Option<SimTime>,
     ) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
+        let (core_res, q_res) = (self.cores.get(core).name(), self.queues[q].name());
         Self::batch_stage(&mut batch, core_res, now, g_submit.start, g_submit.end);
         Self::batch_stage(&mut batch, q_res, g_submit.end, g_lock.start, g_lock.end);
         Self::batch_stage(&mut batch, core_res, g_lock.end, g_bell.start, g_bell.end);
@@ -337,9 +339,7 @@ impl<B: StorageBackend> IoStack<B> {
         // 3. doorbell
         let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
         if probing {
-            let core_res = format!("core{core}");
-            let q_res = format!("q{q}");
-            self.span_submit_stages(&core_res, &q_res, now, &g_submit, &g_lock, &g_bell, None);
+            self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell, None);
         }
         // 4. device — a self-reporting backend decomposes this interval
         // itself (the probe joined the open command); an opaque one gets
@@ -426,21 +426,21 @@ impl<B: StorageBackend> IoStack<B> {
         }
         let cpu = self.cfg.cpu.clone();
         let probing = self.probe.is_enabled();
-        // 1. per-command submission path on the core (serial on the core)
-        let g_submits: Vec<_> = reqs
-            .iter()
-            .map(|_| self.cores.get_mut(core).reserve(now, cpu.submit))
-            .collect();
-        let batch_ready = g_submits.last().expect("non-empty batch").end;
+        // 1. per-command submission path on the core: a FIFO timeline,
+        // so the slices run back to back from the first one's start
+        let first = self.cores.get_mut(core).reserve(now, cpu.submit);
+        let mut batch_ready = first.end;
+        for _ in 1..reqs.len() {
+            batch_ready = self.cores.get_mut(core).reserve(now, cpu.submit).end;
+        }
+        debug_assert_eq!(batch_ready, first.start + cpu.submit * reqs.len() as u64);
         // 2. one queue-lock acquisition for the whole batch
         let q = self.queue_of(core);
         let g_lock = self.queues[q].reserve(batch_ready, cpu.queue_lock);
         // 3. one doorbell for the whole batch
         let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
-        let core_res = format!("core{core}");
-        let q_res = format!("q{q}");
         let mut tags = Vec::with_capacity(reqs.len());
-        for (req, g_submit) in reqs.iter().zip(&g_submits) {
+        for (i, req) in reqs.iter().enumerate() {
             let tag = self.assign_tag(req);
             tags.push(tag);
             // Open this command's probe record for the submit path …
@@ -453,15 +453,12 @@ impl<B: StorageBackend> IoStack<B> {
                 // Tile [now, admit) with this command's share of the
                 // batch: its own core slice, the shared lock + doorbell,
                 // then SQ residency — one probe borrow for all of it.
-                self.span_submit_stages(
-                    &core_res,
-                    &q_res,
-                    now,
-                    g_submit,
-                    &g_lock,
-                    &g_bell,
-                    Some(admit),
-                );
+                let start = first.start + cpu.submit * i as u64;
+                let g_submit = Grant {
+                    start,
+                    end: start + cpu.submit,
+                };
+                self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell, Some(admit));
             }
             // 5. device path at the admit instant
             let dev_c = self.backend.submit(admit, *req);
@@ -507,8 +504,7 @@ impl<B: StorageBackend> IoStack<B> {
         assert!(core < self.cfg.cores as usize, "core out of range");
         let cpu = self.cfg.cpu.clone();
         let probing = self.probe.is_enabled();
-        let ready = self.cqs[core].drain_ready(now);
-        if ready.is_empty() {
+        if !self.cqs[core].peek_done().is_some_and(|d| d <= now) {
             return Vec::new();
         }
         // Interrupt coalescing: one IRQ + context switch per reap.
@@ -521,8 +517,8 @@ impl<B: StorageBackend> IoStack<B> {
             }
             CompletionMode::Polling => now,
         };
-        let mut out = Vec::with_capacity(ready.len());
-        for (_, p) in ready {
+        let mut out = Vec::new();
+        while let Some((_, p)) = self.cqs[core].pop_ready(now) {
             let g = self.cores.get_mut(core).reserve(cursor, cpu.complete);
             cursor = g.end;
             let done = g.end;
@@ -591,8 +587,6 @@ impl<B: StorageBackend> IoStack<B> {
         }
         let mut last_done = start_at;
         let before_ios = self.ios;
-        let before_lat = self.latency.count();
-        let _ = before_lat;
         let mut lat = Histogram::new();
         while let Some(Reverse((t, core, i))) = heap.pop() {
             if i >= ops_per_core {

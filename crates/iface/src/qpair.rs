@@ -177,9 +177,7 @@ impl NamelessQueuePair {
 
     /// Drain every completion ready at `now`, earliest-done first.
     pub fn poll(&mut self, now: SimTime) -> Vec<NamelessCqe> {
-        self.cq
-            .drain_ready(now)
-            .into_iter()
+        std::iter::from_fn(|| self.cq.pop_ready(now))
             .map(|(_, c)| c)
             .collect()
     }

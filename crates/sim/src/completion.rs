@@ -20,8 +20,8 @@
 //! Everything here is pure bookkeeping over [`SimTime`] instants — no
 //! wall-clock, no randomness — so the engine stays deterministic.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -102,11 +102,7 @@ impl<T> CompletionHeap<T> {
 
     /// Drain every completion ready at `now`, earliest first.
     pub fn drain_ready(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        let mut out = Vec::new();
-        while let Some(c) = self.pop_ready(now) {
-            out.push(c);
-        }
-        out
+        std::iter::from_fn(|| self.pop_ready(now)).collect()
     }
 
     /// Completion instant of the earliest pending entry.
@@ -136,12 +132,12 @@ impl<T> CompletionHeap<T> {
 #[derive(Debug, Clone)]
 pub struct InflightWindow {
     depth: usize,
-    /// Completion instants of in-flight commands (min-heap).
-    inflight: BinaryHeap<Reverse<SimTime>>,
+    /// `(done, lba)` of every in-flight command, unordered. An admit
+    /// leaves fewer than `depth` entries and a commit adds one, so the
+    /// bound is structural and every scan below is O(depth).
+    inflight: Vec<(SimTime, u64)>,
     /// Admission instants are monotone: SQs are fetched in order.
     last_admit: SimTime,
-    /// Completion instant of the last in-flight command per LBA.
-    lba_busy: BTreeMap<u64, SimTime>,
 }
 
 impl InflightWindow {
@@ -149,9 +145,8 @@ impl InflightWindow {
     pub fn new(depth: usize) -> Self {
         InflightWindow {
             depth: depth.max(1),
-            inflight: BinaryHeap::new(),
+            inflight: Vec::new(),
             last_admit: SimTime::ZERO,
-            lba_busy: BTreeMap::new(),
         }
     }
 
@@ -167,7 +162,7 @@ impl InflightWindow {
 
     /// Earliest completion instant among in-flight commands.
     pub fn earliest_done(&self) -> Option<SimTime> {
-        self.inflight.peek().map(|Reverse(t)| *t)
+        self.inflight.iter().map(|&(done, _)| done).min()
     }
 
     /// Compute the admission instant for a command targeting `lba`
@@ -179,35 +174,22 @@ impl InflightWindow {
     pub fn admit(&mut self, now: SimTime, lba: u64) -> SimTime {
         // SQ fetch order: never admit before a previously admitted
         // command (keeps device-side submit instants monotone).
-        let mut t = if now > self.last_admit {
-            now
-        } else {
-            self.last_admit
-        };
+        let mut t = now.max(self.last_admit);
         // Retire commands already done by `t`.
-        while self.inflight.peek().is_some_and(|Reverse(d)| *d <= t) {
-            self.inflight.pop();
-        }
+        self.inflight.retain(|&(done, _)| done > t);
         // Window full: wait for the earliest in-flight completion.
         while self.inflight.len() >= self.depth {
-            let Reverse(d) = self.inflight.pop().expect("non-empty at depth");
-            if d > t {
-                t = d;
-            }
+            let earliest = (0..self.inflight.len())
+                .min_by_key(|&i| self.inflight[i].0)
+                .expect("non-empty at depth");
+            t = t.max(self.inflight.swap_remove(earliest).0);
         }
-        // Same-LBA hazard: wait out any in-flight predecessor.
-        if let Some(&busy) = self.lba_busy.get(&lba) {
-            if busy > t {
-                t = busy;
-                // The predecessor finishing may retire more commands.
-                while self.inflight.peek().is_some_and(|Reverse(d)| *d <= t) {
-                    self.inflight.pop();
-                }
-            }
-        }
-        // Lazy cleanup so the hazard map stays O(depth)-ish.
-        if self.lba_busy.len() > 4 * self.depth {
-            self.lba_busy.retain(|_, d| *d > t);
+        // Same-LBA hazard: wait out the in-flight predecessor. There is
+        // at most one — its own successor waited here and retired it.
+        if let Some(&(busy, _)) = self.inflight.iter().find(|e| e.1 == lba && e.0 > t) {
+            t = busy;
+            // The predecessor finishing may retire more commands.
+            self.inflight.retain(|&(done, _)| done > t);
         }
         t
     }
@@ -219,8 +201,7 @@ impl InflightWindow {
     /// command.
     pub fn commit(&mut self, admit: SimTime, lba: u64, done: SimTime) {
         debug_assert!(done >= admit, "completion precedes admission");
-        self.inflight.push(Reverse(done));
-        self.lba_busy.insert(lba, done);
+        self.inflight.push((done, lba));
         self.last_admit = admit;
     }
 }
@@ -228,6 +209,10 @@ impl InflightWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BTreeMap;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -317,12 +302,159 @@ mod tests {
     }
 
     #[test]
-    fn window_hazard_map_stays_bounded() {
+    fn window_stays_bounded_by_depth() {
         let mut w = InflightWindow::new(2);
         for i in 0..1000u64 {
             let a = w.admit(t(i), i);
-            w.commit(a, i, a + crate::time::SimDuration::from_micros(1));
+            w.commit(a, i, a + SimDuration::from_micros(50));
+            assert!(w.inflight.len() <= w.depth());
         }
-        assert!(w.lba_busy.len() <= 4 * w.depth() + 1);
+    }
+
+    /// The window the flat `Vec` replaced, kept as the reference it is
+    /// held identical to: a min-heap of completion instants beside a
+    /// per-LBA map of the last in-flight completion, the map swept by a
+    /// `retain` whenever it outgrows four times the depth.
+    struct HeapMapWindow {
+        depth: usize,
+        inflight: BinaryHeap<Reverse<SimTime>>,
+        last_admit: SimTime,
+        lba_busy: BTreeMap<u64, SimTime>,
+    }
+
+    impl HeapMapWindow {
+        fn new(depth: usize) -> Self {
+            HeapMapWindow {
+                depth: depth.max(1),
+                inflight: BinaryHeap::new(),
+                last_admit: SimTime::ZERO,
+                lba_busy: BTreeMap::new(),
+            }
+        }
+
+        fn in_flight(&self) -> usize {
+            self.inflight.len()
+        }
+
+        fn earliest_done(&self) -> Option<SimTime> {
+            self.inflight.peek().map(|Reverse(t)| *t)
+        }
+
+        fn admit(&mut self, now: SimTime, lba: u64) -> SimTime {
+            let mut t = if now > self.last_admit {
+                now
+            } else {
+                self.last_admit
+            };
+            while self.inflight.peek().is_some_and(|Reverse(d)| *d <= t) {
+                self.inflight.pop();
+            }
+            while self.inflight.len() >= self.depth {
+                let Reverse(d) = self.inflight.pop().expect("non-empty at depth");
+                if d > t {
+                    t = d;
+                }
+            }
+            if let Some(&busy) = self.lba_busy.get(&lba) {
+                if busy > t {
+                    t = busy;
+                    while self.inflight.peek().is_some_and(|Reverse(d)| *d <= t) {
+                        self.inflight.pop();
+                    }
+                }
+            }
+            if self.lba_busy.len() > 4 * self.depth {
+                self.lba_busy.retain(|_, d| *d > t);
+            }
+            t
+        }
+
+        fn commit(&mut self, admit: SimTime, lba: u64, done: SimTime) {
+            self.inflight.push(Reverse(done));
+            self.lba_busy.insert(lba, done);
+            self.last_admit = admit;
+        }
+    }
+
+    const DEPTHS: [usize; 3] = [1, 2, 16];
+
+    /// `((arrival step, rewind), (lba, service))`: a zero `rewind` moves
+    /// `now` backwards by the step. Nested pairs because the vendored
+    /// proptest has no 4-tuple strategy.
+    type Cmd = ((u64, u8), (u64, u64));
+
+    /// Drive both windows through `cmds` and hold every observable equal
+    /// after every admit and every commit.
+    fn assert_matches_heap_map(depth: usize, cmds: &[Cmd]) {
+        let mut flat = InflightWindow::new(depth);
+        let mut reference = HeapMapWindow::new(depth);
+        let mut now = 0u64;
+        for (i, &((step, rewind), (lba, service))) in cmds.iter().enumerate() {
+            now = if rewind == 0 {
+                now.saturating_sub(step)
+            } else {
+                now + step
+            };
+            let a = flat.admit(t(now), lba);
+            assert_eq!(a, reference.admit(t(now), lba), "admit {i}, depth {depth}");
+            assert_eq!(flat.in_flight(), reference.in_flight(), "after admit {i}");
+            assert_eq!(flat.earliest_done(), reference.earliest_done());
+            assert!(flat.in_flight() < depth, "admit {i} left no room");
+            let done = a + SimDuration::from_micros(service);
+            flat.commit(a, lba, done);
+            reference.commit(a, lba, done);
+            assert_eq!(flat.in_flight(), reference.in_flight(), "after commit {i}");
+            assert_eq!(flat.earliest_done(), reference.earliest_done());
+        }
+    }
+
+    #[test]
+    fn window_same_lba_chain_matches_the_heap_and_map() {
+        // five commands to one LBA among strangers, with zero-length
+        // services, equal completion instants and one rewind
+        for depth in DEPTHS {
+            assert_matches_heap_map(
+                depth,
+                &[
+                    ((0, 1), (7, 40)),
+                    ((0, 1), (7, 0)),
+                    ((0, 1), (3, 40)),
+                    ((5, 1), (7, 40)),
+                    ((0, 1), (7, 40)),
+                    ((0, 1), (9, 80)),
+                    ((10, 0), (7, 10)),
+                    ((300, 1), (3, 10)),
+                ],
+            );
+        }
+    }
+
+    proptest! {
+        /// Six LBAs (same-LBA chains of three and more are the norm) and
+        /// services several arrival steps long (a window that stays
+        /// full), with one arrival in five moving `now` backwards.
+        #[test]
+        fn window_matches_the_heap_and_map_it_replaced(
+            depth in 0..DEPTHS.len(),
+            cmds in proptest::collection::vec(
+                ((0..30u64, 0..5u8), (0..6u64, 0..200u64)),
+                1..300,
+            ),
+        ) {
+            assert_matches_heap_map(DEPTHS[depth], &cmds);
+        }
+
+        /// Many LBAs and arrivals slower than services: the window
+        /// drains, and the reference's `retain` sweep runs.
+        #[test]
+        fn draining_window_matches_the_heap_and_map(
+            depth in 0..DEPTHS.len(),
+            cmds in proptest::collection::vec(
+                ((0..120u64, 1..2u8), (0..4096u64, 0..100u64)),
+                1..300,
+            ),
+        ) {
+            assert_matches_heap_map(DEPTHS[depth], &cmds);
+        }
     }
 }

@@ -37,6 +37,15 @@ pub(crate) fn occupant_of(cause: OpCause) -> Occupant {
     }
 }
 
+/// Record `g` on `res`'s lane of the Gantt trace, if one is on. The two
+/// scheduler fields come in apart so the lane name is borrowed from the
+/// timeline that owns it and copied only when somebody records it.
+fn trace_span(trace: &mut Option<Gantt>, res: &Resource, g: Grant, glyph: char) {
+    if let Some(trace) = trace {
+        trace.record(res.name(), g.start, g.end, glyph, "");
+    }
+}
+
 /// Read-retry ladder: RBER derate per rung. Each rung re-senses the
 /// page at a shifted read voltage; later rungs shift further and
 /// recover more (lower effective RBER), at one tR + a command cycle
@@ -118,12 +127,6 @@ impl Scheduler {
             t = t.max(r.next_free());
         }
         t
-    }
-
-    pub(crate) fn trace_span(&mut self, lane: String, start: SimTime, end: SimTime, glyph: char) {
-        if let Some(g) = self.trace.as_mut() {
-            g.record(lane, start, end, glyph, "");
-        }
     }
 
     /// Emit wait-blame + transfer spans for a host-link grant requested
@@ -287,14 +290,12 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched
-            .trace_span(format!("chip{}", phys.lun.0), lg.start, lg.end, 'R');
+        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], lg, 'R');
         let (end, chan_wait) = if with_transfer {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
             let xg = self.sched.chan_res[chan].reserve_tagged(lg.end, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, lg.end, xg);
-            self.sched
-                .trace_span(format!("chan{chan}"), xg.start, xg.end, 't');
+            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], xg, 't');
             (xg.end, xg.start.since(lg.end))
         } else {
             (lg.end, SimDuration::ZERO)
@@ -341,7 +342,6 @@ impl Ssd {
         let t_read = self.cfg.flash.timing.read;
         let cmd = self.cfg.channel.command;
         let probe_on = self.sched.probe.is_enabled();
-        let lane = format!("chip{}", phys.lun.0);
 
         // the failed initial sense still occupied the LUN for a full tR,
         // under the original occupant
@@ -351,7 +351,7 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched.trace_span(lane.clone(), lg.start, lg.end, 'R');
+        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], lg, 'R');
 
         let mut cursor = lg.end;
         let mut steps = 0u32;
@@ -368,7 +368,7 @@ impl Ssd {
                 self.sched.lun_res[li].reserve_tagged(rung_cmd_done, t_read, Occupant::Recovery);
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, rung_cmd_done, g, Cause::Recovery);
-            self.sched.trace_span(lane.clone(), g.start, g.end, 'r');
+            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'r');
             cursor = g.end;
             match self.luns[li].recovery_read(phys.addr, derate, 1.0) {
                 Ok(o) => {
@@ -400,7 +400,7 @@ impl Ssd {
             );
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, esc_cmd_done, g, Cause::Recovery);
-            self.sched.trace_span(lane.clone(), g.start, g.end, 'e');
+            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'e');
             cursor = g.end;
             match self.luns[li].recovery_read(
                 phys.addr,
@@ -483,8 +483,7 @@ impl Ssd {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
             let xg = self.sched.chan_res[chan].reserve_tagged(cursor, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, cursor, xg);
-            self.sched
-                .trace_span(format!("chan{chan}"), xg.start, xg.end, 't');
+            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], xg, 't');
             (xg.end, xg.start.since(cursor))
         } else {
             (cursor, SimDuration::ZERO)
@@ -518,8 +517,7 @@ impl Ssd {
                 self.cfg.channel.write_bus_time(self.page_size()) + self.chan_hiccup_extra(chan);
             let bus = self.sched.chan_res[chan].reserve_tagged(not_before, bus_time, occ);
             self.sched.emit_chan_transfer_spans(chan, not_before, bus);
-            self.sched
-                .trace_span(format!("chan{chan}"), bus.start, bus.end, 't');
+            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], bus, 't');
             bus.end
         } else {
             not_before
@@ -544,8 +542,7 @@ impl Ssd {
         self.metrics.flash_programs.bump(cause);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
-        self.sched
-            .trace_span(format!("chip{}", phys.lun.0), g.start, g.end, 'P');
+        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'P');
         Ok(g.end)
     }
 
@@ -589,8 +586,7 @@ impl Ssd {
             self.metrics.recovery.erase_retirements += 1;
             self.dir.retire(lun, block_idx);
         } else {
-            self.sched
-                .trace_span(format!("chip{}", lun.0), g.start, g.end, 'E');
+            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'E');
             self.dir.recycle(lun, block_idx);
         }
         Ok(g.end)

@@ -176,9 +176,7 @@ impl QueuePair {
 
     /// Drain every completion ready at `now`, earliest-done first.
     pub fn poll(&mut self, now: SimTime) -> Vec<IoCompletion> {
-        self.cq
-            .drain_ready(now)
-            .into_iter()
+        std::iter::from_fn(|| self.cq.pop_ready(now))
             .map(|(_, c)| c)
             .collect()
     }

@@ -254,18 +254,70 @@ fn completion_times_are_causally_ordered() {
     assert!(ssd.drain_time() >= last_done);
 }
 
+/// `(lane, glyph)` of every recorded span, in record order.
+fn lanes_and_glyphs(trace: &requiem_sim::Gantt) -> Vec<(&str, char)> {
+    trace
+        .spans()
+        .iter()
+        .map(|s| (s.lane.as_str(), s.glyph))
+        .collect()
+}
+
 #[test]
 fn trace_records_chip_and_channel_spans() {
+    // lanes are the scheduler's resource names, in first-recorded order:
+    // four writes stripe over channels 0..4, the read revisits the last
     let mut ssd = Ssd::new(modern_unbuffered());
     ssd.enable_trace();
-    let w = ssd.write(SimTime::ZERO, Lpn(0)).unwrap();
-    ssd.read(w.done, Lpn(0)).unwrap();
+    let mut t = SimTime::ZERO;
+    for lpn in 0..4 {
+        t = ssd.write(t, Lpn(lpn)).unwrap().done;
+    }
+    ssd.read(t, Lpn(3)).unwrap();
     let trace = ssd.take_trace().unwrap();
-    let lanes: Vec<&str> = trace.spans().iter().map(|s| s.lane.as_str()).collect();
-    assert!(lanes.iter().any(|l| l.starts_with("chip")));
-    assert!(lanes.iter().any(|l| l.starts_with("chan")));
-    let glyphs: Vec<char> = trace.spans().iter().map(|s| s.glyph).collect();
-    assert!(glyphs.contains(&'P'));
-    assert!(glyphs.contains(&'R'));
-    assert!(glyphs.contains(&'t'));
+    assert_eq!(
+        lanes_and_glyphs(&trace),
+        [
+            ("chan0", 't'),
+            ("chip0", 'P'),
+            ("chan1", 't'),
+            ("chip4", 'P'),
+            ("chan2", 't'),
+            ("chip8", 'P'),
+            ("chan3", 't'),
+            ("chip12", 'P'),
+            ("chip12", 'R'),
+            ("chan3", 't'),
+        ]
+    );
+
+    // a read that climbs the whole recovery ladder: the failed sense,
+    // three retry rungs and the ECC escalation land on the page's own
+    // chip (the stripe rebuild records no lanes), then the data moves
+    // over the chip's channel and the rebuilt page is programmed afresh
+    let mut cfg = modern_unbuffered();
+    cfg.shape.channels = 2;
+    cfg.shape.chips_per_channel = 1;
+    cfg.fault = requiem_sim::FaultPlan::uniform_rber(1.0e7);
+    let mut ssd = Ssd::new(cfg);
+    let mut t = SimTime::ZERO;
+    for lpn in 0..2 {
+        t = ssd.write(t, Lpn(lpn)).unwrap().done;
+    }
+    ssd.enable_trace();
+    ssd.read(t, Lpn(1)).unwrap();
+    let trace = ssd.take_trace().unwrap();
+    assert_eq!(
+        lanes_and_glyphs(&trace),
+        [
+            ("chip1", 'R'),
+            ("chip1", 'r'),
+            ("chip1", 'r'),
+            ("chip1", 'r'),
+            ("chip1", 'e'),
+            ("chan1", 't'),
+            ("chan1", 't'),
+            ("chip1", 'P'),
+        ]
+    );
 }
