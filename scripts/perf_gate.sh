@@ -34,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE=${1:-check}
-BIN=${2:-${BENCH_KERNEL_BIN:-target/release/bench_kernel}}
+BIN=${2:-target/release/bench_kernel}
 JSON=${3:-BENCH_kernel.json}
 REGRESS_TOL=${REGRESS_TOL:-20}      # percent
 MIN_PROBE_SPEEDUP=${MIN_PROBE_SPEEDUP:-5}
@@ -87,7 +87,7 @@ wall_ms_before() { # bench: the recorded "before", else the recorded wall_ms, el
 
 case "$MODE" in
 --write)
-    rows=
+    rows= # composed first: wall_ms_before reads the file about to be replaced
     for b in $BENCHES; do
         ns_x10=$(( WALL_MS[$b] * 10000000 / EVENTS[$b] ))
         rows+=$(printf '    {"name":"%s","events":%s,"checksum":"%s","wall_ms":%s,"events_per_sec":%s,"ns_per_event":%d.%d,"wall_ms_before":%s}' \
@@ -104,8 +104,7 @@ case "$MODE" in
             printf '  "gate": {"regression_tolerance_pct": %s},\n' "$REGRESS_TOL"
         fi
         printf '  "benches": [\n%s\n  ]\n}\n' "${rows%$',\n'}"
-    } >"$JSON.tmp"
-    mv "$JSON.tmp" "$JSON"
+    } >"$JSON"
     echo "perf_gate: wrote $JSON"
     ;;
 check)
