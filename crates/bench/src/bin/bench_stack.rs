@@ -1,6 +1,7 @@
 //! **Stack micro-bench driver** — `bench_kernel`'s sibling one layer
 //! up: deterministic work units for the per-command path from
-//! [`IoStack`] down to the flash LUN.
+//! [`IoStack`] down to the flash LUN, and for the storage manager's
+//! executor above it.
 //!
 //! Same contract as `bench_kernel`: each sub-bench runs a fixed, seeded
 //! amount of simulated work and prints
@@ -10,10 +11,12 @@
 //! ```
 //!
 //! where `events` counts simulated commands (every command the sub-bench
-//! pushes through the layer under test, set-up included) and `checksum`
-//! folds their simulated completion instants. The binary never reads a
-//! clock; `scripts/perf_gate.sh` owns the stopwatch and composes
-//! `BENCH_stack.json` (host-ns per simulated command).
+//! pushes through the layer under test, set-up included; committed
+//! transactions for the `db_*` rows) and `checksum` folds their simulated
+//! completion instants (final clocks and counters for the `db_*` rows).
+//! The binary never reads a clock; `scripts/perf_gate.sh` owns the
+//! stopwatch and composes `BENCH_stack.json` (host-ns per simulated
+//! command).
 //!
 //! Sub-benches:
 //!
@@ -30,19 +33,33 @@
 //! * `qpair_qd1` — [`QueuePair`] at depth 1 straight over the device
 //!   (no block layer): fill, then random reads, one submit + one pop per
 //!   command.
+//! * `db_run_qd16` — the benchmark's `oltp_qd16` shape:
+//!   [`Database::run_concurrent`] at concurrency 16 over the blk-mq
+//!   stack, 4096 data pages behind 512 frames, `batched(16)` group
+//!   commit, a sharp checkpoint every 2000 commits, zipfian θ 0.8.
+//! * `db_shard4` — `oltp_shard4`'s shape: [`ShardedDb::run`] over four
+//!   shards of that database (1024 frames in all, concurrency 4 each),
+//!   a tenth of the transactions crossing shards.
 
 use requiem_block::{IoStack, StackConfig};
+use requiem_db::{
+    BlockStackBackend, Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend,
+};
 use requiem_sim::completion::InflightWindow;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{IoOp, IoRequest};
 use requiem_ssd::{QueuePair, Ssd, SsdConfig};
+use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::pattern::{AddressPattern, Pattern};
+use requiem_workload::{oltp_inputs, txn_to_input, ShardedOltpConfig, ShardedOltpGen};
 
-const BENCHES: [&str; 4] = [
+const BENCHES: [&str; 6] = [
     "window_admit",
     "iostack_read_qd8",
     "iostack_overwrite_qd8",
     "qpair_qd1",
+    "db_run_qd16",
+    "db_shard4",
 ];
 
 /// Queue depth of the `iostack_*` closed loops.
@@ -155,6 +172,93 @@ fn qpair_qd1() -> (u64, u64) {
     (pages + READS as u64, checksum)
 }
 
+const DB_PAGES: u64 = 4096;
+const DB_THETA: f64 = 0.8;
+const DB_SEED: u64 = 11;
+const DB_SHARDS: usize = 4;
+
+/// What the `db_*` rows share with the benchmark's `oltp_*` workloads.
+fn db_builder() -> DbBuilder {
+    DbConfig::builder()
+        .data_pages(DB_PAGES)
+        .log_pages(512)
+        .checkpoint_every(2000)
+}
+
+/// Fold one engine's final clock and every counter a page-state change
+/// could move.
+fn fold_db<B: PersistenceBackend>(checksum: &mut u64, db: &Database<B>) {
+    fold(checksum, db.now());
+    let (e, b, w) = (db.stats(), db.backend().stats(), db.wal_backend().stats());
+    for x in [
+        e.commits,
+        e.checkpoints,
+        e.read_stall.as_nanos(),
+        e.steal_stall.as_nanos(),
+        e.commit_stall.as_nanos(),
+        e.media_recoveries,
+        e.media_failures,
+        e.wal_force_failures,
+        b.page_writes,
+        b.steal_writes,
+        b.page_reads,
+        b.frees,
+        b.batches,
+        b.logical_writes,
+        w.log_forces,
+        w.log_bytes,
+    ] {
+        *checksum = checksum.wrapping_mul(31).wrapping_add(x);
+    }
+}
+
+fn db_run_qd16() -> (u64, u64) {
+    const TXNS: u64 = 50_000;
+    let b = db_builder()
+        .buffer_frames(512)
+        .concurrency(16)
+        .group(GroupCommitPolicy::batched(16));
+    let gen_cfg = OltpConfig {
+        data_pages: DB_PAGES,
+        theta: DB_THETA,
+        ..OltpConfig::default()
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, DB_SEED), TXNS);
+    let mut db: Database<BlockStackBackend> =
+        b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+    let report = db.run_concurrent(&inputs, &b.exec_config());
+    let mut checksum = 0u64;
+    fold_db(&mut checksum, &db);
+    (report.txns, checksum)
+}
+
+fn db_shard4() -> (u64, u64) {
+    const TXNS: usize = 40_000;
+    let b = db_builder()
+        .buffer_frames(1024)
+        .shards(DB_SHARDS)
+        .cross_shard_ratio(0.10)
+        .concurrency(4)
+        .group(GroupCommitPolicy::batched(4));
+    let gen_cfg = ShardedOltpConfig {
+        clients: 4096,
+        theta: DB_THETA,
+        shards: DB_SHARDS,
+        cross_shard_ratio: b.cross_ratio(),
+        data_pages: DB_PAGES,
+        ..ShardedOltpConfig::default()
+    };
+    let mut gen = ShardedOltpGen::new(gen_cfg, DB_SEED);
+    let inputs: Vec<_> = (0..TXNS).map(|_| txn_to_input(&gen.next_txn())).collect();
+    let mut db = b.build_sharded_stack(StackConfig::blk_mq(DB_SHARDS as u32), SsdConfig::modern());
+    let report = db.run(&inputs, &b.exec_config());
+    let mut checksum = 0u64;
+    for s in 0..db.num_shards() {
+        fold_db(&mut checksum, db.shard(s));
+    }
+    (report.committed, checksum)
+}
+
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
     let (events, checksum) = match name.as_str() {
@@ -166,6 +270,8 @@ fn main() {
         "iostack_read_qd8" => iostack(IoOp::Read, false, 1 << 19),
         "iostack_overwrite_qd8" => iostack(IoOp::Write, true, 1 << 18),
         "qpair_qd1" => qpair_qd1(),
+        "db_run_qd16" => db_run_qd16(),
+        "db_shard4" => db_shard4(),
         _ => {
             eprintln!("usage: bench_stack <--list|{}>", BENCHES.join("|"));
             std::process::exit(2);

@@ -18,7 +18,7 @@ use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Histogram;
 
 use crate::backend::PersistenceBackend;
-use crate::buffer::{BufferPool, EvictOutcome};
+use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
 use crate::page::{PageId, SlottedPage};
 use crate::wal::{LogRecord, Lsn, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig};
@@ -230,6 +230,11 @@ impl<B: PersistenceBackend> Database<B> {
     /// Aggregate statistics.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
+    }
+
+    /// Buffer-pool statistics (hits, misses, steals, coalesced fetches).
+    pub fn pool_stats(&self) -> &PoolStats {
+        self.pool.stats()
     }
 
     /// Promote completed in-flight writes to the durable image set.

@@ -123,6 +123,84 @@ fn zipfian_hottest_rank_share_matches_the_harmonic() {
     );
 }
 
+/// The storage manager's simulated numbers, pinned as literals: a small
+/// `oltp_qd16`-shaped run over the block stack (steals, coalesced
+/// fetches, checkpoints), then a crash and a recovery. A change to how
+/// the engine *finds* a page's state must not move any of them.
+#[test]
+fn db_executor_run_is_pinned() {
+    use requiem::block::StackConfig;
+    use requiem::db::{DbConfig, GroupCommitPolicy, PersistenceBackend};
+    use requiem::workload::oltp::{OltpConfig, OltpGen};
+    use requiem::workload::oltp_inputs;
+
+    let b = DbConfig::builder()
+        .data_pages(256)
+        .log_pages(64)
+        .buffer_frames(32)
+        .checkpoint_every(600)
+        .concurrency(8)
+        .group(GroupCommitPolicy::batched(8));
+    let gen_cfg = OltpConfig {
+        data_pages: 256,
+        ..OltpConfig::default()
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, 11), 2_000);
+    let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+    let report = db.run_concurrent(&inputs, &b.exec_config());
+    assert_eq!(db.now().as_nanos(), 674_545_276);
+    assert_eq!(
+        (report.txns, report.forces, report.coalesced),
+        (2000, 250, 208)
+    );
+    assert_eq!(
+        format!("{:?}", db.stats()),
+        "EngineStats { commits: 2000, checkpoints: 3, read_stall: SimDuration(3179502044), \
+         steal_stall: SimDuration(446147208), commit_stall: SimDuration(1282373804), \
+         media_recoveries: 0, media_failures: 0, wal_force_failures: 0 }"
+    );
+    assert_eq!(
+        format!("{:?}", db.pool_stats()),
+        "PoolStats { hits: 8000, misses: 0, steals: 2862, clean_evictions: 2170, coalesced: 208 }"
+    );
+    assert_eq!(
+        format!("{:?}", db.backend().stats()),
+        "BackendStats { page_writes: 306, steal_writes: 2862, page_reads: 5064, frees: 0, \
+         batches: 3, logical_writes: 3168 }"
+    );
+    let w = db.wal_backend().stats();
+    assert_eq!(
+        (w.log_forces, w.log_bytes, w.log_trims),
+        (1586, 1_162_912, 189)
+    );
+
+    // every 125th transaction's first written record, across a crash
+    const OWNERS: [u64; 16] = [
+        1994, 1974, 1206, 1995, 1894, 1994, 1745, 1895, 1854, 1988, 1968, 1864, 1823, 1626, 1990,
+        1876,
+    ];
+    let samples: Vec<(u64, u16)> = inputs
+        .iter()
+        .step_by(125)
+        .filter_map(|t| t.accesses.iter().find(|a| a.2).map(|a| (a.0, a.1)))
+        .collect();
+    let owners = |db: &mut requiem::db::Database<_>| -> Vec<u64> {
+        samples
+            .iter()
+            .map(|&(p, s)| db.visible_owner(p, s))
+            .collect()
+    };
+    assert_eq!(owners(&mut db), OWNERS);
+    db.crash();
+    assert_eq!(
+        db.recover(),
+        36,
+        "records replayed past the last checkpoint"
+    );
+    assert_eq!(owners(&mut db), OWNERS);
+    assert_eq!(db.now().as_nanos(), 675_796_220);
+}
+
 #[test]
 fn nameless_device_is_deterministic_too() {
     use requiem::iface::nameless::{NamelessConfig, NamelessSsd};
