@@ -12,14 +12,14 @@
 //! log's updates of committed transactions onto the durable page images,
 //! LSN-guarded for idempotence.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Histogram;
 
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
-use crate::page::{PageId, SlottedPage};
+use crate::page::{PageId, PageVec, SlottedPage};
 use crate::wal::{LogRecord, Lsn, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig};
 
@@ -49,6 +49,20 @@ pub struct DbConfig {
     /// byte-addressable PCM DIMM (the paper's P1) while page data keeps
     /// streaming to flash.
     pub wal: WalConfig,
+}
+
+impl DbConfig {
+    /// A data page as [`Database::load`] formats it: every fixed slot
+    /// present and zeroed.
+    fn formatted_page(&self) -> SlottedPage {
+        let mut p = SlottedPage::new();
+        let zeros = vec![0u8; self.record_size];
+        for _ in 0..self.slots_per_page {
+            p.insert(&zeros)
+                .expect("slots_per_page × record_size must fit a page");
+        }
+        p
+    }
 }
 
 impl Default for DbConfig {
@@ -125,8 +139,10 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) now: SimTime,
     /// Host-side model of the page images that are durable on the device
     /// (updated when a page write completes; the devices themselves model
-    /// timing and layout, the engine models the bytes).
-    pub(crate) durable: BTreeMap<PageId, SlottedPage>,
+    /// timing and layout, the engine models the bytes). Every page starts
+    /// as one shared formatted image — what `load` writes, and what a
+    /// page never written reads as.
+    pub(crate) durable: PageVec<SlottedPage>,
     /// Writes in flight: (completion time, page id, image). Promoted to
     /// `durable` once `now` passes the completion.
     pub(crate) in_flight: Vec<(SimTime, PageId, SlottedPage)>,
@@ -163,10 +179,10 @@ impl<B: PersistenceBackend> Database<B> {
             WalConfig::Pcm(pcfg) => Box::new(PcmWal::new(pcfg)),
         };
         Database {
-            pool: BufferPool::new(cfg.buffer_frames),
+            pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
             now: SimTime::ZERO,
-            durable: BTreeMap::new(),
+            durable: PageVec::new(cfg.data_pages, cfg.formatted_page()),
             in_flight: Vec::new(),
             txn_latency: Histogram::new(),
             commit_latency: Histogram::new(),
@@ -240,38 +256,21 @@ impl<B: PersistenceBackend> Database<B> {
     /// Promote completed in-flight writes to the durable image set.
     pub(crate) fn settle_in_flight(&mut self) {
         let now = self.now;
-        let mut settled = Vec::new();
-        self.in_flight.retain(|(done, page, image)| {
-            if *done <= now {
-                settled.push((*page, image.clone()));
-                false
+        for (done, page, image) in std::mem::take(&mut self.in_flight) {
+            if done <= now {
+                self.durable[page] = image;
             } else {
-                true
+                self.in_flight.push((done, page, image));
             }
-        });
-        for (page, image) in settled {
-            self.durable.insert(page, image);
         }
     }
 
-    pub(crate) fn fresh_formatted_page(&self) -> SlottedPage {
-        let mut p = SlottedPage::new();
-        let zeros = vec![0u8; self.cfg.record_size];
-        for _ in 0..self.cfg.slots_per_page {
-            p.insert(&zeros)
-                .expect("slots_per_page × record_size must fit a page");
-        }
-        p
-    }
-
-    /// Bulk-load: pre-format every data page with fixed slots, write all
-    /// pages out, and checkpoint. Must be called once before transactions.
+    /// Bulk-load: write every (pre-formatted) data page out, and
+    /// checkpoint. Must be called once before transactions.
     pub fn load(&mut self) {
         assert!(!self.loaded, "load() must run exactly once");
         for pid in 0..self.cfg.data_pages {
-            let page = self.fresh_formatted_page();
             let done = self.backend.page_write(self.now, PageId(pid));
-            self.durable.insert(PageId(pid), page);
             // loading is offline: wait for each completion
             self.now = self.now.max(done);
         }
@@ -293,14 +292,7 @@ impl<B: PersistenceBackend> Database<B> {
         }
         self.settle_in_flight();
         // read the durable image (or an in-flight newer one)
-        let mut image = self
-            .in_flight
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == pid)
-            .map(|(_, _, img)| img.clone())
-            .or_else(|| self.durable.get(&pid).cloned())
-            .unwrap_or_else(|| self.fresh_formatted_page());
+        let mut image = self.pick_image(pid);
         let t0 = self.now;
         let (done, status) = self.backend.page_read(self.now, pid);
         self.now = self.now.max(done);
@@ -321,29 +313,37 @@ impl<B: PersistenceBackend> Database<B> {
                 let (end, img) = self.rebuild_page_from_log(self.now, pid);
                 self.now = self.now.max(end);
                 image = img;
-                self.durable.insert(pid, image.clone());
+                self.durable[pid] = image.clone();
             }
         }
-        match self.pool.install(pid, image, false) {
-            EvictOutcome::Clean => {}
-            EvictOutcome::Steal { page_id, image } => {
-                // synchronous steal write: WAL rule first — the stolen
-                // page's updates must be durable in the log
-                let t0 = self.now;
-                let unflushed = self.wal.next_lsn();
-                if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
-                    self.wal_dev.append(unflushed, 512);
-                    let f = self.wal_dev.force(self.now, unflushed);
-                    self.note_force(f.status);
-                    self.wal.mark_flushed(unflushed);
-                    self.now = self.now.max(f.done);
-                }
-                let done = self.backend.steal_write(self.now, page_id);
-                self.now = self.now.max(done);
-                self.stats.steal_stall += self.now.since(t0);
-                self.durable.insert(page_id, *image);
-            }
+        if let EvictOutcome::Steal { page_id, image } = self.pool.install(pid, image, false) {
+            self.now = self.write_back_stolen(self.now, page_id, image);
         }
+    }
+
+    /// Synchronous steal write of `page_id` starting at `at`: WAL rule
+    /// first — the stolen page's updates must be durable in the log
+    /// before its frame turns — then the page write, whose image becomes
+    /// the durable one. Returns the instant the device is done.
+    pub(crate) fn write_back_stolen(
+        &mut self,
+        at: SimTime,
+        page_id: PageId,
+        image: SlottedPage,
+    ) -> SimTime {
+        let mut end = at;
+        let unflushed = self.wal.next_lsn();
+        if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
+            self.wal_dev.append(unflushed, 512);
+            let f = self.wal_dev.force(end, unflushed);
+            self.note_force(f.status);
+            self.wal.mark_flushed(unflushed);
+            end = end.max(f.done);
+        }
+        end = end.max(self.backend.steal_write(end, page_id));
+        self.stats.steal_stall += end.since(at);
+        self.durable[page_id] = image;
+        end
     }
 
     /// Execute one transaction: each access reads (and possibly dirties)
@@ -371,13 +371,13 @@ impl<B: PersistenceBackend> Database<B> {
                 wrote = true;
                 let mut after = vec![0u8; self.cfg.record_size];
                 after[..8].copy_from_slice(&txn.to_le_bytes());
+                frame.update(slot, &after);
                 let lsn = self.wal.append(LogRecord::Update {
                     txn,
                     page: pid,
                     slot,
-                    after: after.clone(),
+                    after,
                 });
-                frame.update(slot, &after);
                 frame.set_lsn(lsn.0);
             } else {
                 self.pool.get_mut(pid, false);
@@ -456,15 +456,10 @@ impl<B: PersistenceBackend> Database<B> {
         // lost (torn batches are prevented by the backend's journal /
         // atomic write)
         let now = self.now;
-        let mut survived = Vec::new();
-        self.in_flight.retain(|(done, page, image)| {
-            if *done <= now {
-                survived.push((*page, image.clone()));
+        for (done, page, image) in self.in_flight.drain(..) {
+            if done <= now {
+                self.durable[page] = image;
             }
-            false
-        });
-        for (page, image) in survived {
-            self.durable.insert(page, image);
         }
     }
 
@@ -545,7 +540,6 @@ impl<B: PersistenceBackend> Database<B> {
             .filter(|(lsn, _)| start.map(|s| *lsn >= s).unwrap_or(true))
             .cloned()
             .collect();
-        let zeros_page = self.fresh_formatted_page();
         for (lsn, rec) in to_apply {
             match rec {
                 LogRecord::Update {
@@ -554,10 +548,7 @@ impl<B: PersistenceBackend> Database<B> {
                     slot,
                     after,
                 } if committed.contains(&txn) => {
-                    let img = self
-                        .durable
-                        .entry(page)
-                        .or_insert_with(|| zeros_page.clone());
+                    let img = &mut self.durable[page];
                     if img.lsn() < lsn.0 {
                         img.update(slot, &after);
                         img.set_lsn(lsn.0);
@@ -565,10 +556,7 @@ impl<B: PersistenceBackend> Database<B> {
                     }
                 }
                 LogRecord::Delete { txn, page, slot } if committed.contains(&txn) => {
-                    let img = self
-                        .durable
-                        .entry(page)
-                        .or_insert_with(|| zeros_page.clone());
+                    let img = &mut self.durable[page];
                     if img.lsn() < lsn.0 {
                         img.delete(slot);
                         img.set_lsn(lsn.0);
@@ -626,7 +614,7 @@ impl<B: PersistenceBackend> Database<B> {
                 _ => None,
             })
             .collect();
-        let mut img = self.fresh_formatted_page();
+        let mut img = self.cfg.formatted_page();
         for (lsn, rec) in self.wal.durable_records() {
             match rec {
                 LogRecord::Update {
@@ -659,12 +647,8 @@ impl<B: PersistenceBackend> Database<B> {
         let record = self
             .pool
             .peek(pid)
-            .and_then(|p| p.get(slot).map(|r| r.to_vec()))
-            .or_else(|| {
-                self.durable
-                    .get(&pid)
-                    .and_then(|p| p.get(slot).map(|r| r.to_vec()))
-            });
+            .and_then(|p| p.get(slot))
+            .or_else(|| self.durable[pid].get(slot));
         // short records (never produced by this engine, but the format
         // does not forbid them) read as zero-padded rather than panicking
         record
@@ -988,6 +972,72 @@ mod group_commit_tests {
                 i + 1
             );
         }
+    }
+
+    /// Owner stamped in `(page, slot)` of the durable image set.
+    fn durable_owner(db: &Database<LegacyBackend>, page: u64, slot: u16) -> u64 {
+        let rec = db.durable[PageId(page)].get(slot).expect("formatted slot");
+        u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"))
+    }
+
+    /// A frame shares its buffer with the durable image it was read from
+    /// (after a checkpoint, after a steal + refetch): a write to the frame
+    /// must take a copy, or an unforced update would become durable.
+    #[test]
+    fn frame_writes_never_leak_into_the_durable_images_they_share() {
+        let cfg = DbConfig {
+            data_pages: 256,
+            buffer_frames: 8,
+            group_commit: 100, // never forces on its own
+            ..DbConfig::default()
+        };
+        let mut ssd_cfg = SsdConfig::modern();
+        ssd_cfg.buffer.capacity_pages = 0;
+        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
+        let mut db = Database::new(cfg, be);
+        db.load();
+
+        db.execute(&[(5, 0, true)], 128); // txn 1
+        db.checkpoint(); // page 5's frame and durable image now share bytes
+        db.execute(&[(5, 0, true)], 128); // txn 2, unforced
+        assert_eq!(db.visible_owner(5, 0), 2);
+        assert_eq!(durable_owner(&db, 5, 0), 1, "write leaked past the log");
+
+        // churn the tiny pool: page 5 is stolen (the WAL rule forces
+        // txn 2's records first), then read back sharing the stolen image
+        for i in 100..140u64 {
+            db.execute(&[(i, 0, false)], 32);
+        }
+        assert!(!db.pool.contains(PageId(5)), "page 5 should be evicted");
+        assert_eq!(durable_owner(&db, 5, 0), 2);
+        let last = db.execute(&[(5, 0, true)], 128).txn; // unforced
+        assert_eq!(db.visible_owner(5, 0), last);
+        assert_eq!(durable_owner(&db, 5, 0), 2, "write leaked past the log");
+
+        db.crash();
+        db.recover();
+        assert_eq!(
+            db.visible_owner(5, 0),
+            2,
+            "only what the log made durable survives"
+        );
+    }
+
+    /// The same for a checkpoint image whose write-back is still in
+    /// flight: it is the page as of the checkpoint, whatever the frame
+    /// does next.
+    #[test]
+    fn frame_writes_never_leak_into_an_in_flight_checkpoint_image() {
+        let mut db = db_with_group(100);
+        db.execute(&[(7, 0, true)], 128); // txn 1
+        let landed = db.now + SimDuration::from_micros(500);
+        for (pid, image) in db.pool.dirty_pages() {
+            db.in_flight.push((landed, pid, image));
+        }
+        db.execute(&[(7, 0, true)], 128); // txn 2 writes the shared frame
+        db.now = db.now.max(landed);
+        db.crash(); // the write-back had landed: its image is durable
+        assert_eq!(db.visible_owner(7, 0), 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   executor advances virtual time to the earliest completion instead
 //!   of the next submission;
 //! * **fetch coalescing** — a second transaction missing on an
-//!   in-flight page joins its waiter list instead of duplicating the
-//!   device read ([`crate::buffer::BufferPool::add_waiter`]);
+//!   in-flight page waits on it instead of duplicating the device read
+//!   ([`crate::buffer::BufferPool::add_waiter`]);
 //! * **group commit** — commits enlist in a shared
 //!   [`GroupCommit`]; one force makes the whole group durable, and the
 //!   probe decomposes each commit into its *group wait* (`wal/queue`)
@@ -221,9 +221,13 @@ pub(crate) struct UndoEntry {
 
 /// Host-side context of one in-flight page fetch: the image the device
 /// "returns" was chosen at submit time (exactly when the serialized
-/// engine read it), so completion order cannot change the bytes.
+/// engine read it), so completion order cannot change the bytes. The
+/// image shares its buffer with the durable set: a page being fetched is
+/// not resident, so neither a steal nor a checkpoint can write it before
+/// its completion.
 #[derive(Debug)]
 pub(crate) struct FetchCtx {
+    pub(crate) page: PageId,
     pub(crate) image: SlottedPage,
     /// Submitted by the readahead engine rather than a demand miss.
     pub(crate) speculative: bool,
@@ -234,7 +238,12 @@ pub(crate) struct FetchCtx {
 /// Mutable executor state threaded through the event loop.
 pub(crate) struct ExecState {
     pub(crate) slots: Vec<Slot>,
-    pub(crate) pending: BTreeMap<PageId, FetchCtx>,
+    /// Fetches in flight, unordered (the pool's page table says *whether*
+    /// a page is being fetched; this says with what). One demand fetch
+    /// per slot plus whatever readahead rode along, so a scan is short.
+    pub(crate) pending: Vec<FetchCtx>,
+    /// Scratch for the one batch a miss submits (reused, never shrunk).
+    batch: Vec<PageId>,
     pub(crate) prefetcher: Prefetcher,
     pub(crate) group: GroupCommit,
     /// Inputs handed to slots so far.
@@ -274,7 +283,8 @@ impl ExecState {
                 };
                 depth
             ],
-            pending: BTreeMap::new(),
+            pending: Vec::with_capacity(depth + prefetch.depth as usize),
+            batch: Vec::new(),
             prefetcher: Prefetcher::new(prefetch.clone()),
             group: GroupCommit::new(),
             issued: 0,
@@ -548,8 +558,8 @@ impl<B: PersistenceBackend> Database<B> {
             }
             if self.pool.fetch_in_flight(pid) {
                 // coalesce onto the in-flight fetch
-                self.pool.add_waiter(pid, i as u64);
-                if let Some(ctx) = st.pending.get_mut(&pid) {
+                self.pool.add_waiter(pid);
+                if let Some(ctx) = st.pending.iter_mut().find(|c| c.page == pid) {
                     if ctx.speculative && !ctx.demanded {
                         st.prefetcher.note_hit_in_flight();
                         self.probe.note_status("prefetch-win");
@@ -569,15 +579,14 @@ impl<B: PersistenceBackend> Database<B> {
             let image = self.pick_image(pid);
             st.prefetcher.note_demand_fetch(pid.0);
             self.pool.begin_fetch(pid);
-            st.pending.insert(
-                pid,
-                FetchCtx {
-                    image,
-                    speculative: false,
-                    demanded: true,
-                },
-            );
-            let mut batch = vec![pid];
+            st.pending.push(FetchCtx {
+                page: pid,
+                image,
+                speculative: false,
+                demanded: true,
+            });
+            st.batch.clear();
+            st.batch.push(pid);
             if !st.prefetcher.is_off() {
                 for t in st.prefetcher.targets(pid.0, self.cfg.data_pages) {
                     let tp = PageId(t % self.cfg.data_pages);
@@ -587,18 +596,16 @@ impl<B: PersistenceBackend> Database<B> {
                     let img = self.pick_image(tp);
                     self.pool.begin_fetch(tp);
                     st.prefetcher.note_issued(tp.0);
-                    st.pending.insert(
-                        tp,
-                        FetchCtx {
-                            image: img,
-                            speculative: true,
-                            demanded: false,
-                        },
-                    );
-                    batch.push(tp);
+                    st.pending.push(FetchCtx {
+                        page: tp,
+                        image: img,
+                        speculative: true,
+                        demanded: false,
+                    });
+                    st.batch.push(tp);
                 }
             }
-            let _tags = self.backend.submit_reads(self.now, &batch);
+            self.backend.submit_reads(self.now, &st.batch);
             st.slots[i].state = SlotState::WaitPage {
                 page: pid,
                 demand_at: self.now,
@@ -635,13 +642,13 @@ impl<B: PersistenceBackend> Database<B> {
                 }
                 let mut after = vec![0u8; self.cfg.record_size];
                 after[..8].copy_from_slice(&active.id.to_le_bytes());
+                frame.update(slot_no, &after);
                 let lsn = self.wal.append(LogRecord::Update {
                     txn: active.id,
                     page: pid,
                     slot: slot_no,
-                    after: after.clone(),
+                    after,
                 });
-                frame.update(slot_no, &after);
                 frame.set_lsn(lsn.0);
             }
         } else {
@@ -652,16 +659,15 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// The image a device read "returns": the newest in-flight write if
-    /// any, else the durable image, else a freshly formatted page —
-    /// chosen at submit time, exactly like the serialized engine.
+    /// any, else the durable image — chosen at submit time, exactly like
+    /// the serialized engine. A shared handle, not a copy of the bytes.
     pub(crate) fn pick_image(&self, pid: PageId) -> SlottedPage {
         self.in_flight
             .iter()
             .rev()
             .find(|(_, p, _)| *p == pid)
-            .map(|(_, _, img)| img.clone())
-            .or_else(|| self.durable.get(&pid).cloned())
-            .unwrap_or_else(|| self.fresh_formatted_page())
+            .map_or(&self.durable[pid], |(_, _, img)| img)
+            .clone()
     }
 
     /// Reap ready completions; the event clock advances through each
@@ -685,9 +691,10 @@ impl<B: PersistenceBackend> Database<B> {
     /// redo, eviction (with the WAL rule), waiter wake-up, and
     /// speculation attribution — on the advanced event clock.
     pub(crate) fn finish_read(&mut self, r: PageRead, st: &mut ExecState) {
-        let Some(ctx) = st.pending.remove(&r.page) else {
+        let Some(at) = st.pending.iter().position(|c| c.page == r.page) else {
             return; // orphaned completion (no fetch context): drop it
         };
+        let ctx = st.pending.swap_remove(at);
         let mut image = ctx.image;
         // Install-side device work starts on the advanced event clock
         // (>= r.done): an earlier completion in the same reap batch may
@@ -708,26 +715,13 @@ impl<B: PersistenceBackend> Database<B> {
                 let (redo_end, img) = self.rebuild_page_from_log(self.now, r.page);
                 end = redo_end;
                 image = img;
-                self.durable.insert(r.page, image.clone());
+                self.durable[r.page] = image.clone();
             }
         }
-        let (outcome, _cookies) = self.pool.complete_fetch(r.page, image, false);
-        if let EvictOutcome::Steal { page_id, image } = outcome {
-            // synchronous steal write: WAL rule first (the victim's
-            // updates must be durable in the log before its frame turns)
-            let t0 = end;
-            let unflushed = self.wal.next_lsn();
-            if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
-                self.wal_dev.append(unflushed, 512);
-                let f = self.wal_dev.force(end, unflushed);
-                self.note_force(f.status);
-                self.wal.mark_flushed(unflushed);
-                end = end.max(f.done);
-            }
-            let done = self.backend.steal_write(end, page_id);
-            end = end.max(done);
-            self.stats.steal_stall += end.since(t0);
-            self.durable.insert(page_id, *image);
+        if let EvictOutcome::Steal { page_id, image } =
+            self.pool.complete_fetch(r.page, image, false)
+        {
+            end = self.write_back_stolen(end, page_id, image);
         }
         // install-side device work (media redo, steal) drove the device
         // to `end`
@@ -926,10 +920,9 @@ impl<B: PersistenceBackend> Database<B> {
                     restored += 1;
                 }
             }
-            if let Some(img) = self.durable.get_mut(&e.page) {
-                if owned(img) {
-                    undo_one(img);
-                }
+            let img = &mut self.durable[e.page];
+            if owned(img) {
+                undo_one(img);
             }
             for (_, p, img) in self.in_flight.iter_mut() {
                 if *p == e.page && owned(img) {

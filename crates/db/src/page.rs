@@ -13,6 +13,16 @@
 //!
 //! Deleted slots keep their directory entry with `len = 0` (tombstone) so
 //! record ids ([`Rid`]) stay stable.
+//!
+//! A page's buffer is shared copy-on-write: cloning a [`SlottedPage`]
+//! copies a pointer, and the 4 KiB are copied the first time a clone that
+//! still shares them is written. The engine holds the same image in
+//! several places at once (durable set, buffer frame, checkpoint batch,
+//! fetch in flight); only a frame that is actually dirtied pays for bytes
+//! of its own.
+
+use std::ops::{Index, IndexMut};
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -35,10 +45,56 @@ pub struct Rid {
     pub slot: u16,
 }
 
-/// An in-memory slotted page.
+/// One `T` per page of a database whose page ids are dense in
+/// `[0, pages)`: the db layer's way from a page number to that page's
+/// state. Indexing by a [`PageId`] beyond the table is an engine bug and
+/// panics with a message (PAN01) instead of growing the table.
+#[derive(Debug, Clone)]
+pub(crate) struct PageVec<T>(Vec<T>);
+
+impl<T: Clone> PageVec<T> {
+    /// `fill` for every page of a `pages`-page database.
+    pub(crate) fn new(pages: u64, fill: T) -> Self {
+        PageVec(vec![fill; pages as usize])
+    }
+
+    /// Reset every page's entry to `value`.
+    pub(crate) fn fill(&mut self, value: T) {
+        self.0.fill(value);
+    }
+}
+
+impl<T> PageVec<T> {
+    fn slot(&self, page: PageId) -> usize {
+        assert!(
+            page.0 < self.0.len() as u64,
+            "page {} beyond the {}-page table",
+            page.0,
+            self.0.len()
+        );
+        page.0 as usize
+    }
+}
+
+impl<T> Index<PageId> for PageVec<T> {
+    type Output = T;
+    fn index(&self, page: PageId) -> &T {
+        &self.0[self.slot(page)]
+    }
+}
+
+impl<T> IndexMut<PageId> for PageVec<T> {
+    fn index_mut(&mut self, page: PageId) -> &mut T {
+        let i = self.slot(page);
+        &mut self.0[i]
+    }
+}
+
+/// An in-memory slotted page. `Clone` shares the buffer; the first write
+/// through a sharing clone copies it (see the module docs).
 #[derive(Clone, PartialEq, Eq)]
 pub struct SlottedPage {
-    buf: Box<[u8; PAGE_SIZE]>,
+    buf: Rc<[u8; PAGE_SIZE]>,
 }
 
 impl std::fmt::Debug for SlottedPage {
@@ -61,7 +117,7 @@ impl SlottedPage {
     /// A fresh, empty page (LSN 0, no slots).
     pub fn new() -> Self {
         let mut p = SlottedPage {
-            buf: Box::new([0u8; PAGE_SIZE]),
+            buf: Rc::new([0u8; PAGE_SIZE]),
         };
         p.set_free_upper(PAGE_SIZE as u16);
         p
@@ -70,7 +126,7 @@ impl SlottedPage {
     /// Reconstruct from raw bytes (e.g. after recovery).
     pub fn from_bytes(bytes: &[u8; PAGE_SIZE]) -> Self {
         SlottedPage {
-            buf: Box::new(*bytes),
+            buf: Rc::new(*bytes),
         }
     }
 
@@ -84,7 +140,7 @@ impl SlottedPage {
     }
 
     fn write_u16(&mut self, at: usize, v: u16) {
-        self.buf[at..at + 2].copy_from_slice(&v.to_le_bytes());
+        Rc::make_mut(&mut self.buf)[at..at + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     fn read_u64(&self, at: usize) -> u64 {
@@ -94,7 +150,7 @@ impl SlottedPage {
     }
 
     fn write_u64(&mut self, at: usize, v: u64) {
-        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        Rc::make_mut(&mut self.buf)[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Page LSN: the LSN of the last log record that modified this page.
@@ -160,7 +216,7 @@ impl SlottedPage {
         }
         let slot = self.slot_count();
         let new_upper = self.free_upper() as usize - record.len();
-        self.buf[new_upper..new_upper + record.len()].copy_from_slice(record);
+        Rc::make_mut(&mut self.buf)[new_upper..new_upper + record.len()].copy_from_slice(record);
         self.set_free_upper(new_upper as u16);
         self.set_slot_entry(slot, new_upper as u16, record.len() as u16);
         self.set_slot_count(slot + 1);
@@ -207,7 +263,7 @@ impl SlottedPage {
         }
         if record.len() <= len as usize {
             let off = off as usize;
-            self.buf[off..off + record.len()].copy_from_slice(record);
+            Rc::make_mut(&mut self.buf)[off..off + record.len()].copy_from_slice(record);
             self.set_slot_entry(slot, off as u16, record.len() as u16);
             Some(slot)
         } else {
@@ -301,6 +357,62 @@ mod tests {
         p.delete(b);
         let live: Vec<u16> = p.records().map(|(s, _)| s).collect();
         assert_eq!(live, vec![a, c]);
+    }
+
+    /// Every write path, applied to one of two pages sharing a buffer,
+    /// must leave the other's bytes alone — whichever side writes.
+    #[test]
+    fn a_write_through_a_clone_never_reaches_the_page_it_was_cloned_from() {
+        let writes: [fn(&mut SlottedPage); 5] = [
+            |p| {
+                p.insert(b"new record").unwrap();
+            },
+            |p| {
+                p.update(0, b"in place").unwrap();
+            },
+            |p| {
+                p.update(0, b"grown past its old footprint").unwrap();
+            },
+            |p| {
+                assert!(p.delete(0));
+            },
+            |p| p.set_lsn(99),
+        ];
+        let mut origin = SlottedPage::new();
+        origin.insert(b"0123456789").unwrap();
+        origin.set_lsn(7);
+        let bytes = *origin.as_bytes();
+        for write in writes {
+            let mut clone = origin.clone();
+            write(&mut clone);
+            assert_ne!(clone.as_bytes(), &bytes, "the write must land somewhere");
+            assert_eq!(
+                origin.as_bytes(),
+                &bytes,
+                "clone's write reached the origin"
+            );
+
+            let mut written = origin.clone();
+            let kept = written.clone();
+            write(&mut written);
+            assert_eq!(kept.as_bytes(), &bytes, "origin's write reached its clone");
+            assert_eq!(written.as_bytes(), clone.as_bytes());
+        }
+    }
+
+    #[test]
+    fn page_vec_indexes_by_page_id() {
+        let mut v = PageVec::new(4, 0u8);
+        v[PageId(3)] = 9;
+        assert_eq!((v[PageId(0)], v[PageId(3)]), (0, 9));
+        v.fill(1);
+        assert_eq!(v[PageId(3)], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "page 4 beyond the 4-page table")]
+    fn page_vec_rejects_an_id_beyond_the_table() {
+        let _ = PageVec::new(4, 0u8)[PageId(4)];
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! flash SSD behind the block interface).
 
 use std::cell::{Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use requiem_block::{IoStack, StackConfig};
@@ -46,8 +46,11 @@ pub struct BlockStackBackend {
     core: usize,
     /// Use TRIM on frees (off by default, like the legacy stack).
     pub use_trim: bool,
-    /// Batched reads in flight: host tag → page.
-    pending: BTreeMap<u64, PageId>,
+    /// Batched reads in flight as `(host tag, page)`, unordered: never
+    /// more than the executor keeps outstanding, so a scan finds a tag.
+    pending: Vec<(u64, PageId)>,
+    /// Scratch for the requests of one `submit_reads` batch (reused).
+    reqs: Vec<IoRequest>,
     /// Read completions reaped early (while draining a synchronous
     /// journal batch), waiting for the next poll.
     ready: Vec<PageRead>,
@@ -92,7 +95,8 @@ impl BlockStackBackend {
             lba_base: 0,
             core: 0,
             use_trim: false,
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
+            reqs: Vec::new(),
             ready: Vec::new(),
             next_tag: 0,
             stats: BackendStats::default(),
@@ -148,7 +152,8 @@ impl BlockStackBackend {
                 lba_base: i as u64 * stripe,
                 core: i,
                 use_trim: false,
-                pending: BTreeMap::new(),
+                pending: Vec::new(),
+                reqs: Vec::new(),
                 ready: Vec::new(),
                 next_tag: (i as u64) << 48,
                 stats: BackendStats::default(),
@@ -176,6 +181,12 @@ impl BlockStackBackend {
         CommandTag(self.next_tag)
     }
 
+    /// Retire the batched read carrying `tag`, if it is one of ours.
+    fn take_pending(&mut self, tag: CommandTag) -> Option<PageId> {
+        let at = self.pending.iter().position(|&(t, _)| t == tag.0)?;
+        Some(self.pending.swap_remove(at).1)
+    }
+
     /// Submit `reqs` as one batch and drain the completion queue until
     /// every one of them has been reaped; returns the latest completion
     /// instant. Read completions that happen to become ready while we
@@ -196,10 +207,11 @@ impl BlockStackBackend {
                 // than spin (cannot happen with the current stack)
                 break;
             };
-            for c in self.stack.borrow_mut().poll_completions(next, self.core) {
+            let completions = self.stack.borrow_mut().poll_completions(next, self.core);
+            for c in completions {
                 if outstanding.remove(&c.tag.0) {
                     t = t.max(c.done);
-                } else if let Some(page) = self.pending.remove(&c.tag.0) {
+                } else if let Some(page) = self.take_pending(c.tag) {
                     self.ready.push(PageRead {
                         tag: c.tag,
                         page,
@@ -322,16 +334,17 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        let reqs: Vec<IoRequest> = pages
-            .iter()
-            .map(|&p| {
-                self.stats.page_reads += 1;
-                let tag = self.fresh_tag();
-                self.pending.insert(tag.0, p);
-                IoRequest::read(self.data_lpn(p).0).tag(tag)
-            })
-            .collect();
-        self.stack.borrow_mut().submit_batch(now, self.core, &reqs)
+        let mut reqs = std::mem::take(&mut self.reqs);
+        reqs.clear();
+        for &p in pages {
+            self.stats.page_reads += 1;
+            let tag = self.fresh_tag();
+            self.pending.push((tag.0, p));
+            reqs.push(IoRequest::read(self.data_lpn(p).0).tag(tag));
+        }
+        let tags = self.stack.borrow_mut().submit_batch(now, self.core, &reqs);
+        self.reqs = reqs;
+        tags
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
@@ -346,8 +359,9 @@ impl PersistenceBackend for BlockStackBackend {
             }
         });
         out.sort_by_key(|r| (r.done, r.tag.0));
-        for c in self.stack.borrow_mut().poll_completions(now, self.core) {
-            if let Some(page) = self.pending.remove(&c.tag.0) {
+        let completions = self.stack.borrow_mut().poll_completions(now, self.core);
+        for c in completions {
+            if let Some(page) = self.take_pending(c.tag) {
                 out.push(PageRead {
                     tag: c.tag,
                     page,
