@@ -37,14 +37,12 @@
 //!   [`Database::run_concurrent`] at concurrency 16 over the blk-mq
 //!   stack, 4096 data pages behind 512 frames, `batched(16)` group
 //!   commit, a sharp checkpoint every 2000 commits, zipfian θ 0.8.
-//! * `db_shard4` — `oltp_shard4`'s shape: [`ShardedDb::run`] over four
+//! * `db_shard4` — `oltp_shard4`'s shape: `ShardedDb::run` over four
 //!   shards of that database (1024 frames in all, concurrency 4 each),
 //!   a tenth of the transactions crossing shards.
 
 use requiem_block::{IoStack, StackConfig};
-use requiem_db::{
-    BlockStackBackend, Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend,
-};
+use requiem_db::{Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend};
 use requiem_sim::completion::InflightWindow;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{IoOp, IoRequest};
@@ -224,8 +222,7 @@ fn db_run_qd16() -> (u64, u64) {
         ..OltpConfig::default()
     };
     let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, DB_SEED), TXNS);
-    let mut db: Database<BlockStackBackend> =
-        b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+    let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
     let report = db.run_concurrent(&inputs, &b.exec_config());
     let mut checksum = 0u64;
     fold_db(&mut checksum, &db);

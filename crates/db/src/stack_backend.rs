@@ -48,7 +48,7 @@ pub struct BlockStackBackend {
     pub use_trim: bool,
     /// Batched reads in flight as `(host tag, page)`, unordered: never
     /// more than the executor keeps outstanding, so a scan finds a tag.
-    pending: Vec<(u64, PageId)>,
+    pending: Vec<(CommandTag, PageId)>,
     /// Scratch for the requests of one `submit_reads` batch (reused).
     reqs: Vec<IoRequest>,
     /// Read completions reaped early (while draining a synchronous
@@ -183,7 +183,7 @@ impl BlockStackBackend {
 
     /// Retire the batched read carrying `tag`, if it is one of ours.
     fn take_pending(&mut self, tag: CommandTag) -> Option<PageId> {
-        let at = self.pending.iter().position(|&(t, _)| t == tag.0)?;
+        let at = self.pending.iter().position(|&(t, _)| t == tag)?;
         Some(self.pending.swap_remove(at).1)
     }
 
@@ -334,17 +334,17 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        let mut reqs = std::mem::take(&mut self.reqs);
-        reqs.clear();
+        self.reqs.clear();
         for &p in pages {
             self.stats.page_reads += 1;
             let tag = self.fresh_tag();
-            self.pending.push((tag.0, p));
-            reqs.push(IoRequest::read(self.data_lpn(p).0).tag(tag));
+            self.pending.push((tag, p));
+            let lpn = self.data_lpn(p);
+            self.reqs.push(IoRequest::read(lpn.0).tag(tag));
         }
-        let tags = self.stack.borrow_mut().submit_batch(now, self.core, &reqs);
-        self.reqs = reqs;
-        tags
+        self.stack
+            .borrow_mut()
+            .submit_batch(now, self.core, &self.reqs)
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
