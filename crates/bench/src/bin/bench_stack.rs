@@ -33,6 +33,14 @@
 //! * `qpair_qd1` — [`QueuePair`] at depth 1 straight over the device
 //!   (no block layer): fill, then random reads, one submit + one pop per
 //!   command.
+//! * `ssd_write_plateau` — bare [`Ssd::write`] at queue depth 1 on the
+//!   modern preset (no block layer, no queue pair): sequential fill,
+//!   twice the capacity of random overwrites, then 2¹⁸ more — the
+//!   controller's write + GC path alone. The checksum also folds the GC
+//!   and flash counters and the erase-count spread.
+//! * `lun_ops` — one [`Lun`] alone: 200 program / erase cycles over every
+//!   page of the modern preset's die, then 200 read passes, as the
+//!   benchmark's flash calibration does.
 //! * `db_run_qd16` — the benchmark's `oltp_qd16` shape:
 //!   [`Database::run_concurrent`] at concurrency 16 over the blk-mq
 //!   stack, 4096 data pages behind 512 frames, `batched(16)` group
@@ -43,19 +51,22 @@
 
 use requiem_block::{IoStack, StackConfig};
 use requiem_db::{Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend};
+use requiem_flash::{Lun, PagePayload};
 use requiem_sim::completion::InflightWindow;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{IoOp, IoRequest};
-use requiem_ssd::{QueuePair, Ssd, SsdConfig};
+use requiem_ssd::{Lpn, QueuePair, Ssd, SsdConfig};
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 use requiem_workload::{oltp_inputs, txn_to_input, ShardedOltpConfig, ShardedOltpGen};
 
-const BENCHES: [&str; 6] = [
+const BENCHES: [&str; 8] = [
     "window_admit",
     "iostack_read_qd8",
     "iostack_overwrite_qd8",
     "qpair_qd1",
+    "ssd_write_plateau",
+    "lun_ops",
     "db_run_qd16",
     "db_shard4",
 ];
@@ -170,6 +181,73 @@ fn qpair_qd1() -> (u64, u64) {
     (pages + READS as u64, checksum)
 }
 
+fn ssd_write_plateau() -> (u64, u64) {
+    const TIMED: usize = 1 << 18;
+    let mut ssd = Ssd::new(SsdConfig::modern());
+    let pages = ssd.capacity().exported_pages;
+    let mut pat = AddressPattern::new(Pattern::UniformRandom, pages, 42);
+    let mut lpns: Vec<u64> = (0..pages).collect();
+    lpns.extend(pat.take_vec(2 * pages as usize + TIMED));
+    let mut now = SimTime::ZERO;
+    let mut checksum = 0u64;
+    for &lpn in &lpns {
+        let c = ssd.write(now, Lpn(lpn)).expect("bench command");
+        assert!(c.status.is_success(), "bench command failed: {c:?}");
+        now = c.done;
+        fold(&mut checksum, c.done);
+    }
+    let m = ssd.metrics();
+    let (min, max, mean) = ssd.wear_spread();
+    for x in [
+        m.gc_runs,
+        m.gc_pages_moved,
+        m.flash_programs.total(),
+        m.flash_erases.total(),
+        u64::from(min),
+        u64::from(max),
+        mean.to_bits(),
+    ] {
+        checksum = checksum.wrapping_mul(31).wrapping_add(x);
+    }
+    (lpns.len() as u64, checksum)
+}
+
+fn lun_ops() -> (u64, u64) {
+    const CYCLES: u64 = 200;
+    let spec = SsdConfig::modern().flash;
+    let geometry = spec.geometry.clone();
+    let mut lun = Lun::new(0, spec, 0);
+    let blocks: Vec<_> = geometry.blocks().collect();
+    let pages: Vec<_> = blocks.iter().flat_map(|&b| geometry.pages_of(b)).collect();
+    let mut events = 0u64;
+    let mut checksum = 0u64;
+    let mut fold_ns = |d: SimDuration| {
+        events += 1;
+        checksum = checksum.wrapping_mul(31).wrapping_add(d.as_nanos());
+    };
+    for cycle in 0..CYCLES {
+        for &a in &pages {
+            let oob = PagePayload::Oob {
+                lpn: geometry.ppn(a).0,
+                seq: cycle,
+            };
+            fold_ns(lun.program(a, oob).expect("bench program").duration);
+        }
+        if cycle + 1 == CYCLES {
+            break; // leave the LUN programmed for the reads
+        }
+        for &b in &blocks {
+            fold_ns(lun.erase(b).expect("bench erase").duration);
+        }
+    }
+    for _ in 0..CYCLES {
+        for &a in &pages {
+            fold_ns(lun.read(a).expect("bench read").duration);
+        }
+    }
+    (events, checksum)
+}
+
 const DB_PAGES: u64 = 4096;
 const DB_THETA: f64 = 0.8;
 const DB_SEED: u64 = 11;
@@ -267,6 +345,8 @@ fn main() {
         "iostack_read_qd8" => iostack(IoOp::Read, false, 1 << 19),
         "iostack_overwrite_qd8" => iostack(IoOp::Write, true, 1 << 18),
         "qpair_qd1" => qpair_qd1(),
+        "ssd_write_plateau" => ssd_write_plateau(),
+        "lun_ops" => lun_ops(),
         "db_run_qd16" => db_run_qd16(),
         "db_shard4" => db_shard4(),
         _ => {

@@ -345,6 +345,12 @@ impl Ssd {
         self.dir.erase_count_spread()
     }
 
+    /// Host writes that waited for a write-buffer slot (0 under
+    /// write-through).
+    pub fn buffer_stalls(&self) -> u64 {
+        self.buffer.stalls()
+    }
+
     /// Begin recording a Gantt trace of chip/channel occupancy.
     pub fn enable_trace(&mut self) {
         self.sched.trace = Some(Gantt::new());

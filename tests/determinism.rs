@@ -201,6 +201,74 @@ fn db_executor_run_is_pinned() {
     assert_eq!(db.now().as_nanos(), 675_796_220);
 }
 
+/// The controller's simulated numbers, pinned as literals: a small
+/// page-mapped device filled, overwritten twice over (so garbage
+/// collection, victim choice, write placement and the write buffer all
+/// run) with reads of just-written and long-settled pages mixed in, once
+/// under each victim policy. A changed victim or placement tie-break, or
+/// a residency set that answers a read differently, moves them.
+#[test]
+fn ssd_controller_run_is_pinned() {
+    use requiem::ssd::GcPolicyKind;
+
+    let run = |policy: GcPolicyKind| -> String {
+        let mut cfg = SsdConfig::modern();
+        cfg.shape.channels = 2;
+        cfg.shape.chips_per_channel = 2;
+        cfg.gc.policy = policy;
+        let mut ssd = Ssd::new(cfg);
+        let pages = ssd.capacity().exported_pages;
+        let mut lpns: Vec<u64> = (0..pages).collect();
+        lpns.extend(
+            AddressPattern::new(Pattern::UniformRandom, pages, 11).take_vec(2 * pages as usize),
+        );
+        let mut t = SimTime::ZERO;
+        for (i, &lpn) in lpns.iter().enumerate() {
+            t = ssd.write(t, Lpn(lpn)).expect("write").done;
+            if i % 7 == 3 {
+                // the page just admitted: still in buffer RAM
+                t = ssd.read(t, Lpn(lpn)).expect("read").done;
+            }
+            if i % 11 == 5 {
+                // a page written long ago: flushed, or swept
+                t = ssd.read(t, Lpn(lpns[i / 2])).expect("read").done;
+            }
+        }
+        let m = ssd.metrics();
+        format!(
+            "drain {} writes {} reads {} gc_runs {} moved {} flash_reads {:?} programs {:?} \
+             erases {:?} buffer_hits {} stalls {} wear {:?}",
+            ssd.drain_time().as_nanos(),
+            m.host_writes,
+            m.host_reads,
+            m.gc_runs,
+            m.gc_pages_moved,
+            m.flash_reads,
+            m.flash_programs,
+            m.flash_erases,
+            m.buffer_read_hits,
+            ssd.buffer_stalls(),
+            ssd.wear_spread(),
+        )
+    };
+    assert_eq!(
+        run(GcPolicyKind::Greedy),
+        "drain 27446177304 writes 21504 reads 5027 gc_runs 3680 moved 45273 \
+         flash_reads CauseCounts { host: 1907, gc: 45273, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         programs CauseCounts { host: 21504, gc: 45273, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         erases CauseCounts { host: 0, gc: 3680, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         buffer_hits 3120 stalls 61 wear (3, 11, 7.1875)"
+    );
+    assert_eq!(
+        run(GcPolicyKind::CostBenefit),
+        "drain 27481658120 writes 21504 reads 5027 gc_runs 3813 moved 47387 \
+         flash_reads CauseCounts { host: 1907, gc: 47387, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         programs CauseCounts { host: 21504, gc: 47387, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         erases CauseCounts { host: 0, gc: 3813, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         buffer_hits 3120 stalls 61 wear (5, 9, 7.447265625)"
+    );
+}
+
 #[test]
 fn nameless_device_is_deterministic_too() {
     use requiem::iface::nameless::{NamelessConfig, NamelessSsd};
