@@ -27,6 +27,7 @@ use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
 use requiem_ssd::block_dir::{BlockDirectory, Stream};
 use requiem_ssd::channel::ChannelTiming;
 use requiem_ssd::config::{GcPolicyKind, SsdConfig};
+use requiem_ssd::controller::LunRotation;
 use requiem_ssd::metrics::{OpCause, SsdMetrics};
 use requiem_ssd::Lpn;
 use serde::{Deserialize, Serialize};
@@ -157,9 +158,13 @@ pub struct NamelessSsd {
     dir: BlockDirectory,
     upcalls: UpcallQueue,
     metrics: SsdMetrics,
-    rr: u32,
+    /// Write placement's LUN order and cursor (the block controller's).
+    rotation: LunRotation,
     gc_active: bool,
     probe: Probe,
+    /// The live-page list of the block being collected or salvaged
+    /// (reused from block to block).
+    live_scratch: Vec<(PageAddr, Lpn)>,
 }
 
 impl std::fmt::Debug for NamelessSsd {
@@ -195,9 +200,10 @@ impl NamelessSsd {
             dir: BlockDirectory::new(nluns, geom),
             upcalls: UpcallQueue::new(),
             metrics: SsdMetrics::new(),
-            rr: 0,
+            rotation: LunRotation::new(&cfg.shape),
             gc_active: false,
             probe: Probe::disabled(),
+            live_scratch: Vec::new(),
             cfg,
         }
     }
@@ -268,27 +274,6 @@ impl NamelessSsd {
         SimDuration::from_nanos(
             (bytes as u64 * 1_000).div_ceil(self.cfg.host_link_bytes_per_us as u64),
         )
-    }
-
-    fn place_lun(&mut self, t: SimTime) -> LunId {
-        let prog = self.cfg.flash.timing.program_mean();
-        let n = self.cfg.shape.total_luns();
-        let offset = self.rr;
-        self.rr = self.rr.wrapping_add(1);
-        let mut best = LunId(offset % n);
-        let mut best_start = SimTime::MAX;
-        for k in 0..n {
-            let l = self.cfg.shape.interleaved_lun((offset.wrapping_add(k)) % n);
-            if self.dir.exhausted(l) {
-                continue;
-            }
-            let start = self.lun_res[l.0 as usize].peek(t, prog).start;
-            if start < best_start {
-                best_start = start;
-                best = l;
-            }
-        }
-        best
     }
 
     /// Program one page. A worn-out or fault-scheduled program surfaces
@@ -374,17 +359,19 @@ impl NamelessSsd {
     fn salvage_and_retire(&mut self, lun: LunId, addr: PageAddr, t: SimTime) {
         self.metrics.recovery.program_salvages += 1;
         self.metrics.blocks_retired += 1;
-        let geom = self.cfg.flash.geometry.clone();
+        let geom = &self.cfg.flash.geometry;
         let block_idx = geom.block_index(geom.block_of(addr));
         // retire FIRST so relocations below can never target this block
         self.dir.retire(lun, block_idx);
         self.upcalls.push(Upcall::BlockRetired { at: t });
-        let live = self.dir.live_pages(lun, block_idx);
-        for (a, tag) in live {
+        // taken for the walk: GC reaches here mid-walk of its own list
+        let mut live = std::mem::take(&mut self.live_scratch);
+        self.dir.live_pages_into(lun, block_idx, &mut live);
+        for &(a, tag) in &live {
             let old = PhysPage { lun, addr: a };
             let (after_read, _payload, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
             let Some(np) = self.dir.next_page(lun, Stream::Gc, self.cfg.wear_aware) else {
-                return; // out of space: page stays readable on the retired block
+                break; // out of space: page stays readable on the retired block
             };
             if self
                 .op_program(after_read, np.phys, tag.0, false, OpCause::WearLevel)
@@ -408,6 +395,7 @@ impl NamelessSsd {
                 at: t,
             });
         }
+        self.live_scratch = live;
     }
 
     /// Read one flash page, running the recovery pipeline when the ECC
@@ -649,8 +637,9 @@ impl NamelessSsd {
 
     fn gc_collect(&mut self, lun: LunId, victim: u32, t: SimTime) {
         self.metrics.gc_runs += 1;
-        let live = self.dir.live_pages(lun, victim);
-        for (addr, tag) in live {
+        let mut live = std::mem::take(&mut self.live_scratch);
+        self.dir.live_pages_into(lun, victim, &mut live);
+        for &(addr, tag) in &live {
             let old = PhysPage { lun, addr };
             let copyback = self.cfg.copyback;
             let (after_read, _payload, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
@@ -677,6 +666,7 @@ impl NamelessSsd {
                 at: t,
             });
         }
+        self.live_scratch = live;
         // erase the victim
         let baddr = self.cfg.flash.geometry.block_from_index(victim);
         let cmd_done = t + self.cfg.channel.command;
@@ -729,7 +719,7 @@ impl NamelessSsd {
             self.probe
                 .span(Layer::Controller, Cause::Overhead, "ctrl", link.end, t);
         }
-        let lun = self.place_lun(t);
+        let lun = self.rotation.least_loaded(t, &self.lun_res, &self.dir);
         self.maybe_gc(lun, t);
         let salvages_before = self.metrics.recovery.program_salvages;
         let Some((phys, done)) =

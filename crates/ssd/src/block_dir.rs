@@ -54,16 +54,152 @@ pub struct BlockInfo {
     pub opened_seq: u64,
 }
 
+/// Set bit `b`; whether it was clear before.
+fn set_bit(words: &mut [u64], b: u32) -> bool {
+    let (w, mask) = (b as usize / 64, 1u64 << (b % 64));
+    let was_clear = words[w] & mask == 0;
+    words[w] |= mask;
+    was_clear
+}
+
+/// Clear bit `b`; whether it was set before.
+fn clear_bit(words: &mut [u64], b: u32) -> bool {
+    let (w, mask) = (b as usize / 64, 1u64 << (b % 64));
+    let was_set = words[w] & mask != 0;
+    words[w] &= !mask;
+    was_set
+}
+
+/// The set bits, lowest first.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                i as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+/// The Full blocks of one LUN — the GC candidate set — kept in lockstep
+/// with the `state` transitions. One bit per block, read back in
+/// ascending block order (the whole-LUN scan's tie-breaks), and the same
+/// blocks again bucketed by live-page count, so the greedy victim is the
+/// lowest block of the first occupied bucket instead of a scored walk.
+struct FullBlocks {
+    /// `u64`s per bit set.
+    words: usize,
+    all: Vec<u64>,
+    /// `pages_per_block + 1` bit sets back to back: set `v` holds the
+    /// Full blocks with `v` live pages.
+    by_valid: Vec<u64>,
+    /// Members of each `by_valid` set.
+    occupancy: Vec<u32>,
+}
+
+impl FullBlocks {
+    fn new(blocks: u32, pages_per_block: u32) -> Self {
+        let words = (blocks as usize).div_ceil(64);
+        let buckets = pages_per_block as usize + 1;
+        FullBlocks {
+            words,
+            all: vec![0; words],
+            by_valid: vec![0; words * buckets],
+            occupancy: vec![0; buckets],
+        }
+    }
+
+    /// The bucket of a block with `valid` live pages. A count above
+    /// `pages_per_block` (a double `mark_valid`, debug-asserted against)
+    /// shares the last bucket: never a victim either way.
+    fn bucket(&self, valid: u32) -> usize {
+        (valid as usize).min(self.occupancy.len() - 1)
+    }
+
+    /// Where bucket `bucket`'s bit set lies in `by_valid`.
+    fn bits_of(&self, bucket: usize) -> std::ops::Range<usize> {
+        bucket * self.words..(bucket + 1) * self.words
+    }
+
+    fn put(&mut self, bucket: usize, block: u32) {
+        let bits = self.bits_of(bucket);
+        set_bit(&mut self.by_valid[bits], block);
+        self.occupancy[bucket] += 1;
+    }
+
+    fn take(&mut self, bucket: usize, block: u32) {
+        let bits = self.bits_of(bucket);
+        clear_bit(&mut self.by_valid[bits], block);
+        self.occupancy[bucket] -= 1;
+    }
+
+    /// `block`, holding `valid` live pages, became Full (no-op if it
+    /// already was).
+    fn insert(&mut self, block: u32, valid: u32) {
+        if set_bit(&mut self.all, block) {
+            self.put(self.bucket(valid), block);
+        }
+    }
+
+    /// `block`, holding `valid` live pages, stopped being Full (no-op if
+    /// it was not).
+    fn remove(&mut self, block: u32, valid: u32) {
+        if clear_bit(&mut self.all, block) {
+            self.take(self.bucket(valid), block);
+        }
+    }
+
+    /// The live-page count of Full `block` went from `was` to `now`.
+    fn revalue(&mut self, block: u32, was: u32, now: u32) {
+        let (from, to) = (self.bucket(was), self.bucket(now));
+        if from != to {
+            self.take(from, block);
+            self.put(to, block);
+        }
+    }
+
+    /// Full blocks in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.all)
+    }
+
+    /// The lowest-indexed block among those with the fewest live pages,
+    /// unless every Full block is fully valid.
+    fn fewest_valid(&self) -> Option<u32> {
+        let candidates = &self.occupancy[..self.occupancy.len() - 1];
+        let bucket = candidates.iter().position(|&n| n > 0)?;
+        set_bits(&self.by_valid[self.bits_of(bucket)]).next()
+    }
+}
+
 struct LunDir {
     blocks: Vec<BlockInfo>,
     free: Vec<u32>,
-    /// Indices of Full blocks — the GC candidate set. Kept in lockstep
-    /// with the `state` transitions so victim picking walks candidates
-    /// only instead of scanning every block; a `BTreeSet` iterates in
-    /// index order, preserving the full scan's tie-breaks exactly.
-    full: std::collections::BTreeSet<u32>,
+    full: FullBlocks,
     active_host: Option<(u32, u32)>, // (block index, next page)
     active_gc: Option<(u32, u32)>,
+}
+
+impl LunDir {
+    /// Mark `block` Full and enter it into the candidate set.
+    fn close(&mut self, block: u32) {
+        let info = &mut self.blocks[block as usize];
+        info.state = BlockUse::Full;
+        self.full.insert(block, info.valid);
+    }
+
+    /// Set `block`'s live-page count, moving it between candidate
+    /// buckets if it is Full.
+    fn set_valid(&mut self, block: usize, now: u32) {
+        let info = &mut self.blocks[block];
+        let was = std::mem::replace(&mut info.valid, now);
+        if info.state == BlockUse::Full {
+            self.full.revalue(block as u32, was, now);
+        }
+    }
 }
 
 /// Directory over all LUNs of the device.
@@ -89,7 +225,7 @@ impl BlockDirectory {
                     })
                     .collect(),
                 free: (0..geom.total_blocks()).collect(),
-                full: std::collections::BTreeSet::new(),
+                full: FullBlocks::new(geom.total_blocks(), geom.pages_per_block),
                 active_host: None,
                 active_gc: None,
             })
@@ -104,6 +240,11 @@ impl BlockDirectory {
     /// The geometry the directory was built with.
     pub fn geometry(&self) -> &Geometry {
         &self.geom
+    }
+
+    /// Index within its LUN of the block holding `phys`.
+    fn block_index_of(&self, phys: PhysPage) -> usize {
+        self.geom.block_index(self.geom.block_of(phys.addr)) as usize
     }
 
     fn lun(&self, l: LunId) -> &LunDir {
@@ -175,9 +316,7 @@ impl BlockDirectory {
             other => {
                 // frontier missing or full: close it and open a new block
                 if let Some((b, _)) = other {
-                    let d = self.lun_mut(l);
-                    d.blocks[b as usize].state = BlockUse::Full;
-                    d.full.insert(b);
+                    self.lun_mut(l).close(b);
                 }
                 let nb = self.pop_free(l, wear_aware)?;
                 self.seq += 1;
@@ -197,8 +336,7 @@ impl BlockDirectory {
             };
             *slot = Some((block_idx, page + 1));
             if page + 1 >= ppb {
-                d.blocks[block_idx as usize].state = BlockUse::Full;
-                d.full.insert(block_idx);
+                d.close(block_idx);
             }
         }
         let addr = self.geom.addr(requiem_flash::Ppn(
@@ -212,8 +350,7 @@ impl BlockDirectory {
 
     /// Record that `phys` now holds live data for `lpn`.
     pub fn mark_valid(&mut self, phys: PhysPage, lpn: Lpn) {
-        let geom = self.geom.clone();
-        let bidx = geom.block_index(geom.block_of(phys.addr)) as usize;
+        let bidx = self.block_index_of(phys);
         let d = self.lun_mut(phys.lun);
         let info = &mut d.blocks[bidx];
         debug_assert!(
@@ -222,13 +359,13 @@ impl BlockDirectory {
             phys
         );
         info.backptrs[phys.addr.page as usize] = Some(lpn);
-        info.valid += 1;
+        let valid = info.valid + 1;
+        d.set_valid(bidx, valid);
     }
 
     /// Record that `phys` no longer holds live data (overwrite or trim).
     pub fn invalidate(&mut self, phys: PhysPage) {
-        let geom = self.geom.clone();
-        let bidx = geom.block_index(geom.block_of(phys.addr)) as usize;
+        let bidx = self.block_index_of(phys);
         let d = self.lun_mut(phys.lun);
         let info = &mut d.blocks[bidx];
         debug_assert!(
@@ -237,20 +374,21 @@ impl BlockDirectory {
             phys
         );
         info.backptrs[phys.addr.page as usize] = None;
-        info.valid = info.valid.saturating_sub(1);
+        let valid = info.valid.saturating_sub(1);
+        d.set_valid(bidx, valid);
     }
 
     /// Invalidate `phys` only if it currently holds live data for `lpn`.
     /// Returns whether an invalidation happened. Used by the hybrid FTL,
     /// whose log-block `latest[]` pointers can outlive a trim.
     pub fn invalidate_checked(&mut self, phys: PhysPage, lpn: Lpn) -> bool {
-        let geom = self.geom.clone();
-        let bidx = geom.block_index(geom.block_of(phys.addr)) as usize;
+        let bidx = self.block_index_of(phys);
         let d = self.lun_mut(phys.lun);
         let info = &mut d.blocks[bidx];
         if info.backptrs[phys.addr.page as usize] == Some(lpn) {
             info.backptrs[phys.addr.page as usize] = None;
-            info.valid = info.valid.saturating_sub(1);
+            let valid = info.valid.saturating_sub(1);
+            d.set_valid(bidx, valid);
             true
         } else {
             false
@@ -259,24 +397,30 @@ impl BlockDirectory {
 
     /// Live pages of a block, in page order, with the LPN each holds.
     pub fn live_pages(&self, l: LunId, block_idx: u32) -> Vec<(PageAddr, Lpn)> {
+        let mut live = Vec::new();
+        self.live_pages_into(l, block_idx, &mut live);
+        live
+    }
+
+    /// [`live_pages`](Self::live_pages) into a caller-owned buffer
+    /// (cleared first) — the relocation loops run once per collected
+    /// block and reuse one.
+    pub fn live_pages_into(&self, l: LunId, block_idx: u32, live: &mut Vec<(PageAddr, Lpn)>) {
         let info = &self.lun(l).blocks[block_idx as usize];
         let baddr = self.geom.block_from_index(block_idx);
-        info.backptrs
-            .iter()
-            .enumerate()
-            .filter_map(|(p, lpn)| {
-                lpn.map(|lpn| {
-                    (
-                        PageAddr {
-                            plane: baddr.plane,
-                            block: baddr.block,
-                            page: p as u32,
-                        },
-                        lpn,
-                    )
-                })
+        live.clear();
+        live.extend(info.backptrs.iter().enumerate().filter_map(|(p, lpn)| {
+            lpn.map(|lpn| {
+                (
+                    PageAddr {
+                        plane: baddr.plane,
+                        block: baddr.block,
+                        page: p as u32,
+                    },
+                    lpn,
+                )
             })
-            .collect()
+        }));
     }
 
     /// Return an erased block to the free pool, bumping its erase count.
@@ -288,7 +432,7 @@ impl BlockDirectory {
         info.state = BlockUse::Free;
         info.erase_count += 1;
         info.backptrs.iter_mut().for_each(|b| *b = None);
-        d.full.remove(&block_idx);
+        d.full.remove(block_idx, info.valid);
         d.free.push(block_idx);
         // clear a frontier that pointed at this block (possible for merges)
         if let Some((b, _)) = d.active_host {
@@ -306,8 +450,9 @@ impl BlockDirectory {
     /// Retire a block (wear-out). Any frontier pointing at it is cleared.
     pub fn retire(&mut self, l: LunId, block_idx: u32) {
         let d = self.lun_mut(l);
-        d.blocks[block_idx as usize].state = BlockUse::Bad;
-        d.full.remove(&block_idx);
+        let info = &mut d.blocks[block_idx as usize];
+        info.state = BlockUse::Bad;
+        d.full.remove(block_idx, info.valid);
         d.free.retain(|&b| b != block_idx);
         if let Some((b, _)) = d.active_host {
             if b == block_idx {
@@ -330,8 +475,7 @@ impl BlockDirectory {
     /// the free list — used when a boot scan finds programmed pages in it.
     pub fn claim_full(&mut self, l: LunId, block_idx: u32) {
         let d = self.lun_mut(l);
-        d.blocks[block_idx as usize].state = BlockUse::Full;
-        d.full.insert(block_idx);
+        d.close(block_idx);
         d.free.retain(|&b| b != block_idx);
     }
 
@@ -351,41 +495,35 @@ impl BlockDirectory {
     /// never victims. Returns the block index.
     pub fn pick_victim(&self, l: LunId, policy: GcPolicyKind) -> Option<u32> {
         let d = self.lun(l);
-        let ppb = self.geom.pages_per_block as f64;
-        let mut best: Option<(u32, f64)> = None;
-        // walk the Full-block index (ascending block order, so ties keep
-        // the lowest index exactly as the old whole-LUN scan did)
-        for &i in &d.full {
-            let info = &d.blocks[i as usize];
-            debug_assert_eq!(info.state, BlockUse::Full, "stale full-set entry");
-            // a full block with every page valid yields nothing (greedy);
-            // cost-benefit may still skip it via u=1 guard
-            let score = match policy {
-                GcPolicyKind::Greedy => -(info.valid as f64),
-                GcPolicyKind::CostBenefit => {
+        match policy {
+            // fewest live pages, lowest index among equals; never a
+            // fully-valid block: it frees no space and erases forever
+            GcPolicyKind::Greedy => d.full.fewest_valid(),
+            GcPolicyKind::CostBenefit => {
+                let ppb = self.geom.pages_per_block as f64;
+                let mut best: Option<(u32, f64)> = None;
+                // ascending block order, so ties keep the lowest index
+                // exactly as the whole-LUN scan did
+                for i in d.full.iter() {
+                    let info = &d.blocks[i as usize];
+                    debug_assert_eq!(info.state, BlockUse::Full, "stale full-set entry");
                     let u = info.valid as f64 / ppb;
-                    if u >= 1.0 {
+                    let score = if u >= 1.0 {
                         f64::NEG_INFINITY
                     } else {
                         let age = (self.seq - info.opened_seq) as f64 + 1.0;
                         age * (1.0 - u) / (2.0 * u.max(1.0 / (2.0 * ppb)))
+                    };
+                    match best {
+                        Some((_, s)) if s >= score => {}
+                        _ => best = Some((i, score)),
                     }
                 }
-            };
-            match best {
-                Some((_, s)) if s >= score => {}
-                _ => best = Some((i, score)),
+                // a fully-valid block leads only when every Full block is one
+                best.map(|(i, _)| i)
+                    .filter(|&i| d.blocks[i as usize].valid < self.geom.pages_per_block)
             }
         }
-        // never pick a fully-valid block under greedy either: it frees no
-        // space and erases forever
-        best.and_then(|(i, _)| {
-            if d.blocks[i as usize].valid >= self.geom.pages_per_block {
-                None
-            } else {
-                Some(i)
-            }
-        })
     }
 
     /// Total valid pages on a LUN.
@@ -425,8 +563,7 @@ impl BlockDirectory {
         // the whole-LUN scan this replaced
         d.full
             .iter()
-            .min_by_key(|&&i| d.blocks[i as usize].erase_count)
-            .copied()
+            .min_by_key(|&i| d.blocks[i as usize].erase_count)
     }
 
     /// Current monotonic sequence stamp.
@@ -447,6 +584,205 @@ pub struct NextPage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// What [`FullBlocks`] replaced, kept as the reference: victim and
+    /// migration-source choice by a scored walk over every block of the
+    /// LUN, looking only at `state` and `valid`.
+    impl BlockDirectory {
+        fn full_by_scan(&self, l: LunId) -> impl Iterator<Item = u32> + '_ {
+            let blocks = &self.lun(l).blocks;
+            (0..blocks.len() as u32).filter(|&i| blocks[i as usize].state == BlockUse::Full)
+        }
+
+        fn pick_victim_by_scan(&self, l: LunId, policy: GcPolicyKind) -> Option<u32> {
+            let d = self.lun(l);
+            let ppb = self.geom.pages_per_block as f64;
+            let mut best: Option<(u32, f64)> = None;
+            for i in self.full_by_scan(l) {
+                let info = &d.blocks[i as usize];
+                let score = match policy {
+                    GcPolicyKind::Greedy => -(info.valid as f64),
+                    GcPolicyKind::CostBenefit => {
+                        let u = info.valid as f64 / ppb;
+                        if u >= 1.0 {
+                            f64::NEG_INFINITY
+                        } else {
+                            let age = (self.seq - info.opened_seq) as f64 + 1.0;
+                            age * (1.0 - u) / (2.0 * u.max(1.0 / (2.0 * ppb)))
+                        }
+                    }
+                };
+                match best {
+                    Some((_, s)) if s >= score => {}
+                    _ => best = Some((i, score)),
+                }
+            }
+            best.and_then(|(i, _)| {
+                if d.blocks[i as usize].valid >= self.geom.pages_per_block {
+                    None
+                } else {
+                    Some(i)
+                }
+            })
+        }
+
+        fn coldest_full_by_scan(&self, l: LunId) -> Option<u32> {
+            let d = self.lun(l);
+            self.full_by_scan(l)
+                .min_by_key(|&i| d.blocks[i as usize].erase_count)
+        }
+
+        /// Every Full block sits in the candidate set and in exactly the
+        /// bucket of its `valid`; nothing else sits anywhere.
+        fn assert_full_index_consistent(&self, l: LunId) {
+            let d = self.lun(l);
+            let full: Vec<u32> = self.full_by_scan(l).collect();
+            assert_eq!(d.full.iter().collect::<Vec<_>>(), full, "candidate set");
+            let ppb = self.geom.pages_per_block;
+            for bucket in 0..=ppb {
+                let bits = &d.full.by_valid[d.full.bits_of(bucket as usize)];
+                let want: Vec<u32> = full
+                    .iter()
+                    .copied()
+                    .filter(|&i| d.blocks[i as usize].valid.min(ppb) == bucket)
+                    .collect();
+                assert_eq!(set_bits(bits).collect::<Vec<_>>(), want, "bucket {bucket}");
+                assert_eq!(d.full.occupancy[bucket as usize] as usize, want.len());
+            }
+        }
+    }
+
+    /// Drive one LUN of `geom` through `ops` — `(kind, x, y)` triples read
+    /// against the directory's own state, so every op is legal — and hold
+    /// the bucketed index to the scan after each.
+    fn assert_matches_scan(geom: Geometry, ops: &[(u8, u32, u32)]) {
+        let l = LunId(0);
+        let (blocks, ppb) = (geom.total_blocks(), geom.pages_per_block);
+        let mut d = BlockDirectory::new(1, geom.clone());
+        let page_of = |b: u32, p: u32| {
+            let baddr = geom.block_from_index(b);
+            PhysPage {
+                lun: l,
+                addr: geom.page_addr(baddr.plane, baddr.block, p),
+            }
+        };
+        for (step, &(kind, x, y)) in ops.iter().enumerate() {
+            let (b, p) = (x % blocks, y % ppb);
+            let (state, valid, held) = {
+                let info = d.block_info(l, b);
+                (info.state, info.valid, info.backptrs[p as usize])
+            };
+            match kind {
+                // host / GC appends, most of them recorded as live
+                0..=8 => {
+                    let stream = if kind < 6 { Stream::Host } else { Stream::Gc };
+                    if let Some(np) = d.next_page(l, stream, y % 2 == 0) {
+                        if kind != 8 {
+                            d.mark_valid(np.phys, Lpn(step as u64));
+                        }
+                    }
+                }
+                // overwrite / trim of whatever page (b, p) holds, on a
+                // block in any state (a retired block keeps live pages)
+                9 | 10 => {
+                    if held.is_some() {
+                        d.invalidate(page_of(b, p));
+                    }
+                }
+                11 => {
+                    let lpn = match held {
+                        Some(lpn) if y % 3 != 0 => lpn,
+                        _ => Lpn(u64::MAX),
+                    };
+                    assert_eq!(d.invalidate_checked(page_of(b, p), lpn), held == Some(lpn));
+                }
+                // a GC run: victim, relocate (= invalidate) its live
+                // pages, erase
+                12 => {
+                    let policy = if y % 2 == 0 {
+                        GcPolicyKind::Greedy
+                    } else {
+                        GcPolicyKind::CostBenefit
+                    };
+                    if let Some(victim) = d.pick_victim(l, policy) {
+                        for (addr, _) in d.live_pages(l, victim) {
+                            d.invalidate(PhysPage { lun: l, addr });
+                        }
+                        d.recycle(l, victim);
+                    }
+                }
+                // a merge erasing an emptied block, frontier or not
+                13 => {
+                    if valid == 0 && matches!(state, BlockUse::Full | BlockUse::Open) {
+                        d.recycle(l, b);
+                    }
+                }
+                14 => {
+                    if y % 4 == 0 && state != BlockUse::Bad {
+                        d.retire(l, b);
+                    }
+                }
+                // boot scan: claim a block, then mark pages found in it;
+                // or a whole-block allocation (block / hybrid FTLs)
+                _ => match state {
+                    BlockUse::Free if y % 2 == 0 => d.claim_full(l, b),
+                    BlockUse::Free => {
+                        d.alloc_block(l, true);
+                    }
+                    BlockUse::Full if held.is_none() => {
+                        d.mark_valid(page_of(b, p), Lpn(step as u64));
+                    }
+                    _ => {}
+                },
+            }
+            d.assert_full_index_consistent(l);
+            for policy in [GcPolicyKind::Greedy, GcPolicyKind::CostBenefit] {
+                assert_eq!(
+                    d.pick_victim(l, policy),
+                    d.pick_victim_by_scan(l, policy),
+                    "step {step} {policy:?}"
+                );
+            }
+            assert_eq!(
+                d.coldest_full_block(l),
+                d.coldest_full_by_scan(l),
+                "step {step}"
+            );
+        }
+    }
+
+    proptest! {
+        /// 1, 64 and 130 blocks per LUN (the last crosses a word
+        /// boundary), four pages each so blocks fill and empty quickly.
+        #[test]
+        fn bucketed_victims_match_the_scored_scan_they_replaced(
+            shape in 0..3usize,
+            ops in proptest::collection::vec((0..16u8, 0..1_000_000u32, 0..1_000_000u32), 1..700),
+        ) {
+            let geom = [
+                Geometry::new(1, 1, 4, 4096),
+                Geometry::new(1, 64, 4, 4096),
+                Geometry::new(2, 65, 4, 4096),
+            ][shape]
+                .clone();
+            assert_matches_scan(geom, &ops);
+        }
+    }
+
+    #[test]
+    fn live_pages_into_reuses_the_buffer() {
+        let mut d = dir();
+        let l = LunId(0);
+        let mut live = vec![(d.geometry().page_addr(0, 7, 3), Lpn(99))];
+        for i in 0..3 {
+            let n = d.next_page(l, Stream::Host, true).unwrap();
+            d.mark_valid(n.phys, Lpn(i));
+        }
+        d.live_pages_into(l, 0, &mut live);
+        assert_eq!(live, d.live_pages(l, 0));
+        assert_eq!(live.len(), 3);
+    }
 
     fn dir() -> BlockDirectory {
         BlockDirectory::new(2, Geometry::new(1, 8, 4, 4096))

@@ -193,11 +193,7 @@ impl Ssd {
         t: SimTime,
     ) -> Result<(), SsdError> {
         self.metrics.gc_runs += 1;
-        let live = self.dir.live_pages(lun, victim);
-        for (addr, lpn) in live {
-            let old = PhysPage { lun, addr };
-            self.relocate_page(old, lpn, t, OpCause::Gc)?;
-        }
+        self.relocate_live_pages(lun, victim, t, OpCause::Gc, false)?;
         // DFTL: one batched translation write-back per collected block
         if let MappingState::Dftl(_) = self.map {
             let ios = [TransIo {
@@ -208,6 +204,34 @@ impl Ssd {
         }
         self.op_erase(t, lun, victim, OpCause::Gc)?;
         Ok(())
+    }
+
+    /// Move every live page of `block` elsewhere, in page order. The
+    /// first failure ends the walk and is returned, unless `keep_going`:
+    /// then failures are skipped (the page stays where it is) and the
+    /// walk always finishes.
+    pub(crate) fn relocate_live_pages(
+        &mut self,
+        lun: LunId,
+        block: u32,
+        t: SimTime,
+        cause: OpCause,
+        keep_going: bool,
+    ) -> Result<(), SsdError> {
+        // the list is taken for the walk: a program failure inside it
+        // salvages another block through this same function
+        let mut live = std::mem::take(&mut self.live_scratch);
+        self.dir.live_pages_into(lun, block, &mut live);
+        let mut outcome = Ok(());
+        for &(addr, lpn) in &live {
+            let moved = self.relocate_page(PhysPage { lun, addr }, lpn, t, cause);
+            if moved.is_err() && !keep_going {
+                outcome = moved;
+                break;
+            }
+        }
+        self.live_scratch = live;
+        outcome
     }
 
     /// Move one live page elsewhere (GC / wear leveling / salvage).
@@ -262,7 +286,7 @@ impl Ssd {
         if self.gc_gate.is_active() {
             return;
         }
-        let geom = self.cfg.flash.geometry.clone();
+        let geom = &self.cfg.flash.geometry;
         let baddr = geom.block_of(phys.addr);
         let reads = self.luns[phys.lun.0 as usize]
             .block_state(baddr)

@@ -32,7 +32,7 @@ pub mod wear;
 pub mod write_buffer;
 
 pub use gc::{CostBenefitGc, GcGate, GcToken, GreedyGc};
-pub use scheduler::Scheduler;
+pub use scheduler::{LunRotation, Scheduler};
 pub use wear::ThresholdWear;
 pub use write_buffer::WriteThrough;
 

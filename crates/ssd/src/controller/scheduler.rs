@@ -18,8 +18,8 @@ use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Layer, Occupant, Probe, Resource};
 use std::cell::RefCell;
 
-use crate::addr::{Lpn, LunId, PhysPage};
-use crate::block_dir::Stream;
+use crate::addr::{ArrayShape, Lpn, LunId, PhysPage};
+use crate::block_dir::{BlockDirectory, Stream};
 use crate::config::Placement;
 use crate::device::{FlashReadDone, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
@@ -63,6 +63,79 @@ const ECC_ESCALATION_BOOST: f64 = 1.5;
 /// LUN time charged by the ECC escalation, in units of tR (the soft
 /// decode needs several senses of the same page).
 const ECC_ESCALATION_SENSES: u32 = 4;
+
+/// Write placement's rotation over the LUNs: the channel-interleaved
+/// order ([`ArrayShape::interleaved_lun`]: consecutive picks land on
+/// consecutive channels before they revisit a chip), tabulated once, and
+/// the cursor that advances by one per placement. Shared by [`Ssd`] and
+/// the nameless device, which place writes identically.
+#[derive(Debug, Clone)]
+pub struct LunRotation {
+    order: Vec<LunId>,
+    rr: u32,
+}
+
+impl LunRotation {
+    /// The rotation for `shape`, cursor at its first LUN.
+    pub fn new(shape: &ArrayShape) -> Self {
+        LunRotation {
+            order: (0..shape.total_luns())
+                .map(|i| shape.interleaved_lun(i))
+                .collect(),
+            rr: 0,
+        }
+    }
+
+    /// The next LUN in rotation.
+    pub fn round_robin(&mut self) -> LunId {
+        let i = self.rr;
+        self.rr = i.wrapping_add(1);
+        self.order[(i % self.order.len() as u32) as usize]
+    }
+
+    /// The LUN with space left on which an operation issued at `t` could
+    /// start soonest, looking from the cursor on. Earliest start wins
+    /// and ties go to the first in rotation, so an idle device still
+    /// stripes writes across every LUN (a lowest-index tie-break would
+    /// degenerate to filling one LUN at a time under closed-loop
+    /// workloads) — which also means the walk can stop at the first LUN
+    /// that is free at `t`: nothing starts before `t`.
+    pub fn least_loaded(
+        &mut self,
+        t: SimTime,
+        lun_res: &[Resource],
+        dir: &BlockDirectory,
+    ) -> LunId {
+        let n = self.order.len() as u32;
+        let offset = self.rr;
+        self.rr = offset.wrapping_add(1);
+        // what is returned when every LUN is exhausted: the caller's
+        // allocation then walks on from it and reports the device full
+        let mut best = LunId(offset % n);
+        let mut best_start = SimTime::MAX;
+        let mut i = offset % n;
+        for k in 1..=n {
+            let l = self.order[i as usize];
+            if !dir.exhausted(l) {
+                let start = lun_res[l.0 as usize].next_free().max(t);
+                if start == t {
+                    return l;
+                }
+                if start < best_start {
+                    best_start = start;
+                    best = l;
+                }
+            }
+            // step k looks at (offset + k) % n, in u32 arithmetic: the
+            // index restarts where it reaches n and where the sum wraps
+            i += 1;
+            if i == n || offset.wrapping_add(k) == 0 {
+                i = 0;
+            }
+        }
+        best
+    }
+}
 
 /// Owner of the controller's serial resource timelines (channels, LUNs,
 /// host link), the Gantt trace, and the observability probe.
@@ -651,35 +724,10 @@ impl Ssd {
     pub(crate) fn place_lun(&mut self, lpn: Lpn, t: SimTime) -> LunId {
         match self.cfg.placement {
             Placement::StaticByLpn => LunId((lpn.0 % self.total_luns() as u64) as u32),
-            Placement::RoundRobin => {
-                let i = self.rr;
-                self.rr = self.rr.wrapping_add(1);
-                self.shape().interleaved_lun(i % self.total_luns())
-            }
-            Placement::LeastLoaded => {
-                // earliest-start wins; ties rotate round-robin so an idle
-                // device still stripes writes across every LUN (a
-                // lowest-index tie-break would degenerate to filling one
-                // LUN at a time under closed-loop workloads)
-                let prog = self.cfg.flash.timing.program_mean();
-                let n = self.total_luns();
-                let offset = self.rr;
-                self.rr = self.rr.wrapping_add(1);
-                let mut best = LunId(offset % n);
-                let mut best_start = SimTime::MAX;
-                for k in 0..n {
-                    let l = self.shape().interleaved_lun((offset.wrapping_add(k)) % n);
-                    if self.dir.exhausted(l) {
-                        continue;
-                    }
-                    let start = self.sched.lun_res[l.0 as usize].peek(t, prog).start;
-                    if start < best_start {
-                        best_start = start;
-                        best = l;
-                    }
-                }
-                best
-            }
+            Placement::RoundRobin => self.rotation.round_robin(),
+            Placement::LeastLoaded => self
+                .rotation
+                .least_loaded(t, &self.sched.lun_res, &self.dir),
         }
     }
 
@@ -732,6 +780,141 @@ impl Ssd {
                 }
                 Err(e) => return Err(e),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use requiem_flash::Geometry;
+
+    /// What [`LunRotation::least_loaded`] replaced, kept as the reference:
+    /// every LUN of the rotation looked at, its place in the interleaved
+    /// order recomputed per step.
+    fn least_loaded_by_scan(
+        shape: &ArrayShape,
+        rr: &mut u32,
+        t: SimTime,
+        lun_res: &[Resource],
+        dir: &BlockDirectory,
+    ) -> LunId {
+        let prog = SimDuration::from_micros(600);
+        let n = shape.total_luns();
+        let offset = *rr;
+        *rr = rr.wrapping_add(1);
+        let mut best = LunId(offset % n);
+        let mut best_start = SimTime::MAX;
+        for k in 0..n {
+            let l = shape.interleaved_lun((offset.wrapping_add(k)) % n);
+            if dir.exhausted(l) {
+                continue;
+            }
+            let start = lun_res[l.0 as usize].peek(t, prog).start;
+            if start < best_start {
+                best_start = start;
+                best = l;
+            }
+        }
+        best
+    }
+
+    const SHAPES: [(u32, u32); 4] = [(1, 1), (2, 2), (8, 4), (3, 5)];
+
+    proptest! {
+        /// Shapes 1×1, 2×2, 8×4 and 3×5 (fifteen LUNs: not a power of
+        /// two, so `rr % n` jumps where `rr` wraps), the cursor started
+        /// a few placements short of `u32::MAX`. Steps place a write
+        /// (and occupy the chosen LUN, as a flush does), pile extra work
+        /// on one LUN, let time pass — from an idle device to one where
+        /// every LUN is busy past `t` — or exhaust a LUN.
+        #[test]
+        fn table_walk_matches_the_interleaved_scan_it_replaced(
+            shape in 0..SHAPES.len(),
+            before_wrap in 0..40u32,
+            steps in proptest::collection::vec((0..10u8, 0..15u32, 0..900u64), 1..200),
+        ) {
+            let (channels, chips_per_channel) = SHAPES[shape];
+            let shape = ArrayShape { channels, chips_per_channel, luns_per_chip: 1 };
+            let n = shape.total_luns();
+            let mut lun_res: Vec<Resource> =
+                (0..n).map(|i| Resource::new(format!("chip{i}"))).collect();
+            let mut dir = BlockDirectory::new(n, Geometry::new(1, 2, 2, 4096));
+            let mut rotation = LunRotation::new(&shape);
+            rotation.rr = u32::MAX - before_wrap;
+            let mut rr = rotation.rr;
+            let mut t = SimTime::ZERO;
+            for (step, &(kind, lun, us)) in steps.iter().enumerate() {
+                let dur = SimDuration::from_micros(us);
+                let lun = lun % n;
+                match kind {
+                    0..=5 => {
+                        let want = least_loaded_by_scan(&shape, &mut rr, t, &lun_res, &dir);
+                        let got = rotation.least_loaded(t, &lun_res, &dir);
+                        prop_assert_eq!(got, want, "step {}", step);
+                        prop_assert_eq!(rotation.rr, rr);
+                        lun_res[got.0 as usize].reserve(t, dur);
+                    }
+                    6 => {
+                        lun_res[lun as usize].reserve(t, dur * 8);
+                    }
+                    7 | 8 => t += dur,
+                    _ => {
+                        dir.retire(LunId(lun), 0);
+                        dir.retire(LunId(lun), 1);
+                        prop_assert!(dir.exhausted(LunId(lun)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where `rr` wraps, `(rr + k) % 15` repeats one index and skips
+    /// another (2³² is not a multiple of 15): with every LUN busy but
+    /// one, walk and scan must agree on whether that one is ever seen.
+    #[test]
+    fn walk_sees_the_luns_the_scan_sees_across_the_wrap() {
+        let shape = ArrayShape {
+            channels: 3,
+            chips_per_channel: 5,
+            luns_per_chip: 1,
+        };
+        let dir = BlockDirectory::new(15, Geometry::new(1, 2, 2, 4096));
+        for start in (u32::MAX - 16..=u32::MAX).chain(0..2) {
+            for idle in 0..15usize {
+                let lun_res: Vec<Resource> = (0..15)
+                    .map(|i| {
+                        let mut r = Resource::new(format!("chip{i}"));
+                        if i != idle {
+                            r.reserve(SimTime::ZERO, SimDuration::from_micros(100 + i as u64));
+                        }
+                        r
+                    })
+                    .collect();
+                let mut rotation = LunRotation::new(&shape);
+                rotation.rr = start;
+                let mut rr = start;
+                assert_eq!(
+                    rotation.least_loaded(SimTime::ZERO, &lun_res, &dir),
+                    least_loaded_by_scan(&shape, &mut rr, SimTime::ZERO, &lun_res, &dir),
+                    "rr {start}, lun {idle} idle"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_follows_the_interleaved_order_across_the_wrap() {
+        let shape = ArrayShape {
+            channels: 3,
+            chips_per_channel: 5,
+            luns_per_chip: 1,
+        };
+        let mut rotation = LunRotation::new(&shape);
+        rotation.rr = u32::MAX - 20;
+        for i in (u32::MAX - 20..=u32::MAX).chain(0..20) {
+            assert_eq!(rotation.round_robin(), shape.interleaved_lun(i % 15));
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use requiem_sim::time::SimTime;
 
-use crate::addr::{LunId, PhysPage};
+use crate::addr::LunId;
 use crate::block_dir::BlockDirectory;
 use crate::device::Ssd;
 use crate::metrics::OpCause;
@@ -69,12 +69,11 @@ impl Ssd {
             return;
         };
         let _bg = self.sched.probe.background();
-        let live = self.dir.live_pages(lun, victim);
-        for (addr, lpn) in live {
-            let old = PhysPage { lun, addr };
-            if self.relocate_page(old, lpn, t, OpCause::WearLevel).is_err() {
-                return; // out of space: leave the block as-is
-            }
+        if self
+            .relocate_live_pages(lun, victim, t, OpCause::WearLevel, false)
+            .is_err()
+        {
+            return; // out of space: leave the block as-is
         }
         // a refused erase (protocol violation) aborts the migration; the
         // block simply stays in place with its pages already relocated
@@ -90,7 +89,7 @@ impl Ssd {
         t: SimTime,
     ) {
         let _bg = self.sched.probe.background();
-        let geom = self.cfg.flash.geometry.clone();
+        let geom = &self.cfg.flash.geometry;
         let block_idx = geom.block_index(geom.block_of(addr));
         // retire FIRST: the block leaves the free pool and loses any
         // frontier pointing at it, so the salvage relocations below (and
@@ -99,12 +98,8 @@ impl Ssd {
         // recurse with stale locations
         self.metrics.blocks_retired += 1;
         self.dir.retire(lun, block_idx);
-        let live = self.dir.live_pages(lun, block_idx);
-        for (a, lpn) in live {
-            let old = PhysPage { lun, addr: a };
-            // on failure the page stays live on the retired block: still
-            // readable through the mapping, never allocatable again
-            let _ = self.relocate_page(old, lpn, t, OpCause::WearLevel);
-        }
+        // on failure a page stays live on the retired block: still
+        // readable through the mapping, never allocatable again
+        let _ = self.relocate_live_pages(lun, block_idx, t, OpCause::WearLevel, true);
     }
 }

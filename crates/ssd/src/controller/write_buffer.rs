@@ -131,12 +131,14 @@ impl Ssd {
         let old = match &mut self.map {
             MappingState::Page(m) => m.update(lpn, phys),
             MappingState::Dftl(m) => {
-                let mut ios = Vec::new();
+                let mut ios = std::mem::take(&mut self.trans_scratch);
+                ios.clear();
                 let old = m.update(lpn, phys, &mut ios);
                 // write-back of the dirty translation entry does not gate
                 // the host acknowledgement: charge it as background traffic
                 let _bg = self.sched.probe.background();
                 self.exec_trans(t, &ios);
+                self.trans_scratch = ios;
                 old
             }
             _ => unreachable!(),

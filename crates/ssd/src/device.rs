@@ -43,7 +43,7 @@
 //!
 //! Host commands must be submitted in non-decreasing time order.
 
-use requiem_flash::{Lun, PagePayload};
+use requiem_flash::{Lun, PageAddr, PagePayload};
 use requiem_sim::gantt::Gantt;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, IoStatus, Layer, Probe};
@@ -52,7 +52,7 @@ use crate::addr::{ArrayShape, Capacity, Lpn, LunId, PhysPage};
 use crate::block_dir::BlockDirectory;
 use crate::config::{FtlKind, SsdConfig};
 use crate::controller::block_ftl::ReplCtx;
-use crate::controller::{GcGate, GcPolicy, Scheduler, WearPolicy, WriteBufferPolicy};
+use crate::controller::{GcGate, GcPolicy, LunRotation, Scheduler, WearPolicy, WriteBufferPolicy};
 use crate::mapping::block::{BlockMap, HybridState};
 use crate::mapping::dftl::{DftlMap, TransIo};
 use crate::mapping::page::PageMap;
@@ -237,7 +237,8 @@ pub struct Ssd {
     /// Allocation bias + static migration (Figure 2 "Wear-leveling").
     pub(crate) wear_policy: Box<dyn WearPolicy>,
     pub(crate) metrics: SsdMetrics,
-    pub(crate) rr: u32,
+    /// Write placement's LUN order and cursor.
+    pub(crate) rotation: LunRotation,
     pub(crate) last_submit: SimTime,
     /// True when several independently-clocked submission streams (per-
     /// core queue pairs) share this device: global submit order is then
@@ -254,6 +255,11 @@ pub struct Ssd {
     /// `(grant index, extra ns)` pairs, sorted. All empty when no plan
     /// is configured, in which case transfer times are untouched.
     pub(crate) chan_hiccups: Vec<Vec<(u64, u64)>>,
+    /// The live-page list of the block being collected, migrated or
+    /// salvaged (reused from block to block).
+    pub(crate) live_scratch: Vec<(PageAddr, Lpn)>,
+    /// DFTL translation traffic of the command in hand (likewise reused).
+    pub(crate) trans_scratch: Vec<TransIo>,
 }
 
 impl std::fmt::Debug for Ssd {
@@ -313,7 +319,7 @@ impl Ssd {
             gc_policy,
             wear_policy,
             metrics: SsdMetrics::new(),
-            rr: 0,
+            rotation: LunRotation::new(&cfg.shape),
             capacity,
             cfg,
             last_submit: SimTime::ZERO,
@@ -322,6 +328,8 @@ impl Ssd {
             repl: None,
             oob_seq: 0,
             chan_hiccups,
+            live_scratch: Vec::new(),
+            trans_scratch: Vec::new(),
         }
     }
 
@@ -657,17 +665,16 @@ impl Ssd {
     /// DFTL lookup: translation-page traffic is on the read's critical
     /// path (the caller attributes `[t0, t1)` as one mapping span).
     fn resolve_read_dftl(&mut self, lpn: Lpn, t0: SimTime) -> (Option<PhysPage>, SimTime) {
-        let (phys, ios) = match &mut self.map {
-            MappingState::Dftl(m) => {
-                let mut ios = Vec::new();
-                let phys = m.lookup(lpn, &mut ios);
-                (phys, ios)
-            }
+        let mut ios = std::mem::take(&mut self.trans_scratch);
+        ios.clear();
+        let phys = match &mut self.map {
+            MappingState::Dftl(m) => m.lookup(lpn, &mut ios),
             // only called under DFTL; any other state resolves to
             // "unmapped" rather than a controller panic
-            _ => (None, Vec::new()),
+            _ => None,
         };
         let t1 = self.exec_trans(t0, &ios);
+        self.trans_scratch = ios;
         (phys, t1)
     }
 
@@ -682,7 +689,7 @@ impl Ssd {
         let t0 = link.end + self.cfg.controller_overhead;
         self.span_overhead(link.end, t0);
         let salvages_before = self.metrics.recovery.program_salvages;
-        let written = match self.cfg.ftl.clone() {
+        let written = match self.cfg.ftl {
             FtlKind::PageMap | FtlKind::Dftl { .. } => self.write_page_mapped(t0, lpn),
             FtlKind::BlockMap => self.write_block_mapped(t0, lpn).map(|d| (d, Served::Flash)),
             FtlKind::Hybrid { .. } => self.write_hybrid(t0, lpn).map(|d| (d, Served::Flash)),
@@ -759,21 +766,20 @@ impl Ssd {
     /// Trim under the page-mapped FTLs; the DFTL translation write-back
     /// does not gate the completion, so it is charged as background.
     fn trim_page_mapped(&mut self, done: SimTime, lpn: Lpn) {
-        let (old, ios) = match &mut self.map {
-            MappingState::Page(m) => (m.unmap(lpn), Vec::new()),
-            MappingState::Dftl(m) => {
-                let mut ios: Vec<TransIo> = Vec::new();
-                let old = m.unmap(lpn, &mut ios);
-                (old, ios)
-            }
+        let mut ios = std::mem::take(&mut self.trans_scratch);
+        ios.clear();
+        let old = match &mut self.map {
+            MappingState::Page(m) => m.unmap(lpn),
+            MappingState::Dftl(m) => m.unmap(lpn, &mut ios),
             // only called for page-mapped FTLs; elsewhere a trim of an
             // unknown page is a no-op, not a controller panic
-            _ => (None, Vec::new()),
+            _ => None,
         };
         if !ios.is_empty() {
             let _bg = self.sched.probe.background();
             self.exec_trans(done, &ios);
         }
+        self.trans_scratch = ios;
         if let Some(old) = old {
             self.dir.invalidate(old);
         }
