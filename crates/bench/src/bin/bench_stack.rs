@@ -33,6 +33,11 @@
 //! * `qpair_qd1` — [`QueuePair`] at depth 1 straight over the device
 //!   (no block layer): fill, then random reads, one submit + one pop per
 //!   command.
+//! * `ssd_read_random` — bare [`Ssd::read`] at queue depth 1 on the
+//!   modern preset: sequential fill, then 2¹⁹ uniform-random reads — the
+//!   controller's read path (buffer residency, map lookup, flash read)
+//!   with no queue above it. Events are the reads; the checksum also
+//!   folds the host / flash / buffer-hit read counts.
 //! * `ssd_write_plateau` — bare [`Ssd::write`] at queue depth 1 on the
 //!   modern preset (no block layer, no queue pair): sequential fill,
 //!   twice the capacity of random overwrites, then 2¹⁸ more — the
@@ -60,11 +65,12 @@ use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 use requiem_workload::{oltp_inputs, txn_to_input, ShardedOltpConfig, ShardedOltpGen};
 
-const BENCHES: [&str; 8] = [
+const BENCHES: [&str; 9] = [
     "window_admit",
     "iostack_read_qd8",
     "iostack_overwrite_qd8",
     "qpair_qd1",
+    "ssd_read_random",
     "ssd_write_plateau",
     "lun_ops",
     "db_run_qd16",
@@ -179,6 +185,29 @@ fn qpair_qd1() -> (u64, u64) {
         fold(&mut checksum, c.done);
     }
     (pages + READS as u64, checksum)
+}
+
+fn ssd_read_random() -> (u64, u64) {
+    const READS: usize = 1 << 19;
+    let mut ssd = Ssd::new(SsdConfig::modern());
+    let pages = ssd.capacity().exported_pages;
+    let mut now = SimTime::ZERO;
+    for lpn in 0..pages {
+        now = ssd.write(now, Lpn(lpn)).expect("bench fill").done;
+    }
+    let reads = AddressPattern::new(Pattern::UniformRandom, pages, 42).take_vec(READS);
+    let mut checksum = 0u64;
+    for &lpn in &reads {
+        let c = ssd.read(now, Lpn(lpn)).expect("bench command");
+        assert!(c.status.is_success(), "bench command failed: {c:?}");
+        now = c.done;
+        fold(&mut checksum, c.done);
+    }
+    let m = ssd.metrics();
+    for x in [m.host_reads, m.flash_reads.total(), m.buffer_read_hits] {
+        checksum = checksum.wrapping_mul(31).wrapping_add(x);
+    }
+    (READS as u64, checksum)
 }
 
 fn ssd_write_plateau() -> (u64, u64) {
@@ -345,6 +374,7 @@ fn main() {
         "iostack_read_qd8" => iostack(IoOp::Read, false, 1 << 19),
         "iostack_overwrite_qd8" => iostack(IoOp::Write, true, 1 << 18),
         "qpair_qd1" => qpair_qd1(),
+        "ssd_read_random" => ssd_read_random(),
         "ssd_write_plateau" => ssd_write_plateau(),
         "lun_ops" => lun_ops(),
         "db_run_qd16" => db_run_qd16(),

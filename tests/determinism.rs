@@ -269,23 +269,83 @@ fn ssd_controller_run_is_pinned() {
     );
 }
 
+/// The nameless device's simulated numbers, pinned as literals: a small
+/// device written past its raw capacity with exact-name frees, so the
+/// collector migrates live pages and says so in upcalls; then every 64th
+/// tag read back by name. What `read` and `free` check a name against,
+/// what GC finds live and what a relocation read costs all move them.
 #[test]
-fn nameless_device_is_deterministic_too() {
-    use requiem::iface::nameless::{NamelessConfig, NamelessSsd};
-    let run = || {
-        let base = SsdConfig::modern();
-        let mut dev = NamelessSsd::new(NamelessConfig::from(&base));
-        let mut t = SimTime::ZERO;
-        let mut names = Vec::new();
-        for tag in 0..512u64 {
-            let w = dev.write(t, tag).expect("write");
-            t = w.done;
-            names.push(w.name);
+fn nameless_device_run_is_pinned() {
+    use requiem::iface::comm::Upcall;
+    use requiem::iface::nameless::{NamelessConfig, NamelessError, NamelessSsd};
+
+    let mut base = SsdConfig::modern();
+    base.shape.channels = 2;
+    base.shape.chips_per_channel = 2;
+    let mut dev = NamelessSsd::new(NamelessConfig::from(&base));
+    let live = dev.usable_tags();
+    let mut t = SimTime::ZERO;
+    // the host's index: tag -> current name, patched from upcalls
+    let mut index = Vec::new();
+    for tag in 0..live {
+        let w = dev.write(t, tag).expect("fill");
+        t = w.done;
+        index.push(w.name);
+    }
+    // the last migration the host hears of: its old name is stale, its
+    // new one is current only because the upcall patched the index
+    let mut last_move = None;
+    let mut patch = |dev: &mut NamelessSsd, index: &mut Vec<_>| {
+        for u in dev.upcalls().drain() {
+            if let Upcall::Migrated { tag, old, new, .. } = u {
+                index[tag as usize] = new;
+                last_move = Some((tag, old, new));
+            }
         }
-        (t, names)
     };
-    let (t1, n1) = run();
-    let (t2, n2) = run();
-    assert_eq!(t1, t2);
-    assert_eq!(n1, n2);
+    let churn = AddressPattern::new(Pattern::UniformRandom, live, 11).take_vec(2 * live as usize);
+    for tag in churn {
+        patch(&mut dev, &mut index);
+        t = dev
+            .free(t, index[tag as usize], tag)
+            .expect("free of the current name");
+        let w = dev.write(t, tag).expect("rewrite");
+        t = w.done;
+        index[tag as usize] = w.name;
+    }
+    patch(&mut dev, &mut index);
+
+    let (moved, old, new) = last_move.expect("churn past capacity migrates");
+    assert_eq!(
+        dev.read(t, old, moved),
+        Err(NamelessError::StaleName { name: old })
+    );
+    assert_eq!(index[moved as usize], new);
+    for tag in (0..live).step_by(64).chain([moved]) {
+        let (done, _, status) = dev.read(t, index[tag as usize], tag).expect("current name");
+        assert!(status.is_success(), "tag {tag}: {status:?}");
+        t = done;
+    }
+    let m = dev.metrics();
+    assert_eq!(
+        format!(
+            "clock {} upcalls {} gc_runs {} moved {} flash_reads {:?} programs {:?} \
+             erases {:?} host r/w/free {}/{}/{}",
+            t.as_nanos(),
+            dev.upcalls_pending().delivered(),
+            m.gc_runs,
+            m.gc_pages_moved,
+            m.flash_reads,
+            m.flash_programs,
+            m.flash_erases,
+            m.host_reads,
+            m.host_writes,
+            m.host_trims,
+        ),
+        "clock 73435110376 upcalls 44876 gc_runs 3653 moved 44876 \
+         flash_reads CauseCounts { host: 113, gc: 44876, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         programs CauseCounts { host: 21504, gc: 44876, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         erases CauseCounts { host: 0, gc: 3653, wear_level: 0, merge: 0, translation: 0, recovery: 0 } \
+         host r/w/free 114/21504/14336"
+    );
 }
