@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use requiem_sim::time::SimTime;
 use requiem_ssd::mapping::dftl::DftlMap;
 use requiem_ssd::mapping::page::PageMap;
-use requiem_ssd::{BufferConfig, FtlKind, Lpn, LunId, PhysPage, Ssd, SsdConfig};
+use requiem_ssd::{ArrayShape, BufferConfig, FtlKind, Lpn, LunId, PhysPage, Ssd, SsdConfig};
 
 fn cfg_with(ftl: FtlKind) -> SsdConfig {
     let mut cfg = SsdConfig::modern();
@@ -48,6 +48,13 @@ fn bench_ftl_write(c: &mut Criterion) {
 fn bench_mapping_structures(c: &mut Criterion) {
     let mut g = c.benchmark_group("ftl/mapping_lookup");
     g.throughput(Throughput::Elements(1));
+    // eight LUNs of one plane × 64 blocks × 16 pages: what `pp` spans
+    let shape = ArrayShape {
+        channels: 8,
+        chips_per_channel: 1,
+        luns_per_chip: 1,
+    };
+    let geom = requiem_flash::Geometry::new(1, 64, 16, 4096);
     let pp = |i: u64| PhysPage {
         lun: LunId((i % 8) as u32),
         addr: requiem_flash::PageAddr {
@@ -57,7 +64,7 @@ fn bench_mapping_structures(c: &mut Criterion) {
         },
     };
     g.bench_function("page_map", |b| {
-        let mut m = PageMap::new(1 << 16);
+        let mut m = PageMap::new(1 << 16, &shape, &geom);
         for i in 0..(1 << 16) {
             m.update(Lpn(i), pp(i));
         }
@@ -68,7 +75,7 @@ fn bench_mapping_structures(c: &mut Criterion) {
         });
     });
     g.bench_function("dftl_hit", |b| {
-        let mut m = DftlMap::new(1 << 16, 1 << 16, 4096, 8);
+        let mut m = DftlMap::new(1 << 16, 1 << 16, &shape, &geom);
         let mut ios = Vec::new();
         for i in 0..(1 << 16) {
             m.update(Lpn(i), pp(i), &mut ios);
@@ -82,7 +89,7 @@ fn bench_mapping_structures(c: &mut Criterion) {
     });
     g.bench_function("dftl_thrash", |b| {
         // CMT far smaller than the working set: every lookup misses
-        let mut m = DftlMap::new(1 << 16, 64, 4096, 8);
+        let mut m = DftlMap::new(1 << 16, 64, &shape, &geom);
         let mut ios = Vec::new();
         let mut x = 1u64;
         b.iter(|| {

@@ -82,11 +82,8 @@ mod tests {
         let a = chip.lun(0).geometry().page_addr(0, 0, 0);
         chip.lun_mut(0).program(a, PagePayload::Tag(1)).unwrap();
         // LUN 1 unaffected
-        assert_eq!(chip.lun_mut(1).read(a).unwrap().payload, PagePayload::Empty);
-        assert_eq!(
-            chip.lun_mut(0).read(a).unwrap().payload,
-            PagePayload::Tag(1)
-        );
+        assert_eq!(*chip.lun(1).payload(a), PagePayload::Empty);
+        assert_eq!(*chip.lun(0).payload(a), PagePayload::Tag(1));
     }
 
     #[test]

@@ -58,14 +58,13 @@ pub struct OpOutcome {
     pub duration: SimDuration,
 }
 
-/// Outcome of a read: duration, payload, and the raw bit errors the ECC
-/// corrected (observable by controllers that track block health).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of a read: duration and the raw bit errors the ECC corrected
+/// (observable by controllers that track block health). The bytes stay
+/// in the array; whoever wants them asks [`Lun::payload`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadOutcome {
     /// Die-busy time (tR). Transfer time is a channel concern.
     pub duration: SimDuration,
-    /// The stored payload.
-    pub payload: PagePayload,
     /// Raw bit errors corrected by ECC on this read.
     pub corrected_errors: u32,
 }
@@ -83,10 +82,13 @@ pub struct BlockState {
     pub reads_since_erase: u64,
 }
 
+#[derive(Clone)]
 struct Block {
     state: BlockState,
-    pages: Vec<PageState>,
-    payloads: Vec<PagePayload>,
+    /// `cell.rber(wear_ratio)` at the block's current erase count: a pure
+    /// function of it, so computed where the count moves (construction
+    /// and both erase outcomes) instead of on every read.
+    rber: f64,
 }
 
 /// One flash die with full state tracking.
@@ -94,6 +96,10 @@ pub struct Lun {
     id: u32,
     spec: FlashSpec,
     blocks: Vec<Block>,
+    /// State of every page of the die, indexed by [`Geometry::ppn`].
+    pages: Vec<PageState>,
+    /// What every page holds, indexed likewise.
+    payloads: Vec<PagePayload>,
     rng: SimRng,
     /// Counters for reporting.
     reads: u64,
@@ -120,25 +126,23 @@ impl Lun {
     /// Create a fresh (fully erased) LUN. `seed` feeds the error-injection
     /// stream; LUNs with different ids derive different streams.
     pub fn new(id: u32, spec: FlashSpec, seed: u64) -> Self {
-        let nblocks = spec.geometry.total_blocks() as usize;
-        let ppb = spec.geometry.pages_per_block as usize;
-        let blocks = (0..nblocks)
-            .map(|_| Block {
-                state: BlockState {
-                    erase_count: 0,
-                    write_point: 0,
-                    bad: false,
-                    reads_since_erase: 0,
-                },
-                pages: vec![PageState::Free; ppb],
-                payloads: vec![PagePayload::Empty; ppb],
-            })
-            .collect();
+        let fresh = Block {
+            state: BlockState {
+                erase_count: 0,
+                write_point: 0,
+                bad: false,
+                reads_since_erase: 0,
+            },
+            rber: spec.cell.rber(0.0),
+        };
+        let npages = spec.geometry.total_pages() as usize;
         let rng = SimRng::from_seed(seed).derive(&format!("lun{id}"));
         Lun {
             id,
+            blocks: vec![fresh; spec.geometry.total_blocks() as usize],
+            pages: vec![PageState::Free; npages],
+            payloads: vec![PagePayload::Empty; npages],
             spec,
-            blocks,
             rng,
             reads: 0,
             programs: 0,
@@ -190,9 +194,38 @@ impl Lun {
         &self.block(b).state
     }
 
+    /// Where page `a` sits in the per-page arrays.
+    fn slot_of(&self, a: PageAddr) -> usize {
+        self.spec.geometry.ppn(a).0 as usize
+    }
+
+    /// Where block `b`'s pages sit in the per-page arrays.
+    fn slots_of(&self, b: BlockAddr) -> std::ops::Range<usize> {
+        let ppb = self.spec.geometry.pages_per_block as usize;
+        let first = self.spec.geometry.block_index(b) as usize * ppb;
+        first..first + ppb
+    }
+
     /// State of one page.
     pub fn page_state(&self, a: PageAddr) -> PageState {
-        self.block(self.spec.geometry.block_of(a)).pages[a.page as usize]
+        self.pages[self.slot_of(a)]
+    }
+
+    /// What page `a` holds, read off the array without touching the
+    /// media error model: no randomness drawn, nothing counted. The
+    /// bytes behind a successful [`Lun::read`] or
+    /// [`Lun::recovery_read`] of `a`, and what XOR parity across the
+    /// stripe reconstructs when neither decodes — whether and when that
+    /// happens is the controller's to model.
+    ///
+    /// # Panics
+    /// Panics if `a` lies outside the geometry.
+    pub fn payload(&self, a: PageAddr) -> &PagePayload {
+        assert!(
+            self.spec.geometry.contains(a),
+            "payload of {a}: out of range"
+        );
+        &self.payloads[self.slot_of(a)]
     }
 
     /// Wear ratio of a block: `erase_count / endurance`.
@@ -205,28 +238,33 @@ impl Lun {
         (self.reads, self.programs, self.erases)
     }
 
-    /// Read one page (C1: page granularity).
-    ///
-    /// Reading an erased page is legal and returns
-    /// [`PagePayload::Empty`] (all-ones on real flash). Wear raises the raw
-    /// bit error rate; if errors exceed ECC capability the read fails with
-    /// [`FlashError::UncorrectableRead`].
-    pub fn read(&mut self, a: PageAddr) -> Result<ReadOutcome, FlashError> {
+    /// What every sense of page `a` starts with: the address and
+    /// bad-block checks, the read counters, and the raw bit error rate
+    /// the page shows at its block's wear and read disturb.
+    fn sense(&mut self, a: PageAddr) -> Result<f64, FlashError> {
         if !self.spec.geometry.contains(a) {
             return Err(FlashError::OutOfRange { addr: a });
         }
         let baddr = self.spec.geometry.block_of(a);
-        if self.block(baddr).state.bad {
+        let cell = self.spec.cell;
+        let block = self.block_mut(baddr);
+        if block.state.bad {
             return Err(FlashError::BadBlock { block: baddr });
         }
+        block.state.reads_since_erase += 1;
+        let worn = block.rber * cell.read_disturb_factor(block.state.reads_since_erase);
         self.reads += 1;
-        self.block_mut(baddr).state.reads_since_erase += 1;
-        let wear = self.wear_ratio(baddr);
-        let disturb = self
-            .spec
-            .cell
-            .read_disturb_factor(self.block(baddr).state.reads_since_erase);
-        let rber = self.spec.cell.rber(wear) * disturb * self.faults.rber_multiplier;
+        Ok(worn * self.faults.rber_multiplier)
+    }
+
+    /// Read one page (C1: page granularity).
+    ///
+    /// Reading an erased page is legal (its payload is
+    /// [`PagePayload::Empty`], all-ones on real flash). Wear raises the raw
+    /// bit error rate; if errors exceed ECC capability the read fails with
+    /// [`FlashError::UncorrectableRead`].
+    pub fn read(&mut self, a: PageAddr) -> Result<ReadOutcome, FlashError> {
+        let rber = self.sense(a)?;
         let page_size = self.spec.geometry.page_size;
         let (raw, correctable) = self.spec.ecc.decode(rber, page_size, &mut self.rng);
         if !correctable {
@@ -236,10 +274,8 @@ impl Lun {
                 correctable: self.spec.ecc.correctable_for_page(page_size),
             });
         }
-        let block = self.block(baddr);
         Ok(ReadOutcome {
             duration: self.spec.timing.read,
-            payload: block.payloads[a.page as usize].clone(),
             corrected_errors: raw,
         })
     }
@@ -257,21 +293,7 @@ impl Lun {
         rber_derate: f64,
         capability_boost: f64,
     ) -> Result<ReadOutcome, FlashError> {
-        if !self.spec.geometry.contains(a) {
-            return Err(FlashError::OutOfRange { addr: a });
-        }
-        let baddr = self.spec.geometry.block_of(a);
-        if self.block(baddr).state.bad {
-            return Err(FlashError::BadBlock { block: baddr });
-        }
-        self.reads += 1;
-        self.block_mut(baddr).state.reads_since_erase += 1;
-        let wear = self.wear_ratio(baddr);
-        let disturb = self
-            .spec
-            .cell
-            .read_disturb_factor(self.block(baddr).state.reads_since_erase);
-        let rber = self.spec.cell.rber(wear) * disturb * self.faults.rber_multiplier * rber_derate;
+        let rber = self.sense(a)? * rber_derate;
         let page_size = self.spec.geometry.page_size;
         let (raw, _) = self.spec.ecc.decode(rber, page_size, &mut self.rng);
         let capability = self.spec.ecc.correctable_for_page(page_size);
@@ -283,26 +305,10 @@ impl Lun {
                 correctable: boosted,
             });
         }
-        let block = self.block(baddr);
         Ok(ReadOutcome {
             duration: self.spec.timing.read,
-            payload: block.payloads[a.page as usize].clone(),
             corrected_errors: raw,
         })
-    }
-
-    /// The stored payload of a page, bypassing the media error model —
-    /// what a controller reconstructs when XOR parity across the stripe
-    /// resolves a page the ECC could not. Timing and failure modelling
-    /// of the rebuild is the controller's job; this accessor only hands
-    /// back the bytes the parity math would produce. Draws no
-    /// randomness.
-    pub fn parity_reconstruct(&self, a: PageAddr) -> Option<PagePayload> {
-        if !self.spec.geometry.contains(a) {
-            return None;
-        }
-        let baddr = self.spec.geometry.block_of(a);
-        Some(self.block(baddr).payloads[a.page as usize].clone())
     }
 
     /// Program one page (C1; enforces C2 and C3).
@@ -317,11 +323,12 @@ impl Lun {
         let baddr = self.spec.geometry.block_of(a);
         let wear = self.wear_ratio(baddr);
         let endurance_exceeded = wear > 1.0;
-        let block = self.block_mut(baddr);
+        let slot = self.slot_of(a);
+        let block = self.block(baddr);
         if block.state.bad {
             return Err(FlashError::BadBlock { block: baddr });
         }
-        if block.pages[a.page as usize] != PageState::Free {
+        if self.pages[slot] != PageState::Free {
             return Err(FlashError::ProgramDirtyPage { addr: a });
         }
         // C3: pages must be programmed in ascending order within a block.
@@ -352,10 +359,9 @@ impl Lun {
                 return Err(FlashError::ProgramFailed { addr: a });
             }
         }
-        let block = self.block_mut(baddr);
-        block.pages[a.page as usize] = PageState::Programmed;
-        block.payloads[a.page as usize] = payload;
-        block.state.write_point = a.page + 1;
+        self.pages[slot] = PageState::Programmed;
+        self.payloads[slot] = payload;
+        self.block_mut(baddr).state.write_point = a.page + 1;
         self.programs += 1;
         Ok(OpOutcome {
             duration: self.spec.timing.program(a.page),
@@ -376,7 +382,6 @@ impl Lun {
                 },
             });
         }
-        let endurance = self.spec.endurance();
         if self.block(b).state.bad {
             return Err(FlashError::BadBlock { block: b });
         }
@@ -384,24 +389,16 @@ impl Lun {
         // fails and retires the block (empty schedule = no-op)
         if self.faults.erase_fail.binary_search(&self.erases).is_ok() {
             self.erases += 1;
-            let count = {
-                let block = self.block_mut(b);
-                block.state.erase_count += 1;
-                block.state.bad = true;
-                block.state.erase_count
-            };
+            let count = self.count_erase(b);
+            self.block_mut(b).state.bad = true;
             return Err(FlashError::EraseFailed {
                 block: b,
                 erase_count: count,
             });
         }
         self.erases += 1;
-        let count = {
-            let block = self.block_mut(b);
-            block.state.erase_count += 1;
-            block.state.erase_count
-        };
-        let wear = count as f64 / endurance as f64;
+        let count = self.count_erase(b);
+        let wear = self.wear_ratio(b);
         if wear > 1.0 {
             let p_fail = ((wear - 1.0) * 0.5).min(0.9);
             if self.rng.chance(p_fail) {
@@ -415,14 +412,23 @@ impl Lun {
         let block = self.block_mut(b);
         block.state.write_point = 0;
         block.state.reads_since_erase = 0;
-        block.pages.iter_mut().for_each(|p| *p = PageState::Free);
-        block
-            .payloads
-            .iter_mut()
-            .for_each(|p| *p = PagePayload::Empty);
+        let slots = self.slots_of(b);
+        self.pages[slots.clone()].fill(PageState::Free);
+        self.payloads[slots].fill(PagePayload::Empty);
         Ok(OpOutcome {
             duration: self.spec.timing.erase,
         })
+    }
+
+    /// One more P/E cycle on block `b`, whichever way the erase ends:
+    /// bump its erase count and re-price its raw bit error rate at the
+    /// new wear. Returns the new count.
+    fn count_erase(&mut self, b: BlockAddr) -> u32 {
+        self.block_mut(b).state.erase_count += 1;
+        let rber = self.spec.cell.rber(self.wear_ratio(b));
+        let block = self.block_mut(b);
+        block.rber = rber;
+        block.state.erase_count
     }
 
     /// Administratively mark a block bad (factory bad blocks, scan results).
@@ -460,9 +466,76 @@ impl Lun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lun() -> Lun {
         Lun::new(0, FlashSpec::mlc_small(), 7)
+    }
+
+    proptest! {
+        /// The layout the flat arrays replaced, kept as the reference: a
+        /// `Vec` of `(state, payload)` per block, and RBER priced from the
+        /// erase count whenever it is asked for. A die of 2 × 3 blocks of
+        /// 5 pages (nothing a power of two) rated for 8 cycles, so blocks
+        /// wear past their endurance and die on their own as well as on
+        /// schedule. After every op every page and every block must agree.
+        #[test]
+        fn flat_arrays_match_the_per_block_vecs_they_replaced(
+            ops in proptest::collection::vec((0..8u8, 0..6u32, 0..5u32), 1..400),
+            erase_faults in proptest::collection::vec(0..60u64, 0..4),
+        ) {
+            let spec = FlashSpec {
+                geometry: Geometry::new(2, 3, 5, 4096),
+                endurance_override: Some(8),
+                ..FlashSpec::tlc_small()
+            };
+            let g = spec.geometry.clone();
+            let mut l = Lun::new(0, spec.clone(), 99);
+            l.apply_faults(
+                requiem_sim::FaultPlan::none()
+                    .with_erase_fail(0, erase_faults)
+                    .unit_view(0),
+            );
+            let fresh = vec![(PageState::Free, PagePayload::Empty); g.pages_per_block as usize];
+            let mut blocks = vec![fresh.clone(); g.total_blocks() as usize];
+            for (step, &(kind, b, p)) in ops.iter().enumerate() {
+                let baddr = g.block_from_index(b);
+                let a = g.page_addr(baddr.plane, baddr.block, p);
+                match kind {
+                    0..=2 => {
+                        let payload = PagePayload::Oob { lpn: u64::from(p), seq: step as u64 };
+                        if l.program(a, payload.clone()).is_ok() {
+                            blocks[b as usize][p as usize] = (PageState::Programmed, payload);
+                        }
+                    }
+                    3 | 4 => {
+                        let _ = l.read(a);
+                    }
+                    5 | 6 => {
+                        if l.erase(baddr).is_ok() {
+                            blocks[b as usize] = fresh.clone();
+                        }
+                    }
+                    _ => {
+                        if p == 0 {
+                            l.mark_bad(baddr);
+                        }
+                    }
+                }
+                for (i, pages) in blocks.iter().enumerate() {
+                    let baddr = g.block_from_index(i as u32);
+                    prop_assert_eq!(
+                        l.blocks[i].rber.to_bits(),
+                        spec.cell.rber(l.wear_ratio(baddr)).to_bits(),
+                        "step {}: RBER of block {}", step, i
+                    );
+                    for (a, (state, payload)) in g.pages_of(baddr).zip(pages) {
+                        prop_assert_eq!(l.page_state(a), *state, "step {}: {}", step, a);
+                        prop_assert_eq!(l.payload(a), payload, "step {}: {}", step, a);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -473,8 +546,8 @@ mod tests {
             assert_eq!(l.block_state(b).erase_count, 0);
             assert!(!l.block_state(b).bad);
         }
-        let r = l.read(g.page_addr(0, 0, 0)).unwrap();
-        assert_eq!(r.payload, PagePayload::Empty);
+        l.read(g.page_addr(0, 0, 0)).unwrap();
+        assert_eq!(*l.payload(g.page_addr(0, 0, 0)), PagePayload::Empty);
     }
 
     #[test]
@@ -482,7 +555,8 @@ mod tests {
         let mut l = lun();
         let a = l.geometry().page_addr(1, 3, 0);
         l.program(a, PagePayload::Tag(99)).unwrap();
-        assert_eq!(l.read(a).unwrap().payload, PagePayload::Tag(99));
+        l.read(a).unwrap();
+        assert_eq!(*l.payload(a), PagePayload::Tag(99));
         assert_eq!(l.page_state(a), PageState::Programmed);
     }
 
@@ -513,7 +587,8 @@ mod tests {
         );
         // skipped pages read as empty
         let gap = l.geometry().page_addr(0, 0, 3);
-        assert_eq!(l.read(gap).unwrap().payload, PagePayload::Empty);
+        l.read(gap).unwrap();
+        assert_eq!(*l.payload(gap), PagePayload::Empty);
     }
 
     #[test]
@@ -532,10 +607,8 @@ mod tests {
         l.erase(b).unwrap();
         assert_eq!(l.block_state(b).erase_count, 1);
         assert_eq!(l.block_state(b).write_point, 0);
-        assert_eq!(
-            l.read(g.page_addr(0, 2, 3)).unwrap().payload,
-            PagePayload::Empty
-        );
+        l.read(g.page_addr(0, 2, 3)).unwrap();
+        assert_eq!(*l.payload(g.page_addr(0, 2, 3)), PagePayload::Empty);
         // and the block can be rewritten from page 0
         l.program(g.page_addr(0, 2, 0), PagePayload::Tag(42))
             .unwrap();
@@ -653,7 +726,8 @@ mod tests {
         let a = l.geometry().page_addr(0, 0, 0);
         let data: Box<[u8]> = vec![0xAB; 64].into_boxed_slice();
         l.program(a, PagePayload::Bytes(data.clone())).unwrap();
-        assert_eq!(l.read(a).unwrap().payload, PagePayload::Bytes(data));
+        l.read(a).unwrap();
+        assert_eq!(*l.payload(a), PagePayload::Bytes(data));
     }
 
     #[test]
@@ -706,10 +780,9 @@ mod tests {
             Err(FlashError::UncorrectableRead { .. })
         ));
         // a strong-enough recovery derate brings it back
-        let rec = l.recovery_read(a, 1e-9, 1.5).unwrap();
-        assert_eq!(rec.payload, PagePayload::Tag(7));
-        // parity reconstruction sees the bytes without the error model
-        assert_eq!(l.parity_reconstruct(a), Some(PagePayload::Tag(7)));
+        l.recovery_read(a, 1e-9, 1.5).unwrap();
+        // the bytes are in the array either way, error model or not
+        assert_eq!(*l.payload(a), PagePayload::Tag(7));
     }
 
     #[test]
@@ -732,5 +805,22 @@ mod tests {
             out
         };
         assert_eq!(trace(false), trace(true));
+    }
+
+    #[test]
+    fn worn_block_error_count_is_pinned() {
+        let mut l = Lun::new(0, FlashSpec::tlc_small(), 3);
+        let g = l.geometry().clone();
+        let b = g.block_addr(1, 5);
+        for _ in 0..3_000 {
+            l.erase(b).unwrap();
+        }
+        let a = g.page_addr(1, 5, 0);
+        l.program(a, PagePayload::Tag(1)).unwrap();
+        let corrected: u64 = (0..10_000)
+            .map(|_| u64::from(l.read(a).unwrap().corrected_errors))
+            .sum();
+        // taken from the code that priced RBER on every read
+        assert_eq!(corrected, 41_504);
     }
 }

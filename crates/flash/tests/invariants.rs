@@ -71,11 +71,11 @@ proptest! {
                     // fresh device, zero wear: reads never fail
                     prop_assert!(out.is_ok());
                     let bidx = g.block_index(g.block_of(a)) as usize;
-                    let payload = out.unwrap().payload;
+                    let payload = lun.payload(a);
                     if shadow[bidx].programmed[page as usize] {
-                        prop_assert_ne!(payload, PagePayload::Empty);
+                        prop_assert_ne!(payload, &PagePayload::Empty);
                     } else {
-                        prop_assert_eq!(payload, PagePayload::Empty);
+                        prop_assert_eq!(payload, &PagePayload::Empty);
                     }
                 }
                 Op::Program { plane, block, page } => {
@@ -153,8 +153,9 @@ proptest! {
             }
         }
         for ((block, page), tok) in expected {
-            let got = lun.read(g.page_addr(0, block, page)).unwrap().payload;
-            prop_assert_eq!(got, PagePayload::Tag(tok));
+            let a = g.page_addr(0, block, page);
+            lun.read(a).unwrap();
+            prop_assert_eq!(lun.payload(a), &PagePayload::Tag(tok));
         }
     }
 

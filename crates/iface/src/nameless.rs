@@ -369,7 +369,7 @@ impl NamelessSsd {
         self.dir.live_pages_into(lun, block_idx, &mut live);
         for &(a, tag) in &live {
             let old = PhysPage { lun, addr: a };
-            let (after_read, _payload, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
+            let (after_read, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
             let Some(np) = self.dir.next_page(lun, Stream::Gc, self.cfg.wear_aware) else {
                 break; // out of space: page stays readable on the retired block
             };
@@ -404,8 +404,8 @@ impl NamelessSsd {
     /// device's signature move: a successful parity rebuild rewrites the
     /// page at a fresh location and *tells the host* via
     /// [`Upcall::Migrated`] (pass `None` on GC relocation reads, which
-    /// re-home the page themselves). Returns the completion instant, the
-    /// payload, and how hard the device had to work for it.
+    /// re-home the page themselves). Returns the completion instant and
+    /// how hard the device had to work for it.
     fn op_read(
         &mut self,
         not_before: SimTime,
@@ -413,7 +413,7 @@ impl NamelessSsd {
         with_transfer: bool,
         cause: OpCause,
         tag: Option<u64>,
-    ) -> (SimTime, PagePayload, IoStatus) {
+    ) -> (SimTime, IoStatus) {
         let chan = self.cfg.shape.channel_of(phys.lun) as usize;
         let li = phys.lun.0 as usize;
         let occ = occupant_of(cause);
@@ -429,7 +429,7 @@ impl NamelessSsd {
                 cmd_done,
             );
         }
-        let finish = |slf: &mut Self, from: SimTime, payload: PagePayload, status: IoStatus| {
+        let finish = |slf: &mut Self, from: SimTime, status: IoStatus| {
             if with_transfer {
                 let xfer = slf.cfg.flash.geometry.page_size;
                 let xg =
@@ -451,9 +451,9 @@ impl NamelessSsd {
                         xg.end,
                     );
                 }
-                (xg.end, payload, status)
+                (xg.end, status)
             } else {
-                (from, payload, status)
+                (from, status)
             }
         };
         match self.luns[li].read(phys.addr) {
@@ -476,7 +476,7 @@ impl NamelessSsd {
                         lg.end,
                     );
                 }
-                finish(self, lg.end, o.payload, IoStatus::Ok)
+                finish(self, lg.end, IoStatus::Ok)
             }
             Err(FlashError::UncorrectableRead { .. }) => {
                 self.metrics.uncorrectable_reads += 1;
@@ -485,7 +485,7 @@ impl NamelessSsd {
                 let mut cursor = lg.end;
                 let t_read = self.cfg.flash.timing.read;
                 let mut steps = 0u32;
-                let mut payload: Option<PagePayload> = None;
+                let mut recovered = false;
                 let mut rebuilt = false;
                 // stage 1: read-retry ladder (shifted reference voltages)
                 for derate in [0.6, 0.35, 0.2] {
@@ -494,27 +494,27 @@ impl NamelessSsd {
                     self.metrics.flash_reads.bump(OpCause::Recovery);
                     let g = self.lun_res[li].reserve_tagged(cursor, t_read, Occupant::Recovery);
                     cursor = g.end;
-                    if let Ok(o) = self.luns[li].recovery_read(phys.addr, derate, 1.0) {
+                    if self.luns[li].recovery_read(phys.addr, derate, 1.0).is_ok() {
                         self.metrics.recovery.retry_recovered += 1;
-                        payload = Some(o.payload);
+                        recovered = true;
                         break;
                     }
                 }
                 // stage 2: soft-decode escalation (stronger ECC mode)
-                if payload.is_none() {
+                if !recovered {
                     steps += 1;
                     self.metrics.recovery.ecc_escalations += 1;
                     self.metrics.flash_reads.bump(OpCause::Recovery);
                     let g = self.lun_res[li].reserve_tagged(cursor, t_read * 4, Occupant::Recovery);
                     cursor = g.end;
-                    if let Ok(o) = self.luns[li].recovery_read(phys.addr, 0.5, 1.5) {
+                    if self.luns[li].recovery_read(phys.addr, 0.5, 1.5).is_ok() {
                         self.metrics.recovery.ecc_recovered += 1;
-                        payload = Some(o.payload);
+                        recovered = true;
                     }
                 }
                 // stage 3: XOR parity rebuild across the LUN stripe
                 let nluns = self.luns.len();
-                if payload.is_none() && nluns > 1 {
+                if !recovered && nluns > 1 {
                     self.metrics.recovery.parity_rebuilds += 1;
                     let rb_start = cursor;
                     let mut rb_end = cursor;
@@ -530,10 +530,9 @@ impl NamelessSsd {
                         rb_end = rb_end.max(g.end);
                     }
                     cursor = rb_end;
-                    if let Some(p) = self.luns[li].parity_reconstruct(phys.addr) {
-                        payload = Some(p);
-                        rebuilt = true;
-                    }
+                    // the XOR of the stripe is the page as stored
+                    recovered = true;
+                    rebuilt = true;
                 }
                 self.metrics.recovery.recovery_time += cursor.since(lg.end);
                 if self.probe.is_enabled() {
@@ -545,10 +544,10 @@ impl NamelessSsd {
                         cursor,
                     );
                 }
-                let Some(payload) = payload else {
+                if !recovered {
                     self.metrics.recovery.unrecoverable += 1;
-                    return finish(self, cursor, PagePayload::Empty, IoStatus::Unrecoverable);
-                };
+                    return finish(self, cursor, IoStatus::Unrecoverable);
+                }
                 // a rebuilt page sits on dying media: re-home it and tell
                 // the host its new name (block FTLs do this silently —
                 // the nameless interface has a channel to say so)
@@ -581,8 +580,7 @@ impl NamelessSsd {
                         }
                     }
                 }
-                let status = IoStatus::RecoveredAfterRetry { steps };
-                finish(self, cursor, payload, status)
+                finish(self, cursor, IoStatus::RecoveredAfterRetry { steps })
             }
             Err(e) => unreachable!("nameless controller bug: illegal read: {e}"),
         }
@@ -642,7 +640,7 @@ impl NamelessSsd {
         for &(addr, tag) in &live {
             let old = PhysPage { lun, addr };
             let copyback = self.cfg.copyback;
-            let (after_read, _payload, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
+            let (after_read, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
             let Some((newphys, _end)) =
                 self.program_retrying(after_read, lun, Stream::Gc, tag.0, !copyback, OpCause::Gc)
             else {
@@ -692,7 +690,8 @@ impl NamelessSsd {
 
     /// Write a page; the device picks the location and returns its name.
     /// `tag` is an opaque host identifier stored out-of-band (and echoed
-    /// in migration upcalls).
+    /// in migration upcalls): any value but `u64::MAX`, which is what the
+    /// directory keeps for a page that holds nothing.
     pub fn write(&mut self, now: SimTime, tag: u64) -> Result<NamelessCompletion, NamelessError> {
         self.metrics.host_writes += 1;
         let scope = self.probe.open_command("write", now);
@@ -763,10 +762,11 @@ impl NamelessSsd {
         tag: u64,
     ) -> Result<(SimTime, SimDuration, IoStatus), NamelessError> {
         self.metrics.host_reads += 1;
-        let geom = &self.cfg.flash.geometry;
-        let bidx = geom.block_index(geom.block_of(name.addr));
-        let info = self.dir.block_info(name.lun, bidx);
-        if info.backptrs[name.addr.page as usize] != Some(Lpn(tag)) {
+        let phys = PhysPage {
+            lun: name.lun,
+            addr: name.addr,
+        };
+        if self.dir.backptr(phys) != Some(Lpn(tag)) {
             return Err(NamelessError::StaleName { name });
         }
         let scope = self.probe.open_command("read", now);
@@ -775,11 +775,7 @@ impl NamelessSsd {
             self.probe
                 .span(Layer::Controller, Cause::Overhead, "ctrl", now, t);
         }
-        let phys = PhysPage {
-            lun: name.lun,
-            addr: name.addr,
-        };
-        let (flash_done, _payload, status) = self.op_read(t, phys, true, OpCause::Host, Some(tag));
+        let (flash_done, status) = self.op_read(t, phys, true, OpCause::Host, Some(tag));
         let out = self
             .host_link
             .reserve_tagged(flash_done, self.host_link_time(), Occupant::Host);
@@ -816,16 +812,14 @@ impl NamelessSsd {
         tag: u64,
     ) -> Result<SimTime, NamelessError> {
         self.metrics.host_trims += 1;
-        let geom = &self.cfg.flash.geometry;
-        let bidx = geom.block_index(geom.block_of(name.addr));
-        let info = self.dir.block_info(name.lun, bidx);
-        if info.backptrs[name.addr.page as usize] != Some(Lpn(tag)) {
-            return Err(NamelessError::StaleName { name });
-        }
-        self.dir.invalidate(PhysPage {
+        let phys = PhysPage {
             lun: name.lun,
             addr: name.addr,
-        });
+        };
+        if self.dir.backptr(phys) != Some(Lpn(tag)) {
+            return Err(NamelessError::StaleName { name });
+        }
+        self.dir.invalidate(phys);
         let done = now + self.cfg.controller_overhead;
         let scope = self.probe.open_command("free", now);
         if self.probe.is_enabled() {

@@ -45,13 +45,20 @@ pub struct BlockInfo {
     pub state: BlockUse,
     /// Number of live pages.
     pub valid: u32,
-    /// Per-page back-pointer: which LPN's data lives there (None = invalid
-    /// or unwritten). Mirrors OOB metadata.
-    pub backptrs: Vec<Option<Lpn>>,
     /// Erase count (C4 wear, mirrored from the chip).
     pub erase_count: u32,
     /// Monotonic stamp of when the block was last opened (cost-benefit age).
     pub opened_seq: u64,
+}
+
+/// The back-pointer word of a page holding no live data. Not an LPN:
+/// [`BlockDirectory::mark_valid`] refuses it, and whoever reads a word
+/// asks [`held`] what it names before comparing it with anything.
+const NO_LPN: u64 = u64::MAX;
+
+/// The LPN a back-pointer word names, if it names one.
+fn held(word: u64) -> Option<Lpn> {
+    (word != NO_LPN).then_some(Lpn(word))
 }
 
 /// Set bit `b`; whether it was clear before.
@@ -177,6 +184,11 @@ impl FullBlocks {
 
 struct LunDir {
     blocks: Vec<BlockInfo>,
+    /// Per-page back-pointer words, `block × pages_per_block + page`:
+    /// which LPN's data lives there ([`NO_LPN`] = invalid or unwritten).
+    /// Mirrors OOB metadata. Eight bytes each, not four: the nameless
+    /// device stores host tags here, and those run past 2³².
+    backptrs: Vec<u64>,
     free: Vec<u32>,
     full: FullBlocks,
     active_host: Option<(u32, u32)>, // (block index, next page)
@@ -219,11 +231,11 @@ impl BlockDirectory {
                     .map(|_| BlockInfo {
                         state: BlockUse::Free,
                         valid: 0,
-                        backptrs: vec![None; geom.pages_per_block as usize],
                         erase_count: 0,
                         opened_seq: 0,
                     })
                     .collect(),
+                backptrs: vec![NO_LPN; geom.total_pages() as usize],
                 free: (0..geom.total_blocks()).collect(),
                 full: FullBlocks::new(geom.total_blocks(), geom.pages_per_block),
                 active_host: None,
@@ -247,6 +259,18 @@ impl BlockDirectory {
         self.geom.block_index(self.geom.block_of(phys.addr)) as usize
     }
 
+    /// Where `phys`'s back-pointer sits in its LUN's array.
+    fn slot_of(&self, phys: PhysPage) -> usize {
+        self.geom.ppn(phys.addr).0 as usize
+    }
+
+    /// The back-pointer slots of block `block_idx`'s pages.
+    fn slots_of(&self, block_idx: u32) -> std::ops::Range<usize> {
+        let ppb = self.geom.pages_per_block as usize;
+        let first = block_idx as usize * ppb;
+        first..first + ppb
+    }
+
     fn lun(&self, l: LunId) -> &LunDir {
         &self.luns[l.0 as usize]
     }
@@ -263,6 +287,11 @@ impl BlockDirectory {
     /// Info for a block.
     pub fn block_info(&self, l: LunId, block_idx: u32) -> &BlockInfo {
         &self.lun(l).blocks[block_idx as usize]
+    }
+
+    /// The LPN whose live data `phys` holds, if any.
+    pub fn backptr(&self, phys: PhysPage) -> Option<Lpn> {
+        held(self.lun(phys.lun).backptrs[self.slot_of(phys)])
     }
 
     /// Whether a LUN still has any usable space at all.
@@ -350,31 +379,34 @@ impl BlockDirectory {
 
     /// Record that `phys` now holds live data for `lpn`.
     pub fn mark_valid(&mut self, phys: PhysPage, lpn: Lpn) {
-        let bidx = self.block_index_of(phys);
-        let d = self.lun_mut(phys.lun);
-        let info = &mut d.blocks[bidx];
         debug_assert!(
-            info.backptrs[phys.addr.page as usize].is_none(),
+            lpn.0 != NO_LPN,
+            "mark_valid on {:?} with the word that means no LPN",
+            phys
+        );
+        let (bidx, slot) = (self.block_index_of(phys), self.slot_of(phys));
+        let d = self.lun_mut(phys.lun);
+        debug_assert!(
+            held(d.backptrs[slot]).is_none(),
             "double mark_valid on {:?}",
             phys
         );
-        info.backptrs[phys.addr.page as usize] = Some(lpn);
-        let valid = info.valid + 1;
+        d.backptrs[slot] = lpn.0;
+        let valid = d.blocks[bidx].valid + 1;
         d.set_valid(bidx, valid);
     }
 
     /// Record that `phys` no longer holds live data (overwrite or trim).
     pub fn invalidate(&mut self, phys: PhysPage) {
-        let bidx = self.block_index_of(phys);
+        let (bidx, slot) = (self.block_index_of(phys), self.slot_of(phys));
         let d = self.lun_mut(phys.lun);
-        let info = &mut d.blocks[bidx];
         debug_assert!(
-            info.backptrs[phys.addr.page as usize].is_some(),
+            held(d.backptrs[slot]).is_some(),
             "invalidate of already-invalid page {:?}",
             phys
         );
-        info.backptrs[phys.addr.page as usize] = None;
-        let valid = info.valid.saturating_sub(1);
+        d.backptrs[slot] = NO_LPN;
+        let valid = d.blocks[bidx].valid.saturating_sub(1);
         d.set_valid(bidx, valid);
     }
 
@@ -382,17 +414,11 @@ impl BlockDirectory {
     /// Returns whether an invalidation happened. Used by the hybrid FTL,
     /// whose log-block `latest[]` pointers can outlive a trim.
     pub fn invalidate_checked(&mut self, phys: PhysPage, lpn: Lpn) -> bool {
-        let bidx = self.block_index_of(phys);
-        let d = self.lun_mut(phys.lun);
-        let info = &mut d.blocks[bidx];
-        if info.backptrs[phys.addr.page as usize] == Some(lpn) {
-            info.backptrs[phys.addr.page as usize] = None;
-            let valid = info.valid.saturating_sub(1);
-            d.set_valid(bidx, valid);
-            true
-        } else {
-            false
+        if self.backptr(phys) != Some(lpn) {
+            return false;
         }
+        self.invalidate(phys);
+        true
     }
 
     /// Live pages of a block, in page order, with the LPN each holds.
@@ -406,11 +432,11 @@ impl BlockDirectory {
     /// (cleared first) — the relocation loops run once per collected
     /// block and reuse one.
     pub fn live_pages_into(&self, l: LunId, block_idx: u32, live: &mut Vec<(PageAddr, Lpn)>) {
-        let info = &self.lun(l).blocks[block_idx as usize];
+        let words = &self.lun(l).backptrs[self.slots_of(block_idx)];
         let baddr = self.geom.block_from_index(block_idx);
         live.clear();
-        live.extend(info.backptrs.iter().enumerate().filter_map(|(p, lpn)| {
-            lpn.map(|lpn| {
+        live.extend(words.iter().enumerate().filter_map(|(p, &word)| {
+            held(word).map(|lpn| {
                 (
                     PageAddr {
                         plane: baddr.plane,
@@ -425,13 +451,14 @@ impl BlockDirectory {
 
     /// Return an erased block to the free pool, bumping its erase count.
     pub fn recycle(&mut self, l: LunId, block_idx: u32) {
+        let slots = self.slots_of(block_idx);
         let d = self.lun_mut(l);
         let info = &mut d.blocks[block_idx as usize];
         debug_assert!(info.valid == 0, "recycling block with live pages");
         debug_assert!(info.state != BlockUse::Bad);
         info.state = BlockUse::Free;
         info.erase_count += 1;
-        info.backptrs.iter_mut().for_each(|b| *b = None);
+        d.backptrs[slots].fill(NO_LPN);
         d.full.remove(block_idx, info.valid);
         d.free.push(block_idx);
         // clear a frontier that pointed at this block (possible for merges)
@@ -653,13 +680,123 @@ mod tests {
         }
     }
 
+    /// What the flat back-pointer array replaced, kept as the reference:
+    /// every block owning a `Vec<Option<Lpn>>` beside its `state` and
+    /// `valid`, told of each op by what the directory answered.
+    #[derive(Clone)]
+    struct VecBlock {
+        state: BlockUse,
+        valid: u32,
+        backptrs: Vec<Option<Lpn>>,
+    }
+
+    struct VecBlocks {
+        geom: Geometry,
+        blocks: Vec<VecBlock>,
+    }
+
+    impl VecBlocks {
+        fn new(geom: Geometry) -> Self {
+            let fresh = VecBlock {
+                state: BlockUse::Free,
+                valid: 0,
+                backptrs: vec![None; geom.pages_per_block as usize],
+            };
+            VecBlocks {
+                blocks: vec![fresh; geom.total_blocks() as usize],
+                geom,
+            }
+        }
+
+        fn block_mut(&mut self, phys: PhysPage) -> &mut VecBlock {
+            let b = self.geom.block_index(self.geom.block_of(phys.addr));
+            &mut self.blocks[b as usize]
+        }
+
+        /// `next_page` handed out `np`: a block it opened is Open, the
+        /// block whose last page it took is Full.
+        fn took_page(&mut self, np: NextPage) {
+            let last = np.phys.addr.page + 1 == self.geom.pages_per_block;
+            let block = self.block_mut(np.phys);
+            if np.newly_opened {
+                block.state = BlockUse::Open;
+            }
+            if last {
+                block.state = BlockUse::Full;
+            }
+        }
+
+        fn mark_valid(&mut self, phys: PhysPage, lpn: Lpn) {
+            let block = self.block_mut(phys);
+            block.backptrs[phys.addr.page as usize] = Some(lpn);
+            block.valid += 1;
+        }
+
+        fn invalidate(&mut self, phys: PhysPage) {
+            let block = self.block_mut(phys);
+            block.backptrs[phys.addr.page as usize] = None;
+            block.valid = block.valid.saturating_sub(1);
+        }
+
+        fn invalidate_checked(&mut self, phys: PhysPage, lpn: Lpn) -> bool {
+            let held = self.block_mut(phys).backptrs[phys.addr.page as usize] == Some(lpn);
+            if held {
+                self.invalidate(phys);
+            }
+            held
+        }
+
+        fn live_pages(&self, block_idx: u32) -> Vec<(PageAddr, Lpn)> {
+            let baddr = self.geom.block_from_index(block_idx);
+            self.blocks[block_idx as usize]
+                .backptrs
+                .iter()
+                .enumerate()
+                .filter_map(|(p, lpn)| {
+                    lpn.map(|lpn| (self.geom.page_addr(baddr.plane, baddr.block, p as u32), lpn))
+                })
+                .collect()
+        }
+
+        fn recycle(&mut self, block_idx: u32) {
+            let block = &mut self.blocks[block_idx as usize];
+            block.state = BlockUse::Free;
+            block.backptrs.iter_mut().for_each(|b| *b = None);
+        }
+
+        /// The directory answers as this model does, for every block and
+        /// every page of the LUN.
+        fn assert_matches(&self, d: &BlockDirectory, l: LunId, step: usize) {
+            for (i, want) in self.blocks.iter().enumerate() {
+                let info = d.block_info(l, i as u32);
+                assert_eq!(info.state, want.state, "step {step} block {i}");
+                assert_eq!(info.valid, want.valid, "step {step} block {i}");
+                assert_eq!(
+                    d.live_pages(l, i as u32),
+                    self.live_pages(i as u32),
+                    "step {step} block {i}"
+                );
+                let baddr = self.geom.block_from_index(i as u32);
+                for (addr, &lpn) in self.geom.pages_of(baddr).zip(&want.backptrs) {
+                    assert_eq!(
+                        d.backptr(PhysPage { lun: l, addr }),
+                        lpn,
+                        "step {step} {addr}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Drive one LUN of `geom` through `ops` — `(kind, x, y)` triples read
     /// against the directory's own state, so every op is legal — and hold
-    /// the bucketed index to the scan after each.
+    /// the bucketed index to the scan, and the flat back-pointers to the
+    /// per-block `Vec`s, after each.
     fn assert_matches_scan(geom: Geometry, ops: &[(u8, u32, u32)]) {
         let l = LunId(0);
         let (blocks, ppb) = (geom.total_blocks(), geom.pages_per_block);
         let mut d = BlockDirectory::new(1, geom.clone());
+        let mut want = VecBlocks::new(geom.clone());
         let page_of = |b: u32, p: u32| {
             let baddr = geom.block_from_index(b);
             PhysPage {
@@ -671,15 +808,17 @@ mod tests {
             let (b, p) = (x % blocks, y % ppb);
             let (state, valid, held) = {
                 let info = d.block_info(l, b);
-                (info.state, info.valid, info.backptrs[p as usize])
+                (info.state, info.valid, d.backptr(page_of(b, p)))
             };
             match kind {
                 // host / GC appends, most of them recorded as live
                 0..=8 => {
                     let stream = if kind < 6 { Stream::Host } else { Stream::Gc };
                     if let Some(np) = d.next_page(l, stream, y % 2 == 0) {
+                        want.took_page(np);
                         if kind != 8 {
                             d.mark_valid(np.phys, Lpn(step as u64));
+                            want.mark_valid(np.phys, Lpn(step as u64));
                         }
                     }
                 }
@@ -688,14 +827,20 @@ mod tests {
                 9 | 10 => {
                     if held.is_some() {
                         d.invalidate(page_of(b, p));
+                        want.invalidate(page_of(b, p));
                     }
                 }
+                // an LPN nothing holds is the word an empty page holds
                 11 => {
                     let lpn = match held {
                         Some(lpn) if y % 3 != 0 => lpn,
                         _ => Lpn(u64::MAX),
                     };
                     assert_eq!(d.invalidate_checked(page_of(b, p), lpn), held == Some(lpn));
+                    assert_eq!(
+                        want.invalidate_checked(page_of(b, p), lpn),
+                        held == Some(lpn)
+                    );
                 }
                 // a GC run: victim, relocate (= invalidate) its live
                 // pages, erase
@@ -708,34 +853,45 @@ mod tests {
                     if let Some(victim) = d.pick_victim(l, policy) {
                         for (addr, _) in d.live_pages(l, victim) {
                             d.invalidate(PhysPage { lun: l, addr });
+                            want.invalidate(PhysPage { lun: l, addr });
                         }
                         d.recycle(l, victim);
+                        want.recycle(victim);
                     }
                 }
                 // a merge erasing an emptied block, frontier or not
                 13 => {
                     if valid == 0 && matches!(state, BlockUse::Full | BlockUse::Open) {
                         d.recycle(l, b);
+                        want.recycle(b);
                     }
                 }
                 14 => {
                     if y % 4 == 0 && state != BlockUse::Bad {
                         d.retire(l, b);
+                        want.blocks[b as usize].state = BlockUse::Bad;
                     }
                 }
                 // boot scan: claim a block, then mark pages found in it;
                 // or a whole-block allocation (block / hybrid FTLs)
                 _ => match state {
-                    BlockUse::Free if y % 2 == 0 => d.claim_full(l, b),
+                    BlockUse::Free if y % 2 == 0 => {
+                        d.claim_full(l, b);
+                        want.blocks[b as usize].state = BlockUse::Full;
+                    }
                     BlockUse::Free => {
-                        d.alloc_block(l, true);
+                        if let Some(opened) = d.alloc_block(l, true) {
+                            want.blocks[opened as usize].state = BlockUse::Open;
+                        }
                     }
                     BlockUse::Full if held.is_none() => {
                         d.mark_valid(page_of(b, p), Lpn(step as u64));
+                        want.mark_valid(page_of(b, p), Lpn(step as u64));
                     }
                     _ => {}
                 },
             }
+            want.assert_matches(&d, l, step);
             d.assert_full_index_consistent(l);
             for policy in [GcPolicyKind::Greedy, GcPolicyKind::CostBenefit] {
                 assert_eq!(
@@ -768,6 +924,29 @@ mod tests {
                 .clone();
             assert_matches_scan(geom, &ops);
         }
+    }
+
+    /// The word an empty page holds is not an LPN: no page holds it.
+    #[test]
+    fn the_no_lpn_word_is_never_held() {
+        let mut d = dir();
+        let n = d.next_page(LunId(0), Stream::Host, true).unwrap();
+        assert_eq!(d.backptr(n.phys), None);
+        assert!(!d.invalidate_checked(n.phys, Lpn(u64::MAX)));
+        assert_eq!(d.block_info(LunId(0), 0).valid, 0);
+        d.mark_valid(n.phys, Lpn(1 << 48));
+        assert_eq!(d.backptr(n.phys), Some(Lpn(1 << 48)));
+        assert!(!d.invalidate_checked(n.phys, Lpn(u64::MAX)));
+        assert!(d.invalidate_checked(n.phys, Lpn(1 << 48)));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the word that means no LPN")]
+    fn mark_valid_refuses_the_no_lpn_word() {
+        let mut d = dir();
+        let n = d.next_page(LunId(0), Stream::Host, true).unwrap();
+        d.mark_valid(n.phys, Lpn(u64::MAX));
     }
 
     #[test]

@@ -73,11 +73,10 @@ impl Ssd {
         let mut copied = 0u32;
         let mut cursor = t;
         for o in from..to {
-            let info = self.dir.block_info(old.lun, old.block);
-            let Some(lpn_o) = info.backptrs[o as usize] else {
+            let src = self.block_phys(old, o);
+            let Some(lpn_o) = self.dir.backptr(src) else {
                 continue; // gap: C3 permits skipping ahead
             };
-            let src = self.block_phys(old, o);
             let read = self.op_read(cursor, src, !copyback, OpCause::Merge)?;
             let dst = self.block_phys(new, o);
             let end = self
@@ -242,18 +241,10 @@ impl Ssd {
         if let Some(pb) = m.lookup(lbn) {
             candidates.push(pb);
         }
-        let geometry = self.cfg.flash.geometry.clone();
-        for pb in candidates {
-            let info = self.dir.block_info(pb.lun, pb.block);
-            if info.backptrs[off as usize] == Some(lpn) {
-                let baddr = geometry.block_from_index(pb.block);
-                return Some(PhysPage {
-                    lun: pb.lun,
-                    addr: geometry.page_addr(baddr.plane, baddr.block, off),
-                });
-            }
-        }
-        None
+        candidates
+            .into_iter()
+            .map(|pb| self.block_phys(pb, off))
+            .find(|&phys| self.dir.backptr(phys) == Some(lpn))
     }
 
     /// Trim under block mapping: kill whichever candidate holds `lpn`.

@@ -27,7 +27,7 @@ use requiem_sim::time::SimTime;
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::block_dir::{BlockDirectory, Stream};
 use crate::config::GcPolicyKind;
-use crate::device::{MappingState, Ssd, SsdError};
+use crate::device::{MappingState, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
 
@@ -247,15 +247,16 @@ impl Ssd {
         let copyback = self.cfg.gc.copyback;
         let read = self.op_read(t, old, !copyback, cause)?;
         // consistency check: the OOB tag must match the directory — unless
-        // the read itself was uncorrectable (payload lost, Empty returned),
-        // in which case the relocation proceeds from assumed redundancy
+        // the whole recovery pipeline failed to decode the page, in which
+        // case the relocation proceeds from assumed redundancy
         debug_assert!(
-            matches!(read.payload, PagePayload::Oob { lpn: l, .. } if l == lpn.0)
-                || read.payload == PagePayload::Empty,
+            read.status == ReadRecovery::Lost
+                || matches!(self.luns[old.lun.0 as usize].payload(old.addr),
+                    PagePayload::Oob { lpn: l, .. } if *l == lpn.0),
             "GC read of {:?} expected lpn {} got {:?}",
             old,
             lpn.0,
-            read.payload
+            self.luns[old.lun.0 as usize].payload(old.addr)
         );
         let (new, _end) = self.append_page(read.end, old.lun, Stream::Gc, lpn, !copyback, cause)?;
         match &mut self.map {

@@ -195,8 +195,7 @@ impl Ssd {
         for o in 0..ppb {
             let (src, lpn_o) = if let Some(logpage) = log.latest[o as usize] {
                 let src = self.block_phys(log.phys, logpage);
-                let info = self.dir.block_info(lun, log.phys.block);
-                let Some(l) = info.backptrs[logpage as usize] else {
+                let Some(l) = self.dir.backptr(src) else {
                     continue;
                 };
                 (src, l)
@@ -255,43 +254,14 @@ impl Ssd {
         // verify against the directory's back-pointer
         if let Some(log) = h.log_of(lbn) {
             if let Some(log_page) = log.latest[off as usize] {
-                let info = self.dir.block_info(log.phys.lun, log.phys.block);
-                if info.backptrs[log_page as usize] == Some(lpn) {
-                    let baddr = self.cfg.flash.geometry.block_from_index(log.phys.block);
-                    return Some(PhysPage {
-                        lun: log.phys.lun,
-                        addr: self
-                            .cfg
-                            .flash
-                            .geometry
-                            .page_addr(baddr.plane, baddr.block, log_page),
-                    });
-                }
-                // fall through: trimmed in the log; the data-block
+                // if it is not there: trimmed in the log; the data-block
                 // copy (if any) was also invalidated at append time
-                return None;
+                let phys = self.block_phys(log.phys, log_page);
+                return (self.dir.backptr(phys) == Some(lpn)).then_some(phys);
             }
         }
-        match h.data.lookup(lbn) {
-            None => None,
-            Some(pb) => {
-                let info = self.dir.block_info(pb.lun, pb.block);
-                match info.backptrs[off as usize] {
-                    Some(l) if l == lpn => {
-                        let baddr = self.cfg.flash.geometry.block_from_index(pb.block);
-                        Some(PhysPage {
-                            lun: pb.lun,
-                            addr: self
-                                .cfg
-                                .flash
-                                .geometry
-                                .page_addr(baddr.plane, baddr.block, off),
-                        })
-                    }
-                    _ => None,
-                }
-            }
-        }
+        let phys = self.block_phys(h.data.lookup(lbn)?, off);
+        (self.dir.backptr(phys) == Some(lpn)).then_some(phys)
     }
 
     /// Trim under the hybrid FTL: kill the log-block version (if any) and
@@ -306,29 +276,13 @@ impl Ssd {
         let mut invalidations: Vec<PhysPage> = Vec::new();
         if let Some(log) = h.log_of(lbn) {
             if let Some(page) = log.latest[off as usize] {
-                let baddr = self.cfg.flash.geometry.block_from_index(log.phys.block);
-                invalidations.push(PhysPage {
-                    lun: log.phys.lun,
-                    addr: self
-                        .cfg
-                        .flash
-                        .geometry
-                        .page_addr(baddr.plane, baddr.block, page),
-                });
+                invalidations.push(self.block_phys(log.phys, page));
             }
         }
         if let Some(pb) = h.data.lookup(lbn) {
-            let info = self.dir.block_info(pb.lun, pb.block);
-            if info.backptrs[off as usize] == Some(lpn) {
-                let baddr = self.cfg.flash.geometry.block_from_index(pb.block);
-                invalidations.push(PhysPage {
-                    lun: pb.lun,
-                    addr: self
-                        .cfg
-                        .flash
-                        .geometry
-                        .page_addr(baddr.plane, baddr.block, off),
-                });
+            let phys = self.block_phys(pb, off);
+            if self.dir.backptr(phys) == Some(lpn) {
+                invalidations.push(phys);
             }
         }
         for p in invalidations {

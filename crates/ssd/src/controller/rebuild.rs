@@ -10,7 +10,7 @@ use requiem_sim::time::SimTime;
 
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::block_dir::BlockDirectory;
-use crate::device::{MappingState, RebuildReport, Ssd, SsdError};
+use crate::device::{MappingState, ReadRecovery, RebuildReport, Ssd, SsdError};
 use crate::mapping::page::PageMap;
 use crate::metrics::OpCause;
 
@@ -46,7 +46,7 @@ impl Ssd {
         let nluns = self.total_luns();
         // volatile state vanishes
         let mut fresh = BlockDirectory::new(nluns, geom.clone());
-        let mut map = PageMap::new(self.capacity.exported_pages);
+        let mut map = PageMap::new(self.capacity.exported_pages, &self.cfg.shape, &geom);
         self.buffer = super::buffer_policy_from(&self.cfg.buffer);
         self.repl = None;
         // scan every page of every block (OOB reads; charged as
@@ -79,7 +79,11 @@ impl Ssd {
                     let phys = PhysPage { lun, addr };
                     let read = self.op_read(at, phys, false, OpCause::Translation)?;
                     scanned += 1;
-                    if let PagePayload::Oob { lpn, seq } = read.payload {
+                    if read.status == ReadRecovery::Lost {
+                        continue; // nothing decoded: the page has no OOB to go by
+                    }
+                    if let PagePayload::Oob { lpn, seq } = *self.luns[lun_i as usize].payload(addr)
+                    {
                         match best.entry(lpn) {
                             std::collections::btree_map::Entry::Occupied(mut e) => {
                                 if e.get().0 < seq {

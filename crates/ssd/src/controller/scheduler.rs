@@ -341,8 +341,8 @@ impl Ssd {
         // serialize later commands behind earlier 100µs data transfers,
         // which real command queueing does not do
         let cmd_done = not_before + self.cfg.channel.command;
-        let (dur, payload) = match self.luns[li].read(phys.addr) {
-            Ok(o) => (o.duration, o.payload),
+        let dur = match self.luns[li].read(phys.addr) {
+            Ok(o) => o.duration,
             Err(FlashError::UncorrectableRead { .. }) => {
                 // the first sense failed ECC decode: enter the recovery
                 // pipeline (it charges the failed sense itself)
@@ -377,7 +377,6 @@ impl Ssd {
             end,
             lun_wait,
             chan_wait,
-            payload,
             status: ReadRecovery::Clean,
         })
     }
@@ -429,7 +428,7 @@ impl Ssd {
         let mut cursor = lg.end;
         let mut steps = 0u32;
         let mut rebuilt = false;
-        let mut payload: Option<PagePayload> = None;
+        let mut recovered = false;
 
         // stage 1: the read-retry ladder
         for derate in RETRY_DERATES {
@@ -444,8 +443,8 @@ impl Ssd {
             trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'r');
             cursor = g.end;
             match self.luns[li].recovery_read(phys.addr, derate, 1.0) {
-                Ok(o) => {
-                    payload = Some(o.payload);
+                Ok(_) => {
+                    recovered = true;
                     self.metrics.recovery.retry_recovered += 1;
                     break;
                 }
@@ -461,7 +460,7 @@ impl Ssd {
         }
 
         // stage 2: soft-decision ECC escalation
-        if payload.is_none() {
+        if !recovered {
             steps += 1;
             self.metrics.recovery.ecc_escalations += 1;
             self.metrics.flash_reads.bump(OpCause::Recovery);
@@ -480,8 +479,8 @@ impl Ssd {
                 ECC_ESCALATION_DERATE,
                 ECC_ESCALATION_BOOST,
             ) {
-                Ok(o) => {
-                    payload = Some(o.payload);
+                Ok(_) => {
+                    recovered = true;
                     self.metrics.recovery.ecc_recovered += 1;
                 }
                 Err(FlashError::UncorrectableRead { .. }) => {}
@@ -496,7 +495,7 @@ impl Ssd {
         }
 
         // stage 3: stripe parity rebuild across every other LUN
-        if payload.is_none() {
+        if !recovered {
             let nl = self.total_luns() as usize;
             if nl > 1 {
                 self.metrics.recovery.parity_rebuilds += 1;
@@ -535,20 +534,18 @@ impl Ssd {
                     );
                 }
                 cursor = rb_end.max(cursor);
-                if let Some(p) = self.luns[li].parity_reconstruct(phys.addr) {
-                    payload = Some(p);
-                    rebuilt = true;
-                }
+                // the XOR of the stripe is the page as stored
+                recovered = true;
+                rebuilt = true;
             }
         }
 
         self.metrics.recovery.recovery_time += cursor.since(lg.end);
-        let (payload, status) = match payload {
-            Some(p) => (p, ReadRecovery::Recovered { steps, rebuilt }),
-            None => {
-                self.metrics.recovery.unrecoverable += 1;
-                (PagePayload::Empty, ReadRecovery::Lost)
-            }
+        let status = if recovered {
+            ReadRecovery::Recovered { steps, rebuilt }
+        } else {
+            self.metrics.recovery.unrecoverable += 1;
+            ReadRecovery::Lost
         };
 
         // transfer whatever the controller ended up with
@@ -565,7 +562,6 @@ impl Ssd {
             end,
             lun_wait,
             chan_wait,
-            payload,
             status,
         })
     }

@@ -43,7 +43,7 @@
 //!
 //! Host commands must be submitted in non-decreasing time order.
 
-use requiem_flash::{Lun, PageAddr, PagePayload};
+use requiem_flash::{Lun, PageAddr};
 use requiem_sim::gantt::Gantt;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, IoStatus, Layer, Probe};
@@ -198,7 +198,7 @@ pub(crate) enum ReadRecovery {
         /// Whether the data came from the stripe parity, not the page.
         rebuilt: bool,
     },
-    /// The full pipeline failed; the payload is not the stored data.
+    /// The full pipeline failed: the controller has no data to hand on.
     Lost,
 }
 
@@ -217,7 +217,6 @@ pub(crate) struct FlashReadDone {
     pub(crate) end: SimTime,
     pub(crate) lun_wait: SimDuration,
     pub(crate) chan_wait: SimDuration,
-    pub(crate) payload: PagePayload,
     pub(crate) status: ReadRecovery,
 }
 
@@ -293,12 +292,11 @@ impl Ssd {
             .collect();
         let sched = Scheduler::new(nluns, cfg.shape.channels);
         let exported = capacity.exported_pages;
-        let page_size = geom.page_size;
         let ppb = geom.pages_per_block as u64;
         let map = match &cfg.ftl {
-            FtlKind::PageMap => MappingState::Page(PageMap::new(exported)),
+            FtlKind::PageMap => MappingState::Page(PageMap::new(exported, &cfg.shape, &geom)),
             FtlKind::Dftl { cached_entries } => {
-                MappingState::Dftl(DftlMap::new(exported, *cached_entries, page_size, nluns))
+                MappingState::Dftl(DftlMap::new(exported, *cached_entries, &cfg.shape, &geom))
             }
             FtlKind::BlockMap => MappingState::Block(BlockMap::new(exported.div_ceil(ppb))),
             FtlKind::Hybrid { log_blocks } => MappingState::Hybrid(HybridState::new(

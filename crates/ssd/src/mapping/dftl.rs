@@ -16,7 +16,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::addr::{Lpn, LunId, PhysPage};
+use requiem_flash::Geometry;
+
+use crate::addr::{ArrayShape, Lpn, LunId, PhysPage};
 
 use super::page::PageMap;
 
@@ -77,23 +79,24 @@ impl std::fmt::Debug for DftlMap {
 
 impl DftlMap {
     /// Create a DFTL map over `exported_pages` with a CMT of
-    /// `cached_entries` entries. `page_size` sets translation-page fanout;
-    /// `total_luns` spreads translation pages across LUNs.
+    /// `cached_entries` entries, on a device of `shape` LUNs of `geom`:
+    /// the page size sets translation-page fanout, and translation pages
+    /// spread across all the LUNs.
     pub fn new(
         exported_pages: u64,
         cached_entries: usize,
-        page_size: u32,
-        total_luns: u32,
+        shape: &ArrayShape,
+        geom: &Geometry,
     ) -> Self {
         assert!(cached_entries > 0, "CMT needs at least one entry");
         DftlMap {
-            truth: PageMap::new(exported_pages),
+            truth: PageMap::new(exported_pages, shape, geom),
             cmt: BTreeMap::new(),
             lru: BTreeMap::new(),
             capacity: cached_entries,
             next_stamp: 0,
-            entries_per_tpage: (page_size / 8).max(1) as u64,
-            total_luns,
+            entries_per_tpage: (geom.page_size / 8).max(1) as u64,
+            total_luns: shape.total_luns(),
             hits: 0,
             misses: 0,
             evictions_dirty: 0,
@@ -259,7 +262,12 @@ mod tests {
     }
 
     fn map(cap: usize) -> DftlMap {
-        DftlMap::new(1024, cap, 4096, 4)
+        let shape = ArrayShape {
+            channels: 4,
+            chips_per_channel: 1,
+            luns_per_chip: 1,
+        };
+        DftlMap::new(1024, cap, &shape, &Geometry::new(1, 8, 4, 4096))
     }
 
     #[test]

@@ -75,6 +75,42 @@ fn rebuild_survives_gc_history() {
 }
 
 #[test]
+fn a_page_the_scan_cannot_decode_has_no_oob() {
+    // one LUN, so no stripe to rebuild from, and media so bad that no
+    // rung of the recovery ladder decodes anything: the bytes are still
+    // in the array, but the controller never saw them
+    let mut cfg = SsdConfig::modern();
+    cfg.shape.channels = 1;
+    cfg.shape.chips_per_channel = 1;
+    cfg.buffer = BufferConfig { capacity_pages: 0 };
+    cfg.fault = requiem_sim::FaultPlan::uniform_rber(1e9);
+    let mut ssd = Ssd::new(cfg);
+    let mut t = SimTime::ZERO;
+    for lpn in 0..16 {
+        t = ssd.write(t, Lpn(lpn)).expect("write").done;
+    }
+    assert_eq!(
+        ssd.debug_mapping()
+            .expect("page map")
+            .iter()
+            .flatten()
+            .count(),
+        16
+    );
+    let report = ssd.power_loss_rebuild(ssd.drain_time()).expect("rebuild");
+    assert_eq!(report.pages_scanned, 16);
+    assert_eq!(ssd.metrics().recovery.unrecoverable, 16);
+    assert_eq!(
+        ssd.debug_mapping()
+            .expect("page map")
+            .iter()
+            .flatten()
+            .count(),
+        0
+    );
+}
+
+#[test]
 fn rebuild_time_scales_with_capacity() {
     // the DFTL motivation: boot scan grows with raw capacity
     let scan = |chips: u32| -> u64 {
