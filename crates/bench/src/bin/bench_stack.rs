@@ -53,10 +53,17 @@
 //! * `db_shard4` — `oltp_shard4`'s shape: `ShardedDb::run` over four
 //!   shards of that database (1024 frames in all, concurrency 4 each),
 //!   a tenth of the transactions crossing shards.
+//! * `db_coop_qd16` — `oltp_coop_pcm`'s shape: `db_run_qd16`'s inputs and
+//!   pool over the cooperating-logs manager on a nameless device, the
+//!   WAL on a PCM DIMM with a force per commit. The checksum also folds
+//!   the migration upcalls patched into the page table.
 
 use requiem_block::{IoStack, StackConfig};
-use requiem_db::{Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend};
+use requiem_db::{
+    Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend, TxnInput, WalConfig,
+};
 use requiem_flash::{Lun, PagePayload};
+use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::completion::InflightWindow;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{IoOp, IoRequest};
@@ -65,7 +72,7 @@ use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 use requiem_workload::{oltp_inputs, txn_to_input, ShardedOltpConfig, ShardedOltpGen};
 
-const BENCHES: [&str; 9] = [
+const BENCHES: [&str; 10] = [
     "window_admit",
     "iostack_read_qd8",
     "iostack_overwrite_qd8",
@@ -75,6 +82,7 @@ const BENCHES: [&str; 9] = [
     "lun_ops",
     "db_run_qd16",
     "db_shard4",
+    "db_coop_qd16",
 ];
 
 /// Queue depth of the `iostack_*` closed loops.
@@ -317,18 +325,23 @@ fn fold_db<B: PersistenceBackend>(checksum: &mut u64, db: &Database<B>) {
     }
 }
 
-fn db_run_qd16() -> (u64, u64) {
+/// The single-executor rows' input stream (`oltp_qd16`'s).
+fn qd16_inputs() -> Vec<TxnInput> {
     const TXNS: u64 = 50_000;
-    let b = db_builder()
-        .buffer_frames(512)
-        .concurrency(16)
-        .group(GroupCommitPolicy::batched(16));
     let gen_cfg = OltpConfig {
         data_pages: DB_PAGES,
         theta: DB_THETA,
         ..OltpConfig::default()
     };
-    let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, DB_SEED), TXNS);
+    oltp_inputs(&mut OltpGen::new(gen_cfg, DB_SEED), TXNS)
+}
+
+fn db_run_qd16() -> (u64, u64) {
+    let b = db_builder()
+        .buffer_frames(512)
+        .concurrency(16)
+        .group(GroupCommitPolicy::batched(16));
+    let inputs = qd16_inputs();
     let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
     let report = db.run_concurrent(&inputs, &b.exec_config());
     let mut checksum = 0u64;
@@ -363,6 +376,23 @@ fn db_shard4() -> (u64, u64) {
     (report.committed, checksum)
 }
 
+fn db_coop_qd16() -> (u64, u64) {
+    let b = db_builder()
+        .buffer_frames(512)
+        .concurrency(16)
+        .group(GroupCommitPolicy::immediate())
+        .wal(WalConfig::pcm());
+    let inputs = qd16_inputs();
+    let mut db = b.build_coop(NamelessConfig::from(&SsdConfig::modern()));
+    let report = db.run_concurrent(&inputs, &b.exec_config());
+    let mut checksum = 0u64;
+    fold_db(&mut checksum, &db);
+    checksum = checksum
+        .wrapping_mul(31)
+        .wrapping_add(db.backend().relocations_patched());
+    (report.txns, checksum)
+}
+
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_default();
     let (events, checksum) = match name.as_str() {
@@ -379,6 +409,7 @@ fn main() {
         "lun_ops" => lun_ops(),
         "db_run_qd16" => db_run_qd16(),
         "db_shard4" => db_shard4(),
+        "db_coop_qd16" => db_coop_qd16(),
         _ => {
             eprintln!("usage: bench_stack <--list|{}>", BENCHES.join("|"));
             std::process::exit(2);

@@ -349,3 +349,119 @@ fn nameless_device_run_is_pinned() {
          host r/w/free 114/21504/14336"
     );
 }
+
+/// The shard coordinator's simulated numbers, pinned as literals: four
+/// executor shards over one device, a tenth of the transactions crossing
+/// shards (prepare votes, decision commits, the mailbox), checkpoints
+/// landing mid-run, then a crash of the whole deployment and the union
+/// recovery. A change to *when* the coordinator looks at a shard must not
+/// move which shard steps next, so none of these may move.
+#[test]
+fn sharded_run_is_pinned() {
+    use requiem::block::StackConfig;
+    use requiem::db::{DbConfig, GroupCommitPolicy, PersistenceBackend};
+    use requiem::workload::{txn_to_input, ShardedOltpConfig, ShardedOltpGen};
+
+    const SHARDS: usize = 4;
+    const PAGES: u64 = 256;
+    let b = DbConfig::builder()
+        .data_pages(PAGES)
+        .log_pages(64)
+        .buffer_frames(64)
+        .checkpoint_every(150)
+        .shards(SHARDS)
+        .cross_shard_ratio(0.10)
+        .concurrency(4)
+        .group(GroupCommitPolicy::batched(4));
+    let gen_cfg = ShardedOltpConfig {
+        clients: 512,
+        shards: SHARDS,
+        cross_shard_ratio: b.cross_ratio(),
+        data_pages: PAGES,
+        ..ShardedOltpConfig::default()
+    };
+    let mut gen = ShardedOltpGen::new(gen_cfg, 11);
+    let inputs: Vec<_> = (0..2_000).map(|_| txn_to_input(&gen.next_txn())).collect();
+    let mut db = b.build_sharded_stack(StackConfig::blk_mq(SHARDS as u32), SsdConfig::modern());
+    let report = db.run(&inputs, &b.exec_config());
+
+    assert_eq!(
+        (
+            report.committed,
+            report.cross_txns,
+            report.aborted,
+            report.prepare_failures,
+            report.forces,
+            report.makespan.as_nanos(),
+        ),
+        (2000, 210, 0, 0, 651, 742_415_220)
+    );
+    assert_eq!(
+        format!("{:?}", db.ledger().stats()),
+        "LedgerStats { cross_txns: 210, prepares: 609, prepare_failures: 0, committed: 210, \
+         aborted: 0 }"
+    );
+    let per_shard: Vec<String> = (0..SHARDS)
+        .map(|s| {
+            let shard = db.shard(s);
+            let (e, w) = (shard.stats(), shard.wal_backend().stats());
+            format!(
+                "end {} commits {} checkpoints {} stalls {}/{}/{} reads {} steals {} forces {}",
+                report.per_shard[s].makespan.as_nanos(),
+                e.commits,
+                e.checkpoints,
+                e.read_stall.as_nanos(),
+                e.steal_stall.as_nanos(),
+                e.commit_stall.as_nanos(),
+                shard.backend().stats().page_reads,
+                shard.backend().stats().steal_writes,
+                w.log_forces,
+            )
+        })
+        .collect();
+    assert_eq!(
+        per_shard,
+        [
+            "end 742400324 commits 567 checkpoints 3 stalls 1276863360/387776896/1038644700 \
+             reads 1268 steals 755 forces 683",
+            "end 742407772 commits 429 checkpoints 2 stalls 1232926236/353799640/901586288 \
+             reads 1082 steals 636 forces 566",
+            "end 742415220 commits 493 checkpoints 3 stalls 1284372164/332506900/934642240 \
+             reads 1158 steals 675 forces 619",
+            "end 740699176 commits 511 checkpoints 3 stalls 1213743816/368738708/966892748 \
+             reads 1179 steals 687 forces 632",
+        ]
+    );
+
+    // the first written record of sixteen transactions spread over the
+    // run, across a crash
+    const OWNERS: [u64; 16] = [
+        1939, 1820, 1972, 1991, 1923, 1910, 1505, 1933, 1827, 1153, 1968, 1680, 1927, 1983, 1962,
+        1959,
+    ];
+    let samples: Vec<(u64, u16)> = inputs
+        .iter()
+        .step_by(100)
+        .filter_map(|t| t.accesses.iter().find(|a| a.2).map(|a| (a.0, a.1)))
+        .take(16)
+        .collect();
+    let owners = |db: &mut requiem::db::ShardedDb<_>| -> Vec<u64> {
+        samples
+            .iter()
+            .map(|&(p, s)| {
+                let shard = db.shard_of(p);
+                db.shard_mut(shard)
+                    .visible_owner((p % PAGES) / SHARDS as u64, s)
+            })
+            .collect()
+    };
+    assert_eq!(owners(&mut db), OWNERS);
+    db.crash();
+    assert_eq!(
+        db.recover(),
+        60,
+        "records replayed past the last checkpoints"
+    );
+    assert_eq!(owners(&mut db), OWNERS);
+    assert_eq!(db.shard(0).now().as_nanos(), 746_174_100);
+}
