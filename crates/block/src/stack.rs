@@ -19,7 +19,10 @@
 //!   once, up to the configured in-flight window of commands run on the
 //!   device concurrently, and completions are reaped out of submission
 //!   order from a per-core completion queue (interrupt coalescing: one
-//!   IRQ + context switch per reap, not per command).
+//!   IRQ + context switch per reap, not per command). Both are wrappers
+//!   that build a `Vec` around the one loop each has:
+//!   [`IoStack::submit_batch_with`] hands tags to a sink and
+//!   [`IoStack::reap_into`] appends to a buffer the caller keeps.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -328,7 +331,7 @@ impl<B: StorageBackend> IoStack<B> {
     pub fn submit(&mut self, now: SimTime, core: usize, req: IoRequest) -> StackCompletion {
         assert!(core < self.cfg.cores as usize, "core out of range");
         let tag = self.assign_tag(&req);
-        let cpu = self.cfg.cpu.clone();
+        let cpu = &self.cfg.cpu;
         let probing = self.probe.is_enabled();
         let scope = self.probe.open_command(req.op.as_str(), now);
         // 1. submission path on the core
@@ -420,29 +423,51 @@ impl<B: StorageBackend> IoStack<B> {
         core: usize,
         reqs: &[IoRequest],
     ) -> Vec<CommandId> {
+        let mut tags = Vec::with_capacity(reqs.len());
+        self.submit_batch_with(now, core, reqs, |tag| tags.push(tag));
+        tags
+    }
+
+    /// [`IoStack::submit_batch`] for a caller that keeps its own record of
+    /// the batch: each command's host tag goes to `tag_sink`, in order,
+    /// and nothing is allocated for them.
+    ///
+    /// # Panics
+    /// Panics if `core` is out of range.
+    pub fn submit_batch_with(
+        &mut self,
+        now: SimTime,
+        core: usize,
+        reqs: &[IoRequest],
+        mut tag_sink: impl FnMut(CommandId),
+    ) {
         assert!(core < self.cfg.cores as usize, "core out of range");
         if reqs.is_empty() {
-            return Vec::new();
+            return;
         }
-        let cpu = self.cfg.cpu.clone();
+        let CpuCosts {
+            submit,
+            queue_lock,
+            doorbell,
+            ..
+        } = self.cfg.cpu;
         let probing = self.probe.is_enabled();
         // 1. per-command submission path on the core: a FIFO timeline,
         // so the slices run back to back from the first one's start
-        let first = self.cores.get_mut(core).reserve(now, cpu.submit);
+        let first = self.cores.get_mut(core).reserve(now, submit);
         let mut batch_ready = first.end;
         for _ in 1..reqs.len() {
-            batch_ready = self.cores.get_mut(core).reserve(now, cpu.submit).end;
+            batch_ready = self.cores.get_mut(core).reserve(now, submit).end;
         }
-        debug_assert_eq!(batch_ready, first.start + cpu.submit * reqs.len() as u64);
+        debug_assert_eq!(batch_ready, first.start + submit * reqs.len() as u64);
         // 2. one queue-lock acquisition for the whole batch
         let q = self.queue_of(core);
-        let g_lock = self.queues[q].reserve(batch_ready, cpu.queue_lock);
+        let g_lock = self.queues[q].reserve(batch_ready, queue_lock);
         // 3. one doorbell for the whole batch
-        let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
-        let mut tags = Vec::with_capacity(reqs.len());
+        let g_bell = self.cores.get_mut(core).reserve(g_lock.end, doorbell);
         for (i, req) in reqs.iter().enumerate() {
             let tag = self.assign_tag(req);
-            tags.push(tag);
+            tag_sink(tag);
             // Open this command's probe record for the submit path …
             let scope = self.probe.open_command(req.op.as_str(), now);
             let probe_id = scope.id();
@@ -453,10 +478,10 @@ impl<B: StorageBackend> IoStack<B> {
                 // Tile [now, admit) with this command's share of the
                 // batch: its own core slice, the shared lock + doorbell,
                 // then SQ residency — one probe borrow for all of it.
-                let start = first.start + cpu.submit * i as u64;
+                let start = first.start + submit * i as u64;
                 let g_submit = Grant {
                     start,
-                    end: start + cpu.submit,
+                    end: start + submit,
                 };
                 self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell, Some(admit));
             }
@@ -489,7 +514,6 @@ impl<B: StorageBackend> IoStack<B> {
                 },
             );
         }
-        tags
     }
 
     /// Reap every completion ready on `core`'s completion queue at
@@ -501,12 +525,24 @@ impl<B: StorageBackend> IoStack<B> {
     /// # Panics
     /// Panics if `core` is out of range.
     pub fn poll_completions(&mut self, now: SimTime, core: usize) -> Vec<StackCompletion> {
+        let mut out = Vec::new();
+        self.reap_into(now, core, &mut out);
+        out
+    }
+
+    /// [`IoStack::poll_completions`] into a buffer the caller keeps: the
+    /// reaped completions are appended to `out`, and a reap that finds
+    /// nothing ready touches neither `out` nor the core.
+    ///
+    /// # Panics
+    /// Panics if `core` is out of range.
+    pub fn reap_into(&mut self, now: SimTime, core: usize, out: &mut Vec<StackCompletion>) {
         assert!(core < self.cfg.cores as usize, "core out of range");
-        let cpu = self.cfg.cpu.clone();
-        let probing = self.probe.is_enabled();
         if !self.cqs[core].peek_done().is_some_and(|d| d <= now) {
-            return Vec::new();
+            return;
         }
+        let cpu = &self.cfg.cpu;
+        let probing = self.probe.is_enabled();
         // Interrupt coalescing: one IRQ + context switch per reap.
         let mut cursor = match self.cfg.completion {
             CompletionMode::Interrupt => {
@@ -517,7 +553,6 @@ impl<B: StorageBackend> IoStack<B> {
             }
             CompletionMode::Polling => now,
         };
-        let mut out = Vec::new();
         while let Some((_, p)) = self.cqs[core].pop_ready(now) {
             let g = self.cores.get_mut(core).reserve(cursor, cpu.complete);
             cursor = g.end;
@@ -555,7 +590,6 @@ impl<B: StorageBackend> IoStack<B> {
                 status: p.status,
             });
         }
-        out
     }
 
     /// Instant the earliest pending completion on `core`'s completion

@@ -12,6 +12,12 @@
 
 use crate::page::{PageId, PageVec, SlottedPage};
 
+/// Most page buffers the pool keeps on its spare list (256 KiB of them).
+/// A checkpoint landing retires hundreds of images at once; the ones past
+/// the bound go back to the allocator, and the first writes that would
+/// have used them allocate as they did before there was a list.
+const SPARE_PAGES: usize = 64;
+
 /// One frame of the pool.
 #[derive(Debug)]
 struct Frame {
@@ -82,6 +88,12 @@ pub struct BufferPool {
     hand: usize,
     /// Pages whose table entry is [`Residency::Fetching`].
     fetching: usize,
+    /// Page buffers with no other handle, at most [`SPARE_PAGES`] of them,
+    /// handed in through [`BufferPool::recycle`]: the first write to a
+    /// frame that shares its buffer copies the page into one of these
+    /// instead of into a fresh allocation. Their bytes are whatever the
+    /// retired image held; they are overwritten whole before use.
+    spares: Vec<SlottedPage>,
     stats: PoolStats,
 }
 
@@ -110,6 +122,7 @@ impl BufferPool {
             table: PageVec::new(pages, Residency::Absent),
             hand: 0,
             fetching: 0,
+            spares: Vec::new(),
             stats: PoolStats::default(),
         }
     }
@@ -139,6 +152,12 @@ impl BufferPool {
     /// Get a resident page mutably, marking it referenced (and dirty if
     /// `for_write`). Pins are the caller's responsibility via
     /// [`BufferPool::pin`]/[`BufferPool::unpin`]. Returns `None` on miss.
+    ///
+    /// A frame handed out `for_write` while it shares its buffer (with the
+    /// durable image it was read from, or a checkpoint image in flight) is
+    /// given bytes of its own first, in a spare buffer when the pool has
+    /// one; without a spare the page copies itself on the write, as any
+    /// sharing [`SlottedPage`] does.
     pub fn get_mut(&mut self, page_id: PageId, for_write: bool) -> Option<&mut SlottedPage> {
         match self.frame_of(page_id) {
             Some(i) => {
@@ -147,6 +166,12 @@ impl BufferPool {
                 f.referenced = true;
                 if for_write {
                     f.dirty = true;
+                    if f.page.is_shared() {
+                        if let Some(mut own) = self.spares.pop() {
+                            own.copy_from(&f.page);
+                            f.page = own;
+                        }
+                    }
                 }
                 Some(&mut f.page)
             }
@@ -302,6 +327,15 @@ impl BufferPool {
             self.fetching -= 1;
         }
         self.install(page_id, page, dirty)
+    }
+
+    /// Offer the pool a page image its holder is done with. Kept as a
+    /// spare when this was the last handle on its buffer and the list is
+    /// below its bound; dropped like any other value otherwise.
+    pub(crate) fn recycle(&mut self, page: SlottedPage) {
+        if self.spares.len() < SPARE_PAGES && !page.is_shared() {
+            self.spares.push(page);
+        }
     }
 
     /// Mark a resident page clean (after its write-back completed).
@@ -662,38 +696,65 @@ mod tests {
     /// Drive both pools through `ops` = `(op, page, flag != 0)` and compare
     /// everything observable after every step. Ops whose precondition
     /// fails (they would panic in both pools) are skipped.
+    ///
+    /// Around that, the spare list: before every write access a handle is
+    /// taken on the frame's buffer, as the durable set or a checkpoint
+    /// batch would hold one, and kept with the bytes it must keep; images
+    /// are offered back one at a time (a steal write-back) and by the
+    /// dozen (a checkpoint landing), sole handles and shared ones.
     fn assert_matches_tree_pool(capacity: usize, ops: &[(u8, u64, u8)]) {
         // few enough pages that a small pool churns, enough that a
         // 64-frame pool fills and evicts
         let span = if capacity < 64 { 6 } else { 96 };
         let mut pool = BufferPool::new(capacity, span);
         let mut tree = TreePool::new(capacity);
+        let mut outside: Vec<(SlottedPage, [u8; crate::page::PAGE_SIZE])> = Vec::new();
         for (step, &(op, page, flag)) in ops.iter().enumerate() {
             let pid = PageId(page % span);
             let flag = flag != 0;
             let image = page_with(&(step as u64 + 1).to_le_bytes());
             let busy = tree.contains(pid) || tree.fetch_in_flight(pid);
+            let evict = |pool: &mut BufferPool, got: EvictOutcome, want: EvictOutcome| {
+                assert_eq!(got, want, "step {step}");
+                if let EvictOutcome::Steal { image, .. } = got {
+                    pool.recycle(image);
+                }
+            };
             match op {
                 0..=7 if !busy && tree.can_install() => {
                     let want = tree.install(pid, image.clone(), flag);
-                    assert_eq!(pool.install(pid, image, flag), want, "step {step}");
+                    let got = pool.install(pid, image, flag);
+                    evict(&mut pool, got, want);
                 }
                 8..=13 if !tree.contains(pid) && tree.can_install() => {
                     let (want, _) = tree.complete_fetch(pid, image.clone(), flag);
-                    assert_eq!(pool.complete_fetch(pid, image, flag), want, "step {step}");
+                    let got = pool.complete_fetch(pid, image, flag);
+                    evict(&mut pool, got, want);
                 }
                 14..=19 if !tree.contains(pid) => {
                     assert_eq!(pool.begin_fetch(pid), tree.begin_fetch(pid), "step {step}");
                 }
                 20..=27 => {
+                    let resident = pool
+                        .peek(pid)
+                        .map(|p| outside.push((p.clone(), *p.as_bytes())))
+                        .is_some();
+                    let spares_before = pool.spares.len();
                     // write through the frame, so stolen and checkpointed
                     // images carry what was written, not what was installed
                     let (a, b) = (pool.get_mut(pid, flag), tree.get_mut(pid, flag));
                     assert_eq!(a.is_some(), b.is_some(), "step {step}");
                     if let (Some(a), Some(b), true) = (a, b, flag) {
+                        assert_eq!(
+                            a.is_shared(),
+                            spares_before == 0,
+                            "step {step}: a spare, when there is one, unshares the frame"
+                        );
                         a.set_lsn(step as u64);
                         b.set_lsn(step as u64);
                     }
+                    let took = usize::from(flag && resident && spares_before > 0);
+                    assert_eq!(pool.spares.len(), spares_before - took, "step {step}");
                 }
                 28..=30 if tree.contains(pid) => {
                     pool.pin(pid);
@@ -714,6 +775,26 @@ mod tests {
                 39 => {
                     pool.crash();
                     tree.crash();
+                }
+                40..=42 => {
+                    // one retired image: a sole handle is kept while there
+                    // is room, a shared one never
+                    let before = pool.spares.len();
+                    let (offer, keeps) = match outside.last() {
+                        Some((held, _)) if !flag => (held.clone(), false),
+                        _ => (image, before < SPARE_PAGES),
+                    };
+                    pool.recycle(offer);
+                    assert_eq!(
+                        pool.spares.len(),
+                        before + usize::from(keeps),
+                        "step {step}"
+                    );
+                }
+                43 => {
+                    for i in 0..40u64 {
+                        pool.recycle(page_with(&i.to_le_bytes()));
+                    }
                 }
                 _ => {}
             }
@@ -738,6 +819,18 @@ mod tests {
                 format!("{:?}", tree.stats),
                 "step {step}"
             );
+            for (held, bytes) in &outside {
+                assert_eq!(
+                    held.as_bytes(),
+                    bytes,
+                    "step {step}: a frame write reached a handle outside the pool"
+                );
+            }
+            assert!(pool.spares.len() <= SPARE_PAGES, "step {step}");
+            assert!(
+                pool.spares.iter().all(|p| !p.is_shared()),
+                "step {step}: a spare buffer has a second handle"
+            );
         }
     }
 
@@ -745,7 +838,7 @@ mod tests {
         #[test]
         fn table_pool_matches_the_tree_pool_it_replaced(
             capacity in 0..3usize,
-            ops in proptest::collection::vec((0..40u8, 0..96u64, 0..2u8), 1..400),
+            ops in proptest::collection::vec((0..44u8, 0..96u64, 0..2u8), 1..400),
         ) {
             assert_matches_tree_pool([1, 2, 64][capacity], &ops);
         }

@@ -36,11 +36,10 @@
 //! never a panic.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use requiem_iface::nameless::{NamelessConfig, NamelessError, NamelessSsd, PhysName};
-use requiem_iface::qpair::{NamelessCmd, NamelessQueuePair};
+use requiem_iface::qpair::{NamelessCmd, NamelessCqe, NamelessQueuePair};
 use requiem_iface::Upcall;
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
@@ -140,8 +139,12 @@ pub struct CoopLogBackend {
     stats: BackendStats,
     /// Queue pair for the batched read path.
     qp: NamelessQueuePair,
-    /// Batched reads in flight: queue-pair command id → (engine tag, page).
-    inflight: BTreeMap<u64, (CommandTag, PageId)>,
+    /// Batched reads in flight as `(queue-pair command id, engine tag,
+    /// page)`, unordered: never more than the executor keeps outstanding,
+    /// so a scan finds an id.
+    inflight: Vec<(u64, CommandTag, PageId)>,
+    /// Scratch for one reap off the queue pair (reused).
+    reaped: Vec<NamelessCqe>,
     /// Reads refused before reaching the device (no binding), completed
     /// at submit with [`IoStatus::Rejected`].
     rejects: Vec<PageRead>,
@@ -188,7 +191,8 @@ impl CoopLogBackend {
             segs: Rc::new(RefCell::new(PageTable::new())),
             stats: BackendStats::default(),
             qp: NamelessQueuePair::new(1),
-            inflight: BTreeMap::new(),
+            inflight: Vec::new(),
+            reaped: Vec::new(),
             rejects: Vec::new(),
             next_tag: 0,
             rejected: Rc::new(Cell::new(0)),
@@ -537,7 +541,7 @@ impl PersistenceBackend for CoopLogBackend {
                             now,
                             NamelessCmd::Read { name, tag: p.0 },
                         );
-                        self.inflight.insert(id.0, (tag, p));
+                        self.inflight.push((id.0, tag, p));
                     }
                     None => self.rejects.push(PageRead {
                         tag,
@@ -557,11 +561,18 @@ impl PersistenceBackend for CoopLogBackend {
         // is interpreted, so a Rejected read can be retried at the
         // page's *current* name
         self.drain_upcalls();
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        for c in self.qp.poll(now) {
-            let Some((tag, page)) = self.inflight.remove(&c.id.0) else {
+        let mut reaped = std::mem::take(&mut self.reaped);
+        reaped.clear();
+        self.qp.reap_into(now, &mut reaped);
+        // the returned list is the one allocation: sized once, and not
+        // made at all by the poll that finds nothing
+        let mut out: Vec<PageRead> = Vec::with_capacity(self.rejects.len() + reaped.len());
+        out.append(&mut self.rejects);
+        for c in &reaped {
+            let Some(at) = self.inflight.iter().position(|&(id, _, _)| id == c.id.0) else {
                 continue;
             };
+            let (_, tag, page) = self.inflight.swap_remove(at);
             if c.status == IoStatus::Rejected {
                 if let Some(name) = self.table.borrow().lookup(page.0) {
                     // lost the race with a migration: resubmit at the
@@ -572,7 +583,7 @@ impl PersistenceBackend for CoopLogBackend {
                         c.done,
                         NamelessCmd::Read { name, tag: page.0 },
                     );
-                    self.inflight.insert(id.0, (tag, page));
+                    self.inflight.push((id.0, tag, page));
                     self.read_retries += 1;
                     continue;
                 }
@@ -584,6 +595,7 @@ impl PersistenceBackend for CoopLogBackend {
                 status: c.status,
             });
         }
+        self.reaped = reaped;
         out
     }
 

@@ -12,15 +12,13 @@
 //! log's updates of committed transactions onto the durable page images,
 //! LSN-guarded for idempotence.
 
-use std::collections::BTreeSet;
-
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Histogram;
 
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
-use crate::page::{PageId, PageVec, SlottedPage};
-use crate::wal::{LogRecord, Lsn, Wal};
+use crate::page::{PageId, PageVec, SlottedPage, PAGE_SIZE};
+use crate::wal::{LogRecord, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig};
 
 /// Engine configuration.
@@ -56,9 +54,9 @@ impl DbConfig {
     /// present and zeroed.
     fn formatted_page(&self) -> SlottedPage {
         let mut p = SlottedPage::new();
-        let zeros = vec![0u8; self.record_size];
+        let zeros = [0u8; PAGE_SIZE];
         for _ in 0..self.slots_per_page {
-            p.insert(&zeros)
+            p.insert(&zeros[..self.record_size])
                 .expect("slots_per_page × record_size must fit a page");
         }
         p
@@ -253,15 +251,24 @@ impl<B: PersistenceBackend> Database<B> {
         self.pool.stats()
     }
 
-    /// Promote completed in-flight writes to the durable image set.
+    /// Promote completed in-flight writes to the durable image set, in
+    /// list order (the later of two landed writes of one page wins). The
+    /// images they replace go to the pool's spare list.
     pub(crate) fn settle_in_flight(&mut self) {
         let now = self.now;
-        for (done, page, image) in std::mem::take(&mut self.in_flight) {
-            if done <= now {
-                self.durable[page] = image;
+        let mut kept = 0;
+        for i in 0..self.in_flight.len() {
+            let (done, page, image) = &mut self.in_flight[i];
+            if *done <= now {
+                // landed: the entry is left holding the image it replaced
+                std::mem::swap(&mut self.durable[*page], image);
             } else {
-                self.in_flight.push((done, page, image));
+                self.in_flight.swap(kept, i);
+                kept += 1;
             }
+        }
+        for (_, _, replaced) in self.in_flight.drain(kept..) {
+            self.pool.recycle(replaced);
         }
     }
 
@@ -342,7 +349,8 @@ impl<B: PersistenceBackend> Database<B> {
         }
         end = end.max(self.backend.steal_write(end, page_id));
         self.stats.steal_stall += end.since(at);
-        self.durable[page_id] = image;
+        self.pool
+            .recycle(std::mem::replace(&mut self.durable[page_id], image));
         end
     }
 
@@ -369,9 +377,10 @@ impl<B: PersistenceBackend> Database<B> {
                     continue;
                 };
                 wrote = true;
-                let mut after = vec![0u8; self.cfg.record_size];
-                after[..8].copy_from_slice(&txn.to_le_bytes());
-                frame.update(slot, &after);
+                let after = self.wal.new_after(self.cfg.record_size, |image| {
+                    image[..8].copy_from_slice(&txn.to_le_bytes());
+                });
+                frame.update(slot, self.wal.after(after));
                 let lsn = self.wal.append(LogRecord::Update {
                     txn,
                     page: pid,
@@ -458,7 +467,8 @@ impl<B: PersistenceBackend> Database<B> {
         let now = self.now;
         for (done, page, image) in self.in_flight.drain(..) {
             if done <= now {
-                self.durable[page] = image;
+                self.pool
+                    .recycle(std::mem::replace(&mut self.durable[page], image));
             }
         }
     }
@@ -493,19 +503,21 @@ impl<B: PersistenceBackend> Database<B> {
     /// shard, while the participants hold `Prepare` records plus the
     /// updates — passing the global set makes those updates replayable
     /// here. Prepared-but-undecided transactions stay invisible either
-    /// way.
-    pub fn recover_with(&mut self, committed: Option<&BTreeSet<u64>>) -> u64 {
-        let committed: BTreeSet<u64> = match committed {
-            Some(set) => set.clone(),
-            None => self
-                .wal
-                .durable_records()
-                .filter_map(|(_, r)| match r {
-                    LogRecord::Commit { txn } => Some(*txn),
-                    _ => None,
-                })
-                .collect(),
+    /// way. A supplied set is transaction ids in ascending order, as
+    /// [`Wal::durable_commits`] lists them.
+    pub fn recover_with(&mut self, committed: Option<&[u64]>) -> u64 {
+        let own;
+        let committed = match committed {
+            Some(set) => set,
+            None => {
+                own = self.wal.durable_commits();
+                &own[..]
+            }
         };
+        debug_assert!(
+            committed.windows(2).all(|w| w[0] <= w[1]),
+            "the committed set must be in ascending order"
+        );
         let start = self.wal.last_durable_checkpoint();
         // charge the physical log scan: bytes before the checkpoint are
         // skipped (their offset positions the read), bytes from the
@@ -534,28 +546,26 @@ impl<B: PersistenceBackend> Database<B> {
             }
         }
         let mut replayed = 0u64;
-        let to_apply: Vec<(Lsn, LogRecord)> = self
+        let redo = self
             .wal
             .durable_records()
-            .filter(|(lsn, _)| start.map(|s| *lsn >= s).unwrap_or(true))
-            .cloned()
-            .collect();
-        for (lsn, rec) in to_apply {
+            .filter(|(lsn, _)| start.map(|s| *lsn >= s).unwrap_or(true));
+        for &(lsn, rec) in redo {
             match rec {
                 LogRecord::Update {
                     txn,
                     page,
                     slot,
                     after,
-                } if committed.contains(&txn) => {
+                } if committed.binary_search(&txn).is_ok() => {
                     let img = &mut self.durable[page];
                     if img.lsn() < lsn.0 {
-                        img.update(slot, &after);
+                        img.update(slot, self.wal.after(after));
                         img.set_lsn(lsn.0);
                         replayed += 1;
                     }
                 }
-                LogRecord::Delete { txn, page, slot } if committed.contains(&txn) => {
+                LogRecord::Delete { txn, page, slot } if committed.binary_search(&txn).is_ok() => {
                     let img = &mut self.durable[page];
                     if img.lsn() < lsn.0 {
                         img.delete(slot);
@@ -606,14 +616,7 @@ impl<B: PersistenceBackend> Database<B> {
                 self.stats.media_failures += 1;
             }
         }
-        let committed: BTreeSet<u64> = self
-            .wal
-            .durable_records()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
+        let committed = self.wal.durable_commits();
         let mut img = self.cfg.formatted_page();
         for (lsn, rec) in self.wal.durable_records() {
             match rec {
@@ -622,12 +625,12 @@ impl<B: PersistenceBackend> Database<B> {
                     page,
                     slot,
                     after,
-                } if *page == pid && committed.contains(txn) => {
-                    img.update(*slot, after);
+                } if *page == pid && committed.binary_search(txn).is_ok() => {
+                    img.update(*slot, self.wal.after(*after));
                     img.set_lsn(lsn.0);
                 }
                 LogRecord::Delete { txn, page, slot }
-                    if *page == pid && committed.contains(txn) =>
+                    if *page == pid && committed.binary_search(txn).is_ok() =>
                 {
                     img.delete(*slot);
                     img.set_lsn(lsn.0);
@@ -782,15 +785,14 @@ mod tests {
         let mut db = legacy_db();
         db.execute(&[(1, 0, true)], 256); // txn 1 commits
                                           // hand-craft an unflushed, uncommitted update for txn 99
+        let after = db.wal.new_after(100, |image| {
+            image[..8].copy_from_slice(&99u64.to_le_bytes())
+        });
         db.wal.append(LogRecord::Update {
             txn: 99,
             page: PageId(2),
             slot: 0,
-            after: {
-                let mut v = vec![0u8; 100];
-                v[..8].copy_from_slice(&99u64.to_le_bytes());
-                v
-            },
+            after,
         });
         db.crash();
         db.recover();

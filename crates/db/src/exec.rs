@@ -45,7 +45,9 @@ use crate::buffer::EvictOutcome;
 use crate::engine::Database;
 use crate::page::{PageId, SlottedPage};
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
-use crate::wal::{GroupCommit, GroupCommitPolicy, GroupMember, LogRecord, Lsn, MemberKind};
+use crate::wal::{
+    GroupCommit, GroupCommitPolicy, GroupMember, ImageRef, LogRecord, Lsn, MemberKind,
+};
 
 /// Configuration for the completion-driven executor.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +177,7 @@ pub(crate) struct Active {
 /// One pre-assigned transaction in a shard's input queue: the
 /// coordinator names ids up front (a global namespace across shards)
 /// instead of letting the executor allocate them.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PlannedTxn {
     /// Transaction id to run under.
     pub(crate) id: u64,
@@ -215,8 +217,9 @@ pub(crate) struct UndoEntry {
     pub(crate) page: PageId,
     /// Updated slot.
     pub(crate) slot: u16,
-    /// Record bytes before the update (`None` = slot was empty).
-    pub(crate) before: Option<Vec<u8>>,
+    /// Record bytes before the update, parked in the shard's log arena
+    /// (`None` = slot was empty).
+    pub(crate) before: Option<ImageRef>,
 }
 
 /// Host-side context of one in-flight page fetch: the image the device
@@ -246,6 +249,8 @@ pub(crate) struct ExecState {
     batch: Vec<PageId>,
     pub(crate) prefetcher: Prefetcher,
     pub(crate) group: GroupCommit,
+    /// The member list `force_group` trades with the group's (reused).
+    forcing: Vec<GroupMember>,
     /// Inputs handed to slots so far.
     pub(crate) issued: usize,
     pub(crate) forces: u64,
@@ -273,8 +278,14 @@ pub(crate) struct ExecState {
 }
 
 impl ExecState {
-    /// Fresh state for a `depth`-slot closed loop starting at `now`.
-    pub(crate) fn new(depth: usize, now: SimTime, prefetch: &PrefetchConfig) -> Self {
+    /// Fresh state for a `depth`-slot closed loop over `inputs`
+    /// transactions starting at `now`.
+    pub(crate) fn new(
+        depth: usize,
+        now: SimTime,
+        prefetch: &PrefetchConfig,
+        inputs: usize,
+    ) -> Self {
         ExecState {
             slots: vec![
                 Slot {
@@ -287,10 +298,13 @@ impl ExecState {
             batch: Vec::new(),
             prefetcher: Prefetcher::new(prefetch.clone()),
             group: GroupCommit::new(),
+            forcing: Vec::new(),
             issued: 0,
             forces: 0,
             grouped: 0,
-            commit_order: Vec::new(),
+            // one entry per input at most: a prepare records none, and a
+            // decision commit stands in for its home share
+            commit_order: Vec::with_capacity(inputs),
             read_only_latency: Histogram::new(),
             update_latency: Histogram::new(),
             assigned: Vec::new(),
@@ -320,7 +334,7 @@ impl<B: PersistenceBackend> Database<B> {
             .set_read_window(depth + cfg.prefetch.depth as usize);
         let started_at = self.now;
         let coalesced_before = self.pool.stats().coalesced;
-        let mut st = ExecState::new(depth, self.now, &cfg.prefetch);
+        let mut st = ExecState::new(depth, self.now, &cfg.prefetch, inputs.len());
 
         loop {
             // 1. run everything that can run at the current instant
@@ -637,12 +651,13 @@ impl<B: PersistenceBackend> Database<B> {
                     st.undo.entry(active.id).or_default().push(UndoEntry {
                         page: pid,
                         slot: slot_no,
-                        before: frame.get(slot_no).map(<[u8]>::to_vec),
+                        before: frame.get(slot_no).map(|r| self.wal.keep(r)),
                     });
                 }
-                let mut after = vec![0u8; self.cfg.record_size];
-                after[..8].copy_from_slice(&active.id.to_le_bytes());
-                frame.update(slot_no, &after);
+                let after = self.wal.new_after(self.cfg.record_size, |image| {
+                    image[..8].copy_from_slice(&active.id.to_le_bytes());
+                });
+                frame.update(slot_no, self.wal.after(after));
                 let lsn = self.wal.append(LogRecord::Update {
                     txn: active.id,
                     page: pid,
@@ -764,10 +779,14 @@ impl<B: PersistenceBackend> Database<B> {
     /// report their durability vote; `Decide` members are the slot-less
     /// commit point of a cross-shard transaction.
     pub(crate) fn force_group(&mut self, t: SimTime, st: &mut ExecState) {
-        let (members, _bytes) = st.group.take();
-        if members.is_empty() {
+        if st.group.is_empty() {
             return;
         }
+        // the group's list and the scratch trade places, so neither is
+        // regrown; the scratch leaves `st` while the members resolve
+        // (they free slots, fill the outbox, checkpoint)
+        let mut members = std::mem::take(&mut st.forcing);
+        st.group.swap_out(&mut members);
         st.forces += 1;
         st.grouped += members.len() as u64;
         // one shared force to the group's horizon drains every member's
@@ -851,6 +870,8 @@ impl<B: PersistenceBackend> Database<B> {
                 self.checkpoint();
             }
         }
+        members.clear();
+        st.forcing = members;
     }
 
     /// Enlist the coordinator's decision commit for cross-shard
@@ -906,9 +927,10 @@ impl<B: PersistenceBackend> Database<B> {
                     .map(|r| r.len() >= 8 && r[..8] == global.to_le_bytes())
                     .unwrap_or(false)
             };
-            let undo_one = |img: &mut SlottedPage| match &e.before {
+            let wal = &self.wal;
+            let undo_one = |img: &mut SlottedPage| match e.before {
                 Some(before) => {
-                    img.update(e.slot, before);
+                    img.update(e.slot, wal.after(before));
                 }
                 None => {
                     img.delete(e.slot);

@@ -135,6 +135,26 @@ impl SlottedPage {
         &self.buf
     }
 
+    /// True while another handle shares this page's buffer: the next write
+    /// through this one would copy it first.
+    pub(crate) fn is_shared(&self) -> bool {
+        Rc::strong_count(&self.buf) > 1
+    }
+
+    /// Overwrite this page's bytes with `src`'s, in the buffer it already
+    /// has.
+    ///
+    /// # Panics
+    /// Panics if the buffer [`is_shared`](Self::is_shared): the other
+    /// handle's page would change under it.
+    pub(crate) fn copy_from(&mut self, src: &SlottedPage) {
+        assert!(
+            !self.is_shared(),
+            "copy into a page buffer another handle shares"
+        );
+        Rc::make_mut(&mut self.buf).copy_from_slice(src.as_bytes());
+    }
+
     fn read_u16(&self, at: usize) -> u16 {
         u16::from_le_bytes([self.buf[at], self.buf[at + 1]])
     }

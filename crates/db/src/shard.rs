@@ -55,8 +55,6 @@
 //! [`LogRecord::Abort`]: crate::wal::LogRecord::Abort
 //! [`MemberKind::Decide`]: crate::wal::MemberKind::Decide
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{CoreClock, Histogram};
 
@@ -214,53 +212,60 @@ impl<B: PersistenceBackend> ShardedDb<B> {
     /// partitioning choices, which keeps replay deterministic.
     fn split(&mut self, inputs: &[TxnInput]) -> (Vec<Vec<TxnInput>>, Vec<Vec<PlannedTxn>>) {
         let n = self.shards.len();
-        let mut plans: Vec<Vec<TxnInput>> = vec![Vec::new(); n];
-        let mut assigned: Vec<Vec<PlannedTxn>> = vec![Vec::new(); n];
+        // an even spread's worth up front: skew and the extra shares of
+        // cross-shard transactions cost a list one doubling at most
+        let even = inputs.len().div_ceil(n);
+        let mut plans: Vec<Vec<TxnInput>> = (0..n).map(|_| Vec::with_capacity(even)).collect();
+        let mut assigned: Vec<Vec<PlannedTxn>> = (0..n).map(|_| Vec::with_capacity(even)).collect();
+        // one input's accesses by shard, refilled per input; within a
+        // shard the global access order is preserved
+        let mut shares: Vec<Vec<(u64, u16, bool)>> = vec![Vec::new(); n];
         for input in inputs {
             let id = self.next_global;
             self.next_global += 1;
-            // partition the accesses; per-shard access order preserves
-            // the global order
-            let mut shares: BTreeMap<usize, Vec<(u64, u16, bool)>> = BTreeMap::new();
+            let mut touched = 0usize;
             for &(page, slot, dirty) in &input.accesses {
                 let g = page % self.data_pages;
-                shares.entry((g % n as u64) as usize).or_default().push((
-                    g / n as u64,
-                    slot,
-                    dirty,
-                ));
+                let share = &mut shares[(g % n as u64) as usize];
+                touched += usize::from(share.is_empty());
+                share.push((g / n as u64, slot, dirty));
             }
-            if shares.len() <= 1 {
+            if touched <= 1 {
                 // single-shard (or access-free): an ordinary local
                 // transaction on its partition, ledger never involved
-                let (s, accesses) = shares.into_iter().next().unwrap_or((0, Vec::new()));
+                let s = shares.iter().position(|sh| !sh.is_empty()).unwrap_or(0);
                 plans[s].push(TxnInput {
-                    accesses,
+                    accesses: shares[s].to_vec(),
                     log_bytes: input.log_bytes,
                 });
+                shares[s].clear();
                 assigned[s].push(PlannedTxn {
                     id,
                     role: TxnRole::Local,
                 });
                 continue;
             }
-            // cross-shard: one participant share per touched partition,
-            // home = the first access's shard, log payload split across
-            // the shares (each prepare forces its own slice)
+            // cross-shard: one participant share per touched partition in
+            // ascending shard order, home = the first access's shard, log
+            // payload split across the shares (each prepare forces its
+            // own slice)
             let home = input
                 .accesses
                 .first()
                 .map(|&(page, _, _)| self.shard_of(page))
                 .unwrap_or(0);
             let read_only = !input.accesses.iter().any(|a| a.2);
-            let k = shares.len() as u32;
-            self.ledger
-                .begin(id, home, shares.keys().copied().collect(), read_only);
-            for (s, accesses) in shares {
+            let participants = (0..n).filter(|&s| !shares[s].is_empty()).collect();
+            self.ledger.begin(id, home, participants, read_only);
+            for (s, share) in shares.iter_mut().enumerate() {
+                if share.is_empty() {
+                    continue;
+                }
                 plans[s].push(TxnInput {
-                    accesses,
-                    log_bytes: (input.log_bytes / k).max(32),
+                    accesses: share.to_vec(),
+                    log_bytes: (input.log_bytes / touched as u32).max(32),
                 });
+                share.clear();
                 assigned[s].push(PlannedTxn {
                     id,
                     role: TxnRole::Participant,
@@ -268,6 +273,62 @@ impl<B: PersistenceBackend> ShardedDb<B> {
             }
         }
         (plans, assigned)
+    }
+
+    /// Shard `s`'s next wake instant: `Some(now)` while it has work at its
+    /// current clock (a deliverable decision, a refillable or runnable
+    /// slot, a ready completion, a due group), else its next future
+    /// event, `None` when nothing is scheduled.
+    ///
+    /// This reads the shard's own clock, slots, group, `force_horizon`
+    /// and input count, its own backend's completion instants (fixed at
+    /// submission) and the mailbox entries addressed to it — nothing a
+    /// step of another shard can move. [`ShardedDb::run`]'s wake cache
+    /// rests on that.
+    fn wake_of(
+        db: &mut Database<B>,
+        st: &ExecState,
+        s: usize,
+        inputs: usize,
+        cfg: &ExecConfig,
+        mailbox: &[Decision],
+    ) -> Option<SimTime> {
+        let now = db.now;
+        let deliverable = mailbox.iter().any(|d| d.home == s && d.at <= now);
+        let refillable = st.issued < inputs
+            && st
+                .slots
+                .iter()
+                .any(|sl| matches!(sl.state, SlotState::Idle { free_at } if free_at <= now));
+        let runnable = st
+            .slots
+            .iter()
+            .any(|sl| matches!(sl.state, SlotState::Run { ready_at } if ready_at <= now));
+        let completion_ready = db
+            .backend
+            .next_read_done()
+            .map(|t| t <= now)
+            .unwrap_or(false);
+        if deliverable
+            || refillable
+            || runnable
+            || completion_ready
+            || st.group.due(&cfg.group, now)
+        {
+            return Some(now);
+        }
+        // quiescent at `now`: next future event, a pending force
+        // completion, or a queued decision not yet deliverable
+        let mut w = db.next_event(inputs, cfg, st);
+        if st.force_horizon > now {
+            let fh = st.force_horizon;
+            w = Some(w.map_or(fh, |x| x.min(fh)));
+        }
+        if let Some(at) = mailbox.iter().filter(|d| d.home == s).map(|d| d.at).min() {
+            let at = at.max(now);
+            w = Some(w.map_or(at, |x| x.min(at)));
+        }
+        w
     }
 
     /// Run global `inputs` to completion across the shards: each shard
@@ -288,13 +349,13 @@ impl<B: PersistenceBackend> ShardedDb<B> {
 
         let mut states: Vec<ExecState> = Vec::with_capacity(n);
         let mut coalesced_before: Vec<u64> = Vec::with_capacity(n);
-        for (s, db) in self.shards.iter_mut().enumerate() {
+        for ((db, plan), assigned) in self.shards.iter_mut().zip(&plans).zip(assigned) {
             assert!(db.loaded, "call load() before executing transactions");
             db.backend
                 .set_read_window(depth + cfg.prefetch.depth as usize);
             coalesced_before.push(db.pool.stats().coalesced);
-            let mut st = ExecState::new(depth, db.now, &cfg.prefetch);
-            st.assigned = assigned[s].clone();
+            let mut st = ExecState::new(depth, db.now, &cfg.prefetch, plan.len());
+            st.assigned = assigned;
             // group forces park their completion in `force_horizon`
             // instead of advancing the shard clock, so peer shards keep
             // submitting into the force's latency window (the overlap a
@@ -305,54 +366,39 @@ impl<B: PersistenceBackend> ShardedDb<B> {
 
         let mut clock = CoreClock::new(n);
         let mut mailbox: Vec<Decision> = Vec::new();
+        // Every shard's next wake instant, kept across iterations. A
+        // shard's wake moves only when the shard steps (either arm of the
+        // pick below) or a decision is mailed to it (see `wake_of`), so
+        // those three places mark it stale and only stale wakes are
+        // derived again. Debug builds derive all of them every iteration
+        // and hold the cache to the result.
+        let mut wakes: Vec<Option<SimTime>> = vec![None; n];
+        let mut stale = vec![true; n];
+        // force outcomes of the shard that stepped, for the ledger
+        let mut events: Vec<ShardEvent> = Vec::new();
 
         loop {
-            // every shard's next wake instant
-            let mut wakes: Vec<Option<SimTime>> = Vec::with_capacity(n);
             for s in 0..n {
-                let db = &mut self.shards[s];
-                let st = &states[s];
-                let now = db.now;
-                let deliverable = mailbox.iter().any(|d| d.home == s && d.at <= now);
-                let refillable = st.issued < plans[s].len()
-                    && st.slots.iter().any(
-                        |sl| matches!(sl.state, SlotState::Idle { free_at } if free_at <= now),
+                if stale[s] || cfg!(debug_assertions) {
+                    let w = Self::wake_of(
+                        &mut self.shards[s],
+                        &states[s],
+                        s,
+                        plans[s].len(),
+                        cfg,
+                        &mailbox,
                     );
-                let runnable = st
-                    .slots
-                    .iter()
-                    .any(|sl| matches!(sl.state, SlotState::Run { ready_at } if ready_at <= now));
-                let completion_ready = db
-                    .backend
-                    .next_read_done()
-                    .map(|t| t <= now)
-                    .unwrap_or(false);
-                let w = if deliverable
-                    || refillable
-                    || runnable
-                    || completion_ready
-                    || st.group.due(&cfg.group, now)
-                {
-                    Some(now)
-                } else {
-                    // quiescent at `now`: next future event, a pending
-                    // force completion, or a queued decision not yet
-                    // deliverable
-                    let mut w = db.next_event(plans[s].len(), cfg, st);
-                    if st.force_horizon > now {
-                        let fh = st.force_horizon;
-                        w = Some(w.map_or(fh, |x| x.min(fh)));
-                    }
-                    if let Some(at) = mailbox.iter().filter(|d| d.home == s).map(|d| d.at).min() {
-                        let at = at.max(now);
-                        w = Some(w.map_or(at, |x| x.min(at)));
-                    }
-                    w
-                };
-                wakes.push(w);
+                    debug_assert!(
+                        stale[s] || wakes[s] == w,
+                        "shard {s}: cached wake {:?}, but its state says {w:?}",
+                        wakes[s]
+                    );
+                    wakes[s] = w;
+                    stale[s] = false;
+                }
             }
 
-            let events: Vec<(usize, ShardEvent)> = match clock.pick(&wakes) {
+            let stepped = match clock.pick(&wakes) {
                 Some((s, t)) => {
                     let db = &mut self.shards[s];
                     let st = &mut states[s];
@@ -374,7 +420,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                             break;
                         }
                     }
-                    st.outbox.drain(..).map(|ev| (s, ev)).collect()
+                    s
                 }
                 None => {
                     // nothing scheduled anywhere: the only way forward
@@ -385,19 +431,21 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                     };
                     let t = self.shards[s].now;
                     self.shards[s].force_group(t, &mut states[s]);
-                    states[s].outbox.drain(..).map(|ev| (s, ev)).collect()
+                    s
                 }
             };
+            stale[stepped] = true;
+            events.append(&mut states[stepped].outbox);
 
             // route force outcomes through the ledger
-            for (s, ev) in events {
+            for ev in events.drain(..) {
                 match ev {
                     ShardEvent::Prepared {
                         txn,
                         status,
                         done,
                         started,
-                    } => match self.ledger.on_prepared(txn, s, status, done, started) {
+                    } => match self.ledger.on_prepared(txn, stepped, status, done, started) {
                         LedgerAction::None => {}
                         LedgerAction::EnlistCommit {
                             home,
@@ -412,6 +460,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                                 started,
                                 read_only,
                             });
+                            stale[home] = true;
                         }
                         LedgerAction::Abort { home, undo } => {
                             // typed abort: an informational record on the
@@ -505,16 +554,12 @@ impl<B: PersistenceBackend> ShardedDb<B> {
     /// every participant ([`Database::recover_with`]). Returns the
     /// total records replayed.
     pub fn recover(&mut self) -> u64 {
-        let committed: BTreeSet<u64> = self
+        let mut committed: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|db| {
-                db.wal().durable_records().filter_map(|(_, r)| match r {
-                    LogRecord::Commit { txn } => Some(*txn),
-                    _ => None,
-                })
-            })
+            .flat_map(|db| db.wal().durable_commits())
             .collect();
+        committed.sort_unstable();
         let mut replayed = 0;
         for db in &mut self.shards {
             replayed += db.recover_with(Some(&committed));
@@ -530,16 +575,131 @@ mod tests {
     use crate::engine::DbConfig;
     use crate::ledger::TxnDecision;
     use crate::stack_backend::BlockStackBackend;
+    use proptest::prelude::*;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
+    use std::collections::BTreeMap;
 
     fn sharded(n: usize) -> ShardedDb<BlockStackBackend> {
+        sharded_over(n, 64)
+    }
+
+    fn sharded_over(n: usize, pages: u64) -> ShardedDb<BlockStackBackend> {
         DbConfig::builder()
-            .data_pages(64)
+            .data_pages(pages)
             .log_pages(16)
             .buffer_frames(32)
             .shards(n)
             .build_sharded_stack(StackConfig::blk_mq(n as u32), SsdConfig::modern())
+    }
+
+    impl<B: PersistenceBackend> ShardedDb<B> {
+        /// `split` as it was when it built a `BTreeMap` of shares per
+        /// input — the reference the scratch-list `split` is held to.
+        fn split_by_tree(
+            &mut self,
+            inputs: &[TxnInput],
+        ) -> (Vec<Vec<TxnInput>>, Vec<Vec<PlannedTxn>>) {
+            let n = self.shards.len();
+            let mut plans: Vec<Vec<TxnInput>> = vec![Vec::new(); n];
+            let mut assigned: Vec<Vec<PlannedTxn>> = vec![Vec::new(); n];
+            for input in inputs {
+                let id = self.next_global;
+                self.next_global += 1;
+                let mut shares: BTreeMap<usize, Vec<(u64, u16, bool)>> = BTreeMap::new();
+                for &(page, slot, dirty) in &input.accesses {
+                    let g = page % self.data_pages;
+                    shares.entry((g % n as u64) as usize).or_default().push((
+                        g / n as u64,
+                        slot,
+                        dirty,
+                    ));
+                }
+                if shares.len() <= 1 {
+                    let (s, accesses) = shares.into_iter().next().unwrap_or((0, Vec::new()));
+                    plans[s].push(TxnInput {
+                        accesses,
+                        log_bytes: input.log_bytes,
+                    });
+                    assigned[s].push(PlannedTxn {
+                        id,
+                        role: TxnRole::Local,
+                    });
+                    continue;
+                }
+                let home = input
+                    .accesses
+                    .first()
+                    .map(|&(page, _, _)| self.shard_of(page))
+                    .unwrap_or(0);
+                let read_only = !input.accesses.iter().any(|a| a.2);
+                let k = shares.len() as u32;
+                self.ledger
+                    .begin(id, home, shares.keys().copied().collect(), read_only);
+                for (s, accesses) in shares {
+                    plans[s].push(TxnInput {
+                        accesses,
+                        log_bytes: (input.log_bytes / k).max(32),
+                    });
+                    assigned[s].push(PlannedTxn {
+                        id,
+                        role: TxnRole::Participant,
+                    });
+                }
+            }
+            (plans, assigned)
+        }
+    }
+
+    /// Transactions with no access at all, with every access on one shard
+    /// whatever the shard count (pages congruent mod 20, the least common
+    /// multiple of the counts tried), and with accesses anywhere in and
+    /// beyond the keyspace (two to four shards for most of them).
+    fn arb_split_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
+        let txn = (
+            (0u8..4, 0u64..20),
+            proptest::collection::vec((0u64..240, 0u16..16, 0u8..2), 0..6),
+            16u32..600,
+        )
+            .prop_map(|((kind, residue), raw, log_bytes)| TxnInput {
+                accesses: raw
+                    .into_iter()
+                    .map(|(page, slot, dirty)| match kind {
+                        0 => (residue + 20 * (page % 12), slot, dirty == 1),
+                        _ => (page, slot, dirty == 1),
+                    })
+                    .collect(),
+                log_bytes,
+            });
+        proptest::collection::vec(txn, 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn scratch_list_split_matches_the_tree_split_it_replaced(
+            batches in proptest::collection::vec(arb_split_inputs(), 1..4),
+        ) {
+            for n in [1usize, 2, 4, 5] {
+                // one deployment per implementation: both walk the global id
+                // namespace and fill a ledger, batch after batch
+                let (mut lists, mut tree) = (sharded_over(n, 60), sharded_over(n, 60));
+                for inputs in &batches {
+                    let (plans, assigned) = lists.split(inputs);
+                    let (want_plans, want_assigned) = tree.split_by_tree(inputs);
+                    prop_assert_eq!(&plans, &want_plans, "{} shards: plans", n);
+                    prop_assert_eq!(&assigned, &want_assigned, "{} shards: assigned", n);
+                    prop_assert_eq!(lists.next_global, tree.next_global);
+                    prop_assert_eq!(
+                        format!("{:?}", lists.ledger.entries().collect::<Vec<_>>()),
+                        format!("{:?}", tree.ledger.entries().collect::<Vec<_>>()),
+                        "{} shards: ledger entries", n
+                    );
+                    prop_assert_eq!(lists.ledger.stats(), tree.ledger.stats());
+                }
+            }
+        }
     }
 
     fn mixed_inputs(n: u64, pages: u64, cross_every: u64) -> Vec<TxnInput> {

@@ -6,7 +6,7 @@
 //!
 //! This is the backend the completion-driven engine showcases: its
 //! batched read path is implemented directly over
-//! [`IoStack::submit_batch`] / [`IoStack::poll_completions`], so a DB
+//! [`IoStack::submit_batch`] / [`IoStack::reap_into`], so a DB
 //! queue depth of N turns into N commands resident in the device-side
 //! in-flight window — the paper's Figure-1 parallelism finally reaching
 //! transaction throughput. Layout and traffic classes are identical to
@@ -14,10 +14,9 @@
 //! flash SSD behind the block interface).
 
 use std::cell::{Ref, RefCell};
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use requiem_block::{IoStack, StackConfig};
+use requiem_block::{IoStack, StackCompletion, StackConfig};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
 use requiem_ssd::{IoClass, IoRequest, Lpn, Ssd, SsdConfig};
@@ -54,6 +53,11 @@ pub struct BlockStackBackend {
     /// Read completions reaped early (while draining a synchronous
     /// journal batch), waiting for the next poll.
     ready: Vec<PageRead>,
+    /// Scratch for one reap off the stack's completion queue (reused).
+    reaped: Vec<StackCompletion>,
+    /// Scratch for the tags of a synchronous batch still in flight
+    /// (reused, unordered).
+    outstanding: Vec<CommandTag>,
     /// Tag namespace for everything that goes through `submit_batch`.
     next_tag: u64,
     stats: BackendStats,
@@ -98,6 +102,8 @@ impl BlockStackBackend {
             pending: Vec::new(),
             reqs: Vec::new(),
             ready: Vec::new(),
+            reaped: Vec::new(),
+            outstanding: Vec::new(),
             next_tag: 0,
             stats: BackendStats::default(),
         }
@@ -155,6 +161,8 @@ impl BlockStackBackend {
                 pending: Vec::new(),
                 reqs: Vec::new(),
                 ready: Vec::new(),
+                reaped: Vec::new(),
+                outstanding: Vec::new(),
                 next_tag: (i as u64) << 48,
                 stats: BackendStats::default(),
             })
@@ -196,20 +204,26 @@ impl BlockStackBackend {
         if reqs.is_empty() {
             return now;
         }
-        let batch: BTreeSet<u64> = reqs.iter().map(|r| r.tag.0).collect();
-        self.stack.borrow_mut().submit_batch(now, self.core, reqs);
-        let mut outstanding = batch;
+        self.outstanding.clear();
+        self.stack
+            .borrow_mut()
+            .submit_batch_with(now, self.core, reqs, |tag| self.outstanding.push(tag));
+        let mut reaped = std::mem::take(&mut self.reaped);
         let mut t = now;
-        while !outstanding.is_empty() {
+        while !self.outstanding.is_empty() {
             let Some(next) = self.stack.borrow().next_completion_time(self.core) else {
                 // nothing left in flight but tags unaccounted — a batch
                 // member was dropped by the stack; stop honestly rather
                 // than spin (cannot happen with the current stack)
                 break;
             };
-            let completions = self.stack.borrow_mut().poll_completions(next, self.core);
-            for c in completions {
-                if outstanding.remove(&c.tag.0) {
+            reaped.clear();
+            self.stack
+                .borrow_mut()
+                .reap_into(next, self.core, &mut reaped);
+            for c in &reaped {
+                if let Some(at) = self.outstanding.iter().position(|&tag| tag == c.tag) {
+                    self.outstanding.swap_remove(at);
                     t = t.max(c.done);
                 } else if let Some(page) = self.take_pending(c.tag) {
                     self.ready.push(PageRead {
@@ -221,6 +235,7 @@ impl BlockStackBackend {
                 }
             }
         }
+        self.reaped = reaped;
         t
     }
 }
@@ -348,7 +363,15 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out: Vec<PageRead> = Vec::new();
+        let mut reaped = std::mem::take(&mut self.reaped);
+        reaped.clear();
+        self.stack
+            .borrow_mut()
+            .reap_into(now, self.core, &mut reaped);
+        // the returned list is the one allocation: sized once, and not
+        // made at all by the poll that finds nothing
+        let early = self.ready.iter().filter(|r| r.done <= now).count();
+        let mut out: Vec<PageRead> = Vec::with_capacity(early + reaped.len());
         // early-reaped completions first (they finished before `now`)
         self.ready.retain(|r| {
             if r.done <= now {
@@ -359,8 +382,7 @@ impl PersistenceBackend for BlockStackBackend {
             }
         });
         out.sort_by_key(|r| (r.done, r.tag.0));
-        let completions = self.stack.borrow_mut().poll_completions(now, self.core);
-        for c in completions {
+        for c in &reaped {
             if let Some(page) = self.take_pending(c.tag) {
                 out.push(PageRead {
                     tag: c.tag,
@@ -370,6 +392,7 @@ impl PersistenceBackend for BlockStackBackend {
                 });
             }
         }
+        self.reaped = reaped;
         out
     }
 

@@ -15,8 +15,30 @@ use crate::page::PageId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Lsn(pub u64);
 
+/// A record image held in a [`Wal`]'s arena: where it starts and how long
+/// it is. Only the log that issued a handle can read it back
+/// ([`Wal::after`]); the arena is append-only, so a handle stays valid for
+/// the life of its log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ImageRef {
+    off: u64,
+    len: u32,
+}
+
+impl ImageRef {
+    /// Length of the image in bytes.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True for a zero-length image.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// One log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LogRecord {
     /// Redo information for one page update: replace slot `slot` of
     /// `page` with `after` (insert if the slot is new).
@@ -27,8 +49,9 @@ pub enum LogRecord {
         page: PageId,
         /// Target slot.
         slot: u16,
-        /// After-image of the record.
-        after: Vec<u8>,
+        /// After-image of the record, in the arena of the log the record
+        /// is appended to ([`Wal::new_after`]).
+        after: ImageRef,
     },
     /// A record was deleted.
     Delete {
@@ -83,6 +106,10 @@ impl LogRecord {
 #[derive(Debug, Default)]
 pub struct Wal {
     records: Vec<(Lsn, LogRecord)>,
+    /// Every record image the log holds, back to back in arrival order;
+    /// records name theirs by [`ImageRef`]. Never truncated: media-failure
+    /// redo replays from LSN 0, so the in-memory log keeps all history.
+    arena: Vec<u8>,
     next_lsn: u64,
     /// Everything up to (and including) this LSN is durable.
     flushed: Option<Lsn>,
@@ -92,6 +119,44 @@ impl Wal {
     /// New, empty log.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Reserve `len` zeroed bytes at the arena's tail, let `fill` write the
+    /// image into them, and return the handle — for the
+    /// [`LogRecord::Update`] about to be appended.
+    pub fn new_after(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> ImageRef {
+        assert!(
+            len <= u32::MAX as usize,
+            "a record image fits a page, not {len} bytes"
+        );
+        let off = self.arena.len();
+        self.arena.resize(off + len, 0);
+        fill(&mut self.arena[off..]);
+        ImageRef {
+            off: off as u64,
+            len: len as u32,
+        }
+    }
+
+    /// Copy `bytes` into the arena and return the handle: how the executor
+    /// parks a participant's before-image until the global decision.
+    pub fn keep(&mut self, bytes: &[u8]) -> ImageRef {
+        self.new_after(bytes.len(), |image| image.copy_from_slice(bytes))
+    }
+
+    /// The bytes behind a handle this log issued.
+    ///
+    /// # Panics
+    /// Panics on a handle reaching past the arena — it came from another
+    /// log.
+    pub fn after(&self, image: ImageRef) -> &[u8] {
+        let off = image.off as usize;
+        assert!(
+            off + image.len() <= self.arena.len(),
+            "image {image:?} is not from this log ({} arena bytes)",
+            self.arena.len()
+        );
+        &self.arena[off..off + image.len()]
     }
 
     /// Append a record; returns its LSN. Not yet durable.
@@ -146,6 +211,20 @@ impl Wal {
         self.records
             .iter()
             .filter(move |(lsn, _)| horizon.map(|h| *lsn <= h).unwrap_or(false))
+    }
+
+    /// The transactions whose `Commit` record survives a crash, ascending
+    /// — the set whose updates redo replays.
+    pub fn durable_commits(&self) -> Vec<u64> {
+        let mut txns: Vec<u64> = self
+            .durable_records()
+            .filter_map(|(_, r)| match r {
+                LogRecord::Commit { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        txns.sort_unstable();
+        txns
     }
 
     /// Total records appended.
@@ -327,11 +406,14 @@ impl GroupCommit {
         self.oldest().map(|t| t + policy.max_wait)
     }
 
-    /// Take the whole group for forcing; leaves the group empty.
-    pub fn take(&mut self) -> (Vec<GroupMember>, u32) {
-        let bytes = self.bytes;
-        self.bytes = 0;
-        (std::mem::take(&mut self.members), bytes)
+    /// Hand the whole group over for forcing: the enlisted members end up
+    /// in `scratch`, whose (empty) buffer becomes the group's, so neither
+    /// list is regrown from nothing at the next force. Returns the
+    /// accumulated force bytes.
+    pub fn swap_out(&mut self, scratch: &mut Vec<GroupMember>) -> u32 {
+        assert!(scratch.is_empty(), "the scratch list still holds members");
+        std::mem::swap(&mut self.members, scratch);
+        std::mem::take(&mut self.bytes)
     }
 }
 
@@ -343,7 +425,7 @@ mod tests {
     fn lsns_advance_by_encoded_len() {
         let mut w = Wal::new();
         let r1 = LogRecord::Commit { txn: 1 };
-        let l1 = w.append(r1.clone());
+        let l1 = w.append(r1);
         let l2 = w.append(LogRecord::Commit { txn: 2 });
         assert_eq!(l1, Lsn(0));
         assert_eq!(l2, Lsn(u64::from(r1.encoded_len())));
@@ -351,19 +433,76 @@ mod tests {
 
     #[test]
     fn encoded_len_tracks_payload() {
-        let small = LogRecord::Update {
+        let mut w = Wal::new();
+        let mut update = |len: usize| LogRecord::Update {
             txn: 1,
             page: PageId(1),
             slot: 0,
-            after: vec![0; 10],
+            after: w.new_after(len, |_| {}),
         };
-        let big = LogRecord::Update {
-            txn: 1,
-            page: PageId(1),
-            slot: 0,
-            after: vec![0; 100],
-        };
+        let (small, big) = (update(10), update(100));
         assert_eq!(big.encoded_len() - small.encoded_len(), 90);
+    }
+
+    /// After-images of assorted lengths, interleaved with records that
+    /// carry none, come back out of the arena byte for byte; the LSNs are
+    /// the ones the log handed out when each record owned its bytes
+    /// (16-byte header + 22 bytes of update fields + the image; 24 for a
+    /// commit; 16 for a checkpoint).
+    #[test]
+    fn after_images_round_trip_through_the_arena() {
+        let image = |len: usize, salt: u8| -> Vec<u8> {
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+                .collect()
+        };
+        let lens = [100usize, 1, 0, 8, 4000, 37];
+        let mut w = Wal::new();
+        let mut lsns = Vec::new();
+        let mut handles = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let bytes = image(len, i as u8);
+            let after = w.new_after(len, |b| b.copy_from_slice(&bytes));
+            assert_eq!((after.len(), after.is_empty()), (len, len == 0));
+            let rec = LogRecord::Update {
+                txn: i as u64,
+                page: PageId(i as u64),
+                slot: i as u16,
+                after,
+            };
+            assert_eq!(rec.encoded_len() as usize, 38 + len);
+            lsns.push(w.append(rec).0);
+            handles.push(after);
+            lsns.push(match i % 3 {
+                0 => w.append(LogRecord::Commit { txn: i as u64 }).0,
+                1 => w.append(LogRecord::Checkpoint).0,
+                _ => continue,
+            });
+        }
+        assert_eq!(lsns, [0, 138, 162, 201, 217, 255, 301, 325, 4363, 4379]);
+        assert_eq!(w.next_lsn(), Lsn(4454));
+        // a before-image parked between records lands behind them
+        let parked = w.keep(b"before");
+        for (i, (&len, &h)) in lens.iter().zip(&handles).enumerate() {
+            assert_eq!(w.after(h), image(len, i as u8), "image {i}");
+        }
+        assert_eq!(w.after(parked), b"before");
+        let logged: Vec<ImageRef> = w
+            .records_after(None)
+            .filter_map(|(_, r)| match r {
+                LogRecord::Update { after, .. } => Some(*after),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(logged, handles, "records carry the handles they were given");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not from this log")]
+    fn a_handle_from_another_log_is_refused() {
+        let mut a = Wal::new();
+        let h = a.new_after(16, |_| {});
+        Wal::new().after(h);
     }
 
     #[test]
@@ -431,11 +570,17 @@ mod tests {
         assert!(!g.due(&by_wait, t(200)));
         assert!(g.due(&by_wait, t(100 + 10_000)), "oldest member ages out");
         assert_eq!(g.max_lsn(), Some(Lsn(20)));
-        let (members, bytes) = g.take();
+        let mut members = Vec::with_capacity(8);
+        let bytes = g.swap_out(&mut members);
         assert_eq!(members.len(), 2);
         assert_eq!(bytes, 400);
         assert!(g.is_empty());
         assert_eq!(g.bytes(), 0);
+        // the two lists trade buffers: the next group fills the scratch's
+        g.enlist(member(2, 30, 300, 100));
+        members.clear();
+        assert_eq!(g.swap_out(&mut members), 100);
+        assert_eq!((members.len(), members[0].slot), (1, 2));
     }
 
     #[test]

@@ -474,6 +474,9 @@ pub struct PcmWal {
     /// Absolute byte tail (never wraps).
     log_tail: u64,
     pending: Vec<(Lsn, u32)>,
+    /// The filler bytes a force persists (this model logs sizes, not
+    /// contents): as long as the largest force so far, reused.
+    filler: Vec<u8>,
     stats: WalStats,
 }
 
@@ -495,6 +498,7 @@ impl PcmWal {
             log_capacity: log_capacity.max(1),
             log_tail: 0,
             pending: Vec::new(),
+            filler: Vec::new(),
             stats: WalStats::default(),
         }
     }
@@ -542,11 +546,14 @@ impl WalBackend for PcmWal {
         let offset = self.log_tail % self.log_capacity;
         let offset = offset.min(self.log_capacity - len);
         self.log_tail += bytes;
-        let data = vec![0xA5u8; len as usize];
+        let len = len as usize;
+        if self.filler.len() < len {
+            self.filler.resize(len, 0xA5);
+        }
         let done = self
             .pcm
             .borrow_mut()
-            .persist(now, self.log_base + offset, &data);
+            .persist(now, self.log_base + offset, &self.filler[..len]);
         WalForce {
             done,
             status: IoStatus::Ok,

@@ -13,6 +13,13 @@
 //!    anywhere, and recovery only resurrects decided transactions.
 //! 3. **Deterministic replay** — the same inputs on identically built
 //!    deployments produce byte-identical schedules for N ∈ {2, 4, 8}.
+//!
+//! The coordinator keeps each shard's wake instant cached between the
+//! events that can move it, and in debug builds re-derives every wake on
+//! every iteration and asserts the cache agrees. Two fixed cases at the
+//! end walk it through the paths the properties only meet by chance:
+//! aborts with late votes, and groups only the nothing-scheduled fallback
+//! can force.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -449,5 +456,99 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Every transaction touches one page on each of two shards, and the
+/// shard pair rotates, so every shard is home to some and a late voter to
+/// others.
+fn all_cross_inputs(n: u64, shards: u64) -> Vec<TxnInput> {
+    (0..n)
+        .map(|i| TxnInput {
+            accesses: vec![
+                (i % DATA_PAGES, (i % 16) as u16, true),
+                (
+                    (i + 1 + i % (shards - 1)) % DATA_PAGES,
+                    (i % 16) as u16,
+                    i % 3 == 0,
+                ),
+            ],
+            log_bytes: 128,
+        })
+        .collect()
+}
+
+/// Every prepare force fails (the forged status stands in for a fault
+/// plan: the device heals injected program failures itself): the first
+/// vote of each transaction aborts it and rolls back whoever voted, every
+/// later vote is an `UndoLate`, and no decision is ever mailed. In a debug
+/// build the coordinator's cached wakes are checked against fresh ones all
+/// the way through.
+#[test]
+fn aborts_and_late_votes_keep_the_wake_cache_honest() {
+    for (n, concurrency) in [(2usize, 1usize), (4, 3)] {
+        let mut db = flaky_sharded(n, 1);
+        let inputs = all_cross_inputs(48, n as u64);
+        let cfg = ExecConfig {
+            concurrency,
+            ..ExecConfig::serialized()
+        };
+        let report = db.run(&inputs, &cfg);
+        assert_eq!(
+            (report.cross_txns, report.aborted, report.committed),
+            (48, 48, 0)
+        );
+        assert_eq!(report.prepare_failures, 96, "both votes of each are NO");
+        for (&txn, entry) in db.ledger().entries() {
+            assert_eq!(entry.decision, TxnDecision::Aborted, "txn {txn}");
+            assert_eq!(entry.votes.len(), 2, "txn {txn}: the late vote arrived too");
+        }
+    }
+    // every third force fails: commits, aborts and late votes interleave,
+    // and decisions are mailed to shards that are not the one stepping
+    let mut db = flaky_sharded(4, 3);
+    let report = db.run(
+        &all_cross_inputs(60, 4),
+        &ExecConfig {
+            concurrency: 2,
+            ..ExecConfig::serialized()
+        },
+    );
+    assert_eq!(report.committed + report.aborted, 60);
+    assert!(report.committed > 0 && report.aborted > 0, "{report:?}");
+}
+
+/// A group-commit threshold no shard can reach (two slots and the odd
+/// decision against a batch of sixteen, no deadline): every force of the
+/// run is the coordinator's nothing-scheduled fallback, the one place
+/// outside a step where a shard's state — and so its wake — moves.
+#[test]
+fn undersized_groups_are_forced_by_the_fallback() {
+    let mut db = sharded(4, FaultPlan::none());
+    let inputs = all_cross_inputs(40, 4)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut t)| {
+            if i % 2 == 0 {
+                t.accesses.truncate(1); // half stay on one shard
+            }
+            t
+        })
+        .collect::<Vec<_>>();
+    let cfg = ExecConfig {
+        concurrency: 2,
+        group: GroupCommitPolicy::batched(16),
+        ..ExecConfig::serialized()
+    };
+    let report = db.run(&inputs, &cfg);
+    assert_eq!((report.committed, report.aborted), (40, 0));
+    assert_eq!(report.cross_txns, 20);
+    assert!(report.forces > 0);
+    for shard in &report.per_shard {
+        assert!(
+            shard.mean_group < 16.0,
+            "no group filled: {}",
+            shard.mean_group
+        );
     }
 }

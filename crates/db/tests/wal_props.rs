@@ -19,6 +19,7 @@
 //!    exp13/14 pin for the flash WAL.
 
 use proptest::prelude::*;
+use requiem_db::wal::LogRecord;
 use requiem_db::{
     Database, DbConfig, ExecConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig,
 };
@@ -74,6 +75,21 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
     proptest::collection::vec(arb_txn(), 1..40)
 }
 
+/// The durable log as text, each update followed by the bytes its
+/// after-image handle names: two logs can agree on every handle (offset
+/// and length) and still hold different images.
+fn durable_log(db: &Database<LegacyBackend>) -> Vec<String> {
+    db.wal()
+        .durable_records()
+        .map(|(lsn, rec)| match rec {
+            LogRecord::Update { after, .. } => {
+                format!("{lsn:?} {rec:?} = {:?}", db.wal().after(*after))
+            }
+            _ => format!("{lsn:?} {rec:?}"),
+        })
+        .collect()
+}
+
 /// Every (page, slot)'s visible owner — the post-recovery ground truth.
 fn owners(db: &mut Database<LegacyBackend>) -> Vec<u64> {
     (0..DATA_PAGES)
@@ -118,9 +134,9 @@ proptest! {
         }
         prop_assert_eq!(flash.stats().commits, byte.stats().commits);
         prop_assert_eq!(
-            format!("{:?}", flash.wal().durable_records().collect::<Vec<_>>()),
-            format!("{:?}", byte.wal().durable_records().collect::<Vec<_>>()),
-            "the durable log must be record-for-record identical"
+            durable_log(&flash),
+            durable_log(&byte),
+            "the durable log must be record-for-record, byte-for-byte identical"
         );
         prop_assert_eq!(owners(&mut flash), owners(&mut byte));
     }

@@ -175,11 +175,10 @@ impl NamelessQueuePair {
         id
     }
 
-    /// Drain every completion ready at `now`, earliest-done first.
-    pub fn poll(&mut self, now: SimTime) -> Vec<NamelessCqe> {
-        std::iter::from_fn(|| self.cq.pop_ready(now))
-            .map(|(_, c)| c)
-            .collect()
+    /// Drain every completion ready at `now`, earliest-done first, onto
+    /// the end of `out` — a buffer the caller keeps between polls.
+    pub fn reap_into(&mut self, now: SimTime, out: &mut Vec<NamelessCqe>) {
+        out.extend(std::iter::from_fn(|| self.cq.pop_ready(now)).map(|(_, c)| c));
     }
 
     /// Pop the earliest completion regardless of the clock.
