@@ -465,3 +465,107 @@ fn sharded_run_is_pinned() {
     assert_eq!(owners(&mut db), OWNERS);
     assert_eq!(db.shard(0).now().as_nanos(), 746_174_100);
 }
+
+/// The vision path's simulated numbers, pinned as literals: the
+/// cooperating-logs manager on a nameless device with the WAL on a PCM
+/// DIMM (`oltp_coop_pcm`'s stack), a pool small enough to steal, a force
+/// per commit, checkpoints landing mid-run — on a one-LUN device three
+/// quarters full of data pages, so the collector migrates live pages and
+/// the upcalls patch the stored names (the benchmark's device never gets
+/// that far: its `iface.relocations_patched` reads 0). Then a crash and a
+/// recovery. A change to how the host *stores* a name, or to who owns a
+/// page image, must not move any of them.
+#[test]
+fn coop_pcm_run_is_pinned() {
+    use requiem::db::{DbConfig, GroupCommitPolicy, PersistenceBackend, WalConfig};
+    use requiem::iface::nameless::NamelessConfig;
+    use requiem::workload::oltp::{OltpConfig, OltpGen};
+    use requiem::workload::oltp_inputs;
+
+    const PAGES: u64 = 1536;
+    let mut base = SsdConfig::modern();
+    base.shape.channels = 1;
+    base.shape.chips_per_channel = 1;
+    let b = DbConfig::builder()
+        .data_pages(PAGES)
+        .log_pages(64)
+        .buffer_frames(32)
+        .checkpoint_every(600)
+        .concurrency(16)
+        .group(GroupCommitPolicy::immediate())
+        .wal(WalConfig::pcm());
+    let gen_cfg = OltpConfig {
+        data_pages: PAGES,
+        ..OltpConfig::default()
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, 11), 2_000);
+    let mut db = b.build_coop(NamelessConfig::from(&base));
+    let report = db.run_concurrent(&inputs, &b.exec_config());
+    assert_eq!(db.now().as_nanos(), 10_164_848_794);
+    assert_eq!(
+        (report.txns, report.forces, report.coalesced),
+        (2000, 663, 253)
+    );
+    assert_eq!(
+        format!("{:?}", db.stats()),
+        "EngineStats { commits: 2000, checkpoints: 3, read_stall: SimDuration(2734841875), \
+         steal_stall: SimDuration(8544828139), commit_stall: SimDuration(12722610), \
+         media_recoveries: 0, media_failures: 0, wal_force_failures: 0 }"
+    );
+    assert_eq!(
+        format!("{:?}", db.pool_stats()),
+        "PoolStats { hits: 8000, misses: 0, steals: 3446, clean_evictions: 3121, coalesced: 253 }"
+    );
+    assert_eq!(
+        format!("{:?}", db.backend().stats()),
+        "BackendStats { page_writes: 1596, steal_writes: 3446, page_reads: 6599, frees: 0, \
+         batches: 3, logical_writes: 5042 }"
+    );
+    {
+        // every data page has a stored name; GC moved 4045 of them under
+        // the host, and every move found the name it expected
+        let names = db.backend().table();
+        assert_eq!(
+            (names.len(), names.patched(), names.unmatched()),
+            (1536, 4045, 0)
+        );
+        assert_eq!(db.backend().relocations_patched(), 4045);
+    }
+    // the PCM log: one persist per force, nothing on the flash device
+    let w = db.wal_backend().stats();
+    assert_eq!(
+        (w.appends, w.log_forces, w.log_bytes, w.logical_writes),
+        (2696, 1359, 835_232, 0)
+    );
+    let wear = db.wal_backend().wear().expect("a PCM WAL reports wear");
+    assert_eq!(
+        (wear.total_line_writes, wear.max_line_writes, wear.gap_moves),
+        (14_270, 3, 141)
+    );
+
+    // every 125th transaction's first written record, across a crash
+    const OWNERS: [u64; 16] = [
+        1980, 1974, 802, 941, 1894, 1994, 1580, 1505, 1001, 1909, 1916, 1560, 1501, 1626, 1964,
+        1876,
+    ];
+    let samples: Vec<(u64, u16)> = inputs
+        .iter()
+        .step_by(125)
+        .filter_map(|t| t.accesses.iter().find(|a| a.2).map(|a| (a.0, a.1)))
+        .collect();
+    let owners = |db: &mut requiem::db::Database<_>| -> Vec<u64> {
+        samples
+            .iter()
+            .map(|&(p, s)| db.visible_owner(p, s))
+            .collect()
+    };
+    assert_eq!(owners(&mut db), OWNERS);
+    db.crash();
+    assert_eq!(
+        db.recover(),
+        22,
+        "records replayed past the last checkpoint"
+    );
+    assert_eq!(owners(&mut db), OWNERS);
+    assert_eq!(db.now().as_nanos(), 10_164_924_869);
+}
