@@ -9,6 +9,11 @@
 //!
 //! The pool is purely in-memory; all I/O decisions surface as
 //! [`EvictOutcome`] values for the engine to act on.
+//!
+//! A frame owns bytes only while it is dirty. A clean frame is residency
+//! and a reference bit: its page's bytes are the page's newest image,
+//! which the engine keeps (`crate::images`) and hands in at the first
+//! write.
 
 use crate::page::{PageId, PageVec, SlottedPage};
 
@@ -22,8 +27,9 @@ const SPARE_PAGES: usize = 64;
 #[derive(Debug)]
 struct Frame {
     page_id: PageId,
-    page: SlottedPage,
-    dirty: bool,
+    /// The page's bytes, from its first write until a steal or a
+    /// checkpoint takes them: `Some` is what "dirty" means.
+    page: Option<SlottedPage>,
     pins: u32,
     referenced: bool,
 }
@@ -88,11 +94,11 @@ pub struct BufferPool {
     hand: usize,
     /// Pages whose table entry is [`Residency::Fetching`].
     fetching: usize,
-    /// Page buffers with no other handle, at most [`SPARE_PAGES`] of them,
-    /// handed in through [`BufferPool::recycle`]: the first write to a
-    /// frame that shares its buffer copies the page into one of these
-    /// instead of into a fresh allocation. Their bytes are whatever the
-    /// retired image held; they are overwritten whole before use.
+    /// Page buffers nobody reads any more, at most [`SPARE_PAGES`] of
+    /// them, handed in through [`BufferPool::recycle`]: the first write to
+    /// a clean frame copies the page into one of these instead of into a
+    /// fresh allocation. Their bytes are whatever the retired image held;
+    /// they are overwritten whole before use.
     spares: Vec<SlottedPage>,
     stats: PoolStats,
 }
@@ -149,42 +155,57 @@ impl BufferPool {
         self.frame_of(page_id).is_some()
     }
 
-    /// Get a resident page mutably, marking it referenced (and dirty if
-    /// `for_write`). Pins are the caller's responsibility via
-    /// [`BufferPool::pin`]/[`BufferPool::unpin`]. Returns `None` on miss.
-    ///
-    /// A frame handed out `for_write` while it shares its buffer (with the
-    /// durable image it was read from, or a checkpoint image in flight) is
-    /// given bytes of its own first, in a spare buffer when the pool has
-    /// one; without a spare the page copies itself on the write, as any
-    /// sharing [`SlottedPage`] does.
-    pub fn get_mut(&mut self, page_id: PageId, for_write: bool) -> Option<&mut SlottedPage> {
-        match self.frame_of(page_id) {
+    /// Count an access to `page_id` and mark its frame referenced:
+    /// the frame's index, `None` on a miss.
+    fn access(&mut self, page_id: PageId) -> Option<usize> {
+        let frame = self.frame_of(page_id);
+        match frame {
             Some(i) => {
                 self.stats.hits += 1;
-                let f = &mut self.frames[i];
-                f.referenced = true;
-                if for_write {
-                    f.dirty = true;
-                    if f.page.is_shared() {
-                        if let Some(mut own) = self.spares.pop() {
-                            own.copy_from(&f.page);
-                            f.page = own;
-                        }
-                    }
-                }
-                Some(&mut f.page)
+                self.frames[i].referenced = true;
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+            None => self.stats.misses += 1,
         }
+        frame
     }
 
-    /// Read-only access without touching statistics (internal checks).
-    pub fn peek(&self, page_id: PageId) -> Option<&SlottedPage> {
-        self.frame_of(page_id).map(|i| &self.frames[i].page)
+    /// A read access to `page_id`: `false` on a miss. What the reader
+    /// sees is [`BufferPool::dirty_image`], else the page's newest image;
+    /// the pool looks at neither.
+    pub fn touch(&mut self, page_id: PageId) -> bool {
+        self.access(page_id).is_some()
+    }
+
+    /// Get a resident page for writing, marking it referenced and dirty.
+    /// Pins are the caller's responsibility via
+    /// [`BufferPool::pin`]/[`BufferPool::unpin`]. Returns `None` on miss.
+    ///
+    /// The first write to a clean frame gives it bytes of its own: a copy
+    /// of `newest`, the page's newest image outside the pool, in a spare
+    /// buffer when the pool has one and a fresh allocation otherwise.
+    pub fn get_mut(&mut self, page_id: PageId, newest: &SlottedPage) -> Option<&mut SlottedPage> {
+        let i = self.access(page_id)?;
+        let spares = &mut self.spares;
+        Some(
+            self.frames[i]
+                .page
+                .get_or_insert_with(|| match spares.pop() {
+                    Some(mut own) => {
+                        own.copy_from(newest);
+                        own
+                    }
+                    None => newest.clone(),
+                }),
+        )
+    }
+
+    /// The bytes of a resident page that has been written since it was
+    /// fetched or last checkpointed; `None` for a clean or absent page,
+    /// whose bytes are its newest image outside the pool. Touches no
+    /// statistics.
+    pub fn dirty_image(&self, page_id: PageId) -> Option<&SlottedPage> {
+        self.frame_of(page_id)
+            .and_then(|i| self.frames[i].page.as_ref())
     }
 
     /// Pin a resident page (prevents eviction).
@@ -207,7 +228,7 @@ impl BufferPool {
         f.pins -= 1;
     }
 
-    /// Install a page image (after a fetch or fresh allocation), evicting
+    /// Make `page_id` resident in a clean frame (after a fetch), evicting
     /// if the pool is full. Returns the eviction outcome so the caller can
     /// perform the steal write.
     ///
@@ -215,7 +236,7 @@ impl BufferPool {
     /// Panics if the page is already resident or being fetched (finish a
     /// fetch with [`BufferPool::complete_fetch`]), or if every frame is
     /// pinned.
-    pub fn install(&mut self, page_id: PageId, page: SlottedPage, dirty: bool) -> EvictOutcome {
+    pub fn install(&mut self, page_id: PageId) -> EvictOutcome {
         assert!(
             self.table[page_id] == Residency::Absent,
             "page {page_id:?} already resident or being fetched"
@@ -224,8 +245,7 @@ impl BufferPool {
             self.table[page_id] = Residency::Frame(self.frames.len());
             self.frames.push(Frame {
                 page_id,
-                page,
-                dirty,
+                page: None,
                 pins: 0,
                 referenced: true,
             });
@@ -251,14 +271,12 @@ impl BufferPool {
             }
             // victim found
             let old_id = f.page_id;
-            let was_dirty = f.dirty;
-            let image = std::mem::replace(&mut f.page, page);
+            let stolen = f.page.take();
             f.page_id = page_id;
-            f.dirty = dirty;
             f.referenced = true;
             self.table[old_id] = Residency::Absent;
             self.table[page_id] = Residency::Frame(i);
-            if was_dirty {
+            if let Some(image) = stolen {
                 self.stats.steals += 1;
                 return EvictOutcome::Steal {
                     page_id: old_id,
@@ -311,47 +329,35 @@ impl BufferPool {
         }
     }
 
-    /// Complete the in-flight fetch of `page_id`: install the image
+    /// Complete the in-flight fetch of `page_id`: install the page
     /// (evicting if needed) and return the eviction outcome.
     ///
     /// # Panics
     /// Panics (inside [`BufferPool::install`]) if every frame is pinned.
-    pub fn complete_fetch(
-        &mut self,
-        page_id: PageId,
-        page: SlottedPage,
-        dirty: bool,
-    ) -> EvictOutcome {
+    pub fn complete_fetch(&mut self, page_id: PageId) -> EvictOutcome {
         if self.fetch_in_flight(page_id) {
             self.table[page_id] = Residency::Absent;
             self.fetching -= 1;
         }
-        self.install(page_id, page, dirty)
+        self.install(page_id)
     }
 
-    /// Offer the pool a page image its holder is done with. Kept as a
-    /// spare when this was the last handle on its buffer and the list is
-    /// below its bound; dropped like any other value otherwise.
+    /// Hand the pool a page image its owner is done with. Kept as a spare
+    /// while the list is below its bound; dropped like any other value
+    /// otherwise.
     pub(crate) fn recycle(&mut self, page: SlottedPage) {
-        if self.spares.len() < SPARE_PAGES && !page.is_shared() {
+        if self.spares.len() < SPARE_PAGES {
             self.spares.push(page);
         }
     }
 
-    /// Mark a resident page clean (after its write-back completed).
-    pub fn mark_clean(&mut self, page_id: PageId) {
-        if let Some(i) = self.frame_of(page_id) {
-            self.frames[i].dirty = false;
-        }
-    }
-
-    /// All dirty resident pages (for checkpointing), in frame order. The
-    /// images share their frames' buffers until one side is written.
-    pub fn dirty_pages(&self) -> Vec<(PageId, SlottedPage)> {
+    /// Take the bytes of every dirty resident page (for checkpointing),
+    /// in frame order. The frames stay resident and are clean: the caller
+    /// owns the images now, and they are their pages' newest.
+    pub fn take_dirty(&mut self) -> Vec<(PageId, SlottedPage)> {
         self.frames
-            .iter()
-            .filter(|f| f.dirty)
-            .map(|f| (f.page_id, f.page.clone()))
+            .iter_mut()
+            .filter_map(|f| f.page.take().map(|image| (f.page_id, image)))
             .collect()
     }
 
@@ -383,23 +389,21 @@ mod tests {
     #[test]
     fn install_and_hit() {
         let mut bp = BufferPool::new(2, PAGES);
-        assert_eq!(
-            bp.install(PageId(1), page_with(b"one"), false),
-            EvictOutcome::Clean
-        );
+        assert_eq!(bp.install(PageId(1)), EvictOutcome::Clean);
         assert!(bp.contains(PageId(1)));
-        assert!(bp.get_mut(PageId(1), false).is_some());
+        assert!(bp.touch(PageId(1)));
         assert_eq!(bp.stats().hits, 1);
-        assert!(bp.get_mut(PageId(9), false).is_none());
-        assert_eq!(bp.stats().misses, 1);
+        assert!(!bp.touch(PageId(9)));
+        assert!(bp.get_mut(PageId(9), &page_with(b"nine")).is_none());
+        assert_eq!(bp.stats().misses, 2);
     }
 
     #[test]
     fn clean_eviction_has_no_io() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"a"), false);
-        bp.install(PageId(2), page_with(b"b"), false);
-        let out = bp.install(PageId(3), page_with(b"c"), false);
+        bp.install(PageId(1));
+        bp.install(PageId(2));
+        let out = bp.install(PageId(3));
         assert_eq!(out, EvictOutcome::Clean);
         assert_eq!(bp.stats().clean_evictions, 1);
         assert_eq!(bp.resident(), 2);
@@ -408,12 +412,16 @@ mod tests {
     #[test]
     fn dirty_eviction_is_a_steal_with_image() {
         let mut bp = BufferPool::new(1, PAGES);
-        bp.install(PageId(1), page_with(b"dirty data"), true);
-        let out = bp.install(PageId(2), page_with(b"newcomer"), false);
+        bp.install(PageId(1));
+        bp.get_mut(PageId(1), &page_with(b"newest"))
+            .unwrap()
+            .set_lsn(5);
+        let out = bp.install(PageId(2));
         match out {
             EvictOutcome::Steal { page_id, image } => {
                 assert_eq!(page_id, PageId(1));
-                assert_eq!(image.get(0), Some(&b"dirty data"[..]));
+                assert_eq!(image.get(0), Some(&b"newest"[..]));
+                assert_eq!(image.lsn(), 5);
             }
             other => panic!("expected steal, got {other:?}"),
         }
@@ -423,10 +431,10 @@ mod tests {
     #[test]
     fn pinned_pages_survive_eviction() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"pinned"), false);
+        bp.install(PageId(1));
         bp.pin(PageId(1));
-        bp.install(PageId(2), page_with(b"b"), false);
-        bp.install(PageId(3), page_with(b"c"), false); // must evict 2, not 1
+        bp.install(PageId(2));
+        bp.install(PageId(3)); // must evict 2, not 1
         assert!(bp.contains(PageId(1)));
         assert!(!bp.contains(PageId(2)));
         bp.unpin(PageId(1));
@@ -436,33 +444,61 @@ mod tests {
     #[should_panic(expected = "every frame is pinned")]
     fn all_pinned_panics() {
         let mut bp = BufferPool::new(1, PAGES);
-        bp.install(PageId(1), page_with(b"a"), false);
+        bp.install(PageId(1));
         bp.pin(PageId(1));
-        bp.install(PageId(2), page_with(b"b"), false);
+        bp.install(PageId(2));
     }
 
     #[test]
-    fn write_access_marks_dirty() {
+    fn a_frame_holds_bytes_from_its_first_write_until_a_checkpoint_takes_them() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"a"), false);
-        bp.get_mut(PageId(1), true).unwrap();
-        assert_eq!(bp.dirty_pages().len(), 1);
-        bp.mark_clean(PageId(1));
-        assert!(bp.dirty_pages().is_empty());
+        bp.install(PageId(1));
+        assert!(
+            bp.dirty_image(PageId(1)).is_none(),
+            "a clean frame is empty"
+        );
+        bp.touch(PageId(1));
+        assert!(bp.dirty_image(PageId(1)).is_none(), "a read copies nothing");
+
+        let newest = page_with(b"newest");
+        bp.get_mut(PageId(1), &newest).unwrap().set_lsn(3);
+        // a later write finds the frame's own bytes, whatever it is handed
+        let frame = bp.get_mut(PageId(1), &page_with(b"ignored")).unwrap();
+        assert_eq!((frame.lsn(), frame.get(0)), (3, Some(&b"newest"[..])));
+        assert_eq!(newest.lsn(), 0, "the write went to the frame's copy");
+
+        let taken = bp.take_dirty();
+        assert_eq!(taken.len(), 1);
+        assert_eq!((taken[0].0, taken[0].1.lsn()), (PageId(1), 3));
+        assert!(bp.contains(PageId(1)), "a checkpoint evicts nothing");
+        assert!(bp.dirty_image(PageId(1)).is_none());
+        assert!(bp.take_dirty().is_empty());
+    }
+
+    #[test]
+    fn the_first_write_overwrites_a_spare_buffer_whole() {
+        let mut bp = BufferPool::new(2, PAGES);
+        let mut retired = page_with(b"bytes of some other page, retired");
+        retired.set_lsn(77);
+        bp.recycle(retired);
+        bp.install(PageId(1));
+        let newest = page_with(b"newest");
+        assert_eq!(bp.get_mut(PageId(1), &newest), Some(&mut newest.clone()));
+        assert!(bp.spares.is_empty(), "the spare is the frame's buffer now");
     }
 
     #[test]
     fn clock_gives_second_chance() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"a"), false);
-        bp.install(PageId(2), page_with(b"b"), false);
+        bp.install(PageId(1));
+        bp.install(PageId(2));
         // touch page 1 so it is referenced; eviction should take page 2
-        bp.get_mut(PageId(1), false);
+        bp.touch(PageId(1));
         // hand is at 0: frame0(p1, ref) gets second chance... both were
         // installed referenced; sweep clears both, then evicts frame0.
         // Touch order only matters after a full sweep — verify a victim
         // was found and pool size stays correct either way.
-        bp.install(PageId(3), page_with(b"c"), false);
+        bp.install(PageId(3));
         assert_eq!(bp.resident(), 2);
         assert!(bp.contains(PageId(3)));
     }
@@ -470,7 +506,8 @@ mod tests {
     #[test]
     fn crash_clears_everything() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"a"), true);
+        bp.install(PageId(1));
+        bp.get_mut(PageId(1), &page_with(b"a"));
         bp.begin_fetch(PageId(7));
         bp.crash();
         assert_eq!(bp.resident(), 0);
@@ -487,7 +524,7 @@ mod tests {
         bp.add_waiter(PageId(9));
         assert!(bp.fetch_in_flight(PageId(9)));
         assert_eq!(bp.stats().coalesced, 2);
-        let out = bp.complete_fetch(PageId(9), page_with(b"img"), false);
+        let out = bp.complete_fetch(PageId(9));
         assert_eq!(out, EvictOutcome::Clean);
         assert!(bp.contains(PageId(9)));
         assert!(!bp.fetch_in_flight(PageId(9)));
@@ -500,9 +537,9 @@ mod tests {
         bp.begin_fetch(PageId(2));
         assert_eq!(bp.resident(), 0);
         assert_eq!(bp.fetches_in_flight(), 2);
-        bp.complete_fetch(PageId(1), page_with(b"a"), false);
+        bp.complete_fetch(PageId(1));
         // completing the second evicts the first (capacity 1)
-        let out = bp.complete_fetch(PageId(2), page_with(b"b"), false);
+        let out = bp.complete_fetch(PageId(2));
         assert_eq!(out, EvictOutcome::Clean);
         assert_eq!(bp.resident(), 1);
     }
@@ -511,7 +548,7 @@ mod tests {
     #[should_panic(expected = "fetch of resident page")]
     fn fetching_a_resident_page_panics() {
         let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1), page_with(b"a"), false);
+        bp.install(PageId(1));
         bp.begin_fetch(PageId(1));
     }
 
@@ -526,15 +563,27 @@ mod tests {
     fn installing_under_a_fetch_in_flight_panics() {
         let mut bp = BufferPool::new(2, PAGES);
         bp.begin_fetch(PageId(1));
-        bp.install(PageId(1), page_with(b"a"), false);
+        bp.install(PageId(1));
     }
 
-    /// The bookkeeping the page table replaced — a `BTreeMap` from page
-    /// to frame and another from page to the waiters of its fetch — kept
-    /// as the reference the table-backed pool is checked against.
+    /// A frame of the pool as it was: an image in every frame, clean or
+    /// dirty, and a flag to tell which.
+    struct TreeFrame {
+        page_id: PageId,
+        page: SlottedPage,
+        dirty: bool,
+        pins: u32,
+        referenced: bool,
+    }
+
+    /// The pool this one replaced, twice over — a `BTreeMap` from page to
+    /// frame and another from page to the waiters of its fetch instead of
+    /// the page table, and the page's bytes installed into every frame —
+    /// kept as the reference the table-backed, bytes-only-while-dirty pool
+    /// is checked against.
     struct TreePool {
         capacity: usize,
-        frames: Vec<Frame>,
+        frames: Vec<TreeFrame>,
         map: BTreeMap<PageId, usize>,
         hand: usize,
         in_flight: BTreeMap<PageId, Vec<u64>>,
@@ -599,7 +648,7 @@ mod tests {
         fn install(&mut self, page_id: PageId, page: SlottedPage, dirty: bool) -> EvictOutcome {
             assert!(!self.map.contains_key(&page_id));
             if self.frames.len() < self.capacity {
-                self.frames.push(Frame {
+                self.frames.push(TreeFrame {
                     page_id,
                     page,
                     dirty,
@@ -697,64 +746,71 @@ mod tests {
     /// everything observable after every step. Ops whose precondition
     /// fails (they would panic in both pools) are skipped.
     ///
-    /// Around that, the spare list: before every write access a handle is
-    /// taken on the frame's buffer, as the durable set or a checkpoint
-    /// batch would hold one, and kept with the bytes it must keep; images
-    /// are offered back one at a time (a steal write-back) and by the
-    /// dozen (a checkpoint landing), sole handles and shared ones.
+    /// Beside the pools sits `base`, every page's newest image outside
+    /// them, kept as the engine keeps it: a fetch installs it into the
+    /// tree pool's frame and nothing into the pool's, a first write is
+    /// handed it, a steal or a checkpoint replaces it with the bytes that
+    /// left the pool and retires the old one into the spare list. What a
+    /// reader sees of a resident page — the pool's dirty image, else
+    /// `base` — must be the tree pool's frame, byte for byte. Retired
+    /// images are also offered one at a time and by the dozen.
     fn assert_matches_tree_pool(capacity: usize, ops: &[(u8, u64, u8)]) {
         // few enough pages that a small pool churns, enough that a
         // 64-frame pool fills and evicts
         let span = if capacity < 64 { 6 } else { 96 };
         let mut pool = BufferPool::new(capacity, span);
         let mut tree = TreePool::new(capacity);
-        let mut outside: Vec<(SlottedPage, [u8; crate::page::PAGE_SIZE])> = Vec::new();
+        let mut base: Vec<SlottedPage> = (0..span).map(|p| page_with(&p.to_le_bytes())).collect();
+        // bytes left a pool for the device: they are the page's newest now
+        let land = |pool: &mut BufferPool, base: &mut [SlottedPage], p: PageId, image| {
+            pool.recycle(std::mem::replace(&mut base[p.0 as usize], image));
+        };
         for (step, &(op, page, flag)) in ops.iter().enumerate() {
             let pid = PageId(page % span);
+            let newest = &base[pid.0 as usize];
             let flag = flag != 0;
-            let image = page_with(&(step as u64 + 1).to_le_bytes());
             let busy = tree.contains(pid) || tree.fetch_in_flight(pid);
-            let evict = |pool: &mut BufferPool, got: EvictOutcome, want: EvictOutcome| {
-                assert_eq!(got, want, "step {step}");
-                if let EvictOutcome::Steal { image, .. } = got {
-                    pool.recycle(image);
+            let evict = |pool: &mut BufferPool, base: &mut [SlottedPage], got, want| {
+                assert_eq!(got, want, "step {step}: eviction, stolen bytes");
+                if let EvictOutcome::Steal { page_id, image } = got {
+                    land(pool, base, page_id, image);
                 }
             };
             match op {
                 0..=7 if !busy && tree.can_install() => {
-                    let want = tree.install(pid, image.clone(), flag);
-                    let got = pool.install(pid, image, flag);
-                    evict(&mut pool, got, want);
+                    let want = tree.install(pid, newest.clone(), false);
+                    let got = pool.install(pid);
+                    evict(&mut pool, &mut base, got, want);
                 }
                 8..=13 if !tree.contains(pid) && tree.can_install() => {
-                    let (want, _) = tree.complete_fetch(pid, image.clone(), flag);
-                    let got = pool.complete_fetch(pid, image, flag);
-                    evict(&mut pool, got, want);
+                    let (want, _) = tree.complete_fetch(pid, newest.clone(), false);
+                    let got = pool.complete_fetch(pid);
+                    evict(&mut pool, &mut base, got, want);
                 }
                 14..=19 if !tree.contains(pid) => {
                     assert_eq!(pool.begin_fetch(pid), tree.begin_fetch(pid), "step {step}");
                 }
-                20..=27 => {
-                    let resident = pool
-                        .peek(pid)
-                        .map(|p| outside.push((p.clone(), *p.as_bytes())))
-                        .is_some();
+                20..=27 if flag => {
+                    let clean = pool.contains(pid) && pool.dirty_image(pid).is_none();
                     let spares_before = pool.spares.len();
                     // write through the frame, so stolen and checkpointed
-                    // images carry what was written, not what was installed
-                    let (a, b) = (pool.get_mut(pid, flag), tree.get_mut(pid, flag));
-                    assert_eq!(a.is_some(), b.is_some(), "step {step}");
-                    if let (Some(a), Some(b), true) = (a, b, flag) {
-                        assert_eq!(
-                            a.is_shared(),
-                            spares_before == 0,
-                            "step {step}: a spare, when there is one, unshares the frame"
-                        );
+                    // images carry what was written, not what was fetched
+                    let (a, b) = (pool.get_mut(pid, newest), tree.get_mut(pid, true));
+                    assert_eq!(a, b, "step {step}: the page as the writer finds it");
+                    if let (Some(a), Some(b)) = (a, b) {
                         a.set_lsn(step as u64);
                         b.set_lsn(step as u64);
                     }
-                    let took = usize::from(flag && resident && spares_before > 0);
-                    assert_eq!(pool.spares.len(), spares_before - took, "step {step}");
+                    let took = usize::from(clean && spares_before > 0);
+                    assert_eq!(
+                        pool.spares.len(),
+                        spares_before - took,
+                        "step {step}: a first write, and only that, takes a spare"
+                    );
+                }
+                20..=27 => {
+                    let hit = tree.get_mut(pid, false).is_some();
+                    assert_eq!(pool.touch(pid), hit, "step {step}");
                 }
                 28..=30 if tree.contains(pid) => {
                     pool.pin(pid);
@@ -769,25 +825,28 @@ mod tests {
                     tree.add_waiter(pid, step as u64);
                 }
                 36..=38 => {
-                    pool.mark_clean(pid);
-                    tree.mark_clean(pid);
+                    // a checkpoint: every dirty image, in frame order
+                    let want = tree.dirty_pages();
+                    for (p, _) in &want {
+                        tree.mark_clean(*p);
+                    }
+                    let got = pool.take_dirty();
+                    assert_eq!(got, want, "step {step}");
+                    for (p, image) in got {
+                        land(&mut pool, &mut base, p, image);
+                    }
                 }
                 39 => {
                     pool.crash();
                     tree.crash();
                 }
                 40..=42 => {
-                    // one retired image: a sole handle is kept while there
-                    // is room, a shared one never
+                    // one retired image: kept while there is room
                     let before = pool.spares.len();
-                    let (offer, keeps) = match outside.last() {
-                        Some((held, _)) if !flag => (held.clone(), false),
-                        _ => (image, before < SPARE_PAGES),
-                    };
-                    pool.recycle(offer);
+                    pool.recycle(page_with(&(step as u64).to_le_bytes()));
                     assert_eq!(
                         pool.spares.len(),
-                        before + usize::from(keeps),
+                        (before + 1).min(SPARE_PAGES),
                         "step {step}"
                     );
                 }
@@ -805,10 +864,18 @@ mod tests {
                     tree.fetch_in_flight(p),
                     "step {step} {p:?}"
                 );
-                assert_eq!(pool.peek(p), tree.peek(p), "step {step} {p:?}");
+                let visible = tree
+                    .peek(p)
+                    .map(|_| pool.dirty_image(p).unwrap_or(&base[p.0 as usize]));
+                assert_eq!(visible, tree.peek(p), "step {step} {p:?}");
             }
-            assert_eq!(pool.dirty_pages(), tree.dirty_pages(), "step {step}");
-            assert_eq!(pool.resident(), tree.frames.len(), "step {step}");
+            assert!(
+                pool.frames
+                    .iter()
+                    .map(|f| (f.page_id, f.page.is_some()))
+                    .eq(tree.frames.iter().map(|f| (f.page_id, f.dirty))),
+                "step {step}: frame order, dirty set"
+            );
             assert_eq!(
                 pool.fetches_in_flight(),
                 tree.in_flight.len(),
@@ -819,24 +886,13 @@ mod tests {
                 format!("{:?}", tree.stats),
                 "step {step}"
             );
-            for (held, bytes) in &outside {
-                assert_eq!(
-                    held.as_bytes(),
-                    bytes,
-                    "step {step}: a frame write reached a handle outside the pool"
-                );
-            }
             assert!(pool.spares.len() <= SPARE_PAGES, "step {step}");
-            assert!(
-                pool.spares.iter().all(|p| !p.is_shared()),
-                "step {step}: a spare buffer has a second handle"
-            );
         }
     }
 
     proptest! {
         #[test]
-        fn table_pool_matches_the_tree_pool_it_replaced(
+        fn bytes_only_while_dirty_pool_matches_the_tree_pool_it_replaced(
             capacity in 0..3usize,
             ops in proptest::collection::vec((0..44u8, 0..96u64, 0..2u8), 1..400),
         ) {

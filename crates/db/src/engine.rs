@@ -17,7 +17,8 @@ use requiem_sim::Histogram;
 
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
-use crate::page::{PageId, PageVec, SlottedPage, PAGE_SIZE};
+use crate::images::PageImages;
+use crate::page::{PageId, SlottedPage, PAGE_SIZE};
 use crate::wal::{LogRecord, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig};
 
@@ -136,14 +137,9 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) wal: Wal,
     pub(crate) now: SimTime,
     /// Host-side model of the page images that are durable on the device
-    /// (updated when a page write completes; the devices themselves model
-    /// timing and layout, the engine models the bytes). Every page starts
-    /// as one shared formatted image — what `load` writes, and what a
-    /// page never written reads as.
-    pub(crate) durable: PageVec<SlottedPage>,
-    /// Writes in flight: (completion time, page id, image). Promoted to
-    /// `durable` once `now` passes the completion.
-    pub(crate) in_flight: Vec<(SimTime, PageId, SlottedPage)>,
+    /// or on their way there (the devices themselves model timing and
+    /// layout, the engine models the bytes).
+    pub(crate) images: PageImages,
     pub(crate) txn_latency: Histogram,
     pub(crate) commit_latency: Histogram,
     pub(crate) stats: EngineStats,
@@ -180,8 +176,7 @@ impl<B: PersistenceBackend> Database<B> {
             pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
             now: SimTime::ZERO,
-            durable: PageVec::new(cfg.data_pages, cfg.formatted_page()),
-            in_flight: Vec::new(),
+            images: PageImages::new(cfg.data_pages, cfg.formatted_page()),
             txn_latency: Histogram::new(),
             commit_latency: Histogram::new(),
             stats: EngineStats::default(),
@@ -251,23 +246,18 @@ impl<B: PersistenceBackend> Database<B> {
         self.pool.stats()
     }
 
-    /// Promote completed in-flight writes to the durable image set, in
-    /// list order (the later of two landed writes of one page wins). The
+    /// Promote completed in-flight writes to the durable image set. The
     /// images they replace go to the pool's spare list.
     pub(crate) fn settle_in_flight(&mut self) {
-        let now = self.now;
-        let mut kept = 0;
-        for i in 0..self.in_flight.len() {
-            let (done, page, image) = &mut self.in_flight[i];
-            if *done <= now {
-                // landed: the entry is left holding the image it replaced
-                std::mem::swap(&mut self.durable[*page], image);
-            } else {
-                self.in_flight.swap(kept, i);
-                kept += 1;
-            }
-        }
-        for (_, _, replaced) in self.in_flight.drain(kept..) {
+        let pool = &mut self.pool;
+        self.images
+            .settle(self.now, |replaced| pool.recycle(replaced));
+    }
+
+    /// `image` is `pid`'s durable image as of now; the one it replaces
+    /// goes to the pool's spare list.
+    pub(crate) fn set_durable(&mut self, pid: PageId, image: SlottedPage) {
+        if let Some(replaced) = self.images.set_durable(pid, image) {
             self.pool.recycle(replaced);
         }
     }
@@ -298,8 +288,6 @@ impl<B: PersistenceBackend> Database<B> {
             return;
         }
         self.settle_in_flight();
-        // read the durable image (or an in-flight newer one)
-        let mut image = self.pick_image(pid);
         let t0 = self.now;
         let (done, status) = self.backend.page_read(self.now, pid);
         self.now = self.now.max(done);
@@ -317,13 +305,12 @@ impl<B: PersistenceBackend> Database<B> {
                 // miniature), and refresh the durable image so a later
                 // crash does not resurrect the lost bytes
                 self.stats.media_failures += 1;
-                let (end, img) = self.rebuild_page_from_log(self.now, pid);
+                let (end, image) = self.rebuild_page_from_log(self.now, pid);
                 self.now = self.now.max(end);
-                image = img;
-                self.durable[pid] = image.clone();
+                self.set_durable(pid, image);
             }
         }
-        if let EvictOutcome::Steal { page_id, image } = self.pool.install(pid, image, false) {
+        if let EvictOutcome::Steal { page_id, image } = self.pool.install(pid) {
             self.now = self.write_back_stolen(self.now, page_id, image);
         }
     }
@@ -349,8 +336,7 @@ impl<B: PersistenceBackend> Database<B> {
         }
         end = end.max(self.backend.steal_write(end, page_id));
         self.stats.steal_stall += end.since(at);
-        self.pool
-            .recycle(std::mem::replace(&mut self.durable[page_id], image));
+        self.set_durable(page_id, image);
         end
     }
 
@@ -373,7 +359,7 @@ impl<B: PersistenceBackend> Database<B> {
                 // resident, but if the pool ever evicted it in between, we
                 // must not append an Update we cannot apply — WAL and page
                 // would disagree about what happened
-                let Some(frame) = self.pool.get_mut(pid, true) else {
+                let Some(frame) = self.pool.get_mut(pid, self.images.newest(pid)) else {
                     continue;
                 };
                 wrote = true;
@@ -389,7 +375,7 @@ impl<B: PersistenceBackend> Database<B> {
                 });
                 frame.set_lsn(lsn.0);
             } else {
-                self.pool.get_mut(pid, false);
+                self.pool.touch(pid);
             }
         }
         // commit: append the record; force the log per the group-commit
@@ -426,14 +412,13 @@ impl<B: PersistenceBackend> Database<B> {
     /// wait for it, then log the checkpoint — so the checkpoint record is
     /// an honest redo lower bound.
     pub fn checkpoint(&mut self) {
-        let dirty = self.pool.dirty_pages();
+        let dirty = self.pool.take_dirty();
         if !dirty.is_empty() {
             let ids: Vec<PageId> = dirty.iter().map(|(p, _)| *p).collect();
             let done = self.backend.page_batch(self.now, &ids);
             self.now = self.now.max(done);
             for (pid, image) in dirty {
-                self.pool.mark_clean(pid);
-                self.in_flight.push((done, pid, image));
+                self.images.write(done, pid, image);
             }
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
@@ -461,16 +446,9 @@ impl<B: PersistenceBackend> Database<B> {
     /// vanishes; the durable log and page images survive.
     pub fn crash(&mut self) {
         self.pool.crash();
-        // in-flight writes whose completion time had not been reached are
-        // lost (torn batches are prevented by the backend's journal /
-        // atomic write)
-        let now = self.now;
-        for (done, page, image) in self.in_flight.drain(..) {
-            if done <= now {
-                self.pool
-                    .recycle(std::mem::replace(&mut self.durable[page], image));
-            }
-        }
+        let pool = &mut self.pool;
+        self.images
+            .crash(self.now, |replaced| pool.recycle(replaced));
     }
 
     /// Redo recovery: replay committed updates from the durable log onto
@@ -558,7 +536,7 @@ impl<B: PersistenceBackend> Database<B> {
                     slot,
                     after,
                 } if committed.binary_search(&txn).is_ok() => {
-                    let img = &mut self.durable[page];
+                    let img = self.images.durable_mut(page);
                     if img.lsn() < lsn.0 {
                         img.update(slot, self.wal.after(after));
                         img.set_lsn(lsn.0);
@@ -566,7 +544,7 @@ impl<B: PersistenceBackend> Database<B> {
                     }
                 }
                 LogRecord::Delete { txn, page, slot } if committed.binary_search(&txn).is_ok() => {
-                    let img = &mut self.durable[page];
+                    let img = self.images.durable_mut(page);
                     if img.lsn() < lsn.0 {
                         img.delete(slot);
                         img.set_lsn(lsn.0);
@@ -617,7 +595,7 @@ impl<B: PersistenceBackend> Database<B> {
             }
         }
         let committed = self.wal.durable_commits();
-        let mut img = self.cfg.formatted_page();
+        let mut img = self.images.formatted().clone();
         for (lsn, rec) in self.wal.durable_records() {
             match rec {
                 LogRecord::Update {
@@ -642,16 +620,17 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Inspect the *visible* value of `(page, slot)`: from the buffer pool
-    /// if resident, else the durable image. Returns the owning txn id
-    /// stamped in the record's first 8 bytes (0 = never written).
+    /// if a frame has written the page, else from its newest image outside
+    /// the pool. Returns the owning txn id stamped in the record's first
+    /// 8 bytes (0 = never written).
     pub fn visible_owner(&mut self, page: u64, slot: u16) -> u64 {
         let pid = PageId(page % self.cfg.data_pages);
         let slot = slot % self.cfg.slots_per_page;
         let record = self
             .pool
-            .peek(pid)
-            .and_then(|p| p.get(slot))
-            .or_else(|| self.durable[pid].get(slot));
+            .dirty_image(pid)
+            .unwrap_or_else(|| self.images.newest(pid))
+            .get(slot);
         // short records (never produced by this engine, but the format
         // does not forbid them) read as zero-padded rather than panicking
         record
@@ -978,13 +957,17 @@ mod group_commit_tests {
 
     /// Owner stamped in `(page, slot)` of the durable image set.
     fn durable_owner(db: &Database<LegacyBackend>, page: u64, slot: u16) -> u64 {
-        let rec = db.durable[PageId(page)].get(slot).expect("formatted slot");
+        let rec = db
+            .images
+            .durable(PageId(page))
+            .get(slot)
+            .expect("formatted slot");
         u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"))
     }
 
-    /// A frame shares its buffer with the durable image it was read from
-    /// (after a checkpoint, after a steal + refetch): a write to the frame
-    /// must take a copy, or an unforced update would become durable.
+    /// A clean frame shows the durable image itself (after a checkpoint,
+    /// after a steal + refetch): a write to the frame must take a copy, or
+    /// an unforced update would become durable.
     #[test]
     fn frame_writes_never_leak_into_the_durable_images_they_share() {
         let cfg = DbConfig {
@@ -1000,13 +983,13 @@ mod group_commit_tests {
         db.load();
 
         db.execute(&[(5, 0, true)], 128); // txn 1
-        db.checkpoint(); // page 5's frame and durable image now share bytes
+        db.checkpoint(); // page 5's frame now reads the durable image
         db.execute(&[(5, 0, true)], 128); // txn 2, unforced
         assert_eq!(db.visible_owner(5, 0), 2);
         assert_eq!(durable_owner(&db, 5, 0), 1, "write leaked past the log");
 
         // churn the tiny pool: page 5 is stolen (the WAL rule forces
-        // txn 2's records first), then read back sharing the stolen image
+        // txn 2's records first), then read back showing the stolen image
         for i in 100..140u64 {
             db.execute(&[(i, 0, false)], 32);
         }
@@ -1033,10 +1016,10 @@ mod group_commit_tests {
         let mut db = db_with_group(100);
         db.execute(&[(7, 0, true)], 128); // txn 1
         let landed = db.now + SimDuration::from_micros(500);
-        for (pid, image) in db.pool.dirty_pages() {
-            db.in_flight.push((landed, pid, image));
+        for (pid, image) in db.pool.take_dirty() {
+            db.images.write(landed, pid, image);
         }
-        db.execute(&[(7, 0, true)], 128); // txn 2 writes the shared frame
+        db.execute(&[(7, 0, true)], 128); // txn 2 writes the cleaned frame
         db.now = db.now.max(landed);
         db.crash(); // the write-back had landed: its image is durable
         assert_eq!(db.visible_owner(7, 0), 1);

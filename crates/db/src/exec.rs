@@ -222,16 +222,13 @@ pub(crate) struct UndoEntry {
     pub(crate) before: Option<ImageRef>,
 }
 
-/// Host-side context of one in-flight page fetch: the image the device
-/// "returns" was chosen at submit time (exactly when the serialized
-/// engine read it), so completion order cannot change the bytes. The
-/// image shares its buffer with the durable set: a page being fetched is
-/// not resident, so neither a steal nor a checkpoint can write it before
-/// its completion.
+/// Host-side context of one in-flight page fetch. It carries no bytes:
+/// the completion installs a clean frame, which shows the page's newest
+/// image — the same one at completion as at submit, unless a rollback
+/// patched it in between, and then the patched one is the right one.
 #[derive(Debug)]
 pub(crate) struct FetchCtx {
     pub(crate) page: PageId,
-    pub(crate) image: SlottedPage,
     /// Submitted by the readahead engine rather than a demand miss.
     pub(crate) speculative: bool,
     /// A demand request is (or was) waiting on it.
@@ -335,6 +332,7 @@ impl<B: PersistenceBackend> Database<B> {
         let started_at = self.now;
         let coalesced_before = self.pool.stats().coalesced;
         let mut st = ExecState::new(depth, self.now, &cfg.prefetch, inputs.len());
+        self.reserve_log(inputs, &[]);
 
         loop {
             // 1. run everything that can run at the current instant
@@ -371,6 +369,29 @@ impl<B: PersistenceBackend> Database<B> {
         }
 
         self.finish_run(started_at, coalesced_before, st)
+    }
+
+    /// Size the in-memory log for `inputs` before running them: a record
+    /// and an after-image per dirty access, a termination record per
+    /// transaction, a record per checkpoint they trigger; for a two-phase
+    /// participant (`assigned` as in [`ExecState::assigned`]) also a parked
+    /// before-image per dirty access and the decision or abort record its
+    /// home shard appends. An upper bound by a few records, so a run grows
+    /// its log once.
+    pub(crate) fn reserve_log(&mut self, inputs: &[TxnInput], assigned: &[PlannedTxn]) {
+        let (mut records, mut images) = (0, 0);
+        for (i, input) in inputs.iter().enumerate() {
+            let dirty = input.accesses.iter().filter(|a| a.2).count();
+            let two_phase = assigned
+                .get(i)
+                .is_some_and(|p| p.role == TxnRole::Participant);
+            records += dirty + 1 + usize::from(two_phase);
+            images += dirty * (1 + usize::from(two_phase));
+        }
+        if self.cfg.checkpoint_every > 0 {
+            records += inputs.len() / self.cfg.checkpoint_every as usize + 1;
+        }
+        self.wal.reserve(records, images * self.cfg.record_size);
     }
 
     /// Close out a closed-loop run: settle the clock on the last commit
@@ -588,14 +609,12 @@ impl<B: PersistenceBackend> Database<B> {
             }
 
             // miss: submit the demand page plus its readahead successors
-            // as ONE batch — one doorbell, image chosen at submit time
+            // as ONE batch — one doorbell
             self.settle_in_flight();
-            let image = self.pick_image(pid);
             st.prefetcher.note_demand_fetch(pid.0);
             self.pool.begin_fetch(pid);
             st.pending.push(FetchCtx {
                 page: pid,
-                image,
                 speculative: false,
                 demanded: true,
             });
@@ -607,12 +626,10 @@ impl<B: PersistenceBackend> Database<B> {
                     if self.pool.contains(tp) || self.pool.fetch_in_flight(tp) {
                         continue;
                     }
-                    let img = self.pick_image(tp);
                     self.pool.begin_fetch(tp);
                     st.prefetcher.note_issued(tp.0);
                     st.pending.push(FetchCtx {
                         page: tp,
-                        image: img,
                         speculative: true,
                         demanded: false,
                     });
@@ -644,7 +661,7 @@ impl<B: PersistenceBackend> Database<B> {
         };
         if dirty {
             // pin the frame BEFORE logging (see `Database::execute`)
-            if let Some(frame) = self.pool.get_mut(pid, true) {
+            if let Some(frame) = self.pool.get_mut(pid, self.images.newest(pid)) {
                 active.wrote = true;
                 if active.role == TxnRole::Participant {
                     // RAM-only bookkeeping: no device work, no clock
@@ -667,22 +684,10 @@ impl<B: PersistenceBackend> Database<B> {
                 frame.set_lsn(lsn.0);
             }
         } else {
-            self.pool.get_mut(pid, false);
+            self.pool.touch(pid);
         }
         active.next += 1;
         st.slots[i].txn = Some(active);
-    }
-
-    /// The image a device read "returns": the newest in-flight write if
-    /// any, else the durable image — chosen at submit time, exactly like
-    /// the serialized engine. A shared handle, not a copy of the bytes.
-    pub(crate) fn pick_image(&self, pid: PageId) -> SlottedPage {
-        self.in_flight
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == pid)
-            .map_or(&self.durable[pid], |(_, _, img)| img)
-            .clone()
     }
 
     /// Reap ready completions; the event clock advances through each
@@ -710,7 +715,6 @@ impl<B: PersistenceBackend> Database<B> {
             return; // orphaned completion (no fetch context): drop it
         };
         let ctx = st.pending.swap_remove(at);
-        let mut image = ctx.image;
         // Install-side device work starts on the advanced event clock
         // (>= r.done): an earlier completion in the same reap batch may
         // have pushed `now` past this read's `done`, and the device
@@ -727,15 +731,12 @@ impl<B: PersistenceBackend> Database<B> {
                 // media-failure redo from the durable log, charged as a
                 // log read starting at the failed read's completion
                 self.stats.media_failures += 1;
-                let (redo_end, img) = self.rebuild_page_from_log(self.now, r.page);
+                let (redo_end, image) = self.rebuild_page_from_log(self.now, r.page);
                 end = redo_end;
-                image = img;
-                self.durable[r.page] = image.clone();
+                self.set_durable(r.page, image);
             }
         }
-        if let EvictOutcome::Steal { page_id, image } =
-            self.pool.complete_fetch(r.page, image, false)
-        {
+        if let EvictOutcome::Steal { page_id, image } = self.pool.complete_fetch(r.page) {
             end = self.write_back_stolen(end, page_id, image);
         }
         // install-side device work (media redo, steal) drove the device
@@ -911,9 +912,15 @@ impl<B: PersistenceBackend> Database<B> {
     /// Roll back this shard's share of an aborted cross-shard
     /// transaction: restore captured before-images wherever the aborted
     /// write is still visible (resident frame, stolen durable image, or
-    /// an in-flight steal). RAM-only — the redo log keeps the records,
-    /// but with no `Commit` anywhere recovery never replays them.
+    /// a checkpoint write in flight). RAM-only — the redo log keeps the
+    /// records, but with no `Commit` anywhere recovery never replays them.
     /// Returns the number of slots restored.
+    ///
+    /// A resident frame is visited as a write access, *before* the images
+    /// outside the pool are patched: a clean frame takes its copy of the
+    /// newest image while that still carries the aborted write, so
+    /// `restored` counts it and the frame's later steal writes the
+    /// rollback out.
     pub(crate) fn undo_participant(&mut self, global: u64, st: &mut ExecState) -> u64 {
         let Some(entries) = st.undo.remove(&global) else {
             return 0; // read-only share, or already rolled back
@@ -936,18 +943,14 @@ impl<B: PersistenceBackend> Database<B> {
                     img.delete(e.slot);
                 }
             };
-            if let Some(frame) = self.pool.get_mut(e.page, true) {
+            if let Some(frame) = self.pool.get_mut(e.page, self.images.newest(e.page)) {
                 if owned(frame) {
                     undo_one(frame);
                     restored += 1;
                 }
             }
-            let img = &mut self.durable[e.page];
-            if owned(img) {
-                undo_one(img);
-            }
-            for (_, p, img) in self.in_flight.iter_mut() {
-                if *p == e.page && owned(img) {
+            for img in self.images.of_mut(e.page) {
+                if owned(img) {
                     undo_one(img);
                 }
             }
@@ -1215,5 +1218,142 @@ mod tests {
             },
         );
         assert_eq!(db.stats().checkpoints, 4);
+    }
+
+    /// Transaction id of the participant share [`Aborting`] rolls back.
+    const ABORTED: u64 = 7;
+
+    /// A one-slot closed loop driven by hand, the test playing the
+    /// coordinator: the first input runs as a two-phase participant (its
+    /// prepare vote lands in `st.outbox`, where the test leaves it), the
+    /// rest as local transactions.
+    struct Aborting {
+        db: Database<LegacyBackend>,
+        st: ExecState,
+        inputs: Vec<TxnInput>,
+    }
+
+    impl Aborting {
+        fn new(frames: usize, inputs: Vec<TxnInput>) -> Self {
+            let db = legacy_db(frames);
+            let mut st = ExecState::new(1, db.now, &PrefetchConfig::off(), inputs.len());
+            st.assigned = (0..inputs.len() as u64)
+                .map(|i| PlannedTxn {
+                    id: ABORTED + i,
+                    role: if i == 0 {
+                        TxnRole::Participant
+                    } else {
+                        TxnRole::Local
+                    },
+                })
+                .collect();
+            Aborting { db, st, inputs }
+        }
+
+        /// `run_concurrent`'s loop, stopped the first time `until` holds
+        /// with nothing left to run at the current instant.
+        fn drive(&mut self, until: impl Fn(&Self) -> bool) {
+            let cfg = ExecConfig::serialized();
+            loop {
+                self.db.quiesce(&self.inputs, &cfg, &mut self.st);
+                if until(self) {
+                    return;
+                }
+                if self.db.reap(&mut self.st) {
+                    continue;
+                }
+                match self.db.next_event(self.inputs.len(), &cfg, &self.st) {
+                    Some(t) => self.db.now = self.db.now.max(t),
+                    None => self.db.force_group(self.db.now, &mut self.st),
+                }
+            }
+        }
+
+        fn drained(&self) -> bool {
+            self.st.issued == self.inputs.len()
+                && self.st.all_idle()
+                && self.st.pending.is_empty()
+                && self.st.group.is_empty()
+        }
+    }
+
+    fn one_access(page: u64, slot: u16, dirty: bool) -> TxnInput {
+        TxnInput {
+            accesses: vec![(page, slot, dirty)],
+            log_bytes: 64,
+        }
+    }
+
+    /// A fetch in flight while its page is rolled back installs a frame
+    /// that shows the rolled-back bytes: the fetch carries no image of its
+    /// own, chosen before the rollback, to install instead.
+    #[test]
+    fn a_fetch_in_flight_across_a_rollback_installs_the_rolled_back_page() {
+        let (p, q) = (5u64, 9u64);
+        let mut run = Aborting::new(
+            1,
+            vec![
+                one_access(p, 0, true),  // the participant's write
+                one_access(q, 0, false), // its fetch steals p: the write is durable
+                one_access(p, 1, false), // p is fetched again
+            ],
+        );
+        run.drive(|r| r.st.issued == 3 && r.db.pool.fetch_in_flight(PageId(p)));
+        let Aborting { db, st, .. } = &mut run;
+        assert_eq!(db.backend().stats().steal_writes, 1, "p was stolen");
+        assert_eq!(db.visible_owner(p, 0), ABORTED, "and is durable as written");
+        // no frame holds p: none is restored, and the visit is a pool miss
+        let misses = db.pool_stats().misses;
+        assert_eq!(db.undo_participant(ABORTED, st), 0);
+        assert_eq!(db.pool_stats().misses, misses + 1);
+
+        run.drive(Aborting::drained);
+        let db = &mut run.db;
+        assert!(db.pool.contains(PageId(p)), "the fetch of p completed");
+        assert_eq!(
+            db.visible_owner(p, 0),
+            0,
+            "the aborted write is visible through the fetched frame"
+        );
+
+        // and it stays rolled back: a committed write to another slot of
+        // the frame, a steal of it, a crash
+        let later = db.execute(&[(p, 1, true)], 64).txn;
+        db.execute(&[(q, 0, false)], 32);
+        assert!(!db.pool.contains(PageId(p)), "p was stolen again");
+        db.crash();
+        db.recover();
+        assert_eq!(
+            (db.visible_owner(p, 0), db.visible_owner(p, 1)),
+            (0, later),
+            "the aborted write turned durable again"
+        );
+    }
+
+    /// A rollback visits a resident frame as a write access, before it
+    /// patches the images outside the pool: a frame a checkpoint cleaned
+    /// takes its copy while the newest image still carries the aborted
+    /// write, is counted as restored, and ends dirty.
+    #[test]
+    fn a_rollback_dirties_the_clean_frame_it_visits() {
+        let p = 5u64;
+        let mut run = Aborting::new(4, vec![one_access(p, 0, true)]);
+        run.drive(Aborting::drained);
+        let Aborting { db, st, .. } = &mut run;
+        db.checkpoint();
+        assert!(db.pool.dirty_image(PageId(p)).is_none(), "checkpointed");
+        assert_eq!(db.visible_owner(p, 0), ABORTED);
+
+        let hits = db.pool_stats().hits;
+        assert_eq!(db.undo_participant(ABORTED, st), 1, "restored in the frame");
+        assert_eq!(db.pool_stats().hits, hits + 1);
+        let frame = db
+            .pool
+            .dirty_image(PageId(p))
+            .expect("the visit dirtied it");
+        assert_eq!(frame.get(0).map(|r| r[..8].to_vec()), Some(vec![0; 8]));
+        assert_eq!(db.visible_owner(p, 0), 0);
+        db.crash(); // the durable image was rolled back too
+        assert_eq!(db.visible_owner(p, 0), 0);
     }
 }

@@ -56,6 +56,7 @@ pub mod coop;
 pub mod engine;
 pub mod exec;
 pub mod heap;
+mod images;
 pub mod kvstore;
 pub mod ledger;
 pub mod manager;

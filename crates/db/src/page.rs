@@ -14,15 +14,12 @@
 //! Deleted slots keep their directory entry with `len = 0` (tombstone) so
 //! record ids ([`Rid`]) stay stable.
 //!
-//! A page's buffer is shared copy-on-write: cloning a [`SlottedPage`]
-//! copies a pointer, and the 4 KiB are copied the first time a clone that
-//! still shares them is written. The engine holds the same image in
-//! several places at once (durable set, buffer frame, checkpoint batch,
-//! fetch in flight); only a frame that is actually dirtied pays for bytes
-//! of its own.
+//! A [`SlottedPage`] owns its 4 KiB: cloning one copies them, and no two
+//! pages ever share a buffer. The engine keeps every image in exactly one
+//! place — a dirty buffer frame, a write in flight, or the durable set
+//! (`crate::images`) — and moves it between them.
 
 use std::ops::{Index, IndexMut};
-use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -90,11 +87,11 @@ impl<T> IndexMut<PageId> for PageVec<T> {
     }
 }
 
-/// An in-memory slotted page. `Clone` shares the buffer; the first write
-/// through a sharing clone copies it (see the module docs).
+/// An in-memory slotted page, sole owner of its buffer: `Clone` copies
+/// the bytes.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SlottedPage {
-    buf: Rc<[u8; PAGE_SIZE]>,
+    buf: Box<[u8; PAGE_SIZE]>,
 }
 
 impl std::fmt::Debug for SlottedPage {
@@ -117,7 +114,7 @@ impl SlottedPage {
     /// A fresh, empty page (LSN 0, no slots).
     pub fn new() -> Self {
         let mut p = SlottedPage {
-            buf: Rc::new([0u8; PAGE_SIZE]),
+            buf: Box::new([0u8; PAGE_SIZE]),
         };
         p.set_free_upper(PAGE_SIZE as u16);
         p
@@ -126,7 +123,7 @@ impl SlottedPage {
     /// Reconstruct from raw bytes (e.g. after recovery).
     pub fn from_bytes(bytes: &[u8; PAGE_SIZE]) -> Self {
         SlottedPage {
-            buf: Rc::new(*bytes),
+            buf: Box::new(*bytes),
         }
     }
 
@@ -135,24 +132,10 @@ impl SlottedPage {
         &self.buf
     }
 
-    /// True while another handle shares this page's buffer: the next write
-    /// through this one would copy it first.
-    pub(crate) fn is_shared(&self) -> bool {
-        Rc::strong_count(&self.buf) > 1
-    }
-
     /// Overwrite this page's bytes with `src`'s, in the buffer it already
     /// has.
-    ///
-    /// # Panics
-    /// Panics if the buffer [`is_shared`](Self::is_shared): the other
-    /// handle's page would change under it.
     pub(crate) fn copy_from(&mut self, src: &SlottedPage) {
-        assert!(
-            !self.is_shared(),
-            "copy into a page buffer another handle shares"
-        );
-        Rc::make_mut(&mut self.buf).copy_from_slice(src.as_bytes());
+        self.buf.copy_from_slice(src.as_bytes());
     }
 
     fn read_u16(&self, at: usize) -> u16 {
@@ -160,7 +143,7 @@ impl SlottedPage {
     }
 
     fn write_u16(&mut self, at: usize, v: u16) {
-        Rc::make_mut(&mut self.buf)[at..at + 2].copy_from_slice(&v.to_le_bytes());
+        self.buf[at..at + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     fn read_u64(&self, at: usize) -> u64 {
@@ -170,7 +153,7 @@ impl SlottedPage {
     }
 
     fn write_u64(&mut self, at: usize, v: u64) {
-        Rc::make_mut(&mut self.buf)[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Page LSN: the LSN of the last log record that modified this page.
@@ -236,7 +219,7 @@ impl SlottedPage {
         }
         let slot = self.slot_count();
         let new_upper = self.free_upper() as usize - record.len();
-        Rc::make_mut(&mut self.buf)[new_upper..new_upper + record.len()].copy_from_slice(record);
+        self.buf[new_upper..new_upper + record.len()].copy_from_slice(record);
         self.set_free_upper(new_upper as u16);
         self.set_slot_entry(slot, new_upper as u16, record.len() as u16);
         self.set_slot_count(slot + 1);
@@ -283,7 +266,7 @@ impl SlottedPage {
         }
         if record.len() <= len as usize {
             let off = off as usize;
-            Rc::make_mut(&mut self.buf)[off..off + record.len()].copy_from_slice(record);
+            self.buf[off..off + record.len()].copy_from_slice(record);
             self.set_slot_entry(slot, off as u16, record.len() as u16);
             Some(slot)
         } else {
@@ -379,8 +362,8 @@ mod tests {
         assert_eq!(live, vec![a, c]);
     }
 
-    /// Every write path, applied to one of two pages sharing a buffer,
-    /// must leave the other's bytes alone — whichever side writes.
+    /// Every write path, applied to a page or to its clone, must leave the
+    /// other's bytes alone — whichever side writes.
     #[test]
     fn a_write_through_a_clone_never_reaches_the_page_it_was_cloned_from() {
         let writes: [fn(&mut SlottedPage); 5] = [

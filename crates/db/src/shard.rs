@@ -355,6 +355,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                 .set_read_window(depth + cfg.prefetch.depth as usize);
             coalesced_before.push(db.pool.stats().coalesced);
             let mut st = ExecState::new(depth, db.now, &cfg.prefetch, plan.len());
+            db.reserve_log(plan, &assigned);
             st.assigned = assigned;
             // group forces park their completion in `force_horizon`
             // instead of advancing the shard clock, so peer shards keep

@@ -121,6 +121,15 @@ impl Wal {
         Self::default()
     }
 
+    /// Make room for `records` more records carrying `image_bytes` more
+    /// bytes of images, so a run that can count its inputs grows the log
+    /// once instead of by doubling. An estimate nothing depends on: appends
+    /// past it grow the log as they always did.
+    pub fn reserve(&mut self, records: usize, image_bytes: usize) {
+        self.records.reserve(records);
+        self.arena.reserve(image_bytes);
+    }
+
     /// Reserve `len` zeroed bytes at the arena's tail, let `fill` write the
     /// image into them, and return the handle — for the
     /// [`LogRecord::Update`] about to be appended.

@@ -17,10 +17,13 @@
 //!   for each share's [`TxnInput`], and on a cross-shard transaction the
 //!   ledger's entry (its participant `Vec`, its vote and entry tree nodes)
 //!   and the participant's undo list;
-//! * **amortised** — doubling growth of the log arena, the log's record
-//!   list, `commit_order` past its reservation, and a first-write copy of
-//!   a page when the pool's spare list is empty;
-//! * **per run** — executor state, histograms and the reports.
+//! * **amortised** — `commit_order` past its reservation, and the one
+//!   page buffer a first write allocates when the pool's spare list is
+//!   empty (the log arena and the log's record list are reserved from
+//!   the run's inputs and no longer grow inside it);
+//! * **per checkpoint** — the dirty images' list and their page-id list;
+//! * **per run** — executor state, the log's reservation, histograms and
+//!   the reports.
 
 use std::alloc::System;
 

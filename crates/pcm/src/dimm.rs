@@ -146,9 +146,8 @@ impl PcmDimm {
             let line_start = line * LINE_BYTES as u64;
             let from = offset.max(line_start);
             let to = (offset + data.len() as u64).min(line_start + LINE_BYTES as u64);
-            for b in from..to {
-                bytes[(b - line_start) as usize] = data[(b - offset) as usize];
-            }
+            bytes[(from - line_start) as usize..(to - line_start) as usize]
+                .copy_from_slice(&data[(from - offset) as usize..(to - offset) as usize]);
             let acc = self.chip.write_line(slot, &bytes);
             let g = self.rank.reserve(t, acc.duration);
             t = g.end;
