@@ -53,51 +53,12 @@ fn bench_txn(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_btree(c: &mut Criterion) {
-    use requiem_db::btree::BTree;
-    use requiem_db::page::{PageId, Rid};
-    let mut g = c.benchmark_group("db/btree");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("insert", |b| {
-        let mut t = BTree::new(PageId(0));
-        let mut k = 1u64;
-        b.iter(|| {
-            k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-            t.insert(
-                k,
-                Rid {
-                    page: PageId(k % 1024),
-                    slot: 0,
-                },
-            )
-        });
-    });
-    g.bench_function("get_100k", |b| {
-        let mut t = BTree::new(PageId(0));
-        for k in 0..100_000u64 {
-            t.insert(
-                k,
-                Rid {
-                    page: PageId(k % 1024),
-                    slot: 0,
-                },
-            );
-        }
-        let mut k = 1u64;
-        b.iter(|| {
-            k = k.wrapping_mul(48271) % 100_000;
-            t.get(k)
-        });
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(800));
-    targets = bench_txn, bench_btree
+    targets = bench_txn
 }
 criterion_main!(benches);

@@ -3,9 +3,9 @@
 //! experiment harness against performance regressions (a slow simulator
 //! caps experiment scale).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use requiem_sim::time::SimTime;
-use requiem_sim::{EventQueue, Histogram, Resource};
+use requiem_sim::{Histogram, Resource};
 use requiem_ssd::{BufferConfig, Lpn, Ssd, SsdConfig};
 
 fn bench_resource(c: &mut Criterion) {
@@ -39,24 +39,6 @@ fn bench_histogram(c: &mut Criterion) {
             h.record(i % 3_000_000);
         }
         b.iter(|| h.p99());
-    });
-    g.finish();
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sim/event_queue");
-    g.throughput(Throughput::Elements(64));
-    g.bench_function("schedule_pop_64", |b| {
-        b.iter_batched(
-            EventQueue::<u64>::new,
-            |mut q| {
-                for i in 0..64u64 {
-                    q.schedule(SimTime::from_nanos(i * 7 % 64), i);
-                }
-                while q.pop().is_some() {}
-            },
-            BatchSize::SmallInput,
-        );
     });
     g.finish();
 }
@@ -101,6 +83,6 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(800));
-    targets = bench_resource, bench_histogram, bench_event_queue, bench_ssd_io
+    targets = bench_resource, bench_histogram, bench_ssd_io
 }
 criterion_main!(benches);

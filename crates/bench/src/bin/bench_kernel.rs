@@ -17,11 +17,9 @@
 //!
 //! Sub-benches:
 //!
-//! * `queue_churn` — schedule/pop churn through [`EventQueue`]: the
-//!   slab-recycled indexed heap on the kernel's innermost loop.
-//! * `blame_alloc` / `blame_scratch` — occupant blame decomposition per
-//!   wait, as a fresh `Vec` per query vs. the scratch-buffer fast path
-//!   ([`Resource::blame_into`]) the scheduler uses.
+//! * `blame_scratch` — occupant blame decomposition per wait into the
+//!   caller's scratch buffer ([`Resource::blame_into`]), as both devices'
+//!   scheduler does.
 //! * `probe_recording_clone` / `probe_aggregated` — the headline pair:
 //!   a preconditioned device under zipfian overwrite, sampling probe
 //!   state every window. The first samples by cloning the recording
@@ -36,39 +34,12 @@
 
 use requiem_bench::aging::{device, AgingConfig};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{EventQueue, Occupant, Probe, Resource};
+use requiem_sim::{Occupant, Probe, Resource};
 use requiem_ssd::{FtlKind, GcPolicyKind, Lpn, Ssd};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
-/// Schedule/pop churn: `TOTAL` events through the queue with `PENDING`
-/// in flight, deterministic pseudo-jittered offsets.
-fn queue_churn() -> (u64, u64) {
-    const PENDING: u64 = 64;
-    const TOTAL: u64 = 4_000_000;
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(PENDING as usize);
-    let mut scheduled = 0u64;
-    let mut checksum = 0u64;
-    let jitter = |i: u64| SimDuration::from_nanos((i.wrapping_mul(2654435761) % 997) + 1);
-    while scheduled < PENDING {
-        q.schedule(SimTime::ZERO + jitter(scheduled), scheduled);
-        scheduled += 1;
-    }
-    let mut popped = 0u64;
-    while let Some((at, payload)) = q.pop() {
-        popped += 1;
-        checksum = checksum.wrapping_mul(31).wrapping_add(payload);
-        if scheduled < TOTAL {
-            q.schedule(at + jitter(scheduled), scheduled);
-            scheduled += 1;
-        }
-    }
-    (popped, checksum)
-}
-
-/// Blame decomposition per wait. `scratch` selects the scratch-buffer
-/// fast path; otherwise every query allocates a fresh `Vec` (the
-/// pre-refactor idiom).
-fn blame(scratch: bool) -> (u64, u64) {
+/// Blame decomposition per wait, into one reused scratch buffer.
+fn blame_scratch() -> (u64, u64) {
     const QUERIES: u64 = 2_000_000;
     let mut res = Resource::new("bench-chan");
     res.track_occupants(true);
@@ -88,13 +59,8 @@ fn blame(scratch: bool) -> (u64, u64) {
         } else {
             SimTime::ZERO
         };
-        if scratch {
-            res.blame_into(asked, g.start, &mut out);
-            checksum = checksum.wrapping_add(out.len() as u64);
-        } else {
-            let v = res.blame(asked, g.start);
-            checksum = checksum.wrapping_add(v.len() as u64);
-        }
+        res.blame_into(asked, g.start, &mut out);
+        checksum = checksum.wrapping_add(out.len() as u64);
         t = g.end;
     }
     (QUERIES, checksum)
@@ -144,9 +110,7 @@ fn zipf_sample() -> (u64, u64) {
     (2 * DRAWS, checksum)
 }
 
-const BENCHES: [&str; 6] = [
-    "queue_churn",
-    "blame_alloc",
+const BENCHES: [&str; 4] = [
     "blame_scratch",
     "probe_recording_clone",
     "probe_aggregated",
@@ -161,9 +125,7 @@ fn main() {
             println!("{}", BENCHES.join(" "));
             return;
         }
-        "queue_churn" => queue_churn(),
-        "blame_alloc" => blame(false),
-        "blame_scratch" => blame(true),
+        "blame_scratch" => blame_scratch(),
         // pre-refactor sampling idiom: clone the whole recording bus
         "probe_recording_clone" => probe_workload(Probe::recording(), |p| p.events().len() as u64),
         // fast path: fold the aggregated per-resource accumulators

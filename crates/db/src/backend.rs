@@ -271,6 +271,89 @@ pub trait PersistenceBackend {
     }
 }
 
+/// The batched read path of a backend that drives a bare [`Ssd`]: a
+/// queue pair, the reads the device refused outright, and the tag
+/// namespace. [`LegacyBackend`] and [`VisionBackend`] each hold one and
+/// differ only in where their data region starts on the device.
+struct BareReads {
+    /// Depth set by [`PersistenceBackend::set_read_window`].
+    qp: QueuePair,
+    /// Reads the device refused outright, completed at their submit
+    /// instant with [`IoStatus::Rejected`].
+    rejects: Vec<PageRead>,
+    /// Tag namespace (pre-assigned so rejected commands keep a stable
+    /// tag).
+    next_tag: u64,
+}
+
+impl BareReads {
+    fn new() -> Self {
+        BareReads {
+            qp: QueuePair::new(1),
+            rejects: Vec::new(),
+            next_tag: 0,
+        }
+    }
+
+    /// Submit one read per page of `pages`, page `p` at LBA
+    /// `data_base + p` of a `data_pages`-page region.
+    fn submit(
+        &mut self,
+        ssd: &mut Ssd,
+        now: SimTime,
+        pages: &[PageId],
+        data_base: u64,
+        data_pages: u64,
+    ) -> Vec<CommandTag> {
+        pages
+            .iter()
+            .map(|&p| {
+                assert!(p.0 < data_pages, "page id beyond data region");
+                self.next_tag += 1;
+                let tag = CommandTag(self.next_tag);
+                let req = IoRequest::read(data_base + p.0).tag(tag);
+                if self.qp.submit(ssd, now, req).is_err() {
+                    self.rejects.push(PageRead {
+                        tag,
+                        page: p,
+                        done: now,
+                        status: IoStatus::Rejected,
+                    });
+                }
+                tag
+            })
+            .collect()
+    }
+
+    fn poll(&mut self, now: SimTime, data_base: u64) -> Vec<PageRead> {
+        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
+        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
+            tag: c.tag,
+            page: PageId(c.lba - data_base),
+            done: c.done,
+            status: c.status,
+        }));
+        out
+    }
+
+    fn next_done(&self) -> Option<SimTime> {
+        let r = self.rejects.iter().map(|r| r.done).min();
+        match (r, self.qp.next_done()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn in_flight(&self) -> usize {
+        self.rejects.len() + self.qp.pending()
+    }
+
+    fn set_window(&mut self, depth: usize) {
+        debug_assert!(self.in_flight() == 0, "window change with reads in flight");
+        self.qp = QueuePair::new(depth.max(1));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Legacy: everything through the block interface of one flash SSD
 // ---------------------------------------------------------------------
@@ -289,15 +372,7 @@ pub struct LegacyBackend {
     /// Use TRIM on frees (off by default: legacy stacks rarely did).
     pub use_trim: bool,
     stats: BackendStats,
-    /// Queue pair for the batched read path (depth set by
-    /// [`PersistenceBackend::set_read_window`]).
-    qp: QueuePair,
-    /// Reads the device refused outright, completed at their submit
-    /// instant with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads (pre-assigned so rejected
-    /// commands keep a stable tag).
-    next_tag: u64,
+    reads: BareReads,
 }
 
 impl std::fmt::Debug for LegacyBackend {
@@ -330,9 +405,7 @@ impl LegacyBackend {
             data_pages,
             use_trim: false,
             stats: BackendStats::default(),
-            qp: QueuePair::new(1),
-            rejects: Vec::new(),
-            next_tag: 0,
+            reads: BareReads::new(),
         }
     }
 
@@ -445,61 +518,30 @@ impl PersistenceBackend for LegacyBackend {
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        pages
-            .iter()
-            .map(|&p| {
-                self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
-                let lpn = self.data_lpn(p);
-                let req = IoRequest::read(lpn.0).tag(tag);
-                if self
-                    .qp
-                    .submit(&mut self.ssd.borrow_mut(), now, req)
-                    .is_err()
-                {
-                    self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    });
-                }
-                tag
-            })
-            .collect()
+        self.stats.page_reads += pages.len() as u64;
+        self.reads.submit(
+            &mut self.ssd.borrow_mut(),
+            now,
+            pages,
+            self.data_base,
+            self.data_pages,
+        )
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let data_base = self.data_base;
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba - data_base),
-            done: c.done,
-            status: c.status,
-        }));
-        out
+        self.reads.poll(now, self.data_base)
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.reads.next_done()
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
+        self.reads.in_flight()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = QueuePair::new(depth.max(1));
+        self.reads.set_window(depth);
     }
 }
 
@@ -523,12 +565,8 @@ pub struct VisionBackend {
     staging_slots: u64,
     staging_next: u64,
     stats: BackendStats,
-    /// Queue pair for the batched read path (over the inner flash SSD).
-    qp: QueuePair,
-    /// Refused reads, completed at submit with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads.
-    next_tag: u64,
+    /// The batched read path, over the inner flash SSD.
+    reads: BareReads,
 }
 
 impl std::fmt::Debug for VisionBackend {
@@ -566,9 +604,7 @@ impl VisionBackend {
             staging_slots: staging_bytes / PAGE_SIZE as u64,
             staging_next: 0,
             stats: BackendStats::default(),
-            qp: QueuePair::new(1),
-            rejects: Vec::new(),
-            next_tag: 0,
+            reads: BareReads::new(),
         }
     }
 
@@ -666,56 +702,26 @@ impl PersistenceBackend for VisionBackend {
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        pages
-            .iter()
-            .map(|&p| {
-                self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
-                let lpn = self.data_lpn(p);
-                let req = IoRequest::read(lpn.0).tag(tag);
-                if self.qp.submit(self.flash.inner_mut(), now, req).is_err() {
-                    self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    });
-                }
-                tag
-            })
-            .collect()
+        self.stats.page_reads += pages.len() as u64;
+        // the data region starts at LBA 0 of the flash device
+        self.reads
+            .submit(self.flash.inner_mut(), now, pages, 0, self.data_pages)
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba),
-            done: c.done,
-            status: c.status,
-        }));
-        out
+        self.reads.poll(now, 0)
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.reads.next_done()
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
+        self.reads.in_flight()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = QueuePair::new(depth.max(1));
+        self.reads.set_window(depth);
     }
 }
 

@@ -143,7 +143,7 @@ impl DbBuilder {
     pub fn exec_config(&self) -> ExecConfig {
         ExecConfig {
             concurrency: self.concurrency,
-            prefetch: self.prefetch.clone(),
+            prefetch: self.prefetch,
             group: self.group.clone(),
         }
     }

@@ -117,7 +117,7 @@ fn free_version_on(
                 _ => now,
             }
         }
-        Err(NamelessError::DeviceFull) => now,
+        Err(NamelessError::DeviceFull { .. }) => now,
     }
 }
 
@@ -365,7 +365,7 @@ impl LogDevice for NamelessLog {
                 }
                 Some((now, IoStatus::Rejected))
             }
-            Err(NamelessError::DeviceFull) => Some((now, IoStatus::Rejected)),
+            Err(NamelessError::DeviceFull { .. }) => Some((now, IoStatus::Rejected)),
         }
     }
 
@@ -451,7 +451,7 @@ impl PersistenceBackend for CoopLogBackend {
                     _ => (now, IoStatus::Rejected),
                 }
             }
-            Err(NamelessError::DeviceFull) => (now, IoStatus::Rejected),
+            Err(NamelessError::DeviceFull { .. }) => (now, IoStatus::Rejected),
         }
     }
 

@@ -293,7 +293,7 @@ impl ExecState {
             ],
             pending: Vec::with_capacity(depth + prefetch.depth as usize),
             batch: Vec::new(),
-            prefetcher: Prefetcher::new(prefetch.clone()),
+            prefetcher: Prefetcher::new(*prefetch),
             group: GroupCommit::new(),
             forcing: Vec::new(),
             issued: 0,

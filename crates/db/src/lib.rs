@@ -6,8 +6,8 @@
 //! test that vision:
 //!
 //! * [`page`] — slotted pages with LSNs (the unit of buffering and I/O);
-//! * [`heap`] — heap files of records with free-space tracking;
-//! * [`btree`] — a page-based B+tree index (`u64 → Rid`);
+//!   the engine addresses fixed `(page, slot)` records directly — there
+//!   is no heap file and no index above the pages;
 //! * [`buffer`] — a clock buffer pool with a steal policy (dirty eviction
 //!   forces a synchronous write — one of the paper's two synchronous
 //!   patterns);
@@ -22,8 +22,13 @@
 //!     journal) and trim on free.
 //! * [`engine`] — transaction execution over all of the above, with
 //!   crash/recovery (redo replay) support and group commit;
+//! * [`exec`] — the completion-driven executor: N transactions in
+//!   flight over batched reads ([`stack_backend`] drives them through
+//!   the full block stack), coalesced fetches, sequential readahead
+//!   ([`prefetch`]) and WAL group commit on flash or PCM
+//!   ([`walbackend`]);
 //! * [`manager`] — the pluggable [`StorageManager`] layer: the trait is
-//!   generic over the device's handle type, so the block-backed heap
+//!   generic over the device's handle type, so the block-backed
 //!   manager (handles are LBAs, relocations structurally silent) and the
 //!   cooperating-logs manager (handles are device-chosen
 //!   [`PhysName`](requiem_iface::PhysName)s, patched by upcalls) plug
@@ -49,13 +54,11 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod btree;
 pub mod buffer;
 pub mod config;
 pub mod coop;
 pub mod engine;
 pub mod exec;
-pub mod heap;
 mod images;
 pub mod kvstore;
 pub mod ledger;
@@ -78,9 +81,9 @@ pub use exec::{ExecConfig, ExecReport, TxnInput};
 pub use kvstore::NamelessKv;
 pub use ledger::{LedgerStats, TwoPhaseLedger, TxnDecision};
 pub use manager::StorageManager;
-pub use page::{PageId, Rid, SlottedPage, PAGE_SIZE};
+pub use page::{PageId, SlottedPage, PAGE_SIZE};
 pub use pagetable::PageTable;
-pub use prefetch::{PrefetchConfig, PrefetchMode, PrefetchStats};
+pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use shard::{ShardedDb, ShardedReport};
 pub use stack_backend::BlockStackBackend;
 pub use wal::GroupCommitPolicy;

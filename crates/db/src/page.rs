@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Deleted slots keep their directory entry with `len = 0` (tombstone) so
-//! record ids ([`Rid`]) stay stable.
+//! `(page, slot)` addresses stay stable.
 //!
 //! A [`SlottedPage`] owns its 4 KiB: cloning one copies them, and no two
 //! pages ever share a buffer. The engine keeps every image in exactly one
@@ -32,15 +32,6 @@ const SLOT_BYTES: usize = 4;
 /// Identifier of a page within the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PageId(pub u64);
-
-/// A record id: page + slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Rid {
-    /// The page.
-    pub page: PageId,
-    /// The slot within the page.
-    pub slot: u16,
-}
 
 /// One `T` per page of a database whose page ids are dense in
 /// `[0, pages)`: the db layer's way from a page number to that page's

@@ -1,11 +1,8 @@
 //! Readahead prefetching for the completion-driven engine.
 //!
 //! When a transaction misses on page *p*, the executor speculatively
-//! submits the next `depth` pages in *logical* order alongside the
-//! demand read — one batch, one doorbell. "Logical order" is pluggable:
-//! [`PrefetchMode::Sequential`] follows page-id order (heap scans),
-//! [`PrefetchMode::Chain`] follows an explicit successor map such as a
-//! B+tree's leaf chain in key order ([`crate::btree::BTree::leaf_chain`]).
+//! submits the next `depth` pages in page-id order (wrapping at the
+//! data-page count) alongside the demand read — one batch, one doorbell.
 //!
 //! Every speculative submission is attributed: a **win** is a demand
 //! request that found its page already in flight or already installed by
@@ -15,54 +12,25 @@
 //! (`prefetch-win` / `prefetch-loss` status counters in the probe JSON),
 //! so an experiment can show not just that readahead helps but *when*.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-/// What "the next K pages" means.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PrefetchMode {
-    /// Successor of page `p` is `p + 1` (mod the data-page count).
-    Sequential,
-    /// Explicit successor map (e.g. a B+tree leaf chain in key order).
-    Chain(BTreeMap<u64, u64>),
-}
+use std::collections::BTreeSet;
 
 /// Prefetcher configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchConfig {
-    /// Speculative pages submitted per demand miss (0 = off).
+    /// Speculative pages submitted per demand miss (0 = off); the
+    /// successor of page `p` is `p + 1` (mod the data-page count).
     pub depth: u32,
-    /// Successor order.
-    pub mode: PrefetchMode,
 }
 
 impl PrefetchConfig {
     /// Prefetching disabled — required for the QD-1 identity.
     pub fn off() -> Self {
-        PrefetchConfig {
-            depth: 0,
-            mode: PrefetchMode::Sequential,
-        }
+        PrefetchConfig { depth: 0 }
     }
 
     /// Sequential readahead of `depth` pages.
     pub fn sequential(depth: u32) -> Self {
-        PrefetchConfig {
-            depth,
-            mode: PrefetchMode::Sequential,
-        }
-    }
-
-    /// Chain-following readahead of `depth` pages over an explicit
-    /// successor map (`chain[i] → chain[i+1]` for a leaf chain slice).
-    pub fn chain(depth: u32, leaf_chain: &[u64]) -> Self {
-        let mut map = BTreeMap::new();
-        for w in leaf_chain.windows(2) {
-            map.insert(w[0], w[1]);
-        }
-        PrefetchConfig {
-            depth,
-            mode: PrefetchMode::Chain(map),
-        }
+        PrefetchConfig { depth }
     }
 }
 
@@ -104,29 +72,18 @@ impl Prefetcher {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &PrefetchConfig {
-        &self.cfg
-    }
-
     /// True when prefetching is off.
     pub fn is_off(&self) -> bool {
         self.cfg.depth == 0
     }
 
-    /// The `depth` successors of `page` in logical order (fewer when a
-    /// chain ends). `data_pages` bounds sequential wrap-around.
+    /// The `depth` successors of `page` in page-id order (fewer when
+    /// the address space is smaller). `data_pages` bounds the wrap-around.
     pub fn targets(&self, page: u64, data_pages: u64) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.cfg.depth as usize);
         let mut cur = page;
         for _ in 0..self.cfg.depth {
-            let next = match &self.cfg.mode {
-                PrefetchMode::Sequential => (cur + 1) % data_pages.max(1),
-                PrefetchMode::Chain(map) => match map.get(&cur) {
-                    Some(&n) => n,
-                    None => break,
-                },
-            };
+            let next = (cur + 1) % data_pages.max(1);
             if next == page || out.contains(&next) {
                 break; // wrapped around
             }
@@ -198,15 +155,6 @@ mod tests {
         // tiny address space: stop instead of cycling back to the seed
         assert_eq!(p.targets(0, 2), vec![1]);
         assert_eq!(p.targets(0, 1), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn chain_targets_follow_the_leaf_chain_and_stop_at_the_end() {
-        let chain = [10u64, 4, 7, 2];
-        let p = Prefetcher::new(PrefetchConfig::chain(3, &chain));
-        assert_eq!(p.targets(10, 1000), vec![4, 7, 2]);
-        assert_eq!(p.targets(7, 1000), vec![2], "chain ends at 2");
-        assert_eq!(p.targets(99, 1000), Vec::<u64>::new(), "off-chain page");
     }
 
     #[test]

@@ -186,18 +186,6 @@ impl Wal {
         self.flushed
     }
 
-    /// Bytes not yet durable.
-    pub fn unflushed_bytes(&self) -> u64 {
-        let from = self.flushed.map(|l| l.0).unwrap_or(0);
-        self.next_lsn
-            - self
-                .records
-                .iter()
-                .find(|(lsn, _)| lsn.0 >= from && self.flushed.map(|f| lsn.0 > f.0).unwrap_or(true))
-                .map(|(lsn, _)| lsn.0)
-                .unwrap_or(self.next_lsn)
-    }
-
     /// Mark everything up to `lsn` durable (called by the backend after a
     /// successful force).
     pub fn mark_flushed(&mut self, lsn: Lsn) {

@@ -288,38 +288,23 @@ impl DeviceInterface for ExtendedSsd {
         "extended block"
     }
 
+    // plain reads, writes and trims pass straight through the extension
+    // to the block device underneath: only the batch commit differs
+
     fn usable_tags(&self) -> u64 {
-        self.inner().capacity().exported_pages
+        self.inner().usable_tags()
     }
 
-    fn update(&mut self, now: SimTime, tag: u64, _prev: Option<Lpn>) -> UpdateOutcome<Lpn> {
-        match self.write(now, Lpn(tag)) {
-            Ok(c) => UpdateOutcome {
-                handle: Some(Lpn(tag)),
-                done: c.done,
-                status: c.status,
-            },
-            Err(_) => UpdateOutcome {
-                handle: None,
-                done: now,
-                status: IoStatus::Rejected,
-            },
-        }
+    fn update(&mut self, now: SimTime, tag: u64, prev: Option<Lpn>) -> UpdateOutcome<Lpn> {
+        self.inner_mut().update(now, tag, prev)
     }
 
     fn fetch(&mut self, now: SimTime, tag: u64, handle: Lpn) -> (SimTime, IoStatus) {
-        debug_assert_eq!(handle, Lpn(tag), "block handles are the tag itself");
-        match self.read(now, handle) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
+        self.inner_mut().fetch(now, tag, handle)
     }
 
-    fn discard(&mut self, now: SimTime, _tag: u64, handle: Lpn) -> (SimTime, IoStatus) {
-        match self.trim(now, handle) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
+    fn discard(&mut self, now: SimTime, tag: u64, handle: Lpn) -> (SimTime, IoStatus) {
+        self.inner_mut().discard(now, tag, handle)
     }
 
     fn commit_batch(
@@ -350,17 +335,7 @@ impl DeviceInterface for ExtendedSsd {
     }
 
     fn device_metrics(&self) -> DeviceMetrics {
-        let m = self.inner().metrics();
-        DeviceMetrics {
-            host_writes: m.host_writes,
-            host_reads: m.host_reads,
-            flash_programs: m.flash_programs.total(),
-            flash_reads: m.flash_reads.total(),
-            gc_pages_moved: m.gc_pages_moved,
-            gc_runs: m.gc_runs,
-            mapping_ram_bytes: self.inner().config().mapping_table_bytes(),
-            upcalls_delivered: 0,
-        }
+        self.inner().device_metrics()
     }
 }
 

@@ -22,31 +22,17 @@
 use requiem_flash::{FlashError, FlashSpec, Lun, PageAddr, PagePayload};
 use requiem_sim::probe::{Cause, Layer, Probe};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{FaultPlan, IoStatus, Occupant, Resource};
+use requiem_sim::{FaultPlan, IoStatus, Occupant};
 use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
 use requiem_ssd::block_dir::{BlockDirectory, Stream};
 use requiem_ssd::channel::ChannelTiming;
 use requiem_ssd::config::{GcPolicyKind, SsdConfig};
-use requiem_ssd::controller::LunRotation;
+use requiem_ssd::controller::{LunRotation, Scheduler};
 use requiem_ssd::metrics::{OpCause, SsdMetrics};
 use requiem_ssd::Lpn;
 use serde::{Deserialize, Serialize};
 
 use crate::comm::{Upcall, UpcallQueue};
-
-/// The resource occupant tag for a flash operation cause (the nameless
-/// twin of the block controller's mapping — kept local because the
-/// scheduler's helper is crate-private to `requiem-ssd`).
-fn occupant_of(cause: OpCause) -> Occupant {
-    match cause {
-        OpCause::Host => Occupant::Host,
-        OpCause::Gc => Occupant::Gc,
-        OpCause::WearLevel => Occupant::Wear,
-        OpCause::Merge => Occupant::Merge,
-        OpCause::Translation => Occupant::Translation,
-        OpCause::Recovery => Occupant::Recovery,
-    }
-}
 
 /// The physical name of a written page — the device-chosen location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -118,8 +104,14 @@ pub enum NamelessError {
         /// The stale name presented.
         name: PhysName,
     },
-    /// No usable space left.
-    DeviceFull,
+    /// No usable space left. The device finds that out only once it has
+    /// the page in hand: the host-link transfer and the controller's
+    /// command overhead are spent by then — and, on worn-out media, so
+    /// are the programs that failed and the salvages they set off.
+    DeviceFull {
+        /// The instant the controller gave up on the write.
+        at: SimTime,
+    },
 }
 
 impl std::fmt::Display for NamelessError {
@@ -128,7 +120,7 @@ impl std::fmt::Display for NamelessError {
             NamelessError::StaleName { name } => {
                 write!(f, "stale name {:?}; drain migration upcalls", name)
             }
-            NamelessError::DeviceFull => write!(f, "device full"),
+            NamelessError::DeviceFull { at } => write!(f, "device full at {at}"),
         }
     }
 }
@@ -152,16 +144,16 @@ pub struct NamelessCompletion {
 pub struct NamelessSsd {
     cfg: NamelessConfig,
     luns: Vec<Lun>,
-    lun_res: Vec<Resource>,
-    chan_res: Vec<Resource>,
-    host_link: Resource,
+    /// The block controller's timelines, probe and span emitters: how a
+    /// flash op is timed and attributed is decided in one place for both
+    /// devices.
+    sched: Scheduler,
     dir: BlockDirectory,
     upcalls: UpcallQueue,
     metrics: SsdMetrics,
     /// Write placement's LUN order and cursor (the block controller's).
     rotation: LunRotation,
     gc_active: bool,
-    probe: Probe,
     /// The live-page list of the block being collected or salvaged
     /// (reused from block to block).
     live_scratch: Vec<(PageAddr, Lpn)>,
@@ -190,19 +182,12 @@ impl NamelessSsd {
                     lun
                 })
                 .collect(),
-            lun_res: (0..nluns)
-                .map(|i| Resource::new(format!("chip{i}")))
-                .collect(),
-            chan_res: (0..cfg.shape.channels)
-                .map(|i| Resource::new(format!("chan{i}")))
-                .collect(),
-            host_link: Resource::new("host-link"),
+            sched: Scheduler::new(nluns, cfg.shape.channels),
             dir: BlockDirectory::new(nluns, geom),
             upcalls: UpcallQueue::new(),
             metrics: SsdMetrics::new(),
             rotation: LunRotation::new(&cfg.shape),
             gc_active: false,
-            probe: Probe::disabled(),
             live_scratch: Vec::new(),
             cfg,
         }
@@ -214,17 +199,12 @@ impl NamelessSsd {
     /// discipline the block controller follows, which is what lets E14
     /// compare stall blame across the two interfaces.
     pub fn attach_probe(&mut self, probe: Probe) {
-        let on = probe.is_enabled();
-        self.probe = probe;
-        for r in self.lun_res.iter_mut().chain(self.chan_res.iter_mut()) {
-            r.track_occupants(on);
-        }
-        self.host_link.track_occupants(on);
+        self.sched.attach_probe(probe);
     }
 
     /// The attached probe (disabled handle when none was attached).
     pub fn probe(&self) -> &Probe {
-        &self.probe
+        self.sched.probe()
     }
 
     /// The configuration.
@@ -262,11 +242,14 @@ impl NamelessSsd {
 
     /// When all queued operations drain.
     pub fn drain_time(&self) -> SimTime {
-        let mut t = self.host_link.next_free();
-        for r in self.lun_res.iter().chain(self.chan_res.iter()) {
-            t = t.max(r.next_free());
-        }
-        t
+        self.sched.drain_time()
+    }
+
+    /// The controller's per-command overhead.
+    fn span_overhead(&self, from: SimTime, to: SimTime) {
+        self.sched
+            .probe()
+            .span(Layer::Controller, Cause::Overhead, "ctrl", from, to);
     }
 
     fn host_link_time(&self) -> SimDuration {
@@ -277,9 +260,10 @@ impl NamelessSsd {
     }
 
     /// Program one page. A worn-out or fault-scheduled program surfaces
-    /// as `Err(())`; the caller retires the block and relocates its live
+    /// as `Err`; the caller retires the block and relocates its live
     /// pages ([`NamelessSsd::salvage_and_retire`]). The failed attempt's
-    /// program time is still charged — the chip spent it.
+    /// program time is still charged — the chip spent it — and the `Err`
+    /// carries the instant it ended.
     fn op_program(
         &mut self,
         not_before: SimTime,
@@ -287,67 +271,32 @@ impl NamelessSsd {
         tag: u64,
         use_channel: bool,
         cause: OpCause,
-    ) -> Result<SimTime, ()> {
+    ) -> Result<SimTime, SimTime> {
         let chan = self.cfg.shape.channel_of(phys.lun) as usize;
-        let occ = occupant_of(cause);
+        let li = phys.lun.0 as usize;
+        let occ = Occupant::from(cause);
         let start = if use_channel {
             let bus = self
                 .cfg
                 .channel
                 .write_bus_time(self.cfg.flash.geometry.page_size);
-            let cg = self.chan_res[chan].reserve_tagged(not_before, bus, occ);
-            if self.probe.is_enabled() {
-                let blame = self.chan_res[chan].blame(not_before, cg.start);
-                self.probe.wait_spans(
-                    Layer::Channel,
-                    self.chan_res[chan].name(),
-                    not_before,
-                    cg.start,
-                    &blame,
-                );
-                self.probe.span(
-                    Layer::Channel,
-                    Cause::Transfer,
-                    self.chan_res[chan].name(),
-                    cg.start,
-                    cg.end,
-                );
-            }
+            let cg = self.sched.chan_res[chan].reserve_tagged(not_before, bus, occ);
+            self.sched.emit_chan_transfer_spans(chan, not_before, cg);
             cg.end
         } else {
             not_before
         };
-        let dur = match self.luns[phys.lun.0 as usize].program(phys.addr, PagePayload::Tag(tag)) {
+        let dur = match self.luns[li].program(phys.addr, PagePayload::Tag(tag)) {
             Ok(o) => o.duration,
             Err(FlashError::ProgramFailed { .. }) => {
-                self.lun_res[phys.lun.0 as usize].reserve_tagged(
-                    start,
-                    self.cfg.flash.timing.program(phys.addr.page),
-                    occ,
-                );
-                return Err(());
+                let spent = self.cfg.flash.timing.program(phys.addr.page);
+                return Err(self.sched.lun_res[li].reserve_tagged(start, spent, occ).end);
             }
             Err(e) => unreachable!("nameless controller bug: illegal program: {e}"),
         };
-        let g = self.lun_res[phys.lun.0 as usize].reserve_tagged(start, dur, occ);
-        if self.probe.is_enabled() {
-            let li = phys.lun.0 as usize;
-            let blame = self.lun_res[li].blame(start, g.start);
-            self.probe.wait_spans(
-                Layer::Flash,
-                self.lun_res[li].name(),
-                start,
-                g.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::Flash,
-                Cause::CellProgram,
-                self.lun_res[li].name(),
-                g.start,
-                g.end,
-            );
-        }
+        let g = self.sched.lun_res[li].reserve_tagged(start, dur, occ);
+        self.sched
+            .emit_lun_op_spans(li, start, g, Cause::CellProgram);
         self.metrics.flash_programs.bump(cause);
         Ok(g.end)
     }
@@ -356,7 +305,8 @@ impl NamelessSsd {
     /// pages somewhere safe. Every relocation is announced to the host
     /// as [`Upcall::Migrated`] — the communication abstraction lets the
     /// device *say* what a block-device FTL would silently absorb.
-    fn salvage_and_retire(&mut self, lun: LunId, addr: PageAddr, t: SimTime) {
+    /// Returns the instant the last relocation attempt ended.
+    fn salvage_and_retire(&mut self, lun: LunId, addr: PageAddr, t: SimTime) -> SimTime {
         self.metrics.recovery.program_salvages += 1;
         self.metrics.blocks_retired += 1;
         let geom = &self.cfg.flash.geometry;
@@ -367,35 +317,45 @@ impl NamelessSsd {
         // taken for the walk: GC reaches here mid-walk of its own list
         let mut live = std::mem::take(&mut self.live_scratch);
         self.dir.live_pages_into(lun, block_idx, &mut live);
+        let mut end = t;
         for &(a, tag) in &live {
             let old = PhysPage { lun, addr: a };
             let (after_read, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
+            end = end.max(after_read);
             let Some(np) = self.dir.next_page(lun, Stream::Gc, self.cfg.wear_aware) else {
                 break; // out of space: page stays readable on the retired block
             };
-            if self
-                .op_program(after_read, np.phys, tag.0, false, OpCause::WearLevel)
-                .is_err()
-            {
+            match self.op_program(after_read, np.phys, tag.0, false, OpCause::WearLevel) {
+                Ok(done) => {
+                    end = end.max(done);
+                    self.rehome(tag, old, np.phys, t);
+                }
                 // nested failure: leave the page where it is
-                continue;
+                Err(failed) => end = end.max(failed),
             }
-            self.dir.invalidate(old);
-            self.dir.mark_valid(np.phys, tag);
-            self.upcalls.push(Upcall::Migrated {
-                tag: tag.0,
-                old: PhysName {
-                    lun: old.lun,
-                    addr: old.addr,
-                },
-                new: PhysName {
-                    lun: np.phys.lun,
-                    addr: np.phys.addr,
-                },
-                at: t,
-            });
         }
         self.live_scratch = live;
+        end
+    }
+
+    /// `tag`'s page now lives at `new`: swap the directory entry and tell
+    /// the host, always together — a page moved in silence is a page the
+    /// host can no longer name.
+    fn rehome(&mut self, tag: Lpn, old: PhysPage, new: PhysPage, at: SimTime) {
+        self.dir.invalidate(old);
+        self.dir.mark_valid(new, tag);
+        self.upcalls.push(Upcall::Migrated {
+            tag: tag.0,
+            old: PhysName {
+                lun: old.lun,
+                addr: old.addr,
+            },
+            new: PhysName {
+                lun: new.lun,
+                addr: new.addr,
+            },
+            at,
+        });
     }
 
     /// Read one flash page, running the recovery pipeline when the ECC
@@ -416,41 +376,19 @@ impl NamelessSsd {
     ) -> (SimTime, IoStatus) {
         let chan = self.cfg.shape.channel_of(phys.lun) as usize;
         let li = phys.lun.0 as usize;
-        let occ = occupant_of(cause);
+        let occ = Occupant::from(cause);
         // command cycles are latency, not bus occupancy (see requiem-ssd)
         let cmd_done = not_before + self.cfg.channel.command;
         self.metrics.flash_reads.bump(cause);
-        if self.probe.is_enabled() {
-            self.probe.span(
-                Layer::Channel,
-                Cause::Command,
-                self.chan_res[chan].name(),
-                not_before,
-                cmd_done,
-            );
-        }
         let finish = |slf: &mut Self, from: SimTime, status: IoStatus| {
             if with_transfer {
                 let xfer = slf.cfg.flash.geometry.page_size;
-                let xg =
-                    slf.chan_res[chan].reserve_tagged(from, slf.cfg.channel.transfer(xfer), occ);
-                if slf.probe.is_enabled() {
-                    let blame = slf.chan_res[chan].blame(from, xg.start);
-                    slf.probe.wait_spans(
-                        Layer::Channel,
-                        slf.chan_res[chan].name(),
-                        from,
-                        xg.start,
-                        &blame,
-                    );
-                    slf.probe.span(
-                        Layer::Channel,
-                        Cause::Transfer,
-                        slf.chan_res[chan].name(),
-                        xg.start,
-                        xg.end,
-                    );
-                }
+                let xg = slf.sched.chan_res[chan].reserve_tagged(
+                    from,
+                    slf.cfg.channel.transfer(xfer),
+                    occ,
+                );
+                slf.sched.emit_chan_transfer_spans(chan, from, xg);
                 (xg.end, status)
             } else {
                 (from, status)
@@ -458,30 +396,30 @@ impl NamelessSsd {
         };
         match self.luns[li].read(phys.addr) {
             Ok(o) => {
-                let lg = self.lun_res[li].reserve_tagged(cmd_done, o.duration, occ);
-                if self.probe.is_enabled() {
-                    let blame = self.lun_res[li].blame(cmd_done, lg.start);
-                    self.probe.wait_spans(
-                        Layer::Flash,
-                        self.lun_res[li].name(),
-                        cmd_done,
-                        lg.start,
-                        &blame,
-                    );
-                    self.probe.span(
-                        Layer::Flash,
-                        Cause::CellRead,
-                        self.lun_res[li].name(),
-                        lg.start,
-                        lg.end,
-                    );
-                }
+                let lg = self.sched.lun_res[li].reserve_tagged(cmd_done, o.duration, occ);
+                self.sched
+                    .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
                 finish(self, lg.end, IoStatus::Ok)
             }
             Err(FlashError::UncorrectableRead { .. }) => {
                 self.metrics.uncorrectable_reads += 1;
+                // The ladder below reports itself as the command span and
+                // one aggregate `Recovery` span, emitted directly: the
+                // block controller's emitters put out a wait + cell span
+                // per rung, a different stream for the same instants
+                self.sched.probe().span(
+                    Layer::Channel,
+                    Cause::Command,
+                    self.sched.chan_res[chan].name(),
+                    not_before,
+                    cmd_done,
+                );
                 // the failed sense still occupied the chip
-                let lg = self.lun_res[li].reserve_tagged(cmd_done, self.cfg.flash.timing.read, occ);
+                let lg = self.sched.lun_res[li].reserve_tagged(
+                    cmd_done,
+                    self.cfg.flash.timing.read,
+                    occ,
+                );
                 let mut cursor = lg.end;
                 let t_read = self.cfg.flash.timing.read;
                 let mut steps = 0u32;
@@ -492,7 +430,8 @@ impl NamelessSsd {
                     steps += 1;
                     self.metrics.recovery.retry_attempts += 1;
                     self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g = self.lun_res[li].reserve_tagged(cursor, t_read, Occupant::Recovery);
+                    let g =
+                        self.sched.lun_res[li].reserve_tagged(cursor, t_read, Occupant::Recovery);
                     cursor = g.end;
                     if self.luns[li].recovery_read(phys.addr, derate, 1.0).is_ok() {
                         self.metrics.recovery.retry_recovered += 1;
@@ -505,7 +444,11 @@ impl NamelessSsd {
                     steps += 1;
                     self.metrics.recovery.ecc_escalations += 1;
                     self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g = self.lun_res[li].reserve_tagged(cursor, t_read * 4, Occupant::Recovery);
+                    let g = self.sched.lun_res[li].reserve_tagged(
+                        cursor,
+                        t_read * 4,
+                        Occupant::Recovery,
+                    );
                     cursor = g.end;
                     if self.luns[li].recovery_read(phys.addr, 0.5, 1.5).is_ok() {
                         self.metrics.recovery.ecc_recovered += 1;
@@ -525,8 +468,11 @@ impl NamelessSsd {
                         steps += 1;
                         self.metrics.recovery.rebuild_page_reads += 1;
                         self.metrics.flash_reads.bump(OpCause::Recovery);
-                        let g =
-                            self.lun_res[peer].reserve_tagged(rb_start, t_read, Occupant::Recovery);
+                        let g = self.sched.lun_res[peer].reserve_tagged(
+                            rb_start,
+                            t_read,
+                            Occupant::Recovery,
+                        );
                         rb_end = rb_end.max(g.end);
                     }
                     cursor = rb_end;
@@ -535,15 +481,13 @@ impl NamelessSsd {
                     rebuilt = true;
                 }
                 self.metrics.recovery.recovery_time += cursor.since(lg.end);
-                if self.probe.is_enabled() {
-                    self.probe.span(
-                        Layer::Flash,
-                        Cause::Recovery,
-                        self.lun_res[li].name(),
-                        lg.end,
-                        cursor,
-                    );
-                }
+                self.sched.probe().span(
+                    Layer::Flash,
+                    Cause::Recovery,
+                    self.sched.lun_res[li].name(),
+                    lg.end,
+                    cursor,
+                );
                 if !recovered {
                     self.metrics.recovery.unrecoverable += 1;
                     return finish(self, cursor, IoStatus::Unrecoverable);
@@ -562,20 +506,7 @@ impl NamelessSsd {
                                 .is_ok()
                             {
                                 self.metrics.recovery.rebuild_relocations += 1;
-                                self.dir.invalidate(phys);
-                                self.dir.mark_valid(np.phys, Lpn(t));
-                                self.upcalls.push(Upcall::Migrated {
-                                    tag: t,
-                                    old: PhysName {
-                                        lun: phys.lun,
-                                        addr: phys.addr,
-                                    },
-                                    new: PhysName {
-                                        lun: np.phys.lun,
-                                        addr: np.phys.addr,
-                                    },
-                                    at: cursor,
-                                });
+                                self.rehome(Lpn(t), phys, np.phys, cursor);
                             }
                         }
                     }
@@ -593,7 +524,7 @@ impl NamelessSsd {
         // GC runs on device time off the host command's critical path:
         // its spans are background (`cmd: None`); its cost reaches host
         // commands only as occupant-blamed queueing delay (`GcStall`).
-        let _bg = self.probe.background();
+        let _bg = self.sched.probe().background();
         self.gc_active = true;
         let mut guard = self.cfg.flash.geometry.total_blocks();
         while self.dir.free_blocks(lun) <= self.cfg.gc_threshold && guard > 0 {
@@ -607,7 +538,9 @@ impl NamelessSsd {
     }
 
     /// Allocate a page on `lun` and program it, salvaging and retrying
-    /// on a failed program. `None` when the device is out of space.
+    /// on a failed program. `Err` when the device is out of space, with
+    /// the instant it gave up: `t` when the first allocation found
+    /// nothing, else the end of the last failed program or salvage.
     fn program_retrying(
         &mut self,
         t: SimTime,
@@ -616,21 +549,22 @@ impl NamelessSsd {
         tag: u64,
         use_channel: bool,
         cause: OpCause,
-    ) -> Option<(PhysPage, SimTime)> {
-        let mut tries = self.luns.len() as u32 * 4;
-        loop {
-            let np = self.dir.next_page(lun, stream, self.cfg.wear_aware)?;
+    ) -> Result<(PhysPage, SimTime), SimTime> {
+        let mut gave_up = t;
+        let tries = self.luns.len() * 4;
+        for _ in 0..tries {
+            let Some(np) = self.dir.next_page(lun, stream, self.cfg.wear_aware) else {
+                break;
+            };
             match self.op_program(t, np.phys, tag, use_channel, cause) {
-                Ok(end) => return Some((np.phys, end)),
-                Err(()) => {
-                    self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
-                    tries -= 1;
-                    if tries == 0 {
-                        return None;
-                    }
+                Ok(end) => return Ok((np.phys, end)),
+                Err(failed) => {
+                    let salvaged = self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
+                    gave_up = gave_up.max(failed).max(salvaged);
                 }
             }
         }
+        Err(gave_up)
     }
 
     fn gc_collect(&mut self, lun: LunId, victim: u32, t: SimTime) {
@@ -641,28 +575,15 @@ impl NamelessSsd {
             let old = PhysPage { lun, addr };
             let copyback = self.cfg.copyback;
             let (after_read, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
-            let Some((newphys, _end)) =
+            let Ok((newphys, _end)) =
                 self.program_retrying(after_read, lun, Stream::Gc, tag.0, !copyback, OpCause::Gc)
             else {
                 // worn-out device: leave the page where it is
                 continue;
             };
-            self.dir.invalidate(old);
-            self.dir.mark_valid(newphys, tag);
             self.metrics.gc_pages_moved += 1;
             // the peer-to-peer message: tell the host where its page went
-            self.upcalls.push(Upcall::Migrated {
-                tag: tag.0,
-                old: PhysName {
-                    lun: old.lun,
-                    addr: old.addr,
-                },
-                new: PhysName {
-                    lun: newphys.lun,
-                    addr: newphys.addr,
-                },
-                at: t,
-            });
+            self.rehome(tag, old, newphys, t);
         }
         self.live_scratch = live;
         // erase the victim
@@ -670,12 +591,16 @@ impl NamelessSsd {
         let cmd_done = t + self.cfg.channel.command;
         match self.luns[lun.0 as usize].erase(baddr) {
             Ok(o) => {
-                self.lun_res[lun.0 as usize].reserve_tagged(cmd_done, o.duration, Occupant::Gc);
+                self.sched.lun_res[lun.0 as usize].reserve_tagged(
+                    cmd_done,
+                    o.duration,
+                    Occupant::Gc,
+                );
                 self.metrics.flash_erases.bump(OpCause::Gc);
                 self.dir.recycle(lun, victim);
             }
             Err(FlashError::EraseFailed { .. }) => {
-                self.lun_res[lun.0 as usize].reserve_tagged(
+                self.sched.lun_res[lun.0 as usize].reserve_tagged(
                     cmd_done,
                     self.cfg.flash.timing.erase,
                     Occupant::Gc,
@@ -694,41 +619,32 @@ impl NamelessSsd {
     /// directory keeps for a page that holds nothing.
     pub fn write(&mut self, now: SimTime, tag: u64) -> Result<NamelessCompletion, NamelessError> {
         self.metrics.host_writes += 1;
-        let scope = self.probe.open_command("write", now);
+        let scope = self.sched.probe().open_command("write", now);
         let link = self
+            .sched
             .host_link
             .reserve_tagged(now, self.host_link_time(), Occupant::Host);
         let t = link.end + self.cfg.controller_overhead;
-        if self.probe.is_enabled() {
-            let blame = self.host_link.blame(now, link.start);
-            self.probe.wait_spans(
-                Layer::HostLink,
-                self.host_link.name(),
-                now,
-                link.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::HostLink,
-                Cause::Transfer,
-                self.host_link.name(),
-                link.start,
-                link.end,
-            );
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", link.end, t);
-        }
-        let lun = self.rotation.least_loaded(t, &self.lun_res, &self.dir);
+        self.sched.emit_host_link_spans(now, link);
+        self.span_overhead(link.end, t);
+        let lun = self
+            .rotation
+            .least_loaded(t, &self.sched.lun_res, &self.dir);
         self.maybe_gc(lun, t);
         let salvages_before = self.metrics.recovery.program_salvages;
-        let Some((phys, done)) =
-            self.program_retrying(t, lun, Stream::Host, tag, true, OpCause::Host)
-        else {
-            // dropping the scope aborts the probe command — a rejected
-            // write has no completion instant to close with
-            drop(scope);
-            return Err(NamelessError::DeviceFull);
-        };
+        let (phys, done) =
+            match self.program_retrying(t, lun, Stream::Host, tag, true, OpCause::Host) {
+                Ok(placed) => placed,
+                // refused with the page in hand and no place for it: the
+                // link transfer and the command overhead are spent (on
+                // healthy media `at` is `t` and those are exactly the spans
+                // on the record), and so are the failed programs and
+                // salvages, if any, that came before giving up
+                Err(at) => {
+                    scope.close(at);
+                    return Err(NamelessError::DeviceFull { at });
+                }
+            };
         self.dir.mark_valid(phys, Lpn(tag));
         let latency = done.since(now);
         self.metrics.write_latency.record_duration(latency);
@@ -739,7 +655,7 @@ impl NamelessSsd {
             IoStatus::Ok
         };
         scope.close(done);
-        self.probe.note_status(status.as_str());
+        self.sched.probe().note_status(status.as_str());
         Ok(NamelessCompletion {
             name: PhysName {
                 lun: phys.lun,
@@ -769,35 +685,17 @@ impl NamelessSsd {
         if self.dir.backptr(phys) != Some(Lpn(tag)) {
             return Err(NamelessError::StaleName { name });
         }
-        let scope = self.probe.open_command("read", now);
+        let scope = self.sched.probe().open_command("read", now);
         let t = now + self.cfg.controller_overhead;
-        if self.probe.is_enabled() {
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", now, t);
-        }
+        self.span_overhead(now, t);
         let (flash_done, status) = self.op_read(t, phys, true, OpCause::Host, Some(tag));
-        let out = self
-            .host_link
-            .reserve_tagged(flash_done, self.host_link_time(), Occupant::Host);
-        if self.probe.is_enabled() {
-            let blame = self.host_link.blame(flash_done, out.start);
-            self.probe.wait_spans(
-                Layer::HostLink,
-                self.host_link.name(),
-                flash_done,
-                out.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::HostLink,
-                Cause::Transfer,
-                self.host_link.name(),
-                out.start,
-                out.end,
-            );
-        }
+        let out =
+            self.sched
+                .host_link
+                .reserve_tagged(flash_done, self.host_link_time(), Occupant::Host);
+        self.sched.emit_host_link_spans(flash_done, out);
         scope.close(out.end);
-        self.probe.note_status(status.as_str());
+        self.sched.probe().note_status(status.as_str());
         let latency = out.end.since(now);
         self.metrics.read_latency.record_duration(latency);
         Ok((out.end, latency, status))
@@ -821,11 +719,8 @@ impl NamelessSsd {
         }
         self.dir.invalidate(phys);
         let done = now + self.cfg.controller_overhead;
-        let scope = self.probe.open_command("free", now);
-        if self.probe.is_enabled() {
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", now, done);
-        }
+        let scope = self.sched.probe().open_command("free", now);
+        self.span_overhead(now, done);
         scope.close(done);
         Ok(done)
     }
@@ -930,6 +825,46 @@ mod tests {
             let r = d.read(t, name, tag);
             assert!(r.is_ok(), "tag {tag} unreadable at {name:?}");
             t = r.unwrap().0;
+        }
+    }
+
+    /// From its 100th program on, every LUN fails every program: each
+    /// write burns through blocks (failed program, salvage, retire) until
+    /// the device has no block left and refuses. The refusal comes after
+    /// that work, not at the instant the command reached the controller.
+    #[test]
+    fn a_write_refused_after_failed_programs_completes_after_them() {
+        let mut base = SsdConfig::modern();
+        base.shape.channels = 2;
+        base.shape.chips_per_channel = 2;
+        base.flash.geometry = requiem_flash::Geometry::new(1, 32, 8, 4096);
+        for unit in 0..4 {
+            base.fault = base.fault.with_program_fail(unit, (100..10_000).collect());
+        }
+        let mut d = NamelessSsd::new(NamelessConfig::from(&base));
+        let probe = Probe::recording();
+        d.attach_probe(probe.clone());
+        let mut t = SimTime::ZERO;
+        let refused_at = (0..1024u64)
+            .find_map(|tag| match d.write(t, tag) {
+                Ok(w) => {
+                    t = w.done;
+                    None
+                }
+                Err(NamelessError::DeviceFull { at }) => Some(at),
+                Err(e) => panic!("tag {tag}: {e}"),
+            })
+            .expect("a device that cannot program must refuse");
+        assert!(d.metrics().recovery.program_salvages > 0);
+        let reached_controller = t + d.host_link_time() + d.cfg.controller_overhead;
+        assert!(
+            refused_at >= reached_controller + d.cfg.flash.timing.program(0),
+            "refused at {refused_at}, before the failed program could have ended"
+        );
+        let rec = probe.commands().pop().expect("the refused write");
+        assert_eq!((rec.submit, rec.done), (t, Some(refused_at)));
+        for e in probe.command_spans(rec.id) {
+            assert!(e.end <= refused_at, "span {e:?} outlives the command");
         }
     }
 

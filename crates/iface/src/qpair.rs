@@ -24,12 +24,18 @@
 //!
 //! ## Errors are data
 //!
-//! A refused command (device full, stale name) does not panic and does
-//! not poison the queue: it completes *at its admission instant* with
-//! [`IoStatus::Rejected`] and zero device occupancy, mirroring how the
-//! block stack reports refusals through the completion path. The caller
-//! reacts per-completion — for a stale name, by draining migration
-//! upcalls and resubmitting at the current name.
+//! A refused command does not panic and does not poison the queue: it
+//! completes with [`IoStatus::Rejected`], mirroring how the block stack
+//! reports refusals through the completion path, *at the instant the
+//! device refused it*. A stale name is caught by the out-of-band tag
+//! check before the device spends anything, so the read or free
+//! completes at its admission instant with zero device occupancy. A
+//! write the device has no room for is refused only once the page has
+//! crossed the host link and the controller has looked for a place
+//! ([`NamelessError::DeviceFull`]'s `at`): it completes then, and its
+//! host-link and controller spans tile `[submit, done)` like any other
+//! command's. The caller reacts per-completion — for a stale name, by
+//! draining migration upcalls and resubmitting at the current name.
 
 use requiem_sim::cmd::CommandId;
 use requiem_sim::completion::{CompletionHeap, InflightWindow};
@@ -37,7 +43,7 @@ use requiem_sim::probe::{Cause, Layer};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
 
-use crate::nameless::{NamelessSsd, PhysName};
+use crate::nameless::{NamelessError, NamelessSsd, PhysName};
 
 /// A typed command on the nameless interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +101,9 @@ pub struct NamelessCqe {
     pub name: Option<PhysName>,
     /// Submission instant.
     pub submitted: SimTime,
-    /// Completion instant (== admission instant for rejected commands).
+    /// Completion instant; for a rejected command, the instant the
+    /// device refused it (admission for a stale name, after the link
+    /// transfer and command overhead for a full device).
     pub done: SimTime,
     /// Typed outcome, propagated instead of panicking.
     pub status: IoStatus,
@@ -148,7 +156,8 @@ impl NamelessQueuePair {
         let (done, name, status) = match cmd {
             NamelessCmd::Write { tag } => match dev.write(admit, tag) {
                 Ok(w) => (w.done, Some(w.name), w.status),
-                Err(_) => (admit, None, IoStatus::Rejected),
+                Err(NamelessError::DeviceFull { at }) => (at, None, IoStatus::Rejected),
+                Err(NamelessError::StaleName { .. }) => (admit, None, IoStatus::Rejected),
             },
             NamelessCmd::Read { name, tag } => match dev.read(admit, name, tag) {
                 Ok((done, _lat, status)) => (done, Some(name), status),

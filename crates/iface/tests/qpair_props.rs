@@ -1,0 +1,234 @@
+//! Property tests for the nameless queue pair: seeded write / read-by-name
+//! / free-by-exact-name mixes at queue depths up to 16, on a device small
+//! enough that garbage collection migrates live pages under the host,
+//! ending in a tail that fills the device until it refuses writes.
+//!
+//! 1. every probe command's spans **tile** its `[submit, done)` exactly —
+//!    refused writes included: a write the device has no room for still
+//!    crossed the host link, and completes when it was refused;
+//! 2. commands on the **same tag** complete in submission order (the
+//!    in-flight window's hazard guard).
+
+use std::collections::{HashMap, HashSet};
+
+use proptest::prelude::*;
+use requiem_flash::Geometry;
+use requiem_iface::{NamelessCmd, NamelessConfig, NamelessCqe, NamelessQueuePair};
+use requiem_iface::{NamelessSsd, PhysName, Upcall};
+use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::{IoStatus, Probe};
+use requiem_ssd::SsdConfig;
+
+/// Tags the generated phase keeps live: three quarters of the raw pages,
+/// so a GC victim always has live neighbours to relocate.
+const LIVE: u64 = 768;
+
+/// 2 x 2 LUNs of 32 blocks x 8 pages: 1024 raw pages.
+fn device() -> NamelessSsd {
+    let mut base = SsdConfig::modern();
+    base.shape.channels = 2;
+    base.shape.chips_per_channel = 2;
+    base.flash.geometry = Geometry::new(1, 32, 8, 4096);
+    NamelessSsd::new(NamelessConfig::from(&base))
+}
+
+/// What the host asks for; the name comes from its index at submit.
+#[derive(Clone, Copy)]
+enum Op {
+    Write(u64),
+    Read(u64),
+    Free(u64),
+}
+
+/// The host: its name index, what it has in flight per tag, and the
+/// closed loop that keeps at most `qd` commands outstanding.
+struct Host {
+    dev: NamelessSsd,
+    qp: NamelessQueuePair,
+    qd: usize,
+    now: SimTime,
+    in_flight: usize,
+    /// The host's index: the current name of every written tag.
+    names: HashMap<u64, PhysName>,
+    /// Commands outstanding per tag.
+    busy: HashMap<u64, u32>,
+    /// The writes among them, by command id.
+    writes: HashSet<u64>,
+    /// `Migrated` upcalls that named a page whose write completion the
+    /// host has not reaped yet: applied when it is.
+    early: Vec<(u64, PhysName, PhysName)>,
+    /// Every completion, in pop order.
+    trace: Vec<NamelessCqe>,
+}
+
+impl Host {
+    fn reap(&mut self) {
+        let c = self.qp.pop().expect("a completion is pending");
+        self.in_flight -= 1;
+        self.now = self.now.max(c.done);
+        *self.busy.get_mut(&c.tag).expect("reaped tag was busy") -= 1;
+        if let (true, Some(mut name)) = (self.writes.remove(&c.id.0), c.name) {
+            // the page may have moved since the device named it
+            while let Some(i) = self
+                .early
+                .iter()
+                .position(|&(t, old, _)| t == c.tag && old == name)
+            {
+                name = self.early.remove(i).2;
+            }
+            self.names.insert(c.tag, name);
+        }
+        self.trace.push(c);
+    }
+
+    fn submit(&mut self, op: Op) {
+        while self.in_flight >= self.qd {
+            self.reap();
+        }
+        for u in self.dev.upcalls().drain() {
+            if let Upcall::Migrated { tag, old, new, .. } = u {
+                match self.names.get_mut(&tag) {
+                    Some(n) if *n == old => *n = new,
+                    _ => self.early.push((tag, old, new)),
+                }
+            }
+        }
+        // drained just above, so a name taken from the index is current
+        let cmd = match op {
+            Op::Write(tag) => NamelessCmd::Write { tag },
+            Op::Read(tag) => NamelessCmd::Read {
+                name: self.names[&tag],
+                tag,
+            },
+            Op::Free(tag) => NamelessCmd::Free {
+                name: self.names.remove(&tag).expect("free of a written tag"),
+                tag,
+            },
+        };
+        *self.busy.entry(cmd.tag()).or_insert(0) += 1;
+        let id = self.qp.submit(&mut self.dev, self.now, cmd);
+        if let Op::Write(_) = op {
+            self.writes.insert(id.0);
+        }
+        self.in_flight += 1;
+    }
+
+    /// The first tag at or after `tag` (mod [`LIVE`]) that `ok` accepts.
+    fn first_from(&self, tag: u64, ok: impl Fn(&Host, u64) -> bool) -> u64 {
+        (0..LIVE)
+            .map(|k| (tag + k) % LIVE)
+            .find(|&t| ok(self, t))
+            .expect("fewer commands in flight than tags")
+    }
+}
+
+/// Fill, churn for `2 * LIVE` seeded ops, then write fresh tags until the
+/// device has refused eight of them. Returns the host and its probe.
+/// The media is healthy: a salvage's spans overlap the command that set
+/// it off, so tiling is not claimed under program failures (when such a
+/// write is refused is pinned by a unit test in `nameless.rs`).
+fn run(qd: usize, seed: u64, read_pct: u64, free_pct: u64) -> (Host, Probe) {
+    let mut dev = device();
+    let probe = Probe::recording();
+    dev.attach_probe(probe.clone());
+    let mut h = Host {
+        dev,
+        qp: NamelessQueuePair::new(qd),
+        qd,
+        now: SimTime::ZERO,
+        in_flight: 0,
+        names: HashMap::new(),
+        busy: HashMap::new(),
+        writes: HashSet::new(),
+        early: Vec::new(),
+        trace: Vec::new(),
+    };
+    for tag in 0..LIVE {
+        h.submit(Op::Write(tag));
+    }
+    let mut x = seed;
+    for _ in 0..2 * LIVE {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (roll, pick) = ((x >> 33) % 100, (x >> 40) % LIVE);
+        if roll < read_pct {
+            // reads pile up on a tag; they wait only for its write
+            let tag = h.first_from(pick, |h, t| h.names.contains_key(&t));
+            h.submit(Op::Read(tag));
+            continue;
+        }
+        // writes and frees take a tag with nothing in flight
+        let tag = h.first_from(pick, |h, t| h.busy.get(&t).map_or(true, |&n| n == 0));
+        if h.names.contains_key(&tag) {
+            h.submit(Op::Free(tag));
+            if roll < read_pct + free_pct {
+                continue; // stays unwritten until it is picked again
+            }
+        }
+        // same tag as the free just submitted: the hazard guard orders them
+        h.submit(Op::Write(tag));
+    }
+    let mut fresh = LIVE;
+    while h.trace.iter().filter(|c| c.name.is_none()).count() < 8 {
+        assert!(fresh < 4 * LIVE, "the device never filled");
+        h.submit(Op::Write(fresh));
+        fresh += 1;
+    }
+    while h.in_flight > 0 {
+        h.reap();
+    }
+    (h, probe)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn spans_tile_every_command_and_same_tag_completes_in_order(
+        qd in 1usize..17,
+        seed in 0u64..u64::MAX,
+        read_pct in 0u64..50,
+        free_pct in 0u64..20,
+    ) {
+        let (h, probe) = run(qd, seed, read_pct, free_pct);
+        prop_assert!(h.dev.metrics().gc_pages_moved > 0, "GC never migrated a live page");
+        prop_assert!(h.dev.upcalls_pending().delivered() > 0, "no upcall reached the host");
+
+        // same tag: pop order is submission order, dones never regress
+        let mut last: HashMap<u64, &NamelessCqe> = HashMap::new();
+        for c in &h.trace {
+            if c.name.is_some() {
+                prop_assert!(c.status.is_success(), "tag {} {:?}: the host's name was stale", c.tag, c.status);
+            } else {
+                prop_assert_eq!(c.status, IoStatus::Rejected);
+            }
+            if let Some(prev) = last.insert(c.tag, c) {
+                prop_assert!(prev.id < c.id, "tag {} popped {:?} after {:?}", c.tag, c.id, prev.id);
+                prop_assert!(prev.done <= c.done, "tag {} done regressed", c.tag);
+            }
+        }
+
+        // one pass over the bus: each command's spans, in emission order
+        let mut spans: HashMap<u64, Vec<(SimTime, SimTime)>> = HashMap::new();
+        for e in probe.events_ref().iter() {
+            if let Some(cmd) = e.cmd {
+                spans.entry(cmd).or_default().push((e.start, e.end));
+            }
+        }
+        let cmds = probe.commands_ref();
+        prop_assert_eq!(cmds.len(), h.trace.len(), "one probe command per submission");
+        for rec in cmds.iter() {
+            let done = rec.done.expect("command closed");
+            let mut cursor = rec.submit;
+            let mut total = SimDuration::ZERO;
+            for &(start, end) in spans.get(&rec.id).map_or(&[][..], |v| v) {
+                prop_assert_eq!(start, cursor, "gap/overlap in {} cmd {}", rec.kind, rec.id);
+                cursor = end;
+                total += end.since(start);
+            }
+            prop_assert_eq!(cursor, done, "{} cmd {}: spans do not end at completion", rec.kind, rec.id);
+            prop_assert_eq!(total, done.since(rec.submit), "span sum != latency");
+        }
+    }
+}

@@ -10,9 +10,13 @@
 //!   CPU core, a submission-queue lock). Operations reserve an interval on
 //!   the timeline; the resource hands back the earliest feasible start in
 //!   FIFO order and tracks utilization.
-//! * [`EventQueue`] — a generic calendar queue for models that need
-//!   event-driven control flow (background garbage collection, checkpoint
-//!   timers) rather than pure timeline reservation.
+//! * [`completion`] — the completion heap and the bounded in-flight window
+//!   every queue pair admits through; [`cmd`] — the command, request and
+//!   completion types they carry; [`CoreClock`] — the round-robin clock
+//!   that interleaves executor shards.
+//! * [`probe`] — the span bus: every layer reports where a command's time
+//!   went as `(layer, cause)` spans that tile its latency.
+//! * [`fault`] — seeded fault plans and the typed [`IoStatus`] they end as.
 //! * [`stats`] — latency histograms with percentile extraction, counters,
 //!   and time-weighted gauges.
 //! * [`SimRng`] — a seedable, splittable random-number source so that every
@@ -28,9 +32,10 @@
 //! lines, CPU cores) are all *serial* resources with deterministic service
 //! times. For such systems, reserving intervals on per-resource timelines is
 //! equivalent to a full event-driven simulation but is simpler, faster, and
-//! allocation-free on the hot path. Where genuinely reactive behaviour is
-//! needed (e.g. threshold-triggered garbage collection) the [`EventQueue`]
-//! complements the timelines.
+//! allocation-free on the hot path. Reactive behaviour (threshold-triggered
+//! garbage collection, checkpoints) is decided inline, at the operation
+//! that crosses the threshold, and reserved on the same timelines; there is
+//! no event queue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +43,6 @@
 pub mod cmd;
 pub mod completion;
 pub mod coreclock;
-pub mod event;
 pub mod fault;
 pub mod gantt;
 pub mod probe;
@@ -51,7 +55,6 @@ pub mod time;
 pub use cmd::{CommandId, IoClass, IoCompletion, IoOp, IoRequest};
 pub use completion::{CompletionHeap, InflightWindow};
 pub use coreclock::CoreClock;
-pub use event::EventQueue;
 pub use fault::{FaultPlan, FaultView, IoStatus};
 pub use gantt::{Gantt, Span};
 pub use probe::{

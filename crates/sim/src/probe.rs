@@ -708,7 +708,7 @@ impl Probe {
     }
 
     /// Emit a wait interval `[from, to)` decomposed into per-occupant
-    /// stall spans (see [`crate::resource::Resource::blame`]). Sub-span
+    /// stall spans (see [`crate::resource::Resource::blame_into`]). Sub-span
     /// boundaries are synthetic but durations are exact.
     pub fn wait_spans(
         &self,
@@ -733,6 +733,9 @@ impl Probe {
     /// existing `is_enabled()` fast path. The guard must be dropped
     /// before any other probe call (scope open/close, `summary()`), or
     /// the bus `RefCell` will panic; keep batches straight-line.
+    /// `#[inline]` so that a disabled probe costs callers in other crates
+    /// a null check, not a call per emission.
+    #[inline]
     pub fn batch(&self) -> Option<SpanBatch<'_>> {
         self.bus.as_ref().map(|b| SpanBatch {
             bus: b.borrow_mut(),

@@ -135,7 +135,8 @@ impl Resource {
 
     /// [`reserve`](Self::reserve), recording `occupant` as the owner of
     /// the granted interval (when tracking is enabled) so later waiters
-    /// can attribute their queueing delay via [`blame`](Self::blame).
+    /// can attribute their queueing delay via
+    /// [`blame_into`](Self::blame_into).
     pub fn reserve_tagged(
         &mut self,
         not_before: SimTime,
@@ -158,27 +159,17 @@ impl Resource {
     }
 
     /// Decompose the wait interval `[requested_at, granted_start)` by the
-    /// occupants that held this resource during it. Returns per-occupant
-    /// durations summing exactly to the wait; time not covered by a
-    /// tracked grant (tracking off, window overflow, idle gaps in a
-    /// multi-resource wait) is attributed to [`Occupant::Host`] queueing.
+    /// occupants that held this resource during it, into a caller-owned
+    /// scratch buffer (cleared first) so per-wait decomposition on the
+    /// scheduler hot path reuses one allocation. `out` receives
+    /// per-occupant durations summing exactly to the wait; time not
+    /// covered by a tracked grant (tracking off, window overflow, idle
+    /// gaps in a multi-resource wait) is attributed to
+    /// [`Occupant::Host`] queueing.
     ///
-    /// Call *before* reserving the waiting operation itself, or the
-    /// waiter's own grant will not perturb the result anyway (it starts
-    /// at `granted_start`, outside the decomposed interval).
-    pub fn blame(
-        &self,
-        requested_at: SimTime,
-        granted_start: SimTime,
-    ) -> Vec<(Occupant, SimDuration)> {
-        let mut out = Vec::new();
-        self.blame_into(requested_at, granted_start, &mut out);
-        out
-    }
-
-    /// [`blame`](Self::blame) into a caller-owned scratch buffer (cleared
-    /// first), so per-wait decomposition on the scheduler hot path reuses
-    /// one allocation instead of building a fresh `Vec` per query.
+    /// The waiter's own grant never perturbs the result, whether it is
+    /// reserved before or after the call: it starts at `granted_start`,
+    /// outside the decomposed interval.
     ///
     /// The grant window is FIFO, so both starts and ends are
     /// nondecreasing: the scan binary-searches to the first grant ending
@@ -223,14 +214,6 @@ impl Resource {
                 None => out.push((Occupant::Host, rest)),
             }
         }
-    }
-
-    /// Reserve time that must start *exactly* when the resource next frees,
-    /// at or after `not_before` (identical to [`reserve`](Self::reserve);
-    /// provided for call-site readability when chaining pipelined stages).
-    #[inline]
-    pub fn reserve_after(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
-        self.reserve(not_before, duration)
     }
 
     /// Would-be grant if we reserved now — without committing. Used by
@@ -351,18 +334,6 @@ impl ResourceBank {
             .fold(SimTime::ZERO, SimTime::max)
     }
 
-    /// Mean utilization across members at `horizon`.
-    pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
-        if self.members.is_empty() {
-            return 0.0;
-        }
-        self.members
-            .iter()
-            .map(|r| r.utilization(horizon))
-            .sum::<f64>()
-            / self.members.len() as f64
-    }
-
     /// Reset all members.
     pub fn reset(&mut self) {
         for r in &mut self.members {
@@ -454,6 +425,17 @@ mod tests {
         assert_eq!(b.drain_time(), SimTime::from_micros(7));
     }
 
+    /// `blame_into` a fresh buffer: the decomposition as a value.
+    fn blame_of(
+        r: &Resource,
+        requested_at: SimTime,
+        granted_start: SimTime,
+    ) -> Vec<(Occupant, SimDuration)> {
+        let mut out = Vec::new();
+        r.blame_into(requested_at, granted_start, &mut out);
+        out
+    }
+
     #[test]
     fn blame_decomposes_wait_by_occupant() {
         let mut r = Resource::new("lun");
@@ -463,7 +445,7 @@ mod tests {
         // host op arrives at 0.5ms, waits until 2ms
         let req = SimTime::from_micros(500);
         let g = r.peek(req, MICROSECOND * 50);
-        let blame = r.blame(req, g.start);
+        let blame = blame_of(&r, req, g.start);
         assert_eq!(blame, vec![(Occupant::Gc, MICROSECOND * 1500)]);
         let total: SimDuration = blame
             .iter()
@@ -480,7 +462,7 @@ mod tests {
         r.reserve_tagged(SimTime::ZERO, MICROSECOND * 30, Occupant::Merge);
         // waiter arrives at 5µs; resource busy until 40µs
         let req = SimTime::from_micros(5);
-        let blame = r.blame(req, SimTime::from_micros(40));
+        let blame = blame_of(&r, req, SimTime::from_micros(40));
         let host = blame
             .iter()
             .find(|(o, _)| *o == Occupant::Host)
@@ -497,7 +479,7 @@ mod tests {
     fn blame_without_tracking_is_generic_queueing() {
         let mut r = Resource::new("lun");
         r.reserve_tagged(SimTime::ZERO, MICROSECOND * 10, Occupant::Gc);
-        let blame = r.blame(SimTime::ZERO, SimTime::from_micros(10));
+        let blame = blame_of(&r, SimTime::ZERO, SimTime::from_micros(10));
         assert_eq!(blame, vec![(Occupant::Host, MICROSECOND * 10)]);
     }
 
@@ -506,9 +488,7 @@ mod tests {
         let mut r = Resource::new("x");
         r.track_occupants(true);
         r.reserve(SimTime::ZERO, MICROSECOND);
-        assert!(r
-            .blame(SimTime::from_micros(5), SimTime::from_micros(5))
-            .is_empty());
+        assert!(blame_of(&r, SimTime::from_micros(5), SimTime::from_micros(5)).is_empty());
     }
 
     #[test]
@@ -523,7 +503,8 @@ mod tests {
             let req = SimTime::from_micros(req);
             let grant = SimTime::from_micros(grant);
             r.blame_into(req, grant, &mut scratch);
-            assert_eq!(scratch, r.blame(req, grant), "req={req} grant={grant}");
+            // whatever the last query left behind is gone
+            assert_eq!(scratch, blame_of(&r, req, grant), "req={req} grant={grant}");
         }
     }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{EventQueue, Histogram, Resource};
+use requiem_sim::{Histogram, Resource};
 
 proptest! {
     /// A serial resource never overlaps grants, never goes backwards, and
@@ -37,27 +37,6 @@ proptest! {
         let mut r = Resource::new("x");
         let g = r.reserve(SimTime::from_nanos(at), SimDuration::from_nanos(dur));
         prop_assert_eq!(g.start, SimTime::from_nanos(at));
-    }
-
-    /// The event queue pops in nondecreasing time order with FIFO ties,
-    /// regardless of insertion order.
-    #[test]
-    fn event_queue_orders_any_schedule(times in proptest::collection::vec(0u64..1_000, 1..300)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), (t, i));
-        }
-        let mut last: Option<(u64, usize)> = None;
-        let mut popped = 0usize;
-        while let Some((at, (t, i))) = q.pop() {
-            prop_assert_eq!(at, SimTime::from_nanos(t));
-            if let Some((lt, li)) = last {
-                prop_assert!(t > lt || (t == lt && i > li), "order violated: ({lt},{li}) then ({t},{i})");
-            }
-            last = Some((t, i));
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
     }
 
     /// Histogram quantiles are monotone in q, bracketed by min/max, and

@@ -25,18 +25,6 @@ use crate::device::{FlashReadDone, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
 
-/// The resource occupant tag for a flash operation cause.
-pub(crate) fn occupant_of(cause: OpCause) -> Occupant {
-    match cause {
-        OpCause::Host => Occupant::Host,
-        OpCause::Gc => Occupant::Gc,
-        OpCause::WearLevel => Occupant::Wear,
-        OpCause::Merge => Occupant::Merge,
-        OpCause::Translation => Occupant::Translation,
-        OpCause::Recovery => Occupant::Recovery,
-    }
-}
-
 /// Record `g` on `res`'s lane of the Gantt trace, if one is on. The two
 /// scheduler fields come in apart so the lane name is borrowed from the
 /// timeline that owns it and copied only when somebody records it.
@@ -138,15 +126,19 @@ impl LunRotation {
 }
 
 /// Owner of the controller's serial resource timelines (channels, LUNs,
-/// host link), the Gantt trace, and the observability probe.
+/// host link), the Gantt trace, and the observability probe. Both
+/// devices hold one: [`Ssd`] under its FTL, and the nameless device of
+/// `requiem-iface`, which reserves on the same timelines and reports
+/// through the same emitters — the interface above changes, the
+/// scheduling box does not (Figure 2).
 #[derive(Debug)]
 pub struct Scheduler {
     /// One timeline per LUN (`chip{i}`).
-    pub(crate) lun_res: Vec<Resource>,
+    pub lun_res: Vec<Resource>,
     /// One timeline per channel (`chan{i}`).
-    pub(crate) chan_res: Vec<Resource>,
+    pub chan_res: Vec<Resource>,
     /// The host interface link.
-    pub(crate) host_link: Resource,
+    pub host_link: Resource,
     /// Optional chip/channel occupancy trace.
     pub(crate) trace: Option<Gantt>,
     /// Observability bus handle (disabled by default).
@@ -161,7 +153,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Create timelines for `nluns` LUNs and `channels` channels, all
     /// idle, with tracing and probing off.
-    pub(crate) fn new(nluns: u32, channels: u32) -> Self {
+    pub fn new(nluns: u32, channels: u32) -> Self {
         Scheduler {
             lun_res: (0..nluns)
                 .map(|i| Resource::new(format!("chip{i}")))
@@ -204,7 +196,7 @@ impl Scheduler {
 
     /// Emit wait-blame + transfer spans for a host-link grant requested
     /// at `requested`.
-    pub(crate) fn emit_host_link_spans(&self, requested: SimTime, g: Grant) {
+    pub fn emit_host_link_spans(&self, requested: SimTime, g: Grant) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -231,7 +223,7 @@ impl Scheduler {
     /// `[cmd_done, g.start)`, then the cell op `[g.start, g.end)` as
     /// `cell` — through a single probe borrow (the LUN-level record
     /// batch; three to five `RefCell` round-trips become one).
-    fn emit_flash_op_spans(
+    pub fn emit_flash_op_spans(
         &self,
         chan: usize,
         lun: usize,
@@ -265,7 +257,7 @@ impl Scheduler {
     /// Emit LUN wait blame `[requested, g.start)` plus the cell op span
     /// `[g.start, g.end)` (no command cycles — programs pay theirs on
     /// the data bus) through a single probe borrow.
-    fn emit_lun_op_spans(&self, lun: usize, requested: SimTime, g: Grant, cell: Cause) {
+    pub fn emit_lun_op_spans(&self, lun: usize, requested: SimTime, g: Grant, cell: Cause) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -283,7 +275,7 @@ impl Scheduler {
 
     /// Emit channel wait blame `[requested, g.start)` plus the transfer
     /// span `[g.start, g.end)` through a single probe borrow.
-    fn emit_chan_transfer_spans(&self, chan: usize, requested: SimTime, g: Grant) {
+    pub fn emit_chan_transfer_spans(&self, chan: usize, requested: SimTime, g: Grant) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -357,7 +349,7 @@ impl Ssd {
                 })
             }
         };
-        let occ = occupant_of(cause);
+        let occ = Occupant::from(cause);
         let lg = self.sched.lun_res[li].reserve_tagged(cmd_done, dur, occ);
         let lun_wait = lg.start.since(cmd_done);
         self.metrics.flash_reads.bump(cause);
@@ -410,7 +402,7 @@ impl Ssd {
     ) -> Result<FlashReadDone, SsdError> {
         let li = phys.lun.0 as usize;
         let chan = self.shape().channel_of(phys.lun) as usize;
-        let occ = occupant_of(cause);
+        let occ = Occupant::from(cause);
         let t_read = self.cfg.flash.timing.read;
         let cmd = self.cfg.channel.command;
         let probe_on = self.sched.probe.is_enabled();
@@ -580,7 +572,7 @@ impl Ssd {
     ) -> Result<SimTime, SsdError> {
         let li = phys.lun.0 as usize;
         let chan = self.shape().channel_of(phys.lun) as usize;
-        let occ = occupant_of(cause);
+        let occ = Occupant::from(cause);
         let start = if use_channel {
             let bus_time =
                 self.cfg.channel.write_bus_time(self.page_size()) + self.chan_hiccup_extra(chan);
@@ -628,7 +620,7 @@ impl Ssd {
         let li = lun.0 as usize;
         let baddr = self.cfg.flash.geometry.block_from_index(block_idx);
         let cmd_done = not_before + self.cfg.channel.command;
-        let occ = occupant_of(cause);
+        let occ = Occupant::from(cause);
         let (g, retired) = match self.luns[li].erase(baddr) {
             Ok(o) => (
                 self.sched.lun_res[li].reserve_tagged(cmd_done, o.duration, occ),

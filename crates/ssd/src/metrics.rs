@@ -6,7 +6,7 @@
 //! paper's §2.3 argument requires.
 
 use requiem_sim::time::SimDuration;
-use requiem_sim::Histogram;
+use requiem_sim::{Histogram, Occupant};
 
 /// Why a flash operation happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,6 +24,22 @@ pub enum OpCause {
     /// Error-recovery traffic (read-retry rungs, ECC escalation senses,
     /// parity-rebuild stripe reads, post-rebuild relocations).
     Recovery,
+}
+
+/// The tag a flash operation's grants carry on the resource timelines,
+/// so later waiters can blame their queueing delay on its cause.
+impl From<OpCause> for Occupant {
+    #[inline]
+    fn from(cause: OpCause) -> Self {
+        match cause {
+            OpCause::Host => Occupant::Host,
+            OpCause::Gc => Occupant::Gc,
+            OpCause::WearLevel => Occupant::Wear,
+            OpCause::Merge => Occupant::Merge,
+            OpCause::Translation => Occupant::Translation,
+            OpCause::Recovery => Occupant::Recovery,
+        }
+    }
 }
 
 /// Counters for one operation type, split by cause.

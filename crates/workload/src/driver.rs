@@ -66,19 +66,19 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
-    /// Pretty one-line summary.
-    pub fn summary_line(&self) -> String {
-        let s = self.latency.summary();
-        format!(
-            "{} ops in {} — {:.0} IOPS, {:.1} MB/s, lat p50 {} p99 {} max {}",
-            self.ops,
-            self.makespan,
-            self.iops,
-            self.mb_per_s,
-            SimDuration::from_nanos(s.p50),
-            SimDuration::from_nanos(s.p99),
-            SimDuration::from_nanos(s.max),
-        )
+    /// The report of `ops` page-sized operations that took `makespan`
+    /// on `ssd`.
+    fn new(ssd: &Ssd, ops: u64, reads: u64, makespan: SimDuration, latency: Histogram) -> Self {
+        let secs = makespan.as_secs_f64().max(1e-12);
+        let page = ssd.config().flash.geometry.page_size as f64;
+        DriverReport {
+            ops,
+            reads,
+            makespan,
+            iops: ops as f64 / secs,
+            mb_per_s: ops as f64 * page / (1024.0 * 1024.0) / secs,
+            latency,
+        }
     }
 }
 
@@ -146,17 +146,7 @@ pub fn run_closed_loop(
         latency.record_duration(c.latency());
         last_done = last_done.max(c.done);
     }
-    let makespan = last_done.since(start_at);
-    let secs = makespan.as_secs_f64().max(1e-12);
-    let page = ssd.config().flash.geometry.page_size as f64;
-    DriverReport {
-        ops,
-        reads,
-        makespan,
-        iops: ops as f64 / secs,
-        mb_per_s: ops as f64 * page / (1024.0 * 1024.0) / secs,
-        latency,
-    }
+    DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
 }
 
 /// The pre-queue-pair closed loop: drives the device through the
@@ -203,17 +193,7 @@ pub fn run_closed_loop_serialized(
         last_done = last_done.max(completion.done);
         issued += 1;
     }
-    let makespan = last_done.since(start_at);
-    let secs = makespan.as_secs_f64().max(1e-12);
-    let page = ssd.config().flash.geometry.page_size as f64;
-    DriverReport {
-        ops,
-        reads,
-        makespan,
-        iops: ops as f64 / secs,
-        mb_per_s: ops as f64 * page / (1024.0 * 1024.0) / secs,
-        latency,
-    }
+    DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
 }
 
 /// Run `ops` operations open-loop at an offered rate of `iops`
@@ -252,17 +232,7 @@ pub fn run_open_loop(
         last_done = last_done.max(completion.done);
         now += arrivals.sample(&mut rng);
     }
-    let makespan = last_done.since(start_at);
-    let secs = makespan.as_secs_f64().max(1e-12);
-    let page = ssd.config().flash.geometry.page_size as f64;
-    DriverReport {
-        ops,
-        reads,
-        makespan,
-        iops: ops as f64 / secs,
-        mb_per_s: ops as f64 * page / (1024.0 * 1024.0) / secs,
-        latency,
-    }
+    DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
 }
 
 /// Precondition helper: fill the first `pages` LPNs sequentially so reads

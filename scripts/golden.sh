@@ -7,6 +7,10 @@
 # plus the two `--short` presets CI uses. A change that must not move a
 # simulated number is checked by one command: equal to the checked-in
 # bytes on every run, which also subsumes "equal to the previous run".
+# The bytes were written on one machine and are compared on every other:
+# that assumes float formatting and libm agree across hosts, as the
+# BENCH_* checksums already do — a platform that disagrees shows up here
+# as a diff in a printed digit, not as a bug in the change under test.
 #
 # Usage:
 #   scripts/golden.sh check   # build, run the 19, cmp against golden/
@@ -33,23 +37,30 @@ RUNS+=("exp16_aging.short:exp16_aging --short" "exp17_shard_sweep.short:exp17_sh
 
 mkdir -p golden
 out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+err=$(mktemp)
+trap 'rm -f "$out" "$err"' EXIT
 fail=0
 for run in "${RUNS[@]}"; do
     want=golden/${run%%:*}.txt
     read -r -a cmd <<<"${run#*:}"
-    "target/release/${cmd[0]}" "${cmd[@]:1}" >"$out" 2>/dev/null
-    if [ "$MODE" = write ]; then
+    if ! "target/release/${cmd[0]}" "${cmd[@]:1}" >"$out" 2>"$err"; then
+        # the binaries assert their own claims: a panic is a verdict too
+        # (its golden file, if any, is left as it was)
+        echo "golden: FAIL ${run#*:} exited non-zero:"
+        tail -n 20 "$err"
+        fail=$((fail + 1))
+    elif [ "$MODE" = write ]; then
         cat "$out" >"$want"
     elif ! cmp -s "$out" "$want"; then
         echo "golden: FAIL ${run#*:} differs from $want"
         diff -u "$want" "$out" | head -40 || true
-        fail=1
+        fail=$((fail + 1))
     fi
 done
+ok=$((${#RUNS[@]} - fail))
 if [ "$MODE" = write ]; then
-    echo "golden: wrote ${#RUNS[@]} files under golden/"
-elif [ "$fail" -eq 0 ]; then
-    echo "golden: ok, ${#RUNS[@]} outputs byte-identical"
+    echo "golden: wrote $ok of ${#RUNS[@]} files under golden/"
+else
+    echo "golden: $ok of ${#RUNS[@]} outputs byte-identical"
 fi
-exit $fail
+[ "$fail" -eq 0 ]

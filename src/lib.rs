@@ -20,8 +20,8 @@
 //!   queue, interrupt vs polling, elevator scheduling, a disk model.
 //! * [`iface`] — beyond the block device: atomic writes, nameless writes
 //!   with migration upcalls, the communication abstraction.
-//! * [`db`] — a miniature storage manager (pages, heap, B+tree, buffer
-//!   pool, WAL, recovery) with legacy and vision persistence backends.
+//! * [`db`] — a miniature storage manager (slotted pages, buffer pool,
+//!   WAL, recovery) with legacy and vision persistence backends.
 //! * [`workload`] — uFLIP-style patterns, zipfian skew, OLTP mixes,
 //!   closed-loop drivers.
 //!
