@@ -186,11 +186,12 @@ impl Wal {
         self.flushed
     }
 
-    /// Mark everything up to `lsn` durable (called by the backend after a
-    /// successful force).
+    /// Mark everything up to `lsn` durable (called after a successful
+    /// force). The horizon never moves backwards: a force to an LSN
+    /// already covered — a group's members enlisted before a steal
+    /// forced the whole log — leaves it where it is.
     pub fn mark_flushed(&mut self, lsn: Lsn) {
-        debug_assert!(self.flushed.map(|f| lsn >= f).unwrap_or(true));
-        self.flushed = Some(lsn);
+        self.flushed = self.flushed.max(Some(lsn));
     }
 
     /// Records with LSN strictly greater than `after` (or all, if `None`)
@@ -512,6 +513,9 @@ mod tests {
         assert_eq!(w.durable_records().count(), 1);
         w.mark_flushed(l2);
         assert_eq!(w.durable_records().count(), 2);
+        // a later force to an LSN already covered cannot un-flush l2
+        w.mark_flushed(l1);
+        assert_eq!(w.flushed(), Some(l2));
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!    (serialized) fetches leave it.
 //! 3. **The QD-1 identity holds under random access mixes** — not just
 //!    for the hand-picked workloads in the unit tests.
+//! 4. **The durable horizon only moves forward** — under a deadline
+//!    group that steal writes overtake.
 
 use proptest::prelude::*;
 use requiem_db::{
     Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend, PersistenceBackend, TxnInput,
 };
+use requiem_sim::time::SimDuration;
 use requiem_ssd::SsdConfig;
 
 const DATA_PAGES: u64 = 64;
@@ -85,6 +88,40 @@ proptest! {
         let max_lsn = report.commit_order.iter().map(|&(_, l)| l).max();
         if let (Some(f), Some(m)) = (flushed, max_lsn) {
             prop_assert!(m <= f, "every reported commit LSN must be durable");
+        }
+    }
+
+    /// A deadline group sized past the queue (never due by count) holds
+    /// its members while other slots' steal writes force the whole log,
+    /// so the group's own force asks for an LSN the log has already
+    /// passed. `Wal::flushed()` must not follow it back down, and what
+    /// was acknowledged must stay inside it. The horizon is sampled
+    /// between runs — inside one, only `Wal` sees every mark, which is
+    /// what `wal.rs`'s `durability_horizon` pins.
+    #[test]
+    fn flushed_horizon_never_decreases(
+        inputs in arb_inputs(),
+        concurrency in 2usize..6,
+        wait_us in 1u64..400,
+    ) {
+        let mut db = small_db(4);
+        let cfg = ExecConfig {
+            concurrency,
+            group: GroupCommitPolicy {
+                max_txns: 2 * concurrency as u32,
+                max_bytes: 0,
+                max_wait: SimDuration::from_micros(wait_us),
+            },
+            ..ExecConfig::serialized()
+        };
+        let mut horizon = db.wal().flushed();
+        for chunk in inputs.chunks(6) {
+            let report = db.run_concurrent(chunk, &cfg);
+            let flushed = db.wal().flushed();
+            prop_assert!(flushed >= horizon, "horizon fell from {:?} to {:?}", horizon, flushed);
+            let acked = report.commit_order.iter().map(|&(_, l)| l).max();
+            prop_assert!(acked <= flushed, "acknowledged {:?} past the horizon {:?}", acked, flushed);
+            horizon = flushed;
         }
     }
 
