@@ -25,12 +25,10 @@
 //! double-run diffed in CI (short preset) and the full trajectory is
 //! checked in as `BENCH_exp16.json`.
 
+use crate::series::{Series, V};
 use requiem_sim::time::SimTime;
 use requiem_sim::{Histogram, IoRequest, SimRng};
-use requiem_ssd::{
-    ArrayShape, BufferConfig, ChannelTiming, FtlKind, GcPolicyKind, Placement, QueuePair, Ssd,
-    SsdConfig,
-};
+use requiem_ssd::{ArrayShape, FtlKind, GcPolicyKind, QueuePair, Ssd, SsdConfig};
 use requiem_workload::driver::IoMix;
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
@@ -127,12 +125,10 @@ pub fn device(c: &AgingConfig) -> SsdConfig {
             chips_per_channel: 2,
             luns_per_chip: 1,
         },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
         ftl: c.ftl.clone(),
         op_ratio: c.op_ratio,
-        ..SsdConfig::modern()
+        // the ONFI-2 bus, round-robin placement and no write buffer
+        ..SsdConfig::figure1()
     };
     // 128 small blocks per LUN (2 planes × 64): the same ratio that lets
     // the BAST hybrid's 8 log blocks fit inside a 7 % OP share, while
@@ -422,51 +418,49 @@ pub fn run_campaign(preset: &AgingPreset) -> Vec<AgingRun> {
     matrix().iter().map(|c| run_corner(c, preset)).collect()
 }
 
-/// Hand-rolled JSON for one run (byte-stable across runs and platforms:
-/// floats printed with fixed precision).
-pub fn run_json(r: &AgingRun) -> String {
-    let mut pts = String::new();
-    for (i, p) in r.points.iter().enumerate() {
-        if i > 0 {
-            pts.push(',');
-        }
-        pts.push_str(&format!(
-            "{{\"phase\":\"{}\",\"ops\":{},\"wa_window\":{:.3},\"wa_cum\":{:.3},\
-             \"free_blocks\":{},\"gc_debt\":{},\"gc_runs\":{},\"merges\":{},\
-             \"p99_ns\":{},\"p999_ns\":{},\"iops\":{:.0}}}",
-            p.phase,
-            p.ops,
-            p.wa_window,
-            p.wa_cum,
-            p.free_blocks,
-            p.gc_debt,
-            p.gc_runs,
-            p.merges,
-            p.p99_ns,
-            p.p999_ns,
-            p.iops
-        ));
-    }
-    let plateau = match r.plateau_wa {
-        Some(v) => format!("{v:.3}"),
-        None => "null".to_string(),
-    };
-    let insolvent = match r.insolvent_at {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"config\":\"{}\",\"exported_pages\":{},\"final_wa\":{:.3},\
-         \"plateau_wa\":{plateau},\"insolvent_at\":{insolvent},\
-         \"peak_gc_debt\":{},\"gc_runs\":{},\"merges\":{},\
-         \"trajectory\":[{pts}]}}",
-        r.config.label(),
-        r.exported_pages,
-        r.final_wa,
-        r.peak_gc_debt,
-        r.gc_runs,
-        r.merges,
-    )
+/// What is reported per sampled window: the fields of a run's
+/// `trajectory` (floats at fixed precision, so byte-stable).
+fn point_series<'a>() -> Series<'a, AgingPoint> {
+    Series::new()
+        .json_only("phase", |p: &AgingPoint| V::Label(p.phase.into()))
+        .json_only("ops", |p| V::Count(p.ops))
+        .json_only("wa_window", |p| V::Float(p.wa_window, 2, 3))
+        .json_only("wa_cum", |p| V::Float(p.wa_cum, 2, 3))
+        .json_only("free_blocks", |p| V::Count(p.free_blocks.into()))
+        .json_only("gc_debt", |p| V::Count(p.gc_debt.into()))
+        .json_only("gc_runs", |p| V::Count(p.gc_runs))
+        .json_only("merges", |p| V::Count(p.merges))
+        .json_only("p99_ns", |p| V::Ns(p.p99_ns))
+        .json_only("p999_ns", |p| V::Ns(p.p999_ns))
+        .json_only("iops", |p| V::Float(p.iops, 0, 0))
+}
+
+/// What is reported per run: E16a's steady-state table and the JSON
+/// object `BENCH_exp16.json` records.
+pub fn run_series<'a>() -> Series<'a, AgingRun> {
+    Series::new()
+        .col("config", "config", |r: &AgingRun| {
+            V::Label(r.config.label())
+        })
+        .col("exported", "exported_pages", |r| V::Count(r.exported_pages))
+        .col("final WA", "final_wa", |r| V::Float(r.final_wa, 2, 3))
+        .col("plateau WA", "plateau_wa", |r| {
+            r.plateau_wa.map_or(V::Missing, |v| V::Float(v, 2, 3))
+        })
+        .table_only("outcome", |r| {
+            V::Label(match (r.insolvent_at, r.plateau_wa) {
+                (Some(at), _) => format!("insolvent@{at}"),
+                (None, Some(_)) => "steady".to_string(),
+                (None, None) => "no plateau".to_string(),
+            })
+        })
+        .json_only("insolvent_at", |r| {
+            r.insolvent_at.map_or(V::Missing, V::Count)
+        })
+        .json_only("peak_gc_debt", |r| V::Count(r.peak_gc_debt.into()))
+        .col("GC runs", "gc_runs", |r| V::Count(r.gc_runs))
+        .col("merges", "merges", |r| V::Count(r.merges))
+        .json_only("trajectory", |r| V::Raw(point_series().json(&r.points)))
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@ use requiem_bench::aging::{device, AgingConfig};
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Occupant, Probe, Resource};
 use requiem_ssd::{FtlKind, GcPolicyKind, Lpn, Ssd};
+use requiem_workload::driver::precondition_sequential;
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
 /// Blame decomposition per wait, into one reused scratch buffer.
@@ -80,11 +81,7 @@ fn probe_workload(probe: Probe, sample: impl Fn(&Probe) -> u64) -> (u64, u64) {
     let mut ssd = Ssd::new(device(&c));
     ssd.attach_probe(probe.clone());
     let pages = ssd.capacity().exported_pages;
-    let mut t = SimTime::ZERO;
-    for lpn in 0..pages {
-        let cmd = ssd.write(t, Lpn(lpn)).expect("precondition write");
-        t = cmd.done;
-    }
+    let mut t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
     let mut pat = AddressPattern::new(Pattern::Zipfian { theta: 0.9 }, pages, 42);
     let mut checksum = 0u64;
     for i in 0..OVERWRITES {

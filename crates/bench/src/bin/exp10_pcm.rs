@@ -6,14 +6,14 @@
 //! same cross-layer thinking. And PCM on the memory bus changes the
 //! persistence game entirely — for the synchronous traffic that fits it.
 
-use requiem_bench::{modern_unbuffered, note, precondition, section};
+use requiem_bench::{closed_loop_iops, fmt_ns, measure, modern_unbuffered, note, section};
 use requiem_pcm::ssd::PcmSsdConfig;
 use requiem_pcm::{PcmDimm, PcmSsd, PcmTiming};
 use requiem_sim::table::Align;
-use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::time::SimTime;
 use requiem_sim::{Histogram, Table};
 use requiem_ssd::Ssd;
-use requiem_workload::driver::IoMix;
+use requiem_workload::driver::{precondition_sequential, IoMix};
 use requiem_workload::pattern::Pattern;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
 
     // flash ssd
     let mut ssd = Ssd::new(modern_unbuffered());
-    let t = precondition(&mut ssd, 64);
-    let r = requiem_bench::measure(
+    let t = precondition_sequential(&mut ssd, 64, SimTime::ZERO);
+    let r = measure(
         &mut ssd,
         Pattern::Sequential,
         64,
@@ -37,7 +37,7 @@ fn main() {
         t,
     );
     let mut ssd2 = Ssd::new(modern_unbuffered());
-    let w = requiem_bench::measure(
+    let w = measure(
         &mut ssd2,
         Pattern::Sequential,
         4096,
@@ -49,8 +49,8 @@ fn main() {
     );
     tbl.row([
         "flash SSD (block interface)".to_string(),
-        format!("{}", SimDuration::from_nanos(r.latency.p50())),
-        format!("{}", SimDuration::from_nanos(w.latency.p50())),
+        fmt_ns(r.latency.p50()),
+        fmt_ns(w.latency.p50()),
     ]);
 
     // pcm ssd
@@ -70,8 +70,8 @@ fn main() {
     }
     tbl.row([
         "PCM SSD (block interface)".to_string(),
-        format!("{}", SimDuration::from_nanos(rh.p50())),
-        format!("{}", SimDuration::from_nanos(wh.p50())),
+        fmt_ns(rh.p50()),
+        fmt_ns(wh.p50()),
     ]);
 
     // pcm dimm
@@ -96,36 +96,15 @@ fn main() {
     section("Parallelism still required: PCM SSD IOPS vs queue depth");
     let mut tbl = Table::new(["queue depth", "read IOPS", "write IOPS"]);
     for qd in [1usize, 4, 16] {
+        // closed loop over striped pages, a fresh device per direction
         let mut dev = PcmSsd::new(PcmSsdConfig::small());
-        // closed loop over striped pages
-        let run = |dev: &mut PcmSsd, write: bool| -> f64 {
-            use std::cmp::Reverse;
-            let mut heap = std::collections::BinaryHeap::new();
-            let total = 2048u64;
-            let mut last = SimTime::ZERO;
-            let mut issued = 0u64;
-            while issued < total {
-                let now = if heap.len() >= qd {
-                    let Reverse(x) = heap.pop().expect("nonempty");
-                    x
-                } else {
-                    SimTime::ZERO
-                };
-                let page = issued % dev.total_pages();
-                let d = if write {
-                    dev.write_page(now, page)
-                } else {
-                    dev.read_page(now, page)
-                };
-                heap.push(Reverse(d.done));
-                last = last.max(d.done);
-                issued += 1;
-            }
-            total as f64 / last.since(SimTime::ZERO).as_secs_f64().max(1e-12)
-        };
-        let w = run(&mut dev, true);
+        let w = closed_loop_iops(qd, 2048, SimTime::ZERO, |now, i| {
+            dev.write_page(now, i % dev.total_pages()).done
+        });
         let mut dev = PcmSsd::new(PcmSsdConfig::small());
-        let r = run(&mut dev, false);
+        let r = closed_loop_iops(qd, 2048, SimTime::ZERO, |now, i| {
+            dev.read_page(now, i % dev.total_pages()).done
+        });
         tbl.row([format!("{qd}"), format!("{r:.0}"), format!("{w:.0}")]);
     }
     println!("{tbl}");
@@ -136,16 +115,13 @@ fn main() {
     let mut tbl = Table::new(["configuration", "hot-slot writes", "total writes", "skew"])
         .align(0, Align::Left);
     for (label, gap_interval) in [
-        ("no wear leveling (gap frozen)", u64::MAX),
+        // an interval no run reaches: effectively never rotates
+        ("no wear leveling (gap frozen)", u64::MAX / 2),
         ("start-gap (rotate / 100 writes)", 100u64),
     ] {
         let mut cfg = PcmSsdConfig::small();
         cfg.pages_per_bank = 256;
-        if gap_interval != u64::MAX {
-            cfg.gap_interval = gap_interval;
-        } else {
-            cfg.gap_interval = u64::MAX / 2; // effectively never rotates
-        }
+        cfg.gap_interval = gap_interval;
         let mut dev = PcmSsd::new(cfg);
         let mut t = SimTime::ZERO;
         let n = 50_000u64;

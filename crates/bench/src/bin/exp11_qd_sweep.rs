@@ -14,11 +14,11 @@
 //! At QD 1 the queue pair degenerates to the serialized path and must
 //! reproduce it bit-for-bit — asserted here, not just claimed.
 
-use requiem_bench::{note, section};
+use requiem_bench::{bound_by, note, section, BusyWindow, Series, V};
 use requiem_sim::table::Align;
-use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::time::SimTime;
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, Ssd, SsdConfig};
+use requiem_ssd::{Ssd, SsdConfig};
 use requiem_workload::driver::{
     precondition_sequential, run_closed_loop, run_closed_loop_serialized, DriverReport, IoMix,
 };
@@ -28,20 +28,6 @@ const OPS: u64 = 512;
 const SPAN: u64 = 512;
 const SEED: u64 = 11;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 struct SweepPoint {
     qd: usize,
@@ -53,7 +39,7 @@ struct SweepPoint {
 /// One closed-loop run at `qd`, with busy-time deltas over the measured
 /// window so utilization excludes the preconditioning phase.
 fn run_point(mix: IoMix, qd: usize, probe: Option<&Probe>) -> SweepPoint {
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let t0 = if mix.read_fraction > 0.5 {
         precondition_sequential(&mut ssd, SPAN, SimTime::ZERO)
     } else {
@@ -62,27 +48,10 @@ fn run_point(mix: IoMix, qd: usize, probe: Option<&Probe>) -> SweepPoint {
     if let Some(p) = probe {
         ssd.attach_probe(p.clone());
     }
-    let chan_b = ssd.channel_busy_time();
-    let lun_b = ssd.lun_busy_time();
+    let busy = BusyWindow::open(&ssd, t0);
     let mut pat = AddressPattern::new(Pattern::Sequential, SPAN, SEED);
     let report = run_closed_loop(&mut ssd, &mut pat, mix, qd, OPS, SEED, t0);
-    let window = ssd.drain_time().since(t0).as_nanos().max(1) as f64;
-    let chan_util = ssd
-        .channel_busy_time()
-        .iter()
-        .zip(&chan_b)
-        .map(|(a, b)| a.saturating_sub(*b).as_nanos() as f64)
-        .sum::<f64>()
-        / ssd.channel_busy_time().len() as f64
-        / window;
-    let chip_util = ssd
-        .lun_busy_time()
-        .iter()
-        .zip(&lun_b)
-        .map(|(a, b)| a.saturating_sub(*b).as_nanos() as f64)
-        .sum::<f64>()
-        / ssd.lun_busy_time().len() as f64
-        / window;
+    let (chan_util, chip_util) = busy.close(&ssd);
     SweepPoint {
         qd,
         report,
@@ -101,18 +70,19 @@ fn saturation_qd(points: &[SweepPoint]) -> usize {
         .expect("non-empty sweep")
 }
 
-fn sweep_json(points: &[SweepPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let s = p.report.latency.summary();
-            format!(
-                "{{\"qd\":{},\"iops\":{:.1},\"mb_per_s\":{:.2},\"p50_ns\":{},\"p99_ns\":{},\"channel_util\":{:.3},\"chip_util\":{:.3}}}",
-                p.qd, p.report.iops, p.report.mb_per_s, s.p50, s.p99, p.chan_util, p.chip_util
-            )
+/// What is reported per point, once: the table's columns and the JSON
+/// rows' fields.
+fn sweep_series<'a>() -> Series<'a, SweepPoint> {
+    Series::new()
+        .col("QD", "qd", |p: &SweepPoint| V::Count(p.qd as u64))
+        .col("IOPS", "iops", |p| V::Float(p.report.iops, 0, 1))
+        .col("MB/s", "mb_per_s", |p| V::Float(p.report.mb_per_s, 1, 2))
+        .col("p50", "p50_ns", |p| V::Ns(p.report.latency.summary().p50))
+        .col("p99", "p99_ns", |p| V::Ns(p.report.latency.summary().p99))
+        .col("channel util", "channel_util", |p| {
+            V::Share(p.chan_util, 0, 3)
         })
-        .collect();
-    format!("[{}]", rows.join(","))
+        .col("chip util", "chip_util", |p| V::Share(p.chip_util, 0, 3))
 }
 
 /// Histogram fingerprint for the QD-1 bit-identity check.
@@ -131,6 +101,7 @@ fn main() {
     println!("# E11 — queue-depth sweep on the queue-pair engine");
     note("Figure-1 device: 4 chips, 1 shared ONFI-2 channel. Closed loop keeps QD tagged commands in flight; completions reap out of submission order.");
 
+    let series = sweep_series();
     let mut tables = Vec::new();
     let mut probes = Vec::new();
     let mut sweeps: Vec<(&str, Vec<SweepPoint>)> = Vec::new();
@@ -138,15 +109,6 @@ fn main() {
         ("reads", IoMix::read_only()),
         ("writes", IoMix::write_only()),
     ] {
-        let mut tbl = Table::new([
-            "QD",
-            "IOPS",
-            "MB/s",
-            "p50",
-            "p99",
-            "channel util",
-            "chip util",
-        ]);
         let probe = Probe::new();
         let points: Vec<SweepPoint> = QDS
             .iter()
@@ -157,19 +119,7 @@ fn main() {
                 run_point(mix, qd, p)
             })
             .collect();
-        for p in &points {
-            let s = p.report.latency.summary();
-            tbl.row([
-                format!("{}", p.qd),
-                format!("{:.0}", p.report.iops),
-                format!("{:.1}", p.report.mb_per_s),
-                format!("{}", SimDuration::from_nanos(s.p50)),
-                format!("{}", SimDuration::from_nanos(s.p99)),
-                format!("{:.0}%", p.chan_util * 100.0),
-                format!("{:.0}%", p.chip_util * 100.0),
-            ]);
-        }
-        tables.push((name, tbl));
+        tables.push((name, series.table(&points)));
         probes.push((name, probe));
         sweeps.push((name, points));
     }
@@ -187,22 +137,12 @@ fn main() {
     tbl.row([
         "reads".to_string(),
         format!("{read_sat}"),
-        if rd16.chan_util > rd16.chip_util {
-            "channel"
-        } else {
-            "chips"
-        }
-        .to_string(),
+        bound_by(rd16.chan_util, rd16.chip_util).to_string(),
     ]);
     tbl.row([
         "writes".to_string(),
         format!("{write_sat}"),
-        if wr16.chan_util > wr16.chip_util {
-            "channel"
-        } else {
-            "chips"
-        }
-        .to_string(),
+        bound_by(wr16.chan_util, wr16.chip_util).to_string(),
     ]);
     println!("{tbl}");
     assert!(
@@ -224,11 +164,11 @@ fn main() {
         ("reads", IoMix::read_only()),
         ("writes", IoMix::write_only()),
     ] {
-        let mut a = Ssd::new(figure1_device());
+        let mut a = Ssd::new(SsdConfig::figure1());
         let ta = precondition_sequential(&mut a, SPAN, SimTime::ZERO);
         let mut pa = AddressPattern::new(Pattern::Sequential, SPAN, SEED);
         let ra = run_closed_loop_serialized(&mut a, &mut pa, mix, 1, OPS, SEED, ta);
-        let mut b = Ssd::new(figure1_device());
+        let mut b = Ssd::new(SsdConfig::figure1());
         let tb = precondition_sequential(&mut b, SPAN, SimTime::ZERO);
         let mut pb = AddressPattern::new(Pattern::Sequential, SPAN, SEED);
         let rb = run_closed_loop(&mut b, &mut pb, mix, 1, OPS, SEED, tb);
@@ -251,8 +191,8 @@ fn main() {
     println!(
         "{{\"device\":\"figure1 1ch x 4chip onfi2\",\"ops\":{OPS},\"read_saturation_qd\":{read_sat},\"write_saturation_qd\":{write_sat},\"qd1_matches_serialized\":{identical},"
     );
-    println!("\"reads\":{},", sweep_json(&sweeps[0].1));
-    println!("\"writes\":{},", sweep_json(&sweeps[1].1));
+    println!("\"reads\":{},", series.json(&sweeps[0].1));
+    println!("\"writes\":{},", series.json(&sweeps[1].1));
     println!("\"probe_reads_qd16\":{},", probes[0].1.summary().to_json());
     println!(
         "\"probe_writes_qd16\":{}}}",

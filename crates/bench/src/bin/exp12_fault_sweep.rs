@@ -22,11 +22,12 @@
 //! whole experiment is bit-replayable: the CI determinism job runs it
 //! twice and diffs the output.
 
-use requiem_bench::{note, section};
+use requiem_bench::{modern_unbuffered, note, section, Series, V};
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{FaultPlan, Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, Ssd, SsdConfig};
+use requiem_ssd::metrics::RecoveryMetrics;
+use requiem_ssd::{ArrayShape, Ssd, SsdConfig};
 use requiem_workload::driver::{precondition_sequential, run_closed_loop, DriverReport, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
@@ -48,9 +49,8 @@ const MULTS: [(&str, f64); 5] = [
 
 fn faulty_device(mult: f64) -> SsdConfig {
     SsdConfig {
-        buffer: BufferConfig { capacity_pages: 0 },
         fault: FaultPlan::uniform_rber(mult),
-        ..SsdConfig::modern()
+        ..modern_unbuffered()
     }
 }
 
@@ -63,22 +63,16 @@ fn peerless_device(mult: f64) -> SsdConfig {
             chips_per_channel: 1,
             luns_per_chip: 1,
         },
-        buffer: BufferConfig { capacity_pages: 0 },
-        fault: FaultPlan::uniform_rber(mult),
-        ..SsdConfig::modern()
+        ..faulty_device(mult)
     }
 }
 
 struct FaultPoint {
     label: &'static str,
+    qd: usize,
     report: DriverReport,
     p999: u64,
-    retries: u64,
-    retry_rec: u64,
-    escalations: u64,
-    rebuilds: u64,
-    unrecoverable: u64,
-    recovery_time: SimDuration,
+    recovery: RecoveryMetrics,
     statuses: String,
 }
 
@@ -89,17 +83,12 @@ fn run_point(label: &'static str, cfg: SsdConfig, qd: usize) -> FaultPoint {
     ssd.attach_probe(probe.clone());
     let mut pat = AddressPattern::new(Pattern::UniformRandom, SPAN, SEED);
     let report = run_closed_loop(&mut ssd, &mut pat, IoMix::read_only(), qd, OPS, SEED, t0);
-    let rec = &ssd.metrics().recovery;
     let p999 = report.latency.quantile(0.999);
     FaultPoint {
         label,
+        qd,
         p999,
-        retries: rec.retry_attempts,
-        retry_rec: rec.retry_recovered,
-        escalations: rec.ecc_escalations,
-        rebuilds: rec.parity_rebuilds,
-        unrecoverable: rec.unrecoverable,
-        recovery_time: rec.recovery_time,
+        recovery: ssd.metrics().recovery.clone(),
         statuses: statuses_json(&probe),
         report,
     }
@@ -117,24 +106,35 @@ fn statuses_json(probe: &Probe) -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-fn point_json(p: &FaultPoint, qd: usize) -> String {
-    let s = p.report.latency.summary();
-    format!(
-        "{{\"rber_mult\":\"{}\",\"qd\":{},\"iops\":{:.1},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"retry_attempts\":{},\"retry_recovered\":{},\"ecc_escalations\":{},\"parity_rebuilds\":{},\"unrecoverable\":{},\"recovery_time_ns\":{},\"statuses\":{}}}",
-        p.label,
-        qd,
-        p.report.iops,
-        s.p50,
-        s.p99,
-        p.p999,
-        p.retries,
-        p.retry_rec,
-        p.escalations,
-        p.rebuilds,
-        p.unrecoverable,
-        p.recovery_time.as_nanos(),
-        p.statuses
-    )
+/// What is reported per point, once: the RBER sweep's table and every
+/// JSON row.
+fn point_series<'a>() -> Series<'a, FaultPoint> {
+    Series::new()
+        .col("RBER", "rber_mult", |p: &FaultPoint| {
+            V::Label(p.label.into())
+        })
+        .json_only("qd", |p| V::Count(p.qd as u64))
+        .col("IOPS", "iops", |p| V::Float(p.report.iops, 0, 1))
+        .col("p50", "p50_ns", |p| V::Ns(p.report.latency.summary().p50))
+        .col("p99", "p99_ns", |p| V::Ns(p.report.latency.summary().p99))
+        .col("p99.9", "p999_ns", |p| V::Ns(p.p999))
+        .col("retries", "retry_attempts", |p| {
+            V::Count(p.recovery.retry_attempts)
+        })
+        .col("recovered", "retry_recovered", |p| {
+            V::Count(p.recovery.retry_recovered)
+        })
+        .col("escalations", "ecc_escalations", |p| {
+            V::Count(p.recovery.ecc_escalations)
+        })
+        .col("rebuilds", "parity_rebuilds", |p| {
+            V::Count(p.recovery.parity_rebuilds)
+        })
+        .json_only("unrecoverable", |p| V::Count(p.recovery.unrecoverable))
+        .col("recovery time", "recovery_time_ns", |p| {
+            V::Ns(p.recovery.recovery_time.as_nanos())
+        })
+        .json_only("statuses", |p| V::Raw(p.statuses.clone()))
 }
 
 fn main() {
@@ -143,51 +143,25 @@ fn main() {
 
     // ---- RBER sweep at QD 1: the ladder engages stage by stage ----
     section("RBER sweep, QD 1 (8-LUN device, stripe parity available)");
-    let mut sweep = Vec::new();
-    let mut tbl = Table::new([
-        "RBER",
-        "IOPS",
-        "p50",
-        "p99",
-        "p99.9",
-        "retries",
-        "recovered",
-        "escalations",
-        "rebuilds",
-        "recovery time",
-    ])
-    .align(0, Align::Left);
-    for (label, mult) in MULTS {
-        let p = run_point(label, faulty_device(mult), 1);
-        let s = p.report.latency.summary();
-        tbl.row([
-            label.to_string(),
-            format!("{:.0}", p.report.iops),
-            format!("{}", SimDuration::from_nanos(s.p50)),
-            format!("{}", SimDuration::from_nanos(s.p99)),
-            format!("{}", SimDuration::from_nanos(p.p999)),
-            format!("{}", p.retries),
-            format!("{}", p.retry_rec),
-            format!("{}", p.escalations),
-            format!("{}", p.rebuilds),
-            format!("{}", p.recovery_time),
-        ]);
-        sweep.push(p);
-    }
-    println!("{tbl}");
+    let sweep: Vec<FaultPoint> = MULTS
+        .iter()
+        .map(|&(label, mult)| run_point(label, faulty_device(mult), 1))
+        .collect();
+    let series = point_series();
+    println!("{}", series.table(&sweep).align(0, Align::Left));
 
     let base = &sweep[0];
     assert_eq!(
-        base.retries, 0,
+        base.recovery.retry_attempts, 0,
         "multiplier 1.0 must not engage the ladder (zero-fault identity)"
     );
     assert_eq!(base.statuses, "{}", "baseline statuses must be empty");
     assert!(
-        sweep.iter().skip(1).any(|p| p.retry_rec > 0),
+        sweep.iter().skip(1).any(|p| p.recovery.retry_recovered > 0),
         "sweep must recover reads through the retry ladder"
     );
     assert!(
-        sweep.last().expect("sweep").escalations > 0,
+        sweep.last().expect("sweep").recovery.ecc_escalations > 0,
         "top of the sweep must escalate past the retry ladder"
     );
     for w in sweep.windows(2) {
@@ -256,15 +230,15 @@ fn main() {
         let p = run_point(label, peerless_device(mult), 1);
         tbl.row([
             label.to_string(),
-            format!("{}", p.escalations),
-            format!("{}", p.unrecoverable),
+            format!("{}", p.recovery.ecc_escalations),
+            format!("{}", p.recovery.unrecoverable),
             p.statuses.clone(),
         ]);
         exhausted.push(p);
     }
     println!("{tbl}");
     assert!(
-        exhausted.last().expect("exhaustion").unrecoverable > 0,
+        exhausted.last().expect("exhaustion").recovery.unrecoverable > 0,
         "peerless device at extreme RBER must exhaust the ladder"
     );
     assert!(
@@ -281,14 +255,9 @@ fn main() {
     note("Per-point latency quantiles, recovery-pipeline counters, and the probe bus's non-Ok status counts.");
     println!("```json");
     println!("{{\"device\":\"modern unbuffered\",\"ops\":{OPS},\"span\":{SPAN},\"seed\":{SEED},");
-    let rows: Vec<String> = sweep.iter().map(|p| point_json(p, 1)).collect();
-    println!("\"rber_sweep_qd1\":[{}],", rows.join(","));
-    let rows: Vec<String> = qd_points
-        .iter()
-        .map(|(qd, _, faulty)| point_json(faulty, *qd))
-        .collect();
-    println!("\"qd_sweep_1e5x\":[{}],", rows.join(","));
-    let rows: Vec<String> = exhausted.iter().map(|p| point_json(p, 1)).collect();
-    println!("\"peerless_exhaustion\":[{}]}}", rows.join(","));
+    println!("\"rber_sweep_qd1\":{},", series.json(&sweep));
+    let faulty = qd_points.iter().map(|(_, _, faulty)| faulty);
+    println!("\"qd_sweep_1e5x\":{},", series.json(faulty));
+    println!("\"peerless_exhaustion\":{}}}", series.json(&exhausted));
     println!("```");
 }

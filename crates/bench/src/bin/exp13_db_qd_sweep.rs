@@ -25,15 +25,15 @@
 //!
 //! The probe JSON at the end feeds the determinism CI job.
 
-use requiem_bench::{note, section};
+use requiem_bench::{note, section, serialized_identity, Series, V};
 use requiem_db::{
     BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig,
+    PersistenceBackend, PrefetchConfig,
 };
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Histogram, Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_sim::{Histogram, Probe};
+use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
 
@@ -43,23 +43,6 @@ const DATA_PAGES: u64 = 1024;
 const LOG_PAGES: u64 = 512;
 const BUFFER_FRAMES: usize = 512;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// The E11 device: four chips behind one shared ONFI-2 channel, no
-/// device-side buffer — every unit of parallelism the DB extracts must
-/// come from keeping independent commands in flight.
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 /// Every section shares this builder: the knobs that must agree (pages,
 /// frames, WAL medium) are stated once.
@@ -71,7 +54,7 @@ fn builder() -> DbBuilder {
 }
 
 fn stack_db() -> Database<BlockStackBackend> {
-    builder().build_stack(requiem_block::StackConfig::blk_mq(1), figure1_device())
+    builder().build_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1())
 }
 
 fn oltp(read_only_fraction: f64) -> OltpGen {
@@ -124,31 +107,6 @@ fn run_point(qd: usize, read_only_fraction: f64, probe: Option<&Probe>) -> Sweep
     }
 }
 
-fn sweep_json(points: &[SweepPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let ro = p.report.read_only_latency.summary();
-            let up = p.report.update_latency.summary();
-            format!(
-                "{{\"qd\":{},\"tps\":{:.1},\"forces\":{},\"mean_group\":{:.2},\"coalesced\":{},\"ro_p50_ns\":{},\"ro_p99_ns\":{},\"ro_p999_ns\":{},\"upd_p50_ns\":{},\"upd_p99_ns\":{},\"upd_p999_ns\":{}}}",
-                p.qd,
-                p.report.tps,
-                p.report.forces,
-                p.report.mean_group,
-                p.report.coalesced,
-                ro.p50,
-                ro.p99,
-                p.report.read_only_latency.quantile(0.999),
-                up.p50,
-                up.p99,
-                p.report.update_latency.quantile(0.999)
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
 /// Sequential full-scan transactions: each reads `pages_per_txn`
 /// consecutive pages, wrapping over the data region — the shape
 /// readahead exists for.
@@ -181,33 +139,31 @@ fn main() {
             run_point(qd, 0.5, p)
         })
         .collect();
-    let mut tbl = Table::new([
-        "QD",
-        "TPS",
-        "speedup",
-        "forces",
-        "txns/force",
-        "coalesced",
-        "ro p99",
-        "upd p99",
-    ]);
     let base_tps = points[0].report.tps;
-    for p in &points {
-        tbl.row([
-            format!("{}", p.qd),
-            format!("{:.0}", p.report.tps),
-            format!("{:.2}x", p.report.tps / base_tps),
-            format!("{}", p.report.forces),
-            format!("{:.1}", p.report.mean_group),
-            format!("{}", p.report.coalesced),
-            format!(
-                "{}",
-                SimDuration::from_nanos(p.report.read_only_latency.p99())
-            ),
-            format!("{}", SimDuration::from_nanos(p.report.update_latency.p99())),
-        ]);
-    }
-    println!("{tbl}");
+    let sweep = Series::new()
+        .col("QD", "qd", |p: &SweepPoint| V::Count(p.qd as u64))
+        .col("TPS", "tps", |p| V::Float(p.report.tps, 0, 1))
+        .table_only("speedup", |p| V::Speedup(p.report.tps / base_tps))
+        .col("forces", "forces", |p| V::Count(p.report.forces))
+        .col("txns/force", "mean_group", |p| {
+            V::Float(p.report.mean_group, 1, 2)
+        })
+        .col("coalesced", "coalesced", |p| V::Count(p.report.coalesced))
+        .json_only("ro_p50_ns", |p| V::Ns(p.report.read_only_latency.p50()))
+        .col("ro p99", "ro_p99_ns", |p| {
+            V::Ns(p.report.read_only_latency.p99())
+        })
+        .json_only("ro_p999_ns", |p| {
+            V::Ns(p.report.read_only_latency.quantile(0.999))
+        })
+        .json_only("upd_p50_ns", |p| V::Ns(p.report.update_latency.p50()))
+        .col("upd p99", "upd_p99_ns", |p| {
+            V::Ns(p.report.update_latency.p99())
+        })
+        .json_only("upd_p999_ns", |p| {
+            V::Ns(p.report.update_latency.quantile(0.999))
+        });
+    println!("{}", sweep.table(&points));
     for w in points.windows(2) {
         if w[1].qd <= 8 {
             assert!(
@@ -233,38 +189,31 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("13b. Myth 3 at the storage-manager interface: write mix vs read stalls");
-    let mut tbl = Table::new([
-        "write mix",
-        "TPS",
-        "page reads",
-        "mean stall/read",
-        "txn p99",
-        "commit stall",
-    ])
-    .align(0, Align::Left);
-    let mut mix_points = Vec::new();
-    for (label, ro_fraction) in [
+    let mix_points: Vec<(&str, SweepPoint)> = [
         ("10% writes", 0.9),
         ("50% writes", 0.5),
         ("90% writes", 0.1),
-    ] {
-        let p = run_point(8, ro_fraction, None);
-        tbl.row([
-            label.to_string(),
-            format!("{:.0}", p.report.tps),
-            format!("{}", p.page_reads),
-            format!("{}", p.mean_stall_per_read()),
-            {
-                // all txns, both classes, without re-recording a sample
-                let mut all = p.report.read_only_latency.clone();
-                all.merge(&p.report.update_latency);
-                format!("{}", SimDuration::from_nanos(all.p99()))
-            },
-            format!("{}", p.commit_stall),
-        ]);
-        mix_points.push((label, p));
-    }
-    println!("{tbl}");
+    ]
+    .into_iter()
+    .map(|(label, ro_fraction)| (label, run_point(8, ro_fraction, None)))
+    .collect();
+    let mix_series = Series::new()
+        .table_only("write mix", |(label, _): &(&str, SweepPoint)| {
+            V::Label((*label).into())
+        })
+        .table_only("TPS", |(_, p)| V::Float(p.report.tps, 0, 1))
+        .table_only("page reads", |(_, p)| V::Count(p.page_reads))
+        .table_only("mean stall/read", |(_, p)| {
+            V::Ns(p.mean_stall_per_read().as_nanos())
+        })
+        // all txns, both classes, without re-recording a sample
+        .table_only("txn p99", |(_, p)| {
+            let mut all = p.report.read_only_latency.clone();
+            all.merge(&p.report.update_latency);
+            V::Ns(all.p99())
+        })
+        .table_only("commit stall", |(_, p)| V::Ns(p.commit_stall.as_nanos()));
+    println!("{}", mix_series.table(&mix_points).align(0, Align::Left));
     let light = &mix_points[0].1;
     let heavy = &mix_points[2].1;
     assert!(
@@ -280,13 +229,12 @@ fn main() {
     // ------------------------------------------------------------------
     section("13c. Sequential scan: readahead wins, merged histograms");
     let inputs = scan_inputs(200, 8);
-    let mut rows = Vec::new();
-    let mut merged_all = Histogram::new();
-    let mut prefetch_json = String::new();
-    for (label, prefetch) in [
+    let rows: Vec<(&str, ExecReport, Histogram)> = [
         ("prefetch off", PrefetchConfig::off()),
         ("sequential K=4", PrefetchConfig::sequential(4)),
-    ] {
+    ]
+    .into_iter()
+    .map(|(label, prefetch)| {
         let mut db = stack_db();
         // one scanning transaction stream: without readahead every miss
         // is a full blocking read — the shape prefetching exists for
@@ -304,37 +252,21 @@ fn main() {
             report.read_only_latency.count() + report.update_latency.count(),
             "merge must preserve every sample"
         );
-        if label.starts_with("sequential") {
-            merged_all = merged.clone();
-            prefetch_json = format!(
-                "{{\"issued\":{},\"wins\":{},\"losses\":{}}}",
-                report.prefetch.issued, report.prefetch.wins, report.prefetch.losses
-            );
-        }
-        rows.push((label, report, merged));
-    }
-    let mut tbl = Table::new([
-        "readahead",
-        "TPS",
-        "issued",
-        "wins",
-        "losses",
-        "all-txn p50",
-        "all-txn p99",
-    ])
-    .align(0, Align::Left);
-    for (label, report, merged) in &rows {
-        tbl.row([
-            label.to_string(),
-            format!("{:.0}", report.tps),
-            format!("{}", report.prefetch.issued),
-            format!("{}", report.prefetch.wins),
-            format!("{}", report.prefetch.losses),
-            format!("{}", SimDuration::from_nanos(merged.p50())),
-            format!("{}", SimDuration::from_nanos(merged.p99())),
-        ]);
-    }
-    println!("{tbl}");
+        (label, report, merged)
+    })
+    .collect();
+    // the readahead outcome is also the JSON's `prefetch_seq_k4` object
+    let scan_series = Series::new()
+        .table_only("readahead", |r: &(&str, ExecReport, Histogram)| {
+            V::Label(r.0.into())
+        })
+        .table_only("TPS", |r| V::Float(r.1.tps, 0, 1))
+        .col("issued", "issued", |r| V::Count(r.1.prefetch.issued))
+        .col("wins", "wins", |r| V::Count(r.1.prefetch.wins))
+        .col("losses", "losses", |r| V::Count(r.1.prefetch.losses))
+        .table_only("all-txn p50", |r| V::Ns(r.2.p50()))
+        .table_only("all-txn p99", |r| V::Ns(r.2.p99()));
+    println!("{}", scan_series.table(&rows).align(0, Align::Left));
     let (_, off_report, _) = &rows[0];
     let (_, ra_report, _) = &rows[1];
     assert!(
@@ -352,37 +284,14 @@ fn main() {
     // ------------------------------------------------------------------
     section("13d. QD 1: completion-driven executor vs serialized engine");
     let inputs = oltp_inputs(&mut oltp(0.5), 200);
-    let mut serial: Database<LegacyBackend> = builder().build_legacy(figure1_device());
-    for t in &inputs {
-        serial.execute(&t.accesses, t.log_bytes);
-    }
-    let mut conc: Database<LegacyBackend> = builder().build_legacy(figure1_device());
+    let mut conc = builder().build_legacy(SsdConfig::figure1());
     conc.run_concurrent(&inputs, &ExecConfig::serialized());
-    let identical = conc.now() == serial.now()
-        && conc.txn_latency() == serial.txn_latency()
-        && conc.commit_latency() == serial.commit_latency()
-        && conc.stats() == serial.stats()
-        && conc.wal_backend().stats().log_forces == serial.wal_backend().stats().log_forces
-        && conc.wal_backend().stats().log_bytes == serial.wal_backend().stats().log_bytes
-        && conc.backend().stats().page_reads == serial.backend().stats().page_reads;
-    let mut tbl =
-        Table::new(["engine", "final clock", "commits", "bit-identical"]).align(0, Align::Left);
-    tbl.row([
-        "serialized execute()".to_string(),
-        format!("{}", serial.now()),
-        format!("{}", serial.stats().commits),
-        String::new(),
-    ]);
-    tbl.row([
-        "run_concurrent QD 1".to_string(),
-        format!("{}", conc.now()),
-        format!("{}", conc.stats().commits),
-        format!("{identical}"),
-    ]);
-    println!("{tbl}");
-    assert!(
-        identical,
-        "concurrency 1 + prefetch off + immediate forces must replay the serialized engine bit-for-bit"
+    serialized_identity(
+        builder().build_legacy(SsdConfig::figure1()),
+        &inputs,
+        "run_concurrent QD 1",
+        &conc,
+        "concurrency 1 + prefetch off + immediate forces must replay the serialized engine bit-for-bit",
     );
     note("Every difference the sweep measured is therefore *caused* by overlap: same engine state, same device commands, different submission discipline.");
 
@@ -391,11 +300,11 @@ fn main() {
     note("Per-QD throughput/latency, the readahead outcome, and the probe bus's per-(layer, cause) decomposition of the QD-16 run — the group-wait vs shared-force split lives under wal/queue and wal/transfer.");
     println!("```json");
     println!(
-        "{{\"device\":\"figure1 1ch x 4chip onfi2 via blk-mq stack\",\"txns\":{TXNS},\"knee_speedup_qd8\":{knee:.2},\"qd1_matches_serialized\":{identical},"
+        "{{\"device\":\"figure1 1ch x 4chip onfi2 via blk-mq stack\",\"txns\":{TXNS},\"knee_speedup_qd8\":{knee:.2},\"qd1_matches_serialized\":true,"
     );
-    println!("\"sweep\":{},", sweep_json(&points));
-    println!("\"prefetch_seq_k4\":{prefetch_json},");
-    println!("\"merged_scan_p99_ns\":{},", merged_all.p99());
+    println!("\"sweep\":{},", sweep.json(&points));
+    println!("\"prefetch_seq_k4\":{},", scan_series.json_row(&rows[1]));
+    println!("\"merged_scan_p99_ns\":{},", rows[1].2.p99());
     println!("\"probe_qd16\":{}}}", probe.summary().to_json());
     println!("```");
 }

@@ -30,7 +30,7 @@
 //!
 //! The JSON at the end feeds the determinism CI job.
 
-use requiem_bench::{note, section};
+use requiem_bench::{note, section, Series, V};
 use requiem_db::{
     CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
     LegacyBackend, PersistenceBackend, PrefetchConfig, StorageManager,
@@ -38,8 +38,8 @@ use requiem_db::{
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Cause, Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_sim::{Cause, Histogram, Probe, Table};
+use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
 
@@ -56,17 +56,9 @@ const QDS: [usize; 4] = [1, 2, 4, 8];
 /// the regime where the FTL's collector actually has to copy, i.e. where
 /// the stacked-log tax is paid.
 fn pressured_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 2,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
+    let mut cfg = SsdConfig::figure1();
+    cfg.shape.chips_per_channel = 2;
+    cfg
 }
 
 /// Both managers share this builder: only the backend constructor
@@ -160,6 +152,14 @@ impl ManagerRun {
     fn device_wa(&self) -> f64 {
         self.programs as f64 / self.host_writes.max(1) as f64
     }
+
+    /// Every transaction's latency, both classes, without re-recording
+    /// a sample.
+    fn all_txns(&self) -> Histogram {
+        let mut all = self.report.read_only_latency.clone();
+        all.merge(&self.report.update_latency);
+        all
+    }
 }
 
 /// One traced OLTP run: probe attached after load, counters reported as
@@ -181,13 +181,12 @@ fn run_traced<M: StorageManager>(
     let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
     let after = snapshot(&db);
     let summary = probe.summary();
-    let (mut spans, mut stall) = (0u64, 0u64);
-    for ((_, cause), stat) in &summary.by_layer_cause {
-        if *cause == Cause::GcStall {
-            spans += stat.count;
-            stall += stat.total.as_nanos();
-        }
-    }
+    let gc_stall_spans = summary
+        .by_layer_cause
+        .iter()
+        .filter(|((_, cause), _)| *cause == Cause::GcStall)
+        .map(|(_, stat)| stat.count)
+        .sum();
     ManagerRun {
         label,
         report,
@@ -198,8 +197,8 @@ fn run_traced<M: StorageManager>(
         gc_moved: after.gc_moved - before.gc_moved,
         relocations: after.relocations - before.relocations,
         log_trims: after.log_trims - before.log_trims,
-        gc_stall_spans: spans,
-        gc_stall: SimDuration::from_nanos(stall),
+        gc_stall_spans,
+        gc_stall: summary.cause_total(Cause::GcStall),
         probe_json: summary.to_json(),
     }
 }
@@ -212,36 +211,20 @@ fn main() {
     section("14a. End-to-end write amplification (QD 8, 80% update mix)");
     let legacy = run_traced("block heap+WAL", block_db(), 8, 0.2);
     let coop = run_traced("cooperating logs", coop_db(), 8, 0.2);
-    let mut tbl = Table::new([
-        "manager",
-        "TPS",
-        "logical",
-        "host writes",
-        "programs",
-        "e2e WA",
-        "dev WA",
-        "GC runs",
-        "GC moved",
-        "upcalls patched",
-        "WAL trims",
-    ])
-    .align(0, Align::Left);
-    for r in [&legacy, &coop] {
-        tbl.row([
-            r.label.to_string(),
-            format!("{:.0}", r.report.tps),
-            format!("{}", r.logical),
-            format!("{}", r.host_writes),
-            format!("{}", r.programs),
-            format!("{:.2}", r.e2e_wa()),
-            format!("{:.2}", r.device_wa()),
-            format!("{}", r.gc_runs),
-            format!("{}", r.gc_moved),
-            format!("{}", r.relocations),
-            format!("{}", r.log_trims),
-        ]);
-    }
-    println!("{tbl}");
+    let wa_series = Series::new()
+        .table_only("manager", |r: &ManagerRun| V::Label(r.label.into()))
+        .table_only("TPS", |r| V::Float(r.report.tps, 0, 1))
+        .table_only("logical", |r| V::Count(r.logical))
+        .table_only("host writes", |r| V::Count(r.host_writes))
+        .table_only("programs", |r| V::Count(r.programs))
+        .table_only("e2e WA", |r| V::Float(r.e2e_wa(), 2, 4))
+        .table_only("dev WA", |r| V::Float(r.device_wa(), 2, 4))
+        .table_only("GC runs", |r| V::Count(r.gc_runs))
+        .table_only("GC moved", |r| V::Count(r.gc_moved))
+        .table_only("upcalls patched", |r| V::Count(r.relocations))
+        .table_only("WAL trims", |r| V::Count(r.log_trims));
+    let table = wa_series.table([&legacy, &coop]);
+    println!("{}", table.align(0, Align::Left));
     assert!(
         (legacy.logical as i64 - coop.logical as i64).abs() * 20 < legacy.logical as i64,
         "the logical workload must be trace-determined and (near-)identical \
@@ -273,28 +256,15 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("14b. GC stall blame (probe bus, same runs)");
-    let mut tbl = Table::new([
-        "manager",
-        "GC stall spans",
-        "GC stall total",
-        "stall/txn",
-        "txn p99",
-        "txn p99.9",
-    ])
-    .align(0, Align::Left);
-    for r in [&legacy, &coop] {
-        let mut all = r.report.read_only_latency.clone();
-        all.merge(&r.report.update_latency);
-        tbl.row([
-            r.label.to_string(),
-            format!("{}", r.gc_stall_spans),
-            format!("{}", r.gc_stall),
-            format!("{}", SimDuration::from_nanos(r.gc_stall.as_nanos() / TXNS)),
-            format!("{}", SimDuration::from_nanos(all.p99())),
-            format!("{}", SimDuration::from_nanos(all.quantile(0.999))),
-        ]);
-    }
-    println!("{tbl}");
+    let stall_series = Series::new()
+        .table_only("manager", |r: &ManagerRun| V::Label(r.label.into()))
+        .table_only("GC stall spans", |r| V::Count(r.gc_stall_spans))
+        .table_only("GC stall total", |r| V::Ns(r.gc_stall.as_nanos()))
+        .table_only("stall/txn", |r| V::Ns(r.gc_stall.as_nanos() / TXNS))
+        .table_only("txn p99", |r| V::Ns(r.all_txns().p99()))
+        .table_only("txn p99.9", |r| V::Ns(r.all_txns().quantile(0.999)));
+    let table = stall_series.table([&legacy, &coop]);
+    println!("{}", table.align(0, Align::Left));
     assert!(
         coop.gc_stall < legacy.gc_stall,
         "one cooperating collector must stall foreground commands less than \
@@ -311,20 +281,20 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("14c. Throughput vs DB concurrency (50/50 mix), both managers");
-    let mut sweep: Vec<(usize, f64, f64)> = Vec::new();
-    let mut tbl = Table::new(["QD", "block TPS", "coop TPS", "coop/block"]);
-    for &qd in &QDS {
-        let b = run_traced("block", block_db(), qd, 0.5);
-        let c = run_traced("coop", coop_db(), qd, 0.5);
-        tbl.row([
-            format!("{qd}"),
-            format!("{:.0}", b.report.tps),
-            format!("{:.0}", c.report.tps),
-            format!("{:.2}x", c.report.tps / b.report.tps),
-        ]);
-        sweep.push((qd, b.report.tps, c.report.tps));
-    }
-    println!("{tbl}");
+    let sweep: Vec<(usize, f64, f64)> = QDS
+        .iter()
+        .map(|&qd| {
+            let b = run_traced("block", block_db(), qd, 0.5);
+            let c = run_traced("coop", coop_db(), qd, 0.5);
+            (qd, b.report.tps, c.report.tps)
+        })
+        .collect();
+    let sweep_series = Series::new()
+        .col("QD", "qd", |r: &(usize, f64, f64)| V::Count(r.0 as u64))
+        .col("block TPS", "block_tps", |r| V::Float(r.1, 0, 1))
+        .col("coop TPS", "coop_tps", |r| V::Float(r.2, 0, 1))
+        .table_only("coop/block", |r| V::Speedup(r.2 / r.1));
+    println!("{}", sweep_series.table(&sweep));
     note("Same executor, same trace, same geometry — the managers differ only in what crosses the interface. At this mix the foreground curves track each other: the journal's 2x checkpoint copies and the second collector's work ride the background class, so the stacked-log tax is paid in wear (14a: 1.36x the programs for the same trace) and in tail stalls (14b), not in this mix's throughput. The block interface hides the tax from the benchmark that only watches TPS.");
 
     // ------------------------------------------------------------------
@@ -377,10 +347,6 @@ fn main() {
     // ------------------------------------------------------------------
     section("Summary (JSON)");
     note("Headline numbers plus both probes' per-(layer, cause) decomposition — the GC share lives under the GcStall cause.");
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|(qd, b, c)| format!("{{\"qd\":{qd},\"block_tps\":{b:.1},\"coop_tps\":{c:.1}}}"))
-        .collect();
     println!("```json");
     println!(
         "{{\"device\":\"1ch x 2chip onfi2, data {DATA_PAGES} + wal {LOG_PAGES}\",\"txns\":{TXNS},"
@@ -392,17 +358,12 @@ fn main() {
         legacy.device_wa(),
         coop.device_wa()
     );
-    let p999 = |r: &ManagerRun| {
-        let mut all = r.report.read_only_latency.clone();
-        all.merge(&r.report.update_latency);
-        all.quantile(0.999)
-    };
     println!(
         "\"qd8_heavy\":{{\"block_tps\":{:.1},\"coop_tps\":{:.1},\"block_p999_ns\":{},\"coop_p999_ns\":{}}},",
         legacy.report.tps,
         coop.report.tps,
-        p999(&legacy),
-        p999(&coop)
+        legacy.all_txns().quantile(0.999),
+        coop.all_txns().quantile(0.999)
     );
     println!(
         "\"gc\":{{\"block_moved\":{},\"coop_moved\":{},\"block_stall_ns\":{},\"coop_stall_ns\":{},\"coop_upcalls_patched\":{}}},",
@@ -412,7 +373,7 @@ fn main() {
         coop.gc_stall.as_nanos(),
         coop.relocations
     );
-    println!("\"sweep\":[{}],", sweep_json.join(","));
+    println!("\"sweep\":{},", sweep_series.json(&sweep));
     println!("\"qd1_matches_serialized\":{identical},");
     println!("\"probe_block\":{},", legacy.probe_json);
     println!("\"probe_coop\":{}}}", coop.probe_json);

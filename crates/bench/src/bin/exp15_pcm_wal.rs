@@ -32,15 +32,15 @@
 //!
 //! The JSON at the end feeds the determinism CI job.
 
-use requiem_bench::{note, section};
+use requiem_bench::{fmt_ns, note, section, Series, V};
 use requiem_db::{
     Database, DbConfig, ExecReport, GroupCommitPolicy, LegacyBackend, PcmWalConfig, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Cause, Histogram, Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_sim::{Cause, Histogram, Layer, Probe, Table};
+use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::run_oltp_closed_loop;
 
@@ -52,23 +52,6 @@ const BUFFER_FRAMES: usize = 512;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
 /// The deadline variant's tail bound.
 const DEADLINE: SimDuration = SimDuration::from_micros(150);
-
-/// Four chips behind one shared ONFI-2 channel, no device buffer — the
-/// E13 device, so flash group commit has real parallelism to amortize
-/// into.
-fn device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 /// A 64 KiB log region: small enough that the circular log laps it many
 /// times in one run, so Start-Gap has real churn to level.
@@ -117,13 +100,9 @@ impl Policy {
         }
     }
 
-    fn key(self) -> &'static str {
-        match self {
-            Policy::FlashImmediate => "flash_immediate",
-            Policy::FlashBatched => "flash_batched",
-            Policy::FlashDeadline => "flash_deadline",
-            Policy::PcmImmediate => "pcm_immediate",
-        }
+    /// The label as a JSON-friendly key: `flash_batched`.
+    fn key(self) -> String {
+        self.label().replace(' ', "_")
     }
 
     fn group(self, qd: usize) -> GroupCommitPolicy {
@@ -166,7 +145,9 @@ fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
         .group(policy.group(qd))
         .concurrency(qd)
         .wal(policy.wal());
-    let mut db = b.build_legacy(device());
+    // the E13 device, so flash group commit has real parallelism to
+    // amortize into
+    let mut db = b.build_legacy(SsdConfig::figure1());
     if let Some(p) = probe {
         db.attach_probe(p.clone());
     }
@@ -181,10 +162,6 @@ fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
     }
 }
 
-fn ns(v: u64) -> String {
-    format!("{}", SimDuration::from_nanos(v))
-}
-
 fn main() {
     println!("# E15 — WAL medium split: PCM commit records vs flash group commit");
     note("Same engine, same seeded 80%-update OLTP trace, same flash data path (1ch x 4chip onfi2). Only the WAL medium and the group-commit policy vary: the synchronous path either batches onto flash segments or persists byte-granularly on the DIMM.");
@@ -197,28 +174,23 @@ fn main() {
             runs.push(run(p, qd, None));
         }
     }
-    let mut tbl = Table::new([
-        "QD",
-        "policy",
-        "TPS",
-        "forces",
-        "commit p50",
-        "commit p99",
-        "commit p99.9",
-    ])
-    .align(1, Align::Left);
-    for r in &runs {
-        tbl.row([
-            format!("{}", r.qd),
-            r.policy.label().to_string(),
-            format!("{:.0}", r.report.tps),
-            format!("{}", r.report.forces),
-            ns(r.commit_latency.p50()),
-            ns(r.commit_latency.p99()),
-            ns(r.commit_latency.quantile(0.999)),
-        ]);
-    }
-    println!("{tbl}");
+    // the policy prints as its label in the table, as its key in JSON
+    let sweep = Series::new()
+        .col("QD", "qd", |r: &Run| V::Count(r.qd as u64))
+        .table_only("policy", |r| V::Label(r.policy.label().into()))
+        .json_only("policy", |r| V::Label(r.policy.key()))
+        .col("TPS", "tps", |r| V::Float(r.report.tps, 0, 1))
+        .col("forces", "forces", |r| V::Count(r.report.forces))
+        .col("commit p50", "commit_p50_ns", |r| {
+            V::Ns(r.commit_latency.p50())
+        })
+        .col("commit p99", "commit_p99_ns", |r| {
+            V::Ns(r.commit_latency.p99())
+        })
+        .col("commit p99.9", "commit_p999_ns", |r| {
+            V::Ns(r.commit_latency.quantile(0.999))
+        });
+    println!("{}", sweep.table(&runs).align(1, Align::Left));
     let get = |p: Policy, qd: usize| -> &Run {
         runs.iter()
             .find(|r| r.policy == p && r.qd == qd)
@@ -279,9 +251,9 @@ fn main() {
     ] {
         tbl.row([
             label.to_string(),
-            ns(get(Policy::FlashImmediate, 1).commit_latency.quantile(q)),
-            ns(get(Policy::FlashDeadline, 1).commit_latency.quantile(q)),
-            ns(get(Policy::PcmImmediate, 1).commit_latency.quantile(q)),
+            fmt_ns(get(Policy::FlashImmediate, 1).commit_latency.quantile(q)),
+            fmt_ns(get(Policy::FlashDeadline, 1).commit_latency.quantile(q)),
+            fmt_ns(get(Policy::PcmImmediate, 1).commit_latency.quantile(q)),
         ]);
     }
     println!("{tbl}");
@@ -290,8 +262,8 @@ fn main() {
     assert!(
         flash_p50 > 10 * pcm_p50,
         "the P1 medium gap must dominate the QD-1 CDF ({} vs {})",
-        ns(flash_p50),
-        ns(pcm_p50)
+        fmt_ns(flash_p50),
+        fmt_ns(pcm_p50)
     );
     note("The whole CDF shifts by the medium gap: a byte-granular persist on the DIMM vs a 4 KiB segment program behind the ONFI channel. No policy knob recovers two orders of magnitude.");
 
@@ -329,11 +301,11 @@ fn main() {
     for &w in &wear.per_line_writes {
         *buckets.entry(w).or_insert(0) += 1;
     }
-    let mut tbl = Table::new(["writes/line", "physical lines"]);
-    for (w, n) in &buckets {
-        tbl.row([format!("{w}"), format!("{n}")]);
-    }
-    println!("{tbl}");
+    let buckets: Vec<(u64, u64)> = buckets.into_iter().collect();
+    let bucket_series = Series::new()
+        .col("writes/line", "writes", |b: &(u64, u64)| V::Count(b.0))
+        .col("physical lines", "lines", |b| V::Count(b.1));
+    println!("{}", bucket_series.table(&buckets));
     assert!(wear.total_line_writes > 0, "the wear table must be nonzero");
     assert!(
         wear.gap_moves > 0,
@@ -353,12 +325,11 @@ fn main() {
     let pcm_probe = Probe::new();
     run(Policy::PcmImmediate, 8, Some(&pcm_probe));
     let force_spans = |p: &Probe, cause: Cause| -> (u64, u64) {
-        let s = p.summary();
-        s.by_layer_cause
-            .iter()
-            .filter(|((layer, c), _)| *layer == requiem_sim::Layer::Wal && *c == cause)
-            .map(|(_, stat)| (stat.count, stat.total.as_nanos()))
-            .fold((0, 0), |(ac, at), (c, t)| (ac + c, at + t))
+        let summary = p.summary();
+        summary
+            .by_layer_cause
+            .get(&(Layer::Wal, cause))
+            .map_or((0, 0), |stat| (stat.count, stat.total.as_nanos()))
     };
     let (ft_n, ft_ns) = force_spans(&flash_probe, Cause::Transfer);
     let (fp_n, _) = force_spans(&flash_probe, Cause::PcmPersist);
@@ -375,13 +346,13 @@ fn main() {
         "flash batched".to_string(),
         format!("{ft_n}"),
         format!("{fp_n}"),
-        ns(ft_ns),
+        fmt_ns(ft_ns),
     ]);
     tbl.row([
         "pcm immediate".to_string(),
         format!("{pt_n}"),
         format!("{pp_n}"),
-        ns(pp_ns),
+        fmt_ns(pp_ns),
     ]);
     println!("{tbl}");
     assert!(ft_n > 0 && fp_n == 0, "flash forces blame wal/transfer");
@@ -391,39 +362,20 @@ fn main() {
     // ------------------------------------------------------------------
     section("Summary (JSON)");
     note("Per-(policy, QD) throughput and commit quantiles, the crossover, the wear table, and both traced probes.");
-    let sweep_json: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"qd\":{},\"policy\":\"{}\",\"tps\":{:.1},\"forces\":{},\"commit_p50_ns\":{},\"commit_p99_ns\":{},\"commit_p999_ns\":{}}}",
-                r.qd,
-                r.policy.key(),
-                r.report.tps,
-                r.report.forces,
-                r.commit_latency.p50(),
-                r.commit_latency.p99(),
-                r.commit_latency.quantile(0.999)
-            )
-        })
-        .collect();
-    let wear_buckets: Vec<String> = buckets
-        .iter()
-        .map(|(w, n)| format!("{{\"writes\":{w},\"lines\":{n}}}"))
-        .collect();
     println!("```json");
     println!(
         "{{\"device\":\"1ch x 4chip onfi2, data {DATA_PAGES} + wal {LOG_PAGES}, pcm log 64KiB\",\"txns\":{TXNS},\"crossover_qd\":{crossover_qd},\"pcm_qd1_tps\":{pcm_qd1_tps:.1},\"flash_batched_qd{deepest}_tps\":{batched_best:.1},"
     );
-    println!("\"sweep\":{},", format_args!("[{}]", sweep_json.join(",")));
+    println!("\"sweep\":{},", sweep.json(&runs));
     println!(
-        "\"wear\":{{\"lines\":{},\"total_line_writes\":{},\"gap_moves\":{},\"max_line_writes\":{},\"mean_line_writes\":{:.4},\"skew\":{:.4},\"per_line_buckets\":[{}]}},",
+        "\"wear\":{{\"lines\":{},\"total_line_writes\":{},\"gap_moves\":{},\"max_line_writes\":{},\"mean_line_writes\":{:.4},\"skew\":{:.4},\"per_line_buckets\":{}}},",
         wear.lines,
         wear.total_line_writes,
         wear.gap_moves,
         wear.max_line_writes,
         wear.mean_line_writes,
         wear.skew(),
-        wear_buckets.join(",")
+        bucket_series.json(&buckets)
     );
     println!("\"probe_flash_qd8\":{},", flash_probe.summary().to_json());
     println!("\"probe_pcm_qd8\":{}}}", pcm_probe.summary().to_json());

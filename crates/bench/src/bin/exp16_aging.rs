@@ -23,48 +23,10 @@
 //!
 //! `--short` selects the CI preset (same phases, ~1/8 the ops).
 
-use requiem_bench::aging::{run_campaign, run_json, AgingPreset, AgingRun};
-use requiem_bench::{note, section};
+use requiem_bench::aging::{run_campaign, run_series, AgingPreset, AgingRun};
+use requiem_bench::{fmt_ns, note, section};
 use requiem_sim::table::Align;
-use requiem_sim::time::SimDuration;
 use requiem_sim::Table;
-
-fn fmt_ns(ns: u64) -> String {
-    format!("{}", SimDuration::from_nanos(ns))
-}
-
-fn steady_state_table(runs: &[AgingRun]) -> Table {
-    let mut t = Table::new([
-        "config",
-        "exported",
-        "final WA",
-        "plateau WA",
-        "outcome",
-        "GC runs",
-        "merges",
-    ])
-    .align(0, Align::Left);
-    for r in runs {
-        let outcome = match (r.insolvent_at, r.plateau_wa) {
-            (Some(at), _) => format!("insolvent@{at}"),
-            (None, Some(_)) => "steady".to_string(),
-            (None, None) => "no plateau".to_string(),
-        };
-        t.row([
-            r.config.label(),
-            r.exported_pages.to_string(),
-            format!("{:.2}", r.final_wa),
-            match r.plateau_wa {
-                Some(v) => format!("{v:.2}"),
-                None => "—".to_string(),
-            },
-            outcome,
-            r.gc_runs.to_string(),
-            r.merges.to_string(),
-        ]);
-    }
-    t
-}
 
 fn debt_table(runs: &[AgingRun]) -> Table {
     let mut t = Table::new(["config", "peak debt", "end debt", "end free", "min free"])
@@ -113,17 +75,16 @@ fn main() {
     } else {
         AgingPreset::full()
     };
-    println!(
-        "# E16 — steady-state aging & GC debt ({} preset)",
-        if short { "short" } else { "full" }
-    );
+    let preset_name = if short { "short" } else { "full" };
+    println!("# E16 — steady-state aging & GC debt ({preset_name} preset)");
     note("fill → zipfian overwrite (θ=0.9) → mixed 50/50; windowed WA, free-block debt, tail latency");
 
     let runs = run_campaign(&preset);
 
     section("16a — steady-state write amplification");
     note("WA measured after the fill; plateau = mean of the last 4 overwrite windows when flat within ±25%");
-    print!("{}", steady_state_table(&runs));
+    let series = run_series();
+    print!("{}", series.table(&runs).align(0, Align::Left));
 
     section("16b — GC debt (free-block deficit vs the post-fill pool)");
     print!("{}", debt_table(&runs));
@@ -136,19 +97,9 @@ fn main() {
     println!(
         "{{\"_regenerate\":\"cargo run --release -p requiem-bench --bin exp16_aging (deterministic; paste the trailing JSON block)\","
     );
-    println!(
-        "\"preset\":\"{}\",\"window\":{},",
-        if short { "short" } else { "full" },
-        preset.window
-    );
-    print!("\"runs\":[");
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            print!(",");
-        }
-        println!();
-        print!("{}", run_json(r));
-    }
-    println!("]}}");
+    println!("\"preset\":\"{preset_name}\",\"window\":{},", preset.window);
+    // one run per line
+    let rows: Vec<String> = runs.iter().map(|r| series.json_row(r)).collect();
+    println!("\"runs\":[\n{}]}}", rows.join(",\n"));
     println!("```");
 }

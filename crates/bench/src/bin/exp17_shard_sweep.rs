@@ -28,16 +28,15 @@
 //! `--short` selects the CI preset (same phases, fewer transactions).
 //! The trailing JSON feeds the determinism diff and `BENCH_exp17.json`.
 
-use requiem_bench::{note, section};
+use requiem_bench::{fmt_ns, note, section, serialized_identity, Series, V};
 use requiem_db::{
-    BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy,
-    PersistenceBackend, PrefetchConfig, ShardedDb, ShardedReport, TxnInput,
+    BlockStackBackend, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy, PrefetchConfig,
+    ShardedDb, ShardedReport, TxnInput,
 };
 use requiem_sim::probe::{Cause, Layer};
 use requiem_sim::table::Align;
-use requiem_sim::time::SimDuration;
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_ssd::SsdConfig;
 use requiem_workload::sharded::{ShardedOltpConfig, ShardedOltpGen};
 use requiem_workload::txn_to_input;
 
@@ -52,23 +51,6 @@ const CLIENTS: u64 = 1 << 20;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const QDS: [usize; 4] = [1, 2, 4, 8];
 const CROSS: f64 = 0.10;
-
-/// The E11/E13 device: four chips behind one shared ONFI-2 channel.
-/// Every shard submits into the same channel — the knee this sweep
-/// hunts for is that channel running out of idle cycles.
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 fn builder(shards: usize, cross: f64) -> DbBuilder {
     DbConfig::builder()
@@ -112,7 +94,9 @@ struct SweepPoint {
 fn run_point(shards: usize, qd: usize, cross: f64, txns: u64) -> SweepPoint {
     let mut db: ShardedDb<BlockStackBackend> = builder(shards, cross).build_sharded_stack(
         requiem_block::StackConfig::blk_mq(shards as u32),
-        figure1_device(),
+        // every shard submits into the one ONFI-2 channel: the knee this
+        // sweep hunts for is that channel running out of idle cycles
+        SsdConfig::figure1(),
     );
     let probe = Probe::new();
     db.shard_mut(0).attach_probe(probe.clone());
@@ -123,28 +107,17 @@ fn run_point(shards: usize, qd: usize, cross: f64, txns: u64) -> SweepPoint {
     };
     let report = db.run(&inputs(shards, cross, txns), &cfg);
     let summary = probe.summary();
-    let total: u64 = summary
-        .by_layer_cause
-        .values()
-        .map(|s| s.total.as_nanos())
-        .sum();
+    let spans = || summary.by_layer_cause.values().map(|s| s.total.as_nanos());
     let chan_queue = summary
         .by_layer_cause
         .get(&(Layer::Channel, Cause::Queue))
-        .map(|s| s.total.as_nanos())
-        .unwrap_or(0);
-    let largest = summary
-        .by_layer_cause
-        .values()
-        .map(|s| s.total.as_nanos())
-        .max()
-        .unwrap_or(0);
+        .map_or(0, |s| s.total.as_nanos());
     SweepPoint {
         shards,
         qd,
         report,
-        channel_queue_share: chan_queue as f64 / total.max(1) as f64,
-        channel_queue_dominates: chan_queue > 0 && chan_queue == largest,
+        channel_queue_share: chan_queue as f64 / spans().sum::<u64>().max(1) as f64,
+        channel_queue_dominates: chan_queue > 0 && Some(chan_queue) == spans().max(),
     }
 }
 
@@ -154,25 +127,21 @@ fn p999(report: &ShardedReport) -> u64 {
     all.quantile(0.999)
 }
 
-fn sweep_json(points: &[SweepPoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"shards\":{},\"qd\":{},\"tps\":{:.1},\"p999_ns\":{},\"channel_stall_share\":{:.3},\"committed\":{},\"cross\":{},\"aborted\":{},\"forces\":{}}}",
-                p.shards,
-                p.qd,
-                p.report.tps,
-                p999(&p.report),
-                p.channel_queue_share,
-                p.report.committed,
-                p.report.cross_txns,
-                p.report.aborted,
-                p.report.forces
-            )
+/// The JSON rows of 17a and 17b (their tables order the fields
+/// differently, so they stay hand-laid).
+fn sweep_series<'a>() -> Series<'a, SweepPoint> {
+    Series::new()
+        .json_only("shards", |p: &SweepPoint| V::Count(p.shards as u64))
+        .json_only("qd", |p| V::Count(p.qd as u64))
+        .json_only("tps", |p| V::Float(p.report.tps, 0, 1))
+        .json_only("p999_ns", |p| V::Ns(p999(&p.report)))
+        .json_only("channel_stall_share", |p| {
+            V::Share(p.channel_queue_share, 1, 3)
         })
-        .collect();
-    format!("[{}]", rows.join(","))
+        .json_only("committed", |p| V::Count(p.report.committed))
+        .json_only("cross", |p| V::Count(p.report.cross_txns))
+        .json_only("aborted", |p| V::Count(p.report.aborted))
+        .json_only("forces", |p| V::Count(p.report.forces))
 }
 
 fn main() {
@@ -181,10 +150,8 @@ fn main() {
 
     println!("# E17 — executor shard sweep over one Figure-1 device");
     note("N executor shards (own core, own keyspace residue, own pool partition) submit into one shared ONFI-2 channel; cross-shard transactions run two-phase over the per-shard WALs.");
-    println!(
-        "preset: {} ({txns} txns per point)\n",
-        if short { "short" } else { "full" }
-    );
+    let preset = if short { "short" } else { "full" };
+    println!("preset: {preset} ({txns} txns per point)\n");
 
     // ------------------------------------------------------------------
     section("17a. TPS vs shard count (per-shard QD 4, 10% cross-shard)");
@@ -213,7 +180,7 @@ fn main() {
             format!("{}", p.report.cross_txns),
             format!("{}", p.report.aborted),
             format!("{}", p.report.forces),
-            format!("{}", SimDuration::from_nanos(p999(&p.report))),
+            fmt_ns(p999(&p.report)),
             format!("{:.1}%", p.channel_queue_share * 100.0),
         ]);
     }
@@ -256,7 +223,7 @@ fn main() {
             format!("{}", p.qd),
             format!("{:.0}", p.report.tps),
             format!("{:.2}x", p.report.tps / qd_base),
-            format!("{}", SimDuration::from_nanos(p999(&p.report))),
+            fmt_ns(p999(&p.report)),
             format!("{:.1}%", p.channel_queue_share * 100.0),
         ]);
     }
@@ -275,18 +242,23 @@ fn main() {
         .iter()
         .map(|&c| (c, run_point(4, 4, c, txns)))
         .collect();
-    let mut tbl =
-        Table::new(["cross ratio", "TPS", "cross txns", "forces", "p99.9"]).align(0, Align::Left);
-    for (c, p) in &cross_points {
-        tbl.row([
-            format!("{:.0}%", c * 100.0),
-            format!("{:.0}", p.report.tps),
-            format!("{}", p.report.cross_txns),
-            format!("{}", p.report.forces),
-            format!("{}", SimDuration::from_nanos(p999(&p.report))),
-        ]);
-    }
-    println!("{tbl}");
+    let cross_series = Series::new()
+        .col(
+            "cross ratio",
+            "cross_ratio",
+            |(c, _): &(f64, SweepPoint)| V::Share(*c, 0, 1),
+        )
+        .col("TPS", "tps", |(_, p)| V::Float(p.report.tps, 0, 1))
+        .col("cross txns", "cross", |(_, p)| {
+            V::Count(p.report.cross_txns)
+        })
+        .json_only("aborted", |(_, p)| V::Count(p.report.aborted))
+        .col("forces", "forces", |(_, p)| V::Count(p.report.forces))
+        .table_only("p99.9", |(_, p)| V::Ns(p999(&p.report)));
+    println!(
+        "{}",
+        cross_series.table(&cross_points).align(0, Align::Left)
+    );
     let (_, none) = &cross_points[0];
     let (_, heavy) = &cross_points[2];
     assert_eq!(none.report.cross_txns, 0, "ratio 0 must stay local");
@@ -302,40 +274,15 @@ fn main() {
     // ------------------------------------------------------------------
     section("17d. QD 1 x 1 shard vs the serialized engine");
     let ident_inputs = inputs(1, 0.0, 200.min(txns));
-    let mut serial: Database<BlockStackBackend> =
-        builder(1, 0.0).build_stack(requiem_block::StackConfig::blk_mq(1), figure1_device());
-    for t in &ident_inputs {
-        serial.execute(&t.accesses, t.log_bytes);
-    }
     let mut sharded: ShardedDb<BlockStackBackend> = builder(1, 0.0)
-        .build_sharded_stack(requiem_block::StackConfig::blk_mq(1), figure1_device());
+        .build_sharded_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1());
     sharded.run(&ident_inputs, &ExecConfig::serialized());
-    let shard0 = sharded.shard(0);
-    let identical = shard0.now() == serial.now()
-        && shard0.txn_latency() == serial.txn_latency()
-        && shard0.commit_latency() == serial.commit_latency()
-        && shard0.stats() == serial.stats()
-        && shard0.wal_backend().stats().log_forces == serial.wal_backend().stats().log_forces
-        && shard0.wal_backend().stats().log_bytes == serial.wal_backend().stats().log_bytes
-        && shard0.backend().stats().page_reads == serial.backend().stats().page_reads;
-    let mut tbl =
-        Table::new(["engine", "final clock", "commits", "bit-identical"]).align(0, Align::Left);
-    tbl.row([
-        "serialized execute()".to_string(),
-        format!("{}", serial.now()),
-        format!("{}", serial.stats().commits),
-        String::new(),
-    ]);
-    tbl.row([
-        "1-shard coordinator QD 1".to_string(),
-        format!("{}", shard0.now()),
-        format!("{}", shard0.stats().commits),
-        format!("{identical}"),
-    ]);
-    println!("{tbl}");
-    assert!(
-        identical,
-        "one shard at QD 1 must replay the serialized engine bit-for-bit"
+    serialized_identity(
+        builder(1, 0.0).build_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1()),
+        &ident_inputs,
+        "1-shard coordinator QD 1",
+        sharded.shard(0),
+        "one shard at QD 1 must replay the serialized engine bit-for-bit",
     );
     note("The coordinator degenerates to the single executor's loop: same WAL bytes, same device commands, same clock. Sharding is an overlay, not a different engine.");
 
@@ -344,20 +291,10 @@ fn main() {
     note("Per-shard-count and per-depth rows (TPS, merged p99.9, the channel/queue share of all probe-attributed time), the cross-shard cost rows, and the identity verdict.");
     println!("```json");
     println!(
-        "{{\"device\":\"figure1 1ch x 4chip onfi2 via blk-mq stack\",\"preset\":\"{}\",\"txns\":{txns},\"qd1_one_shard_matches_serialized\":{identical},",
-        if short { "short" } else { "full" }
+        "{{\"device\":\"figure1 1ch x 4chip onfi2 via blk-mq stack\",\"preset\":\"{preset}\",\"txns\":{txns},\"qd1_one_shard_matches_serialized\":true,"
     );
-    println!("\"shard_sweep\":{},", sweep_json(&points));
-    println!("\"qd_sweep\":{},", sweep_json(&qd_points));
-    let cross_rows: Vec<String> = cross_points
-        .iter()
-        .map(|(c, p)| {
-            format!(
-                "{{\"cross_ratio\":{:.1},\"tps\":{:.1},\"cross\":{},\"aborted\":{},\"forces\":{}}}",
-                c, p.report.tps, p.report.cross_txns, p.report.aborted, p.report.forces
-            )
-        })
-        .collect();
-    println!("\"cross_sweep\":[{}]}}", cross_rows.join(","));
+    println!("\"shard_sweep\":{},", sweep_series().json(&points));
+    println!("\"qd_sweep\":{},", sweep_series().json(&qd_points));
+    println!("\"cross_sweep\":{}}}", cross_series.json(&cross_points));
     println!("```");
 }

@@ -8,55 +8,13 @@
 //! the utilization table quantifies "channel-bound" vs "chip-bound", and a
 //! sustained run shows the resulting bandwidth ceilings.
 
-use requiem_bench::{note, section};
+use requiem_bench::{bound_by, note, section, BusyWindow};
 use requiem_sim::table::Align;
-use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::time::SimTime;
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Lpn, Placement, Ssd, SsdConfig};
-use requiem_workload::driver::{run_closed_loop, IoMix};
+use requiem_ssd::{Lpn, Ssd, SsdConfig};
+use requiem_workload::driver::{precondition_sequential, run_closed_loop, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
-
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        // ONFI-2-class bus: a page transfer (~100 µs) is comparable to a
-        // page read (50 µs) — the regime the paper's figure depicts
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
-
-/// Utilization of channel / mean chips over a window, from busy deltas.
-fn window_utils(
-    ssd: &Ssd,
-    chan_before: &[SimDuration],
-    lun_before: &[SimDuration],
-    window: SimDuration,
-) -> (f64, f64) {
-    let chan_after = ssd.channel_busy_time();
-    let lun_after = ssd.lun_busy_time();
-    let chan: f64 = chan_after
-        .iter()
-        .zip(chan_before)
-        .map(|(a, b)| a.saturating_sub(*b).as_nanos() as f64)
-        .sum::<f64>()
-        / chan_after.len() as f64
-        / window.as_nanos() as f64;
-    let chips: f64 = lun_after
-        .iter()
-        .zip(lun_before)
-        .map(|(a, b)| a.saturating_sub(*b).as_nanos() as f64)
-        .sum::<f64>()
-        / lun_after.len() as f64
-        / window.as_nanos() as f64;
-    (chan, chips)
-}
 
 fn main() {
     println!("# E1 — Figure 1: channel-bound reads vs chip-bound writes");
@@ -64,7 +22,7 @@ fn main() {
 
     // ---- four parallel writes (chip-bound) ----
     section("Four parallel writes");
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let wr_probe = Probe::new();
     ssd.attach_probe(wr_probe.clone());
     ssd.enable_trace();
@@ -80,15 +38,10 @@ fn main() {
 
     // ---- four parallel reads (channel-bound) ----
     section("Four parallel reads");
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     // place one page on each chip, quiesce, then read them back together
-    let mut t = SimTime::ZERO;
-    for lpn in 0..4u64 {
-        t = ssd.write(t, Lpn(lpn)).expect("precondition").done;
-    }
-    let t0 = ssd.drain_time();
-    let chan_b = ssd.channel_busy_time();
-    let lun_b = ssd.lun_busy_time();
+    let t0 = precondition_sequential(&mut ssd, 4, SimTime::ZERO);
+    let busy = BusyWindow::open(&ssd, t0);
     let rd_probe = Probe::new();
     ssd.attach_probe(rd_probe.clone());
     ssd.enable_trace();
@@ -100,7 +53,7 @@ fn main() {
     rd_trace.rebase(t0);
     println!("```text\n{}```", rd_trace.render(100));
     let window = rd_makespan.since(t0);
-    let (rd_chan, rd_chip_mean) = window_utils(&ssd, &chan_b, &lun_b, window);
+    let (rd_chan, rd_chip_mean) = busy.close(&ssd);
 
     section("Utilization (burst of four)");
     let mut tbl = Table::new([
@@ -117,24 +70,14 @@ fn main() {
         format!("{window}"),
         format!("{:.0}%", rd_chan * 100.0),
         format!("{:.0}%", rd_chip_mean * 100.0),
-        if rd_chan > rd_chip_mean {
-            "channel"
-        } else {
-            "chips"
-        }
-        .to_string(),
+        bound_by(rd_chan, rd_chip_mean).to_string(),
     ]);
     tbl.row([
         "4 parallel writes".to_string(),
         format!("{wr_makespan}"),
         format!("{:.0}%", wr_chan * 100.0),
         format!("{:.0}%", wr_chip_mean * 100.0),
-        if wr_chan > wr_chip_mean {
-            "channel"
-        } else {
-            "chips"
-        }
-        .to_string(),
+        bound_by(wr_chan, wr_chip_mean).to_string(),
     ]);
     println!("{tbl}");
 
@@ -142,49 +85,25 @@ fn main() {
     section("Sustained throughput (queue depth 16, 512 ops)");
     let mut tbl = Table::new(["workload", "IOPS", "MB/s", "channel util", "mean chip util"])
         .align(0, Align::Left);
-    // reads
-    let mut ssd = Ssd::new(figure1_device());
-    let mut t = SimTime::ZERO;
-    for lpn in 0..512u64 {
-        t = ssd.write(t, Lpn(lpn)).expect("precondition").done;
+    // reads over a preconditioned span; writes onto the fresh device
+    for (label, mix, filled, span, seed) in [
+        ("reads", IoMix::read_only(), 512, 512, 1),
+        ("writes", IoMix::write_only(), 0, 2048, 2),
+    ] {
+        let mut ssd = Ssd::new(SsdConfig::figure1());
+        let t0 = precondition_sequential(&mut ssd, filled, SimTime::ZERO);
+        let busy = BusyWindow::open(&ssd, t0);
+        let mut pat = AddressPattern::new(Pattern::Sequential, span, seed);
+        let r = run_closed_loop(&mut ssd, &mut pat, mix, 16, 512, seed, t0);
+        let (cu, lu) = busy.close(&ssd);
+        tbl.row([
+            label.to_string(),
+            format!("{:.0}", r.iops),
+            format!("{:.1}", r.mb_per_s),
+            format!("{:.0}%", cu * 100.0),
+            format!("{:.0}%", lu * 100.0),
+        ]);
     }
-    let t0 = ssd.drain_time();
-    let chan_b = ssd.channel_busy_time();
-    let lun_b = ssd.lun_busy_time();
-    let mut pat = AddressPattern::new(Pattern::Sequential, 512, 1);
-    let r = run_closed_loop(&mut ssd, &mut pat, IoMix::read_only(), 16, 512, 1, t0);
-    let window = ssd.drain_time().since(t0);
-    let (cu, lu) = window_utils(&ssd, &chan_b, &lun_b, window);
-    tbl.row([
-        "reads".to_string(),
-        format!("{:.0}", r.iops),
-        format!("{:.1}", r.mb_per_s),
-        format!("{:.0}%", cu * 100.0),
-        format!("{:.0}%", lu * 100.0),
-    ]);
-    // writes
-    let mut ssd = Ssd::new(figure1_device());
-    let chan_b = ssd.channel_busy_time();
-    let lun_b = ssd.lun_busy_time();
-    let mut pat = AddressPattern::new(Pattern::Sequential, 2048, 2);
-    let r = run_closed_loop(
-        &mut ssd,
-        &mut pat,
-        IoMix::write_only(),
-        16,
-        512,
-        2,
-        SimTime::ZERO,
-    );
-    let window = ssd.drain_time().since(SimTime::ZERO);
-    let (cu, lu) = window_utils(&ssd, &chan_b, &lun_b, window);
-    tbl.row([
-        "writes".to_string(),
-        format!("{:.0}", r.iops),
-        format!("{:.1}", r.mb_per_s),
-        format!("{:.0}%", cu * 100.0),
-        format!("{:.0}%", lu * 100.0),
-    ]);
     println!("{tbl}");
     note("Expected shape (paper, Figure 1): reads saturate the shared channel while chips idle; writes saturate the chips while the channel idles.");
 

@@ -6,12 +6,12 @@
 //! decomposes the device's internal traffic (`--breakdown`) — the
 //! components of the paper's Figure 2 at work.
 
-use requiem_bench::{fmt_ns, measure, modern_unbuffered, note, precondition, section};
+use requiem_bench::{churned, fmt_ns, measure, modern_unbuffered, note, section};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
 use requiem_sim::Table;
 use requiem_ssd::{Lpn, Ssd, SsdConfig};
-use requiem_workload::driver::IoMix;
+use requiem_workload::driver::{precondition_sequential, IoMix};
 use requiem_workload::pattern::Pattern;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
 
     // read on quiet device
     let mut ssd = Ssd::new(modern_unbuffered());
-    let t = precondition(&mut ssd, 256);
+    let t = precondition_sequential(&mut ssd, 256, SimTime::ZERO);
     let r = measure(
         &mut ssd,
         Pattern::UniformRandom,
@@ -68,49 +68,33 @@ fn main() {
         ),
     ]);
 
-    // write, unbuffered: pays the program
-    let mut ssd = Ssd::new(modern_unbuffered());
-    let r = measure(
-        &mut ssd,
-        Pattern::Sequential,
-        4096,
-        IoMix::write_only(),
-        1,
-        128,
-        2,
-        SimTime::ZERO,
-    );
-    tbl.row([
-        "write".to_string(),
-        "modern (unbuffered)".to_string(),
-        fmt_ns(r.latency.p50()),
-        format!(
-            "{:.2}x tPROG",
-            r.latency.p50() as f64 / flash.timing.program_mean().as_nanos() as f64
-        ),
-    ]);
-
-    // write, buffered: completes far below any chip op
-    let mut ssd = Ssd::new(SsdConfig::modern());
-    let r = measure(
-        &mut ssd,
-        Pattern::Sequential,
-        4096,
-        IoMix::write_only(),
-        1,
-        128,
-        3,
-        SimTime::ZERO,
-    );
-    tbl.row([
-        "write".to_string(),
-        "modern (write-back buffer)".to_string(),
-        fmt_ns(r.latency.p50()),
-        format!(
-            "{:.2}x tPROG",
-            r.latency.p50() as f64 / flash.timing.program_mean().as_nanos() as f64
-        ),
-    ]);
+    // write: unbuffered pays the program; buffered completes far below
+    // any chip op
+    for (device, cfg, seed) in [
+        ("modern (unbuffered)", modern_unbuffered(), 2),
+        ("modern (write-back buffer)", SsdConfig::modern(), 3),
+    ] {
+        let mut ssd = Ssd::new(cfg);
+        let r = measure(
+            &mut ssd,
+            Pattern::Sequential,
+            4096,
+            IoMix::write_only(),
+            1,
+            128,
+            seed,
+            SimTime::ZERO,
+        );
+        tbl.row([
+            "write".to_string(),
+            device.to_string(),
+            fmt_ns(r.latency.p50()),
+            format!(
+                "{:.2}x tPROG",
+                r.latency.p50() as f64 / flash.timing.program_mean().as_nanos() as f64
+            ),
+        ]);
+    }
     println!("{tbl}");
     note("A buffered device write completes in a fraction of a chip program; an unbuffered one pays the program plus stack overheads. Neither equals the chip.");
 
@@ -152,19 +136,7 @@ fn main() {
         let mut cfg = modern_unbuffered();
         cfg.shape.channels = 2;
         cfg.shape.chips_per_channel = 2;
-        let mut ssd = Ssd::new(cfg);
-        let pages = ssd.capacity().exported_pages;
-        let t = precondition(&mut ssd, pages);
-        let _ = measure(
-            &mut ssd,
-            Pattern::UniformRandom,
-            pages,
-            IoMix::write_only(),
-            4,
-            3 * pages,
-            5,
-            t,
-        );
+        let (ssd, _) = churned(cfg, 5);
         let m = ssd.metrics();
         let mut tbl =
             Table::new(["flash traffic", "programs", "reads", "erases"]).align(0, Align::Left);

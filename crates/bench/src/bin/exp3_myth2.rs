@@ -8,42 +8,28 @@
 //! future-work note: random writes still destroy *locality*, so garbage
 //! collection pays later even when latency doesn't.
 
-use requiem_bench::{measure, modern_unbuffered, note, precondition, section};
+use requiem_bench::{churned, fmt_ns, measure, modern_unbuffered, note, section};
 use requiem_sim::table::Align;
+use requiem_sim::time::SimTime;
 use requiem_sim::Table;
 use requiem_ssd::{GcPolicyKind, Ssd, SsdConfig};
-use requiem_workload::driver::IoMix;
+use requiem_workload::driver::{precondition_sequential, IoMix};
 use requiem_workload::pattern::Pattern;
 
 /// Measure sequential and random write throughput on one device config.
 fn seq_vs_random(cfg: SsdConfig, ops: u64, qd: usize, seed: u64) -> (f64, f64) {
-    // work within a quarter of the device so legacy FTLs have spare blocks
-    let mut ssd = Ssd::new(cfg.clone());
-    let span = ssd.capacity().exported_pages / 4;
-    let t = precondition(&mut ssd, span);
-    let seq = measure(
-        &mut ssd,
-        Pattern::Sequential,
-        span,
-        IoMix::write_only(),
-        qd,
-        ops,
-        seed,
-        t,
-    );
-    let mut ssd = Ssd::new(cfg);
-    let t = precondition(&mut ssd, span);
-    let rnd = measure(
-        &mut ssd,
-        Pattern::UniformRandom,
-        span,
-        IoMix::write_only(),
-        qd,
-        ops,
-        seed,
-        t,
-    );
-    (seq.mb_per_s, rnd.mb_per_s)
+    let mb_per_s = |pattern: Pattern| {
+        let mut ssd = Ssd::new(cfg.clone());
+        // work within a quarter of the device so legacy FTLs have spare blocks
+        let span = ssd.capacity().exported_pages / 4;
+        let t = precondition_sequential(&mut ssd, span, SimTime::ZERO);
+        let writes = IoMix::write_only();
+        measure(&mut ssd, pattern, span, writes, qd, ops, seed, t).mb_per_s
+    };
+    (
+        mb_per_s(Pattern::Sequential),
+        mb_per_s(Pattern::UniformRandom),
+    )
 }
 
 fn main() {
@@ -85,7 +71,7 @@ fn main() {
         cfg.buffer.capacity_pages = buf;
         let mut ssd = Ssd::new(cfg);
         let span = ssd.capacity().exported_pages / 4;
-        let t = precondition(&mut ssd, span);
+        let t = precondition_sequential(&mut ssd, span, SimTime::ZERO);
         let r = measure(
             &mut ssd,
             Pattern::UniformRandom,
@@ -99,14 +85,8 @@ fn main() {
         tbl.row([
             format!("{buf}"),
             format!("{:.1}", r.mb_per_s),
-            format!(
-                "{}",
-                requiem_sim::time::SimDuration::from_nanos(r.latency.p50())
-            ),
-            format!(
-                "{}",
-                requiem_sim::time::SimDuration::from_nanos(r.latency.p99())
-            ),
+            fmt_ns(r.latency.p50()),
+            fmt_ns(r.latency.p99()),
         ]);
     }
     println!("{tbl}");
@@ -125,7 +105,7 @@ fn main() {
         cfg.buffer.capacity_pages = 0;
         let mut ssd = Ssd::new(cfg);
         let span = ssd.capacity().exported_pages;
-        let t = precondition(&mut ssd, span / 2);
+        let t = precondition_sequential(&mut ssd, span / 2, SimTime::ZERO);
         let (h0, m0, _) = ssd.dftl_stats().expect("dftl");
         let tr0 = ssd.metrics().flash_reads.translation;
         let r = measure(
@@ -164,7 +144,7 @@ fn main() {
             cfg.shape.chips_per_channel = 2;
             let mut ssd = Ssd::new(cfg);
             let pages = ssd.capacity().exported_pages;
-            let mut t = precondition(&mut ssd, pages);
+            let mut t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
             println!("**{name} overwrites**\n");
             let mut tbl = Table::new([
                 "round",
@@ -199,10 +179,7 @@ fn main() {
                     format!("{:.2}", round_programs as f64 / round_host as f64),
                     format!("{}", m.gc_runs),
                     format!("{}", m.gc_pages_moved),
-                    format!(
-                        "{}",
-                        requiem_sim::time::SimDuration::from_nanos(r.latency.p99())
-                    ),
+                    fmt_ns(r.latency.p99()),
                 ]);
             }
             println!("{tbl}");
@@ -217,19 +194,7 @@ fn main() {
             cfg.shape.channels = 4;
             cfg.shape.chips_per_channel = 2;
             cfg.gc.policy = policy;
-            let mut ssd = Ssd::new(cfg);
-            let pages = ssd.capacity().exported_pages;
-            let t = precondition(&mut ssd, pages);
-            let r = measure(
-                &mut ssd,
-                Pattern::UniformRandom,
-                pages,
-                IoMix::write_only(),
-                4,
-                3 * pages,
-                7,
-                t,
-            );
+            let (ssd, r) = churned(cfg, 7);
             let m = ssd.metrics();
             tbl.row([
                 format!("{policy:?}"),
@@ -247,19 +212,7 @@ fn main() {
             cfg.shape.channels = 4;
             cfg.shape.chips_per_channel = 2;
             cfg.op_ratio = op;
-            let mut ssd = Ssd::new(cfg);
-            let pages = ssd.capacity().exported_pages;
-            let t = precondition(&mut ssd, pages);
-            let r = measure(
-                &mut ssd,
-                Pattern::UniformRandom,
-                pages,
-                IoMix::write_only(),
-                4,
-                3 * pages,
-                8,
-                t,
-            );
+            let (ssd, r) = churned(cfg, 8);
             tbl.row([
                 format!("{:.0}%", op * 100.0),
                 format!("{:.1}", r.mb_per_s),

@@ -9,12 +9,12 @@
 //! 3. reads are channel-bound, writes are chip-bound, and channel
 //!    parallelism is the scarcer resource.
 
-use requiem_bench::{fmt_ns, measure, modern_unbuffered, note, precondition, section};
+use requiem_bench::{closed_loop_iops, fmt_ns, measure, modern_unbuffered, note, section};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, ChannelTiming, Lpn, Placement, Ssd};
-use requiem_workload::driver::{run_closed_loop, IoMix};
+use requiem_ssd::{Lpn, Placement, Ssd, SsdConfig};
+use requiem_workload::driver::{precondition_sequential, run_closed_loop, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     // baseline: pure reads
     let mut ssd = Ssd::new(cfg.clone());
     let pages = ssd.capacity().exported_pages;
-    let t = precondition(&mut ssd, pages);
+    let t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
     let r = measure(
         &mut ssd,
         Pattern::UniformRandom,
@@ -54,7 +54,7 @@ fn main() {
     let mut ssd = Ssd::new(cfg.clone());
     let probe = Probe::new();
     ssd.attach_probe(probe.clone());
-    let t = precondition(&mut ssd, pages);
+    let t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
     // churn first so the device is GC-active, then measure a 50/50 mix
     let _ = measure(
         &mut ssd,
@@ -67,7 +67,7 @@ fn main() {
         t,
     );
     let t = ssd.drain_time();
-    let mix = measure(
+    let _ = measure(
         &mut ssd,
         Pattern::UniformRandom,
         pages,
@@ -91,7 +91,6 @@ fn main() {
         fmt_ns(m.read_lun_wait.p99()),
         fmt_ns(m.read_lun_wait.max()),
     );
-    let _ = mix;
     note("Expected shape: p50 barely moves; the tail inflates by an order of magnitude as reads queue behind programs and multi-ms erases.");
 
     section("4a'. Probe summary (JSON) — where the mixed workload's time went");
@@ -130,34 +129,11 @@ fn main() {
             t = ssd.write(t, Lpn(a)).expect("write").done;
         }
         let t = ssd.drain_time();
-        // read them back at queue depth 16
-        let mut next = 0usize;
-        let mut pat_fn = move || {
-            let a = addrs[next % addrs.len()];
-            next += 1;
-            a
-        };
-        // drive manually (closed loop over a fixed list)
-        let mut outstanding = std::collections::BinaryHeap::new();
-        use std::cmp::Reverse;
-        let mut lat = requiem_sim::Histogram::new();
-        let mut issued = 0u64;
-        let total = 1024u64;
-        let mut last = t;
-        while issued < total {
-            let now = if outstanding.len() >= 16 {
-                let Reverse(x) = outstanding.pop().expect("nonempty");
-                x
-            } else {
-                t
-            };
-            let c = ssd.read(now, Lpn(pat_fn())).expect("read");
-            lat.record_duration(c.latency);
-            outstanding.push(Reverse(c.done));
-            last = last.max(c.done);
-            issued += 1;
-        }
-        let iops = total as f64 / last.since(t).as_secs_f64().max(1e-12);
+        // read them back at queue depth 16, cycling over the list
+        let iops = closed_loop_iops(16, 1024, t, |now, i| {
+            let lpn = Lpn(addrs[i as usize % addrs.len()]);
+            ssd.read(now, lpn).expect("read").done
+        });
         if base == 0.0 {
             base = iops;
         }
@@ -176,17 +152,12 @@ fn main() {
     );
     let mut tbl = Table::new(["chips on the channel", "read IOPS", "write IOPS"]);
     for chips in [1u32, 2, 4, 8] {
-        let mut cfg = modern_unbuffered();
-        cfg.shape = ArrayShape {
-            channels: 1,
-            chips_per_channel: chips,
-            luns_per_chip: 1,
-        };
-        cfg.channel = ChannelTiming::onfi2(); // slow bus: the bound bites
-        cfg.placement = Placement::RoundRobin;
+        // Figure 1's slow shared bus, where the bound bites
+        let mut cfg = SsdConfig::figure1();
+        cfg.shape.chips_per_channel = chips;
         // reads
         let mut ssd = Ssd::new(cfg.clone());
-        let t = precondition(&mut ssd, 512);
+        let t = precondition_sequential(&mut ssd, 512, SimTime::ZERO);
         let mut pat = AddressPattern::new(Pattern::Sequential, 512, 1);
         let rr = run_closed_loop(&mut ssd, &mut pat, IoMix::read_only(), 16, 512, 1, t);
         // writes

@@ -7,14 +7,14 @@
 //! workload (create + delete) with and without TRIM and measures what the
 //! hint buys the garbage collector.
 
-use requiem_bench::{measure, modern_unbuffered, note, precondition, section};
+use requiem_bench::{measure, modern_unbuffered, note, section};
 use requiem_iface::device::DeviceInterface;
 use requiem_iface::nameless::{NamelessConfig, NamelessSsd};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
 use requiem_sim::Table;
 use requiem_ssd::{Lpn, Ssd, SsdConfig};
-use requiem_workload::driver::IoMix;
+use requiem_workload::driver::{precondition_sequential, IoMix};
 use requiem_workload::pattern::Pattern;
 
 fn churn_cfg() -> SsdConfig {
@@ -141,13 +141,10 @@ fn main() {
 
     section("Interaction with steady-state overwrite (no deletes): TRIM is no help");
     let mut tbl = Table::new(["mode", "write amplification"]).align(0, Align::Left);
-    for use_trim in [false, true] {
-        let mut cfg = modern_unbuffered();
-        cfg.shape.channels = 2;
-        cfg.shape.chips_per_channel = 2;
-        let mut ssd = Ssd::new(cfg);
+    for (mode, use_trim) in [("plain overwrite", false), ("trim-then-write", true)] {
+        let mut ssd = Ssd::new(churn_cfg());
         let pages = ssd.capacity().exported_pages;
-        let t = precondition(&mut ssd, pages);
+        let t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
         // pure overwrites never have dead-but-unmapped pages, so trimming
         // immediately before each write is a wash
         if use_trim {
@@ -171,12 +168,7 @@ fn main() {
             );
         }
         tbl.row([
-            if use_trim {
-                "trim-then-write"
-            } else {
-                "plain overwrite"
-            }
-            .to_string(),
+            mode.to_string(),
             format!("{:.2}", ssd.metrics().write_amplification()),
         ]);
     }

@@ -78,39 +78,24 @@ fn main() {
     ])
     .align(1, Align::Left);
     for batch in [1u64, 4, 16, 64] {
-        {
-            let mut dev = Ssd::new(modern_unbuffered());
-            let (lat, programs) = one_commit(&mut dev, batch);
+        let mut row = |label: String, (lat, programs): (SimDuration, u64)| {
             tbl.row([
                 format!("{batch}"),
-                format!("{} (double-write journal)", dev.label()),
+                label,
                 format!("{lat}"),
                 format!("{programs}"),
                 format!("{:.2}x", programs as f64 / batch as f64),
             ]);
-        }
-        {
-            let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
-            let (lat, programs) = one_commit(&mut dev, batch);
-            tbl.row([
-                format!("{batch}"),
-                format!("{} (atomic write)", dev.label()),
-                format!("{lat}"),
-                format!("{programs}"),
-                format!("{:.2}x", programs as f64 / batch as f64),
-            ]);
-        }
-        {
-            let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
-            let (lat, programs) = one_commit(&mut dev, batch);
-            tbl.row([
-                format!("{batch}"),
-                format!("{} (out-of-place)", dev.label()),
-                format!("{lat}"),
-                format!("{programs}"),
-                format!("{:.2}x", programs as f64 / batch as f64),
-            ]);
-        }
+        };
+        let mut dev = Ssd::new(modern_unbuffered());
+        let cost = one_commit(&mut dev, batch);
+        row(format!("{} (double-write journal)", dev.label()), cost);
+        let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
+        let cost = one_commit(&mut dev, batch);
+        row(format!("{} (atomic write)", dev.label()), cost);
+        let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
+        let cost = one_commit(&mut dev, batch);
+        row(format!("{} (out-of-place)", dev.label()), cost);
     }
     println!("{tbl}");
     note("Expected shape: the journal pays exactly 2x the programs and roughly 2x the latency (two serialized phases); the atomic primitive pays 1x; the nameless device pays 1x by construction — old names stay valid until the host's index swap, so atomicity needs no extra I/O at all.");
@@ -125,36 +110,36 @@ fn main() {
         "write amplification",
     ])
     .align(0, Align::Left);
-    {
-        let mut dev = Ssd::new(modern_unbuffered());
-        let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
+    let mut row = |label: &str, (makespan, programs, wa): (SimDuration, u64, f64)| {
         tbl.row([
-            "block FTL + double-write journal".to_string(),
+            label.to_string(),
             format!("{makespan}"),
             format!("{programs}"),
             format!("{wa:.2}"),
         ]);
-    }
-    {
-        let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
-        let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
-        tbl.row([
-            "extended block, device atomic write".to_string(),
-            format!("{makespan}"),
-            format!("{programs}"),
-            format!("{wa:.2}"),
-        ]);
-    }
-    {
-        let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
-        let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
-        tbl.row([
-            "nameless, host index swap".to_string(),
-            format!("{makespan}"),
-            format!("{programs}"),
-            format!("{wa:.2}"),
-        ]);
-    }
+    };
+    row(
+        "block FTL + double-write journal",
+        sustained(&mut Ssd::new(modern_unbuffered()), 32, 64, 2048),
+    );
+    row(
+        "extended block, device atomic write",
+        sustained(
+            &mut ExtendedSsd::new(Ssd::new(modern_unbuffered())),
+            32,
+            64,
+            2048,
+        ),
+    );
+    row(
+        "nameless, host index swap",
+        sustained(
+            &mut NamelessSsd::new(NamelessConfig::from(&modern_unbuffered())),
+            32,
+            64,
+            2048,
+        ),
+    );
     println!("{tbl}");
     note("The journal's extra writes also age the flash twice as fast — the cost compounds through GC and wear.");
 }

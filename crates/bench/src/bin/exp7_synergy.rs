@@ -7,7 +7,7 @@
 //! on the memory bus; data traffic to flash with atomic batches and TRIM).
 //! The workload is a TPC-B-flavoured OLTP mix.
 
-use requiem_bench::{note, section};
+use requiem_bench::{fmt_ns, modern_unbuffered, note, section};
 use requiem_db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
 use requiem_sim::table::Align;
@@ -15,6 +15,7 @@ use requiem_sim::time::SimDuration;
 use requiem_sim::Table;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
+use requiem_workload::txn_to_input;
 
 struct RunResult {
     label: String,
@@ -40,13 +41,8 @@ fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> Ru
     db.load();
     let t0 = db.now();
     for _ in 0..txns {
-        let txn = gen.next_txn();
-        let accesses: Vec<(u64, u16, bool)> = txn
-            .accesses
-            .iter()
-            .map(|a| (a.page, (a.page % 16) as u16, a.dirty))
-            .collect();
-        db.execute(&accesses, txn.log_bytes);
+        let txn = txn_to_input(&gen.next_txn());
+        db.execute(&txn.accesses, txn.log_bytes);
     }
     let span = db.now().since(t0);
     let s = db.stats().clone();
@@ -61,6 +57,30 @@ fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> Ru
         read_stall: s.read_stall,
         commit_stall: s.commit_stall,
     }
+}
+
+/// One row of the memory-pressure ablation: 1 000 default-mix
+/// transactions through a pool too small to hold them (every access on
+/// slot 0), reporting the steal traffic that results.
+fn pressure_row<B: PersistenceBackend>(tbl: &mut Table, label: &str, mut db: Database<B>) {
+    db.load();
+    let mut gen = OltpGen::new(OltpConfig::default(), 9);
+    let t0 = db.now();
+    for _ in 0..1000 {
+        let txn = gen.next_txn();
+        let acc: Vec<(u64, u16, bool)> =
+            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
+        db.execute(&acc, txn.log_bytes);
+    }
+    tbl.row([
+        label.to_string(),
+        format!(
+            "{:.0}",
+            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
+        ),
+        format!("{}", db.backend().stats().steal_writes),
+        format!("{}", db.stats().steal_stall),
+    ]);
 }
 
 fn main() {
@@ -80,9 +100,7 @@ fn main() {
     let mut results = Vec::new();
 
     // legacy, conservative: no write cache trusted
-    let mut ssd_cfg = SsdConfig::modern();
-    ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, db_cfg.data_pages, 256);
+    let be = LegacyBackend::new(modern_unbuffered(), db_cfg.data_pages, 256);
     results.push(run(
         "legacy (flash, no write cache)",
         Database::new(db_cfg.clone(), be),
@@ -98,9 +116,7 @@ fn main() {
     ));
 
     // vision: PCM log + extended flash
-    let mut flash_cfg = SsdConfig::modern();
-    flash_cfg.buffer.capacity_pages = 0;
-    let be = VisionBackend::new(flash_cfg, db_cfg.data_pages, 1 << 22);
+    let be = VisionBackend::new(modern_unbuffered(), db_cfg.data_pages, 1 << 22);
     results.push(run(
         "vision (PCM log + atomic flash)",
         Database::new(db_cfg.clone(), be),
@@ -121,10 +137,10 @@ fn main() {
         tbl.row([
             r.label.clone(),
             format!("{:.0}", r.tps),
-            format!("{}", SimDuration::from_nanos(r.txn_p50)),
-            format!("{}", SimDuration::from_nanos(r.txn_p99)),
-            format!("{}", SimDuration::from_nanos(r.commit_p50)),
-            format!("{}", SimDuration::from_nanos(r.commit_p99)),
+            fmt_ns(r.txn_p50),
+            fmt_ns(r.txn_p99),
+            fmt_ns(r.commit_p50),
+            fmt_ns(r.commit_p99),
             format!("{}", r.steals),
         ]);
     }
@@ -149,50 +165,22 @@ fn main() {
         ..db_cfg.clone()
     };
     let mut tbl = Table::new(["backend", "txns/s", "steals", "steal stall"]).align(0, Align::Left);
-    let mut ssd_cfg = SsdConfig::modern();
-    ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, small.data_pages, 256);
-    let mut db = Database::new(small.clone(), be);
-    db.load();
-    let mut gen = OltpGen::new(OltpConfig::default(), 9);
-    let t0 = db.now();
-    for _ in 0..1000 {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> =
-            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
-        db.execute(&acc, txn.log_bytes);
-    }
-    tbl.row([
-        "legacy (flash steals)".to_string(),
-        format!(
-            "{:.0}",
-            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
+    pressure_row(
+        &mut tbl,
+        "legacy (flash steals)",
+        Database::new(
+            small.clone(),
+            LegacyBackend::new(modern_unbuffered(), small.data_pages, 256),
         ),
-        format!("{}", db.backend().stats().steal_writes),
-        format!("{}", db.stats().steal_stall),
-    ]);
-    let mut flash_cfg = SsdConfig::modern();
-    flash_cfg.buffer.capacity_pages = 0;
-    let be = VisionBackend::new(flash_cfg, small.data_pages, 1 << 22);
-    let mut db = Database::new(small, be);
-    db.load();
-    let mut gen = OltpGen::new(OltpConfig::default(), 9);
-    let t0 = db.now();
-    for _ in 0..1000 {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> =
-            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
-        db.execute(&acc, txn.log_bytes);
-    }
-    tbl.row([
-        "vision (PCM staging steals)".to_string(),
-        format!(
-            "{:.0}",
-            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
+    );
+    pressure_row(
+        &mut tbl,
+        "vision (PCM staging steals)",
+        Database::new(
+            small.clone(),
+            VisionBackend::new(modern_unbuffered(), small.data_pages, 1 << 22),
         ),
-        format!("{}", db.backend().stats().steal_writes),
-        format!("{}", db.stats().steal_stall),
-    ]);
+    );
     println!("{tbl}");
     note("Buffer steals are the second synchronous pattern P1 names; staging them in PCM removes the flash program from the blocking path.");
 
@@ -204,9 +192,7 @@ fn main() {
             group_commit: group,
             ..db_cfg.clone()
         };
-        let mut ssd_cfg = SsdConfig::modern();
-        ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg2.data_pages, 256);
+        let be = LegacyBackend::new(modern_unbuffered(), cfg2.data_pages, 256);
         let r = run(
             &format!("legacy, group commit = {group}"),
             Database::new(cfg2, be),
@@ -215,13 +201,11 @@ fn main() {
         tbl.row([
             r.label.clone(),
             format!("{:.0}", r.tps),
-            format!("{}", SimDuration::from_nanos(r.commit_p99)),
+            fmt_ns(r.commit_p99),
         ]);
     }
     {
-        let mut flash_cfg = SsdConfig::modern();
-        flash_cfg.buffer.capacity_pages = 0;
-        let be = VisionBackend::new(flash_cfg, db_cfg.data_pages, 1 << 22);
+        let be = VisionBackend::new(modern_unbuffered(), db_cfg.data_pages, 1 << 22);
         let r = run(
             "vision, no grouping needed",
             Database::new(db_cfg.clone(), be),
@@ -230,7 +214,7 @@ fn main() {
         tbl.row([
             r.label.clone(),
             format!("{:.0}", r.tps),
-            format!("{}", SimDuration::from_nanos(r.commit_p99)),
+            fmt_ns(r.commit_p99),
         ]);
     }
     println!("{tbl}");

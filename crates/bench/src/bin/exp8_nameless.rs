@@ -13,13 +13,55 @@
 //!    is today handled both at the database level and within the FTL"*.)
 //! 3. **Migration upcalls** — the price of namelessness, measured.
 
-use requiem_bench::{modern_unbuffered, note, precondition, section};
+use requiem_bench::{modern_unbuffered, note, section};
 use requiem_iface::device::{tag_churn, ChurnReport};
 use requiem_iface::nameless::{NamelessConfig, NamelessSsd};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
 use requiem_sim::Table;
 use requiem_ssd::{Lpn, Ssd, SsdConfig};
+use requiem_workload::driver::precondition_sequential;
+use std::collections::{HashMap, VecDeque};
+
+/// The host log's bookkeeping: which `(segment, slot)` holds each live
+/// record, the append point, and the segments free to append into.
+struct HostLog {
+    seg_pages: u64,
+    seg_live: Vec<u64>,
+    loc: HashMap<u64, (u64, u64)>,
+    where_is: HashMap<(u64, u64), u64>,
+    free_segs: VecDeque<u64>,
+    cur_seg: u64,
+    cur_slot: u64,
+    t: SimTime,
+    dev_writes: u64,
+}
+
+impl HostLog {
+    /// Append record `id` at the log head (superseding its old copy),
+    /// moving to the next free segment when this one fills.
+    fn append(&mut self, ssd: &mut Ssd, id: u64) {
+        if let Some(prev) = self.loc.remove(&id) {
+            self.seg_live[prev.0 as usize] -= 1;
+            self.where_is.remove(&prev);
+        }
+        let at = (self.cur_seg, self.cur_slot);
+        let lpn = self.cur_seg * self.seg_pages + self.cur_slot;
+        self.t = ssd.write(self.t, Lpn(lpn)).expect("lfs write").done;
+        self.dev_writes += 1;
+        self.loc.insert(id, at);
+        self.where_is.insert(at, id);
+        self.seg_live[self.cur_seg as usize] += 1;
+        self.cur_slot += 1;
+        if self.cur_slot == self.seg_pages {
+            self.cur_seg = self
+                .free_segs
+                .pop_front()
+                .expect("host log out of segments");
+            self.cur_slot = 0;
+        }
+    }
+}
 
 /// Host-side LFS over a block device at 75% live utilization, with greedy
 /// host cleaning. Returns (host device-writes per user write, device WA).
@@ -28,114 +70,54 @@ fn run_lfs(cfg: &SsdConfig, use_trim: bool, seg_pages: u64) -> (f64, f64) {
     let pages = ssd.capacity().exported_pages;
     let segments = pages / seg_pages;
     let live_target = (pages as f64 * 0.75) as u64;
-    let mut seg_live = vec![0u64; segments as usize];
-    let mut loc: std::collections::HashMap<u64, (u64, u64)> = Default::default();
-    let mut where_is: std::collections::HashMap<(u64, u64), u64> = Default::default();
-    let mut free_segs: std::collections::VecDeque<u64> = (0..segments).collect();
-    let mut cur_seg = free_segs.pop_front().expect("segments");
-    let mut cur_slot = 0u64;
-    let mut t = SimTime::ZERO;
-    let mut host_dev_writes = 0u64;
-    let mut user = 0u64;
-    let user_writes = 2 * pages;
-    let append = |ssd: &mut Ssd,
-                  t: &mut SimTime,
-                  cur_seg: &mut u64,
-                  cur_slot: &mut u64,
-                  free_segs: &mut std::collections::VecDeque<u64>,
-                  seg_live: &mut Vec<u64>,
-                  loc: &mut std::collections::HashMap<u64, (u64, u64)>,
-                  where_is: &mut std::collections::HashMap<(u64, u64), u64>,
-                  host_dev_writes: &mut u64,
-                  id: u64| {
-        if let Some(prev) = loc.remove(&id) {
-            seg_live[prev.0 as usize] -= 1;
-            where_is.remove(&prev);
-        }
-        let lpn = *cur_seg * seg_pages + *cur_slot;
-        let c = ssd.write(*t, Lpn(lpn)).expect("lfs write");
-        *t = c.done;
-        *host_dev_writes += 1;
-        loc.insert(id, (*cur_seg, *cur_slot));
-        where_is.insert((*cur_seg, *cur_slot), id);
-        seg_live[*cur_seg as usize] += 1;
-        *cur_slot += 1;
-        if *cur_slot == seg_pages {
-            *cur_seg = free_segs.pop_front().expect("host log out of segments");
-            *cur_slot = 0;
-        }
+    let mut free_segs: VecDeque<u64> = (0..segments).collect();
+    let mut log = HostLog {
+        seg_pages,
+        seg_live: vec![0u64; segments as usize],
+        loc: HashMap::new(),
+        where_is: HashMap::new(),
+        cur_seg: free_segs.pop_front().expect("segments"),
+        free_segs,
+        cur_slot: 0,
+        t: SimTime::ZERO,
+        dev_writes: 0,
     };
+    let user_writes = 2 * pages;
     for id in 0..live_target {
-        append(
-            &mut ssd,
-            &mut t,
-            &mut cur_seg,
-            &mut cur_slot,
-            &mut free_segs,
-            &mut seg_live,
-            &mut loc,
-            &mut where_is,
-            &mut host_dev_writes,
-            id,
-        );
+        log.append(&mut ssd, id);
     }
-    let fill_writes = host_dev_writes;
+    let fill_writes = log.dev_writes;
     let mut x = 3u64;
-    while user < user_writes {
-        while free_segs.len() < 4 {
+    for _ in 0..user_writes {
+        while log.free_segs.len() < 4 {
             let victim = (0..segments)
-                .filter(|&s| s != cur_seg && !free_segs.contains(&s))
-                .min_by_key(|&s| seg_live[s as usize])
+                .filter(|&s| s != log.cur_seg && !log.free_segs.contains(&s))
+                .min_by_key(|&s| log.seg_live[s as usize])
                 .expect("victim");
             for slot in 0..seg_pages {
-                if let Some(&id) = where_is.get(&(victim, slot)) {
+                if let Some(&id) = log.where_is.get(&(victim, slot)) {
                     let lpn = victim * seg_pages + slot;
-                    let c = ssd.read(t, Lpn(lpn)).expect("lfs clean read");
-                    t = c.done;
-                    append(
-                        &mut ssd,
-                        &mut t,
-                        &mut cur_seg,
-                        &mut cur_slot,
-                        &mut free_segs,
-                        &mut seg_live,
-                        &mut loc,
-                        &mut where_is,
-                        &mut host_dev_writes,
-                        id,
-                    );
+                    log.t = ssd.read(log.t, Lpn(lpn)).expect("lfs clean read").done;
+                    log.append(&mut ssd, id);
                 }
             }
             if use_trim {
                 // coordinated layers: tell the FTL the segment is dead
                 for slot in 0..seg_pages {
-                    let c = ssd.trim(t, Lpn(victim * seg_pages + slot)).expect("trim");
-                    t = c.done;
+                    let lpn = victim * seg_pages + slot;
+                    log.t = ssd.trim(log.t, Lpn(lpn)).expect("trim").done;
                 }
             }
-            seg_live[victim as usize] = 0;
-            free_segs.push_back(victim);
+            log.seg_live[victim as usize] = 0;
+            log.free_segs.push_back(victim);
         }
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        append(
-            &mut ssd,
-            &mut t,
-            &mut cur_seg,
-            &mut cur_slot,
-            &mut free_segs,
-            &mut seg_live,
-            &mut loc,
-            &mut where_is,
-            &mut host_dev_writes,
-            x % live_target,
-        );
-        user += 1;
+        log.append(&mut ssd, x % live_target);
     }
-    let m = ssd.metrics();
-    let host_per_user = (host_dev_writes - fill_writes) as f64 / user_writes as f64;
-    (host_per_user, m.write_amplification())
+    let host_per_user = (log.dev_writes - fill_writes) as f64 / user_writes as f64;
+    (host_per_user, ssd.metrics().write_amplification())
 }
 
 fn main() {
@@ -187,11 +169,8 @@ fn main() {
         cfg.flash.geometry = requiem_flash::Geometry::new(2, blocks, 16, 4096);
         let mut ssd = Ssd::new(cfg);
         let pages = ssd.capacity().exported_pages;
-        let mut t = SimTime::ZERO;
-        for lpn in 0..pages {
-            t = ssd.write(t, Lpn(lpn)).expect("fill").done;
-        }
-        let r = ssd.power_loss_rebuild(ssd.drain_time()).expect("rebuild");
+        let quiet = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
+        let r = ssd.power_loss_rebuild(quiet).expect("rebuild");
         let raw = ssd.capacity().raw_pages * 4096 / (1 << 20);
         tbl.row([
             format!("{blocks}"),
@@ -262,14 +241,21 @@ fn main() {
     ])
     .align(0, Align::Left);
 
+    let mut row = |design: &str, (host_per_user, dev_wa): (f64, f64)| {
+        tbl.row([
+            design.to_string(),
+            format!("{host_per_user:.2}"),
+            format!("{dev_wa:.2}"),
+            format!("{:.2}", host_per_user * dev_wa),
+        ]);
+    };
     // (a) in-place updates straight to the page-mapped FTL
     {
         let mut ssd = Ssd::new(cfg.clone());
         let pages = ssd.capacity().exported_pages;
-        let t = precondition(&mut ssd, pages);
+        let mut t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
         let user_writes = 2 * pages;
         let mut x = 3u64;
-        let mut t = t;
         for _ in 0..user_writes {
             x = x
                 .wrapping_mul(6364136223846793005)
@@ -278,47 +264,29 @@ fn main() {
         }
         let m = ssd.metrics();
         let host_per_user = (m.host_writes - pages) as f64 / user_writes as f64;
-        let dev_wa = m.write_amplification();
-        tbl.row([
-            "in-place onto page FTL".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
+        row(
+            "in-place onto page FTL",
+            (host_per_user, m.write_amplification()),
+        );
     }
     // (b) host LFS, segments aligned to flash blocks, layers coordinated
     // via TRIM: the FTL's cleaner goes idle — one log, one cleaner
-    {
-        let (host_per_user, dev_wa) = run_lfs(&cfg, true, 64);
-        tbl.row([
-            "host LFS, block-aligned segments, TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
-    }
+    row(
+        "host LFS, block-aligned segments, TRIM",
+        run_lfs(&cfg, true, 64),
+    );
     // (c) host LFS, aligned but no TRIM: sequential segment reuse still
     // lets the FTL infer death — alignment is an accidental protocol
-    {
-        let (host_per_user, dev_wa) = run_lfs(&cfg, false, 64);
-        tbl.row([
-            "host LFS, block-aligned segments, no TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
-    }
+    row(
+        "host LFS, block-aligned segments, no TRIM",
+        run_lfs(&cfg, false, 64),
+    );
     // (d) host LFS with segments misaligned to flash blocks and no TRIM:
     // the two cleaners thrash each other — the multiplicative penalty
-    {
-        let (host_per_user, dev_wa) = run_lfs(&cfg, false, 24);
-        tbl.row([
-            "host LFS, misaligned segments, no TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
-    }
+    row(
+        "host LFS, misaligned segments, no TRIM",
+        run_lfs(&cfg, false, 24),
+    );
     println!("{tbl}");
     note("Expected shape: uncoordinated layers multiply — the host cleaner's traffic is amplified again by the FTL's cleaner. Coordination (TRIM, or one shared log via the communication abstraction) collapses the product: 'the management of log-structured files is today handled both at the database level and within the FTL'.");
 }

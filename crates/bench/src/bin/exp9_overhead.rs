@@ -17,6 +17,7 @@ use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Table;
 use requiem_ssd::{BufferConfig, Ssd, SsdConfig};
+use requiem_workload::driver::precondition_sequential;
 
 fn main() {
     println!("# E9 — block-layer overhead: disk-era invisibility, SSD-era tax");
@@ -63,15 +64,7 @@ fn main() {
         }
         let mut stack = IoStack::new(StackConfig::legacy(1), Ssd::new(cfg));
         // precondition some pages for reads
-        let mut t = SimTime::ZERO;
-        for lpn in 0..64u64 {
-            t = stack
-                .backend_mut()
-                .write(t, requiem_ssd::Lpn(lpn))
-                .expect("precondition")
-                .done;
-        }
-        let mut last = stack.backend().drain_time();
+        let mut last = precondition_sequential(stack.backend_mut(), 64, SimTime::ZERO);
         for lpn in 0..64u64 {
             last = stack.submit(last, 0, IoRequest::new(op, lpn)).done;
         }
@@ -148,25 +141,18 @@ fn main() {
             cores,
             cpu: CpuCosts::disk_era(),
         };
-        let mut sq = IoStack::new(mk(QueueMode::Single), dev());
-        let r_sq = sq.run_per_core_loop(
-            256,
-            BackendOp::Write,
-            |c, i| (c as u64) * 4096 + i,
-            SimTime::ZERO,
-        );
-        let mut mq = IoStack::new(mk(QueueMode::PerCore), dev());
-        let r_mq = mq.run_per_core_loop(
-            256,
-            BackendOp::Write,
-            |c, i| (c as u64) * 4096 + i,
-            SimTime::ZERO,
-        );
+        let iops = |mode| {
+            let lba = |c: usize, i: u64| (c as u64) * 4096 + i;
+            IoStack::new(mk(mode), dev())
+                .run_per_core_loop(256, BackendOp::Write, lba, SimTime::ZERO)
+                .iops
+        };
+        let (sq, mq) = (iops(QueueMode::Single), iops(QueueMode::PerCore));
         tbl.row([
             format!("{cores}"),
-            format!("{:.0}", r_sq.iops),
-            format!("{:.0}", r_mq.iops),
-            format!("{:.2}x", r_mq.iops / r_sq.iops),
+            format!("{sq:.0}"),
+            format!("{mq:.0}"),
+            format!("{:.2}x", mq / sq),
         ]);
     }
     println!("{tbl}");

@@ -2,17 +2,27 @@
 //!
 //! Each `expN_*` binary regenerates one figure or quantitative claim of
 //! the paper (see `DESIGN.md` §3 for the index) and prints GitHub-
-//! flavoured markdown so `EXPERIMENTS.md` can be refreshed by copy-paste.
+//! flavoured markdown plus a trailing JSON block. Its stdout is pinned
+//! byte for byte under `golden/` (`scripts/golden.sh`), which is what
+//! `EXPERIMENTS.md` tables and `BENCH_exp*.json` blocks are copied from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aging;
+pub mod series;
 
-use requiem_sim::time::SimTime;
-use requiem_ssd::{BufferConfig, Lpn, Ssd, SsdConfig};
-use requiem_workload::driver::{run_closed_loop, DriverReport, IoMix};
+pub use series::{Series, V};
+
+use requiem_db::{Database, PersistenceBackend, TxnInput};
+use requiem_sim::table::Align;
+use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::Table;
+use requiem_ssd::{BufferConfig, Ssd, SsdConfig};
+use requiem_workload::driver::{precondition_sequential, run_closed_loop, DriverReport, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Print a section header.
 pub fn section(title: &str) {
@@ -33,15 +43,92 @@ pub fn modern_unbuffered() -> SsdConfig {
     }
 }
 
-/// Sequentially fill the first `pages` LPNs; returns the drain time so a
-/// following measurement starts on a quiet device.
-pub fn precondition(ssd: &mut Ssd, pages: u64) -> SimTime {
-    let mut t = SimTime::ZERO;
-    for lpn in 0..pages {
-        let c = ssd.write(t, Lpn(lpn)).expect("precondition write");
-        t = c.done;
+/// Channel and chip utilization over a measured window, from busy-time
+/// deltas, so whatever preconditioned the device is excluded.
+pub struct BusyWindow {
+    start: SimTime,
+    channels: Vec<SimDuration>,
+    luns: Vec<SimDuration>,
+}
+
+impl BusyWindow {
+    /// Open the window at `start`, snapshotting every busy counter.
+    pub fn open(ssd: &Ssd, start: SimTime) -> Self {
+        BusyWindow {
+            start,
+            channels: ssd.channel_busy_time(),
+            luns: ssd.lun_busy_time(),
+        }
     }
-    ssd.drain_time().max(t)
+
+    /// Close the window at the device's drain time: `(channel_util,
+    /// chip_util)`, each the mean over its resources.
+    pub fn close(self, ssd: &Ssd) -> (f64, f64) {
+        let window = ssd.drain_time().since(self.start).as_nanos().max(1) as f64;
+        let mean_util = |after: Vec<SimDuration>, before: &[SimDuration]| {
+            let busy: f64 = after
+                .iter()
+                .zip(before)
+                .map(|(a, b)| a.saturating_sub(*b).as_nanos() as f64)
+                .sum();
+            busy / after.len() as f64 / window
+        };
+        (
+            mean_util(ssd.channel_busy_time(), &self.channels),
+            mean_util(ssd.lun_busy_time(), &self.luns),
+        )
+    }
+}
+
+/// Which resource a pair of [`BusyWindow`] utilizations says bounds the
+/// run: the busier one.
+pub fn bound_by(channel_util: f64, chip_util: f64) -> &'static str {
+    if channel_util > chip_util {
+        "channel"
+    } else {
+        "chips"
+    }
+}
+
+/// The QD-1 identity anchor, printed and asserted: `serial` (fresh and
+/// loaded) executes `inputs` one `execute()` at a time and must end
+/// bit-for-bit where `candidate` ended — clock, latency histograms,
+/// stall ledger, WAL and page-read counters — after running them under
+/// [`requiem_db::ExecConfig::serialized`] (depth 1, prefetch off,
+/// immediate forces). `claim` is the assertion's message.
+pub fn serialized_identity<B: PersistenceBackend>(
+    mut serial: Database<B>,
+    inputs: &[TxnInput],
+    label: &str,
+    candidate: &Database<B>,
+    claim: &str,
+) {
+    for t in inputs {
+        serial.execute(&t.accesses, t.log_bytes);
+    }
+    let identical = candidate.now() == serial.now()
+        && candidate.txn_latency() == serial.txn_latency()
+        && candidate.commit_latency() == serial.commit_latency()
+        && candidate.stats() == serial.stats()
+        && candidate.wal_backend().stats().log_forces == serial.wal_backend().stats().log_forces
+        && candidate.wal_backend().stats().log_bytes == serial.wal_backend().stats().log_bytes
+        && candidate.backend().stats().page_reads == serial.backend().stats().page_reads;
+    let mut tbl =
+        Table::new(["engine", "final clock", "commits", "bit-identical"]).align(0, Align::Left);
+    tbl.row([
+        "serialized execute()".to_string(),
+        format!("{}", serial.now()),
+        format!("{}", serial.stats().commits),
+        String::new(),
+    ]);
+    tbl.row([
+        label.to_string(),
+        format!("{}", candidate.now()),
+        format!("{}", candidate.stats().commits),
+        format!("{identical}"),
+    ]);
+    println!("{tbl}");
+    assert!(identical, "{claim}");
 }
 
 /// Run a simple measurement: `ops` operations of `mix` with `pattern`
@@ -61,14 +148,54 @@ pub fn measure(
     run_closed_loop(ssd, &mut pat, mix, qd, ops, seed, start)
 }
 
-/// Format nanoseconds with an adaptive unit.
-pub fn fmt_ns(ns: u64) -> String {
-    requiem_sim::time::SimDuration::from_nanos(ns).to_string()
+/// A device in its GC-active steady state: `cfg` filled sequentially,
+/// then randomly overwritten three more times its capacity at queue
+/// depth 4. Returns the device and the overwrite phase's report.
+pub fn churned(cfg: SsdConfig, seed: u64) -> (Ssd, DriverReport) {
+    let mut ssd = Ssd::new(cfg);
+    let pages = ssd.capacity().exported_pages;
+    let t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
+    let report = measure(
+        &mut ssd,
+        Pattern::UniformRandom,
+        pages,
+        IoMix::write_only(),
+        4,
+        3 * pages,
+        seed,
+        t,
+    );
+    (ssd, report)
 }
 
-/// Format a ratio as `N.NNx`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
+/// IOPS of a closed loop over an address sequence no [`Pattern`] draws:
+/// `total` operations kept `qd` deep from `start`, where `issue(now, i)`
+/// submits the `i`-th at `now` and returns the instant it is done.
+pub fn closed_loop_iops(
+    qd: usize,
+    total: u64,
+    start: SimTime,
+    mut issue: impl FnMut(SimTime, u64) -> SimTime,
+) -> f64 {
+    let mut outstanding = BinaryHeap::new();
+    let mut last = start;
+    for i in 0..total {
+        let now = if outstanding.len() >= qd {
+            let Reverse(done) = outstanding.pop().expect("qd > 0");
+            done
+        } else {
+            start
+        };
+        let done = issue(now, i);
+        outstanding.push(Reverse(done));
+        last = last.max(done);
+    }
+    total as f64 / last.since(start).as_secs_f64().max(1e-12)
+}
+
+/// Format nanoseconds with an adaptive unit.
+pub fn fmt_ns(ns: u64) -> String {
+    SimDuration::from_nanos(ns).to_string()
 }
 
 #[cfg(test)]
@@ -78,7 +205,8 @@ mod tests {
     #[test]
     fn precondition_and_measure_smoke() {
         let mut ssd = Ssd::new(modern_unbuffered());
-        let t = precondition(&mut ssd, 64);
+        let t = precondition_sequential(&mut ssd, 64, SimTime::ZERO);
+        let busy = BusyWindow::open(&ssd, t);
         let r = measure(
             &mut ssd,
             Pattern::Sequential,
@@ -91,11 +219,13 @@ mod tests {
         );
         assert_eq!(r.ops, 64);
         assert!(r.iops > 0.0);
+        let (channel_util, chip_util) = busy.close(&ssd);
+        assert!(channel_util > 0.0 && channel_util <= 1.0, "{channel_util}");
+        assert!(chip_util > 0.0 && chip_util <= 1.0, "{chip_util}");
     }
 
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_ns(1_500), "1.50µs");
-        assert_eq!(fmt_ratio(2.0), "2.00x");
     }
 }

@@ -4,7 +4,7 @@
 //! additionally double-run-diffs the full binary (`--short` preset);
 //! this test pins the core harness at unit-test speed.
 
-use requiem_bench::aging::{matrix, run_corner, run_json, AgingPreset};
+use requiem_bench::aging::{matrix, run_corner, run_series, AgingPreset};
 
 /// Tiny preset: full pipeline (fill → overwrite → mixed, windowed
 /// sampling), test-sized.
@@ -26,8 +26,8 @@ fn aging_trajectories_are_deterministic() {
         let b = run_corner(c, &tiny());
         assert_eq!(a.points, b.points, "trajectory diverged for {:?}", c);
         assert_eq!(
-            run_json(&a),
-            run_json(&b),
+            run_series().json_row(&a),
+            run_series().json_row(&b),
             "JSON encoding diverged for {:?}",
             c
         );

@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod chip;
 pub mod ecc;
 pub mod error;
 pub mod geometry;
@@ -57,7 +56,6 @@ pub mod lun;
 pub mod timing;
 
 pub use cell::CellKind;
-pub use chip::FlashChip;
 pub use ecc::EccConfig;
 pub use error::FlashError;
 pub use geometry::{BlockAddr, Geometry, PageAddr, Ppn};

@@ -1,7 +1,8 @@
 //! GitHub-flavoured markdown table construction.
 //!
-//! Every experiment binary in `requiem-bench` prints its results as a
-//! markdown table so `EXPERIMENTS.md` can be regenerated by copy-paste.
+//! Every experiment binary in `requiem-bench` prints its results as
+//! markdown tables; `golden/` pins those bytes and `EXPERIMENTS.md`
+//! quotes them.
 
 use std::fmt;
 

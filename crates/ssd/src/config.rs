@@ -186,6 +186,25 @@ impl SsdConfig {
         }
     }
 
+    /// The paper's Figure-1 array: four chips (1 LUN each) behind one
+    /// shared ONFI-2 channel — a page transfer (~100 µs) is comparable to
+    /// a page read (50 µs), the regime the figure depicts — round-robin
+    /// placement, and no device buffer, so every unit of parallelism must
+    /// come from keeping independent commands in flight.
+    pub fn figure1() -> Self {
+        SsdConfig {
+            shape: ArrayShape {
+                channels: 1,
+                chips_per_channel: 4,
+                luns_per_chip: 1,
+            },
+            channel: ChannelTiming::onfi2(),
+            placement: Placement::RoundRobin,
+            buffer: BufferConfig { capacity_pages: 0 },
+            ..Self::modern()
+        }
+    }
+
     /// The pre-2009 block-mapped device: 2 channels × 2 chips, ONFI-2 bus,
     /// no buffer, static placement.
     pub fn circa_2009_block() -> Self {
@@ -267,6 +286,15 @@ mod tests {
         assert_eq!(old.buffer.capacity_pages, 0);
         assert!(new.buffer.capacity_pages > 0);
         assert!(new.total_luns() > old.total_luns());
+        let fig1 = SsdConfig::figure1();
+        assert_eq!(
+            (
+                fig1.shape.channels,
+                fig1.total_luns(),
+                fig1.buffer.capacity_pages
+            ),
+            (1, 4, 0)
+        );
     }
 
     #[test]

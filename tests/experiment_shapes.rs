@@ -5,7 +5,7 @@
 use requiem::iface::atomic::{double_write_journal, ExtendedSsd};
 use requiem::pcm::{PcmDimm, PcmTiming};
 use requiem::sim::time::SimTime;
-use requiem::ssd::{ArrayShape, BufferConfig, ChannelTiming, Lpn, Placement, Ssd, SsdConfig};
+use requiem::ssd::{BufferConfig, Lpn, Placement, Ssd, SsdConfig};
 use requiem::workload::driver::{precondition_sequential, run_closed_loop, IoMix};
 use requiem::workload::pattern::{AddressPattern, Pattern};
 
@@ -18,17 +18,7 @@ fn unbuffered() -> SsdConfig {
 /// E1 / Figure 1: sustained reads are channel-bound, writes chip-bound.
 #[test]
 fn e1_reads_channel_bound_writes_chip_bound() {
-    let cfg = SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    };
+    let cfg = SsdConfig::figure1();
     // reads
     let mut ssd = Ssd::new(cfg.clone());
     let t = precondition_sequential(&mut ssd, 512, SimTime::ZERO);
