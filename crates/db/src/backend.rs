@@ -369,8 +369,6 @@ pub struct LegacyBackend {
     data_base: u64,
     journal_base: u64,
     data_pages: u64,
-    /// Use TRIM on frees (off by default: legacy stacks rarely did).
-    pub use_trim: bool,
     stats: BackendStats,
     reads: BareReads,
 }
@@ -403,7 +401,6 @@ impl LegacyBackend {
             data_base: log_pages,
             journal_base: log_pages + data_pages,
             data_pages,
-            use_trim: false,
             stats: BackendStats::default(),
             reads: BareReads::new(),
         }
@@ -490,15 +487,9 @@ impl PersistenceBackend for LegacyBackend {
         .done
     }
 
-    fn free_page(&mut self, now: SimTime, page: PageId) {
+    fn free_page(&mut self, _now: SimTime, _page: PageId) {
+        // legacy stacks rarely trimmed: the device never hears of a free
         self.stats.frees += 1;
-        if self.use_trim {
-            let lpn = self.data_lpn(page);
-            self.ssd
-                .borrow_mut()
-                .io(now, IoRequest::trim(lpn.0).class(IoClass::Background))
-                .expect("trim failed");
-        }
     }
 
     fn stats(&self) -> &BackendStats {
@@ -869,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn frees_trim_on_vision_only_by_default() {
+    fn frees_trim_on_vision_only() {
         let mut l = legacy();
         let mut v = vision();
         l.free_page(SimTime::ZERO, PageId(3));

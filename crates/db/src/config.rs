@@ -12,7 +12,7 @@ use requiem_block::StackConfig;
 use requiem_iface::nameless::NamelessConfig;
 use requiem_ssd::SsdConfig;
 
-use crate::backend::{LegacyBackend, VisionBackend};
+use crate::backend::LegacyBackend;
 use crate::coop::CoopLogBackend;
 use crate::engine::{Database, DbConfig};
 use crate::exec::ExecConfig;
@@ -218,16 +218,6 @@ impl DbBuilder {
     /// device, one collector in the stack).
     pub fn build_coop(&self, cfg: NamelessConfig) -> Database<CoopLogBackend> {
         let be = CoopLogBackend::new(cfg, self.data_pages, self.log_pages);
-        let mut db = Database::new(self.db_config(), be);
-        db.load();
-        db
-    }
-
-    /// A loaded database over the vision backend (PCM DIMM for the
-    /// synchronous path, flash atomic writes for data); `pcm_bytes` is
-    /// the DIMM's log-region capacity.
-    pub fn build_vision(&self, ssd: SsdConfig, pcm_bytes: u64) -> Database<VisionBackend> {
-        let be = VisionBackend::new(ssd, self.data_pages, pcm_bytes);
         let mut db = Database::new(self.db_config(), be);
         db.load();
         db

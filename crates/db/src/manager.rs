@@ -57,10 +57,6 @@ pub trait StorageManager: PersistenceBackend {
     /// Pages the device's garbage collector relocated — the double-GC
     /// tax when a log-structured manager runs on a log-structured FTL.
     fn device_gc_moved(&self) -> u64;
-
-    /// Device-level write amplification (physical programs per host
-    /// write command).
-    fn device_write_amplification(&self) -> f64;
 }
 
 impl StorageManager for LegacyBackend {
@@ -92,10 +88,6 @@ impl StorageManager for LegacyBackend {
     fn device_gc_moved(&self) -> u64 {
         self.ssd().metrics().gc_pages_moved
     }
-
-    fn device_write_amplification(&self) -> f64 {
-        self.ssd().metrics().write_amplification()
-    }
 }
 
 impl StorageManager for CoopLogBackend {
@@ -123,10 +115,6 @@ impl StorageManager for CoopLogBackend {
 
     fn device_gc_moved(&self) -> u64 {
         self.dev().metrics().gc_pages_moved
-    }
-
-    fn device_write_amplification(&self) -> f64 {
-        self.dev().metrics().write_amplification()
     }
 }
 

@@ -43,8 +43,6 @@ pub struct BlockStackBackend {
     /// traffic rides its own queue pair; contention happens below, on
     /// the shared channels.
     core: usize,
-    /// Use TRIM on frees (off by default, like the legacy stack).
-    pub use_trim: bool,
     /// Batched reads in flight as `(host tag, page)`, unordered: never
     /// more than the executor keeps outstanding, so a scan finds a tag.
     pending: Vec<(CommandTag, PageId)>,
@@ -98,7 +96,6 @@ impl BlockStackBackend {
             data_pages,
             lba_base: 0,
             core: 0,
-            use_trim: false,
             pending: Vec::new(),
             reqs: Vec::new(),
             ready: Vec::new(),
@@ -157,7 +154,6 @@ impl BlockStackBackend {
                 data_pages,
                 lba_base: i as u64 * stripe,
                 core: i,
-                use_trim: false,
                 pending: Vec::new(),
                 reqs: Vec::new(),
                 ready: Vec::new(),
@@ -320,16 +316,9 @@ impl PersistenceBackend for BlockStackBackend {
         self.run_batch_to_completion(t1, &in_place)
     }
 
-    fn free_page(&mut self, now: SimTime, page: PageId) {
+    fn free_page(&mut self, _now: SimTime, _page: PageId) {
+        // no TRIM, like the legacy stack
         self.stats.frees += 1;
-        if self.use_trim {
-            let lpn = self.data_lpn(page);
-            self.stack.borrow_mut().submit(
-                now,
-                self.core,
-                IoRequest::trim(lpn.0).class(IoClass::Background),
-            );
-        }
     }
 
     fn stats(&self) -> &BackendStats {

@@ -83,18 +83,6 @@ pub struct FlashSpec {
 }
 
 impl FlashSpec {
-    /// A realistic c. 2012 MLC die: 4 KiB pages, 128 pages/block,
-    /// 2 planes × 1024 blocks ⇒ 1 GiB per LUN.
-    pub fn mlc_1gib() -> Self {
-        FlashSpec {
-            geometry: Geometry::new(2, 1024, 128, 4096),
-            cell: CellKind::Mlc,
-            timing: FlashTiming::mlc(),
-            ecc: EccConfig::bch_24_per_1k(),
-            endurance_override: None,
-        }
-    }
-
     /// A small MLC die for fast tests: 2 planes × 64 blocks × 16 pages ×
     /// 4 KiB ⇒ 8 MiB per LUN.
     pub fn mlc_small() -> Self {
@@ -103,17 +91,6 @@ impl FlashSpec {
             cell: CellKind::Mlc,
             timing: FlashTiming::mlc(),
             ecc: EccConfig::bch_24_per_1k(),
-            endurance_override: None,
-        }
-    }
-
-    /// SLC variant of [`FlashSpec::mlc_small`] (fast, high endurance).
-    pub fn slc_small() -> Self {
-        FlashSpec {
-            geometry: Geometry::new(2, 64, 16, 4096),
-            cell: CellKind::Slc,
-            timing: FlashTiming::slc(),
-            ecc: EccConfig::bch_8_per_1k(),
             endurance_override: None,
         }
     }

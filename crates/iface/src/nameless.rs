@@ -26,7 +26,7 @@ use requiem_sim::{FaultPlan, IoStatus, Occupant};
 use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
 use requiem_ssd::block_dir::{BlockDirectory, Stream};
 use requiem_ssd::channel::ChannelTiming;
-use requiem_ssd::config::{GcPolicyKind, SsdConfig};
+use requiem_ssd::config::{GcConfig, SsdConfig};
 use requiem_ssd::controller::{LunRotation, Scheduler};
 use requiem_ssd::metrics::{OpCause, SsdMetrics};
 use requiem_ssd::Lpn;
@@ -43,8 +43,9 @@ pub struct PhysName {
     pub addr: PageAddr,
 }
 
-/// Configuration of a nameless device (the FTL-mapping knobs of
-/// [`SsdConfig`] are meaningless here and absent).
+/// Configuration of a nameless device, built from the [`SsdConfig`] of
+/// the same hardware: the FTL-mapping knobs are meaningless here and
+/// absent, the GC knobs are the one [`GcConfig`] both devices read.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NamelessConfig {
     /// Array shape.
@@ -57,10 +58,10 @@ pub struct NamelessConfig {
     pub host_link_bytes_per_us: u32,
     /// Controller overhead per command.
     pub controller_overhead: SimDuration,
-    /// GC trigger threshold (free blocks per LUN).
-    pub gc_threshold: u32,
-    /// Use on-die copyback for relocations.
-    pub copyback: bool,
+    /// GC tuning, the [`SsdConfig`]'s own: trigger threshold, victim
+    /// policy and copyback are read exactly as the block controller
+    /// reads them.
+    pub gc: GcConfig,
     /// Wear-aware block allocation.
     pub wear_aware: bool,
     /// Over-provisioning ratio the host is expected to respect: the
@@ -85,8 +86,7 @@ impl From<&SsdConfig> for NamelessConfig {
             channel: c.channel.clone(),
             host_link_bytes_per_us: c.host_link_bytes_per_us,
             controller_overhead: c.controller_overhead,
-            gc_threshold: c.gc.free_block_threshold,
-            copyback: c.gc.copyback,
+            gc: c.gc.clone(),
             wear_aware: c.wl.dynamic,
             op_ratio: c.op_ratio,
             seed: c.seed,
@@ -527,9 +527,9 @@ impl NamelessSsd {
         let _bg = self.sched.probe().background();
         self.gc_active = true;
         let mut guard = self.cfg.flash.geometry.total_blocks();
-        while self.dir.free_blocks(lun) <= self.cfg.gc_threshold && guard > 0 {
+        while self.dir.free_blocks(lun) <= self.cfg.gc.free_block_threshold && guard > 0 {
             guard -= 1;
-            let Some(victim) = self.dir.pick_victim(lun, GcPolicyKind::Greedy) else {
+            let Some(victim) = self.dir.pick_victim(lun, self.cfg.gc.policy) else {
                 break;
             };
             self.gc_collect(lun, victim, t);
@@ -573,7 +573,7 @@ impl NamelessSsd {
         self.dir.live_pages_into(lun, victim, &mut live);
         for &(addr, tag) in &live {
             let old = PhysPage { lun, addr };
-            let copyback = self.cfg.copyback;
+            let copyback = self.cfg.gc.copyback;
             let (after_read, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
             let Ok((newphys, _end)) =
                 self.program_retrying(after_read, lun, Stream::Gc, tag.0, !copyback, OpCause::Gc)
@@ -729,6 +729,7 @@ impl NamelessSsd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use requiem_ssd::config::GcPolicyKind;
     use std::collections::HashMap;
 
     fn device() -> NamelessSsd {
@@ -776,23 +777,29 @@ mod tests {
         assert!(base.mapping_table_bytes() > 50_000);
     }
 
-    #[test]
-    fn gc_migrations_emit_upcalls_and_host_stays_consistent() {
-        let mut d = device();
-        // host-side index: tag -> name (exactly what a DB's page table is)
+    /// Fill 80 % of raw capacity, then rewrite scattered tags for twice
+    /// that many writes — past raw capacity, at a utilization where GC
+    /// victims cannot be fully dead — keeping the host-side index (tag →
+    /// name, exactly what a DB's page table is) patched from upcalls.
+    fn churn(d: &mut NamelessSsd) -> (HashMap<u64, PhysName>, SimTime) {
+        fn patch(d: &mut NamelessSsd, index: &mut HashMap<u64, PhysName>) {
+            for u in d.upcalls().drain() {
+                if let Upcall::Migrated { tag, new, .. } = u {
+                    index.insert(tag, new);
+                }
+            }
+        }
         let mut index: HashMap<u64, PhysName> = HashMap::new();
         let raw_pages: u64 = 4 * d.config().flash.geometry.total_pages();
-        // high utilization so GC victims cannot be fully dead
         let live_set = raw_pages * 8 / 10;
         let mut t = SimTime::ZERO;
-        // initial fill: every tag written once
         for tag in 0..live_set {
             let w = d.write(t, tag).unwrap();
             t = w.done;
             index.insert(tag, w.name);
         }
-        // random churn: rewrite scattered tags so invalid pages spread
-        // thinly over blocks, forcing GC to relocate live neighbours
+        // scattered rewrites spread invalid pages thinly over blocks,
+        // forcing GC to relocate live neighbours
         let mut x = 12345u64;
         for step in 0..(live_set * 2) {
             x = x
@@ -800,11 +807,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let tag = x % live_set;
             // old version may have migrated; drain upcalls first
-            for u in d.upcalls().drain() {
-                if let Upcall::Migrated { tag, new, .. } = u {
-                    index.insert(tag, new);
-                }
-            }
+            patch(d, &mut index);
             let cur = index[&tag];
             d.free(t, cur, tag).expect("free of current name");
             let w = d
@@ -813,19 +816,45 @@ mod tests {
             t = w.done;
             index.insert(tag, w.name);
         }
-        // final drain + verify every tag readable at its current name
-        for u in d.upcalls().drain() {
-            if let Upcall::Migrated { tag, new, .. } = u {
-                index.insert(tag, new);
-            }
-        }
+        patch(d, &mut index);
+        (index, t)
+    }
+
+    #[test]
+    fn gc_migrations_emit_upcalls_and_host_stays_consistent() {
+        let mut d = device();
+        let (index, mut t) = churn(&mut d);
         assert!(d.metrics().gc_runs > 0, "churn must trigger GC");
         assert!(d.upcalls().delivered() > 0, "GC must have migrated pages");
+        // every tag readable at its current name
         for (tag, name) in index {
             let r = d.read(t, name, tag);
             assert!(r.is_ok(), "tag {tag} unreadable at {name:?}");
             t = r.unwrap().0;
         }
+    }
+
+    #[test]
+    fn nameless_collector_honours_the_configured_policy() {
+        // same churn, different `gc.policy` ⇒ different GC traffic: the
+        // collector reads the configuration it was built from
+        let run = |policy| {
+            let mut base = SsdConfig::modern();
+            base.shape.channels = 2;
+            base.shape.chips_per_channel = 2;
+            base.gc.policy = policy;
+            let mut d = NamelessSsd::new(NamelessConfig::from(&base));
+            assert_eq!(d.config().gc.policy, policy);
+            churn(&mut d);
+            let m = d.metrics();
+            assert!(m.gc_runs > 0, "churn must trigger GC");
+            (m.gc_pages_moved, m.flash_erases.gc)
+        };
+        let (greedy, cb) = (run(GcPolicyKind::Greedy), run(GcPolicyKind::CostBenefit));
+        assert_ne!(
+            greedy, cb,
+            "(pages moved, GC erases) identical under greedy and cost-benefit"
+        );
     }
 
     /// From its 100th program on, every LUN fails every program: each

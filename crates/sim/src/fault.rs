@@ -224,14 +224,6 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: schedule channel hiccups (pairs are sorted by grant
-    /// index).
-    pub fn with_channel_hiccup(mut self, channel: u32, mut hiccups: Vec<(u64, u64)>) -> Self {
-        hiccups.sort_unstable();
-        self.channel_hiccup.insert(channel, hiccups);
-        self
-    }
-
     /// Expand a seed into a concrete plan: uniform RBER elevation plus
     /// randomly placed program-fail / erase-fail schedules and channel
     /// hiccups. All randomness is consumed **here**, at construction —

@@ -230,15 +230,6 @@ pub struct ProbeSummary {
 }
 
 impl ProbeSummary {
-    /// Total attributed time in `layer` across all causes.
-    pub fn layer_total(&self, layer: Layer) -> SimDuration {
-        self.by_layer_cause
-            .iter()
-            .filter(|((l, _), _)| *l == layer)
-            .map(|(_, s)| s.total)
-            .fold(SimDuration::ZERO, |a, b| a + b)
-    }
-
     /// Total attributed time for `cause` across all layers.
     pub fn cause_total(&self, cause: Cause) -> SimDuration {
         self.by_layer_cause

@@ -23,8 +23,6 @@ pub struct SimTime(pub u64);
 )]
 pub struct SimDuration(pub u64);
 
-/// One nanosecond.
-pub const NANOSECOND: SimDuration = SimDuration(1);
 /// One microsecond (1 000 ns).
 pub const MICROSECOND: SimDuration = SimDuration(1_000);
 /// One millisecond (1 000 000 ns).
@@ -129,18 +127,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Length in (possibly fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Length in (possibly fractional) milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
     }
 
     /// Length in (possibly fractional) seconds.

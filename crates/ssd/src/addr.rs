@@ -25,15 +25,6 @@ pub struct PhysPage {
     pub addr: PageAddr,
 }
 
-/// A physical block: which LUN, and which block inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PhysBlock {
-    /// Global LUN.
-    pub lun: LunId,
-    /// Block within the LUN.
-    pub addr: requiem_flash::BlockAddr,
-}
-
 /// The device-level array shape.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ArrayShape {

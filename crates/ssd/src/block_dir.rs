@@ -553,11 +553,6 @@ impl BlockDirectory {
         }
     }
 
-    /// Total valid pages on a LUN.
-    pub fn lun_valid_pages(&self, l: LunId) -> u64 {
-        self.lun(l).blocks.iter().map(|b| b.valid as u64).sum()
-    }
-
     /// `(min, max, mean)` erase counts across all blocks of all LUNs.
     pub fn erase_count_spread(&self) -> (u32, u32, f64) {
         let mut min = u32::MAX;

@@ -52,7 +52,7 @@ impl Ssd {
     }
 
     pub(crate) fn alloc_block_on(&mut self, lun: LunId, _t: SimTime) -> Result<u32, SsdError> {
-        let wear_aware = self.wear_policy.wear_aware_allocation();
+        let wear_aware = self.cfg.wl.dynamic;
         self.dir
             .alloc_block(lun, wear_aware)
             .ok_or(SsdError::DeviceFull { lun })

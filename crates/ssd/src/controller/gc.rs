@@ -1,17 +1,16 @@
 //! Garbage collection: the Figure-2 "Garbage collection" box.
 //!
-//! Two things live here:
-//!
-//! * **Policy** — [`GreedyGc`] and [`CostBenefitGc`], implementations of
-//!   [`GcPolicy`](super::GcPolicy) deciding *when* a LUN needs collecting
-//!   and *which* block to victimize. Both are pure functions over the
-//!   [`BlockDirectory`](crate::block_dir::BlockDirectory) view.
-//! * **Mechanism** — the `impl Ssd` block at the bottom: the relocation
-//!   loop, the DFTL translation write-back batching, the erase, and
-//!   read-disturb scrubbing. Mechanism reserves channel/LUN time tagged
-//!   with [`Occupant::Gc`](requiem_sim::Occupant), which is how GC
-//!   interference with host reads (myth 3) shows up in the probe bus
-//!   without being explicitly programmed in.
+//! *When* a LUN is collected and *which* block is the victim are
+//! [`GcConfig`](crate::config::GcConfig)'s `free_block_threshold` and
+//! `policy`, the latter carried out by
+//! [`BlockDirectory::pick_victim`](crate::block_dir::BlockDirectory::pick_victim)
+//! (greedy: fewest valid pages; cost-benefit: the LFS cleaner's
+//! `age * (1 - u) / 2u`). The `impl Ssd` block below is the mechanism:
+//! the relocation loop, the DFTL translation write-back batching, the
+//! erase, and read-disturb scrubbing. It reserves channel/LUN time tagged
+//! with [`Occupant::Gc`](requiem_sim::Occupant), which is how GC
+//! interference with host reads (myth 3) shows up in the probe bus
+//! without being explicitly programmed in.
 //!
 //! Re-entrancy is guarded by the typed [`GcGate`]/[`GcToken`] pair: a
 //! GC-internal allocation that runs dry spills to other LUNs instead of
@@ -25,13 +24,10 @@ use requiem_flash::PagePayload;
 use requiem_sim::time::SimTime;
 
 use crate::addr::{Lpn, LunId, PhysPage};
-use crate::block_dir::{BlockDirectory, Stream};
-use crate::config::GcPolicyKind;
+use crate::block_dir::Stream;
 use crate::device::{MappingState, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
-
-use super::GcPolicy;
 
 // ----------------------------------------------------------------------
 // re-entrancy gate
@@ -84,70 +80,6 @@ impl Drop for GcToken {
 }
 
 // ----------------------------------------------------------------------
-// policies
-// ----------------------------------------------------------------------
-
-/// Greedy victim selection: collect the block with the fewest valid
-/// pages. Minimizes relocation work per reclaimed block; ignores age.
-#[derive(Debug, Clone)]
-pub struct GreedyGc {
-    threshold: u32,
-}
-
-impl GreedyGc {
-    /// Greedy policy triggering when a LUN's free blocks drop to
-    /// `threshold`.
-    pub fn new(threshold: u32) -> Self {
-        Self { threshold }
-    }
-}
-
-impl GcPolicy for GreedyGc {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
-    fn should_collect(&self, dir: &BlockDirectory, lun: LunId) -> bool {
-        dir.free_blocks(lun) <= self.threshold
-    }
-
-    fn pick_victim(&self, dir: &BlockDirectory, lun: LunId) -> Option<u32> {
-        dir.pick_victim(lun, GcPolicyKind::Greedy)
-    }
-}
-
-/// Cost-benefit victim selection (Rosenblum and Ousterhout's LFS cleaner
-/// formula): maximize `age * (1 - u) / 2u` where `u` is the block's
-/// valid-page utilization. Prefers old, mostly-invalid blocks; avoids
-/// collecting hot blocks that are still shedding valid pages.
-#[derive(Debug, Clone)]
-pub struct CostBenefitGc {
-    threshold: u32,
-}
-
-impl CostBenefitGc {
-    /// Cost-benefit policy triggering when a LUN's free blocks drop to
-    /// `threshold`.
-    pub fn new(threshold: u32) -> Self {
-        Self { threshold }
-    }
-}
-
-impl GcPolicy for CostBenefitGc {
-    fn name(&self) -> &'static str {
-        "cost-benefit"
-    }
-
-    fn should_collect(&self, dir: &BlockDirectory, lun: LunId) -> bool {
-        dir.free_blocks(lun) <= self.threshold
-    }
-
-    fn pick_victim(&self, dir: &BlockDirectory, lun: LunId) -> Option<u32> {
-        dir.pick_victim(lun, GcPolicyKind::CostBenefit)
-    }
-}
-
-// ----------------------------------------------------------------------
 // mechanism
 // ----------------------------------------------------------------------
 
@@ -165,9 +97,9 @@ impl Ssd {
         {
             let _bg = self.sched.probe.background();
             let mut guard = self.cfg.flash.geometry.total_blocks();
-            while self.gc_policy.should_collect(&self.dir, lun) && guard > 0 {
+            while self.dir.free_blocks(lun) <= self.cfg.gc.free_block_threshold && guard > 0 {
                 guard -= 1;
-                let Some(victim) = self.gc_policy.pick_victim(&self.dir, lun) else {
+                let Some(victim) = self.dir.pick_victim(lun, self.cfg.gc.policy) else {
                     break;
                 };
                 if self.gc_collect(lun, victim, t).is_err() {
@@ -178,7 +110,7 @@ impl Ssd {
             }
         }
         drop(token);
-        if self.wear_policy.should_migrate(&self.dir) {
+        if self.wear_spread_exceeds_threshold() {
             self.static_wear_level(lun, t);
         }
     }

@@ -10,6 +10,7 @@ use requiem_sim::time::SimTime;
 
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::block_dir::BlockDirectory;
+use crate::buffer::WriteBuffer;
 use crate::device::{MappingState, ReadRecovery, RebuildReport, Ssd, SsdError};
 use crate::mapping::page::PageMap;
 use crate::metrics::OpCause;
@@ -47,7 +48,7 @@ impl Ssd {
         // volatile state vanishes
         let mut fresh = BlockDirectory::new(nluns, geom.clone());
         let mut map = PageMap::new(self.capacity.exported_pages, &self.cfg.shape, &geom);
-        self.buffer = super::buffer_policy_from(&self.cfg.buffer);
+        self.buffer = WriteBuffer::new(self.cfg.buffer.capacity_pages as usize);
         self.repl = None;
         // scan every page of every block (OOB reads; charged as
         // translation traffic on each LUN — LUNs scan in parallel).

@@ -731,7 +731,7 @@ impl Ssd {
         use_channel: bool,
         cause: OpCause,
     ) -> Result<(PhysPage, SimTime), SsdError> {
-        let wear_aware = self.wear_policy.wear_aware_allocation();
+        let wear_aware = self.cfg.wl.dynamic;
         let mut lun = lun;
         let mut tries = 0u32;
         loop {

@@ -1,71 +1,37 @@
 //! Wear leveling: the Figure-2 "Wear-leveling" box.
 //!
-//! * **Policy** — [`ThresholdWear`]: dynamic wear leveling (prefer the
-//!   lowest-erase-count free block at allocation time) plus static wear
-//!   leveling triggered when the erase-count spread across all blocks
-//!   exceeds a threshold. A pure function over the
-//!   [`BlockDirectory`](crate::block_dir::BlockDirectory) view.
-//! * **Mechanism** — the `impl Ssd` block: the static migration itself
-//!   and the salvage-and-retire path taken when a program fails on a
-//!   worn-out block. Both reserve channel/LUN time tagged with
-//!   [`Occupant::Wear`](requiem_sim::Occupant), so their interference
-//!   with host traffic is attributed on the probe bus.
+//! [`WlConfig`](crate::config::WlConfig) selects both halves: `dynamic`
+//! makes allocation prefer the lowest-erase-count free block, and a
+//! non-zero `static_threshold` migrates the coldest full block whenever
+//! the erase-count spread across all blocks exceeds it. The `impl Ssd`
+//! block is that trigger, the static migration itself, and the
+//! salvage-and-retire path taken when a program fails on a worn-out
+//! block. Both reserve channel/LUN time tagged with
+//! [`Occupant::Wear`](requiem_sim::Occupant), so their interference with
+//! host traffic is attributed on the probe bus.
 
 use requiem_sim::time::SimTime;
 
 use crate::addr::LunId;
-use crate::block_dir::BlockDirectory;
 use crate::device::Ssd;
 use crate::metrics::OpCause;
 
-use super::WearPolicy;
-
-/// Threshold-based wear leveling: dynamic allocation bias plus static
-/// migration when `max_erase - min_erase` exceeds `static_threshold`
-/// (0 disables static wear leveling).
-#[derive(Debug, Clone)]
-pub struct ThresholdWear {
-    dynamic: bool,
-    static_threshold: u32,
-}
-
-impl ThresholdWear {
-    /// Policy with the given dynamic flag and static spread threshold.
-    pub fn new(dynamic: bool, static_threshold: u32) -> Self {
-        Self {
-            dynamic,
-            static_threshold,
-        }
-    }
-}
-
-impl WearPolicy for ThresholdWear {
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-
-    fn wear_aware_allocation(&self) -> bool {
-        self.dynamic
-    }
-
-    fn should_migrate(&self, dir: &BlockDirectory) -> bool {
-        if self.static_threshold == 0 {
+impl Ssd {
+    /// Whether the erase-count spread warrants a static migration
+    /// (threshold 0 disables static wear leveling).
+    pub(crate) fn wear_spread_exceeds_threshold(&self) -> bool {
+        let threshold = self.cfg.wl.static_threshold;
+        if threshold == 0 {
             return false;
         }
-        let (min, max, _) = dir.erase_count_spread();
-        max - min > self.static_threshold
+        let (min, max, _) = self.wear_spread();
+        max - min > threshold
     }
 
-    fn pick_migration(&self, dir: &BlockDirectory, lun: LunId) -> Option<u32> {
-        dir.coldest_full_block(lun)
-    }
-}
-
-impl Ssd {
     /// Static wear leveling: migrate the coldest full block so its low-wear
     /// block re-enters circulation.
     pub(crate) fn static_wear_level(&mut self, lun: LunId, t: SimTime) {
-        let Some(victim) = self.wear_policy.pick_migration(&self.dir, lun) else {
+        let Some(victim) = self.dir.coldest_full_block(lun) else {
             return;
         };
         let _bg = self.sched.probe.background();

@@ -1,93 +1,20 @@
 //! The battery-backed RAM write buffer: the Figure-2 "RAM" box (§2.3.2).
 //!
-//! * **Policy** — [`WriteBufferPolicy`](super::WriteBufferPolicy)
-//!   implementations: the capacity-limited battery-backed
-//!   [`WriteBuffer`](crate::buffer::WriteBuffer) (acknowledge on buffer
-//!   admission, flush to flash in the background) and [`WriteThrough`]
-//!   (acknowledge only when the flash program completes).
-//! * **Mechanism** — the `impl Ssd` block: the page-mapped write path
-//!   that consults the policy, and the flush that places + programs one
-//!   page and updates the mapping.
+//! [`BufferConfig::capacity_pages`](crate::config::BufferConfig) sizes
+//! the [`WriteBuffer`](crate::buffer::WriteBuffer): with slots, a write
+//! is acknowledged on admission and flushed to flash in the background;
+//! with none it is acknowledged only when the flash program completes.
+//! The `impl Ssd` block is the page-mapped write path that makes that
+//! choice, and the flush that places + programs one page and updates the
+//! mapping.
 
 use requiem_sim::time::SimTime;
 use requiem_sim::{Cause, Layer};
 
 use crate::addr::Lpn;
 use crate::block_dir::Stream;
-use crate::buffer::WriteBuffer;
 use crate::device::{MappingState, Served, Ssd, SsdError};
 use crate::metrics::OpCause;
-
-use super::WriteBufferPolicy;
-
-impl WriteBufferPolicy for WriteBuffer {
-    fn name(&self) -> &'static str {
-        "battery-backed"
-    }
-
-    fn enabled(&self) -> bool {
-        WriteBuffer::enabled(self)
-    }
-
-    fn acquire(&mut self, now: SimTime) -> SimTime {
-        WriteBuffer::acquire(self, now)
-    }
-
-    fn commit(&mut self, lpn: u64, done: SimTime) {
-        WriteBuffer::commit(self, lpn, done)
-    }
-
-    fn read_hit(&mut self, lpn: u64, now: SimTime) -> bool {
-        WriteBuffer::read_hit(self, lpn, now)
-    }
-
-    fn discard(&mut self, lpn: u64) {
-        WriteBuffer::discard(self, lpn)
-    }
-
-    fn read_hits(&self) -> u64 {
-        WriteBuffer::read_hits(self)
-    }
-
-    fn stalls(&self) -> u64 {
-        WriteBuffer::stalls(self)
-    }
-}
-
-/// The no-buffer policy: every write is acknowledged only when its flash
-/// program finishes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WriteThrough;
-
-impl WriteBufferPolicy for WriteThrough {
-    fn name(&self) -> &'static str {
-        "write-through"
-    }
-
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn acquire(&mut self, now: SimTime) -> SimTime {
-        now
-    }
-
-    fn commit(&mut self, _lpn: u64, _done: SimTime) {}
-
-    fn read_hit(&mut self, _lpn: u64, _now: SimTime) -> bool {
-        false
-    }
-
-    fn discard(&mut self, _lpn: u64) {}
-
-    fn read_hits(&self) -> u64 {
-        0
-    }
-
-    fn stalls(&self) -> u64 {
-        0
-    }
-}
 
 impl Ssd {
     /// Page-mapped write: admit to the buffer (acknowledge early, flush in

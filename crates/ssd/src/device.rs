@@ -3,7 +3,7 @@
 //!
 //! [`Ssd`] is the *chassis*: it owns the flash LUNs, the
 //! [`Scheduler`]'s resource timelines, the block directory, the mapping
-//! state, and the policy objects — and exposes exactly the narrow waist
+//! state, and the write buffer — and exposes exactly the narrow waist
 //! the paper critiques: `read(lpn)`, `write(lpn)`, `trim(lpn)` on a flat
 //! logical address space. Every controller *decision* lives in the
 //! [`crate::controller`] module tree, one module per Figure-2 box:
@@ -18,11 +18,9 @@
 //! | Mapping (hybrid log-block)   | [`crate::controller::hybrid_ftl`]       |
 //! | Boot / recovery              | [`crate::controller::rebuild`]          |
 //!
-//! GC, wear leveling, and the write buffer are chosen through the
-//! [`GcPolicy`], [`WearPolicy`], and [`WriteBufferPolicy`] traits; the
-//! configuration picks an implementation ([`crate::config::GcPolicyKind`]
-//! et al.) and custom implementations can be injected with the
-//! `set_*_policy` methods before issuing I/O.
+//! Which GC victim policy, wear-leveling thresholds and write-buffer
+//! size run is [`SsdConfig`]'s to say (`gc`, `wl`, `buffer`): the modules
+//! read the configuration where they decide.
 //!
 //! Every host command returns a [`Completion`] carrying the virtual-time
 //! instant it finished, so experiments can measure the latency/bandwidth
@@ -50,9 +48,10 @@ use requiem_sim::{Cause, IoStatus, Layer, Probe};
 
 use crate::addr::{ArrayShape, Capacity, Lpn, LunId, PhysPage};
 use crate::block_dir::BlockDirectory;
+use crate::buffer::WriteBuffer;
 use crate::config::{FtlKind, SsdConfig};
 use crate::controller::block_ftl::ReplCtx;
-use crate::controller::{GcGate, GcPolicy, LunRotation, Scheduler, WearPolicy, WriteBufferPolicy};
+use crate::controller::{GcGate, LunRotation, Scheduler};
 use crate::mapping::block::{BlockMap, HybridState};
 use crate::mapping::dftl::{DftlMap, TransIo};
 use crate::mapping::page::PageMap;
@@ -229,12 +228,9 @@ pub struct Ssd {
     pub(crate) sched: Scheduler,
     pub(crate) dir: BlockDirectory,
     pub(crate) map: MappingState,
-    /// Write-acknowledgement policy (Figure 2 "RAM").
-    pub(crate) buffer: Box<dyn WriteBufferPolicy>,
-    /// When/what to garbage-collect (Figure 2 "Garbage collection").
-    pub(crate) gc_policy: Box<dyn GcPolicy>,
-    /// Allocation bias + static migration (Figure 2 "Wear-leveling").
-    pub(crate) wear_policy: Box<dyn WearPolicy>,
+    /// The battery-backed RAM (Figure 2 "RAM"); capacity 0 is
+    /// write-through.
+    pub(crate) buffer: WriteBuffer,
     pub(crate) metrics: SsdMetrics,
     /// Write placement's LUN order and cursor.
     pub(crate) rotation: LunRotation,
@@ -273,9 +269,7 @@ impl std::fmt::Debug for Ssd {
 }
 
 impl Ssd {
-    /// Build a device from a configuration. The GC, wear-leveling, and
-    /// write-buffer policies are instantiated from the configuration by
-    /// the [`crate::controller`] factories.
+    /// Build a device from a configuration.
     pub fn new(cfg: SsdConfig) -> Self {
         let nluns = cfg.total_luns();
         let geom = cfg.flash.geometry.clone();
@@ -305,17 +299,12 @@ impl Ssd {
                 geom.pages_per_block,
             )),
         };
-        let buffer = crate::controller::buffer_policy_from(&cfg.buffer);
-        let gc_policy = crate::controller::gc_policy_from(&cfg.gc);
-        let wear_policy = crate::controller::wear_policy_from(&cfg.wl);
         Ssd {
             dir: BlockDirectory::new(nluns, geom),
             luns,
             sched,
             map,
-            buffer,
-            gc_policy,
-            wear_policy,
+            buffer: WriteBuffer::new(cfg.buffer.capacity_pages as usize),
             metrics: SsdMetrics::new(),
             rotation: LunRotation::new(&cfg.shape),
             capacity,
@@ -379,36 +368,6 @@ impl Ssd {
         self.sched.probe()
     }
 
-    /// Replace the garbage-collection policy (custom experiments).
-    pub fn set_gc_policy(&mut self, policy: Box<dyn GcPolicy>) {
-        self.gc_policy = policy;
-    }
-
-    /// Replace the wear-leveling policy (custom experiments).
-    pub fn set_wear_policy(&mut self, policy: Box<dyn WearPolicy>) {
-        self.wear_policy = policy;
-    }
-
-    /// Replace the write-buffer policy (custom experiments).
-    pub fn set_buffer_policy(&mut self, policy: Box<dyn WriteBufferPolicy>) {
-        self.buffer = policy;
-    }
-
-    /// Name of the active GC policy.
-    pub fn gc_policy_name(&self) -> &'static str {
-        self.gc_policy.name()
-    }
-
-    /// Name of the active wear-leveling policy.
-    pub fn wear_policy_name(&self) -> &'static str {
-        self.wear_policy.name()
-    }
-
-    /// Name of the active write-buffer policy.
-    pub fn buffer_policy_name(&self) -> &'static str {
-        self.buffer.name()
-    }
-
     /// The instant every queued operation has drained.
     pub fn drain_time(&self) -> SimTime {
         self.sched.drain_time()
@@ -446,13 +405,6 @@ impl Ssd {
     pub fn free_blocks_per_lun(&self) -> Vec<u32> {
         (0..self.cfg.total_luns())
             .map(|i| self.dir.free_blocks(LunId(i)))
-            .collect()
-    }
-
-    /// Valid pages per LUN (diagnostics).
-    pub fn valid_pages_per_lun(&self) -> Vec<u64> {
-        (0..self.cfg.total_luns())
-            .map(|i| self.dir.lun_valid_pages(LunId(i)))
             .collect()
     }
 

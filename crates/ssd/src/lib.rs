@@ -5,12 +5,13 @@
 //!
 //! * tens of flash LUNs (from `requiem-flash`) wired to shared
 //!   **channels** with realistic bus timing ([`channel::ChannelTiming`]);
-//! * a controller with pluggable **FTLs** — full page mapping, pre-2009
+//! * a controller with a choice of **FTLs** — full page mapping, pre-2009
 //!   block mapping, BAST-style hybrid log blocks, and DFTL (the paper's
 //!   ref [10]) — see [`config::FtlKind`];
 //! * **garbage collection** (greedy / cost-benefit) and **wear leveling**
 //!   (dynamic + optional static), whose traffic contends with host I/O on
-//!   the same channel/LUN resources;
+//!   the same channel/LUN resources — selected by [`SsdConfig`]'s `gc`
+//!   and `wl`;
 //! * a battery-backed **write-back buffer** (§2.3.2's "safe RAM buffer");
 //! * **TRIM** support.
 //!
@@ -48,10 +49,7 @@ pub mod qpair;
 pub use addr::{ArrayShape, Capacity, Lpn, LunId, PhysPage};
 pub use channel::ChannelTiming;
 pub use config::{BufferConfig, FtlKind, GcConfig, GcPolicyKind, Placement, SsdConfig, WlConfig};
-pub use controller::{
-    CostBenefitGc, GcGate, GcPolicy, GcToken, GreedyGc, Scheduler, ThresholdWear, WearPolicy,
-    WriteBufferPolicy, WriteThrough,
-};
+pub use controller::{GcGate, GcToken, Scheduler};
 pub use device::{Completion, RebuildReport, Served, Ssd, SsdError};
 pub use metrics::{OpCause, SsdMetrics};
 pub use qpair::QueuePair;

@@ -191,11 +191,6 @@ impl SsdMetrics {
     pub fn mean_write_latency(&self) -> SimDuration {
         SimDuration::from_nanos(self.write_latency.mean() as u64)
     }
-
-    /// Mean host read latency.
-    pub fn mean_read_latency(&self) -> SimDuration {
-        SimDuration::from_nanos(self.read_latency.mean() as u64)
-    }
 }
 
 #[cfg(test)]

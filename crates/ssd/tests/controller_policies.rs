@@ -1,11 +1,9 @@
-//! Behavioural tests of the pluggable controller policies: GC policy
-//! selection (greedy vs. cost-benefit), the typed GC re-entrancy gate,
-//! and policy injection through the `set_*_policy` hooks.
+//! Behavioural tests of the controller's configured policies: GC victim
+//! selection (`SsdConfig::gc.policy`, greedy vs. cost-benefit) and the
+//! typed GC re-entrancy gate.
 
 use requiem_sim::time::SimTime;
-use requiem_ssd::{
-    BufferConfig, GcPolicyKind, Lpn, Served, Ssd, SsdConfig, SsdError, WriteThrough,
-};
+use requiem_ssd::{BufferConfig, GcPolicyKind, Lpn, Served, Ssd, SsdConfig, SsdError};
 
 /// A tiny two-LUN device with little spare area and a zero low-water
 /// mark: collections start only when a LUN's free pool is already empty,
@@ -65,7 +63,7 @@ fn churn(ssd: &mut Ssd, rounds: u64) -> (SimTime, u64) {
 #[test]
 fn greedy_gc_runs_and_gate_blocks_reentry() {
     let mut ssd = Ssd::new(tiny(GcPolicyKind::Greedy));
-    assert_eq!(ssd.gc_policy_name(), "greedy");
+    assert_eq!(ssd.config().gc.policy, GcPolicyKind::Greedy);
     let (mut t, wrote) = churn(&mut ssd, 30);
     let m = ssd.metrics();
     assert!(m.gc_runs > 0, "churn must trigger GC (wrote {wrote})");
@@ -88,7 +86,7 @@ fn greedy_gc_runs_and_gate_blocks_reentry() {
 #[test]
 fn cost_benefit_gc_is_selectable_and_exercised() {
     let mut ssd = Ssd::new(tiny_headroom(GcPolicyKind::CostBenefit));
-    assert_eq!(ssd.gc_policy_name(), "cost-benefit");
+    assert_eq!(ssd.config().gc.policy, GcPolicyKind::CostBenefit);
     let (mut t, wrote) = churn(&mut ssd, 30);
     let m = ssd.metrics();
     assert!(
@@ -123,18 +121,4 @@ fn gc_policies_disagree_on_victims() {
         g.flash_erases.gc,
         c.flash_erases.gc
     );
-}
-
-#[test]
-fn custom_buffer_policy_can_be_injected() {
-    // a buffered config downgraded to write-through via the injection hook
-    let mut ssd = Ssd::new(SsdConfig::modern());
-    assert_eq!(ssd.buffer_policy_name(), "battery-backed");
-    ssd.set_buffer_policy(Box::new(WriteThrough));
-    assert_eq!(ssd.buffer_policy_name(), "write-through");
-    let w = ssd.write(SimTime::ZERO, Lpn(1)).unwrap();
-    // write-through acknowledges only at flash-program completion
-    assert_eq!(w.served, Served::Flash);
-    let r = ssd.read(w.done, Lpn(1)).unwrap();
-    assert_eq!(r.served, Served::Flash, "no RAM residency without a buffer");
 }

@@ -113,7 +113,9 @@ fn static_wear_leveling_narrows_the_erase_spread() {
     // hot/cold split: half the LBAs are written once and never touched
     // (cold), the other half churn. Without static WL the cold blocks
     // freeze at low erase counts; with it they re-enter circulation.
-    let spread = |static_threshold: u32| -> (u32, u32) {
+    // Returns (min, max) erase counts at the end, the widest spread any
+    // write left behind, and the erases static migration performed.
+    let spread = |static_threshold: u32| -> ((u32, u32), u32, u64) {
         let mut cfg = SsdConfig::modern();
         cfg.shape.channels = 1;
         cfg.shape.chips_per_channel = 1;
@@ -130,18 +132,21 @@ fn static_wear_leveling_narrows_the_erase_spread() {
         // churn only the second half
         let hot_base = pages / 2;
         let mut x = 9u64;
+        let mut widest = 0;
         for _ in 0..30 * pages {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             t = ssd
                 .write(t, Lpn(hot_base + x % (pages - hot_base)))
                 .expect("churn")
                 .done;
+            let (min, max, _) = ssd.wear_spread();
+            widest = widest.max(max - min);
         }
         let (min, max, _) = ssd.wear_spread();
-        (min, max)
+        ((min, max), widest, ssd.metrics().flash_erases.wear_level)
     };
-    let (min_off, max_off) = spread(0);
-    let (min_on, max_on) = spread(8);
+    let ((min_off, max_off), widest_off, migrations_off) = spread(0);
+    let ((min_on, max_on), _, _) = spread(8);
     assert!(
         max_on - min_on < max_off - min_off,
         "static WL should narrow the spread: off ({min_off},{max_off}) on ({min_on},{max_on})"
@@ -149,6 +154,22 @@ fn static_wear_leveling_narrows_the_erase_spread() {
     assert!(
         min_on > min_off,
         "cold blocks must re-enter circulation: min {min_off} -> {min_on}"
+    );
+    // the trigger's boundary: threshold 0 never migrates, a spread equal
+    // to the threshold does not, one past it does
+    assert_eq!(migrations_off, 0, "threshold 0 disables static WL");
+    assert!(widest_off > 8);
+    let (ends_at, widest_at, migrations_at) = spread(widest_off);
+    assert_eq!(
+        (ends_at, widest_at, migrations_at),
+        ((min_off, max_off), widest_off, 0),
+        "a spread that only reaches the threshold must not migrate"
+    );
+    let (_, _, migrations_past) = spread(widest_off - 1);
+    assert!(
+        migrations_past > 0,
+        "a spread of {widest_off} exceeds threshold {}",
+        widest_off - 1
     );
 }
 
