@@ -34,6 +34,17 @@
 //! patched from the upcall stream, and is resubmitted at its completion
 //! instant — the retry is visible in [`CoopLogBackend::read_retries`],
 //! never a panic.
+//!
+//! Writes are synchronous nameless writes, one at a time: a steal returns
+//! the instant the image is durable *and* the evictor may proceed. What
+//! that costs is the device's: on hardware with a battery-backed write
+//! buffer ([`NamelessConfig::buffer`]) it is the link transfer plus the
+//! controller overhead, and the programs stripe over the LUNs behind the
+//! acknowledgements; write-through it is a whole tPROG on one LUN with
+//! every executor slot waiting. E14 runs this manager and the block
+//! stack it is compared with unbuffered on purpose (device work under
+//! each interface, not RAM); the benchmark's `oltp_coop_pcm` runs it on
+//! `SsdConfig::modern()` as it is, buffer included.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
@@ -118,6 +129,16 @@ fn free_version_on(
             }
         }
         Err(NamelessError::DeviceFull { .. }) => now,
+    }
+}
+
+/// When a refused write completes: the instant the device gave up on it
+/// (the page had crossed the host link by then), never before.
+fn refused_at(e: NamelessError, now: SimTime) -> SimTime {
+    match e {
+        NamelessError::DeviceFull { at } => at,
+        // a write presents no name; kept total
+        NamelessError::StaleName { .. } => now,
     }
 }
 
@@ -286,9 +307,9 @@ impl CoopLogBackend {
                 }
                 c.done
             }
-            Err(_) => {
+            Err(e) => {
                 self.rejected.set(self.rejected.get() + 1);
-                now
+                refused_at(e, now)
             }
         }
     }
@@ -339,9 +360,9 @@ impl LogDevice for NamelessLog {
                 }
                 (t, IoStatus::Ok)
             }
-            Err(_) => {
+            Err(e) => {
                 self.rejected.set(self.rejected.get() + 1);
-                (now, IoStatus::Rejected)
+                (refused_at(e, now), IoStatus::Rejected)
             }
         }
     }
@@ -476,8 +497,9 @@ impl PersistenceBackend for CoopLogBackend {
                     t = c.done;
                     staging.push((p, Some(c.name)));
                 }
-                Err(_) => {
+                Err(e) => {
                     self.rejected.set(self.rejected.get() + 1);
+                    t = refused_at(e, t);
                     staging.push((p, None));
                 }
             }

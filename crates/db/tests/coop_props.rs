@@ -23,7 +23,7 @@ use requiem_db::{
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::time::SimTime;
-use requiem_sim::IoStatus;
+use requiem_sim::{IoStatus, Probe};
 use requiem_ssd::SsdConfig;
 use std::collections::BTreeSet;
 
@@ -258,6 +258,60 @@ fn migrations_actually_happen_and_patch_cleanly() {
             c.b.relocations_patched()
         );
     }
+}
+
+/// A write the device has no room for is refused only after the page has
+/// crossed the host link and the controller has looked for a place; the
+/// manager's clock must not run ahead of that. The device here promises
+/// the host every raw page (`op_ratio` 0), so once they are all live an
+/// out-of-place rewrite has nowhere to go. Each write path is checked
+/// against the refused command's own record on the probe.
+#[test]
+fn a_refused_write_completes_no_earlier_than_the_device_refused_it() {
+    let mut cfg = SsdConfig::modern();
+    cfg.shape.channels = 1;
+    cfg.shape.chips_per_channel = 1;
+    cfg.op_ratio = 0.0;
+    let cfg = NamelessConfig::from(&cfg);
+    let raw = cfg.flash.geometry.total_pages();
+    let mut b = CoopLogBackend::new(cfg, raw - 8, 8);
+    assert_eq!(b.dev().usable_tags(), raw);
+    let mut w = b.make_wal();
+    let mut t = SimTime::ZERO;
+    for page in 0..raw - 8 {
+        t = b.page_write(t, PageId(page));
+    }
+    for seg in 1..=8u64 {
+        w.append(Lsn(seg * PAGE_SIZE as u64), PAGE_SIZE as u32);
+        t = w.force(t, Lsn(seg * PAGE_SIZE as u64)).done;
+    }
+    assert_eq!(b.rejected_writes(), 0, "every promised page fits");
+
+    let probe = Probe::recording();
+    b.attach_probe(probe.clone());
+    // the instant the device refused the last command it saw
+    let refused_at = |b: &CoopLogBackend, so_far: u64| {
+        assert_eq!(b.rejected_writes(), so_far, "the full device refuses");
+        let rec = probe.commands().pop().expect("a command on the record");
+        assert_eq!(rec.kind, "write");
+        let at = rec.done.expect("the refused write was closed");
+        assert!(at > t, "a refusal costs the link transfer and the overhead");
+        at
+    };
+    let so_far = b.rejected_writes();
+    let done = b.steal_write(t, PageId(0));
+    assert!(done >= refused_at(&b, so_far + 1), "steal returned {done}");
+    let done = b.page_batch(t, &[PageId(1), PageId(2)]);
+    assert!(done >= refused_at(&b, so_far + 3), "batch returned {done}");
+    let lsn = Lsn(8 * PAGE_SIZE as u64 + 512);
+    w.append(lsn, 512);
+    let force = w.force(t, lsn);
+    assert_eq!(force.status, IoStatus::Rejected);
+    assert!(
+        force.done >= refused_at(&b, so_far + 4),
+        "force returned {}",
+        force.done
+    );
 }
 
 /// Determinism must survive the *engine* too: the full database over

@@ -16,8 +16,16 @@
 //! stale name gets [`NamelessError::StaleName`] (detectable via the
 //! out-of-band tag), so correctness is preserved even with a lazy host.
 //!
-//! [`NamelessSsd`] reuses the same flash, channel, directory, and GC
-//! machinery as `requiem-ssd` — only the mapping is gone.
+//! [`NamelessSsd`] reuses the same flash, channel, directory, GC and
+//! write-buffer machinery as `requiem-ssd` — only the mapping is gone.
+//! In particular the hardware's battery-backed RAM (§2.3.2) stays: built
+//! from a buffered [`SsdConfig`], a nameless write is named and
+//! acknowledged once it is in RAM and programmed behind the
+//! acknowledgement, a read of a name still in RAM is served from RAM,
+//! and a free drops the RAM copy with the name. E14, E6 and the Figure-1
+//! experiments run both devices **unbuffered on purpose** (they compare
+//! what the flash does under each interface); `SsdConfig::modern()`, the
+//! benchmark's device, is buffered under both.
 
 use requiem_flash::{FlashError, FlashSpec, Lun, PageAddr, PagePayload};
 use requiem_sim::probe::{Cause, Layer, Probe};
@@ -25,8 +33,9 @@ use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{FaultPlan, IoStatus, Occupant};
 use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
 use requiem_ssd::block_dir::{BlockDirectory, Stream};
+use requiem_ssd::buffer::{self, WriteBuffer};
 use requiem_ssd::channel::ChannelTiming;
-use requiem_ssd::config::{GcConfig, SsdConfig};
+use requiem_ssd::config::{BufferConfig, GcConfig, SsdConfig};
 use requiem_ssd::controller::{LunRotation, Scheduler};
 use requiem_ssd::metrics::{OpCause, SsdMetrics};
 use requiem_ssd::Lpn;
@@ -45,7 +54,9 @@ pub struct PhysName {
 
 /// Configuration of a nameless device, built from the [`SsdConfig`] of
 /// the same hardware: the FTL-mapping knobs are meaningless here and
-/// absent, the GC knobs are the one [`GcConfig`] both devices read.
+/// absent; the GC knobs are the one [`GcConfig`] both devices read, and
+/// the battery-backed RAM in front of the flash is the one
+/// [`BufferConfig`] — dropping the mapping table does not unsolder it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NamelessConfig {
     /// Array shape.
@@ -62,6 +73,11 @@ pub struct NamelessConfig {
     /// policy and copyback are read exactly as the block controller
     /// reads them.
     pub gc: GcConfig,
+    /// The write buffer, the [`SsdConfig`]'s own: with slots a write is
+    /// acknowledged (and named) once it is in RAM and programmed behind
+    /// the acknowledgement; with `capacity_pages == 0` it is acknowledged
+    /// when its program ends.
+    pub buffer: BufferConfig,
     /// Wear-aware block allocation.
     pub wear_aware: bool,
     /// Over-provisioning ratio the host is expected to respect: the
@@ -87,6 +103,7 @@ impl From<&SsdConfig> for NamelessConfig {
             host_link_bytes_per_us: c.host_link_bytes_per_us,
             controller_overhead: c.controller_overhead,
             gc: c.gc.clone(),
+            buffer: c.buffer.clone(),
             wear_aware: c.wl.dynamic,
             op_ratio: c.op_ratio,
             seed: c.seed,
@@ -132,7 +149,8 @@ impl std::error::Error for NamelessError {}
 pub struct NamelessCompletion {
     /// The device-chosen name.
     pub name: PhysName,
-    /// Instant the write was durable.
+    /// Instant the write was durable: in the battery-backed buffer when
+    /// the device has one, else the end of the flash program.
     pub done: SimTime,
     /// End-to-end latency.
     pub latency: SimDuration,
@@ -149,6 +167,10 @@ pub struct NamelessSsd {
     /// devices.
     sched: Scheduler,
     dir: BlockDirectory,
+    /// Battery-backed RAM in front of the flash; residency is keyed by
+    /// the flat physical page number (names are physical, and host tags
+    /// are too sparse for the buffer's dense index).
+    buffer: WriteBuffer,
     upcalls: UpcallQueue,
     metrics: SsdMetrics,
     /// Write placement's LUN order and cursor (the block controller's).
@@ -184,6 +206,7 @@ impl NamelessSsd {
                 .collect(),
             sched: Scheduler::new(nluns, cfg.shape.channels),
             dir: BlockDirectory::new(nluns, geom),
+            buffer: WriteBuffer::new(cfg.buffer.capacity_pages as usize),
             upcalls: UpcallQueue::new(),
             metrics: SsdMetrics::new(),
             rotation: LunRotation::new(&cfg.shape),
@@ -243,6 +266,19 @@ impl NamelessSsd {
     /// When all queued operations drain.
     pub fn drain_time(&self) -> SimTime {
         self.sched.drain_time()
+    }
+
+    /// Host writes that waited for a write-buffer slot (0 under
+    /// write-through).
+    pub fn buffer_stalls(&self) -> u64 {
+        self.buffer.stalls()
+    }
+
+    /// `phys`'s key in the write buffer: its page number across the
+    /// whole array.
+    fn flat_page(&self, phys: PhysPage) -> u64 {
+        let geom = &self.cfg.flash.geometry;
+        phys.lun.0 as u64 * geom.total_pages() + geom.ppn(phys.addr).0
     }
 
     /// The controller's per-command overhead.
@@ -343,6 +379,8 @@ impl NamelessSsd {
     /// host can no longer name.
     fn rehome(&mut self, tag: Lpn, old: PhysPage, new: PhysPage, at: SimTime) {
         self.dir.invalidate(old);
+        // RAM residency is by physical page: it does not follow the move
+        self.buffer.discard(self.flat_page(old));
         self.dir.mark_valid(new, tag);
         self.upcalls.push(Upcall::Migrated {
             tag: tag.0,
@@ -627,25 +665,41 @@ impl NamelessSsd {
         let t = link.end + self.cfg.controller_overhead;
         self.sched.emit_host_link_spans(now, link);
         self.span_overhead(link.end, t);
-        let lun = self
-            .rotation
-            .least_loaded(t, &self.sched.lun_res, &self.dir);
-        self.maybe_gc(lun, t);
         let salvages_before = self.metrics.recovery.program_salvages;
-        let (phys, done) =
-            match self.program_retrying(t, lun, Stream::Host, tag, true, OpCause::Host) {
-                Ok(placed) => placed,
-                // refused with the page in hand and no place for it: the
-                // link transfer and the command overhead are spent (on
-                // healthy media `at` is `t` and those are exactly the spans
-                // on the record), and so are the failed programs and
-                // salvages, if any, that came before giving up
-                Err(at) => {
-                    scope.close(at);
-                    return Err(NamelessError::DeviceFull { at });
-                }
-            };
-        self.dir.mark_valid(phys, Lpn(tag));
+        let probe = self.sched.probe().clone();
+        let mut placed = None;
+        let admitted = buffer::admit(
+            self,
+            |dev| &mut dev.buffer,
+            probe,
+            t,
+            |dev, start| {
+                let lun = dev
+                    .rotation
+                    .least_loaded(start, &dev.sched.lun_res, &dev.dir);
+                dev.maybe_gc(lun, start);
+                dev.program_retrying(start, lun, Stream::Host, tag, true, OpCause::Host)
+                    .map(|(phys, end)| {
+                        dev.dir.mark_valid(phys, Lpn(tag));
+                        placed = Some(phys);
+                        (dev.flat_page(phys), end)
+                    })
+            },
+        );
+        let (phys, done) = match (admitted, placed) {
+            (Ok(done), Some(phys)) => (phys, done),
+            // refused with the page in hand and no place for it: the
+            // link transfer and the command overhead are spent (on
+            // healthy media `at` is the instant the controller looked for
+            // a place and those are exactly the spans on the record), and
+            // so are the failed programs and salvages, if any, that came
+            // before giving up
+            (Err(at), _) => {
+                scope.close(at);
+                return Err(NamelessError::DeviceFull { at });
+            }
+            (Ok(_), None) => unreachable!("nameless controller bug: acknowledged an unplaced page"),
+        };
         let latency = done.since(now);
         self.metrics.write_latency.record_duration(latency);
         let salvages = (self.metrics.recovery.program_salvages - salvages_before) as u32;
@@ -688,12 +742,21 @@ impl NamelessSsd {
         let scope = self.sched.probe().open_command("read", now);
         let t = now + self.cfg.controller_overhead;
         self.span_overhead(now, t);
-        let (flash_done, status) = self.op_read(t, phys, true, OpCause::Host, Some(tag));
-        let out =
+        let (ready, status) = if self.buffer.read_hit(self.flat_page(phys), t) {
+            // still mid-flush: the image is in RAM, no flash op
+            self.metrics.buffer_read_hits += 1;
             self.sched
-                .host_link
-                .reserve_tagged(flash_done, self.host_link_time(), Occupant::Host);
-        self.sched.emit_host_link_spans(flash_done, out);
+                .probe()
+                .span(Layer::Buffer, Cause::BufferHit, "wbuf", t, t);
+            (t, IoStatus::Ok)
+        } else {
+            self.op_read(t, phys, true, OpCause::Host, Some(tag))
+        };
+        let out = self
+            .sched
+            .host_link
+            .reserve_tagged(ready, self.host_link_time(), Occupant::Host);
+        self.sched.emit_host_link_spans(ready, out);
         scope.close(out.end);
         self.sched.probe().note_status(status.as_str());
         let latency = out.end.since(now);
@@ -718,6 +781,7 @@ impl NamelessSsd {
             return Err(NamelessError::StaleName { name });
         }
         self.dir.invalidate(phys);
+        self.buffer.discard(self.flat_page(phys));
         let done = now + self.cfg.controller_overhead;
         let scope = self.sched.probe().open_command("free", now);
         self.span_overhead(now, done);

@@ -5,12 +5,22 @@
 //! through [`requiem_ssd::QueuePair`] — an in-flight window admitting up
 //! to QD commands, a completion heap drained out of order. The nameless
 //! interface had no such front door: every caller chained on synchronous
-//! [`NamelessSsd::write`]/[`read`](NamelessSsd::read) completions, so
-//! the cooperating-logs storage manager could never keep the device's
-//! LUN parallelism busy. [`NamelessQueuePair`] is the missing piece:
-//! typed [`NamelessCmd`]s go in, [`NamelessCqe`]s come out in *device*
-//! order, each carrying the device-chosen [`PhysName`] (for writes) and
-//! the typed [`IoStatus`] end to end.
+//! [`NamelessSsd::write`]/[`read`](NamelessSsd::read) completions.
+//! [`NamelessQueuePair`] is the missing piece: typed [`NamelessCmd`]s go
+//! in, [`NamelessCqe`]s come out in *device* order, each carrying the
+//! device-chosen [`PhysName`] (for writes) and the typed [`IoStatus`] end
+//! to end.
+//!
+//! What rides it in the cooperating-logs storage manager is the **read**
+//! path: demand reads at the executor's concurrency keep several LUNs
+//! sensing at once. Its writes do not — a steal or a checkpoint page is a
+//! synchronous [`NamelessSsd::write`] — and their parallelism comes from
+//! the device instead: with a battery-backed write buffer
+//! ([`NamelessConfig::buffer`](crate::nameless::NamelessConfig)) a write
+//! is acknowledged from RAM and programmed behind the acknowledgement,
+//! so back-to-back writes stripe over every LUN. A write's CQE `done` is
+//! that acknowledgement (the end of the program on a write-through
+//! device).
 //!
 //! ## Hazard key
 //!
@@ -101,9 +111,11 @@ pub struct NamelessCqe {
     pub name: Option<PhysName>,
     /// Submission instant.
     pub submitted: SimTime,
-    /// Completion instant; for a rejected command, the instant the
-    /// device refused it (admission for a stale name, after the link
-    /// transfer and command overhead for a full device).
+    /// Completion instant. For a write, its acknowledgement: durable in
+    /// the device's write buffer, or in flash on a write-through device.
+    /// For a rejected command, the instant the device refused it
+    /// (admission for a stale name, after the link transfer and command
+    /// overhead for a full device).
     pub done: SimTime,
     /// Typed outcome, propagated instead of panicking.
     pub status: IoStatus,

@@ -1,13 +1,18 @@
 //! Property tests for the nameless queue pair: seeded write / read-by-name
 //! / free-by-exact-name mixes at queue depths up to 16, on a device small
 //! enough that garbage collection migrates live pages under the host,
-//! ending in a tail that fills the device until it refuses writes.
+//! ending in a tail that fills the device until it refuses writes — write
+//! through (no buffer slots), and behind a battery-backed write buffer of
+//! 4 and of 256 slots.
 //!
 //! 1. every probe command's spans **tile** its `[submit, done)` exactly —
 //!    refused writes included: a write the device has no room for still
 //!    crossed the host link, and completes when it was refused;
 //! 2. commands on the **same tag** complete in submission order (the
-//!    in-flight window's hazard guard).
+//!    in-flight window's hazard guard);
+//! 3. with buffer slots a write is acknowledged from RAM: the wait for a
+//!    slot is on its record, its flash program is background, and a read
+//!    is served from RAM or from flash, never both.
 
 use std::collections::{HashMap, HashSet};
 
@@ -16,16 +21,21 @@ use requiem_flash::Geometry;
 use requiem_iface::{NamelessCmd, NamelessConfig, NamelessCqe, NamelessQueuePair};
 use requiem_iface::{NamelessSsd, PhysName, Upcall};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{IoStatus, Probe};
+use requiem_sim::{Cause, IoStatus, Layer, Probe};
 use requiem_ssd::SsdConfig;
 
 /// Tags the generated phase keeps live: three quarters of the raw pages,
 /// so a GC victim always has live neighbours to relocate.
 const LIVE: u64 = 768;
 
+/// Write-buffer sizes the property runs over: write-through, a buffer the
+/// closed loop keeps full, and `SsdConfig::modern()`'s own.
+const CAPACITIES: [u32; 3] = [0, 4, 256];
+
 /// 2 x 2 LUNs of 32 blocks x 8 pages: 1024 raw pages.
-fn device() -> NamelessSsd {
+fn device(capacity_pages: u32) -> NamelessSsd {
     let mut base = SsdConfig::modern();
+    base.buffer.capacity_pages = capacity_pages;
     base.shape.channels = 2;
     base.shape.chips_per_channel = 2;
     base.flash.geometry = Geometry::new(1, 32, 8, 4096);
@@ -127,8 +137,8 @@ impl Host {
 /// The media is healthy: a salvage's spans overlap the command that set
 /// it off, so tiling is not claimed under program failures (when such a
 /// write is refused is pinned by a unit test in `nameless.rs`).
-fn run(qd: usize, seed: u64, read_pct: u64, free_pct: u64) -> (Host, Probe) {
-    let mut dev = device();
+fn run(qd: usize, seed: u64, read_pct: u64, free_pct: u64, capacity_pages: u32) -> (Host, Probe) {
+    let mut dev = device(capacity_pages);
     let probe = Probe::recording();
     dev.attach_probe(probe.clone());
     let mut h = Host {
@@ -190,8 +200,10 @@ proptest! {
         seed in 0u64..u64::MAX,
         read_pct in 0u64..50,
         free_pct in 0u64..20,
+        capacity in 0..CAPACITIES.len(),
     ) {
-        let (h, probe) = run(qd, seed, read_pct, free_pct);
+        let capacity_pages = CAPACITIES[capacity];
+        let (h, probe) = run(qd, seed, read_pct, free_pct, capacity_pages);
         prop_assert!(h.dev.metrics().gc_pages_moved > 0, "GC never migrated a live page");
         prop_assert!(h.dev.upcalls_pending().delivered() > 0, "no upcall reached the host");
 
@@ -210,25 +222,122 @@ proptest! {
         }
 
         // one pass over the bus: each command's spans, in emission order
-        let mut spans: HashMap<u64, Vec<(SimTime, SimTime)>> = HashMap::new();
+        let mut spans: HashMap<u64, Vec<(Layer, Cause, SimTime, SimTime)>> = HashMap::new();
         for e in probe.events_ref().iter() {
-            if let Some(cmd) = e.cmd {
-                spans.entry(cmd).or_default().push((e.start, e.end));
+            match e.cmd {
+                Some(cmd) => spans.entry(cmd).or_default().push((e.layer, e.cause, e.start, e.end)),
+                None => prop_assert!(e.layer != Layer::Buffer, "a buffer span off the record"),
             }
         }
         let cmds = probe.commands_ref();
         prop_assert_eq!(cmds.len(), h.trace.len(), "one probe command per submission");
+        // the queue pair and the bus both number submissions from 1
+        let cqe: HashMap<u64, &NamelessCqe> = h.trace.iter().map(|c| (c.id.0, c)).collect();
+        let (mut stalled, mut ram_reads) = (0u64, 0u64);
         for rec in cmds.iter() {
             let done = rec.done.expect("command closed");
+            let on_record = spans.get(&rec.id).map_or(&[][..], |v| v);
             let mut cursor = rec.submit;
             let mut total = SimDuration::ZERO;
-            for &(start, end) in spans.get(&rec.id).map_or(&[][..], |v| v) {
+            for &(_, _, start, end) in on_record {
                 prop_assert_eq!(start, cursor, "gap/overlap in {} cmd {}", rec.kind, rec.id);
                 cursor = end;
                 total += end.since(start);
             }
             prop_assert_eq!(cursor, done, "{} cmd {}: spans do not end at completion", rec.kind, rec.id);
             prop_assert_eq!(total, done.since(rec.submit), "span sum != latency");
+
+            // where the command was served from
+            let count = |layer, cause| {
+                on_record.iter().filter(|s| (s.0, s.1) == (layer, cause)).count() as u64
+            };
+            let from_ram = count(Layer::Buffer, Cause::BufferHit);
+            let waited = count(Layer::Buffer, Cause::BufferStall);
+            let cell_ops = on_record.iter().filter(|s| s.0 == Layer::Flash && s.1 != Cause::Recovery).count();
+            let c = cqe[&rec.id];
+            prop_assert_eq!(c.done, done);
+            match (rec.kind, c.status.is_success()) {
+                // acknowledged from RAM, the program behind it is
+                // background; write-through, the program is the command
+                ("write", true) if capacity_pages > 0 => {
+                    prop_assert_eq!((from_ram, cell_ops), (1, 0), "buffered write cmd {}", rec.id);
+                    prop_assert!(waited <= 1);
+                    stalled += waited;
+                }
+                ("write", true) => {
+                    prop_assert_eq!(count(Layer::Flash, Cause::CellProgram), 1);
+                    prop_assert_eq!(from_ram + waited, 0);
+                }
+                // RAM or flash, never both, never neither
+                ("read", true) => {
+                    prop_assert_eq!(from_ram + count(Layer::Flash, Cause::CellRead), 1, "read cmd {}", rec.id);
+                    prop_assert_eq!(waited, 0);
+                    ram_reads += from_ram;
+                }
+                // frees and refusals touch neither RAM nor a chip (a
+                // refused write may have waited for the slot it gave back)
+                _ => {
+                    prop_assert_eq!(cell_ops, 0);
+                    stalled += waited;
+                }
+            }
         }
+        prop_assert_eq!(stalled, h.dev.buffer_stalls(), "every wait for a slot is on a record");
+        prop_assert_eq!(ram_reads, h.dev.metrics().buffer_read_hits);
+        // the fill alone outruns the flash: any buffer at all runs out of slots
+        prop_assert_eq!(stalled > 0, capacity_pages > 0);
     }
+}
+
+/// The buffer's read side, one step at a time on a four-slot device: a
+/// name is readable from RAM while its page is mid-flush and from flash
+/// once the flush has ended, and a name freed while still in RAM is as
+/// stale as any other freed name.
+#[test]
+fn a_buffered_name_reads_from_ram_until_its_flush_ends() {
+    let mut dev = device(4);
+    let probe = Probe::recording();
+    dev.attach_probe(probe.clone());
+    let mut qp = NamelessQueuePair::new(4);
+    let mut step = |dev: &mut NamelessSsd, at: SimTime, cmd: NamelessCmd| {
+        qp.submit(dev, at, cmd);
+        let c = qp.pop().expect("the command completes");
+        let causes: Vec<Cause> = probe
+            .command_spans(c.id.0)
+            .iter()
+            .map(|e| e.cause)
+            .collect();
+        (c, causes)
+    };
+
+    let (w, causes) = step(&mut dev, SimTime::ZERO, NamelessCmd::Write { tag: 1 });
+    let name = w.name.expect("the write was named");
+    assert!(causes.contains(&Cause::BufferHit) && !causes.contains(&Cause::CellProgram));
+    let flushed = dev.drain_time();
+    assert!(
+        w.done + dev.config().flash.timing.program(0) <= flushed,
+        "acknowledged at {}, a program before the flush ends at {flushed}",
+        w.done
+    );
+
+    let read = NamelessCmd::Read { name, tag: 1 };
+    let (r, causes) = step(&mut dev, w.done, read);
+    assert_eq!(r.status, IoStatus::Ok);
+    assert!(r.done < flushed, "served before the page reached flash");
+    assert!(causes.contains(&Cause::BufferHit) && !causes.contains(&Cause::CellRead));
+
+    let (r, causes) = step(&mut dev, flushed, read);
+    assert_eq!(r.status, IoStatus::Ok);
+    assert!(causes.contains(&Cause::CellRead) && !causes.contains(&Cause::BufferHit));
+    assert_eq!(dev.metrics().buffer_read_hits, 1);
+
+    let (w, _) = step(&mut dev, r.done, NamelessCmd::Write { tag: 2 });
+    let name = w.name.expect("the write was named");
+    assert!(w.done < dev.drain_time(), "still mid-flush");
+    let (f, _) = step(&mut dev, w.done, NamelessCmd::Free { name, tag: 2 });
+    assert_eq!(f.status, IoStatus::Ok);
+    let (r, causes) = step(&mut dev, f.done, NamelessCmd::Read { name, tag: 2 });
+    assert_eq!(r.status, IoStatus::Rejected, "freed while buffered: stale");
+    assert!(causes.is_empty(), "a stale name costs the device nothing");
+    assert_eq!(dev.metrics().buffer_read_hits, 1);
 }

@@ -9,11 +9,17 @@
 //! if all slots are mid-flush), completes immediately — the data is safe in
 //! battery-backed RAM — and the flash program proceeds behind the
 //! completion. Reads of still-buffered pages are served from RAM.
+//!
+//! Both controllers with this RAM in front of their flash — the block
+//! FTL's page-mapped write path and the nameless device — admit a write
+//! through [`admit`]; what a page is keyed by (an LPN, a physical page
+//! number) is the caller's.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::time::SimTime;
+use requiem_sim::{Cause, Layer, Probe};
 
 /// Write-back buffer occupancy and residency tracking (timeline model:
 /// a slot is "busy" until its page's flash flush finishes).
@@ -151,6 +157,47 @@ impl WriteBuffer {
     pub fn stalls(&self) -> u64 {
         self.stalls
     }
+}
+
+/// Admit one host write that reached `dev`'s controller at `t0` and
+/// return the instant it is acknowledged.
+///
+/// With slots: acquire one (a `BufferStall` span covers the wait when
+/// every slot is mid-flush), acknowledge there, run `flush` from that
+/// instant under the probe's background scope — it places and programs
+/// the page and returns the key the page is resident under and the
+/// instant the program ends — and hold the slot until then. With no
+/// slots the write goes through: `flush` runs on the command's own
+/// record from `t0` and the acknowledgement is its end.
+///
+/// `buffer` projects the device's [`WriteBuffer`] (the flush needs the
+/// rest of the device, so the two cannot be borrowed side by side). A
+/// failed flush holds no slot and propagates.
+pub fn admit<D, E>(
+    dev: &mut D,
+    buffer: fn(&mut D) -> &mut WriteBuffer,
+    probe: Probe,
+    t0: SimTime,
+    flush: impl FnOnce(&mut D, SimTime) -> Result<(u64, SimTime), E>,
+) -> Result<SimTime, E> {
+    if !buffer(dev).enabled() {
+        return flush(dev, t0).map(|(_, end)| end);
+    }
+    let start = buffer(dev).acquire(t0);
+    if probe.is_enabled() {
+        if start > t0 {
+            // every slot was mid-flush: the host write stalls
+            probe.span(Layer::Buffer, Cause::BufferStall, "wbuf", t0, start);
+        }
+        // zero-length marker: the command completed from RAM here
+        probe.span(Layer::Buffer, Cause::BufferHit, "wbuf", start, start);
+    }
+    let (key, flush_end) = {
+        let _bg = probe.background();
+        flush(dev, start)?
+    };
+    buffer(dev).commit(key, flush_end);
+    Ok(start)
 }
 
 #[cfg(test)]

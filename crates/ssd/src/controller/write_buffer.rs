@@ -9,10 +9,10 @@
 //! mapping.
 
 use requiem_sim::time::SimTime;
-use requiem_sim::{Cause, Layer};
 
 use crate::addr::Lpn;
 use crate::block_dir::Stream;
+use crate::buffer;
 use crate::device::{MappingState, Served, Ssd, SsdError};
 use crate::metrics::OpCause;
 
@@ -24,30 +24,20 @@ impl Ssd {
         t0: SimTime,
         lpn: Lpn,
     ) -> Result<(SimTime, Served), SsdError> {
-        if self.buffer.enabled() {
-            let start = self.buffer.acquire(t0);
-            if self.sched.probe.is_enabled() {
-                if start > t0 {
-                    // every slot was mid-flush: the host write stalls
-                    self.sched
-                        .probe
-                        .span(Layer::Buffer, Cause::BufferStall, "wbuf", t0, start);
-                }
-                // zero-length marker: the command completed from RAM here
-                self.sched
-                    .probe
-                    .span(Layer::Buffer, Cause::BufferHit, "wbuf", start, start);
-            }
-            let flush_end = {
-                let _bg = self.sched.probe.background();
-                self.flush_page(start, lpn)?
-            };
-            self.buffer.commit(lpn.0, flush_end);
-            Ok((start, Served::Buffer))
+        let served = if self.buffer.enabled() {
+            Served::Buffer
         } else {
-            let end = self.flush_page(t0, lpn)?;
-            Ok((end, Served::Flash))
-        }
+            Served::Flash
+        };
+        let probe = self.sched.probe.clone();
+        let ack = buffer::admit(
+            self,
+            |ssd| &mut ssd.buffer,
+            probe,
+            t0,
+            |ssd, start| ssd.flush_page(start, lpn).map(|end| (lpn.0, end)),
+        )?;
+        Ok((ack, served))
     }
 
     /// Place + program one page and update the mapping.

@@ -302,3 +302,57 @@ fn e10_pcm_complexity_persists() {
         .since(SimTime::ZERO);
     assert!(a.latency.as_nanos() > 5 * line.as_nanos());
 }
+
+/// §3's ordering, on the benchmark's device (`SsdConfig::modern()` as it
+/// is, write buffer included) and the benchmark's `oltp_qd16` /
+/// `oltp_coop_pcm` pair at test size: the same seeded OLTP inputs at
+/// concurrency 16 through the block stack with a flash WAL and group
+/// commit, and through cooperating logs on a nameless device with the
+/// WAL on PCM and a force per commit. P1 + P2 must *beat* the block
+/// stack: more transactions per second, less time stalled on commit.
+#[test]
+fn vision_path_beats_the_block_stack_on_the_same_hardware() {
+    use requiem::block::StackConfig;
+    use requiem::db::{DbConfig, GroupCommitPolicy, WalConfig};
+    use requiem::iface::nameless::NamelessConfig;
+    use requiem::workload::oltp::{OltpConfig, OltpGen};
+    use requiem::workload::oltp_inputs;
+
+    const PAGES: u64 = 1024;
+    let b = DbConfig::builder()
+        .data_pages(PAGES)
+        .log_pages(128)
+        .buffer_frames(128)
+        .checkpoint_every(500)
+        .concurrency(16);
+    let gen_cfg = OltpConfig {
+        data_pages: PAGES,
+        theta: 0.8,
+        ..OltpConfig::default()
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, 11), 3_000);
+
+    let stack_b = b.clone().group(GroupCommitPolicy::batched(16));
+    let mut stack = stack_b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+    let stack_run = stack.run_concurrent(&inputs, &stack_b.exec_config());
+
+    let coop_b = b
+        .group(GroupCommitPolicy::immediate())
+        .wal(WalConfig::pcm());
+    let mut coop = coop_b.build_coop(NamelessConfig::from(&SsdConfig::modern()));
+    let coop_run = coop.run_concurrent(&inputs, &coop_b.exec_config());
+
+    assert_eq!((stack_run.txns, coop_run.txns), (3_000, 3_000));
+    assert!(
+        coop_run.tps > stack_run.tps,
+        "coop {} TPS vs stack {} TPS",
+        coop_run.tps,
+        stack_run.tps
+    );
+    assert!(
+        coop.stats().commit_stall < stack.stats().commit_stall,
+        "coop commit stall {} vs stack {}",
+        coop.stats().commit_stall,
+        stack.stats().commit_stall
+    );
+}
