@@ -20,6 +20,12 @@
 //! * `blame_scratch` — occupant blame decomposition per wait into the
 //!   caller's scratch buffer ([`Resource::blame_into`]), as both devices'
 //!   scheduler does.
+//! * `link_reserve` — reservations on one backfilling bus
+//!   ([`TransferTimeline`]), as a channel or the host link takes them: a
+//!   floor that advances every few reservations, a `not_before` just
+//!   past it or, for one in eight, a read-out booked up to 1 ms ahead, so
+//!   later requests land in the gaps those leave (about five gaps open
+//!   at a time, as on the OLTP workloads).
 //! * `probe_recording_clone` / `probe_aggregated` — the headline pair:
 //!   a preconditioned device under zipfian overwrite, sampling probe
 //!   state every window. The first samples by cloning the recording
@@ -34,7 +40,7 @@
 
 use requiem_bench::aging::{device, AgingConfig};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Occupant, Probe, Resource};
+use requiem_sim::{Occupant, Probe, Resource, SimRng, TransferTimeline};
 use requiem_ssd::{FtlKind, GcPolicyKind, Lpn, Ssd};
 use requiem_workload::driver::precondition_sequential;
 use requiem_workload::pattern::{AddressPattern, Pattern};
@@ -65,6 +71,35 @@ fn blame_scratch() -> (u64, u64) {
         t = g.end;
     }
     (QUERIES, checksum)
+}
+
+/// Seeded reservations on one transfer timeline; checksum = Σ start.
+fn link_reserve() -> (u64, u64) {
+    const RESERVATIONS: u64 = 4_000_000;
+    const PER_FLOOR: u64 = 4;
+    let mut bus = TransferTimeline::new("bench-link");
+    let mut rng = SimRng::from_seed(42);
+    let mut floor = SimTime::ZERO;
+    let mut checksum = 0u64;
+    for i in 0..RESERVATIONS {
+        if i % PER_FLOOR == 0 {
+            floor += SimDuration::from_nanos(rng.below(120_000));
+        }
+        let ahead = if rng.below(8) == 0 {
+            rng.below(1_000_000)
+        } else {
+            rng.below(30_000)
+        };
+        let duration = if rng.below(2) == 0 { 10_240 } else { 7_448 };
+        let g = bus.reserve_tagged(
+            floor,
+            floor + SimDuration::from_nanos(ahead),
+            SimDuration::from_nanos(duration),
+            Occupant::Host,
+        );
+        checksum = checksum.wrapping_add(g.start.as_nanos());
+    }
+    (RESERVATIONS, checksum)
 }
 
 /// Preconditioned device under zipfian overwrite, sampling probe state
@@ -107,8 +142,9 @@ fn zipf_sample() -> (u64, u64) {
     (2 * DRAWS, checksum)
 }
 
-const BENCHES: [&str; 4] = [
+const BENCHES: [&str; 5] = [
     "blame_scratch",
+    "link_reserve",
     "probe_recording_clone",
     "probe_aggregated",
     "zipf_sample",
@@ -123,6 +159,7 @@ fn main() {
             return;
         }
         "blame_scratch" => blame_scratch(),
+        "link_reserve" => link_reserve(),
         // pre-refactor sampling idiom: clone the whole recording bus
         "probe_recording_clone" => probe_workload(Probe::recording(), |p| p.events().len() as u64),
         // fast path: fold the aggregated per-resource accumulators

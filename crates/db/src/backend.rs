@@ -250,6 +250,17 @@ pub trait PersistenceBackend {
         }
     }
 
+    /// [`poll`](Self::poll) into a caller-owned buffer, cleared first, so
+    /// a reaper that polls once per wake reuses one allocation however
+    /// the completions are spread over wakes. The default forwards to
+    /// `poll` (a wrapper that overrides only `poll` keeps its behaviour);
+    /// the backends in this crate override it, and their `poll` is the
+    /// forwarding one.
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+        out.clear();
+        out.append(&mut self.poll(now));
+    }
+
     /// Finish instant of the earliest batched read still in flight
     /// (`None` when nothing is outstanding) — the completion-driven
     /// engine's next wake-up time.
@@ -325,15 +336,15 @@ impl BareReads {
             .collect()
     }
 
-    fn poll(&mut self, now: SimTime, data_base: u64) -> Vec<PageRead> {
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
+    fn poll_into(&mut self, now: SimTime, data_base: u64, out: &mut Vec<PageRead>) {
+        out.clear();
+        out.append(&mut self.rejects);
+        out.extend(self.qp.ready(now).map(|c| PageRead {
             tag: c.tag,
             page: PageId(c.lba - data_base),
             done: c.done,
             status: c.status,
         }));
-        out
     }
 
     fn next_done(&self) -> Option<SimTime> {
@@ -520,7 +531,13 @@ impl PersistenceBackend for LegacyBackend {
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        self.reads.poll(now, self.data_base)
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+        self.reads.poll_into(now, self.data_base, out);
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
@@ -700,7 +717,13 @@ impl PersistenceBackend for VisionBackend {
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        self.reads.poll(now, 0)
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+        self.reads.poll_into(now, 0, out);
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {

@@ -578,6 +578,12 @@ impl PersistenceBackend for CoopLogBackend {
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
         // the upcall drain on every poll is the cooperating-logs
         // contract: migrations patch the page table before any completion
         // is interpreted, so a Rejected read can be retried at the
@@ -586,9 +592,7 @@ impl PersistenceBackend for CoopLogBackend {
         let mut reaped = std::mem::take(&mut self.reaped);
         reaped.clear();
         self.qp.reap_into(now, &mut reaped);
-        // the returned list is the one allocation: sized once, and not
-        // made at all by the poll that finds nothing
-        let mut out: Vec<PageRead> = Vec::with_capacity(self.rejects.len() + reaped.len());
+        out.clear();
         out.append(&mut self.rejects);
         for c in &reaped {
             let Some(at) = self.inflight.iter().position(|&(id, _, _)| id == c.id.0) else {
@@ -618,7 +622,6 @@ impl PersistenceBackend for CoopLogBackend {
             });
         }
         self.reaped = reaped;
-        out
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {

@@ -237,13 +237,23 @@ pub(crate) struct FetchCtx {
 
 /// Mutable executor state threaded through the event loop.
 pub(crate) struct ExecState {
+    /// A slot's `state` is written through [`ExecState::set_state`] only.
     pub(crate) slots: Vec<Slot>,
+    /// No slot is `Run` with `ready_at` before this, nor `Idle` with
+    /// `free_at` before `idle_from`: lower bounds that every state change
+    /// lowers and every quiesce scan makes exact, so a pass skips the
+    /// scans that could find nothing (a wake that reaps one completion
+    /// usually has one slot to drive and none to refill).
+    pub(crate) run_from: SimTime,
+    pub(crate) idle_from: SimTime,
     /// Fetches in flight, unordered (the pool's page table says *whether*
     /// a page is being fetched; this says with what). One demand fetch
     /// per slot plus whatever readahead rode along, so a scan is short.
     pub(crate) pending: Vec<FetchCtx>,
     /// Scratch for the one batch a miss submits (reused, never shrunk).
     batch: Vec<PageId>,
+    /// Scratch the completions of one reap land in (reused likewise).
+    reaped: Vec<PageRead>,
     pub(crate) prefetcher: Prefetcher,
     pub(crate) group: GroupCommit,
     /// The member list `force_group` trades with the group's (reused).
@@ -291,8 +301,11 @@ impl ExecState {
                 };
                 depth
             ],
+            run_from: SimTime::MAX,
+            idle_from: now,
             pending: Vec::with_capacity(depth + prefetch.depth as usize),
             batch: Vec::new(),
+            reaped: Vec::new(),
             prefetcher: Prefetcher::new(*prefetch),
             group: GroupCommit::new(),
             forcing: Vec::new(),
@@ -310,6 +323,16 @@ impl ExecState {
             async_force: false,
             force_horizon: now,
         }
+    }
+
+    /// Move slot `i` to `state`, keeping the scan bounds.
+    pub(crate) fn set_state(&mut self, i: usize, state: SlotState) {
+        match state {
+            SlotState::Run { ready_at } => self.run_from = self.run_from.min(ready_at),
+            SlotState::Idle { free_at } => self.idle_from = self.idle_from.min(free_at),
+            SlotState::WaitPage { .. } | SlotState::WaitCommit => {}
+        }
+        self.slots[i].state = state;
     }
 
     pub(crate) fn all_idle(&self) -> bool {
@@ -454,13 +477,16 @@ impl<B: PersistenceBackend> Database<B> {
                 None => t,
             });
         };
-        for s in &st.slots {
-            match s.state {
-                SlotState::Idle { free_at } if st.issued < input_count && free_at > self.now => {
-                    merge(free_at)
+        // the bounds say when no slot can be Idle or Run at all: a wake
+        // spent waiting on reads and forces skips the scan
+        let idle = st.issued < input_count && st.idle_from < SimTime::MAX;
+        if idle || st.run_from < SimTime::MAX {
+            for s in &st.slots {
+                match s.state {
+                    SlotState::Idle { free_at } if idle && free_at > self.now => merge(free_at),
+                    SlotState::Run { ready_at } if ready_at > self.now => merge(ready_at),
+                    _ => {}
                 }
-                SlotState::Run { ready_at } if ready_at > self.now => merge(ready_at),
-                _ => {}
             }
         }
         if let Some(d) = st.group.deadline(&cfg.group) {
@@ -477,40 +503,23 @@ impl<B: PersistenceBackend> Database<B> {
         loop {
             let mut progress = false;
             // refill idle slots in slot order (deterministic admission)
-            for i in 0..st.slots.len() {
-                if let SlotState::Idle { free_at } = st.slots[i].state {
-                    if free_at <= self.now && st.issued < inputs.len() {
-                        // the coordinator pre-assigns ids (a global
-                        // namespace across shards); standalone runs
-                        // allocate locally, exactly as before
-                        let (id, role) = match st.assigned.get(st.issued) {
-                            Some(p) => (p.id, p.role),
-                            None => {
-                                let id = self.next_txn;
-                                self.next_txn += 1;
-                                (id, TxnRole::Local)
-                            }
-                        };
-                        st.slots[i].txn = Some(Active {
-                            id,
-                            started: self.now,
-                            input: st.issued,
-                            next: 0,
-                            wrote: false,
-                            role,
-                        });
-                        st.slots[i].state = SlotState::Run { ready_at: self.now };
-                        st.issued += 1;
-                        progress = true;
-                    }
-                }
+            if st.idle_from <= self.now && st.issued < inputs.len() {
+                progress |= self.refill(inputs, st);
             }
             // drive runnable slots in slot order
-            for i in 0..st.slots.len() {
-                if let SlotState::Run { ready_at } = st.slots[i].state {
-                    if ready_at <= self.now {
-                        self.drive_slot(i, inputs, st);
-                        progress = true;
+            if st.run_from <= self.now {
+                st.run_from = SimTime::MAX;
+                for i in 0..st.slots.len() {
+                    if let SlotState::Run { ready_at } = st.slots[i].state {
+                        if ready_at <= self.now {
+                            self.drive_slot(i, inputs, st);
+                            progress = true;
+                        }
+                    }
+                    // what is still Run bounds the next scan (a slot that
+                    // turns Run later lowers the bound through set_state)
+                    if let SlotState::Run { ready_at } = st.slots[i].state {
+                        st.run_from = st.run_from.min(ready_at);
                     }
                 }
             }
@@ -523,6 +532,44 @@ impl<B: PersistenceBackend> Database<B> {
                 return;
             }
         }
+    }
+
+    /// Start the next inputs on the idle slots free at `now`, in slot
+    /// order; true when one started.
+    fn refill(&mut self, inputs: &[TxnInput], st: &mut ExecState) -> bool {
+        let mut started = false;
+        st.idle_from = SimTime::MAX;
+        for i in 0..st.slots.len() {
+            if let SlotState::Idle { free_at } = st.slots[i].state {
+                if free_at <= self.now && st.issued < inputs.len() {
+                    // the coordinator pre-assigns ids (a global
+                    // namespace across shards); standalone runs
+                    // allocate locally, exactly as before
+                    let (id, role) = match st.assigned.get(st.issued) {
+                        Some(p) => (p.id, p.role),
+                        None => {
+                            let id = self.next_txn;
+                            self.next_txn += 1;
+                            (id, TxnRole::Local)
+                        }
+                    };
+                    st.slots[i].txn = Some(Active {
+                        id,
+                        started: self.now,
+                        input: st.issued,
+                        next: 0,
+                        wrote: false,
+                        role,
+                    });
+                    st.set_state(i, SlotState::Run { ready_at: self.now });
+                    st.issued += 1;
+                    started = true;
+                } else {
+                    st.idle_from = st.idle_from.min(free_at);
+                }
+            }
+        }
+        started
     }
 
     /// Advance slot `i` through its accesses until it blocks (page
@@ -576,7 +623,7 @@ impl<B: PersistenceBackend> Database<B> {
                     probe_id,
                     read_only: !active.wrote,
                 });
-                st.slots[i].state = SlotState::WaitCommit;
+                st.set_state(i, SlotState::WaitCommit);
                 return;
             }
             let (page, slot_no, dirty) = input.accesses[active.next];
@@ -601,10 +648,13 @@ impl<B: PersistenceBackend> Database<B> {
                     }
                     ctx.demanded = true;
                 }
-                st.slots[i].state = SlotState::WaitPage {
-                    page: pid,
-                    demand_at: self.now,
-                };
+                st.set_state(
+                    i,
+                    SlotState::WaitPage {
+                        page: pid,
+                        demand_at: self.now,
+                    },
+                );
                 return;
             }
 
@@ -637,10 +687,13 @@ impl<B: PersistenceBackend> Database<B> {
                 }
             }
             self.backend.submit_reads(self.now, &st.batch);
-            st.slots[i].state = SlotState::WaitPage {
-                page: pid,
-                demand_at: self.now,
-            };
+            st.set_state(
+                i,
+                SlotState::WaitPage {
+                    page: pid,
+                    demand_at: self.now,
+                },
+            );
             return;
         }
     }
@@ -696,15 +749,15 @@ impl<B: PersistenceBackend> Database<B> {
     /// steal writes — happens on the advanced clock). Returns true when
     /// anything was reaped.
     pub(crate) fn reap(&mut self, st: &mut ExecState) -> bool {
-        let completions = self.backend.poll(self.now);
-        if completions.is_empty() {
-            return false;
-        }
-        for r in completions {
+        let mut completions = std::mem::take(&mut st.reaped);
+        self.backend.poll_into(self.now, &mut completions);
+        let any = !completions.is_empty();
+        for &r in &completions {
             self.now = self.now.max(r.done);
             self.finish_read(r, st);
         }
-        true
+        st.reaped = completions;
+        any
     }
 
     /// Install one completed page read: typed-status handling, media
@@ -761,7 +814,7 @@ impl<B: PersistenceBackend> Database<B> {
             if let SlotState::WaitPage { page, demand_at } = st.slots[i].state {
                 if page == r.page {
                     self.stats.read_stall += r.done.max(demand_at).since(demand_at);
-                    st.slots[i].state = SlotState::Run { ready_at: end };
+                    st.set_state(i, SlotState::Run { ready_at: end });
                     any_waiter = true;
                 }
             }
@@ -835,7 +888,7 @@ impl<B: PersistenceBackend> Database<B> {
                     done,
                     started: m.started,
                 });
-                st.slots[m.slot].state = SlotState::Idle { free_at: done };
+                st.set_state(m.slot, SlotState::Idle { free_at: done });
                 st.slots[m.slot].txn = None;
                 continue;
             }
@@ -853,7 +906,7 @@ impl<B: PersistenceBackend> Database<B> {
             st.commit_order.push((m.txn, m.lsn));
             match m.kind {
                 MemberKind::Commit => {
-                    st.slots[m.slot].state = SlotState::Idle { free_at: done };
+                    st.set_state(m.slot, SlotState::Idle { free_at: done });
                     st.slots[m.slot].txn = None;
                 }
                 MemberKind::Decide => {

@@ -295,15 +295,18 @@ impl<B: PersistenceBackend> ShardedDb<B> {
     ) -> Option<SimTime> {
         let now = db.now;
         let deliverable = mailbox.iter().any(|d| d.home == s && d.at <= now);
+        // the executor's scan bounds rule most shards out without a scan
         let refillable = st.issued < inputs
+            && st.idle_from <= now
             && st
                 .slots
                 .iter()
                 .any(|sl| matches!(sl.state, SlotState::Idle { free_at } if free_at <= now));
-        let runnable = st
-            .slots
-            .iter()
-            .any(|sl| matches!(sl.state, SlotState::Run { ready_at } if ready_at <= now));
+        let runnable = st.run_from <= now
+            && st
+                .slots
+                .iter()
+                .any(|sl| matches!(sl.state, SlotState::Run { ready_at } if ready_at <= now));
         let completion_ready = db
             .backend
             .next_read_done()

@@ -352,15 +352,29 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+        out.clear();
+        let due = |t: SimTime| t <= now;
+        if self.ready.is_empty()
+            && !self
+                .stack
+                .borrow()
+                .next_completion_time(self.core)
+                .is_some_and(due)
+        {
+            // nothing is due: most wakes of a deep executor end here
+            return;
+        }
         let mut reaped = std::mem::take(&mut self.reaped);
         reaped.clear();
         self.stack
             .borrow_mut()
             .reap_into(now, self.core, &mut reaped);
-        // the returned list is the one allocation: sized once, and not
-        // made at all by the poll that finds nothing
-        let early = self.ready.iter().filter(|r| r.done <= now).count();
-        let mut out: Vec<PageRead> = Vec::with_capacity(early + reaped.len());
         // early-reaped completions first (they finished before `now`)
         self.ready.retain(|r| {
             if r.done <= now {
@@ -382,7 +396,6 @@ impl PersistenceBackend for BlockStackBackend {
             }
         }
         self.reaped = reaped;
-        out
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {

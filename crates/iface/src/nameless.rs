@@ -316,7 +316,7 @@ impl NamelessSsd {
                 .cfg
                 .channel
                 .write_bus_time(self.cfg.flash.geometry.page_size);
-            let cg = self.sched.chan_res[chan].reserve_tagged(not_before, bus, occ);
+            let cg = self.sched.reserve_chan(chan, not_before, bus, occ);
             self.sched.emit_chan_transfer_spans(chan, not_before, cg);
             cg.end
         } else {
@@ -421,11 +421,8 @@ impl NamelessSsd {
         let finish = |slf: &mut Self, from: SimTime, status: IoStatus| {
             if with_transfer {
                 let xfer = slf.cfg.flash.geometry.page_size;
-                let xg = slf.sched.chan_res[chan].reserve_tagged(
-                    from,
-                    slf.cfg.channel.transfer(xfer),
-                    occ,
-                );
+                let xfer = slf.cfg.channel.transfer(xfer);
+                let xg = slf.sched.reserve_chan(chan, from, xfer, occ);
                 slf.sched.emit_chan_transfer_spans(chan, from, xg);
                 (xg.end, status)
             } else {
@@ -657,11 +654,9 @@ impl NamelessSsd {
     /// directory keeps for a page that holds nothing.
     pub fn write(&mut self, now: SimTime, tag: u64) -> Result<NamelessCompletion, NamelessError> {
         self.metrics.host_writes += 1;
+        self.sched.note_submit(now);
         let scope = self.sched.probe().open_command("write", now);
-        let link = self
-            .sched
-            .host_link
-            .reserve_tagged(now, self.host_link_time(), Occupant::Host);
+        let link = self.sched.reserve_link(now, self.host_link_time());
         let t = link.end + self.cfg.controller_overhead;
         self.sched.emit_host_link_spans(now, link);
         self.span_overhead(link.end, t);
@@ -732,6 +727,7 @@ impl NamelessSsd {
         tag: u64,
     ) -> Result<(SimTime, SimDuration, IoStatus), NamelessError> {
         self.metrics.host_reads += 1;
+        self.sched.note_submit(now);
         let phys = PhysPage {
             lun: name.lun,
             addr: name.addr,
@@ -752,10 +748,7 @@ impl NamelessSsd {
         } else {
             self.op_read(t, phys, true, OpCause::Host, Some(tag))
         };
-        let out = self
-            .sched
-            .host_link
-            .reserve_tagged(ready, self.host_link_time(), Occupant::Host);
+        let out = self.sched.reserve_link(ready, self.host_link_time());
         self.sched.emit_host_link_spans(ready, out);
         scope.close(out.end);
         self.sched.probe().note_status(status.as_str());
@@ -959,6 +952,52 @@ mod tests {
         for e in probe.command_spans(rec.id) {
             assert!(e.end <= refused_at, "span {e:?} outlives the command");
         }
+    }
+
+    /// On `SsdConfig::modern()` with 256 tags written and settled, at one
+    /// instant: write a fresh tag (its flush programs a chip), read a tag
+    /// of that chip (queued behind the program) unless `skip_queued`, then
+    /// read a tag of another chip on the same channel. Returns the
+    /// program's LUN, the queued read and the last read.
+    fn program_then_two_reads(
+        skip_queued: bool,
+    ) -> (LunId, Option<(SimTime, SimDuration, IoStatus)>, SimTime) {
+        const TAGS: u64 = 256;
+        let mut d = NamelessSsd::new(NamelessConfig::from(&SsdConfig::modern()));
+        let mut t = SimTime::ZERO;
+        let names: Vec<PhysName> = (0..TAGS)
+            .map(|tag| {
+                let w = d.write(t, tag).unwrap();
+                t = w.done;
+                w.name
+            })
+            .collect();
+        let t = d.drain_time();
+        let busy = d.write(t, TAGS).unwrap().name.lun;
+        let shape = d.config().shape.clone();
+        let tag_on = |want: &dyn Fn(LunId) -> bool| {
+            (0..TAGS)
+                .find(|&tag| want(names[tag as usize].lun))
+                .unwrap()
+        };
+        let behind = tag_on(&|l| l == busy);
+        let beside = tag_on(&|l| l != busy && shape.channel_of(l) == shape.channel_of(busy));
+        let queued = (!skip_queued).then(|| d.read(t, names[behind as usize], behind).unwrap());
+        let (last, _, _) = d.read(t, names[beside as usize], beside).unwrap();
+        (busy, queued, last)
+    }
+
+    #[test]
+    fn a_read_behind_a_program_does_not_hold_the_channel_or_the_link() {
+        let (busy, queued, last) = program_then_two_reads(false);
+        let (queued_done, queued_latency, _) = queued.unwrap();
+        assert_eq!(busy, LunId(0), "the fresh write's flush programs LUN 0");
+        let tprog = SsdConfig::modern().flash.timing.program_mean();
+        assert!(queued_latency > tprog / 2, "{queued_latency}");
+        // timed exactly as if the queued read had never been issued
+        let (_, _, alone) = program_then_two_reads(true);
+        assert_eq!(last, alone);
+        assert!(last < queued_done);
     }
 
     #[test]

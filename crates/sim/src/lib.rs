@@ -6,10 +6,12 @@
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock in integer nanoseconds.
 //!   All timing in the simulated I/O stack is expressed in these units, so a
 //!   whole experiment is reproducible to the nanosecond.
-//! * [`Resource`] — a *serial* resource timeline (a flash channel, a LUN, a
-//!   CPU core, a submission-queue lock). Operations reserve an interval on
-//!   the timeline; the resource hands back the earliest feasible start in
-//!   FIFO order and tracks utilization.
+//! * [`Resource`] — a *serial* resource timeline (a LUN, a CPU core, a
+//!   submission-queue lock). Operations reserve an interval on the
+//!   timeline; the resource hands back the earliest feasible start in FIFO
+//!   order and tracks utilization. [`TransferTimeline`] is the same for a
+//!   shared bus (a flash channel, a host link), where a transfer takes the
+//!   first idle gap it fits.
 //! * [`completion`] — the completion heap and the bounded in-flight window
 //!   every queue pair admits through; [`cmd`] — the command, request and
 //!   completion types they carry; [`CoreClock`] — the round-robin clock
@@ -61,7 +63,7 @@ pub use probe::{
     BackgroundGuard, Cause, CommandScope, CommandsRef, EventsRef, Layer, Probe, ProbeSummary,
     ResourceStat, SpanBatch, SpanEvent,
 };
-pub use resource::{Occupant, Resource, ResourceBank};
+pub use resource::{Occupant, Resource, ResourceBank, TransferTimeline};
 pub use rng::{ExpInterarrival, SimRng};
 pub use stats::{Counter, Histogram, Summary};
 pub use table::Table;

@@ -509,6 +509,7 @@ impl CommandScope {
     }
 
     /// Close the command at `done`.
+    #[inline]
     pub fn close(mut self, done: SimTime) {
         let owned = self.owned;
         if let (Some(bus), true) = (self.bus.take(), owned) {
@@ -518,6 +519,7 @@ impl CommandScope {
 }
 
 impl Drop for CommandScope {
+    #[inline]
     fn drop(&mut self) {
         if !self.owned {
             return;
@@ -535,6 +537,7 @@ pub struct BackgroundGuard {
 }
 
 impl Drop for BackgroundGuard {
+    #[inline]
     fn drop(&mut self) {
         self.probe.exit_background();
     }
@@ -592,15 +595,23 @@ impl Probe {
         self.bus.is_some()
     }
 
-    /// Open (or join) a command submitted at `submit`.
+    /// Open (or join) a command submitted at `submit`. `#[inline]`, like
+    /// every entry point below that a disabled probe answers with a null
+    /// check: the per-command paths of the devices and the block stack
+    /// call them on every command, from other crates.
+    #[inline]
     pub fn open_command(&self, kind: &'static str, submit: SimTime) -> CommandScope {
-        let Some(bus) = &self.bus else {
-            return CommandScope {
+        match &self.bus {
+            Some(bus) => Self::open_on(bus, kind, submit),
+            None => CommandScope {
                 bus: None,
                 id: 0,
                 owned: false,
-            };
-        };
+            },
+        }
+    }
+
+    fn open_on(bus: &Rc<RefCell<ProbeBus>>, kind: &'static str, submit: SimTime) -> CommandScope {
         let mut b = bus.borrow_mut();
         if let Some(open) = b.open {
             // join: inner layer of an already-open command
@@ -678,6 +689,7 @@ impl Probe {
 
     /// Number of spans attributed to command `id` so far (0 for an
     /// unknown id or a disabled probe). Works without event retention.
+    #[inline]
     pub fn command_span_count(&self, id: u64) -> u32 {
         self.bus
             .as_ref()
@@ -691,6 +703,7 @@ impl Probe {
     /// Emit one span. Attributed to the open command unless the bus is
     /// inside a background scope (or no command is open). Zero-duration
     /// spans are legal (markers such as [`Cause::BufferHit`]).
+    #[inline]
     pub fn span(&self, layer: Layer, cause: Cause, resource: &str, start: SimTime, end: SimTime) {
         if let Some(bus) = &self.bus {
             bus.borrow_mut()
@@ -701,6 +714,7 @@ impl Probe {
     /// Emit a wait interval `[from, to)` decomposed into per-occupant
     /// stall spans (see [`crate::resource::Resource::blame_into`]). Sub-span
     /// boundaries are synthetic but durations are exact.
+    #[inline]
     pub fn wait_spans(
         &self,
         layer: Layer,
@@ -737,6 +751,7 @@ impl Probe {
     /// [`ProbeSummary::statuses`]). Callers pass
     /// [`crate::fault::IoStatus::as_str`]; `"ok"` is ignored so clean
     /// runs leave the summary untouched.
+    #[inline]
     pub fn note_status(&self, status: &'static str) {
         if status == "ok" {
             return;
@@ -748,6 +763,7 @@ impl Probe {
 
     /// Enter a background scope: spans emitted until the matching
     /// [`Probe::exit_background`] carry `cmd: None`.
+    #[inline]
     pub fn enter_background(&self) {
         if let Some(b) = &self.bus {
             b.borrow_mut().background_depth += 1;
@@ -756,6 +772,7 @@ impl Probe {
 
     /// Enter a background scope released when the returned guard drops.
     /// Prefer this over the manual pair on paths with early returns.
+    #[inline]
     pub fn background(&self) -> BackgroundGuard {
         self.enter_background();
         BackgroundGuard {
@@ -764,6 +781,7 @@ impl Probe {
     }
 
     /// Leave the innermost background scope.
+    #[inline]
     pub fn exit_background(&self) {
         if let Some(b) = &self.bus {
             let mut b = b.borrow_mut();

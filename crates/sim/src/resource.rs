@@ -1,11 +1,15 @@
 //! Serial resource timelines.
 //!
 //! A [`Resource`] models anything that executes one operation at a time: a
-//! flash channel (one command/data transfer in flight), a LUN (one chip
-//! operation in flight — the paper's unit of operation interleaving), a CPU
-//! core, or a lock. Callers *reserve* an interval; the resource grants the
-//! earliest start not before the requested time and not before all earlier
-//! grants have finished (FIFO, non-preemptive).
+//! LUN (one chip operation in flight — the paper's unit of operation
+//! interleaving), a CPU core, or a lock. Callers *reserve* an interval; the
+//! resource grants the earliest start not before the requested time and
+//! not before all earlier grants have finished (FIFO, non-preemptive).
+//!
+//! A [`TransferTimeline`] is the same serial resource for a shared bus (a
+//! flash channel, a host link): a transfer takes the first idle gap it
+//! fits, so one booked at a future instant does not hold the bus for
+//! transfers that could have run before it.
 //!
 //! The timeline model makes the paper's Figure 1 notions precise:
 //!
@@ -40,10 +44,10 @@ pub enum Occupant {
     Recovery,
 }
 
-/// How many recent tagged grants a tracking resource retains for blame
-/// decomposition. Waits only ever overlap the most recent grants (FIFO
-/// timeline), so a small window is exact in practice; anything older is
-/// attributed to generic queueing.
+/// How many tagged grants a tracking resource retains for blame
+/// decomposition, latest-starting first. Waits only ever overlap the
+/// latest grants, so a small window is exact in practice; anything older
+/// is attributed to generic queueing.
 const OCCUPANT_WINDOW: usize = 128;
 
 /// A serial (one-op-at-a-time), FIFO, non-preemptive resource timeline.
@@ -57,10 +61,9 @@ pub struct Resource {
     busy: SimDuration,
     /// Number of grants made.
     grants: u64,
-    /// End of the last grant (== `next_free`, kept for clarity in stats).
-    last_end: SimTime,
-    /// Recent grants `(start, end, occupant)` for blame decomposition;
-    /// empty unless [`Resource::track_occupants`] enabled tracking.
+    /// Recent grants `(start, end, occupant)` for blame decomposition,
+    /// sorted by start; empty unless [`Resource::track_occupants`]
+    /// enabled tracking.
     recent: VecDeque<(SimTime, SimTime, Occupant)>,
     /// Whether reservations are recorded into `recent`.
     tracking: bool,
@@ -97,7 +100,6 @@ impl Resource {
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
             grants: 0,
-            last_end: SimTime::ZERO,
             recent: VecDeque::new(),
             tracking: false,
         }
@@ -146,7 +148,6 @@ impl Resource {
         let start = not_before.max(self.next_free);
         let end = start + duration;
         self.next_free = end;
-        self.last_end = end;
         self.busy += duration;
         self.grants += 1;
         if self.tracking {
@@ -154,6 +155,27 @@ impl Resource {
                 self.recent.pop_front();
             }
             self.recent.push_back((start, end, occupant));
+        }
+        Grant { start, end }
+    }
+
+    /// Book `[start, start + duration)` inside an idle gap before
+    /// `next_free` (the caller found the gap): statistics as for any
+    /// grant, and the occupant window kept sorted by start.
+    fn book_in_gap(&mut self, start: SimTime, duration: SimDuration, occupant: Occupant) -> Grant {
+        let end = start + duration;
+        debug_assert!(
+            end <= self.next_free,
+            "a backfilled grant ends past next_free"
+        );
+        self.busy += duration;
+        self.grants += 1;
+        if self.tracking {
+            let at = self.recent.partition_point(|&(s, _, _)| s < start);
+            self.recent.insert(at, (start, end, occupant));
+            if self.recent.len() > OCCUPANT_WINDOW {
+                self.recent.pop_front();
+            }
         }
         Grant { start, end }
     }
@@ -171,8 +193,10 @@ impl Resource {
     /// reserved before or after the call: it starts at `granted_start`,
     /// outside the decomposed interval.
     ///
-    /// The grant window is FIFO, so both starts and ends are
-    /// nondecreasing: the scan binary-searches to the first grant ending
+    /// The grant window is sorted by start and its grants never overlap,
+    /// so both starts and ends are nondecreasing (on a
+    /// [`TransferTimeline`] too, whose backfilled grants are inserted in
+    /// place): the scan binary-searches to the first grant ending
     /// inside the wait and stops at the first one starting past it,
     /// touching only the overlapping grants instead of the whole window.
     /// Occupants appear in order of their first overlapping grant —
@@ -255,8 +279,198 @@ impl Resource {
         self.next_free = SimTime::ZERO;
         self.busy = SimDuration::ZERO;
         self.grants = 0;
-        self.last_end = SimTime::ZERO;
         self.recent.clear();
+    }
+}
+
+/// A serial timeline for transfers on a shared bus — a flash channel, the
+/// host link — that **backfills**: a grant starts at the earliest instant
+/// `>= not_before` where `[start, start + duration)` overlaps no earlier
+/// grant. That is first fit over the idle gaps left before
+/// [`next_free`](Self::next_free), else an append exactly as a FIFO
+/// [`Resource`] would grant it: a caller whose requests never land before
+/// `next_free` gets the FIFO grants bit for bit.
+///
+/// The gap list is what FIFO users are spared, which is why this is a
+/// type of its own and not a mode of [`Resource`]. It stays short because
+/// every reservation names a *floor*, the owner's promise that no later
+/// request asks for a start before it (a device passes its latest host
+/// submission instant), and the gaps that end by then are retired.
+///
+/// Statistics keep their [`Resource`] meaning: busy time is the sum of
+/// granted durations, `grant_count` counts grants, `next_free` is the
+/// latest grant end, and [`blame_into`](Self::blame_into) decomposes a
+/// wait over the grants that held the bus during it.
+#[derive(Debug, Clone)]
+pub struct TransferTimeline {
+    /// Counters, `next_free` and the occupant window.
+    res: Resource,
+    /// Idle intervals `[start, end)` before `next_free`, sorted and
+    /// disjoint (so ends are sorted too), none of them empty. A handful
+    /// at a time, so every search is a linear scan.
+    gaps: Vec<(SimTime, SimTime)>,
+}
+
+impl TransferTimeline {
+    /// Create an idle timeline, free from `t = 0`.
+    pub fn new(name: impl Into<String>) -> Self {
+        TransferTimeline {
+            res: Resource::new(name),
+            gaps: Vec::new(),
+        }
+    }
+
+    /// Enable (or disable) occupant tracking for blame decomposition
+    /// (see [`Resource::track_occupants`]).
+    pub fn track_occupants(&mut self, on: bool) {
+        self.res.track_occupants(on);
+    }
+
+    /// The timeline name.
+    pub fn name(&self) -> &str {
+        self.res.name()
+    }
+
+    /// The end of the latest grant: from here on the bus is idle.
+    #[inline]
+    pub fn next_free(&self) -> SimTime {
+        self.res.next_free()
+    }
+
+    /// Total busy time granted so far.
+    #[inline]
+    pub fn busy_time(&self) -> SimDuration {
+        self.res.busy_time()
+    }
+
+    /// Number of grants made so far.
+    #[inline]
+    pub fn grant_count(&self) -> u64 {
+        self.res.grant_count()
+    }
+
+    /// Utilization over `[0, horizon]` (see [`Resource::utilization`]).
+    pub fn utilization(&self, horizon: SimTime) -> f64 {
+        self.res.utilization(horizon)
+    }
+
+    /// Decompose the wait `[requested_at, granted_start)` by occupant
+    /// (see [`Resource::blame_into`]); idle time too short for the
+    /// waiter's transfer counts as [`Occupant::Host`] queueing.
+    pub fn blame_into(
+        &self,
+        requested_at: SimTime,
+        granted_start: SimTime,
+        out: &mut Vec<(Occupant, SimDuration)>,
+    ) {
+        self.res.blame_into(requested_at, granted_start, out);
+    }
+
+    /// Reserve `duration` of the bus, starting no earlier than
+    /// `not_before`, in the first idle gap it fits; every gap is kept.
+    pub fn reserve(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
+        self.reserve_tagged(SimTime::ZERO, not_before, duration, Occupant::Host)
+    }
+
+    /// [`reserve`](Self::reserve), recording `occupant` as the owner of
+    /// the granted interval (when tracking is enabled), after retiring
+    /// the gaps that end by `floor`. Exact while the owner keeps its
+    /// promise that no request asks for a start before `floor`; a request
+    /// that does anyway is placed in a later gap or appended, which is
+    /// still deterministic.
+    #[inline]
+    pub fn reserve_tagged(
+        &mut self,
+        floor: SimTime,
+        not_before: SimTime,
+        duration: SimDuration,
+        occupant: Occupant,
+    ) -> Grant {
+        let next_free = self.res.next_free;
+        if not_before < next_free && !self.gaps.is_empty() {
+            return self.backfill(floor, not_before, duration, occupant);
+        }
+        if not_before > next_free {
+            // an append past an idle stretch: every gap so far ends by
+            // `next_free`, and the new one is worth keeping only if it
+            // outlives the floor
+            if next_free <= floor {
+                self.gaps.clear();
+            } else {
+                self.retire(floor);
+            }
+            if not_before > floor {
+                self.gaps.push((next_free, not_before));
+            }
+        }
+        self.res.reserve_tagged(not_before, duration, occupant)
+    }
+
+    /// Drop the gaps that end by `floor`.
+    #[inline]
+    fn retire(&mut self, floor: SimTime) {
+        if self.gaps.first().is_some_and(|&(_, end)| end <= floor) {
+            let dead = self
+                .gaps
+                .iter()
+                .take_while(|&&(_, end)| end <= floor)
+                .count();
+            self.gaps.drain(..dead);
+        }
+    }
+
+    /// The slow path of [`reserve_tagged`](Self::reserve_tagged): a
+    /// request landing before `next_free` with gaps to look in.
+    #[inline(never)]
+    fn backfill(
+        &mut self,
+        floor: SimTime,
+        not_before: SimTime,
+        duration: SimDuration,
+        occupant: Occupant,
+    ) -> Grant {
+        self.retire(floor);
+        let Some((i, start)) = self.first_fit(not_before, duration) else {
+            return self.res.reserve_tagged(not_before, duration, occupant);
+        };
+        let (lo, hi) = self.gaps[i];
+        let end = start + duration;
+        match (lo < start, end < hi) {
+            (true, true) => {
+                self.gaps[i].1 = start;
+                self.gaps.insert(i + 1, (end, hi));
+            }
+            (true, false) => self.gaps[i].1 = start,
+            (false, true) => self.gaps[i].0 = end,
+            (false, false) => {
+                self.gaps.remove(i);
+            }
+        }
+        self.res.book_in_gap(start, duration, occupant)
+    }
+
+    /// The first gap `[lo, hi)` with `max(lo, not_before) + duration <=
+    /// hi`, as its index and the start it gives.
+    fn first_fit(&self, not_before: SimTime, duration: SimDuration) -> Option<(usize, SimTime)> {
+        self.gaps.iter().enumerate().find_map(|(i, &(lo, hi))| {
+            let start = lo.max(not_before);
+            (start + duration <= hi).then_some((i, start))
+        })
+    }
+
+    /// Would-be grant if we reserved now — without committing: the grant
+    /// [`reserve`](Self::reserve) would make, and the one
+    /// [`reserve_tagged`](Self::reserve_tagged) would make for any floor
+    /// up to `not_before`.
+    pub fn peek(&self, not_before: SimTime, duration: SimDuration) -> Grant {
+        let start = match self.first_fit(not_before, duration) {
+            Some((_, start)) if not_before < self.res.next_free => start,
+            _ => not_before.max(self.res.next_free),
+        };
+        Grant {
+            start,
+            end: start + duration,
+        }
     }
 }
 
@@ -516,5 +730,66 @@ mod tests {
         assert_eq!(r.next_free(), SimTime::ZERO);
         assert_eq!(r.busy_time(), SimDuration::ZERO);
         assert_eq!(r.grant_count(), 0);
+    }
+
+    #[test]
+    fn transfer_takes_the_first_gap_it_fits() {
+        let mut bus = TransferTimeline::new("chan");
+        let us = SimTime::from_micros;
+        // a read-out booked behind a program: [100, 110)
+        assert_eq!(bus.reserve(us(100), MICROSECOND * 10).start, us(100));
+        // a later request that could run now does not wait for it
+        let g = bus.reserve(us(5), MICROSECOND * 10);
+        assert_eq!((g.start, g.end), (us(5), us(15)));
+        // one too long for what is left before 100 appends
+        let g = bus.reserve(us(20), MICROSECOND * 90);
+        assert_eq!(g.start, us(110));
+        // the gaps [0, 5) and [15, 100) are still there
+        assert_eq!(
+            bus.peek(SimTime::ZERO, MICROSECOND * 5).start,
+            SimTime::ZERO
+        );
+        assert_eq!(bus.reserve(SimTime::ZERO, MICROSECOND * 6).start, us(15));
+        assert_eq!(bus.next_free(), us(200));
+        assert_eq!(bus.busy_time(), MICROSECOND * 116);
+        assert_eq!(bus.grant_count(), 4);
+    }
+
+    #[test]
+    fn retired_gaps_are_not_backfilled() {
+        let mut bus = TransferTimeline::new("link");
+        let us = SimTime::from_micros;
+        let host = Occupant::Host;
+        // the gap [0, 100) ends by a floor at 100: it is never recorded
+        bus.reserve_tagged(us(100), us(100), MICROSECOND * 10, host);
+        assert_eq!(bus.reserve(us(5), MICROSECOND).start, us(110));
+        // a gap straddling the floor stays whole
+        let mut bus = TransferTimeline::new("link");
+        bus.reserve_tagged(us(50), us(100), MICROSECOND * 10, host);
+        assert_eq!(bus.reserve(us(5), MICROSECOND).start, us(5));
+        // and goes once a later reservation names a floor past its end
+        bus.reserve_tagged(us(100), us(100), MICROSECOND, host);
+        assert_eq!(bus.reserve(us(6), MICROSECOND).start, us(111));
+    }
+
+    #[test]
+    fn backfilled_grants_are_blamed_in_start_order() {
+        let mut bus = TransferTimeline::new("chan");
+        bus.track_occupants(true);
+        let us = SimTime::from_micros;
+        bus.reserve_tagged(SimTime::ZERO, us(20), MICROSECOND * 10, Occupant::Host);
+        bus.reserve_tagged(SimTime::ZERO, us(0), MICROSECOND * 10, Occupant::Gc);
+        // a 15 µs transfer asked for at 0 fits nowhere before 30
+        let g = bus.reserve(us(0), MICROSECOND * 15);
+        assert_eq!(g.start, us(30));
+        let mut blame = Vec::new();
+        bus.blame_into(us(0), g.start, &mut blame);
+        assert_eq!(
+            blame,
+            vec![
+                (Occupant::Gc, MICROSECOND * 10),
+                (Occupant::Host, MICROSECOND * 20)
+            ]
+        );
     }
 }

@@ -3,7 +3,26 @@
 
 use proptest::prelude::*;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Histogram, Resource};
+use requiem_sim::{Histogram, Occupant, Resource, TransferTimeline};
+
+/// The earliest start `>= not_before` at which `[start, start + d)`
+/// overlaps none of `grants`, by brute force: with `d > 0` it is
+/// `not_before` or the end of some grant.
+fn first_fit_by_search(grants: &[(u64, u64)], not_before: u64, d: u64) -> u64 {
+    let mut candidates: Vec<u64> = grants
+        .iter()
+        .map(|&(_, e)| e)
+        .filter(|&e| e > not_before)
+        .collect();
+    candidates.push(not_before);
+    candidates.sort_unstable();
+    candidates
+        .into_iter()
+        .find(|&c| grants.iter().all(|&(s, e)| c + d <= s || e <= c))
+        .expect("past the last grant everything fits")
+}
+
+const OCCUPANTS: [Occupant; 3] = [Occupant::Host, Occupant::Gc, Occupant::Recovery];
 
 proptest! {
     /// A serial resource never overlaps grants, never goes backwards, and
@@ -29,6 +48,117 @@ proptest! {
         }
         prop_assert_eq!(r.busy_time().as_nanos(), total);
         prop_assert_eq!(r.next_free(), last_end);
+    }
+
+    /// A transfer timeline grants the first gap a request fits, whatever
+    /// order requests arrive in: never overlapping, never early, exactly
+    /// where a search over every earlier grant puts it, and `peek` says
+    /// so beforehand. Busy time and `next_free` keep their meaning.
+    #[test]
+    fn transfer_grants_are_first_fit(
+        reqs in proptest::collection::vec((0u64..200_000, 1u64..20_000), 1..150)
+    ) {
+        let mut bus = TransferTimeline::new("bus");
+        let mut granted: Vec<(u64, u64)> = Vec::new();
+        let mut total = 0u64;
+        for (at, dur) in reqs {
+            let (nb, d) = (SimTime::from_nanos(at), SimDuration::from_nanos(dur));
+            let want = first_fit_by_search(&granted, at, dur);
+            let peeked = bus.peek(nb, d);
+            let g = bus.reserve(nb, d);
+            prop_assert_eq!(g, peeked);
+            prop_assert!(g.start >= nb, "grant before request");
+            prop_assert_eq!(g.start.as_nanos(), want, "not the first fit");
+            prop_assert_eq!(g.end, g.start + d);
+            let (s, e) = (g.start.as_nanos(), g.end.as_nanos());
+            prop_assert!(
+                granted.iter().all(|&(gs, ge)| e <= gs || ge <= s),
+                "[{}, {}) overlaps an earlier grant", s, e
+            );
+            granted.push((s, e));
+            total += dur;
+        }
+        prop_assert_eq!(bus.busy_time().as_nanos(), total);
+        prop_assert_eq!(bus.grant_count(), granted.len() as u64);
+        let last = granted.iter().map(|&(_, e)| e).max().unwrap_or(0);
+        prop_assert_eq!(bus.next_free().as_nanos(), last);
+    }
+
+    /// Requests that never land before `next_free` get the FIFO
+    /// resource's grants bit for bit.
+    #[test]
+    fn transfer_grants_past_next_free_are_fifo(
+        reqs in proptest::collection::vec((0u64..50_000, 1u64..20_000), 1..150)
+    ) {
+        let mut bus = TransferTimeline::new("bus");
+        let mut fifo = Resource::new("fifo");
+        for (idle, dur) in reqs {
+            let nb = bus.next_free() + SimDuration::from_nanos(idle);
+            let d = SimDuration::from_nanos(dur);
+            prop_assert_eq!(bus.reserve(nb, d), fifo.reserve(nb, d));
+        }
+        prop_assert_eq!(bus.next_free(), fifo.next_free());
+        prop_assert_eq!(bus.busy_time(), fifo.busy_time());
+    }
+
+    /// A floor that never passes a later request's `not_before` changes
+    /// no grant: the gaps it retires are ones no such request could use.
+    #[test]
+    fn retiring_gaps_below_the_floor_is_exact(
+        reqs in proptest::collection::vec((0u64..3_000, 0u64..6_000, 1u64..1_500), 1..150)
+    ) {
+        let mut kept = TransferTimeline::new("kept");
+        let mut retired = TransferTimeline::new("retired");
+        let mut floor = SimTime::ZERO;
+        for (step, ahead, dur) in reqs {
+            floor += SimDuration::from_nanos(step);
+            let nb = floor + SimDuration::from_nanos(ahead);
+            let d = SimDuration::from_nanos(dur);
+            prop_assert_eq!(
+                retired.reserve_tagged(floor, nb, d, Occupant::Host),
+                kept.reserve(nb, d)
+            );
+        }
+    }
+
+    /// Blame over a transfer timeline whose grants arrive out of start
+    /// order: each wait decomposes into parts that sum to it, and while
+    /// the occupant window holds every grant the parts are exactly the
+    /// overlaps with each occupant's grants (the rest is `Host`).
+    #[test]
+    fn transfer_blame_sums_to_the_wait(
+        reqs in proptest::collection::vec((0u64..200_000, 1u64..20_000, 0usize..3), 1..100)
+    ) {
+        let mut bus = TransferTimeline::new("bus");
+        bus.track_occupants(true);
+        let mut granted: Vec<(u64, u64, Occupant)> = Vec::new();
+        let mut blame = Vec::new();
+        for (at, dur, who) in reqs {
+            let nb = SimTime::from_nanos(at);
+            let g = bus.reserve_tagged(SimTime::ZERO, nb, SimDuration::from_nanos(dur), OCCUPANTS[who]);
+            bus.blame_into(nb, g.start, &mut blame);
+            let sum = blame.iter().fold(SimDuration::ZERO, |a, &(_, d)| a + d);
+            prop_assert_eq!(sum, g.start.since(nb));
+            let mut want: Vec<(Occupant, u64)> = Vec::new();
+            for &(s, e, occ) in &granted {
+                let overlap = e.min(g.start.as_nanos()).saturating_sub(s.max(at));
+                if overlap > 0 {
+                    match want.iter_mut().find(|(o, _)| *o == occ) {
+                        Some((_, acc)) => *acc += overlap,
+                        None => want.push((occ, overlap)),
+                    }
+                }
+            }
+            for (occ, ns) in want {
+                let got = blame.iter().find(|&&(o, _)| o == occ).map(|&(_, d)| d.as_nanos());
+                if occ == Occupant::Host {
+                    prop_assert!(got.unwrap_or(0) >= ns, "host blame short of host grants");
+                } else {
+                    prop_assert_eq!(got, Some(ns), "{:?}", occ);
+                }
+            }
+            granted.push((g.start.as_nanos(), g.end.as_nanos(), OCCUPANTS[who]));
+        }
     }
 
     /// An idle-arrival request is granted immediately.

@@ -2,9 +2,10 @@
 //! write placement (the "Scheduling" box of Figure 2).
 //!
 //! The [`Scheduler`] owns every serial resource timeline the controller
-//! arbitrates — one [`Resource`] per LUN, per channel, plus the host
-//! link — together with the optional Gantt trace and the observability
-//! [`Probe`]. All flash operation mechanisms (`op_read` / `op_program` /
+//! arbitrates — one FIFO [`Resource`] per LUN, one backfilling
+//! [`TransferTimeline`] per channel plus one for the host link — together
+//! with the optional Gantt trace and the observability [`Probe`]. All
+//! flash operation mechanisms (`op_read` / `op_program` /
 //! `op_erase` and DFTL translation traffic) live here as `impl Ssd`
 //! blocks: they reserve intervals on the scheduler's timelines, tagging
 //! each grant with its [`Occupant`] so that later waiters can *blame*
@@ -15,7 +16,7 @@ use requiem_flash::{FlashError, PagePayload};
 use requiem_sim::gantt::Gantt;
 use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Cause, Layer, Occupant, Probe, Resource};
+use requiem_sim::{Cause, Layer, Occupant, Probe, Resource, TransferTimeline};
 use std::cell::RefCell;
 
 use crate::addr::{ArrayShape, Lpn, LunId, PhysPage};
@@ -24,15 +25,6 @@ use crate::config::Placement;
 use crate::device::{FlashReadDone, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
-
-/// Record `g` on `res`'s lane of the Gantt trace, if one is on. The two
-/// scheduler fields come in apart so the lane name is borrowed from the
-/// timeline that owns it and copied only when somebody records it.
-fn trace_span(trace: &mut Option<Gantt>, res: &Resource, g: Grant, glyph: char) {
-    if let Some(trace) = trace {
-        trace.record(res.name(), g.start, g.end, glyph, "");
-    }
-}
 
 /// Read-retry ladder: RBER derate per rung. Each rung re-senses the
 /// page at a shifted read voltage; later rungs shift further and
@@ -131,14 +123,27 @@ impl LunRotation {
 /// `requiem-iface`, which reserves on the same timelines and reports
 /// through the same emitters — the interface above changes, the
 /// scheduling box does not (Figure 2).
+///
+/// Which timelines backfill is decided here, by role. The buses —
+/// channels and the host link — are [`TransferTimeline`]s: a transfer
+/// takes the first idle gap it fits, so a read-out booked behind a busy
+/// chip does not hold the bus for transfers that could run before it.
+/// LUNs stay FIFO: flash cell state changes in call order, so a LUN op
+/// placed ahead of one booked earlier could read a page whose program is
+/// already booked but not yet done.
 #[derive(Debug)]
 pub struct Scheduler {
-    /// One timeline per LUN (`chip{i}`).
+    /// One FIFO timeline per LUN (`chip{i}`).
     pub lun_res: Vec<Resource>,
-    /// One timeline per channel (`chan{i}`).
-    pub chan_res: Vec<Resource>,
-    /// The host interface link.
-    pub host_link: Resource,
+    /// One transfer timeline per channel (`chan{i}`); reserve through
+    /// [`Scheduler::reserve_chan`].
+    pub chan_res: Vec<TransferTimeline>,
+    /// The host interface link; reserve through
+    /// [`Scheduler::reserve_link`].
+    pub host_link: TransferTimeline,
+    /// The latest host submission instant: no later reservation starts
+    /// before it, so transfer gaps ending there are retired.
+    floor: SimTime,
     /// Optional chip/channel occupancy trace.
     pub(crate) trace: Option<Gantt>,
     /// Observability bus handle (disabled by default).
@@ -159,9 +164,10 @@ impl Scheduler {
                 .map(|i| Resource::new(format!("chip{i}")))
                 .collect(),
             chan_res: (0..channels)
-                .map(|i| Resource::new(format!("chan{i}")))
+                .map(|i| TransferTimeline::new(format!("chan{i}")))
                 .collect(),
-            host_link: Resource::new("host-link"),
+            host_link: TransferTimeline::new("host-link"),
+            floor: SimTime::ZERO,
             trace: None,
             probe: Probe::disabled(),
             blame_scratch: RefCell::new(Vec::new()),
@@ -174,10 +180,44 @@ impl Scheduler {
     pub fn attach_probe(&mut self, probe: Probe) {
         let on = probe.is_enabled();
         self.probe = probe;
-        for r in self.lun_res.iter_mut().chain(self.chan_res.iter_mut()) {
+        for r in &mut self.lun_res {
+            r.track_occupants(on);
+        }
+        for r in &mut self.chan_res {
             r.track_occupants(on);
         }
         self.host_link.track_occupants(on);
+    }
+
+    /// A host command was submitted at `now`. Under time-ordered
+    /// submission nothing is reserved before the latest such instant, so
+    /// the bus gaps that end by then can never be used again; a device
+    /// whose submitters interleave out of order gets a conservative (and
+    /// still deterministic) floor.
+    #[inline]
+    pub fn note_submit(&mut self, now: SimTime) {
+        self.floor = self.floor.max(now);
+    }
+
+    /// Reserve `duration` of channel `chan` from `not_before`, in the
+    /// first idle gap it fits.
+    #[inline]
+    pub fn reserve_chan(
+        &mut self,
+        chan: usize,
+        not_before: SimTime,
+        duration: SimDuration,
+        occupant: Occupant,
+    ) -> Grant {
+        self.chan_res[chan].reserve_tagged(self.floor, not_before, duration, occupant)
+    }
+
+    /// Reserve `duration` of the host link from `not_before`, in the
+    /// first idle gap it fits.
+    #[inline]
+    pub fn reserve_link(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
+        self.host_link
+            .reserve_tagged(self.floor, not_before, duration, Occupant::Host)
     }
 
     /// The attached probe (disabled handle when none was attached).
@@ -185,13 +225,27 @@ impl Scheduler {
         &self.probe
     }
 
+    /// Record `g` on LUN `lun`'s lane of the Gantt trace, if one is on
+    /// (the lane name is copied only then).
+    fn trace_lun(&mut self, lun: usize, g: Grant, glyph: char) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(self.lun_res[lun].name(), g.start, g.end, glyph, "");
+        }
+    }
+
+    /// [`trace_lun`](Self::trace_lun) for channel `chan`'s lane.
+    fn trace_chan(&mut self, chan: usize, g: Grant, glyph: char) {
+        if let Some(trace) = &mut self.trace {
+            trace.record(self.chan_res[chan].name(), g.start, g.end, glyph, "");
+        }
+    }
+
     /// The instant every queued operation has drained.
     pub fn drain_time(&self) -> SimTime {
-        let mut t = self.host_link.next_free();
-        for r in self.lun_res.iter().chain(self.chan_res.iter()) {
-            t = t.max(r.next_free());
-        }
-        t
+        let luns = self.lun_res.iter().map(Resource::next_free);
+        let buses = self.chan_res.iter().map(TransferTimeline::next_free);
+        luns.chain(buses)
+            .fold(self.host_link.next_free(), SimTime::max)
     }
 
     /// Emit wait-blame + transfer spans for a host-link grant requested
@@ -355,12 +409,12 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], lg, 'R');
+        self.sched.trace_lun(li, lg, 'R');
         let (end, chan_wait) = if with_transfer {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
-            let xg = self.sched.chan_res[chan].reserve_tagged(lg.end, xfer, occ);
+            let xg = self.sched.reserve_chan(chan, lg.end, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, lg.end, xg);
-            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], xg, 't');
+            self.sched.trace_chan(chan, xg, 't');
             (xg.end, xg.start.since(lg.end))
         } else {
             (lg.end, SimDuration::ZERO)
@@ -415,7 +469,7 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], lg, 'R');
+        self.sched.trace_lun(li, lg, 'R');
 
         let mut cursor = lg.end;
         let mut steps = 0u32;
@@ -432,7 +486,7 @@ impl Ssd {
                 self.sched.lun_res[li].reserve_tagged(rung_cmd_done, t_read, Occupant::Recovery);
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, rung_cmd_done, g, Cause::Recovery);
-            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'r');
+            self.sched.trace_lun(li, g, 'r');
             cursor = g.end;
             match self.luns[li].recovery_read(phys.addr, derate, 1.0) {
                 Ok(_) => {
@@ -464,7 +518,7 @@ impl Ssd {
             );
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, esc_cmd_done, g, Cause::Recovery);
-            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'e');
+            self.sched.trace_lun(li, g, 'e');
             cursor = g.end;
             match self.luns[li].recovery_read(
                 phys.addr,
@@ -507,11 +561,9 @@ impl Ssd {
                         t_read,
                         Occupant::Recovery,
                     );
-                    let xg = self.sched.chan_res[peer_chan].reserve_tagged(
-                        pg.end,
-                        xfer,
-                        Occupant::Recovery,
-                    );
+                    let xg = self
+                        .sched
+                        .reserve_chan(peer_chan, pg.end, xfer, Occupant::Recovery);
                     rb_end = rb_end.max(xg.end);
                 }
                 if probe_on && rb_end > rb_start {
@@ -543,9 +595,9 @@ impl Ssd {
         // transfer whatever the controller ended up with
         let (end, chan_wait) = if with_transfer {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
-            let xg = self.sched.chan_res[chan].reserve_tagged(cursor, xfer, occ);
+            let xg = self.sched.reserve_chan(chan, cursor, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, cursor, xg);
-            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], xg, 't');
+            self.sched.trace_chan(chan, xg, 't');
             (xg.end, xg.start.since(cursor))
         } else {
             (cursor, SimDuration::ZERO)
@@ -576,9 +628,9 @@ impl Ssd {
         let start = if use_channel {
             let bus_time =
                 self.cfg.channel.write_bus_time(self.page_size()) + self.chan_hiccup_extra(chan);
-            let bus = self.sched.chan_res[chan].reserve_tagged(not_before, bus_time, occ);
+            let bus = self.sched.reserve_chan(chan, not_before, bus_time, occ);
             self.sched.emit_chan_transfer_spans(chan, not_before, bus);
-            trace_span(&mut self.sched.trace, &self.sched.chan_res[chan], bus, 't');
+            self.sched.trace_chan(chan, bus, 't');
             bus.end
         } else {
             not_before
@@ -603,7 +655,7 @@ impl Ssd {
         self.metrics.flash_programs.bump(cause);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
-        trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'P');
+        self.sched.trace_lun(li, g, 'P');
         Ok(g.end)
     }
 
@@ -647,7 +699,7 @@ impl Ssd {
             self.metrics.recovery.erase_retirements += 1;
             self.dir.retire(lun, block_idx);
         } else {
-            trace_span(&mut self.sched.trace, &self.sched.lun_res[li], g, 'E');
+            self.sched.trace_lun(li, g, 'E');
             self.dir.recycle(lun, block_idx);
         }
         Ok(g.end)
@@ -669,11 +721,9 @@ impl Ssd {
                         self.cfg.flash.timing.read,
                         Occupant::Translation,
                     );
-                    let xg = self.sched.chan_res[chan].reserve_tagged(
-                        lg.end,
-                        xfer,
-                        Occupant::Translation,
-                    );
+                    let xg = self
+                        .sched
+                        .reserve_chan(chan, lg.end, xfer, Occupant::Translation);
                     self.metrics.flash_reads.bump(OpCause::Translation);
                     t = xg.end;
                 }
@@ -686,11 +736,9 @@ impl Ssd {
                         Occupant::Translation,
                     );
                     let bus_time = self.cfg.channel.write_bus_time(self.page_size());
-                    let bus = self.sched.chan_res[chan].reserve_tagged(
-                        rg.end,
-                        bus_time,
-                        Occupant::Translation,
-                    );
+                    let bus =
+                        self.sched
+                            .reserve_chan(chan, rg.end, bus_time, Occupant::Translation);
                     let pg = self.sched.lun_res[li].reserve_tagged(
                         bus.end,
                         self.cfg.flash.timing.program_mean(),

@@ -32,7 +32,9 @@
 //!
 //! ## Timing model
 //!
-//! Channels and LUNs are serial FIFO resources ([`requiem_sim::Resource`]).
+//! LUNs are serial FIFO resources ([`requiem_sim::Resource`]); channels and
+//! the host link are serial buses whose transfers take the first idle gap
+//! they fit ([`requiem_sim::TransferTimeline`]).
 //! A page read occupies: channel (command) → LUN (tR) → channel (data out).
 //! A page program occupies: channel (command + data in) → LUN (tPROG).
 //! An erase occupies: channel (command) → LUN (tBERS). Garbage collection
@@ -448,8 +450,9 @@ impl Ssd {
     /// queue pairs) share this device. Drops the global submit-order
     /// check: each stream must still be internally monotone, but across
     /// streams the controller serializes commands in *arrival* order —
-    /// the standard multi-SQ approximation. Internal resource timelines
-    /// stay FIFO, so replay is still deterministic.
+    /// the standard multi-SQ approximation. The bus gaps a late command
+    /// could have used are retired at the latest submission all the
+    /// same, so replay is still deterministic.
     pub fn relax_submit_order(&mut self) {
         self.multi_queue = true;
     }
@@ -461,6 +464,7 @@ impl Ssd {
             self.last_submit
         );
         self.last_submit = self.last_submit.max(now);
+        self.sched.note_submit(self.last_submit);
     }
 
     /// Controller-overhead span helper for the host command paths.
@@ -487,7 +491,7 @@ impl Ssd {
         // buffer hit?
         if self.buffer.enabled() && self.buffer.read_hit(lpn.0, t0) {
             self.metrics.buffer_read_hits += 1;
-            let out = self.sched.host_link.reserve(t0, self.cfg.host_link_time());
+            let out = self.sched.reserve_link(t0, self.cfg.host_link_time());
             if self.sched.probe.is_enabled() {
                 self.sched
                     .probe
@@ -542,10 +546,7 @@ impl Ssd {
             self.relocate_after_rebuild(lpn, phys, done.end);
         }
         self.maybe_scrub(phys, done.end);
-        let out = self
-            .sched
-            .host_link
-            .reserve(done.end, self.cfg.host_link_time());
+        let out = self.sched.reserve_link(done.end, self.cfg.host_link_time());
         self.sched.emit_host_link_spans(done.end, out);
         let latency = out.end.since(now);
         self.metrics.read_latency.record_duration(latency);
@@ -634,7 +635,7 @@ impl Ssd {
         self.note_submit(now);
         self.metrics.host_writes += 1;
         let scope = self.sched.probe.open_command("write", now);
-        let link = self.sched.host_link.reserve(now, self.cfg.host_link_time());
+        let link = self.sched.reserve_link(now, self.cfg.host_link_time());
         self.sched.emit_host_link_spans(now, link);
         let t0 = link.end + self.cfg.controller_overhead;
         self.span_overhead(link.end, t0);

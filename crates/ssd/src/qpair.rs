@@ -11,7 +11,7 @@
 //! [`CommandId`], the window admits each command at the earliest
 //! instant the device has a free slot (NVMe "fetch the SQ in order,
 //! complete whenever"), and completions surface through
-//! [`poll`](QueuePair::poll) / [`pop`](QueuePair::pop) in *device*
+//! [`ready`](QueuePair::ready) / [`pop`](QueuePair::pop) in *device*
 //! order.
 //!
 //! ## Timing model
@@ -174,11 +174,10 @@ impl QueuePair {
         Ok(tag)
     }
 
-    /// Drain every completion ready at `now`, earliest-done first.
-    pub fn poll(&mut self, now: SimTime) -> Vec<IoCompletion> {
-        std::iter::from_fn(|| self.cq.pop_ready(now))
-            .map(|(_, c)| c)
-            .collect()
+    /// Drain every completion ready at `now`, earliest-done first: each
+    /// is popped as the caller takes it, into no list.
+    pub fn ready(&mut self, now: SimTime) -> impl Iterator<Item = IoCompletion> + '_ {
+        std::iter::from_fn(move || self.cq.pop_ready(now)).map(|(_, c)| c)
     }
 
     /// Pop the earliest completion regardless of the clock (closed-loop

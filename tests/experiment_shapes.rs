@@ -201,6 +201,53 @@ fn e4_reads_suffer_at_the_device_level() {
     );
 }
 
+/// E4a / myth 3 without the bus artifact: E4's scenario (pure random
+/// reads against reads amid writes and GC on a small unbuffered device)
+/// with the probe on. The read tail inflates by an order of magnitude —
+/// the paper's claim — and it is the chips that inflate it: a read-out
+/// booked behind a busy chip no longer holds the host link, so the link's
+/// queueing stays below its transfer time.
+#[test]
+fn e4_read_tail_is_the_chips_not_the_link() {
+    use requiem::sim::{Cause, Layer, Probe};
+    let mut cfg = unbuffered();
+    cfg.shape.channels = 2;
+    cfg.shape.chips_per_channel = 2;
+    let mut quiet = Ssd::new(cfg.clone());
+    let pages = quiet.capacity().exported_pages;
+    let t = precondition_sequential(&mut quiet, pages, SimTime::ZERO);
+    let mut pat = AddressPattern::new(Pattern::UniformRandom, pages, 1);
+    let base = run_closed_loop(&mut quiet, &mut pat, IoMix::read_only(), 4, 1024, 1, t);
+
+    let mut noisy = Ssd::new(cfg);
+    let probe = Probe::new();
+    noisy.attach_probe(probe.clone());
+    let t = precondition_sequential(&mut noisy, pages, SimTime::ZERO);
+    let mut pat = AddressPattern::new(Pattern::UniformRandom, pages, 2);
+    run_closed_loop(&mut noisy, &mut pat, IoMix::write_only(), 4, pages, 2, t);
+    let t = noisy.drain_time();
+    let mut pat = AddressPattern::new(Pattern::UniformRandom, pages, 3);
+    run_closed_loop(&mut noisy, &mut pat, IoMix::mixed(0.5), 8, 2048, 3, t);
+    let (quiet_p99, noisy_p99) = (base.latency.p99(), noisy.metrics().read_latency.p99());
+    assert!(
+        noisy_p99 >= 10 * quiet_p99,
+        "read p99 amid writes + GC {noisy_p99} ns, pure reads {quiet_p99} ns"
+    );
+    let summary = probe.summary();
+    let link = |cause| {
+        summary
+            .by_layer_cause
+            .get(&(Layer::HostLink, cause))
+            .map_or(0, |s| s.total.as_nanos())
+    };
+    let (queue, transfer) = (link(Cause::Queue), link(Cause::Transfer));
+    assert!(transfer > 0);
+    assert!(
+        queue < transfer,
+        "host-link queueing {queue} ns against {transfer} ns of transfer"
+    );
+}
+
 /// E5: TRIM cuts GC work when dead data stays dead.
 #[test]
 fn e5_trim_reduces_write_amplification() {
