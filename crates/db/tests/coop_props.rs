@@ -272,9 +272,8 @@ fn a_refused_write_completes_no_earlier_than_the_device_refused_it() {
     cfg.shape.channels = 1;
     cfg.shape.chips_per_channel = 1;
     cfg.op_ratio = 0.0;
-    let cfg = NamelessConfig::from(&cfg);
     let raw = cfg.flash.geometry.total_pages();
-    let mut b = CoopLogBackend::new(cfg, raw - 8, 8);
+    let mut b = CoopLogBackend::new(NamelessConfig::from(&cfg), raw - 8, 8);
     assert_eq!(b.dev().usable_tags(), raw);
     let mut w = b.make_wal();
     let mut t = SimTime::ZERO;
@@ -303,6 +302,8 @@ fn a_refused_write_completes_no_earlier_than_the_device_refused_it() {
     assert!(done >= refused_at(&b, so_far + 1), "steal returned {done}");
     let done = b.page_batch(t, &[PageId(1), PageId(2)]);
     assert!(done >= refused_at(&b, so_far + 3), "batch returned {done}");
+    // the batch's refusals reached the device after `t`: submit from there
+    let t = done;
     let lsn = Lsn(8 * PAGE_SIZE as u64 + 512);
     w.append(lsn, 512);
     let force = w.force(t, lsn);
