@@ -38,7 +38,7 @@
 //! Writes are synchronous nameless writes, one at a time: a steal returns
 //! the instant the image is durable *and* the evictor may proceed. What
 //! that costs is the device's: on hardware with a battery-backed write
-//! buffer ([`NamelessConfig::buffer`]) it is the link transfer plus the
+//! buffer (`SsdConfig::buffer`) it is the link transfer plus the
 //! controller overhead, and the programs stripe over the LUNs behind the
 //! acknowledgements; write-through it is a whole tPROG on one LUN with
 //! every executor slot waiting. E14 runs this manager and the block

@@ -3,7 +3,7 @@
 //! §3: *"the database system is no longer the master and secondary
 //! storage a slave (they are communicating peers)"*. Concretely, the
 //! device initiates messages the block interface has no way to express:
-//! a migrated page's new name, garbage-collection pressure, wear status.
+//! a migrated page's new name, a block retired for wear.
 
 use requiem_sim::time::SimTime;
 use std::collections::VecDeque;
@@ -22,13 +22,6 @@ pub enum Upcall {
         /// The page's new name.
         new: PhysName,
         /// When the migration happened.
-        at: SimTime,
-    },
-    /// Free space is running low; the host may want to free or trim.
-    GcPressure {
-        /// Free blocks remaining across the device.
-        free_blocks: u32,
-        /// When the pressure was observed.
         at: SimTime,
     },
     /// A block was retired for wear; capacity shrank.
@@ -54,15 +47,6 @@ impl UpcallQueue {
     /// Device side: enqueue a message.
     pub fn push(&mut self, u: Upcall) {
         self.q.push_back(u);
-    }
-
-    /// Host side: take the next message.
-    pub fn pop(&mut self) -> Option<Upcall> {
-        let u = self.q.pop_front();
-        if u.is_some() {
-            self.delivered += 1;
-        }
-        u
     }
 
     /// Host side: drain everything pending.
@@ -112,15 +96,20 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut q = UpcallQueue::new();
-        q.push(Upcall::GcPressure {
-            free_blocks: 3,
-            at: SimTime::ZERO,
+        q.push(Upcall::BlockRetired {
+            at: SimTime::from_nanos(1),
         });
-        q.push(Upcall::BlockRetired { at: SimTime::ZERO });
+        q.push(Upcall::BlockRetired {
+            at: SimTime::from_nanos(2),
+        });
         assert_eq!(q.len(), 2);
-        assert!(matches!(q.pop(), Some(Upcall::GcPressure { .. })));
-        assert!(matches!(q.pop(), Some(Upcall::BlockRetired { .. })));
-        assert!(q.pop().is_none());
+        assert_eq!(
+            q.drain(),
+            [1, 2].map(|n| Upcall::BlockRetired {
+                at: SimTime::from_nanos(n)
+            })
+        );
+        assert!(q.is_empty());
         assert_eq!(q.delivered(), 2);
     }
 

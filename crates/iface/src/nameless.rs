@@ -16,99 +16,50 @@
 //! stale name gets [`NamelessError::StaleName`] (detectable via the
 //! out-of-band tag), so correctness is preserved even with a lazy host.
 //!
-//! [`NamelessSsd`] reuses the same flash, channel, directory, GC and
-//! write-buffer machinery as `requiem-ssd` — only the mapping is gone.
-//! In particular the hardware's battery-backed RAM (§2.3.2) stays: built
-//! from a buffered [`SsdConfig`], a nameless write is named and
-//! acknowledged once it is in RAM and programmed behind the
-//! acknowledgement, a read of a name still in RAM is served from RAM,
-//! and a free drops the RAM copy with the name. E14, E6 and the Figure-1
-//! experiments run both devices **unbuffered on purpose** (they compare
-//! what the flash does under each interface); `SsdConfig::modern()`, the
-//! benchmark's device, is buffered under both.
+//! A nameless write changes *who holds the map*, not what the device is:
+//! [`NamelessSsd`] is a vocabulary over the one flash controller of
+//! `requiem-ssd`, built with the map held by the host
+//! ([`Ssd::with_host_map`]). Placement, collection, the read-recovery
+//! ladder, salvage, erase and every timeline are that controller's; what
+//! is here is the names, the stale-name refusals, and the upcall queue
+//! the controller's recorded moves and retirements feed. The hardware's
+//! battery-backed RAM (§2.3.2) stays too: built from a buffered
+//! [`SsdConfig`], a nameless write is named and acknowledged once it is
+//! in RAM and programmed behind the acknowledgement, a read of a name
+//! still in RAM is served from RAM, and a free drops the RAM copy with
+//! the name. E14, E6 and the Figure-1 experiments run both devices
+//! **unbuffered on purpose** (they compare what the flash does under each
+//! interface); `SsdConfig::modern()`, the benchmark's device, is buffered
+//! under both.
 
-use requiem_flash::{FlashError, FlashSpec, Lun, PageAddr, PagePayload};
-use requiem_sim::probe::{Cause, Layer, Probe};
+use requiem_sim::probe::Probe;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{FaultPlan, IoStatus, Occupant};
-use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
-use requiem_ssd::block_dir::{BlockDirectory, Stream};
-use requiem_ssd::buffer::{self, WriteBuffer};
-use requiem_ssd::channel::ChannelTiming;
-use requiem_ssd::config::{BufferConfig, GcConfig, SsdConfig};
-use requiem_ssd::controller::{LunRotation, Scheduler};
-use requiem_ssd::metrics::{OpCause, SsdMetrics};
-use requiem_ssd::Lpn;
+use requiem_sim::IoStatus;
+use requiem_ssd::addr::PhysPage;
+use requiem_ssd::config::{Placement, SsdConfig};
+use requiem_ssd::metrics::SsdMetrics;
+use requiem_ssd::{Lpn, MapEvent, Ssd, SsdError};
 use serde::{Deserialize, Serialize};
 
 use crate::comm::{Upcall, UpcallQueue};
 
-/// The physical name of a written page — the device-chosen location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PhysName {
-    /// The LUN holding the page.
-    pub lun: LunId,
-    /// The page within the LUN.
-    pub addr: PageAddr,
-}
+/// The name of a written page: the physical page the device chose, which
+/// the host keeps in its own index.
+pub type PhysName = PhysPage;
 
-/// Configuration of a nameless device, built from the [`SsdConfig`] of
-/// the same hardware: the FTL-mapping knobs are meaningless here and
-/// absent; the GC knobs are the one [`GcConfig`] both devices read, and
-/// the battery-backed RAM in front of the flash is the one
-/// [`BufferConfig`] — dropping the mapping table does not unsolder it.
+/// Configuration of a nameless device: the [`SsdConfig`] of the same
+/// hardware, whose FTL choice is moot (the host holds the map). The
+/// device names each location, so it picks it: writes are placed on the
+/// least-loaded LUN whatever the hardware's `placement` says.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NamelessConfig {
-    /// Array shape.
-    pub shape: ArrayShape,
-    /// Flash die specification.
-    pub flash: FlashSpec,
-    /// Channel timing.
-    pub channel: ChannelTiming,
-    /// Host link throughput, bytes/µs.
-    pub host_link_bytes_per_us: u32,
-    /// Controller overhead per command.
-    pub controller_overhead: SimDuration,
-    /// GC tuning, the [`SsdConfig`]'s own: trigger threshold, victim
-    /// policy and copyback are read exactly as the block controller
-    /// reads them.
-    pub gc: GcConfig,
-    /// The write buffer, the [`SsdConfig`]'s own: with slots a write is
-    /// acknowledged (and named) once it is in RAM and programmed behind
-    /// the acknowledgement; with `capacity_pages == 0` it is acknowledged
-    /// when its program ends.
-    pub buffer: BufferConfig,
-    /// Wear-aware block allocation.
-    pub wear_aware: bool,
-    /// Over-provisioning ratio the host is expected to respect: the
-    /// fraction of raw pages it must leave unnamed so GC has headroom.
-    /// A block-device FTL enforces this by exporting fewer LBAs; a
-    /// nameless device can only *tell* the host (another message the
-    /// communication abstraction carries that the block interface hides).
-    pub op_ratio: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Deterministic fault-injection plan ([`FaultPlan::none`] injects
-    /// nothing and is bit-exact with the pre-fault code).
-    #[serde(default)]
-    pub fault: FaultPlan,
-}
+pub struct NamelessConfig(SsdConfig);
 
 impl From<&SsdConfig> for NamelessConfig {
     fn from(c: &SsdConfig) -> Self {
-        NamelessConfig {
-            shape: c.shape.clone(),
-            flash: c.flash.clone(),
-            channel: c.channel.clone(),
-            host_link_bytes_per_us: c.host_link_bytes_per_us,
-            controller_overhead: c.controller_overhead,
-            gc: c.gc.clone(),
-            buffer: c.buffer.clone(),
-            wear_aware: c.wl.dynamic,
-            op_ratio: c.op_ratio,
-            seed: c.seed,
-            fault: c.fault.clone(),
-        }
+        NamelessConfig(SsdConfig {
+            placement: Placement::LeastLoaded,
+            ..c.clone()
+        })
     }
 }
 
@@ -124,7 +75,7 @@ pub enum NamelessError {
     /// No usable space left. The device finds that out only once it has
     /// the page in hand: the host-link transfer and the controller's
     /// command overhead are spent by then — and, on worn-out media, so
-    /// are the programs that failed and the salvages they set off.
+    /// are the programs that failed before it gave up.
     DeviceFull {
         /// The instant the controller gave up on the write.
         at: SimTime,
@@ -159,85 +110,42 @@ pub struct NamelessCompletion {
 }
 
 /// A flash device with no FTL mapping: nameless writes + migration upcalls.
+#[derive(Debug)]
 pub struct NamelessSsd {
-    cfg: NamelessConfig,
-    luns: Vec<Lun>,
-    /// The block controller's timelines, probe and span emitters: how a
-    /// flash op is timed and attributed is decided in one place for both
-    /// devices.
-    sched: Scheduler,
-    dir: BlockDirectory,
-    /// Battery-backed RAM in front of the flash; residency is keyed by
-    /// the flat physical page number (names are physical, and host tags
-    /// are too sparse for the buffer's dense index).
-    buffer: WriteBuffer,
+    /// The controller, its map held by the host.
+    ssd: Ssd,
     upcalls: UpcallQueue,
-    metrics: SsdMetrics,
-    /// Write placement's LUN order and cursor (the block controller's).
-    rotation: LunRotation,
-    gc_active: bool,
-    /// The live-page list of the block being collected or salvaged
-    /// (reused from block to block).
-    live_scratch: Vec<(PageAddr, Lpn)>,
-}
-
-impl std::fmt::Debug for NamelessSsd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NamelessSsd")
-            .field("luns", &self.luns.len())
-            .field("writes", &self.metrics.host_writes)
-            .field("pending_upcalls", &self.upcalls.len())
-            .finish()
-    }
 }
 
 impl NamelessSsd {
     /// Build a nameless device.
     pub fn new(cfg: NamelessConfig) -> Self {
-        let nluns = cfg.shape.total_luns();
-        let geom = cfg.flash.geometry.clone();
         NamelessSsd {
-            luns: (0..nluns)
-                .map(|i| {
-                    let mut lun = Lun::new(i, cfg.flash.clone(), cfg.seed);
-                    lun.apply_faults(cfg.fault.unit_view(i));
-                    lun
-                })
-                .collect(),
-            sched: Scheduler::new(nluns, cfg.shape.channels),
-            dir: BlockDirectory::new(nluns, geom),
-            buffer: WriteBuffer::new(cfg.buffer.capacity_pages as usize),
+            ssd: Ssd::with_host_map(cfg.0),
             upcalls: UpcallQueue::new(),
-            metrics: SsdMetrics::new(),
-            rotation: LunRotation::new(&cfg.shape),
-            gc_active: false,
-            live_scratch: Vec::new(),
-            cfg,
         }
     }
 
-    /// Attach an observability probe. An enabled probe turns on occupant
-    /// tracking for every resource, so a host command stalled behind GC
-    /// relocations gets the wait blamed as `GcStall` spans — the same
-    /// discipline the block controller follows, which is what lets E14
-    /// compare stall blame across the two interfaces.
+    /// Attach an observability probe: host commands stalled behind GC
+    /// relocations get the wait blamed as `GcStall` spans, exactly as on
+    /// the block controller — it is the same controller.
     pub fn attach_probe(&mut self, probe: Probe) {
-        self.sched.attach_probe(probe);
+        self.ssd.attach_probe(probe);
     }
 
     /// The attached probe (disabled handle when none was attached).
     pub fn probe(&self) -> &Probe {
-        self.sched.probe()
+        self.ssd.probe()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &NamelessConfig {
-        &self.cfg
+    /// The hardware's configuration.
+    pub fn config(&self) -> &SsdConfig {
+        self.ssd.config()
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &SsdMetrics {
-        &self.metrics
+        self.ssd.metrics()
     }
 
     /// The device→host message queue.
@@ -251,10 +159,11 @@ impl NamelessSsd {
     }
 
     /// Distinct host tags the device can keep live while honouring its
-    /// over-provisioning ratio (the analog of an FTL's exported LBA count).
+    /// over-provisioning ratio — the page-mapped device's exported LBA
+    /// count: a block-device FTL enforces the ratio by exporting fewer
+    /// LBAs; a nameless device can only *tell* the host.
     pub fn usable_tags(&self) -> u64 {
-        let raw = self.cfg.shape.total_luns() as u64 * self.cfg.flash.geometry.total_pages();
-        (raw as f64 * (1.0 - self.cfg.op_ratio)) as u64
+        self.ssd.capacity().exported_pages
     }
 
     /// Controller RAM spent on logical→physical mapping: **zero** — the
@@ -265,386 +174,30 @@ impl NamelessSsd {
 
     /// When all queued operations drain.
     pub fn drain_time(&self) -> SimTime {
-        self.sched.drain_time()
+        self.ssd.drain_time()
     }
 
     /// Host writes that waited for a write-buffer slot (0 under
     /// write-through).
     pub fn buffer_stalls(&self) -> u64 {
-        self.buffer.stalls()
+        self.ssd.buffer_stalls()
     }
 
-    /// `phys`'s key in the write buffer: its page number across the
-    /// whole array.
-    fn flat_page(&self, phys: PhysPage) -> u64 {
-        let geom = &self.cfg.flash.geometry;
-        phys.lun.0 as u64 * geom.total_pages() + geom.ppn(phys.addr).0
-    }
-
-    /// The controller's per-command overhead.
-    fn span_overhead(&self, from: SimTime, to: SimTime) {
-        self.sched
-            .probe()
-            .span(Layer::Controller, Cause::Overhead, "ctrl", from, to);
-    }
-
-    fn host_link_time(&self) -> SimDuration {
-        let bytes = self.cfg.flash.geometry.page_size;
-        SimDuration::from_nanos(
-            (bytes as u64 * 1_000).div_ceil(self.cfg.host_link_bytes_per_us as u64),
-        )
-    }
-
-    /// Program one page. A worn-out or fault-scheduled program surfaces
-    /// as `Err`; the caller retires the block and relocates its live
-    /// pages ([`NamelessSsd::salvage_and_retire`]). The failed attempt's
-    /// program time is still charged — the chip spent it — and the `Err`
-    /// carries the instant it ended.
-    fn op_program(
-        &mut self,
-        not_before: SimTime,
-        phys: PhysPage,
-        tag: u64,
-        use_channel: bool,
-        cause: OpCause,
-    ) -> Result<SimTime, SimTime> {
-        let chan = self.cfg.shape.channel_of(phys.lun) as usize;
-        let li = phys.lun.0 as usize;
-        let occ = Occupant::from(cause);
-        let start = if use_channel {
-            let bus = self
-                .cfg
-                .channel
-                .write_bus_time(self.cfg.flash.geometry.page_size);
-            let cg = self.sched.reserve_chan(chan, not_before, bus, occ);
-            self.sched.emit_chan_transfer_spans(chan, not_before, cg);
-            cg.end
-        } else {
-            not_before
-        };
-        let dur = match self.luns[li].program(phys.addr, PagePayload::Tag(tag)) {
-            Ok(o) => o.duration,
-            Err(FlashError::ProgramFailed { .. }) => {
-                let spent = self.cfg.flash.timing.program(phys.addr.page);
-                return Err(self.sched.lun_res[li].reserve_tagged(start, spent, occ).end);
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal program: {e}"),
-        };
-        let g = self.sched.lun_res[li].reserve_tagged(start, dur, occ);
-        self.sched
-            .emit_lun_op_spans(li, start, g, Cause::CellProgram);
-        self.metrics.flash_programs.bump(cause);
-        Ok(g.end)
-    }
-
-    /// A program failed on a worn-out block: retire it and move its live
-    /// pages somewhere safe. Every relocation is announced to the host
-    /// as [`Upcall::Migrated`] — the communication abstraction lets the
-    /// device *say* what a block-device FTL would silently absorb.
-    /// Returns the instant the last relocation attempt ended.
-    fn salvage_and_retire(&mut self, lun: LunId, addr: PageAddr, t: SimTime) -> SimTime {
-        self.metrics.recovery.program_salvages += 1;
-        self.metrics.blocks_retired += 1;
-        let geom = &self.cfg.flash.geometry;
-        let block_idx = geom.block_index(geom.block_of(addr));
-        // retire FIRST so relocations below can never target this block
-        self.dir.retire(lun, block_idx);
-        self.upcalls.push(Upcall::BlockRetired { at: t });
-        // taken for the walk: GC reaches here mid-walk of its own list
-        let mut live = std::mem::take(&mut self.live_scratch);
-        self.dir.live_pages_into(lun, block_idx, &mut live);
-        let mut end = t;
-        for &(a, tag) in &live {
-            let old = PhysPage { lun, addr: a };
-            let (after_read, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
-            end = end.max(after_read);
-            let Some(np) = self.dir.next_page(lun, Stream::Gc, self.cfg.wear_aware) else {
-                break; // out of space: page stays readable on the retired block
-            };
-            match self.op_program(after_read, np.phys, tag.0, false, OpCause::WearLevel) {
-                Ok(done) => {
-                    end = end.max(done);
-                    self.rehome(tag, old, np.phys, t);
-                }
-                // nested failure: leave the page where it is
-                Err(failed) => end = end.max(failed),
-            }
-        }
-        self.live_scratch = live;
-        end
-    }
-
-    /// `tag`'s page now lives at `new`: swap the directory entry and tell
-    /// the host, always together — a page moved in silence is a page the
-    /// host can no longer name.
-    fn rehome(&mut self, tag: Lpn, old: PhysPage, new: PhysPage, at: SimTime) {
-        self.dir.invalidate(old);
-        // RAM residency is by physical page: it does not follow the move
-        self.buffer.discard(self.flat_page(old));
-        self.dir.mark_valid(new, tag);
-        self.upcalls.push(Upcall::Migrated {
-            tag: tag.0,
-            old: PhysName {
-                lun: old.lun,
-                addr: old.addr,
-            },
-            new: PhysName {
-                lun: new.lun,
-                addr: new.addr,
-            },
-            at,
-        });
-    }
-
-    /// Read one flash page, running the recovery pipeline when the ECC
-    /// gives up: read-retry ladder → soft-decode escalation → XOR parity
-    /// rebuild across the LUN stripe. `tag` enables the nameless
-    /// device's signature move: a successful parity rebuild rewrites the
-    /// page at a fresh location and *tells the host* via
-    /// [`Upcall::Migrated`] (pass `None` on GC relocation reads, which
-    /// re-home the page themselves). Returns the completion instant and
-    /// how hard the device had to work for it.
-    fn op_read(
-        &mut self,
-        not_before: SimTime,
-        phys: PhysPage,
-        with_transfer: bool,
-        cause: OpCause,
-        tag: Option<u64>,
-    ) -> (SimTime, IoStatus) {
-        let chan = self.cfg.shape.channel_of(phys.lun) as usize;
-        let li = phys.lun.0 as usize;
-        let occ = Occupant::from(cause);
-        // command cycles are latency, not bus occupancy (see requiem-ssd)
-        let cmd_done = not_before + self.cfg.channel.command;
-        self.metrics.flash_reads.bump(cause);
-        let finish = |slf: &mut Self, from: SimTime, status: IoStatus| {
-            if with_transfer {
-                let xfer = slf.cfg.flash.geometry.page_size;
-                let xfer = slf.cfg.channel.transfer(xfer);
-                let xg = slf.sched.reserve_chan(chan, from, xfer, occ);
-                slf.sched.emit_chan_transfer_spans(chan, from, xg);
-                (xg.end, status)
-            } else {
-                (from, status)
-            }
-        };
-        match self.luns[li].read(phys.addr) {
-            Ok(o) => {
-                let lg = self.sched.lun_res[li].reserve_tagged(cmd_done, o.duration, occ);
-                self.sched
-                    .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-                finish(self, lg.end, IoStatus::Ok)
-            }
-            Err(FlashError::UncorrectableRead { .. }) => {
-                self.metrics.uncorrectable_reads += 1;
-                // The ladder below reports itself as the command span and
-                // one aggregate `Recovery` span, emitted directly: the
-                // block controller's emitters put out a wait + cell span
-                // per rung, a different stream for the same instants
-                self.sched.probe().span(
-                    Layer::Channel,
-                    Cause::Command,
-                    self.sched.chan_res[chan].name(),
-                    not_before,
-                    cmd_done,
-                );
-                // the failed sense still occupied the chip
-                let lg = self.sched.lun_res[li].reserve_tagged(
-                    cmd_done,
-                    self.cfg.flash.timing.read,
-                    occ,
-                );
-                let mut cursor = lg.end;
-                let t_read = self.cfg.flash.timing.read;
-                let mut steps = 0u32;
-                let mut recovered = false;
-                let mut rebuilt = false;
-                // stage 1: read-retry ladder (shifted reference voltages)
-                for derate in [0.6, 0.35, 0.2] {
-                    steps += 1;
-                    self.metrics.recovery.retry_attempts += 1;
-                    self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g =
-                        self.sched.lun_res[li].reserve_tagged(cursor, t_read, Occupant::Recovery);
-                    cursor = g.end;
-                    if self.luns[li].recovery_read(phys.addr, derate, 1.0).is_ok() {
-                        self.metrics.recovery.retry_recovered += 1;
-                        recovered = true;
-                        break;
-                    }
-                }
-                // stage 2: soft-decode escalation (stronger ECC mode)
-                if !recovered {
-                    steps += 1;
-                    self.metrics.recovery.ecc_escalations += 1;
-                    self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g = self.sched.lun_res[li].reserve_tagged(
-                        cursor,
-                        t_read * 4,
-                        Occupant::Recovery,
-                    );
-                    cursor = g.end;
-                    if self.luns[li].recovery_read(phys.addr, 0.5, 1.5).is_ok() {
-                        self.metrics.recovery.ecc_recovered += 1;
-                        recovered = true;
-                    }
-                }
-                // stage 3: XOR parity rebuild across the LUN stripe
-                let nluns = self.luns.len();
-                if !recovered && nluns > 1 {
-                    self.metrics.recovery.parity_rebuilds += 1;
-                    let rb_start = cursor;
-                    let mut rb_end = cursor;
-                    for peer in 0..nluns {
-                        if peer == li {
-                            continue;
-                        }
-                        steps += 1;
-                        self.metrics.recovery.rebuild_page_reads += 1;
-                        self.metrics.flash_reads.bump(OpCause::Recovery);
-                        let g = self.sched.lun_res[peer].reserve_tagged(
-                            rb_start,
-                            t_read,
-                            Occupant::Recovery,
-                        );
-                        rb_end = rb_end.max(g.end);
-                    }
-                    cursor = rb_end;
-                    // the XOR of the stripe is the page as stored
-                    recovered = true;
-                    rebuilt = true;
-                }
-                self.metrics.recovery.recovery_time += cursor.since(lg.end);
-                self.sched.probe().span(
-                    Layer::Flash,
-                    Cause::Recovery,
-                    self.sched.lun_res[li].name(),
-                    lg.end,
-                    cursor,
-                );
-                if !recovered {
-                    self.metrics.recovery.unrecoverable += 1;
-                    return finish(self, cursor, IoStatus::Unrecoverable);
-                }
-                // a rebuilt page sits on dying media: re-home it and tell
-                // the host its new name (block FTLs do this silently —
-                // the nameless interface has a channel to say so)
-                if rebuilt {
-                    if let Some(t) = tag {
-                        if let Some(np) =
-                            self.dir
-                                .next_page(phys.lun, Stream::Gc, self.cfg.wear_aware)
-                        {
-                            if self
-                                .op_program(cursor, np.phys, t, false, OpCause::Recovery)
-                                .is_ok()
-                            {
-                                self.metrics.recovery.rebuild_relocations += 1;
-                                self.rehome(Lpn(t), phys, np.phys, cursor);
-                            }
-                        }
-                    }
-                }
-                finish(self, cursor, IoStatus::RecoveredAfterRetry { steps })
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal read: {e}"),
-        }
-    }
-
-    fn maybe_gc(&mut self, lun: LunId, t: SimTime) {
-        if self.gc_active {
-            return;
-        }
-        // GC runs on device time off the host command's critical path:
-        // its spans are background (`cmd: None`); its cost reaches host
-        // commands only as occupant-blamed queueing delay (`GcStall`).
-        let _bg = self.sched.probe().background();
-        self.gc_active = true;
-        let mut guard = self.cfg.flash.geometry.total_blocks();
-        while self.dir.free_blocks(lun) <= self.cfg.gc.free_block_threshold && guard > 0 {
-            guard -= 1;
-            let Some(victim) = self.dir.pick_victim(lun, self.cfg.gc.policy) else {
-                break;
-            };
-            self.gc_collect(lun, victim, t);
-        }
-        self.gc_active = false;
-    }
-
-    /// Allocate a page on `lun` and program it, salvaging and retrying
-    /// on a failed program. `Err` when the device is out of space, with
-    /// the instant it gave up: `t` when the first allocation found
-    /// nothing, else the end of the last failed program or salvage.
-    fn program_retrying(
-        &mut self,
-        t: SimTime,
-        lun: LunId,
-        stream: Stream,
-        tag: u64,
-        use_channel: bool,
-        cause: OpCause,
-    ) -> Result<(PhysPage, SimTime), SimTime> {
-        let mut gave_up = t;
-        let tries = self.luns.len() * 4;
-        for _ in 0..tries {
-            let Some(np) = self.dir.next_page(lun, stream, self.cfg.wear_aware) else {
-                break;
-            };
-            match self.op_program(t, np.phys, tag, use_channel, cause) {
-                Ok(end) => return Ok((np.phys, end)),
-                Err(failed) => {
-                    let salvaged = self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
-                    gave_up = gave_up.max(failed).max(salvaged);
-                }
-            }
-        }
-        Err(gave_up)
-    }
-
-    fn gc_collect(&mut self, lun: LunId, victim: u32, t: SimTime) {
-        self.metrics.gc_runs += 1;
-        let mut live = std::mem::take(&mut self.live_scratch);
-        self.dir.live_pages_into(lun, victim, &mut live);
-        for &(addr, tag) in &live {
-            let old = PhysPage { lun, addr };
-            let copyback = self.cfg.gc.copyback;
-            let (after_read, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
-            let Ok((newphys, _end)) =
-                self.program_retrying(after_read, lun, Stream::Gc, tag.0, !copyback, OpCause::Gc)
-            else {
-                // worn-out device: leave the page where it is
-                continue;
-            };
-            self.metrics.gc_pages_moved += 1;
-            // the peer-to-peer message: tell the host where its page went
-            self.rehome(tag, old, newphys, t);
-        }
-        self.live_scratch = live;
-        // erase the victim
-        let baddr = self.cfg.flash.geometry.block_from_index(victim);
-        let cmd_done = t + self.cfg.channel.command;
-        match self.luns[lun.0 as usize].erase(baddr) {
-            Ok(o) => {
-                self.sched.lun_res[lun.0 as usize].reserve_tagged(
-                    cmd_done,
-                    o.duration,
-                    Occupant::Gc,
-                );
-                self.metrics.flash_erases.bump(OpCause::Gc);
-                self.dir.recycle(lun, victim);
-            }
-            Err(FlashError::EraseFailed { .. }) => {
-                self.sched.lun_res[lun.0 as usize].reserve_tagged(
-                    cmd_done,
-                    self.cfg.flash.timing.erase,
-                    Occupant::Gc,
-                );
-                self.metrics.blocks_retired += 1;
-                self.dir.retire(lun, victim);
-                self.upcalls.push(Upcall::BlockRetired { at: t });
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal erase: {e}"),
+    /// Queue what the controller did to the host's names since the last
+    /// command: a move is announced as [`Upcall::Migrated`] — a page moved
+    /// in silence is a page the host can no longer name — and a retired
+    /// block as [`Upcall::BlockRetired`].
+    fn announce(&mut self) {
+        for event in self.ssd.drain_map_events() {
+            self.upcalls.push(match event {
+                MapEvent::Moved { tag, old, new, at } => Upcall::Migrated {
+                    tag: tag.0,
+                    old,
+                    new,
+                    at,
+                },
+                MapEvent::Retired { at } => Upcall::BlockRetired { at },
+            });
         }
     }
 
@@ -653,67 +206,19 @@ impl NamelessSsd {
     /// in migration upcalls): any value but `u64::MAX`, which is what the
     /// directory keeps for a page that holds nothing.
     pub fn write(&mut self, now: SimTime, tag: u64) -> Result<NamelessCompletion, NamelessError> {
-        self.metrics.host_writes += 1;
-        self.sched.note_submit(now);
-        let scope = self.sched.probe().open_command("write", now);
-        let link = self.sched.reserve_link(now, self.host_link_time());
-        let t = link.end + self.cfg.controller_overhead;
-        self.sched.emit_host_link_spans(now, link);
-        self.span_overhead(link.end, t);
-        let salvages_before = self.metrics.recovery.program_salvages;
-        let probe = self.sched.probe().clone();
-        let mut placed = None;
-        let admitted = buffer::admit(
-            self,
-            |dev| &mut dev.buffer,
-            probe,
-            t,
-            |dev, start| {
-                let lun = dev
-                    .rotation
-                    .least_loaded(start, &dev.sched.lun_res, &dev.dir);
-                dev.maybe_gc(lun, start);
-                dev.program_retrying(start, lun, Stream::Host, tag, true, OpCause::Host)
-                    .map(|(phys, end)| {
-                        dev.dir.mark_valid(phys, Lpn(tag));
-                        placed = Some(phys);
-                        (dev.flat_page(phys), end)
-                    })
-            },
-        );
-        let (phys, done) = match (admitted, placed) {
-            (Ok(done), Some(phys)) => (phys, done),
-            // refused with the page in hand and no place for it: the
-            // link transfer and the command overhead are spent (on
-            // healthy media `at` is the instant the controller looked for
-            // a place and those are exactly the spans on the record), and
-            // so are the failed programs and salvages, if any, that came
-            // before giving up
-            (Err(at), _) => {
-                scope.close(at);
-                return Err(NamelessError::DeviceFull { at });
-            }
-            (Ok(_), None) => unreachable!("nameless controller bug: acknowledged an unplaced page"),
-        };
-        let latency = done.since(now);
-        self.metrics.write_latency.record_duration(latency);
-        let salvages = (self.metrics.recovery.program_salvages - salvages_before) as u32;
-        let status = if salvages > 0 {
-            IoStatus::RecoveredAfterRetry { steps: salvages }
-        } else {
-            IoStatus::Ok
-        };
-        scope.close(done);
-        self.sched.probe().note_status(status.as_str());
-        Ok(NamelessCompletion {
-            name: PhysName {
-                lun: phys.lun,
-                addr: phys.addr,
-            },
-            done,
-            latency,
-            status,
-        })
+        let written = self.ssd.write_named(now, Lpn(tag));
+        self.announce();
+        match written {
+            Ok((name, c)) => Ok(NamelessCompletion {
+                name,
+                done: c.done,
+                latency: c.latency,
+                status: c.status,
+            }),
+            Err(SsdError::DeviceFull { at, .. }) => Err(NamelessError::DeviceFull { at }),
+            // any other refusal places nothing either
+            Err(_) => Err(NamelessError::DeviceFull { at: now }),
+        }
     }
 
     /// Read the page at `name`, verifying it still holds `tag`'s data.
@@ -726,35 +231,12 @@ impl NamelessSsd {
         name: PhysName,
         tag: u64,
     ) -> Result<(SimTime, SimDuration, IoStatus), NamelessError> {
-        self.metrics.host_reads += 1;
-        self.sched.note_submit(now);
-        let phys = PhysPage {
-            lun: name.lun,
-            addr: name.addr,
-        };
-        if self.dir.backptr(phys) != Some(Lpn(tag)) {
-            return Err(NamelessError::StaleName { name });
-        }
-        let scope = self.sched.probe().open_command("read", now);
-        let t = now + self.cfg.controller_overhead;
-        self.span_overhead(now, t);
-        let (ready, status) = if self.buffer.read_hit(self.flat_page(phys), t) {
-            // still mid-flush: the image is in RAM, no flash op
-            self.metrics.buffer_read_hits += 1;
-            self.sched
-                .probe()
-                .span(Layer::Buffer, Cause::BufferHit, "wbuf", t, t);
-            (t, IoStatus::Ok)
-        } else {
-            self.op_read(t, phys, true, OpCause::Host, Some(tag))
-        };
-        let out = self.sched.reserve_link(ready, self.host_link_time());
-        self.sched.emit_host_link_spans(ready, out);
-        scope.close(out.end);
-        self.sched.probe().note_status(status.as_str());
-        let latency = out.end.since(now);
-        self.metrics.read_latency.record_duration(latency);
-        Ok((out.end, latency, status))
+        let read = self.ssd.read_named(now, name, Lpn(tag));
+        self.announce();
+        // a name that passed the tag check names a programmed page: every
+        // refusal of a read is its name's
+        read.map(|c| (c.done, c.latency, c.status))
+            .map_err(|_| NamelessError::StaleName { name })
     }
 
     /// Free the page at `name` (the trim analog — but exact, since the
@@ -765,21 +247,10 @@ impl NamelessSsd {
         name: PhysName,
         tag: u64,
     ) -> Result<SimTime, NamelessError> {
-        self.metrics.host_trims += 1;
-        let phys = PhysPage {
-            lun: name.lun,
-            addr: name.addr,
-        };
-        if self.dir.backptr(phys) != Some(Lpn(tag)) {
-            return Err(NamelessError::StaleName { name });
-        }
-        self.dir.invalidate(phys);
-        self.buffer.discard(self.flat_page(phys));
-        let done = now + self.cfg.controller_overhead;
-        let scope = self.sched.probe().open_command("free", now);
-        self.span_overhead(now, done);
-        scope.close(done);
-        Ok(done)
+        self.ssd
+            .free_named(now, name, Lpn(tag))
+            .map(|c| c.done)
+            .map_err(|_| NamelessError::StaleName { name })
     }
 }
 
@@ -787,6 +258,7 @@ impl NamelessSsd {
 mod tests {
     use super::*;
     use requiem_ssd::config::GcPolicyKind;
+    use requiem_ssd::LunId;
     use std::collections::HashMap;
 
     fn device() -> NamelessSsd {
@@ -942,9 +414,10 @@ mod tests {
             })
             .expect("a device that cannot program must refuse");
         assert!(d.metrics().recovery.program_salvages > 0);
-        let reached_controller = t + d.host_link_time() + d.cfg.controller_overhead;
+        let cfg = d.config();
+        let reached_controller = t + cfg.host_link_time() + cfg.controller_overhead;
         assert!(
-            refused_at >= reached_controller + d.cfg.flash.timing.program(0),
+            refused_at >= reached_controller + cfg.flash.timing.program(0),
             "refused at {refused_at}, before the failed program could have ended"
         );
         let rec = probe.commands().pop().expect("the refused write");

@@ -16,7 +16,7 @@
 //! sensing at once. Its writes do not — a steal or a checkpoint page is a
 //! synchronous [`NamelessSsd::write`] — and their parallelism comes from
 //! the device instead: with a battery-backed write buffer
-//! ([`NamelessConfig::buffer`](crate::nameless::NamelessConfig)) a write
+//! (the hardware's `SsdConfig::buffer`) a write
 //! is acknowledged from RAM and programmed behind the acknowledgement,
 //! so back-to-back writes stripe over every LUN. A write's CQE `done` is
 //! that acknowledgement (the end of the program on a write-through

@@ -249,11 +249,6 @@ impl BlockDirectory {
         }
     }
 
-    /// The geometry the directory was built with.
-    pub fn geometry(&self) -> &Geometry {
-        &self.geom
-    }
-
     /// Index within its LUN of the block holding `phys`.
     fn block_index_of(&self, phys: PhysPage) -> usize {
         self.geom.block_index(self.geom.block_of(phys.addr)) as usize
@@ -586,11 +581,6 @@ impl BlockDirectory {
         d.full
             .iter()
             .min_by_key(|&i| d.blocks[i as usize].erase_count)
-    }
-
-    /// Current monotonic sequence stamp.
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -948,7 +938,7 @@ mod tests {
     fn live_pages_into_reuses_the_buffer() {
         let mut d = dir();
         let l = LunId(0);
-        let mut live = vec![(d.geometry().page_addr(0, 7, 3), Lpn(99))];
+        let mut live = vec![(d.geom.page_addr(0, 7, 3), Lpn(99))];
         for i in 0..3 {
             let n = d.next_page(l, Stream::Host, true).unwrap();
             d.mark_valid(n.phys, Lpn(i));
@@ -1085,7 +1075,7 @@ mod tests {
         for i in 0..4 {
             d.invalidate(PhysPage {
                 lun: l,
-                addr: d.geometry().page_addr(0, 0, i),
+                addr: d.geom.page_addr(0, 0, i),
             });
         }
         assert_eq!(d.free_blocks(l), 7);
@@ -1107,7 +1097,7 @@ mod tests {
         for i in 0..4 {
             d.invalidate(PhysPage {
                 lun: l,
-                addr: d.geometry().page_addr(0, 0, i),
+                addr: d.geom.page_addr(0, 0, i),
             });
         }
         d.recycle(l, 0); // block 0 now has erase_count 1
@@ -1137,7 +1127,7 @@ mod tests {
         for i in 0..4 {
             d.invalidate(PhysPage {
                 lun: l,
-                addr: d.geometry().page_addr(0, 0, i),
+                addr: d.geom.page_addr(0, 0, i),
             });
         }
         d.recycle(l, 0);

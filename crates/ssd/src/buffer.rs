@@ -10,21 +10,19 @@
 //! battery-backed RAM — and the flash program proceeds behind the
 //! completion. Reads of still-buffered pages are served from RAM.
 //!
-//! Both controllers with this RAM in front of their flash — the block
-//! FTL's page-mapped write path and the nameless device — admit a write
-//! through [`admit`]; what a page is keyed by (an LPN, a physical page
-//! number) is the caller's.
+//! The controller admits a write through `Ssd::admit`; what a page is
+//! keyed by — an LPN, or a physical page number when the host holds the
+//! map — is the controller's `resident_key`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::time::SimTime;
-use requiem_sim::{Cause, Layer, Probe};
 
 /// Write-back buffer occupancy and residency tracking (timeline model:
 /// a slot is "busy" until its page's flash flush finishes).
 #[derive(Debug)]
-pub struct WriteBuffer {
+pub(crate) struct WriteBuffer {
     capacity: usize,
     /// Flush-completion times of occupied slots.
     slots: BinaryHeap<Reverse<SimTime>>,
@@ -36,7 +34,6 @@ pub struct WriteBuffer {
     /// demand), so a lookup is one indexed load and nothing here iterates
     /// in an order that depends on more than the call sequence.
     slot_of: Vec<u32>,
-    read_hits: u64,
     stalls: u64,
 }
 
@@ -49,7 +46,6 @@ impl WriteBuffer {
             slots: BinaryHeap::with_capacity(capacity + 1),
             resident: Vec::new(),
             slot_of: Vec::new(),
-            read_hits: 0,
             stalls: 0,
         }
     }
@@ -133,7 +129,6 @@ impl WriteBuffer {
             return false;
         };
         if self.resident[pos].1 > now {
-            self.read_hits += 1;
             true
         } else {
             self.evict(pos);
@@ -148,56 +143,10 @@ impl WriteBuffer {
         }
     }
 
-    /// Number of reads served from the buffer.
-    pub fn read_hits(&self) -> u64 {
-        self.read_hits
-    }
-
     /// Number of writes that had to wait for a slot.
     pub fn stalls(&self) -> u64 {
         self.stalls
     }
-}
-
-/// Admit one host write that reached `dev`'s controller at `t0` and
-/// return the instant it is acknowledged.
-///
-/// With slots: acquire one (a `BufferStall` span covers the wait when
-/// every slot is mid-flush), acknowledge there, run `flush` from that
-/// instant under the probe's background scope — it places and programs
-/// the page and returns the key the page is resident under and the
-/// instant the program ends — and hold the slot until then. With no
-/// slots the write goes through: `flush` runs on the command's own
-/// record from `t0` and the acknowledgement is its end.
-///
-/// `buffer` projects the device's [`WriteBuffer`] (the flush needs the
-/// rest of the device, so the two cannot be borrowed side by side). A
-/// failed flush holds no slot and propagates.
-pub fn admit<D, E>(
-    dev: &mut D,
-    buffer: fn(&mut D) -> &mut WriteBuffer,
-    probe: Probe,
-    t0: SimTime,
-    flush: impl FnOnce(&mut D, SimTime) -> Result<(u64, SimTime), E>,
-) -> Result<SimTime, E> {
-    if !buffer(dev).enabled() {
-        return flush(dev, t0).map(|(_, end)| end);
-    }
-    let start = buffer(dev).acquire(t0);
-    if probe.is_enabled() {
-        if start > t0 {
-            // every slot was mid-flush: the host write stalls
-            probe.span(Layer::Buffer, Cause::BufferStall, "wbuf", t0, start);
-        }
-        // zero-length marker: the command completed from RAM here
-        probe.span(Layer::Buffer, Cause::BufferHit, "wbuf", start, start);
-    }
-    let (key, flush_end) = {
-        let _bg = probe.background();
-        flush(dev, start)?
-    };
-    buffer(dev).commit(key, flush_end);
-    Ok(start)
 }
 
 #[cfg(test)]
@@ -244,7 +193,6 @@ mod tests {
         assert!(b.read_hit(7, SimTime::from_micros(50)));
         assert!(!b.read_hit(7, SimTime::from_micros(150)));
         assert!(!b.read_hit(8, SimTime::ZERO));
-        assert_eq!(b.read_hits(), 1);
     }
 
     #[test]
@@ -283,7 +231,6 @@ mod tests {
         );
         assert!(b.read_hit(51, us(50)));
         assert!(b.read_hit(71, us(170)));
-        assert_eq!(b.read_hits(), 3);
     }
 
     /// The residency map [`WriteBuffer`] used to keep, as the reference:
@@ -292,7 +239,6 @@ mod tests {
         capacity: usize,
         slots: BinaryHeap<Reverse<SimTime>>,
         resident: BTreeMap<u64, SimTime>,
-        read_hits: u64,
         stalls: u64,
     }
 
@@ -302,7 +248,6 @@ mod tests {
                 capacity,
                 slots: BinaryHeap::new(),
                 resident: BTreeMap::new(),
-                read_hits: 0,
                 stalls: 0,
             }
         }
@@ -335,10 +280,7 @@ mod tests {
 
         fn read_hit(&mut self, lpn: u64, now: SimTime) -> bool {
             match self.resident.get(&lpn) {
-                Some(&t) if t > now => {
-                    self.read_hits += 1;
-                    true
-                }
+                Some(&t) if t > now => true,
                 Some(_) => {
                     self.resident.remove(&lpn);
                     false
@@ -388,7 +330,6 @@ mod tests {
                     tree.discard(lpn);
                 }
             }
-            assert_eq!(b.read_hits(), tree.read_hits, "step {step}");
             assert_eq!(b.stalls(), tree.stalls, "step {step}");
             let mut population = b.resident.clone();
             population.sort_unstable();

@@ -60,8 +60,8 @@ pub enum Placement {
     StaticByLpn,
 }
 
-/// Garbage-collection victim selection policy, carried out by
-/// [`BlockDirectory::pick_victim`](crate::block_dir::BlockDirectory::pick_victim).
+/// Garbage-collection victim selection policy, carried out by the block
+/// directory's `pick_victim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcPolicyKind {
     /// Fewest valid pages first.

@@ -51,11 +51,11 @@ impl Ssd {
         }
     }
 
-    pub(crate) fn alloc_block_on(&mut self, lun: LunId, _t: SimTime) -> Result<u32, SsdError> {
+    pub(crate) fn alloc_block_on(&mut self, lun: LunId, t: SimTime) -> Result<u32, SsdError> {
         let wear_aware = self.cfg.wl.dynamic;
         self.dir
             .alloc_block(lun, wear_aware)
-            .ok_or(SsdError::DeviceFull { lun })
+            .ok_or(SsdError::DeviceFull { lun, at: t })
     }
 
     /// Copy live pages of `old` at offsets `[from, to)` into the same

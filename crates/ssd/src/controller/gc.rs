@@ -3,7 +3,7 @@
 //! *When* a LUN is collected and *which* block is the victim are
 //! [`GcConfig`](crate::config::GcConfig)'s `free_block_threshold` and
 //! `policy`, the latter carried out by
-//! [`BlockDirectory::pick_victim`](crate::block_dir::BlockDirectory::pick_victim)
+//! the block directory's `pick_victim`
 //! (greedy: fewest valid pages; cost-benefit: the LFS cleaner's
 //! `age * (1 - u) / 2u`). The `impl Ssd` block below is the mechanism:
 //! the relocation loop, the DFTL translation write-back batching, the
@@ -84,9 +84,10 @@ impl Drop for GcToken {
 // ----------------------------------------------------------------------
 
 impl Ssd {
-    /// Run GC on `lun` until it has breathing room (page-mapped FTLs only).
+    /// Run GC on `lun` until it has breathing room (page maps only — the
+    /// device's or the host's).
     pub(crate) fn maybe_gc(&mut self, lun: LunId, t: SimTime) {
-        if !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if matches!(self.map, MappingState::Block(_) | MappingState::Hybrid(_)) {
             return;
         }
         let Some(token) = self.gc_gate.try_enter() else {
@@ -191,29 +192,22 @@ impl Ssd {
             self.luns[old.lun.0 as usize].payload(old.addr)
         );
         let (new, _end) = self.append_page(read.end, old.lun, Stream::Gc, lpn, !copyback, cause)?;
-        match &mut self.map {
-            MappingState::Page(m) => {
-                let prev = m.update(lpn, new);
-                debug_assert_eq!(prev, Some(old));
-            }
-            MappingState::Dftl(m) => {
-                let prev = m.relocate(lpn, new);
-                debug_assert_eq!(prev, Some(old));
-            }
-            _ => unreachable!("relocate_page only used by page-mapped FTLs"),
-        }
-        self.dir.invalidate(old);
-        self.dir.mark_valid(new, lpn);
+        let prev = self.remap(lpn, old, new, t);
+        debug_assert_eq!(
+            prev,
+            Some(old),
+            "relocated {lpn:?} off a page its map did not name"
+        );
         self.metrics.gc_pages_moved += 1;
         Ok(())
     }
 
     /// Read-disturb scrubbing: if the block holding `phys` has absorbed
     /// more reads than the configured threshold since its last erase,
-    /// relocate its live pages and erase it (page-mapped FTLs only).
+    /// relocate its live pages and erase it (page maps only).
     pub(crate) fn maybe_scrub(&mut self, phys: PhysPage, t: SimTime) {
         let threshold = self.cfg.scrub_after_reads;
-        if threshold == 0 || !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if threshold == 0 || matches!(self.map, MappingState::Block(_) | MappingState::Hybrid(_)) {
             return;
         }
         if self.gc_gate.is_active() {

@@ -7,7 +7,7 @@
 //!
 //! | Figure 2 box                    | Module           | Selected by                        |
 //! |---------------------------------|------------------|------------------------------------|
-//! | Scheduling (channels, chips)    | [`scheduler`]    | `shape`, `placement`               |
+//! | Scheduling (channels, chips)    | `scheduler`      | `shape`, `placement`               |
 //! | Garbage collection              | [`gc`]           | `gc.{policy, free_block_threshold}`|
 //! | Wear leveling                   | [`wear`]         | `wl.{dynamic, static_threshold}`   |
 //! | RAM buffer (battery-backed)     | [`write_buffer`] | `buffer.capacity_pages`            |
@@ -19,9 +19,8 @@ pub mod block_ftl;
 pub mod gc;
 pub mod hybrid_ftl;
 pub mod rebuild;
-pub mod scheduler;
+pub(crate) mod scheduler;
 pub mod wear;
 pub mod write_buffer;
 
 pub use gc::{GcGate, GcToken};
-pub use scheduler::{LunRotation, Scheduler};

@@ -22,7 +22,7 @@ use std::cell::RefCell;
 use crate::addr::{ArrayShape, Lpn, LunId, PhysPage};
 use crate::block_dir::{BlockDirectory, Stream};
 use crate::config::Placement;
-use crate::device::{FlashReadDone, ReadRecovery, Ssd, SsdError};
+use crate::device::{FlashReadDone, MapEvent, ReadRecovery, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
 
@@ -47,17 +47,16 @@ const ECC_ESCALATION_SENSES: u32 = 4;
 /// Write placement's rotation over the LUNs: the channel-interleaved
 /// order ([`ArrayShape::interleaved_lun`]: consecutive picks land on
 /// consecutive channels before they revisit a chip), tabulated once, and
-/// the cursor that advances by one per placement. Shared by [`Ssd`] and
-/// the nameless device, which place writes identically.
+/// the cursor that advances by one per placement.
 #[derive(Debug, Clone)]
-pub struct LunRotation {
+pub(crate) struct LunRotation {
     order: Vec<LunId>,
     rr: u32,
 }
 
 impl LunRotation {
     /// The rotation for `shape`, cursor at its first LUN.
-    pub fn new(shape: &ArrayShape) -> Self {
+    pub(crate) fn new(shape: &ArrayShape) -> Self {
         LunRotation {
             order: (0..shape.total_luns())
                 .map(|i| shape.interleaved_lun(i))
@@ -67,7 +66,7 @@ impl LunRotation {
     }
 
     /// The next LUN in rotation.
-    pub fn round_robin(&mut self) -> LunId {
+    pub(crate) fn round_robin(&mut self) -> LunId {
         let i = self.rr;
         self.rr = i.wrapping_add(1);
         self.order[(i % self.order.len() as u32) as usize]
@@ -80,7 +79,7 @@ impl LunRotation {
     /// degenerate to filling one LUN at a time under closed-loop
     /// workloads) — which also means the walk can stop at the first LUN
     /// that is free at `t`: nothing starts before `t`.
-    pub fn least_loaded(
+    pub(crate) fn least_loaded(
         &mut self,
         t: SimTime,
         lun_res: &[Resource],
@@ -118,11 +117,9 @@ impl LunRotation {
 }
 
 /// Owner of the controller's serial resource timelines (channels, LUNs,
-/// host link), the Gantt trace, and the observability probe. Both
-/// devices hold one: [`Ssd`] under its FTL, and the nameless device of
-/// `requiem-iface`, which reserves on the same timelines and reports
-/// through the same emitters — the interface above changes, the
-/// scheduling box does not (Figure 2).
+/// host link), the Gantt trace, and the observability probe — one per
+/// [`Ssd`], whichever address vocabulary it serves (Figure 2's
+/// scheduling box does not change with the interface above it).
 ///
 /// Which timelines backfill is decided here, by role. The buses —
 /// channels and the host link — are [`TransferTimeline`]s: a transfer
@@ -132,15 +129,15 @@ impl LunRotation {
 /// placed ahead of one booked earlier could read a page whose program is
 /// already booked but not yet done.
 #[derive(Debug)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     /// One FIFO timeline per LUN (`chip{i}`).
-    pub lun_res: Vec<Resource>,
+    pub(crate) lun_res: Vec<Resource>,
     /// One transfer timeline per channel (`chan{i}`); reserve through
     /// [`Scheduler::reserve_chan`].
-    pub chan_res: Vec<TransferTimeline>,
+    pub(crate) chan_res: Vec<TransferTimeline>,
     /// The host interface link; reserve through
     /// [`Scheduler::reserve_link`].
-    pub host_link: TransferTimeline,
+    host_link: TransferTimeline,
     /// The latest host submission instant: no later reservation starts
     /// before it, so transfer gaps ending there are retired.
     floor: SimTime,
@@ -158,7 +155,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Create timelines for `nluns` LUNs and `channels` channels, all
     /// idle, with tracing and probing off.
-    pub fn new(nluns: u32, channels: u32) -> Self {
+    pub(crate) fn new(nluns: u32, channels: u32) -> Self {
         Scheduler {
             lun_res: (0..nluns)
                 .map(|i| Resource::new(format!("chip{i}")))
@@ -177,7 +174,7 @@ impl Scheduler {
     /// Attach an observability probe. An enabled probe turns on occupant
     /// tracking for every resource so queueing delays can be blamed on
     /// their cause; a disabled probe turns tracking back off.
-    pub fn attach_probe(&mut self, probe: Probe) {
+    pub(crate) fn attach_probe(&mut self, probe: Probe) {
         let on = probe.is_enabled();
         self.probe = probe;
         for r in &mut self.lun_res {
@@ -195,14 +192,14 @@ impl Scheduler {
     /// whose submitters interleave out of order gets a conservative (and
     /// still deterministic) floor.
     #[inline]
-    pub fn note_submit(&mut self, now: SimTime) {
+    pub(crate) fn note_submit(&mut self, now: SimTime) {
         self.floor = self.floor.max(now);
     }
 
     /// Reserve `duration` of channel `chan` from `not_before`, in the
     /// first idle gap it fits.
     #[inline]
-    pub fn reserve_chan(
+    pub(crate) fn reserve_chan(
         &mut self,
         chan: usize,
         not_before: SimTime,
@@ -215,14 +212,9 @@ impl Scheduler {
     /// Reserve `duration` of the host link from `not_before`, in the
     /// first idle gap it fits.
     #[inline]
-    pub fn reserve_link(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
+    pub(crate) fn reserve_link(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
         self.host_link
             .reserve_tagged(self.floor, not_before, duration, Occupant::Host)
-    }
-
-    /// The attached probe (disabled handle when none was attached).
-    pub fn probe(&self) -> &Probe {
-        &self.probe
     }
 
     /// Record `g` on LUN `lun`'s lane of the Gantt trace, if one is on
@@ -241,7 +233,7 @@ impl Scheduler {
     }
 
     /// The instant every queued operation has drained.
-    pub fn drain_time(&self) -> SimTime {
+    pub(crate) fn drain_time(&self) -> SimTime {
         let luns = self.lun_res.iter().map(Resource::next_free);
         let buses = self.chan_res.iter().map(TransferTimeline::next_free);
         luns.chain(buses)
@@ -250,7 +242,7 @@ impl Scheduler {
 
     /// Emit wait-blame + transfer spans for a host-link grant requested
     /// at `requested`.
-    pub fn emit_host_link_spans(&self, requested: SimTime, g: Grant) {
+    pub(crate) fn emit_host_link_spans(&self, requested: SimTime, g: Grant) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -277,7 +269,7 @@ impl Scheduler {
     /// `[cmd_done, g.start)`, then the cell op `[g.start, g.end)` as
     /// `cell` — through a single probe borrow (the LUN-level record
     /// batch; three to five `RefCell` round-trips become one).
-    pub fn emit_flash_op_spans(
+    pub(crate) fn emit_flash_op_spans(
         &self,
         chan: usize,
         lun: usize,
@@ -311,7 +303,7 @@ impl Scheduler {
     /// Emit LUN wait blame `[requested, g.start)` plus the cell op span
     /// `[g.start, g.end)` (no command cycles — programs pay theirs on
     /// the data bus) through a single probe borrow.
-    pub fn emit_lun_op_spans(&self, lun: usize, requested: SimTime, g: Grant, cell: Cause) {
+    pub(crate) fn emit_lun_op_spans(&self, lun: usize, requested: SimTime, g: Grant, cell: Cause) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -329,7 +321,7 @@ impl Scheduler {
 
     /// Emit channel wait blame `[requested, g.start)` plus the transfer
     /// span `[g.start, g.end)` through a single probe borrow.
-    pub fn emit_chan_transfer_spans(&self, chan: usize, requested: SimTime, g: Grant) {
+    pub(crate) fn emit_chan_transfer_spans(&self, chan: usize, requested: SimTime, g: Grant) {
         let Some(mut batch) = self.probe.batch() else {
             return;
         };
@@ -613,7 +605,9 @@ impl Ssd {
     /// Program `phys` with the tag for `lpn`.
     /// [`SsdError::ProgramFailed`] = wear-induced program failure
     /// (`append_page` salvages the block and retries elsewhere;
-    /// fixed-offset FTLs collapse it via [`SsdError::full_on`]).
+    /// fixed-offset FTLs collapse it via [`SsdError::full_on`]). A failed
+    /// program still occupied the chip for its program time — the status
+    /// is read at its end — and the error carries that instant.
     pub(crate) fn op_program(
         &mut self,
         not_before: SimTime,
@@ -640,9 +634,11 @@ impl Ssd {
             lpn: lpn.0,
             seq: self.oob_seq,
         };
-        let dur = match self.luns[li].program(phys.addr, oob) {
-            Ok(o) => o.duration,
-            Err(FlashError::ProgramFailed { .. }) => return Err(SsdError::ProgramFailed { phys }),
+        let (dur, failed) = match self.luns[li].program(phys.addr, oob) {
+            Ok(o) => (o.duration, false),
+            Err(FlashError::ProgramFailed { .. }) => {
+                (self.cfg.flash.timing.program(phys.addr.page), true)
+            }
             Err(e) => {
                 return Err(SsdError::FlashProtocol {
                     op: "program",
@@ -652,10 +648,13 @@ impl Ssd {
             }
         };
         let g = self.sched.lun_res[li].reserve_tagged(start, dur, occ);
-        self.metrics.flash_programs.bump(cause);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
         self.sched.trace_lun(li, g, 'P');
+        if failed {
+            return Err(SsdError::ProgramFailed { phys, at: g.end });
+        }
+        self.metrics.flash_programs.bump(cause);
         Ok(g.end)
     }
 
@@ -698,6 +697,7 @@ impl Ssd {
             self.metrics.blocks_retired += 1;
             self.metrics.recovery.erase_retirements += 1;
             self.dir.retire(lun, block_idx);
+            self.tell_host(MapEvent::Retired { at: not_before });
         } else {
             self.sched.trace_lun(li, g, 'E');
             self.dir.recycle(lun, block_idx);
@@ -769,7 +769,8 @@ impl Ssd {
 
     /// Allocate the next page on `lun` for `stream` and program it.
     /// Falls back to other LUNs when this one is out of space; retires
-    /// blocks whose programs fail.
+    /// blocks whose programs fail. [`SsdError::DeviceFull`] carries the
+    /// instant it gave up: `t`, or the end of the last failed program.
     pub(crate) fn append_page(
         &mut self,
         t: SimTime,
@@ -782,10 +783,11 @@ impl Ssd {
         let wear_aware = self.cfg.wl.dynamic;
         let mut lun = lun;
         let mut tries = 0u32;
+        let mut gave_up = t;
         loop {
             tries += 1;
             if tries > 4 * self.total_luns() {
-                return Err(SsdError::DeviceFull { lun });
+                return Err(SsdError::DeviceFull { lun, at: gave_up });
             }
             let np = match self.dir.next_page(lun, stream, wear_aware) {
                 Some(np) => np,
@@ -797,7 +799,7 @@ impl Ssd {
                         None => {
                             let next = LunId((lun.0 + 1) % self.total_luns());
                             if next.0 == 0 && tries > self.total_luns() {
-                                return Err(SsdError::DeviceFull { lun });
+                                return Err(SsdError::DeviceFull { lun, at: gave_up });
                             }
                             lun = next;
                             continue;
@@ -807,9 +809,10 @@ impl Ssd {
             };
             match self.op_program(t, np.phys, lpn, use_channel, cause) {
                 Ok(end) => return Ok((np.phys, end)),
-                Err(SsdError::ProgramFailed { .. }) => {
+                Err(SsdError::ProgramFailed { at, .. }) => {
                     // wear-induced failure: salvage live pages, retire
                     // block, and retry the write in a fresh stripe
+                    gave_up = gave_up.max(at);
                     self.metrics.recovery.program_salvages += 1;
                     self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
                     continue;

@@ -13,7 +13,7 @@
 use requiem_sim::time::SimTime;
 
 use crate::addr::LunId;
-use crate::device::Ssd;
+use crate::device::{MapEvent, Ssd};
 use crate::metrics::OpCause;
 
 impl Ssd {
@@ -64,6 +64,7 @@ impl Ssd {
         // recurse with stale locations
         self.metrics.blocks_retired += 1;
         self.dir.retire(lun, block_idx);
+        self.tell_host(MapEvent::Retired { at: t });
         // on failure a page stays live on the retired block: still
         // readable through the mapping, never allocatable again
         let _ = self.relocate_live_pages(lun, block_idx, t, OpCause::WearLevel, true);

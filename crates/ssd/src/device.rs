@@ -1,16 +1,16 @@
 //! The SSD device: the controller of the paper's Figure 2, in executable
 //! form.
 //!
-//! [`Ssd`] is the *chassis*: it owns the flash LUNs, the
-//! [`Scheduler`]'s resource timelines, the block directory, the mapping
-//! state, and the write buffer — and exposes exactly the narrow waist
-//! the paper critiques: `read(lpn)`, `write(lpn)`, `trim(lpn)` on a flat
-//! logical address space. Every controller *decision* lives in the
+//! [`Ssd`] is the *chassis*: it owns the flash LUNs, the scheduler's
+//! resource timelines, the block directory, the mapping state, and the
+//! write buffer — and exposes exactly the narrow waist the paper
+//! critiques: `read(lpn)`, `write(lpn)`, `trim(lpn)` on a flat logical
+//! address space. Every controller *decision* lives in the
 //! [`crate::controller`] module tree, one module per Figure-2 box:
 //!
 //! | Figure 2 box                 | Module                                  |
 //! |------------------------------|-----------------------------------------|
-//! | Scheduling (channels, chips) | [`crate::controller::scheduler`]        |
+//! | Scheduling (channels, chips) | `crate::controller::scheduler`          |
 //! | Garbage collection           | [`crate::controller::gc`]               |
 //! | Wear leveling                | [`crate::controller::wear`]             |
 //! | RAM buffer (battery-backed)  | [`crate::controller::write_buffer`]     |
@@ -21,6 +21,16 @@
 //! Which GC victim policy, wear-leveling thresholds and write-buffer
 //! size run is [`SsdConfig`]'s to say (`gc`, `wl`, `buffer`): the modules
 //! read the configuration where they decide.
+//!
+//! The controller serves two address vocabularies. Under a device-held
+//! map (the FTLs of [`FtlKind`]) the host names logical pages: `read`,
+//! `write`, `trim`. Under a host-held map ([`Ssd::with_host_map`], the
+//! nameless device of `requiem-iface`) the host keeps the map itself:
+//! `write_named` returns where the page went, `read_named` / `free_named`
+//! take that location back, and every move or block retirement the
+//! controller makes is recorded as a [`MapEvent`] for the host to hear
+//! of. Placement, collection, recovery and timing are the same code
+//! under both.
 //!
 //! Every host command returns a [`Completion`] carrying the virtual-time
 //! instant it finished, so experiments can measure the latency/bandwidth
@@ -53,7 +63,8 @@ use crate::block_dir::BlockDirectory;
 use crate::buffer::WriteBuffer;
 use crate::config::{FtlKind, SsdConfig};
 use crate::controller::block_ftl::ReplCtx;
-use crate::controller::{GcGate, LunRotation, Scheduler};
+use crate::controller::scheduler::{LunRotation, Scheduler};
+use crate::controller::GcGate;
 use crate::mapping::block::{BlockMap, HybridState};
 use crate::mapping::dftl::{DftlMap, TransIo};
 use crate::mapping::page::PageMap;
@@ -74,6 +85,9 @@ pub enum SsdError {
     DeviceFull {
         /// The LUN that ran out.
         lun: LunId,
+        /// The instant the controller gave up: when it looked for a place,
+        /// or when the last program it tried failed.
+        at: SimTime,
     },
     /// A wear-induced program failure. Largely internal: `append_page`
     /// catches it, salvages the block, and retries elsewhere; fixed-
@@ -81,6 +95,15 @@ pub enum SsdError {
     /// [`SsdError::full_on`].
     ProgramFailed {
         /// The page whose program failed.
+        phys: PhysPage,
+        /// The instant the failed program ended (the chip spent its
+        /// program time before reporting the failure).
+        at: SimTime,
+    },
+    /// Under a host-held map: the named page no longer holds the tag the
+    /// host presented (the page moved or was freed).
+    StaleName {
+        /// The page the host named.
         phys: PhysPage,
     },
     /// The controller issued a flash command the chip refused
@@ -110,7 +133,7 @@ impl SsdError {
     /// through unchanged.
     pub(crate) fn full_on(self, lun: LunId) -> SsdError {
         match self {
-            SsdError::ProgramFailed { .. } => SsdError::DeviceFull { lun },
+            SsdError::ProgramFailed { at, .. } => SsdError::DeviceFull { lun, at },
             e => e,
         }
     }
@@ -122,9 +145,18 @@ impl std::fmt::Display for SsdError {
             SsdError::LpnOutOfRange { lpn, exported } => {
                 write!(f, "lpn {} out of range (exported {})", lpn.0, exported)
             }
-            SsdError::DeviceFull { lun } => write!(f, "no usable space left on lun {}", lun.0),
-            SsdError::ProgramFailed { phys } => {
-                write!(f, "program failed at {:?} on lun {}", phys.addr, phys.lun.0)
+            SsdError::DeviceFull { lun, at } => {
+                write!(f, "no usable space left on lun {} (at {at})", lun.0)
+            }
+            SsdError::ProgramFailed { phys, at } => {
+                write!(
+                    f,
+                    "program failed at {:?} on lun {} ({at})",
+                    phys.addr, phys.lun.0
+                )
+            }
+            SsdError::StaleName { phys } => {
+                write!(f, "stale name {:?} on lun {}", phys.addr, phys.lun.0)
             }
             SsdError::FlashProtocol { op, lun, detail } => {
                 write!(f, "flash {op} refused on lun {} ({detail})", lun.0)
@@ -182,6 +214,33 @@ pub(crate) enum MappingState {
     Dftl(DftlMap),
     Block(BlockMap),
     Hybrid(HybridState),
+    /// The host holds the map: no table here. Where the page-mapped arms
+    /// write a move into their map, this one records it — and every block
+    /// retirement — for the host to be told.
+    Host(Vec<MapEvent>),
+}
+
+/// What the controller did under a host-held map that the host must hear
+/// of, in the order it happened ([`Ssd::drain_map_events`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MapEvent {
+    /// A live page moved (garbage collection, salvage of a failed block,
+    /// re-homing after a parity rebuild): its old location is stale.
+    Moved {
+        /// The tag the page was written with.
+        tag: Lpn,
+        /// Where it was.
+        old: PhysPage,
+        /// Where it is now.
+        new: PhysPage,
+        /// When the move was issued.
+        at: SimTime,
+    },
+    /// A block was retired (a program or an erase on it failed).
+    Retired {
+        /// When it happened.
+        at: SimTime,
+    },
 }
 
 /// How one flash read fared in the controller's recovery pipeline.
@@ -271,8 +330,37 @@ impl std::fmt::Debug for Ssd {
 }
 
 impl Ssd {
-    /// Build a device from a configuration.
+    /// Build a device from a configuration; `cfg.ftl` says which map it
+    /// keeps.
     pub fn new(cfg: SsdConfig) -> Self {
+        let geom = &cfg.flash.geometry;
+        let exported = Capacity::derive(&cfg.shape, geom, cfg.op_ratio).exported_pages;
+        let ppb = geom.pages_per_block as u64;
+        let map = match &cfg.ftl {
+            FtlKind::PageMap => MappingState::Page(PageMap::new(exported, &cfg.shape, geom)),
+            FtlKind::Dftl { cached_entries } => {
+                MappingState::Dftl(DftlMap::new(exported, *cached_entries, &cfg.shape, geom))
+            }
+            FtlKind::BlockMap => MappingState::Block(BlockMap::new(exported.div_ceil(ppb))),
+            FtlKind::Hybrid { log_blocks } => MappingState::Hybrid(HybridState::new(
+                exported.div_ceil(ppb),
+                *log_blocks as usize,
+                geom.pages_per_block,
+            )),
+        };
+        Self::with_map(cfg, map)
+    }
+
+    /// Build a device whose map the host holds (nameless writes): no
+    /// mapping table whatever `cfg.ftl` says. Address it with
+    /// [`write_named`](Self::write_named), [`read_named`](Self::read_named)
+    /// and [`free_named`](Self::free_named), and relay
+    /// [`drain_map_events`](Self::drain_map_events) to the host.
+    pub fn with_host_map(cfg: SsdConfig) -> Self {
+        Self::with_map(cfg, MappingState::Host(Vec::new()))
+    }
+
+    fn with_map(cfg: SsdConfig, map: MappingState) -> Self {
         let nluns = cfg.total_luns();
         let geom = cfg.flash.geometry.clone();
         let capacity = Capacity::derive(&cfg.shape, &geom, cfg.op_ratio);
@@ -286,25 +374,10 @@ impl Ssd {
         let chan_hiccups: Vec<Vec<(u64, u64)>> = (0..cfg.shape.channels)
             .map(|c| cfg.fault.channel_view(c))
             .collect();
-        let sched = Scheduler::new(nluns, cfg.shape.channels);
-        let exported = capacity.exported_pages;
-        let ppb = geom.pages_per_block as u64;
-        let map = match &cfg.ftl {
-            FtlKind::PageMap => MappingState::Page(PageMap::new(exported, &cfg.shape, &geom)),
-            FtlKind::Dftl { cached_entries } => {
-                MappingState::Dftl(DftlMap::new(exported, *cached_entries, &cfg.shape, &geom))
-            }
-            FtlKind::BlockMap => MappingState::Block(BlockMap::new(exported.div_ceil(ppb))),
-            FtlKind::Hybrid { log_blocks } => MappingState::Hybrid(HybridState::new(
-                exported.div_ceil(ppb),
-                *log_blocks as usize,
-                geom.pages_per_block,
-            )),
-        };
         Ssd {
             dir: BlockDirectory::new(nluns, geom),
             luns,
-            sched,
+            sched: Scheduler::new(nluns, cfg.shape.channels),
             map,
             buffer: WriteBuffer::new(cfg.buffer.capacity_pages as usize),
             metrics: SsdMetrics::new(),
@@ -367,7 +440,7 @@ impl Ssd {
 
     /// The attached probe (a disabled handle when none was attached).
     pub fn probe(&self) -> &Probe {
-        self.sched.probe()
+        &self.sched.probe
     }
 
     /// The instant every queued operation has drained.
@@ -476,6 +549,87 @@ impl Ssd {
         }
     }
 
+    /// `phys`'s page number across the whole array.
+    fn flat_page(&self, phys: PhysPage) -> u64 {
+        let geom = &self.cfg.flash.geometry;
+        u64::from(phys.lun.0) * geom.total_pages() + geom.ppn(phys.addr).0
+    }
+
+    /// The write buffer's key for `lpn`'s page, which sits at `phys` when
+    /// that is known. RAM residency is keyed by the handle the host reads
+    /// with: the LPN under a device-held map (it keeps its residency
+    /// across a move), the physical page under a host-held one (a move
+    /// changes the name, and the old name's residency goes with it).
+    pub(crate) fn resident_key(&self, lpn: Lpn, phys: Option<PhysPage>) -> u64 {
+        match (&self.map, phys) {
+            (MappingState::Host(_), Some(phys)) => self.flat_page(phys),
+            _ => lpn.0,
+        }
+    }
+
+    /// `lpn`'s live data moved from `old` to `new`: the directory follows,
+    /// and the map learns so — or, when the host holds it, the move is
+    /// recorded for the host. Returns where the map had `lpn` (`old`
+    /// itself under a host-held map).
+    pub(crate) fn remap(
+        &mut self,
+        lpn: Lpn,
+        old: PhysPage,
+        new: PhysPage,
+        at: SimTime,
+    ) -> Option<PhysPage> {
+        self.dir.invalidate(old);
+        self.dir.mark_valid(new, lpn);
+        match &mut self.map {
+            MappingState::Page(m) => m.update(lpn, new),
+            MappingState::Dftl(m) => m.relocate(lpn, new),
+            MappingState::Host(events) => {
+                let tag = lpn;
+                events.push(MapEvent::Moved { tag, old, new, at });
+                // residency is by name: the old name's does not follow
+                self.buffer.discard(self.flat_page(old));
+                Some(old)
+            }
+            // fixed-offset FTLs never move a page through here
+            MappingState::Block(_) | MappingState::Hybrid(_) => None,
+        }
+    }
+
+    /// Record `event` for the host, when the host holds the map.
+    pub(crate) fn tell_host(&mut self, event: MapEvent) {
+        if let MappingState::Host(events) = &mut self.map {
+            events.push(event);
+        }
+    }
+
+    /// What the controller did under a host-held map since the last call,
+    /// oldest first (nothing under a device-held map).
+    pub fn drain_map_events(&mut self) -> impl Iterator<Item = MapEvent> + '_ {
+        let events = match &mut self.map {
+            MappingState::Host(events) => Some(events),
+            _ => None,
+        };
+        events.into_iter().flat_map(|events| events.drain(..))
+    }
+
+    /// The named commands need the host to hold the map.
+    fn host_held(&self) -> Result<(), SsdError> {
+        match self.map {
+            MappingState::Host(_) => Ok(()),
+            _ => Err(SsdError::Unsupported {
+                what: "a named command",
+            }),
+        }
+    }
+
+    /// A named command's page must still hold the tag it was written with.
+    fn check_named(&self, lpn: Lpn, named: Option<PhysPage>) -> Result<(), SsdError> {
+        match named {
+            Some(phys) if self.dir.backptr(phys) != Some(lpn) => Err(SsdError::StaleName { phys }),
+            _ => Ok(()),
+        }
+    }
+
     // ------------------------------------------------------------------
     // host API
     // ------------------------------------------------------------------
@@ -483,13 +637,37 @@ impl Ssd {
     /// Read one logical page.
     pub fn read(&mut self, now: SimTime, lpn: Lpn) -> Result<Completion, SsdError> {
         self.check_lpn(lpn)?;
+        self.read_at(now, lpn, None)
+    }
+
+    /// Under a host-held map: read the page at `phys`, which must still
+    /// hold `tag`'s data ([`SsdError::StaleName`] otherwise, before the
+    /// device spends anything on it).
+    pub fn read_named(
+        &mut self,
+        now: SimTime,
+        phys: PhysPage,
+        tag: Lpn,
+    ) -> Result<Completion, SsdError> {
+        self.host_held()?;
+        self.read_at(now, tag, Some(phys))
+    }
+
+    /// Read `lpn`'s page, at `named` when the host names it.
+    fn read_at(
+        &mut self,
+        now: SimTime,
+        lpn: Lpn,
+        named: Option<PhysPage>,
+    ) -> Result<Completion, SsdError> {
         self.note_submit(now);
         self.metrics.host_reads += 1;
+        self.check_named(lpn, named)?;
         let scope = self.sched.probe.open_command("read", now);
         let t0 = now + self.cfg.controller_overhead;
         self.span_overhead(now, t0);
         // buffer hit?
-        if self.buffer.enabled() && self.buffer.read_hit(lpn.0, t0) {
+        if self.buffer.enabled() && self.buffer.read_hit(self.resident_key(lpn, named), t0) {
             self.metrics.buffer_read_hits += 1;
             let out = self.sched.reserve_link(t0, self.cfg.host_link_time());
             if self.sched.probe.is_enabled() {
@@ -509,7 +687,10 @@ impl Ssd {
             });
         }
         // resolve mapping
-        let (phys, t1) = self.resolve_read(lpn, t0);
+        let (phys, t1) = match named {
+            Some(phys) => (Some(phys), t0),
+            None => self.resolve_read(lpn, t0),
+        };
         if self.sched.probe.is_enabled() && t1 > t0 {
             self.sched
                 .probe
@@ -561,12 +742,13 @@ impl Ssd {
     }
 
     /// Relocate `lpn` off `old` after its data had to be reconstructed
-    /// from stripe parity: rewrite the rebuilt payload to a fresh
-    /// location and invalidate the suspect page. Background work — it
-    /// does not gate the host completion. Fixed-offset FTLs (block /
-    /// hybrid) keep data in place; their offsets are immovable.
+    /// from stripe parity: rewrite the rebuilt payload — from controller
+    /// RAM, over the channel — to a fresh location and invalidate the
+    /// suspect page. Background work — it does not gate the host
+    /// completion. Fixed-offset FTLs (block / hybrid) keep data in place;
+    /// their offsets are immovable.
     fn relocate_after_rebuild(&mut self, lpn: Lpn, old: PhysPage, t: SimTime) {
-        if !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if matches!(self.map, MappingState::Block(_) | MappingState::Hybrid(_)) {
             return;
         }
         let _bg = self.sched.probe.background();
@@ -582,18 +764,7 @@ impl Ssd {
             // suspect page; subsequent reads re-run the pipeline
             return;
         };
-        match &mut self.map {
-            MappingState::Page(m) => {
-                m.update(lpn, new);
-            }
-            MappingState::Dftl(m) => {
-                m.relocate(lpn, new);
-            }
-            // guarded above; no other mapping state reaches here
-            _ => return,
-        }
-        self.dir.invalidate(old);
-        self.dir.mark_valid(new, lpn);
+        self.remap(lpn, old, new, t);
         self.metrics.recovery.rebuild_relocations += 1;
     }
 
@@ -607,8 +778,8 @@ impl Ssd {
             MappingState::Page(m) => m.lookup(lpn),
             MappingState::Block(_) => self.resolve_read_block(lpn),
             MappingState::Hybrid(_) => self.resolve_read_hybrid(lpn),
-            // handled above; kept total so the match cannot panic
-            MappingState::Dftl(_) => None,
+            // DFTL is handled above; a host-held map names the page itself
+            MappingState::Dftl(_) | MappingState::Host(_) => None,
         };
         (phys, t0)
     }
@@ -632,6 +803,33 @@ impl Ssd {
     /// Write one logical page.
     pub fn write(&mut self, now: SimTime, lpn: Lpn) -> Result<Completion, SsdError> {
         self.check_lpn(lpn)?;
+        self.write_at(now, lpn).map(|(c, _)| c)
+    }
+
+    /// Under a host-held map: write one page of host tag `tag` wherever
+    /// the controller places it, and return where that is — the name the
+    /// host must keep.
+    pub fn write_named(
+        &mut self,
+        now: SimTime,
+        tag: Lpn,
+    ) -> Result<(PhysPage, Completion), SsdError> {
+        self.host_held()?;
+        let (c, phys) = self.write_at(now, tag)?;
+        // a page map — the host's included — places every page it writes
+        phys.map(|phys| (phys, c)).ok_or(SsdError::Unsupported {
+            what: "a named write",
+        })
+    }
+
+    /// Write `lpn`'s page; returns where it went under a page map. A write
+    /// the device has no room for completes — on its record — at the
+    /// instant the controller gave up.
+    fn write_at(
+        &mut self,
+        now: SimTime,
+        lpn: Lpn,
+    ) -> Result<(Completion, Option<PhysPage>), SsdError> {
         self.note_submit(now);
         self.metrics.host_writes += 1;
         let scope = self.sched.probe.open_command("write", now);
@@ -640,15 +838,22 @@ impl Ssd {
         let t0 = link.end + self.cfg.controller_overhead;
         self.span_overhead(link.end, t0);
         let salvages_before = self.metrics.recovery.program_salvages;
-        let written = match self.cfg.ftl {
-            FtlKind::PageMap | FtlKind::Dftl { .. } => self.write_page_mapped(t0, lpn),
-            FtlKind::BlockMap => self.write_block_mapped(t0, lpn).map(|d| (d, Served::Flash)),
-            FtlKind::Hybrid { .. } => self.write_hybrid(t0, lpn).map(|d| (d, Served::Flash)),
+        let written = match self.map {
+            MappingState::Block(_) => self
+                .write_block_mapped(t0, lpn)
+                .map(|d| (d, Served::Flash, None)),
+            MappingState::Hybrid(_) => self.write_hybrid(t0, lpn).map(|d| (d, Served::Flash, None)),
+            _ => self
+                .write_page_mapped(t0, lpn)
+                .map(|(d, s, phys)| (d, s, Some(phys))),
         };
-        let (done, served) = match written {
+        let (done, served, phys) = match written {
             Ok(v) => v,
             Err(e) => {
-                scope.abort();
+                match e {
+                    SsdError::DeviceFull { at, .. } => scope.close(at),
+                    _ => scope.abort(),
+                }
                 return Err(e);
             }
         };
@@ -664,12 +869,13 @@ impl Ssd {
         self.metrics.write_latency.record_duration(latency);
         self.sched.probe.note_status(status.as_str());
         scope.close(done);
-        Ok(Completion {
+        let c = Completion {
             done,
             latency,
             served,
             status,
-        })
+        };
+        Ok((c, phys))
     }
 
     /// Snapshot of the logical→physical mapping (diagnostics; page-mapped
@@ -689,20 +895,44 @@ impl Ssd {
     /// the first crack in the block interface.
     pub fn trim(&mut self, now: SimTime, lpn: Lpn) -> Result<Completion, SsdError> {
         self.check_lpn(lpn)?;
+        self.trim_at(now, lpn, None, "trim")
+    }
+
+    /// Under a host-held map: free the page at `phys`, which must still
+    /// hold `tag`'s data — the trim analog, exact because the host speaks
+    /// in physical names.
+    pub fn free_named(
+        &mut self,
+        now: SimTime,
+        phys: PhysPage,
+        tag: Lpn,
+    ) -> Result<Completion, SsdError> {
+        self.host_held()?;
+        self.trim_at(now, tag, Some(phys), "free")
+    }
+
+    /// Release `lpn`'s page, at `named` when the host names it; the
+    /// command is recorded on the probe as `kind`.
+    fn trim_at(
+        &mut self,
+        now: SimTime,
+        lpn: Lpn,
+        named: Option<PhysPage>,
+        kind: &'static str,
+    ) -> Result<Completion, SsdError> {
         self.note_submit(now);
         self.metrics.host_trims += 1;
-        let scope = self.sched.probe.open_command("trim", now);
+        self.check_named(lpn, named)?;
+        let scope = self.sched.probe.open_command(kind, now);
         let done = now + self.cfg.controller_overhead;
         self.span_overhead(now, done);
         if self.buffer.enabled() {
-            self.buffer.discard(lpn.0);
+            self.buffer.discard(self.resident_key(lpn, named));
         }
-        if matches!(self.map, MappingState::Block(_)) {
-            self.trim_block(lpn);
-        } else if matches!(self.map, MappingState::Hybrid(_)) {
-            self.trim_hybrid(lpn);
-        } else {
-            self.trim_page_mapped(done, lpn);
+        match self.map {
+            MappingState::Block(_) => self.trim_block(lpn),
+            MappingState::Hybrid(_) => self.trim_hybrid(lpn),
+            _ => self.trim_page_mapped(done, lpn, named),
         }
         let latency = done.since(now);
         scope.close(done);
@@ -714,16 +944,18 @@ impl Ssd {
         })
     }
 
-    /// Trim under the page-mapped FTLs; the DFTL translation write-back
-    /// does not gate the completion, so it is charged as background.
-    fn trim_page_mapped(&mut self, done: SimTime, lpn: Lpn) {
+    /// Trim under a page map — the device's or the host's, whose `named`
+    /// page it is; the DFTL translation write-back does not gate the
+    /// completion, so it is charged as background.
+    fn trim_page_mapped(&mut self, done: SimTime, lpn: Lpn, named: Option<PhysPage>) {
         let mut ios = std::mem::take(&mut self.trans_scratch);
         ios.clear();
         let old = match &mut self.map {
             MappingState::Page(m) => m.unmap(lpn),
             MappingState::Dftl(m) => m.unmap(lpn, &mut ios),
-            // only called for page-mapped FTLs; elsewhere a trim of an
-            // unknown page is a no-op, not a controller panic
+            MappingState::Host(_) => named,
+            // only called for page maps; elsewhere a trim of an unknown
+            // page is a no-op, not a controller panic
             _ => None,
         };
         if !ios.is_empty() {

@@ -36,8 +36,8 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod block_dir;
-pub mod buffer;
+pub(crate) mod block_dir;
+pub(crate) mod buffer;
 pub mod channel;
 pub mod config;
 pub mod controller;
@@ -49,8 +49,8 @@ pub mod qpair;
 pub use addr::{ArrayShape, Capacity, Lpn, LunId, PhysPage};
 pub use channel::ChannelTiming;
 pub use config::{BufferConfig, FtlKind, GcConfig, GcPolicyKind, Placement, SsdConfig, WlConfig};
-pub use controller::{GcGate, GcToken, Scheduler};
-pub use device::{Completion, RebuildReport, Served, Ssd, SsdError};
-pub use metrics::{OpCause, SsdMetrics};
+pub use controller::{GcGate, GcToken};
+pub use device::{Completion, MapEvent, RebuildReport, Served, Ssd, SsdError};
+pub use metrics::SsdMetrics;
 pub use qpair::QueuePair;
 pub use requiem_sim::cmd::{CommandId, IoClass, IoCompletion, IoOp, IoRequest};

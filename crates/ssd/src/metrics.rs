@@ -10,7 +10,7 @@ use requiem_sim::{Histogram, Occupant};
 
 /// Why a flash operation happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpCause {
+pub(crate) enum OpCause {
     /// Directly serving a host command.
     Host,
     /// Garbage-collection relocation.
@@ -61,7 +61,7 @@ pub struct CauseCounts {
 
 impl CauseCounts {
     /// Add one for `cause`.
-    pub fn bump(&mut self, cause: OpCause) {
+    pub(crate) fn bump(&mut self, cause: OpCause) {
         match cause {
             OpCause::Host => self.host += 1,
             OpCause::Gc => self.gc += 1,
