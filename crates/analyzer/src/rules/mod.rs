@@ -179,8 +179,8 @@ pub const RULES: &[Rule] = &[
         rationale: "Re-exports (the root crate `requiem` has no requiem_ prefix) and method \
                     calls on values handed down from above create edges neither LAY01 nor \
                     LAY02 can see; the symbol-table-resolved call graph closes the hole.",
-        bad: "// in crates/flash\nfn drain(q: &mut QueuePair) { q.submit_batch(now, &cmds); } // resolves to ssd",
-        ok: "// in crates/ssd\nfn drain(q: &mut QueuePair) { q.submit_batch(now, &cmds); }",
+        bad: "// in crates/flash\nfn drain(s: &mut Ssd) { s.enqueue(&mut qp, now, req); } // resolves to ssd",
+        ok: "// in crates/ssd\nfn drain(s: &mut Ssd) { s.enqueue(&mut qp, now, req); }",
         check: Check::Sem(callgraph::check),
     },
     Rule {

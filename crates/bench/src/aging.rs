@@ -27,7 +27,7 @@
 
 use crate::series::{Series, V};
 use requiem_sim::time::SimTime;
-use requiem_sim::{Histogram, IoRequest, SimRng};
+use requiem_sim::{Histogram, IoRequest, IoStatus, SimRng};
 use requiem_ssd::{ArrayShape, FtlKind, GcPolicyKind, QueuePair, Ssd, SsdConfig};
 use requiem_workload::driver::IoMix;
 use requiem_workload::pattern::{AddressPattern, Pattern};
@@ -275,14 +275,16 @@ fn run_chunk(
         } else {
             IoRequest::write(lba)
         };
-        if qp.submit(ssd, now, req).is_err() {
+        if ssd.enqueue(&mut qp, now, req).status == IoStatus::Rejected {
             insolvent = true;
             break;
         }
         in_flight += 1;
         issued += 1;
     }
-    while let Some(c) = qp.pop() {
+    // the refused command is not one of the chunk's operations
+    let served = std::iter::from_fn(|| qp.pop()).filter(|c| c.status != IoStatus::Rejected);
+    for c in served {
         latency.record_duration(c.latency());
         last_done = last_done.max(c.done);
     }

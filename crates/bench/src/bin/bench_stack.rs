@@ -30,9 +30,9 @@
 //! * `iostack_overwrite_qd8` — `ssd_overwrite`'s shape: fill, twice the
 //!   capacity of random overwrites to reach the write-amplification
 //!   plateau, then more of the same; garbage collection does the work.
-//! * `qpair_qd1` — [`QueuePair`] at depth 1 straight over the device
-//!   (no block layer): fill, then random reads, one submit + one pop per
-//!   command.
+//! * `qpair_qd1` — [`Ssd::enqueue`] on a [`QueuePair`] at depth 1
+//!   straight over the device (no block layer): fill, then random reads,
+//!   one submit + one pop per command.
 //! * `ssd_read_random` — bare [`Ssd::read`] at queue depth 1 on the
 //!   modern preset: sequential fill, then 2¹⁹ uniform-random reads — the
 //!   controller's read path (buffer residency, map lookup, flash read)
@@ -186,7 +186,7 @@ fn qpair_qd1() -> (u64, u64) {
     let mut now = SimTime::ZERO;
     let mut checksum = 0u64;
     for req in cmds {
-        qp.submit(&mut ssd, now, req).expect("bench command");
+        ssd.enqueue(&mut qp, now, req);
         let c = qp.pop().expect("one command in flight");
         assert!(c.status.is_success(), "bench command failed: {c:?}");
         now = c.done;

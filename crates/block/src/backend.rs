@@ -79,21 +79,6 @@ fn opaque_completion(req: IoRequest, submitted: SimTime, done: SimTime) -> IoCom
     }
 }
 
-/// Build the completion for a command the device refused outright
-/// (address out of range, worn-out device, protocol violation). Rejection
-/// is instantaneous — the command never occupied device resources.
-fn rejected_completion(req: IoRequest, submitted: SimTime) -> IoCompletion {
-    IoCompletion {
-        tag: req.tag,
-        op: req.op,
-        lba: req.lba,
-        submitted,
-        done: submitted,
-        spans: 0,
-        status: IoStatus::Rejected,
-    }
-}
-
 impl StorageBackend for Disk {
     fn submit(&mut self, now: SimTime, req: IoRequest) -> IoCompletion {
         let done = match req.op {
@@ -122,7 +107,7 @@ impl StorageBackend for Ssd {
         // transaction — the whole point of the typed status channel.
         match self.io(now, req) {
             Ok(c) => c,
-            Err(_) => rejected_completion(req, now),
+            Err(_) => IoCompletion::rejected(req, now, now),
         }
     }
 

@@ -16,21 +16,20 @@
 //!   the pre-queue-pair behaviour, preserved bit-for-bit.
 //! * [`IoStack::submit_batch`] / [`IoStack::poll_completions`] — the
 //!   queue-pair path: a batch of typed [`IoRequest`]s rings the doorbell
-//!   once, up to the configured in-flight window of commands run on the
-//!   device concurrently, and completions are reaped out of submission
-//!   order from a per-core completion queue (interrupt coalescing: one
-//!   IRQ + context switch per reap, not per command). Both are wrappers
-//!   that build a `Vec` around the one loop each has:
-//!   [`IoStack::submit_batch_with`] hands tags to a sink and
+//!   once, then each command rides its core's [`QueuePair`] — up to the
+//!   configured in-flight window of commands run on the device
+//!   concurrently, and completions are reaped out of submission order
+//!   (interrupt coalescing: one IRQ + context switch per reap, not per
+//!   command). Both are wrappers that build a `Vec` around the one loop
+//!   each has: [`IoStack::submit_batch_with`] hands tags to a sink and
 //!   [`IoStack::reap_into`] appends to a buffer the caller keeps.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use requiem_sim::completion::{CompletionHeap, InflightWindow};
 use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Cause, Histogram, Layer, Probe, Resource, ResourceBank};
+use requiem_sim::{Cause, Histogram, Layer, Probe, QueuePair, Resource, ResourceBank};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendOp, CommandId, IoRequest, IoStatus, StorageBackend};
@@ -91,14 +90,6 @@ impl StackConfig {
             cpu: CpuCosts::streamlined(),
         }
     }
-
-    /// Modern multi-queue with polling completions.
-    pub fn polling(cores: u32) -> Self {
-        StackConfig {
-            completion: CompletionMode::Polling,
-            ..Self::blk_mq(cores)
-        }
-    }
 }
 
 /// Completion of one I/O through the stack.
@@ -112,8 +103,6 @@ pub struct StackCompletion {
     pub latency: SimDuration,
     /// Device-resident portion of the latency.
     pub device_time: SimDuration,
-    /// CPU time charged to the issuing core.
-    pub cpu_time: SimDuration,
     /// How the device fared: clean, recovered after retries, lost the
     /// data, or refused the command outright.
     pub status: IoStatus,
@@ -160,14 +149,10 @@ pub struct IoStack<B: StorageBackend> {
     /// Accumulated end-to-end latency across all completed I/Os.
     total_latency: SimDuration,
     ios: u64,
-    /// Device-side in-flight windows for the queue-pair path, one per
-    /// core: each submission context bounds its own outstanding
-    /// commands, so shards on different cores throttle independently.
-    windows: Vec<InflightWindow>,
-    /// Per-core completion queues (queue-pair path).
-    cqs: Vec<CompletionHeap<Pending>>,
-    /// Auto-assigned host tags.
-    next_tag: u64,
+    /// The queue-pair path's queue pairs, one per core: each submission
+    /// context bounds its own outstanding commands, so shards on
+    /// different cores throttle independently.
+    qps: Vec<QueuePair<Pending>>,
 }
 
 impl<B: StorageBackend> std::fmt::Debug for IoStack<B> {
@@ -187,14 +172,11 @@ impl<B: StorageBackend> IoStack<B> {
             QueueMode::Single => 1,
             QueueMode::PerCore => cfg.cores as usize,
         };
-        let cqs = (0..cfg.cores as usize)
-            .map(|_| CompletionHeap::new())
-            .collect();
-        let windows = (0..cfg.cores as usize)
-            .map(|_| InflightWindow::new(DEFAULT_INFLIGHT_WINDOW))
-            .collect();
         IoStack {
             cores: ResourceBank::new("core", cfg.cores as usize),
+            qps: (0..cfg.cores)
+                .map(|_| QueuePair::new(DEFAULT_INFLIGHT_WINDOW))
+                .collect(),
             queues: (0..nq).map(|i| Resource::new(format!("q{i}"))).collect(),
             cfg,
             backend,
@@ -203,9 +185,6 @@ impl<B: StorageBackend> IoStack<B> {
             device_busy: SimDuration::ZERO,
             total_latency: SimDuration::ZERO,
             ios: 0,
-            windows,
-            cqs,
-            next_tag: 0,
         }
     }
 
@@ -214,8 +193,8 @@ impl<B: StorageBackend> IoStack<B> {
     /// [`DEFAULT_INFLIGHT_WINDOW`]. A window of 1 serializes the device
     /// exactly like [`IoStack::submit`].
     pub fn set_inflight_window(&mut self, depth: usize) {
-        for w in self.windows.iter_mut() {
-            *w = InflightWindow::new(depth);
+        for qp in self.qps.iter_mut() {
+            qp.resize(depth);
         }
     }
 
@@ -223,8 +202,8 @@ impl<B: StorageBackend> IoStack<B> {
     /// the sharded executor sizes each submission context to its own
     /// `concurrency + prefetch` population.
     pub fn set_core_inflight_window(&mut self, core: usize, depth: usize) {
-        if let Some(w) = self.windows.get_mut(core) {
-            *w = InflightWindow::new(depth);
+        if let Some(qp) = self.qps.get_mut(core) {
+            qp.resize(depth);
         }
     }
 
@@ -253,11 +232,6 @@ impl<B: StorageBackend> IoStack<B> {
         self.probe = probe;
     }
 
-    /// The attached probe (disabled by default).
-    pub fn probe(&self) -> &Probe {
-        &self.probe
-    }
-
     /// Emit a wait span `[from, start)` (queueing on a software resource)
     /// followed by a busy span `[start, end)` of CPU-path overhead, into
     /// an already-open batch.
@@ -277,9 +251,8 @@ impl<B: StorageBackend> IoStack<B> {
     }
 
     /// Emit the submit-path stage spans of one command — core slice,
-    /// queue-lock slice, doorbell slice, and (batch path) SQ residency —
-    /// through a single probe borrow instead of up to eight.
-    #[allow(clippy::too_many_arguments)]
+    /// queue-lock slice, doorbell slice — through a single probe borrow
+    /// instead of up to six.
     fn span_submit_stages(
         &self,
         core: usize,
@@ -288,7 +261,6 @@ impl<B: StorageBackend> IoStack<B> {
         g_submit: &Grant,
         g_lock: &Grant,
         g_bell: &Grant,
-        admit: Option<SimTime>,
     ) {
         let Some(mut batch) = self.probe.batch() else {
             return;
@@ -297,21 +269,6 @@ impl<B: StorageBackend> IoStack<B> {
         Self::batch_stage(&mut batch, core_res, now, g_submit.start, g_submit.end);
         Self::batch_stage(&mut batch, q_res, g_submit.end, g_lock.start, g_lock.end);
         Self::batch_stage(&mut batch, core_res, g_lock.end, g_bell.start, g_bell.end);
-        if let Some(admit) = admit {
-            if admit > g_bell.end {
-                batch.span(Layer::Block, Cause::Queue, "sq", g_bell.end, admit);
-            }
-        }
-    }
-
-    /// Assign the next host tag when the request carries none.
-    fn assign_tag(&mut self, req: &IoRequest) -> CommandId {
-        if req.tag.is_unassigned() {
-            self.next_tag += 1;
-            CommandId(self.next_tag)
-        } else {
-            req.tag
-        }
     }
 
     /// Index of the request queue `core` uses.
@@ -330,7 +287,7 @@ impl<B: StorageBackend> IoStack<B> {
     /// Panics if `core` is out of range.
     pub fn submit(&mut self, now: SimTime, core: usize, req: IoRequest) -> StackCompletion {
         assert!(core < self.cfg.cores as usize, "core out of range");
-        let tag = self.assign_tag(&req);
+        let tag = self.qps[core].assign_tag(req.tag);
         let cpu = &self.cfg.cpu;
         let probing = self.probe.is_enabled();
         let scope = self.probe.open_command(req.op.as_str(), now);
@@ -342,7 +299,7 @@ impl<B: StorageBackend> IoStack<B> {
         // 3. doorbell
         let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
         if probing {
-            self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell, None);
+            self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell);
         }
         // 4. device — a self-reporting backend decomposes this interval
         // itself (the probe joined the open command); an opaque one gets
@@ -360,19 +317,17 @@ impl<B: StorageBackend> IoStack<B> {
             );
         }
         // 5. completion
-        let (done, cpu_time) = match self.cfg.completion {
+        let done = match self.cfg.completion {
             CompletionMode::Polling => {
                 // core spins through device time, then completes
                 let spin = dev_done.since(g_bell.end) + cpu.complete;
-                let g = self.cores.get_mut(core).reserve(g_bell.end, spin);
-                (g.end, cpu.per_io_polling() + device_time)
+                self.cores.get_mut(core).reserve(g_bell.end, spin).end
             }
             CompletionMode::Interrupt => {
-                let g = self
-                    .cores
+                self.cores
                     .get_mut(core)
-                    .reserve(dev_done, cpu.interrupt + cpu.context_switch + cpu.complete);
-                (g.end, cpu.per_io_interrupt())
+                    .reserve(dev_done, cpu.interrupt + cpu.context_switch + cpu.complete)
+                    .end
             }
         };
         if probing && done > dev_done {
@@ -392,7 +347,6 @@ impl<B: StorageBackend> IoStack<B> {
             done,
             latency,
             device_time,
-            cpu_time,
             status: dev_c.status,
         }
     }
@@ -466,53 +420,46 @@ impl<B: StorageBackend> IoStack<B> {
         // 3. one doorbell for the whole batch
         let g_bell = self.cores.get_mut(core).reserve(g_lock.end, doorbell);
         for (i, req) in reqs.iter().enumerate() {
-            let tag = self.assign_tag(req);
-            tag_sink(tag);
-            // Open this command's probe record for the submit path …
+            // Open this command's probe record for the submit path and
+            // tile [now, bell) with its share of the batch: its own core
+            // slice, then the shared lock + doorbell.
             let scope = self.probe.open_command(req.op.as_str(), now);
-            let probe_id = scope.id();
-            // 4. device-side in-flight window: SQ residency until a slot
-            // (and any same-LBA predecessor) frees up.
-            let admit = self.windows[core].admit(g_bell.end, req.lba);
             if probing {
-                // Tile [now, admit) with this command's share of the
-                // batch: its own core slice, the shared lock + doorbell,
-                // then SQ residency — one probe borrow for all of it.
                 let start = first.start + submit * i as u64;
                 let g_submit = Grant {
                     start,
                     end: start + submit,
                 };
-                self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell, Some(admit));
+                self.span_submit_stages(core, q, now, &g_submit, &g_lock, &g_bell);
             }
-            // 5. device path at the admit instant
-            let dev_c = self.backend.submit(admit, *req);
-            let dev_done = dev_c.done;
-            self.windows[core].commit(admit, req.lba, dev_done);
-            let device_time = dev_done.since(admit);
-            if probing && !self.backend.self_reporting() && dev_done > admit {
-                self.probe.span(
-                    Layer::Block,
-                    Cause::Transfer,
-                    self.backend.label(),
-                    admit,
-                    dev_done,
-                );
-            }
-            // Leave the command open until the completion is reaped.
-            debug_assert_eq!(scope.id(), probe_id);
-            let probe_id = scope.detach();
-            self.cqs[core].push(
-                dev_done,
-                Pending {
+            // 4. the core's queue pair: SQ residency until a window slot
+            // (and any same-LBA predecessor) frees up, then 5. the device
+            // path at the admit instant
+            let (backend, probe) = (&mut self.backend, &self.probe);
+            let p = self.qps[core].submit(probe, g_bell.end, req.tag, req.lba, |tag, admit| {
+                let dev_c = backend.submit(admit, *req);
+                let dev_done = dev_c.done;
+                if probing && !backend.self_reporting() && dev_done > admit {
+                    probe.span(
+                        Layer::Block,
+                        Cause::Transfer,
+                        backend.label(),
+                        admit,
+                        dev_done,
+                    );
+                }
+                let pending = Pending {
                     tag,
-                    probe_id,
+                    // the command stays open until its completion is reaped
+                    probe_id: scope.detach(),
                     submitted: now,
                     dev_done,
-                    device_time,
+                    device_time: dev_done.since(admit),
                     status: dev_c.status,
-                },
-            );
+                };
+                (dev_done, pending)
+            });
+            tag_sink(p.tag);
         }
     }
 
@@ -538,7 +485,7 @@ impl<B: StorageBackend> IoStack<B> {
     /// Panics if `core` is out of range.
     pub fn reap_into(&mut self, now: SimTime, core: usize, out: &mut Vec<StackCompletion>) {
         assert!(core < self.cfg.cores as usize, "core out of range");
-        if !self.cqs[core].peek_done().is_some_and(|d| d <= now) {
+        if !self.qps[core].next_done().is_some_and(|d| d <= now) {
             return;
         }
         let cpu = &self.cfg.cpu;
@@ -553,7 +500,7 @@ impl<B: StorageBackend> IoStack<B> {
             }
             CompletionMode::Polling => now,
         };
-        while let Some((_, p)) = self.cqs[core].pop_ready(now) {
+        for p in self.qps[core].ready(now) {
             let g = self.cores.get_mut(core).reserve(cursor, cpu.complete);
             cursor = g.end;
             let done = g.end;
@@ -573,10 +520,6 @@ impl<B: StorageBackend> IoStack<B> {
                 scope.close(done);
             }
             let latency = done.since(p.submitted);
-            let cpu_time = match self.cfg.completion {
-                CompletionMode::Interrupt => cpu.per_io_interrupt(),
-                CompletionMode::Polling => cpu.per_io_polling(),
-            };
             self.latency.record_duration(latency);
             self.device_busy += p.device_time;
             self.total_latency += latency;
@@ -586,7 +529,6 @@ impl<B: StorageBackend> IoStack<B> {
                 done,
                 latency,
                 device_time: p.device_time,
-                cpu_time,
                 status: p.status,
             });
         }
@@ -595,13 +537,7 @@ impl<B: StorageBackend> IoStack<B> {
     /// Instant the earliest pending completion on `core`'s completion
     /// queue becomes reapable (`None` when nothing is in flight).
     pub fn next_completion_time(&self, core: usize) -> Option<SimTime> {
-        self.cqs[core].peek_done()
-    }
-
-    /// Commands submitted on `core` whose completions have not been
-    /// reaped yet.
-    pub fn in_flight(&self, core: usize) -> usize {
-        self.cqs[core].len()
+        self.qps[core].next_done()
     }
 
     /// Run a closed loop with one outstanding I/O **per core**, all cores
@@ -652,11 +588,6 @@ impl<B: StorageBackend> IoStack<B> {
         1.0 - self.device_busy / self.total_latency
     }
 
-    /// Total I/Os submitted.
-    pub fn ios(&self) -> u64 {
-        self.ios
-    }
-
     /// Latency distribution.
     pub fn latency(&self) -> &Histogram {
         &self.latency
@@ -699,7 +630,10 @@ mod tests {
     #[test]
     fn polling_cuts_latency_for_buffered_writes() {
         let mut irq = ssd_stack(StackConfig::blk_mq(1));
-        let mut poll = ssd_stack(StackConfig::polling(1));
+        let mut poll = ssd_stack(StackConfig {
+            completion: CompletionMode::Polling,
+            ..StackConfig::blk_mq(1)
+        });
         let a = irq.submit(SimTime::ZERO, 0, IoRequest::write(0));
         let b = poll.submit(SimTime::ZERO, 0, IoRequest::write(0));
         assert!(
@@ -779,12 +713,10 @@ mod tests {
         let reqs: Vec<IoRequest> = (0..8u64).map(IoRequest::write).collect();
         let tags = st.submit_batch(SimTime::ZERO, 0, &reqs);
         assert_eq!(tags.len(), 8);
-        assert_eq!(st.in_flight(0), 8);
         // Nothing is reapable before the first device finish.
         assert!(st.poll_completions(SimTime::ZERO, 0).is_empty());
         let mut got = Vec::new();
-        while st.in_flight(0) > 0 {
-            let t = st.next_completion_time(0).unwrap();
+        while let Some(t) = st.next_completion_time(0) {
             got.extend(st.poll_completions(t, 0));
         }
         assert_eq!(got.len(), 8);
@@ -798,7 +730,7 @@ mod tests {
         let mut want = tags.clone();
         want.sort();
         assert_eq!(seen, want);
-        assert_eq!(st.ios(), 8);
+        assert_eq!(st.latency().count(), 8);
     }
 
     #[test]
@@ -830,8 +762,7 @@ mod tests {
         let reqs: Vec<IoRequest> = (0..16u64).map(IoRequest::read).collect();
         batched.submit_batch(t0, 0, &reqs);
         let mut last = SimTime::ZERO;
-        while batched.in_flight(0) > 0 {
-            let t = batched.next_completion_time(0).unwrap();
+        while let Some(t) = batched.next_completion_time(0) {
             for c in batched.poll_completions(t, 0) {
                 last = last.max(c.done);
             }

@@ -24,7 +24,7 @@ use requiem_iface::atomic::{double_write_journal, ExtendedSsd};
 use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
-use requiem_ssd::{IoClass, IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
+use requiem_ssd::{IoClass, IoCompletion, IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
 
 use crate::page::{PageId, PAGE_SIZE};
 use crate::walbackend::{BareSsdLog, FlashWal, PcmWal, WalBackend};
@@ -198,11 +198,12 @@ pub trait PersistenceBackend {
     // The methods below are the queue-pair form of `page_read`: submit a
     // batch without waiting, reap completions out of submission order.
     // Every backend in this crate overrides them with a genuinely
-    // overlapped implementation (QueuePair / IoStack); the provided
-    // defaults are a *serialized* shim over `page_read` so existing
-    // synchronous backends keep working unchanged — each read runs to
-    // completion at submit time and its completion is parked in the
-    // backend's [`ReadShim`] until the next poll.
+    // overlapped implementation on a `requiem_sim::QueuePair` (its own,
+    // or a core's of the block stack); the provided defaults are a
+    // *serialized* shim over `page_read` so existing synchronous backends
+    // keep working unchanged — each read runs to completion at submit
+    // time and its completion is parked in the backend's [`ReadShim`]
+    // until the next poll.
 
     /// Scratch state backing the default serialized shim. Backends that
     /// override the batched API leave this at `None`; backends that rely
@@ -282,86 +283,14 @@ pub trait PersistenceBackend {
     }
 }
 
-/// The batched read path of a backend that drives a bare [`Ssd`]: a
-/// queue pair, the reads the device refused outright, and the tag
-/// namespace. [`LegacyBackend`] and [`VisionBackend`] each hold one and
-/// differ only in where their data region starts on the device.
-struct BareReads {
-    /// Depth set by [`PersistenceBackend::set_read_window`].
-    qp: QueuePair,
-    /// Reads the device refused outright, completed at their submit
-    /// instant with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace (pre-assigned so rejected commands keep a stable
-    /// tag).
-    next_tag: u64,
-}
-
-impl BareReads {
-    fn new() -> Self {
-        BareReads {
-            qp: QueuePair::new(1),
-            rejects: Vec::new(),
-            next_tag: 0,
-        }
-    }
-
-    /// Submit one read per page of `pages`, page `p` at LBA
-    /// `data_base + p` of a `data_pages`-page region.
-    fn submit(
-        &mut self,
-        ssd: &mut Ssd,
-        now: SimTime,
-        pages: &[PageId],
-        data_base: u64,
-        data_pages: u64,
-    ) -> Vec<CommandTag> {
-        pages
-            .iter()
-            .map(|&p| {
-                assert!(p.0 < data_pages, "page id beyond data region");
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
-                let req = IoRequest::read(data_base + p.0).tag(tag);
-                if self.qp.submit(ssd, now, req).is_err() {
-                    self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    });
-                }
-                tag
-            })
-            .collect()
-    }
-
-    fn poll_into(&mut self, now: SimTime, data_base: u64, out: &mut Vec<PageRead>) {
-        out.clear();
-        out.append(&mut self.rejects);
-        out.extend(self.qp.ready(now).map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba - data_base),
-            done: c.done,
-            status: c.status,
-        }));
-    }
-
-    fn next_done(&self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.rejects.len() + self.qp.pending()
-    }
-
-    fn set_window(&mut self, depth: usize) {
-        debug_assert!(self.in_flight() == 0, "window change with reads in flight");
-        self.qp = QueuePair::new(depth.max(1));
+/// The batched-read completion of page `lba - data_base`, off a bare
+/// [`Ssd`]'s queue pair.
+fn page_read_of(c: IoCompletion, data_base: u64) -> PageRead {
+    PageRead {
+        tag: c.tag,
+        page: PageId(c.lba - data_base),
+        done: c.done,
+        status: c.status,
     }
 }
 
@@ -381,7 +310,9 @@ pub struct LegacyBackend {
     journal_base: u64,
     data_pages: u64,
     stats: BackendStats,
-    reads: BareReads,
+    /// The batched read path; depth set by
+    /// [`PersistenceBackend::set_read_window`].
+    reads: QueuePair,
 }
 
 impl std::fmt::Debug for LegacyBackend {
@@ -413,7 +344,7 @@ impl LegacyBackend {
             journal_base: log_pages + data_pages,
             data_pages,
             stats: BackendStats::default(),
-            reads: BareReads::new(),
+            reads: QueuePair::new(1),
         }
     }
 
@@ -521,13 +452,17 @@ impl PersistenceBackend for LegacyBackend {
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
         self.stats.page_reads += pages.len() as u64;
-        self.reads.submit(
-            &mut self.ssd.borrow_mut(),
-            now,
-            pages,
-            self.data_base,
-            self.data_pages,
-        )
+        let mut tags = Vec::with_capacity(pages.len());
+        for &p in pages {
+            let read = IoRequest::read(self.data_lpn(p).0);
+            tags.push(
+                self.ssd
+                    .borrow_mut()
+                    .enqueue(&mut self.reads, now, read)
+                    .tag,
+            );
+        }
+        tags
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
@@ -537,7 +472,9 @@ impl PersistenceBackend for LegacyBackend {
     }
 
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
-        self.reads.poll_into(now, self.data_base, out);
+        out.clear();
+        let base = self.data_base;
+        out.extend(self.reads.ready(now).map(|c| page_read_of(c, base)));
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
@@ -545,11 +482,16 @@ impl PersistenceBackend for LegacyBackend {
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.reads.in_flight()
+        self.reads.pending()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        self.reads.set_window(depth);
+        debug_assert_eq!(
+            self.reads.pending(),
+            0,
+            "window change with reads in flight"
+        );
+        self.reads.resize(depth);
     }
 }
 
@@ -574,7 +516,7 @@ pub struct VisionBackend {
     staging_next: u64,
     stats: BackendStats,
     /// The batched read path, over the inner flash SSD.
-    reads: BareReads,
+    reads: QueuePair,
 }
 
 impl std::fmt::Debug for VisionBackend {
@@ -612,7 +554,7 @@ impl VisionBackend {
             staging_slots: staging_bytes / PAGE_SIZE as u64,
             staging_next: 0,
             stats: BackendStats::default(),
-            reads: BareReads::new(),
+            reads: QueuePair::new(1),
         }
     }
 
@@ -711,9 +653,17 @@ impl PersistenceBackend for VisionBackend {
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
         self.stats.page_reads += pages.len() as u64;
-        // the data region starts at LBA 0 of the flash device
-        self.reads
-            .submit(self.flash.inner_mut(), now, pages, 0, self.data_pages)
+        let mut tags = Vec::with_capacity(pages.len());
+        for &p in pages {
+            let read = IoRequest::read(self.data_lpn(p).0);
+            tags.push(
+                self.flash
+                    .inner_mut()
+                    .enqueue(&mut self.reads, now, read)
+                    .tag,
+            );
+        }
+        tags
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
@@ -723,7 +673,9 @@ impl PersistenceBackend for VisionBackend {
     }
 
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
-        self.reads.poll_into(now, 0, out);
+        out.clear();
+        // the data region starts at LBA 0 of the flash device
+        out.extend(self.reads.ready(now).map(|c| page_read_of(c, 0)));
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
@@ -731,11 +683,16 @@ impl PersistenceBackend for VisionBackend {
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.reads.in_flight()
+        self.reads.pending()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        self.reads.set_window(depth);
+        debug_assert_eq!(
+            self.reads.pending(),
+            0,
+            "window change with reads in flight"
+        );
+        self.reads.resize(depth);
     }
 }
 

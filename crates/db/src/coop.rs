@@ -29,11 +29,13 @@
 //!   RAM is the commit point, then the old names are freed. 1× the I/O
 //!   of the double-write journal's 2×.
 //!
-//! Reads at queue depth ride a [`NamelessQueuePair`]; a read that loses
-//! the race with a migration comes back [`IoStatus::Rejected`], is
-//! patched from the upcall stream, and is resubmitted at its completion
-//! instant — the retry is visible in [`CoopLogBackend::read_retries`],
-//! never a panic.
+//! Reads at queue depth ride a [`QueuePair`] with [`NamelessSsd::read`]
+//! as the dispatch, the page id as the hazard key; a read that loses the
+//! race with a migration comes back [`IoStatus::Rejected`], is patched
+//! from the upcall stream, and is resubmitted under its own tag at its
+//! completion instant — the retry is visible in
+//! [`CoopLogBackend::read_retries`], never a panic. A page with no name
+//! at all is refused by the host: it completes `Rejected` at once.
 //!
 //! Writes are synchronous nameless writes, one at a time: a steal returns
 //! the instant the image is durable *and* the evictor may proceed. What
@@ -50,10 +52,9 @@ use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 
 use requiem_iface::nameless::{NamelessConfig, NamelessError, NamelessSsd, PhysName};
-use requiem_iface::qpair::{NamelessCmd, NamelessCqe, NamelessQueuePair};
 use requiem_iface::Upcall;
 use requiem_sim::time::SimTime;
-use requiem_sim::IoStatus;
+use requiem_sim::{IoStatus, QueuePair};
 
 use crate::backend::{BackendStats, CommandTag, PageRead, PersistenceBackend};
 use crate::page::PageId;
@@ -158,19 +159,9 @@ pub struct CoopLogBackend {
     /// Absolute WAL segment index → current name (shared likewise).
     segs: Rc<RefCell<PageTable<PhysName>>>,
     stats: BackendStats,
-    /// Queue pair for the batched read path.
-    qp: NamelessQueuePair,
-    /// Batched reads in flight as `(queue-pair command id, engine tag,
-    /// page)`, unordered: never more than the executor keeps outstanding,
-    /// so a scan finds an id.
-    inflight: Vec<(u64, CommandTag, PageId)>,
-    /// Scratch for one reap off the queue pair (reused).
-    reaped: Vec<NamelessCqe>,
-    /// Reads refused before reaching the device (no binding), completed
-    /// at submit with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads.
-    next_tag: u64,
+    /// The batched read path; depth set by
+    /// [`PersistenceBackend::set_read_window`].
+    qp: QueuePair<PageRead>,
     /// Writes the device refused (full); the superseded version is kept.
     /// Shared with the WAL port so the count covers both paths.
     rejected: Rc<Cell<u64>>,
@@ -211,11 +202,7 @@ impl CoopLogBackend {
             table: Rc::new(RefCell::new(PageTable::new())),
             segs: Rc::new(RefCell::new(PageTable::new())),
             stats: BackendStats::default(),
-            qp: NamelessQueuePair::new(1),
-            inflight: Vec::new(),
-            reaped: Vec::new(),
-            rejects: Vec::new(),
-            next_tag: 0,
+            qp: QueuePair::new(1),
             rejected: Rc::new(Cell::new(0)),
             read_retries: 0,
         }
@@ -286,6 +273,39 @@ impl CoopLogBackend {
             tag,
             handle,
         )
+    }
+
+    /// Submit a batched read of `page` at `now` under `tag` (unassigned
+    /// for a new read, the engine's for a retry) at its current name; a
+    /// page with no name is refused at once.
+    fn submit_read(&mut self, now: SimTime, tag: CommandTag, page: PageId) -> CommandTag {
+        let read = |tag, done, status| PageRead {
+            tag,
+            page,
+            done,
+            status,
+        };
+        let Some(name) = self.table.borrow().lookup(page.0) else {
+            return self
+                .qp
+                .refuse(now, tag, |tag| read(tag, now, IoStatus::Rejected))
+                .tag;
+        };
+        let mut dev = self.dev.borrow_mut();
+        let probe = dev.probe().clone();
+        // the device's own entry point joins this scope, so SQ residency
+        // and device spans land on one command record
+        let scope = probe.open_command("read", now);
+        let r = self.qp.submit(&probe, now, tag, page.0, |tag, admit| {
+            // a stale name is refused before the device spends anything
+            let (done, status) = match dev.read(admit, name, page.0) {
+                Ok((done, _lat, status)) => (done, status),
+                Err(_) => (admit, IoStatus::Rejected),
+            };
+            scope.close(done);
+            (done, read(tag, done, status))
+        });
+        r.tag
     }
 
     /// Write one data page out of place and swap the index: write the
@@ -554,25 +574,7 @@ impl PersistenceBackend for CoopLogBackend {
             .map(|&p| {
                 self.check_page(p);
                 self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
-                match self.table.borrow().lookup(p.0) {
-                    Some(name) => {
-                        let id = self.qp.submit(
-                            &mut self.dev.borrow_mut(),
-                            now,
-                            NamelessCmd::Read { name, tag: p.0 },
-                        );
-                        self.inflight.push((id.0, tag, p));
-                    }
-                    None => self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    }),
-                }
-                tag
+                self.submit_read(now, CommandTag::UNASSIGNED, p)
             })
             .collect()
     }
@@ -589,59 +591,33 @@ impl PersistenceBackend for CoopLogBackend {
         // is interpreted, so a Rejected read can be retried at the
         // page's *current* name
         self.drain_upcalls();
-        let mut reaped = std::mem::take(&mut self.reaped);
-        reaped.clear();
-        self.qp.reap_into(now, &mut reaped);
         out.clear();
-        out.append(&mut self.rejects);
-        for c in &reaped {
-            let Some(at) = self.inflight.iter().position(|&(id, _, _)| id == c.id.0) else {
-                continue;
-            };
-            let (_, tag, page) = self.inflight.swap_remove(at);
-            if c.status == IoStatus::Rejected {
-                if let Some(name) = self.table.borrow().lookup(page.0) {
-                    // lost the race with a migration: resubmit at the
-                    // patched name, completing later — never silently
-                    // dropping the engine's tag
-                    let id = self.qp.submit(
-                        &mut self.dev.borrow_mut(),
-                        c.done,
-                        NamelessCmd::Read { name, tag: page.0 },
-                    );
-                    self.inflight.push((id.0, tag, page));
-                    self.read_retries += 1;
-                    continue;
-                }
+        out.extend(self.qp.ready(now));
+        // a read that lost the race with a migration is resubmitted at
+        // the patched name, completing later — never silently dropping
+        // the engine's tag
+        out.retain(|r| {
+            let retry =
+                r.status == IoStatus::Rejected && self.table.borrow().lookup(r.page.0).is_some();
+            if retry {
+                self.submit_read(r.done, r.tag, r.page);
+                self.read_retries += 1;
             }
-            out.push(PageRead {
-                tag,
-                page,
-                done: c.done,
-                status: c.status,
-            });
-        }
-        self.reaped = reaped;
+            !retry
+        });
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.qp.next_done()
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
+        self.qp.pending()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = NamelessQueuePair::new(depth.max(1));
+        debug_assert_eq!(self.qp.pending(), 0, "window change with reads in flight");
+        self.qp.resize(depth);
     }
 }
 
@@ -767,11 +743,21 @@ mod tests {
 
     #[test]
     fn batched_reads_complete_out_of_order_and_tagged() {
-        let mut b = backend(64, 16);
-        let mut t = SimTime::ZERO;
+        let written = || {
+            let mut b = backend(64, 16);
+            let mut t = SimTime::ZERO;
+            for p in 0..8u64 {
+                t = b.page_write(t, PageId(p));
+            }
+            let t = t.max(b.dev().drain_time());
+            (b, t)
+        };
+        // the same eight reads one at a time, on an identical device
+        let (mut serial, mut serial_done) = written();
         for p in 0..8u64 {
-            t = b.page_write(t, PageId(p));
+            serial_done = serial.page_read(serial_done, PageId(p)).0;
         }
+        let (mut b, t) = written();
         b.set_read_window(4);
         let pages: Vec<PageId> = (0..8).map(PageId).collect();
         let tags = b.submit_reads(t, &pages);
@@ -788,9 +774,47 @@ mod tests {
         for r in &got {
             assert!(r.status.is_success());
         }
+        let last = got.iter().map(|r| r.done).max().unwrap();
+        assert!(
+            last < serial_done,
+            "QD4 reads over two LUNs ({last}) should beat serialized ({serial_done})"
+        );
         let mut seen: Vec<u64> = got.iter().map(|r| r.page.0).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_stale_read_is_retried_at_the_patched_name() {
+        let mut b = backend(64, 16);
+        let t = b.page_write(SimTime::ZERO, PageId(3));
+        let stale = b.table().lookup(3).expect("bound");
+        // the page moves under the host: a new version lands elsewhere
+        // and the old name is freed, while the table still holds it
+        let (moved, t) = {
+            let mut dev = b.dev.borrow_mut();
+            let w = dev.write(t, 3).expect("room");
+            (
+                w.name,
+                dev.free(w.done, stale, 3).expect("the old name is live"),
+            )
+        };
+        let tags = b.submit_reads(t, &[PageId(3)]);
+        assert_eq!(
+            b.next_read_done(),
+            Some(t),
+            "a stale name is refused at admission, costing the device nothing"
+        );
+        // the upcall that explains the move, applied by hand
+        assert!(b.table.borrow_mut().patch(3, stale, moved));
+        assert!(b.poll(t).is_empty(), "the refusal is retried, not surfaced");
+        assert_eq!(b.read_retries(), 1);
+        let next = b.next_read_done().expect("the retry is in flight");
+        let [r] = b.poll(next)[..] else {
+            panic!("the retry completes")
+        };
+        assert_eq!(r.tag, tags[0], "the retry keeps the engine's tag");
+        assert!(r.status.is_success() && r.done > t);
     }
 
     #[test]

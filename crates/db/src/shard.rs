@@ -170,9 +170,17 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         &self.shards[i]
     }
 
-    /// Mutable access to shard `i`'s engine (probe attachment).
+    /// Mutable access to shard `i`'s engine.
     pub fn shard_mut(&mut self, i: usize) -> &mut Database<B> {
         &mut self.shards[i]
+    }
+
+    /// Attach `probe` to every shard's engine and backend, so the engine
+    /// spans of all shards land beside the device spans they share.
+    pub fn attach_probe(&mut self, probe: &requiem_sim::Probe) {
+        for db in &mut self.shards {
+            db.attach_probe(probe.clone());
+        }
     }
 
     /// The cross-shard ledger (inspection for tests and benches).

@@ -25,10 +25,12 @@
 //!   workload through each and vary nothing but the interface. Upcall
 //!   delivery is a trait method — empty for block devices, which is the
 //!   paper's complaint rendered as a type signature.
-//! * [`qpair::NamelessQueuePair`] — nameless commands through the
-//!   batched-doorbell discipline of the queue-pair engine, so the
-//!   cooperating-logs storage manager (E14) drives the device at queue
-//!   depth with typed [`requiem_sim::IoStatus`] on every completion.
+//!
+//! At queue depth the nameless device rides the one generic
+//! [`requiem_sim::QueuePair`], with [`NamelessSsd::read`] as the dispatch:
+//! the cooperating-logs storage manager (E14) keeps its demand reads in
+//! flight there, a stale name completing as a typed
+//! [`requiem_sim::IoStatus::Rejected`].
 //!
 //! Experiments E5, E6, E8 and E14 quantify what each mechanism buys.
 
@@ -39,7 +41,6 @@ pub mod atomic;
 pub mod comm;
 pub mod device;
 pub mod nameless;
-pub mod qpair;
 
 pub use atomic::ExtendedSsd;
 pub use comm::{Upcall, UpcallQueue};
@@ -48,4 +49,3 @@ pub use device::{
     UpdateOutcome,
 };
 pub use nameless::{NamelessCompletion, NamelessConfig, NamelessError, NamelessSsd, PhysName};
-pub use qpair::{NamelessCmd, NamelessCqe, NamelessQueuePair};

@@ -1,5 +1,6 @@
-//! Property tests for the nameless queue pair: seeded write / read-by-name
-//! / free-by-exact-name mixes at queue depths up to 16, on a device small
+//! Property tests for the nameless device on a queue pair: seeded write /
+//! read-by-name / free-by-exact-name mixes at queue depths up to 16, each
+//! command dispatched to [`NamelessSsd`] at its admit instant, on a device small
 //! enough that garbage collection migrates live pages under the host,
 //! ending in a tail that fills the device until it refuses writes — write
 //! through (no buffer slots), and behind a battery-backed write buffer of
@@ -18,10 +19,9 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use requiem_flash::Geometry;
-use requiem_iface::{NamelessCmd, NamelessConfig, NamelessCqe, NamelessQueuePair};
-use requiem_iface::{NamelessSsd, PhysName, Upcall};
+use requiem_iface::{NamelessConfig, NamelessError, NamelessSsd, PhysName, Upcall};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Cause, IoStatus, Layer, Probe};
+use requiem_sim::{Cause, CommandId, IoStatus, Layer, Probe, QueuePair};
 use requiem_ssd::SsdConfig;
 
 /// Tags the generated phase keeps live: three quarters of the raw pages,
@@ -50,11 +50,70 @@ enum Op {
     Free(u64),
 }
 
+/// One command's completion.
+#[derive(Clone, Copy)]
+struct Cqe {
+    id: CommandId,
+    tag: u64,
+    /// The device-chosen name of a write, the name a read or free
+    /// operated on; `None` exactly when a write was refused.
+    name: Option<PhysName>,
+    done: SimTime,
+    status: IoStatus,
+}
+
+/// Submit `op` on `tag` (at `name` for a read or free) on `qp` at `now`,
+/// the tag as the hazard key and the device as the dispatch. A refusal
+/// completes `Rejected` when the device refused it: a stale name at
+/// admission, a full device when the controller gave up.
+fn submit(
+    qp: &mut QueuePair<Cqe>,
+    dev: &mut NamelessSsd,
+    now: SimTime,
+    op: Op,
+    name: Option<PhysName>,
+) -> CommandId {
+    let probe = dev.probe().clone();
+    let (kind, tag) = match op {
+        Op::Write(tag) => ("write", tag),
+        Op::Read(tag) => ("read", tag),
+        Op::Free(tag) => ("free", tag),
+    };
+    let scope = probe.open_command(kind, now);
+    let c = qp.submit(&probe, now, CommandId::UNASSIGNED, tag, |id, admit| {
+        let (done, name, status) = match op {
+            Op::Write(_) => match dev.write(admit, tag) {
+                Ok(w) => (w.done, Some(w.name), w.status),
+                Err(NamelessError::DeviceFull { at }) => (at, None, IoStatus::Rejected),
+                Err(NamelessError::StaleName { .. }) => (admit, None, IoStatus::Rejected),
+            },
+            Op::Read(_) => match dev.read(admit, name.expect("a named read"), tag) {
+                Ok((done, _lat, status)) => (done, name, status),
+                Err(_) => (admit, name, IoStatus::Rejected),
+            },
+            Op::Free(_) => match dev.free(admit, name.expect("a named free"), tag) {
+                Ok(done) => (done, name, IoStatus::Ok),
+                Err(_) => (admit, name, IoStatus::Rejected),
+            },
+        };
+        scope.close(done);
+        let c = Cqe {
+            id,
+            tag,
+            name,
+            done,
+            status,
+        };
+        (done, c)
+    });
+    c.id
+}
+
 /// The host: its name index, what it has in flight per tag, and the
 /// closed loop that keeps at most `qd` commands outstanding.
 struct Host {
     dev: NamelessSsd,
-    qp: NamelessQueuePair,
+    qp: QueuePair<Cqe>,
     qd: usize,
     now: SimTime,
     in_flight: usize,
@@ -68,7 +127,7 @@ struct Host {
     /// host has not reaped yet: applied when it is.
     early: Vec<(u64, PhysName, PhysName)>,
     /// Every completion, in pop order.
-    trace: Vec<NamelessCqe>,
+    trace: Vec<Cqe>,
 }
 
 impl Host {
@@ -104,19 +163,13 @@ impl Host {
             }
         }
         // drained just above, so a name taken from the index is current
-        let cmd = match op {
-            Op::Write(tag) => NamelessCmd::Write { tag },
-            Op::Read(tag) => NamelessCmd::Read {
-                name: self.names[&tag],
-                tag,
-            },
-            Op::Free(tag) => NamelessCmd::Free {
-                name: self.names.remove(&tag).expect("free of a written tag"),
-                tag,
-            },
+        let (tag, name) = match op {
+            Op::Write(tag) => (tag, None),
+            Op::Read(tag) => (tag, Some(self.names[&tag])),
+            Op::Free(tag) => (tag, self.names.remove(&tag)),
         };
-        *self.busy.entry(cmd.tag()).or_insert(0) += 1;
-        let id = self.qp.submit(&mut self.dev, self.now, cmd);
+        *self.busy.entry(tag).or_insert(0) += 1;
+        let id = submit(&mut self.qp, &mut self.dev, self.now, op, name);
         if let Op::Write(_) = op {
             self.writes.insert(id.0);
         }
@@ -143,7 +196,7 @@ fn run(qd: usize, seed: u64, read_pct: u64, free_pct: u64, capacity_pages: u32) 
     dev.attach_probe(probe.clone());
     let mut h = Host {
         dev,
-        qp: NamelessQueuePair::new(qd),
+        qp: QueuePair::new(qd),
         qd,
         now: SimTime::ZERO,
         in_flight: 0,
@@ -208,7 +261,7 @@ proptest! {
         prop_assert!(h.dev.upcalls_pending().delivered() > 0, "no upcall reached the host");
 
         // same tag: pop order is submission order, dones never regress
-        let mut last: HashMap<u64, &NamelessCqe> = HashMap::new();
+        let mut last: HashMap<u64, &Cqe> = HashMap::new();
         for c in &h.trace {
             if c.name.is_some() {
                 prop_assert!(c.status.is_success(), "tag {} {:?}: the host's name was stale", c.tag, c.status);
@@ -232,7 +285,7 @@ proptest! {
         let cmds = probe.commands_ref();
         prop_assert_eq!(cmds.len(), h.trace.len(), "one probe command per submission");
         // the queue pair and the bus both number submissions from 1
-        let cqe: HashMap<u64, &NamelessCqe> = h.trace.iter().map(|c| (c.id.0, c)).collect();
+        let cqe: HashMap<u64, &Cqe> = h.trace.iter().map(|c| (c.id.0, c)).collect();
         let (mut stalled, mut ram_reads) = (0u64, 0u64);
         for rec in cmds.iter() {
             let done = rec.done.expect("command closed");
@@ -298,9 +351,9 @@ fn a_buffered_name_reads_from_ram_until_its_flush_ends() {
     let mut dev = device(4);
     let probe = Probe::recording();
     dev.attach_probe(probe.clone());
-    let mut qp = NamelessQueuePair::new(4);
-    let mut step = |dev: &mut NamelessSsd, at: SimTime, cmd: NamelessCmd| {
-        qp.submit(dev, at, cmd);
+    let mut qp = QueuePair::new(4);
+    let mut step = |dev: &mut NamelessSsd, at: SimTime, op: Op, name: Option<PhysName>| {
+        submit(&mut qp, dev, at, op, name);
         let c = qp.pop().expect("the command completes");
         let causes: Vec<Cause> = probe
             .command_spans(c.id.0)
@@ -310,7 +363,7 @@ fn a_buffered_name_reads_from_ram_until_its_flush_ends() {
         (c, causes)
     };
 
-    let (w, causes) = step(&mut dev, SimTime::ZERO, NamelessCmd::Write { tag: 1 });
+    let (w, causes) = step(&mut dev, SimTime::ZERO, Op::Write(1), None);
     let name = w.name.expect("the write was named");
     assert!(causes.contains(&Cause::BufferHit) && !causes.contains(&Cause::CellProgram));
     let flushed = dev.drain_time();
@@ -320,23 +373,22 @@ fn a_buffered_name_reads_from_ram_until_its_flush_ends() {
         w.done
     );
 
-    let read = NamelessCmd::Read { name, tag: 1 };
-    let (r, causes) = step(&mut dev, w.done, read);
+    let (r, causes) = step(&mut dev, w.done, Op::Read(1), Some(name));
     assert_eq!(r.status, IoStatus::Ok);
     assert!(r.done < flushed, "served before the page reached flash");
     assert!(causes.contains(&Cause::BufferHit) && !causes.contains(&Cause::CellRead));
 
-    let (r, causes) = step(&mut dev, flushed, read);
+    let (r, causes) = step(&mut dev, flushed, Op::Read(1), Some(name));
     assert_eq!(r.status, IoStatus::Ok);
     assert!(causes.contains(&Cause::CellRead) && !causes.contains(&Cause::BufferHit));
     assert_eq!(dev.metrics().buffer_read_hits, 1);
 
-    let (w, _) = step(&mut dev, r.done, NamelessCmd::Write { tag: 2 });
+    let (w, _) = step(&mut dev, r.done, Op::Write(2), None);
     let name = w.name.expect("the write was named");
     assert!(w.done < dev.drain_time(), "still mid-flush");
-    let (f, _) = step(&mut dev, w.done, NamelessCmd::Free { name, tag: 2 });
+    let (f, _) = step(&mut dev, w.done, Op::Free(2), Some(name));
     assert_eq!(f.status, IoStatus::Ok);
-    let (r, causes) = step(&mut dev, f.done, NamelessCmd::Read { name, tag: 2 });
+    let (r, causes) = step(&mut dev, f.done, Op::Read(2), Some(name));
     assert_eq!(r.status, IoStatus::Rejected, "freed while buffered: stale");
     assert!(causes.is_empty(), "a stale name costs the device nothing");
     assert_eq!(dev.metrics().buffer_read_hits, 1);

@@ -21,9 +21,8 @@ use crate::fault::IoStatus;
 use crate::time::{SimDuration, SimTime};
 
 /// Host-assigned identity of one in-flight command. `CommandId(0)` means
-/// "unassigned": engines that auto-tag ([`crate::completion`] users such
-/// as the SSD queue pair or the block-layer batch path) replace it with
-/// the next monotonic tag at submission.
+/// "unassigned": a [`QueuePair`](crate::QueuePair) replaces it with the
+/// next tag of its counter at submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CommandId(pub u64);
 
@@ -178,6 +177,21 @@ pub struct IoCompletion {
 }
 
 impl IoCompletion {
+    /// `req`, submitted at `submitted`, refused by the device at `at`
+    /// (address out of range, worn-out device, protocol violation): no
+    /// probe span is attributed to it.
+    pub fn rejected(req: IoRequest, submitted: SimTime, at: SimTime) -> Self {
+        IoCompletion {
+            tag: req.tag,
+            op: req.op,
+            lba: req.lba,
+            submitted,
+            done: at,
+            spans: 0,
+            status: IoStatus::Rejected,
+        }
+    }
+
     /// End-to-end latency, including submission-queue wait.
     pub fn latency(&self) -> SimDuration {
         self.done.since(self.submitted)

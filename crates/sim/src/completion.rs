@@ -1,28 +1,35 @@
-//! Kernel primitives for out-of-order completion: the completion heap
-//! and the device-side in-flight window.
+//! The queue pair: the one front door every device model is driven
+//! through at queue depth.
 //!
-//! These two types are the heart of the queue-pair engine:
+//! [`QueuePair`] owns what a queue pair is whatever sits behind it — the
+//! SSD, the nameless device, a core of the block stack:
 //!
-//! * [`CompletionHeap`] — a min-heap keyed on `(done, seq)` that drains
+//! * the [`InflightWindow`] — the NVMe-style device-side window that
+//!   admits at most `depth` commands at once. Submission queues are
+//!   fetched in order (admission instants are monotone), completion is
+//!   where reordering happens. The window also enforces the same-key
+//!   hazard: a command on a key (an LBA, a nameless tag) with an in-flight
+//!   predecessor is not admitted until the predecessor's completion
+//!   instant;
+//! * the completion queue — a min-heap keyed on `(done, seq)` that reaps
 //!   completions in *device* order (earliest finish first) while a
 //!   monotonically increasing sequence number breaks ties in submission
-//!   order. Both the SSD queue pair and the block-layer per-core
-//!   completion queues are built on it.
-//! * [`InflightWindow`] — the NVMe-style device-side window that admits
-//!   at most `depth` commands at once. Submission queues are fetched in
-//!   order (admission instants are monotone), completion is where
-//!   reordering happens. The window also enforces the same-LBA hazard:
-//!   a command to an LBA with an in-flight predecessor is not admitted
-//!   until the predecessor's completion instant, which (together with
-//!   the heap's seq tie-break) guarantees same-LBA commands complete in
-//!   submission order.
+//!   order. Together with the hazard this guarantees same-key commands
+//!   complete in submission order;
+//! * the tag counter, and refusals: a command the device or the host
+//!   refuses is a completion like any other, at the instant it was
+//!   refused.
 //!
+//! The device itself is a closure: [`QueuePair::submit`] hands it the
+//! command's tag and admit instant and queues the completion it returns.
 //! Everything here is pure bookkeeping over [`SimTime`] instants — no
 //! wall-clock, no randomness — so the engine stays deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::cmd::CommandId;
+use crate::probe::{Cause, Layer, Probe};
 use crate::time::SimTime;
 
 /// One entry in a [`CompletionHeap`]: a payload keyed by completion
@@ -60,19 +67,17 @@ impl<T> Ord for Entry<T> {
 ///
 /// `seq` is assigned internally at [`push`](CompletionHeap::push) time,
 /// so two completions with the same `done` instant pop in the order
-/// they were pushed — which is submission order for every user of this
-/// type. That tie-break is load-bearing: it is half of the same-LBA
-/// ordering guarantee (the other half is
-/// [`InflightWindow::admit`]'s hazard guard).
-#[derive(Debug, Clone, Default)]
-pub struct CompletionHeap<T> {
+/// they were pushed — which is submission order. That tie-break is
+/// load-bearing: it is half of the same-key ordering guarantee (the
+/// other half is [`InflightWindow::admit`]'s hazard guard).
+#[derive(Debug, Clone)]
+struct CompletionHeap<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
 impl<T> CompletionHeap<T> {
-    /// An empty heap.
-    pub fn new() -> Self {
+    fn new() -> Self {
         CompletionHeap {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -80,19 +85,19 @@ impl<T> CompletionHeap<T> {
     }
 
     /// Queue a completion that will be ready at `done`.
-    pub fn push(&mut self, done: SimTime, payload: T) {
+    fn push(&mut self, done: SimTime, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { done, seq, payload });
     }
 
     /// Pop the earliest completion regardless of "now".
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+    fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|e| (e.done, e.payload))
     }
 
     /// Pop the earliest completion if it is ready at `now`.
-    pub fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, T)> {
+    fn pop_ready(&mut self, now: SimTime) -> Option<(SimTime, T)> {
         if self.peek_done().is_some_and(|d| d <= now) {
             self.pop()
         } else {
@@ -100,39 +105,28 @@ impl<T> CompletionHeap<T> {
         }
     }
 
-    /// Drain every completion ready at `now`, earliest first.
-    pub fn drain_ready(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        std::iter::from_fn(|| self.pop_ready(now)).collect()
-    }
-
     /// Completion instant of the earliest pending entry.
-    pub fn peek_done(&self) -> Option<SimTime> {
+    fn peek_done(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.done)
     }
 
-    /// Number of pending completions.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether no completions are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
 /// Device-side in-flight window: admits at most `depth` commands at
-/// once, in submission order, with a per-LBA write/write-read hazard
+/// once, in submission order, with a per-key write/write-read hazard
 /// guard.
 ///
 /// Protocol per command: call [`admit`](InflightWindow::admit) to get
 /// the instant the device starts the command, dispatch the device
 /// model at that instant to learn `done`, then call
-/// [`commit`](InflightWindow::commit) with the LBA and `done`.
+/// [`commit`](InflightWindow::commit) with the key and `done`.
 #[derive(Debug, Clone)]
 pub struct InflightWindow {
     depth: usize,
-    /// `(done, lba)` of every in-flight command, unordered. An admit
+    /// `(done, key)` of every in-flight command, unordered. An admit
     /// leaves fewer than `depth` entries and a commit adds one, so the
     /// bound is structural and every scan below is O(depth).
     inflight: Vec<(SimTime, u64)>,
@@ -150,28 +144,14 @@ impl InflightWindow {
         }
     }
 
-    /// Configured window depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Commands currently in flight as of the last admit instant.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Earliest completion instant among in-flight commands.
-    pub fn earliest_done(&self) -> Option<SimTime> {
-        self.inflight.iter().map(|&(done, _)| done).min()
-    }
-
-    /// Compute the admission instant for a command targeting `lba`
-    /// that arrives at the submission queue at `now`.
+    /// Compute the admission instant for a command on `key` that
+    /// arrives at the submission queue at `now`.
     ///
     /// The instant is the earliest `t >= max(now, previous admit)` at
     /// which (a) fewer than `depth` commands are still in flight and
-    /// (b) no earlier command to the same LBA is still in flight.
-    pub fn admit(&mut self, now: SimTime, lba: u64) -> SimTime {
+    /// (b) no earlier command on the same key is still in flight.
+    #[inline]
+    pub fn admit(&mut self, now: SimTime, key: u64) -> SimTime {
         // SQ fetch order: never admit before a previously admitted
         // command (keeps device-side submit instants monotone).
         let mut t = now.max(self.last_admit);
@@ -184,9 +164,9 @@ impl InflightWindow {
                 .expect("non-empty at depth");
             t = t.max(self.inflight.swap_remove(earliest).0);
         }
-        // Same-LBA hazard: wait out the in-flight predecessor. There is
+        // Same-key hazard: wait out the in-flight predecessor. There is
         // at most one — its own successor waited here and retired it.
-        if let Some(&(busy, _)) = self.inflight.iter().find(|e| e.1 == lba && e.0 > t) {
+        if let Some(&(busy, _)) = self.inflight.iter().find(|e| e.1 == key && e.0 > t) {
             t = busy;
             // The predecessor finishing may retire more commands.
             self.inflight.retain(|&(done, _)| done > t);
@@ -194,15 +174,123 @@ impl InflightWindow {
         t
     }
 
-    /// Record a dispatched command: `lba` is busy until `done`.
+    /// Record a dispatched command: `key` is busy until `done`.
     ///
     /// Must be called after [`admit`](InflightWindow::admit) with the
     /// completion instant the device model returned for the admitted
     /// command.
-    pub fn commit(&mut self, admit: SimTime, lba: u64, done: SimTime) {
+    #[inline]
+    pub fn commit(&mut self, admit: SimTime, key: u64, done: SimTime) {
         debug_assert!(done >= admit, "completion precedes admission");
-        self.inflight.push((done, lba));
+        self.inflight.push((done, key));
         self.last_admit = admit;
+    }
+}
+
+/// A submission/completion queue pair over completions of type `C`.
+///
+/// The pair holds no reference to the device: each
+/// [`submit`](QueuePair::submit) passes the device in as a closure, so
+/// one device can sit behind several pairs (per-core SQs) without
+/// aliasing trouble. At depth 1 the window is empty at every arrival of
+/// a closed loop, `admit == now`, and every instant — and therefore
+/// every byte of probe output — is the serialized device path's.
+#[derive(Debug)]
+pub struct QueuePair<C> {
+    window: InflightWindow,
+    cq: CompletionHeap<C>,
+    next_tag: u64,
+}
+
+impl<C: Copy> QueuePair<C> {
+    /// A queue pair whose window admits up to `depth` commands at once
+    /// (min 1).
+    pub fn new(depth: usize) -> Self {
+        QueuePair {
+            window: InflightWindow::new(depth),
+            cq: CompletionHeap::new(),
+            next_tag: 0,
+        }
+    }
+
+    /// Re-size the window between runs, while nothing is in flight on
+    /// the device; queued completions and the tag counter are kept.
+    pub fn resize(&mut self, depth: usize) {
+        self.window = InflightWindow::new(depth);
+    }
+
+    /// Completions waiting to be reaped.
+    pub fn pending(&self) -> usize {
+        self.cq.len()
+    }
+
+    /// Completion instant of the earliest waiting completion.
+    pub fn next_done(&self) -> Option<SimTime> {
+        self.cq.peek_done()
+    }
+
+    /// `tag`, or the next tag of this pair's counter when `tag` is
+    /// unassigned.
+    pub fn assign_tag(&mut self, tag: CommandId) -> CommandId {
+        if tag.is_unassigned() {
+            self.next_tag += 1;
+            CommandId(self.next_tag)
+        } else {
+            tag
+        }
+    }
+
+    /// Submit one command on hazard key `key` arriving at `now`. The
+    /// window admits it; the wait `[now, admit)` is the submission-queue
+    /// residency, charged to `probe`'s open command as a `Queue` span on
+    /// `"sq"` so spans keep tiling latency when completions reorder.
+    /// `dispatch` runs the device at the admit instant and returns the
+    /// completion instant and entry; a refusal is an entry like any
+    /// other, at the instant the device refused. Returns a copy of the
+    /// queued entry — the device model has already run, the host sees
+    /// the completion when it reaps it.
+    ///
+    /// Arrival instants must be non-decreasing across calls — the SQ is
+    /// a queue, not a time machine.
+    pub fn submit(
+        &mut self,
+        probe: &Probe,
+        now: SimTime,
+        tag: CommandId,
+        key: u64,
+        dispatch: impl FnOnce(CommandId, SimTime) -> (SimTime, C),
+    ) -> C {
+        let tag = self.assign_tag(tag);
+        let admit = self.window.admit(now, key);
+        if admit > now {
+            probe.span(Layer::Block, Cause::Queue, "sq", now, admit);
+        }
+        let (done, c) = dispatch(tag, admit);
+        self.window.commit(admit, key, done);
+        self.cq.push(done, c);
+        c
+    }
+
+    /// Complete a command the host refused before it reached the device:
+    /// its entry `make(tag)` is reaped at `at`, and the window never
+    /// sees it. Returns a copy of the entry.
+    pub fn refuse(&mut self, at: SimTime, tag: CommandId, make: impl FnOnce(CommandId) -> C) -> C {
+        let c = make(self.assign_tag(tag));
+        self.cq.push(at, c);
+        c
+    }
+
+    /// Reap every completion ready at `now`, earliest-done first (ties
+    /// in submission order): each is popped as the caller takes it, into
+    /// no list.
+    pub fn ready(&mut self, now: SimTime) -> impl Iterator<Item = C> + '_ {
+        std::iter::from_fn(move || self.cq.pop_ready(now)).map(|(_, c)| c)
+    }
+
+    /// Pop the earliest completion regardless of the clock (closed-loop
+    /// drivers advance time *to* the completion they pop).
+    pub fn pop(&mut self) -> Option<C> {
+        self.cq.pop().map(|(_, c)| c)
     }
 }
 
@@ -232,7 +320,7 @@ mod tests {
         assert_eq!(h.pop(), Some((t(20), "b")));
         assert_eq!(h.pop(), Some((t(30), "c")));
         assert_eq!(h.pop(), None);
-        assert!(h.is_empty());
+        assert_eq!(h.len(), 0);
     }
 
     #[test]
@@ -243,8 +331,8 @@ mod tests {
         assert_eq!(h.pop_ready(t(5)), None);
         assert_eq!(h.pop_ready(t(10)), Some((t(10), 1)));
         assert_eq!(h.pop_ready(t(10)), None);
-        let rest = h.drain_ready(t(100));
-        assert_eq!(rest, vec![(t(20), 2)]);
+        assert_eq!(h.pop_ready(t(100)), Some((t(20), 2)));
+        assert_eq!(h.pop_ready(t(100)), None);
     }
 
     #[test]
@@ -294,11 +382,11 @@ mod tests {
         let mut w = InflightWindow::new(1);
         let a0 = w.admit(t(0), 0);
         w.commit(a0, 0, t(10));
-        assert_eq!(w.in_flight(), 1);
+        assert_eq!(w.inflight.len(), 1);
         // At t=20 the first command has retired: no wait.
         let a1 = w.admit(t(20), 1);
         assert_eq!(a1, t(20));
-        assert_eq!(w.in_flight(), 0);
+        assert_eq!(w.inflight.len(), 0);
     }
 
     #[test]
@@ -307,7 +395,7 @@ mod tests {
         for i in 0..1000u64 {
             let a = w.admit(t(i), i);
             w.commit(a, i, a + SimDuration::from_micros(50));
-            assert!(w.inflight.len() <= w.depth());
+            assert!(w.inflight.len() <= w.depth);
         }
     }
 
@@ -376,6 +464,15 @@ mod tests {
         }
     }
 
+    /// The flat window's observables the reference is held to.
+    fn in_flight(w: &InflightWindow) -> usize {
+        w.inflight.len()
+    }
+
+    fn earliest_done(w: &InflightWindow) -> Option<SimTime> {
+        w.inflight.iter().map(|&(done, _)| done).min()
+    }
+
     const DEPTHS: [usize; 3] = [1, 2, 16];
 
     /// `((arrival step, rewind), (lba, service))`: a zero `rewind` moves
@@ -397,14 +494,14 @@ mod tests {
             };
             let a = flat.admit(t(now), lba);
             assert_eq!(a, reference.admit(t(now), lba), "admit {i}, depth {depth}");
-            assert_eq!(flat.in_flight(), reference.in_flight(), "after admit {i}");
-            assert_eq!(flat.earliest_done(), reference.earliest_done());
-            assert!(flat.in_flight() < depth, "admit {i} left no room");
+            assert_eq!(in_flight(&flat), reference.in_flight(), "after admit {i}");
+            assert_eq!(earliest_done(&flat), reference.earliest_done());
+            assert!(in_flight(&flat) < depth, "admit {i} left no room");
             let done = a + SimDuration::from_micros(service);
             flat.commit(a, lba, done);
             reference.commit(a, lba, done);
-            assert_eq!(flat.in_flight(), reference.in_flight(), "after commit {i}");
-            assert_eq!(flat.earliest_done(), reference.earliest_done());
+            assert_eq!(in_flight(&flat), reference.in_flight(), "after commit {i}");
+            assert_eq!(earliest_done(&flat), reference.earliest_done());
         }
     }
 

@@ -12,10 +12,12 @@
 //!   order and tracks utilization. [`TransferTimeline`] is the same for a
 //!   shared bus (a flash channel, a host link), where a transfer takes the
 //!   first idle gap it fits.
-//! * [`completion`] — the completion heap and the bounded in-flight window
-//!   every queue pair admits through; [`cmd`] — the command, request and
-//!   completion types they carry; [`CoreClock`] — the round-robin clock
-//!   that interleaves executor shards.
+//! * [`QueuePair`] — the one submission/completion queue pair every
+//!   device is driven through at depth: a bounded in-flight window, a
+//!   completion queue reaped in device order, the tag counter, refusals
+//!   as completions; [`cmd`] — the command, request and completion types
+//!   it carries; [`CoreClock`] — the round-robin clock that interleaves
+//!   executor shards.
 //! * [`probe`] — the span bus: every layer reports where a command's time
 //!   went as `(layer, cause)` spans that tile its latency.
 //! * [`fault`] — seeded fault plans and the typed [`IoStatus`] they end as.
@@ -55,7 +57,7 @@ pub mod table;
 pub mod time;
 
 pub use cmd::{CommandId, IoClass, IoCompletion, IoOp, IoRequest};
-pub use completion::{CompletionHeap, InflightWindow};
+pub use completion::{InflightWindow, QueuePair};
 pub use coreclock::CoreClock;
 pub use fault::{FaultPlan, FaultView, IoStatus};
 pub use gantt::{Gantt, Span};

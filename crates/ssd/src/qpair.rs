@@ -1,48 +1,49 @@
-//! NVMe-style queue pair over the SSD: an in-flight window that admits
-//! up to QD commands into the controller, and a completion queue drained
-//! out of order.
+//! The SSD on a queue pair: typed host commands in, completions out in
+//! *device* order.
 //!
 //! The serialized host API (`read`/`write`/`trim` returning a single
 //! [`Completion`](crate::Completion)) forces the caller to chain on
 //! each completion, so the device's internal parallelism — multiple
 //! chips behind one channel — is only reachable from inside the
-//! controller. [`QueuePair`] is the asynchronous front door: the host
-//! [`submit`](QueuePair::submit)s typed [`IoRequest`]s tagged with a
-//! [`CommandId`], the window admits each command at the earliest
-//! instant the device has a free slot (NVMe "fetch the SQ in order,
-//! complete whenever"), and completions surface through
-//! [`ready`](QueuePair::ready) / [`pop`](QueuePair::pop) in *device*
-//! order.
+//! controller. [`Ssd::enqueue`] is the asynchronous front door: the host
+//! submits typed [`IoRequest`]s on a [`QueuePair`] — the generic
+//! [`requiem_sim::QueuePair`] over [`IoCompletion`]s — whose window
+//! admits each command at the earliest instant the device has a free
+//! slot (NVMe "fetch the SQ in order, complete whenever"); completions
+//! surface through [`ready`](requiem_sim::QueuePair::ready) /
+//! [`pop`](requiem_sim::QueuePair::pop) in device order.
 //!
 //! ## Timing model
 //!
 //! A command arriving at `now` is **admitted** at
 //! `admit = max(now, previous admit, window-free instant, same-LBA
-//! predecessor done)` and then dispatched through the existing
-//! synchronous controller path at `admit`. The wait `[now, admit)` is
-//! the submission-queue residency and is attributed to the command as a
-//! `Queue`-cause span on resource `"sq"`, so the probe's span-tiling
-//! invariant (span sum == end-to-end latency) keeps holding per command
-//! even when completions reorder. At queue depth 1 the window is always
-//! empty, `admit == now`, and every instant — and therefore every byte
-//! of probe output — is identical to the serialized path.
+//! predecessor done)` and then dispatched through the synchronous
+//! controller path at `admit`. The wait `[now, admit)` is the
+//! submission-queue residency, a `Queue`-cause span on resource `"sq"`,
+//! so the probe's span-tiling invariant (span sum == end-to-end latency)
+//! keeps holding per command even when completions reorder. At queue
+//! depth 1 a closed loop finds the window empty, `admit == now`, and
+//! every instant — and every byte of probe output — is identical to the
+//! serialized path, [`Ssd::io`].
 //!
 //! ## Ordering guarantees
 //!
 //! * Admissions are monotone (SQ fetched in order).
 //! * Two commands to the **same LBA** complete in submission order: the
 //!   second is not admitted until the first's completion instant, and
-//!   the completion heap breaks `done` ties in submission order.
+//!   the completion queue breaks `done` ties in submission order.
 //! * Commands to different LBAs complete in whatever order the device
 //!   finishes them — the whole point of queue depth.
 
-use requiem_sim::cmd::{CommandId, IoCompletion, IoOp, IoRequest};
-use requiem_sim::completion::{CompletionHeap, InflightWindow};
-use requiem_sim::probe::{Cause, Layer};
+use requiem_sim::cmd::{IoCompletion, IoOp, IoRequest};
+use requiem_sim::probe::CommandScope;
 use requiem_sim::time::SimTime;
 
 use crate::addr::Lpn;
 use crate::device::{Completion, Ssd, SsdError};
+
+/// The SSD's queue pair: the generic pair over typed completions.
+pub type QueuePair = requiem_sim::QueuePair<IoCompletion>;
 
 impl Ssd {
     /// Serve one typed host command synchronously.
@@ -53,15 +54,49 @@ impl Ssd {
     /// [`Completion`](crate::Completion) for an [`IoCompletion`] that
     /// echoes the request's tag. Serialized callers (the block-layer
     /// single-submit path, the DB backends) use this; queue-depth
-    /// callers go through [`QueuePair`].
+    /// callers go through [`Ssd::enqueue`].
     pub fn io(&mut self, now: SimTime, req: IoRequest) -> Result<IoCompletion, SsdError> {
         let scope = self.probe().open_command(req.op.as_str(), now);
+        self.serve(scope, now, now, req)
+    }
+
+    /// Submit one typed host command on `qp` at `now`: the window admits
+    /// it and the controller serves it at the admit instant. A command
+    /// the device refuses completes [`Rejected`](requiem_sim::IoStatus::Rejected)
+    /// at the instant it was refused: when the controller gave up on a
+    /// full device, at admission otherwise. Returns the queued
+    /// completion, tagged with the request's own tag or the next one
+    /// `qp` assigns.
+    pub fn enqueue(&mut self, qp: &mut QueuePair, now: SimTime, req: IoRequest) -> IoCompletion {
+        let probe = self.probe().clone();
+        let scope = probe.open_command(req.op.as_str(), now);
+        qp.submit(&probe, now, req.tag, req.lba, |tag, admit| {
+            let req = req.tag(tag);
+            let c = self.serve(scope, now, admit, req).unwrap_or_else(|e| {
+                let at = match e {
+                    SsdError::DeviceFull { at, .. } => at,
+                    _ => admit,
+                };
+                IoCompletion::rejected(req, now, at)
+            });
+            (c.done, c)
+        })
+    }
+
+    /// Dispatch `req` at `at` inside `scope`, the command submitted at
+    /// `submitted`: the scope closes at the completion, or is aborted —
+    /// its record discarded, the bus reopened — if the device refuses.
+    fn serve(
+        &mut self,
+        scope: CommandScope,
+        submitted: SimTime,
+        at: SimTime,
+        req: IoRequest,
+    ) -> Result<IoCompletion, SsdError> {
         let id = scope.id();
-        let c = match self.dispatch(now, req) {
+        let c = match self.dispatch(at, req) {
             Ok(c) => c,
             Err(e) => {
-                // the command never completed: drop its record and
-                // reopen the bus before surfacing the error
                 scope.abort();
                 return Err(e);
             }
@@ -71,7 +106,7 @@ impl Ssd {
             tag: req.tag,
             op: req.op,
             lba: req.lba,
-            submitted: now,
+            submitted,
             done: c.done,
             status: c.status,
             spans: self.probe().command_span_count(id),
@@ -85,110 +120,6 @@ impl Ssd {
             IoOp::Write => self.write(at, Lpn(req.lba)),
             IoOp::Trim => self.trim(at, Lpn(req.lba)),
         }
-    }
-}
-
-/// An asynchronous submission/completion queue pair over an [`Ssd`].
-///
-/// The pair holds no reference to the device; each
-/// [`submit`](QueuePair::submit) borrows it, so one device can sit
-/// behind several pairs (per-core SQs) without aliasing trouble.
-#[derive(Debug)]
-pub struct QueuePair {
-    window: InflightWindow,
-    cq: CompletionHeap<IoCompletion>,
-    next_tag: u64,
-}
-
-impl QueuePair {
-    /// A queue pair whose in-flight window admits up to `depth`
-    /// commands at once (min 1; 1 reproduces the serialized path
-    /// bit-for-bit).
-    pub fn new(depth: usize) -> Self {
-        QueuePair {
-            window: InflightWindow::new(depth),
-            cq: CompletionHeap::new(),
-            next_tag: 0,
-        }
-    }
-
-    /// Configured window depth.
-    pub fn depth(&self) -> usize {
-        self.window.depth()
-    }
-
-    /// Completions waiting in the completion queue.
-    pub fn pending(&self) -> usize {
-        self.cq.len()
-    }
-
-    /// Submit one command at `now`; returns the host tag (the request's
-    /// own tag, or the next auto-assigned tag when unassigned).
-    ///
-    /// Submission instants must be non-decreasing across calls — the SQ
-    /// is a queue, not a time machine.
-    pub fn submit(
-        &mut self,
-        ssd: &mut Ssd,
-        now: SimTime,
-        req: IoRequest,
-    ) -> Result<CommandId, SsdError> {
-        let tag = if req.tag.is_unassigned() {
-            self.next_tag += 1;
-            CommandId(self.next_tag)
-        } else {
-            req.tag
-        };
-        let admit = self.window.admit(now, req.lba);
-        let probe = ssd.probe().clone();
-        let scope = probe.open_command(req.op.as_str(), now);
-        let id = scope.id();
-        if admit > now {
-            // SQ residency: waiting for a window slot (or a same-LBA
-            // predecessor). Charged as host-visible queueing.
-            probe.span(Layer::Block, Cause::Queue, "sq", now, admit);
-        }
-        let c = match ssd.dispatch(admit, req) {
-            Ok(c) => c,
-            Err(e) => {
-                // abort the probe command explicitly: the record is
-                // discarded and the bus reopens for the next submit
-                scope.abort();
-                return Err(e);
-            }
-        };
-        self.window.commit(admit, req.lba, c.done);
-        scope.close(c.done);
-        self.cq.push(
-            c.done,
-            IoCompletion {
-                tag,
-                op: req.op,
-                lba: req.lba,
-                submitted: now,
-                done: c.done,
-                status: c.status,
-                spans: probe.command_span_count(id),
-            },
-        );
-        Ok(tag)
-    }
-
-    /// Drain every completion ready at `now`, earliest-done first: each
-    /// is popped as the caller takes it, into no list.
-    pub fn ready(&mut self, now: SimTime) -> impl Iterator<Item = IoCompletion> + '_ {
-        std::iter::from_fn(move || self.cq.pop_ready(now)).map(|(_, c)| c)
-    }
-
-    /// Pop the earliest completion regardless of the clock (closed-loop
-    /// drivers advance time *to* the completion they pop).
-    pub fn pop(&mut self) -> Option<IoCompletion> {
-        self.cq.pop().map(|(_, c)| c)
-    }
-
-    /// Completion instant of the earliest pending completion.
-    pub fn next_done(&self) -> Option<SimTime> {
-        self.cq.peek_done()
     }
 }
 
@@ -231,7 +162,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for lba in [5u64, 9, 5, 13] {
             let ca = a.write(t, Lpn(lba)).unwrap();
-            qp.submit(&mut b, t, IoRequest::write(lba)).unwrap();
+            b.enqueue(&mut qp, t, IoRequest::write(lba));
             let cb = qp.pop().unwrap();
             assert_eq!(ca.done, cb.done);
             assert_eq!(cb.submitted, t);
@@ -264,7 +195,7 @@ mod tests {
         let (mut dev, t) = preconditioned();
         let mut qp = QueuePair::new(4);
         for lba in 0..4u64 {
-            qp.submit(&mut dev, t, IoRequest::read(lba)).unwrap();
+            dev.enqueue(&mut qp, t, IoRequest::read(lba));
         }
         let mut last = SimTime::ZERO;
         while let Some(c) = qp.pop() {
@@ -281,13 +212,89 @@ mod tests {
         let mut dev = small_ssd();
         let mut qp = QueuePair::new(8);
         let t = SimTime::ZERO;
-        let a = qp.submit(&mut dev, t, IoRequest::write(7)).unwrap();
-        let b = qp.submit(&mut dev, t, IoRequest::write(7)).unwrap();
+        let a = dev.enqueue(&mut qp, t, IoRequest::write(7)).tag;
+        let b = dev.enqueue(&mut qp, t, IoRequest::write(7)).tag;
         let c1 = qp.pop().unwrap();
         let c2 = qp.pop().unwrap();
         assert_eq!(c1.tag, a);
         assert_eq!(c2.tag, b);
         assert!(c1.done <= c2.done);
+    }
+
+    /// A host-map device (the nameless vocabulary): 2 channels × 2 chips,
+    /// write-through.
+    fn host_map_ssd() -> Ssd {
+        let mut cfg = SsdConfig::modern();
+        cfg.buffer.capacity_pages = 0;
+        cfg.shape.channels = 2;
+        cfg.shape.chips_per_channel = 2;
+        Ssd::with_host_map(cfg)
+    }
+
+    /// Submit a named write of host tag `tag` on `qp` at `now`, keyed by
+    /// the tag: the nameless vocabulary on the same generic pair.
+    fn submit_named_write(
+        dev: &mut Ssd,
+        qp: &mut QueuePair,
+        now: SimTime,
+        tag: u64,
+    ) -> IoCompletion {
+        let probe = dev.probe().clone();
+        let req = IoRequest::write(tag);
+        qp.submit(&probe, now, req.tag, tag, |id, admit| {
+            let (_, c) = dev.write_named(admit, Lpn(tag)).expect("named write");
+            let cqe = IoCompletion {
+                tag: id,
+                op: req.op,
+                lba: tag,
+                submitted: now,
+                done: c.done,
+                spans: 0,
+                status: c.status,
+            };
+            (c.done, cqe)
+        })
+    }
+
+    #[test]
+    fn same_tag_completes_in_submission_order() {
+        let mut dev = host_map_ssd();
+        let mut qp = QueuePair::new(8);
+        let t = SimTime::ZERO;
+        let a = submit_named_write(&mut dev, &mut qp, t, 7).tag;
+        let b = submit_named_write(&mut dev, &mut qp, t, 7).tag;
+        let c1 = qp.pop().unwrap();
+        let c2 = qp.pop().unwrap();
+        assert_eq!(c1.tag, a);
+        assert_eq!(c2.tag, b);
+        assert!(c1.done <= c2.done);
+    }
+
+    #[test]
+    fn queue_depth_overlaps_distinct_tags() {
+        // 4 LUNs: QD4 named writes of distinct tags beat the serialized
+        // chain.
+        let mut serial = host_map_ssd();
+        let mut t = SimTime::ZERO;
+        for tag in 0..4u64 {
+            t = serial.write_named(t, Lpn(tag)).unwrap().1.done;
+        }
+        let serial_done = t;
+
+        let mut dev = host_map_ssd();
+        let mut qp = QueuePair::new(4);
+        for tag in 0..4u64 {
+            submit_named_write(&mut dev, &mut qp, SimTime::ZERO, tag);
+        }
+        let mut last = SimTime::ZERO;
+        while let Some(c) = qp.pop() {
+            assert!(c.status.is_success());
+            last = last.max(c.done);
+        }
+        assert!(
+            last < serial_done,
+            "QD4 named writes ({last}) should beat serialized ({serial_done})"
+        );
     }
 
     #[test]
@@ -299,7 +306,7 @@ mod tests {
         let t = SimTime::ZERO;
         let mut tags = Vec::new();
         for lba in 0..6u64 {
-            tags.push(qp.submit(&mut dev, t, IoRequest::write(lba)).unwrap());
+            tags.push(dev.enqueue(&mut qp, t, IoRequest::write(lba)).tag);
         }
         let comps: Vec<IoCompletion> = std::iter::from_fn(|| qp.pop()).collect();
         assert_eq!(comps.len(), tags.len());

@@ -1,9 +1,10 @@
-//! Property tests for the queue-pair engine: random mixed workloads at
-//! queue depths up to 16 must preserve the three invariants the typed
-//! command API promises:
+//! Property tests for the SSD on a queue pair: random mixed workloads at
+//! queue depths up to 16 must preserve, on the real device, the generic
+//! pair's guarantees (`requiem-sim`'s `qpair_props` checks them on a
+//! scripted device) plus what the device adds:
 //!
 //! 1. commands against the **same LBA** complete in submission order
-//!    (the in-flight window's hazard guard);
+//!    (the in-flight window's hazard guard, with the SSD as dispatch);
 //! 2. every probe command's spans **tile** its `[submit, done)` exactly —
 //!    out-of-order completion must not break the observability bus;
 //! 3. the whole run is **deterministic**: same seed, same workload, same
@@ -85,7 +86,7 @@ fn run(qd: usize, ops: &[HostOp]) -> (Trace, Probe, SimTime) {
         } else {
             start
         };
-        qp.submit(&mut ssd, now, op.request()).expect("submit");
+        ssd.enqueue(&mut qp, now, op.request());
         in_flight += 1;
     }
     while let Some(c) = qp.pop() {

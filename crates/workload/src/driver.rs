@@ -2,10 +2,11 @@
 //!
 //! The closed-loop driver maintains a fixed number of outstanding requests
 //! (queue depth) — the way uFLIP and real storage benchmarks (fio) exercise
-//! devices. It runs on the SSD's [`QueuePair`]: requests are submitted
-//! tagged, admitted by the device-side in-flight window, and reaped from
-//! the completion queue out of submission order; each reaped completion
-//! frees a slot and the next request is submitted at the reap instant.
+//! devices. It runs on the SSD's [`QueuePair`] through [`Ssd::enqueue`]:
+//! requests are submitted tagged, admitted by the device-side in-flight
+//! window, and reaped from the completion queue out of submission order;
+//! each reaped completion frees a slot and the next request is submitted
+//! at the reap instant.
 //! Queue depth is how hosts *expose* device parallelism; §2.1's point
 //! that *"SSDs require a high level of parallelism"* shows up as IOPS
 //! scaling with queue depth. At queue depth 1 the loop is bit-identical
@@ -16,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{ExpInterarrival, Histogram, SimRng};
+use requiem_sim::{ExpInterarrival, Histogram, IoStatus, SimRng};
 use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd};
 use serde::{Deserialize, Serialize};
 
@@ -137,7 +138,8 @@ pub fn run_closed_loop(
         } else {
             IoRequest::write(lba)
         };
-        qp.submit(ssd, now, req).expect("driver io failed");
+        let c = ssd.enqueue(&mut qp, now, req);
+        assert_ne!(c.status, IoStatus::Rejected, "driver io failed");
         in_flight += 1;
         issued += 1;
     }

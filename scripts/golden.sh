@@ -13,8 +13,10 @@
 # as a diff in a printed digit, not as a bug in the change under test.
 #
 # Usage:
-#   scripts/golden.sh check   # build, run the 19, cmp against golden/
-#   scripts/golden.sh write   # build, run the 19, replace golden/
+#   scripts/golden.sh check   # build, run the 19, cmp against golden/,
+#                             # and BENCH_exp13..17.json against them
+#   scripts/golden.sh write   # build, run the 19, replace golden/, name
+#                             # stale BENCH_exp13..17.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,4 +65,22 @@ if [ "$MODE" = write ]; then
 else
     echo "golden: $ok of ${#RUNS[@]} outputs byte-identical"
 fi
+
+# BENCH_exp13..17.json are the trailing JSON block of their experiment's
+# golden file, pasted by hand beside hand-kept `_perf` prose. Compare
+# the two with `_regenerate` and `_perf` dropped on both sides (exp16
+# prints its own `_regenerate`). Neither mode rewrites a snapshot: a
+# stale one is named, and fails `check`.
+json_of() { jq -S 'del(._regenerate, ._perf)' "$@"; }
+stale=0
+for bench in BENCH_exp1[3-7].json; do
+    n=${bench#BENCH_exp}
+    src=$(echo crates/bench/src/bin/exp"${n%.json}"_*.rs)
+    gold=golden/$(basename "$src" .rs).txt
+    if ! cmp -s <(json_of "$bench") <(awk '/^```json$/{f=1;next} /^```$/{f=0} f' "$gold" | json_of); then
+        echo "golden: STALE $bench differs from the JSON block of $gold"
+        stale=$((stale + 1))
+    fi
+done
+[ "$MODE" = write ] || fail=$((fail + stale))
 [ "$fail" -eq 0 ]
