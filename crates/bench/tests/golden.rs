@@ -85,18 +85,33 @@ golden! {
     exp17_short: "exp17_shard_sweep.short" = "exp17_shard_sweep" "--short";
 }
 
+/// The stems of the files in `dir` whose names end in `ext`, sorted.
+fn stems(dir: &Path, ext: &str) -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
+        .map(|entry| entry.expect("readable directory entry").path())
+        .filter(|path| path.is_file())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_string_lossy().into_owned();
+            name.strip_suffix(ext).map(str::to_string)
+        })
+        .collect();
+    stems.sort();
+    stems
+}
+
 /// A golden file nothing runs pins nothing: `golden.sh` derives its list
-/// from `src/bin/exp*.rs`, so a new binary must be added above too.
+/// from `src/bin/exp*.rs`, so a new binary must be added above too. The
+/// examples' goldens sit in `golden/examples/`, one per `examples/*.rs`.
 #[test]
 fn every_golden_file_has_a_test() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
-    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
-        .map(|entry| entry.expect("readable directory entry").file_name())
-        .map(|name| name.to_string_lossy().trim_end_matches(".txt").to_string())
-        .collect();
-    on_disk.sort();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut covered: Vec<String> = STEMS.iter().map(|s| s.to_string()).collect();
     covered.sort();
-    assert_eq!(on_disk, covered);
+    assert_eq!(stems(&root.join("golden"), ".txt"), covered);
+    assert_eq!(
+        stems(&root.join("golden/examples"), ".txt"),
+        stems(&root.join("examples"), ".rs"),
+        "every example has a golden stdout and every golden stdout an example"
+    );
 }

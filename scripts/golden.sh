@@ -4,7 +4,9 @@
 # The simulation is bit-reproducible, so the bytes each `expN` prints
 # are a function of the source tree alone. `golden/<bin>.txt` holds
 # them (stdout only; wall-time notes go to stderr) for all 17 binaries
-# plus the two `--short` presets CI uses. A change that must not move a
+# plus the two `--short` presets CI uses, and `golden/examples/<name>.txt`
+# holds each `examples/<name>.rs`'s, so the examples are checked
+# documentation rather than prose that drifts. A change that must not move a
 # simulated number is checked by one command: equal to the checked-in
 # bytes on every run, which also subsumes "equal to the previous run".
 # The bytes were written on one machine and are compared on every other:
@@ -13,10 +15,11 @@
 # as a diff in a printed digit, not as a bug in the change under test.
 #
 # Usage:
-#   scripts/golden.sh check   # build, run the 19, cmp against golden/,
-#                             # and BENCH_exp13..17.json against them
-#   scripts/golden.sh write   # build, run the 19, replace golden/, name
-#                             # stale BENCH_exp13..17.json
+#   scripts/golden.sh check   # build, run the 19 and the examples, cmp
+#                             # against golden/, and BENCH_exp13..17.json
+#                             # against them
+#   scripts/golden.sh write   # build, run the 19 and the examples, replace
+#                             # golden/, name stale BENCH_exp13..17.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,16 +31,21 @@ case "$MODE" in write | check) ;; *)
 esac
 
 cargo build --offline --release -p requiem-bench
+cargo build --offline --release -p requiem --examples
 
-# "<golden file stem>:<binary> [args]"
+# "<golden file stem>:<binary under target/release> [args]"
 RUNS=()
 for src in crates/bench/src/bin/exp*.rs; do
     bin=$(basename "$src" .rs)
     RUNS+=("$bin:$bin")
 done
 RUNS+=("exp16_aging.short:exp16_aging --short" "exp17_shard_sweep.short:exp17_shard_sweep --short")
+for src in examples/*.rs; do
+    ex=examples/$(basename "$src" .rs)
+    RUNS+=("$ex:$ex")
+done
 
-mkdir -p golden
+mkdir -p golden/examples
 out=$(mktemp)
 err=$(mktemp)
 trap 'rm -f "$out" "$err"' EXIT
