@@ -244,7 +244,7 @@ fn walk(sem: &SemCtx<'_>, body: &Block, block: &Block, out: &mut Vec<Diagnostic>
                                             "`{}` binds a WalForce but its `.status` is never consumed",
                                             l.names[0]
                                         ),
-                                        "consume `.status` (e.g. note_force / note_status) before using `.done`",
+                                        "consume `.status` (match it, count it, or route it to note_status) before using `.done`",
                                     ));
                                 }
                             } else if !l

@@ -14,8 +14,8 @@
 //! (no double-write journal), and every dead page or truncated WAL
 //! segment is freed by exact name the moment it dies.
 //!
-//! The same seeded OLTP trace runs through both
-//! [`StorageManager`] implementations on the same flash geometry:
+//! The same seeded OLTP trace runs through both storage managers on the
+//! same flash geometry:
 //!
 //! * **14a** — end-to-end write amplification (flash programs per
 //!   *logical* page image) and the collector's copy traffic. Asserted:
@@ -33,13 +33,13 @@
 use requiem_bench::{note, section, Series, V};
 use requiem_db::{
     CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig, StorageManager,
+    LegacyBackend, PersistenceBackend, PrefetchConfig,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
 use requiem_sim::{Cause, Histogram, Probe, Table};
-use requiem_ssd::SsdConfig;
+use requiem_ssd::{SsdConfig, SsdMetrics};
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
 
@@ -108,20 +108,38 @@ struct Snapshot {
     log_trims: u64,
 }
 
-fn snapshot<M: StorageManager>(db: &Database<M>) -> Snapshot {
-    let b = db.backend();
+/// `db`'s counters over the metrics of the device under it and the
+/// migrations its manager patched into its page table.
+fn snapshot<B: PersistenceBackend>(
+    db: &Database<B>,
+    device: &SsdMetrics,
+    relocations: u64,
+) -> Snapshot {
     let w = db.wal_backend().stats();
     Snapshot {
         // page images from the backend plus segment images from the WAL
         // port: the same logical-write total the fused interface counted
-        logical: b.stats().logical_writes + w.logical_writes,
-        host_writes: b.device_host_writes(),
-        programs: b.device_programs(),
-        gc_runs: b.device_gc_runs(),
-        gc_moved: b.device_gc_moved(),
-        relocations: b.relocations_patched(),
+        logical: db.backend().stats().logical_writes + w.logical_writes,
+        host_writes: device.host_writes,
+        programs: device.flash_programs.total(),
+        gc_runs: device.gc_runs,
+        gc_moved: device.gc_pages_moved,
+        relocations,
         log_trims: w.log_trims,
     }
+}
+
+/// The block manager's counters: its SSD's metrics, and no relocation —
+/// the block interface cannot report one.
+fn block_snapshot(db: &Database<LegacyBackend>) -> Snapshot {
+    snapshot(db, db.backend().ssd().metrics(), 0)
+}
+
+/// The cooperating manager's counters: the nameless device's metrics,
+/// and every `Migrated` upcall it patched.
+fn coop_snapshot(db: &Database<CoopLogBackend>) -> Snapshot {
+    let b = db.backend();
+    snapshot(db, b.dev().metrics(), b.relocations_patched())
 }
 
 struct ManagerRun {
@@ -164,22 +182,23 @@ impl ManagerRun {
 
 /// One traced OLTP run: probe attached after load, counters reported as
 /// deltas over the traced window.
-fn run_traced<M: StorageManager>(
+fn run_traced<B: PersistenceBackend>(
     label: &'static str,
-    mut db: Database<M>,
+    mut db: Database<B>,
+    counters: fn(&Database<B>) -> Snapshot,
     qd: usize,
     read_only_fraction: f64,
 ) -> ManagerRun {
     let probe = Probe::new();
     db.attach_probe(probe.clone());
-    let before = snapshot(&db);
+    let before = counters(&db);
     let cfg = ExecConfig {
         concurrency: qd,
         prefetch: PrefetchConfig::off(),
         group: GroupCommitPolicy::batched(qd as u32),
     };
     let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
-    let after = snapshot(&db);
+    let after = counters(&db);
     let summary = probe.summary();
     let gc_stall_spans = summary
         .by_layer_cause
@@ -209,8 +228,8 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("14a. End-to-end write amplification (QD 8, 80% update mix)");
-    let legacy = run_traced("block heap+WAL", block_db(), 8, 0.2);
-    let coop = run_traced("cooperating logs", coop_db(), 8, 0.2);
+    let legacy = run_traced("block heap+WAL", block_db(), block_snapshot, 8, 0.2);
+    let coop = run_traced("cooperating logs", coop_db(), coop_snapshot, 8, 0.2);
     let wa_series = Series::new()
         .table_only("manager", |r: &ManagerRun| V::Label(r.label.into()))
         .table_only("TPS", |r| V::Float(r.report.tps, 0, 1))
@@ -284,8 +303,8 @@ fn main() {
     let sweep: Vec<(usize, f64, f64)> = QDS
         .iter()
         .map(|&qd| {
-            let b = run_traced("block", block_db(), qd, 0.5);
-            let c = run_traced("coop", coop_db(), qd, 0.5);
+            let b = run_traced("block", block_db(), block_snapshot, qd, 0.5);
+            let c = run_traced("coop", coop_db(), coop_snapshot, qd, 0.5);
             (qd, b.report.tps, c.report.tps)
         })
         .collect();

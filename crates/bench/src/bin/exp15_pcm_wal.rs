@@ -113,7 +113,6 @@ impl Policy {
             // still forces an undersized group when the loop idles)
             Policy::FlashDeadline => GroupCommitPolicy {
                 max_txns: 2 * qd.max(1) as u32,
-                max_bytes: 0,
                 max_wait: DEADLINE,
             },
         }

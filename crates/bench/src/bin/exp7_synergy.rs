@@ -5,17 +5,20 @@
 //! backends: **legacy** (everything through one flash SSD's block
 //! interface) and **vision** (log forces and buffer steals to a PCM DIMM
 //! on the memory bus; data traffic to flash with atomic batches and TRIM).
-//! The workload is a TPC-B-flavoured OLTP mix.
+//! The workload is a TPC-B-flavoured OLTP mix, run on the executor one
+//! transaction at a time with a log force per commit. How far group
+//! commit alone closes the gap is E15's question (15a).
 
 use requiem_bench::{fmt_ns, modern_unbuffered, note, section};
 use requiem_db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
+use requiem_db::{ExecConfig, TxnInput};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
 use requiem_sim::Table;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
-use requiem_workload::txn_to_input;
+use requiem_workload::oltp_inputs;
 
 struct RunResult {
     label: String,
@@ -29,26 +32,13 @@ struct RunResult {
     commit_stall: SimDuration,
 }
 
-fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> RunResult {
-    let oltp = OltpConfig {
-        pages_per_txn: 4,
-        read_only_fraction: 0.5,
-        log_bytes_per_txn: 256,
-        data_pages: 1024,
-        theta: 0.8,
-    };
-    let mut gen = OltpGen::new(oltp, 7);
+fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, inputs: &[TxnInput]) -> RunResult {
     db.load();
-    let t0 = db.now();
-    for _ in 0..txns {
-        let txn = txn_to_input(&gen.next_txn());
-        db.execute(&txn.accesses, txn.log_bytes);
-    }
-    let span = db.now().since(t0);
+    let report = db.run_concurrent(inputs, &ExecConfig::serialized());
     let s = db.stats().clone();
     RunResult {
         label: label.to_string(),
-        tps: txns as f64 / span.as_secs_f64().max(1e-12),
+        tps: report.tps,
         txn_p50: db.txn_latency().p50(),
         txn_p99: db.txn_latency().p99(),
         commit_p50: db.commit_latency().p50(),
@@ -65,19 +55,19 @@ fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> Ru
 fn pressure_row<B: PersistenceBackend>(tbl: &mut Table, label: &str, mut db: Database<B>) {
     db.load();
     let mut gen = OltpGen::new(OltpConfig::default(), 9);
-    let t0 = db.now();
-    for _ in 0..1000 {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> =
-            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
-        db.execute(&acc, txn.log_bytes);
-    }
+    let inputs: Vec<TxnInput> = (0..1000)
+        .map(|_| {
+            let txn = gen.next_txn();
+            TxnInput {
+                accesses: txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect(),
+                log_bytes: txn.log_bytes,
+            }
+        })
+        .collect();
+    let report = db.run_concurrent(&inputs, &ExecConfig::serialized());
     tbl.row([
         label.to_string(),
-        format!(
-            "{:.0}",
-            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
-        ),
+        format!("{:.0}", report.tps),
         format!("{}", db.backend().stats().steal_writes),
         format!("{}", db.stats().steal_stall),
     ]);
@@ -85,14 +75,20 @@ fn pressure_row<B: PersistenceBackend>(tbl: &mut Table, label: &str, mut db: Dat
 
 fn main() {
     println!("# E7 — synchronous/asynchronous separation (log on PCM vs log on flash)");
-    let txns = 2_000u64;
+    let oltp = OltpConfig {
+        pages_per_txn: 4,
+        read_only_fraction: 0.5,
+        log_bytes_per_txn: 256,
+        data_pages: 1024,
+        theta: 0.8,
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(oltp, 7), 2_000);
     let db_cfg = DbConfig {
         buffer_frames: 256,
         data_pages: 1024,
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 500,
-        group_commit: 1,
         ..DbConfig::default()
     };
 
@@ -104,7 +100,7 @@ fn main() {
     results.push(run(
         "legacy (flash, no write cache)",
         Database::new(db_cfg.clone(), be),
-        txns,
+        &inputs,
     ));
 
     // legacy with a battery-backed write cache (ablation)
@@ -112,7 +108,7 @@ fn main() {
     results.push(run(
         "legacy (flash + battery cache)",
         Database::new(db_cfg.clone(), be),
-        txns,
+        &inputs,
     ));
 
     // vision: PCM log + extended flash
@@ -120,7 +116,7 @@ fn main() {
     results.push(run(
         "vision (PCM log + atomic flash)",
         Database::new(db_cfg.clone(), be),
-        txns,
+        &inputs,
     ));
 
     let mut tbl = Table::new([
@@ -183,40 +179,4 @@ fn main() {
     );
     println!("{tbl}");
     note("Buffer steals are the second synchronous pattern P1 names; staging them in PCM removes the flash program from the blocking path.");
-
-    section("Group-commit ablation: how far can software alone close the gap?");
-    note("Group commit amortizes the flash log force over N transactions — the classic software mitigation. It trades durability lag (a crash loses up to N-1 commits) and still cannot reach the PCM path.");
-    let mut tbl = Table::new(["configuration", "txns/s", "commit p99"]).align(0, Align::Left);
-    for group in [1u32, 8, 64] {
-        let cfg2 = DbConfig {
-            group_commit: group,
-            ..db_cfg.clone()
-        };
-        let be = LegacyBackend::new(modern_unbuffered(), cfg2.data_pages, 256);
-        let r = run(
-            &format!("legacy, group commit = {group}"),
-            Database::new(cfg2, be),
-            1000,
-        );
-        tbl.row([
-            r.label.clone(),
-            format!("{:.0}", r.tps),
-            fmt_ns(r.commit_p99),
-        ]);
-    }
-    {
-        let be = VisionBackend::new(modern_unbuffered(), db_cfg.data_pages, 1 << 22);
-        let r = run(
-            "vision, no grouping needed",
-            Database::new(db_cfg.clone(), be),
-            1000,
-        );
-        tbl.row([
-            r.label.clone(),
-            format!("{:.0}", r.tps),
-            fmt_ns(r.commit_p99),
-        ]);
-    }
-    println!("{tbl}");
-    note("Expected shape: grouping buys throughput but keeps multi-hundred-µs commit tails and weakens durability; the PCM path gives both low latency and per-commit durability.");
 }

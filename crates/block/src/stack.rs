@@ -198,15 +198,6 @@ impl<B: StorageBackend> IoStack<B> {
         }
     }
 
-    /// Set one core's in-flight window without touching the others —
-    /// the sharded executor sizes each submission context to its own
-    /// `concurrency + prefetch` population.
-    pub fn set_core_inflight_window(&mut self, core: usize, depth: usize) {
-        if let Some(qp) = self.qps.get_mut(core) {
-            qp.resize(depth);
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &StackConfig {
         &self.cfg

@@ -277,7 +277,11 @@ pub trait PersistenceBackend {
     /// Configure the device-side in-flight window (queue depth) used by
     /// the batched read path. Call only while no batched reads are in
     /// flight. The serialized default shim ignores it (its depth is
-    /// effectively 1).
+    /// effectively 1), and so does the block stack: its checkpoint
+    /// batches ride the same queue pair as its reads, so resizing the
+    /// window would change what a checkpoint costs — and break the QD-1
+    /// identity with [`Database::execute`](crate::Database::execute),
+    /// which never sets it.
     fn set_read_window(&mut self, depth: usize) {
         let _ = depth;
     }
@@ -351,11 +355,6 @@ impl LegacyBackend {
     /// The underlying device (for write-amplification reporting).
     pub fn ssd(&self) -> Ref<'_, Ssd> {
         self.ssd.borrow()
-    }
-
-    /// First LBA of the data region (the static page → LBA arithmetic).
-    pub fn data_base(&self) -> u64 {
-        self.data_base
     }
 
     fn data_lpn(&self, page: PageId) -> Lpn {

@@ -3,10 +3,11 @@
 //! Experiment binaries used to assemble a database from four loose
 //! pieces — a [`DbConfig`], a backend constructor, an [`ExecConfig`],
 //! and (since the WAL split) a [`WalConfig`] — and every binary
-//! duplicated the same glue. The builder bundles the knobs that must
-//! agree (group-commit policy, WAL medium, prefetch, concurrency) and
-//! hands back a loaded [`Database`] for any of the four storage
-//! managers, plus the matching [`ExecConfig`] for the closed loop.
+//! duplicated the same glue. The builder holds the engine's knobs (pool,
+//! checkpoints, WAL medium) beside the closed loop's (group-commit
+//! policy, prefetch, concurrency) and hands back a loaded [`Database`]
+//! for any of the four storage managers, plus the matching
+//! [`ExecConfig`] for the closed loop.
 
 use requiem_block::StackConfig;
 use requiem_iface::nameless::NamelessConfig;
@@ -83,8 +84,7 @@ impl DbBuilder {
         self
     }
 
-    /// Group-commit policy for the closed loop ([`ExecConfig::group`]);
-    /// the serialized path forces every `max_txns` commits to match.
+    /// Group-commit policy for the closed loop ([`ExecConfig::group`]).
     pub fn group(mut self, group: GroupCommitPolicy) -> Self {
         self.group = group;
         self
@@ -154,7 +154,6 @@ impl DbBuilder {
             data_pages: self.data_pages,
             buffer_frames: self.buffer_frames,
             checkpoint_every: self.checkpoint_every,
-            group_commit: self.group.max_txns.max(1),
             wal: self.wal.clone(),
             ..DbConfig::default()
         }
@@ -240,9 +239,7 @@ mod tests {
         let exec = b.exec_config();
         assert_eq!(exec.concurrency, 8);
         assert_eq!(exec.group.max_txns, 8);
-        let cfg = b.db_config();
-        assert_eq!(cfg.group_commit, 8, "serialized path follows the policy");
-        assert!(matches!(cfg.wal, WalConfig::Pcm(_)));
+        assert!(matches!(b.db_config().wal, WalConfig::Pcm(_)));
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! timeline but do not block the engine (they interfere with later reads
 //! through device queueing — the paper's GC/IO interference made visible).
 //!
+//! There is one commit model: a commit is acknowledged once the force that
+//! makes it durable completes. [`Database::execute`] is the serialized
+//! QD-1 reference (a force per commit); group commit is the executor's
+//! ([`crate::exec`]).
+//!
 //! Recovery is commit-consistent redo: on restart, replay the durable
 //! log's updates of committed transactions onto the durable page images,
 //! LSN-guarded for idempotence.
@@ -19,8 +24,8 @@ use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
 use crate::images::PageImages;
 use crate::page::{PageId, SlottedPage, PAGE_SIZE};
-use crate::wal::{LogRecord, Wal};
-use crate::walbackend::{PcmWal, WalBackend, WalConfig};
+use crate::wal::{LogRecord, Lsn, Wal};
+use crate::walbackend::{PcmWal, WalBackend, WalConfig, WalForce};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -35,11 +40,6 @@ pub struct DbConfig {
     pub record_size: usize,
     /// Checkpoint every N transactions (0 = never).
     pub checkpoint_every: u64,
-    /// Group commit: force the log once every N commits (1 = force every
-    /// commit). Commits between forces complete immediately but are NOT
-    /// durable until the group force — a crash loses them (recovery
-    /// honestly reflects this).
-    pub group_commit: u32,
     /// Which medium carries the WAL: [`WalConfig::Flash`] asks the page
     /// backend for a port onto its own device
     /// ([`PersistenceBackend::make_wal`] — flash for the block backends,
@@ -72,7 +72,6 @@ impl Default for DbConfig {
             slots_per_page: 16,
             record_size: 100,
             checkpoint_every: 0,
-            group_commit: 1,
             wal: WalConfig::Flash,
         }
     }
@@ -145,9 +144,6 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) stats: EngineStats,
     pub(crate) next_txn: u64,
     pub(crate) loaded: bool,
-    /// Commits since the last group force. The bytes themselves are
-    /// enlisted in the [`WalBackend`]'s pending ledger as they happen.
-    unforced_commits: u32,
     /// Engine-level probe: commit spans (group wait vs shared force) are
     /// emitted here; a clone is forwarded to the backend's devices.
     pub(crate) probe: requiem_sim::Probe,
@@ -185,7 +181,6 @@ impl<B: PersistenceBackend> Database<B> {
             backend,
             wal_dev,
             loaded: false,
-            unforced_commits: 0,
             probe: requiem_sim::Probe::disabled(),
         }
     }
@@ -205,11 +200,17 @@ impl<B: PersistenceBackend> Database<B> {
         &*self.wal_dev
     }
 
-    /// Count a completed force's status into the engine ledger.
-    pub(crate) fn note_force(&mut self, status: requiem_sim::IoStatus) {
-        if !status.is_success() {
+    /// Force the log to `lsn`, starting at `at`: the one way records
+    /// become durable. The force's status is counted into the engine
+    /// ledger and the durable horizon moves to `lsn`; what the clock does
+    /// with `done` is the caller's policy.
+    pub(crate) fn force_log(&mut self, at: SimTime, lsn: Lsn) -> WalForce {
+        let f = self.wal_dev.force(at, lsn);
+        if !f.status.is_success() {
             self.stats.wal_force_failures += 1;
         }
+        self.wal.mark_flushed(lsn);
+        f
     }
 
     /// Attach a cross-layer [`Probe`](requiem_sim::Probe) to the backend's
@@ -274,10 +275,7 @@ impl<B: PersistenceBackend> Database<B> {
         let lsn = self.wal.append(LogRecord::Checkpoint);
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
-        let f = self.wal_dev.force(self.now, lsn);
-        self.note_force(f.status);
-        self.wal.mark_flushed(lsn);
-        self.now = self.now.max(f.done);
+        self.now = self.now.max(self.force_log(self.now, lsn).done);
         self.loaded = true;
     }
 
@@ -329,10 +327,7 @@ impl<B: PersistenceBackend> Database<B> {
         let unflushed = self.wal.next_lsn();
         if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
             self.wal_dev.append(unflushed, 512);
-            let f = self.wal_dev.force(end, unflushed);
-            self.note_force(f.status);
-            self.wal.mark_flushed(unflushed);
-            end = end.max(f.done);
+            end = end.max(self.force_log(end, unflushed).done);
         }
         end = end.max(self.backend.steal_write(end, page_id));
         self.stats.steal_stall += end.since(at);
@@ -342,6 +337,13 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// Execute one transaction: each access reads (and possibly dirties)
     /// one record; commit forces the log.
+    ///
+    /// This is the serialized QD-1 reference, and nothing else: one
+    /// transaction at a time, every miss a blocking read, every commit a
+    /// private force. [`Self::run_concurrent`] under
+    /// [`ExecConfig::serialized`](crate::ExecConfig::serialized) must end
+    /// exactly where a loop of these calls ends, on every backend — the
+    /// identity `tests/qd1_law.rs` holds. Workloads run on the executor.
     ///
     /// `accesses` is a list of `(page, slot, dirty)`.
     pub fn execute(&mut self, accesses: &[(u64, u16, bool)], log_bytes: u32) -> TxnOutcome {
@@ -378,20 +380,12 @@ impl<B: PersistenceBackend> Database<B> {
                 self.pool.touch(pid);
             }
         }
-        // commit: append the record; force the log per the group-commit
-        // policy (every Nth commit carries the whole group's bytes)
+        // commit: append the record and force the log to it
         let commit_started = self.now;
         let commit_lsn = self.wal.append(LogRecord::Commit { txn });
         let force_bytes = if wrote { log_bytes.max(32) } else { 32 };
-        self.unforced_commits += 1;
         self.wal_dev.append(commit_lsn, force_bytes);
-        if self.unforced_commits >= self.cfg.group_commit.max(1) {
-            let f = self.wal_dev.force(self.now, commit_lsn);
-            self.note_force(f.status);
-            self.wal.mark_flushed(commit_lsn);
-            self.now = self.now.max(f.done);
-            self.unforced_commits = 0;
-        }
+        self.now = self.now.max(self.force_log(self.now, commit_lsn).done);
         let commit_force = self.now.since(commit_started);
         self.stats.commit_stall += commit_force;
         self.stats.commits += 1;
@@ -422,15 +416,9 @@ impl<B: PersistenceBackend> Database<B> {
             }
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
-        // the force drains every still-pending commit record along with
-        // the checkpoint record itself — a checkpoint flushes the group
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
-        let f = self.wal_dev.force(self.now, lsn);
-        self.note_force(f.status);
-        self.wal.mark_flushed(lsn);
-        self.now = self.now.max(f.done);
-        self.unforced_commits = 0;
+        self.now = self.now.max(self.force_log(self.now, lsn).done);
         self.stats.checkpoints += 1;
         // every log byte before the checkpoint record is now outside the
         // redo horizon: release those segments eagerly so the device's
@@ -894,17 +882,20 @@ mod tests {
     }
 }
 
+/// Commit durability against the page images a frame shares with the
+/// durable set: a write to the frame must never reach a durable image
+/// before the log carries it.
 #[cfg(test)]
 mod group_commit_tests {
     use super::*;
     use crate::backend::LegacyBackend;
     use requiem_ssd::SsdConfig;
 
-    fn db_with_group(group: u32) -> Database<LegacyBackend> {
+    /// A loaded legacy database with a `frames`-frame pool.
+    fn db(frames: usize) -> Database<LegacyBackend> {
         let cfg = DbConfig {
             data_pages: 256,
-            buffer_frames: 64,
-            group_commit: group,
+            buffer_frames: frames,
             ..DbConfig::default()
         };
         let mut ssd_cfg = SsdConfig::modern();
@@ -913,46 +904,6 @@ mod group_commit_tests {
         let mut db = Database::new(cfg, be);
         db.load();
         db
-    }
-
-    #[test]
-    fn group_commit_amortizes_forces() {
-        let mut single = db_with_group(1);
-        let mut grouped = db_with_group(8);
-        for i in 0..64u64 {
-            single.execute(&[(i % 32, 0, true)], 128);
-            grouped.execute(&[(i % 32, 0, true)], 128);
-        }
-        let f1 = single.wal_backend().stats().log_forces;
-        let f8 = grouped.wal_backend().stats().log_forces;
-        assert!(f8 * 4 < f1, "grouped {f8} vs single {f1} forces");
-        assert!(grouped.now() < single.now(), "grouping should be faster");
-    }
-
-    #[test]
-    fn crash_between_group_forces_loses_only_unforced_txns() {
-        let mut db = db_with_group(8);
-        // 8 txns: the 8th triggers the group force — all durable
-        for i in 0..8u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        // 3 more: unforced
-        for i in 8..11u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        db.crash();
-        db.recover();
-        for i in 0..8u64 {
-            assert_eq!(db.visible_owner(i, 0), i + 1, "forced txn {} lost", i + 1);
-        }
-        for i in 8..11u64 {
-            assert_eq!(
-                db.visible_owner(i, 0),
-                0,
-                "unforced txn {} must NOT survive (group commit traded it)",
-                i + 1
-            );
-        }
     }
 
     /// Owner stamped in `(page, slot)` of the durable image set.
@@ -967,35 +918,24 @@ mod group_commit_tests {
 
     /// A clean frame shows the durable image itself (after a checkpoint,
     /// after a steal + refetch): a write to the frame must take a copy, or
-    /// an unforced update would become durable.
+    /// the update would become durable before the page is written.
     #[test]
     fn frame_writes_never_leak_into_the_durable_images_they_share() {
-        let cfg = DbConfig {
-            data_pages: 256,
-            buffer_frames: 8,
-            group_commit: 100, // never forces on its own
-            ..DbConfig::default()
-        };
-        let mut ssd_cfg = SsdConfig::modern();
-        ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
-        let mut db = Database::new(cfg, be);
-        db.load();
-
+        let mut db = db(8);
         db.execute(&[(5, 0, true)], 128); // txn 1
         db.checkpoint(); // page 5's frame now reads the durable image
-        db.execute(&[(5, 0, true)], 128); // txn 2, unforced
+        db.execute(&[(5, 0, true)], 128); // txn 2
         assert_eq!(db.visible_owner(5, 0), 2);
         assert_eq!(durable_owner(&db, 5, 0), 1, "write leaked past the log");
 
-        // churn the tiny pool: page 5 is stolen (the WAL rule forces
-        // txn 2's records first), then read back showing the stolen image
+        // churn the tiny pool: page 5 is stolen, then read back showing
+        // the stolen image
         for i in 100..140u64 {
             db.execute(&[(i, 0, false)], 32);
         }
         assert!(!db.pool.contains(PageId(5)), "page 5 should be evicted");
         assert_eq!(durable_owner(&db, 5, 0), 2);
-        let last = db.execute(&[(5, 0, true)], 128).txn; // unforced
+        let last = db.execute(&[(5, 0, true)], 128).txn;
         assert_eq!(db.visible_owner(5, 0), last);
         assert_eq!(durable_owner(&db, 5, 0), 2, "write leaked past the log");
 
@@ -1003,8 +943,8 @@ mod group_commit_tests {
         db.recover();
         assert_eq!(
             db.visible_owner(5, 0),
-            2,
-            "only what the log made durable survives"
+            last,
+            "the last committed writer survives, by redo from the log"
         );
     }
 
@@ -1013,7 +953,7 @@ mod group_commit_tests {
     /// does next.
     #[test]
     fn frame_writes_never_leak_into_an_in_flight_checkpoint_image() {
-        let mut db = db_with_group(100);
+        let mut db = db(64);
         db.execute(&[(7, 0, true)], 128); // txn 1
         let landed = db.now + SimDuration::from_micros(500);
         for (pid, image) in db.pool.take_dirty() {
@@ -1023,19 +963,5 @@ mod group_commit_tests {
         db.now = db.now.max(landed);
         db.crash(); // the write-back had landed: its image is durable
         assert_eq!(db.visible_owner(7, 0), 1);
-    }
-
-    #[test]
-    fn checkpoint_flushes_pending_group() {
-        let mut db = db_with_group(100); // never forces on its own
-        for i in 0..5u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        db.checkpoint(); // must flush the pending group
-        db.crash();
-        db.recover();
-        for i in 0..5u64 {
-            assert_eq!(db.visible_owner(i, 0), i + 1);
-        }
     }
 }

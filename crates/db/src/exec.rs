@@ -24,12 +24,14 @@
 //! ## The QD-1 identity
 //!
 //! With `concurrency = 1`, prefetching off, and
-//! [`GroupCommitPolicy::immediate`], this executor replays the
-//! serialized engine **bit for bit**: the same device commands at the
-//! same instants, the same stall accounting, the same histograms. Every
-//! observed difference at higher concurrency is therefore *caused* by
-//! overlap — the same discipline the queue-pair engine itself follows
-//! (`requiem-ssd`'s depth-1 identity), carried one layer up the stack.
+//! [`GroupCommitPolicy::immediate`] ([`ExecConfig::serialized`]), this
+//! executor replays the serialized engine **bit for bit**: the same
+//! device commands at the same instants, the same stall accounting, the
+//! same histograms — on every storage manager, with checkpoints or
+//! without (`tests/qd1_law.rs`). Every observed difference at higher
+//! concurrency is therefore *caused* by overlap — the same discipline the
+//! queue-pair engine itself follows (`requiem-ssd`'s depth-1 identity),
+//! carried one layer up the stack.
 //!
 //! Panic policy (PAN01): this module is lint-protected — fallible
 //! outcomes surface as typed statuses, invariants use `assert!` with a
@@ -619,7 +621,6 @@ impl<B: PersistenceBackend> Database<B> {
                     lsn: commit_lsn,
                     enlisted: self.now,
                     started: active.started,
-                    bytes: force_bytes,
                     probe_id,
                     read_only: !active.wrote,
                 });
@@ -846,8 +847,7 @@ impl<B: PersistenceBackend> Database<B> {
         // one shared force to the group's horizon drains every member's
         // enlisted bytes in one device interaction
         let horizon = members.iter().map(|m| m.lsn).max().unwrap_or(Lsn(0));
-        let f = self.wal_dev.force(t, horizon);
-        self.note_force(f.status);
+        let f = self.force_log(t, horizon);
         let done = f.done;
         if st.async_force {
             // sharded coordinator: the force's outcome is already fully
@@ -864,7 +864,6 @@ impl<B: PersistenceBackend> Database<B> {
             // afterwards with done <= now)
             self.now = self.now.max(done);
         }
-        self.wal.mark_flushed(horizon);
         let force_cause = self.wal_dev.force_cause();
         for m in &members {
             if m.probe_id != 0 {
@@ -942,8 +941,7 @@ impl<B: PersistenceBackend> Database<B> {
         let commit_lsn = self.wal.append(LogRecord::Commit { txn: global });
         // the participants' prepare forces already paid for the update
         // payload; the decision forces only the commit record itself
-        let force_bytes = 32;
-        self.wal_dev.append(commit_lsn, force_bytes);
+        self.wal_dev.append(commit_lsn, 32);
         let probe_id = if self.probe.is_enabled() {
             self.probe.open_command("decide", self.now).detach()
         } else {
@@ -956,7 +954,6 @@ impl<B: PersistenceBackend> Database<B> {
             lsn: commit_lsn,
             enlisted: self.now,
             started,
-            bytes: force_bytes,
             probe_id,
             read_only,
         });
@@ -1015,7 +1012,7 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LegacyBackend, VisionBackend};
+    use crate::backend::LegacyBackend;
     use crate::engine::DbConfig;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
@@ -1051,18 +1048,6 @@ mod tests {
         db
     }
 
-    fn vision_db(frames: usize) -> Database<VisionBackend> {
-        let cfg = DbConfig {
-            data_pages: 256,
-            buffer_frames: frames,
-            ..DbConfig::default()
-        };
-        let be = VisionBackend::new(SsdConfig::modern(), cfg.data_pages, 1 << 22);
-        let mut db = Database::new(cfg, be);
-        db.load();
-        db
-    }
-
     fn stack_db(frames: usize) -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
@@ -1075,54 +1060,6 @@ mod tests {
         let mut db = Database::new(cfg, be);
         db.load();
         db
-    }
-
-    /// The tentpole invariant: concurrency 1 + prefetch off + immediate
-    /// forces replays the serialized engine bit for bit.
-    #[test]
-    fn qd1_identity_legacy() {
-        let inputs = mixed_inputs(60, 256, 3);
-        let mut serial = legacy_db(32);
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-        let mut conc = legacy_db(32);
-        let report = conc.run_concurrent(&inputs, &ExecConfig::serialized());
-        assert_eq!(report.txns, 60);
-        assert_eq!(conc.now(), serial.now(), "clocks must agree");
-        assert_eq!(conc.stats().commits, serial.stats().commits);
-        assert_eq!(conc.stats().read_stall, serial.stats().read_stall);
-        assert_eq!(conc.stats().steal_stall, serial.stats().steal_stall);
-        assert_eq!(conc.stats().commit_stall, serial.stats().commit_stall);
-        assert_eq!(
-            conc.wal_backend().stats().log_forces,
-            serial.wal_backend().stats().log_forces
-        );
-        assert_eq!(
-            conc.wal_backend().stats().log_bytes,
-            serial.wal_backend().stats().log_bytes
-        );
-        assert_eq!(
-            conc.backend().stats().page_reads,
-            serial.backend().stats().page_reads
-        );
-        assert_eq!(conc.txn_latency(), serial.txn_latency(), "histograms");
-        assert_eq!(conc.commit_latency(), serial.commit_latency());
-        assert_eq!(report.coalesced, 0);
-        assert_eq!(report.prefetch.issued, 0);
-    }
-
-    #[test]
-    fn qd1_identity_vision() {
-        let inputs = mixed_inputs(40, 256, 2);
-        let mut serial = vision_db(32);
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-        let mut conc = vision_db(32);
-        conc.run_concurrent(&inputs, &ExecConfig::serialized());
-        assert_eq!(conc.now(), serial.now(), "clocks must agree");
-        assert_eq!(conc.txn_latency(), serial.txn_latency());
     }
 
     #[test]

@@ -20,19 +20,14 @@
 //!     buffer steals go to a PCM DIMM on the memory bus, asynchronous data
 //!     traffic goes to the flash SSD using atomic writes (no double-write
 //!     journal) and trim on free.
-//! * [`engine`] — transaction execution over all of the above, with
-//!   crash/recovery (redo replay) support and group commit;
-//! * [`exec`] — the completion-driven executor: N transactions in
-//!   flight over batched reads ([`stack_backend`] drives them through
-//!   the full block stack), coalesced fetches, sequential readahead
-//!   ([`prefetch`]) and WAL group commit on flash or PCM
-//!   ([`walbackend`]);
-//! * [`manager`] — the pluggable [`StorageManager`] layer: the trait is
-//!   generic over the device's handle type, so the block-backed
-//!   manager (handles are LBAs, relocations structurally silent) and the
-//!   cooperating-logs manager (handles are device-chosen
-//!   [`PhysName`](requiem_iface::PhysName)s, patched by upcalls) plug
-//!   into the same engine;
+//! * [`engine`] — the engine state and its serialized QD-1 reference
+//!   ([`Database::execute`]: one transaction at a time, a force per
+//!   commit), with crash/recovery (redo replay) support;
+//! * [`exec`] — the completion-driven executor every workload runs on:
+//!   N transactions in flight over batched reads ([`stack_backend`]
+//!   drives them through the full block stack), coalesced fetches,
+//!   sequential readahead ([`prefetch`]) and WAL group commit on flash or
+//!   PCM ([`walbackend`]); at QD 1 it replays the reference bit for bit;
 //! * [`coop`] — the cooperating-logs manager itself: nameless writes,
 //!   eager frees, upcall-patched [`pagetable`], checkpoints as native
 //!   atomic batches, WAL truncation as exact name frees — one garbage
@@ -62,7 +57,6 @@ pub mod exec;
 mod images;
 pub mod kvstore;
 pub mod ledger;
-pub mod manager;
 pub mod page;
 pub mod pagetable;
 pub mod prefetch;
@@ -80,7 +74,6 @@ pub use engine::{Database, DbConfig, TxnOutcome};
 pub use exec::{ExecConfig, ExecReport, TxnInput};
 pub use kvstore::NamelessKv;
 pub use ledger::{LedgerStats, TwoPhaseLedger, TxnDecision};
-pub use manager::StorageManager;
 pub use page::{PageId, SlottedPage, PAGE_SIZE};
 pub use pagetable::PageTable;
 pub use prefetch::{PrefetchConfig, PrefetchStats};

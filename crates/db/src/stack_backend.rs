@@ -409,16 +409,6 @@ impl PersistenceBackend for BlockStackBackend {
     fn reads_in_flight(&mut self) -> usize {
         self.pending.len() + self.ready.len()
     }
-
-    fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.pending.is_empty() && self.ready.is_empty(),
-            "window change with reads in flight"
-        );
-        self.stack
-            .borrow_mut()
-            .set_core_inflight_window(self.core, depth.max(1));
-    }
 }
 
 #[cfg(test)]
@@ -477,8 +467,8 @@ mod tests {
             let (done, _) = b.page_read(serial, PageId(p));
             serial = done;
         }
-        // batched at depth 8 over the same (now warmer) device state
-        b.set_read_window(8);
+        // batched in the stack's default window over the same (now
+        // warmer) device state
         let pages: Vec<PageId> = (0..16).map(PageId).collect();
         let tags = b.submit_reads(serial, &pages);
         assert_eq!(tags.len(), 16);

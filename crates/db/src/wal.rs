@@ -194,15 +194,6 @@ impl Wal {
         self.flushed = self.flushed.max(Some(lsn));
     }
 
-    /// Records with LSN strictly greater than `after` (or all, if `None`)
-    /// — the redo range for recovery.
-    pub fn records_after(&self, after: Option<Lsn>) -> impl Iterator<Item = &(Lsn, LogRecord)> {
-        let from = after.map(|l| l.0);
-        self.records
-            .iter()
-            .filter(move |(lsn, _)| from.map(|f| lsn.0 > f).unwrap_or(true))
-    }
-
     /// All records up to the durable horizon — what survives a crash.
     pub fn durable_records(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> {
         let horizon = self.flushed;
@@ -225,16 +216,6 @@ impl Wal {
         txns
     }
 
-    /// Total records appended.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True if nothing was appended.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The latest checkpoint LSN at or below the durable horizon.
     pub fn last_durable_checkpoint(&self) -> Option<Lsn> {
         self.durable_records()
@@ -248,16 +229,13 @@ impl Wal {
 // Group commit: shared log forces with a deterministic flush policy
 // ---------------------------------------------------------------------
 
-/// When the next shared log force happens. All three triggers are
+/// When the next shared log force happens. Both triggers are
 /// deterministic functions of enlisted state and virtual time — no
 /// wall-clock timers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupCommitPolicy {
     /// Force once this many commits are enlisted (≥ 1).
     pub max_txns: u32,
-    /// Force once the enlisted force bytes reach this size
-    /// (0 disables the size trigger).
-    pub max_bytes: u32,
     /// Force once the oldest enlisted commit has waited this long
     /// ([`SimDuration::ZERO`] disables the deadline trigger).
     pub max_wait: SimDuration,
@@ -269,18 +247,16 @@ impl GroupCommitPolicy {
     pub fn immediate() -> Self {
         GroupCommitPolicy {
             max_txns: 1,
-            max_bytes: 0,
             max_wait: SimDuration::ZERO,
         }
     }
 
-    /// Batch up to `n` commits per force, with no size or deadline
-    /// trigger (idle engines still force: the executor forces an
-    /// undersized group whenever nothing else can make progress).
+    /// Batch up to `n` commits per force, with no deadline trigger
+    /// (idle engines still force: the executor forces an undersized group
+    /// whenever nothing else can make progress).
     pub fn batched(n: u32) -> Self {
         GroupCommitPolicy {
             max_txns: n.max(1),
-            max_bytes: 0,
             max_wait: SimDuration::ZERO,
         }
     }
@@ -323,8 +299,6 @@ pub struct GroupMember {
     pub enlisted: SimTime,
     /// When the transaction started (for end-to-end latency).
     pub started: SimTime,
-    /// Force bytes this commit contributes.
-    pub bytes: u32,
     /// Detached probe command id for the commit span (0 = not probed).
     pub probe_id: u64,
     /// True when the transaction dirtied nothing.
@@ -335,7 +309,6 @@ pub struct GroupMember {
 #[derive(Debug, Default)]
 pub struct GroupCommit {
     members: Vec<GroupMember>,
-    bytes: u32,
 }
 
 impl GroupCommit {
@@ -346,13 +319,7 @@ impl GroupCommit {
 
     /// Enlist one commit.
     pub fn enlist(&mut self, member: GroupMember) {
-        self.bytes = self.bytes.saturating_add(member.bytes);
         self.members.push(member);
-    }
-
-    /// Enlisted commits.
-    pub fn len(&self) -> usize {
-        self.members.len()
     }
 
     /// True when nothing is enlisted.
@@ -360,20 +327,9 @@ impl GroupCommit {
         self.members.is_empty()
     }
 
-    /// Accumulated force bytes.
-    pub fn bytes(&self) -> u32 {
-        self.bytes
-    }
-
     /// Enlist instant of the oldest member.
-    pub fn oldest(&self) -> Option<SimTime> {
+    fn oldest(&self) -> Option<SimTime> {
         self.members.iter().map(|m| m.enlisted).min()
-    }
-
-    /// Highest enlisted commit LSN — the durability horizon the shared
-    /// force establishes.
-    pub fn max_lsn(&self) -> Option<Lsn> {
-        self.members.iter().map(|m| m.lsn).max()
     }
 
     /// True when `policy` wants a force at `now`.
@@ -382,9 +338,6 @@ impl GroupCommit {
             return false;
         }
         if self.members.len() as u32 >= policy.max_txns.max(1) {
-            return true;
-        }
-        if policy.max_bytes > 0 && self.bytes >= policy.max_bytes {
             return true;
         }
         if policy.max_wait > SimDuration::ZERO {
@@ -406,12 +359,10 @@ impl GroupCommit {
 
     /// Hand the whole group over for forcing: the enlisted members end up
     /// in `scratch`, whose (empty) buffer becomes the group's, so neither
-    /// list is regrown from nothing at the next force. Returns the
-    /// accumulated force bytes.
-    pub fn swap_out(&mut self, scratch: &mut Vec<GroupMember>) -> u32 {
+    /// list is regrown from nothing at the next force.
+    pub fn swap_out(&mut self, scratch: &mut Vec<GroupMember>) {
         assert!(scratch.is_empty(), "the scratch list still holds members");
         std::mem::swap(&mut self.members, scratch);
-        std::mem::take(&mut self.bytes)
     }
 }
 
@@ -485,8 +436,9 @@ mod tests {
             assert_eq!(w.after(h), image(len, i as u8), "image {i}");
         }
         assert_eq!(w.after(parked), b"before");
+        w.mark_flushed(Lsn(lsns[lsns.len() - 1]));
         let logged: Vec<ImageRef> = w
-            .records_after(None)
+            .durable_records()
             .filter_map(|(_, r)| match r {
                 LogRecord::Update { after, .. } => Some(*after),
                 _ => None,
@@ -518,16 +470,7 @@ mod tests {
         assert_eq!(w.flushed(), Some(l2));
     }
 
-    #[test]
-    fn records_after_filters() {
-        let mut w = Wal::new();
-        let l1 = w.append(LogRecord::Commit { txn: 1 });
-        w.append(LogRecord::Commit { txn: 2 });
-        assert_eq!(w.records_after(None).count(), 2);
-        assert_eq!(w.records_after(Some(l1)).count(), 1);
-    }
-
-    fn member(slot: usize, lsn: u64, enlisted: u64, bytes: u32) -> GroupMember {
+    fn member(slot: usize, lsn: u64, enlisted: u64) -> GroupMember {
         GroupMember {
             slot,
             kind: MemberKind::Commit,
@@ -535,52 +478,40 @@ mod tests {
             lsn: Lsn(lsn),
             enlisted: SimTime::ZERO + SimDuration::from_nanos(enlisted),
             started: SimTime::ZERO,
-            bytes,
             probe_id: 0,
             read_only: false,
         }
     }
 
     #[test]
-    fn group_triggers_on_count_bytes_and_deadline() {
+    fn group_triggers_on_count_and_deadline() {
         let mut g = GroupCommit::new();
         let by_count = GroupCommitPolicy::batched(2);
-        let by_bytes = GroupCommitPolicy {
-            max_txns: 100,
-            max_bytes: 300,
-            max_wait: SimDuration::ZERO,
-        };
         let by_wait = GroupCommitPolicy {
             max_txns: 100,
-            max_bytes: 0,
             max_wait: SimDuration::from_micros(10),
         };
         let t = |ns: u64| SimTime::ZERO + SimDuration::from_nanos(ns);
         assert!(!g.due(&by_count, t(0)), "empty group is never due");
-        g.enlist(member(0, 10, 100, 200));
+        g.enlist(member(0, 10, 100));
         assert!(!g.due(&by_count, t(100)));
-        assert!(!g.due(&by_bytes, t(100)));
         assert!(!g.due(&by_wait, t(100)));
         assert_eq!(
             g.deadline(&by_wait),
             Some(t(100) + SimDuration::from_micros(10))
         );
-        g.enlist(member(1, 20, 200, 200));
+        g.enlist(member(1, 20, 200));
         assert!(g.due(&by_count, t(200)), "two commits hit max_txns=2");
-        assert!(g.due(&by_bytes, t(200)), "400 bytes hit max_bytes=300");
         assert!(!g.due(&by_wait, t(200)));
         assert!(g.due(&by_wait, t(100 + 10_000)), "oldest member ages out");
-        assert_eq!(g.max_lsn(), Some(Lsn(20)));
         let mut members = Vec::with_capacity(8);
-        let bytes = g.swap_out(&mut members);
+        g.swap_out(&mut members);
         assert_eq!(members.len(), 2);
-        assert_eq!(bytes, 400);
         assert!(g.is_empty());
-        assert_eq!(g.bytes(), 0);
         // the two lists trade buffers: the next group fills the scratch's
-        g.enlist(member(2, 30, 300, 100));
+        g.enlist(member(2, 30, 300));
         members.clear();
-        assert_eq!(g.swap_out(&mut members), 100);
+        g.swap_out(&mut members);
         assert_eq!((members.len(), members[0].slot), (1, 2));
     }
 

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use requiem_db::wal::Lsn;
 use requiem_db::{
     CoopLogBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PageId, PersistenceBackend,
-    PrefetchConfig, StorageManager, TxnInput, WalBackend, PAGE_SIZE,
+    PrefetchConfig, TxnInput, WalBackend, PAGE_SIZE,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::time::SimTime;
@@ -189,7 +189,7 @@ proptest! {
             "host model and page table must agree on what is bound"
         );
         for &p in &bound {
-            let handle = c.b.handle_of(PageId(p));
+            let handle = c.b.table().lookup(p);
             prop_assert!(handle.is_some(), "page {} lost its handle", p);
             let (done, status) = c.b.page_read(c.t, PageId(p));
             c.t = c.t.max(done);

@@ -66,7 +66,7 @@ pub use probe::{
     ResourceStat, SpanBatch, SpanEvent,
 };
 pub use resource::{Occupant, Resource, ResourceBank, TransferTimeline};
-pub use rng::{ExpInterarrival, SimRng};
+pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Summary};
 pub use table::Table;
 pub use time::{SimDuration, SimTime};

@@ -146,42 +146,6 @@ impl SimRng {
     }
 }
 
-/// Exponential inter-arrival sampler for open-loop drivers (a Poisson
-/// arrival process at a fixed offered rate).
-///
-/// The mean gap is carried as *fractional* nanoseconds internally —
-/// quantising it to the integer-ns [`SimDuration`](crate::SimDuration)
-/// would skew the distribution at high rates — and only the sampled gap
-/// is truncated, floored at 1 ns so simulated time strictly advances.
-/// Keeping the float math here (one inversion-method formula, one
-/// truncation site) is what makes every driver that offers "N IOPS"
-/// reproduce the same arrival stream bit-for-bit.
-#[derive(Debug, Clone, Copy)]
-pub struct ExpInterarrival {
-    mean_gap_ns: f64,
-}
-
-impl ExpInterarrival {
-    /// Sampler for `rate_per_sec` arrivals per second.
-    ///
-    /// # Panics
-    /// Panics if `rate_per_sec <= 0`.
-    pub fn per_second(rate_per_sec: f64) -> Self {
-        assert!(rate_per_sec > 0.0, "offered rate must be positive");
-        ExpInterarrival {
-            mean_gap_ns: 1e9 / rate_per_sec,
-        }
-    }
-
-    /// Draw the next inter-arrival gap.
-    pub fn sample(&self, rng: &mut SimRng) -> crate::SimDuration {
-        // inversion method; clamp the uniform draw away from 0 so ln()
-        // stays finite, floor the gap at 1ns to keep time advancing
-        let gap = (-rng.unit().max(f64::MIN_POSITIVE).ln() * self.mean_gap_ns).max(1.0);
-        crate::SimDuration::from_nanos(gap as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{ExpInterarrival, Histogram, IoStatus, SimRng};
+use requiem_sim::{Histogram, IoStatus, SimRng};
 use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd};
 use serde::{Deserialize, Serialize};
 
@@ -198,45 +198,6 @@ pub fn run_closed_loop_serialized(
     DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
 }
 
-/// Run `ops` operations open-loop at an offered rate of `iops`
-/// (exponentially-distributed inter-arrival times, seeded). Unlike the
-/// closed loop, arrivals do not wait for completions, so latency includes
-/// queueing — the harness for offered-load vs latency curves.
-///
-/// # Panics
-/// Panics if `iops <= 0` or an I/O fails.
-#[allow(clippy::too_many_arguments)] // mirrors run_closed_loop
-pub fn run_open_loop(
-    ssd: &mut Ssd,
-    pattern: &mut AddressPattern,
-    mix: IoMix,
-    iops: f64,
-    ops: u64,
-    seed: u64,
-    start_at: SimTime,
-) -> DriverReport {
-    let arrivals = ExpInterarrival::per_second(iops);
-    let mut rng = SimRng::from_seed(seed).derive("driver-open");
-    let mut latency = Histogram::new();
-    let mut now = start_at;
-    let mut last_done = start_at;
-    let mut reads = 0u64;
-    for _ in 0..ops {
-        let lpn = Lpn(pattern.next_addr());
-        let is_read = rng.chance(mix.read_fraction);
-        let completion = if is_read {
-            reads += 1;
-            ssd.read(now, lpn).expect("driver read failed")
-        } else {
-            ssd.write(now, lpn).expect("driver write failed")
-        };
-        latency.record_duration(completion.latency);
-        last_done = last_done.max(completion.done);
-        now += arrivals.sample(&mut rng);
-    }
-    DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
-}
-
 /// Precondition helper: fill the first `pages` LPNs sequentially so reads
 /// and overwrites have data to hit. Returns the drain time.
 pub fn precondition_sequential(ssd: &mut Ssd, pages: u64, start_at: SimTime) -> SimTime {
@@ -383,79 +344,6 @@ mod tests {
             &mut pat,
             IoMix::write_only(),
             0,
-            1,
-            1,
-            SimTime::ZERO,
-        );
-    }
-}
-
-#[cfg(test)]
-mod open_loop_tests {
-    use super::*;
-    use crate::pattern::Pattern;
-    use requiem_ssd::SsdConfig;
-
-    #[test]
-    fn open_loop_latency_explodes_past_saturation() {
-        // classic offered-load curve: below capacity, latency ~= service
-        // time; above capacity, the queue grows without bound
-        let run = |iops: f64| -> u64 {
-            let mut cfg = SsdConfig::modern();
-            cfg.buffer.capacity_pages = 0;
-            let mut ssd = Ssd::new(cfg);
-            let span = ssd.capacity().exported_pages;
-            let mut pat = AddressPattern::new(Pattern::Sequential, span, 1);
-            let r = run_open_loop(
-                &mut ssd,
-                &mut pat,
-                IoMix::write_only(),
-                iops,
-                2000,
-                1,
-                SimTime::ZERO,
-            );
-            r.latency.p99()
-        };
-        let light = run(5_000.0);
-        let overloaded = run(200_000.0);
-        assert!(
-            overloaded > 10 * light,
-            "overload p99 {overloaded} should dwarf light-load p99 {light}"
-        );
-    }
-
-    #[test]
-    fn open_loop_achieves_offered_rate_below_saturation() {
-        let mut ssd = Ssd::new(SsdConfig::modern());
-        let span = ssd.capacity().exported_pages;
-        let mut pat = AddressPattern::new(Pattern::Sequential, span, 2);
-        let r = run_open_loop(
-            &mut ssd,
-            &mut pat,
-            IoMix::write_only(),
-            10_000.0,
-            2000,
-            2,
-            SimTime::ZERO,
-        );
-        assert!(
-            (r.iops - 10_000.0).abs() / 10_000.0 < 0.15,
-            "achieved {} vs offered 10k",
-            r.iops
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "offered rate")]
-    fn open_loop_rejects_zero_rate() {
-        let mut ssd = Ssd::new(SsdConfig::modern());
-        let mut pat = AddressPattern::new(Pattern::Sequential, 16, 1);
-        run_open_loop(
-            &mut ssd,
-            &mut pat,
-            IoMix::write_only(),
-            0.0,
             1,
             1,
             SimTime::ZERO,

@@ -8,9 +8,8 @@
 //!
 //! * [`pattern`] — address-pattern generators (sequential, uniform random,
 //!   zipfian, strided, hot/cold) over a page space.
-//! * [`driver`] — closed-loop (queue-depth) and open-loop (arrival-rate)
-//!   drivers that push patterns into a [`requiem_ssd::Ssd`] and collect
-//!   throughput/latency.
+//! * [`driver`] — closed-loop (queue-depth) drivers that push patterns
+//!   into a [`requiem_ssd::Ssd`] and collect throughput/latency.
 //! * [`oltp`] — a TPC-B-flavoured transaction mix used by the §3
 //!   experiments (log writes + data page reads/writes per transaction).
 //! * [`dbdriver`] — a closed-loop driver feeding the OLTP mix into
@@ -31,8 +30,7 @@ pub mod sharded;
 
 pub use dbdriver::{oltp_inputs, run_oltp_closed_loop, txn_to_input};
 pub use driver::{
-    precondition_sequential, run_closed_loop, run_closed_loop_serialized, run_open_loop,
-    DriverReport, IoMix,
+    precondition_sequential, run_closed_loop, run_closed_loop_serialized, DriverReport, IoMix,
 };
 pub use pattern::{AddressPattern, Pattern};
 pub use sharded::{ShardedOltpConfig, ShardedOltpGen};

@@ -6,6 +6,7 @@
 
 use requiem::db::backend::VisionBackend;
 use requiem::db::engine::{Database, DbConfig};
+use requiem::db::{ExecConfig, TxnInput};
 use requiem::pcm::{PcmDimm, PcmTiming};
 use requiem::sim::time::SimTime;
 use requiem::ssd::{Lpn, Ssd, SsdConfig};
@@ -48,7 +49,6 @@ fn main() {
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 0,
-        group_commit: 1,
         ..DbConfig::default()
     };
     let mut flash_cfg = SsdConfig::modern();
@@ -57,10 +57,15 @@ fn main() {
     let mut db = Database::new(cfg, backend);
     db.load();
 
-    // run a few transactions: (page, slot, dirty) accesses + commit
-    for i in 0..100u64 {
-        db.execute(&[(i % 50, 0, true), (i % 200, 1, false)], 256);
-    }
+    // run a few transactions, one in flight at a time: (page, slot,
+    // dirty) accesses, then a commit that forces the log
+    let txns: Vec<TxnInput> = (0..100u64)
+        .map(|i| TxnInput {
+            accesses: vec![(i % 50, 0, true), (i % 200, 1, false)],
+            log_bytes: 256,
+        })
+        .collect();
+    db.run_concurrent(&txns, &ExecConfig::serialized());
     println!(
         "database:   100 txns committed; commit force p50 = {} (PCM log), txn p50 = {}",
         requiem::sim::time::SimDuration::from_nanos(db.commit_latency().p50()),

@@ -10,6 +10,7 @@
 
 use requiem::db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
 use requiem::db::engine::{Database, DbConfig};
+use requiem::db::{ExecConfig, TxnInput};
 use requiem::sim::table::Align;
 use requiem::sim::time::SimDuration;
 use requiem::sim::Table;
@@ -25,15 +26,21 @@ fn drive<B: PersistenceBackend>(db: &mut Database<B>, txns: u64, seed: u64) {
         },
         seed,
     );
-    for _ in 0..txns {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> = txn
-            .accesses
-            .iter()
-            .map(|a| (a.page, (a.page % 16) as u16, a.dirty))
-            .collect();
-        db.execute(&acc, txn.log_bytes);
-    }
+    let inputs: Vec<TxnInput> = (0..txns)
+        .map(|_| {
+            let txn = gen.next_txn();
+            TxnInput {
+                accesses: txn
+                    .accesses
+                    .iter()
+                    .map(|a| (a.page, (a.page % 16) as u16, a.dirty))
+                    .collect(),
+                log_bytes: txn.log_bytes,
+            }
+        })
+        .collect();
+    // one transaction in flight, a log force per commit
+    db.run_concurrent(&inputs, &ExecConfig::serialized());
 }
 
 fn main() {
@@ -43,7 +50,6 @@ fn main() {
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 400,
-        group_commit: 1,
         ..DbConfig::default()
     };
 

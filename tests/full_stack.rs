@@ -15,7 +15,6 @@ fn db_cfg() -> DbConfig {
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 0,
-        group_commit: 1,
         ..DbConfig::default()
     }
 }
