@@ -1012,7 +1012,7 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::LegacyBackend;
+    use crate::backend::{LegacyBackend, VisionBackend};
     use crate::engine::DbConfig;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
@@ -1060,6 +1060,66 @@ mod tests {
         let mut db = Database::new(cfg, be);
         db.load();
         db
+    }
+
+    fn vision_db(frames: usize) -> Database<VisionBackend> {
+        let cfg = DbConfig {
+            data_pages: 256,
+            buffer_frames: frames,
+            ..DbConfig::default()
+        };
+        let be = VisionBackend::new(SsdConfig::modern(), cfg.data_pages, 1 << 22);
+        let mut db = Database::new(cfg, be);
+        db.load();
+        db
+    }
+
+    /// The tentpole invariant: concurrency 1 + prefetch off + immediate
+    /// forces replays the serialized engine bit for bit.
+    #[test]
+    fn qd1_identity_legacy() {
+        let inputs = mixed_inputs(60, 256, 3);
+        let mut serial = legacy_db(32);
+        for t in &inputs {
+            serial.execute(&t.accesses, t.log_bytes);
+        }
+        let mut conc = legacy_db(32);
+        let report = conc.run_concurrent(&inputs, &ExecConfig::serialized());
+        assert_eq!(report.txns, 60);
+        assert_eq!(conc.now(), serial.now(), "clocks must agree");
+        assert_eq!(conc.stats().commits, serial.stats().commits);
+        assert_eq!(conc.stats().read_stall, serial.stats().read_stall);
+        assert_eq!(conc.stats().steal_stall, serial.stats().steal_stall);
+        assert_eq!(conc.stats().commit_stall, serial.stats().commit_stall);
+        assert_eq!(
+            conc.wal_backend().stats().log_forces,
+            serial.wal_backend().stats().log_forces
+        );
+        assert_eq!(
+            conc.wal_backend().stats().log_bytes,
+            serial.wal_backend().stats().log_bytes
+        );
+        assert_eq!(
+            conc.backend().stats().page_reads,
+            serial.backend().stats().page_reads
+        );
+        assert_eq!(conc.txn_latency(), serial.txn_latency(), "histograms");
+        assert_eq!(conc.commit_latency(), serial.commit_latency());
+        assert_eq!(report.coalesced, 0);
+        assert_eq!(report.prefetch.issued, 0);
+    }
+
+    #[test]
+    fn qd1_identity_vision() {
+        let inputs = mixed_inputs(40, 256, 2);
+        let mut serial = vision_db(32);
+        for t in &inputs {
+            serial.execute(&t.accesses, t.log_bytes);
+        }
+        let mut conc = vision_db(32);
+        conc.run_concurrent(&inputs, &ExecConfig::serialized());
+        assert_eq!(conc.now(), serial.now(), "clocks must agree");
+        assert_eq!(conc.txn_latency(), serial.txn_latency());
     }
 
     #[test]

@@ -7,14 +7,18 @@
 //!    engineered so concurrent transactions pile onto the same in-flight
 //!    page reads must leave the database byte-for-byte where independent
 //!    (serialized) fetches leave it.
-//! 3. **The durable horizon only moves forward** — under a deadline
+//! 3. **The QD-1 identity holds under random access mixes** — not just
+//!    for the hand-picked workloads in the unit tests.
+//! 4. **The durable horizon only moves forward** — under a deadline
 //!    group that steal writes overtake.
 //!
-//! The QD-1 identity with the serialized engine is `tests/qd1_law.rs`'s,
-//! over every storage manager.
+//! `tests/qd1_law.rs` extends the QD-1 identity to every storage manager,
+//! WAL medium and checkpoint setting.
 
 use proptest::prelude::*;
-use requiem_db::{Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend, TxnInput};
+use requiem_db::{
+    Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend, PersistenceBackend, TxnInput,
+};
 use requiem_sim::time::SimDuration;
 use requiem_ssd::SsdConfig;
 
@@ -166,5 +170,38 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The QD-1 identity under arbitrary mixes: concurrency 1 +
+    /// prefetch off + immediate forces replays the serialized engine
+    /// bit-for-bit — clock, stall ledger, histograms, device counters.
+    #[test]
+    fn qd1_identity_under_random_mixes(inputs in arb_inputs()) {
+        let mut serial = small_db(16);
+        for t in &inputs {
+            serial.execute(&t.accesses, t.log_bytes);
+        }
+        let mut conc = small_db(16);
+        conc.run_concurrent(&inputs, &ExecConfig::serialized());
+        prop_assert_eq!(conc.now(), serial.now());
+        prop_assert_eq!(conc.stats(), serial.stats());
+        prop_assert_eq!(conc.txn_latency(), serial.txn_latency());
+        prop_assert_eq!(conc.commit_latency(), serial.commit_latency());
+        prop_assert_eq!(
+            conc.wal_backend().stats().log_forces,
+            serial.wal_backend().stats().log_forces
+        );
+        prop_assert_eq!(
+            conc.wal_backend().stats().log_bytes,
+            serial.wal_backend().stats().log_bytes
+        );
+        prop_assert_eq!(
+            conc.backend().stats().page_reads,
+            serial.backend().stats().page_reads
+        );
+        prop_assert_eq!(
+            conc.backend().stats().steal_writes,
+            serial.backend().stats().steal_writes
+        );
     }
 }

@@ -13,13 +13,17 @@
 //!    stalls: the durable log record sequence, the commit count, and
 //!    the visible state are bit-identical to the immediate-commit flash
 //!    engine.
-//!
-//! The QD-1 identity on the PCM WAL is `tests/qd1_law.rs`'s, over every
-//! storage manager.
+//! 3. **The QD-1 identity survives the PCM path** — concurrency 1 +
+//!    prefetch off + immediate forces on a PCM WAL replays the
+//!    serialized engine bit-for-bit, clock included, exactly as
+//!    exp13/14 pin for the flash WAL. `tests/qd1_law.rs` extends it to
+//!    every storage manager.
 
 use proptest::prelude::*;
 use requiem_db::wal::LogRecord;
-use requiem_db::{Database, DbConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig};
+use requiem_db::{
+    Database, DbConfig, ExecConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig,
+};
 use requiem_pcm::PcmTiming;
 use requiem_ssd::SsdConfig;
 
@@ -136,5 +140,34 @@ proptest! {
             "the durable log must be record-for-record, byte-for-byte identical"
         );
         prop_assert_eq!(owners(&mut flash), owners(&mut byte));
+    }
+
+    /// Property 3: the QD-1 identity anchor holds with the WAL on PCM.
+    #[test]
+    fn qd1_identity_holds_on_the_pcm_wal(inputs in arb_inputs()) {
+        let mut serial = db(pcm(PcmTiming::gen1()));
+        for t in &inputs {
+            serial.execute(&t.accesses, t.log_bytes);
+        }
+        let mut conc = db(pcm(PcmTiming::gen1()));
+        conc.run_concurrent(&inputs, &ExecConfig::serialized());
+        prop_assert_eq!(conc.now(), serial.now());
+        prop_assert_eq!(conc.stats(), serial.stats());
+        prop_assert_eq!(conc.txn_latency(), serial.txn_latency());
+        prop_assert_eq!(conc.commit_latency(), serial.commit_latency());
+        prop_assert_eq!(
+            conc.wal_backend().stats().log_forces,
+            serial.wal_backend().stats().log_forces
+        );
+        prop_assert_eq!(
+            conc.wal_backend().stats().log_bytes,
+            serial.wal_backend().stats().log_bytes
+        );
+        let (cw, sw) = (conc.wal_backend().wear(), serial.wal_backend().wear());
+        prop_assert_eq!(
+            cw.map(|w| w.total_line_writes),
+            sw.map(|w| w.total_line_writes),
+            "start-gap wear must replay identically too"
+        );
     }
 }

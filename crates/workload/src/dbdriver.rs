@@ -122,4 +122,17 @@ mod tests {
             "every txn lands in exactly one class histogram"
         );
     }
+
+    #[test]
+    fn closed_loop_qd1_matches_serialized_execute() {
+        let inputs = oltp_inputs(&mut oltp(), 40);
+        let mut serial = small_db();
+        for t in &inputs {
+            serial.execute(&t.accesses, t.log_bytes);
+        }
+        let mut conc = small_db();
+        run_oltp_closed_loop(&mut conc, &mut oltp(), 40, &ExecConfig::serialized());
+        assert_eq!(conc.now(), serial.now(), "QD-1 identity through the driver");
+        assert_eq!(conc.txn_latency(), serial.txn_latency());
+    }
 }
