@@ -10,26 +10,21 @@
 //! The pool is purely in-memory; all I/O decisions surface as
 //! [`EvictOutcome`] values for the engine to act on.
 //!
-//! A frame owns bytes only while it is dirty. A clean frame is residency
-//! and a reference bit: its page's bytes are the page's newest image,
-//! which the engine keeps (`crate::images`) and hands in at the first
-//! write.
+//! A frame holds no page bytes, only its page's redo (`crate::page::Redo`):
+//! the writes since the page was fetched or last written back, naming
+//! after-images in the log's arena. A steal or a checkpoint hands it to
+//! the engine, which applies it to the page's durable image.
 
-use crate::page::{PageId, PageVec, SlottedPage};
-
-/// Most page buffers the pool keeps on its spare list (256 KiB of them).
-/// A checkpoint landing retires hundreds of images at once; the ones past
-/// the bound go back to the allocator, and the first writes that would
-/// have used them allocate as they did before there was a list.
-const SPARE_PAGES: usize = 64;
+use crate::page::{PageId, PageVec, Redo};
 
 /// One frame of the pool.
 #[derive(Debug)]
 struct Frame {
     page_id: PageId,
-    /// The page's bytes, from its first write until a steal or a
-    /// checkpoint takes them: `Some` is what "dirty" means.
-    page: Option<SlottedPage>,
+    /// A steal must write it (a rollback may dirty it with no redo).
+    dirty: bool,
+    /// Empty while clean; keeps its capacity from one dirty spell on.
+    redo: Redo,
     pins: u32,
     referenced: bool,
 }
@@ -50,13 +45,11 @@ enum Residency {
 pub enum EvictOutcome {
     /// A free or clean frame was used; no I/O implied.
     Clean,
-    /// A dirty page had to be stolen: the caller must write `page_id`
-    /// (with the returned image) before reusing the frame.
+    /// A dirty page had to be stolen: the caller must write `page_id`,
+    /// applying the pool's `stolen` redo, before reusing the frame.
     Steal {
         /// The evicted dirty page.
         page_id: PageId,
-        /// Its image at eviction time (moved out of the frame, not copied).
-        image: SlottedPage,
     },
 }
 
@@ -92,14 +85,9 @@ pub struct BufferPool {
     frames: Vec<Frame>,
     table: PageVec<Residency>,
     hand: usize,
-    /// Pages whose table entry is [`Residency::Fetching`].
-    fetching: usize,
-    /// Page buffers nobody reads any more, at most [`SPARE_PAGES`] of
-    /// them, handed in through [`BufferPool::recycle`]: the first write to
-    /// a clean frame copies the page into one of these instead of into a
-    /// fresh allocation. Their bytes are whatever the retired image held;
-    /// they are overwritten whole before use.
-    spares: Vec<SlottedPage>,
+    /// The redo of the latest steal. It trades places with the victim
+    /// frame's, so a steal allocates nothing.
+    stolen: Redo,
     stats: PoolStats,
 }
 
@@ -127,8 +115,7 @@ impl BufferPool {
             frames: Vec::with_capacity(capacity),
             table: PageVec::new(pages, Residency::Absent),
             hand: 0,
-            fetching: 0,
-            spares: Vec::new(),
+            stolen: Redo::default(),
             stats: PoolStats::default(),
         }
     }
@@ -169,43 +156,33 @@ impl BufferPool {
         frame
     }
 
-    /// A read access to `page_id`: `false` on a miss. What the reader
-    /// sees is [`BufferPool::dirty_image`], else the page's newest image;
-    /// the pool looks at neither.
+    /// A read access to `page_id`: `false` on a miss. It reads nothing: a
+    /// reader resolves its record through the frame's redo, then the
+    /// page's newest records outside the pool.
     pub fn touch(&mut self, page_id: PageId) -> bool {
         self.access(page_id).is_some()
     }
 
-    /// Get a resident page for writing, marking it referenced and dirty.
-    /// Pins are the caller's responsibility via
-    /// [`BufferPool::pin`]/[`BufferPool::unpin`]. Returns `None` on miss.
-    ///
-    /// The first write to a clean frame gives it bytes of its own: a copy
-    /// of `newest`, the page's newest image outside the pool, in a spare
-    /// buffer when the pool has one and a fresh allocation otherwise.
-    pub fn get_mut(&mut self, page_id: PageId, newest: &SlottedPage) -> Option<&mut SlottedPage> {
+    /// A resident page's redo, to record a write in, marking the frame
+    /// referenced and dirty; `None` on a miss. Pins are the caller's
+    /// responsibility via [`BufferPool::pin`]/[`BufferPool::unpin`].
+    pub(crate) fn get_mut(&mut self, page_id: PageId) -> Option<&mut Redo> {
         let i = self.access(page_id)?;
-        let spares = &mut self.spares;
-        Some(
-            self.frames[i]
-                .page
-                .get_or_insert_with(|| match spares.pop() {
-                    Some(mut own) => {
-                        own.copy_from(newest);
-                        own
-                    }
-                    None => newest.clone(),
-                }),
-        )
+        let f = &mut self.frames[i];
+        f.dirty = true;
+        Some(&mut f.redo)
     }
 
-    /// The bytes of a resident page that has been written since it was
-    /// fetched or last checkpointed; `None` for a clean or absent page,
-    /// whose bytes are its newest image outside the pool. Touches no
-    /// statistics.
-    pub fn dirty_image(&self, page_id: PageId) -> Option<&SlottedPage> {
-        self.frame_of(page_id)
-            .and_then(|i| self.frames[i].page.as_ref())
+    /// The redo of a resident page (empty while clean); `None` for an
+    /// absent page. Touches no statistics.
+    pub(crate) fn redo(&self, page_id: PageId) -> Option<&Redo> {
+        self.frame_of(page_id).map(|i| &self.frames[i].redo)
+    }
+
+    /// The redo of the page the latest [`EvictOutcome::Steal`] named,
+    /// until the next steal.
+    pub(crate) fn stolen(&self) -> &Redo {
+        &self.stolen
     }
 
     /// Pin a resident page (prevents eviction).
@@ -245,7 +222,8 @@ impl BufferPool {
             self.table[page_id] = Residency::Frame(self.frames.len());
             self.frames.push(Frame {
                 page_id,
-                page: None,
+                dirty: false,
+                redo: Redo::default(),
                 pins: 0,
                 referenced: true,
             });
@@ -271,17 +249,16 @@ impl BufferPool {
             }
             // victim found
             let old_id = f.page_id;
-            let stolen = f.page.take();
+            let stolen = std::mem::take(&mut f.dirty);
             f.page_id = page_id;
             f.referenced = true;
             self.table[old_id] = Residency::Absent;
             self.table[page_id] = Residency::Frame(i);
-            if let Some(image) = stolen {
+            if stolen {
+                std::mem::swap(&mut f.redo, &mut self.stolen);
+                f.redo.clear();
                 self.stats.steals += 1;
-                return EvictOutcome::Steal {
-                    page_id: old_id,
-                    image,
-                };
+                return EvictOutcome::Steal { page_id: old_id };
             }
             self.stats.clean_evictions += 1;
             return EvictOutcome::Clean;
@@ -306,18 +283,12 @@ impl BufferPool {
             return false;
         }
         self.table[page_id] = Residency::Fetching;
-        self.fetching += 1;
         true
     }
 
     /// True when a fetch for `page_id` is in flight.
     pub fn fetch_in_flight(&self, page_id: PageId) -> bool {
         self.table[page_id] == Residency::Fetching
-    }
-
-    /// Number of fetches in flight.
-    pub fn fetches_in_flight(&self) -> usize {
-        self.fetching
     }
 
     /// Join the in-flight fetch of `page_id`: counts a coalesced request.
@@ -337,28 +308,27 @@ impl BufferPool {
     pub fn complete_fetch(&mut self, page_id: PageId) -> EvictOutcome {
         if self.fetch_in_flight(page_id) {
             self.table[page_id] = Residency::Absent;
-            self.fetching -= 1;
         }
         self.install(page_id)
     }
 
-    /// Hand the pool a page image its owner is done with. Kept as a spare
-    /// while the list is below its bound; dropped like any other value
-    /// otherwise.
-    pub(crate) fn recycle(&mut self, page: SlottedPage) {
-        if self.spares.len() < SPARE_PAGES {
-            self.spares.push(page);
-        }
+    /// Every dirty resident page, in frame order: a checkpoint's batch.
+    pub fn dirty_pages(&self) -> Vec<PageId> {
+        self.frames
+            .iter()
+            .filter(|f| f.dirty)
+            .map(|f| f.page_id)
+            .collect()
     }
 
-    /// Take the bytes of every dirty resident page (for checkpointing),
-    /// in frame order. The frames stay resident and are clean: the caller
-    /// owns the images now, and they are their pages' newest.
-    pub fn take_dirty(&mut self) -> Vec<(PageId, SlottedPage)> {
-        self.frames
-            .iter_mut()
-            .filter_map(|f| f.page.take().map(|image| (f.page_id, image)))
-            .collect()
+    /// Hand every dirty frame's redo to `write`, in frame order, and leave
+    /// the frames resident and clean (a checkpoint).
+    pub(crate) fn take_dirty(&mut self, mut write: impl FnMut(PageId, &Redo)) {
+        for f in self.frames.iter_mut().filter(|f| f.dirty) {
+            write(f.page_id, &f.redo);
+            f.redo.clear();
+            f.dirty = false;
+        }
     }
 
     /// Drop every frame (simulated crash: volatile state vanishes,
@@ -366,7 +336,6 @@ impl BufferPool {
     pub fn crash(&mut self) {
         self.frames.clear();
         self.table.fill(Residency::Absent);
-        self.fetching = 0;
         self.hand = 0;
     }
 }
@@ -374,16 +343,57 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::images::{tests::newest, PageImages};
+    use crate::page::SlottedPage;
+    use crate::wal::Wal;
     use proptest::prelude::*;
+    use requiem_sim::time::{SimDuration, SimTime};
     use std::collections::BTreeMap;
 
     /// Table size of the unit tests' pools.
     const PAGES: u64 = 16;
+    /// Slots of a formatted page, and the size of every record.
+    const SLOTS: u16 = 4;
+    const RECORD: usize = 16;
 
-    fn page_with(tag: &[u8]) -> SlottedPage {
+    /// A page as the engine formats it: every slot present and zeroed.
+    fn formatted() -> SlottedPage {
         let mut p = SlottedPage::new();
-        p.insert(tag).unwrap();
+        for _ in 0..SLOTS {
+            p.insert(&[0; RECORD]).unwrap();
+        }
         p
+    }
+
+    /// A record: its writer, then the step that wrote it.
+    fn record(owner: u64, step: u64) -> [u8; RECORD] {
+        let mut r = [0; RECORD];
+        r[..8].copy_from_slice(&owner.to_le_bytes());
+        r[8..].copy_from_slice(&step.to_le_bytes());
+        r
+    }
+
+    /// The writer of a record.
+    fn owner(record: Option<&[u8]>) -> Option<u64> {
+        record.map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
+    }
+
+    /// Write `owner`'s record into `slot` of a resident `pid` at LSN `lsn`,
+    /// as the engine does: `false` on a miss.
+    fn write(
+        bp: &mut BufferPool,
+        wal: &mut Wal,
+        pid: PageId,
+        slot: u16,
+        owner: u64,
+        lsn: u64,
+    ) -> bool {
+        let Some(frame) = bp.get_mut(pid) else {
+            return false;
+        };
+        frame.push(slot, Some(wal.keep(&record(owner, lsn))));
+        frame.lsn = lsn;
+        true
     }
 
     #[test]
@@ -394,7 +404,7 @@ mod tests {
         assert!(bp.touch(PageId(1)));
         assert_eq!(bp.stats().hits, 1);
         assert!(!bp.touch(PageId(9)));
-        assert!(bp.get_mut(PageId(9), &page_with(b"nine")).is_none());
+        assert!(bp.get_mut(PageId(9)).is_none());
         assert_eq!(bp.stats().misses, 2);
     }
 
@@ -411,21 +421,20 @@ mod tests {
 
     #[test]
     fn dirty_eviction_is_a_steal_with_image() {
+        let mut wal = Wal::new();
         let mut bp = BufferPool::new(1, PAGES);
         bp.install(PageId(1));
-        bp.get_mut(PageId(1), &page_with(b"newest"))
-            .unwrap()
-            .set_lsn(5);
+        write(&mut bp, &mut wal, PageId(1), 2, 7, 5);
         let out = bp.install(PageId(2));
-        match out {
-            EvictOutcome::Steal { page_id, image } => {
-                assert_eq!(page_id, PageId(1));
-                assert_eq!(image.get(0), Some(&b"newest"[..]));
-                assert_eq!(image.lsn(), 5);
-            }
-            other => panic!("expected steal, got {other:?}"),
-        }
+        assert_eq!(out, EvictOutcome::Steal { page_id: PageId(1) });
         assert_eq!(bp.stats().steals, 1);
+        // the write-back's image: the stolen redo over the durable one
+        let mut image = formatted();
+        bp.stolen().apply(&mut image, &wal);
+        assert_eq!((owner(image.get(2)), image.lsn()), (Some(7), 5));
+        assert_eq!(owner(image.get(1)), Some(0));
+        assert!(bp.dirty_pages().is_empty(), "the frame starts clean");
+        assert!(bp.redo(PageId(2)).unwrap().writes.is_empty());
     }
 
     #[test]
@@ -450,41 +459,44 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_holds_bytes_from_its_first_write_until_a_checkpoint_takes_them() {
+    fn a_frame_holds_redo_from_its_first_write_until_a_checkpoint_takes_it() {
+        let mut wal = Wal::new();
         let mut bp = BufferPool::new(2, PAGES);
         bp.install(PageId(1));
-        assert!(
-            bp.dirty_image(PageId(1)).is_none(),
-            "a clean frame is empty"
-        );
         bp.touch(PageId(1));
-        assert!(bp.dirty_image(PageId(1)).is_none(), "a read copies nothing");
+        assert!(bp.dirty_pages().is_empty(), "a read dirties nothing");
+        assert!(bp.redo(PageId(1)).unwrap().writes.is_empty());
 
-        let newest = page_with(b"newest");
-        bp.get_mut(PageId(1), &newest).unwrap().set_lsn(3);
-        // a later write finds the frame's own bytes, whatever it is handed
-        let frame = bp.get_mut(PageId(1), &page_with(b"ignored")).unwrap();
-        assert_eq!((frame.lsn(), frame.get(0)), (3, Some(&b"newest"[..])));
-        assert_eq!(newest.lsn(), 0, "the write went to the frame's copy");
+        write(&mut bp, &mut wal, PageId(1), 0, 3, 3);
+        write(&mut bp, &mut wal, PageId(1), 1, 4, 4);
+        write(&mut bp, &mut wal, PageId(1), 0, 5, 5);
+        let redo = bp.redo(PageId(1)).unwrap();
+        assert_eq!((redo.writes.len(), redo.lsn), (2, 5), "one entry per slot");
+        let newest = redo.slot(0).unwrap().map(|r| wal.after(r));
+        assert_eq!(owner(newest), Some(5));
+        assert_eq!(bp.dirty_pages(), [PageId(1)]);
 
-        let taken = bp.take_dirty();
-        assert_eq!(taken.len(), 1);
-        assert_eq!((taken[0].0, taken[0].1.lsn()), (PageId(1), 3));
+        let mut taken = Vec::new();
+        bp.take_dirty(|pid, redo| taken.push((pid, redo.writes.len(), redo.lsn)));
+        assert_eq!(taken, [(PageId(1), 2, 5)]);
         assert!(bp.contains(PageId(1)), "a checkpoint evicts nothing");
-        assert!(bp.dirty_image(PageId(1)).is_none());
-        assert!(bp.take_dirty().is_empty());
+        assert!(bp.dirty_pages().is_empty());
+        assert!(bp.redo(PageId(1)).unwrap().writes.is_empty());
+        assert!(bp.dirty_pages().is_empty());
     }
 
+    /// The first write to a clean frame records where its after-image is
+    /// in the log, and nothing else: the pool holds no page bytes.
     #[test]
-    fn the_first_write_overwrites_a_spare_buffer_whole() {
+    fn the_first_write_copies_nothing() {
+        let mut wal = Wal::new();
         let mut bp = BufferPool::new(2, PAGES);
-        let mut retired = page_with(b"bytes of some other page, retired");
-        retired.set_lsn(77);
-        bp.recycle(retired);
         bp.install(PageId(1));
-        let newest = page_with(b"newest");
-        assert_eq!(bp.get_mut(PageId(1), &newest), Some(&mut newest.clone()));
-        assert!(bp.spares.is_empty(), "the spare is the frame's buffer now");
+        let after = wal.keep(&record(9, 1));
+        let frame = bp.get_mut(PageId(1)).unwrap();
+        frame.push(0, Some(after));
+        assert_eq!(frame.writes, [(0, Some(after))]);
+        assert_eq!(bp.dirty_pages(), [PageId(1)]);
     }
 
     #[test]
@@ -507,7 +519,7 @@ mod tests {
     fn crash_clears_everything() {
         let mut bp = BufferPool::new(2, PAGES);
         bp.install(PageId(1));
-        bp.get_mut(PageId(1), &page_with(b"a"));
+        bp.get_mut(PageId(1));
         bp.begin_fetch(PageId(7));
         bp.crash();
         assert_eq!(bp.resident(), 0);
@@ -536,7 +548,7 @@ mod tests {
         bp.begin_fetch(PageId(1));
         bp.begin_fetch(PageId(2));
         assert_eq!(bp.resident(), 0);
-        assert_eq!(bp.fetches_in_flight(), 2);
+        assert!(bp.fetch_in_flight(PageId(1)) && bp.fetch_in_flight(PageId(2)));
         bp.complete_fetch(PageId(1));
         // completing the second evicts the first (capacity 1)
         let out = bp.complete_fetch(PageId(2));
@@ -566,24 +578,23 @@ mod tests {
         bp.install(PageId(1));
     }
 
-    /// A frame of the pool as it was: an image in every frame, clean or
-    /// dirty, and a flag to tell which.
-    struct TreeFrame {
+    /// A frame as it was before frames held redo: the page's bytes, copied
+    /// from its newest image at the first write, until a steal or a
+    /// checkpoint takes them (`Some` is the dirty flag).
+    struct CowFrame {
         page_id: PageId,
-        page: SlottedPage,
-        dirty: bool,
+        page: Option<SlottedPage>,
         pins: u32,
         referenced: bool,
     }
 
     /// The pool this one replaced, twice over — a `BTreeMap` from page to
     /// frame and another from page to the waiters of its fetch instead of
-    /// the page table, and the page's bytes installed into every frame —
-    /// kept as the reference the table-backed, bytes-only-while-dirty pool
-    /// is checked against.
+    /// the page table, and copy-on-write frames instead of redo — kept as
+    /// the reference the table-backed redo pool is checked against.
     struct TreePool {
         capacity: usize,
-        frames: Vec<TreeFrame>,
+        frames: Vec<CowFrame>,
         map: BTreeMap<PageId, usize>,
         hand: usize,
         in_flight: BTreeMap<PageId, Vec<u64>>,
@@ -615,16 +626,12 @@ mod tests {
             self.frames.len() < self.capacity || self.frames.iter().any(|f| f.pins == 0)
         }
 
-        fn get_mut(&mut self, page_id: PageId, for_write: bool) -> Option<&mut SlottedPage> {
+        fn access(&mut self, page_id: PageId) -> Option<usize> {
             match self.map.get(&page_id) {
                 Some(&i) => {
                     self.stats.hits += 1;
-                    let f = &mut self.frames[i];
-                    f.referenced = true;
-                    if for_write {
-                        f.dirty = true;
-                    }
-                    Some(&mut f.page)
+                    self.frames[i].referenced = true;
+                    Some(i)
                 }
                 None => {
                     self.stats.misses += 1;
@@ -633,8 +640,16 @@ mod tests {
             }
         }
 
-        fn peek(&self, page_id: PageId) -> Option<&SlottedPage> {
-            self.map.get(&page_id).map(|&i| &self.frames[i].page)
+        /// The first write to a clean frame copies `newest`.
+        fn get_mut(&mut self, page_id: PageId, newest: &SlottedPage) -> Option<&mut SlottedPage> {
+            let i = self.access(page_id)?;
+            Some(self.frames[i].page.get_or_insert_with(|| newest.clone()))
+        }
+
+        fn dirty_image(&self, page_id: PageId) -> Option<&SlottedPage> {
+            self.map
+                .get(&page_id)
+                .and_then(|&i| self.frames[i].page.as_ref())
         }
 
         fn pin(&mut self, page_id: PageId) {
@@ -645,18 +660,18 @@ mod tests {
             self.frames[self.map[&page_id]].pins -= 1;
         }
 
-        fn install(&mut self, page_id: PageId, page: SlottedPage, dirty: bool) -> EvictOutcome {
+        /// The outcome, and a stolen page's bytes.
+        fn install(&mut self, page_id: PageId) -> (EvictOutcome, Option<SlottedPage>) {
             assert!(!self.map.contains_key(&page_id));
             if self.frames.len() < self.capacity {
-                self.frames.push(TreeFrame {
+                self.frames.push(CowFrame {
                     page_id,
-                    page,
-                    dirty,
+                    page: None,
                     pins: 0,
                     referenced: true,
                 });
                 self.map.insert(page_id, self.frames.len() - 1);
-                return EvictOutcome::Clean;
+                return (EvictOutcome::Clean, None);
             }
             let n = self.frames.len();
             loop {
@@ -671,22 +686,17 @@ mod tests {
                     continue;
                 }
                 let old_id = f.page_id;
-                let was_dirty = f.dirty;
-                let image = std::mem::replace(&mut f.page, page);
+                let stolen = f.page.take();
                 f.page_id = page_id;
-                f.dirty = dirty;
                 f.referenced = true;
                 self.map.remove(&old_id);
                 self.map.insert(page_id, i);
-                if was_dirty {
+                if stolen.is_some() {
                     self.stats.steals += 1;
-                    return EvictOutcome::Steal {
-                        page_id: old_id,
-                        image,
-                    };
+                    return (EvictOutcome::Steal { page_id: old_id }, stolen);
                 }
                 self.stats.clean_evictions += 1;
-                return EvictOutcome::Clean;
+                return (EvictOutcome::Clean, None);
             }
         }
 
@@ -710,27 +720,15 @@ mod tests {
             }
         }
 
-        fn complete_fetch(
-            &mut self,
-            page_id: PageId,
-            page: SlottedPage,
-            dirty: bool,
-        ) -> (EvictOutcome, Vec<u64>) {
-            let waiters = self.in_flight.remove(&page_id).unwrap_or_default();
-            (self.install(page_id, page, dirty), waiters)
+        fn complete_fetch(&mut self, page_id: PageId) -> (EvictOutcome, Option<SlottedPage>) {
+            self.in_flight.remove(&page_id);
+            self.install(page_id)
         }
 
-        fn mark_clean(&mut self, page_id: PageId) {
-            if let Some(&i) = self.map.get(&page_id) {
-                self.frames[i].dirty = false;
-            }
-        }
-
-        fn dirty_pages(&self) -> Vec<(PageId, SlottedPage)> {
+        fn take_dirty(&mut self) -> Vec<(PageId, SlottedPage)> {
             self.frames
-                .iter()
-                .filter(|f| f.dirty)
-                .map(|f| (f.page_id, f.page.clone()))
+                .iter_mut()
+                .filter_map(|f| f.page.take().map(|image| (f.page_id, image)))
                 .collect()
         }
 
@@ -742,74 +740,125 @@ mod tests {
         }
     }
 
-    /// Drive both pools through `ops` = `(op, page, flag != 0)` and compare
-    /// everything observable after every step. Ops whose precondition
-    /// fails (they would panic in both pools) are skipped.
+    /// The images outside the pool as they were beside copy-on-write
+    /// frames: a whole image per write in flight, which replaces the
+    /// durable one when it lands.
+    struct CowImages {
+        durable: Vec<SlottedPage>,
+        in_flight: Vec<(SimTime, PageId, SlottedPage)>,
+    }
+
+    impl CowImages {
+        fn newest(&self, pid: PageId) -> &SlottedPage {
+            self.in_flight
+                .iter()
+                .rev()
+                .find(|(_, p, _)| *p == pid)
+                .map_or(&self.durable[pid.0 as usize], |(_, _, image)| image)
+        }
+
+        fn settle(&mut self, now: SimTime) {
+            let writes = std::mem::take(&mut self.in_flight).into_iter();
+            let (landed, pending): (Vec<_>, Vec<_>) = writes.partition(|w| w.0 <= now);
+            for (_, pid, image) in landed {
+                self.durable[pid.0 as usize] = image;
+            }
+            self.in_flight = pending;
+        }
+
+        /// Patch every image of `pid` whose `slot` is `owned`'s.
+        fn roll_back(
+            &mut self,
+            pid: PageId,
+            slot: u16,
+            before: &[u8],
+            owned: impl Fn(Option<&[u8]>) -> bool,
+        ) {
+            let durable = std::iter::once(&mut self.durable[pid.0 as usize]);
+            let in_flight = self
+                .in_flight
+                .iter_mut()
+                .filter(|(_, p, _)| *p == pid)
+                .map(|(_, _, image)| image);
+            for image in durable.chain(in_flight) {
+                if owned(image.get(slot)) {
+                    image.update(slot, before);
+                }
+            }
+        }
+    }
+
+    /// Drive both pools, each beside its images outside the pool, through
+    /// `ops` = `(op, page, arg)` and compare everything observable after
+    /// every step. Ops whose precondition fails (they would panic in both
+    /// pools) are skipped.
     ///
-    /// Beside the pools sits `base`, every page's newest image outside
-    /// them, kept as the engine keeps it: a fetch installs it into the
-    /// tree pool's frame and nothing into the pool's, a first write is
-    /// handed it, a steal or a checkpoint replaces it with the bytes that
-    /// left the pool and retires the old one into the spare list. What a
-    /// reader sees of a resident page — the pool's dirty image, else
-    /// `base` — must be the tree pool's frame, byte for byte. Retired
-    /// images are also offered one at a time and by the dozen.
-    fn assert_matches_tree_pool(capacity: usize, ops: &[(u8, u64, u8)]) {
+    /// The steps are the engine's: a read, a write (through the frame, so
+    /// stolen and checkpointed bytes carry what was written), a fetch
+    /// whose install may steal (the write-back lands at once), a
+    /// checkpoint (every dirty frame becomes a write in flight), a landing
+    /// (the clock passes some completions), a crash and a participant's
+    /// rollback of whoever last wrote a slot. Writes of one page land in
+    /// submission order and a steal never overlaps a write in flight, as
+    /// in the engine (a checkpoint waits for its batch). What a reader
+    /// sees of every resident page, slot by slot, and of the page the step
+    /// named, byte for byte, must match; so must every write-back's and
+    /// landing's durable bytes and page LSN.
+    fn assert_matches_cow_pool(capacity: usize, ops: &[(u8, u64, u8)]) {
         // few enough pages that a small pool churns, enough that a
         // 64-frame pool fills and evicts
         let span = if capacity < 64 { 6 } else { 96 };
         let mut pool = BufferPool::new(capacity, span);
+        let mut images = PageImages::new(span, formatted());
+        let mut wal = Wal::new();
         let mut tree = TreePool::new(capacity);
-        let mut base: Vec<SlottedPage> = (0..span).map(|p| page_with(&p.to_le_bytes())).collect();
-        // bytes left a pool for the device: they are the page's newest now
-        let land = |pool: &mut BufferPool, base: &mut [SlottedPage], p: PageId, image| {
-            pool.recycle(std::mem::replace(&mut base[p.0 as usize], image));
+        let mut cow = CowImages {
+            durable: vec![formatted(); span as usize],
+            in_flight: Vec::new(),
         };
-        for (step, &(op, page, flag)) in ops.iter().enumerate() {
+        let mut now = SimTime::ZERO;
+        let us = |arg: u8| SimDuration::from_micros(10 * u64::from(arg % 4));
+        for (step, &(op, page, arg)) in ops.iter().enumerate() {
             let pid = PageId(page % span);
-            let newest = &base[pid.0 as usize];
-            let flag = flag != 0;
+            let slot = u16::from(arg) % SLOTS;
+            let lsn = step as u64 + 1;
             let busy = tree.contains(pid) || tree.fetch_in_flight(pid);
-            let evict = |pool: &mut BufferPool, base: &mut [SlottedPage], got, want| {
-                assert_eq!(got, want, "step {step}: eviction, stolen bytes");
-                if let EvictOutcome::Steal { page_id, image } = got {
-                    land(pool, base, page_id, image);
-                }
-            };
+            let mut durable_checks = Vec::new();
             match op {
-                0..=7 if !busy && tree.can_install() => {
-                    let want = tree.install(pid, newest.clone(), false);
-                    let got = pool.install(pid);
-                    evict(&mut pool, &mut base, got, want);
-                }
-                8..=13 if !tree.contains(pid) && tree.can_install() => {
-                    let (want, _) = tree.complete_fetch(pid, newest.clone(), false);
-                    let got = pool.complete_fetch(pid);
-                    evict(&mut pool, &mut base, got, want);
+                0..=13 if !tree.contains(pid) && tree.can_install() && cow.in_flight.is_empty() => {
+                    let ((want, stolen), got) = if op < 8 && !busy {
+                        (tree.install(pid), pool.install(pid))
+                    } else if op >= 8 {
+                        (tree.complete_fetch(pid), pool.complete_fetch(pid))
+                    } else {
+                        continue;
+                    };
+                    assert_eq!(got, want, "step {step}: eviction");
+                    if let EvictOutcome::Steal { page_id } = got {
+                        pool.stolen().apply(images.durable_mut(page_id), &wal);
+                        cow.durable[page_id.0 as usize] = stolen.unwrap();
+                        durable_checks.push(page_id);
+                    }
                 }
                 14..=19 if !tree.contains(pid) => {
                     assert_eq!(pool.begin_fetch(pid), tree.begin_fetch(pid), "step {step}");
                 }
-                20..=27 if flag => {
-                    let clean = pool.contains(pid) && pool.dirty_image(pid).is_none();
-                    let spares_before = pool.spares.len();
-                    // write through the frame, so stolen and checkpointed
-                    // images carry what was written, not what was fetched
-                    let (a, b) = (pool.get_mut(pid, newest), tree.get_mut(pid, true));
-                    assert_eq!(a, b, "step {step}: the page as the writer finds it");
-                    if let (Some(a), Some(b)) = (a, b) {
-                        a.set_lsn(step as u64);
-                        b.set_lsn(step as u64);
+                20..=27 if arg >= 8 => {
+                    // the step is the writer and the LSN
+                    let want = tree.get_mut(pid, cow.newest(pid));
+                    let hit = want.is_some();
+                    if let Some(page) = want {
+                        page.update(slot, &record(lsn, lsn));
+                        page.set_lsn(lsn);
                     }
-                    let took = usize::from(clean && spares_before > 0);
                     assert_eq!(
-                        pool.spares.len(),
-                        spares_before - took,
-                        "step {step}: a first write, and only that, takes a spare"
+                        write(&mut pool, &mut wal, pid, slot, lsn, lsn),
+                        hit,
+                        "step {step}"
                     );
                 }
                 20..=27 => {
-                    let hit = tree.get_mut(pid, false).is_some();
+                    let hit = tree.access(pid).is_some();
                     assert_eq!(pool.touch(pid), hit, "step {step}");
                 }
                 28..=30 if tree.contains(pid) => {
@@ -825,37 +874,63 @@ mod tests {
                     tree.add_waiter(pid, step as u64);
                 }
                 36..=38 => {
-                    // a checkpoint: every dirty image, in frame order
-                    let want = tree.dirty_pages();
-                    for (p, _) in &want {
-                        tree.mark_clean(*p);
-                    }
-                    let got = pool.take_dirty();
-                    assert_eq!(got, want, "step {step}");
-                    for (p, image) in got {
-                        land(&mut pool, &mut base, p, image);
-                    }
+                    // a checkpoint: every dirty frame, in frame order
+                    let done = cow.in_flight.last().map_or(now, |w| w.0).max(now) + us(arg);
+                    let want = tree.take_dirty();
+                    let ids: Vec<PageId> = want.iter().map(|(p, _)| *p).collect();
+                    assert_eq!(pool.dirty_pages(), ids, "step {step}");
+                    pool.take_dirty(|p, redo| images.write(done, p, redo));
+                    cow.in_flight
+                        .extend(want.into_iter().map(|(p, image)| (done, p, image)));
                 }
                 39 => {
                     pool.crash();
                     tree.crash();
+                    images.crash(now, &wal);
+                    cow.settle(now);
+                    cow.in_flight.clear();
+                    durable_checks.extend((0..span).map(PageId));
                 }
                 40..=42 => {
-                    // one retired image: kept while there is room
-                    let before = pool.spares.len();
-                    pool.recycle(page_with(&(step as u64).to_le_bytes()));
-                    assert_eq!(
-                        pool.spares.len(),
-                        (before + 1).min(SPARE_PAGES),
-                        "step {step}"
-                    );
+                    now += us(arg);
+                    durable_checks.extend(cow.in_flight.iter().filter(|w| w.0 <= now).map(|w| w.1));
+                    images.settle(now, &wal);
+                    cow.settle(now);
                 }
-                43 => {
-                    for i in 0..40u64 {
-                        pool.recycle(page_with(&i.to_le_bytes()));
-                    }
+                43..=45 => {
+                    // roll back whoever wrote the slot last, visiting the
+                    // frame first, as `undo_participant` does; half the
+                    // time on the page of the newest write in flight
+                    let pid = match cow.in_flight.last() {
+                        Some(&(_, p, _)) if arg >= 8 => p,
+                        _ => pid,
+                    };
+                    let shown = tree.dirty_image(pid).unwrap_or(cow.newest(pid));
+                    let global = owner(shown.get(slot)).unwrap();
+                    let owned = |r: Option<&[u8]>| global != 0 && owner(r) == Some(global);
+                    let before_bytes = record(0, lsn);
+                    let before = Some(wal.keep(&before_bytes));
+                    let restored =
+                        images.roll_back(pool.get_mut(pid), pid, slot, before, &wal, owned);
+                    let want = match tree.get_mut(pid, cow.newest(pid)) {
+                        Some(page) if owned(page.get(slot)) => {
+                            page.update(slot, &before_bytes);
+                            true
+                        }
+                        _ => false,
+                    };
+                    cow.roll_back(pid, slot, &before_bytes, owned);
+                    assert_eq!(restored, want, "step {step}: restored in the frame");
                 }
                 _ => {}
+            }
+            for p in durable_checks {
+                let (got, want) = (images.durable(p), &cow.durable[p.0 as usize]);
+                assert_eq!(
+                    (got.lsn(), got.as_bytes()),
+                    (want.lsn(), want.as_bytes()),
+                    "step {step} {p:?}: durable bytes"
+                );
             }
             for p in (0..span).map(PageId) {
                 assert_eq!(pool.contains(p), tree.contains(p), "step {step} {p:?}");
@@ -864,39 +939,48 @@ mod tests {
                     tree.fetch_in_flight(p),
                     "step {step} {p:?}"
                 );
-                let visible = tree
-                    .peek(p)
-                    .map(|_| pool.dirty_image(p).unwrap_or(&base[p.0 as usize]));
-                assert_eq!(visible, tree.peek(p), "step {step} {p:?}");
+                if !tree.contains(p) {
+                    continue;
+                }
+                let want = tree.dirty_image(p).unwrap_or(cow.newest(p));
+                for s in 0..SLOTS {
+                    assert_eq!(
+                        images.record(pool.redo(p), p, s, &wal),
+                        want.get(s),
+                        "step {step} {p:?} slot {s}: what a reader sees"
+                    );
+                }
+                if p == pid {
+                    let got = newest(&images, pool.redo(p), p, &wal);
+                    assert_eq!(
+                        got.as_bytes(),
+                        want.as_bytes(),
+                        "step {step}: visible bytes"
+                    );
+                }
             }
             assert!(
                 pool.frames
                     .iter()
-                    .map(|f| (f.page_id, f.page.is_some()))
-                    .eq(tree.frames.iter().map(|f| (f.page_id, f.dirty))),
+                    .map(|f| (f.page_id, f.dirty))
+                    .eq(tree.frames.iter().map(|f| (f.page_id, f.page.is_some()))),
                 "step {step}: frame order, dirty set"
-            );
-            assert_eq!(
-                pool.fetches_in_flight(),
-                tree.in_flight.len(),
-                "step {step}"
             );
             assert_eq!(
                 format!("{:?}", pool.stats()),
                 format!("{:?}", tree.stats),
                 "step {step}"
             );
-            assert!(pool.spares.len() <= SPARE_PAGES, "step {step}");
         }
     }
 
     proptest! {
         #[test]
-        fn bytes_only_while_dirty_pool_matches_the_tree_pool_it_replaced(
+        fn redo_frames_match_the_copy_on_write_pool_they_replaced(
             capacity in 0..3usize,
-            ops in proptest::collection::vec((0..44u8, 0..96u64, 0..2u8), 1..400),
+            ops in proptest::collection::vec((0..46u8, 0..96u64, 0..16u8), 1..400),
         ) {
-            assert_matches_tree_pool([1, 2, 64][capacity], &ops);
+            assert_matches_cow_pool([1, 2, 64][capacity], &ops);
         }
     }
 }

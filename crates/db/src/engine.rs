@@ -18,7 +18,7 @@
 //! LSN-guarded for idempotence.
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::Histogram;
+use requiem_sim::{Histogram, IoStatus};
 
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
@@ -247,19 +247,19 @@ impl<B: PersistenceBackend> Database<B> {
         self.pool.stats()
     }
 
-    /// Promote completed in-flight writes to the durable image set. The
-    /// images they replace go to the pool's spare list.
-    pub(crate) fn settle_in_flight(&mut self) {
-        let pool = &mut self.pool;
-        self.images
-            .settle(self.now, |replaced| pool.recycle(replaced));
-    }
-
-    /// `image` is `pid`'s durable image as of now; the one it replaces
-    /// goes to the pool's spare list.
-    pub(crate) fn set_durable(&mut self, pid: PageId, image: SlottedPage) {
-        if let Some(replaced) = self.images.set_durable(pid, image) {
-            self.pool.recycle(replaced);
+    /// Count a device read's media status into the engine ledger (a
+    /// recovery or a failure); true when the bytes were lost.
+    fn note_media(&mut self, status: IoStatus) -> bool {
+        match status {
+            IoStatus::Ok => false,
+            IoStatus::RecoveredAfterRetry { .. } => {
+                self.stats.media_recoveries += 1;
+                false
+            }
+            IoStatus::Unrecoverable | IoStatus::Rejected => {
+                self.stats.media_failures += 1;
+                true
+            }
         }
     }
 
@@ -285,44 +285,36 @@ impl<B: PersistenceBackend> Database<B> {
         if self.pool.contains(pid) {
             return;
         }
-        self.settle_in_flight();
+        self.images.settle(self.now, &self.wal);
         let t0 = self.now;
         let (done, status) = self.backend.page_read(self.now, pid);
         self.now = self.now.max(done);
         self.stats.read_stall += self.now.since(t0);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                // device saved the data itself; the stall above already
-                // charged the recovery latency — just count it
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                // the device lost the page: redo it from the durable log
-                // (the WAL is the database — ARIES media recovery in
-                // miniature), and refresh the durable image so a later
-                // crash does not resurrect the lost bytes
-                self.stats.media_failures += 1;
-                let (end, image) = self.rebuild_page_from_log(self.now, pid);
-                self.now = self.now.max(end);
-                self.set_durable(pid, image);
-            }
+        self.now = self.install_read(self.now, pid, status);
+    }
+
+    /// Install `pid`, read with `status`, from `at` on: count the status,
+    /// redo a lost page from the durable log into its durable image (ARIES
+    /// media recovery in miniature; a later crash cannot resurrect the
+    /// lost bytes), write back the frame the install steals. Returns when
+    /// that device work is done.
+    pub(crate) fn install_read(&mut self, at: SimTime, pid: PageId, status: IoStatus) -> SimTime {
+        let mut end = at;
+        if self.note_media(status) {
+            end = self.rebuild_page_from_log(at, pid);
         }
-        if let EvictOutcome::Steal { page_id, image } = self.pool.install(pid) {
-            self.now = self.write_back_stolen(self.now, page_id, image);
+        if let EvictOutcome::Steal { page_id } = self.pool.complete_fetch(pid) {
+            end = self.write_back_stolen(end, page_id);
         }
+        end
     }
 
     /// Synchronous steal write of `page_id` starting at `at`: WAL rule
     /// first — the stolen page's updates must be durable in the log
-    /// before its frame turns — then the page write, whose image becomes
-    /// the durable one. Returns the instant the device is done.
-    pub(crate) fn write_back_stolen(
-        &mut self,
-        at: SimTime,
-        page_id: PageId,
-        image: SlottedPage,
-    ) -> SimTime {
+    /// before its frame turns — then the page write, which applies the
+    /// frame's redo to the durable image. Returns the instant the device
+    /// is done.
+    pub(crate) fn write_back_stolen(&mut self, at: SimTime, page_id: PageId) -> SimTime {
         let mut end = at;
         let unflushed = self.wal.next_lsn();
         if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
@@ -331,7 +323,8 @@ impl<B: PersistenceBackend> Database<B> {
         }
         end = end.max(self.backend.steal_write(end, page_id));
         self.stats.steal_stall += end.since(at);
-        self.set_durable(page_id, image);
+        let durable = self.images.durable_mut(page_id);
+        self.pool.stolen().apply(durable, &self.wal);
         end
     }
 
@@ -361,21 +354,7 @@ impl<B: PersistenceBackend> Database<B> {
                 // resident, but if the pool ever evicted it in between, we
                 // must not append an Update we cannot apply — WAL and page
                 // would disagree about what happened
-                let Some(frame) = self.pool.get_mut(pid, self.images.newest(pid)) else {
-                    continue;
-                };
-                wrote = true;
-                let after = self.wal.new_after(self.cfg.record_size, |image| {
-                    image[..8].copy_from_slice(&txn.to_le_bytes());
-                });
-                frame.update(slot, self.wal.after(after));
-                let lsn = self.wal.append(LogRecord::Update {
-                    txn,
-                    page: pid,
-                    slot,
-                    after,
-                });
-                frame.set_lsn(lsn.0);
+                wrote |= self.write_record(txn, pid, slot);
             } else {
                 self.pool.touch(pid);
             }
@@ -402,18 +381,39 @@ impl<B: PersistenceBackend> Database<B> {
         }
     }
 
+    /// Log `txn`'s write of `(pid, slot)` and name it in the page's redo;
+    /// `false`, and nothing logged, when the page is not resident.
+    pub(crate) fn write_record(&mut self, txn: u64, pid: PageId, slot: u16) -> bool {
+        let Some(frame) = self.pool.get_mut(pid) else {
+            return false;
+        };
+        let after = self.wal.new_after(self.cfg.record_size, |image| {
+            image[..8].copy_from_slice(&txn.to_le_bytes());
+        });
+        frame.push(slot, Some(after));
+        frame.lsn = self
+            .wal
+            .append(LogRecord::Update {
+                txn,
+                page: pid,
+                slot,
+                after,
+            })
+            .0;
+        true
+    }
+
     /// Sharp checkpoint: flush all dirty pages as one torn-safe batch,
     /// wait for it, then log the checkpoint — so the checkpoint record is
     /// an honest redo lower bound.
     pub fn checkpoint(&mut self) {
-        let dirty = self.pool.take_dirty();
-        if !dirty.is_empty() {
-            let ids: Vec<PageId> = dirty.iter().map(|(p, _)| *p).collect();
+        let ids = self.pool.dirty_pages();
+        if !ids.is_empty() {
             let done = self.backend.page_batch(self.now, &ids);
             self.now = self.now.max(done);
-            for (pid, image) in dirty {
-                self.images.write(done, pid, image);
-            }
+            let images = &mut self.images;
+            self.pool
+                .take_dirty(|pid, redo| images.write(done, pid, redo));
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
         self.wal_dev
@@ -427,16 +427,14 @@ impl<B: PersistenceBackend> Database<B> {
         let ck_len = u64::from(LogRecord::Checkpoint.encoded_len());
         let horizon = self.wal_dev.stats().log_bytes.saturating_sub(ck_len);
         self.wal_dev.truncate(self.now, horizon);
-        self.settle_in_flight();
+        self.images.settle(self.now, &self.wal);
     }
 
     /// Simulated crash: volatile state (buffer pool, in-flight promotions)
     /// vanishes; the durable log and page images survive.
     pub fn crash(&mut self) {
         self.pool.crash();
-        let pool = &mut self.pool;
-        self.images
-            .crash(self.now, |replaced| pool.recycle(replaced));
+        self.images.crash(self.now, &self.wal);
     }
 
     /// Redo recovery: replay committed updates from the durable log onto
@@ -502,40 +500,18 @@ impl<B: PersistenceBackend> Database<B> {
             self.wal_dev
                 .recover_scan(self.now, skip, scan.min(u64::from(u32::MAX)) as u32);
         self.now = self.now.max(end);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                self.stats.media_failures += 1;
-            }
-        }
+        self.note_media(status);
         let mut replayed = 0u64;
         let redo = self
             .wal
             .durable_records()
             .filter(|(lsn, _)| start.map(|s| *lsn >= s).unwrap_or(true));
-        for &(lsn, rec) in redo {
-            match rec {
-                LogRecord::Update {
-                    txn,
-                    page,
-                    slot,
-                    after,
-                } if committed.binary_search(&txn).is_ok() => {
+        for (lsn, rec) in redo {
+            match rec.page_write() {
+                Some((txn, page, slot, after)) if committed.binary_search(&txn).is_ok() => {
                     let img = self.images.durable_mut(page);
                     if img.lsn() < lsn.0 {
-                        img.update(slot, self.wal.after(after));
-                        img.set_lsn(lsn.0);
-                        replayed += 1;
-                    }
-                }
-                LogRecord::Delete { txn, page, slot } if committed.binary_search(&txn).is_ok() => {
-                    let img = self.images.durable_mut(page);
-                    if img.lsn() < lsn.0 {
-                        img.delete(slot);
-                        img.set_lsn(lsn.0);
+                        img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
                         replayed += 1;
                     }
                 }
@@ -555,13 +531,9 @@ impl<B: PersistenceBackend> Database<B> {
     /// per-page index into the log), charged via
     /// [`WalBackend::recover_scan`] starting at `at`; the scan's
     /// typed status folds into the media counters as in
-    /// [`Self::recover`]. Returns the scan's end instant and the rebuilt
-    /// image.
-    pub(crate) fn rebuild_page_from_log(
-        &mut self,
-        at: SimTime,
-        pid: PageId,
-    ) -> (SimTime, SlottedPage) {
+    /// [`Self::recover`]. The rebuilt image is durable as of the scan's
+    /// end instant, which is returned.
+    pub(crate) fn rebuild_page_from_log(&mut self, at: SimTime, pid: PageId) -> SimTime {
         let bytes: u64 = self
             .wal
             .durable_records()
@@ -570,55 +542,41 @@ impl<B: PersistenceBackend> Database<B> {
         let (end, status) = self
             .wal_dev
             .recover_scan(at, 0, bytes.min(u64::from(u32::MAX)) as u32);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                // the log medium failed too; the in-memory WAL remains
-                // authoritative for the bytes (see `recover`), so the
-                // rebuild proceeds — but the failure is counted
-                self.stats.media_failures += 1;
-            }
-        }
+        // a failed log medium is counted; the in-memory WAL remains
+        // authoritative for the bytes (see `recover`), so the rebuild
+        // proceeds
+        self.note_media(status);
         let committed = self.wal.durable_commits();
-        let mut img = self.images.formatted().clone();
+        let img = self.images.reformat(pid);
         for (lsn, rec) in self.wal.durable_records() {
-            match rec {
-                LogRecord::Update {
-                    txn,
-                    page,
-                    slot,
-                    after,
-                } if *page == pid && committed.binary_search(txn).is_ok() => {
-                    img.update(*slot, self.wal.after(*after));
-                    img.set_lsn(lsn.0);
-                }
-                LogRecord::Delete { txn, page, slot }
-                    if *page == pid && committed.binary_search(txn).is_ok() =>
+            match rec.page_write() {
+                Some((txn, page, slot, after))
+                    if page == pid && committed.binary_search(&txn).is_ok() =>
                 {
-                    img.delete(*slot);
-                    img.set_lsn(lsn.0);
+                    img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
                 }
                 _ => {}
             }
         }
-        (end.max(at), img)
+        end.max(at)
     }
 
-    /// Inspect the *visible* value of `(page, slot)`: from the buffer pool
-    /// if a frame has written the page, else from its newest image outside
-    /// the pool. Returns the owning txn id stamped in the record's first
-    /// 8 bytes (0 = never written).
+    /// The durable image of `page`: what survives a crash before
+    /// recovery redoes the log into it.
+    pub fn durable_page(&self, page: u64) -> &SlottedPage {
+        self.images.durable(PageId(page % self.cfg.data_pages))
+    }
+
+    /// Inspect the *visible* value of `(page, slot)`: the newest write of
+    /// it in the page's frame, else in a write in flight, else the durable
+    /// image. Returns the owning txn id stamped in the record's first 8
+    /// bytes (0 = never written).
     pub fn visible_owner(&mut self, page: u64, slot: u16) -> u64 {
         let pid = PageId(page % self.cfg.data_pages);
         let slot = slot % self.cfg.slots_per_page;
         let record = self
-            .pool
-            .dirty_image(pid)
-            .unwrap_or_else(|| self.images.newest(pid))
-            .get(slot);
+            .images
+            .record(self.pool.redo(pid), pid, slot, &self.wal);
         // short records (never produced by this engine, but the format
         // does not forbid them) read as zero-padded rather than panicking
         record
@@ -917,8 +875,9 @@ mod group_commit_tests {
     }
 
     /// A clean frame shows the durable image itself (after a checkpoint,
-    /// after a steal + refetch): a write to the frame must take a copy, or
-    /// the update would become durable before the page is written.
+    /// after a steal + refetch): a write to the frame must stay in its
+    /// redo, or the update would become durable before the page is
+    /// written.
     #[test]
     fn frame_writes_never_leak_into_the_durable_images_they_share() {
         let mut db = db(8);
@@ -948,17 +907,16 @@ mod group_commit_tests {
         );
     }
 
-    /// The same for a checkpoint image whose write-back is still in
-    /// flight: it is the page as of the checkpoint, whatever the frame
-    /// does next.
+    /// The same for a checkpoint write still in flight: it lands the page
+    /// as of the checkpoint, whatever the frame does next.
     #[test]
     fn frame_writes_never_leak_into_an_in_flight_checkpoint_image() {
         let mut db = db(64);
         db.execute(&[(7, 0, true)], 128); // txn 1
         let landed = db.now + SimDuration::from_micros(500);
-        for (pid, image) in db.pool.take_dirty() {
-            db.images.write(landed, pid, image);
-        }
+        let images = &mut db.images;
+        db.pool
+            .take_dirty(|pid, redo| images.write(landed, pid, redo));
         db.execute(&[(7, 0, true)], 128); // txn 2 writes the cleaned frame
         db.now = db.now.max(landed);
         db.crash(); // the write-back had landed: its image is durable

@@ -43,9 +43,8 @@ use requiem_sim::time::SimTime;
 use requiem_sim::{Cause, Histogram, IoStatus, Layer};
 
 use crate::backend::{PageRead, PersistenceBackend};
-use crate::buffer::EvictOutcome;
 use crate::engine::Database;
-use crate::page::{PageId, SlottedPage};
+use crate::page::PageId;
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 use crate::wal::{
     GroupCommit, GroupCommitPolicy, GroupMember, ImageRef, LogRecord, Lsn, MemberKind,
@@ -661,7 +660,7 @@ impl<B: PersistenceBackend> Database<B> {
 
             // miss: submit the demand page plus its readahead successors
             // as ONE batch — one doorbell
-            self.settle_in_flight();
+            self.images.settle(self.now, &self.wal);
             st.prefetcher.note_demand_fetch(pid.0);
             self.pool.begin_fetch(pid);
             st.pending.push(FetchCtx {
@@ -714,28 +713,21 @@ impl<B: PersistenceBackend> Database<B> {
             return; // defensive: a Run slot always has a transaction
         };
         if dirty {
+            // RAM-only bookkeeping: no device work, no clock
+            let before = (active.role == TxnRole::Participant).then(|| {
+                self.images
+                    .before_image(self.pool.redo(pid), pid, slot_no, &mut self.wal)
+            });
             // pin the frame BEFORE logging (see `Database::execute`)
-            if let Some(frame) = self.pool.get_mut(pid, self.images.newest(pid)) {
+            if self.write_record(active.id, pid, slot_no) {
                 active.wrote = true;
-                if active.role == TxnRole::Participant {
-                    // RAM-only bookkeeping: no device work, no clock
+                if let Some(before) = before {
                     st.undo.entry(active.id).or_default().push(UndoEntry {
                         page: pid,
                         slot: slot_no,
-                        before: frame.get(slot_no).map(|r| self.wal.keep(r)),
+                        before,
                     });
                 }
-                let after = self.wal.new_after(self.cfg.record_size, |image| {
-                    image[..8].copy_from_slice(&active.id.to_le_bytes());
-                });
-                frame.update(slot_no, self.wal.after(after));
-                let lsn = self.wal.append(LogRecord::Update {
-                    txn: active.id,
-                    page: pid,
-                    slot: slot_no,
-                    after,
-                });
-                frame.set_lsn(lsn.0);
             }
         } else {
             self.pool.touch(pid);
@@ -773,26 +765,7 @@ impl<B: PersistenceBackend> Database<B> {
         // (>= r.done): an earlier completion in the same reap batch may
         // have pushed `now` past this read's `done`, and the device
         // requires non-decreasing submission times.
-        let mut end = self.now;
-        match r.status {
-            IoStatus::Ok => {}
-            IoStatus::RecoveredAfterRetry { .. } => {
-                // the device saved the data itself; `done` already
-                // includes its recovery latency — just count it
-                self.stats.media_recoveries += 1;
-            }
-            IoStatus::Unrecoverable | IoStatus::Rejected => {
-                // media-failure redo from the durable log, charged as a
-                // log read starting at the failed read's completion
-                self.stats.media_failures += 1;
-                let (redo_end, image) = self.rebuild_page_from_log(self.now, r.page);
-                end = redo_end;
-                self.set_durable(r.page, image);
-            }
-        }
-        if let EvictOutcome::Steal { page_id, image } = self.pool.complete_fetch(r.page) {
-            end = self.write_back_stolen(end, page_id, image);
-        }
+        let end = self.install_read(self.now, r.page, r.status);
         // install-side device work (media redo, steal) drove the device
         // to `end`
         if st.async_force {
@@ -967,45 +940,24 @@ impl<B: PersistenceBackend> Database<B> {
     /// Returns the number of slots restored.
     ///
     /// A resident frame is visited as a write access, *before* the images
-    /// outside the pool are patched: a clean frame takes its copy of the
-    /// newest image while that still carries the aborted write, so
-    /// `restored` counts it and the frame's later steal writes the
-    /// rollback out.
+    /// outside the pool are patched: the frame reads the slot while the
+    /// newest record still carries the aborted write, so `restored` counts
+    /// it, its redo takes the before-image, and — clean or not — the
+    /// frame ends dirty, so its later steal writes the rollback out.
     pub(crate) fn undo_participant(&mut self, global: u64, st: &mut ExecState) -> u64 {
         let Some(entries) = st.undo.remove(&global) else {
             return 0; // read-only share, or already rolled back
         };
-        let mut restored = 0;
-        for e in entries.iter().rev() {
-            // only touch a slot that still carries the aborted write
-            // (a later committed update supersedes the rollback)
-            let owned = |img: &SlottedPage| {
-                img.get(e.slot)
-                    .map(|r| r.len() >= 8 && r[..8] == global.to_le_bytes())
-                    .unwrap_or(false)
-            };
-            let wal = &self.wal;
-            let undo_one = |img: &mut SlottedPage| match e.before {
-                Some(before) => {
-                    img.update(e.slot, wal.after(before));
-                }
-                None => {
-                    img.delete(e.slot);
-                }
-            };
-            if let Some(frame) = self.pool.get_mut(e.page, self.images.newest(e.page)) {
-                if owned(frame) {
-                    undo_one(frame);
-                    restored += 1;
-                }
-            }
-            for img in self.images.of_mut(e.page) {
-                if owned(img) {
-                    undo_one(img);
-                }
-            }
-        }
-        restored
+        // only touch a slot that still carries the aborted write (a later
+        // committed update supersedes the rollback)
+        let owned = |record: Option<&[u8]>| {
+            record.is_some_and(|r| r.len() >= 8 && r[..8] == global.to_le_bytes())
+        };
+        let (pool, images, wal) = (&mut self.pool, &mut self.images, &self.wal);
+        let mut roll_back = |e: &UndoEntry| {
+            images.roll_back(pool.get_mut(e.page), e.page, e.slot, e.before, wal, owned)
+        };
+        entries.iter().rev().map(|e| u64::from(roll_back(e))).sum()
     }
 }
 
@@ -1382,7 +1334,7 @@ mod tests {
 
     /// A rollback visits a resident frame as a write access, before it
     /// patches the images outside the pool: a frame a checkpoint cleaned
-    /// takes its copy while the newest image still carries the aborted
+    /// reads the slot while the newest record still carries the aborted
     /// write, is counted as restored, and ends dirty.
     #[test]
     fn a_rollback_dirties_the_clean_frame_it_visits() {
@@ -1391,17 +1343,19 @@ mod tests {
         run.drive(Aborting::drained);
         let Aborting { db, st, .. } = &mut run;
         db.checkpoint();
-        assert!(db.pool.dirty_image(PageId(p)).is_none(), "checkpointed");
+        assert!(db.pool.dirty_pages().is_empty(), "checkpointed");
         assert_eq!(db.visible_owner(p, 0), ABORTED);
 
         let hits = db.pool_stats().hits;
         assert_eq!(db.undo_participant(ABORTED, st), 1, "restored in the frame");
         assert_eq!(db.pool_stats().hits, hits + 1);
-        let frame = db
-            .pool
-            .dirty_image(PageId(p))
-            .expect("the visit dirtied it");
-        assert_eq!(frame.get(0).map(|r| r[..8].to_vec()), Some(vec![0; 8]));
+        assert_eq!(db.pool.dirty_pages(), [PageId(p)], "the visit dirtied it");
+        let frame = db.pool.redo(PageId(p)).expect("resident");
+        let before = frame.slot(0).expect("the frame holds the rollback");
+        assert_eq!(
+            before.map(|r| db.wal.after(r)[..8].to_vec()),
+            Some(vec![0; 8])
+        );
         assert_eq!(db.visible_owner(p, 0), 0);
         db.crash(); // the durable image was rolled back too
         assert_eq!(db.visible_owner(p, 0), 0);

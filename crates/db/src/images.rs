@@ -1,20 +1,19 @@
 //! The page images the engine holds outside the buffer pool: what is
 //! durable on the device, and what is on its way there.
 //!
-//! The devices model timing and layout; the engine models the bytes. Every
-//! image has one owner. A dirty buffer frame owns its page's bytes; a
-//! steal or a checkpoint *moves* them here, first (a checkpoint batch)
-//! into the in-flight list, then into the durable set once the write's
-//! completion instant has passed. A page nobody has dirtied since has no
-//! bytes anywhere else: a clean frame, a device read and
-//! `Database::visible_owner` all read [`PageImages::newest`].
+//! The devices model timing and layout; the engine models the bytes. A
+//! page has one image, the durable one. A write not in it yet is a redo
+//! entry naming an after-image in the log's arena: in a dirty buffer frame
+//! until a steal applies it to the durable image, or a checkpoint moves it
+//! to the in-flight list until its write lands (DESIGN §2.7).
 
 use requiem_sim::time::SimTime;
 
-use crate::page::{PageId, PageVec, SlottedPage};
+use crate::page::{PageId, PageVec, Redo, SlottedPage};
+use crate::wal::{ImageRef, Wal};
 
-/// Durable and in-flight page images, per page of a densely numbered
-/// database.
+/// Durable page images and the redo of writes in flight, per page of a
+/// densely numbered database.
 #[derive(Debug)]
 pub(crate) struct PageImages {
     /// What `load` writes and what a page never written since reads as:
@@ -22,12 +21,10 @@ pub(crate) struct PageImages {
     formatted: SlottedPage,
     /// The image durable on the device; `None` = still the formatted one.
     durable: PageVec<Option<SlottedPage>>,
-    /// Writes in flight, in submission order: (completion instant, page,
-    /// image). Promoted to `durable` once the clock passes the completion.
-    in_flight: Vec<(SimTime, PageId, SlottedPage)>,
-    /// The list [`PageImages::settle`] walks while it refills `in_flight`
-    /// (the two trade places, so neither is regrown).
-    settling: Vec<(SimTime, PageId, SlottedPage)>,
+    /// The writes in flight, one entry per slot written: (completion
+    /// instant, page, page LSN the write leaves, slot, after-image). They
+    /// complete in submission order: what lands is a prefix.
+    in_flight: Vec<(SimTime, PageId, u64, u16, Option<ImageRef>)>,
 }
 
 impl PageImages {
@@ -37,13 +34,7 @@ impl PageImages {
             formatted,
             durable: PageVec::new(pages, None),
             in_flight: Vec::new(),
-            settling: Vec::new(),
         }
-    }
-
-    /// The formatted image (media-failure redo starts from a copy).
-    pub(crate) fn formatted(&self) -> &SlottedPage {
-        &self.formatted
     }
 
     /// The durable image of `pid`.
@@ -51,126 +42,251 @@ impl PageImages {
         self.durable[pid].as_ref().unwrap_or(&self.formatted)
     }
 
-    /// The durable image of `pid`, for recovery to redo into: a page still
-    /// formatted gets bytes of its own first.
+    /// The durable image of `pid`, for a steal's write-back or recovery
+    /// to redo into: a page still formatted gets bytes of its own first.
+    /// Writes of a page land in order, so none of `pid` is in flight.
     pub(crate) fn durable_mut(&mut self, pid: PageId) -> &mut SlottedPage {
+        debug_assert!(
+            self.in_flight.iter().all(|w| w.1 != pid),
+            "{pid:?} in flight"
+        );
         self.durable[pid].get_or_insert_with(|| self.formatted.clone())
     }
 
-    /// The newest image of `pid`: its latest write in flight, else the
-    /// durable one. What a device read returns, and — because nothing
-    /// changes a page's newest image while a clean frame holds the page
-    /// (DESIGN §2.7) — what a frame that has not been written shows.
-    pub(crate) fn newest(&self, pid: PageId) -> &SlottedPage {
+    /// The durable image of `pid`, formatted afresh: media-failure redo
+    /// rebuilds the page into it.
+    pub(crate) fn reformat(&mut self, pid: PageId) -> &mut SlottedPage {
+        self.durable[pid].insert(self.formatted.clone())
+    }
+
+    /// The newest write of `(pid, slot)` not yet in the durable image: in
+    /// `pending` (a resident frame's redo), else in flight. `None` when
+    /// the durable record is the newest.
+    fn logged(&self, pending: Option<&Redo>, pid: PageId, slot: u16) -> Option<Option<ImageRef>> {
+        let mut in_flight = self.in_flight.iter().rev();
+        pending
+            .and_then(|r| r.slot(slot))
+            .or_else(|| in_flight.find(|w| (w.1, w.3) == (pid, slot)).map(|w| w.4))
+    }
+
+    /// The record a reader of `(pid, slot)` sees through `pending`. `None`
+    /// for a deleted or absent slot.
+    pub(crate) fn record<'a>(
+        &'a self,
+        pending: Option<&Redo>,
+        pid: PageId,
+        slot: u16,
+        wal: &'a Wal,
+    ) -> Option<&'a [u8]> {
+        match self.logged(pending, pid, slot) {
+            Some(after) => after.map(|a| wal.after(a)),
+            None => self.durable(pid).get(slot),
+        }
+    }
+
+    /// The same record, as a handle a rollback can restore: a logged
+    /// after-image is named, a durable record copied into the log's arena.
+    pub(crate) fn before_image(
+        &self,
+        pending: Option<&Redo>,
+        pid: PageId,
+        slot: u16,
+        wal: &mut Wal,
+    ) -> Option<ImageRef> {
+        match self.logged(pending, pid, slot) {
+            Some(after) => after,
+            None => self.durable(pid).get(slot).map(|r| wal.keep(r)),
+        }
+    }
+
+    /// Roll `slot` of `pid` back to `before` wherever it shows `owned`'s
+    /// write: first in `frame` (the resident page's redo, got as a write
+    /// access), then in the durable image unless formatted and in each
+    /// write in flight. True when the frame's record was restored.
+    pub(crate) fn roll_back(
+        &mut self,
+        frame: Option<&mut Redo>,
+        pid: PageId,
+        slot: u16,
+        before: Option<ImageRef>,
+        wal: &Wal,
+        owned: impl Fn(Option<&[u8]>) -> bool,
+    ) -> bool {
+        let restored = frame.is_some_and(|frame| {
+            let hit = owned(self.record(Some(frame), pid, slot, wal));
+            if hit {
+                frame.push(slot, before);
+            }
+            hit
+        });
+        if let Some(image) = self.durable[pid].as_mut() {
+            if owned(image.get(slot)) {
+                image.redo(slot, before.map(|b| wal.after(b)), image.lsn());
+            }
+        }
+        for w in &mut self.in_flight {
+            if (w.1, w.3) == (pid, slot) && owned(w.4.map(|a| wal.after(a))) {
+                w.4 = before;
+            }
+        }
+        restored
+    }
+
+    /// A write of `redo` to `pid` was submitted and completes at `done`.
+    pub(crate) fn write(&mut self, done: SimTime, pid: PageId, redo: &Redo) {
+        debug_assert!(
+            self.in_flight.last().map_or(true, |w| w.0 <= done),
+            "writes complete in submission order"
+        );
+        let (lsn, writes) = (redo.lsn, redo.writes.iter());
         self.in_flight
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == pid)
-            .map_or_else(|| self.durable(pid), |(_, _, image)| image)
-    }
-
-    /// Every image of `pid` held here, durable then in flight, for a
-    /// rollback to patch. A page still formatted yields none: the
-    /// formatted image carries nobody's write.
-    pub(crate) fn of_mut(&mut self, pid: PageId) -> impl Iterator<Item = &mut SlottedPage> {
-        self.durable[pid].iter_mut().chain(
-            self.in_flight
-                .iter_mut()
-                .filter(move |(_, p, _)| *p == pid)
-                .map(|(_, _, image)| image),
-        )
-    }
-
-    /// `image` is durable as of now (a steal write-back, a media-failure
-    /// rebuild). Returns the image it replaced, unless that was the
-    /// formatted one.
-    pub(crate) fn set_durable(&mut self, pid: PageId, image: SlottedPage) -> Option<SlottedPage> {
-        self.durable[pid].replace(image)
-    }
-
-    /// A write of `image` was submitted and completes at `done`.
-    pub(crate) fn write(&mut self, done: SimTime, pid: PageId, image: SlottedPage) {
-        self.in_flight.push((done, pid, image));
+            .extend(writes.map(|&(slot, after)| (done, pid, lsn, slot, after)));
     }
 
     /// Land every write whose completion is at or before `now`, in
-    /// submission order (the later of two landed writes of one page wins).
-    /// The images they replace go to `retire`.
-    pub(crate) fn settle(&mut self, now: SimTime, mut retire: impl FnMut(SlottedPage)) {
-        std::mem::swap(&mut self.in_flight, &mut self.settling);
-        for (done, pid, image) in self.settling.drain(..) {
-            if done > now {
-                self.in_flight.push((done, pid, image));
-            } else if let Some(replaced) = self.durable[pid].replace(image) {
-                retire(replaced);
-            }
+    /// submission order: each applies its redo to its page's durable
+    /// image.
+    pub(crate) fn settle(&mut self, now: SimTime, wal: &Wal) {
+        let landed = self.in_flight.partition_point(|w| w.0 <= now);
+        for (_, pid, lsn, slot, after) in self.in_flight.drain(..landed) {
+            let image = self.durable[pid].get_or_insert_with(|| self.formatted.clone());
+            image.redo(slot, after.map(|a| wal.after(a)), lsn.max(image.lsn()));
         }
     }
 
     /// Simulated crash at `now`: writes that had completed are durable,
     /// the rest are lost (torn batches are prevented by the backend's
     /// journal / atomic write).
-    pub(crate) fn crash(&mut self, now: SimTime, retire: impl FnMut(SlottedPage)) {
-        self.settle(now, retire);
+    pub(crate) fn crash(&mut self, now: SimTime, wal: &Wal) {
+        self.settle(now, wal);
         self.in_flight.clear();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use requiem_sim::time::SimDuration;
 
-    fn page_with(tag: &[u8]) -> SlottedPage {
-        let mut p = SlottedPage::new();
-        p.insert(tag).unwrap();
-        p
+    /// The bytes a reader of `pid` sees through `pending`: the durable
+    /// image with every write in flight and then `pending` applied.
+    pub(crate) fn newest(
+        images: &PageImages,
+        pending: Option<&Redo>,
+        pid: PageId,
+        wal: &Wal,
+    ) -> SlottedPage {
+        let mut page = images.durable(pid).clone();
+        for &(_, p, lsn, slot, after) in &images.in_flight {
+            if p == pid {
+                page.redo(slot, after.map(|a| wal.after(a)), lsn.max(page.lsn()));
+            }
+        }
+        if let Some(redo) = pending {
+            redo.apply(&mut page, wal);
+        }
+        page
     }
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
+    /// A formatted page of four 8-byte records.
+    fn formatted() -> SlottedPage {
+        let mut p = SlottedPage::new();
+        for _ in 0..4 {
+            p.insert(&[0; 8]).unwrap();
+        }
+        p
+    }
+
+    /// A redo list writing `tag` into `slot`, at page LSN `lsn`.
+    fn redo(wal: &mut Wal, slot: u16, tag: u64, lsn: u64) -> Redo {
+        let mut r = Redo::default();
+        r.push(slot, Some(wal.keep(&tag.to_le_bytes())));
+        r.lsn = lsn;
+        r
+    }
+
+    fn owner(record: Option<&[u8]>) -> Option<u64> {
+        record.map(|r| u64::from_le_bytes(r.try_into().unwrap()))
+    }
+
     #[test]
     fn a_page_never_written_reads_as_the_formatted_image_and_owns_no_bytes() {
-        let mut images = PageImages::new(4, page_with(b"formatted"));
-        assert_eq!(images.newest(PageId(2)).get(0), Some(&b"formatted"[..]));
-        assert_eq!(images.of_mut(PageId(2)).count(), 0);
+        let mut images = PageImages::new(4, formatted());
+        let wal = Wal::new();
+        assert_eq!(owner(images.record(None, PageId(2), 0, &wal)), Some(0));
+        assert!(!images.roll_back(None, PageId(2), 0, None, &wal, |_| true));
+        assert!(images.durable[PageId(2)].is_none(), "a rollback skips it");
         images.durable_mut(PageId(2)).set_lsn(9);
         assert_eq!(images.durable(PageId(2)).lsn(), 9);
-        assert_eq!(images.formatted().lsn(), 0, "redo wrote a copy");
+        assert_eq!(images.formatted.lsn(), 0, "redo wrote a copy");
         assert_eq!(images.durable(PageId(1)).lsn(), 0);
     }
 
     #[test]
     fn newest_is_the_latest_write_in_flight_and_landing_keeps_it() {
-        let mut images = PageImages::new(4, page_with(b"formatted"));
+        let mut images = PageImages::new(4, formatted());
+        let mut wal = Wal::new();
         let p = PageId(1);
-        assert_eq!(images.set_durable(p, page_with(b"stolen")), None);
-        images.write(at(10), p, page_with(b"first"));
-        images.write(at(20), p, page_with(b"second"));
-        assert_eq!(images.newest(p).get(0), Some(&b"second"[..]));
-        assert_eq!(images.durable(p).get(0), Some(&b"stolen"[..]));
-        assert_eq!(images.of_mut(p).count(), 3);
+        let (first, second) = (redo(&mut wal, 0, 1, 10), redo(&mut wal, 0, 2, 20));
+        images.write(at(10), p, &first);
+        images.write(at(20), p, &second);
+        images.write(at(20), PageId(3), &redo(&mut wal, 2, 3, 20));
+        assert_eq!(owner(images.record(None, p, 0, &wal)), Some(2));
+        assert_eq!(owner(images.record(Some(&first), p, 0, &wal)), Some(1));
+        assert_eq!(owner(images.record(None, p, 1, &wal)), Some(0));
+        assert!(images.durable[p].is_none());
 
-        let mut retired = Vec::new();
-        images.settle(at(10), |old| retired.push(old));
-        assert_eq!(images.durable(p).get(0), Some(&b"first"[..]));
-        assert_eq!(images.newest(p).get(0), Some(&b"second"[..]));
-        images.settle(at(20), |old| retired.push(old));
-        assert_eq!(images.newest(p).get(0), Some(&b"second"[..]));
-        assert_eq!(images.of_mut(p).count(), 1, "both writes landed");
-        let retired: Vec<_> = retired.iter().map(|old| old.get(0).unwrap()).collect();
-        assert_eq!(retired, [&b"stolen"[..], &b"first"[..]]);
+        images.settle(at(10), &wal);
+        assert_eq!(
+            (owner(images.durable(p).get(0)), images.durable(p).lsn()),
+            (Some(1), 10)
+        );
+        assert_eq!(owner(images.record(None, p, 0, &wal)), Some(2));
+        images.settle(at(20), &wal);
+        assert_eq!(
+            (owner(images.durable(p).get(0)), images.durable(p).lsn()),
+            (Some(2), 20)
+        );
+        assert_eq!(owner(images.durable(PageId(3)).get(2)), Some(3));
+        assert!(images.in_flight.is_empty());
+    }
+
+    #[test]
+    fn a_rollback_patches_the_durable_image_and_the_write_in_flight_that_shows_it() {
+        let mut images = PageImages::new(4, formatted());
+        let mut wal = Wal::new();
+        let p = PageId(0);
+        images.durable_mut(p).redo(0, Some(&7u64.to_le_bytes()), 3);
+        images.write(at(10), p, &redo(&mut wal, 1, 7, 10));
+        images.write(at(20), p, &redo(&mut wal, 1, 8, 20));
+        let zero = Some(wal.keep(&0u64.to_le_bytes()));
+        let aborted = |r: Option<&[u8]>| owner(r) == Some(7);
+        let mut frame = redo(&mut wal, 2, 9, 30);
+        assert!(images.roll_back(Some(&mut frame), p, 0, zero, &wal, aborted));
+        assert_eq!(frame.slot(0), Some(zero), "restored in the frame");
+        assert!(
+            !images.roll_back(Some(&mut frame), p, 1, zero, &wal, aborted),
+            "the frame shows the newer write in flight"
+        );
+        assert_eq!(owner(images.durable(p).get(0)), Some(0));
+        assert_eq!(images.durable(p).lsn(), 3, "a rollback logs nothing");
+        assert_eq!(owner(images.record(None, p, 1, &wal)), Some(8));
+        images.settle(at(10), &wal);
+        assert_eq!(owner(images.durable(p).get(1)), Some(0));
     }
 
     #[test]
     fn a_crash_loses_the_writes_that_had_not_completed() {
-        let mut images = PageImages::new(4, page_with(b"formatted"));
-        images.write(at(10), PageId(0), page_with(b"landed"));
-        images.write(at(30), PageId(1), page_with(b"lost"));
-        images.crash(at(20), drop);
-        assert_eq!(images.newest(PageId(0)).get(0), Some(&b"landed"[..]));
-        assert_eq!(images.newest(PageId(1)).get(0), Some(&b"formatted"[..]));
+        let mut images = PageImages::new(4, formatted());
+        let mut wal = Wal::new();
+        images.write(at(10), PageId(0), &redo(&mut wal, 0, 1, 10));
+        images.write(at(30), PageId(1), &redo(&mut wal, 0, 2, 30));
+        images.crash(at(20), &wal);
+        assert_eq!(owner(images.record(None, PageId(0), 0, &wal)), Some(1));
+        assert_eq!(owner(images.record(None, PageId(1), 0, &wal)), Some(0));
     }
 }

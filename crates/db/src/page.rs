@@ -15,13 +15,16 @@
 //! `(page, slot)` addresses stay stable.
 //!
 //! A [`SlottedPage`] owns its 4 KiB: cloning one copies them, and no two
-//! pages ever share a buffer. The engine keeps every image in exactly one
-//! place — a dirty buffer frame, a write in flight, or the durable set
-//! (`crate::images`) — and moves it between them.
+//! pages ever share a buffer. The engine keeps one image per page, the
+//! durable one (`crate::images`); a write that has not reached it yet is a
+//! [`Redo`] entry — in a dirty buffer frame or in a write in flight — that
+//! names its after-image in the log's arena.
 
 use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
+
+use crate::wal::{ImageRef, Wal};
 
 /// Fixed page size, matching the flash page size used by the devices.
 pub const PAGE_SIZE: usize = 4096;
@@ -121,12 +124,6 @@ impl SlottedPage {
     /// The raw page image.
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.buf
-    }
-
-    /// Overwrite this page's bytes with `src`'s, in the buffer it already
-    /// has.
-    pub(crate) fn copy_from(&mut self, src: &SlottedPage) {
-        self.buf.copy_from_slice(src.as_bytes());
     }
 
     fn read_u16(&self, at: usize) -> u16 {
@@ -269,6 +266,67 @@ impl SlottedPage {
     /// Iterate live `(slot, record)` pairs.
     pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+    }
+
+    /// Redo one logged write: `after` replaces the record in `slot`
+    /// (`None` deletes it), then the page carries `lsn`. The one apply
+    /// behind write-back, a landing checkpoint, recovery and media redo.
+    pub(crate) fn redo(&mut self, slot: u16, after: Option<&[u8]>, lsn: u64) {
+        if let Some(after) = after {
+            let kept = self.update(slot, after);
+            debug_assert!(kept.map_or(true, |s| s == slot), "a write moved its record");
+        } else {
+            self.delete(slot);
+        }
+        self.set_lsn(lsn);
+    }
+}
+
+/// A page's writes since its durable image and the page LSN they leave:
+/// what a dirty buffer frame holds instead of a copy of the page. Only a
+/// slot's newest write is kept — exact, because every write the engine
+/// makes overwrites a live record of its own size in place (DESIGN §2.7).
+#[derive(Debug, Default)]
+pub(crate) struct Redo {
+    /// `(slot, after-image in the log's arena)`, `None` deleting the
+    /// record, in the order the slots were first written.
+    pub(crate) writes: Vec<(u16, Option<ImageRef>)>,
+    /// The page LSN they leave: the newest logged write's; 0 when none
+    /// was logged (a rollback alone leaves the page's own).
+    pub(crate) lsn: u64,
+}
+
+impl Redo {
+    /// Record a write of `slot`.
+    pub(crate) fn push(&mut self, slot: u16, after: Option<ImageRef>) {
+        match self.writes.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, newest @ Some(_))) => *newest = after,
+            Some(_) => {} // a write over a deleted record changes nothing
+            None => self.writes.push((slot, after)),
+        }
+    }
+
+    /// The newest write of `slot` here; `None` when there is none.
+    pub(crate) fn slot(&self, slot: u16) -> Option<Option<ImageRef>> {
+        self.writes
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map(|&(_, after)| after)
+    }
+
+    /// Forget every write, keeping the list's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.writes.clear();
+        self.lsn = 0;
+    }
+
+    /// Apply these writes onto `page`, leaving the newer of the two page
+    /// LSNs.
+    pub(crate) fn apply(&self, page: &mut SlottedPage, wal: &Wal) {
+        let lsn = self.lsn.max(page.lsn());
+        for &(slot, after) in &self.writes {
+            page.redo(slot, after.map(|a| wal.after(a)), lsn);
+        }
     }
 }
 

@@ -100,6 +100,21 @@ impl LogRecord {
         };
         (16 + payload) as u32 // 16-byte record header (lsn, len, type, crc)
     }
+
+    /// What redo does with a page write: `(txn, page, slot, after)`, the
+    /// after-image `None` for a delete. `None` for every other record.
+    pub fn page_write(&self) -> Option<(u64, PageId, u16, Option<ImageRef>)> {
+        match *self {
+            LogRecord::Update {
+                txn,
+                page,
+                slot,
+                after,
+            } => Some((txn, page, slot, Some(after))),
+            LogRecord::Delete { txn, page, slot } => Some((txn, page, slot, None)),
+            _ => None,
+        }
+    }
 }
 
 /// The in-memory log: appended records plus the durable horizon.

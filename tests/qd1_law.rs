@@ -24,7 +24,10 @@
 //!    `run_concurrent` (or `ShardedDb::run`) returns, every commit it
 //!    acknowledged is durable, so `crash()` + `recover()` leaves every
 //!    `(page, slot)`'s visible owner where it was — at QD 1 with a force
-//!    per commit and at QD 4 with batched forces.
+//!    per commit and at QD 4 with batched forces. A crash with frames
+//!    still dirty leaves every durable image's bytes as they were: a
+//!    frame's redo reaches its page only by that page's write, and the
+//!    log alone brings the frame's writes back.
 
 use proptest::prelude::*;
 use requiem::block::{IoStack, StackConfig};
@@ -32,7 +35,7 @@ use requiem::db::backend::{PersistenceBackend, VisionBackend};
 use requiem::db::engine::EngineStats;
 use requiem::db::{
     CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy, PageId,
-    ShardedDb, TxnInput, WalConfig,
+    ShardedDb, SlottedPage, TxnInput, WalConfig,
 };
 use requiem::iface::NamelessConfig;
 use requiem::pcm::WearSnapshot;
@@ -370,6 +373,32 @@ fn crash_law(shape: Shape, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, Vec<u64
     })
 }
 
+/// [`crash_law`] with the durable images checked across the crash: their
+/// bytes before it (asserting some frame held a write they lack), then
+/// the owners before and after crash + recovery.
+fn dirty_crash_law(shape: Shape, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, Vec<u64>) {
+    with_builder!(shape, |build| {
+        let mut db = build();
+        db.run_concurrent(inputs, &exec_config(qd4));
+        let before = owners(&mut db);
+        let durable: Vec<SlottedPage> = (0..DATA_PAGES)
+            .map(|p| db.durable_page(p).clone())
+            .collect();
+        let durable_owners: Vec<u64> = durable
+            .iter()
+            .flat_map(|page| (0..SLOTS).map(move |s| page.get(s).expect("formatted slot")))
+            .map(|r| u64::from_le_bytes(r[..8].try_into().expect("8 bytes")))
+            .collect();
+        assert_ne!(durable_owners, before, "{shape:?}: no frame was dirty");
+        db.crash();
+        for (p, image) in (0..DATA_PAGES).zip(&durable) {
+            assert_eq!(db.durable_page(p), image, "{shape:?}: page {p} changed");
+        }
+        db.recover();
+        (before, owners(&mut db))
+    })
+}
+
 /// The same over a sharded block stack.
 fn sharded_crash_law(shards: usize, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, Vec<u64>) {
     let mut db = DbConfig::builder()
@@ -434,6 +463,29 @@ proptest! {
                 let (before, after) = sharded_crash_law(shards, qd4, &inputs);
                 prop_assert_eq!(after, before, "{} shards, QD 4: {}", shards, qd4);
             }
+        }
+    }
+}
+
+/// Law 3 with frames still dirty at the crash, on the legacy, block-stack
+/// and cooperating-logs managers.
+#[test]
+fn a_crash_with_dirty_frames_leaves_the_durable_images_as_they_were() {
+    let gen = OltpConfig {
+        data_pages: DATA_PAGES,
+        ..OltpConfig::default()
+    };
+    let inputs = oltp_inputs(&mut OltpGen::new(gen, 31), 60);
+    for manager in [Manager::Legacy, Manager::Stack, Manager::Coop] {
+        for (checkpoints, qd4) in [(false, false), (false, true), (true, false), (true, true)] {
+            let shape = Shape {
+                manager,
+                pcm_wal: false,
+                checkpoints,
+                small_pool: false,
+            };
+            let (before, after) = dirty_crash_law(shape, qd4, &inputs);
+            assert_eq!(after, before, "{shape:?}, QD 4: {qd4}");
         }
     }
 }
