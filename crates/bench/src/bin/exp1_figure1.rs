@@ -4,11 +4,12 @@
 //! Reconstructs the paper's Figure 1: four chips (1 LUN each) on one
 //! shared channel. Four reads issued together serialize on the channel's
 //! data-out transfers; four writes overlap their (long) programs after
-//! short data-in transfers. The ASCII Gantt charts below are the figure;
-//! the utilization table quantifies "channel-bound" vs "chip-bound", and a
+//! short data-in transfers. The ASCII timing charts below are the figure,
+//! drawn from each burst's recording probe (`requiem_bench::gantt`); the
+//! utilization table quantifies "channel-bound" vs "chip-bound", and a
 //! sustained run shows the resulting bandwidth ceilings.
 
-use requiem_bench::{bound_by, note, section, BusyWindow};
+use requiem_bench::{bound_by, gantt, note, section, BusyWindow};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
 use requiem_sim::{Probe, Table};
@@ -23,15 +24,14 @@ fn main() {
     // ---- four parallel writes (chip-bound) ----
     section("Four parallel writes");
     let mut ssd = Ssd::new(SsdConfig::figure1());
-    let wr_probe = Probe::new();
+    let wr_probe = Probe::recording();
     ssd.attach_probe(wr_probe.clone());
-    ssd.enable_trace();
     for lpn in 0..4u64 {
         ssd.write(SimTime::ZERO, Lpn(lpn)).expect("write");
     }
     let wr_makespan = ssd.drain_time();
-    let wr_trace = ssd.take_trace().expect("trace");
-    println!("```text\n{}```", wr_trace.render(100));
+    let chart = gantt::render(&wr_probe.events_ref(), SimTime::ZERO, 100);
+    println!("```text\n{chart}```");
     let wr_chan = ssd.channel_utilization(wr_makespan)[0];
     let wr_chips = ssd.lun_utilization(wr_makespan);
     let wr_chip_mean = wr_chips.iter().sum::<f64>() / wr_chips.len() as f64;
@@ -42,16 +42,14 @@ fn main() {
     // place one page on each chip, quiesce, then read them back together
     let t0 = precondition_sequential(&mut ssd, 4, SimTime::ZERO);
     let busy = BusyWindow::open(&ssd, t0);
-    let rd_probe = Probe::new();
+    let rd_probe = Probe::recording();
     ssd.attach_probe(rd_probe.clone());
-    ssd.enable_trace();
     for lpn in 0..4u64 {
         ssd.read(t0, Lpn(lpn)).expect("read");
     }
     let rd_makespan = ssd.drain_time();
-    let mut rd_trace = ssd.take_trace().expect("trace");
-    rd_trace.rebase(t0);
-    println!("```text\n{}```", rd_trace.render(100));
+    let chart = gantt::render(&rd_probe.events_ref(), t0, 100);
+    println!("```text\n{chart}```");
     let window = rd_makespan.since(t0);
     let (rd_chan, rd_chip_mean) = busy.close(&ssd);
 

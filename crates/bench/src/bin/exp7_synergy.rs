@@ -86,8 +86,6 @@ fn main() {
     let db_cfg = DbConfig {
         buffer_frames: 256,
         data_pages: 1024,
-        slots_per_page: 16,
-        record_size: 100,
         checkpoint_every: 500,
         ..DbConfig::default()
     };

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod aging;
+pub mod gantt;
 pub mod series;
 
 pub use series::{Series, V};

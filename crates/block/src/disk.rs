@@ -43,15 +43,6 @@ impl DiskConfig {
     }
 }
 
-/// Service order for a batch of requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ServeOrder {
-    /// First-in, first-out (no scheduling).
-    Fifo,
-    /// Circular SCAN: serve in ascending sector order, then wrap.
-    Cscan,
-}
-
 /// One spindle + head assembly with a deterministic mechanical model.
 ///
 /// Rotation is modelled as half a revolution per random access (the
@@ -131,35 +122,6 @@ impl Disk {
         g.end
     }
 
-    /// Serve a batch of requests that are all pending at `now`, in the
-    /// given order policy. Returns per-request completion times, in the
-    /// *original* request order.
-    pub fn serve_batch(
-        &mut self,
-        now: SimTime,
-        sectors: &[u64],
-        order: ServeOrder,
-    ) -> Vec<SimTime> {
-        let mut idx: Vec<usize> = (0..sectors.len()).collect();
-        if order == ServeOrder::Cscan {
-            // ascending from the current head position, then wrap
-            let head = self.head;
-            idx.sort_by_key(|&i| {
-                let s = sectors[i];
-                if s >= head {
-                    (0, s)
-                } else {
-                    (1, s)
-                }
-            });
-        }
-        let mut done = vec![SimTime::ZERO; sectors.len()];
-        for i in idx {
-            done[i] = self.serve(now, sectors[i]);
-        }
-        done
-    }
-
     /// Mean mechanical service time so far.
     pub fn mean_service(&self) -> SimDuration {
         SimDuration::from_nanos(self.service_hist.mean() as u64)
@@ -225,35 +187,6 @@ mod tests {
             rnd_mean.as_nanos() > 100 * seq_mean.as_nanos(),
             "seq {seq_mean} rnd {rnd_mean}"
         );
-    }
-
-    #[test]
-    fn cscan_beats_fifo_on_random_batch() {
-        let sectors: Vec<u64> = (0..32)
-            .map(|i: u64| (i.wrapping_mul(654435761)) % (1 << 20))
-            .collect();
-        let mut fifo = disk();
-        let f = fifo.serve_batch(SimTime::ZERO, &sectors, ServeOrder::Fifo);
-        let mut cscan = disk();
-        let c = cscan.serve_batch(SimTime::ZERO, &sectors, ServeOrder::Cscan);
-        let f_last = f.iter().max().unwrap().as_nanos();
-        let c_last = c.iter().max().unwrap().as_nanos();
-        // rotation is not schedulable, so the elevator's win is bounded by
-        // the seek share; require a clear (>=25%) improvement
-        assert!(
-            c_last * 4 < f_last * 3,
-            "elevator should clearly beat FIFO: fifo {f_last} cscan {c_last}"
-        );
-    }
-
-    #[test]
-    fn batch_returns_original_order() {
-        let mut d = disk();
-        let sectors = vec![100u64, 5, 900];
-        let done = d.serve_batch(SimTime::ZERO, &sectors, ServeOrder::Cscan);
-        assert_eq!(done.len(), 3);
-        // C-SCAN from head 0 serves 5, 100, 900; completions reflect that
-        assert!(done[1] < done[0] && done[0] < done[2]);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   single shared queue vs per-core queues (blk-mq), interrupt vs
 //!   polling completions.
 //! * [`disk.rs`](disk) — a magnetic disk backend (seek + rotation +
-//!   transfer) with FIFO vs elevator (C-SCAN) service, the device whose
-//!   10 ms latencies made block-layer overhead invisible — and made seek-
-//!   reducing schedulers worth their CPU cost.
+//!   transfer), the device whose 10 ms latencies made block-layer
+//!   overhead invisible — and made seek-reducing schedulers worth their
+//!   CPU cost.
 //! * [`backend::StorageBackend`] — the abstraction that lets the same
 //!   stack drive a disk, a flash SSD, or a PCM SSD.
 
@@ -37,7 +37,7 @@ pub use backend::{
     BackendOp, CommandId, IoClass, IoCompletion, IoRequest, NullDevice, StorageBackend,
 };
 pub use cpu::CpuCosts;
-pub use disk::{Disk, DiskConfig, ServeOrder};
+pub use disk::{Disk, DiskConfig};
 pub use stack::{
     CompletionMode, IoStack, QueueMode, StackCompletion, StackConfig, StackReport,
     DEFAULT_INFLIGHT_WINDOW,

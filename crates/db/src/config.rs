@@ -155,7 +155,6 @@ impl DbBuilder {
             buffer_frames: self.buffer_frames,
             checkpoint_every: self.checkpoint_every,
             wal: self.wal.clone(),
-            ..DbConfig::default()
         }
     }
 

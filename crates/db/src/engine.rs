@@ -23,7 +23,7 @@ use requiem_sim::{Histogram, IoStatus};
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
 use crate::images::PageImages;
-use crate::page::{PageId, SlottedPage, PAGE_SIZE};
+use crate::page::{PageId, SlottedPage, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::wal::{LogRecord, Lsn, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig, WalForce};
 
@@ -34,10 +34,6 @@ pub struct DbConfig {
     pub buffer_frames: usize,
     /// Data pages in the database.
     pub data_pages: u64,
-    /// Fixed record slots per page (pre-formatted at load).
-    pub slots_per_page: u16,
-    /// Fixed record size in bytes.
-    pub record_size: usize,
     /// Checkpoint every N transactions (0 = never).
     pub checkpoint_every: u64,
     /// Which medium carries the WAL: [`WalConfig::Flash`] asks the page
@@ -50,18 +46,16 @@ pub struct DbConfig {
     pub wal: WalConfig,
 }
 
-impl DbConfig {
-    /// A data page as [`Database::load`] formats it: every fixed slot
-    /// present and zeroed.
-    fn formatted_page(&self) -> SlottedPage {
-        let mut p = SlottedPage::new();
-        let zeros = [0u8; PAGE_SIZE];
-        for _ in 0..self.slots_per_page {
-            p.insert(&zeros[..self.record_size])
-                .expect("slots_per_page × record_size must fit a page");
-        }
-        p
+/// A data page as [`Database::load`] formats it: every fixed slot
+/// present and zeroed.
+fn formatted_page() -> SlottedPage {
+    let mut p = SlottedPage::new();
+    let zeros = [0u8; RECORD_SIZE];
+    for _ in 0..SLOTS_PER_PAGE {
+        p.insert(&zeros)
+            .expect("SLOTS_PER_PAGE × RECORD_SIZE must fit a page");
     }
+    p
 }
 
 impl Default for DbConfig {
@@ -69,8 +63,6 @@ impl Default for DbConfig {
         DbConfig {
             buffer_frames: 128,
             data_pages: 1024,
-            slots_per_page: 16,
-            record_size: 100,
             checkpoint_every: 0,
             wal: WalConfig::Flash,
         }
@@ -172,7 +164,7 @@ impl<B: PersistenceBackend> Database<B> {
             pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
             now: SimTime::ZERO,
-            images: PageImages::new(cfg.data_pages, cfg.formatted_page()),
+            images: PageImages::new(cfg.data_pages, formatted_page()),
             txn_latency: Histogram::new(),
             commit_latency: Histogram::new(),
             stats: EngineStats::default(),
@@ -347,7 +339,7 @@ impl<B: PersistenceBackend> Database<B> {
         let mut wrote = false;
         for &(page, slot, dirty) in accesses {
             let pid = PageId(page % self.cfg.data_pages);
-            let slot = slot % self.cfg.slots_per_page;
+            let slot = slot % SLOTS_PER_PAGE;
             self.fetch_page(pid);
             if dirty {
                 // pin the frame BEFORE logging: `fetch_page` made the page
@@ -387,7 +379,7 @@ impl<B: PersistenceBackend> Database<B> {
         let Some(frame) = self.pool.get_mut(pid) else {
             return false;
         };
-        let after = self.wal.new_after(self.cfg.record_size, |image| {
+        let after = self.wal.new_after(RECORD_SIZE, |image| {
             image[..8].copy_from_slice(&txn.to_le_bytes());
         });
         frame.push(slot, Some(after));
@@ -573,7 +565,7 @@ impl<B: PersistenceBackend> Database<B> {
     /// bytes (0 = never written).
     pub fn visible_owner(&mut self, page: u64, slot: u16) -> u64 {
         let pid = PageId(page % self.cfg.data_pages);
-        let slot = slot % self.cfg.slots_per_page;
+        let slot = slot % SLOTS_PER_PAGE;
         let record = self
             .images
             .record(self.pool.redo(pid), pid, slot, &self.wal);

@@ -44,7 +44,7 @@ use requiem_sim::{Cause, Histogram, IoStatus, Layer};
 
 use crate::backend::{PageRead, PersistenceBackend};
 use crate::engine::Database;
-use crate::page::PageId;
+use crate::page::{PageId, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 use crate::wal::{
     GroupCommit, GroupCommitPolicy, GroupMember, ImageRef, LogRecord, Lsn, MemberKind,
@@ -415,7 +415,7 @@ impl<B: PersistenceBackend> Database<B> {
         if self.cfg.checkpoint_every > 0 {
             records += inputs.len() / self.cfg.checkpoint_every as usize + 1;
         }
-        self.wal.reserve(records, images * self.cfg.record_size);
+        self.wal.reserve(records, images * RECORD_SIZE);
     }
 
     /// Close out a closed-loop run: settle the clock on the last commit
@@ -628,7 +628,7 @@ impl<B: PersistenceBackend> Database<B> {
             }
             let (page, slot_no, dirty) = input.accesses[active.next];
             let pid = PageId(page % self.cfg.data_pages);
-            let slot_no = slot_no % self.cfg.slots_per_page;
+            let slot_no = slot_no % SLOTS_PER_PAGE;
 
             if self.pool.contains(pid) {
                 // resident: was this residency bought by readahead?

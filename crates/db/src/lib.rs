@@ -74,7 +74,7 @@ pub use engine::{Database, DbConfig, TxnOutcome};
 pub use exec::{ExecConfig, ExecReport, TxnInput};
 pub use kvstore::NamelessKv;
 pub use ledger::{LedgerStats, TwoPhaseLedger, TxnDecision};
-pub use page::{PageId, SlottedPage, PAGE_SIZE};
+pub use page::{PageId, SlottedPage, PAGE_SIZE, RECORD_SIZE, SLOTS_PER_PAGE};
 pub use pagetable::PageTable;
 pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use shard::{ShardedDb, ShardedReport};

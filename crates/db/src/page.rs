@@ -29,6 +29,14 @@ use crate::wal::{ImageRef, Wal};
 /// Fixed page size, matching the flash page size used by the devices.
 pub const PAGE_SIZE: usize = 4096;
 
+/// Record slots on every data page, all present from
+/// [`Database::load`](crate::Database::load) on. The engine and the
+/// executor fold a transaction's slot number into this range.
+pub const SLOTS_PER_PAGE: u16 = 16;
+
+/// Bytes in every record (a write logs an after-image of this size).
+pub const RECORD_SIZE: usize = 100;
+
 const HEADER_BYTES: usize = 12;
 const SLOT_BYTES: usize = 4;
 

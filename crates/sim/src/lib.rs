@@ -25,8 +25,6 @@
 //!   and time-weighted gauges.
 //! * [`SimRng`] — a seedable, splittable random-number source so that every
 //!   component can derive an independent stream from one experiment seed.
-//! * [`gantt`] — span recording and ASCII rendering, used to regenerate the
-//!   paper's Figure 1 as a textual timing diagram.
 //! * [`table`] — GitHub-flavoured markdown table construction for experiment
 //!   reports.
 //!
@@ -48,7 +46,6 @@ pub mod cmd;
 pub mod completion;
 pub mod coreclock;
 pub mod fault;
-pub mod gantt;
 pub mod probe;
 pub mod resource;
 pub mod rng;
@@ -60,7 +57,6 @@ pub use cmd::{CommandId, IoClass, IoCompletion, IoOp, IoRequest};
 pub use completion::{InflightWindow, QueuePair};
 pub use coreclock::CoreClock;
 pub use fault::{FaultPlan, FaultView, IoStatus};
-pub use gantt::{Gantt, Span};
 pub use probe::{
     BackgroundGuard, Cause, CommandScope, CommandsRef, EventsRef, Layer, Probe, ProbeSummary,
     ResourceStat, SpanBatch, SpanEvent,

@@ -32,8 +32,9 @@
 //!   `GcStall` / `WearStall` / `MergeStall` spans on the stalled command.
 //!
 //! The bus always maintains aggregate per-`(layer, cause)` statistics;
-//! retaining the raw event list is opt-in ([`Probe::recording`]) so
-//! million-op experiments can run with summaries only.
+//! retaining the raw event list is opt-in ([`Probe::recording`]), and
+//! [`Probe::aggregated`] drops closed command records as well, so
+//! million-op experiments run in memory bounded by what is in flight.
 
 use crate::resource::Occupant;
 use crate::time::{SimDuration, SimTime};
@@ -301,14 +302,24 @@ pub struct ResourceStat {
     pub total: SimDuration,
 }
 
+/// What a bus keeps besides its [`ProbeSummary`]; each enabled
+/// [`Probe`] constructor sets one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Every command record, open or closed ([`Probe::new`]).
+    #[default]
+    Commands,
+    /// Every command record and every span event ([`Probe::recording`]).
+    Recording,
+    /// The open command records only — memory stays O(in-flight), not
+    /// O(commands) — and spans folded into per-resource totals
+    /// ([`Probe::aggregated`]).
+    Aggregated,
+}
+
 #[derive(Debug, Default)]
 struct ProbeBus {
-    retain_events: bool,
-    /// Aggregated mode drops closed command records (memory stays
-    /// O(in-flight), not O(commands)); the default keeps them all.
-    discard_closed: bool,
-    /// Aggregated mode folds spans into `by_resource` accumulators.
-    track_resources: bool,
+    mode: Mode,
     events: Vec<SpanEvent>,
     commands: Vec<CommandRecord>,
     /// Command id → position in `commands`, for O(log n) attribution
@@ -364,13 +375,13 @@ impl ProbeBus {
         if cmd.is_some() {
             self.commands[self.open_idx].spans += 1;
         }
-        if self.track_resources && !resource.is_empty() {
+        if self.mode == Mode::Aggregated && !resource.is_empty() {
             let rid = self.intern(resource);
             let stat = self.by_resource.entry((layer, cause, rid)).or_default();
             stat.count += 1;
             stat.total += end.since(start);
         }
-        if self.retain_events {
+        if self.mode == Mode::Recording {
             let resource = if resource.is_empty() {
                 None
             } else {
@@ -414,7 +425,7 @@ impl ProbeBus {
         if let Some(&pos) = self.index.get(&id) {
             let kind = self.commands[pos].kind;
             *self.summary.commands.entry(kind).or_insert(0) += 1;
-            if self.discard_closed {
+            if self.mode == Mode::Aggregated {
                 // swap-remove keeps close O(1); fix the moved record's
                 // index entry (and the open cache, should it be open).
                 self.commands.swap_remove(pos);
@@ -557,21 +568,17 @@ impl Probe {
         Probe { bus: None }
     }
 
-    /// An enabled probe maintaining aggregate summaries only.
+    /// An enabled probe maintaining the aggregate summary and keeping
+    /// every command record, open or closed (memory grows with command
+    /// count), but no span events.
     pub fn new() -> Self {
-        Probe {
-            bus: Some(Rc::new(RefCell::new(ProbeBus::default()))),
-        }
+        Probe::with_mode(Mode::Commands)
     }
 
     /// An enabled probe that additionally retains every [`SpanEvent`]
     /// (for span-level tests and traces; memory grows with event count).
     pub fn recording() -> Self {
-        let p = Probe::new();
-        if let Some(b) = &p.bus {
-            b.borrow_mut().retain_events = true;
-        }
-        p
+        Probe::with_mode(Mode::Recording)
     }
 
     /// An enabled probe for long-horizon runs: spans fold into
@@ -581,13 +588,17 @@ impl Probe {
     /// O(events). The [`ProbeSummary`] is maintained identically to the
     /// other modes — same totals, same JSON — on the same event stream.
     pub fn aggregated() -> Self {
-        let p = Probe::new();
-        if let Some(b) = &p.bus {
-            let mut b = b.borrow_mut();
-            b.discard_closed = true;
-            b.track_resources = true;
+        Probe::with_mode(Mode::Aggregated)
+    }
+
+    fn with_mode(mode: Mode) -> Self {
+        let bus = ProbeBus {
+            mode,
+            ..ProbeBus::default()
+        };
+        Probe {
+            bus: Some(Rc::new(RefCell::new(bus))),
         }
-        p
     }
 
     /// Whether the probe is attached to a bus.

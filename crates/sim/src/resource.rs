@@ -53,7 +53,8 @@ const OCCUPANT_WINDOW: usize = 128;
 /// A serial (one-op-at-a-time), FIFO, non-preemptive resource timeline.
 #[derive(Debug, Clone)]
 pub struct Resource {
-    /// Human-readable name (shows up in Gantt charts and debug output).
+    /// Human-readable name (the `resource` of its probe spans, and debug
+    /// output).
     name: String,
     /// Earliest instant a new reservation may begin.
     next_free: SimTime,

@@ -295,28 +295,23 @@ impl BlockDirectory {
         d.free.is_empty() && d.active_host.is_none() && d.active_gc.is_none()
     }
 
-    /// Pop the free block with the lowest erase count (dynamic wear
-    /// leveling) or simply the next one if `wear_aware` is false.
-    fn pop_free(&mut self, l: LunId, wear_aware: bool) -> Option<u32> {
+    /// Pop the free block with the lowest erase count, the first in the
+    /// free list on a tie (dynamic wear leveling).
+    fn pop_free(&mut self, l: LunId) -> Option<u32> {
         let d = self.lun_mut(l);
         if d.free.is_empty() {
             return None;
         }
-        let pos = if wear_aware {
-            let mut best = 0usize;
-            let mut best_ec = u32::MAX;
-            for (i, &b) in d.free.iter().enumerate() {
-                let ec = d.blocks[b as usize].erase_count;
-                if ec < best_ec {
-                    best_ec = ec;
-                    best = i;
-                }
+        let mut best = 0usize;
+        let mut best_ec = u32::MAX;
+        for (i, &b) in d.free.iter().enumerate() {
+            let ec = d.blocks[b as usize].erase_count;
+            if ec < best_ec {
+                best_ec = ec;
+                best = i;
             }
-            best
-        } else {
-            d.free.len() - 1
-        };
-        Some(d.free.swap_remove(pos))
+        }
+        Some(d.free.swap_remove(best))
     }
 
     /// Allocate the next physical page on a LUN for the given stream,
@@ -325,7 +320,7 @@ impl BlockDirectory {
     /// Returns `None` when the LUN has no free block to open (caller must
     /// garbage-collect first). `newly_opened` reports whether a new block
     /// was opened (the device may want to log it).
-    pub fn next_page(&mut self, l: LunId, stream: Stream, wear_aware: bool) -> Option<NextPage> {
+    pub fn next_page(&mut self, l: LunId, stream: Stream) -> Option<NextPage> {
         let ppb = self.geom.pages_per_block;
         // take current frontier
         let frontier = {
@@ -342,7 +337,7 @@ impl BlockDirectory {
                 if let Some((b, _)) = other {
                     self.lun_mut(l).close(b);
                 }
-                let nb = self.pop_free(l, wear_aware)?;
+                let nb = self.pop_free(l)?;
                 self.seq += 1;
                 let seq = self.seq;
                 let d = self.lun_mut(l);
@@ -503,8 +498,8 @@ impl BlockDirectory {
 
     /// Allocate a whole free block (block-mapped and hybrid FTLs manage
     /// their own write points). The block is marked [`BlockUse::Open`].
-    pub fn alloc_block(&mut self, l: LunId, wear_aware: bool) -> Option<u32> {
-        let b = self.pop_free(l, wear_aware)?;
+    pub fn alloc_block(&mut self, l: LunId) -> Option<u32> {
+        let b = self.pop_free(l)?;
         self.seq += 1;
         let seq = self.seq;
         let d = self.lun_mut(l);
@@ -799,7 +794,7 @@ mod tests {
                 // host / GC appends, most of them recorded as live
                 0..=8 => {
                     let stream = if kind < 6 { Stream::Host } else { Stream::Gc };
-                    if let Some(np) = d.next_page(l, stream, y % 2 == 0) {
+                    if let Some(np) = d.next_page(l, stream) {
                         want.took_page(np);
                         if kind != 8 {
                             d.mark_valid(np.phys, Lpn(step as u64));
@@ -865,7 +860,7 @@ mod tests {
                         want.blocks[b as usize].state = BlockUse::Full;
                     }
                     BlockUse::Free => {
-                        if let Some(opened) = d.alloc_block(l, true) {
+                        if let Some(opened) = d.alloc_block(l) {
                             want.blocks[opened as usize].state = BlockUse::Open;
                         }
                     }
@@ -915,7 +910,7 @@ mod tests {
     #[test]
     fn the_no_lpn_word_is_never_held() {
         let mut d = dir();
-        let n = d.next_page(LunId(0), Stream::Host, true).unwrap();
+        let n = d.next_page(LunId(0), Stream::Host).unwrap();
         assert_eq!(d.backptr(n.phys), None);
         assert!(!d.invalidate_checked(n.phys, Lpn(u64::MAX)));
         assert_eq!(d.block_info(LunId(0), 0).valid, 0);
@@ -930,7 +925,7 @@ mod tests {
     #[should_panic(expected = "the word that means no LPN")]
     fn mark_valid_refuses_the_no_lpn_word() {
         let mut d = dir();
-        let n = d.next_page(LunId(0), Stream::Host, true).unwrap();
+        let n = d.next_page(LunId(0), Stream::Host).unwrap();
         d.mark_valid(n.phys, Lpn(u64::MAX));
     }
 
@@ -940,7 +935,7 @@ mod tests {
         let l = LunId(0);
         let mut live = vec![(d.geom.page_addr(0, 7, 3), Lpn(99))];
         for i in 0..3 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
         }
         d.live_pages_into(l, 0, &mut live);
@@ -956,8 +951,8 @@ mod tests {
     fn allocation_is_sequential_within_block() {
         let mut d = dir();
         let l = LunId(0);
-        let a = d.next_page(l, Stream::Host, true).unwrap();
-        let b = d.next_page(l, Stream::Host, true).unwrap();
+        let a = d.next_page(l, Stream::Host).unwrap();
+        let b = d.next_page(l, Stream::Host).unwrap();
         assert_eq!(a.phys.addr.block, b.phys.addr.block);
         assert_eq!(a.phys.addr.page, 0);
         assert_eq!(b.phys.addr.page, 1);
@@ -972,7 +967,7 @@ mod tests {
         let mut blocks_seen = std::collections::BTreeSet::new();
         for _ in 0..8 {
             // 2 blocks worth (4 pages per block)
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             blocks_seen.insert(n.phys.addr.block);
         }
         assert_eq!(blocks_seen.len(), 2);
@@ -983,8 +978,8 @@ mod tests {
     fn host_and_gc_streams_use_distinct_blocks() {
         let mut d = dir();
         let l = LunId(0);
-        let h = d.next_page(l, Stream::Host, true).unwrap();
-        let g = d.next_page(l, Stream::Gc, true).unwrap();
+        let h = d.next_page(l, Stream::Host).unwrap();
+        let g = d.next_page(l, Stream::Gc).unwrap();
         assert_ne!(h.phys.addr.block, g.phys.addr.block);
     }
 
@@ -993,16 +988,16 @@ mod tests {
         let mut d = dir();
         let l = LunId(0);
         for _ in 0..32 {
-            d.next_page(l, Stream::Host, true).unwrap();
+            d.next_page(l, Stream::Host).unwrap();
         }
-        assert!(d.next_page(l, Stream::Host, true).is_none());
+        assert!(d.next_page(l, Stream::Host).is_none());
     }
 
     #[test]
     fn valid_accounting_roundtrip() {
         let mut d = dir();
         let l = LunId(0);
-        let n = d.next_page(l, Stream::Host, true).unwrap();
+        let n = d.next_page(l, Stream::Host).unwrap();
         d.mark_valid(n.phys, Lpn(7));
         let bidx = 0u32;
         assert_eq!(d.block_info(l, bidx).valid, 1);
@@ -1020,7 +1015,7 @@ mod tests {
         // fill two blocks: block A with 4 valid, block B with 1 valid
         let mut pages = Vec::new();
         for i in 0..8 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
             pages.push(n.phys);
         }
@@ -1038,7 +1033,7 @@ mod tests {
         let mut d = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
         }
         // one full block, all valid → nothing worth collecting
@@ -1051,7 +1046,7 @@ mod tests {
         let l = LunId(0);
         let mut pages = Vec::new();
         for i in 0..8 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
             pages.push(n.phys);
         }
@@ -1069,7 +1064,7 @@ mod tests {
         let mut d = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
         }
         for i in 0..4 {
@@ -1086,12 +1081,12 @@ mod tests {
     }
 
     #[test]
-    fn wear_aware_allocation_prefers_low_erase_count() {
+    fn allocation_prefers_low_erase_count() {
         let mut d = dir();
         let l = LunId(0);
         // cycle block through the free list with extra wear
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
         }
         for i in 0..4 {
@@ -1101,7 +1096,7 @@ mod tests {
             });
         }
         d.recycle(l, 0); // block 0 now has erase_count 1
-        let n = d.next_page(l, Stream::Gc, true).unwrap();
+        let n = d.next_page(l, Stream::Gc).unwrap();
         // must pick one of the fresh blocks, not block 0
         assert_ne!(n.phys.addr.block, 0);
     }
@@ -1121,7 +1116,7 @@ mod tests {
         let mut d = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host, true).unwrap();
+            let n = d.next_page(l, Stream::Host).unwrap();
             d.mark_valid(n.phys, Lpn(i));
         }
         for i in 0..4 {

@@ -70,15 +70,14 @@ pub enum GcPolicyKind {
     CostBenefit,
 }
 
-/// GC tuning.
+/// GC tuning. A relocated page moves by on-die copyback: it is sensed
+/// and reprogrammed without crossing the channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcConfig {
     /// Run GC on a LUN when its free-block count sinks to this threshold.
     pub free_block_threshold: u32,
     /// Victim selection policy.
     pub policy: GcPolicyKind,
-    /// Use on-die copyback for same-LUN moves (no channel transfer).
-    pub copyback: bool,
 }
 
 impl Default for GcConfig {
@@ -86,28 +85,17 @@ impl Default for GcConfig {
         GcConfig {
             free_block_threshold: 3,
             policy: GcPolicyKind::Greedy,
-            copyback: true,
         }
     }
 }
 
-/// Wear-leveling tuning.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Wear-leveling tuning. Dynamic WL is always on: allocation takes the
+/// free block with the lowest erase count.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WlConfig {
-    /// Dynamic WL: allocate the free block with the lowest erase count.
-    pub dynamic: bool,
     /// Static WL: when (max − min) erase count exceeds this, migrate the
     /// coldest block into the most-worn free block. `0` disables.
     pub static_threshold: u32,
-}
-
-impl Default for WlConfig {
-    fn default() -> Self {
-        WlConfig {
-            dynamic: true,
-            static_threshold: 0,
-        }
-    }
 }
 
 /// Write-back buffer (the "safe RAM buffer with batteries" of §2.3.2).

@@ -52,14 +52,13 @@ impl Ssd {
     }
 
     pub(crate) fn alloc_block_on(&mut self, lun: LunId, t: SimTime) -> Result<u32, SsdError> {
-        let wear_aware = self.cfg.wl.dynamic;
         self.dir
-            .alloc_block(lun, wear_aware)
+            .alloc_block(lun)
             .ok_or(SsdError::DeviceFull { lun, at: t })
     }
 
     /// Copy live pages of `old` at offsets `[from, to)` into the same
-    /// offsets of `new` (replacement catch-up).
+    /// offsets of `new` (replacement catch-up), by on-die copyback.
     pub(crate) fn repl_copy_range(
         &mut self,
         t: SimTime,
@@ -69,7 +68,6 @@ impl Ssd {
         to: u32,
     ) -> Result<u32, SsdError> {
         let _bg = self.sched.probe.background();
-        let copyback = self.cfg.gc.copyback;
         let mut copied = 0u32;
         let mut cursor = t;
         for o in from..to {
@@ -77,10 +75,10 @@ impl Ssd {
             let Some(lpn_o) = self.dir.backptr(src) else {
                 continue; // gap: C3 permits skipping ahead
             };
-            let read = self.op_read(cursor, src, !copyback, OpCause::Merge)?;
+            let read = self.op_read(cursor, src, false, OpCause::Merge)?;
             let dst = self.block_phys(new, o);
             let end = self
-                .op_program(read.end, dst, lpn_o, !copyback, OpCause::Merge)
+                .op_program(read.end, dst, lpn_o, false, OpCause::Merge)
                 .map_err(|e| e.full_on(new.lun))?;
             self.dir.invalidate(src);
             self.dir.mark_valid(dst, lpn_o);

@@ -6,8 +6,9 @@
 //! the block directory's `pick_victim`
 //! (greedy: fewest valid pages; cost-benefit: the LFS cleaner's
 //! `age * (1 - u) / 2u`). The `impl Ssd` block below is the mechanism:
-//! the relocation loop, the DFTL translation write-back batching, the
-//! erase, and read-disturb scrubbing. It reserves channel/LUN time tagged
+//! the relocation loop (each live page moved by on-die copyback), the
+//! DFTL translation write-back batching, the erase, and read-disturb
+//! scrubbing. It reserves channel/LUN time tagged
 //! with [`Occupant::Gc`](requiem_sim::Occupant), which is how GC
 //! interference with host reads (myth 3) shows up in the probe bus
 //! without being explicitly programmed in.
@@ -177,8 +178,9 @@ impl Ssd {
         t: SimTime,
         cause: OpCause,
     ) -> Result<(), SsdError> {
-        let copyback = self.cfg.gc.copyback;
-        let read = self.op_read(t, old, !copyback, cause)?;
+        // on-die copyback: the page is sensed and reprogrammed without
+        // crossing the channel
+        let read = self.op_read(t, old, false, cause)?;
         // consistency check: the OOB tag must match the directory — unless
         // the whole recovery pipeline failed to decode the page, in which
         // case the relocation proceeds from assumed redundancy
@@ -191,7 +193,7 @@ impl Ssd {
             lpn.0,
             self.luns[old.lun.0 as usize].payload(old.addr)
         );
-        let (new, _end) = self.append_page(read.end, old.lun, Stream::Gc, lpn, !copyback, cause)?;
+        let (new, _end) = self.append_page(read.end, old.lun, Stream::Gc, lpn, false, cause)?;
         let prev = self.remap(lpn, old, new, t);
         debug_assert_eq!(
             prev,

@@ -179,7 +179,6 @@ impl Ssd {
         let lun = log.phys.lun;
         let newb = self.alloc_block_on(lun, t)?;
         let newpb = PhysBlockRef { lun, block: newb };
-        let copyback = self.cfg.gc.copyback;
         // BTreeMap for determinism discipline (only point lookups today,
         // but nothing then depends on hash order if iteration is added)
         let data_live: std::collections::BTreeMap<u32, Lpn> = match data {
@@ -207,10 +206,11 @@ impl Ssd {
             } else {
                 continue;
             };
-            let read = self.op_read(cursor, src, !copyback, OpCause::Merge)?;
+            // on-die copyback into the merged block
+            let read = self.op_read(cursor, src, false, OpCause::Merge)?;
             let dst = self.block_phys(newpb, o);
             let end = self
-                .op_program(read.end, dst, lpn_o, !copyback, OpCause::Merge)
+                .op_program(read.end, dst, lpn_o, false, OpCause::Merge)
                 .map_err(|e| e.full_on(lun))?;
             self.dir.invalidate(src);
             self.dir.mark_valid(dst, lpn_o);

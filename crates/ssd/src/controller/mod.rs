@@ -9,7 +9,7 @@
 //! |---------------------------------|------------------|------------------------------------|
 //! | Scheduling (channels, chips)    | `scheduler`      | `shape`, `placement`               |
 //! | Garbage collection              | [`gc`]           | `gc.{policy, free_block_threshold}`|
-//! | Wear leveling                   | [`wear`]         | `wl.{dynamic, static_threshold}`   |
+//! | Wear leveling                   | [`wear`]         | `wl.static_threshold`              |
 //! | RAM buffer (battery-backed)     | [`write_buffer`] | `buffer.capacity_pages`            |
 //! | Mapping (block-mapped FTL)      | [`block_ftl`]    | `ftl`                              |
 //! | Mapping (hybrid log-block FTL)  | [`hybrid_ftl`]   | `ftl`                              |

@@ -4,16 +4,14 @@
 //! The [`Scheduler`] owns every serial resource timeline the controller
 //! arbitrates — one FIFO [`Resource`] per LUN, one backfilling
 //! [`TransferTimeline`] per channel plus one for the host link — together
-//! with the optional Gantt trace and the observability [`Probe`]. All
-//! flash operation mechanisms (`op_read` / `op_program` /
-//! `op_erase` and DFTL translation traffic) live here as `impl Ssd`
-//! blocks: they reserve intervals on the scheduler's timelines, tagging
-//! each grant with its [`Occupant`] so that later waiters can *blame*
-//! their queueing delay (GC stall vs. merge stall vs. plain queueing) on
-//! the observability bus.
+//! with the observability [`Probe`]. All flash operation mechanisms
+//! (`op_read` / `op_program` / `op_erase` and DFTL translation traffic)
+//! live here as `impl Ssd` blocks: they reserve intervals on the
+//! scheduler's timelines, tagging each grant with its [`Occupant`] so
+//! that later waiters can *blame* their queueing delay (GC stall vs.
+//! merge stall vs. plain queueing) on the observability bus.
 
 use requiem_flash::{FlashError, PagePayload};
-use requiem_sim::gantt::Gantt;
 use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Layer, Occupant, Probe, Resource, TransferTimeline};
@@ -117,9 +115,9 @@ impl LunRotation {
 }
 
 /// Owner of the controller's serial resource timelines (channels, LUNs,
-/// host link), the Gantt trace, and the observability probe — one per
-/// [`Ssd`], whichever address vocabulary it serves (Figure 2's
-/// scheduling box does not change with the interface above it).
+/// host link) and the observability probe — one per [`Ssd`], whichever
+/// address vocabulary it serves (Figure 2's scheduling box does not
+/// change with the interface above it).
 ///
 /// Which timelines backfill is decided here, by role. The buses —
 /// channels and the host link — are [`TransferTimeline`]s: a transfer
@@ -141,8 +139,6 @@ pub(crate) struct Scheduler {
     /// The latest host submission instant: no later reservation starts
     /// before it, so transfer gaps ending there are retired.
     floor: SimTime,
-    /// Optional chip/channel occupancy trace.
-    pub(crate) trace: Option<Gantt>,
     /// Observability bus handle (disabled by default).
     pub(crate) probe: Probe,
     /// Reusable blame-decomposition buffer: every wait emission on the
@@ -154,7 +150,7 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// Create timelines for `nluns` LUNs and `channels` channels, all
-    /// idle, with tracing and probing off.
+    /// idle, with probing off.
     pub(crate) fn new(nluns: u32, channels: u32) -> Self {
         Scheduler {
             lun_res: (0..nluns)
@@ -165,7 +161,6 @@ impl Scheduler {
                 .collect(),
             host_link: TransferTimeline::new("host-link"),
             floor: SimTime::ZERO,
-            trace: None,
             probe: Probe::disabled(),
             blame_scratch: RefCell::new(Vec::new()),
         }
@@ -215,21 +210,6 @@ impl Scheduler {
     pub(crate) fn reserve_link(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
         self.host_link
             .reserve_tagged(self.floor, not_before, duration, Occupant::Host)
-    }
-
-    /// Record `g` on LUN `lun`'s lane of the Gantt trace, if one is on
-    /// (the lane name is copied only then).
-    fn trace_lun(&mut self, lun: usize, g: Grant, glyph: char) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.lun_res[lun].name(), g.start, g.end, glyph, "");
-        }
-    }
-
-    /// [`trace_lun`](Self::trace_lun) for channel `chan`'s lane.
-    fn trace_chan(&mut self, chan: usize, g: Grant, glyph: char) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.chan_res[chan].name(), g.start, g.end, glyph, "");
-        }
     }
 
     /// The instant every queued operation has drained.
@@ -401,22 +381,29 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched.trace_lun(li, lg, 'R');
-        let (end, chan_wait) = if with_transfer {
-            let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
-            let xg = self.sched.reserve_chan(chan, lg.end, xfer, occ);
-            self.sched.emit_chan_transfer_spans(chan, lg.end, xg);
-            self.sched.trace_chan(chan, xg, 't');
-            (xg.end, xg.start.since(lg.end))
-        } else {
-            (lg.end, SimDuration::ZERO)
-        };
         Ok(FlashReadDone {
-            end,
+            end: self.read_out(chan, lg.end, occ, with_transfer),
             lun_wait,
-            chan_wait,
             status: ReadRecovery::Clean,
         })
+    }
+
+    /// Move a sensed page out over channel `chan` from `from` when the
+    /// read wants its data off the chip; returns the instant it is out.
+    fn read_out(
+        &mut self,
+        chan: usize,
+        from: SimTime,
+        occ: Occupant,
+        with_transfer: bool,
+    ) -> SimTime {
+        if !with_transfer {
+            return from;
+        }
+        let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
+        let xg = self.sched.reserve_chan(chan, from, xfer, occ);
+        self.sched.emit_chan_transfer_spans(chan, from, xg);
+        xg.end
     }
 
     /// The read-recovery pipeline (the paper's Myth-1 "error management
@@ -461,7 +448,6 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched.trace_lun(li, lg, 'R');
 
         let mut cursor = lg.end;
         let mut steps = 0u32;
@@ -478,7 +464,6 @@ impl Ssd {
                 self.sched.lun_res[li].reserve_tagged(rung_cmd_done, t_read, Occupant::Recovery);
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, rung_cmd_done, g, Cause::Recovery);
-            self.sched.trace_lun(li, g, 'r');
             cursor = g.end;
             match self.luns[li].recovery_read(phys.addr, derate, 1.0) {
                 Ok(_) => {
@@ -510,7 +495,6 @@ impl Ssd {
             );
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, esc_cmd_done, g, Cause::Recovery);
-            self.sched.trace_lun(li, g, 'e');
             cursor = g.end;
             match self.luns[li].recovery_read(
                 phys.addr,
@@ -585,19 +569,9 @@ impl Ssd {
         };
 
         // transfer whatever the controller ended up with
-        let (end, chan_wait) = if with_transfer {
-            let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
-            let xg = self.sched.reserve_chan(chan, cursor, xfer, occ);
-            self.sched.emit_chan_transfer_spans(chan, cursor, xg);
-            self.sched.trace_chan(chan, xg, 't');
-            (xg.end, xg.start.since(cursor))
-        } else {
-            (cursor, SimDuration::ZERO)
-        };
         Ok(FlashReadDone {
-            end,
+            end: self.read_out(chan, cursor, occ, with_transfer),
             lun_wait,
-            chan_wait,
             status,
         })
     }
@@ -624,7 +598,6 @@ impl Ssd {
                 self.cfg.channel.write_bus_time(self.page_size()) + self.chan_hiccup_extra(chan);
             let bus = self.sched.reserve_chan(chan, not_before, bus_time, occ);
             self.sched.emit_chan_transfer_spans(chan, not_before, bus);
-            self.sched.trace_chan(chan, bus, 't');
             bus.end
         } else {
             not_before
@@ -650,7 +623,6 @@ impl Ssd {
         let g = self.sched.lun_res[li].reserve_tagged(start, dur, occ);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
-        self.sched.trace_lun(li, g, 'P');
         if failed {
             return Err(SsdError::ProgramFailed { phys, at: g.end });
         }
@@ -699,7 +671,6 @@ impl Ssd {
             self.dir.retire(lun, block_idx);
             self.tell_host(MapEvent::Retired { at: not_before });
         } else {
-            self.sched.trace_lun(li, g, 'E');
             self.dir.recycle(lun, block_idx);
         }
         Ok(g.end)
@@ -780,7 +751,6 @@ impl Ssd {
         use_channel: bool,
         cause: OpCause,
     ) -> Result<(PhysPage, SimTime), SsdError> {
-        let wear_aware = self.cfg.wl.dynamic;
         let mut lun = lun;
         let mut tries = 0u32;
         let mut gave_up = t;
@@ -789,12 +759,12 @@ impl Ssd {
             if tries > 4 * self.total_luns() {
                 return Err(SsdError::DeviceFull { lun, at: gave_up });
             }
-            let np = match self.dir.next_page(lun, stream, wear_aware) {
+            let np = match self.dir.next_page(lun, stream) {
                 Some(np) => np,
                 None => {
                     // out of free blocks here: try GC, then other LUNs
                     self.maybe_gc(lun, t);
-                    match self.dir.next_page(lun, stream, wear_aware) {
+                    match self.dir.next_page(lun, stream) {
                         Some(np) => np,
                         None => {
                             let next = LunId((lun.0 + 1) % self.total_luns());

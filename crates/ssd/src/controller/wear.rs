@@ -1,10 +1,11 @@
 //! Wear leveling: the Figure-2 "Wear-leveling" box.
 //!
-//! [`WlConfig`](crate::config::WlConfig) selects both halves: `dynamic`
-//! makes allocation prefer the lowest-erase-count free block, and a
-//! non-zero `static_threshold` migrates the coldest full block whenever
-//! the erase-count spread across all blocks exceeds it. The `impl Ssd`
-//! block is that trigger, the static migration itself, and the
+//! Dynamic wear leveling is always on: the block directory allocates the
+//! lowest-erase-count free block. Static wear leveling is
+//! [`WlConfig`](crate::config::WlConfig)'s one setting: a non-zero
+//! `static_threshold` migrates the coldest full block whenever the
+//! erase-count spread across all blocks exceeds it. The `impl Ssd` block
+//! is that trigger, the static migration itself, and the
 //! salvage-and-retire path taken when a program fails on a worn-out
 //! block. Both reserve channel/LUN time tagged with
 //! [`Occupant::Wear`](requiem_sim::Occupant), so their interference with

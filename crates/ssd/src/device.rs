@@ -54,7 +54,6 @@
 //! Host commands must be submitted in non-decreasing time order.
 
 use requiem_flash::{Lun, PageAddr};
-use requiem_sim::gantt::Gantt;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, IoStatus, Layer, Probe};
 
@@ -276,7 +275,6 @@ impl ReadRecovery {
 pub(crate) struct FlashReadDone {
     pub(crate) end: SimTime,
     pub(crate) lun_wait: SimDuration,
-    pub(crate) chan_wait: SimDuration,
     pub(crate) status: ReadRecovery,
 }
 
@@ -285,7 +283,7 @@ pub struct Ssd {
     pub(crate) cfg: SsdConfig,
     pub(crate) capacity: Capacity,
     pub(crate) luns: Vec<Lun>,
-    /// Channel/LUN/host-link timelines, trace, probe (Figure 2 "Scheduling").
+    /// Channel/LUN/host-link timelines and the probe (Figure 2 "Scheduling").
     pub(crate) sched: Scheduler,
     pub(crate) dir: BlockDirectory,
     pub(crate) map: MappingState,
@@ -419,16 +417,6 @@ impl Ssd {
     /// write-through).
     pub fn buffer_stalls(&self) -> u64 {
         self.buffer.stalls()
-    }
-
-    /// Begin recording a Gantt trace of chip/channel occupancy.
-    pub fn enable_trace(&mut self) {
-        self.sched.trace = Some(Gantt::new());
-    }
-
-    /// Stop recording and return the trace, if any.
-    pub fn take_trace(&mut self) -> Option<Gantt> {
-        self.sched.trace.take()
     }
 
     /// Attach a cross-layer observability probe: every subsequent host
@@ -716,9 +704,6 @@ impl Ssd {
             }
         };
         self.metrics.read_lun_wait.record_duration(done.lun_wait);
-        self.metrics
-            .read_channel_wait
-            .record_duration(done.chan_wait);
         let status = done.status.io_status();
         if let ReadRecovery::Recovered { rebuilt: true, .. } = done.status {
             // parity reconstruction read around the page; the page (and

@@ -160,8 +160,6 @@ pub struct SsdMetrics {
     pub write_latency: Histogram,
     /// Time host reads spent waiting for a busy LUN (myth 3's stalls).
     pub read_lun_wait: Histogram,
-    /// Time host reads spent waiting for a busy channel.
-    pub read_channel_wait: Histogram,
 }
 
 impl SsdMetrics {

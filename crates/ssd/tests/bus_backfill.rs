@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use requiem_sim::time::SimTime;
-use requiem_sim::Gantt;
+use requiem_sim::{Cause, Layer, Probe};
 use requiem_ssd::{Completion, Lpn, LunId, Ssd, SsdConfig};
 
 /// Pages written (and settled on flash) before the probe commands.
@@ -69,17 +69,25 @@ fn a_read_behind_a_program_does_not_hold_the_channel_or_the_link() {
     assert!(last.done < queued.done);
 }
 
-/// One booked operation on a chip: start, end, glyph.
-type ChipOp = (SimTime, SimTime, char);
+/// One booked operation on a chip: start, end, cell operation.
+type ChipOp = (SimTime, SimTime, Cause);
 
-/// Every lane of `trace` named `chip…`: its operations in booking order.
-fn chip_lanes(trace: &Gantt) -> Vec<Vec<ChipOp>> {
-    let mut lanes: BTreeMap<&str, Vec<ChipOp>> = BTreeMap::new();
-    for s in trace.spans().iter().filter(|s| s.lane.starts_with("chip")) {
-        lanes
-            .entry(&s.lane)
-            .or_default()
-            .push((s.start, s.end, s.glyph));
+/// The cell operations `probe` recorded, one list per chip, each in
+/// booking order.
+fn chip_lanes(probe: &Probe) -> Vec<Vec<ChipOp>> {
+    let mut lanes: BTreeMap<String, Vec<ChipOp>> = BTreeMap::new();
+    for e in probe.events() {
+        let cell_op = matches!(
+            e.cause,
+            Cause::CellRead | Cause::CellProgram | Cause::CellErase
+        );
+        if e.layer == Layer::Flash && cell_op {
+            let chip = e.resource.expect("a cell op names its chip");
+            lanes
+                .entry(chip)
+                .or_default()
+                .push((e.start, e.end, e.cause));
+        }
     }
     lanes.into_values().collect()
 }
@@ -87,7 +95,8 @@ fn chip_lanes(trace: &Gantt) -> Vec<Vec<ChipOp>> {
 #[test]
 fn a_read_booked_after_a_program_on_its_chip_starts_after_the_program_ends() {
     let (mut ssd, mut t) = settled();
-    ssd.enable_trace();
+    let probe = Probe::recording();
+    ssd.attach_probe(probe.clone());
     // bursts of overwrites and reads submitted at the same instant, so
     // reads land on chips with programs booked ahead of them
     for round in 0..32u64 {
@@ -99,16 +108,15 @@ fn a_read_booked_after_a_program_on_its_chip_starts_after_the_program_ends() {
         }
         t += requiem_sim::SimDuration::from_micros(100);
     }
-    let trace = ssd.take_trace().expect("traced");
     let mut reads_behind_programs = 0;
-    for lane in chip_lanes(&trace) {
+    for lane in chip_lanes(&probe) {
         for w in lane.windows(2) {
             let ((_, prev_end, prev), (start, _, op)) = (w[0], w[1]);
             assert!(
                 start >= prev_end,
-                "{op} at {start} starts before the {prev} booked ahead of it ends ({prev_end})"
+                "{op:?} at {start} starts before the {prev:?} booked ahead of it ends ({prev_end})"
             );
-            if prev == 'P' && op == 'R' && start == prev_end {
+            if prev == Cause::CellProgram && op == Cause::CellRead && start == prev_end {
                 reads_behind_programs += 1;
             }
         }

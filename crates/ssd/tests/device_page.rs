@@ -2,6 +2,7 @@
 //! behaviour debunks the paper's myths.
 
 use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::{Cause, Layer, Probe, SpanEvent};
 use requiem_ssd::{BufferConfig, Lpn, Placement, Served, Ssd, SsdConfig, SsdError};
 
 fn modern_unbuffered() -> SsdConfig {
@@ -254,70 +255,100 @@ fn completion_times_are_causally_ordered() {
     assert!(ssd.drain_time() >= last_done);
 }
 
-/// `(lane, glyph)` of every recorded span, in record order.
-fn lanes_and_glyphs(trace: &requiem_sim::Gantt) -> Vec<(&str, char)> {
-    trace
-        .spans()
-        .iter()
-        .map(|s| (s.lane.as_str(), s.glyph))
+/// The chip operations (cell ops and recovery senses on the flash layer)
+/// and channel data transfers `probe` recorded, in record order.
+fn chip_and_channel_ops(probe: &Probe) -> Vec<SpanEvent> {
+    probe
+        .events()
+        .into_iter()
+        .filter(|e| match e.layer {
+            Layer::Flash => matches!(
+                e.cause,
+                Cause::CellRead | Cause::CellProgram | Cause::CellErase | Cause::Recovery
+            ),
+            Layer::Channel => e.cause == Cause::Transfer,
+            _ => false,
+        })
+        .collect()
+}
+
+/// `(resource, cause)` of each of `ops`.
+fn lanes_and_causes(ops: &[SpanEvent]) -> Vec<(&str, Cause)> {
+    ops.iter()
+        .map(|e| (e.resource.as_deref().unwrap_or(""), e.cause))
         .collect()
 }
 
 #[test]
 fn trace_records_chip_and_channel_spans() {
-    // lanes are the scheduler's resource names, in first-recorded order:
+    // resources are the scheduler's timeline names, in record order:
     // four writes stripe over channels 0..4, the read revisits the last
     let mut ssd = Ssd::new(modern_unbuffered());
-    ssd.enable_trace();
+    let probe = Probe::recording();
+    ssd.attach_probe(probe.clone());
     let mut t = SimTime::ZERO;
     for lpn in 0..4 {
         t = ssd.write(t, Lpn(lpn)).unwrap().done;
     }
     ssd.read(t, Lpn(3)).unwrap();
-    let trace = ssd.take_trace().unwrap();
+    use Cause::{CellProgram, CellRead, Recovery, Transfer};
     assert_eq!(
-        lanes_and_glyphs(&trace),
+        lanes_and_causes(&chip_and_channel_ops(&probe)),
         [
-            ("chan0", 't'),
-            ("chip0", 'P'),
-            ("chan1", 't'),
-            ("chip4", 'P'),
-            ("chan2", 't'),
-            ("chip8", 'P'),
-            ("chan3", 't'),
-            ("chip12", 'P'),
-            ("chip12", 'R'),
-            ("chan3", 't'),
+            ("chan0", Transfer),
+            ("chip0", CellProgram),
+            ("chan1", Transfer),
+            ("chip4", CellProgram),
+            ("chan2", Transfer),
+            ("chip8", CellProgram),
+            ("chan3", Transfer),
+            ("chip12", CellProgram),
+            ("chip12", CellRead),
+            ("chan3", Transfer),
         ]
     );
 
     // a read that climbs the whole recovery ladder: the failed sense,
     // three retry rungs and the ECC escalation land on the page's own
-    // chip (the stripe rebuild records no lanes), then the data moves
-    // over the chip's channel and the rebuilt page is programmed afresh
+    // chip (the stripe rebuild is one controller span, on no chip), then
+    // the data moves over the chip's channel and the rebuilt page is
+    // programmed afresh
     let mut cfg = modern_unbuffered();
     cfg.shape.channels = 2;
     cfg.shape.chips_per_channel = 1;
     cfg.fault = requiem_sim::FaultPlan::uniform_rber(1.0e7);
+    let t_read = cfg.flash.timing.read;
     let mut ssd = Ssd::new(cfg);
     let mut t = SimTime::ZERO;
     for lpn in 0..2 {
         t = ssd.write(t, Lpn(lpn)).unwrap().done;
     }
-    ssd.enable_trace();
+    let probe = Probe::recording();
+    ssd.attach_probe(probe.clone());
     ssd.read(t, Lpn(1)).unwrap();
-    let trace = ssd.take_trace().unwrap();
+    let ops = chip_and_channel_ops(&probe);
     assert_eq!(
-        lanes_and_glyphs(&trace),
+        lanes_and_causes(&ops),
         [
-            ("chip1", 'R'),
-            ("chip1", 'r'),
-            ("chip1", 'r'),
-            ("chip1", 'r'),
-            ("chip1", 'e'),
-            ("chan1", 't'),
-            ("chan1", 't'),
-            ("chip1", 'P'),
+            ("chip1", CellRead),
+            ("chip1", Recovery),
+            ("chip1", Recovery),
+            ("chip1", Recovery),
+            ("chip1", Recovery),
+            ("chan1", Transfer),
+            ("chan1", Transfer),
+            ("chip1", CellProgram),
         ]
     );
+    // a retry rung re-senses once; the soft-decision escalation senses
+    // the page four times (the scheduler's `ECC_ESCALATION_SENSES`)
+    let senses: Vec<SimDuration> = ops[1..5].iter().map(SpanEvent::duration).collect();
+    assert_eq!(senses, [t_read, t_read, t_read, t_read * 4]);
+    let stripe: Vec<_> = probe
+        .events()
+        .into_iter()
+        .filter(|e| e.layer == Layer::Controller && e.cause == Recovery)
+        .collect();
+    assert_eq!(stripe.len(), 1, "one span for the whole stripe rebuild");
+    assert_eq!(stripe[0].resource.as_deref(), Some("stripe"));
 }

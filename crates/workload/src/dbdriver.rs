@@ -13,30 +13,21 @@
 //! a pure function of `(seed, config)` — the determinism CI job diffs
 //! experiment output byte-for-byte.
 
-use requiem_db::{Database, ExecConfig, ExecReport, PersistenceBackend, TxnInput};
+use requiem_db::{Database, ExecConfig, ExecReport, PersistenceBackend, TxnInput, SLOTS_PER_PAGE};
 
 use crate::oltp::{OltpGen, Txn};
 
-/// Record slots per page assumed by the `(page, slot)` mapping — matches
-/// `DbConfig::slots_per_page` in every experiment that uses this driver.
-pub const DRIVER_SLOTS_PER_PAGE: u16 = 16;
-
 /// Map one generated transaction onto the engine's access triples. The
-/// record slot is derived from the page id (`page % 16`) — the same
-/// convention the synergy experiment (E7) uses, so workloads are
-/// comparable across the serialized and completion-driven paths.
+/// record slot is derived from the page id (`page % SLOTS_PER_PAGE`, the
+/// engine's own slot count) — the same convention the synergy experiment
+/// (E7) uses, so workloads are comparable across the serialized and
+/// completion-driven paths.
 pub fn txn_to_input(txn: &Txn) -> TxnInput {
     TxnInput {
         accesses: txn
             .accesses
             .iter()
-            .map(|a| {
-                (
-                    a.page,
-                    (a.page % u64::from(DRIVER_SLOTS_PER_PAGE)) as u16,
-                    a.dirty,
-                )
-            })
+            .map(|a| (a.page, (a.page % u64::from(SLOTS_PER_PAGE)) as u16, a.dirty))
             .collect(),
         log_bytes: txn.log_bytes,
     }
@@ -98,7 +89,7 @@ mod tests {
         assert!(a.iter().all(|t| t
             .accesses
             .iter()
-            .all(|&(p, s, _)| p < 256 && s < DRIVER_SLOTS_PER_PAGE)));
+            .all(|&(p, s, _)| p < 256 && s < SLOTS_PER_PAGE)));
     }
 
     #[test]

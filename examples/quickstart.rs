@@ -46,8 +46,6 @@ fn main() {
     let cfg = DbConfig {
         buffer_frames: 128,
         data_pages: 512,
-        slots_per_page: 16,
-        record_size: 100,
         checkpoint_every: 0,
         ..DbConfig::default()
     };

@@ -47,8 +47,6 @@ fn main() {
     let cfg = DbConfig {
         buffer_frames: 256,
         data_pages: 1024,
-        slots_per_page: 16,
-        record_size: 100,
         checkpoint_every: 400,
         ..DbConfig::default()
     };

@@ -8,7 +8,7 @@
 //! This facade crate re-exports every subsystem:
 //!
 //! * [`sim`] — deterministic discrete-event kernel (virtual time, serial
-//!   resources, histograms, seeded RNG, Gantt traces).
+//!   resources, histograms, seeded RNG, the probe bus).
 //! * [`flash`] — NAND model: geometry, SLC/MLC/TLC timing, constraints
 //!   C1–C4, wear, bit errors, ECC.
 //! * [`pcm`] — phase-change memory: byte-addressable chips, Start-Gap
@@ -17,7 +17,7 @@
 //!   hybrid / DFTL FTLs, garbage collection, wear leveling, write-back
 //!   buffer, TRIM.
 //! * [`block`] — the OS block layer: CPU path costs, single vs multi
-//!   queue, interrupt vs polling, elevator scheduling, a disk model.
+//!   queue, interrupt vs polling, a disk model.
 //! * [`iface`] — beyond the block device: atomic writes, nameless writes
 //!   with migration upcalls, the communication abstraction.
 //! * [`db`] — a miniature storage manager (slotted pages, buffer pool,

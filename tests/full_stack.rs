@@ -12,8 +12,6 @@ fn db_cfg() -> DbConfig {
     DbConfig {
         buffer_frames: 64,
         data_pages: 512,
-        slots_per_page: 16,
-        record_size: 100,
         checkpoint_every: 0,
         ..DbConfig::default()
     }
