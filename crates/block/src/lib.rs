@@ -39,6 +39,6 @@ pub use backend::{
 pub use cpu::CpuCosts;
 pub use disk::{Disk, DiskConfig};
 pub use stack::{
-    CompletionMode, IoStack, QueueMode, StackCompletion, StackConfig, StackReport,
+    CompletionMode, IoStack, QueueMode, Reaped, StackCompletion, StackConfig, StackReport,
     DEFAULT_INFLIGHT_WINDOW,
 };

@@ -20,9 +20,10 @@
 //!   configured in-flight window of commands run on the device
 //!   concurrently, and completions are reaped out of submission order
 //!   (interrupt coalescing: one IRQ + context switch per reap, not per
-//!   command). Both are wrappers that build a `Vec` around the one loop
-//!   each has: [`IoStack::submit_batch_with`] hands tags to a sink and
-//!   [`IoStack::reap_into`] appends to a buffer the caller keeps.
+//!   command). Neither allocates: tags ride on the requests, and a reap
+//!   lends its completions out of a buffer the stack keeps ([`Reaped`]).
+//!   [`IoStack::reap_into`] is the one reap loop underneath, for a caller
+//!   that keeps its own buffer.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -108,6 +109,30 @@ pub struct StackCompletion {
     pub status: IoStatus,
 }
 
+/// The completions one [`IoStack::poll_completions`] reaped, in reap
+/// order, lent out of a buffer the stack keeps: it derefs to
+/// `[StackCompletion]` and iterates by reference, and lives until the
+/// stack is next used.
+#[derive(Debug, Clone, Copy)]
+pub struct Reaped<'a>(&'a [StackCompletion]);
+
+impl std::ops::Deref for Reaped<'_> {
+    type Target = [StackCompletion];
+
+    fn deref(&self) -> &[StackCompletion] {
+        self.0
+    }
+}
+
+impl<'a> IntoIterator for &Reaped<'a> {
+    type Item = &'a StackCompletion;
+    type IntoIter = std::slice::Iter<'a, StackCompletion>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// One command in flight between `submit_batch` and `poll_completions`:
 /// the device has finished (or will finish) at `dev_done`, but the host
 /// has not reaped it yet.
@@ -153,6 +178,8 @@ pub struct IoStack<B: StorageBackend> {
     /// context bounds its own outstanding commands, so shards on
     /// different cores throttle independently.
     qps: Vec<QueuePair<Pending>>,
+    /// The buffer [`IoStack::poll_completions`] reaps into and lends out.
+    reaped: Vec<StackCompletion>,
 }
 
 impl<B: StorageBackend> std::fmt::Debug for IoStack<B> {
@@ -185,6 +212,7 @@ impl<B: StorageBackend> IoStack<B> {
             device_busy: SimDuration::ZERO,
             total_latency: SimDuration::ZERO,
             ios: 0,
+            reaped: Vec::new(),
         }
     }
 
@@ -354,38 +382,16 @@ impl<B: StorageBackend> IoStack<B> {
     /// the device path. Completions accumulate in `core`'s completion
     /// queue; reap them with [`IoStack::poll_completions`].
     ///
-    /// Returns the host tag of each submitted command, in order. Probe
-    /// note: shared batch costs (lock, doorbell, IRQ) are attributed to
-    /// *each* command they cover, so per-command span tiling holds;
-    /// aggregate block-layer totals therefore count a shared interval
-    /// once per covered command.
+    /// Tags ride on the requests: a command's completion carries its
+    /// request's tag, or, when that is unassigned, the next tag of
+    /// `core`'s queue-pair counter. Probe note: shared batch costs (lock,
+    /// doorbell, IRQ) are attributed to *each* command they cover, so
+    /// per-command span tiling holds; aggregate block-layer totals
+    /// therefore count a shared interval once per covered command.
     ///
     /// # Panics
     /// Panics if `core` is out of range.
-    pub fn submit_batch(
-        &mut self,
-        now: SimTime,
-        core: usize,
-        reqs: &[IoRequest],
-    ) -> Vec<CommandId> {
-        let mut tags = Vec::with_capacity(reqs.len());
-        self.submit_batch_with(now, core, reqs, |tag| tags.push(tag));
-        tags
-    }
-
-    /// [`IoStack::submit_batch`] for a caller that keeps its own record of
-    /// the batch: each command's host tag goes to `tag_sink`, in order,
-    /// and nothing is allocated for them.
-    ///
-    /// # Panics
-    /// Panics if `core` is out of range.
-    pub fn submit_batch_with(
-        &mut self,
-        now: SimTime,
-        core: usize,
-        reqs: &[IoRequest],
-        mut tag_sink: impl FnMut(CommandId),
-    ) {
+    pub fn submit_batch(&mut self, now: SimTime, core: usize, reqs: &[IoRequest]) {
         assert!(core < self.cfg.cores as usize, "core out of range");
         if reqs.is_empty() {
             return;
@@ -427,7 +433,7 @@ impl<B: StorageBackend> IoStack<B> {
             // (and any same-LBA predecessor) frees up, then 5. the device
             // path at the admit instant
             let (backend, probe) = (&mut self.backend, &self.probe);
-            let p = self.qps[core].submit(probe, g_bell.end, req.tag, req.lba, |tag, admit| {
+            self.qps[core].submit(probe, g_bell.end, req.tag, req.lba, |tag, admit| {
                 let dev_c = backend.submit(admit, *req);
                 let dev_done = dev_c.done;
                 if probing && !backend.self_reporting() && dev_done > admit {
@@ -450,7 +456,6 @@ impl<B: StorageBackend> IoStack<B> {
                 };
                 (dev_done, pending)
             });
-            tag_sink(p.tag);
         }
     }
 
@@ -460,17 +465,24 @@ impl<B: StorageBackend> IoStack<B> {
     /// whole reap (interrupt coalescing) plus the per-command completion
     /// path; polling mode pays only the per-command completion path.
     ///
+    /// The reaped batch is lent out of a buffer the stack keeps and
+    /// reuses, so a reap allocates nothing once the buffer has grown to
+    /// the deepest batch; it is empty when nothing was ready.
+    ///
     /// # Panics
     /// Panics if `core` is out of range.
-    pub fn poll_completions(&mut self, now: SimTime, core: usize) -> Vec<StackCompletion> {
-        let mut out = Vec::new();
-        self.reap_into(now, core, &mut out);
-        out
+    pub fn poll_completions(&mut self, now: SimTime, core: usize) -> Reaped<'_> {
+        let mut reaped = std::mem::take(&mut self.reaped);
+        reaped.clear();
+        self.reap_into(now, core, &mut reaped);
+        self.reaped = reaped;
+        Reaped(&self.reaped)
     }
 
-    /// [`IoStack::poll_completions`] into a buffer the caller keeps: the
-    /// reaped completions are appended to `out`, and a reap that finds
-    /// nothing ready touches neither `out` nor the core.
+    /// The reap loop under [`IoStack::poll_completions`], into a buffer
+    /// the caller keeps: the reaped completions are appended to `out`,
+    /// and a reap that finds nothing ready touches neither `out` nor the
+    /// core.
     ///
     /// # Panics
     /// Panics if `core` is out of range.
@@ -589,6 +601,8 @@ impl<B: StorageBackend> IoStack<B> {
 mod tests {
     use super::*;
     use crate::disk::{Disk, DiskConfig};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use requiem_ssd::{Ssd, SsdConfig};
 
     fn ssd_stack(cfg: StackConfig) -> IoStack<Ssd> {
@@ -701,14 +715,20 @@ mod tests {
     fn batch_path_completes_all_and_echoes_tags() {
         let mut st = ssd_stack(StackConfig::blk_mq(1));
         st.set_inflight_window(4);
-        let reqs: Vec<IoRequest> = (0..8u64).map(IoRequest::write).collect();
-        let tags = st.submit_batch(SimTime::ZERO, 0, &reqs);
-        assert_eq!(tags.len(), 8);
+        // even requests carry their own tag; odd ones take the queue
+        // pair's counter, 1 to 4
+        let reqs: Vec<IoRequest> = (0..8u64)
+            .map(|i| match i % 2 {
+                0 => IoRequest::write(i).tag(CommandId(100 + i)),
+                _ => IoRequest::write(i),
+            })
+            .collect();
+        st.submit_batch(SimTime::ZERO, 0, &reqs);
         // Nothing is reapable before the first device finish.
         assert!(st.poll_completions(SimTime::ZERO, 0).is_empty());
-        let mut got = Vec::new();
+        let mut got: Vec<StackCompletion> = Vec::new();
         while let Some(t) = st.next_completion_time(0) {
-            got.extend(st.poll_completions(t, 0));
+            got.extend(st.poll_completions(t, 0).iter());
         }
         assert_eq!(got.len(), 8);
         // Completions surface in device order (non-decreasing done) and
@@ -716,11 +736,9 @@ mod tests {
         for w in got.windows(2) {
             assert!(w[0].done <= w[1].done);
         }
-        let mut seen: Vec<CommandId> = got.iter().map(|c| c.tag).collect();
+        let mut seen: Vec<u64> = got.iter().map(|c| c.tag.0).collect();
         seen.sort();
-        let mut want = tags.clone();
-        want.sort();
-        assert_eq!(seen, want);
+        assert_eq!(seen, [1, 2, 3, 4, 100, 102, 104, 106]);
         assert_eq!(st.latency().count(), 8);
     }
 
@@ -754,7 +772,7 @@ mod tests {
         batched.submit_batch(t0, 0, &reqs);
         let mut last = SimTime::ZERO;
         while let Some(t) = batched.next_completion_time(0) {
-            for c in batched.poll_completions(t, 0) {
+            for c in &batched.poll_completions(t, 0) {
                 last = last.max(c.done);
             }
         }
@@ -762,5 +780,151 @@ mod tests {
             last < serial_done,
             "batched ({last}) should beat serialized ({serial_done})"
         );
+    }
+
+    /// The `Vec`-returning reap `poll_completions` once was: the reference
+    /// its lent batch is held equal to.
+    fn reap_vec<B: StorageBackend>(
+        st: &mut IoStack<B>,
+        now: SimTime,
+        core: usize,
+    ) -> Vec<StackCompletion> {
+        let mut out = Vec::new();
+        st.reap_into(now, core, &mut out);
+        out
+    }
+
+    /// Every field of a completion, comparable.
+    type Fields = (CommandId, SimTime, SimDuration, SimDuration, IoStatus);
+
+    fn fields(c: &StackCompletion) -> Fields {
+        (c.tag, c.done, c.latency, c.device_time, c.status)
+    }
+
+    /// `(op: 0 read, 1 write, 2 trim; lba; 1 if it carries its own tag)`.
+    type Req = (u8, u64, u8);
+
+    /// Where a poll lands: at the clock, before the next completion
+    /// (reaps nothing); on the next completion (reaps part of the
+    /// batch); or a second past the clock (reaps all of it, unless the
+    /// device is more than a second behind).
+    const POLL_EARLY: u8 = 0;
+    const POLL_NEXT: u8 = 1;
+
+    /// Rounds of one batch and the polls after it, then a drain.
+    type Script = Vec<(Vec<Req>, Vec<u8>)>;
+
+    /// What a run shows: every reaped completion in reap order, the
+    /// latency histogram, and the software share's bits.
+    type Run = (Vec<Fields>, Histogram, u64);
+
+    /// Drive `script` through the batch path at window `depth`, reaping
+    /// through the lent batch or through the reference.
+    fn drive(depth: usize, polling: bool, script: &Script, lend: bool) -> Run {
+        let mut cfg = SsdConfig::modern();
+        cfg.shape.channels = 2;
+        cfg.shape.chips_per_channel = 2;
+        cfg.buffer.capacity_pages = 4;
+        let stack_cfg = StackConfig {
+            completion: if polling {
+                CompletionMode::Polling
+            } else {
+                CompletionMode::Interrupt
+            },
+            ..StackConfig::blk_mq(1)
+        };
+        let mut st = IoStack::new(stack_cfg, Ssd::new(cfg));
+        st.set_inflight_window(depth);
+        let mut got = Vec::new();
+        let mut reap = |st: &mut IoStack<Ssd>, at: SimTime| {
+            let before = got.len();
+            if lend {
+                got.extend(st.poll_completions(at, 0).iter().map(fields));
+            } else {
+                got.extend(reap_vec(st, at, 0).iter().map(fields));
+            }
+            got.len() - before
+        };
+        let mut now = SimTime::ZERO;
+        let mut explicit = 1u64 << 32;
+        let mut reqs = Vec::new();
+        for (batch, polls) in script {
+            reqs.clear();
+            for &(op, lba, tagged) in batch {
+                let req = match op {
+                    0 => IoRequest::read(lba),
+                    1 => IoRequest::write(lba),
+                    _ => IoRequest::trim(lba),
+                };
+                explicit += 1;
+                reqs.push(if tagged == 1 {
+                    req.tag(CommandId(explicit))
+                } else {
+                    req
+                });
+            }
+            st.submit_batch(now, 0, &reqs);
+            for &poll in polls {
+                let at = match poll {
+                    POLL_EARLY => now,
+                    POLL_NEXT => st.next_completion_time(0).map_or(now, |t| t.max(now)),
+                    _ => now + SimDuration::from_secs(1),
+                };
+                let n = reap(&mut st, at);
+                assert!(poll != POLL_EARLY || n == 0, "an early poll reaps nothing");
+                now = at;
+            }
+        }
+        while let Some(t) = st.next_completion_time(0) {
+            now = now.max(t);
+            reap(&mut st, now);
+        }
+        let share = st.software_share().to_bits();
+        (got, st.latency().clone(), share)
+    }
+
+    /// The tags `script`'s completions must carry: each request's own,
+    /// or the next of the queue pair's counter when it has none.
+    fn assigned_tags(script: &Script) -> Vec<u64> {
+        let (mut explicit, mut counter) = (1u64 << 32, 0u64);
+        let mut tags: Vec<u64> = script
+            .iter()
+            .flat_map(|(batch, _)| batch)
+            .map(|&(_, _, tagged)| {
+                explicit += 1;
+                if tagged == 1 {
+                    explicit
+                } else {
+                    counter += 1;
+                    counter
+                }
+            })
+            .collect();
+        tags.sort_unstable();
+        tags
+    }
+
+    fn script() -> impl Strategy<Value = Script> {
+        let req = (0..3u8, 0..64u64, 0..2u8);
+        let round = (vec(req, 1..17), vec(0..3u8, 0..4));
+        vec(round, 1..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn lent_batch_equals_the_vec_reap(
+            depth in (0..4usize).prop_map(|i| [1, 2, 8, 16][i]),
+            polling in 0..2u8,
+            script in script(),
+        ) {
+            let lent = drive(depth, polling == 1, &script, true);
+            let reference = drive(depth, polling == 1, &script, false);
+            let mut tags: Vec<u64> = lent.0.iter().map(|f| f.0 .0).collect();
+            tags.sort_unstable();
+            prop_assert_eq!(tags, assigned_tags(&script));
+            prop_assert_eq!(lent, reference);
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! spans with the SSD controller's internal spans under a single command
 //! id — the decomposition the block device interface denies.
 
-use requiem_block::{CompletionMode, IoRequest, IoStack, NullDevice, StackConfig};
+use requiem_block::{CompletionMode, IoRequest, IoStack, NullDevice, StackCompletion, StackConfig};
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Layer, Probe, SpanEvent};
 use requiem_ssd::{Ssd, SsdConfig};
@@ -121,14 +121,14 @@ fn batch_path_spans_tile_per_command_out_of_order() {
         stack.attach_probe(probe.clone());
         stack.set_inflight_window(4);
         let reqs: Vec<IoRequest> = (0..8u64).map(IoRequest::write).collect();
-        let tags = stack.submit_batch(SimTime::ZERO, 0, &reqs);
-        let mut comps = Vec::new();
+        stack.submit_batch(SimTime::ZERO, 0, &reqs);
+        let mut comps: Vec<StackCompletion> = Vec::new();
         while let Some(t) = stack.next_completion_time(0) {
-            comps.extend(stack.poll_completions(t, 0));
+            comps.extend(stack.poll_completions(t, 0).iter());
         }
-        assert_eq!(comps.len(), tags.len());
+        assert_eq!(comps.len(), reqs.len());
         let cmds = probe.commands_ref();
-        assert_eq!(cmds.len(), tags.len(), "one probe command per request");
+        assert_eq!(cmds.len(), reqs.len(), "one probe command per request");
         for c in cmds.iter() {
             let spans = assert_tiles(&probe, c.id);
             let done = c.done.expect("closed");

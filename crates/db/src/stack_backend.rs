@@ -191,19 +191,19 @@ impl BlockStackBackend {
         Some(self.pending.swap_remove(at).1)
     }
 
-    /// Submit `reqs` as one batch and drain the completion queue until
-    /// every one of them has been reaped; returns the latest completion
-    /// instant. Read completions that happen to become ready while we
-    /// drain are buffered into `self.ready` for the next poll — the
-    /// batch must not swallow them.
+    /// Submit `reqs`, each carrying its tag, as one batch and drain the
+    /// completion queue until every one of them has been reaped; returns
+    /// the latest completion instant. Read completions that happen to
+    /// become ready while we drain are buffered into `self.ready` for the
+    /// next poll — the batch must not swallow them.
     fn run_batch_to_completion(&mut self, now: SimTime, reqs: &[IoRequest]) -> SimTime {
         if reqs.is_empty() {
             return now;
         }
+        debug_assert!(reqs.iter().all(|r| !r.tag.is_unassigned()));
         self.outstanding.clear();
-        self.stack
-            .borrow_mut()
-            .submit_batch_with(now, self.core, reqs, |tag| self.outstanding.push(tag));
+        self.outstanding.extend(reqs.iter().map(|r| r.tag));
+        self.stack.borrow_mut().submit_batch(now, self.core, reqs);
         let mut reaped = std::mem::take(&mut self.reaped);
         let mut t = now;
         while !self.outstanding.is_empty() {
@@ -348,7 +348,8 @@ impl PersistenceBackend for BlockStackBackend {
         }
         self.stack
             .borrow_mut()
-            .submit_batch(now, self.core, &self.reqs)
+            .submit_batch(now, self.core, &self.reqs);
+        self.reqs.iter().map(|r| r.tag).collect()
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {

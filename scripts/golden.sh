@@ -19,7 +19,7 @@
 #                             # against golden/, and BENCH_exp13..17.json
 #                             # against them
 #   scripts/golden.sh write   # build, run the 19 and the examples, replace
-#                             # golden/, name stale BENCH_exp13..17.json
+#                             # golden/, rewrite stale BENCH_exp13..17.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,20 +75,29 @@ else
 fi
 
 # BENCH_exp13..17.json are the trailing JSON block of their experiment's
-# golden file, pasted by hand beside hand-kept `_perf` prose. Compare
+# golden file beside hand-kept `_regenerate` and `_perf` prose. Compare
 # the two with `_regenerate` and `_perf` dropped on both sides (exp16
-# prints its own `_regenerate`). Neither mode rewrites a snapshot: a
-# stale one is named, and fails `check`.
+# prints its own `_regenerate`). `check` fails on a stale snapshot;
+# `write` rewrites its deterministic block from the golden file and keeps
+# its `_regenerate` and `_perf` as they were.
 json_of() { jq -S 'del(._regenerate, ._perf)' "$@"; }
+block_of() { awk '/^```json$/{f=1;next} /^```$/{f=0} f' "$1"; }
 stale=0
 for bench in BENCH_exp1[3-7].json; do
     n=${bench#BENCH_exp}
     src=$(echo crates/bench/src/bin/exp"${n%.json}"_*.rs)
     gold=golden/$(basename "$src" .rs).txt
-    if ! cmp -s <(json_of "$bench") <(awk '/^```json$/{f=1;next} /^```$/{f=0} f' "$gold" | json_of); then
+    if cmp -s <(json_of "$bench") <(block_of "$gold" | json_of); then
+        continue
+    elif [ "$MODE" = write ]; then
+        fresh=$(block_of "$gold" | jq --slurpfile old "$bench" \
+            '($old[0] | with_entries(select(.key == "_regenerate" or .key == "_perf")))
+             + del(._regenerate, ._perf)')
+        printf '%s\n' "$fresh" >"$bench"
+        echo "golden: rewrote $bench from the JSON block of $gold"
+    else
         echo "golden: STALE $bench differs from the JSON block of $gold"
         stale=$((stale + 1))
     fi
 done
-[ "$MODE" = write ] || fail=$((fail + stale))
-[ "$fail" -eq 0 ]
+[ $((fail + stale)) -eq 0 ]
