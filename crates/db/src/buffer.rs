@@ -12,7 +12,7 @@
 //!
 //! A frame holds no page bytes, only its page's redo (`crate::page::Redo`):
 //! the writes since the page was fetched or last written back, naming
-//! after-images in the log's arena. A steal or a checkpoint hands it to
+//! after-images in their log records. A steal or a checkpoint hands it to
 //! the engine, which applies it to the page's durable image.
 
 use crate::page::{PageId, PageVec, Redo};
@@ -345,7 +345,7 @@ mod tests {
     use super::*;
     use crate::images::{tests::newest, PageImages};
     use crate::page::SlottedPage;
-    use crate::wal::Wal;
+    use crate::wal::{tests::logged, Wal};
     use proptest::prelude::*;
     use requiem_sim::time::{SimDuration, SimTime};
     use std::collections::BTreeMap;
@@ -391,7 +391,7 @@ mod tests {
         let Some(frame) = bp.get_mut(pid) else {
             return false;
         };
-        frame.push(slot, Some(wal.keep(&record(owner, lsn))));
+        frame.push(slot, Some(logged(wal, &record(owner, lsn))));
         frame.lsn = lsn;
         true
     }
@@ -492,7 +492,7 @@ mod tests {
         let mut wal = Wal::new();
         let mut bp = BufferPool::new(2, PAGES);
         bp.install(PageId(1));
-        let after = wal.keep(&record(9, 1));
+        let after = logged(&mut wal, &record(9, 1));
         let frame = bp.get_mut(PageId(1)).unwrap();
         frame.push(0, Some(after));
         assert_eq!(frame.writes, [(0, Some(after))]);
@@ -909,7 +909,7 @@ mod tests {
                     let global = owner(shown.get(slot)).unwrap();
                     let owned = |r: Option<&[u8]>| global != 0 && owner(r) == Some(global);
                     let before_bytes = record(0, lsn);
-                    let before = Some(wal.keep(&before_bytes));
+                    let before = Some(logged(&mut wal, &before_bytes));
                     let restored =
                         images.roll_back(pool.get_mut(pid), pid, slot, before, &wal, owned);
                     let want = match tree.get_mut(pid, cow.newest(pid)) {

@@ -379,19 +379,13 @@ impl<B: PersistenceBackend> Database<B> {
         let Some(frame) = self.pool.get_mut(pid) else {
             return false;
         };
-        let after = self.wal.new_after(RECORD_SIZE, |image| {
-            image[..8].copy_from_slice(&txn.to_le_bytes());
-        });
-        frame.push(slot, Some(after));
-        frame.lsn = self
+        let (lsn, after) = self
             .wal
-            .append(LogRecord::Update {
-                txn,
-                page: pid,
-                slot,
-                after,
-            })
-            .0;
+            .append_update(txn, pid, slot, RECORD_SIZE, |image| {
+                image[..8].copy_from_slice(&txn.to_le_bytes());
+            });
+        frame.push(slot, Some(after));
+        frame.lsn = lsn.0;
         true
     }
 
@@ -422,11 +416,13 @@ impl<B: PersistenceBackend> Database<B> {
         self.images.settle(self.now, &self.wal);
     }
 
-    /// Simulated crash: volatile state (buffer pool, in-flight promotions)
-    /// vanishes; the durable log and page images survive.
+    /// Simulated crash: volatile state (buffer pool, in-flight promotions,
+    /// the log past its durable prefix) vanishes; the durable log and page
+    /// images survive.
     pub fn crash(&mut self) {
         self.pool.crash();
         self.images.crash(self.now, &self.wal);
+        self.wal.crash();
     }
 
     /// Redo recovery: replay committed updates from the durable log onto
@@ -434,16 +430,16 @@ impl<B: PersistenceBackend> Database<B> {
     /// replayed.
     ///
     /// The log scan is charged to the WAL backend through
-    /// [`WalBackend::recover_scan`]: every durable byte from the
-    /// last checkpoint onward is read from the log medium, the clock
-    /// advances by the read, and the typed [`IoStatus`] of the scan is
-    /// folded into the engine's media counters — a device that recovered
-    /// the log bytes through its retry ladder counts a
+    /// [`WalBackend::recover_scan`]: every durable byte from the last
+    /// checkpoint onward is read from the log medium, the clock advances
+    /// by the read, and the typed [`IoStatus`] of the scan is folded into
+    /// the engine's media counters — a device that recovered the log
+    /// bytes through its retry ladder counts a
     /// [`EngineStats::media_recoveries`], one that lost them counts a
-    /// [`EngineStats::media_failures`] (the in-memory WAL stays
-    /// authoritative for the *bytes*, so replay proceeds either way —
-    /// this simulation models the timing and the status, not data loss
-    /// in the host's RAM copy of the log).
+    /// [`EngineStats::media_failures`]. An unrecoverable scan is counted
+    /// and replay still proceeds over the durable prefix: the simulation
+    /// models a failed log read's timing and status, not which bytes it
+    /// lost.
     ///
     /// [`IoStatus`]: requiem_sim::IoStatus
     pub fn recover(&mut self) -> u64 {
@@ -474,83 +470,62 @@ impl<B: PersistenceBackend> Database<B> {
             committed.windows(2).all(|w| w[0] <= w[1]),
             "the committed set must be in ascending order"
         );
-        let start = self.wal.last_durable_checkpoint();
         // charge the physical log scan: bytes before the checkpoint are
         // skipped (their offset positions the read), bytes from the
         // checkpoint on are read
-        let mut skip: u64 = 0;
-        let mut scan: u64 = 0;
-        for (lsn, rec) in self.wal.durable_records() {
-            let len = u64::from(rec.encoded_len());
-            if start.map(|s| *lsn < s).unwrap_or(false) {
-                skip += len;
-            } else {
-                scan += len;
-            }
-        }
+        let start = self.wal.last_durable_checkpoint().unwrap_or(Lsn(0));
+        let scan = self.wal.durable_end() - start.0;
         let (end, status) =
             self.wal_dev
-                .recover_scan(self.now, skip, scan.min(u64::from(u32::MAX)) as u32);
+                .recover_scan(self.now, start.0, scan.min(u64::from(u32::MAX)) as u32);
         self.now = self.now.max(end);
         self.note_media(status);
-        let mut replayed = 0u64;
-        let redo = self
-            .wal
-            .durable_records()
-            .filter(|(lsn, _)| start.map(|s| *lsn >= s).unwrap_or(true));
-        for (lsn, rec) in redo {
-            match rec.page_write() {
-                Some((txn, page, slot, after)) if committed.binary_search(&txn).is_ok() => {
-                    let img = self.images.durable_mut(page);
-                    if img.lsn() < lsn.0 {
-                        img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
-                        replayed += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        replayed
+        self.redo(start, committed, None)
     }
 
     /// Media-failure redo for one page: reconstruct its image from the
     /// durable log alone, starting from a freshly formatted base. Used
-    /// when the device reports an unrecoverable read — the WAL, not the
-    /// data page, is the authoritative copy. Updates of uncommitted
+    /// when the device reports an unrecoverable read — the log, not the
+    /// data page, holds the page's committed writes. Updates of uncommitted
     /// transactions are skipped, exactly as in [`Self::recover`].
     ///
     /// The full durable log is scanned from the medium (there is no
     /// per-page index into the log), charged via
-    /// [`WalBackend::recover_scan`] starting at `at`; the scan's
-    /// typed status folds into the media counters as in
-    /// [`Self::recover`]. The rebuilt image is durable as of the scan's
-    /// end instant, which is returned.
+    /// [`WalBackend::recover_scan`] starting at `at`; the scan's typed
+    /// status folds into the media counters, and the rebuild proceeds, as
+    /// in [`Self::recover`]. The rebuilt image is durable as of the
+    /// scan's end instant, which is returned.
     pub(crate) fn rebuild_page_from_log(&mut self, at: SimTime, pid: PageId) -> SimTime {
-        let bytes: u64 = self
-            .wal
-            .durable_records()
-            .map(|(_, r)| u64::from(r.encoded_len()))
-            .sum();
-        let (end, status) = self
-            .wal_dev
-            .recover_scan(at, 0, bytes.min(u64::from(u32::MAX)) as u32);
-        // a failed log medium is counted; the in-memory WAL remains
-        // authoritative for the bytes (see `recover`), so the rebuild
-        // proceeds
+        let bytes = self.wal.durable_end().min(u64::from(u32::MAX)) as u32;
+        let (end, status) = self.wal_dev.recover_scan(at, 0, bytes);
         self.note_media(status);
         let committed = self.wal.durable_commits();
-        let img = self.images.reformat(pid);
-        for (lsn, rec) in self.wal.durable_records() {
-            match rec.page_write() {
-                Some((txn, page, slot, after))
-                    if page == pid && committed.binary_search(&txn).is_ok() =>
-                {
-                    img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
-                }
-                _ => {}
+        self.images.reformat(pid);
+        self.redo(Lsn(0), &committed, Some(pid));
+        end.max(at)
+    }
+
+    /// The one redo loop: replay every durable page write from `from` on
+    /// by a `committed` transaction (to page `only`, when given) onto the
+    /// durable image, wherever the image is older than the record.
+    /// Returns the number replayed. On a freshly formatted image the
+    /// guard always passes.
+    fn redo(&mut self, from: Lsn, committed: &[u64], only: Option<PageId>) -> u64 {
+        let mut replayed = 0;
+        for (lsn, rec) in self.wal.durable_records().skip_while(|r| r.0 < from) {
+            let Some((txn, page, slot, after)) = rec.page_write() else {
+                continue;
+            };
+            if only.is_some_and(|p| p != page) || committed.binary_search(&txn).is_err() {
+                continue;
+            }
+            let img = self.images.durable_mut(page);
+            if img.lsn() < lsn.0 {
+                img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
+                replayed += 1;
             }
         }
-        end.max(at)
+        replayed
     }
 
     /// The durable image of `page`: what survives a crash before
@@ -702,14 +677,8 @@ mod tests {
         let mut db = legacy_db();
         db.execute(&[(1, 0, true)], 256); // txn 1 commits
                                           // hand-craft an unflushed, uncommitted update for txn 99
-        let after = db.wal.new_after(100, |image| {
+        db.wal.append_update(99, PageId(2), 0, 100, |image| {
             image[..8].copy_from_slice(&99u64.to_le_bytes())
-        });
-        db.wal.append(LogRecord::Update {
-            txn: 99,
-            page: PageId(2),
-            slot: 0,
-            after,
         });
         db.crash();
         db.recover();
@@ -896,6 +865,48 @@ mod group_commit_tests {
             db.visible_owner(5, 0),
             last,
             "the last committed writer survives, by redo from the log"
+        );
+    }
+
+    /// A steal forces the log to `next_lsn()`, the LSN the *next* record
+    /// gets, and the horizon is inclusive (DESIGN §5): a commit appended
+    /// there is durable unforced and survives a crash whole. The record
+    /// after it, and everything after that, is cut off the log.
+    #[test]
+    fn a_crash_keeps_the_record_at_a_steal_horizon_and_cuts_the_rest() {
+        let mut db = db(4);
+        for page in 0..4 {
+            db.execute(&[(page, 0, true)], 64);
+        }
+        assert!(db.write_record(99, PageId(0), 1), "an update left unforced");
+        let steals = db.backend().stats().steal_writes;
+        db.fetch_page(PageId(200));
+        assert_eq!(db.backend().stats().steal_writes, steals + 1);
+        let horizon = db.wal.next_lsn();
+        assert_eq!(db.wal.flushed(), Some(horizon), "the steal forced the log");
+        let commit = db.wal.append(LogRecord::Commit { txn: 99 });
+        assert_eq!(commit, horizon);
+        db.wal.append_update(100, PageId(1), 1, RECORD_SIZE, |_| {});
+        db.wal.append(LogRecord::Commit { txn: 100 });
+
+        db.crash();
+        let end = commit.0 + u64::from(LogRecord::Commit { txn: 99 }.encoded_len());
+        assert_eq!(
+            db.wal.next_lsn(),
+            Lsn(end),
+            "the log is cut after the commit"
+        );
+        assert_eq!(db.wal.durable_bytes().len() as u64, end);
+        let commits = db.wal.durable_commits();
+        assert!(
+            commits.contains(&99) && !commits.contains(&100),
+            "{commits:?}"
+        );
+        db.recover();
+        assert_eq!(
+            db.visible_owner(0, 1),
+            99,
+            "the unforced commit's update replays"
         );
     }
 

@@ -47,7 +47,8 @@ use crate::engine::Database;
 use crate::page::{PageId, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 use crate::wal::{
-    GroupCommit, GroupCommitPolicy, GroupMember, ImageRef, LogRecord, Lsn, MemberKind,
+    GroupCommit, GroupCommitPolicy, GroupMember, LogRecord, Lsn, MemberKind, TXN_RECORD_BYTES,
+    UPDATE_HEAD_BYTES,
 };
 
 /// Configuration for the completion-driven executor.
@@ -218,9 +219,8 @@ pub(crate) struct UndoEntry {
     pub(crate) page: PageId,
     /// Updated slot.
     pub(crate) slot: u16,
-    /// Record bytes before the update, parked in the shard's log arena
-    /// (`None` = slot was empty).
-    pub(crate) before: Option<ImageRef>,
+    /// Record bytes before the update (`None` = slot was empty).
+    pub(crate) before: Option<[u8; RECORD_SIZE]>,
 }
 
 /// Host-side context of one in-flight page fetch. It carries no bytes:
@@ -395,27 +395,27 @@ impl<B: PersistenceBackend> Database<B> {
         self.finish_run(started_at, coalesced_before, st)
     }
 
-    /// Size the in-memory log for `inputs` before running them: a record
-    /// and an after-image per dirty access, a termination record per
-    /// transaction, a record per checkpoint they trigger; for a two-phase
-    /// participant (`assigned` as in [`ExecState::assigned`]) also a parked
-    /// before-image per dirty access and the decision or abort record its
-    /// home shard appends. An upper bound by a few records, so a run grows
-    /// its log once.
+    /// Size the in-memory log for `inputs` before running them: an update
+    /// per dirty access, a termination record per transaction, a
+    /// checkpoint per checkpoint they trigger; for a two-phase participant
+    /// (`assigned` as in [`ExecState::assigned`]) also the decision or
+    /// abort record its home shard appends. An upper bound by a few
+    /// records, so a fault-free run grows its log once.
     pub(crate) fn reserve_log(&mut self, inputs: &[TxnInput], assigned: &[PlannedTxn]) {
-        let (mut records, mut images) = (0, 0);
+        let mut bytes = 0;
         for (i, input) in inputs.iter().enumerate() {
             let dirty = input.accesses.iter().filter(|a| a.2).count();
             let two_phase = assigned
                 .get(i)
                 .is_some_and(|p| p.role == TxnRole::Participant);
-            records += dirty + 1 + usize::from(two_phase);
-            images += dirty * (1 + usize::from(two_phase));
+            bytes += dirty * (UPDATE_HEAD_BYTES + RECORD_SIZE)
+                + (1 + usize::from(two_phase)) * TXN_RECORD_BYTES;
         }
         if self.cfg.checkpoint_every > 0 {
-            records += inputs.len() / self.cfg.checkpoint_every as usize + 1;
+            let checkpoints = inputs.len() / self.cfg.checkpoint_every as usize + 1;
+            bytes += checkpoints * LogRecord::Checkpoint.encoded_len() as usize;
         }
-        self.wal.reserve(records, images * RECORD_SIZE);
+        self.wal.reserve(bytes);
     }
 
     /// Close out a closed-loop run: settle the clock on the last commit
@@ -715,8 +715,13 @@ impl<B: PersistenceBackend> Database<B> {
         if dirty {
             // RAM-only bookkeeping: no device work, no clock
             let before = (active.role == TxnRole::Participant).then(|| {
-                self.images
-                    .before_image(self.pool.redo(pid), pid, slot_no, &mut self.wal)
+                let pending = self.pool.redo(pid);
+                let shown = self.images.record(pending, pid, slot_no, &self.wal);
+                shown.map(|r| {
+                    let mut before = [0; RECORD_SIZE];
+                    before.copy_from_slice(r); // every record is RECORD_SIZE bytes
+                    before
+                })
             });
             // pin the frame BEFORE logging (see `Database::execute`)
             if self.write_record(active.id, pid, slot_no) {
@@ -935,9 +940,11 @@ impl<B: PersistenceBackend> Database<B> {
     /// Roll back this shard's share of an aborted cross-shard
     /// transaction: restore captured before-images wherever the aborted
     /// write is still visible (resident frame, stolen durable image, or
-    /// a checkpoint write in flight). RAM-only — the redo log keeps the
-    /// records, but with no `Commit` anywhere recovery never replays them.
-    /// Returns the number of slots restored.
+    /// a checkpoint write in flight). Each before-image is logged as a
+    /// compensation `Update` of the aborted transaction, so a frame or a
+    /// write in flight can name it; with no `Commit` anywhere, recovery
+    /// replays neither it nor the updates it undoes. No device work, no
+    /// clock. Returns the number of slots restored.
     ///
     /// A resident frame is visited as a write access, *before* the images
     /// outside the pool are patched: the frame reads the slot while the
@@ -953,9 +960,15 @@ impl<B: PersistenceBackend> Database<B> {
         let owned = |record: Option<&[u8]>| {
             record.is_some_and(|r| r.len() >= 8 && r[..8] == global.to_le_bytes())
         };
-        let (pool, images, wal) = (&mut self.pool, &mut self.images, &self.wal);
+        let (pool, images, wal) = (&mut self.pool, &mut self.images, &mut self.wal);
         let mut roll_back = |e: &UndoEntry| {
-            images.roll_back(pool.get_mut(e.page), e.page, e.slot, e.before, wal, owned)
+            let before = e.before.map(|image| {
+                let (_, after) = wal.append_update(global, e.page, e.slot, RECORD_SIZE, |b| {
+                    b.copy_from_slice(&image)
+                });
+                after
+            });
+            images.roll_back(pool.get_mut(e.page), e.page, e.slot, before, wal, owned)
         };
         entries.iter().rev().map(|e| u64::from(roll_back(e))).sum()
     }

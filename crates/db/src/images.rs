@@ -3,7 +3,7 @@
 //!
 //! The devices model timing and layout; the engine models the bytes. A
 //! page has one image, the durable one. A write not in it yet is a redo
-//! entry naming an after-image in the log's arena: in a dirty buffer frame
+//! entry naming an after-image in its log record: in a dirty buffer frame
 //! until a steal applies it to the durable image, or a checkpoint moves it
 //! to the in-flight list until its write lands (DESIGN §2.7).
 
@@ -55,8 +55,8 @@ impl PageImages {
 
     /// The durable image of `pid`, formatted afresh: media-failure redo
     /// rebuilds the page into it.
-    pub(crate) fn reformat(&mut self, pid: PageId) -> &mut SlottedPage {
-        self.durable[pid].insert(self.formatted.clone())
+    pub(crate) fn reformat(&mut self, pid: PageId) {
+        self.durable[pid] = Some(self.formatted.clone());
     }
 
     /// The newest write of `(pid, slot)` not yet in the durable image: in
@@ -81,21 +81,6 @@ impl PageImages {
         match self.logged(pending, pid, slot) {
             Some(after) => after.map(|a| wal.after(a)),
             None => self.durable(pid).get(slot),
-        }
-    }
-
-    /// The same record, as a handle a rollback can restore: a logged
-    /// after-image is named, a durable record copied into the log's arena.
-    pub(crate) fn before_image(
-        &self,
-        pending: Option<&Redo>,
-        pid: PageId,
-        slot: u16,
-        wal: &mut Wal,
-    ) -> Option<ImageRef> {
-        match self.logged(pending, pid, slot) {
-            Some(after) => after,
-            None => self.durable(pid).get(slot).map(|r| wal.keep(r)),
         }
     }
 
@@ -166,6 +151,7 @@ impl PageImages {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::wal::tests::logged;
     use requiem_sim::time::SimDuration;
 
     /// The bytes a reader of `pid` sees through `pending`: the durable
@@ -204,7 +190,7 @@ pub(crate) mod tests {
     /// A redo list writing `tag` into `slot`, at page LSN `lsn`.
     fn redo(wal: &mut Wal, slot: u16, tag: u64, lsn: u64) -> Redo {
         let mut r = Redo::default();
-        r.push(slot, Some(wal.keep(&tag.to_le_bytes())));
+        r.push(slot, Some(logged(wal, &tag.to_le_bytes())));
         r.lsn = lsn;
         r
     }
@@ -263,7 +249,7 @@ pub(crate) mod tests {
         images.durable_mut(p).redo(0, Some(&7u64.to_le_bytes()), 3);
         images.write(at(10), p, &redo(&mut wal, 1, 7, 10));
         images.write(at(20), p, &redo(&mut wal, 1, 8, 20));
-        let zero = Some(wal.keep(&0u64.to_le_bytes()));
+        let zero = Some(logged(&mut wal, &0u64.to_le_bytes()));
         let aborted = |r: Option<&[u8]>| owner(r) == Some(7);
         let mut frame = redo(&mut wal, 2, 9, 30);
         assert!(images.roll_back(Some(&mut frame), p, 0, zero, &wal, aborted));

@@ -18,7 +18,7 @@
 //! pages ever share a buffer. The engine keeps one image per page, the
 //! durable one (`crate::images`); a write that has not reached it yet is a
 //! [`Redo`] entry — in a dirty buffer frame or in a write in flight — that
-//! names its after-image in the log's arena.
+//! names its after-image in its log record.
 
 use std::ops::{Index, IndexMut};
 
@@ -296,7 +296,7 @@ impl SlottedPage {
 /// makes overwrites a live record of its own size in place (DESIGN §2.7).
 #[derive(Debug, Default)]
 pub(crate) struct Redo {
-    /// `(slot, after-image in the log's arena)`, `None` deleting the
+    /// `(slot, after-image in its log record)`, `None` deleting the
     /// record, in the order the slots were first written.
     pub(crate) writes: Vec<(u16, Option<ImageRef>)>,
     /// The page LSN they leave: the newest logged write's; 0 when none

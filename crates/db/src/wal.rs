@@ -5,6 +5,27 @@
 //! object is pure state; *forcing* it to stable storage is the backend's
 //! job — which is precisely where the legacy and vision designs diverge
 //! (§3 P1: log writes are the canonical synchronous pattern).
+//!
+//! The log is its bytes: one append-only buffer of framed records, each
+//! at the byte offset that is its LSN. [`LogRecord`] is the decoded view
+//! of a frame ([`decode_at`]), an [`ImageRef`] names an after-image inside
+//! its own `Update` frame, and a crash cuts the buffer to its durable
+//! prefix ([`Wal::crash`]) — all that recovery reads. A frame, every
+//! field little-endian:
+//!
+//! | bytes | field | in |
+//! |---:|---|---|
+//! | 8 | LSN: the frame's own offset | every frame |
+//! | 4 | length of the whole frame, header included | every frame |
+//! | 1 | kind: 1 update, 2 delete, 3 commit, 4 prepare, 5 abort, 6 checkpoint | every frame |
+//! | 3 | reserved, zero (a checksum's place) | every frame |
+//! | 8 | transaction | all but a checkpoint |
+//! | 8 | page | update, delete |
+//! | 2 | slot | update, delete |
+//! | 4 | image length *n* | update |
+//! | *n* | after-image | update |
+
+use std::mem::size_of;
 
 use requiem_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -15,10 +36,10 @@ use crate::page::PageId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Lsn(pub u64);
 
-/// A record image held in a [`Wal`]'s arena: where it starts and how long
-/// it is. Only the log that issued a handle can read it back
-/// ([`Wal::after`]); the arena is append-only, so a handle stays valid for
-/// the life of its log.
+/// A record image in the payload of the `Update` frame that carries it:
+/// where in the log it starts and how long it is. Only the log that
+/// issued a handle can read it back ([`Wal::after`]), until a crash cuts
+/// its frame off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ImageRef {
     off: u64,
@@ -49,8 +70,8 @@ pub enum LogRecord {
         page: PageId,
         /// Target slot.
         slot: u16,
-        /// After-image of the record, in the arena of the log the record
-        /// is appended to ([`Wal::new_after`]).
+        /// After-image of the record, in this record's own frame
+        /// ([`Wal::append_update`]).
         after: ImageRef,
     },
     /// A record was deleted.
@@ -86,19 +107,58 @@ pub enum LogRecord {
     Checkpoint,
 }
 
+// Field sizes of a frame (module doc), the one source of both
+// `encoded_len` and the codec.
+const LSN_BYTES: usize = size_of::<u64>();
+const LEN_BYTES: usize = size_of::<u32>();
+const KIND_BYTES: usize = size_of::<u8>();
+const RESERVED_BYTES: usize = 3;
+const TXN_BYTES: usize = size_of::<u64>();
+const PAGE_BYTES: usize = size_of::<u64>();
+const SLOT_BYTES: usize = size_of::<u16>();
+const IMAGE_LEN_BYTES: usize = size_of::<u32>();
+
+/// A frame's header: LSN, length, kind, reserved bytes.
+const HEADER_BYTES: usize = LSN_BYTES + LEN_BYTES + KIND_BYTES + RESERVED_BYTES;
+/// An `Update` frame before its image: header, transaction, page, slot,
+/// image length.
+pub(crate) const UPDATE_HEAD_BYTES: usize =
+    HEADER_BYTES + TXN_BYTES + PAGE_BYTES + SLOT_BYTES + IMAGE_LEN_BYTES;
+/// A `Commit`, `Prepare` or `Abort` frame.
+pub(crate) const TXN_RECORD_BYTES: usize = HEADER_BYTES + TXN_BYTES;
+const DELETE_BYTES: usize = HEADER_BYTES + TXN_BYTES + PAGE_BYTES + SLOT_BYTES;
+/// The longest image a frame's `u32` length can carry.
+const MAX_IMAGE_BYTES: usize = u32::MAX as usize - UPDATE_HEAD_BYTES;
+
+const UPDATE: u8 = 1;
+const DELETE: u8 = 2;
+const COMMIT: u8 = 3;
+const PREPARE: u8 = 4;
+const ABORT: u8 = 5;
+const CHECKPOINT: u8 = 6;
+
 impl LogRecord {
     /// Serialized size in bytes (header + payload), used for log-space
-    /// accounting and force sizing.
+    /// accounting and force sizing: the length of the record's frame.
     pub fn encoded_len(&self) -> u32 {
-        let payload = match self {
-            LogRecord::Update { after, .. } => 8 + 8 + 2 + 4 + after.len(),
-            LogRecord::Delete { .. } => 8 + 8 + 2,
-            LogRecord::Commit { .. } => 8,
-            LogRecord::Prepare { .. } => 8,
-            LogRecord::Abort { .. } => 8,
-            LogRecord::Checkpoint => 0,
+        let (_, fixed) = self.kind();
+        let image = match self {
+            LogRecord::Update { after, .. } => after.len(),
+            _ => 0,
         };
-        (16 + payload) as u32 // 16-byte record header (lsn, len, type, crc)
+        (fixed + image) as u32
+    }
+
+    /// The kind byte, and the frame's length without an image.
+    fn kind(&self) -> (u8, usize) {
+        match self {
+            LogRecord::Update { .. } => (UPDATE, UPDATE_HEAD_BYTES),
+            LogRecord::Delete { .. } => (DELETE, DELETE_BYTES),
+            LogRecord::Commit { .. } => (COMMIT, TXN_RECORD_BYTES),
+            LogRecord::Prepare { .. } => (PREPARE, TXN_RECORD_BYTES),
+            LogRecord::Abort { .. } => (ABORT, TXN_RECORD_BYTES),
+            LogRecord::Checkpoint => (CHECKPOINT, HEADER_BYTES),
+        }
     }
 
     /// What redo does with a page write: `(txn, page, slot, after)`, the
@@ -115,18 +175,151 @@ impl LogRecord {
             _ => None,
         }
     }
+
+    /// Append this record's frame, at `lsn`, up to its image (an
+    /// `Update`'s image bytes are the caller's to append).
+    fn encode_head(&self, lsn: u64, out: &mut Vec<u8>) {
+        let (kind, fixed) = self.kind();
+        let mut head = [0u8; UPDATE_HEAD_BYTES];
+        let mut at = 0;
+        let mut put = |field: &[u8]| {
+            head[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        };
+        put(&lsn.to_le_bytes());
+        put(&self.encoded_len().to_le_bytes());
+        put(&[kind]);
+        put(&[0; RESERVED_BYTES]);
+        match *self {
+            LogRecord::Update {
+                txn,
+                page,
+                slot,
+                after,
+            } => {
+                put(&txn.to_le_bytes());
+                put(&page.0.to_le_bytes());
+                put(&slot.to_le_bytes());
+                put(&after.len.to_le_bytes());
+            }
+            LogRecord::Delete { txn, page, slot } => {
+                put(&txn.to_le_bytes());
+                put(&page.0.to_le_bytes());
+                put(&slot.to_le_bytes());
+            }
+            LogRecord::Commit { txn } | LogRecord::Prepare { txn } | LogRecord::Abort { txn } => {
+                put(&txn.to_le_bytes());
+            }
+            LogRecord::Checkpoint => {}
+        }
+        debug_assert_eq!(at, fixed, "{self:?} encodes its own length");
+        out.extend_from_slice(&head[..at]);
+    }
 }
 
-/// The in-memory log: appended records plus the durable horizon.
+/// Why the bytes at an offset are not a whole record — what a torn or a
+/// foreign tail decodes to. A scan of the log stops at the first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Torn {
+    /// The frame, or its header, runs past the end of the bytes.
+    Short,
+    /// The header's LSN is not the frame's offset.
+    Lsn,
+    /// The kind byte names no record.
+    Kind,
+    /// The length is not that of a record of its kind.
+    Len,
+    /// A reserved header byte is not zero.
+    Reserved,
+}
+
+/// Little-endian fields read in order off the front of a slice.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    /// The next `N` bytes, zero-filled past the end of the slice.
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let mut field = [0u8; N];
+        let n = N.min(self.0.len());
+        field[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        field
+    }
+}
+
+/// Decode the frame at byte `off` of `bytes`: the record and the frame's
+/// length. Never panics — `bytes` stand for whatever the medium holds —
+/// and accepts exactly what [`Wal`] writes: the frame's LSN is `off`, its
+/// kind is known, its length is exact for the kind, its reserved bytes
+/// are zero, and it ends within `bytes`.
+pub fn decode_at(bytes: &[u8], off: usize) -> Result<(LogRecord, usize), Torn> {
+    let frame = bytes.get(off..).unwrap_or_default();
+    if frame.len() < HEADER_BYTES {
+        return Err(Torn::Short);
+    }
+    let mut f = Fields(frame);
+    let lsn = u64::from_le_bytes(f.take());
+    let len = u32::from_le_bytes(f.take()) as usize;
+    let [kind] = f.take();
+    let reserved: [u8; RESERVED_BYTES] = f.take();
+    if lsn != off as u64 {
+        return Err(Torn::Lsn);
+    }
+    if reserved != [0; RESERVED_BYTES] {
+        return Err(Torn::Reserved);
+    }
+    let fixed = match kind {
+        UPDATE => UPDATE_HEAD_BYTES,
+        DELETE => DELETE_BYTES,
+        COMMIT | PREPARE | ABORT => TXN_RECORD_BYTES,
+        CHECKPOINT => HEADER_BYTES,
+        _ => return Err(Torn::Kind),
+    };
+    if len < fixed || (kind != UPDATE && len != fixed) {
+        return Err(Torn::Len);
+    }
+    if len > frame.len() {
+        return Err(Torn::Short);
+    }
+    let mut f = Fields(&frame[HEADER_BYTES..len]);
+    let txn = u64::from_le_bytes(f.take());
+    let rec = match kind {
+        UPDATE | DELETE => {
+            let page = PageId(u64::from_le_bytes(f.take()));
+            let slot = u16::from_le_bytes(f.take());
+            if kind == DELETE {
+                LogRecord::Delete { txn, page, slot }
+            } else {
+                let image = u32::from_le_bytes(f.take());
+                if len - fixed != image as usize {
+                    return Err(Torn::Len);
+                }
+                let off = lsn + fixed as u64;
+                let after = ImageRef { off, len: image };
+                LogRecord::Update {
+                    txn,
+                    page,
+                    slot,
+                    after,
+                }
+            }
+        }
+        COMMIT => LogRecord::Commit { txn },
+        PREPARE => LogRecord::Prepare { txn },
+        ABORT => LogRecord::Abort { txn },
+        _ => LogRecord::Checkpoint,
+    };
+    Ok((rec, len))
+}
+
+/// The log: framed records back to back (module doc), and its horizon.
 #[derive(Debug, Default)]
 pub struct Wal {
-    records: Vec<(Lsn, LogRecord)>,
-    /// Every record image the log holds, back to back in arrival order;
-    /// records name theirs by [`ImageRef`]. Never truncated: media-failure
-    /// redo replays from LSN 0, so the in-memory log keeps all history.
-    arena: Vec<u8>,
-    next_lsn: u64,
-    /// Everything up to (and including) this LSN is durable.
+    /// Every record, each at the offset that is its LSN. Nothing is cut
+    /// while the engine runs — media-failure redo replays a page from LSN
+    /// 0 — and a crash cuts everything past the durable prefix.
+    bytes: Vec<u8>,
+    /// Every record at or below this LSN is durable.
     flushed: Option<Lsn>,
 }
 
@@ -136,64 +329,67 @@ impl Wal {
         Self::default()
     }
 
-    /// Make room for `records` more records carrying `image_bytes` more
-    /// bytes of images, so a run that can count its inputs grows the log
-    /// once instead of by doubling. An estimate nothing depends on: appends
-    /// past it grow the log as they always did.
-    pub fn reserve(&mut self, records: usize, image_bytes: usize) {
-        self.records.reserve(records);
-        self.arena.reserve(image_bytes);
+    /// Make room for `bytes` more bytes of records, so a run that can
+    /// count its inputs grows the log once: an estimate nothing depends on.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.bytes.reserve(bytes);
     }
 
-    /// Reserve `len` zeroed bytes at the arena's tail, let `fill` write the
-    /// image into them, and return the handle — for the
-    /// [`LogRecord::Update`] about to be appended.
-    pub fn new_after(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) -> ImageRef {
-        assert!(
-            len <= u32::MAX as usize,
-            "a record image fits a page, not {len} bytes"
-        );
-        let off = self.arena.len();
-        self.arena.resize(off + len, 0);
-        fill(&mut self.arena[off..]);
-        ImageRef {
-            off: off as u64,
-            len: len as u32,
-        }
+    /// Append `txn`'s update of `(page, slot)` with a `len`-byte
+    /// after-image, which `fill` writes in place (it starts zeroed).
+    /// Returns the record's LSN and the image's handle. Not yet durable.
+    pub fn append_update(
+        &mut self,
+        txn: u64,
+        page: PageId,
+        slot: u16,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> (Lsn, ImageRef) {
+        assert!(len <= MAX_IMAGE_BYTES, "an image of {len} bytes");
+        let (lsn, len) = (self.next_lsn(), len as u32);
+        let off = lsn.0 + UPDATE_HEAD_BYTES as u64;
+        let after = ImageRef { off, len };
+        let rec = LogRecord::Update {
+            txn,
+            page,
+            slot,
+            after,
+        };
+        rec.encode_head(lsn.0, &mut self.bytes);
+        self.bytes.resize(off as usize + after.len(), 0);
+        fill(&mut self.bytes[off as usize..]);
+        (lsn, after)
     }
 
-    /// Copy `bytes` into the arena and return the handle: how the executor
-    /// parks a participant's before-image until the global decision.
-    pub fn keep(&mut self, bytes: &[u8]) -> ImageRef {
-        self.new_after(bytes.len(), |image| image.copy_from_slice(bytes))
+    /// Append a record other than an `Update` (that is
+    /// [`Self::append_update`]); returns its LSN. Not yet durable.
+    pub fn append(&mut self, rec: LogRecord) -> Lsn {
+        let image = matches!(rec, LogRecord::Update { .. });
+        assert!(!image, "an update is appended with its image");
+        let lsn = self.next_lsn();
+        rec.encode_head(lsn.0, &mut self.bytes);
+        lsn
     }
 
     /// The bytes behind a handle this log issued.
     ///
     /// # Panics
-    /// Panics on a handle reaching past the arena — it came from another
-    /// log.
+    /// Panics on a handle reaching past the log — it came from another
+    /// one.
     pub fn after(&self, image: ImageRef) -> &[u8] {
         let off = image.off as usize;
         assert!(
-            off + image.len() <= self.arena.len(),
-            "image {image:?} is not from this log ({} arena bytes)",
-            self.arena.len()
+            off + image.len() <= self.bytes.len(),
+            "image {image:?} is not from this log ({} log bytes)",
+            self.bytes.len()
         );
-        &self.arena[off..off + image.len()]
-    }
-
-    /// Append a record; returns its LSN. Not yet durable.
-    pub fn append(&mut self, rec: LogRecord) -> Lsn {
-        let lsn = Lsn(self.next_lsn);
-        self.next_lsn += u64::from(rec.encoded_len());
-        self.records.push((lsn, rec));
-        lsn
+        &self.bytes[off..off + image.len()]
     }
 
     /// The LSN the next record will get.
     pub fn next_lsn(&self) -> Lsn {
-        Lsn(self.next_lsn)
+        Lsn(self.bytes.len() as u64)
     }
 
     /// Durable horizon.
@@ -209,12 +405,28 @@ impl Wal {
         self.flushed = self.flushed.max(Some(lsn));
     }
 
-    /// All records up to the durable horizon — what survives a crash.
-    pub fn durable_records(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> {
-        let horizon = self.flushed;
-        self.records
-            .iter()
-            .filter(move |(lsn, _)| horizon.map(|h| *lsn <= h).unwrap_or(false))
+    /// Where the durable prefix ends: after the record at the (inclusive)
+    /// horizon, which may have been appended after a steal marked it.
+    pub fn durable_end(&self) -> u64 {
+        self.flushed.map_or(0, |Lsn(horizon)| {
+            let at = decode_at(&self.bytes, horizon as usize);
+            (horizon + at.map_or(0, |(_, len)| len as u64)).min(self.next_lsn().0)
+        })
+    }
+
+    /// The durable prefix of the log: the bytes a crash leaves.
+    pub fn durable_bytes(&self) -> &[u8] {
+        &self.bytes[..self.durable_end() as usize]
+    }
+
+    /// The durable records, decoded — what survives a crash.
+    pub fn durable_records(&self) -> impl Iterator<Item = (Lsn, LogRecord)> + '_ {
+        let (prefix, mut off) = (self.durable_bytes(), 0);
+        std::iter::from_fn(move || {
+            let (rec, len) = decode_at(prefix, off).ok()?;
+            off += len;
+            Some((Lsn((off - len) as u64), rec))
+        })
     }
 
     /// The transactions whose `Commit` record survives a crash, ascending
@@ -223,7 +435,7 @@ impl Wal {
         let mut txns: Vec<u64> = self
             .durable_records()
             .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
+                LogRecord::Commit { txn } => Some(txn),
                 _ => None,
             })
             .collect();
@@ -235,8 +447,14 @@ impl Wal {
     pub fn last_durable_checkpoint(&self) -> Option<Lsn> {
         self.durable_records()
             .filter(|(_, r)| matches!(r, LogRecord::Checkpoint))
-            .map(|(lsn, _)| *lsn)
+            .map(|(lsn, _)| lsn)
             .last()
+    }
+
+    /// Simulated crash: the log keeps its durable prefix and loses the
+    /// rest, so every later read decodes what the medium held.
+    pub fn crash(&mut self) {
+        self.bytes.truncate(self.durable_end() as usize);
     }
 }
 
@@ -382,8 +600,16 @@ impl GroupCommit {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Log `bytes` as an update image and return its handle: how the unit
+    /// tests of the modules that read images make one.
+    pub(crate) fn logged(wal: &mut Wal, bytes: &[u8]) -> ImageRef {
+        let fill = |image: &mut [u8]| image.copy_from_slice(bytes);
+        wal.append_update(0, PageId(0), 0, bytes.len(), fill).1
+    }
 
     #[test]
     fn lsns_advance_by_encoded_len() {
@@ -397,24 +623,23 @@ mod tests {
 
     #[test]
     fn encoded_len_tracks_payload() {
-        let mut w = Wal::new();
-        let mut update = |len: usize| LogRecord::Update {
+        let update = |len: u32| LogRecord::Update {
             txn: 1,
             page: PageId(1),
             slot: 0,
-            after: w.new_after(len, |_| {}),
+            after: ImageRef { off: 0, len },
         };
         let (small, big) = (update(10), update(100));
         assert_eq!(big.encoded_len() - small.encoded_len(), 90);
     }
 
     /// After-images of assorted lengths, interleaved with records that
-    /// carry none, come back out of the arena byte for byte; the LSNs are
-    /// the ones the log handed out when each record owned its bytes
-    /// (16-byte header + 22 bytes of update fields + the image; 24 for a
-    /// commit; 16 for a checkpoint).
+    /// carry none, come back out of their frames byte for byte; the LSNs
+    /// are the ones the log handed out before it was bytes (16-byte
+    /// header + 22 bytes of update fields + the image; 24 for a commit;
+    /// 16 for a checkpoint).
     #[test]
-    fn after_images_round_trip_through_the_arena() {
+    fn after_images_round_trip_through_their_frames() {
         let image = |len: usize, salt: u8| -> Vec<u8> {
             (0..len)
                 .map(|i| (i as u8).wrapping_mul(31) ^ salt)
@@ -426,16 +651,11 @@ mod tests {
         let mut handles = Vec::new();
         for (i, &len) in lens.iter().enumerate() {
             let bytes = image(len, i as u8);
-            let after = w.new_after(len, |b| b.copy_from_slice(&bytes));
+            let (lsn, after) = w.append_update(i as u64, PageId(i as u64), i as u16, len, |b| {
+                b.copy_from_slice(&bytes)
+            });
             assert_eq!((after.len(), after.is_empty()), (len, len == 0));
-            let rec = LogRecord::Update {
-                txn: i as u64,
-                page: PageId(i as u64),
-                slot: i as u16,
-                after,
-            };
-            assert_eq!(rec.encoded_len() as usize, 38 + len);
-            lsns.push(w.append(rec).0);
+            lsns.push(lsn.0);
             handles.push(after);
             lsns.push(match i % 3 {
                 0 => w.append(LogRecord::Commit { txn: i as u64 }).0,
@@ -445,28 +665,30 @@ mod tests {
         }
         assert_eq!(lsns, [0, 138, 162, 201, 217, 255, 301, 325, 4363, 4379]);
         assert_eq!(w.next_lsn(), Lsn(4454));
-        // a before-image parked between records lands behind them
-        let parked = w.keep(b"before");
         for (i, (&len, &h)) in lens.iter().zip(&handles).enumerate() {
             assert_eq!(w.after(h), image(len, i as u8), "image {i}");
         }
-        assert_eq!(w.after(parked), b"before");
         w.mark_flushed(Lsn(lsns[lsns.len() - 1]));
-        let logged: Vec<ImageRef> = w
+        assert_eq!(w.durable_end(), 4454);
+        let logged: Vec<(u64, ImageRef)> = w
             .durable_records()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Update { after, .. } => Some(*after),
+            .filter_map(|(lsn, r)| match r {
+                LogRecord::Update { after, .. } => Some((lsn.0, after)),
                 _ => None,
             })
             .collect();
-        assert_eq!(logged, handles, "records carry the handles they were given");
+        let want: Vec<(u64, ImageRef)> = [0, 162, 217, 255, 325, 4379]
+            .into_iter()
+            .zip(handles.iter().copied())
+            .collect();
+        assert_eq!(logged, want, "the decoded records name the images");
     }
 
     #[test]
     #[should_panic(expected = "is not from this log")]
     fn a_handle_from_another_log_is_refused() {
         let mut a = Wal::new();
-        let h = a.new_after(16, |_| {});
+        let h = logged(&mut a, &[0; 16]);
         Wal::new().after(h);
     }
 
@@ -483,6 +705,57 @@ mod tests {
         // a later force to an LSN already covered cannot un-flush l2
         w.mark_flushed(l1);
         assert_eq!(w.flushed(), Some(l2));
+    }
+
+    /// A crash keeps the records at or below the horizon whole — the one
+    /// appended at a horizon marked before it existed included — and cuts
+    /// the rest off the bytes.
+    #[test]
+    fn a_crash_cuts_the_log_to_its_durable_prefix() {
+        let mut w = Wal::new();
+        w.append(LogRecord::Commit { txn: 1 });
+        w.mark_flushed(w.next_lsn());
+        let (at, _) = w.append_update(2, PageId(3), 1, 100, |_| {});
+        w.append(LogRecord::Commit { txn: 2 });
+        assert_eq!(w.durable_end(), at.0 + 138);
+        w.crash();
+        assert_eq!(w.next_lsn(), Lsn(at.0 + 138));
+        assert_eq!(w.durable_bytes().len(), 24 + 138);
+        let kept: Vec<Lsn> = w.durable_records().map(|(lsn, _)| lsn).collect();
+        assert_eq!(kept, [Lsn(0), at]);
+        assert_eq!(w.durable_commits(), [1]);
+        let never = Wal::new();
+        assert_eq!(
+            (never.durable_end(), never.durable_records().count()),
+            (0, 0)
+        );
+    }
+
+    /// Every way a frame can be wrong is a typed refusal, not a panic.
+    #[test]
+    fn a_bad_frame_is_torn_by_its_first_fault() {
+        let mut w = Wal::new();
+        w.append(LogRecord::Checkpoint);
+        let (at, _) = w.append_update(1, PageId(2), 3, 4, |b| b.fill(7));
+        w.mark_flushed(at);
+        let good = w.durable_bytes().to_vec();
+        let at = at.0 as usize;
+        assert!(decode_at(&good, at).is_ok());
+        let torn = |off: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at + off] = byte;
+            decode_at(&bytes, at).unwrap_err()
+        };
+        assert_eq!(torn(0, 0xff), Torn::Lsn);
+        assert_eq!(torn(8, 41), Torn::Len, "length off by one from the image");
+        assert_eq!(torn(8, 90), Torn::Short, "past the end");
+        assert_eq!(torn(12, 9), Torn::Kind);
+        assert_eq!(torn(12, COMMIT), Torn::Len);
+        assert_eq!(torn(15, 1), Torn::Reserved);
+        assert_eq!(torn(34, 5), Torn::Len, "image length off by one");
+        assert_eq!(decode_at(&good, good.len()), Err(Torn::Short));
+        assert_eq!(decode_at(&good, usize::MAX), Err(Torn::Short));
+        assert_eq!(decode_at(&good[..at + 41], at), Err(Torn::Short));
     }
 
     fn member(slot: usize, lsn: u64, enlisted: u64) -> GroupMember {
@@ -539,5 +812,148 @@ mod tests {
         assert_eq!(w.last_durable_checkpoint(), None, "not yet flushed");
         w.mark_flushed(l3);
         assert_eq!(w.last_durable_checkpoint(), Some(ck));
+    }
+
+    /// The log as it was before it was bytes: a record list beside an
+    /// arena of images, LSNs advanced by `encoded_len`. The reference the
+    /// byte log is held equal to.
+    #[derive(Default)]
+    struct ListWal {
+        records: Vec<(Lsn, LogRecord)>,
+        arena: Vec<u8>,
+        next_lsn: u64,
+        flushed: Option<Lsn>,
+    }
+
+    impl ListWal {
+        fn append_update(&mut self, txn: u64, page: PageId, slot: u16, image: &[u8]) {
+            let off = self.arena.len() as u64;
+            self.arena.extend_from_slice(image);
+            let len = image.len() as u32;
+            let after = ImageRef { off, len };
+            self.append(LogRecord::Update {
+                txn,
+                page,
+                slot,
+                after,
+            });
+        }
+
+        fn append(&mut self, rec: LogRecord) {
+            self.records.push((Lsn(self.next_lsn), rec));
+            self.next_lsn += u64::from(rec.encoded_len());
+        }
+
+        fn after(&self, image: ImageRef) -> &[u8] {
+            &self.arena[image.off as usize..][..image.len()]
+        }
+
+        fn durable(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> {
+            let horizon = self.flushed;
+            self.records
+                .iter()
+                .filter(move |(lsn, _)| horizon.is_some_and(|h| *lsn <= h))
+        }
+
+        /// A crash keeps the durable records; the next LSN follows them.
+        fn crash(&mut self) {
+            let kept = self.durable().count();
+            self.records.truncate(kept);
+            self.next_lsn = self
+                .records
+                .last()
+                .map_or(0, |(lsn, r)| lsn.0 + u64::from(r.encoded_len()));
+        }
+    }
+
+    /// A durable record as text, an update's image bytes spelled out:
+    /// two logs agree when the texts do, whatever their handles.
+    fn show(lsn: Lsn, rec: LogRecord, image: impl Fn(ImageRef) -> Vec<u8>) -> String {
+        match rec {
+            LogRecord::Update {
+                txn,
+                page,
+                slot,
+                after,
+            } => format!("{lsn:?} update {txn} {page:?} {slot} = {:?}", image(after)),
+            _ => format!("{lsn:?} {rec:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The byte log against the record list it replaced, over random
+        /// appends of every kind, horizon marks (at a record, or at the
+        /// next LSN as a steal marks it) and crashes: the same durable
+        /// records with the same image bytes, the same next LSN, the
+        /// same durable commits.
+        #[test]
+        fn the_byte_log_matches_the_record_list_it_replaced(
+            ops in proptest::collection::vec((0..10u8, 0..200u16), 1..120),
+        ) {
+            let (mut bytes, mut list) = (Wal::new(), ListWal::default());
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                let txn = u64::from(arg % 8);
+                let (page, slot) = (PageId(u64::from(arg)), arg % 16);
+                match op {
+                    0..=2 => {
+                        let image: Vec<u8> = (0..arg).map(|i| (i as u8) ^ op).collect();
+                        let fill = |b: &mut [u8]| b.copy_from_slice(&image);
+                        bytes.append_update(txn, page, slot, image.len(), fill);
+                        list.append_update(txn, page, slot, &image);
+                    }
+                    3 => {
+                        let rec = LogRecord::Delete { txn, page, slot };
+                        prop_assert_eq!(bytes.append(rec), Lsn(list.next_lsn));
+                        list.append(rec);
+                    }
+                    4 | 5 => {
+                        let rec = [
+                            LogRecord::Commit { txn },
+                            LogRecord::Prepare { txn },
+                            LogRecord::Abort { txn },
+                            LogRecord::Checkpoint,
+                        ][usize::from(arg % 4)];
+                        bytes.append(rec);
+                        list.append(rec);
+                    }
+                    6 | 7 => {
+                        // a force to a record, or to the next LSN
+                        let at = match list.records.len() {
+                            n if n > 0 && op == 6 => list.records[usize::from(arg) % n].0,
+                            _ => Lsn(list.next_lsn),
+                        };
+                        bytes.mark_flushed(at);
+                        list.flushed = list.flushed.max(Some(at));
+                    }
+                    8 => {
+                        bytes.crash();
+                        list.crash();
+                        prop_assert_eq!(bytes.durable_end(), bytes.next_lsn().0);
+                    }
+                    _ => {}
+                }
+                let got: Vec<String> = bytes
+                    .durable_records()
+                    .map(|(lsn, r)| show(lsn, r, |a| bytes.after(a).to_vec()))
+                    .collect();
+                let want: Vec<String> = list
+                    .durable()
+                    .map(|&(lsn, r)| show(lsn, r, |a| list.after(a).to_vec()))
+                    .collect();
+                prop_assert_eq!(got, want, "step {}", step);
+                prop_assert_eq!(bytes.next_lsn(), Lsn(list.next_lsn), "step {}", step);
+                let mut commits: Vec<u64> = list
+                    .durable()
+                    .filter_map(|(_, r)| match r {
+                        LogRecord::Commit { txn } => Some(*txn),
+                        _ => None,
+                    })
+                    .collect();
+                commits.sort_unstable();
+                prop_assert_eq!(bytes.durable_commits(), commits, "step {}", step);
+            }
+        }
     }
 }

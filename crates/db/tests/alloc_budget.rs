@@ -22,9 +22,8 @@
 //!   durable image of its own (a copy of the formatted one, made when its
 //!   first write-back lands), and a redo list growing past the most slots
 //!   its frame has held written at once (frames, steals and in-flight
-//!   writes keep their lists' capacity; the log arena and the log's record
-//!   list are reserved from the run's inputs and no longer grow inside
-//!   it);
+//!   writes keep their lists' capacity; the log's bytes are reserved
+//!   from the run's inputs and no longer grow inside it);
 //! * **per checkpoint** — the dirty pages' id list;
 //! * **per run** — executor state, the log's reservation, histograms and
 //!   the reports.

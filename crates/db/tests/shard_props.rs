@@ -287,13 +287,13 @@ proptest! {
             db.shard(s)
                 .wal()
                 .durable_records()
-                .any(|(_, r)| matches!(r, LogRecord::Commit { txn: t } if *t == txn))
+                .any(|(_, r)| matches!(r, LogRecord::Commit { txn: t } if t == txn))
         };
         let durable_prepare = |s: usize, txn: u64| {
             db.shard(s)
                 .wal()
                 .durable_records()
-                .any(|(_, r)| matches!(r, LogRecord::Prepare { txn: t } if *t == txn))
+                .any(|(_, r)| matches!(r, LogRecord::Prepare { txn: t } if t == txn))
         };
 
         for (&txn, entry) in db.ledger().entries() {
@@ -392,12 +392,12 @@ proptest! {
             if entry.decision == TxnDecision::Aborted {
                 for s in 0..n {
                     let no_commit = !db.shard(s).wal().durable_records().any(
-                        |(_, r)| matches!(r, LogRecord::Commit { txn: t } if *t == txn),
+                        |(_, r)| matches!(r, LogRecord::Commit { txn: t } if t == txn),
                     );
                     prop_assert!(no_commit, "aborted txn {} left a Commit on shard {}", txn, s);
                 }
                 let abort_logged = db.shard(entry.home).wal().durable_records()
-                    .any(|(_, r)| matches!(r, LogRecord::Abort { txn: t } if *t == txn));
+                    .any(|(_, r)| matches!(r, LogRecord::Abort { txn: t } if t == txn));
                 prop_assert!(abort_logged, "aborted txn {} has no Abort record", txn);
             }
         }

@@ -18,9 +18,23 @@
 //!    serialized engine bit-for-bit, clock included, exactly as
 //!    exp13/14 pin for the flash WAL. `tests/qd1_law.rs` extends it to
 //!    every storage manager.
+//!
+//! Then the log's codec, over generated record sequences of every kind
+//! with images of 0–4096 bytes:
+//!
+//! 4. **Round trip** — decoding the bytes gives back every record, LSN
+//!    and image byte that was appended.
+//! 5. **A cut tears exactly one frame** — cutting the bytes at any
+//!    offset decodes exactly the records wholly before the cut, then a
+//!    typed [`Torn::Short`].
+//! 6. **Garbage is refused, not believed** — arbitrary bytes, and valid
+//!    logs with bytes overwritten, never panic the decoder, and what it
+//!    accepts is a valid prefix: re-encoding the records gives back
+//!    exactly the bytes they came from.
 
 use proptest::prelude::*;
-use requiem_db::wal::LogRecord;
+use requiem_db::page::PageId;
+use requiem_db::wal::{decode_at, LogRecord, Lsn, Torn, Wal};
 use requiem_db::{
     Database, DbConfig, ExecConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig,
 };
@@ -76,21 +90,6 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
     proptest::collection::vec(arb_txn(), 1..40)
 }
 
-/// The durable log as text, each update followed by the bytes its
-/// after-image handle names: two logs can agree on every handle (offset
-/// and length) and still hold different images.
-fn durable_log(db: &Database<LegacyBackend>) -> Vec<String> {
-    db.wal()
-        .durable_records()
-        .map(|(lsn, rec)| match rec {
-            LogRecord::Update { after, .. } => {
-                format!("{lsn:?} {rec:?} = {:?}", db.wal().after(*after))
-            }
-            _ => format!("{lsn:?} {rec:?}"),
-        })
-        .collect()
-}
-
 /// Every (page, slot)'s visible owner — the post-recovery ground truth.
 fn owners(db: &mut Database<LegacyBackend>) -> Vec<u64> {
     (0..DATA_PAGES)
@@ -134,10 +133,9 @@ proptest! {
             byte.execute(&t.accesses, t.log_bytes);
         }
         prop_assert_eq!(flash.stats().commits, byte.stats().commits);
-        prop_assert_eq!(
-            durable_log(&flash),
-            durable_log(&byte),
-            "the durable log must be record-for-record, byte-for-byte identical"
+        prop_assert!(
+            flash.wal().durable_bytes() == byte.wal().durable_bytes(),
+            "the durable logs must be byte-for-byte identical"
         );
         prop_assert_eq!(owners(&mut flash), owners(&mut byte));
     }
@@ -169,5 +167,163 @@ proptest! {
             sw.map(|w| w.total_line_writes),
             "start-gap wear must replay identically too"
         );
+    }
+}
+
+/// A record to append: kind 0–5, the value its fields are drawn from, its
+/// image length (an update's).
+type Spec = (u8, u64, usize);
+
+fn arb_specs(records: usize) -> impl Strategy<Value = Vec<Spec>> {
+    proptest::collection::vec((0..6u8, 0..u64::MAX, 0..4097usize), 0..records)
+}
+
+/// `specs` appended to a fresh log and forced: the log, and what each
+/// append wrote — its LSN, its record and its image bytes.
+fn written(specs: &[Spec]) -> (Wal, Vec<(Lsn, LogRecord, Vec<u8>)>) {
+    let mut wal = Wal::new();
+    let mut out = Vec::new();
+    for &(kind, v, len) in specs {
+        let (txn, page, slot) = (v, PageId(v.rotate_left(17)), v as u16);
+        let image: Vec<u8> = (0..len).map(|i| (i as u64 ^ v) as u8).collect();
+        let (lsn, rec) = match kind {
+            0 => {
+                let fill = |b: &mut [u8]| b.copy_from_slice(&image);
+                let (lsn, after) = wal.append_update(txn, page, slot, len, fill);
+                (
+                    lsn,
+                    LogRecord::Update {
+                        txn,
+                        page,
+                        slot,
+                        after,
+                    },
+                )
+            }
+            _ => {
+                let rec = match kind {
+                    1 => LogRecord::Delete { txn, page, slot },
+                    2 => LogRecord::Commit { txn },
+                    3 => LogRecord::Prepare { txn },
+                    4 => LogRecord::Abort { txn },
+                    _ => LogRecord::Checkpoint,
+                };
+                (wal.append(rec), rec)
+            }
+        };
+        let image = if kind == 0 { image } else { Vec::new() };
+        out.push((lsn, rec, image));
+    }
+    if let Some(&(last, ..)) = out.last() {
+        wal.mark_flushed(last);
+    }
+    (wal, out)
+}
+
+/// Decode `bytes` from offset 0 until the first refusal: each record with
+/// its LSN and its image (the tail of its frame), and the refusal.
+fn decode_all(bytes: &[u8]) -> (Vec<(Lsn, LogRecord, Vec<u8>)>, Torn) {
+    let mut out = Vec::new();
+    let mut off = 0;
+    loop {
+        match decode_at(bytes, off) {
+            Ok((rec, len)) => {
+                let end = off + len;
+                let image = match rec {
+                    LogRecord::Update { after, .. } => bytes[end - after.len()..end].to_vec(),
+                    _ => Vec::new(),
+                };
+                out.push((Lsn(off as u64), rec, image));
+                off = end;
+            }
+            Err(torn) => return (out, torn),
+        }
+    }
+}
+
+/// Records and images as a log writes them, from scratch.
+fn reencoded(records: &[(Lsn, LogRecord, Vec<u8>)]) -> Vec<u8> {
+    let mut wal = Wal::new();
+    for (_, rec, image) in records {
+        match *rec {
+            LogRecord::Update {
+                txn, page, slot, ..
+            } => {
+                let fill = |b: &mut [u8]| b.copy_from_slice(image);
+                wal.append_update(txn, page, slot, image.len(), fill);
+            }
+            rec => {
+                wal.append(rec);
+            }
+        }
+    }
+    if let Some((last, ..)) = records.last() {
+        wal.mark_flushed(*last);
+    }
+    wal.durable_bytes().to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Property 4: encode, then decode, gives back every record.
+    #[test]
+    fn decoding_gives_back_every_record_and_image_byte(specs in arb_specs(24)) {
+        let (wal, appended) = written(&specs);
+        let bytes = wal.durable_bytes();
+        let (decoded, end) = decode_all(bytes);
+        prop_assert_eq!(end, Torn::Short, "the log ends where its bytes do");
+        prop_assert_eq!(bytes.len() as u64, wal.next_lsn().0);
+        prop_assert_eq!(&decoded, &appended);
+        let through_the_log: Vec<Vec<u8>> = wal
+            .durable_records()
+            .map(|(_, rec)| match rec {
+                LogRecord::Update { after, .. } => wal.after(after).to_vec(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let images: Vec<Vec<u8>> = appended.into_iter().map(|r| r.2).collect();
+        prop_assert_eq!(through_the_log, images);
+    }
+
+    /// Property 5: a cut at any offset loses exactly the record it cuts.
+    #[test]
+    fn a_cut_anywhere_keeps_exactly_the_whole_records_before_it(specs in arb_specs(10)) {
+        let (wal, appended) = written(&specs);
+        let bytes = wal.durable_bytes();
+        for cut in 0..=bytes.len() {
+            let (decoded, torn) = decode_all(&bytes[..cut]);
+            let whole = appended
+                .iter()
+                .take_while(|(lsn, rec, _)| lsn.0 + u64::from(rec.encoded_len()) <= cut as u64)
+                .count();
+            prop_assert_eq!(decoded.len(), whole, "cut at {}", cut);
+            prop_assert_eq!(&decoded[..], &appended[..whole], "cut at {}", cut);
+            prop_assert_eq!(torn, Torn::Short, "cut at {}", cut);
+        }
+    }
+
+    /// Property 6: no byte string panics the decoder, and what it accepts
+    /// is a valid prefix.
+    #[test]
+    fn garbage_decodes_to_a_valid_prefix(
+        specs in arb_specs(8),
+        writes in proptest::collection::vec((0..usize::MAX, 0..256u16), 0..4),
+        noise in proptest::collection::vec(0..256u16, 0..96),
+    ) {
+        let (wal, _) = written(&specs);
+        let mut bytes = wal.durable_bytes().to_vec();
+        for &(at, byte) in &writes {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] = byte as u8;
+            }
+        }
+        let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+        for bytes in [bytes, noise] {
+            let (decoded, _) = decode_all(&bytes);
+            let valid = reencoded(&decoded);
+            prop_assert_eq!(&bytes[..valid.len()], &valid[..]);
+        }
     }
 }
