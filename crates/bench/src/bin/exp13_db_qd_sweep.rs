@@ -26,6 +26,7 @@
 //! The probe JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{note, section, serialized_identity, Series, V};
+use requiem_block::StackConfig;
 use requiem_db::{
     BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
     PersistenceBackend, PrefetchConfig,
@@ -54,7 +55,7 @@ fn builder() -> DbBuilder {
 }
 
 fn stack_db() -> Database<BlockStackBackend> {
-    builder().build_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1())
+    builder().build_stack(StackConfig::blk_mq(1), SsdConfig::figure1())
 }
 
 fn oltp(read_only_fraction: f64) -> OltpGen {
@@ -284,10 +285,10 @@ fn main() {
     // ------------------------------------------------------------------
     section("13d. QD 1: completion-driven executor vs serialized engine");
     let inputs = oltp_inputs(&mut oltp(0.5), 200);
-    let mut conc = builder().build_legacy(SsdConfig::figure1());
+    let mut conc = builder().build_stack(StackConfig::bare(1), SsdConfig::figure1());
     conc.run_concurrent(&inputs, &ExecConfig::serialized());
     serialized_identity(
-        builder().build_legacy(SsdConfig::figure1()),
+        builder().build_stack(StackConfig::bare(1), SsdConfig::figure1()),
         &inputs,
         "run_concurrent QD 1",
         &conc,

@@ -31,9 +31,10 @@
 //! The JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{note, section, Series, V};
+use requiem_block::StackConfig;
 use requiem_db::{
-    CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig,
+    BlockStackBackend, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport,
+    GroupCommitPolicy, PersistenceBackend, PrefetchConfig,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
@@ -87,8 +88,8 @@ fn oltp(read_only_fraction: f64) -> OltpGen {
     )
 }
 
-fn block_db() -> Database<LegacyBackend> {
-    builder().build_legacy(pressured_device())
+fn block_db() -> Database<BlockStackBackend> {
+    builder().build_stack(StackConfig::bare(1), pressured_device())
 }
 
 fn coop_db() -> Database<CoopLogBackend> {
@@ -131,7 +132,7 @@ fn snapshot<B: PersistenceBackend>(
 
 /// The block manager's counters: its SSD's metrics, and no relocation —
 /// the block interface cannot report one.
-fn block_snapshot(db: &Database<LegacyBackend>) -> Snapshot {
+fn block_snapshot(db: &Database<BlockStackBackend>) -> Snapshot {
     snapshot(db, db.backend().ssd().metrics(), 0)
 }
 

@@ -33,8 +33,9 @@
 //! The JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{fmt_ns, note, section, Series, V};
+use requiem_block::StackConfig;
 use requiem_db::{
-    Database, DbConfig, ExecReport, GroupCommitPolicy, LegacyBackend, PcmWalConfig, WalConfig,
+    BlockStackBackend, Database, DbConfig, ExecReport, GroupCommitPolicy, PcmWalConfig, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_sim::table::Align;
@@ -131,7 +132,7 @@ struct Run {
     qd: usize,
     report: ExecReport,
     commit_latency: Histogram,
-    db: Database<LegacyBackend>,
+    db: Database<BlockStackBackend>,
 }
 
 /// One closed-loop run of the trace under (policy, qd) on a fresh
@@ -146,7 +147,7 @@ fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
         .wal(policy.wal());
     // the E13 device, so flash group commit has real parallelism to
     // amortize into
-    let mut db = b.build_legacy(SsdConfig::figure1());
+    let mut db = b.build_stack(StackConfig::bare(1), SsdConfig::figure1());
     if let Some(p) = probe {
         db.attach_probe(p.clone());
     }

@@ -10,9 +10,10 @@
 //! commit alone closes the gap is E15's question (15a).
 
 use requiem_bench::{fmt_ns, modern_unbuffered, note, section};
-use requiem_db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
+use requiem_block::StackConfig;
+use requiem_db::backend::{PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
-use requiem_db::{ExecConfig, TxnInput};
+use requiem_db::{BlockStackBackend, ExecConfig, TxnInput};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
 use requiem_sim::Table;
@@ -30,6 +31,12 @@ struct RunResult {
     steals: u64,
     read_stall: SimDuration,
     commit_stall: SimDuration,
+}
+
+/// The legacy design: everything through one flash SSD's block
+/// interface, the bare device (the block stack at zero CPU cost).
+fn legacy(ssd: SsdConfig, data_pages: u64) -> BlockStackBackend {
+    BlockStackBackend::new(StackConfig::bare(1), ssd, data_pages, 256)
 }
 
 fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, inputs: &[TxnInput]) -> RunResult {
@@ -94,7 +101,7 @@ fn main() {
     let mut results = Vec::new();
 
     // legacy, conservative: no write cache trusted
-    let be = LegacyBackend::new(modern_unbuffered(), db_cfg.data_pages, 256);
+    let be = legacy(modern_unbuffered(), db_cfg.data_pages);
     results.push(run(
         "legacy (flash, no write cache)",
         Database::new(db_cfg.clone(), be),
@@ -102,7 +109,7 @@ fn main() {
     ));
 
     // legacy with a battery-backed write cache (ablation)
-    let be = LegacyBackend::new(SsdConfig::modern(), db_cfg.data_pages, 256);
+    let be = legacy(SsdConfig::modern(), db_cfg.data_pages);
     results.push(run(
         "legacy (flash + battery cache)",
         Database::new(db_cfg.clone(), be),
@@ -162,10 +169,7 @@ fn main() {
     pressure_row(
         &mut tbl,
         "legacy (flash steals)",
-        Database::new(
-            small.clone(),
-            LegacyBackend::new(modern_unbuffered(), small.data_pages, 256),
-        ),
+        Database::new(small.clone(), legacy(modern_unbuffered(), small.data_pages)),
     );
     pressure_row(
         &mut tbl,

@@ -91,6 +91,25 @@ impl StackConfig {
             cpu: CpuCosts::streamlined(),
         }
     }
+
+    /// The bare device: [`blk_mq`](Self::blk_mq) with every CPU stage at
+    /// zero, so a command costs exactly its device time. Completion stays
+    /// interrupt-driven — a polling core would be held for the device
+    /// time.
+    pub fn bare(cores: u32) -> Self {
+        let zero = SimDuration::ZERO;
+        StackConfig {
+            cpu: CpuCosts {
+                submit: zero,
+                queue_lock: zero,
+                doorbell: zero,
+                interrupt: zero,
+                context_switch: zero,
+                complete: zero,
+            },
+            ..Self::blk_mq(cores)
+        }
+    }
 }
 
 /// Completion of one I/O through the stack.

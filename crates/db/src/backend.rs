@@ -1,33 +1,40 @@
-//! The persistence boundary: where the legacy and vision designs diverge.
+//! The persistence boundary: where the block and vision designs diverge.
 //!
 //! The storage manager above this trait is **identical** in both designs;
 //! only the routing of its traffic classes changes:
 //!
-//! | traffic               | class        | Legacy                     | Vision (§3 P1/P2)            |
+//! | traffic               | class        | Block                      | Vision (§3 P1/P2)            |
 //! |-----------------------|--------------|----------------------------|------------------------------|
 //! | buffer steal          | synchronous  | flash SSD page write       | PCM staging persist          |
 //! | data write-back       | asynchronous | flash SSD page write       | flash SSD page write         |
 //! | checkpoint batch      | asynchronous | double-write journal (2×)  | device atomic write (1×)     |
 //! | page free             | —            | nothing (device unaware)   | TRIM                         |
 //!
+//! The block design is
+//! [`BlockStackBackend`](crate::stack_backend::BlockStackBackend): one
+//! flash SSD behind the OS I/O stack, whose CPU costs are parameters —
+//! [`StackConfig::bare`](requiem_block::StackConfig::bare) sets them all
+//! to zero and is the bare block device. The vision design is
+//! [`VisionBackend`], here.
+//!
 //! The *synchronous log path* (force / truncate / recovery scan) is no
 //! longer here: it lives behind [`WalBackend`](crate::walbackend) — page
 //! backends do page I/O only, and [`PersistenceBackend::make_wal`] hands
 //! the engine a WAL port onto whatever medium the design routes log
-//! durability to (the same flash device for legacy, a PCM DIMM for the
-//! vision).
+//! durability to (the same flash device for the block design, a PCM DIMM
+//! for the vision).
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
-use requiem_iface::atomic::{double_write_journal, ExtendedSsd};
+use requiem_iface::atomic::ExtendedSsd;
 use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
-use requiem_ssd::{IoClass, IoCompletion, IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
+use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
 
 use crate::page::{PageId, PAGE_SIZE};
-use crate::walbackend::{BareSsdLog, FlashWal, PcmWal, WalBackend};
+use crate::walbackend::{PcmWal, WalBackend};
 
 /// Host tag identifying one batched read between
 /// [`PersistenceBackend::submit_reads`] and [`PersistenceBackend::poll`].
@@ -287,213 +294,6 @@ pub trait PersistenceBackend {
     }
 }
 
-/// The batched-read completion of page `lba - data_base`, off a bare
-/// [`Ssd`]'s queue pair.
-fn page_read_of(c: IoCompletion, data_base: u64) -> PageRead {
-    PageRead {
-        tag: c.tag,
-        page: PageId(c.lba - data_base),
-        done: c.done,
-        status: c.status,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy: everything through the block interface of one flash SSD
-// ---------------------------------------------------------------------
-
-/// The conservative design: one flash SSD behind the block interface
-/// carries the log, the data, and a double-write journal.
-pub struct LegacyBackend {
-    /// Shared with the WAL port ([`make_wal`](PersistenceBackend::make_wal)):
-    /// log forces land on the same device as the page traffic.
-    ssd: Rc<RefCell<Ssd>>,
-    /// LBA layout.
-    log_pages: u64,
-    data_base: u64,
-    journal_base: u64,
-    data_pages: u64,
-    stats: BackendStats,
-    /// The batched read path; depth set by
-    /// [`PersistenceBackend::set_read_window`].
-    reads: QueuePair,
-}
-
-impl std::fmt::Debug for LegacyBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LegacyBackend")
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl LegacyBackend {
-    /// Lay out `data_pages` of data, `log_pages` of circular log, and an
-    /// equal-size journal area on one device.
-    ///
-    /// # Panics
-    /// Panics if the device is too small for the layout.
-    pub fn new(cfg: SsdConfig, data_pages: u64, log_pages: u64) -> Self {
-        let ssd = Ssd::new(cfg);
-        let exported = ssd.capacity().exported_pages;
-        let needed = log_pages + 2 * data_pages;
-        assert!(
-            needed <= exported,
-            "device too small: need {needed} pages, exported {exported}"
-        );
-        LegacyBackend {
-            ssd: Rc::new(RefCell::new(ssd)),
-            log_pages,
-            data_base: log_pages,
-            journal_base: log_pages + data_pages,
-            data_pages,
-            stats: BackendStats::default(),
-            reads: QueuePair::new(1),
-        }
-    }
-
-    /// The underlying device (for write-amplification reporting).
-    pub fn ssd(&self) -> Ref<'_, Ssd> {
-        self.ssd.borrow()
-    }
-
-    fn data_lpn(&self, page: PageId) -> Lpn {
-        assert!(page.0 < self.data_pages, "page id beyond data region");
-        Lpn(self.data_base + page.0)
-    }
-}
-
-impl PersistenceBackend for LegacyBackend {
-    fn make_wal(&mut self) -> Box<dyn WalBackend> {
-        // the log shares the device with the page traffic: the classic
-        // small-synchronous-write problem, and the FTL drags dead WAL
-        // through GC until truncation trims it
-        Box::new(FlashWal::new(
-            BareSsdLog::new(Rc::clone(&self.ssd), self.log_pages),
-            self.log_pages,
-        ))
-    }
-
-    fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.page_writes += 1;
-        self.stats.logical_writes += 1;
-        let lpn = self.data_lpn(page);
-        // write-back: nobody waits on this completion
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::write(lpn.0).class(IoClass::Background))
-            .expect("data write failed")
-            .done
-    }
-
-    fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.steal_writes += 1;
-        self.stats.logical_writes += 1;
-        let lpn = self.data_lpn(page);
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::write(lpn.0))
-            .expect("steal write failed")
-            .done
-    }
-
-    fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
-        self.stats.page_reads += 1;
-        let lpn = self.data_lpn(page);
-        // a refused command (worn-out device, protocol violation) surfaces
-        // as a typed Rejected status instead of tearing the engine down
-        match self.ssd.borrow_mut().io(now, IoRequest::read(lpn.0)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
-    }
-
-    fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
-        if pages.is_empty() {
-            return now;
-        }
-        self.stats.batches += 1;
-        self.stats.page_writes += pages.len() as u64;
-        self.stats.logical_writes += pages.len() as u64;
-        // torn-write safety through the block interface = double-write
-        // journal: journal copies, barrier, then in-place writes
-        let lpns: Vec<Lpn> = pages.iter().map(|&p| self.data_lpn(p)).collect();
-        double_write_journal(
-            &mut self.ssd.borrow_mut(),
-            now,
-            &lpns,
-            Lpn(self.journal_base),
-        )
-        .expect("journal batch failed")
-        .done
-    }
-
-    fn free_page(&mut self, _now: SimTime, _page: PageId) {
-        // legacy stacks rarely trimmed: the device never hears of a free
-        self.stats.frees += 1;
-    }
-
-    fn stats(&self) -> &BackendStats {
-        &self.stats
-    }
-
-    fn label(&self) -> &'static str {
-        "legacy-block"
-    }
-
-    fn attach_probe(&mut self, probe: requiem_sim::Probe) {
-        self.ssd.borrow_mut().attach_probe(probe);
-    }
-
-    fn relax_submit_order(&mut self) {
-        self.ssd.borrow_mut().relax_submit_order();
-    }
-
-    fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        self.stats.page_reads += pages.len() as u64;
-        let mut tags = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let read = IoRequest::read(self.data_lpn(p).0);
-            tags.push(
-                self.ssd
-                    .borrow_mut()
-                    .enqueue(&mut self.reads, now, read)
-                    .tag,
-            );
-        }
-        tags
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
-        out.clear();
-        let base = self.data_base;
-        out.extend(self.reads.ready(now).map(|c| page_read_of(c, base)));
-    }
-
-    fn next_read_done(&mut self) -> Option<SimTime> {
-        self.reads.next_done()
-    }
-
-    fn reads_in_flight(&mut self) -> usize {
-        self.reads.pending()
-    }
-
-    fn set_read_window(&mut self, depth: usize) {
-        debug_assert_eq!(
-            self.reads.pending(),
-            0,
-            "window change with reads in flight"
-        );
-        self.reads.resize(depth);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Vision: PCM for synchronous persistence, extended flash for the rest
 // ---------------------------------------------------------------------
@@ -674,7 +474,12 @@ impl PersistenceBackend for VisionBackend {
     fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
         out.clear();
         // the data region starts at LBA 0 of the flash device
-        out.extend(self.reads.ready(now).map(|c| page_read_of(c, 0)));
+        out.extend(self.reads.ready(now).map(|c| PageRead {
+            tag: c.tag,
+            page: PageId(c.lba),
+            done: c.done,
+            status: c.status,
+        }));
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
@@ -698,7 +503,9 @@ impl PersistenceBackend for VisionBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack_backend::BlockStackBackend;
     use crate::wal::Lsn;
+    use requiem_block::StackConfig;
     use requiem_sim::time::SimDuration;
 
     fn small_cfg() -> SsdConfig {
@@ -710,8 +517,9 @@ mod tests {
         cfg
     }
 
-    fn legacy() -> LegacyBackend {
-        LegacyBackend::new(small_cfg(), 1024, 64)
+    /// The bare block device: the block stack at zero CPU cost.
+    fn legacy() -> BlockStackBackend {
+        BlockStackBackend::new(StackConfig::bare(1), small_cfg(), 1024, 64)
     }
 
     fn vision() -> VisionBackend {
@@ -729,7 +537,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.shape.channels = 1;
         cfg.shape.chips_per_channel = 1;
-        let mut b = LegacyBackend::new(cfg, 600, 550);
+        let mut b = BlockStackBackend::new(StackConfig::bare(1), cfg, 600, 550);
         let mut w = b.make_wal();
         let mut t = SimTime::ZERO;
         for p in 0..600u64 {

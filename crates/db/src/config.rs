@@ -6,14 +6,15 @@
 //! duplicated the same glue. The builder holds the engine's knobs (pool,
 //! checkpoints, WAL medium) beside the closed loop's (group-commit
 //! policy, prefetch, concurrency) and hands back a loaded [`Database`]
-//! for any of the four storage managers, plus the matching
-//! [`ExecConfig`] for the closed loop.
+//! over the block stack (the bare device is its
+//! [`StackConfig::bare`] preset), a sharded block stack, or the
+//! cooperating-logs manager, plus the matching [`ExecConfig`] for the
+//! closed loop.
 
 use requiem_block::StackConfig;
 use requiem_iface::nameless::NamelessConfig;
 use requiem_ssd::SsdConfig;
 
-use crate::backend::LegacyBackend;
 use crate::coop::CoopLogBackend;
 use crate::engine::{Database, DbConfig};
 use crate::exec::ExecConfig;
@@ -158,15 +159,6 @@ impl DbBuilder {
         }
     }
 
-    /// A loaded database over the legacy backend (bare block SSD,
-    /// double-write journal).
-    pub fn build_legacy(&self, ssd: SsdConfig) -> Database<LegacyBackend> {
-        let be = LegacyBackend::new(ssd, self.data_pages, self.log_pages);
-        let mut db = Database::new(self.db_config(), be);
-        db.load();
-        db
-    }
-
     /// A loaded database over the composed block-layer stack.
     pub fn build_stack(&self, stack: StackConfig, ssd: SsdConfig) -> Database<BlockStackBackend> {
         let be = BlockStackBackend::new(stack, ssd, self.data_pages, self.log_pages);
@@ -277,9 +269,10 @@ mod tests {
             .data_pages(64)
             .log_pages(16)
             .buffer_frames(16);
-        let mut flash = b.build_legacy(ssd.clone());
-        assert_eq!(flash.wal_backend().label(), "flash-wal");
-        let mut pcm = b.clone().wal(WalConfig::pcm()).build_legacy(ssd);
+        let bare = StackConfig::bare(1);
+        let mut flash = b.build_stack(bare.clone(), ssd.clone());
+        assert_eq!(flash.wal_backend().label(), "stack-wal");
+        let mut pcm = b.clone().wal(WalConfig::pcm()).build_stack(bare, ssd);
         assert_eq!(pcm.wal_backend().label(), "pcm-wal");
         // both are loaded and immediately executable
         flash.execute(&[(1, 0, true)], 128);

@@ -560,10 +560,12 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LegacyBackend, VisionBackend};
+    use crate::backend::VisionBackend;
+    use crate::stack_backend::BlockStackBackend;
+    use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
 
-    fn legacy_db() -> Database<LegacyBackend> {
+    fn legacy_db() -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: 64,
@@ -571,7 +573,7 @@ mod tests {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0; // conservative: no write cache
-        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64);
         let mut db = Database::new(cfg, be);
         db.load();
         db
@@ -622,7 +624,12 @@ mod tests {
             buffer_frames: 8, // tiny pool
             ..DbConfig::default()
         };
-        let be = LegacyBackend::new(SsdConfig::modern(), cfg.data_pages, 64);
+        let be = BlockStackBackend::new(
+            StackConfig::bare(1),
+            SsdConfig::modern(),
+            cfg.data_pages,
+            64,
+        );
         let mut db = Database::new(cfg, be);
         db.load();
         // touch many distinct pages with writes → dirty evictions
@@ -690,7 +697,7 @@ mod tests {
     /// exercises the engine's typed-status handling without needing a
     /// fault plan aggressive enough to defeat the whole device pipeline.
     struct FlakyBackend {
-        inner: LegacyBackend,
+        inner: BlockStackBackend,
         fail_page: Option<PageId>,
         forge: requiem_sim::IoStatus,
     }
@@ -736,7 +743,7 @@ mod tests {
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
         let be = FlakyBackend {
-            inner: LegacyBackend::new(ssd_cfg, cfg.data_pages, 64),
+            inner: BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64),
             fail_page: None,
             forge,
         };
@@ -807,11 +814,13 @@ mod tests {
 #[cfg(test)]
 mod group_commit_tests {
     use super::*;
-    use crate::backend::LegacyBackend;
+    use crate::stack_backend::BlockStackBackend;
+    use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
 
-    /// A loaded legacy database with a `frames`-frame pool.
-    fn db(frames: usize) -> Database<LegacyBackend> {
+    /// A loaded database on the bare block device with a `frames`-frame
+    /// pool.
+    fn db(frames: usize) -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: frames,
@@ -819,14 +828,14 @@ mod group_commit_tests {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64);
         let mut db = Database::new(cfg, be);
         db.load();
         db
     }
 
     /// Owner stamped in `(page, slot)` of the durable image set.
-    fn durable_owner(db: &Database<LegacyBackend>, page: u64, slot: u16) -> u64 {
+    fn durable_owner(db: &Database<BlockStackBackend>, page: u64, slot: u16) -> u64 {
         let rec = db
             .images
             .durable(PageId(page))

@@ -977,7 +977,7 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LegacyBackend, VisionBackend};
+    use crate::backend::VisionBackend;
     use crate::engine::DbConfig;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
@@ -999,7 +999,7 @@ mod tests {
             .collect()
     }
 
-    fn legacy_db(frames: usize) -> Database<LegacyBackend> {
+    fn block_db(stack: StackConfig, frames: usize) -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: frames,
@@ -1007,24 +1007,19 @@ mod tests {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
+        let be = BlockStackBackend::new(stack, ssd_cfg, cfg.data_pages, 64);
         let mut db = Database::new(cfg, be);
         db.load();
         db
     }
 
+    /// The bare block device: the block stack at zero CPU cost.
+    fn legacy_db(frames: usize) -> Database<BlockStackBackend> {
+        block_db(StackConfig::bare(1), frames)
+    }
+
     fn stack_db(frames: usize) -> Database<BlockStackBackend> {
-        let cfg = DbConfig {
-            data_pages: 256,
-            buffer_frames: frames,
-            ..DbConfig::default()
-        };
-        let mut ssd_cfg = SsdConfig::modern();
-        ssd_cfg.buffer.capacity_pages = 0;
-        let be = BlockStackBackend::new(StackConfig::blk_mq(1), ssd_cfg, cfg.data_pages, 64);
-        let mut db = Database::new(cfg, be);
-        db.load();
-        db
+        block_db(StackConfig::blk_mq(1), frames)
     }
 
     fn vision_db(frames: usize) -> Database<VisionBackend> {
@@ -1243,7 +1238,7 @@ mod tests {
     /// prepare vote lands in `st.outbox`, where the test leaves it), the
     /// rest as local transactions.
     struct Aborting {
-        db: Database<LegacyBackend>,
+        db: Database<BlockStackBackend>,
         st: ExecState,
         inputs: Vec<TxnInput>,
     }

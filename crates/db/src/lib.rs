@@ -13,9 +13,11 @@
 //!   patterns);
 //! * [`wal`] — a redo write-ahead log with group commit (the other
 //!   synchronous pattern);
-//! * [`backend`] — the persistence boundary, with two implementations:
-//!   - **Legacy**: everything (log and data, double-write journal) goes
-//!     through the block interface of one flash SSD;
+//! * [`backend`] — the persistence boundary, with two designs:
+//!   - **Block** ([`stack_backend`]): everything (log and data,
+//!     double-write journal) goes through the block interface of one
+//!     flash SSD, behind an OS I/O stack whose CPU costs may be zero
+//!     (the bare device);
 //!   - **Vision**: the paper's principle P1 — synchronous log forces and
 //!     buffer steals go to a PCM DIMM on the memory bus, asynchronous data
 //!     traffic goes to the flash SSD using atomic writes (no double-write
@@ -65,9 +67,7 @@ pub mod stack_backend;
 pub mod wal;
 pub mod walbackend;
 
-pub use backend::{
-    CommandTag, LegacyBackend, PageRead, PersistenceBackend, ReadShim, VisionBackend,
-};
+pub use backend::{CommandTag, PageRead, PersistenceBackend, ReadShim, VisionBackend};
 pub use config::DbBuilder;
 pub use coop::CoopLogBackend;
 pub use engine::{Database, DbConfig, TxnOutcome};

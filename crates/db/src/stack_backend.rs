@@ -1,17 +1,16 @@
-//! A persistence backend routed through the composed block-layer
-//! [`IoStack`]: the storage manager's traffic pays the OS submission
-//! path, queue locks, doorbells, and IRQ/polling completion costs that
-//! [`LegacyBackend`](crate::backend::LegacyBackend) (which talks to the
-//! bare device) leaves out.
+//! The block design's persistence backend: one flash SSD behind the
+//! composed block-layer [`IoStack`], carrying a circular log, the data
+//! and a double-write journal. Every command pays the OS submission path,
+//! queue locks, doorbells and IRQ completion at the costs its
+//! [`StackConfig`] names; [`StackConfig::bare`] names them all zero, and
+//! the backend is then the bare block device.
 //!
 //! This is the backend the completion-driven engine showcases: its
 //! batched read path is implemented directly over
 //! [`IoStack::submit_batch`] / [`IoStack::reap_into`], so a DB
 //! queue depth of N turns into N commands resident in the device-side
 //! in-flight window — the paper's Figure-1 parallelism finally reaching
-//! transaction throughput. Layout and traffic classes are identical to
-//! the legacy backend (circular log + data + double-write journal on one
-//! flash SSD behind the block interface).
+//! transaction throughput.
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
@@ -30,7 +29,7 @@ pub struct BlockStackBackend {
     /// Shared with the WAL port ([`make_wal`](PersistenceBackend::make_wal)):
     /// log forces pay the same block-layer path as the page traffic.
     stack: Rc<RefCell<IoStack<Ssd>>>,
-    /// LBA layout (log, data, journal), as in the legacy backend.
+    /// LBA layout (log, data, journal).
     log_pages: u64,
     data_base: u64,
     journal_base: u64,
@@ -238,7 +237,8 @@ impl BlockStackBackend {
 
 impl PersistenceBackend for BlockStackBackend {
     fn make_wal(&mut self) -> Box<dyn WalBackend> {
-        // identical layout policy to the legacy backend, but every log
+        // the log shares the device with the page traffic (the FTL drags
+        // dead WAL through GC until truncation trims it), and every log
         // write pays the block-layer path like the page traffic around
         // it — in this backend's own stripe, on its own core
         Box::new(FlashWal::new(
@@ -317,7 +317,7 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn free_page(&mut self, _now: SimTime, _page: PageId) {
-        // no TRIM, like the legacy stack
+        // legacy stacks rarely trimmed: the device never hears of a free
         self.stats.frees += 1;
     }
 

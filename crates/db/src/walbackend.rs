@@ -15,11 +15,11 @@
 //!
 //! * [`FlashWal`] — today's path. One generic force/truncate/scan engine
 //!   over a [`LogDevice`] *port* onto the page backend's own device
-//!   ([`BareSsdLog`], [`StackLog`], and the nameless port in
-//!   [`coop`](crate::coop)). Sharing the device is load-bearing: the
-//!   stacked-log pathology E13/E14 measure — the FTL dragging dead WAL
-//!   segments through GC — only exists because log and data compete for
-//!   the same flash.
+//!   ([`StackLog`] — the block stack, bare or not — and the nameless
+//!   port in [`coop`](crate::coop)). Sharing the device is load-bearing:
+//!   the stacked-log pathology E13/E14 measure — the FTL dragging dead
+//!   WAL segments through GC — only exists because log and data compete
+//!   for the same flash.
 //! * [`PcmWal`] — the vision path. Commit records persist byte-granular
 //!   into a [`PcmDimm`] (line writes + persist barrier, Start-Gap wear
 //!   accrual); no 4 KiB rounding, no flash program, no collector to
@@ -295,56 +295,6 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
     }
 }
 
-/// [`LogDevice`] port onto the bare flash SSD the
-/// [`LegacyBackend`](crate::backend::LegacyBackend) owns: log segments
-/// occupy LBAs `0..log_pages` of the shared device.
-pub struct BareSsdLog {
-    ssd: Rc<RefCell<Ssd>>,
-    log_pages: u64,
-}
-
-impl BareSsdLog {
-    /// Port onto `ssd`, folding segments onto LBAs `0..log_pages`.
-    pub fn new(ssd: Rc<RefCell<Ssd>>, log_pages: u64) -> Self {
-        BareSsdLog {
-            ssd,
-            log_pages: log_pages.max(1),
-        }
-    }
-}
-
-impl LogDevice for BareSsdLog {
-    fn write_seg(&mut self, now: SimTime, seg: u64) -> (SimTime, IoStatus) {
-        let lba = seg % self.log_pages;
-        // a refused command (worn-out device) surfaces as a typed status
-        // instead of tearing the engine down
-        match self.ssd.borrow_mut().io(now, IoRequest::write(lba)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
-    }
-
-    fn read_seg(&mut self, now: SimTime, seg: u64) -> Option<(SimTime, IoStatus)> {
-        let lba = seg % self.log_pages;
-        Some(match self.ssd.borrow_mut().io(now, IoRequest::read(lba)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        })
-    }
-
-    fn trim_seg(&mut self, now: SimTime, seg: u64) -> bool {
-        let lba = seg % self.log_pages;
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::trim(lba).class(IoClass::Background))
-            .is_ok()
-    }
-
-    fn label(&self) -> &'static str {
-        "flash-wal"
-    }
-}
-
 /// [`LogDevice`] port through the composed block-layer stack the
 /// [`BlockStackBackend`](crate::stack_backend::BlockStackBackend) owns:
 /// every segment write pays the OS submission path like the data traffic
@@ -359,11 +309,6 @@ pub struct StackLog {
 }
 
 impl StackLog {
-    /// Port onto `stack`, folding segments onto LBAs `0..log_pages`.
-    pub fn new(stack: Rc<RefCell<IoStack<Ssd>>>, log_pages: u64) -> Self {
-        Self::with_region(stack, log_pages, 0, 0)
-    }
-
     /// Port onto `stack`, folding segments onto LBAs
     /// `base..base + log_pages` and submitting on `core` — one shard's
     /// slice of a multi-queue deployment.
@@ -604,14 +549,17 @@ impl WalBackend for PcmWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use requiem_block::StackConfig;
     use requiem_sim::time::SimDuration;
     use requiem_ssd::SsdConfig;
 
-    fn bare_wal(log_pages: u64) -> FlashWal<BareSsdLog> {
+    /// A flash WAL on a bare block device (the stack at zero CPU cost).
+    fn bare_wal(log_pages: u64) -> FlashWal<StackLog> {
         let mut cfg = SsdConfig::modern();
         cfg.buffer.capacity_pages = 0;
-        let ssd = Rc::new(RefCell::new(Ssd::new(cfg)));
-        FlashWal::new(BareSsdLog::new(ssd, log_pages), log_pages)
+        let stack = IoStack::new(StackConfig::bare(1), Ssd::new(cfg));
+        let log = StackLog::with_region(Rc::new(RefCell::new(stack)), log_pages, 0, 0);
+        FlashWal::new(log, log_pages)
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! WAL medium and checkpoint setting.
 
 use proptest::prelude::*;
+use requiem_block::StackConfig;
 use requiem_db::{
-    Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend, PersistenceBackend, TxnInput,
+    BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PersistenceBackend,
+    TxnInput,
 };
 use requiem_sim::time::SimDuration;
 use requiem_ssd::SsdConfig;
@@ -25,7 +27,7 @@ use requiem_ssd::SsdConfig;
 const DATA_PAGES: u64 = 64;
 const SLOTS: u16 = 16;
 
-fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
+fn small_db(buffer_frames: usize) -> Database<BlockStackBackend> {
     let cfg = DbConfig {
         data_pages: DATA_PAGES,
         buffer_frames,
@@ -33,7 +35,10 @@ fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
     };
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let mut db = Database::new(cfg, LegacyBackend::new(ssd_cfg, DATA_PAGES, 64));
+    let mut db = Database::new(
+        cfg,
+        BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, DATA_PAGES, 64),
+    );
     db.load();
     db
 }

@@ -27,8 +27,8 @@ use requiem_block::StackConfig;
 use requiem_db::page::PageId;
 use requiem_db::wal::{LogRecord, Lsn};
 use requiem_db::{
-    BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend,
-    PersistenceBackend, ReadShim, ShardedDb, TxnDecision, TxnInput, WalBackend, WalForce, WalStats,
+    BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PersistenceBackend,
+    ReadShim, ShardedDb, TxnDecision, TxnInput, WalBackend, WalForce, WalStats,
 };
 use requiem_sim::time::SimTime;
 use requiem_sim::{FaultPlan, IoStatus};
@@ -126,7 +126,7 @@ impl WalBackend for FlakyWal {
 }
 
 struct FlakyWalBackend {
-    inner: LegacyBackend,
+    inner: BlockStackBackend,
     fail_every: u64,
 }
 
@@ -196,7 +196,7 @@ fn flaky_sharded(n: usize, fail_every: u64) -> ShardedDb<FlakyWalBackend> {
             let mut ssd = SsdConfig::modern();
             ssd.buffer.capacity_pages = 0;
             let be = FlakyWalBackend {
-                inner: LegacyBackend::new(ssd, local_pages, 64),
+                inner: BlockStackBackend::new(StackConfig::bare(1), ssd, local_pages, 64),
                 fail_every,
             };
             let mut db = Database::new(cfg, be);

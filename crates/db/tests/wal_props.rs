@@ -33,10 +33,11 @@
 //!    exactly the bytes they came from.
 
 use proptest::prelude::*;
+use requiem_block::StackConfig;
 use requiem_db::page::PageId;
 use requiem_db::wal::{decode_at, LogRecord, Lsn, Torn, Wal};
 use requiem_db::{
-    Database, DbConfig, ExecConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig,
+    BlockStackBackend, Database, DbConfig, ExecConfig, PcmWalConfig, TxnInput, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_ssd::SsdConfig;
@@ -52,14 +53,14 @@ fn bare_ssd() -> SsdConfig {
 
 /// A small pool (steals) and frequent checkpoints (truncation) so the
 /// mixes exercise every WAL call site, not just the commit force.
-fn db(wal: WalConfig) -> Database<LegacyBackend> {
+fn db(wal: WalConfig) -> Database<BlockStackBackend> {
     DbConfig::builder()
         .data_pages(DATA_PAGES)
         .log_pages(64)
         .buffer_frames(24)
         .checkpoint_every(16)
         .wal(wal)
-        .build_legacy(bare_ssd())
+        .build_stack(StackConfig::bare(1), bare_ssd())
 }
 
 fn pcm(timing: PcmTiming) -> WalConfig {
@@ -91,7 +92,7 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
 }
 
 /// Every (page, slot)'s visible owner — the post-recovery ground truth.
-fn owners(db: &mut Database<LegacyBackend>) -> Vec<u64> {
+fn owners(db: &mut Database<BlockStackBackend>) -> Vec<u64> {
     (0..DATA_PAGES)
         .flat_map(|p| (0..SLOTS).map(move |s| (p, s)))
         .map(|(p, s)| db.visible_owner(p, s))

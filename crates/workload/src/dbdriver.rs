@@ -55,10 +55,11 @@ pub fn run_oltp_closed_loop<B: PersistenceBackend>(
 mod tests {
     use super::*;
     use crate::oltp::OltpConfig;
-    use requiem_db::{DbConfig, LegacyBackend};
+    use requiem_block::StackConfig;
+    use requiem_db::{BlockStackBackend, DbConfig};
     use requiem_ssd::SsdConfig;
 
-    fn small_db() -> Database<LegacyBackend> {
+    fn small_db() -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: 64,
@@ -66,7 +67,10 @@ mod tests {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let mut db = Database::new(cfg, LegacyBackend::new(ssd_cfg, 256, 64));
+        let mut db = Database::new(
+            cfg,
+            BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, 256, 64),
+        );
         db.load();
         db
     }

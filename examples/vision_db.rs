@@ -1,16 +1,18 @@
 //! The §3 vision end-to-end: one storage manager, two worlds.
 //!
-//! Runs the same OLTP workload on the legacy backend (everything through
-//! one flash SSD's block interface) and the vision backend (PCM log +
-//! atomic flash + TRIM), then crashes both mid-flight and recovers.
+//! Runs the same OLTP workload on the legacy design (everything through
+//! one flash SSD's block interface, a bare block stack) and the vision
+//! backend (PCM log + atomic flash + TRIM), then crashes both mid-flight
+//! and recovers.
 //!
 //! ```sh
 //! cargo run --release --example vision_db
 //! ```
 
-use requiem::db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
+use requiem::block::StackConfig;
+use requiem::db::backend::{PersistenceBackend, VisionBackend};
 use requiem::db::engine::{Database, DbConfig};
-use requiem::db::{ExecConfig, TxnInput};
+use requiem::db::{BlockStackBackend, ExecConfig, TxnInput};
 use requiem::sim::table::Align;
 use requiem::sim::time::SimDuration;
 use requiem::sim::Table;
@@ -65,7 +67,7 @@ fn main() {
     // ---- legacy ----
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 256);
+    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 256);
     let mut db = Database::new(cfg.clone(), be);
     db.load();
     let t0 = db.now();

@@ -2,8 +2,10 @@
 //! I/O stack end-to-end on both persistence designs; crash/recovery and
 //! device-level accounting are cross-checked.
 
-use requiem::db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
+use requiem::block::StackConfig;
+use requiem::db::backend::{PersistenceBackend, VisionBackend};
 use requiem::db::engine::{Database, DbConfig};
+use requiem::db::BlockStackBackend;
 use requiem::ssd::SsdConfig;
 use requiem::workload::oltp::{OltpConfig, OltpGen};
 use std::collections::HashMap;
@@ -17,10 +19,13 @@ fn db_cfg() -> DbConfig {
     }
 }
 
-fn legacy() -> Database<LegacyBackend> {
+fn legacy() -> Database<BlockStackBackend> {
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let mut db = Database::new(db_cfg(), LegacyBackend::new(ssd_cfg, 512, 128));
+    let mut db = Database::new(
+        db_cfg(),
+        BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, 512, 128),
+    );
     db.load();
     db
 }
@@ -137,7 +142,10 @@ fn checkpoints_bound_recovery_replay() {
     cfg.checkpoint_every = 50;
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let mut db = Database::new(cfg, LegacyBackend::new(ssd_cfg, 512, 128));
+    let mut db = Database::new(
+        cfg,
+        BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, 512, 128),
+    );
     db.load();
     let expected = run_tracked(&mut db, 300, 13);
     db.crash();

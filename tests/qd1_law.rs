@@ -10,14 +10,17 @@
 //!    completion instants, the statuses and the probe's span count per
 //!    command must be identical; the two devices must also replay their
 //!    serialized references (`Ssd::io`, `CoopLogBackend::page_read`)
-//!    exactly.
+//!    exactly. A `StackConfig::bare` stack's synchronous `IoStack::submit`
+//!    replays `Ssd::io` too, completions and spans: the bare block device
+//!    is the stack with its CPU costs at zero, not a second backend.
 //! 2. **The executor at QD 1 is `execute()`, on every storage manager.**
 //!    `Database::execute` is the serialized reference: one transaction at
 //!    a time, a force per commit. `run_concurrent` under
 //!    `ExecConfig::serialized()` must end where an `execute()` loop ends —
 //!    clock, stall ledger, both latency histograms, WAL forces and bytes,
-//!    page reads and steal writes, PCM wear — over every manager (legacy, vision, block
-//!    stack, cooperating logs with and without the device buffer), both
+//!    page reads and steal writes, PCM wear — over every manager (bare
+//!    block device, vision, block stack, cooperating logs with and
+//!    without the device buffer), both
 //!    WAL media, with and without checkpoints, in a pool that steals and
 //!    one that does not.
 //! 3. **A drained run survives a crash bit for bit.** Once
@@ -130,6 +133,21 @@ fn nameless(depth: Option<usize>, ops: &[(u8, u64)]) -> Run {
     (out, spans(&probe))
 }
 
+/// A bare stack's synchronous path: `IoStack::submit` on core 0.
+fn bare_submit(ops: &[(u8, u64)]) -> Run {
+    let mut st = IoStack::new(StackConfig::bare(1), Ssd::new(ssd_cfg()));
+    let probe = Probe::recording();
+    st.attach_probe(probe.clone());
+    let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
+    for op in ops {
+        let c = st.submit(now, 0, request(op));
+        now = c.done;
+        out.push((c.done, c.status));
+    }
+    (out, spans(&probe))
+}
+
 /// The block stack's batch path, one-command batches on core 0.
 fn stack(depth: usize, ops: &[(u8, u64)]) -> Run {
     let mut st = IoStack::new(StackConfig::blk_mq(1), Ssd::new(ssd_cfg()));
@@ -159,6 +177,7 @@ proptest! {
         let reference = ssd(None, &ops);
         prop_assert_eq!(&ssd(Some(1), &ops), &reference, "ssd at depth 1 vs Ssd::io");
         prop_assert_eq!(&ssd(Some(d), &ops), &reference, "ssd at depth {}", d);
+        prop_assert_eq!(&bare_submit(&ops), &reference, "bare stack vs Ssd::io");
 
         let reference = nameless(None, &ops);
         prop_assert_eq!(&nameless(Some(1), &ops), &reference, "nameless at depth 1 vs page_read");
@@ -181,7 +200,8 @@ const CHECKPOINT_EVERY: u64 = 8;
 
 #[derive(Debug, Clone, Copy)]
 enum Manager {
-    Legacy,
+    /// The bare block device: the block stack at `bare(1)`, zero CPU cost.
+    Bare,
     Vision,
     /// The block stack at `blk_mq(1)`.
     Stack,
@@ -192,7 +212,7 @@ enum Manager {
 }
 
 const MANAGERS: [Manager; 5] = [
-    Manager::Legacy,
+    Manager::Bare,
     Manager::Vision,
     Manager::Stack,
     Manager::Coop,
@@ -261,8 +281,8 @@ macro_rules! with_builder {
         let shape: Shape = $shape;
         let b = shape.builder();
         match shape.manager {
-            Manager::Legacy => {
-                let $build = || b.build_legacy(device(0));
+            Manager::Bare => {
+                let $build = || b.build_stack(StackConfig::bare(1), device(0));
                 $body
             }
             Manager::Vision => {
@@ -467,7 +487,7 @@ proptest! {
     }
 }
 
-/// Law 3 with frames still dirty at the crash, on the legacy, block-stack
+/// Law 3 with frames still dirty at the crash, on the bare, block-stack
 /// and cooperating-logs managers.
 #[test]
 fn a_crash_with_dirty_frames_leaves_the_durable_images_as_they_were() {
@@ -476,7 +496,7 @@ fn a_crash_with_dirty_frames_leaves_the_durable_images_as_they_were() {
         ..OltpConfig::default()
     };
     let inputs = oltp_inputs(&mut OltpGen::new(gen, 31), 60);
-    for manager in [Manager::Legacy, Manager::Stack, Manager::Coop] {
+    for manager in [Manager::Bare, Manager::Stack, Manager::Coop] {
         for (checkpoints, qd4) in [(false, false), (false, true), (true, false), (true, true)] {
             let shape = Shape {
                 manager,
