@@ -5,8 +5,8 @@
 //! Figure 2 while nothing inverts a layer. Both were conventions. This
 //! crate turns them into machine-checked rules (see [`rules`] for the
 //! full table): determinism (DET), layering (LAY), probe discipline
-//! (PRB), time hygiene (TIM), panic policy (PAN), and unsafe policy
-//! (UNS).
+//! (PRB), time hygiene (TIM), panic policy (PAN), unsafe policy (UNS),
+//! and dead public API (DEAD).
 //!
 //! Design constraints:
 //!
@@ -54,26 +54,6 @@ pub struct Report {
     pub unused_allows: Vec<allow::AllowEntry>,
 }
 
-impl Report {
-    /// Diagnostics not covered by the allowlist.
-    pub fn denied(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|(_, allowed)| !allowed)
-            .map(|(d, _)| d)
-    }
-
-    /// Number of non-allowlisted diagnostics.
-    pub fn denied_count(&self) -> usize {
-        self.denied().count()
-    }
-
-    /// Number of allowlisted diagnostics.
-    pub fn allowed_count(&self) -> usize {
-        self.diagnostics.len() - self.denied_count()
-    }
-}
-
 /// Lint the workspace rooted at `root` against `allowlist`.
 pub fn run(root: &Path, mut allowlist: AllowList) -> Result<Report, String> {
     let ws = workspace::discover(root)?;
@@ -116,18 +96,21 @@ struct PreparedFile<'a> {
 
 fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     // pass 0: read every file once
+    let members = ws
+        .crates
+        .iter()
+        .flat_map(|k| k.files.iter().map(move |f| (k.name.as_str(), f)));
+    let references = ws.references.iter().map(|f| ("requiem-benchmark", f));
     let mut inputs = Vec::new();
-    for krate in &ws.crates {
-        for f in &krate.files {
-            let text =
-                fs::read_to_string(&f.abs).map_err(|e| format!("read {}: {e}", f.abs.display()))?;
-            inputs.push(FileInput {
-                crate_name: krate.name.clone(),
-                rel: f.rel.clone(),
-                cat: f.cat,
-                text,
-            });
-        }
+    for (crate_name, f) in members.chain(references) {
+        let text =
+            fs::read_to_string(&f.abs).map_err(|e| format!("read {}: {e}", f.abs.display()))?;
+        inputs.push(FileInput {
+            crate_name: crate_name.to_string(),
+            rel: f.rel.clone(),
+            cat: f.cat,
+            text,
+        });
     }
     let mut out = lint_files(&inputs);
     // crate-scoped rules need the crate root's token stream
@@ -155,7 +138,9 @@ fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
 
 /// Lint a set of in-memory files as one workspace: pass 1 parses
 /// everything and builds the symbol table from `Main` files; pass 2 runs
-/// the token rules and the parser-backed semantic rules on each file.
+/// the token rules and the parser-backed semantic rules on each file
+/// except [`FileCat::Reference`] ones; pass 3 runs DEAD01 over all of
+/// them at once.
 pub fn lint_files(inputs: &[FileInput]) -> Vec<Diagnostic> {
     let prepared: Vec<PreparedFile<'_>> = inputs
         .iter()
@@ -183,23 +168,30 @@ pub fn lint_files(inputs: &[FileInput]) -> Vec<Diagnostic> {
                 )
             }),
     );
-    let mut out = Vec::new();
-    for p in &prepared {
-        let ctx = FileCtx {
+    let ctxs: Vec<FileCtx<'_>> = prepared
+        .iter()
+        .map(|p| FileCtx {
             crate_name: &p.input.crate_name,
             rel: &p.input.rel,
             cat: p.input.cat,
             toks: &p.toks,
             test_mask: &p.test_mask,
-        };
-        out.extend(rules::run_file(&ctx));
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (p, ctx) in prepared.iter().zip(&ctxs) {
+        if ctx.cat == FileCat::Reference {
+            continue;
+        }
+        out.extend(rules::run_file(ctx));
         let sem = SemCtx {
-            file: &ctx,
+            file: ctx,
             parsed: &p.parsed,
             symbols: &table,
         };
         out.extend(rules::run_sem(&sem));
     }
+    out.extend(rules::dead::check(&ctxs));
     out
 }
 

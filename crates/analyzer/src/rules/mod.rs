@@ -18,6 +18,7 @@
 //! | PAN01 | panic policy  | no `unwrap`/`expect`/`panic!` in controller/qpair/mapping code |
 //! | UNS01 | unsafe policy | no `unsafe` anywhere in the workspace |
 //! | UNS02 | unsafe policy | every crate root carries `#![forbid(unsafe_code)]` |
+//! | DEAD01 | dead code    | no `pub` fn/const/static named only by its own file's tests |
 //!
 //! The [`RULES`] table below is the single registry: it drives the
 //! per-file and semantic passes ([`run_file`], [`run_sem`]) *and* the
@@ -26,6 +27,7 @@
 
 pub mod callgraph;
 pub mod clock;
+pub mod dead;
 pub mod determinism;
 pub mod fallibility;
 pub mod layering;
@@ -106,6 +108,9 @@ pub enum Check {
     WithPass(&'static str),
     /// Crate-scoped; dispatched from [`run_crate`], not per file.
     CrateScoped,
+    /// Workspace-scoped; dispatched once from [`crate::lint_files`] over
+    /// every file together.
+    WorkspaceScoped,
 }
 
 /// One registry entry: the check plus everything `--explain` prints.
@@ -298,6 +303,25 @@ pub const RULES: &[Rule] = &[
         bad: "// src/lib.rs\n//! my crate",
         ok: "// src/lib.rs\n//! my crate\n#![forbid(unsafe_code)]",
         check: Check::CrateScoped,
+    },
+    Rule {
+        id: "DEAD01",
+        family: "dead code",
+        summary: "no pub fn/const/static named only by its own declaration and its file's tests",
+        rationale: "rustc's dead_code lint trusts `pub`, so exported API outlives its last \
+                    caller: the paper's point about interfaces, applied to our own. An item \
+                    is dead when its name occurs as an identifier nowhere but its declaration \
+                    and its own file's #[cfg(test)] code. Every member's src/, tests/, \
+                    benches/ and examples/, plus benchmark/src and benchmark/tests, count as \
+                    callers, so test-support API used from another file's tests stays. Names \
+                    are compared as plain text: an item whose name any other token shares \
+                    (another item, a field, a local) is never reported, so the rule can miss \
+                    dead code but never flags live code.",
+        bad: "pub fn mean_erase_count(&self) -> f64 { … }\n#[cfg(test)]\nmod tests {\n    \
+              #[test]\n    fn mean() { assert_eq!(lun().mean_erase_count(), 0.0); }\n}",
+        ok: "pub fn max_erase_count(&self) -> u32 { … }\n// crates/ssd/src/wear.rs\nlet worst = \
+             lun.max_erase_count();",
+        check: Check::WorkspaceScoped,
     },
 ];
 

@@ -92,14 +92,6 @@ impl SymbolTable {
         }
     }
 
-    /// True when *every* definition of `name` is fallible — i.e. its
-    /// return type carries a status the caller must consume. Unknown
-    /// names are not fallible.
-    pub fn all_defs_fallible(&self, name: &str) -> bool {
-        let defs = self.defs(name);
-        !defs.is_empty() && defs.iter().all(|d| fallible_ret(&d.ret))
-    }
-
     /// True when *every* definition of `name` returns a new time head
     /// (see [`time_returning_ret`]). Unknown names are not
     /// time-returning.
@@ -145,9 +137,8 @@ mod tests {
             ("db", "crates/db/src/a.rs", &a),
             ("db", "crates/db/src/b.rs", &b),
         ]);
-        assert!(!both.all_defs_fallible("force"));
+        assert!(!both.all_defs_time_returning("force"));
         let one = SymbolTable::build(vec![("db", "crates/db/src/a.rs", &a)]);
-        assert!(one.all_defs_fallible("force"));
         assert!(one.all_defs_time_returning("force"));
     }
 

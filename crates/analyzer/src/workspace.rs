@@ -5,6 +5,9 @@
 //! `crates/` with a `Cargo.toml`, and the root `src/`/`tests/`/
 //! `examples/`. `vendor/` and `target/` are never entered — vendored shims
 //! are third-party stand-ins, not subject to our invariants.
+//! `benchmark/src/` and `benchmark/tests/` are read as reference-only
+//! roots: their tokens count as callers for DEAD01, and no rule lints
+//! them (the harness times the host with `Instant` on purpose).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,6 +23,9 @@ pub enum FileCat {
     BenchDir,
     /// `examples/**`.
     ExampleDir,
+    /// A reference-only root outside the workspace (`benchmark/src/**`,
+    /// `benchmark/tests/**`): read for DEAD01's callers, never linted.
+    Reference,
 }
 
 impl FileCat {
@@ -76,6 +82,8 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Member crates (root package included, name `requiem`).
     pub crates: Vec<CrateInfo>,
+    /// Files of the reference-only roots ([`FileCat::Reference`]).
+    pub references: Vec<SourceFile>,
 }
 
 /// Walk upward from `start` to the first directory whose `Cargo.toml`
@@ -119,9 +127,18 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
     if crates.is_empty() {
         return Err(format!("no crates found under {}", root.display()));
     }
+    let mut references = Vec::new();
+    for sub in ["benchmark/src", "benchmark/tests"] {
+        let d = root.join(sub);
+        if d.is_dir() {
+            collect_rs(root, &d, FileCat::Reference, &mut references)?;
+        }
+    }
+    references.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(Workspace {
         root: root.to_path_buf(),
         crates,
+        references,
     })
 }
 

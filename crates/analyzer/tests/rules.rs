@@ -13,11 +13,14 @@ use analyzer::workspace::{CrateInfo, FileCat};
 use analyzer::{lexer, lint_source, rules, FileInput};
 
 /// Lint fixture `text` as main-crate code of `crate_name` at `rel`,
-/// returning the fired rule ids.
+/// returning the fired rule ids. DEAD01 is left out here and in
+/// [`fired_files`]: a fixture linted alone has no callers for its `pub`
+/// items, so DEAD01 has twins of its own ([`dead_in`]).
 fn fired(crate_name: &str, rel: &str, text: &str) -> Vec<&'static str> {
     lint_source(crate_name, rel, FileCat::Main, text)
         .into_iter()
         .map(|d| d.rule)
+        .filter(|r| *r != "DEAD01")
         .collect()
 }
 
@@ -36,6 +39,26 @@ fn fired_files(files: &[(&str, &str, &str)]) -> Vec<&'static str> {
     analyzer::lint_files(&inputs)
         .into_iter()
         .map(|d| d.rule)
+        .filter(|r| *r != "DEAD01")
+        .collect()
+}
+
+/// Lint `(rel, category, text)` files as one workspace and return the
+/// names DEAD01 reports, as `rel:name`.
+fn dead_in(files: &[(&str, FileCat, &str)]) -> Vec<String> {
+    let inputs: Vec<FileInput> = files
+        .iter()
+        .map(|(rel, cat, text)| FileInput {
+            crate_name: "requiem-flash".to_string(),
+            rel: rel.to_string(),
+            cat: *cat,
+            text: text.to_string(),
+        })
+        .collect();
+    analyzer::lint_files(&inputs)
+        .into_iter()
+        .filter(|d| d.rule == "DEAD01")
+        .map(|d| format!("{}:{}", d.path, d.message.split('`').nth(3).unwrap_or("")))
         .collect()
 }
 
@@ -309,6 +332,72 @@ fn prb3_path_fixture_fires_and_twin_is_clean() {
         include_str!("fixtures/prb3_ok.rs"),
     );
     assert!(ok.is_empty(), "clean twin fired: {ok:?}");
+}
+
+#[test]
+fn dead_fixture_fires_and_twin_is_clean() {
+    const LUN: &str = "crates/flash/src/lun.rs";
+    let bad = include_str!("fixtures/dead_bad.rs");
+    let dead = dead_in(&[(LUN, FileCat::Main, bad)]);
+    assert_eq!(
+        dead,
+        [
+            "crates/flash/src/lun.rs:SPARE_BLOCKS",
+            "crates/flash/src/lun.rs:WEAR_LIMIT",
+            "crates/flash/src/lun.rs:lines_per_block",
+            "crates/flash/src/lun.rs:mean_erase_count",
+        ],
+        "only the pub items named by nothing but this file's tests"
+    );
+    // the same items, also named by another file's integration tests
+    let ok = include_str!("fixtures/dead_ok.rs");
+    let called = dead_in(&[
+        (LUN, FileCat::Main, bad),
+        ("crates/flash/tests/wear.rs", FileCat::TestDir, ok),
+    ]);
+    assert!(called.is_empty(), "clean twin fired: {called:?}");
+    // ... or only by a reference-only root, which is itself never linted
+    let referenced = dead_in(&[
+        (LUN, FileCat::Main, bad),
+        ("benchmark/src/wear.rs", FileCat::Reference, ok),
+    ]);
+    assert!(
+        referenced.is_empty(),
+        "reference root ignored: {referenced:?}"
+    );
+    let unlinted = analyzer::lint_files(&[FileInput {
+        crate_name: "requiem-benchmark".to_string(),
+        rel: "benchmark/src/main.rs".to_string(),
+        cat: FileCat::Reference,
+        text: "pub fn t0() -> std::time::Instant { std::time::Instant::now() }".to_string(),
+    }]);
+    assert!(
+        unlinted.is_empty(),
+        "a reference root was linted: {unlinted:?}"
+    );
+}
+
+#[test]
+fn dead_rule_stays_silent_on_a_name_any_other_token_shares() {
+    // a field of another type happens to be called `mean_erase_count`:
+    // names are plain text, so that item is spared and the rest are not
+    let dead = dead_in(&[
+        (
+            "crates/flash/src/lun.rs",
+            FileCat::Main,
+            include_str!("fixtures/dead_bad.rs"),
+        ),
+        (
+            "crates/flash/src/report.rs",
+            FileCat::Main,
+            "pub(crate) struct Wear { mean_erase_count: f64 }\n",
+        ),
+    ]);
+    assert!(
+        !dead.iter().any(|d| d.ends_with(":mean_erase_count")),
+        "a shared name must keep the item: {dead:?}"
+    );
+    assert_eq!(dead.len(), 3, "the other items stay dead: {dead:?}");
 }
 
 /// The real workspace must lint *completely* clean: zero diagnostics —

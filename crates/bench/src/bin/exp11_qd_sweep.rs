@@ -109,7 +109,7 @@ fn main() {
         ("reads", IoMix::read_only()),
         ("writes", IoMix::write_only()),
     ] {
-        let probe = Probe::new();
+        let probe = Probe::aggregated();
         let points: Vec<SweepPoint> = QDS
             .iter()
             .map(|&qd| {

@@ -79,7 +79,7 @@ struct FaultPoint {
 fn run_point(label: &'static str, cfg: SsdConfig, qd: usize) -> FaultPoint {
     let mut ssd = Ssd::new(cfg);
     let t0 = precondition_sequential(&mut ssd, SPAN, SimTime::ZERO);
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     ssd.attach_probe(probe.clone());
     let mut pat = AddressPattern::new(Pattern::UniformRandom, SPAN, SEED);
     let report = run_closed_loop(&mut ssd, &mut pat, IoMix::read_only(), qd, OPS, SEED, t0);

@@ -131,7 +131,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("13a. OLTP throughput vs DB concurrency (50/50 mix, zipf 0.8)");
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     let points: Vec<SweepPoint> = QDS
         .iter()
         .map(|&qd| {

@@ -190,7 +190,7 @@ fn run_traced<B: PersistenceBackend>(
     qd: usize,
     read_only_fraction: f64,
 ) -> ManagerRun {
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     db.attach_probe(probe.clone());
     let before = counters(&db);
     let cfg = ExecConfig {

@@ -320,9 +320,9 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("15d. Probe decomposition: wal/transfer vs wal/pcm_persist (QD 8)");
-    let flash_probe = Probe::new();
+    let flash_probe = Probe::aggregated();
     run(Policy::FlashBatched, 8, Some(&flash_probe));
-    let pcm_probe = Probe::new();
+    let pcm_probe = Probe::aggregated();
     run(Policy::PcmImmediate, 8, Some(&pcm_probe));
     let force_spans = |p: &Probe, cause: Cause| -> (u64, u64) {
         let summary = p.summary();

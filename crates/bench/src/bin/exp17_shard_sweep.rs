@@ -100,7 +100,7 @@ fn run_point(shards: usize, qd: usize, cross: f64, txns: u64) -> SweepPoint {
         // sweep hunts for is that channel running out of idle cycles
         SsdConfig::figure1(),
     );
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     db.attach_probe(&probe);
     let cfg = ExecConfig {
         concurrency: qd,

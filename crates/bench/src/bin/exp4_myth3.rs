@@ -52,7 +52,7 @@ fn main() {
 
     // mixed: reads share LUNs with a write stream that triggers GC
     let mut ssd = Ssd::new(cfg.clone());
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     ssd.attach_probe(probe.clone());
     let t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
     // churn first so the device is GC-active, then measure a 50/50 mix

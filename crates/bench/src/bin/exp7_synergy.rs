@@ -4,7 +4,9 @@
 //! The same storage manager (buffer pool, WAL, checkpoints) runs on two
 //! backends: **legacy** (everything through one flash SSD's block
 //! interface) and **vision** (log forces and buffer steals to a PCM DIMM
-//! on the memory bus; data traffic to flash with atomic batches and TRIM).
+//! on the memory bus; data traffic to flash with atomic batches). The
+//! vision backend would TRIM freed pages, but the engine frees none, so
+//! neither design sends a page free.
 //! The workload is a TPC-B-flavoured OLTP mix, run on the executor one
 //! transaction at a time with a log force per commit. How far group
 //! commit alone closes the gap is E15's question (15a).

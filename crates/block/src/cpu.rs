@@ -6,10 +6,9 @@
 //! streamlined path cuts that down to about a microsecond.
 
 use requiem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Per-stage CPU costs of one I/O.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpuCosts {
     /// Syscall entry + buffer pinning + bio setup.
     pub submit: SimDuration,

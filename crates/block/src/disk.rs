@@ -8,11 +8,10 @@
 //! E9 contrasts this with SSDs, where the same machinery is overhead.
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Histogram, Resource};
-use serde::{Deserialize, Serialize};
+use requiem_sim::Resource;
 
 /// Disk parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskConfig {
     /// Addressable sectors (we use page-sized "sectors" of 4 KiB for
     /// comparability with the SSD experiments).
@@ -52,7 +51,6 @@ pub struct Disk {
     cfg: DiskConfig,
     head: u64,
     arm: Resource,
-    service_hist: Histogram,
     served: u64,
 }
 
@@ -72,7 +70,6 @@ impl Disk {
             cfg,
             head: 0,
             arm: Resource::new("disk-arm"),
-            service_hist: Histogram::new(),
             served: 0,
         }
     }
@@ -117,14 +114,8 @@ impl Disk {
         let st = self.service_time(sector);
         let g = self.arm.reserve(now, st);
         self.head = sector;
-        self.service_hist.record_duration(st);
         self.served += 1;
         g.end
-    }
-
-    /// Mean mechanical service time so far.
-    pub fn mean_service(&self) -> SimDuration {
-        SimDuration::from_nanos(self.service_hist.mean() as u64)
     }
 
     /// Requests served.
@@ -174,7 +165,7 @@ mod tests {
         for s in 0..64 {
             t = d.serve(t, s);
         }
-        let seq_mean = d.mean_service();
+        let seq = t.since(SimTime::ZERO);
         let mut d = disk();
         let mut t = SimTime::ZERO;
         let mut s = 7u64;
@@ -182,11 +173,8 @@ mod tests {
             s = (s.wrapping_mul(999983)) % d.config().sectors;
             t = d.serve(t, s);
         }
-        let rnd_mean = d.mean_service();
-        assert!(
-            rnd_mean.as_nanos() > 100 * seq_mean.as_nanos(),
-            "seq {seq_mean} rnd {rnd_mean}"
-        );
+        let rnd = t.since(SimTime::ZERO);
+        assert!(rnd.as_nanos() > 100 * seq.as_nanos(), "seq {seq} rnd {rnd}");
     }
 
     #[test]

@@ -31,13 +31,12 @@ use std::collections::BinaryHeap;
 use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Histogram, Layer, Probe, QueuePair, Resource, ResourceBank};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{BackendOp, CommandId, IoRequest, IoStatus, StorageBackend};
 use crate::cpu::CpuCosts;
 
 /// Request-queue structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueMode {
     /// One shared queue; every core serializes on its lock.
     Single,
@@ -46,7 +45,7 @@ pub enum QueueMode {
 }
 
 /// How completions reach the issuer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionMode {
     /// Device raises an interrupt; the core pays IRQ + context switch.
     Interrupt,
@@ -59,7 +58,7 @@ pub enum CompletionMode {
 pub const DEFAULT_INFLIGHT_WINDOW: usize = 16;
 
 /// Stack configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackConfig {
     /// Number of CPU cores submitting I/O.
     pub cores: u32,

@@ -10,6 +10,10 @@
 //! | checkpoint batch      | asynchronous | double-write journal (2×)  | device atomic write (1×)     |
 //! | page free             | —            | nothing (device unaware)   | TRIM                         |
 //!
+//! The last row carries no traffic: the engine never frees a page, so
+//! [`PersistenceBackend::free_page`] has no caller outside unit tests and
+//! [`BackendStats::frees`] is 0 in every run.
+//!
 //! The block design is
 //! [`BlockStackBackend`](crate::stack_backend::BlockStackBackend): one
 //! flash SSD behind the OS I/O stack, whose CPU costs are parameters —
@@ -131,7 +135,8 @@ pub struct BackendStats {
     pub steal_writes: u64,
     /// Data page reads.
     pub page_reads: u64,
-    /// Pages freed (trimmed where supported).
+    /// Pages freed (trimmed where supported); 0 in every run, since the
+    /// engine never frees a page.
     pub frees: u64,
     /// Checkpoint batches.
     pub batches: u64,
@@ -177,7 +182,8 @@ pub trait PersistenceBackend {
     /// flush). Returns the batch completion.
     fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime;
 
-    /// Tell the device a page's contents are dead.
+    /// Tell the device a page's contents are dead. The engine never
+    /// frees a page, so nothing outside unit tests calls this.
     fn free_page(&mut self, now: SimTime, page: PageId);
 
     /// Traffic statistics.
@@ -300,7 +306,8 @@ pub trait PersistenceBackend {
 
 /// The paper's design: log and steals go to byte-addressable PCM on the
 /// memory bus; data traffic goes to flash through an extended interface
-/// (atomic batches instead of a journal, TRIM on frees).
+/// (atomic batches instead of a journal, TRIM on the page frees the
+/// engine does not issue).
 pub struct VisionBackend {
     /// Shared with the PCM WAL ([`make_wal`](PersistenceBackend::make_wal)):
     /// one DIMM carries the log region and the steal-staging region.

@@ -1,4 +1,4 @@
-//! The buffer pool: clock eviction, pin counts, dirty tracking, steals.
+//! The buffer pool: clock eviction, dirty tracking, steals.
 //!
 //! The paper's principle P1 singles out **buffer steals under memory
 //! pressure** as one of the two synchronous persistence patterns: when the
@@ -25,7 +25,6 @@ struct Frame {
     dirty: bool,
     /// Empty while clean; keeps its capacity from one dirty spell on.
     redo: Redo,
-    pins: u32,
     referenced: bool,
 }
 
@@ -164,8 +163,7 @@ impl BufferPool {
     }
 
     /// A resident page's redo, to record a write in, marking the frame
-    /// referenced and dirty; `None` on a miss. Pins are the caller's
-    /// responsibility via [`BufferPool::pin`]/[`BufferPool::unpin`].
+    /// referenced and dirty; `None` on a miss.
     pub(crate) fn get_mut(&mut self, page_id: PageId) -> Option<&mut Redo> {
         let i = self.access(page_id)?;
         let f = &mut self.frames[i];
@@ -185,34 +183,13 @@ impl BufferPool {
         &self.stolen
     }
 
-    /// Pin a resident page (prevents eviction).
-    ///
-    /// # Panics
-    /// Panics if the page is not resident.
-    pub fn pin(&mut self, page_id: PageId) {
-        let i = self.frame_of(page_id).expect("pin of non-resident page");
-        self.frames[i].pins += 1;
-    }
-
-    /// Unpin a resident page.
-    ///
-    /// # Panics
-    /// Panics if the page is not resident or not pinned.
-    pub fn unpin(&mut self, page_id: PageId) {
-        let i = self.frame_of(page_id).expect("unpin of non-resident page");
-        let f = &mut self.frames[i];
-        assert!(f.pins > 0, "unpin of unpinned page");
-        f.pins -= 1;
-    }
-
     /// Make `page_id` resident in a clean frame (after a fetch), evicting
     /// if the pool is full. Returns the eviction outcome so the caller can
     /// perform the steal write.
     ///
     /// # Panics
     /// Panics if the page is already resident or being fetched (finish a
-    /// fetch with [`BufferPool::complete_fetch`]), or if every frame is
-    /// pinned.
+    /// fetch with [`BufferPool::complete_fetch`]).
     pub fn install(&mut self, page_id: PageId) -> EvictOutcome {
         assert!(
             self.table[page_id] == Residency::Absent,
@@ -224,23 +201,17 @@ impl BufferPool {
                 page_id,
                 dirty: false,
                 redo: Redo::default(),
-                pins: 0,
                 referenced: true,
             });
             return EvictOutcome::Clean;
         }
-        // clock sweep: find an unpinned, unreferenced victim
+        // clock sweep: find an unreferenced victim
         let n = self.frames.len();
         let mut spins = 0usize;
         loop {
             let i = self.hand;
             self.hand = (self.hand + 1) % n;
             let f = &mut self.frames[i];
-            if f.pins > 0 {
-                spins += 1;
-                assert!(spins < 3 * n, "every frame is pinned");
-                continue;
-            }
             if f.referenced {
                 f.referenced = false;
                 spins += 1;
@@ -302,9 +273,6 @@ impl BufferPool {
 
     /// Complete the in-flight fetch of `page_id`: install the page
     /// (evicting if needed) and return the eviction outcome.
-    ///
-    /// # Panics
-    /// Panics (inside [`BufferPool::install`]) if every frame is pinned.
     pub fn complete_fetch(&mut self, page_id: PageId) -> EvictOutcome {
         if self.fetch_in_flight(page_id) {
             self.table[page_id] = Residency::Absent;
@@ -438,27 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_survive_eviction() {
-        let mut bp = BufferPool::new(2, PAGES);
-        bp.install(PageId(1));
-        bp.pin(PageId(1));
-        bp.install(PageId(2));
-        bp.install(PageId(3)); // must evict 2, not 1
-        assert!(bp.contains(PageId(1)));
-        assert!(!bp.contains(PageId(2)));
-        bp.unpin(PageId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "every frame is pinned")]
-    fn all_pinned_panics() {
-        let mut bp = BufferPool::new(1, PAGES);
-        bp.install(PageId(1));
-        bp.pin(PageId(1));
-        bp.install(PageId(2));
-    }
-
-    #[test]
     fn a_frame_holds_redo_from_its_first_write_until_a_checkpoint_takes_it() {
         let mut wal = Wal::new();
         let mut bp = BufferPool::new(2, PAGES);
@@ -584,7 +531,6 @@ mod tests {
     struct CowFrame {
         page_id: PageId,
         page: Option<SlottedPage>,
-        pins: u32,
         referenced: bool,
     }
 
@@ -617,15 +563,6 @@ mod tests {
             self.map.contains_key(&page_id)
         }
 
-        fn pins(&self, page_id: PageId) -> u32 {
-            self.map.get(&page_id).map_or(0, |&i| self.frames[i].pins)
-        }
-
-        /// `install` would find a frame (it panics otherwise).
-        fn can_install(&self) -> bool {
-            self.frames.len() < self.capacity || self.frames.iter().any(|f| f.pins == 0)
-        }
-
         fn access(&mut self, page_id: PageId) -> Option<usize> {
             match self.map.get(&page_id) {
                 Some(&i) => {
@@ -652,14 +589,6 @@ mod tests {
                 .and_then(|&i| self.frames[i].page.as_ref())
         }
 
-        fn pin(&mut self, page_id: PageId) {
-            self.frames[self.map[&page_id]].pins += 1;
-        }
-
-        fn unpin(&mut self, page_id: PageId) {
-            self.frames[self.map[&page_id]].pins -= 1;
-        }
-
         /// The outcome, and a stolen page's bytes.
         fn install(&mut self, page_id: PageId) -> (EvictOutcome, Option<SlottedPage>) {
             assert!(!self.map.contains_key(&page_id));
@@ -667,7 +596,6 @@ mod tests {
                 self.frames.push(CowFrame {
                     page_id,
                     page: None,
-                    pins: 0,
                     referenced: true,
                 });
                 self.map.insert(page_id, self.frames.len() - 1);
@@ -678,9 +606,6 @@ mod tests {
                 let i = self.hand;
                 self.hand = (self.hand + 1) % n;
                 let f = &mut self.frames[i];
-                if f.pins > 0 {
-                    continue;
-                }
                 if f.referenced {
                     f.referenced = false;
                     continue;
@@ -825,7 +750,7 @@ mod tests {
             let busy = tree.contains(pid) || tree.fetch_in_flight(pid);
             let mut durable_checks = Vec::new();
             match op {
-                0..=13 if !tree.contains(pid) && tree.can_install() && cow.in_flight.is_empty() => {
+                0..=13 if !tree.contains(pid) && cow.in_flight.is_empty() => {
                     let ((want, stolen), got) = if op < 8 && !busy {
                         (tree.install(pid), pool.install(pid))
                     } else if op >= 8 {
@@ -860,14 +785,6 @@ mod tests {
                 20..=27 => {
                     let hit = tree.access(pid).is_some();
                     assert_eq!(pool.touch(pid), hit, "step {step}");
-                }
-                28..=30 if tree.contains(pid) => {
-                    pool.pin(pid);
-                    tree.pin(pid);
-                }
-                31..=33 if tree.pins(pid) > 0 => {
-                    pool.unpin(pid);
-                    tree.unpin(pid);
                 }
                 34..=35 => {
                     pool.add_waiter(pid);

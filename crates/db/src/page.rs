@@ -22,8 +22,6 @@
 
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::wal::{ImageRef, Wal};
 
 /// Fixed page size, matching the flash page size used by the devices.
@@ -41,7 +39,7 @@ const HEADER_BYTES: usize = 12;
 const SLOT_BYTES: usize = 4;
 
 /// Identifier of a page within the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
 /// One `T` per page of a database whose page ids are dense in
@@ -120,13 +118,6 @@ impl SlottedPage {
         };
         p.set_free_upper(PAGE_SIZE as u16);
         p
-    }
-
-    /// Reconstruct from raw bytes (e.g. after recovery).
-    pub fn from_bytes(bytes: &[u8; PAGE_SIZE]) -> Self {
-        SlottedPage {
-            buf: Box::new(*bytes),
-        }
     }
 
     /// The raw page image.
@@ -395,17 +386,6 @@ mod tests {
         let mut p = SlottedPage::new();
         p.set_lsn(0xDEADBEEF);
         assert_eq!(p.lsn(), 0xDEADBEEF);
-    }
-
-    #[test]
-    fn byte_roundtrip_preserves_everything() {
-        let mut p = SlottedPage::new();
-        p.set_lsn(42);
-        let s = p.insert(b"persist me").unwrap();
-        let q = SlottedPage::from_bytes(p.as_bytes());
-        assert_eq!(q.lsn(), 42);
-        assert_eq!(q.get(s), Some(&b"persist me"[..]));
-        assert_eq!(p, q);
     }
 
     #[test]

@@ -28,19 +28,18 @@
 use std::mem::size_of;
 
 use requiem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::page::PageId;
 
 /// A log sequence number (byte offset in the log).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lsn(pub u64);
 
 /// A record image in the payload of the `Update` frame that carries it:
 /// where in the log it starts and how long it is. Only the log that
 /// issued a handle can read it back ([`Wal::after`]), until a crash cuts
 /// its frame off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageRef {
     off: u64,
     len: u32,
@@ -59,7 +58,7 @@ impl ImageRef {
 }
 
 /// One log record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogRecord {
     /// Redo information for one page update: replace slot `slot` of
     /// `page` with `after` (insert if the slot is new).

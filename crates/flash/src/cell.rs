@@ -7,10 +7,8 @@
 //! carries an endurance budget and a wear-dependent raw bit error rate
 //! (RBER) curve that the ECC model consumes.
 
-use serde::{Deserialize, Serialize};
-
 /// Flash cell technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// Single-level cell: 1 bit/cell, fastest, ~100 000 P/E cycles.
     Slc,
@@ -21,15 +19,6 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// Bits stored per cell.
-    pub fn bits_per_cell(self) -> u32 {
-        match self {
-            CellKind::Slc => 1,
-            CellKind::Mlc => 2,
-            CellKind::Tlc => 3,
-        }
-    }
-
     /// Rated program/erase cycles before the block is considered worn out.
     pub fn endurance(self) -> u32 {
         match self {
@@ -153,12 +142,5 @@ mod tests {
         // denser cells disturb sooner
         assert!(CellKind::Tlc.read_disturb_budget() < CellKind::Mlc.read_disturb_budget());
         assert!(CellKind::Mlc.read_disturb_budget() < CellKind::Slc.read_disturb_budget());
-    }
-
-    #[test]
-    fn bits_per_cell() {
-        assert_eq!(CellKind::Slc.bits_per_cell(), 1);
-        assert_eq!(CellKind::Mlc.bits_per_cell(), 2);
-        assert_eq!(CellKind::Tlc.bits_per_cell(), 3);
     }
 }

@@ -11,10 +11,9 @@
 //! correction capability, the read is uncorrectable.
 
 use requiem_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// ECC capability configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EccConfig {
     /// Correctable bits per 1 KiB sector.
     pub correctable_per_1k: u32,
@@ -23,7 +22,7 @@ pub struct EccConfig {
 }
 
 /// ECC scheme family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EccScheme {
     /// Bose–Chaudhuri–Hocquenghem, the 2012-era standard.
     Bch,
@@ -32,14 +31,6 @@ pub enum EccScheme {
 }
 
 impl EccConfig {
-    /// 8-bit BCH per 1 KiB — SLC-class.
-    pub fn bch_8_per_1k() -> Self {
-        EccConfig {
-            correctable_per_1k: 8,
-            scheme: EccScheme::Bch,
-        }
-    }
-
     /// 24-bit BCH per 1 KiB — MLC-class (c. 2012).
     pub fn bch_24_per_1k() -> Self {
         EccConfig {
@@ -178,7 +169,7 @@ mod tests {
 
     #[test]
     fn zero_rber_zero_errors() {
-        let ecc = EccConfig::bch_8_per_1k();
+        let ecc = EccConfig::bch_24_per_1k();
         let mut rng = SimRng::from_seed(5);
         assert_eq!(ecc.sample_raw_errors(0.0, 4096, &mut rng), 0);
     }

@@ -5,10 +5,8 @@
 //! layouts permit plane-parallel operations (an SSD-level optimization); at
 //! this layer planes are simply an addressing dimension.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical layout parameters of a LUN.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of planes in the LUN (typically 1, 2 or 4).
     pub planes: u32,
@@ -21,7 +19,7 @@ pub struct Geometry {
 }
 
 /// Address of a page within a LUN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr {
     /// Plane index.
     pub plane: u32,
@@ -32,7 +30,7 @@ pub struct PageAddr {
 }
 
 /// Address of an erase block within a LUN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockAddr {
     /// Plane index.
     pub plane: u32,
@@ -42,7 +40,7 @@ pub struct BlockAddr {
 
 /// A flat physical page number within one LUN — the dense index form of
 /// [`PageAddr`], handy as a map key or array index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ppn(pub u64);
 
 impl Geometry {
@@ -73,12 +71,6 @@ impl Geometry {
     #[inline]
     pub fn total_pages(&self) -> u64 {
         self.total_blocks() as u64 * self.pages_per_block as u64
-    }
-
-    /// Bytes in one erase block.
-    #[inline]
-    pub fn block_bytes(&self) -> u64 {
-        self.pages_per_block as u64 * self.page_size as u64
     }
 
     /// Build a checked [`PageAddr`].
@@ -201,7 +193,6 @@ mod tests {
         let g = g();
         assert_eq!(g.total_blocks(), 128);
         assert_eq!(g.total_pages(), 2048);
-        assert_eq!(g.block_bytes(), 64 * 1024);
     }
 
     #[test]

@@ -62,11 +62,9 @@ pub use geometry::{BlockAddr, Geometry, PageAddr, Ppn};
 pub use lun::{Lun, OpOutcome, PagePayload, PageState, ReadOutcome};
 pub use timing::FlashTiming;
 
-use serde::{Deserialize, Serialize};
-
 /// A complete specification of one flash die (LUN): geometry + cell
 /// technology + timing + ECC. Bundled so device builders pass one value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashSpec {
     /// Physical layout.
     pub geometry: Geometry,
@@ -78,7 +76,6 @@ pub struct FlashSpec {
     pub ecc: EccConfig,
     /// Override the cell technology's rated endurance (accelerated-aging
     /// experiments and end-of-life tests). `None` uses [`CellKind::endurance`].
-    #[serde(default)]
     pub endurance_override: Option<u32>,
 }
 

@@ -15,10 +15,9 @@
 //! number for a read stalling behind an erase (myth 3).
 
 use requiem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Latency model of one flash die.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashTiming {
     /// Page read (array-to-register), tR.
     pub read: SimDuration,
@@ -36,17 +35,6 @@ pub struct FlashTiming {
 }
 
 impl FlashTiming {
-    /// SLC timings: uniform fast programs.
-    pub fn slc() -> Self {
-        FlashTiming {
-            read: SimDuration::from_micros(25),
-            program_fast: SimDuration::from_micros(200),
-            program_slow: SimDuration::from_micros(200),
-            erase: SimDuration::from_micros(1_500),
-            pairing_stride: 0,
-        }
-    }
-
     /// MLC timings with fast/slow paired pages.
     pub fn mlc() -> Self {
         FlashTiming {
@@ -100,13 +88,11 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_by_density() {
-        let slc = FlashTiming::slc();
         let mlc = FlashTiming::mlc();
         let tlc = FlashTiming::tlc();
-        assert!(slc.read < mlc.read && mlc.read < tlc.read);
-        assert!(slc.program_mean() < mlc.program_mean());
+        assert!(mlc.read < tlc.read);
         assert!(mlc.program_mean() < tlc.program_mean());
-        assert!(slc.erase < mlc.erase && mlc.erase < tlc.erase);
+        assert!(mlc.erase < tlc.erase);
     }
 
     #[test]
@@ -130,7 +116,10 @@ mod tests {
 
     #[test]
     fn slc_has_uniform_programs() {
-        let t = FlashTiming::slc();
+        let t = FlashTiming {
+            pairing_stride: 0,
+            ..FlashTiming::mlc()
+        };
         for p in 0..8 {
             assert_eq!(t.program(p), t.program_fast);
         }

@@ -21,7 +21,6 @@ use requiem_ssd::{Completion, Lpn, Ssd, SsdError};
 pub struct ExtendedSsd {
     inner: Ssd,
     atomic_batches: u64,
-    atomic_pages: u64,
     barriers: u64,
 }
 
@@ -54,7 +53,6 @@ impl ExtendedSsd {
         ExtendedSsd {
             inner,
             atomic_batches: 0,
-            atomic_pages: 0,
             barriers: 0,
         }
     }
@@ -107,7 +105,6 @@ impl ExtendedSsd {
             status = status.combine(c.status);
         }
         self.atomic_batches += 1;
-        self.atomic_pages += lpns.len() as u64;
         Ok(AtomicCompletion {
             done: last_done,
             latency: last_done.since(now),
@@ -121,11 +118,6 @@ impl ExtendedSsd {
     pub fn barrier(&mut self, now: SimTime) -> SimTime {
         self.barriers += 1;
         self.inner.drain_time().max(now)
-    }
-
-    /// `(batches, pages)` written atomically so far.
-    pub fn atomic_stats(&self) -> (u64, u64) {
-        (self.atomic_batches, self.atomic_pages)
     }
 
     /// Barriers issued.
@@ -188,7 +180,6 @@ mod tests {
         let c = d.write_atomic(SimTime::ZERO, &lpns).unwrap();
         assert_eq!(c.pages, 8);
         assert!(c.done > SimTime::ZERO);
-        assert_eq!(d.atomic_stats(), (1, 8));
         // all pages readable afterwards
         let mut t = c.done;
         for lpn in lpns {

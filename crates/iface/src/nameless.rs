@@ -39,7 +39,6 @@ use requiem_ssd::addr::PhysPage;
 use requiem_ssd::config::{Placement, SsdConfig};
 use requiem_ssd::metrics::SsdMetrics;
 use requiem_ssd::{Lpn, MapEvent, Ssd, SsdError};
-use serde::{Deserialize, Serialize};
 
 use crate::comm::{Upcall, UpcallQueue};
 
@@ -51,7 +50,7 @@ pub type PhysName = PhysPage;
 /// hardware, whose FTL choice is moot (the host holds the map). The
 /// device names each location, so it picks it: writes are placed on the
 /// least-loaded LUN whatever the hardware's `placement` says.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NamelessConfig(SsdConfig);
 
 impl From<&SsdConfig> for NamelessConfig {

@@ -109,11 +109,6 @@ impl PcmChip {
         r + w
     }
 
-    /// Write count of one line (wear metric).
-    pub fn line_writes(&self, line: u64) -> u64 {
-        self.writes[line as usize]
-    }
-
     /// Per-line write counts for every physical line (index = physical
     /// line number, including any spare the caller reserved).
     pub fn line_write_counts(&self) -> &[u64] {
@@ -166,7 +161,7 @@ mod tests {
         c.write_line(3, &[2u8; 64]);
         let (_, got) = c.read_line(3);
         assert_eq!(got, [2u8; 64]);
-        assert_eq!(c.line_writes(3), 2);
+        assert_eq!(c.line_write_counts()[3], 2);
     }
 
     #[test]

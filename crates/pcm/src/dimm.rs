@@ -14,9 +14,8 @@
 //! Start-Gap wear leveling runs underneath, so the DIMM survives hot spots
 //! (a WAL head is the textbook hot spot).
 
-use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Histogram, Resource};
-use serde::{Deserialize, Serialize};
+use requiem_sim::time::SimTime;
+use requiem_sim::Resource;
 
 use crate::chip::PcmChip;
 use crate::timing::PcmTiming;
@@ -27,7 +26,7 @@ use crate::LINE_BYTES;
 /// the Start-Gap rotation bookkeeping. This is the public face of wear for
 /// experiments (E15's wear table) and future endurance studies — callers
 /// never reach into [`PcmChip`] or [`StartGap`] internals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WearSnapshot {
     /// Logical lines in the DIMM (physical slots = `lines + 1` for the gap).
     pub lines: u64,
@@ -62,7 +61,6 @@ pub struct PcmDimm {
     remap: StartGap,
     /// The DIMM's array is serial per rank; one rank modelled.
     rank: Resource,
-    persist_lat: Histogram,
     persisted_bytes: u64,
 }
 
@@ -85,7 +83,6 @@ impl PcmDimm {
             chip: PcmChip::new(lines + 1, timing),
             remap: StartGap::new(lines, gap_interval),
             rank: Resource::new("pcm-rank"),
-            persist_lat: Histogram::new(),
             persisted_bytes: 0,
         }
     }
@@ -161,14 +158,8 @@ impl PcmDimm {
         let barrier = self.chip.timing().persist_barrier;
         let g = self.rank.reserve(t, barrier);
         t = g.end;
-        self.persist_lat.record_duration(t.since(now));
         self.persisted_bytes += data.len() as u64;
         t
-    }
-
-    /// Latency distribution of `persist` calls.
-    pub fn persist_latency(&self) -> &Histogram {
-        &self.persist_lat
     }
 
     /// Total bytes persisted.
@@ -199,17 +190,12 @@ impl PcmDimm {
             per_line_writes: per_line,
         }
     }
-
-    /// Typical cost of persisting `bytes` (no queueing): lines × write + barrier.
-    pub fn persist_cost(&self, bytes: u64) -> SimDuration {
-        let lines = bytes.div_ceil(LINE_BYTES as u64);
-        self.chip.timing().write_lines(lines) + self.chip.timing().persist_barrier
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use requiem_sim::time::SimDuration;
 
     fn dimm() -> PcmDimm {
         PcmDimm::new(64 * 1024, PcmTiming::gen1(), 100)
@@ -249,14 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn persist_cost_formula() {
-        let d = dimm();
-        let c = d.persist_cost(128);
-        let t = PcmTiming::gen1();
-        assert_eq!(c, t.write_lines(2) + t.persist_barrier);
-    }
-
-    #[test]
     fn wear_leveling_spreads_hot_offset() {
         // hammer one offset (a WAL head); with start-gap the max line wear
         // must stay well below the total write count
@@ -288,7 +266,6 @@ mod tests {
         d.persist(SimTime::ZERO, 0, &[0u8; 64]);
         d.persist(SimTime::ZERO, 64, &[0u8; 64]);
         assert_eq!(d.persisted_bytes(), 128);
-        assert_eq!(d.persist_latency().count(), 2);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Histogram, Resource, ResourceBank};
-use serde::{Deserialize, Serialize};
 
 use crate::timing::PcmTiming;
 use crate::wear::StartGap;
 use crate::LINE_BYTES;
 
 /// Configuration of a PCM SSD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PcmSsdConfig {
     /// Independent channels to the banks.
     pub channels: u32,

@@ -6,10 +6,9 @@
 //! large read/write asymmetry. All values are per 64-byte line.
 
 use requiem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Latency/endurance model for a PCM array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcmTiming {
     /// Read one 64 B line.
     pub read_line: SimDuration,
@@ -30,17 +29,6 @@ impl PcmTiming {
             write_line: SimDuration::from_nanos(350),
             persist_barrier: SimDuration::from_nanos(100),
             endurance_writes: 100_000_000,
-        }
-    }
-
-    /// Optimistic projected PCM (the paper's "PCM promises to keep
-    /// improving"): 60 ns read, 150 ns write.
-    pub fn projected() -> Self {
-        PcmTiming {
-            read_line: SimDuration::from_nanos(60),
-            write_line: SimDuration::from_nanos(150),
-            persist_barrier: SimDuration::from_nanos(80),
-            endurance_writes: 1_000_000_000,
         }
     }
 
@@ -74,9 +62,8 @@ mod tests {
 
     #[test]
     fn asymmetry_write_slower_than_read() {
-        for t in [PcmTiming::gen1(), PcmTiming::projected()] {
-            assert!(t.write_line > t.read_line);
-        }
+        let t = PcmTiming::gen1();
+        assert!(t.write_line > t.read_line);
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! demonstrates the paper's §2.4 point that PCM devices still embed
 //! management logic, just lighter-weight.
 
-use serde::{Deserialize, Serialize};
-
 /// Start-Gap remapper over `n` logical lines (using `n + 1` physical slots).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StartGap {
     /// Number of logical lines.
     n: u64,

@@ -6,8 +6,8 @@
 //! injectable — and injectable *reproducibly*, or the double-run
 //! determinism discipline (CI diffs two runs of every experiment) dies.
 //!
-//! A [`FaultPlan`] is pure configuration: per-unit raw-bit-error-rate
-//! multipliers, per-unit *schedules* of program and erase failures
+//! A [`FaultPlan`] is pure configuration: a raw-bit-error-rate
+//! multiplier, per-unit *schedules* of program and erase failures
 //! (indices into that unit's operation counter — "the 37th program on
 //! LUN 2 fails"), and per-channel transfer hiccups (indices into the
 //! channel's grant counter, each adding a fixed delay). Schedules are
@@ -17,13 +17,11 @@
 //! time ([`FaultPlan::seeded`]), and two runs over the same plan replay
 //! identically.
 //!
-//! [`FaultPlan::none`] is the identity: every multiplier is 1.0 (exact
+//! [`FaultPlan::none`] is the identity: the multiplier is 1.0 (exact
 //! in IEEE-754 multiplication), every schedule empty — a zero-fault run
 //! is bit-identical to a run of a build that predates fault injection.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
@@ -129,38 +127,26 @@ impl FaultView {
     }
 }
 
-fn default_one() -> f64 {
-    1.0
-}
-
 /// Deterministic fault-injection configuration for one device.
 ///
 /// Everything is expressed as explicit data — multipliers and sorted
 /// index schedules — so that applying a plan never consumes randomness
 /// on the simulation path. Use [`FaultPlan::seeded`] to expand a seed
 /// into schedules up front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// RBER multiplier applied to every unit (composed with the
-    /// per-unit multipliers below). 1.0 = none.
-    #[serde(default = "default_one")]
+    /// RBER multiplier applied to every unit. 1.0 = none.
     pub rber_global: f64,
-    /// Extra per-unit RBER multipliers, keyed by unit (LUN) index.
-    #[serde(default)]
-    pub rber_multiplier: BTreeMap<u32, f64>,
     /// Per-unit program-failure schedules: sorted 0-based indices into
     /// the unit's program counter.
-    #[serde(default)]
     pub program_fail: BTreeMap<u32, Vec<u64>>,
     /// Per-unit erase-failure schedules: sorted 0-based indices into
     /// the unit's erase counter.
-    #[serde(default)]
     pub erase_fail: BTreeMap<u32, Vec<u64>>,
     /// Per-channel transient hiccups: `(grant index, extra ns)` pairs,
     /// sorted by grant index. The *n*-th transfer granted on that
     /// channel takes `extra ns` longer (a link retrain, a retried
     /// cycle).
-    #[serde(default)]
     pub channel_hiccup: BTreeMap<u32, Vec<(u64, u64)>>,
 }
 
@@ -175,8 +161,7 @@ impl FaultPlan {
     /// bit-identical to a fault-oblivious build.
     pub fn none() -> Self {
         FaultPlan {
-            rber_global: default_one(),
-            rber_multiplier: BTreeMap::new(),
+            rber_global: 1.0,
             program_fail: BTreeMap::new(),
             erase_fail: BTreeMap::new(),
             channel_hiccup: BTreeMap::new(),
@@ -186,7 +171,6 @@ impl FaultPlan {
     /// Whether this plan injects nothing at all.
     pub fn is_none(&self) -> bool {
         self.rber_global == 1.0
-            && self.rber_multiplier.is_empty()
             && self.program_fail.is_empty()
             && self.erase_fail.is_empty()
             && self.channel_hiccup.is_empty()
@@ -198,12 +182,6 @@ impl FaultPlan {
             rber_global: multiplier,
             ..FaultPlan::none()
         }
-    }
-
-    /// Builder: elevate RBER on one unit.
-    pub fn with_unit_rber(mut self, unit: u32, multiplier: f64) -> Self {
-        self.rber_multiplier.insert(unit, multiplier);
-        self
     }
 
     /// Builder: schedule program failures on one unit (indices are
@@ -283,12 +261,11 @@ impl FaultPlan {
         plan
     }
 
-    /// The fault view of one media unit: composed RBER multiplier plus
-    /// that unit's schedules.
+    /// The fault view of one media unit: the RBER multiplier plus that
+    /// unit's schedules.
     pub fn unit_view(&self, unit: u32) -> FaultView {
         FaultView {
-            rber_multiplier: self.rber_global
-                * self.rber_multiplier.get(&unit).copied().unwrap_or(1.0),
+            rber_multiplier: self.rber_global,
             program_fail: self.program_fail.get(&unit).cloned().unwrap_or_default(),
             erase_fail: self.erase_fail.get(&unit).cloned().unwrap_or_default(),
         }
@@ -326,13 +303,6 @@ mod tests {
         let c = FaultPlan::seeded(43, 8, 2, 1e3, 4, 2, 3, 10_000);
         assert_ne!(a, c, "different seeds give different schedules");
         assert!(!a.is_none());
-    }
-
-    #[test]
-    fn unit_views_compose_multipliers() {
-        let p = FaultPlan::uniform_rber(10.0).with_unit_rber(1, 5.0);
-        assert_eq!(p.unit_view(0).rber_multiplier, 10.0);
-        assert_eq!(p.unit_view(1).rber_multiplier, 50.0);
     }
 
     #[test]

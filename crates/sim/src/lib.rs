@@ -21,8 +21,7 @@
 //! * [`probe`] — the span bus: every layer reports where a command's time
 //!   went as `(layer, cause)` spans that tile its latency.
 //! * [`fault`] — seeded fault plans and the typed [`IoStatus`] they end as.
-//! * [`stats`] — latency histograms with percentile extraction, counters,
-//!   and time-weighted gauges.
+//! * [`stats`] — latency histograms with percentile extraction.
 //! * [`SimRng`] — a seedable, splittable random-number source so that every
 //!   component can derive an independent stream from one experiment seed.
 //! * [`table`] — GitHub-flavoured markdown table construction for experiment
@@ -63,6 +62,6 @@ pub use probe::{
 };
 pub use resource::{Occupant, Resource, ResourceBank, TransferTimeline};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Summary};
+pub use stats::{Histogram, Summary};
 pub use table::Table;
 pub use time::{SimDuration, SimTime};

@@ -306,10 +306,8 @@ pub struct ResourceStat {
 /// [`Probe`] constructor sets one.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// Every command record, open or closed ([`Probe::new`]).
-    #[default]
-    Commands,
     /// Every command record and every span event ([`Probe::recording`]).
+    #[default]
     Recording,
     /// The open command records only — memory stays O(in-flight), not
     /// O(commands) — and spans folded into per-resource totals
@@ -568,15 +566,9 @@ impl Probe {
         Probe { bus: None }
     }
 
-    /// An enabled probe maintaining the aggregate summary and keeping
-    /// every command record, open or closed (memory grows with command
-    /// count), but no span events.
-    pub fn new() -> Self {
-        Probe::with_mode(Mode::Commands)
-    }
-
-    /// An enabled probe that additionally retains every [`SpanEvent`]
-    /// (for span-level tests and traces; memory grows with event count).
+    /// An enabled probe that retains every command record and every
+    /// [`SpanEvent`] (for span-level tests and traces; memory grows with
+    /// event count).
     pub fn recording() -> Self {
         Probe::with_mode(Mode::Recording)
     }
@@ -586,7 +578,7 @@ impl Probe {
     /// and closed command records are dropped after counting, so memory
     /// stays O(in-flight commands + distinct resources) instead of
     /// O(events). The [`ProbeSummary`] is maintained identically to the
-    /// other modes — same totals, same JSON — on the same event stream.
+    /// recording mode — same totals, same JSON — on the same event stream.
     pub fn aggregated() -> Self {
         Probe::with_mode(Mode::Aggregated)
     }
@@ -1350,7 +1342,7 @@ mod tests {
 
     #[test]
     fn summary_json_shape() {
-        let p = Probe::new();
+        let p = Probe::aggregated();
         let scope = p.open_command("read", SimTime::ZERO);
         p.span(
             Layer::Channel,

@@ -80,12 +80,6 @@ pub struct Grant {
 }
 
 impl Grant {
-    /// Time spent waiting for the resource before the operation began.
-    #[inline]
-    pub fn queue_delay(&self, requested_at: SimTime) -> SimDuration {
-        self.start.since(requested_at)
-    }
-
     /// Service duration of the grant itself.
     #[inline]
     pub fn service(&self) -> SimDuration {
@@ -604,7 +598,7 @@ mod tests {
         let mut r = Resource::new("x");
         r.reserve(SimTime::ZERO, MICROSECOND * 4);
         let g = r.reserve(SimTime::from_micros(1), MICROSECOND * 2);
-        assert_eq!(g.queue_delay(SimTime::from_micros(1)), MICROSECOND * 3);
+        assert_eq!(g.start.since(SimTime::from_micros(1)), MICROSECOND * 3);
         assert_eq!(g.service(), MICROSECOND * 2);
     }
 

@@ -136,14 +136,6 @@ impl SimRng {
             self.unit() < p
         }
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.index(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,16 +213,5 @@ mod tests {
         let mut r = SimRng::from_seed(9);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..=3_300).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::from_seed(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>()); // astronomically unlikely
     }
 }

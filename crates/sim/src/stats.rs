@@ -1,4 +1,4 @@
-//! Measurement collection: latency histograms, counters, summaries.
+//! Measurement collection: latency histograms and their summaries.
 //!
 //! The histogram uses HDR-style log-linear bucketing: values are grouped by
 //! power-of-two magnitude, each magnitude subdivided into 16 linear
@@ -229,90 +229,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A labelled monotonically-increasing counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Reset to zero.
-    pub fn clear(&mut self) {
-        self.value = 0;
-    }
-}
-
-/// Welford online mean/variance accumulator for f64 series (used for
-/// utilization and amplification factors where histograms are overkill).
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// New, empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if < 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,26 +396,5 @@ mod tests {
         h.record(123_456);
         assert_eq!(h.quantile(0.0), 123_456);
         assert_eq!(h.quantile(1.0), 123_456);
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.clear();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn welford_matches_closed_form() {
-        let mut w = Welford::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            w.record(x);
-        }
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.stddev() - 2.0).abs() < 1e-12);
     }
 }

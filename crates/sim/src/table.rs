@@ -118,29 +118,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Format a float with a fixed number of decimals, trimming `-0.00` to `0.00`.
-pub fn fmt_f64(x: f64, decimals: usize) -> String {
-    let s = format!("{x:.decimals$}");
-    if s.starts_with("-0.") && s[1..].parse::<f64>() == Ok(0.0) {
-        s[1..].to_string()
-    } else {
-        s
-    }
-}
-
-/// Format a count with thousands separators (`1234567` → `1,234,567`).
-pub fn fmt_count(n: u64) -> String {
-    let raw = n.to_string();
-    let mut out = String::with_capacity(raw.len() + raw.len() / 3);
-    for (i, c) in raw.chars().enumerate() {
-        if i > 0 && (raw.len() - i) % 3 == 0 {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,19 +151,5 @@ mod tests {
         let s = t.to_string();
         // the value row should right-align '7' within at least width 4
         assert!(s.lines().nth(2).unwrap().contains("   7"));
-    }
-
-    #[test]
-    fn fmt_count_separators() {
-        assert_eq!(fmt_count(0), "0");
-        assert_eq!(fmt_count(999), "999");
-        assert_eq!(fmt_count(1_000), "1,000");
-        assert_eq!(fmt_count(1_234_567), "1,234,567");
-    }
-
-    #[test]
-    fn fmt_f64_trims_negative_zero() {
-        assert_eq!(fmt_f64(-0.0001, 2), "0.00");
-        assert_eq!(fmt_f64(12.345, 2), "12.35");
     }
 }

@@ -9,26 +9,16 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the virtual clock, in nanoseconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of virtual time, in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 /// One microsecond (1 000 ns).
 pub const MICROSECOND: SimDuration = SimDuration(1_000);
-/// One millisecond (1 000 000 ns).
-pub const MILLISECOND: SimDuration = SimDuration(1_000_000);
-/// One second (10⁹ ns).
-pub const SECOND: SimDuration = SimDuration(1_000_000_000);
 
 impl SimTime {
     /// The simulation origin, t = 0.
@@ -305,8 +295,14 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(SimTime::from_micros(3), SimTime::from_nanos(3_000));
         assert_eq!(SimTime::from_millis(2), SimTime::from_nanos(2_000_000));
-        assert_eq!(SimDuration::from_secs(1), SECOND);
-        assert_eq!(MILLISECOND * 1_000, SECOND);
+        assert_eq!(
+            SimDuration::from_secs(1),
+            SimDuration::from_nanos(1_000_000_000)
+        );
+        assert_eq!(
+            SimDuration::from_millis(1) * 1_000,
+            SimDuration::from_secs(1)
+        );
     }
 
     #[test]
@@ -338,7 +334,7 @@ mod tests {
 
     #[test]
     fn duration_ratio() {
-        assert!((MILLISECOND / MICROSECOND - 1_000.0).abs() < 1e-9);
+        assert!((SimDuration::from_millis(1) / MICROSECOND - 1_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -6,18 +6,17 @@
 //! the paper's Figure 2 ("flash memory array").
 
 use requiem_flash::{Geometry, PageAddr};
-use serde::{Deserialize, Serialize};
 
 /// A logical page number in the device's exported address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Lpn(pub u64);
 
 /// A global LUN index across the whole device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LunId(pub u32);
 
 /// A physical page: which LUN, and where inside it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysPage {
     /// Global LUN.
     pub lun: LunId,
@@ -26,7 +25,7 @@ pub struct PhysPage {
 }
 
 /// The device-level array shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayShape {
     /// Independent channels.
     pub channels: u32,
@@ -47,11 +46,6 @@ impl ArrayShape {
         lun.0 / (self.chips_per_channel * self.luns_per_chip)
     }
 
-    /// The chip (global index) a LUN belongs to.
-    pub fn chip_of(&self, lun: LunId) -> u32 {
-        lun.0 / self.luns_per_chip
-    }
-
     /// LUNs in channel-interleaved order: lun 0 → chan 0, lun 1 → chan 1, …
     /// Useful for striping writes across channels before chips.
     pub fn interleaved_lun(&self, i: u32) -> LunId {
@@ -63,7 +57,7 @@ impl ArrayShape {
 }
 
 /// Capacity accounting for a device: raw vs exported (over-provisioned).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Capacity {
     /// Raw physical pages across all LUNs.
     pub raw_pages: u64,
@@ -111,8 +105,6 @@ mod tests {
         assert_eq!(s.channel_of(LunId(3)), 0);
         assert_eq!(s.channel_of(LunId(4)), 1);
         assert_eq!(s.channel_of(LunId(15)), 3);
-        assert_eq!(s.chip_of(LunId(0)), 0);
-        assert_eq!(s.chip_of(LunId(2)), 1);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! starved for space.
 
 use requiem_flash::{Geometry, PageAddr};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::config::GcPolicyKind;
 
 /// Lifecycle state of a physical block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockUse {
     /// Erased and on the free list.
     Free,

@@ -8,10 +8,9 @@
 //! parallelism is much more limited than chip parallelism"*).
 
 use requiem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Timing model of one flash channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelTiming {
     /// Command/address cycle overhead per operation.
     pub command: SimDuration,

@@ -17,13 +17,12 @@
 use requiem_flash::FlashSpec;
 use requiem_sim::time::SimDuration;
 use requiem_sim::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 use crate::addr::ArrayShape;
 use crate::channel::ChannelTiming;
 
 /// Which flash translation layer the controller runs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FtlKind {
     /// Full page-level mapping (mapping RAM ∝ pages).
     PageMap,
@@ -46,7 +45,7 @@ pub enum FtlKind {
 }
 
 /// How the controller places incoming writes across LUNs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Pick the LUN that can start soonest (dynamic, channel-aware).
     /// This is what lets *"a controller fully benefit from SSD parallelism
@@ -62,7 +61,7 @@ pub enum Placement {
 
 /// Garbage-collection victim selection policy, carried out by the block
 /// directory's `pick_victim`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcPolicyKind {
     /// Fewest valid pages first.
     Greedy,
@@ -72,7 +71,7 @@ pub enum GcPolicyKind {
 
 /// GC tuning. A relocated page moves by on-die copyback: it is sensed
 /// and reprogrammed without crossing the channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcConfig {
     /// Run GC on a LUN when its free-block count sinks to this threshold.
     pub free_block_threshold: u32,
@@ -91,7 +90,7 @@ impl Default for GcConfig {
 
 /// Wear-leveling tuning. Dynamic WL is always on: allocation takes the
 /// free block with the lowest erase count.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WlConfig {
     /// Static WL: when (max − min) erase count exceeds this, migrate the
     /// coldest block into the most-worn free block. `0` disables.
@@ -99,7 +98,7 @@ pub struct WlConfig {
 }
 
 /// Write-back buffer (the "safe RAM buffer with batteries" of §2.3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferConfig {
     /// Capacity in pages. `0` disables the buffer (writes complete only
     /// when the flash program finishes).
@@ -107,7 +106,7 @@ pub struct BufferConfig {
 }
 
 /// Full device configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
     /// Array shape.
     pub shape: ArrayShape,
@@ -141,7 +140,6 @@ pub struct SsdConfig {
     /// Deterministic fault-injection plan. [`FaultPlan::none`] (the
     /// default) injects nothing and is bit-exact: simulation output is
     /// byte-identical to a fault-oblivious build.
-    #[serde(default)]
     pub fault: FaultPlan,
 }
 

@@ -141,11 +141,6 @@ impl HybridState {
         self.logs.get(&lbn)
     }
 
-    /// Number of active log blocks.
-    pub fn active_logs(&self) -> usize {
-        self.logs.len()
-    }
-
     /// True if a new log block can be assigned without eviction.
     pub fn has_free_log_slot(&self) -> bool {
         self.logs.len() < self.max_logs
@@ -229,7 +224,6 @@ mod tests {
     fn hybrid_log_assignment_and_append() {
         let mut h = HybridState::new(8, 2, 4);
         h.assign_log(1, pbr(0, 9));
-        assert_eq!(h.active_logs(), 1);
         assert_eq!(h.append_log(1, 2), 0); // offset 2 lands on log page 0
         assert_eq!(h.append_log(1, 2), 1); // rewrite: log page 1
         let log = h.log_of(1).unwrap();

@@ -233,16 +233,6 @@ impl DftlMap {
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions_dirty)
     }
-
-    /// Hit ratio so far (0 when never used).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +333,9 @@ mod tests {
                 m.lookup(Lpn(lpn), &mut ios);
             }
         }
-        assert!(m.hit_ratio() > 0.85, "ratio={}", m.hit_ratio());
+        let (hits, misses, _) = m.cache_stats();
+        let ratio = hits as f64 / (hits + misses) as f64;
+        assert!(ratio > 0.85, "ratio={ratio}");
     }
 
     #[test]

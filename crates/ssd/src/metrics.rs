@@ -76,11 +76,6 @@ impl CauseCounts {
     pub fn total(&self) -> u64 {
         self.host + self.gc + self.wear_level + self.merge + self.translation + self.recovery
     }
-
-    /// Everything except `host` (the overhead traffic).
-    pub fn overhead(&self) -> u64 {
-        self.total() - self.host
-    }
 }
 
 /// Error-recovery pipeline accounting: how often each escalation stage
@@ -176,19 +171,6 @@ impl SsdMetrics {
         }
         self.flash_programs.total() as f64 / self.host_writes as f64
     }
-
-    /// Read amplification: flash reads per host read.
-    pub fn read_amplification(&self) -> f64 {
-        if self.host_reads == 0 {
-            return 0.0;
-        }
-        self.flash_reads.total() as f64 / self.host_reads as f64
-    }
-
-    /// Mean host write latency.
-    pub fn mean_write_latency(&self) -> SimDuration {
-        SimDuration::from_nanos(self.write_latency.mean() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +188,6 @@ mod tests {
         c.bump(OpCause::WearLevel);
         assert_eq!(c.total(), 6);
         assert_eq!(c.host, 2);
-        assert_eq!(c.overhead(), 4);
     }
 
     #[test]
@@ -217,17 +198,5 @@ mod tests {
         m.flash_programs.host = 10;
         m.flash_programs.gc = 5;
         assert!((m.write_amplification() - 1.5).abs() < 1e-12);
-        m.host_reads = 4;
-        m.flash_reads.host = 4;
-        m.flash_reads.translation = 4;
-        assert!((m.read_amplification() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_means() {
-        let mut m = SsdMetrics::new();
-        m.write_latency.record(1_000);
-        m.write_latency.record(3_000);
-        assert_eq!(m.mean_write_latency(), SimDuration::from_nanos(2_000));
     }
 }

@@ -19,12 +19,11 @@ use std::collections::BinaryHeap;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Histogram, IoStatus, SimRng};
 use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd};
-use serde::{Deserialize, Serialize};
 
 use crate::pattern::AddressPattern;
 
 /// Read/write mix of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoMix {
     /// Fraction of operations that are reads (0.0 = pure write, 1.0 = pure
     /// read).

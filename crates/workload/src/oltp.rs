@@ -13,12 +13,11 @@
 //! consumer (`requiem-db`'s backends differ exactly there).
 
 use requiem_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::pattern::{AddressPattern, Pattern};
 
 /// Parameters of the OLTP mix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OltpConfig {
     /// Data pages touched (read + dirtied) per transaction.
     pub pages_per_txn: u32,

@@ -7,7 +7,6 @@
 //! on.
 
 use requiem_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -19,7 +18,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// The shape of an address pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// `base, base+1, base+2, …` wrapping at the span.
     Sequential,

@@ -20,13 +20,12 @@
 //! the serialized path.
 
 use requiem_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::oltp::{PageAccess, Txn};
 use crate::pattern::{AddressPattern, Pattern};
 
 /// Parameters of the sharded client mix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedOltpConfig {
     /// Client population size (zipfian-selected).
     pub clients: u64,

@@ -220,7 +220,7 @@ fn e4_read_tail_is_the_chips_not_the_link() {
     let base = run_closed_loop(&mut quiet, &mut pat, IoMix::read_only(), 4, 1024, 1, t);
 
     let mut noisy = Ssd::new(cfg);
-    let probe = Probe::new();
+    let probe = Probe::aggregated();
     noisy.attach_probe(probe.clone());
     let t = precondition_sequential(&mut noisy, pages, SimTime::ZERO);
     let mut pat = AddressPattern::new(Pattern::UniformRandom, pages, 2);
