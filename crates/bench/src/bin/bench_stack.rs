@@ -57,20 +57,21 @@
 //!   pool over the cooperating-logs manager on a nameless device, the
 //!   WAL on a PCM DIMM with a force per commit. The checksum also folds
 //!   the migration upcalls patched into the page table.
+//!
+//! The `db_*` rows are [`requiem_bench::campaign`] specs, probe off.
 
+use requiem_bench::campaign::{self, Coop, RunSpec, ShardedStack, Stack, Workload};
 use requiem_block::{IoStack, StackConfig};
-use requiem_db::{
-    Database, DbBuilder, DbConfig, GroupCommitPolicy, PersistenceBackend, TxnInput, WalConfig,
-};
+use requiem_db::{Database, DbConfig, GroupCommitPolicy, PersistenceBackend, WalConfig};
 use requiem_flash::{Lun, PagePayload};
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::completion::InflightWindow;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{IoOp, IoRequest};
 use requiem_ssd::{Lpn, QueuePair, Ssd, SsdConfig};
-use requiem_workload::oltp::{OltpConfig, OltpGen};
+use requiem_workload::oltp::OltpConfig;
 use requiem_workload::pattern::{AddressPattern, Pattern};
-use requiem_workload::{oltp_inputs, txn_to_input, ShardedOltpConfig, ShardedOltpGen};
+use requiem_workload::ShardedOltpConfig;
 
 const BENCHES: [&str; 10] = [
     "window_admit",
@@ -285,17 +286,23 @@ fn lun_ops() -> (u64, u64) {
     (events, checksum)
 }
 
-const DB_PAGES: u64 = 4096;
-const DB_THETA: f64 = 0.8;
-const DB_SEED: u64 = 11;
-const DB_SHARDS: usize = 4;
-
-/// What the `db_*` rows share with the benchmark's `oltp_*` workloads.
-fn db_builder() -> DbBuilder {
-    DbConfig::builder()
-        .data_pages(DB_PAGES)
-        .log_pages(512)
-        .checkpoint_every(2000)
+/// `db_run_qd16`'s spec (see the module docs); the other `db_*` rows
+/// vary it.
+fn qd16_spec() -> RunSpec<Stack> {
+    RunSpec {
+        db: DbConfig::builder()
+            .data_pages(4096)
+            .log_pages(512)
+            .checkpoint_every(2000)
+            .buffer_frames(512)
+            .concurrency(16)
+            .group(GroupCommitPolicy::batched(16)),
+        manager: Stack(StackConfig::blk_mq(1), SsdConfig::modern()),
+        workload: Workload::Oltp(OltpConfig::default()),
+        txns: 50_000,
+        seed: 11,
+        probe: false,
+    }
 }
 
 /// Fold one engine's final clock and every counter a page-state change
@@ -325,72 +332,56 @@ fn fold_db<B: PersistenceBackend>(checksum: &mut u64, db: &Database<B>) {
     }
 }
 
-/// The single-executor rows' input stream (`oltp_qd16`'s).
-fn qd16_inputs() -> Vec<TxnInput> {
-    const TXNS: u64 = 50_000;
-    let gen_cfg = OltpConfig {
-        data_pages: DB_PAGES,
-        theta: DB_THETA,
-        ..OltpConfig::default()
-    };
-    oltp_inputs(&mut OltpGen::new(gen_cfg, DB_SEED), TXNS)
-}
-
 fn db_run_qd16() -> (u64, u64) {
-    let b = db_builder()
-        .buffer_frames(512)
-        .concurrency(16)
-        .group(GroupCommitPolicy::batched(16));
-    let inputs = qd16_inputs();
-    let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
-    let report = db.run_concurrent(&inputs, &b.exec_config());
+    let r = campaign::run(&qd16_spec());
     let mut checksum = 0u64;
-    fold_db(&mut checksum, &db);
-    (report.txns, checksum)
+    fold_db(&mut checksum, &r.engine);
+    (r.report.txns, checksum)
 }
 
 fn db_shard4() -> (u64, u64) {
-    const TXNS: usize = 40_000;
-    let b = db_builder()
-        .buffer_frames(1024)
-        .shards(DB_SHARDS)
-        .cross_shard_ratio(0.10)
-        .concurrency(4)
-        .group(GroupCommitPolicy::batched(4));
-    let gen_cfg = ShardedOltpConfig {
-        clients: 4096,
-        theta: DB_THETA,
-        shards: DB_SHARDS,
-        cross_shard_ratio: b.cross_ratio(),
-        data_pages: DB_PAGES,
-        ..ShardedOltpConfig::default()
+    const SHARDS: usize = 4;
+    let spec = qd16_spec();
+    let spec = RunSpec {
+        db: spec
+            .db
+            .buffer_frames(1024)
+            .shards(SHARDS)
+            .cross_shard_ratio(0.10)
+            .concurrency(4)
+            .group(GroupCommitPolicy::batched(4)),
+        workload: Workload::Sharded(ShardedOltpConfig {
+            clients: 4096,
+            ..ShardedOltpConfig::default()
+        }),
+        txns: 40_000,
+        ..spec
     };
-    let mut gen = ShardedOltpGen::new(gen_cfg, DB_SEED);
-    let inputs: Vec<_> = (0..TXNS).map(|_| txn_to_input(&gen.next_txn())).collect();
-    let mut db = b.build_sharded_stack(StackConfig::blk_mq(DB_SHARDS as u32), SsdConfig::modern());
-    let report = db.run(&inputs, &b.exec_config());
+    let stack = ShardedStack(StackConfig::blk_mq(SHARDS as u32), SsdConfig::modern());
+    let r = campaign::run(&spec.over(stack));
     let mut checksum = 0u64;
-    for s in 0..db.num_shards() {
-        fold_db(&mut checksum, db.shard(s));
+    for s in 0..SHARDS {
+        fold_db(&mut checksum, r.engine.shard(s));
     }
-    (report.committed, checksum)
+    (r.report.committed, checksum)
 }
 
 fn db_coop_qd16() -> (u64, u64) {
-    let b = db_builder()
-        .buffer_frames(512)
-        .concurrency(16)
-        .group(GroupCommitPolicy::immediate())
-        .wal(WalConfig::pcm());
-    let inputs = qd16_inputs();
-    let mut db = b.build_coop(NamelessConfig::from(&SsdConfig::modern()));
-    let report = db.run_concurrent(&inputs, &b.exec_config());
+    let spec = qd16_spec();
+    let spec = RunSpec {
+        db: spec
+            .db
+            .group(GroupCommitPolicy::immediate())
+            .wal(WalConfig::pcm()),
+        ..spec
+    };
+    let r = campaign::run(&spec.over(Coop(NamelessConfig::from(&SsdConfig::modern()))));
     let mut checksum = 0u64;
-    fold_db(&mut checksum, &db);
+    fold_db(&mut checksum, &r.engine);
     checksum = checksum
         .wrapping_mul(31)
-        .wrapping_add(db.backend().relocations_patched());
-    (report.txns, checksum)
+        .wrapping_add(r.engine.backend().relocations_patched());
+    (r.report.txns, checksum)
 }
 
 fn main() {

@@ -15,7 +15,8 @@
 //!   amortizing log writes. Asserted, not just claimed.
 //! * **13b** — Myth 3 at the storage-manager interface: raising the
 //!   write fraction drags the *read* tail up as demand reads queue
-//!   behind steal writes and the GC the write stream provokes.
+//!   behind the flash programs of steal writes and log forces. No run
+//!   erases a block or runs GC, and 13b asserts it.
 //! * **13c** — sequential-scan readahead: the prefetcher turns a page
 //!   miss into a batch of successor reads; wins/losses are attributed
 //!   on the probe bus, and per-class histograms combine via
@@ -23,20 +24,20 @@
 //! * **13d** — the QD-1 identity: concurrency 1 + prefetch off +
 //!   immediate forces replays the serialized engine bit-for-bit.
 //!
-//! The probe JSON at the end feeds the determinism CI job.
+//! Every run is a [`requiem_bench::campaign`] spec. The probe JSON at
+//! the end feeds the determinism CI job.
 
-use requiem_bench::{note, section, serialized_identity, Series, V};
+use requiem_bench::campaign::{self, RunResult, RunSpec, Stack, Workload};
+use requiem_bench::{all_txns, note, section, serialized_identity, Series, V};
 use requiem_block::StackConfig;
 use requiem_db::{
-    BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    PersistenceBackend, PrefetchConfig,
+    BlockStackBackend, Database, DbConfig, ExecReport, GroupCommitPolicy, PrefetchConfig, TxnInput,
 };
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Histogram, Probe};
+use requiem_sim::Histogram;
 use requiem_ssd::SsdConfig;
-use requiem_workload::oltp::{OltpConfig, OltpGen};
-use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
+use requiem_workload::oltp::OltpConfig;
 
 const SEED: u64 = 13;
 const TXNS: u64 = 600;
@@ -45,75 +46,48 @@ const LOG_PAGES: u64 = 512;
 const BUFFER_FRAMES: usize = 512;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Every section shares this builder: the knobs that must agree (pages,
-/// frames, WAL medium) are stated once.
-fn builder() -> DbBuilder {
-    DbConfig::builder()
-        .data_pages(DATA_PAGES)
-        .log_pages(LOG_PAGES)
-        .buffer_frames(BUFFER_FRAMES)
-}
-
-fn stack_db() -> Database<BlockStackBackend> {
-    builder().build_stack(StackConfig::blk_mq(1), SsdConfig::figure1())
-}
-
-fn oltp(read_only_fraction: f64) -> OltpGen {
-    OltpGen::new(
-        OltpConfig {
-            data_pages: DATA_PAGES,
+/// One closed-loop OLTP run at DB concurrency `qd` on a fresh device:
+/// the Figure-1 device behind the one-core blk-mq stack, a batched
+/// force. The probe watches the deepest point, the saturated regime's
+/// span mix. At QD 1 this is [`requiem_db::ExecConfig::serialized`].
+fn spec(qd: usize, read_only_fraction: f64) -> RunSpec<Stack> {
+    RunSpec {
+        db: DbConfig::builder()
+            .data_pages(DATA_PAGES)
+            .log_pages(LOG_PAGES)
+            .buffer_frames(BUFFER_FRAMES)
+            .concurrency(qd)
+            .group(GroupCommitPolicy::batched(qd as u32)),
+        manager: Stack(StackConfig::blk_mq(1), SsdConfig::figure1()),
+        workload: Workload::Oltp(OltpConfig {
             read_only_fraction,
             ..OltpConfig::default()
-        },
-        SEED,
-    )
-}
-
-struct SweepPoint {
-    qd: usize,
-    report: ExecReport,
-    read_stall: SimDuration,
-    commit_stall: SimDuration,
-    page_reads: u64,
-}
-
-impl SweepPoint {
-    /// Mean stall per demand page read — the Myth-3 interference metric:
-    /// the probes are identical across write mixes, only the stall grows.
-    fn mean_stall_per_read(&self) -> SimDuration {
-        let reads = self.page_reads.max(1);
-        SimDuration::from_nanos(self.read_stall.as_nanos() / reads)
+        }),
+        txns: TXNS,
+        seed: SEED,
+        probe: qd == 16,
     }
 }
 
-/// One closed-loop OLTP run at DB concurrency `qd` on a fresh device.
-fn run_point(qd: usize, read_only_fraction: f64, probe: Option<&Probe>) -> SweepPoint {
-    let mut db = stack_db();
-    if let Some(p) = probe {
-        db.attach_probe(p.clone());
-    }
-    let cfg = ExecConfig {
-        concurrency: qd,
-        prefetch: PrefetchConfig::off(),
-        group: GroupCommitPolicy::batched(qd as u32),
-    };
-    let loaded_reads = db.backend().stats().page_reads;
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
-    SweepPoint {
-        qd,
-        report,
-        read_stall: db.stats().read_stall,
-        commit_stall: db.stats().commit_stall,
-        page_reads: db.backend().stats().page_reads - loaded_reads,
-    }
+type Run = RunResult<Database<BlockStackBackend>>;
+
+/// Mean stall per demand page read — the Myth-3 interference metric:
+/// the probes are identical across write mixes, only the stall grows.
+fn mean_stall_per_read(r: &Run) -> SimDuration {
+    SimDuration::from_nanos(r.delta.read_stall.as_nanos() / r.delta.page_reads.max(1))
+}
+
+/// Every transaction's latency, both classes.
+fn latency(report: &ExecReport) -> Histogram {
+    all_txns(&report.read_only_latency, &report.update_latency)
 }
 
 /// Sequential full-scan transactions: each reads `pages_per_txn`
 /// consecutive pages, wrapping over the data region — the shape
 /// readahead exists for.
-fn scan_inputs(count: u64, pages_per_txn: u64) -> Vec<requiem_db::TxnInput> {
+fn scan_inputs(count: u64, pages_per_txn: u64) -> Vec<TxnInput> {
     (0..count)
-        .map(|i| requiem_db::TxnInput {
+        .map(|i| TxnInput {
             accesses: (0..pages_per_txn)
                 .map(|j| {
                     let page = (i * pages_per_txn + j) % DATA_PAGES;
@@ -131,56 +105,50 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("13a. OLTP throughput vs DB concurrency (50/50 mix, zipf 0.8)");
-    let probe = Probe::aggregated();
-    let points: Vec<SweepPoint> = QDS
+    let points: Vec<(usize, Run)> = QDS
         .iter()
-        .map(|&qd| {
-            // probe the deepest point: the saturated regime's span mix
-            let p = if qd == 16 { Some(&probe) } else { None };
-            run_point(qd, 0.5, p)
-        })
+        .map(|&qd| (qd, campaign::run(&spec(qd, 0.5))))
         .collect();
-    let base_tps = points[0].report.tps;
+    let base_tps = points[0].1.report.tps;
     let sweep = Series::new()
-        .col("QD", "qd", |p: &SweepPoint| V::Count(p.qd as u64))
-        .col("TPS", "tps", |p| V::Float(p.report.tps, 0, 1))
-        .table_only("speedup", |p| V::Speedup(p.report.tps / base_tps))
-        .col("forces", "forces", |p| V::Count(p.report.forces))
+        .col("QD", "qd", |p: &(usize, Run)| V::Count(p.0 as u64))
+        .col("TPS", "tps", |p| V::Float(p.1.report.tps, 0, 1))
+        .table_only("speedup", |p| V::Speedup(p.1.report.tps / base_tps))
+        .col("forces", "forces", |p| V::Count(p.1.report.forces))
         .col("txns/force", "mean_group", |p| {
-            V::Float(p.report.mean_group, 1, 2)
+            V::Float(p.1.report.mean_group, 1, 2)
         })
-        .col("coalesced", "coalesced", |p| V::Count(p.report.coalesced))
-        .json_only("ro_p50_ns", |p| V::Ns(p.report.read_only_latency.p50()))
+        .col("coalesced", "coalesced", |p| V::Count(p.1.report.coalesced))
+        .json_only("ro_p50_ns", |p| V::Ns(p.1.report.read_only_latency.p50()))
         .col("ro p99", "ro_p99_ns", |p| {
-            V::Ns(p.report.read_only_latency.p99())
+            V::Ns(p.1.report.read_only_latency.p99())
         })
         .json_only("ro_p999_ns", |p| {
-            V::Ns(p.report.read_only_latency.quantile(0.999))
+            V::Ns(p.1.report.read_only_latency.quantile(0.999))
         })
-        .json_only("upd_p50_ns", |p| V::Ns(p.report.update_latency.p50()))
+        .json_only("upd_p50_ns", |p| V::Ns(p.1.report.update_latency.p50()))
         .col("upd p99", "upd_p99_ns", |p| {
-            V::Ns(p.report.update_latency.p99())
+            V::Ns(p.1.report.update_latency.p99())
         })
         .json_only("upd_p999_ns", |p| {
-            V::Ns(p.report.update_latency.quantile(0.999))
+            V::Ns(p.1.report.update_latency.quantile(0.999))
         });
     println!("{}", sweep.table(&points));
     for w in points.windows(2) {
-        if w[1].qd <= 8 {
+        let ((qd0, r0), (qd1, r1)) = (&w[0], &w[1]);
+        if *qd1 <= 8 {
             assert!(
-                w[1].report.tps > w[0].report.tps,
-                "throughput must improve monotonically up to QD 8 (QD {} {:.0} vs QD {} {:.0})",
-                w[0].qd,
-                w[0].report.tps,
-                w[1].qd,
-                w[1].report.tps
+                r1.report.tps > r0.report.tps,
+                "throughput must improve monotonically up to QD 8 (QD {qd0} {:.0} vs QD {qd1} {:.0})",
+                r0.report.tps,
+                r1.report.tps
             );
         }
     }
     let knee = points
         .iter()
-        .find(|p| p.qd == 8)
-        .map(|p| p.report.tps / base_tps)
+        .find(|(qd, _)| *qd == 8)
+        .map(|(_, r)| r.report.tps / base_tps)
         .unwrap_or(0.0);
     assert!(
         knee >= 2.0,
@@ -190,86 +158,82 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("13b. Myth 3 at the storage-manager interface: write mix vs read stalls");
-    let mix_points: Vec<(&str, SweepPoint)> = [
+    let mix_points: Vec<(&str, Run)> = [
         ("10% writes", 0.9),
         ("50% writes", 0.5),
         ("90% writes", 0.1),
     ]
     .into_iter()
-    .map(|(label, ro_fraction)| (label, run_point(8, ro_fraction, None)))
+    .map(|(label, ro_fraction)| (label, campaign::run(&spec(8, ro_fraction))))
     .collect();
     let mix_series = Series::new()
-        .table_only("write mix", |(label, _): &(&str, SweepPoint)| {
-            V::Label((*label).into())
-        })
-        .table_only("TPS", |(_, p)| V::Float(p.report.tps, 0, 1))
-        .table_only("page reads", |(_, p)| V::Count(p.page_reads))
-        .table_only("mean stall/read", |(_, p)| {
-            V::Ns(p.mean_stall_per_read().as_nanos())
+        .table_only("write mix", |p: &(&str, Run)| V::Label(p.0.into()))
+        .table_only("TPS", |p| V::Float(p.1.report.tps, 0, 1))
+        .table_only("page reads", |p| V::Count(p.1.delta.page_reads))
+        .table_only("mean stall/read", |p| {
+            V::Ns(mean_stall_per_read(&p.1).as_nanos())
         })
         // all txns, both classes, without re-recording a sample
-        .table_only("txn p99", |(_, p)| {
-            let mut all = p.report.read_only_latency.clone();
-            all.merge(&p.report.update_latency);
-            V::Ns(all.p99())
-        })
-        .table_only("commit stall", |(_, p)| V::Ns(p.commit_stall.as_nanos()));
+        .table_only("txn p99", |p| V::Ns(latency(&p.1.report).p99()))
+        .table_only("commit stall", |p| V::Ns(p.1.delta.commit_stall.as_nanos()));
     println!("{}", mix_series.table(&mix_points).align(0, Align::Left));
-    let light = &mix_points[0].1;
-    let heavy = &mix_points[2].1;
+    let (light, heavy) = (&mix_points[0].1, &mix_points[2].1);
     assert!(
-        heavy.mean_stall_per_read() > light.mean_stall_per_read(),
+        mean_stall_per_read(heavy) > mean_stall_per_read(light),
         "demand reads must stall longer per read as the write mix grows \
-         (reads queue behind steals, programs, and the GC the writes provoke): \
+         (reads queue behind the flash programs of steals and log forces): \
          {} vs {}",
-        heavy.mean_stall_per_read(),
-        light.mean_stall_per_read()
+        mean_stall_per_read(heavy),
+        mean_stall_per_read(light)
     );
-    note("The demand reads are the same zipfian probes in every row — only the surrounding write traffic changes. Their per-read stall inflates anyway: reads queue behind programs, steals, and multi-ms GC erases. That interference crosses the block interface silently; only the device knows why.");
+    for (label, r) in &mix_points {
+        assert!(
+            r.delta.device.flash_erases == 0 && r.delta.device.gc_runs == 0,
+            "13b's note says no run erases a block or runs GC ({label}: {:?})",
+            r.delta.device
+        );
+    }
+    note("The demand reads are the same zipfian probes in every row — only the surrounding write traffic changes. Their per-read stall inflates anyway: reads queue behind the flash programs of steal writes and log forces. No run here erases a block or runs GC (asserted). That interference crosses the block interface silently; only the device knows why.");
 
     // ------------------------------------------------------------------
     section("13c. Sequential scan: readahead wins, merged histograms");
-    let inputs = scan_inputs(200, 8);
-    let rows: Vec<(&str, ExecReport, Histogram)> = [
+    let rows: Vec<(&str, ExecReport)> = [
         ("prefetch off", PrefetchConfig::off()),
         ("sequential K=4", PrefetchConfig::sequential(4)),
     ]
     .into_iter()
     .map(|(label, prefetch)| {
-        let mut db = stack_db();
         // one scanning transaction stream: without readahead every miss
         // is a full blocking read — the shape prefetching exists for
-        let cfg = ExecConfig {
-            concurrency: 1,
-            prefetch,
-            group: GroupCommitPolicy::immediate(),
+        let scan = spec(1, 0.5);
+        let scan = RunSpec {
+            db: scan.db.prefetch(prefetch),
+            workload: Workload::Inputs(scan_inputs(200, 8)),
+            txns: 200,
+            ..scan
         };
-        let report = db.run_concurrent(&inputs, &cfg);
-        // per-class histograms combine without re-recording samples
-        let mut merged = report.read_only_latency.clone();
-        merged.merge(&report.update_latency);
-        assert_eq!(
-            merged.count(),
-            report.read_only_latency.count() + report.update_latency.count(),
-            "merge must preserve every sample"
-        );
-        (label, report, merged)
+        (label, campaign::run(&scan).report)
     })
     .collect();
+    for (_, r) in &rows {
+        let (ro, upd) = (r.read_only_latency.count(), r.update_latency.count());
+        assert_eq!(
+            latency(r).count(),
+            ro + upd,
+            "merge must preserve every sample"
+        );
+    }
     // the readahead outcome is also the JSON's `prefetch_seq_k4` object
     let scan_series = Series::new()
-        .table_only("readahead", |r: &(&str, ExecReport, Histogram)| {
-            V::Label(r.0.into())
-        })
+        .table_only("readahead", |r: &(&str, ExecReport)| V::Label(r.0.into()))
         .table_only("TPS", |r| V::Float(r.1.tps, 0, 1))
         .col("issued", "issued", |r| V::Count(r.1.prefetch.issued))
         .col("wins", "wins", |r| V::Count(r.1.prefetch.wins))
         .col("losses", "losses", |r| V::Count(r.1.prefetch.losses))
-        .table_only("all-txn p50", |r| V::Ns(r.2.p50()))
-        .table_only("all-txn p99", |r| V::Ns(r.2.p99()));
+        .table_only("all-txn p50", |r| V::Ns(latency(&r.1).p50()))
+        .table_only("all-txn p99", |r| V::Ns(latency(&r.1).p99()));
     println!("{}", scan_series.table(&rows).align(0, Align::Left));
-    let (_, off_report, _) = &rows[0];
-    let (_, ra_report, _) = &rows[1];
+    let (off_report, ra_report) = (&rows[0].1, &rows[1].1);
     assert!(
         ra_report.prefetch.wins > 0,
         "sequential scan must produce readahead wins"
@@ -284,14 +248,16 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("13d. QD 1: completion-driven executor vs serialized engine");
-    let inputs = oltp_inputs(&mut oltp(0.5), 200);
-    let mut conc = builder().build_stack(StackConfig::bare(1), SsdConfig::figure1());
-    conc.run_concurrent(&inputs, &ExecConfig::serialized());
+    let ident = RunSpec {
+        manager: Stack(StackConfig::bare(1), SsdConfig::figure1()),
+        txns: 200,
+        ..spec(1, 0.5)
+    };
     serialized_identity(
-        builder().build_stack(StackConfig::bare(1), SsdConfig::figure1()),
-        &inputs,
+        &ident,
         "run_concurrent QD 1",
-        &conc,
+        &campaign::run(&ident).engine,
+        &[],
         "concurrency 1 + prefetch off + immediate forces must replay the serialized engine bit-for-bit",
     );
     note("Every difference the sweep measured is therefore *caused* by overlap: same engine state, same device commands, different submission discipline.");
@@ -305,7 +271,12 @@ fn main() {
     );
     println!("\"sweep\":{},", sweep.json(&points));
     println!("\"prefetch_seq_k4\":{},", scan_series.json_row(&rows[1]));
-    println!("\"merged_scan_p99_ns\":{},", rows[1].2.p99());
-    println!("\"probe_qd16\":{}}}", probe.summary().to_json());
+    println!("\"merged_scan_p99_ns\":{},", latency(&rows[1].1).p99());
+    let probe = points[4]
+        .1
+        .probe
+        .as_ref()
+        .expect("the QD-16 point is probed");
+    println!("\"probe_qd16\":{}}}", probe.to_json());
     println!("```");
 }

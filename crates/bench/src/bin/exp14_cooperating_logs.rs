@@ -28,21 +28,19 @@
 //!   today's serialized `execute()` bit-for-bit, so every difference in
 //!   14a–c is *caused* by the interface, not by an engine fork.
 //!
-//! The JSON at the end feeds the determinism CI job.
+//! Every run is a [`requiem_bench::campaign`] spec. The JSON at the end
+//! feeds the determinism CI job.
 
-use requiem_bench::{note, section, Series, V};
+use requiem_bench::campaign::{self, Coop, Counters, Engine, RunResult, RunSpec, Stack, Workload};
+use requiem_bench::{all_txns, note, section, serialized_identity, Series, V};
 use requiem_block::StackConfig;
-use requiem_db::{
-    BlockStackBackend, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport,
-    GroupCommitPolicy, PersistenceBackend, PrefetchConfig,
-};
+use requiem_db::{DbConfig, ExecReport, GroupCommitPolicy};
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Cause, Histogram, Probe, Table};
-use requiem_ssd::{SsdConfig, SsdMetrics};
-use requiem_workload::oltp::{OltpConfig, OltpGen};
-use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
+use requiem_sim::{Cause, Histogram, ProbeSummary};
+use requiem_ssd::SsdConfig;
+use requiem_workload::oltp::OltpConfig;
 
 const SEED: u64 = 14;
 const TXNS: u64 = 2400;
@@ -62,20 +60,21 @@ fn pressured_device() -> SsdConfig {
     cfg
 }
 
-/// Both managers share this builder: only the backend constructor
-/// differs, so 14a–c compare interfaces, not configurations.
-fn builder() -> DbBuilder {
-    DbConfig::builder()
-        .data_pages(DATA_PAGES)
-        .log_pages(LOG_PAGES)
-        .buffer_frames(BUFFER_FRAMES)
-        .checkpoint_every(CHECKPOINT_EVERY)
-}
-
-fn oltp(read_only_fraction: f64) -> OltpGen {
-    OltpGen::new(
-        OltpConfig {
-            data_pages: DATA_PAGES,
+/// One traced OLTP run at DB concurrency `qd` over the block manager;
+/// [`cooperating`] moves the same spec to the cooperating manager, so 14a–c
+/// compare interfaces, not configurations. At QD 1 this is
+/// [`requiem_db::ExecConfig::serialized`].
+fn block(qd: usize, read_only_fraction: f64) -> RunSpec<Stack> {
+    RunSpec {
+        db: DbConfig::builder()
+            .data_pages(DATA_PAGES)
+            .log_pages(LOG_PAGES)
+            .buffer_frames(BUFFER_FRAMES)
+            .checkpoint_every(CHECKPOINT_EVERY)
+            .concurrency(qd)
+            .group(GroupCommitPolicy::batched(qd as u32)),
+        manager: Stack(StackConfig::bare(1), pressured_device()),
+        workload: Workload::Oltp(OltpConfig {
             read_only_fraction,
             // near-uniform churn: hot-skewed updates die in the block
             // they were written to (free victims for any collector);
@@ -83,143 +82,62 @@ fn oltp(read_only_fraction: f64) -> OltpGen {
             // makes a collector actually copy
             theta: 0.1,
             ..OltpConfig::default()
-        },
-        SEED,
-    )
-}
-
-fn block_db() -> Database<BlockStackBackend> {
-    builder().build_stack(StackConfig::bare(1), pressured_device())
-}
-
-fn coop_db() -> Database<CoopLogBackend> {
-    builder().build_coop(NamelessConfig::from(&pressured_device()))
-}
-
-/// Device+manager counters at one instant; runs report deltas over the
-/// traced window so the identical initial load drops out of both sides.
-#[derive(Clone, Copy)]
-struct Snapshot {
-    logical: u64,
-    host_writes: u64,
-    programs: u64,
-    gc_runs: u64,
-    gc_moved: u64,
-    relocations: u64,
-    log_trims: u64,
-}
-
-/// `db`'s counters over the metrics of the device under it and the
-/// migrations its manager patched into its page table.
-fn snapshot<B: PersistenceBackend>(
-    db: &Database<B>,
-    device: &SsdMetrics,
-    relocations: u64,
-) -> Snapshot {
-    let w = db.wal_backend().stats();
-    Snapshot {
-        // page images from the backend plus segment images from the WAL
-        // port: the same logical-write total the fused interface counted
-        logical: db.backend().stats().logical_writes + w.logical_writes,
-        host_writes: device.host_writes,
-        programs: device.flash_programs.total(),
-        gc_runs: device.gc_runs,
-        gc_moved: device.gc_pages_moved,
-        relocations,
-        log_trims: w.log_trims,
+        }),
+        txns: TXNS,
+        seed: SEED,
+        probe: true,
     }
 }
 
-/// The block manager's counters: its SSD's metrics, and no relocation —
-/// the block interface cannot report one.
-fn block_snapshot(db: &Database<BlockStackBackend>) -> Snapshot {
-    snapshot(db, db.backend().ssd().metrics(), 0)
-}
-
-/// The cooperating manager's counters: the nameless device's metrics,
-/// and every `Migrated` upcall it patched.
-fn coop_snapshot(db: &Database<CoopLogBackend>) -> Snapshot {
-    let b = db.backend();
-    snapshot(db, b.dev().metrics(), b.relocations_patched())
+fn cooperating(spec: RunSpec<Stack>) -> RunSpec<Coop> {
+    spec.over(Coop(NamelessConfig::from(&pressured_device())))
 }
 
 struct ManagerRun {
     label: &'static str,
     report: ExecReport,
-    logical: u64,
-    host_writes: u64,
-    programs: u64,
-    gc_runs: u64,
-    gc_moved: u64,
-    relocations: u64,
-    log_trims: u64,
-    gc_stall_spans: u64,
-    gc_stall: SimDuration,
-    probe_json: String,
+    /// Counter deltas over the traced window: the identical initial
+    /// load drops out of both sides.
+    delta: Counters,
+    probe: ProbeSummary,
 }
 
 impl ManagerRun {
+    fn new<E: Engine<Report = ExecReport>>(label: &'static str, r: RunResult<E>) -> Self {
+        ManagerRun {
+            label,
+            report: r.report,
+            delta: r.delta,
+            probe: r.probe.expect("every E14 run is traced"),
+        }
+    }
+
+    /// Spans a command spent waiting behind garbage collection.
+    fn gc_stall_spans(&self) -> u64 {
+        let spans = self.probe.by_layer_cause.iter();
+        let gc = spans.filter(|((_, cause), _)| *cause == Cause::GcStall);
+        gc.map(|(_, stat)| stat.count).sum()
+    }
+
+    fn gc_stall(&self) -> SimDuration {
+        self.probe.cause_total(Cause::GcStall)
+    }
+
     /// Flash programs per logical page image: the paper's end-to-end
     /// write amplification, with the journal's extra copies and both
     /// collectors' traffic in the numerator.
     fn e2e_wa(&self) -> f64 {
-        self.programs as f64 / self.logical.max(1) as f64
+        self.delta.device.flash_programs as f64 / self.delta.logical_writes.max(1) as f64
     }
 
     /// Programs per accepted host write: the device's own view, blind to
     /// interface-imposed copies above it.
     fn device_wa(&self) -> f64 {
-        self.programs as f64 / self.host_writes.max(1) as f64
+        self.delta.device.flash_programs as f64 / self.delta.device.host_writes.max(1) as f64
     }
 
-    /// Every transaction's latency, both classes, without re-recording
-    /// a sample.
     fn all_txns(&self) -> Histogram {
-        let mut all = self.report.read_only_latency.clone();
-        all.merge(&self.report.update_latency);
-        all
-    }
-}
-
-/// One traced OLTP run: probe attached after load, counters reported as
-/// deltas over the traced window.
-fn run_traced<B: PersistenceBackend>(
-    label: &'static str,
-    mut db: Database<B>,
-    counters: fn(&Database<B>) -> Snapshot,
-    qd: usize,
-    read_only_fraction: f64,
-) -> ManagerRun {
-    let probe = Probe::aggregated();
-    db.attach_probe(probe.clone());
-    let before = counters(&db);
-    let cfg = ExecConfig {
-        concurrency: qd,
-        prefetch: PrefetchConfig::off(),
-        group: GroupCommitPolicy::batched(qd as u32),
-    };
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
-    let after = counters(&db);
-    let summary = probe.summary();
-    let gc_stall_spans = summary
-        .by_layer_cause
-        .iter()
-        .filter(|((_, cause), _)| *cause == Cause::GcStall)
-        .map(|(_, stat)| stat.count)
-        .sum();
-    ManagerRun {
-        label,
-        report,
-        logical: after.logical - before.logical,
-        host_writes: after.host_writes - before.host_writes,
-        programs: after.programs - before.programs,
-        gc_runs: after.gc_runs - before.gc_runs,
-        gc_moved: after.gc_moved - before.gc_moved,
-        relocations: after.relocations - before.relocations,
-        log_trims: after.log_trims - before.log_trims,
-        gc_stall_spans,
-        gc_stall: summary.cause_total(Cause::GcStall),
-        probe_json: summary.to_json(),
+        all_txns(&self.report.read_only_latency, &self.report.update_latency)
     }
 }
 
@@ -229,28 +147,30 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("14a. End-to-end write amplification (QD 8, 80% update mix)");
-    let legacy = run_traced("block heap+WAL", block_db(), block_snapshot, 8, 0.2);
-    let coop = run_traced("cooperating logs", coop_db(), coop_snapshot, 8, 0.2);
+    let legacy = ManagerRun::new("block heap+WAL", campaign::run(&block(8, 0.2)));
+    let coop = ManagerRun::new(
+        "cooperating logs",
+        campaign::run(&cooperating(block(8, 0.2))),
+    );
     let wa_series = Series::new()
         .table_only("manager", |r: &ManagerRun| V::Label(r.label.into()))
         .table_only("TPS", |r| V::Float(r.report.tps, 0, 1))
-        .table_only("logical", |r| V::Count(r.logical))
-        .table_only("host writes", |r| V::Count(r.host_writes))
-        .table_only("programs", |r| V::Count(r.programs))
+        .table_only("logical", |r| V::Count(r.delta.logical_writes))
+        .table_only("host writes", |r| V::Count(r.delta.device.host_writes))
+        .table_only("programs", |r| V::Count(r.delta.device.flash_programs))
         .table_only("e2e WA", |r| V::Float(r.e2e_wa(), 2, 4))
         .table_only("dev WA", |r| V::Float(r.device_wa(), 2, 4))
-        .table_only("GC runs", |r| V::Count(r.gc_runs))
-        .table_only("GC moved", |r| V::Count(r.gc_moved))
-        .table_only("upcalls patched", |r| V::Count(r.relocations))
-        .table_only("WAL trims", |r| V::Count(r.log_trims));
+        .table_only("GC runs", |r| V::Count(r.delta.device.gc_runs))
+        .table_only("GC moved", |r| V::Count(r.delta.device.gc_pages_moved))
+        .table_only("upcalls patched", |r| V::Count(r.delta.relocations))
+        .table_only("WAL trims", |r| V::Count(r.delta.log_trims));
     let table = wa_series.table([&legacy, &coop]);
     println!("{}", table.align(0, Align::Left));
+    let (block_logical, coop_logical) = (legacy.delta.logical_writes, coop.delta.logical_writes);
     assert!(
-        (legacy.logical as i64 - coop.logical as i64).abs() * 20 < legacy.logical as i64,
+        block_logical.abs_diff(coop_logical) * 20 < block_logical,
         "the logical workload must be trace-determined and (near-)identical \
-         across managers: {} vs {}",
-        legacy.logical,
-        coop.logical
+         across managers: {block_logical} vs {coop_logical}"
     );
     assert!(
         coop.e2e_wa() < legacy.e2e_wa(),
@@ -260,16 +180,16 @@ fn main() {
         legacy.e2e_wa()
     );
     assert!(
-        legacy.gc_moved > 0,
+        legacy.delta.device.gc_pages_moved > 0,
         "the pressured device must make the block manager's FTL copy \
          (gc_moved = 0 means the experiment is not exercising the pathology)"
     );
     assert_eq!(
-        legacy.relocations, 0,
+        legacy.delta.relocations, 0,
         "the block interface cannot report a relocation"
     );
     assert!(
-        coop.log_trims > 0,
+        coop.delta.log_trims > 0,
         "checkpoint truncation must free WAL segments by exact name"
     );
     note("Same trace, same geometry. The block manager pays three times: the journal doubles every checkpoint page, the FTL's collector copies dead WAL and journal pages it cannot know are dead, and every copy is itself a program. The cooperating manager's numerator is just host writes plus the one collector's residual moves — and each of those moves is an upcall patch, not a host copy.");
@@ -278,22 +198,22 @@ fn main() {
     section("14b. GC stall blame (probe bus, same runs)");
     let stall_series = Series::new()
         .table_only("manager", |r: &ManagerRun| V::Label(r.label.into()))
-        .table_only("GC stall spans", |r| V::Count(r.gc_stall_spans))
-        .table_only("GC stall total", |r| V::Ns(r.gc_stall.as_nanos()))
-        .table_only("stall/txn", |r| V::Ns(r.gc_stall.as_nanos() / TXNS))
+        .table_only("GC stall spans", |r| V::Count(r.gc_stall_spans()))
+        .table_only("GC stall total", |r| V::Ns(r.gc_stall().as_nanos()))
+        .table_only("stall/txn", |r| V::Ns(r.gc_stall().as_nanos() / TXNS))
         .table_only("txn p99", |r| V::Ns(r.all_txns().p99()))
         .table_only("txn p99.9", |r| V::Ns(r.all_txns().quantile(0.999)));
     let table = stall_series.table([&legacy, &coop]);
     println!("{}", table.align(0, Align::Left));
     assert!(
-        coop.gc_stall < legacy.gc_stall,
+        coop.gc_stall() < legacy.gc_stall(),
         "one cooperating collector must stall foreground commands less than \
          two blind ones ({} vs {})",
-        coop.gc_stall,
-        legacy.gc_stall
+        coop.gc_stall(),
+        legacy.gc_stall()
     );
     assert!(
-        coop.relocations > 0,
+        coop.delta.relocations > 0,
         "the traced run must exercise the upcall path end-to-end: device GC \
          moved pages and the page table was patched"
     );
@@ -304,9 +224,9 @@ fn main() {
     let sweep: Vec<(usize, f64, f64)> = QDS
         .iter()
         .map(|&qd| {
-            let b = run_traced("block", block_db(), block_snapshot, qd, 0.5);
-            let c = run_traced("coop", coop_db(), coop_snapshot, qd, 0.5);
-            (qd, b.report.tps, c.report.tps)
+            let b = campaign::run(&block(qd, 0.5)).report;
+            let c = campaign::run(&cooperating(block(qd, 0.5))).report;
+            (qd, b.tps, c.tps)
         })
         .collect();
     let sweep_series = Series::new()
@@ -319,48 +239,17 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("14d. Identity anchor: block manager at QD 1 == serialized execute()");
-    let inputs = oltp_inputs(&mut oltp(0.5), 200);
-    let mut serial = block_db();
-    for t in &inputs {
-        serial.execute(&t.accesses, t.log_bytes);
-    }
-    let mut conc = block_db();
-    conc.run_concurrent(&inputs, &ExecConfig::serialized());
-    let identical = conc.now() == serial.now()
-        && conc.txn_latency() == serial.txn_latency()
-        && conc.commit_latency() == serial.commit_latency()
-        && conc.stats() == serial.stats()
-        && conc.wal_backend().stats().log_forces == serial.wal_backend().stats().log_forces
-        && conc.wal_backend().stats().log_bytes == serial.wal_backend().stats().log_bytes
-        && conc.wal_backend().stats().log_trims == serial.wal_backend().stats().log_trims
-        && conc.backend().stats().page_reads == serial.backend().stats().page_reads;
-    let mut tbl = Table::new([
-        "engine",
-        "final clock",
-        "commits",
-        "WAL trims",
-        "bit-identical",
-    ])
-    .align(0, Align::Left);
-    tbl.row([
-        "serialized execute()".to_string(),
-        format!("{}", serial.now()),
-        format!("{}", serial.stats().commits),
-        format!("{}", serial.wal_backend().stats().log_trims),
-        String::new(),
-    ]);
-    tbl.row([
-        "run_concurrent QD 1".to_string(),
-        format!("{}", conc.now()),
-        format!("{}", conc.stats().commits),
-        format!("{}", conc.wal_backend().stats().log_trims),
-        format!("{identical}"),
-    ]);
-    println!("{tbl}");
-    assert!(
-        identical,
+    let ident = RunSpec {
+        txns: 200,
+        ..block(1, 0.5)
+    };
+    serialized_identity(
+        &ident,
+        "run_concurrent QD 1",
+        &campaign::run(&ident).engine,
+        &[("WAL trims", |db| db.wal_backend().stats().log_trims)],
         "QD-1 on the block manager must replay the serialized engine bit-for-bit \
-         (including the new checkpoint truncation path)"
+         (including the new checkpoint truncation path)",
     );
     note("The refactor's anchor: the block manager under the concurrent executor at QD 1 — checkpoint truncation included — is indistinguishable from the pre-refactor serialized engine. Everything 14a–c measured is caused by the interface, not by an engine fork.");
 
@@ -387,15 +276,15 @@ fn main() {
     );
     println!(
         "\"gc\":{{\"block_moved\":{},\"coop_moved\":{},\"block_stall_ns\":{},\"coop_stall_ns\":{},\"coop_upcalls_patched\":{}}},",
-        legacy.gc_moved,
-        coop.gc_moved,
-        legacy.gc_stall.as_nanos(),
-        coop.gc_stall.as_nanos(),
-        coop.relocations
+        legacy.delta.device.gc_pages_moved,
+        coop.delta.device.gc_pages_moved,
+        legacy.gc_stall().as_nanos(),
+        coop.gc_stall().as_nanos(),
+        coop.delta.relocations
     );
     println!("\"sweep\":{},", sweep_series.json(&sweep));
-    println!("\"qd1_matches_serialized\":{identical},");
-    println!("\"probe_block\":{},", legacy.probe_json);
-    println!("\"probe_coop\":{}}}", coop.probe_json);
+    println!("\"qd1_matches_serialized\":true,");
+    println!("\"probe_block\":{},", legacy.probe.to_json());
+    println!("\"probe_coop\":{}}}", coop.probe.to_json());
     println!("```");
 }

@@ -30,20 +30,21 @@
 //! * **15d** — probe decomposition: the force span class splits into
 //!   `wal/transfer` (flash) vs `wal/pcm_persist` (PCM) on the bus.
 //!
-//! The JSON at the end feeds the determinism CI job.
+//! Every run is a [`requiem_bench::campaign`] spec. The JSON at the end
+//! feeds the determinism CI job.
 
+use requiem_bench::campaign::{self, RunResult, RunSpec, Stack, Workload};
 use requiem_bench::{fmt_ns, note, section, Series, V};
 use requiem_block::StackConfig;
 use requiem_db::{
-    BlockStackBackend, Database, DbConfig, ExecReport, GroupCommitPolicy, PcmWalConfig, WalConfig,
+    BlockStackBackend, Database, DbConfig, GroupCommitPolicy, PcmWalConfig, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
-use requiem_sim::{Cause, Histogram, Layer, Probe, Table};
+use requiem_sim::{Cause, Layer, ProbeSummary, Table};
 use requiem_ssd::SsdConfig;
-use requiem_workload::oltp::{OltpConfig, OltpGen};
-use requiem_workload::run_oltp_closed_loop;
+use requiem_workload::oltp::OltpConfig;
 
 const SEED: u64 = 15;
 const TXNS: u64 = 600;
@@ -53,28 +54,6 @@ const BUFFER_FRAMES: usize = 512;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
 /// The deadline variant's tail bound.
 const DEADLINE: SimDuration = SimDuration::from_micros(150);
-
-/// A 64 KiB log region: small enough that the circular log laps it many
-/// times in one run, so Start-Gap has real churn to level.
-fn pcm_wal() -> WalConfig {
-    WalConfig::Pcm(PcmWalConfig {
-        bytes: 64 * 1024,
-        timing: PcmTiming::gen1(),
-        gap_interval: 100,
-    })
-}
-
-/// Commit-heavy mix: 80% updates, every transaction carries log bytes.
-fn oltp() -> OltpGen {
-    OltpGen::new(
-        OltpConfig {
-            data_pages: DATA_PAGES,
-            read_only_fraction: 0.2,
-            ..OltpConfig::default()
-        },
-        SEED,
-    )
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Policy {
@@ -119,48 +98,42 @@ impl Policy {
         }
     }
 
-    fn wal(self) -> WalConfig {
-        match self {
-            Policy::PcmImmediate => pcm_wal(),
-            _ => WalConfig::Flash,
+    /// One closed-loop run of the commit-heavy trace (80% updates,
+    /// every transaction carries log bytes) under this policy at `qd`,
+    /// on the E13 device, so flash group commit has real parallelism to
+    /// amortize into. 15d traces the QD-8 runs of the two policies it
+    /// compares.
+    fn spec(self, qd: usize) -> RunSpec<Stack> {
+        RunSpec {
+            db: DbConfig::builder()
+                .data_pages(DATA_PAGES)
+                .log_pages(LOG_PAGES)
+                .buffer_frames(BUFFER_FRAMES)
+                .group(self.group(qd))
+                .concurrency(qd)
+                .wal(match self {
+                    // a 64 KiB log region: the circular log laps it many
+                    // times in one run, so Start-Gap has real churn to level
+                    Policy::PcmImmediate => WalConfig::Pcm(PcmWalConfig {
+                        bytes: 64 * 1024,
+                        timing: PcmTiming::gen1(),
+                        gap_interval: 100,
+                    }),
+                    _ => WalConfig::Flash,
+                }),
+            manager: Stack(StackConfig::bare(1), SsdConfig::figure1()),
+            workload: Workload::Oltp(OltpConfig {
+                read_only_fraction: 0.2,
+                ..OltpConfig::default()
+            }),
+            txns: TXNS,
+            seed: SEED,
+            probe: qd == 8 && matches!(self, Policy::FlashBatched | Policy::PcmImmediate),
         }
     }
 }
 
-struct Run {
-    policy: Policy,
-    qd: usize,
-    report: ExecReport,
-    commit_latency: Histogram,
-    db: Database<BlockStackBackend>,
-}
-
-/// One closed-loop run of the trace under (policy, qd) on a fresh
-/// device; optionally traced on the probe bus.
-fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
-    let b = DbConfig::builder()
-        .data_pages(DATA_PAGES)
-        .log_pages(LOG_PAGES)
-        .buffer_frames(BUFFER_FRAMES)
-        .group(policy.group(qd))
-        .concurrency(qd)
-        .wal(policy.wal());
-    // the E13 device, so flash group commit has real parallelism to
-    // amortize into
-    let mut db = b.build_stack(StackConfig::bare(1), SsdConfig::figure1());
-    if let Some(p) = probe {
-        db.attach_probe(p.clone());
-    }
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(), TXNS, &b.exec_config());
-    let commit_latency = db.commit_latency().clone();
-    Run {
-        policy,
-        qd,
-        report,
-        commit_latency,
-        db,
-    }
-}
+type Run = RunResult<Database<BlockStackBackend>>;
 
 fn main() {
     println!("# E15 — WAL medium split: PCM commit records vs flash group commit");
@@ -168,33 +141,34 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("15a. TPS and commit latency per policy x QD; the amortization crossover");
-    let mut runs: Vec<Run> = Vec::new();
+    let mut runs: Vec<(Policy, usize, Run)> = Vec::new();
     for &qd in &QDS {
-        for p in Policy::ALL {
-            runs.push(run(p, qd, None));
+        for policy in Policy::ALL {
+            runs.push((policy, qd, campaign::run(&policy.spec(qd))));
         }
     }
     // the policy prints as its label in the table, as its key in JSON
     let sweep = Series::new()
-        .col("QD", "qd", |r: &Run| V::Count(r.qd as u64))
-        .table_only("policy", |r| V::Label(r.policy.label().into()))
-        .json_only("policy", |r| V::Label(r.policy.key()))
-        .col("TPS", "tps", |r| V::Float(r.report.tps, 0, 1))
-        .col("forces", "forces", |r| V::Count(r.report.forces))
-        .col("commit p50", "commit_p50_ns", |r| {
-            V::Ns(r.commit_latency.p50())
+        .col("QD", "qd", |c: &(Policy, usize, Run)| V::Count(c.1 as u64))
+        .table_only("policy", |c| V::Label(c.0.label().into()))
+        .json_only("policy", |c| V::Label(c.0.key()))
+        .col("TPS", "tps", |c| V::Float(c.2.report.tps, 0, 1))
+        .col("forces", "forces", |c| V::Count(c.2.report.forces))
+        .col("commit p50", "commit_p50_ns", |c| {
+            V::Ns(c.2.engine.commit_latency().p50())
         })
-        .col("commit p99", "commit_p99_ns", |r| {
-            V::Ns(r.commit_latency.p99())
+        .col("commit p99", "commit_p99_ns", |c| {
+            V::Ns(c.2.engine.commit_latency().p99())
         })
-        .col("commit p99.9", "commit_p999_ns", |r| {
-            V::Ns(r.commit_latency.quantile(0.999))
+        .col("commit p99.9", "commit_p999_ns", |c| {
+            V::Ns(c.2.engine.commit_latency().quantile(0.999))
         });
     println!("{}", sweep.table(&runs).align(1, Align::Left));
     let get = |p: Policy, qd: usize| -> &Run {
-        runs.iter()
-            .find(|r| r.policy == p && r.qd == qd)
+        let cell = runs.iter().find(|(rp, rq, _)| *rp == p && *rq == qd);
+        &cell
             .unwrap_or_else(|| unreachable!("run matrix covers every (policy, qd)"))
+            .2
     };
     let pcm_qd1_tps = get(Policy::PcmImmediate, 1).report.tps;
     // the amortization crossover: the first QD where batching's
@@ -233,14 +207,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("15b. Commit-latency CDF at QD 1 (no batching to hide behind)");
-    let mut tbl = Table::new([
-        "quantile",
-        "flash immediate",
-        "flash deadline",
-        "pcm immediate",
-    ])
-    .align(0, Align::Left);
-    for (label, q) in [
+    let quantiles = [
         ("p10", 0.10),
         ("p25", 0.25),
         ("p50", 0.50),
@@ -248,17 +215,16 @@ fn main() {
         ("p90", 0.90),
         ("p99", 0.99),
         ("p99.9", 0.999),
-    ] {
-        tbl.row([
-            label.to_string(),
-            fmt_ns(get(Policy::FlashImmediate, 1).commit_latency.quantile(q)),
-            fmt_ns(get(Policy::FlashDeadline, 1).commit_latency.quantile(q)),
-            fmt_ns(get(Policy::PcmImmediate, 1).commit_latency.quantile(q)),
-        ]);
-    }
-    println!("{tbl}");
-    let flash_p50 = get(Policy::FlashImmediate, 1).commit_latency.p50();
-    let pcm_p50 = get(Policy::PcmImmediate, 1).commit_latency.p50();
+    ];
+    let at = |p: Policy, q: f64| V::Ns(get(p, 1).engine.commit_latency().quantile(q));
+    let cdf = Series::new()
+        .table_only("quantile", |q: &(&str, f64)| V::Label(q.0.into()))
+        .table_only("flash immediate", |q| at(Policy::FlashImmediate, q.1))
+        .table_only("flash deadline", |q| at(Policy::FlashDeadline, q.1))
+        .table_only("pcm immediate", |q| at(Policy::PcmImmediate, q.1));
+    println!("{}", cdf.table(&quantiles).align(0, Align::Left));
+    let flash_p50 = get(Policy::FlashImmediate, 1).engine.commit_latency().p50();
+    let pcm_p50 = get(Policy::PcmImmediate, 1).engine.commit_latency().p50();
     assert!(
         flash_p50 > 10 * pcm_p50,
         "the P1 medium gap must dominate the QD-1 CDF ({} vs {})",
@@ -270,30 +236,22 @@ fn main() {
     // ------------------------------------------------------------------
     section("15c. Start-Gap wear on the DIMM (QD 16 pcm run)");
     let wear = get(Policy::PcmImmediate, 16)
-        .db
+        .engine
         .wal_backend()
         .wear()
         .unwrap_or_else(|| panic!("the pcm WAL must surface a wear snapshot"));
     let mut tbl = Table::new(["metric", "value"]).align(0, Align::Left);
-    tbl.row(["logical lines".to_string(), format!("{}", wear.lines)]);
-    tbl.row([
-        "total line writes".to_string(),
-        format!("{}", wear.total_line_writes),
-    ]);
-    tbl.row(["gap moves".to_string(), format!("{}", wear.gap_moves)]);
-    tbl.row([
-        "hottest line writes".to_string(),
-        format!("{}", wear.max_line_writes),
-    ]);
-    tbl.row([
-        "mean line writes".to_string(),
-        format!("{:.2}", wear.mean_line_writes),
-    ]);
-    tbl.row(["max/mean skew".to_string(), format!("{:.2}", wear.skew())]);
-    tbl.row([
-        "gap overhead".to_string(),
-        format!("{:.4}", wear.gap_overhead_ratio),
-    ]);
+    for (metric, value) in [
+        ("logical lines", wear.lines.to_string()),
+        ("total line writes", wear.total_line_writes.to_string()),
+        ("gap moves", wear.gap_moves.to_string()),
+        ("hottest line writes", wear.max_line_writes.to_string()),
+        ("mean line writes", format!("{:.2}", wear.mean_line_writes)),
+        ("max/mean skew", format!("{:.2}", wear.skew())),
+        ("gap overhead", format!("{:.4}", wear.gap_overhead_ratio)),
+    ] {
+        tbl.row([metric.to_string(), value]);
+    }
     println!("{tbl}");
     // per-line wear, bucketed: how many physical lines absorbed how many
     // writes (the full vector is lines+1 slots long)
@@ -320,21 +278,21 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("15d. Probe decomposition: wal/transfer vs wal/pcm_persist (QD 8)");
-    let flash_probe = Probe::aggregated();
-    run(Policy::FlashBatched, 8, Some(&flash_probe));
-    let pcm_probe = Probe::aggregated();
-    run(Policy::PcmImmediate, 8, Some(&pcm_probe));
-    let force_spans = |p: &Probe, cause: Cause| -> (u64, u64) {
-        let summary = p.summary();
+    let probe = |p: Policy| -> &ProbeSummary {
+        let traced = &get(p, 8).probe;
+        traced.as_ref().expect("15d's QD-8 runs are traced")
+    };
+    let (flash_probe, pcm_probe) = (probe(Policy::FlashBatched), probe(Policy::PcmImmediate));
+    let force_spans = |summary: &ProbeSummary, cause: Cause| -> (u64, u64) {
         summary
             .by_layer_cause
             .get(&(Layer::Wal, cause))
             .map_or((0, 0), |stat| (stat.count, stat.total.as_nanos()))
     };
-    let (ft_n, ft_ns) = force_spans(&flash_probe, Cause::Transfer);
-    let (fp_n, _) = force_spans(&flash_probe, Cause::PcmPersist);
-    let (pt_n, _) = force_spans(&pcm_probe, Cause::Transfer);
-    let (pp_n, pp_ns) = force_spans(&pcm_probe, Cause::PcmPersist);
+    let (ft_n, ft_ns) = force_spans(flash_probe, Cause::Transfer);
+    let (fp_n, _) = force_spans(flash_probe, Cause::PcmPersist);
+    let (pt_n, _) = force_spans(pcm_probe, Cause::Transfer);
+    let (pp_n, pp_ns) = force_spans(pcm_probe, Cause::PcmPersist);
     let mut tbl = Table::new([
         "run",
         "wal/transfer spans",
@@ -342,18 +300,18 @@ fn main() {
         "force time",
     ])
     .align(0, Align::Left);
-    tbl.row([
-        "flash batched".to_string(),
-        format!("{ft_n}"),
-        format!("{fp_n}"),
-        fmt_ns(ft_ns),
-    ]);
-    tbl.row([
-        "pcm immediate".to_string(),
-        format!("{pt_n}"),
-        format!("{pp_n}"),
-        fmt_ns(pp_ns),
-    ]);
+    for (run, transfer, persist, force_ns) in [
+        ("flash batched", ft_n, fp_n, ft_ns),
+        ("pcm immediate", pt_n, pp_n, pp_ns),
+    ] {
+        let force = fmt_ns(force_ns);
+        tbl.row([
+            run.to_string(),
+            transfer.to_string(),
+            persist.to_string(),
+            force,
+        ]);
+    }
     println!("{tbl}");
     assert!(ft_n > 0 && fp_n == 0, "flash forces blame wal/transfer");
     assert!(pp_n > 0 && pt_n == 0, "pcm forces blame wal/pcm_persist");
@@ -377,7 +335,7 @@ fn main() {
         wear.skew(),
         bucket_series.json(&buckets)
     );
-    println!("\"probe_flash_qd8\":{},", flash_probe.summary().to_json());
-    println!("\"probe_pcm_qd8\":{}}}", pcm_probe.summary().to_json());
+    println!("\"probe_flash_qd8\":{},", flash_probe.to_json());
+    println!("\"probe_pcm_qd8\":{}}}", pcm_probe.to_json());
     println!("```");
 }

@@ -26,20 +26,18 @@
 //!   serialized engine bit-for-bit, so every delta the sweep measures
 //!   is caused by sharding, not by a different engine.
 //!
-//! `--short` selects the CI preset (same phases, fewer transactions).
+//! Every run is a [`requiem_bench::campaign`] spec. `--short` selects
+//! the CI preset (same phases, fewer transactions).
 //! The trailing JSON feeds the determinism diff and `BENCH_exp17.json`.
 
-use requiem_bench::{fmt_ns, note, section, serialized_identity, Series, V};
-use requiem_db::{
-    BlockStackBackend, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy, PrefetchConfig,
-    ShardedDb, ShardedReport, TxnInput,
-};
+use requiem_bench::campaign::{self, RunSpec, ShardedStack, Stack, Workload};
+use requiem_bench::{all_txns, note, section, serialized_identity, Series, V};
+use requiem_block::StackConfig;
+use requiem_db::{DbConfig, GroupCommitPolicy, ShardedReport};
 use requiem_sim::probe::{Cause, Layer};
 use requiem_sim::table::Align;
-use requiem_sim::{Probe, Table};
 use requiem_ssd::SsdConfig;
-use requiem_workload::sharded::{ShardedOltpConfig, ShardedOltpGen};
-use requiem_workload::txn_to_input;
+use requiem_workload::sharded::ShardedOltpConfig;
 
 const SEED: u64 = 17;
 const DATA_PAGES: u64 = 1024;
@@ -48,34 +46,32 @@ const LOG_PAGES: u64 = 512;
 /// so the working set stays resident and no steal traffic muddies the
 /// channel attribution (E13b already covers memory pressure).
 const BUFFER_FRAMES: usize = 1024;
-const CLIENTS: u64 = 1 << 20;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const QDS: [usize; 4] = [1, 2, 4, 8];
 const CROSS: f64 = 0.10;
 
-fn builder(shards: usize, cross: f64) -> DbBuilder {
-    DbConfig::builder()
-        .data_pages(DATA_PAGES)
-        .log_pages(LOG_PAGES)
-        .buffer_frames(BUFFER_FRAMES)
-        .shards(shards)
-        .cross_shard_ratio(cross)
-}
-
-/// The million-client mix, pre-generated so the run is a pure function
-/// of `(seed, config)`.
-fn inputs(shards: usize, cross: f64, txns: u64) -> Vec<TxnInput> {
-    let mut gen = ShardedOltpGen::new(
-        ShardedOltpConfig {
-            clients: CLIENTS,
-            shards,
-            cross_shard_ratio: cross,
-            data_pages: DATA_PAGES,
-            ..ShardedOltpConfig::default()
-        },
-        SEED,
-    );
-    (0..txns).map(|_| txn_to_input(&gen.next_txn())).collect()
+/// One traced closed-loop run: `shards` executors at per-shard depth
+/// `qd` on a fresh device, cross-shard fraction `cross`, the
+/// million-client mix. At QD 1 this is
+/// [`requiem_db::ExecConfig::serialized`].
+fn spec(shards: usize, qd: usize, cross: f64, txns: u64) -> RunSpec<ShardedStack> {
+    RunSpec {
+        db: DbConfig::builder()
+            .data_pages(DATA_PAGES)
+            .log_pages(LOG_PAGES)
+            .buffer_frames(BUFFER_FRAMES)
+            .shards(shards)
+            .cross_shard_ratio(cross)
+            .concurrency(qd)
+            .group(GroupCommitPolicy::batched(qd as u32)),
+        // every shard submits into the one ONFI-2 channel: the knee this
+        // sweep hunts for is that channel running out of idle cycles
+        manager: ShardedStack(StackConfig::blk_mq(shards as u32), SsdConfig::figure1()),
+        workload: Workload::Sharded(ShardedOltpConfig::default()),
+        txns,
+        seed: SEED,
+        probe: true,
+    }
 }
 
 struct SweepPoint {
@@ -91,51 +87,36 @@ struct SweepPoint {
     channel_queue_dominates: bool,
 }
 
-/// One closed-loop run: `shards` executors at per-shard depth `qd` on a
-/// fresh device, cross-shard fraction `cross`.
-fn run_point(shards: usize, qd: usize, cross: f64, txns: u64) -> SweepPoint {
-    let mut db: ShardedDb<BlockStackBackend> = builder(shards, cross).build_sharded_stack(
-        requiem_block::StackConfig::blk_mq(shards as u32),
-        // every shard submits into the one ONFI-2 channel: the knee this
-        // sweep hunts for is that channel running out of idle cycles
-        SsdConfig::figure1(),
-    );
-    let probe = Probe::aggregated();
-    db.attach_probe(&probe);
-    let cfg = ExecConfig {
-        concurrency: qd,
-        prefetch: PrefetchConfig::off(),
-        group: GroupCommitPolicy::batched(qd as u32),
-    };
-    let report = db.run(&inputs(shards, cross, txns), &cfg);
-    let summary = probe.summary();
-    let spans = || summary.by_layer_cause.values().map(|s| s.total.as_nanos());
-    let outside_wal = summary
-        .by_layer_cause
-        .iter()
-        .filter(|((layer, _), _)| *layer != Layer::Wal)
-        .map(|(_, s)| s.total.as_nanos());
-    let chan_queue = summary
-        .by_layer_cause
-        .get(&(Layer::Channel, Cause::Queue))
-        .map_or(0, |s| s.total.as_nanos());
-    SweepPoint {
-        shards,
-        qd,
-        report,
-        channel_queue_share: chan_queue as f64 / spans().sum::<u64>().max(1) as f64,
-        channel_queue_dominates: chan_queue > 0 && Some(chan_queue) == outside_wal.max(),
+impl SweepPoint {
+    fn new(shards: usize, qd: usize, cross: f64, txns: u64) -> Self {
+        let r = campaign::run(&spec(shards, qd, cross, txns));
+        let summary = r.probe.expect("every sweep point is traced");
+        let spans = || summary.by_layer_cause.values().map(|s| s.total.as_nanos());
+        let outside_wal = summary
+            .by_layer_cause
+            .iter()
+            .filter(|((layer, _), _)| *layer != Layer::Wal)
+            .map(|(_, s)| s.total.as_nanos());
+        let chan_queue = summary
+            .by_layer_cause
+            .get(&(Layer::Channel, Cause::Queue))
+            .map_or(0, |s| s.total.as_nanos());
+        SweepPoint {
+            shards,
+            qd,
+            report: r.report,
+            channel_queue_share: chan_queue as f64 / spans().sum::<u64>().max(1) as f64,
+            channel_queue_dominates: chan_queue > 0 && Some(chan_queue) == outside_wal.max(),
+        }
     }
 }
 
 fn p999(report: &ShardedReport) -> u64 {
-    let mut all = report.read_only_latency.clone();
-    all.merge(&report.update_latency);
-    all.quantile(0.999)
+    all_txns(&report.read_only_latency, &report.update_latency).quantile(0.999)
 }
 
-/// The JSON rows of 17a and 17b (their tables order the fields
-/// differently, so they stay hand-laid).
+/// The JSON rows of 17a and 17b; each section appends its table's
+/// columns, which order the fields differently.
 fn sweep_series<'a>() -> Series<'a, SweepPoint> {
     Series::new()
         .json_only("shards", |p: &SweepPoint| V::Count(p.shards as u64))
@@ -164,34 +145,22 @@ fn main() {
     section("17a. TPS vs shard count (per-shard QD 4, 10% cross-shard)");
     let points: Vec<SweepPoint> = SHARDS
         .iter()
-        .map(|&s| run_point(s, 4, CROSS, txns))
+        .map(|&s| SweepPoint::new(s, 4, CROSS, txns))
         .collect();
-    let mut tbl = Table::new([
-        "shards",
-        "TPS",
-        "speedup",
-        "committed",
-        "cross",
-        "aborted",
-        "forces",
-        "p99.9",
-        "chan-queue share",
-    ]);
     let base_tps = points[0].report.tps;
-    for p in &points {
-        tbl.row([
-            format!("{}", p.shards),
-            format!("{:.0}", p.report.tps),
-            format!("{:.2}x", p.report.tps / base_tps),
-            format!("{}", p.report.committed),
-            format!("{}", p.report.cross_txns),
-            format!("{}", p.report.aborted),
-            format!("{}", p.report.forces),
-            fmt_ns(p999(&p.report)),
-            format!("{:.1}%", p.channel_queue_share * 100.0),
-        ]);
-    }
-    println!("{tbl}");
+    let shard_series = sweep_series()
+        .table_only("shards", |p| V::Count(p.shards as u64))
+        .table_only("TPS", |p| V::Float(p.report.tps, 0, 1))
+        .table_only("speedup", |p| V::Speedup(p.report.tps / base_tps))
+        .table_only("committed", |p| V::Count(p.report.committed))
+        .table_only("cross", |p| V::Count(p.report.cross_txns))
+        .table_only("aborted", |p| V::Count(p.report.aborted))
+        .table_only("forces", |p| V::Count(p.report.forces))
+        .table_only("p99.9", |p| V::Ns(p999(&p.report)))
+        .table_only("chan-queue share", |p| {
+            V::Share(p.channel_queue_share, 1, 3)
+        });
+    println!("{}", shard_series.table(&points));
     assert!(
         points[1].report.tps > points[0].report.tps * 1.1,
         "two shards must out-run one by a clear margin ({:.0} vs {:.0})",
@@ -221,20 +190,18 @@ fn main() {
     section("17b. Per-shard queue depth at 4 shards (10% cross-shard)");
     let qd_points: Vec<SweepPoint> = QDS
         .iter()
-        .map(|&qd| run_point(4, qd, CROSS, txns))
+        .map(|&qd| SweepPoint::new(4, qd, CROSS, txns))
         .collect();
-    let mut tbl = Table::new(["QD/shard", "TPS", "speedup", "p99.9", "chan-queue share"]);
     let qd_base = qd_points[0].report.tps;
-    for p in &qd_points {
-        tbl.row([
-            format!("{}", p.qd),
-            format!("{:.0}", p.report.tps),
-            format!("{:.2}x", p.report.tps / qd_base),
-            fmt_ns(p999(&p.report)),
-            format!("{:.1}%", p.channel_queue_share * 100.0),
-        ]);
-    }
-    println!("{tbl}");
+    let qd_series = sweep_series()
+        .table_only("QD/shard", |p| V::Count(p.qd as u64))
+        .table_only("TPS", |p| V::Float(p.report.tps, 0, 1))
+        .table_only("speedup", |p| V::Speedup(p.report.tps / qd_base))
+        .table_only("p99.9", |p| V::Ns(p999(&p.report)))
+        .table_only("chan-queue share", |p| {
+            V::Share(p.channel_queue_share, 1, 3)
+        });
+    println!("{}", qd_series.table(&qd_points));
     assert!(
         qd_points[1].report.tps > qd_points[0].report.tps,
         "deepening the per-shard queue must help at first ({:.0} vs {:.0})",
@@ -247,7 +214,7 @@ fn main() {
     section("17c. The cross-shard knob: paying for two-phase commit");
     let cross_points: Vec<(f64, SweepPoint)> = [0.0, 0.1, 0.3]
         .iter()
-        .map(|&c| (c, run_point(4, 4, c, txns)))
+        .map(|&c| (c, SweepPoint::new(4, 4, c, txns)))
         .collect();
     let cross_series = Series::new()
         .col(
@@ -280,15 +247,16 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("17d. QD 1 x 1 shard vs the serialized engine");
-    let ident_inputs = inputs(1, 0.0, 200.min(txns));
-    let mut sharded: ShardedDb<BlockStackBackend> = builder(1, 0.0)
-        .build_sharded_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1());
-    sharded.run(&ident_inputs, &ExecConfig::serialized());
+    let ident = RunSpec {
+        probe: false,
+        ..spec(1, 1, 0.0, 200.min(txns))
+    };
+    let sharded = campaign::run(&ident).engine;
     serialized_identity(
-        builder(1, 0.0).build_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1()),
-        &ident_inputs,
+        &ident.over(Stack(StackConfig::blk_mq(1), SsdConfig::figure1())),
         "1-shard coordinator QD 1",
         sharded.shard(0),
+        &[],
         "one shard at QD 1 must replay the serialized engine bit-for-bit",
     );
     note("The coordinator degenerates to the single executor's loop: same WAL bytes, same device commands, same clock. Sharding is an overlay, not a different engine.");
@@ -300,8 +268,8 @@ fn main() {
     println!(
         "{{\"device\":\"figure1 1ch x 4chip onfi2 via blk-mq stack\",\"preset\":\"{preset}\",\"txns\":{txns},\"qd1_one_shard_matches_serialized\":true,"
     );
-    println!("\"shard_sweep\":{},", sweep_series().json(&points));
-    println!("\"qd_sweep\":{},", sweep_series().json(&qd_points));
+    println!("\"shard_sweep\":{},", shard_series.json(&points));
+    println!("\"qd_sweep\":{},", qd_series.json(&qd_points));
     println!("\"cross_sweep\":{}}}", cross_series.json(&cross_points));
     println!("```");
 }

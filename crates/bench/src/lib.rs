@@ -5,20 +5,27 @@
 //! flavoured markdown plus a trailing JSON block. Its stdout is pinned
 //! byte for byte under `golden/` (`scripts/golden.sh`), which is what
 //! `EXPERIMENTS.md` tables and `BENCH_exp*.json` blocks are copied from.
+//!
+//! The DB experiments (E7, E13–E15, E17) and `bench_stack`'s `db_*` rows
+//! are specs over [`campaign`]: one protocol builds and loads the
+//! engine, attaches the probe after the load, and reports counter deltas
+//! over the measured window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aging;
+pub mod campaign;
 pub mod gantt;
 pub mod series;
 
 pub use series::{Series, V};
 
-use requiem_db::{Database, PersistenceBackend, TxnInput};
+use campaign::{Manager, RunSpec};
+use requiem_db::{Database, PersistenceBackend};
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::Table;
+use requiem_sim::{Histogram, Table};
 use requiem_ssd::{BufferConfig, Ssd, SsdConfig};
 use requiem_workload::driver::{precondition_sequential, run_closed_loop, DriverReport, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
@@ -91,20 +98,26 @@ pub fn bound_by(channel_util: f64, chip_util: f64) -> &'static str {
     }
 }
 
-/// The QD-1 identity anchor, printed and asserted: `serial` (fresh and
-/// loaded) executes `inputs` one `execute()` at a time and must end
-/// bit-for-bit where `candidate` ended — clock, latency histograms,
-/// stall ledger, WAL and page-read counters — after running them under
+/// A counter [`serialized_identity`] also compares: its column header and
+/// how to read it.
+pub type IdentityColumn<B> = (&'static str, fn(&Database<B>) -> u64);
+
+/// The QD-1 identity anchor, printed and asserted: a fresh engine of
+/// `spec` executes its inputs one `execute()` at a time and must end
+/// bit-for-bit where `candidate` ended after running them under
 /// [`requiem_db::ExecConfig::serialized`] (depth 1, prefetch off,
-/// immediate forces). `claim` is the assertion's message.
-pub fn serialized_identity<B: PersistenceBackend>(
-    mut serial: Database<B>,
-    inputs: &[TxnInput],
+/// immediate forces) — clock, latency histograms, stall ledger, WAL and
+/// page-read counters, and each `extra` counter, which also gets a
+/// column. `claim` is the assertion's message.
+pub fn serialized_identity<B: PersistenceBackend, M: Manager<Engine = Database<B>>>(
+    spec: &RunSpec<M>,
     label: &str,
     candidate: &Database<B>,
+    extra: &[IdentityColumn<B>],
     claim: &str,
 ) {
-    for t in inputs {
+    let mut serial = spec.build();
+    for t in &spec.inputs() {
         serial.execute(&t.accesses, t.log_bytes);
     }
     let identical = candidate.now() == serial.now()
@@ -113,23 +126,32 @@ pub fn serialized_identity<B: PersistenceBackend>(
         && candidate.stats() == serial.stats()
         && candidate.wal_backend().stats().log_forces == serial.wal_backend().stats().log_forces
         && candidate.wal_backend().stats().log_bytes == serial.wal_backend().stats().log_bytes
-        && candidate.backend().stats().page_reads == serial.backend().stats().page_reads;
-    let mut tbl =
-        Table::new(["engine", "final clock", "commits", "bit-identical"]).align(0, Align::Left);
-    tbl.row([
-        "serialized execute()".to_string(),
-        format!("{}", serial.now()),
-        format!("{}", serial.stats().commits),
-        String::new(),
-    ]);
-    tbl.row([
-        label.to_string(),
-        format!("{}", candidate.now()),
-        format!("{}", candidate.stats().commits),
-        format!("{identical}"),
-    ]);
+        && candidate.backend().stats().page_reads == serial.backend().stats().page_reads
+        && extra.iter().all(|(_, f)| f(candidate) == f(&serial));
+    let mut header = vec!["engine", "final clock", "commits"];
+    header.extend(extra.iter().map(|(h, _)| *h));
+    header.push("bit-identical");
+    let mut tbl = Table::new(header).align(0, Align::Left);
+    for (engine, db, verdict) in [
+        ("serialized execute()", &serial, String::new()),
+        (label, candidate, identical.to_string()),
+    ] {
+        let mut row = vec![engine.to_string(), db.now().to_string()];
+        row.push(db.stats().commits.to_string());
+        row.extend(extra.iter().map(|(_, f)| f(db).to_string()));
+        row.push(verdict);
+        tbl.row(row);
+    }
     println!("{tbl}");
     assert!(identical, "{claim}");
+}
+
+/// Every transaction's latency: the read-only and update classes merged
+/// without re-recording a sample.
+pub fn all_txns(read_only: &Histogram, update: &Histogram) -> Histogram {
+    let mut all = read_only.clone();
+    all.merge(update);
+    all
 }
 
 /// Run a simple measurement: `ops` operations of `mix` with `pattern`

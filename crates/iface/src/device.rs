@@ -84,6 +84,8 @@ pub struct DeviceMetrics {
     pub flash_programs: u64,
     /// Flash pages read.
     pub flash_reads: u64,
+    /// Flash blocks erased (GC + housekeeping).
+    pub flash_erases: u64,
     /// Live pages relocated by garbage collection.
     pub gc_pages_moved: u64,
     /// Garbage-collection passes run.
@@ -110,6 +112,7 @@ impl DeviceMetrics {
             host_reads: self.host_reads - earlier.host_reads,
             flash_programs: self.flash_programs - earlier.flash_programs,
             flash_reads: self.flash_reads - earlier.flash_reads,
+            flash_erases: self.flash_erases - earlier.flash_erases,
             gc_pages_moved: self.gc_pages_moved - earlier.gc_pages_moved,
             gc_runs: self.gc_runs - earlier.gc_runs,
             mapping_ram_bytes: self.mapping_ram_bytes,
@@ -269,6 +272,7 @@ impl DeviceInterface for Ssd {
             host_reads: m.host_reads,
             flash_programs: m.flash_programs.total(),
             flash_reads: m.flash_reads.total(),
+            flash_erases: m.flash_erases.total(),
             gc_pages_moved: m.gc_pages_moved,
             gc_runs: m.gc_runs,
             mapping_ram_bytes: self.config().mapping_table_bytes(),
@@ -473,6 +477,7 @@ impl DeviceInterface for NamelessSsd {
             host_reads: m.host_reads,
             flash_programs: m.flash_programs.total(),
             flash_reads: m.flash_reads.total(),
+            flash_erases: m.flash_erases.total(),
             gc_pages_moved: m.gc_pages_moved,
             gc_runs: m.gc_runs,
             mapping_ram_bytes: self.mapping_table_bytes(),

@@ -1,19 +1,19 @@
-//! Closed-loop OLTP driver over the completion-driven database engine.
+//! OLTP transactions as executor inputs.
 //!
 //! [`crate::driver`] pushes raw page I/O into an [`requiem_ssd::Ssd`];
-//! this module is the same closed-loop discipline one layer up: it feeds
-//! a TPC-B-flavoured transaction mix ([`crate::oltp`]) into
-//! [`requiem_db::Database::run_concurrent`], which keeps N transactions
-//! in flight over the batched read path and the shared group commit.
-//! Transaction *concurrency* is the database's queue depth — the §2.1
-//! argument ("SSDs require a high level of parallelism") restated at the
+//! one layer up, [`requiem_db::Database::run_concurrent`] keeps N
+//! transactions in flight over the batched read path and the shared
+//! group commit. This module maps the TPC-B-flavoured mix
+//! ([`crate::oltp`]) onto that executor's inputs. Transaction
+//! *concurrency* is the database's queue depth — the §2.1 argument
+//! ("SSDs require a high level of parallelism") restated at the
 //! storage-manager interface.
 //!
 //! Everything is pre-generated before the run so the device timeline is
 //! a pure function of `(seed, config)` — the determinism CI job diffs
 //! experiment output byte-for-byte.
 
-use requiem_db::{Database, ExecConfig, ExecReport, PersistenceBackend, TxnInput, SLOTS_PER_PAGE};
+use requiem_db::{TxnInput, SLOTS_PER_PAGE};
 
 use crate::oltp::{OltpGen, Txn};
 
@@ -38,25 +38,12 @@ pub fn oltp_inputs(gen: &mut OltpGen, count: u64) -> Vec<TxnInput> {
     (0..count).map(|_| txn_to_input(&gen.next_txn())).collect()
 }
 
-/// Run `count` OLTP transactions through `db` as a closed loop of
-/// `cfg.concurrency` in-flight transactions. The database must already
-/// be loaded.
-pub fn run_oltp_closed_loop<B: PersistenceBackend>(
-    db: &mut Database<B>,
-    gen: &mut OltpGen,
-    count: u64,
-    cfg: &ExecConfig,
-) -> ExecReport {
-    let inputs = oltp_inputs(gen, count);
-    db.run_concurrent(&inputs, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oltp::OltpConfig;
     use requiem_block::StackConfig;
-    use requiem_db::{BlockStackBackend, DbConfig};
+    use requiem_db::{BlockStackBackend, Database, DbConfig, ExecConfig};
     use requiem_ssd::SsdConfig;
 
     fn small_db() -> Database<BlockStackBackend> {
@@ -99,10 +86,8 @@ mod tests {
     #[test]
     fn closed_loop_runs_the_mix_to_completion() {
         let mut db = small_db();
-        let report = run_oltp_closed_loop(
-            &mut db,
-            &mut oltp(),
-            40,
+        let report = db.run_concurrent(
+            &oltp_inputs(&mut oltp(), 40),
             &ExecConfig {
                 concurrency: 4,
                 ..ExecConfig::serialized()
@@ -126,7 +111,7 @@ mod tests {
             serial.execute(&t.accesses, t.log_bytes);
         }
         let mut conc = small_db();
-        run_oltp_closed_loop(&mut conc, &mut oltp(), 40, &ExecConfig::serialized());
+        conc.run_concurrent(&inputs, &ExecConfig::serialized());
         assert_eq!(conc.now(), serial.now(), "QD-1 identity through the driver");
         assert_eq!(conc.txn_latency(), serial.txn_latency());
     }

@@ -12,9 +12,9 @@
 //!   into a [`requiem_ssd::Ssd`] and collect throughput/latency.
 //! * [`oltp`] — a TPC-B-flavoured transaction mix used by the §3
 //!   experiments (log writes + data page reads/writes per transaction).
-//! * [`dbdriver`] — a closed-loop driver feeding the OLTP mix into
-//!   `requiem-db`'s completion-driven executor (N transactions in
-//!   flight — queue depth at the storage-manager interface).
+//! * [`dbdriver`] — the OLTP mix as inputs for `requiem-db`'s
+//!   completion-driven executor (N transactions in flight — queue depth
+//!   at the storage-manager interface).
 //! * [`sharded`] — a million-client zipfian mix partitioned over N
 //!   executor shards, with a knob for the fraction of transactions
 //!   forced to span shards (the two-phase-ledger path in E17).
@@ -28,7 +28,7 @@ pub mod oltp;
 pub mod pattern;
 pub mod sharded;
 
-pub use dbdriver::{oltp_inputs, run_oltp_closed_loop, txn_to_input};
+pub use dbdriver::{oltp_inputs, txn_to_input};
 pub use driver::{
     precondition_sequential, run_closed_loop, run_closed_loop_serialized, DriverReport, IoMix,
 };
