@@ -11,9 +11,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "PAN01"
-//! path = "crates/ssd/src/controller/scheduler.rs"
-//! reason = "panics are documented FTL-bug invariants, not I/O errors"
+//! rule = "DET01"
+//! path = "crates/ssd/src/buffer.rs"
+//! reason = "the loop folds into an order-independent sum"
 //! ```
 
 use crate::diag::Diagnostic;
@@ -170,11 +170,11 @@ mod tests {
     #[test]
     fn parses_and_matches_exact_path() {
         let mut a = AllowList::parse(
-            "# comment\n[[allow]]\nrule = \"PAN01\"\npath = \"crates/x/src/a.rs\"\nreason = \"documented invariant\"\n",
+            "# comment\n[[allow]]\nrule = \"TIM01\"\npath = \"crates/x/src/a.rs\"\nreason = \"documented invariant\"\n",
         )
         .unwrap();
-        assert!(a.check(&diag("PAN01", "crates/x/src/a.rs")));
-        assert!(!a.check(&diag("PAN01", "crates/x/src/b.rs")));
+        assert!(a.check(&diag("TIM01", "crates/x/src/a.rs")));
+        assert!(!a.check(&diag("TIM01", "crates/x/src/b.rs")));
         assert!(!a.check(&diag("DET01", "crates/x/src/a.rs")));
         assert!(a.unused().is_empty());
     }

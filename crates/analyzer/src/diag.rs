@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn json_escapes_quotes() {
         let d = Diagnostic {
-            rule: "PAN01",
+            rule: "TIM01",
             path: "a.rs".into(),
             line: 1,
             message: "call to `expect(\"x\")`".into(),

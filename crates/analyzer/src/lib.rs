@@ -5,8 +5,9 @@
 //! Figure 2 while nothing inverts a layer. Both were conventions. This
 //! crate turns them into machine-checked rules (see [`rules`] for the
 //! full table): determinism (DET), layering (LAY), probe discipline
-//! (PRB), time hygiene (TIM), panic policy (PAN), unsafe policy (UNS),
-//! and dead public API (DEAD).
+//! (PRB), fallibility (IOS), clock discipline (CLK), time hygiene (TIM),
+//! unsafe policy (UNS), and dead public API (DEAD). What rustc and
+//! clippy already check is left to them.
 //!
 //! Design constraints:
 //!
@@ -24,8 +25,6 @@
 //!   CI gates on it.
 //!
 //! Run it as `cargo run -p analyzer -- --workspace`.
-
-#![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod diag;
@@ -99,7 +98,7 @@ fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     let members = ws
         .crates
         .iter()
-        .flat_map(|k| k.files.iter().map(move |f| (k.name.as_str(), f)));
+        .flat_map(|k| k.files.iter().map(move |f| (k.manifest.name.as_str(), f)));
     let references = ws.references.iter().map(|f| ("requiem-benchmark", f));
     let mut inputs = Vec::new();
     for (crate_name, f) in members.chain(references) {
@@ -113,25 +112,8 @@ fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
         });
     }
     let mut out = lint_files(&inputs);
-    // crate-scoped rules need the crate root's token stream
     for krate in &ws.crates {
-        let root = krate
-            .files
-            .iter()
-            .find(|f| f.cat == FileCat::Main && f.rel.ends_with("src/lib.rs"))
-            .or_else(|| {
-                krate
-                    .files
-                    .iter()
-                    .find(|f| f.cat == FileCat::Main && f.rel.ends_with("src/main.rs"))
-            })
-            .and_then(|f| inputs.iter().find(|i| i.rel == f.rel));
-        let root_toks = root.map(|f| lexer::lex(&f.text));
-        out.extend(rules::run_crate(
-            krate,
-            root_toks.as_deref(),
-            root.map(|f| f.rel.as_str()).unwrap_or(&krate.manifest_rel),
-        ));
+        out.extend(rules::run_crate(krate));
     }
     Ok(out)
 }
@@ -160,13 +142,7 @@ pub fn lint_files(inputs: &[FileInput]) -> Vec<Diagnostic> {
         prepared
             .iter()
             .filter(|p| p.input.cat == FileCat::Main)
-            .map(|p| {
-                (
-                    rules::short_name(&p.input.crate_name),
-                    p.input.rel.as_str(),
-                    &p.parsed,
-                )
-            }),
+            .map(|p| &p.parsed),
     );
     let ctxs: Vec<FileCtx<'_>> = prepared
         .iter()

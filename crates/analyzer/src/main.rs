@@ -23,8 +23,6 @@
 //! denied, 2 on usage or I/O error. Deny-by-default: every diagnostic
 //! not covered by the allowlist fails the run.
 
-#![forbid(unsafe_code)]
-
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;

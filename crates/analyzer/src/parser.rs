@@ -4,8 +4,8 @@
 //! The build environment vendors no `syn`, so the semantic rules parse
 //! Rust themselves. This parser produces exactly the item tree those
 //! rules need — functions (with parameter/return types and a statement
-//! tree), impl/trait context, `use` declarations, type definitions, and
-//! every call expression — and deliberately nothing more. It is a
+//! tree), impl/trait context, and every call expression — and
+//! deliberately nothing more. It is a
 //! *scanner-grade* parser: tolerant of anything it does not model
 //! (it skips unknown constructs token by token), never panics on
 //! arbitrary input, and prefers under-reporting structure to
@@ -16,10 +16,6 @@
 //! * [`ParsedFile::fns`] — a flat list of every `fn` in the file, each
 //!   carrying its enclosing impl/trait type, parameter names and type
 //!   idents, return-type idents, and a [`Block`] statement tree.
-//! * [`ParsedFile::uses`] — flattened `use` trees (each leaf a full
-//!   segment path plus the local binding name it introduces).
-//! * [`ParsedFile::types`] — struct/enum/trait/union names defined here
-//!   (the symbol table attributes them to the crate).
 //! * [`Call`] — every `callee(...)` / `recv.method(...)` /
 //!   `Path::to::func(...)` in a body, with receiver chain, argument
 //!   ranges, and the index of the matching `)` so rules can see what
@@ -38,30 +34,6 @@ use crate::lexer::{Tok, TokKind};
 pub struct ParsedFile {
     /// Every function in the file, at any nesting depth, in source order.
     pub fns: Vec<FnDef>,
-    /// Flattened `use` declarations.
-    pub uses: Vec<UseDecl>,
-    /// Types (struct/enum/trait/union) defined in this file.
-    pub types: Vec<TypeDef>,
-}
-
-/// One type definition site.
-#[derive(Debug, Clone)]
-pub struct TypeDef {
-    /// The type's name.
-    pub name: String,
-    /// Source line.
-    pub line: u32,
-}
-
-/// One flattened `use` leaf: `use a::b::{c, d as e};` yields two.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    /// Full segment path (`["a", "b", "c"]`).
-    pub segs: Vec<String>,
-    /// Local name the declaration binds (`c`, `e`, or `*` for a glob).
-    pub alias: String,
-    /// Source line.
-    pub line: u32,
 }
 
 /// One function definition (or trait-method declaration).
@@ -71,10 +43,6 @@ pub struct FnDef {
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any.
     pub self_ty: Option<String>,
-    /// True when declared with a `self` receiver.
-    pub has_self: bool,
-    /// Source line of the `fn` keyword.
-    pub line: u32,
     /// Token index of the `fn` keyword (for test-mask lookups).
     pub fn_tok: usize,
     /// Named parameters (receiver excluded).
@@ -420,21 +388,11 @@ impl<'t> Parser<'t> {
                         }
                     }
                 }
-                "use" => self.use_decl(out),
                 "fn" => self.fn_item(out, self_ty),
                 "impl" => self.impl_item(out),
                 "trait" => self.trait_item(out),
                 "mod" => self.mod_item(out, self_ty),
-                "struct" | "enum" | "union" => {
-                    let line = t.line;
-                    if let Some(n) = self.at(self.pos + 1) {
-                        if n.kind == TokKind::Ident {
-                            out.types.push(TypeDef {
-                                name: n.text.clone(),
-                                line,
-                            });
-                        }
-                    }
+                "use" | "struct" | "enum" | "union" => {
                     self.pos += 1;
                     self.skip_item();
                 }
@@ -489,81 +447,6 @@ impl<'t> Parser<'t> {
                 }
             }
             self.pos += 1;
-        }
-    }
-
-    /// `use a::b::{c, d as e, f::*};`
-    fn use_decl(&mut self, out: &mut ParsedFile) {
-        let line = self.line(self.pos);
-        self.pos += 1; // `use`
-        let mut prefix = Vec::new();
-        self.use_tree(out, &mut prefix, line);
-        if self.is(self.pos, ';') {
-            self.pos += 1;
-        }
-    }
-
-    fn use_tree(&mut self, out: &mut ParsedFile, prefix: &mut Vec<String>, line: u32) {
-        let depth0 = prefix.len();
-        while let Some(t) = self.cur() {
-            if t.kind == TokKind::Ident {
-                prefix.push(t.text.clone());
-                self.pos += 1;
-                if self.is(self.pos, ':') && self.is(self.pos + 1, ':') {
-                    self.pos += 2;
-                    continue;
-                }
-                // leaf: optional `as alias`
-                let mut alias = prefix.last().cloned().unwrap_or_default();
-                if self.is_kw(self.pos, "as") {
-                    // the alias ident follows
-                    if let Some(a) = self.at(self.pos + 1) {
-                        if a.kind == TokKind::Ident {
-                            alias = a.text.clone();
-                        }
-                    }
-                    self.pos += 2;
-                }
-                out.uses.push(UseDecl {
-                    segs: prefix.clone(),
-                    alias,
-                    line,
-                });
-                prefix.truncate(depth0);
-                break;
-            } else if t.is_punct('*') {
-                out.uses.push(UseDecl {
-                    segs: prefix.clone(),
-                    alias: "*".to_string(),
-                    line,
-                });
-                self.pos += 1;
-                prefix.truncate(depth0);
-                break;
-            } else if t.is_punct('{') {
-                self.pos += 1;
-                loop {
-                    if self.is(self.pos, '}') {
-                        self.pos += 1;
-                        break;
-                    }
-                    if self.pos >= self.toks.len() {
-                        break;
-                    }
-                    self.use_tree(out, prefix, line);
-                    if self.is(self.pos, ',') {
-                        self.pos += 1;
-                        continue;
-                    }
-                    if !self.is(self.pos, '}') {
-                        self.pos += 1; // tolerate anything else
-                    }
-                }
-                prefix.truncate(depth0);
-                break;
-            } else {
-                break;
-            }
         }
     }
 
@@ -636,13 +519,10 @@ impl<'t> Parser<'t> {
     /// `trait Name { fn decls/defaults }`
     fn trait_item(&mut self, out: &mut ParsedFile) {
         self.pos += 1; // `trait`
-        let name = self.cur().filter(|t| t.kind == TokKind::Ident).map(|t| {
-            out.types.push(TypeDef {
-                name: t.text.clone(),
-                line: t.line,
-            });
-            t.text.clone()
-        });
+        let name = self
+            .cur()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.clone());
         if name.is_some() {
             self.pos += 1;
         }
@@ -687,7 +567,6 @@ impl<'t> Parser<'t> {
     /// `fn name<…>(params) [-> Ret] [where …] { body }`
     fn fn_item(&mut self, out: &mut ParsedFile, self_ty: Option<&str>) {
         let fn_tok = self.pos;
-        let line = self.line(self.pos);
         self.pos += 1; // `fn`
         let Some(name_tok) = self.cur().filter(|t| t.kind == TokKind::Ident) else {
             return;
@@ -697,7 +576,7 @@ impl<'t> Parser<'t> {
         if self.is(self.pos, '<') {
             self.skip_generics();
         }
-        let (params, has_self) = self.fn_params();
+        let params = self.fn_params();
         // return type
         let mut ret = Vec::new();
         if self.is(self.pos, '-') && self.is(self.pos + 1, '>') {
@@ -738,8 +617,6 @@ impl<'t> Parser<'t> {
         out.fns.push(FnDef {
             name,
             self_ty: self_ty.map(|s| s.to_string()),
-            has_self,
-            line,
             fn_tok,
             params,
             ret,
@@ -747,13 +624,12 @@ impl<'t> Parser<'t> {
         });
     }
 
-    /// Parse `(params)`; returns the named params and whether a `self`
-    /// receiver is present.
-    fn fn_params(&mut self) -> (Vec<Param>, bool) {
+    /// Parse `(params)`; returns the named params (a `self` receiver
+    /// is not one).
+    fn fn_params(&mut self) -> Vec<Param> {
         let mut params = Vec::new();
-        let mut has_self = false;
         if !self.is(self.pos, '(') {
-            return (params, has_self);
+            return params;
         }
         // find the matching `)`
         let open = self.pos;
@@ -789,7 +665,6 @@ impl<'t> Parser<'t> {
                 j += 1;
             }
             if parser.is_kw(j, "self") {
-                has_self = true;
                 return;
             }
             // `[mut] name : ty`
@@ -830,7 +705,7 @@ impl<'t> Parser<'t> {
         }
         flush(start, close, self);
         self.pos = (close + 1).min(self.toks.len());
-        (params, has_self)
+        params
     }
 
     /// Parse a `{ … }` block (pos must be at `{`).
@@ -915,12 +790,8 @@ impl<'t> Parser<'t> {
                     self.fn_item(out, self_ty);
                     return Stmt::Item;
                 }
-                "use" => {
-                    self.use_decl(out);
-                    return Stmt::Item;
-                }
-                "struct" | "enum" | "union" | "impl" | "trait" | "mod" | "const" | "static"
-                | "type" | "extern" => {
+                "use" | "struct" | "enum" | "union" | "impl" | "trait" | "mod" | "const"
+                | "static" | "type" | "extern" => {
                     // nested items: route through the item parser for
                     // fn/impl/etc so their fns are still collected
                     match t.text.as_str() {
@@ -1547,7 +1418,6 @@ mod tests {
         let fd = &f.fns[0];
         assert_eq!(fd.name, "force");
         assert_eq!(fd.self_ty.as_deref(), Some("FlashWal"));
-        assert!(fd.has_self);
         assert_eq!(fd.params.len(), 2);
         assert_eq!(fd.params[0].name, "now");
         assert_eq!(fd.params[0].ty, vec!["SimTime"]);
@@ -1564,8 +1434,6 @@ mod tests {
         assert_eq!(f.fns[0].self_ty.as_deref(), Some("WalBackend"));
         assert!(f.fns[0].body.is_none());
         assert!(f.fns[1].body.is_some());
-        assert_eq!(f.types.len(), 1);
-        assert_eq!(f.types[0].name, "WalBackend");
     }
 
     #[test]
@@ -1575,21 +1443,31 @@ mod tests {
     }
 
     #[test]
-    fn use_trees_flatten_with_aliases() {
-        let f = parse_src("use requiem_sim::{time::SimTime, IoStatus as St, probe::*};");
-        let flat: Vec<(String, String)> = f
-            .uses
-            .iter()
-            .map(|u| (u.segs.join("::"), u.alias.clone()))
-            .collect();
-        assert_eq!(
-            flat,
-            vec![
-                ("requiem_sim::time::SimTime".into(), "SimTime".into()),
-                ("requiem_sim::IoStatus".into(), "St".into()),
-                ("requiem_sim::probe".into(), "*".into()),
-            ]
+    fn use_trees_are_skipped() {
+        // a `}` closing a use tree must not end the item list: the fns
+        // around it still parse, at top level and inside a body
+        let f = parse_src(
+            "use requiem_sim::{time::SimTime, IoStatus as St, probe::*};\nfn after() { use a::{b, c as d}; inner(); }\nfn last() {}",
         );
+        let names: Vec<&str> = f.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after", "last"]);
+        let mut calls = Vec::new();
+        f.fns[0]
+            .body
+            .as_ref()
+            .unwrap()
+            .for_each_expr(&mut |e| calls.extend(e.calls.iter().map(|c| c.name().to_string())));
+        assert_eq!(calls, vec!["inner"]);
+    }
+
+    #[test]
+    fn struct_enum_bodies_are_skipped() {
+        // a `}` closing a struct/enum body must not end the item list
+        let f = parse_src(
+            "pub struct WalForce { pub done: SimTime }\nenum IoStatus { Ok }\nfn after() {}",
+        );
+        let names: Vec<&str> = f.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
     }
 
     #[test]
@@ -1686,13 +1564,6 @@ mod tests {
             vec!["requiem_ssd", "qpair", "QueuePair", "new"]
         );
         assert!(!e.expr.calls[0].method);
-    }
-
-    #[test]
-    fn struct_enum_types_are_recorded() {
-        let f = parse_src("pub struct WalForce { pub done: SimTime }\nenum IoStatus { Ok }");
-        let names: Vec<&str> = f.types.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["WalForce", "IoStatus"]);
     }
 
     #[test]

@@ -1,23 +1,22 @@
-//! IOS01/IOS02 — fallibility discipline.
+//! IOS02 — fallibility discipline.
 //!
-//! Since PR 4 every completion carries a typed [`IoStatus`], and PR 7's
+//! Every completion carries a typed [`IoStatus`], and
 //! `WalBackend::force` returns a `WalForce { done, status }`. The whole
 //! point of that plumbing is that an `Unrecoverable` can never vanish
 //! silently — so an expression producing one of the status-carrying
-//! types must be *matched or explicitly consumed*:
+//! types must be *matched or explicitly consumed*. Both types are
+//! `#[must_use]` and the workspace denies `unused_must_use`, so rustc
+//! refuses a result dropped in statement position
+//! (`self.wal_dev.force(now, to);`). What passes rustc is IOS02's: a
+//! fallible result bound but never consumed — `let _ =`, a
+//! `_`-prefixed binding, a never-mentioned-again name, a pattern that
+//! discards components (`let (done, _) = …`), or a `.done` projection
+//! that throws the status away (`let t = dev.force(now, to).done;`).
 //!
-//! * **IOS01** — a fallible call in statement position with its result
-//!   dropped on the floor (`self.wal_dev.force(now, to);`).
-//! * **IOS02** — a fallible result bound but never consumed: `let _ =`,
-//!   a `_`-prefixed binding, a never-mentioned-again name, a pattern
-//!   that discards components (`let (done, _) = …`), or a `.done`
-//!   projection that throws the status away
-//!   (`let t = dev.force(now, to).done;`).
-//!
-//! Fallible means the return type carries `IoStatus`, `WalForce`, or
-//! `Vec<IoCompletion>` — decided by the all-definitions rule over the
-//! workspace symbol table, so a name is only treated as fallible when
-//! *every* fn of that name is.
+//! Fallible means the return type carries `IoStatus` or `WalForce` —
+//! decided by the all-definitions rule over the workspace symbol table,
+//! so a name is only treated as fallible when *every* fn of that name
+//! is.
 
 use super::SemCtx;
 use crate::diag::Diagnostic;
@@ -25,7 +24,7 @@ use crate::lexer::{Tok, TokKind};
 use crate::parser::{Block, Call, ExprInfo, Stmt};
 use crate::symbols::fallible_ret;
 
-/// Run IOS01/IOS02 on one file's parsed tree.
+/// Run IOS02 on one file's parsed tree.
 pub fn check(sem: &SemCtx<'_>) -> Vec<Diagnostic> {
     let ctx = sem.file;
     if !ctx.cat.is_main() {
@@ -72,15 +71,12 @@ fn fallible_call(sem: &SemCtx<'_>, call: &Call) -> Option<Vec<String>> {
     }
 }
 
-/// Human-readable return type for messages: `WalForce`, `IoStatus`, or
-/// `Vec<IoCompletion>`.
+/// Human-readable return type for messages: `WalForce` or `IoStatus`.
 fn ret_desc(ret: &[String]) -> &'static str {
     if ret.iter().any(|r| r == "WalForce") {
         "WalForce"
-    } else if ret.iter().any(|r| r == "IoStatus") {
-        "IoStatus"
     } else {
-        "Vec<IoCompletion>"
+        "IoStatus"
     }
 }
 
@@ -112,32 +108,6 @@ fn trailing_done_projection<'a>(toks: &[Tok], e: &'a ExprInfo) -> Option<&'a Cal
         return None;
     }
     e.calls.iter().find(|c| c.rparen == last - 2)
-}
-
-/// True when `toks[lo..hi]` contains a plain assignment `=` — not a
-/// comparison (`==`, `<=`, …), not `=>`, and not the tail of `..=`. An
-/// assignment means the statement's trailing call feeds the assignment
-/// target (`status = status.combine(c.status);`), so its result is
-/// consumed, not dropped.
-fn has_assignment(toks: &[Tok], lo: usize, hi: usize) -> bool {
-    let hi = hi.min(toks.len());
-    for i in lo..hi {
-        if toks[i].is_punct('=') {
-            let prev_op = i > lo
-                && (toks[i - 1].is_punct('=')
-                    || toks[i - 1].is_punct('!')
-                    || toks[i - 1].is_punct('<')
-                    || toks[i - 1].is_punct('>')
-                    || toks[i - 1].is_punct('.'));
-            let next_op = toks
-                .get(i + 1)
-                .is_some_and(|n| n.is_punct('=') || n.is_punct('>'));
-            if !prev_op && !next_op {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 /// True when ident `name` occurs in `toks[lo..hi]`.
@@ -178,28 +148,6 @@ fn walk(sem: &SemCtx<'_>, body: &Block, block: &Block, out: &mut Vec<Diagnostic>
     let toks = sem.file.toks;
     for s in &block.stmts {
         match s {
-            Stmt::Expr(e) if e.semi => {
-                if let Some(call) = trailing_call(toks, &e.expr) {
-                    if has_assignment(toks, e.expr.lo, call.tok) {
-                        // `x = worse_status(x, st);` — consumed by the
-                        // assignment target
-                        continue;
-                    }
-                    if let Some(ret) = fallible_call(sem, call) {
-                        out.push(diag(
-                            "IOS01",
-                            sem,
-                            call.line,
-                            format!(
-                                "result of fallible call `{}` (returns {}) is silently dropped",
-                                call.path_str(),
-                                ret_desc(&ret)
-                            ),
-                            "bind it and consume the status (match it or route it to note_status)",
-                        ));
-                    }
-                }
-            }
             Stmt::Let(l) => {
                 if let Some(init) = &l.init {
                     // `….force(now, to).done` — status projected away

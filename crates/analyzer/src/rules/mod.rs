@@ -4,37 +4,35 @@
 //! |-------|---------------|-----------|
 //! | DET01 | determinism   | no iteration over `HashMap`/`HashSet` in sim-path code |
 //! | DET02 | determinism   | no ambient authority: `Instant`, `SystemTime`, `thread_rng`, `RandomState` |
-//! | LAY01 | layering      | `Cargo.toml` deps respect the Figure-2 DAG |
-//! | LAY02 | layering      | `use requiem_*` paths respect the Figure-2 DAG |
-//! | LAY03 | layering      | the resolved *call graph* respects the Figure-2 DAG |
-//! | PRB01 | probe         | no raw `enter_background`/`exit_background` outside `sim` (RAII guard only) |
+//! | LAY01 | layering      | every `Cargo.toml` dependency edge respects the Figure-2 DAG |
 //! | PRB02 | probe         | a file opening probe spans must also close or detach them |
 //! | PRB03 | probe         | spans must be closed/detached/aborted on *every* exit path |
-//! | IOS01 | fallibility   | a fallible result (`IoStatus`/`WalForce`/`Vec<IoCompletion>`) must not be dropped in statement position |
 //! | IOS02 | fallibility   | a fallible result must be consumed once bound — no `_`, unused names, or `.done`-only projections |
 //! | CLK01 | clock         | a time binding is stale after a device-driving call until folded forward |
 //! | TIM01 | time hygiene  | no arithmetic on raw `as_nanos()` values outside `sim` |
 //! | TIM02 | time hygiene  | no `*_ns`-suffixed raw integer/float declarations outside `sim` |
-//! | PAN01 | panic policy  | no `unwrap`/`expect`/`panic!` in controller/qpair/mapping code |
-//! | UNS01 | unsafe policy | no `unsafe` anywhere in the workspace |
-//! | UNS02 | unsafe policy | every crate root carries `#![forbid(unsafe_code)]` |
+//! | UNS02 | unsafe policy | every member inherits the workspace lints (`unsafe_code = "forbid"`) |
 //! | DEAD01 | dead code    | no `pub` fn/const/static named only by its own file's tests |
+//!
+//! The toolchain enforces the rest (DESIGN §2.5): rustc keeps code from
+//! naming a crate its manifest does not list (the old LAY02/LAY03),
+//! forbids `unsafe` (UNS01) and denies a dropped `#[must_use]` `IoStatus`
+//! or `WalForce` (IOS01); clippy holds the panic policy's modules to no
+//! `unwrap`/`expect`/`panic!` (PAN01); and `Probe::enter_background` is
+//! private to `sim` (PRB01).
 //!
 //! The [`RULES`] table below is the single registry: it drives the
 //! per-file and semantic passes ([`run_file`], [`run_sem`]) *and* the
 //! CLI's `--explain <RULE>` output — rationale and the bad/ok examples
 //! live next to the check that enforces them.
 
-pub mod callgraph;
 pub mod clock;
 pub mod dead;
 pub mod determinism;
 pub mod fallibility;
-pub mod layering;
-pub mod panic_policy;
+pub mod manifest;
 pub mod probe;
 pub mod timing;
-pub mod unsafety;
 
 use crate::diag::Diagnostic;
 use crate::lexer::Tok;
@@ -115,7 +113,7 @@ pub enum Check {
 
 /// One registry entry: the check plus everything `--explain` prints.
 pub struct Rule {
-    /// Stable id (`LAY03`).
+    /// Stable id (`LAY01`).
     pub id: &'static str,
     /// Family name (`layering`).
     pub family: &'static str,
@@ -158,45 +156,15 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "LAY01",
         family: "layering",
-        summary: "Cargo.toml deps respect the Figure-2 DAG",
+        summary: "every Cargo.toml dependency edge respects the Figure-2 DAG",
         rationale: "The workspace mirrors the paper's Figure 2 (db→block→iface/ssd→flash/pcm→sim); \
                     an upward manifest edge collapses the layering argument the reproduction \
-                    makes.",
+                    makes. Source can name only the crates its manifest lists, so checking \
+                    every edge (build and target tables, the bare `requiem` crate, no \
+                    `package = \"…\"` renames) is checking the code.",
         bad: "# crates/flash/Cargo.toml\n[dependencies]\nrequiem-ssd = { path = \"../ssd\" }",
         ok: "# crates/flash/Cargo.toml\n[dependencies]\nrequiem-sim = { path = \"../sim\" }",
         check: Check::CrateScoped,
-    },
-    Rule {
-        id: "LAY02",
-        family: "layering",
-        summary: "use requiem_* paths respect the Figure-2 DAG",
-        rationale: "A fully-qualified path can smuggle in an edge the manifest hides (e.g. \
-                    through a transitive dep); the same DAG is therefore enforced on source \
-                    tokens.",
-        bad: "// in crates/flash\nuse requiem_ssd::qpair::QueuePair;",
-        ok: "// in crates/flash\nuse requiem_sim::time::SimTime;",
-        check: Check::File(layering::check_uses),
-    },
-    Rule {
-        id: "LAY03",
-        family: "layering",
-        summary: "the resolved call graph respects the Figure-2 DAG",
-        rationale: "Re-exports (the root crate `requiem` has no requiem_ prefix) and method \
-                    calls on values handed down from above create edges neither LAY01 nor \
-                    LAY02 can see; the symbol-table-resolved call graph closes the hole.",
-        bad: "// in crates/flash\nfn drain(s: &mut Ssd) { s.enqueue(&mut qp, now, req); } // resolves to ssd",
-        ok: "// in crates/ssd\nfn drain(s: &mut Ssd) { s.enqueue(&mut qp, now, req); }",
-        check: Check::Sem(callgraph::check),
-    },
-    Rule {
-        id: "PRB01",
-        family: "probe",
-        summary: "no raw enter_background/exit_background outside sim (RAII guard only)",
-        rationale: "An early return between the raw pair wedges the probe bus in background \
-                    mode and silently un-attributes every later span.",
-        bad: "probe.enter_background();\ndo_gc();\nprobe.exit_background();",
-        ok: "let _bg = probe.background();\ndo_gc();",
-        check: Check::File(probe::check),
     },
     Rule {
         id: "PRB02",
@@ -207,7 +175,7 @@ pub const RULES: &[Rule] = &[
                     opens is leaking records.",
         bad: "let scope = probe.open_command(\"read\", now);\n// no close/detach anywhere in the file",
         ok: "let scope = probe.open_command(\"read\", now);\nscope.close(done);",
-        check: Check::WithPass("PRB01"),
+        check: Check::File(probe::check),
     },
     Rule {
         id: "PRB03",
@@ -221,25 +189,15 @@ pub const RULES: &[Rule] = &[
         check: Check::Sem(probe::check_paths),
     },
     Rule {
-        id: "IOS01",
-        family: "fallibility",
-        summary: "a fallible result must not be dropped in statement position",
-        rationale: "Every completion carries a typed IoStatus precisely so an Unrecoverable \
-                    can never vanish; a bare `dev.force(now, to);` throws the status away \
-                    unseen.",
-        bad: "self.wal_dev.force(now, to);",
-        ok: "let f = self.wal_dev.force(now, to);\nself.note_force(f.status);",
-        check: Check::Sem(fallibility::check),
-    },
-    Rule {
         id: "IOS02",
         family: "fallibility",
         summary: "a bound fallible result must actually be consumed",
-        rationale: "`let _ = force(…)`, a never-read binding, or a `.done`-only projection is \
-                    IOS01 with extra steps — the status still dies unobserved.",
+        rationale: "`#[must_use]` on IoStatus and WalForce stops a status dropped in statement \
+                    position, but `let _ = force(…)`, a never-read binding, or a `.done`-only \
+                    projection passes rustc — and the status still dies unobserved.",
         bad: "let t = self.wal_dev.force(now, to).done; // status projected away",
         ok: "let f = self.wal_dev.force(now, to);\nself.note_force(f.status);\nlet t = f.done;",
-        check: Check::WithPass("IOS01"),
+        check: Check::Sem(fallibility::check),
     },
     Rule {
         id: "CLK01",
@@ -274,34 +232,14 @@ pub const RULES: &[Rule] = &[
         check: Check::WithPass("TIM01"),
     },
     Rule {
-        id: "PAN01",
-        family: "panic policy",
-        summary: "no unwrap/expect/panic! in controller/qpair/mapping/exec code",
-        rationale: "The protected modules sit under the fallible-I/O contract (PR 4): media \
-                    errors must surface as typed IoStatus, never as a host-process abort. \
-                    `unreachable!` remains legal for provable invariants (let-else guarded).",
-        bad: "let log = h.log_of(lbn).expect(\"just appended\");",
-        ok: "let Some(log) = h.log_of(lbn) else {\n    unreachable!(\"append_log bound this lbn\")\n};",
-        check: Check::File(panic_policy::check),
-    },
-    Rule {
-        id: "UNS01",
-        family: "unsafe policy",
-        summary: "no unsafe anywhere in the workspace",
-        rationale: "The simulator needs no unsafe; any appearance is either a mistake or a \
-                    perf experiment that belongs behind a reviewed feature gate.",
-        bad: "let p = unsafe { ptr.read() };",
-        ok: "let p = slice[i];",
-        check: Check::File(unsafety::check_tokens),
-    },
-    Rule {
         id: "UNS02",
         family: "unsafe policy",
-        summary: "every crate root carries #![forbid(unsafe_code)]",
-        rationale: "UNS01 is a lint; the compiler attribute makes it load-bearing even for \
-                    code paths the analyzer cannot see.",
-        bad: "// src/lib.rs\n//! my crate",
-        ok: "// src/lib.rs\n//! my crate\n#![forbid(unsafe_code)]",
+        summary: "every member inherits the workspace lints (unsafe_code = \"forbid\")",
+        rationale: "The simulator needs no unsafe. The root's [workspace.lints.rust] forbids \
+                    it for every target (bins, tests and examples too) and denies \
+                    unused_must_use, but binds a member only when its manifest opts in.",
+        bad: "# crates/x/Cargo.toml\n[dependencies]\nrequiem-sim = { workspace = true }",
+        ok: "# crates/x/Cargo.toml\n[dependencies]\nrequiem-sim = { workspace = true }\n\n[lints]\nworkspace = true",
         check: Check::CrateScoped,
     },
     Rule {
@@ -353,9 +291,8 @@ pub fn run_sem(sem: &SemCtx<'_>) -> Vec<Diagnostic> {
 }
 
 /// Run every crate-scoped rule on one crate.
-pub fn run_crate(info: &CrateInfo, root_toks: Option<&[Tok]>, root_rel: &str) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    out.extend(layering::check_manifest(info));
-    out.extend(unsafety::check_crate_root(info, root_toks, root_rel));
+pub fn run_crate(info: &CrateInfo) -> Vec<Diagnostic> {
+    let mut out = manifest::check_manifest(info);
+    out.extend(manifest::check_lints(info));
     out
 }

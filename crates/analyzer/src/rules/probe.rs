@@ -1,20 +1,16 @@
-//! PRB01/PRB02/PRB03 — probe-span discipline.
+//! PRB02/PRB03 — probe-span discipline.
 //!
-//! The observability bus (PR 1/2) has a hard invariant: spans attributed
-//! to a command must tile its `[submit, done)` interval, and a command
-//! opened on the bus must eventually be closed (or detached for
-//! out-of-order completion and resumed later). Two usage patterns defeat
-//! the RAII protections:
-//!
-//! * calling `enter_background`/`exit_background` by hand (PRB01) — an
-//!   early return between the pair wedges the bus in background mode and
-//!   silently un-attributes every later span. `Probe::background()`
-//!   returns a guard; use it.
-//! * opening command scopes in a file that never closes/detaches any
-//!   (PRB02) — the drop-aborts protection turns those commands into
-//!   discarded records, which is a bug, not a feature. Pairing is checked
-//!   at file granularity: a file with `open_command`/`resume` calls must
-//!   also contain `close` or `detach` calls.
+//! The observability bus has a hard invariant: spans attributed to a
+//! command must tile its `[submit, done)` interval, and a command opened
+//! on the bus must eventually be closed (or detached for out-of-order
+//! completion and resumed later). Opening command scopes in a file that
+//! never closes/detaches any (PRB02) defeats the RAII protection: the
+//! drop-abort turns those commands into discarded records, which is a
+//! bug, not a feature. Pairing is checked at file granularity: a file
+//! with `open_command`/`resume` calls must also contain `close` or
+//! `detach` calls. (The raw background toggles that once had a rule of
+//! their own are private to `sim`: `Probe::background()`'s guard is the
+//! only way in.)
 //!
 //! PRB03 is the control-flow-aware deepening of PRB02: a
 //! `CommandScope` binding opened on a path must be closed, detached, or
@@ -31,9 +27,9 @@ use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::parser::{ArmBody, Block, Call, ExprInfo, Stmt};
 
-/// Run PRB01/PRB02 on one file.
+/// Run PRB02 on one file.
 pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    // The bus implementation itself manipulates background depth.
+    // The bus itself (crates/sim) defines the scope API it would check.
     if ctx.rel.starts_with("crates/sim/") {
         return Vec::new();
     }
@@ -52,18 +48,6 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
             continue;
         }
         match t.text.as_str() {
-            "enter_background" | "exit_background" => {
-                out.push(Diagnostic {
-                    rule: "PRB01",
-                    path: ctx.rel.to_string(),
-                    line: t.line,
-                    message: format!(
-                        "raw `{}()`: an early return between the pair wedges the probe bus",
-                        t.text
-                    ),
-                    suggestion: "use the RAII guard: `let _bg = probe.background();`".to_string(),
-                });
-            }
             "open_command" | "resume" if method => opens.push((t.line, "open")),
             "close" | "detach" if method => closes += 1,
             _ => {}

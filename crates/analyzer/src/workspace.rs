@@ -51,26 +51,50 @@ pub struct SourceFile {
     pub cat: FileCat,
 }
 
+/// The manifest table a dependency is declared in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DepTable {
+    /// `[dependencies]` or `[build-dependencies]`, plain or under
+    /// `[target.…]`: an edge of the shipped crate graph.
+    Normal,
+    /// `[dev-dependencies]`, plain or under `[target.…]`.
+    Dev,
+    /// The root manifest's `[workspace.dependencies]`.
+    Workspace,
+}
+
 /// One dependency edge from a crate manifest.
 #[derive(Debug, Clone)]
 pub struct Dep {
-    /// Dependency package name (e.g. `requiem-sim`).
+    /// Package name (e.g. `requiem-sim`): the `package = "…"` value when
+    /// the dependency is renamed, else its key.
     pub name: String,
     /// Line in the manifest.
     pub line: u32,
-    /// True when declared under `[dev-dependencies]`.
-    pub dev: bool,
+    /// Where it is declared.
+    pub table: DepTable,
+    /// True when declared under another key with `package = "…"`.
+    pub renamed: bool,
+}
+
+/// What the analyzer reads from one `Cargo.toml`.
+#[derive(Debug, Clone, Default)]
+pub struct Manifest {
+    /// Package name from `[package]`.
+    pub name: String,
+    /// Declared dependencies, every table.
+    pub deps: Vec<Dep>,
+    /// True when `[lints]` says `workspace = true`.
+    pub inherits_lints: bool,
 }
 
 /// One workspace member.
 #[derive(Debug, Clone)]
 pub struct CrateInfo {
-    /// Package name from `[package]`.
-    pub name: String,
     /// Workspace-relative manifest path.
     pub manifest_rel: String,
-    /// Declared dependencies (normal + dev).
-    pub deps: Vec<Dep>,
+    /// The parsed manifest (`name` falls back to the directory name).
+    pub manifest: Manifest,
     /// All `.rs` files.
     pub files: Vec<SourceFile>,
 }
@@ -143,10 +167,15 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
 }
 
 fn load_crate(root: &Path, dir: &Path, manifest_rel: &str) -> Result<CrateInfo, String> {
-    let manifest = dir.join("Cargo.toml");
-    let text =
-        fs::read_to_string(&manifest).map_err(|e| format!("read {}: {e}", manifest.display()))?;
-    let (name, deps) = parse_manifest(&text);
+    let path = dir.join("Cargo.toml");
+    let text = fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let mut manifest = parse_manifest(&text);
+    if manifest.name.is_empty() {
+        manifest.name = dir
+            .file_name()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_default();
+    }
     let mut files = Vec::new();
     for (sub, cat) in [
         ("src", FileCat::Main),
@@ -161,15 +190,8 @@ fn load_crate(root: &Path, dir: &Path, manifest_rel: &str) -> Result<CrateInfo, 
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(CrateInfo {
-        name: if name.is_empty() {
-            dir.file_name()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        } else {
-            name
-        },
         manifest_rel: manifest_rel.to_string(),
-        deps,
+        manifest,
         files,
     })
 }
@@ -210,61 +232,143 @@ fn rel_path(root: &Path, p: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Extract the package name and dependency names (with manifest lines)
-/// from `Cargo.toml` text. Line-based: exactly the subset our manifests
-/// use.
-pub fn parse_manifest(text: &str) -> (String, Vec<Dep>) {
-    #[derive(PartialEq)]
+/// Read the package name, every dependency edge and the `[lints]`
+/// inheritance from `Cargo.toml` text. Line-based, but it sees every
+/// form a dependency edge can take: `[dependencies]`,
+/// `[build-dependencies]` and `[dev-dependencies]`, plain or under
+/// `[target.…]`; `[workspace.dependencies]`; a `[dependencies.<name>]`
+/// table; and a `package = "…"` rename, inline or dotted.
+pub fn parse_manifest(text: &str) -> Manifest {
     enum Sect {
         Package,
-        Deps,
-        DevDeps,
+        Lints,
+        /// A table of dependencies, one per key.
+        Deps(DepTable),
+        /// A `[dependencies.<name>]` table: its keys describe one dep.
+        OneDep,
         Other,
     }
     let mut sect = Sect::Other;
-    let mut name = String::new();
-    let mut deps = Vec::new();
+    let mut m = Manifest::default();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
+        let lineno = idx as u32 + 1;
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line.starts_with('[') {
-            sect = match line {
-                "[package]" => Sect::Package,
-                "[dependencies]" => Sect::Deps,
-                "[dev-dependencies]" => Sect::DevDeps,
-                _ => Sect::Other,
+        if let Some(header) = line.strip_prefix('[') {
+            let keys = dotted_keys(header.rfind(']').map_or("", |end| &header[..end]));
+            sect = match keys.as_slice() {
+                [k] if k == "package" => Sect::Package,
+                [k] if k == "lints" => Sect::Lints,
+                _ => match dep_table(&keys) {
+                    Some((table, None)) => Sect::Deps(table),
+                    Some((table, Some(dep))) => {
+                        m.deps.push(Dep {
+                            name: dep.to_string(),
+                            line: lineno,
+                            table,
+                            renamed: false,
+                        });
+                        Sect::OneDep
+                    }
+                    None => Sect::Other,
+                },
             };
             continue;
         }
-        match sect {
-            Sect::Package => {
-                if let Some(v) = line.strip_prefix("name") {
-                    let v = v.trim_start();
-                    if let Some(v) = v.strip_prefix('=') {
-                        name = v.trim().trim_matches('"').to_string();
-                    }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = dotted_keys(key);
+        let value = value.trim();
+        match (&sect, key.as_slice()) {
+            (Sect::Package, [k]) if k == "name" => m.name = unquote(value).to_string(),
+            (Sect::Lints, [k]) if k == "workspace" => m.inherits_lints = value == "true",
+            (Sect::OneDep, [k]) if k == "package" => {
+                if let Some(dep) = m.deps.last_mut() {
+                    dep.name = unquote(value).to_string();
+                    dep.renamed = true;
                 }
             }
-            Sect::Deps | Sect::DevDeps => {
-                // `foo = { ... }` or `foo = "1.0"` or `foo.workspace = true`
-                let key: String = line
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                    .collect();
-                if !key.is_empty() {
-                    deps.push(Dep {
-                        name: key,
-                        line: idx as u32 + 1,
-                        dev: sect == Sect::DevDeps,
-                    });
-                }
+            (Sect::Deps(table), [dep, rest @ ..]) => {
+                // `foo = { package = "…" }` or `foo.package = "…"`
+                let package = match rest {
+                    [k] if k == "package" => Some(unquote(value)),
+                    [] => inline_package(value),
+                    _ => None,
+                };
+                m.deps.push(Dep {
+                    name: package.unwrap_or(dep).to_string(),
+                    line: lineno,
+                    table: *table,
+                    renamed: package.is_some(),
+                });
             }
-            Sect::Other => {}
+            _ => {}
         }
     }
-    (name, deps)
+    m
+}
+
+/// Classify a table header's keys as a dependency table, with the one
+/// dependency it describes when it is a `[….dependencies.<name>]`
+/// table.
+fn dep_table(keys: &[String]) -> Option<(DepTable, Option<&str>)> {
+    let (workspace, rest) = match keys {
+        [w, rest @ ..] if w == "workspace" => (true, rest),
+        [t, _cfg, rest @ ..] if t == "target" => (false, rest),
+        _ => (false, keys),
+    };
+    let (kind, dep) = match rest {
+        [kind] => (kind, None),
+        [kind, dep] => (kind, Some(dep.as_str())),
+        _ => return None,
+    };
+    let table = match (workspace, kind.replace('_', "-").as_str()) {
+        (true, "dependencies") => DepTable::Workspace,
+        (false, "dependencies" | "build-dependencies") => DepTable::Normal,
+        (false, "dev-dependencies") => DepTable::Dev,
+        _ => return None,
+    };
+    Some((table, dep))
+}
+
+/// Split a TOML dotted key (`target.'cfg(unix)'.dependencies`) into its
+/// unquoted parts; a dot inside quotes does not split.
+fn dotted_keys(s: &str) -> Vec<String> {
+    let mut keys = Vec::new();
+    let mut cur = String::new();
+    let mut quote = None;
+    for c in s.chars() {
+        match (quote, c) {
+            (Some(q), c) if c == q => quote = None,
+            (Some(_), c) => cur.push(c),
+            (None, '"' | '\'') => quote = Some(c),
+            (None, '.') => keys.push(std::mem::take(&mut cur).trim().to_string()),
+            (None, c) => cur.push(c),
+        }
+    }
+    keys.push(cur.trim().to_string());
+    keys
+}
+
+/// The `package = "…"` entry of an inline table value, if any.
+fn inline_package(value: &str) -> Option<&str> {
+    let inner = value.strip_prefix('{')?.rsplit_once('}')?.0;
+    inner.split(',').find_map(|entry| {
+        let (k, v) = entry.split_once('=')?;
+        (k.trim() == "package").then(|| unquote(v.trim()))
+    })
+}
+
+/// A TOML string value without its quotes (and any trailing comment).
+fn unquote(value: &str) -> &str {
+    let mut chars = value.chars();
+    match chars.next() {
+        Some(q @ ('"' | '\'')) => chars.as_str().split(q).next().unwrap_or(""),
+        _ => value,
+    }
 }
 
 #[cfg(test)]
@@ -283,14 +387,22 @@ serde = { workspace = true }
 
 [dev-dependencies]
 proptest = { workspace = true }
+
+[lints]
+workspace = true
 "#;
-        let (name, deps) = parse_manifest(toml);
-        assert_eq!(name, "requiem-block");
-        let names: Vec<_> = deps.iter().map(|d| (d.name.as_str(), d.dev)).collect();
+        let m = parse_manifest(toml);
+        assert_eq!(m.name, "requiem-block");
+        let names: Vec<_> = m.deps.iter().map(|d| (d.name.as_str(), d.table)).collect();
         assert_eq!(
             names,
-            vec![("requiem-sim", false), ("serde", false), ("proptest", true)]
+            vec![
+                ("requiem-sim", DepTable::Normal),
+                ("serde", DepTable::Normal),
+                ("proptest", DepTable::Dev)
+            ]
         );
+        assert!(m.inherits_lints);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-// IOS01/IOS02 fixture: status-carrying results dropped, discarded, or
-// bound and forgotten.
+// IOS02 fixture: status-carrying results discarded, or bound and
+// forgotten. (A result dropped in statement position is rustc's:
+// `#[must_use]` under `unused_must_use = "deny"`.)
 pub enum IoStatus {
     Ok,
 }
@@ -18,11 +19,6 @@ impl Dev {
             status: IoStatus::Ok,
         }
     }
-}
-
-pub fn drop_on_floor(d: &mut Dev, t: u64) {
-    // IOS01: fallible call in statement position, result dropped
-    d.force(t);
 }
 
 pub fn discard_binding(d: &mut Dev, t: u64) {

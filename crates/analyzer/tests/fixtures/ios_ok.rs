@@ -1,4 +1,4 @@
-// IOS01/IOS02 clean twin: every status-carrying result reaches a
+// IOS02 clean twin: every status-carrying result reaches a
 // consumer — matched, routed to a sink, or folded through an assignment.
 pub enum IoStatus {
     Ok,

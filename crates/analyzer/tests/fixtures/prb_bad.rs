@@ -1,8 +1,7 @@
-// Fixture: PRB01 (raw background toggles) + PRB02 (unclosed span).
+// Fixture: PRB02 (unclosed span).
 // Never compiled — lint test data only.
 pub fn trace(probe: &Probe, t0: SimTime) {
-    probe.enter_background();
+    let _bg = probe.background();
     let _scope = probe.open_command(0, t0);
     // span never closed or detached
-    probe.exit_background();
 }

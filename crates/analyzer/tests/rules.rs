@@ -9,34 +9,15 @@
 
 use std::path::Path;
 
-use analyzer::workspace::{CrateInfo, FileCat};
-use analyzer::{lexer, lint_source, rules, FileInput};
+use analyzer::workspace::{parse_manifest, CrateInfo, FileCat};
+use analyzer::{lint_source, rules, FileInput};
 
 /// Lint fixture `text` as main-crate code of `crate_name` at `rel`,
-/// returning the fired rule ids. DEAD01 is left out here and in
-/// [`fired_files`]: a fixture linted alone has no callers for its `pub`
-/// items, so DEAD01 has twins of its own ([`dead_in`]).
+/// returning the fired rule ids. DEAD01 is left out: a fixture linted
+/// alone has no callers for its `pub` items, so DEAD01 has twins of its
+/// own ([`dead_in`]).
 fn fired(crate_name: &str, rel: &str, text: &str) -> Vec<&'static str> {
     lint_source(crate_name, rel, FileCat::Main, text)
-        .into_iter()
-        .map(|d| d.rule)
-        .filter(|r| *r != "DEAD01")
-        .collect()
-}
-
-/// Lint several in-memory files as one workspace (cross-crate symbol
-/// resolution), returning the fired rule ids.
-fn fired_files(files: &[(&str, &str, &str)]) -> Vec<&'static str> {
-    let inputs: Vec<FileInput> = files
-        .iter()
-        .map(|(krate, rel, text)| FileInput {
-            crate_name: krate.to_string(),
-            rel: rel.to_string(),
-            cat: FileCat::Main,
-            text: text.to_string(),
-        })
-        .collect();
-    analyzer::lint_files(&inputs)
         .into_iter()
         .map(|d| d.rule)
         .filter(|r| *r != "DEAD01")
@@ -106,48 +87,71 @@ fn det_rules_exempt_test_regions_and_test_files() {
     );
 }
 
-#[test]
-fn lay_use_fixture_fires_and_twin_is_clean() {
-    let bad = fired(
-        "requiem-flash",
-        "crates/flash/src/fixture.rs",
-        include_str!("fixtures/lay_bad.rs"),
-    );
-    assert!(bad.contains(&"LAY02"), "fired: {bad:?}");
-    let ok = fired(
-        "requiem-flash",
-        "crates/flash/src/fixture.rs",
-        include_str!("fixtures/lay_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
+/// The crate-scoped rules' findings on one manifest, as `(rule, line)`.
+fn manifest_findings(rel: &str, toml: &str) -> Vec<(&'static str, u32)> {
+    let info = CrateInfo {
+        manifest_rel: rel.to_string(),
+        manifest: parse_manifest(toml),
+        files: Vec::new(),
+    };
+    rules::run_crate(&info)
+        .into_iter()
+        .map(|d| (d.rule, d.line))
+        .collect()
 }
 
 #[test]
 fn lay_manifest_inversion_fires_and_legal_dep_is_clean() {
-    let toml = "[package]\nname = \"requiem-flash\"\n\n[dependencies]\nrequiem-ssd = { workspace = true }\n";
-    let (name, deps) = analyzer::workspace::parse_manifest(toml);
-    let info = CrateInfo {
-        name,
-        manifest_rel: "crates/flash/Cargo.toml".to_string(),
-        deps,
-        files: Vec::new(),
+    const LINTS: &str = "\n[lints]\nworkspace = true\n";
+    let flash = |deps: &str| {
+        let toml = format!("[package]\nname = \"requiem-flash\"\n\n{deps}{LINTS}");
+        manifest_findings("crates/flash/Cargo.toml", &toml)
     };
-    let diags = rules::layering::check_manifest(&info);
-    assert!(
-        diags.iter().any(|d| d.rule == "LAY01"),
-        "flash → ssd should invert the DAG: {diags:?}"
+    // every form a manifest edge can take, each an upward or sideways
+    // edge (or a rename), reported at its key or its table header
+    for (deps, line) in [
+        ("[dependencies]\nrequiem-ssd = { workspace = true }\n", 5),
+        ("[dependencies.requiem-pcm]\nworkspace = true\n", 4),
+        (
+            "[target.'cfg(unix)'.dependencies]\nrequiem-pcm = { workspace = true }\n",
+            5,
+        ),
+        (
+            "[build-dependencies]\nrequiem-pcm = { workspace = true }\n",
+            5,
+        ),
+        // a rename hides the package from the layering table, so even
+        // one of an allowed layer is refused
+        (
+            "[dependencies]\nclock = { package = \"requiem-sim\", workspace = true }\n",
+            5,
+        ),
+        ("[dependencies]\nclock.package = \"requiem-sim\"\n", 5),
+        (
+            "[dependencies.clock]\nworkspace = true\npackage = \"requiem-sim\"\n",
+            4,
+        ),
+    ] {
+        assert_eq!(flash(deps), [("LAY01", line)], "{deps}");
+    }
+    // the bare root crate re-exports the whole stack
+    let analyzer = manifest_findings(
+        "crates/analyzer/Cargo.toml",
+        &format!("[package]\nname = \"analyzer\"\n\n[dependencies]\nrequiem = {{ path = \"../..\" }}\n{LINTS}"),
     );
+    assert_eq!(analyzer, [("LAY01", 5)]);
+    // a rename in the root's [workspace.dependencies] reaches every
+    // member that names the key
+    let root = manifest_findings(
+        "Cargo.toml",
+        &format!("[package]\nname = \"requiem\"\n\n[workspace.dependencies]\nrequiem-sim = {{ path = \"crates/sim\" }}\npcm = {{ package = \"requiem-pcm\", path = \"crates/pcm\" }}\n{LINTS}"),
+    );
+    assert_eq!(root, [("LAY01", 6)]);
 
-    let toml = "[package]\nname = \"requiem-flash\"\n\n[dependencies]\nrequiem-sim = { workspace = true }\n\n[dev-dependencies]\nproptest = { workspace = true }\n";
-    let (name, deps) = analyzer::workspace::parse_manifest(toml);
-    let info = CrateInfo {
-        name,
-        manifest_rel: "crates/flash/Cargo.toml".to_string(),
-        deps,
-        files: Vec::new(),
-    };
-    let diags = rules::layering::check_manifest(&info);
-    assert!(diags.is_empty(), "legal dep flagged: {diags:?}");
+    let legal = flash(
+        "[dependencies]\nrequiem-sim = { workspace = true }\n\n[dev-dependencies]\nproptest = { workspace = true }\nrequiem-ssd = { workspace = true }\n",
+    );
+    assert!(legal.is_empty(), "legal deps flagged: {legal:?}");
 }
 
 #[test]
@@ -157,7 +161,6 @@ fn prb_fixture_fires_and_twin_is_clean() {
         "crates/block/src/fixture.rs",
         include_str!("fixtures/prb_bad.rs"),
     );
-    assert!(bad.contains(&"PRB01"), "fired: {bad:?}");
     assert!(bad.contains(&"PRB02"), "fired: {bad:?}");
     let ok = fired(
         "requiem-block",
@@ -199,78 +202,16 @@ fn tim_rules_scope_excludes_sim_and_bench() {
 }
 
 #[test]
-fn pan_fixture_fires_in_protected_paths_only() {
-    let text = include_str!("fixtures/pan_bad.rs");
-    let bad = fired("requiem-ssd", "crates/ssd/src/controller/fixture.rs", text);
-    assert_eq!(
-        bad.iter().filter(|r| **r == "PAN01").count(),
-        2,
-        "unwrap + panic! expected: {bad:?}"
+fn uns_manifest_must_inherit_workspace_lints() {
+    let toml =
+        "[package]\nname = \"requiem-ssd\"\n\n[dependencies]\nrequiem-sim = { workspace = true }\n";
+    let naked = manifest_findings("crates/ssd/Cargo.toml", toml);
+    assert_eq!(naked, [("UNS02", 0)]);
+    let inherits = manifest_findings(
+        "crates/ssd/Cargo.toml",
+        &format!("{toml}\n[lints]\nworkspace = true\n"),
     );
-    // same text outside the protected paths: policy does not apply
-    let elsewhere = fired("requiem-ssd", "crates/ssd/src/metrics.rs", text);
-    assert!(
-        elsewhere.iter().all(|r| *r != "PAN01"),
-        "PAN01 outside protected paths: {elsewhere:?}"
-    );
-    let ok = fired(
-        "requiem-ssd",
-        "crates/ssd/src/controller/fixture.rs",
-        include_str!("fixtures/pan_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
-}
-
-#[test]
-fn uns_fixture_fires_and_crate_root_check_wants_forbid() {
-    let bad = fired(
-        "requiem-ssd",
-        "crates/ssd/src/fixture.rs",
-        include_str!("fixtures/uns_bad.rs"),
-    );
-    assert!(bad.contains(&"UNS01"), "fired: {bad:?}");
-
-    let info = CrateInfo {
-        name: "requiem-ssd".to_string(),
-        manifest_rel: "crates/ssd/Cargo.toml".to_string(),
-        deps: Vec::new(),
-        files: Vec::new(),
-    };
-    let naked = lexer::lex("pub fn f() {}\n");
-    let diags = rules::unsafety::check_crate_root(&info, Some(&naked), "crates/ssd/src/lib.rs");
-    assert!(diags.iter().any(|d| d.rule == "UNS02"), "{diags:?}");
-    let fortified = lexer::lex("#![forbid(unsafe_code)]\npub fn f() {}\n");
-    let diags = rules::unsafety::check_crate_root(&info, Some(&fortified), "crates/ssd/src/lib.rs");
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn lay3_callgraph_fixture_fires_and_twin_is_clean() {
-    let api = include_str!("fixtures/lay3_api.rs");
-    // the same call edges, linted once from below (flash → ssd inverts
-    // the DAG) and once from above (db → ssd is the architecture)
-    let bad = fired_files(&[
-        ("requiem-ssd", "crates/ssd/src/fixture_api.rs", api),
-        (
-            "requiem-flash",
-            "crates/flash/src/fixture.rs",
-            include_str!("fixtures/lay3_bad.rs"),
-        ),
-    ]);
-    assert_eq!(
-        bad.iter().filter(|r| **r == "LAY03").count(),
-        3,
-        "method + type-owner edges expected: {bad:?}"
-    );
-    let ok = fired_files(&[
-        ("requiem-ssd", "crates/ssd/src/fixture_api.rs", api),
-        (
-            "requiem-db",
-            "crates/db/src/fixture.rs",
-            include_str!("fixtures/lay3_ok.rs"),
-        ),
-    ]);
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
+    assert!(inherits.is_empty(), "{inherits:?}");
 }
 
 #[test]
@@ -280,7 +221,6 @@ fn ios_fixture_fires_and_twin_is_clean() {
         "crates/db/src/fixture.rs",
         include_str!("fixtures/ios_bad.rs"),
     );
-    assert!(bad.contains(&"IOS01"), "fired: {bad:?}");
     assert_eq!(
         bad.iter().filter(|r| **r == "IOS02").count(),
         3,

@@ -11,7 +11,6 @@
 //! engine, attaches the probe after the load, and reports counter deltas
 //! over the measured window.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aging;

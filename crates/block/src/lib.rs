@@ -25,7 +25,6 @@
 //! * [`backend::StorageBackend`] — the abstraction that lets the same
 //!   stack drive a disk, a flash SSD, or a PCM SSD.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

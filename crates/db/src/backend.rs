@@ -619,7 +619,7 @@ mod tests {
         // 10 KiB of log = 3 page writes, visible on the *backend's* SSD:
         // the WAL port shares the device with the page traffic
         w.append(Lsn(1), 10 * 1024);
-        w.force(SimTime::ZERO, Lsn(1));
+        assert_eq!(w.force(SimTime::ZERO, Lsn(1)).status, IoStatus::Ok);
         let after = l.ssd().metrics().host_writes;
         assert_eq!(after - before, 3);
     }
@@ -688,7 +688,7 @@ mod tests {
         w.append(Lsn(1), 100);
         let f = w.force(SimTime::ZERO, Lsn(1));
         w.append(Lsn(2), 100);
-        w.force(f.done, Lsn(2));
+        assert_eq!(w.force(f.done, Lsn(2)).status, IoStatus::Ok);
         assert_eq!(w.stats().log_forces, 2);
         assert_eq!(w.stats().log_bytes, 200);
         assert_eq!(w.label(), "pcm-wal");

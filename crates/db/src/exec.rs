@@ -33,9 +33,17 @@
 //! queue-pair engine itself follows (`requiem-ssd`'s depth-1 identity),
 //! carried one layer up the stack.
 //!
-//! Panic policy (PAN01): this module is lint-protected — fallible
-//! outcomes surface as typed statuses, invariants use `assert!` with a
-//! message.
+//! Panic policy (DESIGN §2.5): clippy denies `unwrap`, `expect` and
+//! `panic!` here outside tests — fallible outcomes surface as typed
+//! statuses, invariants use `assert!` with a message.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::BTreeMap;
 

@@ -27,13 +27,22 @@
 //! participant's updates replay exactly when the home shard's decision
 //! survived.
 //!
-//! Panic policy (PAN01): this module is lint-protected — fallible
-//! outcomes are typed ([`LedgerAction`], [`TxnDecision`]), invariants
-//! use `assert!` with a message.
+//! Panic policy (DESIGN §2.5): clippy denies `unwrap`, `expect` and
+//! `panic!` here outside tests — fallible outcomes are typed
+//! ([`LedgerAction`], [`TxnDecision`]), invariants use `assert!` with a
+//! message.
 //!
 //! [`Prepare`]: crate::wal::LogRecord::Prepare
 //! [`Abort`]: crate::wal::LogRecord::Abort
 //! [`MemberKind::Decide`]: crate::wal::MemberKind::Decide
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::BTreeMap;
 

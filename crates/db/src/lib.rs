@@ -47,7 +47,6 @@
 //! Virtual time discipline: RAM operations are free; every device
 //! interaction advances the clock through the backend.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

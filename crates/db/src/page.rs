@@ -45,7 +45,8 @@ pub struct PageId(pub u64);
 /// One `T` per page of a database whose page ids are dense in
 /// `[0, pages)`: the db layer's way from a page number to that page's
 /// state. Indexing by a [`PageId`] beyond the table is an engine bug and
-/// panics with a message (PAN01) instead of growing the table.
+/// panics with a message (the panic policy, DESIGN §2.5) instead of
+/// growing the table.
 #[derive(Debug, Clone)]
 pub(crate) struct PageVec<T>(Vec<T>);
 

@@ -12,6 +12,16 @@
 //! (`prefetch-win` / `prefetch-loss` status counters in the probe JSON),
 //! so an experiment can show not just that readahead helps but *when*.
 
+// Panic policy (DESIGN §2.5): failures surface as typed statuses, never
+// host aborts. Test code is exempt (`crates/clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeSet;
 
 /// Prefetcher configuration.

@@ -48,12 +48,21 @@
 //! the core clock's deterministic pick, bit-reproducible at a fixed
 //! seed.
 //!
-//! Panic policy (PAN01): this module is lint-protected — fallible
-//! outcomes are typed, invariants use `assert!` with a message.
+//! Panic policy (DESIGN §2.5): clippy denies `unwrap`, `expect` and
+//! `panic!` here outside tests — fallible outcomes are typed,
+//! invariants use `assert!` with a message.
 //!
 //! [`LogRecord::Prepare`]: crate::wal::LogRecord::Prepare
 //! [`LogRecord::Abort`]: crate::wal::LogRecord::Abort
 //! [`MemberKind::Decide`]: crate::wal::MemberKind::Decide
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{CoreClock, Histogram};

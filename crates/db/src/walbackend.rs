@@ -77,6 +77,7 @@ pub struct WalStats {
 /// Completion of a [`WalBackend::force`]: when the log became durable and
 /// the typed media status of the writes that made it so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use = "a dropped force hides whether the log became durable"]
 pub struct WalForce {
     /// Instant the log is durable up to the requested LSN (the committer
     /// waits until here).
@@ -595,7 +596,7 @@ mod tests {
         // 10 KiB of log = 3 segment images (tail rewrite + spill)
         let mut w = bare_wal(64);
         w.append(Lsn(1), 10 * 1024);
-        w.force(SimTime::ZERO, Lsn(1));
+        assert_eq!(w.force(SimTime::ZERO, Lsn(1)).status, IoStatus::Ok);
         assert_eq!(w.stats().logical_writes, 3);
     }
 
@@ -654,7 +655,8 @@ mod tests {
         // first lap's slots were superseded by overwrite
         for i in 0..8u64 {
             w.append(Lsn((i + 1) * 10), PAGE_SIZE as u32);
-            w.force(SimTime::ZERO, Lsn((i + 1) * 10));
+            let f = w.force(SimTime::ZERO, Lsn((i + 1) * 10));
+            assert_eq!(f.status, IoStatus::Ok);
         }
         w.truncate(SimTime::ZERO, 6 * PAGE_SIZE as u64);
         // segments 0..4 were lapped (tail at seg 8): only 4 and 5 trim

@@ -45,7 +45,6 @@
 //! assert_eq!(lun.block_state(block).erase_count, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;

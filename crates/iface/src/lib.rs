@@ -34,8 +34,16 @@
 //!
 //! Experiments E5, E6, E8 and E14 quantify what each mechanism buys.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic policy (DESIGN §2.5): failures surface as typed statuses, never
+// host aborts. Test code is exempt (`crates/clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod atomic;
 pub mod comm;

@@ -26,7 +26,6 @@
 //! * [`PcmSsd`] — a PCM storage array behind a PCIe-like interface with
 //!   banks and channels (for the §2.4 "PCM SSDs stay complex" discussion).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chip;

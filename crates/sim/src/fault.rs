@@ -30,6 +30,7 @@ use crate::rng::SimRng;
 /// manager). Declared here rather than in [`crate::cmd`] so the fault
 /// vocabulary is one module, but re-exported at the crate root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[must_use = "a dropped status hides an unrecoverable media error"]
 pub enum IoStatus {
     /// Completed with no recovery involvement.
     #[default]

@@ -38,7 +38,6 @@
 //! that crosses the threshold, and reserved on the same timelines; there is
 //! no event queue.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cmd;

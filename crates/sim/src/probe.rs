@@ -25,7 +25,7 @@
 //! * Work that runs on device time but off the command's critical path
 //!   (GC relocations, buffer flushes after a buffered-write completion,
 //!   discarded translation traffic) is emitted inside a *background*
-//!   scope ([`Probe::enter_background`]) and recorded with `cmd: None`.
+//!   scope ([`Probe::background`]) and recorded with `cmd: None`.
 //!   Its cost reaches host commands only indirectly — as queueing delay
 //!   on shared resources — which the resource layer attributes via
 //!   occupant tags ([`crate::resource::Occupant`]) and surfaces here as
@@ -765,16 +765,17 @@ impl Probe {
     }
 
     /// Enter a background scope: spans emitted until the matching
-    /// [`Probe::exit_background`] carry `cmd: None`.
+    /// [`Probe::exit_background`] carry `cmd: None`. Private: the
+    /// [`Probe::background`] guard is the only pairing, so an early
+    /// return cannot leave the bus in background mode.
     #[inline]
-    pub fn enter_background(&self) {
+    fn enter_background(&self) {
         if let Some(b) = &self.bus {
             b.borrow_mut().background_depth += 1;
         }
     }
 
     /// Enter a background scope released when the returned guard drops.
-    /// Prefer this over the manual pair on paths with early returns.
     #[inline]
     pub fn background(&self) -> BackgroundGuard {
         self.enter_background();
@@ -785,7 +786,7 @@ impl Probe {
 
     /// Leave the innermost background scope.
     #[inline]
-    pub fn exit_background(&self) {
+    fn exit_background(&self) {
         if let Some(b) = &self.bus {
             let mut b = b.borrow_mut();
             debug_assert!(b.background_depth > 0, "unbalanced exit_background");

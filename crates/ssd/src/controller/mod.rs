@@ -15,6 +15,16 @@
 //! | Mapping (hybrid log-block FTL)  | [`hybrid_ftl`]   | `ftl`                              |
 //! | Boot / recovery                 | [`rebuild`]      | —                                  |
 
+// Panic policy (DESIGN §2.5): failures surface as typed statuses, never
+// host aborts. Test code is exempt (`crates/clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod block_ftl;
 pub mod gc;
 pub mod hybrid_ftl;

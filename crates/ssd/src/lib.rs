@@ -32,7 +32,6 @@
 //! println!("write {} read {}", w.latency, r.latency);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;

@@ -14,6 +14,16 @@
 //!   (translation pages) with a bounded in-RAM cache (the paper's ref
 //!   [10]); misses and dirty evictions cost flash operations.
 
+// Panic policy (DESIGN §2.5): failures surface as typed statuses, never
+// host aborts. Test code is exempt (`crates/clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod block;
 pub mod dftl;
 pub mod page;

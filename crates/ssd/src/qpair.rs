@@ -35,6 +35,16 @@
 //! * Commands to different LBAs complete in whatever order the device
 //!   finishes them — the whole point of queue depth.
 
+// Panic policy (DESIGN §2.5): failures surface as typed statuses, never
+// host aborts. Test code is exempt (`crates/clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use requiem_sim::cmd::{IoCompletion, IoOp, IoRequest};
 use requiem_sim::probe::CommandScope;
 use requiem_sim::time::SimTime;

@@ -91,6 +91,49 @@ fn check_ftl(ftl: FtlKind, ops: &[HostOp]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The two shrunk `ops` sequences proptest once recorded against these
+/// properties, replayed on every FTL the `*_consistency` properties
+/// cover (the vendored proptest reads no regressions file).
+#[test]
+fn recorded_counter_examples_stay_consistent() {
+    use HostOp::{Read as R, Trim as T, Write as W};
+    #[rustfmt::skip]
+    let recorded: [&[HostOp]; 2] = [
+        &[
+            W(134), W(134), T(134), W(134), T(142), T(92), W(229), W(228), R(218), W(128), W(237),
+            W(248), T(210), T(67), R(234), W(149), W(110), W(109), R(52), T(196), W(210), W(20),
+            T(151), W(66), R(203), R(12), R(162), T(158), R(15), R(181), T(157), W(30), R(2),
+            W(34), W(253), R(142), T(12), W(125), R(238), T(101), R(74), T(111), W(251), W(135),
+            T(208), W(230), R(33), W(248), W(32), W(43), W(63), R(242), W(90), W(146), R(113),
+            W(103), R(136), R(249), W(211), W(76), W(176), T(230), R(176), W(173), R(215), T(152),
+            T(123), R(149), W(199), W(229), W(149), W(54), R(175), R(134), W(167), R(21), W(68),
+            R(196), W(225), T(94), W(47), T(207), T(179), T(13), T(80), W(121), R(100), W(177),
+            T(146), W(3), W(15), R(39),
+        ],
+        &[
+            W(5), W(5), W(13), T(13), R(13), W(123), W(150), T(26), R(185), T(46), R(204), W(208),
+            T(239), W(66), W(47), R(47), R(8), W(183), R(78), W(129), W(92), W(141), R(69), W(190),
+            T(255), T(53), W(136), W(5), T(41), W(0), R(148), W(52), R(31), W(180), W(211), R(38),
+            R(119), T(241), R(178), W(147), W(26), W(131), W(135), T(199), W(200), W(69), W(220),
+            R(240), T(65), W(7), W(170), W(10), R(75), W(180), W(190), R(145), R(251), W(243),
+            R(88), W(234), T(201), W(196), W(220), W(24), R(250), W(78), W(175), W(202), W(165),
+            R(175), W(183), R(27), T(66), W(177), T(230), W(216), W(197),
+        ],
+    ];
+    for ftl in [
+        FtlKind::PageMap,
+        FtlKind::Dftl { cached_entries: 32 },
+        FtlKind::BlockMap,
+        FtlKind::Hybrid { log_blocks: 4 },
+    ] {
+        for ops in recorded {
+            if let Err(e) = check_ftl(ftl.clone(), ops) {
+                panic!("{ftl:?}: {e:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -19,7 +19,6 @@
 //!   executor shards, with a knob for the fraction of transactions
 //!   forced to span shards (the two-phase-ledger path in E17).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dbdriver;

@@ -39,7 +39,6 @@
 //! println!("a buffered write completes in {}", w.latency);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use requiem_block as block;
