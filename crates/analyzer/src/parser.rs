@@ -17,9 +17,9 @@
 //!   carrying its enclosing impl/trait type, parameter names and type
 //!   idents, return-type idents, and a [`Block`] statement tree.
 //! * [`Call`] — every `callee(...)` / `recv.method(...)` /
-//!   `Path::to::func(...)` in a body, with receiver chain, argument
-//!   ranges, and the index of the matching `)` so rules can see what
-//!   the result flows into.
+//!   `Path::to::func(...)` in a body, with its argument ranges and the
+//!   index of the matching `)` so rules can see what the result flows
+//!   into.
 //!
 //! Expressions are *ranges with extracted calls*, not trees: control
 //! flow that appears in expression position (`let x = if … {…} else
@@ -68,8 +68,6 @@ pub struct Block {
     /// Statements in order; a trailing expression arrives as an
     /// [`ExprStmt`] with `semi == false`.
     pub stmts: Vec<Stmt>,
-    /// Token index of the opening `{`.
-    pub open: usize,
     /// Token index of the matching `}`.
     pub close: usize,
 }
@@ -161,8 +159,6 @@ pub struct MatchStmt {
 /// One match arm.
 #[derive(Debug)]
 pub struct Arm {
-    /// Pattern (plus guard) token range `[lo, hi)`.
-    pub pat: (usize, usize),
     /// Names the pattern binds (lowercase idents; constructors excluded).
     pub names: Vec<String>,
     /// Arm body.
@@ -209,9 +205,6 @@ pub struct Call {
     pub path: Vec<String>,
     /// True for a `.method(…)` call.
     pub method: bool,
-    /// Receiver ident chain for method calls (`self.probe.span(…)` →
-    /// `["self","probe"]`); empty when the receiver is computed.
-    pub recv: Vec<String>,
     /// Token index of the callee identifier.
     pub tok: usize,
     /// Token index of the matching `)`.
@@ -710,7 +703,6 @@ impl<'t> Parser<'t> {
 
     /// Parse a `{ … }` block (pos must be at `{`).
     fn block(&mut self, out: &mut ParsedFile, self_ty: Option<&str>) -> Block {
-        let open = self.pos;
         self.pos += 1;
         let mut stmts = Vec::new();
         loop {
@@ -719,7 +711,7 @@ impl<'t> Parser<'t> {
             if t.is_punct('}') {
                 let close = self.pos;
                 self.pos += 1;
-                return Block { stmts, open, close };
+                return Block { stmts, close };
             }
             if t.is_punct(';') {
                 self.pos += 1;
@@ -729,7 +721,6 @@ impl<'t> Parser<'t> {
         }
         Block {
             stmts,
-            open,
             close: self.toks.len().saturating_sub(1),
         }
     }
@@ -1143,11 +1134,7 @@ impl<'t> Parser<'t> {
                     }
                     ArmBody::Expr(self.expr_range(blo, self.pos))
                 };
-                arms.push(Arm {
-                    pat: (pat_lo, pat_hi),
-                    names,
-                    body,
-                });
+                arms.push(Arm { names, body });
             }
         }
         Stmt::Match(MatchStmt { scrutinee, arms })
@@ -1347,20 +1334,6 @@ pub fn extract_calls(toks: &[Tok], lo: usize, hi: usize) -> Vec<Call> {
                 j -= 3;
             }
             let method = j >= 1 && toks[j - 1].is_punct('.');
-            // receiver chain for method calls: `recv.field.m(` → walk
-            // `ident .` pairs backwards
-            let mut recv = Vec::new();
-            if method {
-                let mut k = j - 1; // the `.`
-                while k >= 1 && toks[k].is_punct('.') && toks[k - 1].kind == TokKind::Ident {
-                    recv.insert(0, toks[k - 1].text.clone());
-                    if k >= 2 && toks[k - 2].is_punct('.') {
-                        k -= 2;
-                    } else {
-                        break;
-                    }
-                }
-            }
             // find the matching `)` and split top-level args
             let open = i + 1;
             let mut depth = 0i32;
@@ -1388,7 +1361,6 @@ pub fn extract_calls(toks: &[Tok], lo: usize, hi: usize) -> Vec<Call> {
             out.push(Call {
                 path,
                 method,
-                recv,
                 tok: i,
                 rparen: k.min(toks.len().saturating_sub(1)),
                 line: t.line,
@@ -1487,7 +1459,6 @@ mod tests {
         assert_eq!(init.calls.len(), 1);
         assert_eq!(init.calls[0].path, vec!["force"]);
         assert!(init.calls[0].method);
-        assert_eq!(init.calls[0].recv, vec!["self", "dev"]);
         assert_eq!(init.calls[0].args.len(), 2);
     }
 

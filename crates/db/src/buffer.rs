@@ -312,7 +312,7 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::images::{tests::newest, PageImages};
-    use crate::page::SlottedPage;
+    use crate::page::{PageImage, RECORD_SIZE};
     use crate::wal::{tests::logged, Wal};
     use proptest::prelude::*;
     use requiem_sim::time::{SimDuration, SimTime};
@@ -320,24 +320,14 @@ mod tests {
 
     /// Table size of the unit tests' pools.
     const PAGES: u64 = 16;
-    /// Slots of a formatted page, and the size of every record.
+    /// Slots of a page the tests write.
     const SLOTS: u16 = 4;
-    const RECORD: usize = 16;
-
-    /// A page as the engine formats it: every slot present and zeroed.
-    fn formatted() -> SlottedPage {
-        let mut p = SlottedPage::new();
-        for _ in 0..SLOTS {
-            p.insert(&[0; RECORD]).unwrap();
-        }
-        p
-    }
 
     /// A record: its writer, then the step that wrote it.
-    fn record(owner: u64, step: u64) -> [u8; RECORD] {
-        let mut r = [0; RECORD];
+    fn record(owner: u64, step: u64) -> [u8; RECORD_SIZE] {
+        let mut r = [0; RECORD_SIZE];
         r[..8].copy_from_slice(&owner.to_le_bytes());
-        r[8..].copy_from_slice(&step.to_le_bytes());
+        r[8..16].copy_from_slice(&step.to_le_bytes());
         r
     }
 
@@ -397,7 +387,7 @@ mod tests {
         assert_eq!(out, EvictOutcome::Steal { page_id: PageId(1) });
         assert_eq!(bp.stats().steals, 1);
         // the write-back's image: the stolen redo over the durable one
-        let mut image = formatted();
+        let mut image = PageImage::formatted();
         bp.stolen().apply(&mut image, &wal);
         assert_eq!((owner(image.get(2)), image.lsn()), (Some(7), 5));
         assert_eq!(owner(image.get(1)), Some(0));
@@ -530,7 +520,7 @@ mod tests {
     /// checkpoint takes them (`Some` is the dirty flag).
     struct CowFrame {
         page_id: PageId,
-        page: Option<SlottedPage>,
+        page: Option<PageImage>,
         referenced: bool,
     }
 
@@ -578,19 +568,19 @@ mod tests {
         }
 
         /// The first write to a clean frame copies `newest`.
-        fn get_mut(&mut self, page_id: PageId, newest: &SlottedPage) -> Option<&mut SlottedPage> {
+        fn get_mut(&mut self, page_id: PageId, newest: &PageImage) -> Option<&mut PageImage> {
             let i = self.access(page_id)?;
             Some(self.frames[i].page.get_or_insert_with(|| newest.clone()))
         }
 
-        fn dirty_image(&self, page_id: PageId) -> Option<&SlottedPage> {
+        fn dirty_image(&self, page_id: PageId) -> Option<&PageImage> {
             self.map
                 .get(&page_id)
                 .and_then(|&i| self.frames[i].page.as_ref())
         }
 
         /// The outcome, and a stolen page's bytes.
-        fn install(&mut self, page_id: PageId) -> (EvictOutcome, Option<SlottedPage>) {
+        fn install(&mut self, page_id: PageId) -> (EvictOutcome, Option<PageImage>) {
             assert!(!self.map.contains_key(&page_id));
             if self.frames.len() < self.capacity {
                 self.frames.push(CowFrame {
@@ -645,12 +635,12 @@ mod tests {
             }
         }
 
-        fn complete_fetch(&mut self, page_id: PageId) -> (EvictOutcome, Option<SlottedPage>) {
+        fn complete_fetch(&mut self, page_id: PageId) -> (EvictOutcome, Option<PageImage>) {
             self.in_flight.remove(&page_id);
             self.install(page_id)
         }
 
-        fn take_dirty(&mut self) -> Vec<(PageId, SlottedPage)> {
+        fn take_dirty(&mut self) -> Vec<(PageId, PageImage)> {
             self.frames
                 .iter_mut()
                 .filter_map(|f| f.page.take().map(|image| (f.page_id, image)))
@@ -669,12 +659,12 @@ mod tests {
     /// frames: a whole image per write in flight, which replaces the
     /// durable one when it lands.
     struct CowImages {
-        durable: Vec<SlottedPage>,
-        in_flight: Vec<(SimTime, PageId, SlottedPage)>,
+        durable: Vec<PageImage>,
+        in_flight: Vec<(SimTime, PageId, PageImage)>,
     }
 
     impl CowImages {
-        fn newest(&self, pid: PageId) -> &SlottedPage {
+        fn newest(&self, pid: PageId) -> &PageImage {
             self.in_flight
                 .iter()
                 .rev()
@@ -707,7 +697,7 @@ mod tests {
                 .map(|(_, _, image)| image);
             for image in durable.chain(in_flight) {
                 if owned(image.get(slot)) {
-                    image.update(slot, before);
+                    image.redo(slot, Some(before), image.lsn());
                 }
             }
         }
@@ -734,11 +724,11 @@ mod tests {
         // 64-frame pool fills and evicts
         let span = if capacity < 64 { 6 } else { 96 };
         let mut pool = BufferPool::new(capacity, span);
-        let mut images = PageImages::new(span, formatted());
+        let mut images = PageImages::new(span);
         let mut wal = Wal::new();
         let mut tree = TreePool::new(capacity);
         let mut cow = CowImages {
-            durable: vec![formatted(); span as usize],
+            durable: vec![PageImage::formatted(); span as usize],
             in_flight: Vec::new(),
         };
         let mut now = SimTime::ZERO;
@@ -773,8 +763,7 @@ mod tests {
                     let want = tree.get_mut(pid, cow.newest(pid));
                     let hit = want.is_some();
                     if let Some(page) = want {
-                        page.update(slot, &record(lsn, lsn));
-                        page.set_lsn(lsn);
+                        page.redo(slot, Some(&record(lsn, lsn)), lsn);
                     }
                     assert_eq!(
                         write(&mut pool, &mut wal, pid, slot, lsn, lsn),
@@ -831,7 +820,7 @@ mod tests {
                         images.roll_back(pool.get_mut(pid), pid, slot, before, &wal, owned);
                     let want = match tree.get_mut(pid, cow.newest(pid)) {
                         Some(page) if owned(page.get(slot)) => {
-                            page.update(slot, &before_bytes);
+                            page.redo(slot, Some(&before_bytes), page.lsn());
                             true
                         }
                         _ => false,
@@ -843,11 +832,7 @@ mod tests {
             }
             for p in durable_checks {
                 let (got, want) = (images.durable(p), &cow.durable[p.0 as usize]);
-                assert_eq!(
-                    (got.lsn(), got.as_bytes()),
-                    (want.lsn(), want.as_bytes()),
-                    "step {step} {p:?}: durable bytes"
-                );
+                assert_eq!(got, want, "step {step} {p:?}: durable bytes");
             }
             for p in (0..span).map(PageId) {
                 assert_eq!(pool.contains(p), tree.contains(p), "step {step} {p:?}");
@@ -869,11 +854,7 @@ mod tests {
                 }
                 if p == pid {
                     let got = newest(&images, pool.redo(p), p, &wal);
-                    assert_eq!(
-                        got.as_bytes(),
-                        want.as_bytes(),
-                        "step {step}: visible bytes"
-                    );
+                    assert_eq!(&got, want, "step {step}: visible bytes");
                 }
             }
             assert!(

@@ -23,7 +23,7 @@ use requiem_sim::{Histogram, IoStatus};
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
 use crate::images::PageImages;
-use crate::page::{PageId, SlottedPage, RECORD_SIZE, SLOTS_PER_PAGE};
+use crate::page::{PageId, PageImage, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::wal::{LogRecord, Lsn, Wal};
 use crate::walbackend::{PcmWal, WalBackend, WalConfig, WalForce};
 
@@ -44,18 +44,6 @@ pub struct DbConfig {
     /// byte-addressable PCM DIMM (the paper's P1) while page data keeps
     /// streaming to flash.
     pub wal: WalConfig,
-}
-
-/// A data page as [`Database::load`] formats it: every fixed slot
-/// present and zeroed.
-fn formatted_page() -> SlottedPage {
-    let mut p = SlottedPage::new();
-    let zeros = [0u8; RECORD_SIZE];
-    for _ in 0..SLOTS_PER_PAGE {
-        p.insert(&zeros)
-            .expect("SLOTS_PER_PAGE × RECORD_SIZE must fit a page");
-    }
-    p
 }
 
 impl Default for DbConfig {
@@ -164,7 +152,7 @@ impl<B: PersistenceBackend> Database<B> {
             pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
             now: SimTime::ZERO,
-            images: PageImages::new(cfg.data_pages, formatted_page()),
+            images: PageImages::new(cfg.data_pages),
             txn_latency: Histogram::new(),
             commit_latency: Histogram::new(),
             stats: EngineStats::default(),
@@ -530,7 +518,7 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// The durable image of `page`: what survives a crash before
     /// recovery redoes the log into it.
-    pub fn durable_page(&self, page: u64) -> &SlottedPage {
+    pub fn durable_page(&self, page: u64) -> &PageImage {
         self.images.durable(PageId(page % self.cfg.data_pages))
     }
 

@@ -9,7 +9,7 @@
 
 use requiem_sim::time::SimTime;
 
-use crate::page::{PageId, PageVec, Redo, SlottedPage};
+use crate::page::{PageId, PageImage, PageVec, Redo};
 use crate::wal::{ImageRef, Wal};
 
 /// Durable page images and the redo of writes in flight, per page of a
@@ -18,9 +18,9 @@ use crate::wal::{ImageRef, Wal};
 pub(crate) struct PageImages {
     /// What `load` writes and what a page never written since reads as:
     /// every fixed slot present and zeroed. The one copy of it.
-    formatted: SlottedPage,
+    formatted: PageImage,
     /// The image durable on the device; `None` = still the formatted one.
-    durable: PageVec<Option<SlottedPage>>,
+    durable: PageVec<Option<PageImage>>,
     /// The writes in flight, one entry per slot written: (completion
     /// instant, page, page LSN the write leaves, slot, after-image). They
     /// complete in submission order: what lands is a prefix.
@@ -28,24 +28,24 @@ pub(crate) struct PageImages {
 }
 
 impl PageImages {
-    /// A `pages`-page database, every page durable as `formatted`.
-    pub(crate) fn new(pages: u64, formatted: SlottedPage) -> Self {
+    /// A `pages`-page database, every page durable as formatted.
+    pub(crate) fn new(pages: u64) -> Self {
         PageImages {
-            formatted,
+            formatted: PageImage::formatted(),
             durable: PageVec::new(pages, None),
             in_flight: Vec::new(),
         }
     }
 
     /// The durable image of `pid`.
-    pub(crate) fn durable(&self, pid: PageId) -> &SlottedPage {
+    pub(crate) fn durable(&self, pid: PageId) -> &PageImage {
         self.durable[pid].as_ref().unwrap_or(&self.formatted)
     }
 
     /// The durable image of `pid`, for a steal's write-back or recovery
     /// to redo into: a page still formatted gets bytes of its own first.
     /// Writes of a page land in order, so none of `pid` is in flight.
-    pub(crate) fn durable_mut(&mut self, pid: PageId) -> &mut SlottedPage {
+    pub(crate) fn durable_mut(&mut self, pid: PageId) -> &mut PageImage {
         debug_assert!(
             self.in_flight.iter().all(|w| w.1 != pid),
             "{pid:?} in flight"
@@ -151,6 +151,7 @@ impl PageImages {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::page::RECORD_SIZE;
     use crate::wal::tests::logged;
     use requiem_sim::time::SimDuration;
 
@@ -161,7 +162,7 @@ pub(crate) mod tests {
         pending: Option<&Redo>,
         pid: PageId,
         wal: &Wal,
-    ) -> SlottedPage {
+    ) -> PageImage {
         let mut page = images.durable(pid).clone();
         for &(_, p, lsn, slot, after) in &images.in_flight {
             if p == pid {
@@ -178,43 +179,46 @@ pub(crate) mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    /// A formatted page of four 8-byte records.
-    fn formatted() -> SlottedPage {
-        let mut p = SlottedPage::new();
-        for _ in 0..4 {
-            p.insert(&[0; 8]).unwrap();
-        }
-        p
+    /// A record whose first 8 bytes are `tag`.
+    fn tagged(tag: u64) -> [u8; RECORD_SIZE] {
+        let mut r = [0; RECORD_SIZE];
+        r[..8].copy_from_slice(&tag.to_le_bytes());
+        r
     }
 
     /// A redo list writing `tag` into `slot`, at page LSN `lsn`.
     fn redo(wal: &mut Wal, slot: u16, tag: u64, lsn: u64) -> Redo {
         let mut r = Redo::default();
-        r.push(slot, Some(logged(wal, &tag.to_le_bytes())));
+        r.push(slot, Some(logged(wal, &tagged(tag))));
         r.lsn = lsn;
         r
     }
 
     fn owner(record: Option<&[u8]>) -> Option<u64> {
-        record.map(|r| u64::from_le_bytes(r.try_into().unwrap()))
+        record.map(|r| u64::from_le_bytes(r[..8].try_into().unwrap()))
     }
 
     #[test]
     fn a_page_never_written_reads_as_the_formatted_image_and_owns_no_bytes() {
-        let mut images = PageImages::new(4, formatted());
+        let mut images = PageImages::new(4);
         let wal = Wal::new();
         assert_eq!(owner(images.record(None, PageId(2), 0, &wal)), Some(0));
         assert!(!images.roll_back(None, PageId(2), 0, None, &wal, |_| true));
         assert!(images.durable[PageId(2)].is_none(), "a rollback skips it");
-        images.durable_mut(PageId(2)).set_lsn(9);
+        images.durable_mut(PageId(2)).redo(1, Some(&tagged(5)), 9);
         assert_eq!(images.durable(PageId(2)).lsn(), 9);
-        assert_eq!(images.formatted.lsn(), 0, "redo wrote a copy");
+        let formatted = &images.formatted;
+        assert_eq!(
+            (formatted.lsn(), owner(formatted.get(1))),
+            (0, Some(0)),
+            "redo wrote a copy"
+        );
         assert_eq!(images.durable(PageId(1)).lsn(), 0);
     }
 
     #[test]
     fn newest_is_the_latest_write_in_flight_and_landing_keeps_it() {
-        let mut images = PageImages::new(4, formatted());
+        let mut images = PageImages::new(4);
         let mut wal = Wal::new();
         let p = PageId(1);
         let (first, second) = (redo(&mut wal, 0, 1, 10), redo(&mut wal, 0, 2, 20));
@@ -243,13 +247,13 @@ pub(crate) mod tests {
 
     #[test]
     fn a_rollback_patches_the_durable_image_and_the_write_in_flight_that_shows_it() {
-        let mut images = PageImages::new(4, formatted());
+        let mut images = PageImages::new(4);
         let mut wal = Wal::new();
         let p = PageId(0);
-        images.durable_mut(p).redo(0, Some(&7u64.to_le_bytes()), 3);
+        images.durable_mut(p).redo(0, Some(&tagged(7)), 3);
         images.write(at(10), p, &redo(&mut wal, 1, 7, 10));
         images.write(at(20), p, &redo(&mut wal, 1, 8, 20));
-        let zero = Some(logged(&mut wal, &0u64.to_le_bytes()));
+        let zero = Some(logged(&mut wal, &tagged(0)));
         let aborted = |r: Option<&[u8]>| owner(r) == Some(7);
         let mut frame = redo(&mut wal, 2, 9, 30);
         assert!(images.roll_back(Some(&mut frame), p, 0, zero, &wal, aborted));
@@ -267,7 +271,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_crash_loses_the_writes_that_had_not_completed() {
-        let mut images = PageImages::new(4, formatted());
+        let mut images = PageImages::new(4);
         let mut wal = Wal::new();
         images.write(at(10), PageId(0), &redo(&mut wal, 0, 1, 10));
         images.write(at(30), PageId(1), &redo(&mut wal, 0, 2, 30));

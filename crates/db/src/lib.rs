@@ -5,9 +5,9 @@
 //! storage. This crate is a compact but complete storage manager built to
 //! test that vision:
 //!
-//! * [`page`] — slotted pages with LSNs (the unit of buffering and I/O);
-//!   the engine addresses fixed `(page, slot)` records directly — there
-//!   is no heap file and no index above the pages;
+//! * [`page`] — page images of fixed `(page, slot)` records and an LSN
+//!   (the unit of buffering and I/O); the engine addresses the records
+//!   directly — there is no heap file and no index above the pages;
 //! * [`buffer`] — a clock buffer pool with a steal policy (dirty eviction
 //!   forces a synchronous write — one of the paper's two synchronous
 //!   patterns);
@@ -73,7 +73,7 @@ pub use engine::{Database, DbConfig, TxnOutcome};
 pub use exec::{ExecConfig, ExecReport, TxnInput};
 pub use kvstore::NamelessKv;
 pub use ledger::{LedgerStats, TwoPhaseLedger, TxnDecision};
-pub use page::{PageId, SlottedPage, PAGE_SIZE, RECORD_SIZE, SLOTS_PER_PAGE};
+pub use page::{PageId, PageImage, PAGE_SIZE, RECORD_SIZE, SLOTS_PER_PAGE};
 pub use pagetable::PageTable;
 pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use shard::{ShardedDb, ShardedReport};

@@ -60,8 +60,8 @@ impl ImageRef {
 /// One log record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogRecord {
-    /// Redo information for one page update: replace slot `slot` of
-    /// `page` with `after` (insert if the slot is new).
+    /// Redo information for one page update: replace the record in
+    /// slot `slot` of `page` with `after`.
     Update {
         /// The transaction.
         txn: u64,

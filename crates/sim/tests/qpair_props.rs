@@ -111,7 +111,7 @@ proptest! {
         let (_, reaped) = run(DEPTHS[depth], &cmds, false);
         // tags are assigned in submission order; host refusals never
         // reach the device, so they sit outside the hazard
-        let mut last: std::collections::HashMap<u64, &Cqe> = Default::default();
+        let mut last: std::collections::BTreeMap<u64, &Cqe> = Default::default();
         for c in reaped.iter().filter(|c| c.admit.is_some()) {
             if let Some(prev) = last.insert(c.key, c) {
                 prop_assert!(prev.tag < c.tag, "key {} reaped {:?} after {:?}", c.key, c.tag, prev.tag);

@@ -233,6 +233,33 @@ mod tests {
         assert!(b.read_hit(71, us(170)));
     }
 
+    /// A read that misses on a page whose flush is over evicts it, and the
+    /// eviction is state: the population it shrinks decides when the
+    /// sweep runs, so a later read can hit or miss by it. A read cannot
+    /// skip the lookup once every flush is over, although it must miss.
+    #[test]
+    fn a_stale_miss_evicts_and_so_moves_the_next_sweep() {
+        let mut b = WriteBuffer::new(1);
+        let us = SimTime::from_micros;
+        for i in 0..72u64 {
+            b.commit(i, us(100 + i));
+        }
+        // every flush is over at 200 µs: a miss, and page 0 leaves
+        assert!(!b.read_hit(0, us(200)));
+        assert_eq!(b.resident.len(), 71);
+        // back at the bound: no sweep
+        b.commit(1000, us(300));
+        assert_eq!(b.resident.len(), 72);
+        // past it: the sweep drops every flush ending by 400 µs
+        b.commit(1001, us(400));
+        assert!(b.resident.is_empty());
+        assert!(
+            !b.read_hit(1001, us(260)),
+            "with page 0 left in place the sweep would have run one commit \
+             earlier and kept page 1001"
+        );
+    }
+
     /// The residency map [`WriteBuffer`] used to keep, as the reference:
     /// a `BTreeMap` swept with `retain`.
     struct TreeBuffer {

@@ -111,7 +111,7 @@ proptest! {
         prop_assert_eq!(trace.len(), ops.len());
         // tags are assigned in submission order; within one LBA the pop
         // order must preserve it
-        let mut last_tag: std::collections::HashMap<u64, u64> = Default::default();
+        let mut last_tag: std::collections::BTreeMap<u64, u64> = Default::default();
         for (tag, lba, _read, _sub, _done) in &trace {
             if let Some(prev) = last_tag.insert(*lba, *tag) {
                 prop_assert!(
@@ -124,7 +124,7 @@ proptest! {
         // and dones must be non-decreasing per LBA in submission order
         let mut by_tag: Vec<&(u64, u64, bool, u64, u64)> = trace.iter().collect();
         by_tag.sort_by_key(|e| e.0);
-        let mut last_done: std::collections::HashMap<u64, u64> = Default::default();
+        let mut last_done: std::collections::BTreeMap<u64, u64> = Default::default();
         for (_, lba, _, _, done) in by_tag {
             if let Some(prev) = last_done.insert(*lba, *done) {
                 prop_assert!(prev <= *done, "lba {} done regressed", lba);

@@ -20,7 +20,7 @@
 //!   queue, interrupt vs polling, a disk model.
 //! * [`iface`] — beyond the block device: atomic writes, nameless writes
 //!   with migration upcalls, the communication abstraction.
-//! * [`db`] — a miniature storage manager (slotted pages, buffer pool,
+//! * [`db`] — a miniature storage manager (fixed-slot pages, buffer pool,
 //!   WAL, recovery) with legacy and vision persistence backends.
 //! * [`workload`] — uFLIP-style patterns, zipfian skew, OLTP mixes,
 //!   closed-loop drivers.

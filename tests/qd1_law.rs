@@ -38,7 +38,7 @@ use requiem::db::backend::{PersistenceBackend, VisionBackend};
 use requiem::db::engine::EngineStats;
 use requiem::db::{
     CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy, PageId,
-    ShardedDb, SlottedPage, TxnInput, WalConfig,
+    PageImage, ShardedDb, TxnInput, WalConfig,
 };
 use requiem::iface::NamelessConfig;
 use requiem::pcm::WearSnapshot;
@@ -401,7 +401,7 @@ fn dirty_crash_law(shape: Shape, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, V
         let mut db = build();
         db.run_concurrent(inputs, &exec_config(qd4));
         let before = owners(&mut db);
-        let durable: Vec<SlottedPage> = (0..DATA_PAGES)
+        let durable: Vec<PageImage> = (0..DATA_PAGES)
             .map(|p| db.durable_page(p).clone())
             .collect();
         let durable_owners: Vec<u64> = durable
