@@ -11,9 +11,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "DET01"
+//! rule = "TIM01"
 //! path = "crates/ssd/src/buffer.rs"
-//! reason = "the loop folds into an order-independent sum"
+//! reason = "the nanosecond sum is a reported statistic, not a sim time"
 //! ```
 
 use crate::diag::Diagnostic;
@@ -21,7 +21,7 @@ use crate::diag::Diagnostic;
 /// One allowlist entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id this entry silences (e.g. `DET01`).
+    /// Rule id this entry silences (e.g. `DET02`).
     pub rule: String,
     /// Exact file path, or directory prefix when ending in `/`.
     pub path: String,
@@ -175,23 +175,23 @@ mod tests {
         .unwrap();
         assert!(a.check(&diag("TIM01", "crates/x/src/a.rs")));
         assert!(!a.check(&diag("TIM01", "crates/x/src/b.rs")));
-        assert!(!a.check(&diag("DET01", "crates/x/src/a.rs")));
+        assert!(!a.check(&diag("DET02", "crates/x/src/a.rs")));
         assert!(a.unused().is_empty());
     }
 
     #[test]
     fn directory_prefix_matches() {
         let mut a = AllowList::parse(
-            "[[allow]]\nrule = \"DET01\"\npath = \"crates/x/src/\"\nreason = \"r\"\n",
+            "[[allow]]\nrule = \"DET02\"\npath = \"crates/x/src/\"\nreason = \"r\"\n",
         )
         .unwrap();
-        assert!(a.check(&diag("DET01", "crates/x/src/deep/file.rs")));
-        assert!(!a.check(&diag("DET01", "crates/y/src/file.rs")));
+        assert!(a.check(&diag("DET02", "crates/x/src/deep/file.rs")));
+        assert!(!a.check(&diag("DET02", "crates/y/src/file.rs")));
     }
 
     #[test]
     fn reason_is_mandatory() {
-        let err = AllowList::parse("[[allow]]\nrule = \"DET01\"\npath = \"a.rs\"\n").unwrap_err();
+        let err = AllowList::parse("[[allow]]\nrule = \"DET02\"\npath = \"a.rs\"\n").unwrap_err();
         assert!(err.contains("no `reason`"), "{err}");
     }
 

@@ -5,7 +5,7 @@ use std::fmt;
 /// One lint finding: `rule id, file:line, message, suggestion`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule id (e.g. `DET01`).
+    /// Stable rule id (e.g. `DET02`).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -66,15 +66,15 @@ mod tests {
     #[test]
     fn display_is_grep_friendly() {
         let d = Diagnostic {
-            rule: "DET01",
+            rule: "DET02",
             path: "crates/ssd/src/buffer.rs".into(),
             line: 79,
-            message: "iteration over HashMap `resident`".into(),
-            suggestion: "use BTreeMap".into(),
+            message: "ambient authority `Instant` on the sim path".into(),
+            suggestion: "derive all time from SimTime".into(),
         };
         let s = d.to_string();
-        assert!(s.starts_with("DET01 crates/ssd/src/buffer.rs:79 "));
-        assert!(s.contains("help: use BTreeMap"));
+        assert!(s.starts_with("DET02 crates/ssd/src/buffer.rs:79 "));
+        assert!(s.contains("help: derive all time from SimTime"));
     }
 
     #[test]

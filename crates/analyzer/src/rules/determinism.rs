@@ -1,29 +1,20 @@
-//! DET01/DET02 — determinism.
+//! DET02 — determinism: no ambient authority on the sim path.
 //!
 //! The paper's myths are falsifiable only because experiments are
-//! bit-reproducible: CI diffs double runs of exp1/exp4/exp11. Two things
-//! silently break that guarantee:
+//! bit-reproducible: CI diffs double runs of exp1/exp4/exp11.
+//! `Instant::now`, `SystemTime`, `thread_rng` and `RandomState` pull
+//! wall-clock time or OS entropy into the simulation and silently break
+//! that guarantee. All time must come from [`SimTime`] and all randomness
+//! from the seeded, splittable `SimRng`. DET02 applies everywhere, tests
+//! included — a flaky test is still a broken promise.
 //!
-//! * **Iterating a `HashMap`/`HashSet`** (DET01). `RandomState` seeds the
-//!   hasher per process, so iteration order differs between runs even on
-//!   the same machine. Any iteration-order-dependent computation in the
-//!   simulated stack makes output diffs flap. Point lookups are fine —
-//!   only iteration (`iter`, `keys`, `values`, `drain`, `retain`,
-//!   `into_iter`, `for … in map`) is flagged. Fix: `BTreeMap`/`BTreeSet`,
-//!   or drain through a sorted `Vec`.
-//! * **Ambient authority** (DET02): `Instant::now`, `SystemTime`,
-//!   `thread_rng`, `RandomState` pull wall-clock time or OS entropy into
-//!   the simulation. All time must come from [`SimTime`] and all
-//!   randomness from the seeded, splittable `SimRng`.
-//!
-//! DET01 skips `#[cfg(test)]` regions and `tests/`/`benches/`/`examples/`
-//! (a test counting occurrences through a HashMap is order-insensitive);
-//! DET02 applies everywhere — a flaky test is still a broken promise.
+//! The other determinism hazard, iterating a `HashMap`/`HashSet` (whose
+//! order `RandomState` seeds per process), is clippy's: `crates/clippy.toml`
+//! lists both types under `disallowed-types`.
 
 use super::FileCtx;
 use crate::diag::Diagnostic;
-use crate::lexer::{Tok, TokKind};
-use std::collections::BTreeSet;
+use crate::lexer::TokKind;
 
 /// Crates on the simulated I/O path (everything that feeds experiment
 /// output). The analyzer itself is host tooling and exempt.
@@ -31,255 +22,23 @@ const SIM_PATH: &[&str] = &[
     "sim", "flash", "pcm", "ssd", "block", "iface", "db", "workload", "bench", "requiem",
 ];
 
-/// Iteration-producing methods on hash containers.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-];
-
 /// Ambient-authority identifiers banned on the sim path.
 const AMBIENT: &[&str] = &["Instant", "SystemTime", "thread_rng", "RandomState"];
 
-/// Run DET01/DET02 on one file.
+/// Run DET02 on one file.
 pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     if !SIM_PATH.contains(&ctx.short()) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    let toks = ctx.toks;
-
-    // DET02: ambient authority, everywhere in the file.
-    for t in toks {
-        if t.kind == TokKind::Ident && AMBIENT.contains(&t.text.as_str()) {
-            out.push(Diagnostic {
-                rule: "DET02",
-                path: ctx.rel.to_string(),
-                line: t.line,
-                message: format!("ambient authority `{}` on the sim path", t.text),
-                suggestion: "derive all time from SimTime and all randomness from SimRng"
-                    .to_string(),
-            });
-        }
-    }
-
-    // DET01: iteration over hash-typed bindings (non-test code only).
-    let hash_idents = collect_hash_idents(toks);
-    if hash_idents.is_empty() {
-        return out;
-    }
-    let mut i = 0usize;
-    while i < toks.len() {
-        if ctx.in_test(i) {
-            i += 1;
-            continue;
-        }
-        let t = &toks[i];
-        // `name . iter_method (`
-        if t.kind == TokKind::Ident && hash_idents.contains(t.text.as_str()) {
-            if let (Some(dot), Some(m), Some(paren)) =
-                (toks.get(i + 1), toks.get(i + 2), toks.get(i + 3))
-            {
-                if dot.is_punct('.')
-                    && m.kind == TokKind::Ident
-                    && ITER_METHODS.contains(&m.text.as_str())
-                    && paren.is_punct('(')
-                {
-                    out.push(Diagnostic {
-                        rule: "DET01",
-                        path: ctx.rel.to_string(),
-                        line: m.line,
-                        message: format!(
-                            "`.{}()` on HashMap/HashSet `{}`: iteration order is randomized per process",
-                            m.text, t.text
-                        ),
-                        suggestion: format!(
-                            "store `{}` in a BTreeMap/BTreeSet, or drain through a sorted Vec",
-                            t.text
-                        ),
-                    });
-                }
-            }
-        }
-        // `for pat in <expr mentioning a hash ident> {`
-        if t.is_ident("for") {
-            // skip `for<'a>` in higher-ranked bounds
-            if toks.get(i + 1).map(|t| t.is_punct('<')).unwrap_or(false) {
-                i += 1;
-                continue;
-            }
-            if let Some((expr_start, body)) = for_in_expr(toks, i) {
-                for j in expr_start..body {
-                    let e = &toks[j];
-                    if e.kind == TokKind::Ident && hash_idents.contains(e.text.as_str()) {
-                        // direct method calls are reported by the scan
-                        // when it reaches them (we do not skip the expr);
-                        // only report the loop when the map itself is
-                        // iterated
-                        let next_is_call =
-                            toks.get(j + 1).map(|t| t.is_punct('.')).unwrap_or(false)
-                                && toks
-                                    .get(j + 2)
-                                    .map(|t| {
-                                        t.kind == TokKind::Ident
-                                            && ITER_METHODS.contains(&t.text.as_str())
-                                    })
-                                    .unwrap_or(false);
-                        if !next_is_call {
-                            out.push(Diagnostic {
-                                rule: "DET01",
-                                path: ctx.rel.to_string(),
-                                line: e.line,
-                                message: format!(
-                                    "`for … in` over HashMap/HashSet `{}`: iteration order is randomized per process",
-                                    e.text
-                                ),
-                                suggestion: format!(
-                                    "store `{}` in a BTreeMap/BTreeSet, or collect+sort before looping",
-                                    e.text
-                                ),
-                            });
-                        }
-                        break;
-                    }
-                }
-                // fall through token by token so `map.iter()` inside the
-                // loop header still hits the direct-call check above
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Names bound to a `HashMap`/`HashSet` anywhere in the file: struct
-/// fields and let-bindings with an ascribed hash type, and `let x =
-/// HashMap::new()`-style initializers.
-fn collect_hash_idents(toks: &[Tok]) -> BTreeSet<&str> {
-    let mut names = BTreeSet::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `name : … HashMap/HashSet …` (field, param, or ascribed let)
-        if toks.get(i + 1).map(|n| n.is_punct(':')).unwrap_or(false)
-            && !toks.get(i + 2).map(|n| n.is_punct(':')).unwrap_or(false)
-            && !toks
-                .get(i.wrapping_sub(1))
-                .map(|p| p.is_punct(':'))
-                .unwrap_or(false)
-        {
-            if type_mentions_hash(toks, i + 2) {
-                names.insert(t.text.as_str());
-            }
-            continue;
-        }
-        // `let [mut] name = … HashMap/HashSet :: …`
-        if t.is_ident("let") {
-            let mut j = i + 1;
-            if toks.get(j).map(|t| t.is_ident("mut")).unwrap_or(false) {
-                j += 1;
-            }
-            let Some(name) = toks.get(j).filter(|t| t.kind == TokKind::Ident) else {
-                continue;
-            };
-            if !toks.get(j + 1).map(|t| t.is_punct('=')).unwrap_or(false) {
-                continue; // ascribed lets handled by the `:` arm above
-            }
-            let mut k = j + 2;
-            let mut depth = 0i32;
-            while k < toks.len() && k < j + 60 {
-                let tk = &toks[k];
-                if tk.is_punct('(') || tk.is_punct('[') || tk.is_punct('{') {
-                    depth += 1;
-                } else if tk.is_punct(')') || tk.is_punct(']') || tk.is_punct('}') {
-                    depth -= 1;
-                } else if tk.is_punct(';') && depth <= 0 {
-                    break;
-                } else if tk.kind == TokKind::Ident
-                    && (tk.text == "HashMap" || tk.text == "HashSet")
-                {
-                    names.insert(name.text.as_str());
-                    break;
-                }
-                k += 1;
-            }
-        }
-    }
-    names
-}
-
-/// Does the type expression starting at `start` mention `HashMap` or
-/// `HashSet` before ending (at `=`, `,`, `;`, `)`, `{`, or depth-0 `>`)?
-fn type_mentions_hash(toks: &[Tok], start: usize) -> bool {
-    let mut depth = 0i32;
-    let mut j = start;
-    while j < toks.len() && j < start + 40 {
-        let t = &toks[j];
-        if t.is_punct('<') {
-            depth += 1;
-        } else if t.is_punct('>') {
-            depth -= 1;
-            if depth < 0 {
-                return false;
-            }
-        } else if depth == 0
-            && (t.is_punct('=')
-                || t.is_punct(',')
-                || t.is_punct(';')
-                || t.is_punct(')')
-                || t.is_punct('{'))
-        {
-            return false;
-        } else if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            return true;
-        }
-        j += 1;
-    }
-    false
-}
-
-/// For a `for` keyword at `i`, return `(expr_start, body_brace_index)` of
-/// the `for pat in expr {` form.
-fn for_in_expr(toks: &[Tok], i: usize) -> Option<(usize, usize)> {
-    // find `in` at pattern depth 0
-    let mut j = i + 1;
-    let mut depth = 0i32;
-    while j < toks.len() && j < i + 40 {
-        let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 0 && t.is_ident("in") {
-            break;
-        }
-        j += 1;
-    }
-    if j >= toks.len() || !toks[j].is_ident("in") {
-        return None;
-    }
-    let expr_start = j + 1;
-    let mut k = expr_start;
-    let mut depth = 0i32;
-    while k < toks.len() && k < expr_start + 80 {
-        let t = &toks[k];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct('{') {
-            return Some((expr_start, k));
-        }
-        k += 1;
-    }
-    None
+    ctx.toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident && AMBIENT.contains(&t.text.as_str()))
+        .map(|t| Diagnostic {
+            rule: "DET02",
+            path: ctx.rel.to_string(),
+            line: t.line,
+            message: format!("ambient authority `{}` on the sim path", t.text),
+            suggestion: "derive all time from SimTime and all randomness from SimRng".to_string(),
+        })
+        .collect()
 }

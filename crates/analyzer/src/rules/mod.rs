@@ -2,7 +2,6 @@
 //!
 //! | id    | family        | invariant |
 //! |-------|---------------|-----------|
-//! | DET01 | determinism   | no iteration over `HashMap`/`HashSet` in sim-path code |
 //! | DET02 | determinism   | no ambient authority: `Instant`, `SystemTime`, `thread_rng`, `RandomState` |
 //! | LAY01 | layering      | every `Cargo.toml` dependency edge respects the Figure-2 DAG |
 //! | PRB02 | probe         | a file opening probe spans must also close or detach them |
@@ -18,8 +17,9 @@
 //! naming a crate its manifest does not list (the old LAY02/LAY03),
 //! forbids `unsafe` (UNS01) and denies a dropped `#[must_use]` `IoStatus`
 //! or `WalForce` (IOS01); clippy holds the panic policy's modules to no
-//! `unwrap`/`expect`/`panic!` (PAN01); and `Probe::enter_background` is
-//! private to `sim` (PRB01).
+//! `unwrap`/`expect`/`panic!` (PAN01) and bans `HashMap`/`HashSet`
+//! under `crates/` with `disallowed-types` (DET01); and
+//! `Probe::enter_background` is private to `sim` (PRB01).
 //!
 //! The [`RULES`] table below is the single registry: it drives the
 //! per-file and semantic passes ([`run_file`], [`run_sem`]) *and* the
@@ -132,17 +132,6 @@ pub struct Rule {
 /// The rule registry — checks and `--explain` source of truth.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "DET01",
-        family: "determinism",
-        summary: "no iteration over HashMap/HashSet in sim-path code",
-        rationale: "Hash iteration order is randomized per process; any ordering leak into \
-                    event times or output breaks bit-identical replay, the property every \
-                    myth-busting experiment rests on.",
-        bad: "for (lbn, page) in self.resident.iter() { self.evict(lbn, page); } // HashMap",
-        ok: "for (lbn, page) in self.resident.iter() { self.evict(lbn, page); } // BTreeMap",
-        check: Check::File(determinism::check),
-    },
-    Rule {
         id: "DET02",
         family: "determinism",
         summary: "no ambient authority: Instant, SystemTime, thread_rng, RandomState",
@@ -151,7 +140,7 @@ pub const RULES: &[Rule] = &[
                     seeded SimRng.",
         bad: "let t0 = std::time::Instant::now();",
         ok: "let t0 = self.now; // SimTime from the event clock",
-        check: Check::WithPass("DET01"),
+        check: Check::File(determinism::check),
     },
     Rule {
         id: "LAY01",

@@ -1,19 +1,12 @@
-// Fixture: DET01 (hash iteration) + DET02 (ambient authority).
+// Fixture: DET02 (ambient authority).
 // Never compiled — lint test data only.
-use std::collections::HashMap;
 use std::time::Instant;
 
 pub struct Tracker {
-    counts: HashMap<u64, u64>,
+    started: Instant,
 }
 
 impl Tracker {
-    pub fn dump(&self) {
-        for (k, v) in self.counts.iter() {
-            println!("{k}={v}");
-        }
-    }
-
     pub fn stamp() -> Instant {
         Instant::now()
     }

@@ -1,15 +1,13 @@
-// Fixture: deterministic twin of det_bad.rs — BTreeMap iteration and
-// typed sim time. Never compiled — lint test data only.
-use std::collections::BTreeMap;
+// Fixture: deterministic twin of det_bad.rs — typed sim time.
+// Never compiled — lint test data only.
+use requiem_sim::time::SimTime;
 
 pub struct Tracker {
-    counts: BTreeMap<u64, u64>,
+    started: SimTime,
 }
 
 impl Tracker {
-    pub fn dump(&self) {
-        for (k, v) in self.counts.iter() {
-            println!("{k}={v}");
-        }
+    pub fn stamp(&self) -> SimTime {
+        self.started
     }
 }

@@ -50,7 +50,6 @@ fn det_fixture_fires_and_twin_is_clean() {
         "crates/ssd/src/fixture.rs",
         include_str!("fixtures/det_bad.rs"),
     );
-    assert!(bad.contains(&"DET01"), "fired: {bad:?}");
     assert!(bad.contains(&"DET02"), "fired: {bad:?}");
     let ok = fired(
         "requiem-ssd",
@@ -62,6 +61,10 @@ fn det_fixture_fires_and_twin_is_clean() {
 
 #[test]
 fn det_rules_exempt_test_regions_and_test_files() {
+    // hash iteration is no requiem-lint rule (clippy's `disallowed-types`
+    // bans the types, tests included), so a test region iterating one is
+    // clean; DET02 ambient authority (Instant) stays flagged even in
+    // tests — wall-clock reads make test timing assertions flaky
     let text = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn f() {\n        let mut m: HashMap<u64, u64> = HashMap::new();\n        for (k, v) in m.iter() { let _ = (k, v); }\n    }\n}\n";
     let in_test_mod = fired("requiem-ssd", "crates/ssd/src/fixture.rs", text);
     assert!(
@@ -73,13 +76,6 @@ fn det_rules_exempt_test_regions_and_test_files() {
         "crates/ssd/tests/fixture.rs",
         FileCat::TestDir,
         include_str!("fixtures/det_bad.rs"),
-    );
-    // DET01 is order-hygiene (exempt in tests); DET02 ambient authority
-    // (Instant) stays flagged even in tests — wall-clock reads make
-    // test timing assertions flaky.
-    assert!(
-        in_test_dir.iter().all(|d| d.rule != "DET01"),
-        "DET01 fired in tests/: {in_test_dir:?}"
     );
     assert!(
         in_test_dir.iter().any(|d| d.rule == "DET02"),

@@ -27,9 +27,8 @@
 
 use crate::series::{Series, V};
 use requiem_sim::time::SimTime;
-use requiem_sim::{Histogram, IoRequest, IoStatus, SimRng};
-use requiem_ssd::{ArrayShape, FtlKind, GcPolicyKind, QueuePair, Ssd, SsdConfig};
-use requiem_workload::driver::IoMix;
+use requiem_ssd::{ArrayShape, FtlKind, GcPolicyKind, Ssd, SsdConfig};
+use requiem_workload::driver::{run_closed_loop, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
 
 /// Base seed: every per-chunk RNG derives from this plus the chunk index.
@@ -226,76 +225,6 @@ fn debt(ssd: &Ssd, baseline: &[u32]) -> (u32, u32) {
     (free, debt)
 }
 
-/// One chunk of the closed loop: up to `ops` operations at `queue_depth`
-/// in flight, continuing the clock from `start`.
-///
-/// Unlike [`requiem_workload::driver::run_closed_loop`], an I/O failure
-/// is not a panic but a first-class outcome: a hybrid FTL on thin
-/// over-provisioning can genuinely run a LUN out of usable space under
-/// sustained random overwrite (the merge-storm insolvency this
-/// experiment exists to measure). On failure the chunk reports how many
-/// operations it completed before the device went insolvent.
-struct Chunk {
-    latency: Histogram,
-    end: SimTime,
-    completed: u64,
-    insolvent: bool,
-}
-
-fn run_chunk(
-    ssd: &mut Ssd,
-    pattern: &mut AddressPattern,
-    mix: IoMix,
-    queue_depth: usize,
-    ops: u64,
-    seed: u64,
-    start: SimTime,
-) -> Chunk {
-    let mut rng = SimRng::from_seed(seed).derive("driver-mix");
-    let mut latency = Histogram::new();
-    let mut qp = QueuePair::new(queue_depth);
-    let mut in_flight = 0usize;
-    let mut issued = 0u64;
-    let mut last_done = start;
-    let mut insolvent = false;
-
-    while issued < ops {
-        let now = if in_flight >= queue_depth {
-            let c = qp.pop().expect("completions outstanding");
-            latency.record_duration(c.latency());
-            last_done = last_done.max(c.done);
-            in_flight -= 1;
-            c.done
-        } else {
-            start
-        };
-        let lba = pattern.next_addr();
-        let req = if rng.chance(mix.read_fraction) {
-            IoRequest::read(lba)
-        } else {
-            IoRequest::write(lba)
-        };
-        if ssd.enqueue(&mut qp, now, req).status == IoStatus::Rejected {
-            insolvent = true;
-            break;
-        }
-        in_flight += 1;
-        issued += 1;
-    }
-    // the refused command is not one of the chunk's operations
-    let served = std::iter::from_fn(|| qp.pop()).filter(|c| c.status != IoStatus::Rejected);
-    for c in served {
-        latency.record_duration(c.latency());
-        last_done = last_done.max(c.done);
-    }
-    Chunk {
-        latency,
-        end: last_done,
-        completed: issued,
-        insolvent,
-    }
-}
-
 /// Detect a WA plateau: the run reached steady state when the last
 /// `tail` overwrite-phase windows all sit within ±`band` (relative) of
 /// their mean. Returns that mean.
@@ -322,7 +251,7 @@ pub fn run_corner(c: &AgingConfig, preset: &AgingPreset) -> AgingRun {
 
     // Phase 1: sequential fill — precondition the device to 100 % mapped.
     // Not sampled: WA during the fill is 1.0 by construction.
-    let fill = run_chunk(
+    let fill = run_closed_loop(
         &mut ssd,
         &mut AddressPattern::new(Pattern::Sequential, pages, SEED),
         IoMix::write_only(),
@@ -331,13 +260,20 @@ pub fn run_corner(c: &AgingConfig, preset: &AgingPreset) -> AgingRun {
         SEED,
         SimTime::ZERO,
     );
-    assert!(!fill.insolvent, "sequential fill must fit the LBA space");
-    let mut t = fill.end;
+    assert!(
+        fill.refused_at.is_none(),
+        "sequential fill must fit the LBA space"
+    );
+    let mut t = SimTime::ZERO + fill.makespan;
     // debt reference: the free pool of the freshly-preconditioned device
     let baseline_free = ssd.free_blocks_per_lun();
 
     // Aged phases share one zipfian overwrite stream and one mixed
-    // stream; each window is a chunked closed loop continuing the clock.
+    // stream; each window is a closed loop continuing the clock. A hybrid
+    // FTL on thin over-provisioning can run a LUN out of usable space
+    // under sustained random overwrite (the merge-storm insolvency this
+    // experiment exists to measure): the window's loop stops at the
+    // refused write, and the campaign ends there.
     let mut over_pat = AddressPattern::new(Pattern::Zipfian { theta: 0.9 }, pages, SEED ^ 0xA5);
     let mut mixed_pat = AddressPattern::new(Pattern::Zipfian { theta: 0.99 }, pages, SEED ^ 0x5A);
 
@@ -358,7 +294,7 @@ pub fn run_corner(c: &AgingConfig, preset: &AgingPreset) -> AgingRun {
                 "overwrite" => (&mut over_pat, IoMix::write_only()),
                 _ => (&mut mixed_pat, IoMix::mixed(0.5)),
             };
-            let chunk = run_chunk(
+            let chunk = run_closed_loop(
                 &mut ssd,
                 pattern,
                 mix,
@@ -367,9 +303,8 @@ pub fn run_corner(c: &AgingConfig, preset: &AgingPreset) -> AgingRun {
                 SEED.wrapping_add(w * 31).wrapping_add(ops_done),
                 t,
             );
-            let makespan = chunk.end.since(t);
-            t = chunk.end;
-            ops_done += chunk.completed;
+            t += chunk.makespan;
+            ops_done += chunk.ops;
 
             let cur = snap(&ssd);
             let dw = cur.host_writes - prev.host_writes;
@@ -389,10 +324,10 @@ pub fn run_corner(c: &AgingConfig, preset: &AgingPreset) -> AgingRun {
                 merges: cur.merges - prev.merges,
                 p99_ns: chunk.latency.p99(),
                 p999_ns: chunk.latency.quantile(0.999),
-                iops: chunk.completed as f64 / makespan.as_secs_f64().max(1e-12),
+                iops: chunk.iops,
             });
             prev = cur;
-            if chunk.insolvent {
+            if chunk.refused_at.is_some() {
                 insolvent_at = Some(ops_done);
                 break 'campaign;
             }

@@ -2,11 +2,11 @@
 //! persistence.
 //!
 //! The same storage manager (buffer pool, WAL, checkpoints) runs on two
-//! backends: **legacy** (everything through one flash SSD's block
-//! interface) and **vision** (log forces and buffer steals to a PCM DIMM
-//! on the memory bus; data traffic to flash with atomic batches). The
-//! vision backend would TRIM freed pages, but the engine frees none, so
-//! neither design sends a page free.
+//! routes of one backend, `BlockStackBackend`: **legacy** (everything
+//! through one flash SSD's block interface) and **vision** (log forces
+//! and buffer steals to a PCM DIMM on the memory bus; data traffic to
+//! flash with atomic batches). The vision route would TRIM freed pages,
+//! but the engine frees none, so neither design sends a page free.
 //! The workload is a TPC-B-flavoured OLTP mix, run on the executor one
 //! transaction at a time with a log force per commit. How far group
 //! commit alone closes the gap is E15's question (15a). Every run is a
@@ -15,15 +15,15 @@
 use requiem_bench::campaign::{self, RunResult, RunSpec, Stack, Vision, Workload};
 use requiem_bench::{fmt_ns, modern_unbuffered, note, section};
 use requiem_block::StackConfig;
-use requiem_db::{Database, DbConfig, PersistenceBackend, TxnInput};
+use requiem_db::{BlockStackBackend, Database, DbConfig, TxnInput};
 use requiem_sim::table::Align;
 use requiem_sim::Table;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 
-/// One backend's row in each OLTP table: throughput, latencies and
+/// One route's row in each OLTP table: throughput, latencies and
 /// steals; then where its time went.
-fn rows<B: PersistenceBackend>(label: &str, r: RunResult<Database<B>>) -> [Vec<String>; 2] {
+fn rows(label: &str, r: RunResult<Database<BlockStackBackend>>) -> [Vec<String>; 2] {
     let (txn, commit) = (r.engine.txn_latency(), r.engine.commit_latency());
     [
         vec![

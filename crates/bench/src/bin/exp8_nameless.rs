@@ -21,15 +21,15 @@ use requiem_sim::time::SimTime;
 use requiem_sim::Table;
 use requiem_ssd::{Lpn, Ssd, SsdConfig};
 use requiem_workload::driver::precondition_sequential;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The host log's bookkeeping: which `(segment, slot)` holds each live
 /// record, the append point, and the segments free to append into.
 struct HostLog {
     seg_pages: u64,
     seg_live: Vec<u64>,
-    loc: HashMap<u64, (u64, u64)>,
-    where_is: HashMap<(u64, u64), u64>,
+    loc: BTreeMap<u64, (u64, u64)>,
+    where_is: BTreeMap<(u64, u64), u64>,
     free_segs: VecDeque<u64>,
     cur_seg: u64,
     cur_slot: u64,
@@ -74,8 +74,8 @@ fn run_lfs(cfg: &SsdConfig, use_trim: bool, seg_pages: u64) -> (f64, f64) {
     let mut log = HostLog {
         seg_pages,
         seg_live: vec![0u64; segments as usize],
-        loc: HashMap::new(),
-        where_is: HashMap::new(),
+        loc: BTreeMap::new(),
+        where_is: BTreeMap::new(),
         cur_seg: free_segs.pop_front().expect("segments"),
         free_segs,
         cur_slot: 0,

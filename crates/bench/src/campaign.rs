@@ -13,7 +13,7 @@
 use requiem_block::StackConfig;
 use requiem_db::{
     BlockStackBackend, CoopLogBackend, Database, DbBuilder, ExecConfig, ExecReport,
-    PersistenceBackend, ShardedDb, ShardedReport, TxnInput, VisionBackend,
+    PersistenceBackend, ShardedDb, ShardedReport, TxnInput,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_iface::{DeviceInterface, DeviceMetrics};
@@ -65,7 +65,8 @@ pub struct ShardedStack(pub StackConfig, pub SsdConfig);
 #[derive(Clone)]
 pub struct Coop(pub NamelessConfig);
 
-/// The paper's vision: log and steals on PCM, pages on flash.
+/// The paper's vision: the block stack's vision route, log and steals
+/// on PCM, pages on flash.
 #[derive(Clone)]
 pub struct Vision(pub SsdConfig);
 
@@ -113,17 +114,17 @@ impl Manager for Coop {
 }
 
 impl Manager for Vision {
-    type Engine = Database<VisionBackend>;
+    type Engine = Database<BlockStackBackend>;
     fn build(&self, db: &DbBuilder) -> Self::Engine {
         let cfg = db.db_config();
         // one 4 MiB DIMM holds the log and the staged steals
-        let be = VisionBackend::new(self.0.clone(), cfg.data_pages, 1 << 22);
+        let be = BlockStackBackend::vision(self.0.clone(), cfg.data_pages, 1 << 22);
         let mut engine = Database::new(cfg, be);
         engine.load();
         engine
     }
     fn counters(e: &Self::Engine) -> Counters {
-        Counters::read([e], e.backend().flash().device_metrics(), 0)
+        Stack::counters(e)
     }
 }
 

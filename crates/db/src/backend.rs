@@ -1,44 +1,30 @@
-//! The persistence boundary: where the block and vision designs diverge.
+//! The persistence boundary: the page I/O a storage manager needs, and
+//! nothing about where it goes.
 //!
-//! The storage manager above this trait is **identical** in both designs;
-//! only the routing of its traffic classes changes:
+//! The storage manager above this trait is **identical** in every design;
+//! only the routing of its traffic classes changes. The block-addressed
+//! designs are routes of one backend,
+//! [`BlockStackBackend`](crate::stack_backend::BlockStackBackend): the
+//! block design (one flash SSD behind the OS I/O stack, whose CPU costs
+//! are parameters — [`StackConfig::bare`](requiem_block::StackConfig::bare)
+//! sets them all to zero and is the bare block device) and the paper's
+//! vision ([`BlockStackBackend::vision`](crate::stack_backend::BlockStackBackend::vision),
+//! whose doc holds the routing table). The cooperating-logs manager,
+//! [`CoopLogBackend`](crate::coop::CoopLogBackend), drives a nameless
+//! device.
 //!
-//! | traffic               | class        | Block                      | Vision (§3 P1/P2)            |
-//! |-----------------------|--------------|----------------------------|------------------------------|
-//! | buffer steal          | synchronous  | flash SSD page write       | PCM staging persist          |
-//! | data write-back       | asynchronous | flash SSD page write       | flash SSD page write         |
-//! | checkpoint batch      | asynchronous | double-write journal (2×)  | device atomic write (1×)     |
-//! | page free             | —            | nothing (device unaware)   | TRIM                         |
-//!
-//! The last row carries no traffic: the engine never frees a page, so
-//! [`PersistenceBackend::free_page`] has no caller outside unit tests and
-//! [`BackendStats::frees`] is 0 in every run.
-//!
-//! The block design is
-//! [`BlockStackBackend`](crate::stack_backend::BlockStackBackend): one
-//! flash SSD behind the OS I/O stack, whose CPU costs are parameters —
-//! [`StackConfig::bare`](requiem_block::StackConfig::bare) sets them all
-//! to zero and is the bare block device. The vision design is
-//! [`VisionBackend`], here.
-//!
-//! The *synchronous log path* (force / truncate / recovery scan) is no
-//! longer here: it lives behind [`WalBackend`](crate::walbackend) — page
+//! The *synchronous log path* (force / truncate / recovery scan) is not
+//! here: it lives behind [`WalBackend`](crate::walbackend) — page
 //! backends do page I/O only, and [`PersistenceBackend::make_wal`] hands
 //! the engine a WAL port onto whatever medium the design routes log
 //! durability to (the same flash device for the block design, a PCM DIMM
 //! for the vision).
 
-use std::cell::{Ref, RefCell};
-use std::rc::Rc;
-
-use requiem_iface::atomic::ExtendedSsd;
-use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
-use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
 
-use crate::page::{PageId, PAGE_SIZE};
-use crate::walbackend::{PcmWal, WalBackend};
+use crate::page::PageId;
+use crate::walbackend::WalBackend;
 
 /// Host tag identifying one batched read between
 /// [`PersistenceBackend::submit_reads`] and [`PersistenceBackend::poll`].
@@ -211,9 +197,9 @@ pub trait PersistenceBackend {
     // The methods below are the queue-pair form of `page_read`: submit a
     // batch without waiting, reap completions out of submission order.
     // Every backend in this crate overrides them with a genuinely
-    // overlapped implementation on a `requiem_sim::QueuePair` (its own,
-    // or a core's of the block stack); the provided defaults are a
-    // *serialized* shim over `page_read` so existing synchronous backends
+    // overlapped implementation on a `requiem_sim::QueuePair` (the coop
+    // manager's own, or a core's of the block stack); the provided
+    // defaults are a *serialized* shim over `page_read` so existing synchronous backends
     // keep working unchanged — each read runs to completion at submit
     // time and its completion is parked in the backend's [`ReadShim`]
     // until the next poll.
@@ -300,220 +286,15 @@ pub trait PersistenceBackend {
     }
 }
 
-// ---------------------------------------------------------------------
-// Vision: PCM for synchronous persistence, extended flash for the rest
-// ---------------------------------------------------------------------
-
-/// The paper's design: log and steals go to byte-addressable PCM on the
-/// memory bus; data traffic goes to flash through an extended interface
-/// (atomic batches instead of a journal, TRIM on the page frees the
-/// engine does not issue).
-pub struct VisionBackend {
-    /// Shared with the PCM WAL ([`make_wal`](PersistenceBackend::make_wal)):
-    /// one DIMM carries the log region and the steal-staging region.
-    pcm: Rc<RefCell<PcmDimm>>,
-    flash: ExtendedSsd,
-    data_pages: u64,
-    /// Circular log region in PCM (bytes), handed to the WAL.
-    log_capacity: u64,
-    /// Staging region base for steal writes (after the log region).
-    staging_base: u64,
-    staging_slots: u64,
-    staging_next: u64,
-    stats: BackendStats,
-    /// The batched read path, over the inner flash SSD.
-    reads: QueuePair,
-}
-
-impl std::fmt::Debug for VisionBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VisionBackend")
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl VisionBackend {
-    /// `pcm_bytes` of PCM split into a log region (¾) and a steal-staging
-    /// region (¼); data pages on the flash device.
-    ///
-    /// # Panics
-    /// Panics if the flash device cannot hold `data_pages`.
-    pub fn new(cfg: SsdConfig, data_pages: u64, pcm_bytes: u64) -> Self {
-        let flash = ExtendedSsd::new(Ssd::new(cfg));
-        assert!(
-            data_pages <= flash.inner().capacity().exported_pages,
-            "flash device too small"
-        );
-        let log_capacity = pcm_bytes * 3 / 4;
-        let staging_bytes = pcm_bytes - log_capacity;
-        VisionBackend {
-            pcm: Rc::new(RefCell::new(PcmDimm::new(
-                pcm_bytes,
-                PcmTiming::gen1(),
-                100,
-            ))),
-            flash,
-            data_pages,
-            log_capacity,
-            staging_base: log_capacity,
-            staging_slots: staging_bytes / PAGE_SIZE as u64,
-            staging_next: 0,
-            stats: BackendStats::default(),
-            reads: QueuePair::new(1),
-        }
-    }
-
-    /// The PCM module (for latency and wear reporting).
-    pub fn pcm(&self) -> Ref<'_, PcmDimm> {
-        self.pcm.borrow()
-    }
-
-    /// The flash device (for write-amplification reporting).
-    pub fn flash(&self) -> &ExtendedSsd {
-        &self.flash
-    }
-
-    fn data_lpn(&self, page: PageId) -> Lpn {
-        assert!(page.0 < self.data_pages, "page id beyond data region");
-        Lpn(page.0)
-    }
-}
-
-impl PersistenceBackend for VisionBackend {
-    fn make_wal(&mut self) -> Box<dyn WalBackend> {
-        // P1: synchronous log persistence goes to the memory bus. The
-        // WAL owns the DIMM's log region; steals keep staging above it.
-        Box::new(PcmWal::with_dimm(
-            Rc::clone(&self.pcm),
-            0,
-            self.log_capacity,
-        ))
-    }
-
-    fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.page_writes += 1;
-        self.stats.logical_writes += 1;
-        let lpn = self.data_lpn(page);
-        self.flash.write(now, lpn).expect("data write failed").done
-    }
-
-    fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.steal_writes += 1;
-        self.stats.logical_writes += 1;
-        // stage the dirty page in PCM (synchronous, ~20 µs for 4 KiB)…
-        let slot = self.staging_next % self.staging_slots.max(1);
-        self.staging_next += 1;
-        let offset = self.staging_base + slot * PAGE_SIZE as u64;
-        let mut pcm = self.pcm.borrow_mut();
-        let durable = pcm.persist(now, offset, &[0u8; 64]); // header line
-        let durable = pcm.persist(durable, offset, &vec![0xEEu8; PAGE_SIZE - 64]);
-        drop(pcm);
-        // …then write back to flash lazily (does not block the caller)
-        let lpn = self.data_lpn(page);
-        let _bg = self.flash.write(durable, lpn).expect("write-back failed");
-        durable
-    }
-
-    fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
-        self.stats.page_reads += 1;
-        let lpn = self.data_lpn(page);
-        match self.flash.read(now, lpn) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
-    }
-
-    fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
-        if pages.is_empty() {
-            return now;
-        }
-        self.stats.batches += 1;
-        self.stats.page_writes += pages.len() as u64;
-        self.stats.logical_writes += pages.len() as u64;
-        // torn-write safety is a device guarantee: atomic batch, 1× I/O
-        let lpns: Vec<Lpn> = pages.iter().map(|&p| self.data_lpn(p)).collect();
-        self.flash
-            .write_atomic(now, &lpns)
-            .expect("atomic batch failed")
-            .done
-    }
-
-    fn free_page(&mut self, now: SimTime, page: PageId) {
-        self.stats.frees += 1;
-        let lpn = self.data_lpn(page);
-        self.flash.trim(now, lpn).expect("trim failed");
-    }
-
-    fn stats(&self) -> &BackendStats {
-        &self.stats
-    }
-
-    fn label(&self) -> &'static str {
-        "vision-split"
-    }
-
-    fn attach_probe(&mut self, probe: requiem_sim::Probe) {
-        self.flash.inner_mut().attach_probe(probe);
-    }
-
-    fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        self.stats.page_reads += pages.len() as u64;
-        let mut tags = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let read = IoRequest::read(self.data_lpn(p).0);
-            tags.push(
-                self.flash
-                    .inner_mut()
-                    .enqueue(&mut self.reads, now, read)
-                    .tag,
-            );
-        }
-        tags
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
-        out.clear();
-        // the data region starts at LBA 0 of the flash device
-        out.extend(self.reads.ready(now).map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba),
-            done: c.done,
-            status: c.status,
-        }));
-    }
-
-    fn next_read_done(&mut self) -> Option<SimTime> {
-        self.reads.next_done()
-    }
-
-    fn reads_in_flight(&mut self) -> usize {
-        self.reads.pending()
-    }
-
-    fn set_read_window(&mut self, depth: usize) {
-        debug_assert_eq!(
-            self.reads.pending(),
-            0,
-            "window change with reads in flight"
-        );
-        self.reads.resize(depth);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
     use crate::stack_backend::BlockStackBackend;
     use crate::wal::Lsn;
     use requiem_block::StackConfig;
     use requiem_sim::time::SimDuration;
+    use requiem_ssd::SsdConfig;
 
     fn small_cfg() -> SsdConfig {
         // conservative legacy device: write cache disabled (a common DBA
@@ -529,8 +310,8 @@ mod tests {
         BlockStackBackend::new(StackConfig::bare(1), small_cfg(), 1024, 64)
     }
 
-    fn vision() -> VisionBackend {
-        VisionBackend::new(small_cfg(), 1024, 1 << 20)
+    fn vision() -> BlockStackBackend {
+        BlockStackBackend::vision(small_cfg(), 1024, 1 << 20)
     }
 
     /// Fill data and WAL to ~56% of one LUN's physical capacity,
@@ -632,11 +413,7 @@ mod tests {
         l.page_batch(SimTime::ZERO, &pages);
         v.page_batch(SimTime::ZERO, &pages);
         assert_eq!(l.ssd().metrics().host_writes, 16, "double-write journal");
-        assert_eq!(
-            v.flash().inner().metrics().host_writes,
-            8,
-            "atomic batch writes once"
-        );
+        assert_eq!(v.ssd().metrics().host_writes, 8, "atomic batch writes once");
     }
 
     #[test]
@@ -650,7 +427,7 @@ mod tests {
             "vision steal {tv} should be well under legacy {tl}"
         );
         // and the flash write-back still happened in the background
-        assert_eq!(v.flash().inner().metrics().host_writes, 1);
+        assert_eq!(v.ssd().metrics().host_writes, 1);
     }
 
     #[test]
@@ -660,7 +437,7 @@ mod tests {
         l.free_page(SimTime::ZERO, PageId(3));
         v.free_page(SimTime::ZERO, PageId(3));
         assert_eq!(l.ssd().metrics().host_trims, 0);
-        assert_eq!(v.flash().inner().metrics().host_trims, 1);
+        assert_eq!(v.ssd().metrics().host_trims, 1);
         assert_eq!(l.stats().frees, 1);
         assert_eq!(v.stats().frees, 1);
     }
@@ -692,7 +469,5 @@ mod tests {
         assert_eq!(w.stats().log_forces, 2);
         assert_eq!(w.stats().log_bytes, 200);
         assert_eq!(w.label(), "pcm-wal");
-        // the wal's persists land on the backend's shared DIMM
-        assert_eq!(v.pcm().persisted_bytes(), 200);
     }
 }

@@ -548,7 +548,6 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::VisionBackend;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
@@ -567,13 +566,13 @@ mod tests {
         db
     }
 
-    fn vision_db() -> Database<VisionBackend> {
+    fn vision_db() -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: 64,
             ..DbConfig::default()
         };
-        let be = VisionBackend::new(SsdConfig::modern(), cfg.data_pages, 1 << 22);
+        let be = BlockStackBackend::vision(SsdConfig::modern(), cfg.data_pages, 1 << 22);
         let mut db = Database::new(cfg, be);
         db.load();
         db

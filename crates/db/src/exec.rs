@@ -985,7 +985,6 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::VisionBackend;
     use crate::engine::DbConfig;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
@@ -1030,13 +1029,13 @@ mod tests {
         block_db(StackConfig::blk_mq(1), frames)
     }
 
-    fn vision_db(frames: usize) -> Database<VisionBackend> {
+    fn vision_db(frames: usize) -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: frames,
             ..DbConfig::default()
         };
-        let be = VisionBackend::new(SsdConfig::modern(), cfg.data_pages, 1 << 22);
+        let be = BlockStackBackend::vision(SsdConfig::modern(), cfg.data_pages, 1 << 22);
         let mut db = Database::new(cfg, be);
         db.load();
         db

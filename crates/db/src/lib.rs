@@ -13,15 +13,15 @@
 //!   patterns);
 //! * [`wal`] — a redo write-ahead log with group commit (the other
 //!   synchronous pattern);
-//! * [`backend`] — the persistence boundary, with two designs:
-//!   - **Block** ([`stack_backend`]): everything (log and data,
-//!     double-write journal) goes through the block interface of one
-//!     flash SSD, behind an OS I/O stack whose CPU costs may be zero
-//!     (the bare device);
-//!   - **Vision**: the paper's principle P1 — synchronous log forces and
-//!     buffer steals go to a PCM DIMM on the memory bus, asynchronous data
-//!     traffic goes to the flash SSD using atomic writes (no double-write
-//!     journal) and trim on free.
+//! * [`backend`] — the persistence boundary; [`stack_backend`] is the
+//!   block-addressed backend, with two routes of the same traffic:
+//!   - **Block**: everything (log and data, double-write journal) goes
+//!     through the block interface of one flash SSD, behind an OS I/O
+//!     stack whose CPU costs may be zero (the bare device);
+//!   - **Vision** ([`BlockStackBackend::vision`]): the paper's principle
+//!     P1 — synchronous log forces and buffer steals go to a PCM DIMM on
+//!     the memory bus, asynchronous data traffic goes to the flash SSD
+//!     using atomic writes (no double-write journal) and trim on free.
 //! * [`engine`] — the engine state and its serialized QD-1 reference
 //!   ([`Database::execute`]: one transaction at a time, a force per
 //!   commit), with crash/recovery (redo replay) support;
@@ -66,7 +66,7 @@ pub mod stack_backend;
 pub mod wal;
 pub mod walbackend;
 
-pub use backend::{CommandTag, PageRead, PersistenceBackend, ReadShim, VisionBackend};
+pub use backend::{CommandTag, PageRead, PersistenceBackend, ReadShim};
 pub use config::DbBuilder;
 pub use coop::CoopLogBackend;
 pub use engine::{Database, DbConfig, TxnOutcome};

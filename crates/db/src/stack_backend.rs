@@ -1,12 +1,14 @@
-//! The block design's persistence backend: one flash SSD behind the
-//! composed block-layer [`IoStack`], carrying a circular log, the data
-//! and a double-write journal. Every command pays the OS submission path,
-//! queue locks, doorbells and IRQ completion at the costs its
-//! [`StackConfig`] names; [`StackConfig::bare`] names them all zero, and
-//! the backend is then the bare block device.
+//! The block-addressed persistence backend: one flash SSD behind the
+//! composed block-layer [`IoStack`], whose commands pay the OS
+//! submission path, queue locks, doorbells and IRQ completion at the
+//! costs its [`StackConfig`] names ([`StackConfig::bare`]: all zero, the
+//! bare block device). Two routes share it: the block design's
+//! ([`BlockStackBackend::new`], [`BlockStackBackend::shards`]) puts a
+//! circular log, the data and a double-write journal on the flash; the
+//! paper's vision ([`BlockStackBackend::vision`]) keeps only the data
+//! there and sends the synchronous traffic to a PCM DIMM.
 //!
-//! This is the backend the completion-driven engine showcases: its
-//! batched read path is implemented directly over
+//! The batched read path is implemented directly over
 //! [`IoStack::submit_batch`] / [`IoStack::reap_into`], so a DB
 //! queue depth of N turns into N commands resident in the device-side
 //! in-flight window — the paper's Figure-1 parallelism finally reaching
@@ -16,13 +18,15 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use requiem_block::{IoStack, StackCompletion, StackConfig};
+use requiem_iface::atomic::atomic_write;
+use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
 use requiem_ssd::{IoClass, IoRequest, Lpn, Ssd, SsdConfig};
 
 use crate::backend::{BackendStats, CommandTag, PageRead, PersistenceBackend};
-use crate::page::PageId;
-use crate::walbackend::{FlashWal, StackLog, WalBackend};
+use crate::page::{PageId, PAGE_SIZE};
+use crate::walbackend::{FlashWal, PcmWal, StackLog, WalBackend};
 
 /// The block-stack backend: one flash SSD behind the full OS I/O stack.
 pub struct BlockStackBackend {
@@ -42,6 +46,8 @@ pub struct BlockStackBackend {
     /// traffic rides its own queue pair; contention happens below, on
     /// the shared channels.
     core: usize,
+    /// The vision route's PCM; `None` on the block route.
+    pcm: Option<PcmRoute>,
     /// Batched reads in flight as `(host tag, page)`, unordered: never
     /// more than the executor keeps outstanding, so a scan finds a tag.
     pending: Vec<(CommandTag, PageId)>,
@@ -58,6 +64,30 @@ pub struct BlockStackBackend {
     /// Tag namespace for everything that goes through `submit_batch`.
     next_tag: u64,
     stats: BackendStats,
+}
+
+/// The vision route's synchronous medium: one PCM DIMM carries the WAL's
+/// log region and, above it, a ring of steal-staging slots.
+struct PcmRoute {
+    /// Shared with the PCM WAL.
+    dimm: Rc<RefCell<PcmDimm>>,
+    /// The log region is `[0, log_capacity)`; staging starts above it.
+    log_capacity: u64,
+    staging_slots: u64,
+    staging_next: u64,
+}
+
+impl PcmRoute {
+    /// Persist one dirty page into the next staging slot, header line
+    /// first; returns the instant it is durable (~20 µs for 4 KiB).
+    fn stage(&mut self, now: SimTime) -> SimTime {
+        let slot = self.staging_next % self.staging_slots.max(1);
+        self.staging_next += 1;
+        let offset = self.log_capacity + slot * PAGE_SIZE as u64;
+        let mut dimm = self.dimm.borrow_mut();
+        let durable = dimm.persist(now, offset, &[0u8; 64]);
+        dimm.persist(durable, offset, &[0xEEu8; PAGE_SIZE - 64])
+    }
 }
 
 impl std::fmt::Debug for BlockStackBackend {
@@ -87,21 +117,55 @@ impl BlockStackBackend {
             needed <= exported,
             "device too small: need {needed} pages, exported {exported}"
         );
+        let stack = Rc::new(RefCell::new(IoStack::new(stack_cfg, ssd)));
+        Self::on(stack, 0, 0, data_pages, log_pages)
+    }
+
+    /// The paper's vision (§3 P1/P2) as a route of this backend:
+    /// `pcm_bytes` of PCM split into a log region (¾) and a steal-staging
+    /// region (¼), and only the `data_pages` of data on the flash, at
+    /// LBA 0 behind a [`StackConfig::bare`] stack. The route of each
+    /// traffic class:
+    ///
+    /// | traffic               | class        | block route                | vision route                 |
+    /// |-----------------------|--------------|----------------------------|------------------------------|
+    /// | log force             | synchronous  | flash log region           | PCM log region               |
+    /// | buffer steal          | synchronous  | flash SSD page write       | PCM staging persist          |
+    /// | data write-back       | asynchronous | flash SSD page write       | flash SSD page write         |
+    /// | checkpoint batch      | asynchronous | double-write journal (2×)  | device atomic write (1×)     |
+    /// | page free             | —            | nothing (device unaware)   | TRIM                         |
+    ///
+    /// The last row carries no traffic: the engine never frees a page, so
+    /// [`PersistenceBackend::free_page`] has no caller outside unit tests
+    /// and [`BackendStats::frees`] is 0 in every run.
+    ///
+    /// Three commands bypass the stack and go to the device itself. A
+    /// staged steal's flash write-back and a trim: nobody waits for them,
+    /// and through the stack a completion holds its core until the
+    /// device is done. The atomic batch: its pages reach the device
+    /// together, as the FTL commits them, not through the stack's
+    /// in-flight window.
+    ///
+    /// # Panics
+    /// Panics if the flash device cannot hold `data_pages`.
+    pub fn vision(ssd_cfg: SsdConfig, data_pages: u64, pcm_bytes: u64) -> Self {
+        let ssd = Ssd::new(ssd_cfg);
+        assert!(
+            data_pages <= ssd.capacity().exported_pages,
+            "flash device too small"
+        );
+        let dimm = PcmDimm::new(pcm_bytes, PcmTiming::gen1(), 100);
+        let log_capacity = pcm_bytes * 3 / 4;
+        let pcm = PcmRoute {
+            dimm: Rc::new(RefCell::new(dimm)),
+            log_capacity,
+            staging_slots: (pcm_bytes - log_capacity) / PAGE_SIZE as u64,
+            staging_next: 0,
+        };
+        let stack = Rc::new(RefCell::new(IoStack::new(StackConfig::bare(1), ssd)));
         BlockStackBackend {
-            stack: Rc::new(RefCell::new(IoStack::new(stack_cfg, ssd))),
-            log_pages,
-            data_base: log_pages,
-            journal_base: log_pages + data_pages,
-            data_pages,
-            lba_base: 0,
-            core: 0,
-            pending: Vec::new(),
-            reqs: Vec::new(),
-            ready: Vec::new(),
-            reaped: Vec::new(),
-            outstanding: Vec::new(),
-            next_tag: 0,
-            stats: BackendStats::default(),
+            pcm: Some(pcm),
+            ..Self::on(stack, 0, 0, data_pages, 0)
         }
     }
 
@@ -145,28 +209,45 @@ impl BlockStackBackend {
         );
         let stack = Rc::new(RefCell::new(IoStack::new(stack_cfg, ssd)));
         (0..shards)
-            .map(|i| BlockStackBackend {
-                stack: Rc::clone(&stack),
-                log_pages,
-                data_base: log_pages,
-                journal_base: log_pages + data_pages,
-                data_pages,
-                lba_base: i as u64 * stripe,
-                core: i,
-                pending: Vec::new(),
-                reqs: Vec::new(),
-                ready: Vec::new(),
-                reaped: Vec::new(),
-                outstanding: Vec::new(),
-                next_tag: (i as u64) << 48,
-                stats: BackendStats::default(),
+            .map(|i| {
+                Self::on(
+                    Rc::clone(&stack),
+                    i,
+                    i as u64 * stripe,
+                    data_pages,
+                    log_pages,
+                )
             })
             .collect()
     }
 
-    /// The block stack (for software-share reporting).
-    pub fn stack(&self) -> Ref<'_, IoStack<Ssd>> {
-        self.stack.borrow()
+    /// A backend on `core` of `stack`, its `[log | data | journal]`
+    /// layout starting at `lba_base`: the block route, unless the caller
+    /// sets `pcm`.
+    fn on(
+        stack: Rc<RefCell<IoStack<Ssd>>>,
+        core: usize,
+        lba_base: u64,
+        data_pages: u64,
+        log_pages: u64,
+    ) -> Self {
+        BlockStackBackend {
+            stack,
+            log_pages,
+            data_base: log_pages,
+            journal_base: log_pages + data_pages,
+            data_pages,
+            lba_base,
+            core,
+            pcm: None,
+            pending: Vec::new(),
+            reqs: Vec::new(),
+            ready: Vec::new(),
+            reaped: Vec::new(),
+            outstanding: Vec::new(),
+            next_tag: (core as u64) << 48,
+            stats: BackendStats::default(),
+        }
     }
 
     /// The underlying device (for write-amplification reporting).
@@ -177,6 +258,11 @@ impl BlockStackBackend {
     fn data_lpn(&self, page: PageId) -> Lpn {
         assert!(page.0 < self.data_pages, "page id beyond data region");
         Lpn(self.lba_base + self.data_base + page.0)
+    }
+
+    /// One command through the stack on this backend's core, serialized.
+    fn submit(&self, now: SimTime, req: IoRequest) -> StackCompletion {
+        self.stack.borrow_mut().submit(now, self.core, req)
     }
 
     fn fresh_tag(&mut self) -> CommandTag {
@@ -237,6 +323,11 @@ impl BlockStackBackend {
 
 impl PersistenceBackend for BlockStackBackend {
     fn make_wal(&mut self) -> Box<dyn WalBackend> {
+        if let Some(pcm) = &self.pcm {
+            // P1: synchronous log persistence goes to the memory bus. The
+            // WAL owns the DIMM's log region; steals stage above it.
+            return Box::new(PcmWal::with_dimm(Rc::clone(&pcm.dimm), 0, pcm.log_capacity));
+        }
         // the log shares the device with the page traffic (the FTL drags
         // dead WAL through GC until truncation trims it), and every log
         // write pays the block-layer path like the page traffic around
@@ -256,33 +347,31 @@ impl PersistenceBackend for BlockStackBackend {
         self.stats.page_writes += 1;
         self.stats.logical_writes += 1;
         let lpn = self.data_lpn(page);
-        self.stack
-            .borrow_mut()
-            .submit(
-                now,
-                self.core,
-                IoRequest::write(lpn.0).class(IoClass::Background),
-            )
-            .done
+        let write = IoRequest::write(lpn.0).class(IoClass::Background);
+        self.submit(now, write).done
     }
 
     fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
         self.stats.steal_writes += 1;
         self.stats.logical_writes += 1;
         let lpn = self.data_lpn(page);
-        self.stack
-            .borrow_mut()
-            .submit(now, self.core, IoRequest::write(lpn.0))
-            .done
+        let Some(pcm) = self.pcm.as_mut() else {
+            return self.submit(now, IoRequest::write(lpn.0)).done;
+        };
+        // stage the dirty page in PCM, then write it back to flash lazily
+        // (the caller does not wait for the write-back)
+        let durable = pcm.stage(now);
+        let mut stack = self.stack.borrow_mut();
+        let _bg = stack
+            .backend_mut()
+            .write(durable, lpn)
+            .expect("write-back failed");
+        durable
     }
 
     fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
         self.stats.page_reads += 1;
-        let lpn = self.data_lpn(page);
-        let c = self
-            .stack
-            .borrow_mut()
-            .submit(now, self.core, IoRequest::read(lpn.0));
+        let c = self.submit(now, IoRequest::read(self.data_lpn(page).0));
         (c.done, c.status)
     }
 
@@ -293,6 +382,14 @@ impl PersistenceBackend for BlockStackBackend {
         self.stats.batches += 1;
         self.stats.page_writes += pages.len() as u64;
         self.stats.logical_writes += pages.len() as u64;
+        if self.pcm.is_some() {
+            // torn-write safety is a device guarantee: atomic batch, 1× I/O
+            let lpns: Vec<Lpn> = pages.iter().map(|&p| self.data_lpn(p)).collect();
+            let mut stack = self.stack.borrow_mut();
+            return atomic_write(stack.backend_mut(), now, &lpns)
+                .expect("atomic batch failed")
+                .done;
+        }
         // torn-write safety through the block interface = double-write
         // journal, but both phases ride the queue-pair path: journal
         // copies as one batch, barrier (drain), then in-place writes as a
@@ -316,9 +413,15 @@ impl PersistenceBackend for BlockStackBackend {
         self.run_batch_to_completion(t1, &in_place)
     }
 
-    fn free_page(&mut self, _now: SimTime, _page: PageId) {
-        // legacy stacks rarely trimmed: the device never hears of a free
+    fn free_page(&mut self, now: SimTime, page: PageId) {
         self.stats.frees += 1;
+        // legacy stacks rarely trimmed: on the block route the device
+        // never hears of a free
+        if self.pcm.is_some() {
+            let lpn = self.data_lpn(page);
+            let mut stack = self.stack.borrow_mut();
+            let _trim = stack.backend_mut().trim(now, lpn).expect("trim failed");
+        }
     }
 
     fn stats(&self) -> &BackendStats {
@@ -326,7 +429,11 @@ impl PersistenceBackend for BlockStackBackend {
     }
 
     fn label(&self) -> &'static str {
-        "stack-block"
+        if self.pcm.is_some() {
+            "vision-split"
+        } else {
+            "stack-block"
+        }
     }
 
     fn attach_probe(&mut self, probe: requiem_sim::Probe) {
@@ -416,6 +523,284 @@ impl PersistenceBackend for BlockStackBackend {
 mod tests {
     use super::*;
     use crate::wal::Lsn;
+    use proptest::prelude::*;
+    use requiem_iface::atomic::ExtendedSsd;
+    use requiem_iface::DeviceInterface;
+    use requiem_ssd::QueuePair;
+
+    /// The separate vision backend the vision route replaced, kept as
+    /// the reference the route is checked against: the same PCM staging
+    /// and WAL, but every flash command on a bare [`ExtendedSsd`] and the
+    /// batched reads on a private queue pair.
+    struct VisionBackend {
+        pcm: Rc<RefCell<PcmDimm>>,
+        flash: ExtendedSsd,
+        data_pages: u64,
+        log_capacity: u64,
+        staging_base: u64,
+        staging_slots: u64,
+        staging_next: u64,
+        stats: BackendStats,
+        reads: QueuePair,
+    }
+
+    impl VisionBackend {
+        fn new(cfg: SsdConfig, data_pages: u64, pcm_bytes: u64) -> Self {
+            let flash = ExtendedSsd::new(Ssd::new(cfg));
+            assert!(
+                data_pages <= flash.inner().capacity().exported_pages,
+                "flash device too small"
+            );
+            let log_capacity = pcm_bytes * 3 / 4;
+            let staging_bytes = pcm_bytes - log_capacity;
+            VisionBackend {
+                pcm: Rc::new(RefCell::new(PcmDimm::new(
+                    pcm_bytes,
+                    PcmTiming::gen1(),
+                    100,
+                ))),
+                flash,
+                data_pages,
+                log_capacity,
+                staging_base: log_capacity,
+                staging_slots: staging_bytes / PAGE_SIZE as u64,
+                staging_next: 0,
+                stats: BackendStats::default(),
+                reads: QueuePair::new(1),
+            }
+        }
+
+        fn data_lpn(&self, page: PageId) -> Lpn {
+            assert!(page.0 < self.data_pages, "page id beyond data region");
+            Lpn(page.0)
+        }
+    }
+
+    impl PersistenceBackend for VisionBackend {
+        fn make_wal(&mut self) -> Box<dyn WalBackend> {
+            Box::new(PcmWal::with_dimm(
+                Rc::clone(&self.pcm),
+                0,
+                self.log_capacity,
+            ))
+        }
+
+        fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+            self.stats.page_writes += 1;
+            self.stats.logical_writes += 1;
+            let lpn = self.data_lpn(page);
+            self.flash.write(now, lpn).expect("data write failed").done
+        }
+
+        fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+            self.stats.steal_writes += 1;
+            self.stats.logical_writes += 1;
+            let slot = self.staging_next % self.staging_slots.max(1);
+            self.staging_next += 1;
+            let offset = self.staging_base + slot * PAGE_SIZE as u64;
+            let mut pcm = self.pcm.borrow_mut();
+            let durable = pcm.persist(now, offset, &[0u8; 64]);
+            let durable = pcm.persist(durable, offset, &vec![0xEEu8; PAGE_SIZE - 64]);
+            drop(pcm);
+            let lpn = self.data_lpn(page);
+            let _bg = self.flash.write(durable, lpn).expect("write-back failed");
+            durable
+        }
+
+        fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
+            self.stats.page_reads += 1;
+            let lpn = self.data_lpn(page);
+            match self.flash.read(now, lpn) {
+                Ok(c) => (c.done, c.status),
+                Err(_) => (now, IoStatus::Rejected),
+            }
+        }
+
+        fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
+            if pages.is_empty() {
+                return now;
+            }
+            self.stats.batches += 1;
+            self.stats.page_writes += pages.len() as u64;
+            self.stats.logical_writes += pages.len() as u64;
+            let lpns: Vec<Lpn> = pages.iter().map(|&p| self.data_lpn(p)).collect();
+            self.flash
+                .write_atomic(now, &lpns)
+                .expect("atomic batch failed")
+                .done
+        }
+
+        fn free_page(&mut self, now: SimTime, page: PageId) {
+            self.stats.frees += 1;
+            let lpn = self.data_lpn(page);
+            self.flash.trim(now, lpn).expect("trim failed");
+        }
+
+        fn stats(&self) -> &BackendStats {
+            &self.stats
+        }
+
+        fn label(&self) -> &'static str {
+            "vision-split"
+        }
+
+        fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
+            self.stats.page_reads += pages.len() as u64;
+            let mut tags = Vec::with_capacity(pages.len());
+            for &p in pages {
+                let read = IoRequest::read(self.data_lpn(p).0);
+                tags.push(
+                    self.flash
+                        .inner_mut()
+                        .enqueue(&mut self.reads, now, read)
+                        .tag,
+                );
+            }
+            tags
+        }
+
+        fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
+            let mut out = Vec::new();
+            self.poll_into(now, &mut out);
+            out
+        }
+
+        fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+            out.clear();
+            out.extend(self.reads.ready(now).map(|c| PageRead {
+                tag: c.tag,
+                page: PageId(c.lba),
+                done: c.done,
+                status: c.status,
+            }));
+        }
+
+        fn next_read_done(&mut self) -> Option<SimTime> {
+            self.reads.next_done()
+        }
+
+        fn reads_in_flight(&mut self) -> usize {
+            self.reads.pending()
+        }
+
+        fn set_read_window(&mut self, depth: usize) {
+            self.reads.resize(depth);
+        }
+    }
+
+    /// Data pages of the differential test's devices.
+    const DIFF_PAGES: u64 = 256;
+
+    /// One step of the differential test: a kind, a first page, and a
+    /// count for the kinds that take several consecutive pages.
+    fn diff_op() -> impl Strategy<Value = (u8, u64, u64)> {
+        (0..7u8, 0..DIFF_PAGES, 1..12u64)
+    }
+
+    /// Pages `first, first + 1, …` (`n` of them, wrapping).
+    fn run_of(first: u64, n: u64) -> Vec<PageId> {
+        (0..n).map(|i| PageId((first + i) % DIFF_PAGES)).collect()
+    }
+
+    proptest! {
+        /// Random sequences of every page command, each issued when the
+        /// one before it is done (reads: when the last batched read is
+        /// reaped), on the vision route and on the backend it replaced:
+        /// every instant, status and batched completion, the backend
+        /// counters, the PCM bytes and the device counters agree.
+        #[test]
+        fn the_vision_route_is_the_backend_it_replaced(
+            buffered in 0..2u8,
+            ops in proptest::collection::vec(diff_op(), 1..60),
+        ) {
+            let mut cfg = SsdConfig::modern();
+            if buffered == 0 {
+                cfg.buffer.capacity_pages = 0;
+            }
+            let mut route = BlockStackBackend::vision(cfg.clone(), DIFF_PAGES, 1 << 20);
+            let mut reference = VisionBackend::new(cfg, DIFF_PAGES, 1 << 20);
+            // the route's batched reads ride the stack's default window
+            reference.set_read_window(requiem_block::DEFAULT_INFLIGHT_WINDOW);
+            let (mut wal, mut ref_wal) = (route.make_wal(), reference.make_wal());
+            let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+            let mut t = SimTime::ZERO;
+            for (step, &(kind, first, n)) in ops.iter().enumerate() {
+                let page = PageId(first);
+                match kind {
+                    0 => {
+                        let got = route.page_read(t, page);
+                        prop_assert_eq!(got, reference.page_read(t, page), "step {}", step);
+                        t = got.0;
+                    }
+                    1 => {
+                        let pages = run_of(first, n);
+                        let tags = route.submit_reads(t, &pages);
+                        prop_assert_eq!(tags.len(), reference.submit_reads(t, &pages).len());
+                        while route.reads_in_flight() > 0 {
+                            let next = route.next_read_done();
+                            prop_assert_eq!(next, reference.next_read_done(), "step {}", step);
+                            let at = next.unwrap_or(t);
+                            route.poll_into(at, &mut out);
+                            reference.poll_into(at, &mut ref_out);
+                            let strip = |r: &Vec<PageRead>| {
+                                r.iter().map(|r| (r.page, r.done, r.status)).collect::<Vec<_>>()
+                            };
+                            prop_assert_eq!(strip(&out), strip(&ref_out), "step {}", step);
+                            t = t.max(at);
+                        }
+                        prop_assert_eq!(reference.reads_in_flight(), 0, "step {}", step);
+                    }
+                    2 => {
+                        let got = route.steal_write(t, page);
+                        prop_assert_eq!(got, reference.steal_write(t, page), "step {}", step);
+                        t = got;
+                    }
+                    3 => {
+                        let pages = run_of(first, n);
+                        let got = route.page_batch(t, &pages);
+                        prop_assert_eq!(got, reference.page_batch(t, &pages), "step {}", step);
+                        t = got;
+                    }
+                    4 => {
+                        let got = route.page_write(t, page);
+                        prop_assert_eq!(got, reference.page_write(t, page), "step {}", step);
+                        t = got;
+                    }
+                    5 => {
+                        route.free_page(t, page);
+                        reference.free_page(t, page);
+                    }
+                    _ => {
+                        let lsn = Lsn(step as u64 + 1);
+                        wal.append(lsn, 64 * n as u32);
+                        ref_wal.append(lsn, 64 * n as u32);
+                        let got = wal.force(t, lsn);
+                        let want = ref_wal.force(t, lsn);
+                        prop_assert_eq!((got.done, got.status), (want.done, want.status));
+                        t = got.done;
+                    }
+                }
+                prop_assert_eq!(
+                    format!("{:?}", route.stats()),
+                    format!("{:?}", reference.stats()),
+                    "step {}",
+                    step
+                );
+                prop_assert_eq!(
+                    route.pcm.as_ref().map(|p| p.dimm.borrow().persisted_bytes()),
+                    Some(reference.pcm.borrow().persisted_bytes()),
+                    "step {}",
+                    step
+                );
+                prop_assert_eq!(
+                    route.ssd().device_metrics(),
+                    reference.flash.device_metrics(),
+                    "step {}",
+                    step
+                );
+            }
+        }
+    }
 
     fn backend() -> BlockStackBackend {
         let mut ssd_cfg = SsdConfig::modern();

@@ -435,8 +435,8 @@ impl PcmWal {
     }
 
     /// A WAL over `log_capacity` bytes of a shared DIMM starting at
-    /// `log_base` (the `VisionBackend` shares one DIMM between its log
-    /// region and its steal-staging region).
+    /// `log_base` (the block stack's vision route shares one DIMM between
+    /// its log region and its steal-staging region).
     pub fn with_dimm(pcm: Rc<RefCell<PcmDimm>>, log_base: u64, log_capacity: u64) -> Self {
         PcmWal {
             pcm,

@@ -138,7 +138,7 @@ proptest! {
         // interpretation: (block, n) -> program next n pages of block 'block'
         // on plane 0, erasing first if full; token = unique counter
         let mut token = 1u64;
-        let mut expected: std::collections::HashMap<(u32, u32), u64> = Default::default();
+        let mut expected: std::collections::BTreeMap<(u32, u32), u64> = Default::default();
         for (block, n) in seq {
             for _ in 0..=n {
                 let wp = lun.block_state(g.block_addr(0, block)).write_point;
@@ -163,7 +163,7 @@ proptest! {
     #[test]
     fn ppn_bijection(planes in 1..4u32, blocks in 1..20u32, pages in 1..32u32) {
         let g = requiem_flash::Geometry::new(planes, blocks, pages, 512);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..g.total_pages() {
             let a = g.addr(requiem_flash::Ppn(i));
             prop_assert!(g.contains(a));

@@ -94,23 +94,9 @@ impl ExtendedSsd {
         now: SimTime,
         lpns: &[Lpn],
     ) -> Result<AtomicCompletion, SsdError> {
-        assert!(!lpns.is_empty(), "atomic batch must be non-empty");
-        // pages of one batch are submitted back-to-back at the same
-        // instant; the device's channels and LUNs spread them in parallel
-        let mut last_done = now;
-        let mut status = IoStatus::Ok;
-        for &lpn in lpns {
-            let c = self.inner.write(now, lpn)?;
-            last_done = last_done.max(c.done);
-            status = status.combine(c.status);
-        }
+        let c = atomic_write(&mut self.inner, now, lpns)?;
         self.atomic_batches += 1;
-        Ok(AtomicCompletion {
-            done: last_done,
-            latency: last_done.since(now),
-            pages: lpns.len() as u32,
-            status,
-        })
+        Ok(c)
     }
 
     /// Write barrier: completes when every previously submitted operation
@@ -124,6 +110,37 @@ impl ExtendedSsd {
     pub fn barriers(&self) -> u64 {
         self.barriers
     }
+}
+
+/// The atomic batch on a device that commits it in its FTL: every page
+/// is an ordinary write, and the batch completes when its last page is
+/// durable. [`ExtendedSsd::write_atomic`] is this on its wrapped device;
+/// a host that reaches the device through another layer issues it on
+/// the device itself.
+///
+/// # Panics
+/// Panics if `lpns` is empty.
+pub fn atomic_write(
+    ssd: &mut Ssd,
+    now: SimTime,
+    lpns: &[Lpn],
+) -> Result<AtomicCompletion, SsdError> {
+    assert!(!lpns.is_empty(), "atomic batch must be non-empty");
+    // pages of one batch are submitted back-to-back at the same instant;
+    // the device's channels and LUNs spread them in parallel
+    let mut last_done = now;
+    let mut status = IoStatus::Ok;
+    for &lpn in lpns {
+        let c = ssd.write(now, lpn)?;
+        last_done = last_done.max(c.done);
+        status = status.combine(c.status);
+    }
+    Ok(AtomicCompletion {
+        done: last_done,
+        latency: last_done.since(now),
+        pages: lpns.len() as u32,
+        status,
+    })
 }
 
 /// The host-side emulation an application must do **without** atomic

@@ -258,7 +258,7 @@ mod tests {
     use super::*;
     use requiem_ssd::config::GcPolicyKind;
     use requiem_ssd::LunId;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn device() -> NamelessSsd {
         let mut base = SsdConfig::modern();
@@ -309,15 +309,15 @@ mod tests {
     /// that many writes — past raw capacity, at a utilization where GC
     /// victims cannot be fully dead — keeping the host-side index (tag →
     /// name, exactly what a DB's page table is) patched from upcalls.
-    fn churn(d: &mut NamelessSsd) -> (HashMap<u64, PhysName>, SimTime) {
-        fn patch(d: &mut NamelessSsd, index: &mut HashMap<u64, PhysName>) {
+    fn churn(d: &mut NamelessSsd) -> (BTreeMap<u64, PhysName>, SimTime) {
+        fn patch(d: &mut NamelessSsd, index: &mut BTreeMap<u64, PhysName>) {
             for u in d.upcalls().drain() {
                 if let Upcall::Migrated { tag, new, .. } = u {
                     index.insert(tag, new);
                 }
             }
         }
-        let mut index: HashMap<u64, PhysName> = HashMap::new();
+        let mut index: BTreeMap<u64, PhysName> = BTreeMap::new();
         let raw_pages: u64 = 4 * d.config().flash.geometry.total_pages();
         let live_set = raw_pages * 8 / 10;
         let mut t = SimTime::ZERO;
@@ -479,7 +479,7 @@ mod tests {
         for tag in 0..8u64 {
             names.push(d.write(SimTime::ZERO, tag).unwrap().name);
         }
-        let luns: std::collections::HashSet<u32> = names.iter().map(|n| n.lun.0).collect();
+        let luns: std::collections::BTreeSet<u32> = names.iter().map(|n| n.lun.0).collect();
         assert!(luns.len() >= 3, "writes should spread over LUNs: {luns:?}");
     }
 }

@@ -15,7 +15,7 @@
 //!    slot is on its record, its flash program is background, and a read
 //!    is served from RAM or from flash, never both.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use requiem_flash::Geometry;
@@ -118,11 +118,11 @@ struct Host {
     now: SimTime,
     in_flight: usize,
     /// The host's index: the current name of every written tag.
-    names: HashMap<u64, PhysName>,
+    names: BTreeMap<u64, PhysName>,
     /// Commands outstanding per tag.
-    busy: HashMap<u64, u32>,
+    busy: BTreeMap<u64, u32>,
     /// The writes among them, by command id.
-    writes: HashSet<u64>,
+    writes: BTreeSet<u64>,
     /// `Migrated` upcalls that named a page whose write completion the
     /// host has not reaped yet: applied when it is.
     early: Vec<(u64, PhysName, PhysName)>,
@@ -200,9 +200,9 @@ fn run(qd: usize, seed: u64, read_pct: u64, free_pct: u64, capacity_pages: u32) 
         qd,
         now: SimTime::ZERO,
         in_flight: 0,
-        names: HashMap::new(),
-        busy: HashMap::new(),
-        writes: HashSet::new(),
+        names: BTreeMap::new(),
+        busy: BTreeMap::new(),
+        writes: BTreeSet::new(),
         early: Vec::new(),
         trace: Vec::new(),
     };
@@ -261,7 +261,7 @@ proptest! {
         prop_assert!(h.dev.upcalls_pending().delivered() > 0, "no upcall reached the host");
 
         // same tag: pop order is submission order, dones never regress
-        let mut last: HashMap<u64, &Cqe> = HashMap::new();
+        let mut last: BTreeMap<u64, &Cqe> = BTreeMap::new();
         for c in &h.trace {
             if c.name.is_some() {
                 prop_assert!(c.status.is_success(), "tag {} {:?}: the host's name was stale", c.tag, c.status);
@@ -275,7 +275,7 @@ proptest! {
         }
 
         // one pass over the bus: each command's spans, in emission order
-        let mut spans: HashMap<u64, Vec<(Layer, Cause, SimTime, SimTime)>> = HashMap::new();
+        let mut spans: BTreeMap<u64, Vec<(Layer, Cause, SimTime, SimTime)>> = BTreeMap::new();
         for e in probe.events_ref().iter() {
             match e.cmd {
                 Some(cmd) => spans.entry(cmd).or_default().push((e.layer, e.cause, e.start, e.end)),
@@ -285,7 +285,7 @@ proptest! {
         let cmds = probe.commands_ref();
         prop_assert_eq!(cmds.len(), h.trace.len(), "one probe command per submission");
         // the queue pair and the bus both number submissions from 1
-        let cqe: HashMap<u64, &Cqe> = h.trace.iter().map(|c| (c.id.0, c)).collect();
+        let cqe: BTreeMap<u64, &Cqe> = h.trace.iter().map(|c| (c.id.0, c)).collect();
         let (mut stalled, mut ram_reads) = (0u64, 0u64);
         for rec in cmds.iter() {
             let done = rec.done.expect("command closed");

@@ -110,7 +110,7 @@ impl StartGap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn initial_map_is_identity() {
@@ -124,7 +124,7 @@ mod tests {
     fn map_is_injective_after_any_number_of_moves() {
         let mut sg = StartGap::new(16, 1); // move gap on every write
         for step in 0..200 {
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for i in 0..16 {
                 let p = sg.map(i);
                 assert!(p < 17, "slot out of range");
@@ -157,7 +157,7 @@ mod tests {
         let after: Vec<u64> = (0..n).map(|i| sg.map(i)).collect();
         assert_ne!(before, after, "rotation should change the mapping");
         // every logical line still maps somewhere unique
-        let set: HashSet<_> = after.iter().collect();
+        let set: BTreeSet<_> = after.iter().collect();
         assert_eq!(set.len(), n as usize);
     }
 
@@ -166,7 +166,7 @@ mod tests {
         // hammer a single logical line; with gap moving every write the
         // physical slot it lands on must change over time
         let mut sg = StartGap::new(8, 1);
-        let mut slots = HashSet::new();
+        let mut slots = BTreeSet::new();
         for _ in 0..100 {
             slots.insert(sg.map(0));
             sg.on_write();

@@ -9,7 +9,7 @@
 //! times itself; callers pass each shard's next-event candidate and
 //! get back which shard to step.
 //!
-//! Determinism note (DET01): selection depends only on the candidate
+//! Determinism note: selection depends only on the candidate
 //! list and the clock's own grant history — no wall clock, no hash
 //! iteration, no randomness.
 

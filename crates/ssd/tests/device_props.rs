@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use requiem_sim::time::SimTime;
 use requiem_ssd::{BufferConfig, FtlKind, Lpn, Served, Ssd, SsdConfig};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum HostOp {
@@ -39,7 +39,7 @@ fn small_cfg(ftl: FtlKind) -> SsdConfig {
 fn check_ftl(ftl: FtlKind, ops: &[HostOp]) -> Result<(), TestCaseError> {
     let mut ssd = Ssd::new(small_cfg(ftl));
     let space = 256u64.min(ssd.capacity().exported_pages);
-    let mut written: HashSet<u64> = HashSet::new();
+    let mut written: BTreeSet<u64> = BTreeSet::new();
     let mut t = SimTime::ZERO;
     for op in ops {
         match op {

@@ -51,10 +51,16 @@ impl IoMix {
 /// Result of one driver run.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
-    /// Operations issued.
+    /// Operations served: all that were asked for, or those submitted
+    /// before the device refused one.
     pub ops: u64,
     /// Reads among them.
     pub reads: u64,
+    /// When the device refused a command (it completed
+    /// [`IoStatus::Rejected`], e.g. a hybrid FTL on thin
+    /// over-provisioning that ran a LUN out of usable space), the
+    /// instant it did. The run stopped there.
+    pub refused_at: Option<SimTime>,
     /// Virtual time from first submission to last completion.
     pub makespan: SimDuration,
     /// Operations per second of virtual time.
@@ -74,6 +80,7 @@ impl DriverReport {
         DriverReport {
             ops,
             reads,
+            refused_at: None,
             makespan,
             iops: ops as f64 / secs,
             mb_per_s: ops as f64 * page / (1024.0 * 1024.0) / secs,
@@ -94,11 +101,12 @@ impl DriverReport {
 /// device-side window are enforced by the queue pair.
 ///
 /// Returns throughput/latency measured over the run (from `start_at` to the
-/// last completion).
+/// last completion). A command the device refuses ends the run: it is
+/// not counted, the commands before it drain, and the report carries the
+/// refusal in [`DriverReport::refused_at`].
 ///
 /// # Panics
-/// Panics if `queue_depth == 0` or an I/O fails (the drivers address only
-/// exported pages, so failures indicate device exhaustion).
+/// Panics if `queue_depth == 0`.
 pub fn run_closed_loop(
     ssd: &mut Ssd,
     pattern: &mut AddressPattern,
@@ -116,6 +124,7 @@ pub fn run_closed_loop(
     let mut issued = 0u64;
     let mut reads = 0u64;
     let mut last_done = start_at;
+    let mut refused_at = None;
 
     while issued < ops {
         // when at full depth, reap the earliest completion
@@ -132,22 +141,30 @@ pub fn run_closed_loop(
         let lba = pattern.next_addr();
         let is_read = rng.chance(mix.read_fraction);
         let req = if is_read {
-            reads += 1;
             IoRequest::read(lba)
         } else {
             IoRequest::write(lba)
         };
         let c = ssd.enqueue(&mut qp, now, req);
-        assert_ne!(c.status, IoStatus::Rejected, "driver io failed");
+        if c.status == IoStatus::Rejected {
+            refused_at = Some(c.done);
+            break;
+        }
+        reads += u64::from(is_read);
         in_flight += 1;
         issued += 1;
     }
-    // drain the tail
+    // drain the tail; the refused command is not one of the run's
     while let Some(c) = qp.pop() {
-        latency.record_duration(c.latency());
-        last_done = last_done.max(c.done);
+        if c.status != IoStatus::Rejected {
+            latency.record_duration(c.latency());
+            last_done = last_done.max(c.done);
+        }
     }
-    DriverReport::new(ssd, ops, reads, last_done.since(start_at), latency)
+    DriverReport {
+        refused_at,
+        ..DriverReport::new(ssd, issued, reads, last_done.since(start_at), latency)
+    }
 }
 
 /// The pre-queue-pair closed loop: drives the device through the
@@ -218,6 +235,44 @@ mod tests {
         let mut cfg = SsdConfig::modern();
         cfg.buffer.capacity_pages = 0;
         Ssd::new(cfg)
+    }
+
+    #[test]
+    fn a_refused_command_ends_the_run_and_is_reported() {
+        // a hybrid FTL on 7 % over-provisioning runs a LUN out of usable
+        // space under sustained random overwrite
+        let mut cfg = SsdConfig {
+            ftl: requiem_ssd::FtlKind::Hybrid { log_blocks: 8 },
+            op_ratio: 0.07,
+            ..SsdConfig::figure1()
+        };
+        cfg.shape.channels = 2;
+        cfg.shape.chips_per_channel = 2;
+        cfg.shape.luns_per_chip = 1;
+        cfg.flash.geometry.planes = 2;
+        cfg.flash.geometry.blocks_per_plane = 64;
+        cfg.flash.geometry.pages_per_block = 16;
+        let mut ssd = Ssd::new(cfg);
+        let pages = ssd.capacity().exported_pages;
+        let mut fill = AddressPattern::new(Pattern::Sequential, pages, 1);
+        let f = run_closed_loop(
+            &mut ssd,
+            &mut fill,
+            IoMix::write_only(),
+            4,
+            pages,
+            1,
+            SimTime::ZERO,
+        );
+        assert_eq!((f.ops, f.refused_at), (pages, None));
+        let t = SimTime::ZERO + f.makespan;
+        let mut pat = AddressPattern::new(Pattern::Zipfian { theta: 0.9 }, pages, 2);
+        let asked = 20 * pages;
+        let r = run_closed_loop(&mut ssd, &mut pat, IoMix::write_only(), 4, asked, 2, t);
+        let refused = r.refused_at.expect("the device refuses a write");
+        assert!(r.ops < asked, "the run stopped at the refusal");
+        assert_eq!(r.latency.count(), r.ops, "only served commands count");
+        assert!(refused >= t);
     }
 
     #[test]

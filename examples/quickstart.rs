@@ -4,9 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use requiem::db::backend::VisionBackend;
 use requiem::db::engine::{Database, DbConfig};
-use requiem::db::{ExecConfig, TxnInput};
+use requiem::db::{BlockStackBackend, ExecConfig, TxnInput};
 use requiem::pcm::{PcmDimm, PcmTiming};
 use requiem::sim::time::SimTime;
 use requiem::ssd::{Lpn, Ssd, SsdConfig};
@@ -51,7 +50,7 @@ fn main() {
     };
     let mut flash_cfg = SsdConfig::modern();
     flash_cfg.buffer.capacity_pages = 0;
-    let backend = VisionBackend::new(flash_cfg, cfg.data_pages, 1 << 22);
+    let backend = BlockStackBackend::vision(flash_cfg, cfg.data_pages, 1 << 22);
     let mut db = Database::new(cfg, backend);
     db.load();
 

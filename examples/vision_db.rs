@@ -10,7 +10,7 @@
 //! ```
 
 use requiem::block::StackConfig;
-use requiem::db::backend::{PersistenceBackend, VisionBackend};
+use requiem::db::backend::PersistenceBackend;
 use requiem::db::engine::{Database, DbConfig};
 use requiem::db::{BlockStackBackend, ExecConfig, TxnInput};
 use requiem::sim::table::Align;
@@ -88,7 +88,7 @@ fn main() {
     // ---- vision ----
     let mut flash_cfg = SsdConfig::modern();
     flash_cfg.buffer.capacity_pages = 0;
-    let be = VisionBackend::new(flash_cfg, cfg.data_pages, 1 << 22);
+    let be = BlockStackBackend::vision(flash_cfg, cfg.data_pages, 1 << 22);
     let mut db = Database::new(cfg, be);
     db.load();
     let t0 = db.now();

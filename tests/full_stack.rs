@@ -3,7 +3,7 @@
 //! device-level accounting are cross-checked.
 
 use requiem::block::StackConfig;
-use requiem::db::backend::{PersistenceBackend, VisionBackend};
+use requiem::db::backend::PersistenceBackend;
 use requiem::db::engine::{Database, DbConfig};
 use requiem::db::BlockStackBackend;
 use requiem::ssd::SsdConfig;
@@ -30,10 +30,10 @@ fn legacy() -> Database<BlockStackBackend> {
     db
 }
 
-fn vision() -> Database<VisionBackend> {
+fn vision() -> Database<BlockStackBackend> {
     let mut flash_cfg = SsdConfig::modern();
     flash_cfg.buffer.capacity_pages = 0;
-    let mut db = Database::new(db_cfg(), VisionBackend::new(flash_cfg, 512, 1 << 22));
+    let mut db = Database::new(db_cfg(), BlockStackBackend::vision(flash_cfg, 512, 1 << 22));
     db.load();
     db
 }

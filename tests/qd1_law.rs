@@ -34,11 +34,11 @@
 
 use proptest::prelude::*;
 use requiem::block::{IoStack, StackConfig};
-use requiem::db::backend::{PersistenceBackend, VisionBackend};
+use requiem::db::backend::PersistenceBackend;
 use requiem::db::engine::EngineStats;
 use requiem::db::{
-    CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, GroupCommitPolicy, PageId,
-    PageImage, ShardedDb, TxnInput, WalConfig,
+    BlockStackBackend, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig,
+    GroupCommitPolicy, PageId, PageImage, ShardedDb, TxnInput, WalConfig,
 };
 use requiem::iface::NamelessConfig;
 use requiem::pcm::WearSnapshot;
@@ -274,8 +274,7 @@ fn device(buffer_pages: u32) -> SsdConfig {
 }
 
 /// Bind `$build` to a closure that returns a fresh, loaded database of
-/// `shape`, then evaluate `$body`: generic code over the five backend
-/// types.
+/// `shape`, then evaluate `$body`: generic code over the five managers.
 macro_rules! with_builder {
     ($shape:expr, |$build:ident| $body:expr) => {{
         let shape: Shape = $shape;
@@ -287,7 +286,7 @@ macro_rules! with_builder {
             }
             Manager::Vision => {
                 let $build = || {
-                    let be = VisionBackend::new(device(0), DATA_PAGES, 1 << 22);
+                    let be = BlockStackBackend::vision(device(0), DATA_PAGES, 1 << 22);
                     let mut db = Database::new(b.db_config(), be);
                     db.load();
                     db
