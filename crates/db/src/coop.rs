@@ -33,8 +33,7 @@
 //! as the dispatch, the page id as the hazard key; a read that loses the
 //! race with a migration comes back [`IoStatus::Rejected`], is patched
 //! from the upcall stream, and is resubmitted under its own tag at its
-//! completion instant — the retry is visible in
-//! [`CoopLogBackend::read_retries`], never a panic. A page with no name
+//! completion instant — a retry, never a panic. A page with no name
 //! at all is refused by the host: it completes `Rejected` at once.
 //!
 //! Writes are synchronous nameless writes, one at a time: a steal returns
@@ -165,8 +164,6 @@ pub struct CoopLogBackend {
     /// Writes the device refused (full); the superseded version is kept.
     /// Shared with the WAL port so the count covers both paths.
     rejected: Rc<Cell<u64>>,
-    /// Batched reads resubmitted after losing a race with a migration.
-    read_retries: u64,
 }
 
 impl std::fmt::Debug for CoopLogBackend {
@@ -204,7 +201,6 @@ impl CoopLogBackend {
             stats: BackendStats::default(),
             qp: QueuePair::new(1),
             rejected: Rc::new(Cell::new(0)),
-            read_retries: 0,
         }
     }
 
@@ -232,11 +228,6 @@ impl CoopLogBackend {
     /// Covers both the page path and the WAL port.
     pub fn rejected_writes(&self) -> u64 {
         self.rejected.get()
-    }
-
-    /// Batched reads resubmitted after a migration race.
-    pub fn read_retries(&self) -> u64 {
-        self.read_retries
     }
 
     fn check_page(&self, page: PageId) {
@@ -601,7 +592,6 @@ impl PersistenceBackend for CoopLogBackend {
                 r.status == IoStatus::Rejected && self.table.borrow().lookup(r.page.0).is_some();
             if retry {
                 self.submit_read(r.done, r.tag, r.page);
-                self.read_retries += 1;
             }
             !retry
         });
@@ -808,7 +798,6 @@ mod tests {
         // the upcall that explains the move, applied by hand
         assert!(b.table.borrow_mut().patch(3, stale, moved));
         assert!(b.poll(t).is_empty(), "the refusal is retried, not surfaced");
-        assert_eq!(b.read_retries(), 1);
         let next = b.next_read_done().expect("the retry is in flight");
         let [r] = b.poll(next)[..] else {
             panic!("the retry completes")

@@ -379,8 +379,16 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// Sharp checkpoint: flush all dirty pages as one torn-safe batch,
     /// wait for it, then log the checkpoint — so the checkpoint record is
-    /// an honest redo lower bound.
+    /// an honest redo lower bound — and, once it is durable, trim the log
+    /// below it (DESIGN §2.7). No transaction may be open: between runs,
+    /// or after a serialized commit.
     pub fn checkpoint(&mut self) {
+        self.checkpoint_keeping(None);
+    }
+
+    /// [`Self::checkpoint`] with transactions still open whose first log
+    /// record lies at or above `open`: the trim keeps the log from there.
+    pub(crate) fn checkpoint_keeping(&mut self, open: Option<Lsn>) {
         let ids = self.pool.dirty_pages();
         if !ids.is_empty() {
             let done = self.backend.page_batch(self.now, &ids);
@@ -392,7 +400,8 @@ impl<B: PersistenceBackend> Database<B> {
         let lsn = self.wal.append(LogRecord::Checkpoint);
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
-        self.now = self.now.max(self.force_log(self.now, lsn).done);
+        let force = self.force_log(self.now, lsn);
+        self.now = self.now.max(force.done);
         self.stats.checkpoints += 1;
         // every log byte before the checkpoint record is now outside the
         // redo horizon: release those segments eagerly so the device's
@@ -402,6 +411,12 @@ impl<B: PersistenceBackend> Database<B> {
         let horizon = self.wal_dev.stats().log_bytes.saturating_sub(ck_len);
         self.wal_dev.truncate(self.now, horizon);
         self.images.settle(self.now, &self.wal);
+        // the batch has landed, so no frame and no write in flight names
+        // a byte below the checkpoint: the host log keeps what the
+        // medium keeps, and what the open transactions may still commit
+        if force.status.is_success() {
+            self.wal.trim(open.map_or(lsn, |o| o.min(lsn)));
+        }
     }
 
     /// Simulated crash: volatile state (buffer pool, in-flight promotions,
@@ -468,7 +483,7 @@ impl<B: PersistenceBackend> Database<B> {
                 .recover_scan(self.now, start.0, scan.min(u64::from(u32::MAX)) as u32);
         self.now = self.now.max(end);
         self.note_media(status);
-        self.redo(start, committed, None)
+        self.redo(start, committed)
     }
 
     /// Media-failure redo for one page: reconstruct its image from the
@@ -479,37 +494,30 @@ impl<B: PersistenceBackend> Database<B> {
     ///
     /// The full durable log is scanned from the medium (there is no
     /// per-page index into the log), charged via
-    /// [`WalBackend::recover_scan`] starting at `at`; the scan's typed
-    /// status folds into the media counters, and the rebuild proceeds, as
-    /// in [`Self::recover`]. The rebuilt image is durable as of the
-    /// scan's end instant, which is returned.
+    /// [`WalBackend::recover_scan`] starting at `at` — from LSN 0, though
+    /// the host replays the trimmed prefix from its archive
+    /// ([`Wal::trim`]); the scan's typed status folds into the media
+    /// counters, and the rebuild proceeds, as in [`Self::recover`]. The
+    /// rebuilt image is durable as of the scan's end instant, which is
+    /// returned.
     pub(crate) fn rebuild_page_from_log(&mut self, at: SimTime, pid: PageId) -> SimTime {
         let bytes = self.wal.durable_end().min(u64::from(u32::MAX)) as u32;
         let (end, status) = self.wal_dev.recover_scan(at, 0, bytes);
         self.note_media(status);
-        let committed = self.wal.durable_commits();
-        self.images.reformat(pid);
-        self.redo(Lsn(0), &committed, Some(pid));
+        self.wal.rebuild_page(pid, self.images.reformat(pid));
         end.max(at)
     }
 
-    /// The one redo loop: replay every durable page write from `from` on
-    /// by a `committed` transaction (to page `only`, when given) onto the
-    /// durable image, wherever the image is older than the record.
-    /// Returns the number replayed. On a freshly formatted image the
-    /// guard always passes.
-    fn redo(&mut self, from: Lsn, committed: &[u64], only: Option<PageId>) -> u64 {
+    /// The redo loop of recovery: replay every durable page write from
+    /// `from` on by a `committed` transaction onto the durable image,
+    /// wherever the image is older than the record. Returns the number
+    /// replayed.
+    fn redo(&mut self, from: Lsn, committed: &[u64]) -> u64 {
         let mut replayed = 0;
-        for (lsn, rec) in self.wal.durable_records().skip_while(|r| r.0 < from) {
-            let Some((txn, page, slot, after)) = rec.page_write() else {
-                continue;
-            };
-            if only.is_some_and(|p| p != page) || committed.binary_search(&txn).is_err() {
-                continue;
-            }
+        for (lsn, page, slot, after) in self.wal.committed_writes(from, committed) {
             let img = self.images.durable_mut(page);
             if img.lsn() < lsn.0 {
-                img.redo(slot, after.map(|a| self.wal.after(a)), lsn.0);
+                img.redo(slot, after, lsn.0);
                 replayed += 1;
             }
         }
@@ -687,9 +695,14 @@ mod tests {
         inner: BlockStackBackend,
         fail_page: Option<PageId>,
         forge: requiem_sim::IoStatus,
+        /// Parks the batched reads, each served by `page_read`.
+        shim: crate::backend::ReadShim,
     }
 
     impl PersistenceBackend for FlakyBackend {
+        fn read_shim(&mut self) -> Option<&mut crate::backend::ReadShim> {
+            Some(&mut self.shim)
+        }
         fn make_wal(&mut self) -> Box<dyn crate::walbackend::WalBackend> {
             self.inner.make_wal()
         }
@@ -722,9 +735,20 @@ mod tests {
     }
 
     fn flaky_db(forge: requiem_sim::IoStatus) -> Database<FlakyBackend> {
+        flaky_db_checkpointing(forge, 8, 0)
+    }
+
+    /// `flaky_db` with `frames` pool frames and a checkpoint every
+    /// `checkpoint_every` commits.
+    fn flaky_db_checkpointing(
+        forge: requiem_sim::IoStatus,
+        frames: usize,
+        checkpoint_every: u64,
+    ) -> Database<FlakyBackend> {
         let cfg = DbConfig {
             data_pages: 256,
-            buffer_frames: 8, // tiny: pages get evicted and re-read
+            buffer_frames: frames, // tiny: pages get evicted and re-read
+            checkpoint_every,
             ..DbConfig::default()
         };
         let mut ssd_cfg = SsdConfig::modern();
@@ -733,6 +757,7 @@ mod tests {
             inner: BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64),
             fail_page: None,
             forge,
+            shim: crate::backend::ReadShim::default(),
         };
         let mut db = Database::new(cfg, be);
         db.load();
@@ -761,6 +786,88 @@ mod tests {
         // the lost bytes
         db.crash();
         assert_eq!(db.visible_owner(10, 3), 1);
+    }
+
+    /// The same after checkpoints trimmed the log: txn 1's write is gone
+    /// from the log's bytes, and the rebuild finds it in the archive.
+    #[test]
+    fn unrecoverable_read_rebuilds_page_from_a_trimmed_log() {
+        let mut db = flaky_db_checkpointing(requiem_sim::IoStatus::Unrecoverable, 8, 2);
+        db.execute(&[(10, 3, true)], 256); // txn 1 commits
+        for i in 100..140u64 {
+            db.execute(&[(i, 0, false)], 32);
+        }
+        assert!(db.stats().checkpoints >= 20, "{:?}", db.stats());
+        assert!(db.wal.archived() >= 1, "txn 1's write was archived");
+        assert!(!db.pool.contains(PageId(10)), "page 10 should be evicted");
+        db.backend.fail_page = Some(PageId(10));
+        db.execute(&[(10, 3, false)], 32);
+        assert_eq!(db.stats().media_failures, 1);
+        assert_eq!(db.visible_owner(10, 3), 1, "redone from the archive");
+        db.crash();
+        assert_eq!(db.visible_owner(10, 3), 1);
+    }
+
+    /// The same through the executor at concurrency 8, with a transaction
+    /// open across a checkpoint: its first write lies below that
+    /// checkpoint, its commit above it. The trim keeps the write for the
+    /// commit to come; a later trim archives both.
+    #[test]
+    fn unrecoverable_read_rebuilds_a_write_that_straddled_a_checkpoint() {
+        use crate::exec::{ExecConfig, TxnInput};
+        let mut db = flaky_db_checkpointing(requiem_sim::IoStatus::Unrecoverable, 16, 4);
+        let cfg = ExecConfig {
+            concurrency: 8,
+            ..ExecConfig::serialized()
+        };
+        let input = |accesses: Vec<(u64, u16, bool)>| TxnInput {
+            accesses,
+            log_bytes: 128,
+        };
+        // txn 1 writes page 10, reads four cold pages, then writes page
+        // 11; each of the others writes one page and reads one
+        let mut inputs = vec![input(vec![
+            (10, 3, true),
+            (40, 0, false),
+            (41, 0, false),
+            (42, 0, false),
+            (43, 0, false),
+            (11, 4, true),
+        ])];
+        inputs.extend((0..15).map(|i| input(vec![(100 + i, 0, true), (150 + i, 0, false)])));
+        let report = db.run_concurrent(&inputs, &cfg);
+        let commits = &report.commit_order;
+        let at = commits
+            .iter()
+            .position(|c| c.0 == 1)
+            .expect("txn 1 commits");
+        assert!(
+            at >= 4,
+            "a checkpoint fired while txn 1 was open: {commits:?}"
+        );
+        let (first, second) = (db.durable_page(10).lsn(), db.durable_page(11).lsn());
+        assert!(
+            first < commits[3].1 .0 && commits[3].1 < Lsn(second),
+            "txn 1's writes at {first} and {second} straddle the commit at {:?} \
+             that checkpointed",
+            commits[3].1
+        );
+        assert!(
+            db.wal.base() > commits[at].1,
+            "txn 1's records were trimmed"
+        );
+
+        // churn page 10 out of the pool, then lose it on the device
+        let churn: Vec<TxnInput> = (60..100).map(|p| input(vec![(p, 0, false)])).collect();
+        db.run_concurrent(&churn, &cfg);
+        assert!(!db.pool.contains(PageId(10)), "page 10 should be evicted");
+        db.backend.fail_page = Some(PageId(10));
+        db.run_concurrent(&[input(vec![(10, 3, false)])], &cfg);
+        assert_eq!(db.stats().media_failures, 1);
+        assert_eq!(db.visible_owner(10, 3), 1, "redone from the archive");
+        assert_eq!(db.visible_owner(11, 4), 1);
+        db.crash();
+        assert_eq!((db.visible_owner(10, 3), db.visible_owner(11, 4)), (1, 1));
     }
 
     #[test]

@@ -176,6 +176,8 @@ pub(crate) struct Active {
     pub(crate) started: SimTime,
     /// Index into the input list.
     pub(crate) input: usize,
+    /// The log's next LSN when it started: at or below its first record.
+    pub(crate) first: Lsn,
     /// Next access to apply.
     pub(crate) next: usize,
     /// True once any access dirtied a page.
@@ -280,8 +282,9 @@ pub(crate) struct ExecState {
     /// Force outcomes to report to the coordinator (drained per step).
     pub(crate) outbox: Vec<ShardEvent>,
     /// Before-images of participant updates, per global transaction,
-    /// consumed on abort and dropped on commit.
-    pub(crate) undo: BTreeMap<u64, Vec<UndoEntry>>,
+    /// with the share's [`Active::first`]: consumed on abort, dropped once
+    /// the home shard's decision force lands.
+    pub(crate) undo: BTreeMap<u64, (Lsn, Vec<UndoEntry>)>,
     /// Under a sharded coordinator, a group force does *not* advance the
     /// shard's event clock synchronously (other shards keep submitting
     /// into the overlap window); the completion instant is parked here
@@ -349,6 +352,15 @@ impl ExecState {
             .iter()
             .all(|s| matches!(s.state, SlotState::Idle { .. }))
     }
+
+    /// Where the log's open transactions start: the lowest
+    /// [`Active::first`] of a slot's transaction or of a share awaiting
+    /// its decision. A checkpoint's trim keeps the log from there.
+    pub(crate) fn oldest_open(&self) -> Option<Lsn> {
+        let running = self.slots.iter().filter_map(|s| s.txn.map(|t| t.first));
+        let waiting = self.undo.values().map(|&(first, _)| first);
+        running.chain(waiting).min()
+    }
 }
 
 impl<B: PersistenceBackend> Database<B> {
@@ -404,12 +416,17 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Size the in-memory log for `inputs` before running them: an update
-    /// per dirty access, a termination record per transaction, a
-    /// checkpoint per checkpoint they trigger; for a two-phase participant
-    /// (`assigned` as in [`ExecState::assigned`]) also the decision or
-    /// abort record its home shard appends. An upper bound by a few
-    /// records, so a fault-free run grows its log once.
+    /// per dirty access and a termination record per transaction — for a
+    /// two-phase participant (`assigned` as in [`ExecState::assigned`])
+    /// also the decision or abort record its home shard appends. An upper
+    /// bound by a few records, so a fault-free run grows its log once. A
+    /// run that checkpoints reserves nothing: each checkpoint's trim cuts
+    /// the log back to the transactions still open, so it stops growing
+    /// once it holds about one checkpoint interval.
     pub(crate) fn reserve_log(&mut self, inputs: &[TxnInput], assigned: &[PlannedTxn]) {
+        if self.cfg.checkpoint_every > 0 {
+            return;
+        }
         let mut bytes = 0;
         for (i, input) in inputs.iter().enumerate() {
             let dirty = input.accesses.iter().filter(|a| a.2).count();
@@ -418,10 +435,6 @@ impl<B: PersistenceBackend> Database<B> {
                 .is_some_and(|p| p.role == TxnRole::Participant);
             bytes += dirty * (UPDATE_HEAD_BYTES + RECORD_SIZE)
                 + (1 + usize::from(two_phase)) * TXN_RECORD_BYTES;
-        }
-        if self.cfg.checkpoint_every > 0 {
-            let checkpoints = inputs.len() / self.cfg.checkpoint_every as usize + 1;
-            bytes += checkpoints * LogRecord::Checkpoint.encoded_len() as usize;
         }
         self.wal.reserve(bytes);
     }
@@ -566,6 +579,7 @@ impl<B: PersistenceBackend> Database<B> {
                         id,
                         started: self.now,
                         input: st.issued,
+                        first: self.wal.next_lsn(),
                         next: 0,
                         wrote: false,
                         role,
@@ -735,7 +749,9 @@ impl<B: PersistenceBackend> Database<B> {
             if self.write_record(active.id, pid, slot_no) {
                 active.wrote = true;
                 if let Some(before) = before {
-                    st.undo.entry(active.id).or_default().push(UndoEntry {
+                    let share = st.undo.entry(active.id);
+                    let (_, entries) = share.or_insert_with(|| (active.first, Vec::new()));
+                    entries.push(UndoEntry {
                         page: pid,
                         slot: slot_no,
                         before,
@@ -904,9 +920,10 @@ impl<B: PersistenceBackend> Database<B> {
             if self.cfg.checkpoint_every > 0 && self.stats.commits % self.cfg.checkpoint_every == 0
             {
                 // a sharp checkpoint quiesces the engine (global pause),
-                // exactly as in the serialized path
+                // exactly as in the serialized path; its trim keeps what
+                // the open transactions logged
                 self.now = self.now.max(done);
-                self.checkpoint();
+                self.checkpoint_keeping(st.oldest_open());
             }
         }
         members.clear();
@@ -960,7 +977,7 @@ impl<B: PersistenceBackend> Database<B> {
     /// it, its redo takes the before-image, and — clean or not — the
     /// frame ends dirty, so its later steal writes the rollback out.
     pub(crate) fn undo_participant(&mut self, global: u64, st: &mut ExecState) -> u64 {
-        let Some(entries) = st.undo.remove(&global) else {
+        let Some((_, entries)) = st.undo.remove(&global) else {
             return 0; // read-only share, or already rolled back
         };
         // only touch a slot that still carries the aborted write (a later

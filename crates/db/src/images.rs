@@ -55,8 +55,8 @@ impl PageImages {
 
     /// The durable image of `pid`, formatted afresh: media-failure redo
     /// rebuilds the page into it.
-    pub(crate) fn reformat(&mut self, pid: PageId) {
-        self.durable[pid] = Some(self.formatted.clone());
+    pub(crate) fn reformat(&mut self, pid: PageId) -> &mut PageImage {
+        self.durable[pid].insert(self.formatted.clone())
     }
 
     /// The newest write of `(pid, slot)` not yet in the durable image: in

@@ -47,7 +47,6 @@ pub struct NamelessKv {
     now: SimTime,
     stats: KvStats,
     get_latency: Histogram,
-    put_latency: Histogram,
 }
 
 impl std::fmt::Debug for NamelessKv {
@@ -68,7 +67,6 @@ impl NamelessKv {
             now: SimTime::ZERO,
             stats: KvStats::default(),
             get_latency: Histogram::new(),
-            put_latency: Histogram::new(),
         }
     }
 
@@ -95,11 +93,6 @@ impl NamelessKv {
     /// Get-latency distribution.
     pub fn get_latency(&self) -> &Histogram {
         &self.get_latency
-    }
-
-    /// Put-latency distribution.
-    pub fn put_latency(&self) -> &Histogram {
-        &self.put_latency
     }
 
     /// The wrapped device (metrics inspection).
@@ -140,7 +133,6 @@ impl NamelessKv {
         let w = self.dev.write(self.now, key)?;
         self.now = self.now.max(w.done);
         self.index.insert(key, w.name);
-        self.put_latency.record_duration(w.latency);
         Ok(w)
     }
 

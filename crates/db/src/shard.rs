@@ -499,6 +499,12 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                     },
                     ShardEvent::Committed { txn, done } => {
                         self.ledger.on_committed(txn, done);
+                        // committed: no share can roll back any more
+                        if let Some(entry) = self.ledger.entry(txn) {
+                            for &p in &entry.participants {
+                                states[p].undo.remove(&txn);
+                            }
+                        }
                     }
                 }
             }

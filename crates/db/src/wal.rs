@@ -10,8 +10,11 @@
 //! at the byte offset that is its LSN. [`LogRecord`] is the decoded view
 //! of a frame ([`decode_at`]), an [`ImageRef`] names an after-image inside
 //! its own `Update` frame, and a crash cuts the buffer to its durable
-//! prefix ([`Wal::crash`]) — all that recovery reads. A frame, every
-//! field little-endian:
+//! prefix ([`Wal::crash`]) — all that recovery reads. A checkpoint trims
+//! the prefix no reader needs any more (`Wal::trim`): the buffer then
+//! starts at its `base` LSN, and what media redo still wants of the cut
+//! bytes is folded into the committed ids and a per-slot archive. A
+//! frame, every field little-endian:
 //!
 //! | bytes | field | in |
 //! |---:|---|---|
@@ -29,7 +32,7 @@ use std::mem::size_of;
 
 use requiem_sim::time::{SimDuration, SimTime};
 
-use crate::page::PageId;
+use crate::page::{PageId, PageImage};
 
 /// A log sequence number (byte offset in the log).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -246,12 +249,13 @@ impl Fields<'_> {
     }
 }
 
-/// Decode the frame at byte `off` of `bytes`: the record and the frame's
-/// length. Never panics — `bytes` stand for whatever the medium holds —
-/// and accepts exactly what [`Wal`] writes: the frame's LSN is `off`, its
-/// kind is known, its length is exact for the kind, its reserved bytes
-/// are zero, and it ends within `bytes`.
-pub fn decode_at(bytes: &[u8], off: usize) -> Result<(LogRecord, usize), Torn> {
+/// Decode the frame at byte `off` of `bytes`, whose first byte is the
+/// log's LSN `base`: the record and the frame's length. Never panics —
+/// `bytes` stand for whatever the medium holds — and accepts exactly what
+/// [`Wal`] writes: the frame's LSN is `base + off`, its kind is known, its
+/// length is exact for the kind, its reserved bytes are zero, and it ends
+/// within `bytes`.
+pub fn decode_at(bytes: &[u8], base: u64, off: usize) -> Result<(LogRecord, usize), Torn> {
     let frame = bytes.get(off..).unwrap_or_default();
     if frame.len() < HEADER_BYTES {
         return Err(Torn::Short);
@@ -261,7 +265,7 @@ pub fn decode_at(bytes: &[u8], off: usize) -> Result<(LogRecord, usize), Torn> {
     let len = u32::from_le_bytes(f.take()) as usize;
     let [kind] = f.take();
     let reserved: [u8; RESERVED_BYTES] = f.take();
-    if lsn != off as u64 {
+    if Some(lsn) != base.checked_add(off as u64) {
         return Err(Torn::Lsn);
     }
     if reserved != [0; RESERVED_BYTES] {
@@ -311,15 +315,22 @@ pub fn decode_at(bytes: &[u8], off: usize) -> Result<(LogRecord, usize), Torn> {
     Ok((rec, len))
 }
 
-/// The log: framed records back to back (module doc), and its horizon.
+/// The log: framed records back to back (module doc) from its first kept
+/// byte on, its horizon, and what a trim folded out of the bytes it cut.
 #[derive(Debug, Default)]
 pub struct Wal {
-    /// Every record, each at the offset that is its LSN. Nothing is cut
-    /// while the engine runs — media-failure redo replays a page from LSN
-    /// 0 — and a crash cuts everything past the durable prefix.
+    /// The records from `base` on, each at its LSN less `base`. A crash
+    /// cuts everything past the durable prefix, a trim the prefix below a
+    /// checkpoint.
     bytes: Vec<u8>,
+    /// The LSN of `bytes[0]`; every byte below it was trimmed.
+    base: u64,
     /// Every record at or below this LSN is durable.
     flushed: Option<Lsn>,
+    /// The transactions whose `Commit` records were trimmed, in log order.
+    trimmed_commits: Vec<u64>,
+    /// The writes below `base` media redo replays.
+    archive: Archive,
 }
 
 impl Wal {
@@ -356,8 +367,9 @@ impl Wal {
             after,
         };
         rec.encode_head(lsn.0, &mut self.bytes);
-        self.bytes.resize(off as usize + after.len(), 0);
-        fill(&mut self.bytes[off as usize..]);
+        let at = (off - self.base) as usize;
+        self.bytes.resize(at + after.len(), 0);
+        fill(&mut self.bytes[at..]);
         (lsn, after)
     }
 
@@ -374,21 +386,35 @@ impl Wal {
     /// The bytes behind a handle this log issued.
     ///
     /// # Panics
-    /// Panics on a handle reaching past the log — it came from another
-    /// one.
+    /// Panics on a handle outside the kept bytes — it came from another
+    /// log, or names a write a trim cut off.
     pub fn after(&self, image: ImageRef) -> &[u8] {
-        let off = image.off as usize;
-        assert!(
-            off + image.len() <= self.bytes.len(),
-            "image {image:?} is not from this log ({} log bytes)",
-            self.bytes.len()
-        );
-        &self.bytes[off..off + image.len()]
+        let kept = image.off.checked_sub(self.base).map(|off| off as usize);
+        let range = kept.map(|off| off..off + image.len());
+        match range.and_then(|r| self.bytes.get(r)) {
+            Some(bytes) => bytes,
+            None => panic!(
+                "image {image:?} is not from this log (bytes {}..{})",
+                self.base,
+                self.next_lsn().0
+            ),
+        }
     }
 
     /// The LSN the next record will get.
     pub fn next_lsn(&self) -> Lsn {
-        Lsn(self.bytes.len() as u64)
+        Lsn(self.base + self.bytes.len() as u64)
+    }
+
+    /// The LSN of the first byte the log still holds: a trim cut every
+    /// byte below it.
+    pub fn base(&self) -> Lsn {
+        Lsn(self.base)
+    }
+
+    /// How many `(page, slot)` writes the trims archived.
+    pub fn archived(&self) -> usize {
+        self.archive.len()
     }
 
     /// Durable horizon.
@@ -407,37 +433,37 @@ impl Wal {
     /// Where the durable prefix ends: after the record at the (inclusive)
     /// horizon, which may have been appended after a steal marked it.
     pub fn durable_end(&self) -> u64 {
-        self.flushed.map_or(0, |Lsn(horizon)| {
-            let at = decode_at(&self.bytes, horizon as usize);
+        self.flushed.map_or(self.base, |Lsn(horizon)| {
+            let at = decode_at(&self.bytes, self.base, (horizon - self.base) as usize);
             (horizon + at.map_or(0, |(_, len)| len as u64)).min(self.next_lsn().0)
         })
     }
 
-    /// The durable prefix of the log: the bytes a crash leaves.
+    /// The durable bytes the log holds, from `base` on: what a crash
+    /// leaves of them.
     pub fn durable_bytes(&self) -> &[u8] {
-        &self.bytes[..self.durable_end() as usize]
+        &self.bytes[..(self.durable_end() - self.base) as usize]
     }
 
-    /// The durable records, decoded — what survives a crash.
+    /// The durable records the log holds, decoded — what survives a
+    /// crash, from `base` on.
     pub fn durable_records(&self) -> impl Iterator<Item = (Lsn, LogRecord)> + '_ {
-        let (prefix, mut off) = (self.durable_bytes(), 0);
-        std::iter::from_fn(move || {
-            let (rec, len) = decode_at(prefix, off).ok()?;
-            off += len;
-            Some((Lsn((off - len) as u64), rec))
-        })
+        frames(self.durable_bytes(), self.base)
+    }
+
+    /// Every record the log holds, decoded, durable or not.
+    pub fn records(&self) -> impl Iterator<Item = (Lsn, LogRecord)> + '_ {
+        frames(&self.bytes, self.base)
     }
 
     /// The transactions whose `Commit` record survives a crash, ascending
-    /// — the set whose updates redo replays.
+    /// — the set whose updates redo replays — the trimmed ones included.
     pub fn durable_commits(&self) -> Vec<u64> {
-        let mut txns: Vec<u64> = self
-            .durable_records()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(txn),
-                _ => None,
-            })
-            .collect();
+        let mut txns = self.trimmed_commits.clone();
+        txns.extend(self.durable_records().filter_map(|(_, r)| match r {
+            LogRecord::Commit { txn } => Some(txn),
+            _ => None,
+        }));
         txns.sort_unstable();
         txns
     }
@@ -450,10 +476,196 @@ impl Wal {
             .last()
     }
 
+    /// The durable page writes from `from` on by a transaction in
+    /// `committed` (ascending), in LSN order: `(lsn, page, slot,
+    /// after-image)`, the image `None` for a delete.
+    pub(crate) fn committed_writes<'a>(
+        &'a self,
+        from: Lsn,
+        committed: &'a [u64],
+    ) -> impl Iterator<Item = (Lsn, PageId, u16, Option<&'a [u8]>)> + 'a {
+        let records = self.durable_records().skip_while(move |r| r.0 < from);
+        records.filter_map(move |(lsn, rec)| {
+            let (txn, page, slot, after) = rec.page_write()?;
+            committed.binary_search(&txn).ok()?;
+            Some((lsn, page, slot, after.map(|a| self.after(a))))
+        })
+    }
+
+    /// Media redo of `page` onto `image`, a formatted page: every write of
+    /// it by a transaction whose `Commit` is durable here, in LSN order —
+    /// the archive's, then the kept bytes', each above the archived LSNs.
+    pub(crate) fn rebuild_page(&self, page: PageId, image: &mut PageImage) {
+        self.archive.replay(page, image);
+        let committed = self.durable_commits();
+        for (lsn, p, slot, after) in self.committed_writes(Lsn(0), &committed) {
+            if p == page && image.lsn() < lsn.0 {
+                image.redo(slot, after, lsn.0);
+            }
+        }
+    }
+
+    /// Cut the log below `to`, a record boundary at or below the durable
+    /// horizon that no reader will decode again — neither crash recovery,
+    /// which starts at the last durable checkpoint, nor a handle. The cut
+    /// records fold into what media redo still asks of them: their
+    /// `Commit`s into the committed ids, and the writes of transactions
+    /// whose `Commit` this log holds into the archive, the newest per
+    /// slot. The writes of every other transaction are dropped: `to` lies
+    /// at or below the first record of each transaction still open — one
+    /// whose `Commit` is not durable yet — so those had closed without a
+    /// `Commit` here, and media redo replays none of them. (A transaction
+    /// logs its writes before its `Commit`.)
+    ///
+    /// # Panics
+    /// Panics when `to` lies outside `base..=` the durable horizon.
+    pub(crate) fn trim(&mut self, to: Lsn) {
+        let horizon = self.flushed.unwrap_or(Lsn(0));
+        assert!(
+            self.base <= to.0 && to <= horizon,
+            "a trim to {to:?} outside {}..={horizon:?}",
+            self.base
+        );
+        // one pass over the durable records: every `Commit`, and the
+        // page writes of the cut
+        let (mut commits, mut writes) = (Vec::new(), Vec::new());
+        for (lsn, rec) in self.durable_records() {
+            match rec {
+                LogRecord::Commit { txn } => commits.push((lsn, txn)),
+                _ if lsn < to => writes.extend(rec.page_write().map(|w| (lsn, w))),
+                _ => {}
+            }
+        }
+        let mut committed: Vec<u64> = commits.iter().map(|c| c.1).collect();
+        committed.sort_unstable();
+        for (lsn, (txn, page, slot, after)) in writes {
+            if committed.binary_search(&txn).is_ok() {
+                let after = after.map(|a| &self.bytes[(a.off - self.base) as usize..][..a.len()]);
+                self.archive.fold(page, slot, lsn.0, after);
+            }
+        }
+        let cut = commits.partition_point(|c| c.0 < to);
+        self.trimmed_commits
+            .extend(commits[..cut].iter().map(|c| c.1));
+        self.bytes.drain(..(to.0 - self.base) as usize);
+        self.base = to.0;
+    }
+
     /// Simulated crash: the log keeps its durable prefix and loses the
     /// rest, so every later read decodes what the medium held.
     pub fn crash(&mut self) {
-        self.bytes.truncate(self.durable_end() as usize);
+        let durable = self.durable_end();
+        self.bytes.truncate((durable - self.base) as usize);
+    }
+}
+
+/// The records of `bytes`, whose first byte is the log's LSN `base`,
+/// decoded up to the first that is not whole.
+fn frames(bytes: &[u8], base: u64) -> impl Iterator<Item = (Lsn, LogRecord)> + '_ {
+    let mut off = 0;
+    std::iter::from_fn(move || {
+        let (rec, len) = decode_at(bytes, base, off).ok()?;
+        off += len;
+        Some((Lsn(base + (off - len) as u64), rec))
+    })
+}
+
+/// One archived write: a slot's newest below the log's `base`.
+#[derive(Debug, Clone, Copy)]
+struct Archived {
+    slot: u16,
+    lsn: u64,
+    /// The after-image, a range of [`Archive::images`]; `None` deleted
+    /// the record.
+    image: Option<(usize, usize)>,
+    /// The page's next archived slot, an index into [`Archive::more`].
+    next: Option<usize>,
+}
+
+/// The writes a trim cut that media redo still replays: the newest of
+/// each `(page, slot)`, as [`PageImage::redo`] leaves it.
+#[derive(Debug, Default)]
+struct Archive {
+    /// Per page id (dense, as the engine's are): its first archived slot,
+    /// kept in place so that a trim's lookup of a page's only slot — the
+    /// common case — reads one entry.
+    pages: Vec<Option<Archived>>,
+    /// The pages' other archived slots, chained from their first.
+    more: Vec<Archived>,
+    /// The after-images back to back. A slot's newer image overwrites its
+    /// older one in place when the lengths agree, as the engine's do.
+    images: Vec<u8>,
+}
+
+impl Archive {
+    /// Fold `page`'s write of `slot` at `lsn`: `after` replaces the
+    /// record, `None` deletes it, and a write over a deleted record
+    /// changes only the LSN.
+    fn fold(&mut self, page: PageId, slot: u16, lsn: u64, after: Option<&[u8]>) {
+        let at = page.0 as usize;
+        if self.pages.len() <= at {
+            self.pages.resize(at + 1, None);
+        }
+        let images = &mut self.images;
+        let mut keep = |a: &[u8]| {
+            images.extend_from_slice(a);
+            (images.len() - a.len(), images.len())
+        };
+        let Some(first) = self.pages[at].as_mut() else {
+            let image = after.map(keep);
+            self.pages[at] = Some(Archived {
+                slot,
+                lsn,
+                image,
+                next: None,
+            });
+            return;
+        };
+        let mut write = &mut *first;
+        while write.slot != slot {
+            let Some(i) = write.next else {
+                // a slot of its page not archived yet: chain it in
+                let image = after.map(keep);
+                let next = first.next.replace(self.more.len());
+                self.more.push(Archived {
+                    slot,
+                    lsn,
+                    image,
+                    next,
+                });
+                return;
+            };
+            write = &mut self.more[i];
+        }
+        write.lsn = lsn;
+        match (write.image, after) {
+            (Some((from, to)), Some(a)) if to - from == a.len() => {
+                images[from..to].copy_from_slice(a)
+            }
+            (Some(_), Some(a)) => write.image = Some(keep(a)),
+            (_, None) => write.image = None,
+            (None, Some(_)) => {}
+        }
+    }
+
+    /// How many slots are archived.
+    fn len(&self) -> usize {
+        self.pages.iter().flatten().count() + self.more.len()
+    }
+
+    /// Redo `page`'s archived writes onto `image`, in LSN order.
+    fn replay(&self, page: PageId, image: &mut PageImage) {
+        let mut writes = Vec::new();
+        let mut link = self.pages.get(page.0 as usize).copied().flatten();
+        while let Some(write) = link {
+            writes.push(write);
+            link = write.next.map(|i| self.more[i]);
+        }
+        writes.sort_unstable_by_key(|w| w.lsn);
+        for w in writes {
+            let after = w.image.map(|(from, to)| &self.images[from..to]);
+            image.redo(w.slot, after, w.lsn);
+        }
     }
 }
 
@@ -739,11 +951,11 @@ pub(crate) mod tests {
         w.mark_flushed(at);
         let good = w.durable_bytes().to_vec();
         let at = at.0 as usize;
-        assert!(decode_at(&good, at).is_ok());
+        assert!(decode_at(&good, 0, at).is_ok());
         let torn = |off: usize, byte: u8| {
             let mut bytes = good.clone();
             bytes[at + off] = byte;
-            decode_at(&bytes, at).unwrap_err()
+            decode_at(&bytes, 0, at).unwrap_err()
         };
         assert_eq!(torn(0, 0xff), Torn::Lsn);
         assert_eq!(torn(8, 41), Torn::Len, "length off by one from the image");
@@ -752,9 +964,9 @@ pub(crate) mod tests {
         assert_eq!(torn(12, COMMIT), Torn::Len);
         assert_eq!(torn(15, 1), Torn::Reserved);
         assert_eq!(torn(34, 5), Torn::Len, "image length off by one");
-        assert_eq!(decode_at(&good, good.len()), Err(Torn::Short));
-        assert_eq!(decode_at(&good, usize::MAX), Err(Torn::Short));
-        assert_eq!(decode_at(&good[..at + 41], at), Err(Torn::Short));
+        assert_eq!(decode_at(&good, 0, good.len()), Err(Torn::Short));
+        assert_eq!(decode_at(&good, 0, usize::MAX), Err(Torn::Short));
+        assert_eq!(decode_at(&good[..at + 41], 0, at), Err(Torn::Short));
     }
 
     fn member(slot: usize, lsn: u64, enlisted: u64) -> GroupMember {
@@ -953,6 +1165,284 @@ pub(crate) mod tests {
                 commits.sort_unstable();
                 prop_assert_eq!(bytes.durable_commits(), commits, "step {}", step);
             }
+        }
+    }
+
+    proptest! {
+        // an update folded over an archived delete first shows after
+        // two dozen cases; the rest is margin
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The trimmed log against the untrimmed one it replaced, over
+        /// random runs of transactions — writes, commits, prepares
+        /// decided at home, elsewhere or by an abort with compensation
+        /// writes — forces, checkpoints that trim below the transactions
+        /// still open, and crashes: after every step the same durable
+        /// commits, last checkpoint, durable end and next LSN, the same
+        /// durable bytes from the trimmed log's base on, the same writes
+        /// for recovery to replay, and the same media rebuild of every
+        /// page written.
+        #[test]
+        fn the_trimmed_log_answers_as_the_untrimmed_one_it_replaced(
+            ops in proptest::collection::vec((0..12u8, 0..u16::MAX), 1..200),
+        ) {
+            // the log starts as `Database::load` leaves it: no write sits
+            // at LSN 0, where a formatted page's LSN guard would skip it
+            let (mut wal, mut full) = (Wal::new(), Untrimmed::default());
+            let ck = wal.append(LogRecord::Checkpoint);
+            full.append(LogRecord::Checkpoint);
+            wal.mark_flushed(ck);
+            full.flushed = Some(ck);
+            let mut open: Vec<Open> = Vec::new();
+            let mut next_txn = 1;
+            for (step, &(op, arg)) in ops.iter().enumerate() {
+                let pick = |n: usize| usize::from(arg) % n.max(1);
+                let running = |o: &&mut Open| o.state == State::Running;
+                match op {
+                    0 | 1 => {
+                        open.push(Open { txn: next_txn, first: wal.next_lsn(), state: State::Running });
+                        next_txn += 1;
+                    }
+                    2..=4 => {
+                        let mut writers: Vec<&mut Open> = open.iter_mut().filter(running).collect();
+                        let n = writers.len();
+                        if let Some(t) = writers.get_mut(pick(n)) {
+                            let (page, slot) = (PageId(u64::from(arg % 5)), (arg / 5) % 16);
+                            if op == 4 && arg % 7 == 0 {
+                                let rec = LogRecord::Delete { txn: t.txn, page, slot };
+                                prop_assert_eq!(wal.append(rec), full.append(rec));
+                            } else {
+                                let image = record(t.txn, step);
+                                let fill = |b: &mut [u8]| b.copy_from_slice(&image);
+                                let (lsn, _) = wal.append_update(t.txn, page, slot, image.len(), fill);
+                                prop_assert_eq!(lsn, full.append_update(t.txn, page, slot, &image));
+                            }
+                        }
+                    }
+                    5 | 6 => {
+                        // commit, or prepare for a decision to come
+                        let mut enders: Vec<&mut Open> = open.iter_mut().filter(running).collect();
+                        let n = enders.len();
+                        if let Some(t) = enders.get_mut(pick(n)) {
+                            let rec = if op == 5 {
+                                LogRecord::Commit { txn: t.txn }
+                            } else {
+                                LogRecord::Prepare { txn: t.txn }
+                            };
+                            let lsn = wal.append(rec);
+                            prop_assert_eq!(lsn, full.append(rec));
+                            t.state = if op == 5 { State::Committing(lsn) } else { State::Prepared };
+                        }
+                    }
+                    7 => {
+                        // decide a prepared share: commit here, abort with
+                        // a compensation write, or commit elsewhere
+                        let prepared = open.iter().position(|o| o.state == State::Prepared);
+                        if let Some(i) = prepared {
+                            let txn = open[i].txn;
+                            match arg % 3 {
+                                0 => {
+                                    let lsn = wal.append(LogRecord::Commit { txn });
+                                    full.append(LogRecord::Commit { txn });
+                                    open[i].state = State::Committing(lsn);
+                                }
+                                1 => {
+                                    full.append(LogRecord::Abort { txn });
+                                    wal.append(LogRecord::Abort { txn });
+                                    let (page, slot, image) = (PageId(u64::from(arg % 5)), arg % 16, record(0, step));
+                                    let fill = |b: &mut [u8]| b.copy_from_slice(&image);
+                                    wal.append_update(txn, page, slot, image.len(), fill);
+                                    full.append_update(txn, page, slot, &image);
+                                    open.remove(i);
+                                }
+                                _ => {
+                                    open.remove(i);
+                                }
+                            }
+                        }
+                    }
+                    8 => {
+                        // a force to the next LSN, or to a record
+                        let lsns = full.records(full.bytes.len());
+                        let at = match lsns.len() {
+                            n if n > 0 && arg % 2 == 0 => lsns[pick(n)].0,
+                            _ => full.next_lsn(),
+                        };
+                        wal.mark_flushed(at);
+                        full.flushed = full.flushed.max(Some(at));
+                    }
+                    9 | 10 => {
+                        // a checkpoint, forced, then the trim below it and
+                        // below every transaction still open
+                        let ck = wal.append(LogRecord::Checkpoint);
+                        full.append(LogRecord::Checkpoint);
+                        wal.mark_flushed(ck);
+                        full.flushed = full.flushed.max(Some(ck));
+                        open.retain(|o| !matches!(o.state, State::Committing(_)));
+                        let oldest = open.iter().map(|o| o.first).min();
+                        wal.trim(oldest.map_or(ck, |o| o.min(ck)));
+                    }
+                    _ => {
+                        wal.crash();
+                        full.crash();
+                        open.clear();
+                    }
+                }
+                // a commit the horizon covers closes its transaction
+                let horizon = wal.flushed();
+                open.retain(|o| !matches!(o.state, State::Committing(lsn) if Some(lsn) <= horizon));
+
+                prop_assert_eq!(wal.durable_commits(), full.durable_commits(), "step {}", step);
+                prop_assert_eq!(wal.last_durable_checkpoint(), full.last_durable_checkpoint(), "step {}", step);
+                prop_assert_eq!(wal.durable_end(), full.durable_end(), "step {}", step);
+                prop_assert_eq!(wal.next_lsn(), full.next_lsn(), "step {}", step);
+                let base = wal.base().0 as usize;
+                prop_assert_eq!(wal.durable_bytes(), &full.bytes[base..full.durable_end() as usize], "step {}", step);
+                let from = wal.last_durable_checkpoint().unwrap_or(Lsn(0));
+                let commits = wal.durable_commits();
+                let replayed: Vec<_> = wal.committed_writes(from, &commits).map(|(l, p, s, a)| (l, p, s, a.map(<[u8]>::to_vec))).collect();
+                prop_assert_eq!(replayed, full.committed_writes(from, &commits), "step {}", step);
+                for page in (0..5).map(PageId) {
+                    let mut rebuilt = PageImage::formatted();
+                    wal.rebuild_page(page, &mut rebuilt);
+                    prop_assert_eq!(rebuilt, full.rebuild_page(page), "step {} {:?}", step, page);
+                }
+            }
+        }
+    }
+
+    /// A transaction the differential test keeps open, and where it
+    /// started in the log.
+    struct Open {
+        txn: u64,
+        first: Lsn,
+        state: State,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum State {
+        Running,
+        /// Its `Commit` at this LSN is not durable yet.
+        Committing(Lsn),
+        /// Prepared, waiting for its decision.
+        Prepared,
+    }
+
+    /// A record stamped with `txn` and `salt`.
+    fn record(txn: u64, salt: usize) -> Vec<u8> {
+        let mut r = vec![salt as u8; crate::page::RECORD_SIZE];
+        r[..8].copy_from_slice(&txn.to_le_bytes());
+        r
+    }
+
+    /// The log as it was before it was trimmed: every byte from LSN 0 on
+    /// for the whole run, and media redo replays a page from LSN 0. The
+    /// reference the trimmed log is held equal to.
+    #[derive(Default)]
+    struct Untrimmed {
+        bytes: Vec<u8>,
+        flushed: Option<Lsn>,
+    }
+
+    impl Untrimmed {
+        fn next_lsn(&self) -> Lsn {
+            Lsn(self.bytes.len() as u64)
+        }
+
+        fn append_update(&mut self, txn: u64, page: PageId, slot: u16, image: &[u8]) -> Lsn {
+            let lsn = self.next_lsn();
+            let off = lsn.0 + UPDATE_HEAD_BYTES as u64;
+            let after = ImageRef {
+                off,
+                len: image.len() as u32,
+            };
+            LogRecord::Update {
+                txn,
+                page,
+                slot,
+                after,
+            }
+            .encode_head(lsn.0, &mut self.bytes);
+            self.bytes.extend_from_slice(image);
+            lsn
+        }
+
+        fn append(&mut self, rec: LogRecord) -> Lsn {
+            let lsn = self.next_lsn();
+            rec.encode_head(lsn.0, &mut self.bytes);
+            lsn
+        }
+
+        fn durable_end(&self) -> u64 {
+            self.flushed.map_or(0, |Lsn(horizon)| {
+                let at = decode_at(&self.bytes, 0, horizon as usize);
+                (horizon + at.map_or(0, |(_, len)| len as u64)).min(self.next_lsn().0)
+            })
+        }
+
+        /// The records of the first `end` bytes.
+        fn records(&self, end: usize) -> Vec<(Lsn, LogRecord)> {
+            frames(&self.bytes[..end], 0).collect()
+        }
+
+        fn durable(&self) -> Vec<(Lsn, LogRecord)> {
+            self.records(self.durable_end() as usize)
+        }
+
+        fn durable_commits(&self) -> Vec<u64> {
+            let mut txns: Vec<u64> = self
+                .durable()
+                .into_iter()
+                .filter_map(|(_, r)| match r {
+                    LogRecord::Commit { txn } => Some(txn),
+                    _ => None,
+                })
+                .collect();
+            txns.sort_unstable();
+            txns
+        }
+
+        fn last_durable_checkpoint(&self) -> Option<Lsn> {
+            let durable = self.durable().into_iter().rev();
+            durable
+                .filter(|(_, r)| *r == LogRecord::Checkpoint)
+                .map(|(lsn, _)| lsn)
+                .next()
+        }
+
+        fn crash(&mut self) {
+            self.bytes.truncate(self.durable_end() as usize);
+        }
+
+        fn image(&self, after: ImageRef) -> &[u8] {
+            &self.bytes[after.off as usize..][..after.len()]
+        }
+
+        fn committed_writes(
+            &self,
+            from: Lsn,
+            committed: &[u64],
+        ) -> Vec<(Lsn, PageId, u16, Option<Vec<u8>>)> {
+            let writes = self.durable().into_iter().filter(|r| r.0 >= from);
+            writes
+                .filter_map(|(lsn, rec)| {
+                    let (txn, page, slot, after) = rec.page_write()?;
+                    committed.binary_search(&txn).ok()?;
+                    Some((lsn, page, slot, after.map(|a| self.image(a).to_vec())))
+                })
+                .collect()
+        }
+
+        /// Media redo as it was: a formatted page, every durable write of
+        /// it by a committed transaction from LSN 0 on, LSN-guarded.
+        fn rebuild_page(&self, page: PageId) -> PageImage {
+            let mut image = PageImage::formatted();
+            for (lsn, p, slot, after) in self.committed_writes(Lsn(0), &self.durable_commits()) {
+                if p == page && image.lsn() < lsn.0 {
+                    image.redo(slot, after.as_deref(), lsn.0);
+                }
+            }
+            image
         }
     }
 }

@@ -20,13 +20,17 @@
 //!   and the participant's undo list;
 //! * **amortised** — `commit_order` past its reservation, a page's first
 //!   durable image of its own (a copy of the formatted one, made when its
-//!   first write-back lands), and a redo list growing past the most slots
+//!   first write-back lands), a redo list growing past the most slots
 //!   its frame has held written at once (frames, steals and in-flight
-//!   writes keep their lists' capacity; the log's bytes are reserved
-//!   from the run's inputs and no longer grow inside it);
-//! * **per checkpoint** — the dirty pages' id list;
-//! * **per run** — executor state, the log's reservation, histograms and
-//!   the reports.
+//!   writes keep their lists' capacity), and the log's trim state growing
+//!   past its size: the archive's slot list and image arena when a slot
+//!   is archived for the first time, and the trimmed commit ids. The
+//!   log's bytes stop growing once the checkpoints' trims hold them to
+//!   about one checkpoint interval;
+//! * **per checkpoint** — the dirty pages' id list, and the trim's lists
+//!   of the commits, the cut writes and the committed ids;
+//! * **per run** — executor state, the log's reservation when the run
+//!   does not checkpoint, histograms and the reports.
 
 use std::alloc::System;
 

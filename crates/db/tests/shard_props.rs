@@ -383,21 +383,43 @@ proptest! {
                 "with every force failing, every cross-shard txn must abort"
             );
         }
-        // a checkpoint forces each log whole: every record appended is
-        // now durable, the unforced `Abort`s included
-        for s in 0..n {
+        // every `Commit` and `Abort` each log holds, forced or not, before
+        // a checkpoint forces the log whole and trims it
+        let ends: Vec<Vec<(Lsn, LogRecord)>> = (0..n)
+            .map(|s| {
+                db.shard(s)
+                    .wal()
+                    .records()
+                    .filter(|(_, r)| matches!(r, LogRecord::Commit { .. } | LogRecord::Abort { .. }))
+                    .collect()
+            })
+            .collect();
+        for (s, ends) in ends.iter().enumerate() {
             db.shard_mut(s).checkpoint();
+            let horizon = db.shard(s).wal().flushed();
+            for &(lsn, rec) in ends {
+                prop_assert!(
+                    Some(lsn) <= horizon,
+                    "{:?} at {:?} on shard {} is past the checkpoint's force to {:?}",
+                    rec, lsn, s, horizon
+                );
+            }
         }
         for (&txn, entry) in db.ledger().entries() {
             if entry.decision == TxnDecision::Aborted {
-                for s in 0..n {
-                    let no_commit = !db.shard(s).wal().durable_records().any(
-                        |(_, r)| matches!(r, LogRecord::Commit { txn: t } if t == txn),
+                for (s, ends) in ends.iter().enumerate() {
+                    let commit = ends
+                        .iter()
+                        .any(|&(_, r)| r == LogRecord::Commit { txn });
+                    let durable = db.shard(s).wal().durable_commits().contains(&txn);
+                    prop_assert!(
+                        !commit && !durable,
+                        "aborted txn {} left a Commit on shard {}", txn, s
                     );
-                    prop_assert!(no_commit, "aborted txn {} left a Commit on shard {}", txn, s);
                 }
-                let abort_logged = db.shard(entry.home).wal().durable_records()
-                    .any(|(_, r)| matches!(r, LogRecord::Abort { txn: t } if t == txn));
+                let abort_logged = ends[entry.home]
+                    .iter()
+                    .any(|&(_, r)| r == LogRecord::Abort { txn });
                 prop_assert!(abort_logged, "aborted txn {} has no Abort record", txn);
             }
         }

@@ -31,16 +31,27 @@
 //!    logs with bytes overwritten, never panic the decoder, and what it
 //!    accepts is a valid prefix: re-encoding the records gives back
 //!    exactly the bytes they came from.
+//!
+//! And one law of the host log's size:
+//!
+//! 7. **The log keeps a bounded tail** — with checkpoints, the bytes the
+//!    in-memory log holds and the writes its archive keeps do not grow
+//!    with the length of the run; without them, it keeps every byte.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use requiem_block::StackConfig;
 use requiem_db::page::PageId;
 use requiem_db::wal::{decode_at, LogRecord, Lsn, Torn, Wal};
 use requiem_db::{
-    BlockStackBackend, Database, DbConfig, ExecConfig, PcmWalConfig, TxnInput, WalConfig,
+    BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PcmWalConfig, TxnInput,
+    WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_ssd::SsdConfig;
+use requiem_workload::oltp::{OltpConfig, OltpGen};
+use requiem_workload::oltp_inputs;
 
 const DATA_PAGES: u64 = 96;
 const SLOTS: u16 = 16;
@@ -227,7 +238,7 @@ fn decode_all(bytes: &[u8]) -> (Vec<(Lsn, LogRecord, Vec<u8>)>, Torn) {
     let mut out = Vec::new();
     let mut off = 0;
     loop {
-        match decode_at(bytes, off) {
+        match decode_at(bytes, 0, off) {
             Ok((rec, len)) => {
                 let end = off + len;
                 let image = match rec {
@@ -327,4 +338,61 @@ proptest! {
             prop_assert_eq!(&bytes[..valid.len()], &valid[..]);
         }
     }
+}
+
+/// Law 7 on `oltp_qd16`'s shape (the benchmark's: 4 096 pages, a
+/// 512-frame pool, 16 slots, groups of 16), run for 10 000 and for
+/// 40 000 transactions with a checkpoint every 500 commits: four times
+/// the run leaves the log holding no more bytes, and the archive one
+/// write per slot written, not one per write. With no checkpoints the
+/// log trims nothing.
+#[test]
+fn the_log_keeps_a_bounded_tail_however_long_the_run() {
+    const PAGES: u64 = 4096;
+    let run = |txns: u64, checkpoint_every: u64| {
+        let b = DbConfig::builder()
+            .data_pages(PAGES)
+            .log_pages(512)
+            .checkpoint_every(checkpoint_every)
+            .buffer_frames(512)
+            .concurrency(16)
+            .group(GroupCommitPolicy::batched(16));
+        let gen_cfg = OltpConfig {
+            data_pages: PAGES,
+            theta: 0.8,
+            ..OltpConfig::default()
+        };
+        let inputs = oltp_inputs(&mut OltpGen::new(gen_cfg, 11), txns);
+        let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+        db.run_concurrent(&inputs, &b.exec_config());
+        let writes: Vec<(u64, u16)> = inputs
+            .iter()
+            .flat_map(|t| t.accesses.iter().filter(|a| a.2))
+            .map(|a| (a.0 % PAGES, a.1 % SLOTS))
+            .collect();
+        let slots: BTreeSet<(u64, u16)> = writes.iter().copied().collect();
+        let wal = db.wal();
+        let held = wal.next_lsn().0 - wal.base().0;
+        (
+            held,
+            wal.archived(),
+            writes.len(),
+            slots.len(),
+            wal.next_lsn(),
+        )
+    };
+    let (short, archived_short, _, slots_short, _) = run(10_000, 500);
+    let (long, archived_long, writes_long, slots_long, _) = run(40_000, 500);
+    assert!(
+        long <= short,
+        "the log holds {long} bytes after 40 000 txns, {short} after 10 000"
+    );
+    assert!(archived_short <= slots_short && archived_long <= slots_long);
+    assert!(
+        archived_long * 4 < writes_long,
+        "{archived_long} archived writes of {writes_long}"
+    );
+    let (untrimmed, archived, _, _, end) = run(10_000, 0);
+    assert_eq!((untrimmed, archived), (end.0, 0), "no checkpoint, no trim");
+    assert!(short * 100 < untrimmed, "{short} of {untrimmed} bytes held");
 }
