@@ -4,10 +4,11 @@
 //! are bit-reproducible; the workspace's architecture only mirrors
 //! Figure 2 while nothing inverts a layer. Both were conventions. This
 //! crate turns them into machine-checked rules (see [`rules`] for the
-//! full table): determinism (DET), layering (LAY), probe discipline
-//! (PRB), fallibility (IOS), clock discipline (CLK), time hygiene (TIM),
-//! unsafe policy (UNS), and dead public API (DEAD). What rustc and
-//! clippy already check is left to them.
+//! full table): determinism (DET), layering (LAY), time hygiene (TIM),
+//! unsafe policy (UNS), and dead public API (DEAD). It keeps only what no
+//! type or runtime law can hold: what rustc and clippy check is left to
+//! them, and so are the contracts a type or a debug-build assert states —
+//! a probe scope's end, a log force's status, the WAL rule's clock.
 //!
 //! Design constraints:
 //!
@@ -15,8 +16,8 @@
 //!   `syn`, so the analyzer lexes Rust itself ([`lexer`]) and pattern-
 //!   matches token streams. That is less precise than type-resolved
 //!   analysis and deliberately biased toward *no false negatives on the
-//!   patterns that have bitten this codebase* (hash-order iteration, raw
-//!   wall-clock reads, layer inversions); the checked-in allowlist
+//!   patterns that have bitten this codebase* (wall-clock reads, raw
+//!   nanosecond arithmetic, layer inversions); the checked-in allowlist
 //!   ([`allow`], `lint.allow.toml`) absorbs the rare justified exception.
 //! * **Machine-readable diagnostics.** Every finding is
 //!   `rule id, file:line, message, suggestion` ([`diag`]), with `--json`
@@ -29,9 +30,7 @@
 pub mod allow;
 pub mod diag;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod symbols;
 pub mod workspace;
 
 use std::fs;
@@ -39,9 +38,7 @@ use std::path::Path;
 
 use allow::AllowList;
 use diag::Diagnostic;
-use parser::ParsedFile;
-use rules::{FileCtx, SemCtx};
-use symbols::SymbolTable;
+use rules::FileCtx;
 use workspace::{FileCat, Workspace};
 
 /// Outcome of a whole-workspace run.
@@ -85,14 +82,6 @@ pub struct FileInput {
     pub text: String,
 }
 
-/// A lexed + parsed file, ready for both rule passes.
-struct PreparedFile<'a> {
-    input: &'a FileInput,
-    toks: Vec<lexer::Tok>,
-    test_mask: Vec<bool>,
-    parsed: ParsedFile,
-}
-
 fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     // pass 0: read every file once
     let members = ws
@@ -118,62 +107,40 @@ fn collect_diagnostics(ws: &Workspace) -> Result<Vec<Diagnostic>, String> {
     Ok(out)
 }
 
-/// Lint a set of in-memory files as one workspace: pass 1 parses
-/// everything and builds the symbol table from `Main` files; pass 2 runs
-/// the token rules and the parser-backed semantic rules on each file
-/// except [`FileCat::Reference`] ones; pass 3 runs DEAD01 over all of
-/// them at once.
+/// Lint a set of in-memory files as one workspace: pass 1 lexes
+/// everything; pass 2 runs the token rules on each file except
+/// [`FileCat::Reference`] ones; pass 3 runs DEAD01 over all of them at
+/// once.
 pub fn lint_files(inputs: &[FileInput]) -> Vec<Diagnostic> {
-    let prepared: Vec<PreparedFile<'_>> = inputs
+    let lexed: Vec<(Vec<lexer::Tok>, Vec<bool>)> = inputs
         .iter()
         .map(|input| {
             let toks = lexer::lex(&input.text);
             let test_mask = lexer::test_mask(&toks);
-            let parsed = parser::parse(&toks);
-            PreparedFile {
-                input,
-                toks,
-                test_mask,
-                parsed,
-            }
+            (toks, test_mask)
         })
         .collect();
-    let table = SymbolTable::build(
-        prepared
-            .iter()
-            .filter(|p| p.input.cat == FileCat::Main)
-            .map(|p| &p.parsed),
-    );
-    let ctxs: Vec<FileCtx<'_>> = prepared
+    let ctxs: Vec<FileCtx<'_>> = inputs
         .iter()
-        .map(|p| FileCtx {
-            crate_name: &p.input.crate_name,
-            rel: &p.input.rel,
-            cat: p.input.cat,
-            toks: &p.toks,
-            test_mask: &p.test_mask,
+        .zip(&lexed)
+        .map(|(input, (toks, test_mask))| FileCtx {
+            crate_name: &input.crate_name,
+            rel: &input.rel,
+            cat: input.cat,
+            toks,
+            test_mask,
         })
         .collect();
     let mut out = Vec::new();
-    for (p, ctx) in prepared.iter().zip(&ctxs) {
-        if ctx.cat == FileCat::Reference {
-            continue;
-        }
+    for ctx in ctxs.iter().filter(|c| c.cat != FileCat::Reference) {
         out.extend(rules::run_file(ctx));
-        let sem = SemCtx {
-            file: ctx,
-            parsed: &p.parsed,
-            symbols: &table,
-        };
-        out.extend(rules::run_sem(&sem));
     }
     out.extend(rules::dead::check(&ctxs));
     out
 }
 
 /// Lint a single file's source text — the unit the token-rule fixture
-/// tests drive. Symbol resolution sees only this file; multi-crate
-/// fixtures use [`lint_files`].
+/// tests drive; multi-file fixtures use [`lint_files`].
 pub fn lint_source(crate_name: &str, rel: &str, cat: FileCat, text: &str) -> Vec<Diagnostic> {
     lint_files(&[FileInput {
         crate_name: crate_name.to_string(),

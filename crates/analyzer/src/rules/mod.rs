@@ -4,40 +4,37 @@
 //! |-------|---------------|-----------|
 //! | DET02 | determinism   | no ambient authority: `Instant`, `SystemTime`, `thread_rng`, `RandomState` |
 //! | LAY01 | layering      | every `Cargo.toml` dependency edge respects the Figure-2 DAG |
-//! | PRB02 | probe         | a file opening probe spans must also close or detach them |
-//! | PRB03 | probe         | spans must be closed/detached/aborted on *every* exit path |
-//! | IOS02 | fallibility   | a fallible result must be consumed once bound — no `_`, unused names, or `.done`-only projections |
-//! | CLK01 | clock         | a time binding is stale after a device-driving call until folded forward |
 //! | TIM01 | time hygiene  | no arithmetic on raw `as_nanos()` values outside `sim` |
 //! | TIM02 | time hygiene  | no `*_ns`-suffixed raw integer/float declarations outside `sim` |
 //! | UNS02 | unsafe policy | every member inherits the workspace lints (`unsafe_code = "forbid"`) |
 //! | DEAD01 | dead code    | no `pub` fn/const/static named only by its own file's tests |
 //!
-//! The toolchain enforces the rest (DESIGN §2.5): rustc keeps code from
-//! naming a crate its manifest does not list (the old LAY02/LAY03),
-//! forbids `unsafe` (UNS01) and denies a dropped `#[must_use]` `IoStatus`
-//! or `WalForce` (IOS01); clippy holds the panic policy's modules to no
-//! `unwrap`/`expect`/`panic!` (PAN01) and bans `HashMap`/`HashSet`
-//! under `crates/` with `disallowed-types` (DET01); and
-//! `Probe::enter_background` is private to `sim` (PRB01).
+//! The toolchain and the tests enforce the rest (DESIGN §2.5): rustc
+//! keeps code from naming a crate its manifest does not list (the old
+//! LAY02/LAY03), forbids `unsafe` (UNS01) and denies a dropped
+//! `#[must_use]` `IoStatus` or `WalForce` (IOS01); clippy holds the panic
+//! policy's modules to no `unwrap`/`expect`/`panic!` (PAN01), bans
+//! `HashMap`/`HashSet` under `crates/` with `disallowed-types` (DET01) and
+//! denies a status bound to `_` in `requiem-db` (IOS02, with
+//! `WalForce::settle` the only way to a force's instant);
+//! `Probe::enter_background` is private to `sim` (PRB01); a
+//! `CommandScope` dropped without `close`, `detach` or `abort` panics in
+//! debug builds (PRB02/PRB03); and the engine's WAL law asserts, in debug
+//! builds, that no page write or commit acknowledgement runs ahead of the
+//! force that made its log record durable (CLK01).
 //!
 //! The [`RULES`] table below is the single registry: it drives the
-//! per-file and semantic passes ([`run_file`], [`run_sem`]) *and* the
-//! CLI's `--explain <RULE>` output — rationale and the bad/ok examples
-//! live next to the check that enforces them.
+//! per-file pass ([`run_file`]) *and* the CLI's `--explain <RULE>` output
+//! — rationale and the bad/ok examples live next to the check that
+//! enforces them.
 
-pub mod clock;
 pub mod dead;
 pub mod determinism;
-pub mod fallibility;
 pub mod manifest;
-pub mod probe;
 pub mod timing;
 
 use crate::diag::Diagnostic;
 use crate::lexer::Tok;
-use crate::parser::{FnDef, ParsedFile};
-use crate::symbols::SymbolTable;
 use crate::workspace::{CrateInfo, FileCat};
 
 /// Everything a file-scoped rule needs.
@@ -67,29 +64,6 @@ impl FileCtx<'_> {
     }
 }
 
-/// Everything a semantic (parser-backed) rule needs: the file context
-/// plus its parsed item tree and the workspace symbol table.
-pub struct SemCtx<'a> {
-    /// Token-level file context.
-    pub file: &'a FileCtx<'a>,
-    /// Parsed item tree of this file.
-    pub parsed: &'a ParsedFile,
-    /// Workspace-wide symbol table (pass 1).
-    pub symbols: &'a SymbolTable,
-}
-
-impl SemCtx<'_> {
-    /// True when the fn is test-only code.
-    pub fn fn_in_test(&self, f: &FnDef) -> bool {
-        self.file.in_test(f.fn_tok)
-    }
-
-    /// Source line of token `i` (0 when out of range).
-    pub fn line_of(&self, i: usize) -> u32 {
-        self.file.toks.get(i).map(|t| t.line).unwrap_or(0)
-    }
-}
-
 /// Short crate name: strip the `requiem-` prefix.
 pub fn short_name(pkg: &str) -> &str {
     pkg.strip_prefix("requiem-").unwrap_or(pkg)
@@ -99,8 +73,6 @@ pub fn short_name(pkg: &str) -> &str {
 pub enum Check {
     /// Token-level pass over one file.
     File(fn(&FileCtx<'_>) -> Vec<Diagnostic>),
-    /// Parser-backed pass over one file.
-    Sem(fn(&SemCtx<'_>) -> Vec<Diagnostic>),
     /// Emitted by the pass registered under another rule id (one module
     /// pass reports several ids).
     WithPass(&'static str),
@@ -154,51 +126,6 @@ pub const RULES: &[Rule] = &[
         bad: "# crates/flash/Cargo.toml\n[dependencies]\nrequiem-ssd = { path = \"../ssd\" }",
         ok: "# crates/flash/Cargo.toml\n[dependencies]\nrequiem-sim = { path = \"../sim\" }",
         check: Check::CrateScoped,
-    },
-    Rule {
-        id: "PRB02",
-        family: "probe",
-        summary: "a file opening probe spans must also close or detach them",
-        rationale: "The span-tiling invariant (spans tile [submit, done)) only holds when \
-                    every opened command is eventually closed or detached; a file that only \
-                    opens is leaking records.",
-        bad: "let scope = probe.open_command(\"read\", now);\n// no close/detach anywhere in the file",
-        ok: "let scope = probe.open_command(\"read\", now);\nscope.close(done);",
-        check: Check::File(probe::check),
-    },
-    Rule {
-        id: "PRB03",
-        family: "probe",
-        summary: "spans must be closed, detached, or aborted on every exit path",
-        rationale: "PRB02 checks files; PRB03 checks paths. A `?` or `return` while a scope \
-                    is live silently drop-aborts the command record — error paths must say \
-                    `scope.abort()` out loud so the discard is a decision, not an accident.",
-        bad: "let scope = probe.open_command(\"io\", now);\nlet c = self.dispatch(now, req)?; // ? drops scope\nscope.close(c.done);",
-        ok: "let scope = probe.open_command(\"io\", now);\nlet c = match self.dispatch(now, req) {\n    Ok(c) => c,\n    Err(e) => { scope.abort(); return Err(e); }\n};\nscope.close(c.done);",
-        check: Check::Sem(probe::check_paths),
-    },
-    Rule {
-        id: "IOS02",
-        family: "fallibility",
-        summary: "a bound fallible result must actually be consumed",
-        rationale: "`#[must_use]` on IoStatus and WalForce stops a status dropped in statement \
-                    position, but `let _ = force(…)`, a never-read binding, or a `.done`-only \
-                    projection passes rustc — and the status still dies unobserved.",
-        bad: "let t = self.wal_dev.force(now, to).done; // status projected away",
-        ok: "let f = self.wal_dev.force(now, to);\nself.note_force(f.status);\nlet t = f.done;",
-        check: Check::Sem(fallibility::check),
-    },
-    Rule {
-        id: "CLK01",
-        family: "clock",
-        summary: "a time binding goes stale after a device-driving call until folded forward",
-        rationale: "exec.rs's event clock must stay globally monotone: each device interaction \
-                    returns the device's new time head, and submitting the next command with \
-                    the old binding schedules it in the device's past — breaking deterministic \
-                    replay.",
-        bad: "let f = self.wal_dev.force(end, to);\nself.note_force(f.status);\nlet done = self.backend.steal_write(end, page); // stale `end`",
-        ok: "let f = self.wal_dev.force(end, to);\nself.note_force(f.status);\nend = end.max(f.done);\nlet done = self.backend.steal_write(end, page);",
-        check: Check::Sem(clock::check),
     },
     Rule {
         id: "TIM01",
@@ -263,17 +190,6 @@ pub fn run_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     for r in RULES {
         if let Check::File(f) = r.check {
             out.extend(f(ctx));
-        }
-    }
-    out
-}
-
-/// Run every parser-backed semantic rule on one file.
-pub fn run_sem(sem: &SemCtx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for r in RULES {
-        if let Check::Sem(f) = r.check {
-            out.extend(f(sem));
         }
     }
     out

@@ -33,11 +33,6 @@ impl FileCat {
     pub fn is_testish(self) -> bool {
         !matches!(self, FileCat::Main)
     }
-
-    /// True for shipped `src/**` code — the scope of the semantic rules.
-    pub fn is_main(self) -> bool {
-        matches!(self, FileCat::Main)
-    }
 }
 
 /// One `.rs` file of a crate.

@@ -151,22 +151,6 @@ fn lay_manifest_inversion_fires_and_legal_dep_is_clean() {
 }
 
 #[test]
-fn prb_fixture_fires_and_twin_is_clean() {
-    let bad = fired(
-        "requiem-block",
-        "crates/block/src/fixture.rs",
-        include_str!("fixtures/prb_bad.rs"),
-    );
-    assert!(bad.contains(&"PRB02"), "fired: {bad:?}");
-    let ok = fired(
-        "requiem-block",
-        "crates/block/src/fixture.rs",
-        include_str!("fixtures/prb_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
-}
-
-#[test]
 fn tim_fixture_fires_and_twin_is_clean() {
     let bad = fired(
         "requiem-ssd",
@@ -208,66 +192,6 @@ fn uns_manifest_must_inherit_workspace_lints() {
         &format!("{toml}\n[lints]\nworkspace = true\n"),
     );
     assert!(inherits.is_empty(), "{inherits:?}");
-}
-
-#[test]
-fn ios_fixture_fires_and_twin_is_clean() {
-    let bad = fired(
-        "requiem-db",
-        "crates/db/src/fixture.rs",
-        include_str!("fixtures/ios_bad.rs"),
-    );
-    assert_eq!(
-        bad.iter().filter(|r| **r == "IOS02").count(),
-        3,
-        "discard + unconsumed + projection expected: {bad:?}"
-    );
-    let ok = fired(
-        "requiem-db",
-        "crates/db/src/fixture.rs",
-        include_str!("fixtures/ios_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
-}
-
-#[test]
-fn clk_fixture_fires_and_twin_is_clean() {
-    let bad = fired(
-        "requiem-db",
-        "crates/db/src/fixture.rs",
-        include_str!("fixtures/clk_bad.rs"),
-    );
-    assert_eq!(
-        bad.iter().filter(|r| **r == "CLK01").count(),
-        1,
-        "one stale reuse expected: {bad:?}"
-    );
-    let ok = fired(
-        "requiem-db",
-        "crates/db/src/fixture.rs",
-        include_str!("fixtures/clk_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
-}
-
-#[test]
-fn prb3_path_fixture_fires_and_twin_is_clean() {
-    let bad = fired(
-        "requiem-ssd",
-        "crates/ssd/src/fixture.rs",
-        include_str!("fixtures/prb3_bad.rs"),
-    );
-    assert_eq!(
-        bad.iter().filter(|r| **r == "PRB03").count(),
-        3,
-        "`?` leak + fall-through leak + dropped statement expected: {bad:?}"
-    );
-    let ok = fired(
-        "requiem-ssd",
-        "crates/ssd/src/fixture.rs",
-        include_str!("fixtures/prb3_ok.rs"),
-    );
-    assert!(ok.is_empty(), "clean twin fired: {ok:?}");
 }
 
 #[test]

@@ -333,7 +333,7 @@ mod tests {
         }
         for i in 0..700u64 {
             w.append(Lsn(i + 1), PAGE_SIZE as u32);
-            t = w.force(t, Lsn(i + 1)).done;
+            t = w.force(t, Lsn(i + 1)).settle().expect("a clean force");
         }
         if truncate {
             // the checkpoint horizon sits just below the tail: all but
@@ -383,8 +383,15 @@ mod tests {
         let mut wv = v.make_wal();
         wl.append(Lsn(1), 256);
         wv.append(Lsn(1), 256);
-        let tl = wl.force(SimTime::ZERO, Lsn(1)).done.since(SimTime::ZERO);
-        let tv = wv.force(SimTime::ZERO, Lsn(1)).done.since(SimTime::ZERO);
+        let tl = wl
+            .force(SimTime::ZERO, Lsn(1))
+            .settle()
+            .expect("a clean force");
+        let tv = wv
+            .force(SimTime::ZERO, Lsn(1))
+            .settle()
+            .expect("a clean force");
+        let (tl, tv) = (tl.since(SimTime::ZERO), tv.since(SimTime::ZERO));
         assert!(
             tl.as_nanos() > 10 * tv.as_nanos(),
             "legacy {tl} vs vision {tv}"
@@ -400,7 +407,7 @@ mod tests {
         // 10 KiB of log = 3 page writes, visible on the *backend's* SSD:
         // the WAL port shares the device with the page traffic
         w.append(Lsn(1), 10 * 1024);
-        assert_eq!(w.force(SimTime::ZERO, Lsn(1)).status, IoStatus::Ok);
+        assert!(w.force(SimTime::ZERO, Lsn(1)).settle().is_ok());
         let after = l.ssd().metrics().host_writes;
         assert_eq!(after - before, 3);
     }
@@ -463,9 +470,12 @@ mod tests {
         let mut v = vision();
         let mut w = v.make_wal();
         w.append(Lsn(1), 100);
-        let f = w.force(SimTime::ZERO, Lsn(1));
+        let t = w
+            .force(SimTime::ZERO, Lsn(1))
+            .settle()
+            .expect("a clean force");
         w.append(Lsn(2), 100);
-        assert_eq!(w.force(f.done, Lsn(2)).status, IoStatus::Ok);
+        assert!(w.force(t, Lsn(2)).settle().is_ok());
         assert_eq!(w.stats().log_forces, 2);
         assert_eq!(w.stats().log_bytes, 200);
         assert_eq!(w.label(), "pcm-wal");

@@ -289,6 +289,13 @@ impl BufferPool {
             .collect()
     }
 
+    /// The newest log record any dirty frame's redo names (0 when none
+    /// does): what a checkpoint's batch must find durable.
+    pub(crate) fn dirty_lsn(&self) -> u64 {
+        let dirty = self.frames.iter().filter(|f| f.dirty);
+        dirty.map(|f| f.redo.lsn).max().unwrap_or(0)
+    }
+
     /// Hand every dirty frame's redo to `write`, in frame order, and leave
     /// the frames resident and clean (a checkpoint).
     pub(crate) fn take_dirty(&mut self, mut write: impl FnMut(PageId, &Redo)) {

@@ -666,10 +666,13 @@ mod tests {
         // two sub-page forces rewrite the same tail segment: the first
         // version must be freed when the second lands
         w.append(Lsn(512), 512);
-        t = w.force(t, Lsn(512)).done;
+        t = w.force(t, Lsn(512)).settle().expect("a clean force");
         assert_eq!(b.dev().metrics().host_trims, 0, "first version is live");
         w.append(Lsn(1024), 512);
-        let _ = w.force(t, Lsn(1024));
+        assert!(
+            w.force(t, Lsn(1024)).settle().is_ok(),
+            "the tail rewrite lands"
+        );
         assert_eq!(
             b.dev().metrics().host_trims,
             1,
@@ -687,7 +690,7 @@ mod tests {
         for i in 0..8u64 {
             let lsn = Lsn((i + 1) * PAGE_SIZE as u64);
             w.append(lsn, PAGE_SIZE as u32);
-            t = w.force(t, lsn).done;
+            t = w.force(t, lsn).settle().expect("a clean force");
         }
         assert_eq!(b.segs().len(), 8);
         let writes_before = b.dev().metrics().host_writes;
@@ -814,7 +817,7 @@ mod tests {
         for i in 0..4u64 {
             let lsn = Lsn((i + 1) * PAGE_SIZE as u64);
             w.append(lsn, PAGE_SIZE as u32);
-            t = w.force(t, lsn).done;
+            t = w.force(t, lsn).settle().expect("a clean force");
         }
         w.truncate(t, 2 * PAGE_SIZE as u64);
         // a scan over the whole range only pays for the two live segments

@@ -17,6 +17,8 @@
 //! log's updates of committed transactions onto the durable page images,
 //! LSN-guarded for idempotence.
 
+use std::collections::VecDeque;
+
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Histogram, IoStatus};
 
@@ -25,7 +27,7 @@ use crate::buffer::{BufferPool, EvictOutcome, PoolStats};
 use crate::images::PageImages;
 use crate::page::{PageId, PageImage, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::wal::{LogRecord, Lsn, Wal};
-use crate::walbackend::{PcmWal, WalBackend, WalConfig, WalForce};
+use crate::walbackend::{ForceFailed, PcmWal, WalBackend, WalConfig};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -114,6 +116,9 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) wal_dev: Box<dyn WalBackend>,
     pub(crate) pool: BufferPool,
     pub(crate) wal: Wal,
+    /// When each recent force made the log durable: the WAL law's
+    /// evidence (debug builds only).
+    pub(crate) durability: Durability,
     pub(crate) now: SimTime,
     /// Host-side model of the page images that are durable on the device
     /// or on their way there (the devices themselves model timing and
@@ -127,6 +132,69 @@ pub struct Database<B: PersistenceBackend> {
     /// Engine-level probe: commit spans (group wait vs shared force) are
     /// emitted here; a clone is forwarded to the backend's devices.
     pub(crate) probe: requiem_sim::Probe,
+}
+
+/// The WAL law's evidence: the recent forces that moved the durable
+/// horizon, `(horizon, end)`, oldest first. Debug builds fill it; release
+/// builds keep it empty and check nothing.
+///
+/// The law: a page write carries only records that are durable, and is
+/// submitted no earlier than the end of the force that made its newest
+/// record durable, nor than the end of a force issued for the write
+/// itself; a commit is acknowledged no earlier than the end of the force
+/// that made its record durable. With an asynchronous group force a newer
+/// force may still be in flight — a record an older force covered
+/// answers to the older one.
+#[derive(Debug, Default)]
+pub(crate) struct Durability {
+    forces: VecDeque<(Lsn, SimTime)>,
+    /// The horizon of the newest force that left the window: the force
+    /// behind a record at or below it is no longer known.
+    forgotten: Option<Lsn>,
+}
+
+impl Durability {
+    /// Forces kept: far more than can be in flight at once.
+    const WINDOW: usize = 64;
+
+    /// A force that moved the durable horizon to `horizon` ended at `end`.
+    fn note(&mut self, horizon: Lsn, end: SimTime) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        if self.forces.len() == Self::WINDOW {
+            if let Some((h, _)) = self.forces.pop_front() {
+                self.forgotten = Some(h);
+            }
+        }
+        self.forces.push_back((horizon, end));
+    }
+
+    /// Assert that the record at `lsn` is durable for what `what` does
+    /// with it at `at`. LSN 0 names no record (a page whose redo logged
+    /// nothing).
+    pub(crate) fn assert_durable(&self, wal: &Wal, lsn: u64, at: SimTime, what: &str) {
+        if !cfg!(debug_assertions) || lsn == 0 {
+            return;
+        }
+        let lsn = Lsn(lsn);
+        debug_assert!(
+            wal.flushed() >= Some(lsn),
+            "WAL law: {what} at {at:?} carries record {lsn:?} above the durable horizon {:?}",
+            wal.flushed()
+        );
+        if Some(lsn) <= self.forgotten {
+            return;
+        }
+        let covering = self.forces.partition_point(|&(h, _)| h < lsn);
+        if let Some(&(_, end)) = self.forces.get(covering) {
+            debug_assert!(
+                at >= end,
+                "WAL law: {what} at {at:?} precedes the end {end:?} of the force that made \
+                 record {lsn:?} durable"
+            );
+        }
+    }
 }
 
 impl<B: PersistenceBackend> std::fmt::Debug for Database<B> {
@@ -151,6 +219,7 @@ impl<B: PersistenceBackend> Database<B> {
         Database {
             pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
+            durability: Durability::default(),
             now: SimTime::ZERO,
             images: PageImages::new(cfg.data_pages),
             txn_latency: Histogram::new(),
@@ -181,16 +250,36 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Force the log to `lsn`, starting at `at`: the one way records
-    /// become durable. The force's status is counted into the engine
-    /// ledger and the durable horizon moves to `lsn`; what the clock does
-    /// with `done` is the caller's policy.
-    pub(crate) fn force_log(&mut self, at: SimTime, lsn: Lsn) -> WalForce {
-        let f = self.wal_dev.force(at, lsn);
-        if !f.status.is_success() {
+    /// become durable. Returns when the force ended, or its failure. A
+    /// failure is counted into the engine ledger, and the durable horizon
+    /// moves to `lsn` whatever the status; what the clock does with the
+    /// end is the caller's policy.
+    pub(crate) fn force_log(&mut self, at: SimTime, lsn: Lsn) -> Result<SimTime, ForceFailed> {
+        let forced = self.wal_dev.force(at, lsn).settle();
+        if forced.is_err() {
             self.stats.wal_force_failures += 1;
         }
+        if self.wal.flushed() < Some(lsn) {
+            self.durability.note(lsn, forced.unwrap_or_else(|f| f.done));
+        }
         self.wal.mark_flushed(lsn);
-        f
+        forced
+    }
+
+    /// The WAL rule before a page write at `at` whose newest log record
+    /// is `newest`: unless that record is durable, force the whole log
+    /// first. Returns the instant the write may be submitted and the
+    /// horizon of the force it issued (0 when none), which the write
+    /// waits for too.
+    fn force_ahead(&mut self, at: SimTime, newest: Lsn) -> (SimTime, u64) {
+        if self.wal.flushed() >= Some(newest) {
+            return (at, 0);
+        }
+        let unflushed = self.wal.next_lsn();
+        self.wal_dev.append(unflushed, 512);
+        // a failed force still ends the wait (counted in `force_log`)
+        let forced = self.force_log(at, unflushed);
+        (at.max(forced.unwrap_or_else(|f| f.done)), unflushed.0)
     }
 
     /// Attach a cross-layer [`Probe`](requiem_sim::Probe) to the backend's
@@ -255,7 +344,8 @@ impl<B: PersistenceBackend> Database<B> {
         let lsn = self.wal.append(LogRecord::Checkpoint);
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
-        self.now = self.now.max(self.force_log(self.now, lsn).done);
+        let forced = self.force_log(self.now, lsn);
+        self.now = self.now.max(forced.unwrap_or_else(|f| f.done));
         self.loaded = true;
     }
 
@@ -295,12 +385,13 @@ impl<B: PersistenceBackend> Database<B> {
     /// frame's redo to the durable image. Returns the instant the device
     /// is done.
     pub(crate) fn write_back_stolen(&mut self, at: SimTime, page_id: PageId) -> SimTime {
-        let mut end = at;
-        let unflushed = self.wal.next_lsn();
-        if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
-            self.wal_dev.append(unflushed, 512);
-            end = end.max(self.force_log(end, unflushed).done);
-        }
+        // a steal forces whatever the log holds past the horizon, not
+        // only the stolen page's records
+        let (mut end, forced) = self.force_ahead(at, self.wal.next_lsn());
+        let what = "a stolen page's write";
+        self.durability
+            .assert_durable(&self.wal, self.pool.stolen().lsn, end, what);
+        self.durability.assert_durable(&self.wal, forced, end, what);
         end = end.max(self.backend.steal_write(end, page_id));
         self.stats.steal_stall += end.since(at);
         let durable = self.images.durable_mut(page_id);
@@ -344,7 +435,15 @@ impl<B: PersistenceBackend> Database<B> {
         let commit_lsn = self.wal.append(LogRecord::Commit { txn });
         let force_bytes = if wrote { log_bytes.max(32) } else { 32 };
         self.wal_dev.append(commit_lsn, force_bytes);
-        self.now = self.now.max(self.force_log(self.now, commit_lsn).done);
+        // a failed force is counted, and the commit still acknowledged
+        let forced = self.force_log(self.now, commit_lsn);
+        self.now = self.now.max(forced.unwrap_or_else(|f| f.done));
+        self.durability.assert_durable(
+            &self.wal,
+            commit_lsn.0,
+            self.now,
+            "a commit's acknowledgement",
+        );
         let commit_force = self.now.since(commit_started);
         self.stats.commit_stall += commit_force;
         self.stats.commits += 1;
@@ -390,18 +489,33 @@ impl<B: PersistenceBackend> Database<B> {
     /// record lies at or above `open`: the trim keeps the log from there.
     pub(crate) fn checkpoint_keeping(&mut self, open: Option<Lsn>) {
         let ids = self.pool.dirty_pages();
+        let mut landed = self.now;
         if !ids.is_empty() {
-            let done = self.backend.page_batch(self.now, &ids);
+            let (at, forced) = self.force_ahead(self.now, Lsn(self.pool.dirty_lsn()));
+            let what = "a checkpoint batch's page";
+            self.durability.assert_durable(&self.wal, forced, at, what);
+            let done = self.backend.page_batch(at, &ids);
+            landed = done;
             self.now = self.now.max(done);
-            let images = &mut self.images;
-            self.pool
-                .take_dirty(|pid, redo| images.write(done, pid, redo));
+            let (images, durability, wal) = (&mut self.images, &self.durability, &self.wal);
+            self.pool.take_dirty(|pid, redo| {
+                durability.assert_durable(wal, redo.lsn, at, what);
+                images.write(done, pid, redo)
+            });
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
+        // the record is an honest redo lower bound only once the batch
+        // has landed: its force starts no earlier
+        debug_assert!(
+            self.now >= landed,
+            "WAL law: a checkpoint record's force at {:?} starts before its batch lands at \
+             {landed:?}",
+            self.now
+        );
         let force = self.force_log(self.now, lsn);
-        self.now = self.now.max(force.done);
+        self.now = self.now.max(force.unwrap_or_else(|f| f.done));
         self.stats.checkpoints += 1;
         // every log byte before the checkpoint record is now outside the
         // redo horizon: release those segments eagerly so the device's
@@ -414,7 +528,7 @@ impl<B: PersistenceBackend> Database<B> {
         // the batch has landed, so no frame and no write in flight names
         // a byte below the checkpoint: the host log keeps what the
         // medium keeps, and what the open transactions may still commit
-        if force.status.is_success() {
+        if force.is_ok() {
             self.wal.trim(open.map_or(lsn, |o| o.min(lsn)));
         }
     }
@@ -868,6 +982,66 @@ mod tests {
         assert_eq!(db.visible_owner(11, 4), 1);
         db.crash();
         assert_eq!((db.visible_owner(10, 3), db.visible_owner(11, 4)), (1, 1));
+    }
+
+    /// A log whose recovery scans all read back unrecoverable.
+    struct LostLog(Box<dyn WalBackend>);
+
+    impl WalBackend for LostLog {
+        fn append(&mut self, lsn: Lsn, bytes: u32) {
+            self.0.append(lsn, bytes)
+        }
+        fn force(&mut self, now: SimTime, to: Lsn) -> crate::walbackend::WalForce {
+            self.0.force(now, to)
+        }
+        fn truncate(&mut self, now: SimTime, up_to_byte: u64) {
+            self.0.truncate(now, up_to_byte)
+        }
+        fn recover_scan(&mut self, now: SimTime, offset: u64, bytes: u32) -> (SimTime, IoStatus) {
+            let (done, _) = self.0.recover_scan(now, offset, bytes);
+            (done, IoStatus::Unrecoverable)
+        }
+        fn stats(&self) -> &crate::walbackend::WalStats {
+            self.0.stats()
+        }
+        fn label(&self) -> &'static str {
+            "lost-log"
+        }
+    }
+
+    /// `flaky_db` over a [`LostLog`].
+    fn flaky_db_losing_log_scans() -> Database<FlakyBackend> {
+        let mut db = flaky_db(IoStatus::Unrecoverable);
+        let log = std::mem::replace(&mut db.wal_dev, db.backend.make_wal());
+        db.wal_dev = Box::new(LostLog(log));
+        db
+    }
+
+    #[test]
+    fn a_lost_recovery_scan_is_counted_and_replay_proceeds() {
+        let mut db = flaky_db_losing_log_scans();
+        db.execute(&[(10, 3, true)], 256);
+        db.crash();
+        assert!(db.recover() >= 1, "replay proceeds over the durable prefix");
+        assert_eq!(db.stats().media_failures, 1, "the scan's loss is counted");
+        assert_eq!(db.visible_owner(10, 3), 1);
+    }
+
+    #[test]
+    fn a_lost_media_redo_scan_is_counted() {
+        let mut db = flaky_db_losing_log_scans();
+        db.execute(&[(10, 3, true)], 256);
+        for i in 100..140u64 {
+            db.execute(&[(i, 0, false)], 32);
+        }
+        db.backend.fail_page = Some(PageId(10));
+        db.execute(&[(10, 3, false)], 32);
+        assert_eq!(
+            db.stats().media_failures,
+            2,
+            "the page read and the log scan behind its redo"
+        );
+        assert_eq!(db.visible_owner(10, 3), 1);
     }
 
     #[test]

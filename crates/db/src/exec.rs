@@ -849,8 +849,13 @@ impl<B: PersistenceBackend> Database<B> {
         // one shared force to the group's horizon drains every member's
         // enlisted bytes in one device interaction
         let horizon = members.iter().map(|m| m.lsn).max().unwrap_or(Lsn(0));
-        let f = self.force_log(t, horizon);
-        let done = f.done;
+        let (done, status) = match self.force_log(t, horizon) {
+            Ok(done) => (done, IoStatus::Ok),
+            // a failed force still resolves the group at its end: a
+            // `Prepare` member votes NO, but a `Commit` member is
+            // acknowledged anyway — the failure is only counted
+            Err(failed) => (failed.done, failed.status),
+        };
         if st.async_force {
             // sharded coordinator: the force's outcome is already fully
             // determined (slot frees, stats, and outbox all carry
@@ -885,7 +890,7 @@ impl<B: PersistenceBackend> Database<B> {
                 // way; commit accounting waits for the decision.
                 st.outbox.push(ShardEvent::Prepared {
                     txn: m.txn,
-                    status: f.status,
+                    status,
                     done,
                     started: m.started,
                 });
@@ -893,6 +898,8 @@ impl<B: PersistenceBackend> Database<B> {
                 st.slots[m.slot].txn = None;
                 continue;
             }
+            self.durability
+                .assert_durable(&self.wal, m.lsn.0, done, "a commit's acknowledgement");
             let commit_force = done.since(m.enlisted);
             self.stats.commit_stall += commit_force;
             self.stats.commits += 1;

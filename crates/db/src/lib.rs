@@ -46,8 +46,15 @@
 //!
 //! Virtual time discipline: RAM operations are free; every device
 //! interaction advances the clock through the backend.
+//!
+//! Status policy: rustc denies a `#[must_use]` `IoStatus` or `WalForce`
+//! dropped in statement position (the workspace's `unused_must_use`);
+//! clippy denies one bound to `_` in this crate and its unit tests. A `WalForce`
+//! yields its instant only through [`WalForce::settle`], which hands a
+//! failed force to the caller.
 
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod backend;
 pub mod buffer;
@@ -79,4 +86,6 @@ pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use shard::{ShardedDb, ShardedReport};
 pub use stack_backend::BlockStackBackend;
 pub use wal::GroupCommitPolicy;
-pub use walbackend::{FlashWal, PcmWal, PcmWalConfig, WalBackend, WalConfig, WalForce, WalStats};
+pub use walbackend::{
+    FlashWal, ForceFailed, PcmWal, PcmWalConfig, WalBackend, WalConfig, WalForce, WalStats,
+};

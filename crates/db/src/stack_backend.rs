@@ -776,8 +776,8 @@ mod tests {
                         ref_wal.append(lsn, 64 * n as u32);
                         let got = wal.force(t, lsn);
                         let want = ref_wal.force(t, lsn);
-                        prop_assert_eq!((got.done, got.status), (want.done, want.status));
-                        t = got.done;
+                        prop_assert_eq!(got, want);
+                        t = got.settle().unwrap_or_else(|failed| failed.done);
                     }
                 }
                 prop_assert_eq!(
@@ -817,7 +817,7 @@ mod tests {
         assert!(t2 > t1);
         assert_eq!(st, IoStatus::Ok);
         w.append(Lsn(1), 256);
-        let t3 = w.force(t2, Lsn(1)).done;
+        let t3 = w.force(t2, Lsn(1)).settle().expect("a clean force");
         assert!(t3 > t2);
         assert_eq!(b.stats().page_writes, 1);
         assert_eq!(b.stats().page_reads, 1);
@@ -882,7 +882,10 @@ mod tests {
         let mut b = backend();
         let mut w = b.make_wal();
         w.append(Lsn(1), 10 * 1024);
-        let t1 = w.force(SimTime::ZERO, Lsn(1)).done;
+        let t1 = w
+            .force(SimTime::ZERO, Lsn(1))
+            .settle()
+            .expect("a clean force");
         let reads_before = b.ssd().metrics().host_reads;
         let (t2, st) = w.recover_scan(t1, 0, 10 * 1024);
         assert!(t2 > t1);

@@ -422,10 +422,11 @@ impl Wal {
         self.flushed
     }
 
-    /// Mark everything up to `lsn` durable (called after a successful
-    /// force). The horizon never moves backwards: a force to an LSN
-    /// already covered — a group's members enlisted before a steal
-    /// forced the whole log — leaves it where it is.
+    /// Mark everything up to `lsn` durable (called after every force,
+    /// whatever its status: the engine counts a failed force but does
+    /// not hold the horizon back). The horizon never moves backwards: a
+    /// force to an LSN already covered — a group's members enlisted
+    /// before a steal forced the whole log — leaves it where it is.
     pub fn mark_flushed(&mut self, lsn: Lsn) {
         self.flushed = self.flushed.max(Some(lsn));
     }

@@ -76,15 +76,47 @@ pub struct WalStats {
 
 /// Completion of a [`WalBackend::force`]: when the log became durable and
 /// the typed media status of the writes that made it so.
+///
+/// Its fields are private: [`WalForce::settle`] is the one way to the
+/// instant, and it hands a failure to the caller as an `Err`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "a dropped force hides whether the log became durable"]
 pub struct WalForce {
-    /// Instant the log is durable up to the requested LSN (the committer
-    /// waits until here).
+    done: SimTime,
+    status: IoStatus,
+}
+
+impl WalForce {
+    /// A force that ended at `done` with the combined `status` of its
+    /// device writes: what a [`WalBackend`] implementation returns.
+    pub fn new(done: SimTime, status: IoStatus) -> Self {
+        WalForce { done, status }
+    }
+
+    /// The instant the log is durable up to the requested LSN (the
+    /// committer waits until here), or the failure: a force whose device
+    /// writes failed did *not* establish durability.
+    pub fn settle(self) -> Result<SimTime, ForceFailed> {
+        if self.status.is_success() {
+            Ok(self.done)
+        } else {
+            Err(ForceFailed {
+                done: self.done,
+                status: self.status,
+            })
+        }
+    }
+}
+
+/// A [`WalForce`] whose device writes failed: the time was spent, the
+/// durability was not established. The engine counts it
+/// ([`EngineStats::wal_force_failures`](crate::engine::EngineStats)) and still
+/// moves its durable horizon past the records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForceFailed {
+    /// When the failed force ended.
     pub done: SimTime,
-    /// Combined status of the device writes. A failure means durability
-    /// was *not* established — the engine counts it and the records stay
-    /// un-flushed from recovery's point of view.
+    /// The failing combined status (rejected or unrecoverable).
     pub status: IoStatus,
 }
 
@@ -100,7 +132,8 @@ pub trait WalBackend {
 
     /// Make every enlisted record at or below `to` durable; returns the
     /// completion carrying the typed status. Synchronous — the committer
-    /// waits until [`WalForce::done`]. Draining nothing is free.
+    /// waits until the instant [`WalForce::settle`] yields. Draining
+    /// nothing is free.
     fn force(&mut self, now: SimTime, to: Lsn) -> WalForce;
 
     /// Checkpoint truncation: every log byte below `up_to_byte` is
@@ -217,10 +250,7 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
         });
         if bytes == 0 {
             // everything at the horizon is already durable
-            return WalForce {
-                done: now,
-                status: IoStatus::Ok,
-            };
+            return WalForce::new(now, IoStatus::Ok);
         }
         self.stats.log_forces += 1;
         self.stats.log_bytes += bytes;
@@ -244,7 +274,7 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
         if !status.is_success() {
             self.stats.force_failures += 1;
         }
-        WalForce { done: t, status }
+        WalForce::new(t, status)
     }
 
     fn truncate(&mut self, now: SimTime, up_to_byte: u64) {
@@ -479,10 +509,7 @@ impl WalBackend for PcmWal {
             }
         });
         if bytes == 0 {
-            return WalForce {
-                done: now,
-                status: IoStatus::Ok,
-            };
+            return WalForce::new(now, IoStatus::Ok);
         }
         self.stats.log_forces += 1;
         self.stats.log_bytes += bytes;
@@ -500,10 +527,7 @@ impl WalBackend for PcmWal {
             .pcm
             .borrow_mut()
             .persist(now, self.log_base + offset, &self.filler[..len]);
-        WalForce {
-            done,
-            status: IoStatus::Ok,
-        }
+        WalForce::new(done, IoStatus::Ok)
     }
 
     fn truncate(&mut self, _now: SimTime, _up_to_byte: u64) {
@@ -578,6 +602,47 @@ mod tests {
         let f2 = w.force(f.done, Lsn(300));
         assert_eq!(w.stats().log_bytes, 96);
         assert!(f2.done > f.done);
+    }
+
+    /// A log device whose every segment write and read fails.
+    struct FailingLog;
+
+    impl LogDevice for FailingLog {
+        fn write_seg(&mut self, now: SimTime, _seg: u64) -> (SimTime, IoStatus) {
+            (now + SimDuration::from_micros(100), IoStatus::Unrecoverable)
+        }
+        fn read_seg(&mut self, now: SimTime, _seg: u64) -> Option<(SimTime, IoStatus)> {
+            Some((now + SimDuration::from_micros(50), IoStatus::Unrecoverable))
+        }
+        fn trim_seg(&mut self, _now: SimTime, _seg: u64) -> bool {
+            true
+        }
+        fn label(&self) -> &'static str {
+            "failing-log"
+        }
+    }
+
+    #[test]
+    fn a_failed_segment_write_fails_the_force() {
+        let mut w = FlashWal::new(FailingLog, 8);
+        w.append(Lsn(1), 256);
+        let failed = w.force(SimTime::ZERO, Lsn(1)).settle();
+        let failed = failed.expect_err("no segment reached the medium");
+        assert_eq!(failed.status, IoStatus::Unrecoverable);
+        assert_eq!(
+            failed.done,
+            SimTime::from_micros(100),
+            "the time is still spent"
+        );
+        assert_eq!(w.stats().force_failures, 1);
+    }
+
+    #[test]
+    fn a_failed_segment_read_fails_the_scan() {
+        let mut w = FlashWal::new(FailingLog, 8);
+        let (done, status) = w.recover_scan(SimTime::ZERO, 0, 2 * PAGE_SIZE as u32);
+        assert_eq!(status, IoStatus::Unrecoverable);
+        assert_eq!(done, SimTime::from_micros(100), "two segments, serialized");
     }
 
     #[test]

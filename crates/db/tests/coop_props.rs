@@ -54,7 +54,8 @@ impl Churned {
     fn force(&mut self, bytes: u32) {
         self.lsn += u64::from(bytes);
         self.w.append(Lsn(self.lsn), bytes);
-        self.t = self.w.force(self.t, Lsn(self.lsn)).done;
+        let forced = self.w.force(self.t, Lsn(self.lsn)).settle();
+        self.t = forced.unwrap_or_else(|failed| failed.done);
     }
 }
 
@@ -282,7 +283,10 @@ fn a_refused_write_completes_no_earlier_than_the_device_refused_it() {
     }
     for seg in 1..=8u64 {
         w.append(Lsn(seg * PAGE_SIZE as u64), PAGE_SIZE as u32);
-        t = w.force(t, Lsn(seg * PAGE_SIZE as u64)).done;
+        t = w
+            .force(t, Lsn(seg * PAGE_SIZE as u64))
+            .settle()
+            .expect("the log fits");
     }
     assert_eq!(b.rejected_writes(), 0, "every promised page fits");
 
@@ -306,12 +310,15 @@ fn a_refused_write_completes_no_earlier_than_the_device_refused_it() {
     let t = done;
     let lsn = Lsn(8 * PAGE_SIZE as u64 + 512);
     w.append(lsn, 512);
-    let force = w.force(t, lsn);
-    assert_eq!(force.status, IoStatus::Rejected);
+    let failed = w
+        .force(t, lsn)
+        .settle()
+        .expect_err("the full device refuses");
+    assert_eq!(failed.status, IoStatus::Rejected);
     assert!(
-        force.done >= refused_at(&b, so_far + 4),
+        failed.done >= refused_at(&b, so_far + 4),
         "force returned {}",
-        force.done
+        failed.done
     );
 }
 

@@ -104,10 +104,11 @@ impl WalBackend for FlakyWal {
         self.inner.append(lsn, bytes)
     }
     fn force(&mut self, now: SimTime, to: Lsn) -> WalForce {
-        let mut f = self.inner.force(now, to);
+        let f = self.inner.force(now, to);
         self.forces += 1;
         if self.fail_every > 0 && self.forces % self.fail_every == 0 {
-            f.status = IoStatus::Unrecoverable;
+            let done = f.settle().unwrap_or_else(|failed| failed.done);
+            return WalForce::new(done, IoStatus::Unrecoverable);
         }
         f
     }

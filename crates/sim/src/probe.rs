@@ -473,10 +473,13 @@ impl ProbeBus {
 /// completion time. A scope that *joined* an already-open command (or a
 /// disabled probe) closes as a no-op.
 ///
-/// Dropping an owned scope without closing it **aborts** the command: the
-/// unfinished record is discarded and the bus reopens for the next
-/// command. This keeps error paths (`?` past an open scope) from wedging
-/// the bus with a phantom open command.
+/// Every scope must end in [`close`](Self::close),
+/// [`detach`](Self::detach) or [`abort`](Self::abort), on every path, the
+/// probe on or off: in debug builds a scope dropped any other way panics
+/// (unless the thread is already unwinding), so a `?` or an early return
+/// past a live scope fails the first test that takes it. Release builds
+/// keep a backstop: dropping an owned scope aborts the command — the
+/// unfinished record is discarded and the bus reopens for the next one.
 #[must_use = "close the command scope with its completion time"]
 pub struct CommandScope {
     bus: Option<Rc<RefCell<ProbeBus>>>,
@@ -505,16 +508,17 @@ impl CommandScope {
             debug_assert_eq!(b.open, Some(self.id), "detach of a non-open command");
             b.open = None;
         }
-        self.id
+        let id = self.id;
+        std::mem::forget(self);
+        id
     }
 
-    /// Abort the command explicitly: discard the unfinished record and
-    /// reopen the bus, exactly as the drop-abort would — but visibly, so
-    /// error paths can state their intent (`scope.abort(); return
-    /// Err(e);`) instead of relying on an implicit drop the reader (and
-    /// the `requiem-lint` PRB03 pass) cannot tell apart from a leak.
-    pub fn abort(self) {
-        drop(self);
+    /// Abort the command: discard the unfinished record and reopen the
+    /// bus. Error paths say so (`scope.abort(); return Err(e);`): a scope
+    /// merely dropped there is a leak, which debug builds panic on.
+    pub fn abort(mut self) {
+        self.abort_owned();
+        std::mem::forget(self);
     }
 
     /// Close the command at `done`.
@@ -524,19 +528,27 @@ impl CommandScope {
         if let (Some(bus), true) = (self.bus.take(), owned) {
             bus.borrow_mut().close_command(self.id, done);
         }
+        std::mem::forget(self);
+    }
+
+    fn abort_owned(&mut self) {
+        if let (Some(bus), true) = (self.bus.take(), self.owned) {
+            bus.borrow_mut().abort_command(self.id);
+        }
     }
 }
 
+/// Only a scope that was neither closed, detached nor aborted drops: the
+/// three consume it without running this.
 impl Drop for CommandScope {
     #[inline]
     fn drop(&mut self) {
-        if !self.owned {
-            return;
-        }
-        if let Some(bus) = self.bus.take() {
-            // abort: the command never completed
-            bus.borrow_mut().abort_command(self.id);
-        }
+        self.abort_owned();
+        debug_assert!(
+            std::thread::panicking(),
+            "command scope {} dropped without close, detach or abort",
+            self.id
+        );
     }
 }
 
@@ -1057,13 +1069,24 @@ mod tests {
         assert_eq!(total, MICROSECOND * 5);
     }
 
+    /// The drop aborts the command in every build; debug builds also
+    /// panic at it.
     #[test]
     fn dropped_scope_aborts_command() {
         let p = Probe::recording();
-        {
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _scope = p.open_command("write", SimTime::ZERO);
             // error path: scope dropped without close
-        }
+        }));
+        let message = dropped
+            .as_ref()
+            .err()
+            .and_then(|e| e.downcast_ref::<String>());
+        assert_eq!(
+            message.is_some_and(|m| m.contains("dropped without close")),
+            cfg!(debug_assertions),
+            "{message:?}"
+        );
         assert!(p.commands().is_empty());
         // the bus is reusable afterwards
         let scope = p.open_command("read", SimTime::ZERO);

@@ -524,15 +524,15 @@ fn coop_pcm_run_is_pinned() {
     base.shape.channels = 1;
     base.shape.chips_per_channel = 1;
     let (inputs, mut db, report) = coop_pcm_pin_run(&base);
-    assert_eq!(db.now().as_nanos(), 10_134_896_698);
+    assert_eq!(db.now().as_nanos(), 10_134_895_828);
     assert_eq!(
         (report.txns, report.forces, report.coalesced),
         (2000, 663, 253)
     );
     assert_eq!(
         format!("{:?}", db.stats()),
-        "EngineStats { commits: 2000, checkpoints: 3, read_stall: SimDuration(2734841875), \
-         steal_stall: SimDuration(8514991771), commit_stall: SimDuration(12722610), \
+        "EngineStats { commits: 2000, checkpoints: 3, read_stall: SimDuration(2734834915), \
+         steal_stall: SimDuration(8514988726), commit_stall: SimDuration(12732180), \
          media_recoveries: 0, media_failures: 0, wal_force_failures: 0 }"
     );
     assert_eq!(
@@ -558,12 +558,12 @@ fn coop_pcm_run_is_pinned() {
     let w = db.wal_backend().stats();
     assert_eq!(
         (w.appends, w.log_forces, w.log_bytes, w.logical_writes),
-        (2696, 1359, 835_232, 0)
+        (2698, 1361, 836_256, 0)
     );
     let wear = db.wal_backend().wear().expect("a PCM WAL reports wear");
     assert_eq!(
         (wear.total_line_writes, wear.max_line_writes, wear.gap_moves),
-        (14_270, 3, 141)
+        (14_287, 3, 141)
     );
 
     // every 125th transaction's first written record, across a crash
@@ -590,7 +590,7 @@ fn coop_pcm_run_is_pinned() {
         "records replayed past the last checkpoint"
     );
     assert_eq!(owners(&mut db), OWNERS);
-    assert_eq!(db.now().as_nanos(), 10_134_972_773);
+    assert_eq!(db.now().as_nanos(), 10_134_971_903);
 }
 
 /// The same run on `SsdConfig::modern()` as it is — the benchmark's
