@@ -4,7 +4,7 @@
 //! bit-reproducible: CI diffs double runs of exp1/exp4/exp11.
 //! `Instant::now`, `SystemTime`, `thread_rng` and `RandomState` pull
 //! wall-clock time or OS entropy into the simulation and silently break
-//! that guarantee. All time must come from [`SimTime`] and all randomness
+//! that guarantee. All time must come from `SimTime` and all randomness
 //! from the seeded, splittable `SimRng`. DET02 applies everywhere, tests
 //! included — a flaky test is still a broken promise.
 //!

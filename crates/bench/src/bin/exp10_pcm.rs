@@ -84,6 +84,11 @@ fn main() {
         format!("{}", t1.since(SimTime::ZERO)),
     ]);
     let t3 = dimm.persist(t2, 8192, &[0u8; 128]);
+    // a log force on the memory bus is orders of magnitude below a flash
+    // program, and even the PCM SSD's block path pays far more
+    let record = t3.since(t2).as_nanos();
+    assert!(w.latency.p50() > 200 * record, "flash force vs {record} ns");
+    assert!(rh.p50() > 5 * record, "PCM SSD read vs {record} ns");
     tbl.row([
         "PCM DIMM (memory bus, 128 B log record)".to_string(),
         "-".to_string(),
@@ -108,6 +113,13 @@ fn main() {
         tbl.row([format!("{qd}"), format!("{r:.0}"), format!("{w:.0}")]);
     }
     println!("{tbl}");
+    // two reads at once on one bank: the second queues behind the first
+    let cfg = PcmSsdConfig::small();
+    let mut dev = PcmSsd::new(cfg.clone());
+    let same_bank = (cfg.channels * cfg.banks_per_channel) as u64;
+    let first = dev.read_page(SimTime::ZERO, 0).latency;
+    let second = dev.read_page(SimTime::ZERO, same_bank).latency;
+    assert!(second > first, "same-bank reads: {first} then {second}");
     note("No erases, no GC — and the device still needs queue depth to reach nominal bandwidth: banks and channels queue exactly like flash's LUNs and channels.");
 
     // ------------------------------------------------------------------

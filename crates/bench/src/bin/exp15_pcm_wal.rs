@@ -3,9 +3,10 @@
 //!
 //! §3's principle P1: synchronous patterns (the commit force) belong on
 //! byte-addressable PCM on the memory bus; asynchronous patterns (page
-//! streaming) belong on flash. The [`WalBackend`] split makes the WAL
-//! medium a configuration knob, so the same engine, trace, and flash
-//! data path can carry its commit records four ways:
+//! streaming) belong on flash. The
+//! [`WalBackend`](requiem_db::walbackend::WalBackend) split makes the
+//! WAL medium a configuration knob, so the same engine, trace, and
+//! flash data path can carry its commit records four ways:
 //!
 //! * **flash immediate** — every commit forces a 4 KiB segment write:
 //!   today's conservative path.
@@ -14,7 +15,8 @@
 //! * **flash deadline** — an oversized group bounded by a 150 µs
 //!   deadline: the tail-control variant.
 //! * **pcm immediate** — the commit record persists byte-granularly on
-//!   the DIMM ([`PcmWal`]); no batching needed, truncation free.
+//!   the DIMM ([`PcmWal`](requiem_db::walbackend::PcmWal)); no batching
+//!   needed, truncation free.
 //!
 //! Sections:
 //!

@@ -86,6 +86,16 @@ fn main() {
     let series = run_series();
     print!("{}", series.table(&runs).align(0, Align::Left));
 
+    // over-provisioning buys the page map's WA down; the hybrid map's
+    // log blocks outrun a 7 % spare share and the device goes insolvent
+    let corner = |label: String| runs.iter().find(|r| r.config.label() == label);
+    for gc in ["greedy", "costben"] {
+        let wa = |op| corner(format!("page/{gc}/op{op}%")).map_or(f64::NAN, |r| r.final_wa);
+        assert!(wa(28) < wa(7), "page/{gc}: WA {:.2} → {:.2}", wa(7), wa(28));
+        let hybrid = corner(format!("hybrid/{gc}/op7%")).map(|r| r.insolvent_at);
+        assert!(matches!(hybrid, Some(Some(_))), "hybrid/{gc}/op7%");
+    }
+
     section("16b — GC debt (free-block deficit vs the post-fill pool)");
     print!("{}", debt_table(&runs));
 

@@ -94,6 +94,12 @@ fn main() {
         let mut pat = AddressPattern::new(Pattern::Sequential, span, seed);
         let r = run_closed_loop(&mut ssd, &mut pat, mix, 16, 512, seed, t0);
         let (cu, lu) = busy.close(&ssd);
+        // reads saturate the channel while chips idle; writes the reverse
+        let holds = match label {
+            "reads" => cu > 0.9 && lu < 0.3,
+            _ => lu > 0.9 && cu < 0.6,
+        };
+        assert!(holds, "{label}: channel {cu:.2}, chips {lu:.2}");
         tbl.row([
             label.to_string(),
             format!("{:.0}", r.iops),

@@ -4,7 +4,7 @@
 //! True on pre-2009 devices (block / hybrid FTLs); false on page-mapped
 //! devices with a write-back buffer — *"a controller can fully benefit
 //! from SSD parallelism when flushing the buffer regardless of the write
-//! pattern."* The sustained mode (`--sustained`) quantifies the paper's
+//! pattern."* The sustained-churn sections quantify the paper's
 //! future-work note: random writes still destroy *locality*, so garbage
 //! collection pays later even when latency doesn't.
 
@@ -33,7 +33,6 @@ fn seq_vs_random(cfg: SsdConfig, ops: u64, qd: usize, seed: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let sustained = std::env::args().any(|a| a == "--sustained");
     println!("# E3 — Myth 2: random vs sequential writes across device generations");
 
     section("Throughput (queue depth 4, 2048 writes after preconditioning)");
@@ -53,12 +52,20 @@ fn main() {
     ];
     for (dev, ftl, cfg) in devices {
         let (seq, rnd) = seq_vs_random(cfg, 2048, 4, 42);
+        let ratio = rnd / seq;
+        // 2009-era maps collapse, BAST's hardest; page maps reach parity
+        let holds = match ftl {
+            "block map" => ratio < 0.5,
+            "hybrid (BAST, 8 logs)" => ratio < 0.25,
+            _ => ratio > 0.8,
+        };
+        assert!(holds, "{dev} {ftl}: rnd/seq {ratio:.2}");
         tbl.row([
             dev.to_string(),
             ftl.to_string(),
             format!("{seq:.1}"),
             format!("{rnd:.1}"),
-            format!("{:.2}", rnd / seq),
+            format!("{ratio:.2}"),
         ]);
     }
     println!("{tbl}");
@@ -130,96 +137,105 @@ fn main() {
     println!("{tbl}");
     note("DFTL's deal: trade mapping RAM for translation-page flash traffic. A CMT covering the working set performs like a full page map; an undersized one thrashes — the design axis the paper's ref [10] explores.");
 
-    if sustained {
-        section(
-            "Sustained churn (`--sustained`): the GC/locality effect the paper left as future work",
-        );
-        note("Device filled once, then overwritten 4x its capacity; measurements per fill-round. Modern page-mapped device, no buffer, 12.5% OP.");
-        for (pattern, name) in [
-            (Pattern::Sequential, "sequential"),
-            (Pattern::UniformRandom, "random"),
-        ] {
-            let mut cfg = modern_unbuffered();
-            cfg.shape.channels = 4;
-            cfg.shape.chips_per_channel = 2;
-            let mut ssd = Ssd::new(cfg);
-            let pages = ssd.capacity().exported_pages;
-            let mut t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
-            println!("**{name} overwrites**\n");
-            let mut tbl = Table::new([
-                "round",
-                "MB/s",
-                "WA (cumulative)",
-                "GC runs",
-                "GC pages moved",
-                "p99 write",
-            ]);
-            let mut prev_programs = ssd.metrics().flash_programs.total();
-            let mut prev_host = ssd.metrics().host_writes;
-            for round in 1..=4u32 {
-                let r = measure(
-                    &mut ssd,
-                    pattern.clone(),
-                    pages,
-                    IoMix::write_only(),
-                    4,
-                    pages,
-                    round as u64,
-                    t,
-                );
-                t = ssd.drain_time();
-                let m = ssd.metrics();
-                let round_programs = m.flash_programs.total() - prev_programs;
-                let round_host = m.host_writes - prev_host;
-                prev_programs = m.flash_programs.total();
-                prev_host = m.host_writes;
-                tbl.row([
-                    format!("{round}"),
-                    format!("{:.1}", r.mb_per_s),
-                    format!("{:.2}", round_programs as f64 / round_host as f64),
-                    format!("{}", m.gc_runs),
-                    format!("{}", m.gc_pages_moved),
-                    fmt_ns(r.latency.p99()),
-                ]);
-            }
-            println!("{tbl}");
-        }
-        note("Expected shape: sequential stays at WA≈1 (victims fully dead); random WA climbs round over round as invalid pages scatter — 'pages that are to be reclaimed together tend to be spread over many blocks'.");
-
-        section("GC policy ablation on the random churn (greedy vs cost-benefit)");
-        let mut tbl =
-            Table::new(["GC policy", "MB/s", "final WA", "GC pages moved"]).align(0, Align::Left);
-        for policy in [GcPolicyKind::Greedy, GcPolicyKind::CostBenefit] {
-            let mut cfg = modern_unbuffered();
-            cfg.shape.channels = 4;
-            cfg.shape.chips_per_channel = 2;
-            cfg.gc.policy = policy;
-            let (ssd, r) = churned(cfg, 7);
+    section("Sustained churn: the GC/locality effect the paper left as future work");
+    note("Device filled once, then overwritten 4x its capacity; measurements per fill-round. Modern page-mapped device, no buffer, 12.5% OP.");
+    for (pattern, name) in [
+        (Pattern::Sequential, "sequential"),
+        (Pattern::UniformRandom, "random"),
+    ] {
+        let mut cfg = modern_unbuffered();
+        cfg.shape.channels = 4;
+        cfg.shape.chips_per_channel = 2;
+        let mut ssd = Ssd::new(cfg);
+        let pages = ssd.capacity().exported_pages;
+        let mut t = precondition_sequential(&mut ssd, pages, SimTime::ZERO);
+        println!("**{name} overwrites**\n");
+        let mut tbl = Table::new([
+            "round",
+            "MB/s",
+            "WA (cumulative)",
+            "GC runs",
+            "GC pages moved",
+            "p99 write",
+        ]);
+        let mut prev_programs = ssd.metrics().flash_programs.total();
+        let mut prev_host = ssd.metrics().host_writes;
+        let mut wa = 0.0;
+        for round in 1..=4u32 {
+            let r = measure(
+                &mut ssd,
+                pattern.clone(),
+                pages,
+                IoMix::write_only(),
+                4,
+                pages,
+                round as u64,
+                t,
+            );
+            t = ssd.drain_time();
             let m = ssd.metrics();
+            let round_programs = m.flash_programs.total() - prev_programs;
+            let round_host = m.host_writes - prev_host;
+            wa = round_programs as f64 / round_host as f64;
+            prev_programs = m.flash_programs.total();
+            prev_host = m.host_writes;
             tbl.row([
-                format!("{policy:?}"),
+                format!("{round}"),
                 format!("{:.1}", r.mb_per_s),
-                format!("{:.2}", m.write_amplification()),
+                format!("{wa:.2}"),
+                format!("{}", m.gc_runs),
                 format!("{}", m.gc_pages_moved),
+                fmt_ns(r.latency.p99()),
             ]);
         }
         println!("{tbl}");
-
-        section("Over-provisioning ablation (random churn, greedy GC)");
-        let mut tbl = Table::new(["OP ratio", "MB/s", "final WA"]);
-        for op in [0.07, 0.125, 0.28] {
-            let mut cfg = modern_unbuffered();
-            cfg.shape.channels = 4;
-            cfg.shape.chips_per_channel = 2;
-            cfg.op_ratio = op;
-            let (ssd, r) = churned(cfg, 8);
-            tbl.row([
-                format!("{:.0}%", op * 100.0),
-                format!("{:.1}", r.mb_per_s),
-                format!("{:.2}", ssd.metrics().write_amplification()),
-            ]);
-        }
-        println!("{tbl}");
-        note("More spare area → emptier victims → lower WA: the knob vendors actually turn.");
+        // sequential victims are wholly dead; random ones are not
+        let holds = if pattern == Pattern::Sequential {
+            wa < 1.1
+        } else {
+            wa > 1.5
+        };
+        assert!(holds, "{name} churn: last round's WA {wa:.2}");
     }
+    note("Expected shape: sequential stays at WA≈1 (victims fully dead); random WA climbs round over round as invalid pages scatter — 'pages that are to be reclaimed together tend to be spread over many blocks'.");
+
+    section("GC policy ablation on the random churn (greedy vs cost-benefit)");
+    let mut tbl =
+        Table::new(["GC policy", "MB/s", "final WA", "GC pages moved"]).align(0, Align::Left);
+    for policy in [GcPolicyKind::Greedy, GcPolicyKind::CostBenefit] {
+        let mut cfg = modern_unbuffered();
+        cfg.shape.channels = 4;
+        cfg.shape.chips_per_channel = 2;
+        cfg.gc.policy = policy;
+        let (ssd, r) = churned(cfg, 7);
+        let m = ssd.metrics();
+        tbl.row([
+            format!("{policy:?}"),
+            format!("{:.1}", r.mb_per_s),
+            format!("{:.2}", m.write_amplification()),
+            format!("{}", m.gc_pages_moved),
+        ]);
+    }
+    println!("{tbl}");
+
+    section("Over-provisioning ablation (random churn, greedy GC)");
+    let mut tbl = Table::new(["OP ratio", "MB/s", "final WA"]);
+    let mut tighter_wa = f64::INFINITY;
+    for op in [0.07, 0.125, 0.28] {
+        let mut cfg = modern_unbuffered();
+        cfg.shape.channels = 4;
+        cfg.shape.chips_per_channel = 2;
+        cfg.op_ratio = op;
+        let (ssd, r) = churned(cfg, 8);
+        let wa = ssd.metrics().write_amplification();
+        assert!(wa < tighter_wa, "OP {op}: WA {wa:.2} ≥ {tighter_wa:.2}");
+        tighter_wa = wa;
+        tbl.row([
+            format!("{:.0}%", op * 100.0),
+            format!("{:.1}", r.mb_per_s),
+            format!("{wa:.2}"),
+        ]);
+    }
+    println!("{tbl}");
+    note("More spare area → emptier victims → lower WA: the knob vendors actually turn.");
 }

@@ -12,7 +12,7 @@
 use requiem_bench::{closed_loop_iops, fmt_ns, measure, modern_unbuffered, note, section};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimTime;
-use requiem_sim::{Probe, Table};
+use requiem_sim::{Cause, Layer, Probe, Table};
 use requiem_ssd::{Lpn, Placement, Ssd, SsdConfig};
 use requiem_workload::driver::{precondition_sequential, run_closed_loop, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
@@ -86,6 +86,8 @@ fn main() {
         fmt_ns(m.read_latency.max()),
     ]);
     println!("{tbl}");
+    let (quiet, noisy) = (r.latency.p99(), m.read_latency.p99());
+    assert!(noisy >= 10 * quiet, "read p99 {noisy} vs {quiet} ns");
     println!(
         "time reads spent waiting for a busy LUN: p99 = {}, max = {} (erase tBERS = 3ms)\n",
         fmt_ns(m.read_lun_wait.p99()),
@@ -95,7 +97,14 @@ fn main() {
 
     section("4a'. Probe summary (JSON) — where the mixed workload's time went");
     note("gc_stall / merge_stall buckets are exactly the interference the block interface cannot report; cell_erase time is background (never on a command's critical path) yet shows up as the stalls above.");
-    println!("```json\n{}\n```", probe.summary().to_json());
+    let summary = probe.summary();
+    println!("```json\n{}\n```", summary.to_json());
+    // the tail is the chips': a read-out booked behind a busy chip does
+    // not hold the host link, so the link queues less than it transfers
+    let spans = &summary.by_layer_cause;
+    let link = |c| spans.get(&(Layer::HostLink, c)).map(|s| s.total);
+    let (queue, transfer) = (link(Cause::Queue), link(Cause::Transfer));
+    assert!(queue < transfer, "host link {queue:?} vs {transfer:?}");
 
     // ------------------------------------------------------------------
     section("4b. Read parallelism depends on where earlier writes landed");
@@ -137,6 +146,8 @@ fn main() {
         if base == 0.0 {
             base = iops;
         }
+        // striping buys read parallelism the one-LUN layout cannot
+        assert!(span_mult || iops > 3.0 * base, "{iops:.0} vs {base:.0}");
         tbl.row([
             label.to_string(),
             format!("{iops:.0}"),

@@ -1,7 +1,7 @@
 //! **E5 — TRIM**: the first crack in the block interface.
 //!
 //! §3: the TRIM command was added *"to communicate to a SSD that a range
-//! of logical addresses [is] no longer used and could thus be un-mapped by
+//! of logical addresses \[is\] no longer used and could thus be un-mapped by
 //! the FTL"* — the memory abstraction amended with a hint because the FTL
 //! otherwise copies dead data forever. This experiment runs a file-churn
 //! workload (create + delete) with and without TRIM and measures what the
@@ -127,6 +127,11 @@ fn main() {
             ),
         ),
     ];
+    // telling the device what is dead cuts its WA, on either interface
+    for pair in rows.chunks(2) {
+        let ((_, (unsaid, ..)), (told, (wa, ..))) = (&pair[0], &pair[1]);
+        assert!(wa * 1.3 < *unsaid, "{told}: WA {wa:.2} against {unsaid:.2}");
+    }
     for (label, (wa, mbs, moved, runs)) in rows {
         tbl.row([
             label,

@@ -1,4 +1,4 @@
-//! **E6 — Atomic writes** (the paper's ref [17], Ouyang et al. HPCA'11):
+//! **E6 — Atomic writes** (the paper's ref \[17\], Ouyang et al. HPCA'11):
 //! a device primitive beats a host-side workaround.
 //!
 //! Torn-page safety through the block interface requires a double-write
@@ -88,14 +88,18 @@ fn main() {
             ]);
         };
         let mut dev = Ssd::new(modern_unbuffered());
-        let cost = one_commit(&mut dev, batch);
-        row(format!("{} (double-write journal)", dev.label()), cost);
+        let journal = one_commit(&mut dev, batch);
+        row(format!("{} (double-write journal)", dev.label()), journal);
         let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
-        let cost = one_commit(&mut dev, batch);
-        row(format!("{} (atomic write)", dev.label()), cost);
+        let atomic = one_commit(&mut dev, batch);
+        row(format!("{} (atomic write)", dev.label()), atomic);
         let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
-        let cost = one_commit(&mut dev, batch);
-        row(format!("{} (out-of-place)", dev.label()), cost);
+        let nameless = one_commit(&mut dev, batch);
+        row(format!("{} (out-of-place)", dev.label()), nameless);
+        // the journal programs every page twice in two serialized phases
+        assert_eq!((journal.1, atomic.1, nameless.1), (2 * batch, batch, batch));
+        let (j, a) = (journal.0.as_nanos(), atomic.0.as_nanos());
+        assert!(2 * j > 3 * a, "batch {batch}: {j} vs {a} ns");
     }
     println!("{tbl}");
     note("Expected shape: the journal pays exactly 2x the programs and roughly 2x the latency (two serialized phases); the atomic primitive pays 1x; the nameless device pays 1x by construction — old names stay valid until the host's index swap, so atomicity needs no extra I/O at all.");

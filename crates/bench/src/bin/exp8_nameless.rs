@@ -225,6 +225,8 @@ fn main() {
     {
         let mut dev = NamelessSsd::new(NamelessConfig::from(&cfg));
         let r = tag_churn(&mut dev, 1.0, 2, 5);
+        // the host's index carries the names: the device keeps no map
+        assert_eq!(r.delta.mapping_ram_bytes, 0, "nameless mapping RAM");
         churn_row(&mut tbl, "nameless", r);
     }
     println!("{tbl}");
@@ -277,16 +279,14 @@ fn main() {
     );
     // (c) host LFS, aligned but no TRIM: sequential segment reuse still
     // lets the FTL infer death — alignment is an accidental protocol
-    row(
-        "host LFS, block-aligned segments, no TRIM",
-        run_lfs(&cfg, false, 64),
-    );
+    let aligned = run_lfs(&cfg, false, 64);
+    row("host LFS, block-aligned segments, no TRIM", aligned);
     // (d) host LFS with segments misaligned to flash blocks and no TRIM:
     // the two cleaners thrash each other — the multiplicative penalty
-    row(
-        "host LFS, misaligned segments, no TRIM",
-        run_lfs(&cfg, false, 24),
-    );
+    let misaligned = run_lfs(&cfg, false, 24);
+    row("host LFS, misaligned segments, no TRIM", misaligned);
     println!("{tbl}");
+    // misaligned, the two cleaners thrash: the device's WA rises
+    assert!(misaligned.1 > aligned.1, "{misaligned:?} vs {aligned:?}");
     note("Expected shape: uncoordinated layers multiply — the host cleaner's traffic is amplified again by the FTL's cleaner. Coordination (TRIM, or one shared log via the communication abstraction) collapses the product: 'the management of log-structured files is today handled both at the database level and within the FTL'.");
 }

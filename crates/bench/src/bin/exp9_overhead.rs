@@ -42,6 +42,8 @@ fn main() {
         s = (s.wrapping_mul(999983)) % (1 << 20);
         t = stack.submit(t, 0, IoRequest::read(s)).done;
     }
+    let share = stack.software_share();
+    assert!(share < 0.01, "the disk's software share is {share:.4}");
     tbl.row([
         "hdd-7200".to_string(),
         "random read".to_string(),
@@ -50,7 +52,7 @@ fn main() {
             SimDuration::from_nanos(stack.latency().p50()) - stack.config().cpu.per_io_interrupt()
         ),
         format!("{}", SimDuration::from_nanos(stack.latency().p50())),
-        format!("{:.2}%", stack.software_share() * 100.0),
+        format!("{:.2}%", share * 100.0),
     ]);
 
     // ssd, reads (unbuffered) and buffered writes
@@ -68,12 +70,15 @@ fn main() {
         for lpn in 0..64u64 {
             last = stack.submit(last, 0, IoRequest::new(op, lpn)).done;
         }
+        let share = stack.software_share();
+        // on a buffered SSD write the software path is a large share
+        assert!(!buffered || share > 0.25, "{label}: {share:.3}");
         tbl.row([
             label.to_string(),
             format!("{op:?}").to_lowercase(),
             "-".to_string(),
             format!("{}", SimDuration::from_nanos(stack.latency().p50())),
-            format!("{:.1}%", stack.software_share() * 100.0),
+            format!("{:.1}%", share * 100.0),
         ]);
     }
     println!("{tbl}");

@@ -50,7 +50,7 @@ fn check(stem: &str, exe: &str, args: &[&str]) {
 }
 
 /// One `#[test]` per golden entry — `env!("CARGO_BIN_EXE_…")` needs the
-/// binary's name as a literal — plus the list of stems they cover.
+/// binary's name as a literal — plus the `(stem, binary, args)` of each.
 macro_rules! golden {
     ($($test:ident: $stem:literal = $bin:literal $($arg:literal)*;)*) => {
         $(
@@ -59,7 +59,7 @@ macro_rules! golden {
                 check($stem, env!(concat!("CARGO_BIN_EXE_", $bin)), &[$($arg),*]);
             }
         )*
-        const STEMS: &[&str] = &[$($stem),*];
+        const RUNS: &[(&str, &str, &[&str])] = &[$(($stem, $bin, &[$($arg),*])),*];
     };
 }
 
@@ -103,10 +103,12 @@ fn stems(dir: &Path, ext: &str) -> Vec<String> {
 /// A golden file nothing runs pins nothing: `golden.sh` derives its list
 /// from `src/bin/exp*.rs`, so a new binary must be added above too. The
 /// examples' goldens sit in `golden/examples/`, one per `examples/*.rs`.
+/// And a mode nothing runs checks nothing: every `"--flag"` literal an
+/// `expN` binary's source holds must be passed by one of its golden runs.
 #[test]
 fn every_golden_file_has_a_test() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut covered: Vec<String> = STEMS.iter().map(|s| s.to_string()).collect();
+    let mut covered: Vec<String> = RUNS.iter().map(|(stem, ..)| stem.to_string()).collect();
     covered.sort();
     assert_eq!(stems(&root.join("golden"), ".txt"), covered);
     assert_eq!(
@@ -114,4 +116,21 @@ fn every_golden_file_has_a_test() {
         stems(&root.join("examples"), ".rs"),
         "every example has a golden stdout and every golden stdout an example"
     );
+    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    for bin in stems(&bins, ".rs").iter().filter(|b| b.starts_with("exp")) {
+        let src = std::fs::read_to_string(bins.join(format!("{bin}.rs")))
+            .unwrap_or_else(|e| panic!("cannot read {bin}.rs: {e}"));
+        for flag in src
+            .split("\"--")
+            .skip(1)
+            .filter_map(|rest| rest.split('"').next())
+        {
+            let flag = format!("--{flag}");
+            assert!(
+                RUNS.iter()
+                    .any(|(_, b, args)| b == bin && args.contains(&flag.as_str())),
+                "{bin} reads {flag}, which no golden run passes"
+            );
+        }
+    }
 }

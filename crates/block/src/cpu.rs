@@ -1,7 +1,7 @@
 //! CPU cost model for the I/O submission and completion paths.
 //!
 //! Numbers follow published measurements of the Linux I/O path (Caulfield
-//! et al. ASPLOS'12 — the paper's ref [7] — and the blk-mq work): a
+//! et al. ASPLOS'12 — the paper's ref \[7\] — and the blk-mq work): a
 //! legacy 2.6-era path spends several microseconds per I/O; the
 //! streamlined path cuts that down to about a microsecond.
 

@@ -1,7 +1,7 @@
 //! A key-value store over nameless writes — the communication abstraction
 //! used in anger.
 //!
-//! The paper's ref [14] (SILT) is a flash key-value store whose design is
+//! The paper's ref \[14\] (SILT) is a flash key-value store whose design is
 //! dominated by one constraint: the host index must be tiny, yet every
 //! get must cost ≈1 flash read. With the block interface, SILT builds its
 //! own log over LBAs and the FTL builds *another* log underneath, each

@@ -36,7 +36,7 @@
 //!   collector in the whole stack (E14 measures what the second one
 //!   cost);
 //! * [`kvstore`] — a SILT-flavoured key-value store over nameless writes
-//!   (the paper's ref [14] rebuilt on the §3 interface);
+//!   (the paper's ref \[14\] rebuilt on the §3 interface);
 //! * [`shard`] — the sharded execution path: N executor shards, each
 //!   with its own submission context, keyspace partition, and
 //!   buffer-pool slice, stepped by a deterministic core clock;

@@ -21,7 +21,7 @@
 //! A [`PageImage`] owns its bytes: cloning one copies them, and no two
 //! pages ever share them. The engine keeps one image per page, the
 //! durable one (`crate::images`); a write that has not reached it yet is a
-//! [`Redo`] entry — in a dirty buffer frame or in a write in flight — that
+//! `Redo` entry — in a dirty buffer frame or in a write in flight — that
 //! names its after-image in its log record.
 
 use std::ops::{Index, IndexMut};

@@ -30,7 +30,7 @@
 //! split into per-shard *shares* at submission time, all under one
 //! global id. Each share prepares ([`LogRecord::Prepare`]) instead of
 //! committing; prepare votes flow through the shard's
-//! [`ShardEvent`] outbox into the ledger; a unanimous-YES verdict posts
+//! `ShardEvent` outbox into the ledger; a unanimous-YES verdict posts
 //! a *decision commit* to the home shard's mailbox, deliverable once
 //! the home clock reaches the last vote's force end — one more
 //! group-commit member ([`MemberKind::Decide`]) whose force is the

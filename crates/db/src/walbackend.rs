@@ -4,10 +4,10 @@
 //! deserve two *paths*: synchronous persistence (log forces) belongs on
 //! byte-addressable PCM on the memory bus, while page data streams
 //! asynchronously to flash. Before this split, log durability was a side
-//! effect of the page backend — [`PersistenceBackend`]
-//! (crate::backend::PersistenceBackend) carried `log_force`,
-//! `truncate_log` and `log_read` next to the page I/O, and every backend
-//! duplicated the circular-tail force loop.
+//! effect of the page backend —
+//! [`PersistenceBackend`](crate::backend::PersistenceBackend) carried
+//! `log_force`, `truncate_log` and `log_read` next to the page I/O, and
+//! every backend duplicated the circular-tail force loop.
 //!
 //! [`WalBackend`] extracts that path. The engine's group-commit ledger
 //! talks exclusively to it; page backends do page I/O only. Two

@@ -9,7 +9,7 @@
 //! * [`atomic::ExtendedSsd`] — the incremental path: keep the block
 //!   interface but add the commands vendors were already proposing —
 //!   **TRIM** (already in `requiem-ssd`), **atomic multi-page writes**
-//!   (the paper's ref [17], Ouyang et al. "Beyond block I/O"), and write
+//!   (the paper's ref \[17\], Ouyang et al. "Beyond block I/O"), and write
 //!   barriers. Atomic writes exploit the FTL's copy-on-write nature: the
 //!   batch costs no extra data I/O, only a commit record.
 //! * [`nameless::NamelessSsd`] — the radical path: **nameless writes**.

@@ -1,6 +1,6 @@
 //! The PCM chip: cache-line-granular storage with per-line wear.
 //!
-//! Contrast with flash ([`requiem_flash::Lun`]): **in-place updates, no
+//! Contrast with flash (`requiem_flash::Lun`): **in-place updates, no
 //! erase, byte addressability** — the properties the paper lists as
 //! removing the need for copy-on-write and garbage collection. What
 //! remains is write endurance, handled by [`crate::StartGap`] inside

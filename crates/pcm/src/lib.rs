@@ -13,7 +13,7 @@
 //!   wear leveling is still needed — we implement **Start-Gap** wear
 //!   leveling (Qureshi et al., MICRO 2009), the canonical low-overhead
 //!   scheme.
-//! * A PCM-based *SSD* (like Onyx, the paper's ref [1]) still faces
+//! * A PCM-based *SSD* (like Onyx, the paper's ref \[1\]) still faces
 //!   parallelism, scheduling and error management: [`PcmSsd`] models that,
 //!   and experiment E10 shows the complexity does not disappear.
 //!

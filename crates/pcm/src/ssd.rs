@@ -1,4 +1,4 @@
-//! A PCM-based SSD (the paper's ref [1], Onyx-style).
+//! A PCM-based SSD (the paper's ref \[1\], Onyx-style).
 //!
 //! §2.4: *"even if we contemplate pure PCM-based SSDs, the issues of
 //! parallelism, wear leveling and error management will likely introduce

@@ -12,7 +12,7 @@
 //!   mapping, battery-backed write-back buffer, many channels, dynamic
 //!   striping. The device for which the myths are *false*.
 //! * [`SsdConfig::modern_dftl`] — page mapping through a limited mapping
-//!   cache (DFTL, the paper's ref [10]).
+//!   cache (DFTL, the paper's ref \[10\]).
 
 use requiem_flash::FlashSpec;
 use requiem_sim::time::SimDuration;
@@ -35,7 +35,7 @@ pub enum FtlKind {
         /// Number of log blocks the controller can dedicate.
         log_blocks: u32,
     },
-    /// DFTL (Gupta et al., ASPLOS'09 — the paper's ref [10]): page mapping
+    /// DFTL (Gupta et al., ASPLOS'09 — the paper's ref \[10\]): page mapping
     /// with a cached mapping table of `cached_entries` entries; misses and
     /// dirty evictions cost flash operations on translation pages.
     Dftl {

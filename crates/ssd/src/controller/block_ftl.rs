@@ -2,7 +2,7 @@
 //!
 //! One mapping entry per *logical block*; pages must land at their
 //! in-block offset. Sequential overwrites stay cheap through a single
-//! replacement-block context ([`ReplCtx`]); random rewrites degenerate
+//! replacement-block context (`ReplCtx`); random rewrites degenerate
 //! into merge storms — exactly the behaviour the paper's §2.3.1 myth
 //! ("flash is slow at random writes") is built on. Merge traffic reserves
 //! channel/LUN time tagged [`Occupant::Merge`](requiem_sim::Occupant),

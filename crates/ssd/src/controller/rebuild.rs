@@ -22,7 +22,7 @@ impl Ssd {
     /// newest sequence number winning. Returns when the device is ready.
     ///
     /// This is the page-FTL startup cost that motivated DFTL (the paper's
-    /// ref [10]): scan time grows linearly with raw capacity. The write
+    /// ref \[10\]): scan time grows linearly with raw capacity. The write
     /// buffer is battery-backed, so the rebuild requires all in-flight
     /// flushes to have drained (`at >= drain_time()`).
     ///

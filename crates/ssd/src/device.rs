@@ -91,7 +91,7 @@ pub enum SsdError {
     /// A wear-induced program failure. Largely internal: `append_page`
     /// catches it, salvages the block, and retries elsewhere; fixed-
     /// offset FTLs collapse it into [`SsdError::DeviceFull`] via
-    /// [`SsdError::full_on`].
+    /// `SsdError::full_on`.
     ProgramFailed {
         /// The page whose program failed.
         phys: PhysPage,

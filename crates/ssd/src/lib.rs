@@ -7,7 +7,7 @@
 //!   **channels** with realistic bus timing ([`channel::ChannelTiming`]);
 //! * a controller with a choice of **FTLs** — full page mapping, pre-2009
 //!   block mapping, BAST-style hybrid log blocks, and DFTL (the paper's
-//!   ref [10]) — see [`config::FtlKind`];
+//!   ref \[10\]) — see [`config::FtlKind`];
 //! * **garbage collection** (greedy / cost-benefit) and **wear leveling**
 //!   (dynamic + optional static), whose traffic contends with host I/O on
 //!   the same channel/LUN resources — selected by [`SsdConfig`]'s `gc`

@@ -1,4 +1,4 @@
-//! DFTL: demand-paged page mapping (the paper's reference [10]).
+//! DFTL: demand-paged page mapping (the paper's reference \[10\]).
 //!
 //! Gupta, Kim & Urgaonkar (ASPLOS 2009): keep the full page map on flash
 //! in *translation pages*, and cache only hot entries in controller RAM

@@ -12,7 +12,7 @@
 //! * [`block::HybridState`] — BAST-style log blocks on top of a block map.
 //! * [`dftl::DftlMap`] — a page map whose entries live on flash
 //!   (translation pages) with a bounded in-RAM cache (the paper's ref
-//!   [10]); misses and dirty evictions cost flash operations.
+//!   \[10\]); misses and dirty evictions cost flash operations.
 
 // Panic policy (DESIGN §2.5): failures surface as typed statuses, never
 // host aborts. Test code is exempt (`crates/clippy.toml`).

@@ -2,7 +2,7 @@
 //! *device* order.
 //!
 //! The serialized host API (`read`/`write`/`trim` returning a single
-//! [`Completion`](crate::Completion)) forces the caller to chain on
+//! [`Completion`]) forces the caller to chain on
 //! each completion, so the device's internal parallelism — multiple
 //! chips behind one channel — is only reachable from inside the
 //! controller. [`Ssd::enqueue`] is the asynchronous front door: the host
@@ -61,7 +61,7 @@ impl Ssd {
     /// This is the typed twin of `read`/`write`/`trim`: same timing,
     /// same metrics, same probe spans — it only swaps the positional
     /// arguments for an [`IoRequest`] and the bare
-    /// [`Completion`](crate::Completion) for an [`IoCompletion`] that
+    /// [`Completion`] for an [`IoCompletion`] that
     /// echoes the request's tag. Serialized callers (the block-layer
     /// single-submit path, the DB backends) use this; queue-depth
     /// callers go through [`Ssd::enqueue`].

@@ -3,7 +3,7 @@
 //! A pattern is an infinite iterator of logical page numbers over a space
 //! of `span` pages. All randomness is seeded ([`requiem_sim::SimRng`]), so
 //! a pattern replays identically across runs and devices — the property
-//! uFLIP's "sound measurements" methodology (the paper's ref [3]) insists
+//! uFLIP's "sound measurements" methodology (the paper's ref \[3\]) insists
 //! on.
 
 use requiem_sim::SimRng;
