@@ -153,9 +153,9 @@ fn main() {
         let mut tbl = Table::new([
             "round",
             "MB/s",
-            "WA (cumulative)",
-            "GC runs",
-            "GC pages moved",
+            "WA (this round)",
+            "GC runs (total)",
+            "GC pages moved (total)",
             "p99 write",
         ]);
         let mut prev_programs = ssd.metrics().flash_programs.total();

@@ -174,27 +174,174 @@ pub(crate) struct Active {
     pub(crate) id: u64,
     /// Start instant (end-to-end latency base).
     pub(crate) started: SimTime,
-    /// Index into the input list.
+    /// Index into the caller's (global) input list.
     pub(crate) input: usize,
     /// The log's next LSN when it started: at or below its first record.
     pub(crate) first: Lsn,
-    /// Next access to apply.
+    /// The global input's next access to look at; accesses another
+    /// shard owns are stepped over.
     pub(crate) next: usize,
     /// True once any access dirtied a page.
     pub(crate) wrote: bool,
     /// How the transaction terminates.
     pub(crate) role: TxnRole,
+    /// Log payload bytes the share forces if it wrote.
+    pub(crate) log_bytes: u32,
 }
 
-/// One pre-assigned transaction in a shard's input queue: the
-/// coordinator names ids up front (a global namespace across shards)
-/// instead of letting the executor allocate them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlannedTxn {
-    /// Transaction id to run under.
-    pub(crate) id: u64,
-    /// Commit locally or prepare for the coordinator.
-    pub(crate) role: TxnRole,
+/// What one closed loop runs: positions in the caller's inputs, each read
+/// through a shard filter. `run_concurrent` runs every input whole
+/// ([`Plan::all`]); a shard runs its shares of the global inputs
+/// ([`Plan::shard`]). Nothing is copied: a share's id, role, log bytes
+/// and accesses (in the shard's own page numbering) are derived from the
+/// global input where they are used.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Plan<'a> {
+    /// The caller's inputs, in global order.
+    inputs: &'a [TxnInput],
+    /// Global indices of the inputs this loop runs, in admission order;
+    /// `None` runs every input in order.
+    picks: Option<&'a [u32]>,
+    /// Id of `inputs[0]`: an input runs under this plus its index.
+    first_id: u64,
+    /// The filter: this loop owns global page `g` (taken modulo `pages`)
+    /// when `g % shards == shard`, as its local page `g / shards`.
+    pages: u64,
+    shards: u64,
+    shard: u64,
+}
+
+impl<'a> Plan<'a> {
+    /// Every input, whole, under ids `first_id..` (one shard of one).
+    pub(crate) fn all(inputs: &'a [TxnInput], first_id: u64, pages: u64) -> Self {
+        Plan {
+            inputs,
+            picks: None,
+            first_id,
+            pages,
+            shards: 1,
+            shard: 0,
+        }
+    }
+
+    /// Shard `shard`'s shares of the global `inputs` over a global
+    /// keyspace of `pages` pages split `shards` ways: the inputs at
+    /// `picks`, in that order.
+    pub(crate) fn shard(
+        inputs: &'a [TxnInput],
+        picks: &'a [u32],
+        first_id: u64,
+        pages: u64,
+        shards: usize,
+        shard: usize,
+    ) -> Self {
+        Plan {
+            inputs,
+            picks: Some(picks),
+            first_id,
+            pages,
+            shards: shards as u64,
+            shard: shard as u64,
+        }
+    }
+
+    /// Transactions this loop runs.
+    pub(crate) fn len(&self) -> usize {
+        self.picks.map_or(self.inputs.len(), <[u32]>::len)
+    }
+
+    /// `page` within the global keyspace. A page already in range, as
+    /// every generated one is, skips the division: tens of cycles on
+    /// every access the executor walks.
+    fn global(&self, page: u64) -> u64 {
+        if page < self.pages {
+            page
+        } else {
+            page % self.pages
+        }
+    }
+
+    /// The local page of global `page`, `None` when another shard owns it
+    /// (with one shard, none does, and no division by `shards` is made).
+    fn local(&self, page: u64) -> Option<u64> {
+        let g = self.global(page);
+        if self.shards == 1 {
+            return Some(g);
+        }
+        (g % self.shards == self.shard).then_some(g / self.shards)
+    }
+
+    /// Plan entry `k` as a transaction starting at `started` with the log
+    /// at `first`. An input touching more than one shard runs as a
+    /// two-phase participant and forces a slice of its log payload.
+    /// `seen` is scratch for the shard count (one flag per shard, all
+    /// clear on entry and on return).
+    pub(crate) fn start(
+        &self,
+        k: usize,
+        seen: &mut Vec<bool>,
+        started: SimTime,
+        first: Lsn,
+    ) -> Active {
+        let input = self.picks.map_or(k, |p| p[k] as usize);
+        let txn = &self.inputs[input];
+        let touched = self.touched(txn, seen);
+        let (role, log_bytes) = if touched > 1 {
+            (TxnRole::Participant, (txn.log_bytes / touched).max(32))
+        } else {
+            (TxnRole::Local, txn.log_bytes)
+        };
+        Active {
+            id: self.first_id + input as u64,
+            started,
+            input,
+            first,
+            next: 0,
+            wrote: false,
+            role,
+            log_bytes,
+        }
+    }
+
+    /// How many shards `txn` touches, or 1 when that is at most one: only
+    /// a cross-shard input, the rare one, is counted on `seen`.
+    fn touched(&self, txn: &TxnInput, seen: &mut Vec<bool>) -> u32 {
+        if self.shards == 1 {
+            return 1;
+        }
+        let shard_of = |a: &(u64, u16, bool)| (self.global(a.0) % self.shards) as usize;
+        let mut shards = txn.accesses.iter().map(shard_of);
+        let first = shards.next();
+        if shards.all(|s| Some(s) == first) {
+            return 1;
+        }
+        seen.resize(self.shards as usize, false);
+        let mut touched = 0;
+        for s in txn.accesses.iter().map(shard_of) {
+            touched += u32::from(!std::mem::replace(&mut seen[s], true));
+        }
+        for s in txn.accesses.iter().map(shard_of) {
+            seen[s] = false;
+        }
+        touched
+    }
+
+    /// The accesses of global input `input` this shard owns, from access
+    /// `from` on: each with its index and its local page.
+    pub(crate) fn accesses(
+        self,
+        input: usize,
+        from: usize,
+    ) -> impl Iterator<Item = (usize, u64, u16, bool)> + 'a {
+        self.inputs[input]
+            .accesses
+            .iter()
+            .enumerate()
+            .skip(from)
+            .filter_map(move |(at, &(page, slot, dirty))| {
+                self.local(page).map(|p| (at, p, slot, dirty))
+            })
+    }
 }
 
 /// What a shard reports back to its coordinator after a force.
@@ -276,9 +423,8 @@ pub(crate) struct ExecState {
     pub(crate) commit_order: Vec<(u64, Lsn)>,
     pub(crate) read_only_latency: Histogram,
     pub(crate) update_latency: Histogram,
-    /// Coordinator-assigned ids/roles per input index; empty in
-    /// `run_concurrent`, where the executor allocates ids itself.
-    pub(crate) assigned: Vec<PlannedTxn>,
+    /// Scratch for [`Plan::start`]'s shard count (reused).
+    seen: Vec<bool>,
     /// Force outcomes to report to the coordinator (drained per step).
     pub(crate) outbox: Vec<ShardEvent>,
     /// Before-images of participant updates, per global transaction,
@@ -329,7 +475,7 @@ impl ExecState {
             commit_order: Vec::with_capacity(inputs),
             read_only_latency: Histogram::new(),
             update_latency: Histogram::new(),
-            assigned: Vec::new(),
+            seen: Vec::new(),
             outbox: Vec::new(),
             undo: BTreeMap::new(),
             async_force: false,
@@ -376,11 +522,14 @@ impl<B: PersistenceBackend> Database<B> {
         let started_at = self.now;
         let coalesced_before = self.pool.stats().coalesced;
         let mut st = ExecState::new(depth, self.now, &cfg.prefetch, inputs.len());
-        self.reserve_log(inputs, &[]);
+        // the executor allocates the run's ids: one per input, in order
+        let plan = Plan::all(inputs, self.next_txn, self.cfg.data_pages);
+        self.next_txn += inputs.len() as u64;
+        self.reserve_log(&plan);
 
         loop {
             // 1. run everything that can run at the current instant
-            self.quiesce(inputs, cfg, &mut st);
+            self.quiesce(&plan, cfg, &mut st);
 
             // 2. reap completions; if any arrived, re-quiesce first
             if self.reap(&mut st) {
@@ -415,24 +564,24 @@ impl<B: PersistenceBackend> Database<B> {
         self.finish_run(started_at, coalesced_before, st)
     }
 
-    /// Size the in-memory log for `inputs` before running them: an update
-    /// per dirty access and a termination record per transaction — for a
-    /// two-phase participant (`assigned` as in [`ExecState::assigned`])
-    /// also the decision or abort record its home shard appends. An upper
-    /// bound by a few records, so a fault-free run grows its log once. A
-    /// run that checkpoints reserves nothing: each checkpoint's trim cuts
-    /// the log back to the transactions still open, so it stops growing
-    /// once it holds about one checkpoint interval.
-    pub(crate) fn reserve_log(&mut self, inputs: &[TxnInput], assigned: &[PlannedTxn]) {
+    /// Size the in-memory log for `plan` before running it: an update per
+    /// dirty access and a termination record per transaction — for a
+    /// two-phase participant also the decision or abort record its home
+    /// shard appends. An upper bound by a few records, so a fault-free
+    /// run grows its log once. A run that checkpoints reserves nothing:
+    /// each checkpoint's trim cuts the log back to the transactions still
+    /// open, so it stops growing once it holds about one checkpoint
+    /// interval.
+    pub(crate) fn reserve_log(&mut self, plan: &Plan) {
         if self.cfg.checkpoint_every > 0 {
             return;
         }
+        let mut seen = Vec::new();
         let mut bytes = 0;
-        for (i, input) in inputs.iter().enumerate() {
-            let dirty = input.accesses.iter().filter(|a| a.2).count();
-            let two_phase = assigned
-                .get(i)
-                .is_some_and(|p| p.role == TxnRole::Participant);
+        for k in 0..plan.len() {
+            let share = plan.start(k, &mut seen, self.now, Lsn(0));
+            let dirty = plan.accesses(share.input, 0).filter(|a| a.3).count();
+            let two_phase = share.role == TxnRole::Participant;
             bytes += dirty * (UPDATE_HEAD_BYTES + RECORD_SIZE)
                 + (1 + usize::from(two_phase)) * TXN_RECORD_BYTES;
         }
@@ -521,12 +670,12 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// Run refills, runnable slots, and due forces until nothing can
     /// make progress at the current instant.
-    pub(crate) fn quiesce(&mut self, inputs: &[TxnInput], cfg: &ExecConfig, st: &mut ExecState) {
+    pub(crate) fn quiesce(&mut self, plan: &Plan, cfg: &ExecConfig, st: &mut ExecState) {
         loop {
             let mut progress = false;
             // refill idle slots in slot order (deterministic admission)
-            if st.idle_from <= self.now && st.issued < inputs.len() {
-                progress |= self.refill(inputs, st);
+            if st.idle_from <= self.now && st.issued < plan.len() {
+                progress |= self.refill(plan, st);
             }
             // drive runnable slots in slot order
             if st.run_from <= self.now {
@@ -534,7 +683,7 @@ impl<B: PersistenceBackend> Database<B> {
                 for i in 0..st.slots.len() {
                     if let SlotState::Run { ready_at } = st.slots[i].state {
                         if ready_at <= self.now {
-                            self.drive_slot(i, inputs, st);
+                            self.drive_slot(i, plan, st);
                             progress = true;
                         }
                     }
@@ -558,32 +707,15 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// Start the next inputs on the idle slots free at `now`, in slot
     /// order; true when one started.
-    fn refill(&mut self, inputs: &[TxnInput], st: &mut ExecState) -> bool {
+    fn refill(&mut self, plan: &Plan, st: &mut ExecState) -> bool {
         let mut started = false;
         st.idle_from = SimTime::MAX;
         for i in 0..st.slots.len() {
             if let SlotState::Idle { free_at } = st.slots[i].state {
-                if free_at <= self.now && st.issued < inputs.len() {
-                    // the coordinator pre-assigns ids (a global
-                    // namespace across shards); standalone runs
-                    // allocate locally, exactly as before
-                    let (id, role) = match st.assigned.get(st.issued) {
-                        Some(p) => (p.id, p.role),
-                        None => {
-                            let id = self.next_txn;
-                            self.next_txn += 1;
-                            (id, TxnRole::Local)
-                        }
-                    };
-                    st.slots[i].txn = Some(Active {
-                        id,
-                        started: self.now,
-                        input: st.issued,
-                        first: self.wal.next_lsn(),
-                        next: 0,
-                        wrote: false,
-                        role,
-                    });
+                if free_at <= self.now && st.issued < plan.len() {
+                    let first = self.wal.next_lsn();
+                    let active = plan.start(st.issued, &mut st.seen, self.now, first);
+                    st.slots[i].txn = Some(active);
                     st.set_state(i, SlotState::Run { ready_at: self.now });
                     st.issued += 1;
                     started = true;
@@ -597,13 +729,13 @@ impl<B: PersistenceBackend> Database<B> {
 
     /// Advance slot `i` through its accesses until it blocks (page
     /// miss) or commits (enlists in the group).
-    pub(crate) fn drive_slot(&mut self, i: usize, inputs: &[TxnInput], st: &mut ExecState) {
+    pub(crate) fn drive_slot(&mut self, i: usize, plan: &Plan, st: &mut ExecState) {
         loop {
-            let Some(active) = st.slots[i].txn else {
+            let Some(mut active) = st.slots[i].txn else {
                 return; // defensive: a Run slot always has a transaction
             };
-            let input = &inputs[active.input];
-            if active.next >= input.accesses.len() {
+            let Some((at, page, slot_no, dirty)) = plan.accesses(active.input, active.next).next()
+            else {
                 // all accesses applied: append the termination record
                 // (a local commit, or a two-phase prepare whose force
                 // is this shard's durability vote) and enlist it for
@@ -622,7 +754,7 @@ impl<B: PersistenceBackend> Database<B> {
                 };
                 let commit_lsn = self.wal.append(record);
                 let force_bytes = if active.wrote {
-                    input.log_bytes.max(32)
+                    active.log_bytes.max(32)
                 } else {
                     32
                 };
@@ -647,9 +779,11 @@ impl<B: PersistenceBackend> Database<B> {
                 });
                 st.set_state(i, SlotState::WaitCommit);
                 return;
-            }
-            let (page, slot_no, dirty) = input.accesses[active.next];
-            let pid = PageId(page % self.cfg.data_pages);
+            };
+            // another shard's accesses stay stepped over
+            active.next = at;
+            st.slots[i].txn = Some(active);
+            let pid = PageId(page);
             let slot_no = slot_no % SLOTS_PER_PAGE;
 
             if self.pool.contains(pid) {
@@ -1265,45 +1399,58 @@ mod tests {
     const ABORTED: u64 = 7;
 
     /// A one-slot closed loop driven by hand, the test playing the
-    /// coordinator: the first input runs as a two-phase participant (its
+    /// coordinator. The database is shard 0 of two: the first input also
+    /// reads a page of shard 1, so it runs as a two-phase participant (its
     /// prepare vote lands in `st.outbox`, where the test leaves it), the
     /// rest as local transactions.
     struct Aborting {
         db: Database<BlockStackBackend>,
         st: ExecState,
+        /// The global inputs: local page `p` is global page `2p`.
         inputs: Vec<TxnInput>,
+        picks: Vec<u32>,
     }
 
     impl Aborting {
+        /// `inputs` name the database's own (local) pages.
         fn new(frames: usize, inputs: Vec<TxnInput>) -> Self {
             let db = legacy_db(frames);
-            let mut st = ExecState::new(1, db.now, &PrefetchConfig::off(), inputs.len());
-            st.assigned = (0..inputs.len() as u64)
-                .map(|i| PlannedTxn {
-                    id: ABORTED + i,
-                    role: if i == 0 {
-                        TxnRole::Participant
-                    } else {
-                        TxnRole::Local
-                    },
+            let st = ExecState::new(1, db.now, &PrefetchConfig::off(), inputs.len());
+            let mut inputs: Vec<TxnInput> = inputs
+                .into_iter()
+                .map(|t| TxnInput {
+                    accesses: t.accesses.iter().map(|&(p, s, d)| (2 * p, s, d)).collect(),
+                    log_bytes: t.log_bytes,
                 })
                 .collect();
-            Aborting { db, st, inputs }
+            if let Some(first) = inputs.first_mut() {
+                first.accesses.push((1, 0, false));
+                first.log_bytes *= 2; // each of its two shares forces half
+            }
+            let picks = (0..inputs.len() as u32).collect();
+            Aborting {
+                db,
+                st,
+                inputs,
+                picks,
+            }
         }
 
         /// `run_concurrent`'s loop, stopped the first time `until` holds
         /// with nothing left to run at the current instant.
         fn drive(&mut self, until: impl Fn(&Self) -> bool) {
             let cfg = ExecConfig::serialized();
+            let pages = 2 * self.db.cfg.data_pages;
+            let plan = Plan::shard(&self.inputs, &self.picks, ABORTED, pages, 2, 0);
             loop {
-                self.db.quiesce(&self.inputs, &cfg, &mut self.st);
+                self.db.quiesce(&plan, &cfg, &mut self.st);
                 if until(self) {
                     return;
                 }
                 if self.db.reap(&mut self.st) {
                     continue;
                 }
-                match self.db.next_event(self.inputs.len(), &cfg, &self.st) {
+                match self.db.next_event(plan.len(), &cfg, &self.st) {
                     Some(t) => self.db.now = self.db.now.max(t),
                     None => self.db.force_group(self.db.now, &mut self.st),
                 }

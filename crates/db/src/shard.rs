@@ -26,9 +26,15 @@
 //!
 //! ## Cross-shard transactions
 //!
-//! A transaction whose accesses land on more than one partition is
-//! split into per-shard *shares* at submission time, all under one
-//! global id. Each share prepares ([`LogRecord::Prepare`]) instead of
+//! A transaction whose accesses land on more than one partition runs as
+//! one *share* per touched shard, all under one global id. Submission
+//! copies nothing: each shard's plan is a list of indices into the
+//! caller's inputs, and the shard reads a share through a filter over
+//! the global input (`exec::Plan::shard`) — the id is the run's first
+//! global id plus the index, the role and the share's slice of the log
+//! payload follow from how many shards the input touches, and the
+//! accesses are the input's own on this shard, in local page numbers.
+//! Each share prepares ([`LogRecord::Prepare`]) instead of
 //! committing; prepare votes flow through the shard's
 //! `ShardEvent` outbox into the ledger; a unanimous-YES verdict posts
 //! a *decision commit* to the home shard's mailbox, deliverable once
@@ -69,9 +75,7 @@ use requiem_sim::{CoreClock, Histogram};
 
 use crate::backend::PersistenceBackend;
 use crate::engine::Database;
-use crate::exec::{
-    ExecConfig, ExecReport, ExecState, PlannedTxn, ShardEvent, SlotState, TxnInput, TxnRole,
-};
+use crate::exec::{ExecConfig, ExecReport, ExecState, Plan, ShardEvent, SlotState, TxnInput};
 use crate::ledger::{LedgerAction, LedgerStats, TwoPhaseLedger};
 use crate::wal::LogRecord;
 
@@ -223,73 +227,57 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         }
     }
 
-    /// Split global `inputs` into per-shard input queues and id/role
-    /// assignments, registering cross-shard transactions in the ledger.
-    /// Everything is planned up front — the run itself makes no
-    /// partitioning choices, which keeps replay deterministic.
-    fn split(&mut self, inputs: &[TxnInput]) -> (Vec<Vec<TxnInput>>, Vec<Vec<PlannedTxn>>) {
+    /// Plan global `inputs` over the shards: each shard's list of the
+    /// inputs it has a share of (global indices, in input order), and the
+    /// run's first global id (an input runs under it plus its index).
+    /// Cross-shard transactions are registered in the ledger. Everything
+    /// is planned up front — the run itself makes no partitioning
+    /// choices, which keeps replay deterministic — and nothing is copied:
+    /// a shard reads its shares through [`Plan::shard`]'s filter.
+    fn split(&mut self, inputs: &[TxnInput]) -> (Vec<Vec<u32>>, u64) {
         let n = self.shards.len();
+        assert!(
+            u32::try_from(inputs.len()).is_ok(),
+            "a sharded run takes at most u32::MAX inputs"
+        );
+        let first_id = self.next_global;
+        self.next_global += inputs.len() as u64;
         // an even spread's worth up front: skew and the extra shares of
         // cross-shard transactions cost a list one doubling at most
         let even = inputs.len().div_ceil(n);
-        let mut plans: Vec<Vec<TxnInput>> = (0..n).map(|_| Vec::with_capacity(even)).collect();
-        let mut assigned: Vec<Vec<PlannedTxn>> = (0..n).map(|_| Vec::with_capacity(even)).collect();
-        // one input's accesses by shard, refilled per input; within a
-        // shard the global access order is preserved
-        let mut shares: Vec<Vec<(u64, u16, bool)>> = vec![Vec::new(); n];
-        for input in inputs {
-            let id = self.next_global;
-            self.next_global += 1;
+        let mut picks: Vec<Vec<u32>> = (0..n).map(|_| Vec::with_capacity(even)).collect();
+        // the shards one input touches, cleared per input
+        let mut seen = vec![false; n];
+        for (i, input) in inputs.iter().enumerate() {
             let mut touched = 0usize;
-            for &(page, slot, dirty) in &input.accesses {
-                let g = page % self.data_pages;
-                let share = &mut shares[(g % n as u64) as usize];
-                touched += usize::from(share.is_empty());
-                share.push((g / n as u64, slot, dirty));
+            for &(page, _, _) in &input.accesses {
+                touched += usize::from(!std::mem::replace(&mut seen[self.shard_of(page)], true));
             }
-            if touched <= 1 {
-                // single-shard (or access-free): an ordinary local
-                // transaction on its partition, ledger never involved
-                let s = shares.iter().position(|sh| !sh.is_empty()).unwrap_or(0);
-                plans[s].push(TxnInput {
-                    accesses: shares[s].to_vec(),
-                    log_bytes: input.log_bytes,
-                });
-                shares[s].clear();
-                assigned[s].push(PlannedTxn {
-                    id,
-                    role: TxnRole::Local,
-                });
-                continue;
-            }
-            // cross-shard: one participant share per touched partition in
-            // ascending shard order, home = the first access's shard, log
-            // payload split across the shares (each prepare forces its
-            // own slice)
+            // home = the first access's shard
             let home = input
                 .accesses
                 .first()
                 .map(|&(page, _, _)| self.shard_of(page))
                 .unwrap_or(0);
-            let read_only = !input.accesses.iter().any(|a| a.2);
-            let participants = (0..n).filter(|&s| !shares[s].is_empty()).collect();
-            self.ledger.begin(id, home, participants, read_only);
-            for (s, share) in shares.iter_mut().enumerate() {
-                if share.is_empty() {
-                    continue;
-                }
-                plans[s].push(TxnInput {
-                    accesses: share.to_vec(),
-                    log_bytes: (input.log_bytes / touched as u32).max(32),
-                });
-                share.clear();
-                assigned[s].push(PlannedTxn {
-                    id,
-                    role: TxnRole::Participant,
-                });
+            if touched <= 1 {
+                // single-shard (or access-free): an ordinary local
+                // transaction on its partition, ledger never involved
+                seen[home] = false;
+                picks[home].push(i as u32);
+                continue;
             }
+            // cross-shard: one participant share per touched partition in
+            // ascending shard order
+            let read_only = !input.accesses.iter().any(|a| a.2);
+            let participants: Vec<usize> =
+                (0..n).filter(|&s| std::mem::take(&mut seen[s])).collect();
+            for &s in &participants {
+                picks[s].push(i as u32);
+            }
+            self.ledger
+                .begin(first_id + i as u64, home, participants, read_only);
         }
-        (plans, assigned)
+        (picks, first_id)
     }
 
     /// Shard `s`'s next wake instant: `Some(now)` while it has work at its
@@ -365,18 +353,22 @@ impl<B: PersistenceBackend> ShardedDb<B> {
             .first()
             .map(|db| db.now)
             .unwrap_or(SimTime::ZERO);
-        let (plans, assigned) = self.split(inputs);
+        let (picks, first_id) = self.split(inputs);
+        let plans: Vec<Plan> = picks
+            .iter()
+            .enumerate()
+            .map(|(s, p)| Plan::shard(inputs, p, first_id, self.data_pages, n, s))
+            .collect();
 
         let mut states: Vec<ExecState> = Vec::with_capacity(n);
         let mut coalesced_before: Vec<u64> = Vec::with_capacity(n);
-        for ((db, plan), assigned) in self.shards.iter_mut().zip(&plans).zip(assigned) {
+        for (db, plan) in self.shards.iter_mut().zip(&plans) {
             assert!(db.loaded, "call load() before executing transactions");
             db.backend
                 .set_read_window(depth + cfg.prefetch.depth as usize);
             coalesced_before.push(db.pool.stats().coalesced);
             let mut st = ExecState::new(depth, db.now, &cfg.prefetch, plan.len());
-            db.reserve_log(plan, &assigned);
-            st.assigned = assigned;
+            db.reserve_log(plan);
             // group forces park their completion in `force_horizon`
             // instead of advancing the shard clock, so peer shards keep
             // submitting into the force's latency window (the overlap a
@@ -600,8 +592,10 @@ impl<B: PersistenceBackend> ShardedDb<B> {
 mod tests {
     use super::*;
     use crate::engine::DbConfig;
+    use crate::exec::TxnRole;
     use crate::ledger::TxnDecision;
     use crate::stack_backend::BlockStackBackend;
+    use crate::wal::Lsn;
     use proptest::prelude::*;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
@@ -620,9 +614,40 @@ mod tests {
             .build_sharded_stack(StackConfig::blk_mq(n as u32), SsdConfig::modern())
     }
 
+    /// One share's id and role, as `split_by_tree` assigned them.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct PlannedTxn {
+        id: u64,
+        role: TxnRole,
+    }
+
+    /// A shard's plan read through its filter, entry by entry: each
+    /// share as the `TxnInput` and `PlannedTxn` a copying split built.
+    fn materialise(plan: &Plan) -> (Vec<TxnInput>, Vec<PlannedTxn>) {
+        let mut seen = Vec::new();
+        (0..plan.len())
+            .map(|k| {
+                let share = plan.start(k, &mut seen, SimTime::ZERO, Lsn(0));
+                let accesses = plan
+                    .accesses(share.input, 0)
+                    .map(|(_, page, slot, dirty)| (page, slot, dirty))
+                    .collect();
+                let input = TxnInput {
+                    accesses,
+                    log_bytes: share.log_bytes,
+                };
+                let planned = PlannedTxn {
+                    id: share.id,
+                    role: share.role,
+                };
+                (input, planned)
+            })
+            .unzip()
+    }
+
     impl<B: PersistenceBackend> ShardedDb<B> {
         /// `split` as it was when it built a `BTreeMap` of shares per
-        /// input — the reference the scratch-list `split` is held to.
+        /// input — the reference the index plans are held to.
         fn split_by_tree(
             &mut self,
             inputs: &[TxnInput],
@@ -705,7 +730,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn scratch_list_split_matches_the_tree_split_it_replaced(
+        fn index_plans_read_the_shares_the_tree_split_built(
             batches in proptest::collection::vec(arb_split_inputs(), 1..4),
         ) {
             for n in [1usize, 2, 4, 5] {
@@ -713,10 +738,17 @@ mod tests {
                 // namespace and fill a ledger, batch after batch
                 let (mut lists, mut tree) = (sharded_over(n, 60), sharded_over(n, 60));
                 for inputs in &batches {
-                    let (plans, assigned) = lists.split(inputs);
+                    let (picks, first_id) = lists.split(inputs);
                     let (want_plans, want_assigned) = tree.split_by_tree(inputs);
-                    prop_assert_eq!(&plans, &want_plans, "{} shards: plans", n);
-                    prop_assert_eq!(&assigned, &want_assigned, "{} shards: assigned", n);
+                    prop_assert_eq!(picks.len(), n);
+                    for (s, p) in picks.iter().enumerate() {
+                        let plan = Plan::shard(inputs, p, first_id, lists.data_pages, n, s);
+                        let (shares, assigned) = materialise(&plan);
+                        prop_assert_eq!(&shares, &want_plans[s], "{} shards: shard {} shares", n, s);
+                        prop_assert_eq!(
+                            &assigned, &want_assigned[s], "{} shards: shard {} ids and roles", n, s
+                        );
+                    }
                     prop_assert_eq!(lists.next_global, tree.next_global);
                     prop_assert_eq!(
                         format!("{:?}", lists.ledger.entries().collect::<Vec<_>>()),
