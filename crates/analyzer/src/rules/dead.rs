@@ -11,8 +11,12 @@
 //! reads — `src/`, `tests/`, `benches/` and `examples/` of each member,
 //! plus the reference-only roots ([`FileCat::Reference`]). Names are
 //! compared as plain text, with no resolution: any other occurrence of
-//! the name, by any item, keeps the declaration alive. The pass can
-//! therefore miss dead items but never reports a live one.
+//! the name, by any item, keeps the declaration alive — except where the
+//! name cannot be a fn, const or static: a field access `.name` that no
+//! `(` or `::` follows, and a `name` that one `:` follows (a field, a
+//! binding or a struct-literal key). So an accessor named like the field
+//! it returns is not kept alive by that field. The pass can miss dead
+//! items but never reports a live one.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,8 +48,9 @@ pub fn check(files: &[FileCtx<'_>]) -> Vec<Diagnostic> {
             let Some(sites) = decls.get(t.text.as_str()) else {
                 continue;
             };
-            if t.kind != TokKind::Ident {
-                continue; // a lifetime `'x` lexes to the text `x`
+            // a lifetime `'x` lexes to the text `x`
+            if t.kind != TokKind::Ident || names_a_field(f.toks, ti) {
+                continue;
             }
             for &(dfi, dti) in sites {
                 if dfi != fi || (dti != ti && !f.test_mask[ti]) {
@@ -76,6 +81,21 @@ pub fn check(files: &[FileCtx<'_>]) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// True when the identifier at `ti` names a field or a binding and so no
+/// item: `.name` not followed by `(` or `::` (a range `..name` is not a
+/// field access), or `name` followed by a single `:`.
+fn names_a_field(toks: &[Tok], ti: usize) -> bool {
+    let punct = |k: usize, c: &str| {
+        toks.get(k)
+            .is_some_and(|t| t.kind == TokKind::Punct && t.text == c)
+    };
+    let dot = |k: Option<usize>| k.is_some_and(|k| punct(k, "."));
+    let colon = punct(ti + 1, ":");
+    let path = colon && punct(ti + 2, ":");
+    let field_access = dot(ti.checked_sub(1)) && !dot(ti.checked_sub(2)) && !punct(ti + 1, "(");
+    !path && (field_access || colon)
 }
 
 /// Token index of the name in every `pub fn`, `pub const fn`,

@@ -169,8 +169,10 @@ pub const RULES: &[Rule] = &[
                     benches/ and examples/, plus benchmark/src and benchmark/tests, count as \
                     callers, so test-support API used from another file's tests stays. Names \
                     are compared as plain text: an item whose name any other token shares \
-                    (another item, a field, a local) is never reported, so the rule can miss \
-                    dead code but never flags live code.",
+                    (another item, a local) is never reported, so the rule can miss dead \
+                    code but never flags live code. Only a field access `.name` with no `(` \
+                    or `::` after it and a `name` with one `:` after it do not count, as \
+                    neither can name a fn: an accessor named like its field is seen.",
         bad: "pub fn mean_erase_count(&self) -> f64 { … }\n#[cfg(test)]\nmod tests {\n    \
               #[test]\n    fn mean() { assert_eq!(lun().mean_erase_count(), 0.0); }\n}",
         ok: "pub fn max_erase_count(&self) -> u32 { … }\n// crates/ssd/src/wear.rs\nlet worst = \

@@ -239,8 +239,9 @@ fn dead_fixture_fires_and_twin_is_clean() {
 
 #[test]
 fn dead_rule_stays_silent_on_a_name_any_other_token_shares() {
-    // a field of another type happens to be called `mean_erase_count`:
+    // a local of another fn happens to be called `mean_erase_count`:
     // names are plain text, so that item is spared and the rest are not
+    // (a field of that name would not spare it: no field names a fn)
     let dead = dead_in(&[
         (
             "crates/flash/src/lun.rs",
@@ -250,7 +251,7 @@ fn dead_rule_stays_silent_on_a_name_any_other_token_shares() {
         (
             "crates/flash/src/report.rs",
             FileCat::Main,
-            "pub(crate) struct Wear { mean_erase_count: f64 }\n",
+            "pub(crate) fn wear(w: &[f64]) -> f64 { let mean_erase_count = w[0]; mean_erase_count }\n",
         ),
     ]);
     assert!(
@@ -258,6 +259,40 @@ fn dead_rule_stays_silent_on_a_name_any_other_token_shares() {
         "a shared name must keep the item: {dead:?}"
     );
     assert_eq!(dead.len(), 3, "the other items stay dead: {dead:?}");
+}
+
+#[test]
+fn dead_rule_sees_through_a_field_named_like_its_accessor() {
+    const COOP: &str = "crates/db/src/coop.rs";
+    let bad = include_str!("fixtures/dead_accessor_bad.rs");
+    assert_eq!(
+        dead_in(&[(COOP, FileCat::Main, bad)]),
+        ["crates/db/src/coop.rs:read_retries"],
+        "the field, its key and its reads do not keep the accessor"
+    );
+    let ok = include_str!("fixtures/dead_accessor_ok.rs");
+    let called = dead_in(&[
+        (COOP, FileCat::Main, bad),
+        ("crates/db/tests/coop.rs", FileCat::TestDir, ok),
+    ]);
+    assert!(called.is_empty(), "clean twin fired: {called:?}");
+    // a range bound is no field access: `0..SPARE_BLOCKS` keeps the const
+    let ranged = dead_in(&[
+        (
+            "crates/flash/src/lun.rs",
+            FileCat::Main,
+            include_str!("fixtures/dead_bad.rs"),
+        ),
+        (
+            "crates/flash/src/scan.rs",
+            FileCat::Main,
+            "pub(crate) fn spares() -> u32 { (0..SPARE_BLOCKS).count() as u32 }\n",
+        ),
+    ]);
+    assert!(
+        !ranged.iter().any(|d| d.ends_with(":SPARE_BLOCKS")),
+        "a range end must keep the item: {ranged:?}"
+    );
 }
 
 /// The real workspace must lint *completely* clean: zero diagnostics —

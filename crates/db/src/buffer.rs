@@ -124,11 +124,6 @@ impl BufferPool {
         &self.stats
     }
 
-    /// Number of resident pages.
-    pub fn resident(&self) -> usize {
-        self.frames.len()
-    }
-
     fn frame_of(&self, page_id: PageId) -> Option<usize> {
         match self.table[page_id] {
             Residency::Frame(i) => Some(i),
@@ -381,7 +376,7 @@ mod tests {
         let out = bp.install(PageId(3));
         assert_eq!(out, EvictOutcome::Clean);
         assert_eq!(bp.stats().clean_evictions, 1);
-        assert_eq!(bp.resident(), 2);
+        assert_eq!(bp.frames.len(), 2);
     }
 
     #[test]
@@ -455,7 +450,7 @@ mod tests {
         // Touch order only matters after a full sweep — verify a victim
         // was found and pool size stays correct either way.
         bp.install(PageId(3));
-        assert_eq!(bp.resident(), 2);
+        assert_eq!(bp.frames.len(), 2);
         assert!(bp.contains(PageId(3)));
     }
 
@@ -466,7 +461,7 @@ mod tests {
         bp.get_mut(PageId(1));
         bp.begin_fetch(PageId(7));
         bp.crash();
-        assert_eq!(bp.resident(), 0);
+        assert_eq!(bp.frames.len(), 0);
         assert!(!bp.contains(PageId(1)));
         assert!(!bp.fetch_in_flight(PageId(7)));
     }
@@ -491,13 +486,13 @@ mod tests {
         let mut bp = BufferPool::new(1, PAGES);
         bp.begin_fetch(PageId(1));
         bp.begin_fetch(PageId(2));
-        assert_eq!(bp.resident(), 0);
+        assert_eq!(bp.frames.len(), 0);
         assert!(bp.fetch_in_flight(PageId(1)) && bp.fetch_in_flight(PageId(2)));
         bp.complete_fetch(PageId(1));
         // completing the second evicts the first (capacity 1)
         let out = bp.complete_fetch(PageId(2));
         assert_eq!(out, EvictOutcome::Clean);
-        assert_eq!(bp.resident(), 1);
+        assert_eq!(bp.frames.len(), 1);
     }
 
     #[test]

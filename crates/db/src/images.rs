@@ -2,10 +2,12 @@
 //! durable on the device, and what is on its way there.
 //!
 //! The devices model timing and layout; the engine models the bytes. A
-//! page has one image, the durable one. A write not in it yet is a redo
-//! entry naming an after-image in its log record: in a dirty buffer frame
-//! until a steal applies it to the durable image, or a checkpoint moves it
-//! to the in-flight list until its write lands (DESIGN §2.7).
+//! page has one image, the durable one, which stores only the records
+//! written to it: a page never written since `load` owns no bytes. A write
+//! not in it yet is a redo entry naming an after-image in its log record:
+//! in a dirty buffer frame until a steal applies it to the durable image,
+//! or a checkpoint moves it to the in-flight list until its write lands
+//! (DESIGN §2.7).
 
 use requiem_sim::time::SimTime;
 
@@ -16,11 +18,8 @@ use crate::wal::{ImageRef, Wal};
 /// densely numbered database.
 #[derive(Debug)]
 pub(crate) struct PageImages {
-    /// What `load` writes and what a page never written since reads as:
-    /// every fixed slot present and zeroed. The one copy of it.
-    formatted: PageImage,
-    /// The image durable on the device; `None` = still the formatted one.
-    durable: PageVec<Option<PageImage>>,
+    /// The image durable on the device.
+    durable: PageVec<PageImage>,
     /// The writes in flight, one entry per slot written: (completion
     /// instant, page, page LSN the write leaves, slot, after-image). They
     /// complete in submission order: what lands is a prefix.
@@ -31,32 +30,33 @@ impl PageImages {
     /// A `pages`-page database, every page durable as formatted.
     pub(crate) fn new(pages: u64) -> Self {
         PageImages {
-            formatted: PageImage::formatted(),
-            durable: PageVec::new(pages, None),
+            durable: PageVec::new(pages, PageImage::formatted()),
             in_flight: Vec::new(),
         }
     }
 
     /// The durable image of `pid`.
     pub(crate) fn durable(&self, pid: PageId) -> &PageImage {
-        self.durable[pid].as_ref().unwrap_or(&self.formatted)
+        &self.durable[pid]
     }
 
     /// The durable image of `pid`, for a steal's write-back or recovery
-    /// to redo into: a page still formatted gets bytes of its own first.
-    /// Writes of a page land in order, so none of `pid` is in flight.
+    /// to redo into. Writes of a page land in order, so none of `pid` is
+    /// in flight.
     pub(crate) fn durable_mut(&mut self, pid: PageId) -> &mut PageImage {
         debug_assert!(
             self.in_flight.iter().all(|w| w.1 != pid),
             "{pid:?} in flight"
         );
-        self.durable[pid].get_or_insert_with(|| self.formatted.clone())
+        &mut self.durable[pid]
     }
 
     /// The durable image of `pid`, formatted afresh: media-failure redo
     /// rebuilds the page into it.
     pub(crate) fn reformat(&mut self, pid: PageId) -> &mut PageImage {
-        self.durable[pid].insert(self.formatted.clone())
+        let image = &mut self.durable[pid];
+        *image = PageImage::formatted();
+        image
     }
 
     /// The newest write of `(pid, slot)` not yet in the durable image: in
@@ -86,8 +86,8 @@ impl PageImages {
 
     /// Roll `slot` of `pid` back to `before` wherever it shows `owned`'s
     /// write: first in `frame` (the resident page's redo, got as a write
-    /// access), then in the durable image unless formatted and in each
-    /// write in flight. True when the frame's record was restored.
+    /// access), then in the durable image and in each write in flight.
+    /// True when the frame's record was restored.
     pub(crate) fn roll_back(
         &mut self,
         frame: Option<&mut Redo>,
@@ -104,10 +104,9 @@ impl PageImages {
             }
             hit
         });
-        if let Some(image) = self.durable[pid].as_mut() {
-            if owned(image.get(slot)) {
-                image.redo(slot, before.map(|b| wal.after(b)), image.lsn());
-            }
+        let image = &mut self.durable[pid];
+        if owned(image.get(slot)) {
+            image.redo(slot, before.map(|b| wal.after(b)), image.lsn());
         }
         for w in &mut self.in_flight {
             if (w.1, w.3) == (pid, slot) && owned(w.4.map(|a| wal.after(a))) {
@@ -134,7 +133,7 @@ impl PageImages {
     pub(crate) fn settle(&mut self, now: SimTime, wal: &Wal) {
         let landed = self.in_flight.partition_point(|w| w.0 <= now);
         for (_, pid, lsn, slot, after) in self.in_flight.drain(..landed) {
-            let image = self.durable[pid].get_or_insert_with(|| self.formatted.clone());
+            let image = &mut self.durable[pid];
             image.redo(slot, after.map(|a| wal.after(a)), lsn.max(image.lsn()));
         }
     }
@@ -202,18 +201,23 @@ pub(crate) mod tests {
     fn a_page_never_written_reads_as_the_formatted_image_and_owns_no_bytes() {
         let mut images = PageImages::new(4);
         let wal = Wal::new();
+        let owns_nothing = |images: &PageImages, p| {
+            let image = images.durable(PageId(p));
+            image.records_owned() == 0 && image == &PageImage::formatted()
+        };
         assert_eq!(owner(images.record(None, PageId(2), 0, &wal)), Some(0));
-        assert!(!images.roll_back(None, PageId(2), 0, None, &wal, |_| true));
-        assert!(images.durable[PageId(2)].is_none(), "a rollback skips it");
+        let aborted = |r: Option<&[u8]>| owner(r) == Some(7);
+        assert!(!images.roll_back(None, PageId(2), 0, None, &wal, aborted));
+        assert!(
+            owns_nothing(&images, 2),
+            "a rollback finds no write of its own"
+        );
         images.durable_mut(PageId(2)).redo(1, Some(&tagged(5)), 9);
         assert_eq!(images.durable(PageId(2)).lsn(), 9);
-        let formatted = &images.formatted;
-        assert_eq!(
-            (formatted.lsn(), owner(formatted.get(1))),
-            (0, Some(0)),
-            "redo wrote a copy"
-        );
-        assert_eq!(images.durable(PageId(1)).lsn(), 0);
+        assert_eq!(owner(images.durable(PageId(2)).get(1)), Some(5));
+        assert!((0..4).filter(|&p| p != 2).all(|p| owns_nothing(&images, p)));
+        images.reformat(PageId(2));
+        assert!(owns_nothing(&images, 2));
     }
 
     #[test]
@@ -228,7 +232,7 @@ pub(crate) mod tests {
         assert_eq!(owner(images.record(None, p, 0, &wal)), Some(2));
         assert_eq!(owner(images.record(Some(&first), p, 0, &wal)), Some(1));
         assert_eq!(owner(images.record(None, p, 1, &wal)), Some(0));
-        assert!(images.durable[p].is_none());
+        assert_eq!(images.durable(p), &PageImage::formatted());
 
         images.settle(at(10), &wal);
         assert_eq!(

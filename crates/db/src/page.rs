@@ -5,18 +5,24 @@
 //! from [`Database::load`](crate::Database::load) on and every write
 //! replaces a record of its own size in place (DESIGN §2.7), so a
 //! [`PageImage`] is those records and nothing else — no header, no slot
-//! directory, no free space. One heap allocation holds
+//! directory, no free space. And it holds only the records written since
+//! the page was formatted: a slot never written reads as the formatted
+//! zero record, which no image stores.
 //!
 //! ```text
-//! +-----------+----------------------+-----------------------------------+
-//! | lsn (u64) | present bits (u16)   | SLOTS_PER_PAGE × RECORD_SIZE      |
-//! +-----------+----------------------+-----------------------------------+
+//! +-----------+--------------+--------------+---------------------------+
+//! | lsn (u64) | present bits | written bits | one RECORD_SIZE record    |
+//! |           | (u16)        | (u16)        | per written bit, in slot  |
+//! |           |              |              | order (heap, exact fit)   |
+//! +-----------+--------------+--------------+---------------------------+
 //! ```
 //!
-//! (1 616 bytes with padding). A deleted slot clears its present bit, a
-//! tombstone: `get` reads `None` and a later write of it changes nothing
-//! but the page LSN, as [`LogRecord::Delete`](crate::wal::LogRecord::Delete)
-//! means.
+//! A formatted image owns no heap bytes; one written in k slots owns k
+//! records. A deleted slot clears its present bit, a tombstone: `get`
+//! reads `None` and a later write of it changes nothing but the page LSN,
+//! as [`LogRecord::Delete`](crate::wal::LogRecord::Delete) means. Two
+//! images are equal when they read the same, slot by slot, at the same
+//! LSN, however their records are stored.
 //!
 //! A [`PageImage`] owns its bytes: cloning one copies them, and no two
 //! pages ever share them. The engine keeps one image per page, the
@@ -90,76 +96,120 @@ impl<T> IndexMut<PageId> for PageVec<T> {
     }
 }
 
-/// The bytes of a page image, in its one heap allocation, in the order
-/// the module doc draws them.
-#[derive(Clone, PartialEq, Eq)]
-#[repr(C)]
-struct Slots {
+const _: () = assert!(
+    SLOTS_PER_PAGE as u32 <= u16::BITS,
+    "one present and one written bit per slot"
+);
+
+/// What a slot never written since format reads as.
+static FORMATTED_RECORD: [u8; RECORD_SIZE] = [0; RECORD_SIZE];
+
+/// An in-memory page image, sole owner of its bytes: `Clone` copies them.
+#[derive(Clone)]
+pub struct PageImage {
     /// LSN of the last log record that modified the page.
     lsn: u64,
     /// Bit `s` set = slot `s` holds a record; clear = deleted.
     present: u16,
-    records: [[u8; RECORD_SIZE]; SLOTS_PER_PAGE as usize],
+    /// Bit `s` set = slot `s` was written since format, and its record is
+    /// in `records`.
+    written: u16,
+    /// The written slots' records, in slot order, with no spare capacity.
+    records: Vec<[u8; RECORD_SIZE]>,
 }
-
-const _: () = assert!(
-    SLOTS_PER_PAGE as u32 <= u16::BITS,
-    "one present bit per slot"
-);
-
-/// An in-memory page image, sole owner of its bytes: `Clone` copies them.
-#[derive(Clone, PartialEq, Eq)]
-pub struct PageImage(Box<Slots>);
 
 impl std::fmt::Debug for PageImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageImage")
-            .field("lsn", &self.lsn())
-            .field("present", &format_args!("{:#06x}", self.0.present))
+            .field("lsn", &self.lsn)
+            .field("present", &format_args!("{:#06x}", self.present))
+            .field("written", &format_args!("{:#06x}", self.written))
             .finish()
     }
 }
 
+/// Equal when both read the same record (or none) from every slot at the
+/// same LSN: a slot written back to the formatted record equals one never
+/// written.
+impl PartialEq for PageImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.lsn == other.lsn && (0..SLOTS_PER_PAGE).all(|s| self.get(s) == other.get(s))
+    }
+}
+
+impl Eq for PageImage {}
+
 impl PageImage {
     /// A page as [`Database::load`](crate::Database::load) formats it:
-    /// every slot present and zeroed, LSN 0.
+    /// every slot present and zeroed, LSN 0. Allocates nothing.
     pub(crate) fn formatted() -> Self {
-        PageImage(Box::new(Slots {
+        PageImage {
             lsn: 0,
             present: u16::MAX >> (u16::BITS - u32::from(SLOTS_PER_PAGE)),
-            records: [[0; RECORD_SIZE]; SLOTS_PER_PAGE as usize],
-        }))
+            written: 0,
+            records: Vec::new(),
+        }
     }
 
     /// Page LSN: the LSN of the last log record that modified this page.
     pub fn lsn(&self) -> u64 {
-        self.0.lsn
+        self.lsn
+    }
+
+    /// Where `slot`'s record is in `records`: the written slots below it.
+    fn rank(&self, slot: u16) -> usize {
+        (self.written & ((1 << slot) - 1)).count_ones() as usize
     }
 
     /// Read a record; `None` for out-of-range or deleted slots.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        let record = self.0.records.get(usize::from(slot))?;
-        ((self.0.present >> slot) & 1 == 1).then_some(&record[..])
+        if slot >= SLOTS_PER_PAGE || (self.present >> slot) & 1 == 0 {
+            return None;
+        }
+        Some(match (self.written >> slot) & 1 {
+            1 => &self.records[self.rank(slot)],
+            _ => &FORMATTED_RECORD,
+        })
+    }
+
+    /// Records this image owns heap bytes for.
+    #[cfg(test)]
+    pub(crate) fn records_owned(&self) -> usize {
+        self.records.capacity()
     }
 
     /// Redo one logged write: `after` replaces the record in `slot`
     /// (`None` deletes it), then the page carries `lsn`. A write over a
-    /// deleted record changes nothing but the LSN. The one apply behind
-    /// write-back, a landing checkpoint, recovery and media redo.
+    /// deleted record changes nothing but the LSN. A slot's first write
+    /// grows the records by exactly one. The one apply behind write-back,
+    /// a landing checkpoint, recovery and media redo.
     ///
     /// # Panics
     /// Panics on a slot beyond [`SLOTS_PER_PAGE`], or on a write of a
     /// present slot whose after-image is not [`RECORD_SIZE`] bytes.
     pub(crate) fn redo(&mut self, slot: u16, after: Option<&[u8]>, lsn: u64) {
-        let slots = &mut *self.0;
-        let record = &mut slots.records[usize::from(slot)];
+        assert!(
+            slot < SLOTS_PER_PAGE,
+            "slot index out of bounds: the page has {SLOTS_PER_PAGE} slots but the index is {slot}"
+        );
         let bit = 1 << slot;
         match after {
-            Some(after) if slots.present & bit != 0 => record.copy_from_slice(after),
-            Some(_) => {}
-            None => slots.present &= !bit,
+            Some(_) if self.present & bit == 0 => {} // a deleted record
+            Some(after) if self.written & bit != 0 => {
+                let at = self.rank(slot);
+                self.records[at].copy_from_slice(after);
+            }
+            Some(after) => {
+                let mut record = [0; RECORD_SIZE];
+                record.copy_from_slice(after);
+                let at = self.rank(slot);
+                self.records.reserve_exact(1);
+                self.records.insert(at, record);
+                self.written |= bit;
+            }
+            None => self.present &= !bit,
         }
-        slots.lsn = lsn;
+        self.lsn = lsn;
     }
 }
 
@@ -430,22 +480,35 @@ mod tests {
         assert_eq!(p.get(SLOTS_PER_PAGE), None);
     }
 
-    /// The image's one heap allocation is the LSN, the present bits and
-    /// the records, as `Slots` lays them out — never a flash page.
+    /// A formatted image owns no record bytes; one written in k distinct
+    /// slots owns exactly k records, however often each was rewritten —
+    /// never a flash page, never the whole page's records.
     #[test]
-    fn an_image_is_one_allocation_of_its_lsn_present_bits_and_records() {
-        let fields = 8 + 2 + usize::from(SLOTS_PER_PAGE) * RECORD_SIZE;
-        let laid_out = fields.next_multiple_of(std::mem::align_of::<u64>());
+    fn an_image_owns_one_record_per_slot_written_since_format() {
         let p = PageImage::formatted();
-        assert_eq!(std::mem::size_of_val(&*p.0), laid_out);
-        assert_eq!(laid_out, 1616);
-        assert!(laid_out < PAGE_SIZE / 2);
+        assert_eq!((p.records.len(), p.records.capacity()), (0, 0));
+        assert_eq!(p.clone().records.capacity(), 0, "a clone allocates nothing");
+        let mut p = p;
+        for (k, slot) in [9, 2, 15, 0, 7].into_iter().enumerate() {
+            p.redo(slot, Some(&record(1)), 1);
+            p.redo(slot, Some(&record(2)), 2);
+            p.redo(9, Some(&record(3)), 3);
+            assert_eq!(p.records.len(), k + 1, "after {} slots", k + 1);
+            assert_eq!(p.records.capacity(), k + 1, "after {} slots", k + 1);
+        }
+        assert_eq!(p.clone().records.capacity(), 5);
+        p.redo(4, None, 4);
+        p.redo(4, Some(&record(5)), 5);
+        assert_eq!(
+            p.records.len(),
+            5,
+            "neither a delete nor a write of it adds one"
+        );
         assert_eq!(
             std::mem::size_of::<PageImage>(),
-            8,
-            "a pointer, no inline bytes"
+            40,
+            "LSN, two bit sets and a Vec header: no inline record"
         );
-        assert_eq!(std::mem::size_of::<Option<PageImage>>(), 8);
     }
 
     #[test]
@@ -495,6 +558,22 @@ mod tests {
         let _ = PageVec::new(4, 0u8)[PageId(4)];
     }
 
+    #[test]
+    fn a_slot_written_back_to_the_formatted_record_equals_one_never_written() {
+        let mut written = PageImage::formatted();
+        written.redo(3, Some(&record(4)), 1);
+        written.redo(3, Some(&[0; RECORD_SIZE]), 2);
+        let mut untouched = PageImage::formatted();
+        untouched.redo(5, None, 2);
+        untouched.redo(5, Some(&record(6)), 2);
+        assert_ne!(written, untouched, "slot 5 deleted in one only");
+        written.redo(5, None, 2);
+        assert_eq!(written, untouched);
+        assert_ne!(written.written, untouched.written, "stored differently");
+        written.redo(0, None, 3);
+        assert_ne!(written, untouched, "the LSN differs");
+    }
+
     proptest! {
         /// Random redo sequences over every slot: a write of a record (tag
         /// 1..8), a delete (tag 0), each at an arbitrary LSN. After every
@@ -514,6 +593,43 @@ mod tests {
                     prop_assert_eq!(image.get(s), slotted.get(s), "step {} slot {}", step, s);
                 }
             }
+        }
+
+        /// Two write histories over a few slots — records tagged 0..3, tag
+        /// 0 being the formatted record, tag 3 a delete, two LSNs, so that
+        /// they often meet — give equal images exactly when the slotted
+        /// page replaying them reads the same in every slot at the same
+        /// LSN, whichever slots each image stored a record for.
+        #[test]
+        fn images_are_equal_when_they_read_the_same(
+            a in proptest::collection::vec((0..4u16, 0..4u8, 0..2u64), 0..8),
+            b in proptest::collection::vec((0..4u16, 0..4u8, 0..2u64), 0..8),
+        ) {
+            let replay = |ops: &[(u16, u8, u64)]| {
+                let (mut image, mut slotted) = (PageImage::formatted(), SlottedPage::formatted());
+                for &(slot, tag, lsn) in ops {
+                    // tag 3 deletes; the rest write a record of their tag
+                    let after = (tag < 3).then(|| record(tag));
+                    image.redo(slot, after.as_ref().map(|r| &r[..]), lsn);
+                    slotted.redo(slot, after.as_ref().map(|r| &r[..]), lsn);
+                }
+                (image, slotted)
+            };
+            let ((x, xs), (y, ys)) = (replay(&a), replay(&b));
+            let reads_same = xs.lsn() == ys.lsn() && (0..SLOTS_PER_PAGE).all(|s| xs.get(s) == ys.get(s));
+            prop_assert_eq!(x == y, reads_same);
+            // the same reads through a history that writes the formatted
+            // record into every slot still present first
+            let mut z = PageImage::formatted();
+            for s in 0..SLOTS_PER_PAGE {
+                z.redo(s, Some(&[0; RECORD_SIZE]), 0);
+            }
+            for &(slot, tag, lsn) in &a {
+                let after = (tag < 3).then(|| record(tag));
+                z.redo(slot, after.as_ref().map(|r| &r[..]), lsn);
+            }
+            prop_assert_eq!(z.lsn(), x.lsn());
+            prop_assert_eq!(&z, &x);
         }
     }
 }

@@ -1,11 +1,16 @@
-//! Heap allocations per committed transaction, as a checked-in budget.
+//! Heap allocations per committed transaction and heap bytes retained per
+//! data page, as checked-in budgets.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. For each
 //! of `bench_stack`'s three `db_*` shapes the test builds the database,
 //! runs a warm-up slice so pools, scratch buffers and tables reach their
 //! steady size, then counts `alloc` + `realloc` calls across a second
 //! slice and asserts the count per committed transaction against a
-//! literal. Counts, not times: they hold on any runner.
+//! literal. Beside it, the heap bytes the shape still holds after build,
+//! warm-up and counted slice — allocated less freed, the inputs aside —
+//! per data page, against a literal: what the database keeps per page it
+//! models, most of its share of a run's peak memory. Counts, not times:
+//! they hold on any runner.
 //!
 //! What may still allocate inside the counted region, and nothing else:
 //!
@@ -17,9 +22,9 @@
 //! * **per cross-shard transaction** — the ledger's entry (its
 //!   participant `Vec`, its vote and entry tree nodes) and each
 //!   participant's undo list;
-//! * **amortised** — `commit_order` past its reservation, a page's first
-//!   durable image of its own (a copy of the formatted one, made when its
-//!   first write-back lands), a redo list growing past the most slots
+//! * **amortised** — `commit_order` past its reservation, a slot's first
+//!   record in its page's durable image (made when the first write-back
+//!   of that slot lands), a redo list growing past the most slots
 //!   its frame has held written at once (frames, steals and in-flight
 //!   writes keep their lists' capacity), and the log's trim state growing
 //!   past its size: the archive's slot list and image arena when a slot
@@ -77,26 +82,40 @@ fn qd16_inputs() -> Vec<TxnInput> {
     oltp_inputs(&mut OltpGen::new(gen_cfg, SEED), (WARM_UP + COUNTED) as u64)
 }
 
-/// Allocations per committed transaction of one shape's counted slice.
-fn per_txn(shape: &str, allocs: u64, committed: u64) -> f64 {
-    assert_eq!(committed, COUNTED as u64, "{shape}: every txn commits");
-    allocs as f64 / committed as f64
+/// One shape's figures: allocations per committed transaction of its
+/// counted slice, and heap bytes held per data page since its build.
+struct Measured {
+    per_txn: f64,
+    per_page: f64,
 }
 
-fn db_run_qd16() -> f64 {
+fn measured(shape: &str, allocs: u64, committed: u64, held: &Region<'_, System>) -> Measured {
+    assert_eq!(committed, COUNTED as u64, "{shape}: every txn commits");
+    // a growing `realloc` counts its growth in `bytes_allocated` and a
+    // shrinking one its shrink in `bytes_deallocated`: the difference is
+    // the bytes still held
+    let held = held.change();
+    Measured {
+        per_txn: allocs as f64 / committed as f64,
+        per_page: (held.bytes_allocated as f64 - held.bytes_deallocated as f64) / PAGES as f64,
+    }
+}
+
+fn db_run_qd16() -> Measured {
     let b = builder()
         .buffer_frames(512)
         .concurrency(16)
         .group(GroupCommitPolicy::batched(16));
     let inputs = qd16_inputs();
+    let held = Region::new(GLOBAL);
     let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
     let cfg = b.exec_config();
     db.run_concurrent(&inputs[..WARM_UP], &cfg);
     let (allocs, report) = counted(|| db.run_concurrent(&inputs[WARM_UP..], &cfg));
-    per_txn("db_run_qd16", allocs, report.txns)
+    measured("db_run_qd16", allocs, report.txns, &held)
 }
 
-fn db_shard4() -> f64 {
+fn db_shard4() -> Measured {
     let b = builder()
         .buffer_frames(1024)
         .shards(SHARDS)
@@ -115,50 +134,63 @@ fn db_shard4() -> f64 {
     let inputs: Vec<_> = (0..WARM_UP + COUNTED)
         .map(|_| txn_to_input(&gen.next_txn()))
         .collect();
+    let held = Region::new(GLOBAL);
     let mut db = b.build_sharded_stack(StackConfig::blk_mq(SHARDS as u32), SsdConfig::modern());
     let cfg = b.exec_config();
     db.run(&inputs[..WARM_UP], &cfg);
     let (allocs, report) = counted(|| db.run(&inputs[WARM_UP..], &cfg));
-    per_txn("db_shard4", allocs, report.committed)
+    measured("db_shard4", allocs, report.committed, &held)
 }
 
-fn db_coop_qd16() -> f64 {
+fn db_coop_qd16() -> Measured {
     let b = builder()
         .buffer_frames(512)
         .concurrency(16)
         .group(GroupCommitPolicy::immediate())
         .wal(WalConfig::pcm());
     let inputs = qd16_inputs();
+    let held = Region::new(GLOBAL);
     let mut db = b.build_coop(NamelessConfig::from(&SsdConfig::modern()));
     let cfg = b.exec_config();
     db.run_concurrent(&inputs[..WARM_UP], &cfg);
     let (allocs, report) = counted(|| db.run_concurrent(&inputs[WARM_UP..], &cfg));
-    per_txn("db_coop_qd16", allocs, report.txns)
+    measured("db_coop_qd16", allocs, report.txns, &held)
 }
 
 #[test]
 fn steady_state_allocations_stay_inside_their_budgets() {
-    // (shape, allocations per committed txn, budget). At the parent of the
-    // change that checked this file in the three read 7.92, 14.50 and
-    // 8.22; that change left 3.06, 5.41 and 2.84. Once bus transfers
-    // backfilled idle gaps, reads stopped completing in batches and a
-    // `Vec` per non-empty `poll` pushed them to 3.80, 5.50 and 3.97;
+    // (shape, figures, allocations per committed txn budget, retained
+    // bytes per data page budget). At the parent of the change that
+    // checked this file in the three read 7.92, 14.50 and 8.22
+    // allocations; that change left 3.06, 5.41 and 2.84. Once bus
+    // transfers backfilled idle gaps, reads stopped completing in batches
+    // and a `Vec` per non-empty `poll` pushed them to 3.80, 5.50 and 3.97;
     // reaping into one buffer left 2.36, 3.60 and 2.35 (budgets 2.6, 3.9
     // and 2.6). Frames that hold redo instead of a page copy left 2.24,
     // 3.55 and 2.23, and each budget is that plus the same margin. Shard
     // plans that index the caller's inputs instead of copying each share's
     // accesses left db_shard4 at 2.36 (budget 2.6).
+    //
+    // Retained bytes per data page read 2863, 4093 and 3161 while every
+    // durable image held all 16 records of its page (1 616 B); images that
+    // hold only the records written to them left 1392, 2686 and 1689, and
+    // each budget is that plus about a tenth.
     let rows = [
-        ("db_run_qd16", db_run_qd16(), 2.48),
-        ("db_shard4", db_shard4(), 2.6),
-        ("db_coop_qd16", db_coop_qd16(), 2.48),
+        ("db_run_qd16", db_run_qd16(), 2.48, 1530.0),
+        ("db_shard4", db_shard4(), 2.6, 2950.0),
+        ("db_coop_qd16", db_coop_qd16(), 2.48, 1860.0),
     ];
-    for (shape, got, budget) in rows {
-        println!("{shape}: {got:.2} heap allocations per committed txn, budget {budget}");
+    for (shape, got, allocs, bytes) in &rows {
+        println!(
+            "{shape}: {:.2} heap allocations per committed txn, budget {allocs}; \
+             {:.0} heap bytes retained per data page, budget {bytes}",
+            got.per_txn, got.per_page
+        );
     }
     let over: Vec<_> = rows
         .iter()
-        .filter(|(_, got, budget)| got > budget)
+        .filter(|(_, got, allocs, bytes)| got.per_txn > *allocs || got.per_page > *bytes)
+        .map(|(shape, ..)| shape)
         .collect();
     assert!(over.is_empty(), "over budget: {over:?}");
 }

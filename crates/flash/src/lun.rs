@@ -160,11 +160,6 @@ impl Lun {
         self.faults = view;
     }
 
-    /// The installed fault view.
-    pub fn faults(&self) -> &FaultView {
-        &self.faults
-    }
-
     /// This LUN's id.
     pub fn id(&self) -> u32 {
         self.id

@@ -105,11 +105,6 @@ impl ExtendedSsd {
         self.barriers += 1;
         self.inner.drain_time().max(now)
     }
-
-    /// Barriers issued.
-    pub fn barriers(&self) -> u64 {
-        self.barriers
-    }
 }
 
 /// The atomic batch on a device that commits it in its FTL: every page
@@ -249,7 +244,7 @@ mod tests {
         d.write(SimTime::ZERO, Lpn(0)).unwrap();
         let b = d.barrier(SimTime::ZERO);
         assert_eq!(b, d.inner().drain_time());
-        assert_eq!(d.barriers(), 1);
+        assert_eq!(d.barriers, 1);
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub struct PcmSsd {
     banks: Vec<Resource>, // serial array access per bank
     bank_state: Vec<Bank>,
     read_lat: Histogram,
-    write_lat: Histogram,
     reads: u64,
     writes: u64,
 }
@@ -118,7 +117,6 @@ impl PcmSsd {
             bank_state,
             cfg,
             read_lat: Histogram::new(),
-            write_lat: Histogram::new(),
             reads: 0,
             writes: 0,
         }
@@ -201,22 +199,15 @@ impl PcmSsd {
         }
         let array = self.banks[bank].reserve(xfer.end, array_t);
         self.writes += 1;
-        let lat = array.end.since(now);
-        self.write_lat.record_duration(lat);
         PcmIoDone {
             done: array.end,
-            latency: lat,
+            latency: array.end.since(now),
         }
     }
 
     /// Read-latency histogram.
     pub fn read_latency(&self) -> &Histogram {
         &self.read_lat
-    }
-
-    /// Write-latency histogram.
-    pub fn write_latency(&self) -> &Histogram {
-        &self.write_lat
     }
 
     /// Max page-slot write count across banks (wear metric).
@@ -331,7 +322,6 @@ mod tests {
         s.write_page(SimTime::ZERO, 1);
         assert_eq!(s.op_counts(), (1, 1));
         assert_eq!(s.read_latency().count(), 1);
-        assert_eq!(s.write_latency().count(), 1);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl PageMap {
         self.mapped == 0
     }
 
-    /// Number of currently mapped pages.
-    pub fn mapped(&self) -> u64 {
-        self.mapped
-    }
-
     /// Current physical location of `lpn`, if written.
     #[inline]
     pub fn lookup(&self, lpn: Lpn) -> Option<PhysPage> {
@@ -193,10 +188,10 @@ mod tests {
     fn update_returns_old_for_invalidation() {
         let mut m = map();
         assert_eq!(m.update(Lpn(3), pp(0, 1, 2)), None);
-        assert_eq!(m.mapped(), 1);
+        assert_eq!(m.mapped, 1);
         let old = m.update(Lpn(3), pp(1, 5, 0));
         assert_eq!(old, Some(pp(0, 1, 2)));
-        assert_eq!(m.mapped(), 1);
+        assert_eq!(m.mapped, 1);
         assert_eq!(m.lookup(Lpn(3)), Some(pp(1, 5, 0)));
     }
 
@@ -206,7 +201,7 @@ mod tests {
         m.update(Lpn(3), pp(0, 1, 2));
         assert_eq!(m.unmap(Lpn(3)), Some(pp(0, 1, 2)));
         assert_eq!(m.lookup(Lpn(3)), None);
-        assert_eq!(m.mapped(), 0);
+        assert_eq!(m.mapped, 0);
         assert_eq!(m.unmap(Lpn(3)), None);
     }
 
@@ -266,7 +261,7 @@ mod tests {
                     _ => {}
                 }
                 prop_assert_eq!(m.lookup(Lpn(lpn)), want[slot]);
-                prop_assert_eq!(m.mapped(), want.iter().flatten().count() as u64);
+                prop_assert_eq!(m.mapped, want.iter().flatten().count() as u64);
             }
         }
     }
@@ -284,7 +279,7 @@ mod tests {
                     assert_eq!(m.update(Lpn(i as u64), phys), None);
                     assert_eq!(m.lookup(Lpn(i as u64)), Some(phys), "{shape:?} {geom:?}");
                 }
-                assert_eq!(m.mapped(), 5);
+                assert_eq!(m.mapped, 5);
             }
         }
     }
