@@ -116,8 +116,8 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) wal_dev: Box<dyn WalBackend>,
     pub(crate) pool: BufferPool,
     pub(crate) wal: Wal,
-    /// When each recent force made the log durable: the WAL law's
-    /// evidence (debug builds only).
+    /// When each recent force made the log durable: what a steal waits
+    /// for, and the WAL law's evidence.
     pub(crate) durability: Durability,
     pub(crate) now: SimTime,
     /// Host-side model of the page images that are durable on the device
@@ -134,9 +134,11 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) probe: requiem_sim::Probe,
 }
 
-/// The WAL law's evidence: the recent forces that moved the durable
-/// horizon, `(horizon, end)`, oldest first. Debug builds fill it; release
-/// builds keep it empty and check nothing.
+/// The recent forces that moved the durable horizon, `(horizon, end)`,
+/// oldest first. A group force under the shard coordinator marks the log
+/// flushed when it is issued and ends later ([`crate::exec`]), so a steal
+/// finds here when its frame's records became durable. Debug builds also
+/// hold every page write and commit acknowledgement to the WAL law.
 ///
 /// The law: a page write carries only records that are durable, and is
 /// submitted no earlier than the end of the force that made its newest
@@ -159,9 +161,6 @@ impl Durability {
 
     /// A force that moved the durable horizon to `horizon` ended at `end`.
     fn note(&mut self, horizon: Lsn, end: SimTime) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
         if self.forces.len() == Self::WINDOW {
             if let Some((h, _)) = self.forces.pop_front() {
                 self.forgotten = Some(h);
@@ -170,24 +169,32 @@ impl Durability {
         self.forces.push_back((horizon, end));
     }
 
+    /// When the force that made the record at `lsn` durable ended, while
+    /// that force is among the recent ones. LSN 0 names no record (a page
+    /// whose redo logged nothing).
+    fn end_of(&self, lsn: u64) -> Option<SimTime> {
+        let lsn = Lsn(lsn);
+        if lsn == Lsn(0) || Some(lsn) <= self.forgotten {
+            return None;
+        }
+        let covering = self.forces.partition_point(|&(h, _)| h < lsn);
+        self.forces.get(covering).map(|&(_, end)| end)
+    }
+
     /// Assert that the record at `lsn` is durable for what `what` does
-    /// with it at `at`. LSN 0 names no record (a page whose redo logged
-    /// nothing).
+    /// with it at `at`.
     pub(crate) fn assert_durable(&self, wal: &Wal, lsn: u64, at: SimTime, what: &str) {
         if !cfg!(debug_assertions) || lsn == 0 {
             return;
         }
+        let end = self.end_of(lsn);
         let lsn = Lsn(lsn);
         debug_assert!(
             wal.flushed() >= Some(lsn),
             "WAL law: {what} at {at:?} carries record {lsn:?} above the durable horizon {:?}",
             wal.flushed()
         );
-        if Some(lsn) <= self.forgotten {
-            return;
-        }
-        let covering = self.forces.partition_point(|&(h, _)| h < lsn);
-        if let Some(&(_, end)) = self.forces.get(covering) {
+        if let Some(end) = end {
             debug_assert!(
                 at >= end,
                 "WAL law: {what} at {at:?} precedes the end {end:?} of the force that made \
@@ -388,6 +395,11 @@ impl<B: PersistenceBackend> Database<B> {
         // a steal forces whatever the log holds past the horizon, not
         // only the stolen page's records
         let (mut end, forced) = self.force_ahead(at, self.wal.next_lsn());
+        // the log may be flushed already by a group force still in flight
+        // (sharded runs): the frame's records are durable at its end
+        if let Some(covered) = self.durability.end_of(self.pool.stolen().lsn) {
+            end = end.max(covered);
+        }
         let what = "a stolen page's write";
         self.durability
             .assert_durable(&self.wal, self.pool.stolen().lsn, end, what);

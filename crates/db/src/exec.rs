@@ -45,7 +45,7 @@
     clippy::unimplemented
 )]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use requiem_sim::time::SimTime;
 use requiem_sim::{Cause, Histogram, IoStatus, Layer};
@@ -191,7 +191,8 @@ pub(crate) struct Active {
 
 /// What one closed loop runs: positions in the caller's inputs, each read
 /// through a shard filter. `run_concurrent` runs every input whole
-/// ([`Plan::all`]); a shard runs its shares of the global inputs
+/// ([`Plan::all`]); a shard runs the inputs it is home to, and the shares
+/// of other homes' cross-shard inputs its inbox delivers
 /// ([`Plan::shard`]). Nothing is copied: a share's id, role, log bytes
 /// and accesses (in the shard's own page numbering) are derived from the
 /// global input where they are used.
@@ -224,9 +225,9 @@ impl<'a> Plan<'a> {
         }
     }
 
-    /// Shard `shard`'s shares of the global `inputs` over a global
-    /// keyspace of `pages` pages split `shards` ways: the inputs at
-    /// `picks`, in that order.
+    /// Shard `shard`'s view of the global `inputs` over a global keyspace
+    /// of `pages` pages split `shards` ways: it admits the inputs at
+    /// `picks`, in that order, and whatever share its inbox delivers.
     pub(crate) fn shard(
         inputs: &'a [TxnInput],
         picks: &'a [u32],
@@ -245,9 +246,22 @@ impl<'a> Plan<'a> {
         }
     }
 
-    /// Transactions this loop runs.
+    /// Plan entries: the transactions this loop admits in order.
     pub(crate) fn len(&self) -> usize {
         self.picks.map_or(self.inputs.len(), <[u32]>::len)
+    }
+
+    /// The global input of plan entry `k`.
+    pub(crate) fn input(&self, k: usize) -> usize {
+        self.picks.map_or(k, |p| p[k] as usize)
+    }
+
+    /// Every global input with a share on this loop, plan entries and
+    /// inbox shares alike, in input order: with one shard every input,
+    /// else each one with an access here.
+    pub(crate) fn shares(self) -> impl Iterator<Item = usize> + 'a {
+        (0..self.inputs.len())
+            .filter(move |&i| self.shards == 1 || self.accesses(i, 0).next().is_some())
     }
 
     /// `page` within the global keyspace. A page already in range, as
@@ -271,19 +285,18 @@ impl<'a> Plan<'a> {
         (g % self.shards == self.shard).then_some(g / self.shards)
     }
 
-    /// Plan entry `k` as a transaction starting at `started` with the log
-    /// at `first`. An input touching more than one shard runs as a
-    /// two-phase participant and forces a slice of its log payload.
-    /// `seen` is scratch for the shard count (one flag per shard, all
-    /// clear on entry and on return).
+    /// This loop's share of global input `input` as a transaction starting
+    /// at `started` with the log at `first`. An input touching more than
+    /// one shard runs as a two-phase participant and forces a slice of its
+    /// log payload. `seen` is scratch for the shard count (one flag per
+    /// shard, all clear on entry and on return).
     pub(crate) fn start(
         &self,
-        k: usize,
+        input: usize,
         seen: &mut Vec<bool>,
         started: SimTime,
         first: Lsn,
     ) -> Active {
-        let input = self.picks.map_or(k, |p| p[k] as usize);
         let txn = &self.inputs[input];
         let touched = self.touched(txn, seen);
         let (role, log_bytes) = if touched > 1 {
@@ -344,9 +357,20 @@ impl<'a> Plan<'a> {
     }
 }
 
-/// What a shard reports back to its coordinator after a force.
+/// What a shard reports back to its coordinator: a cross-shard input it
+/// started as home, and the outcome of a force.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ShardEvent {
+    /// The home shard started a cross-shard input: its other shares are
+    /// due in their shards' inboxes at `at`.
+    Started {
+        /// The global transaction.
+        txn: u64,
+        /// Its index in the global inputs.
+        input: u32,
+        /// The home's start instant.
+        at: SimTime,
+    },
     /// A participant's prepare force completed: its durability vote.
     Prepared {
         /// The global transaction.
@@ -363,8 +387,6 @@ pub(crate) enum ShardEvent {
     Committed {
         /// The global transaction.
         txn: u64,
-        /// When the decision force landed.
-        done: SimTime,
     },
 }
 
@@ -416,8 +438,14 @@ pub(crate) struct ExecState {
     pub(crate) group: GroupCommit,
     /// The member list `force_group` trades with the group's (reused).
     forcing: Vec<GroupMember>,
-    /// Inputs handed to slots so far.
+    /// Plan entries handed to slots so far.
     pub(crate) issued: usize,
+    /// Shares of other homes' cross-shard inputs, `(due, global input)`
+    /// in arrival order: each is due when its home started the input, and
+    /// a free slot admits the first due one ahead of the next plan entry.
+    pub(crate) inbox: VecDeque<(SimTime, u32)>,
+    /// Inbox shares handed to slots so far.
+    pub(crate) admitted: usize,
     pub(crate) forces: u64,
     pub(crate) grouped: u64,
     pub(crate) commit_order: Vec<(u64, Lsn)>,
@@ -468,6 +496,8 @@ impl ExecState {
             group: GroupCommit::new(),
             forcing: Vec::new(),
             issued: 0,
+            inbox: VecDeque::new(),
+            admitted: 0,
             forces: 0,
             grouped: 0,
             // one entry per input at most: a prepare records none, and a
@@ -497,6 +527,26 @@ impl ExecState {
         self.slots
             .iter()
             .all(|s| matches!(s.state, SlotState::Idle { .. }))
+    }
+
+    /// When a free slot can next start a transaction: `ZERO` while plan
+    /// entries remain (of `plan_len`), else when the first inbox share is
+    /// due, `None` with nothing left to admit.
+    pub(crate) fn admit_at(&self, plan_len: usize) -> Option<SimTime> {
+        if self.issued < plan_len {
+            return Some(SimTime::ZERO);
+        }
+        self.inbox.front().map(|&(due, _)| due)
+    }
+
+    /// Every plan entry and inbox share is admitted, and nothing is in
+    /// flight: the loop is drained.
+    pub(crate) fn drained(&self, plan_len: usize) -> bool {
+        self.issued == plan_len
+            && self.inbox.is_empty()
+            && self.all_idle()
+            && self.pending.is_empty()
+            && self.group.is_empty()
     }
 
     /// Where the log's open transactions start: the lowest
@@ -537,11 +587,7 @@ impl<B: PersistenceBackend> Database<B> {
             }
 
             // 3. done?
-            if st.issued == inputs.len()
-                && st.all_idle()
-                && st.pending.is_empty()
-                && st.group.is_empty()
-            {
+            if st.drained(plan.len()) {
                 break;
             }
 
@@ -565,10 +611,10 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Size the in-memory log for `plan` before running it: an update per
-    /// dirty access and a termination record per transaction — for a
-    /// two-phase participant also the decision or abort record its home
-    /// shard appends. An upper bound by a few records, so a fault-free
-    /// run grows its log once. A run that checkpoints reserves nothing:
+    /// dirty access and a termination record per share — for a two-phase
+    /// participant also the decision or abort record its home shard
+    /// appends. An upper bound by a few records, so a fault-free run grows
+    /// its log once. A run that checkpoints reserves nothing:
     /// each checkpoint's trim cuts the log back to the transactions still
     /// open, so it stops growing once it holds about one checkpoint
     /// interval.
@@ -578,8 +624,8 @@ impl<B: PersistenceBackend> Database<B> {
         }
         let mut seen = Vec::new();
         let mut bytes = 0;
-        for k in 0..plan.len() {
-            let share = plan.start(k, &mut seen, self.now, Lsn(0));
+        for input in plan.shares() {
+            let share = plan.start(input, &mut seen, self.now, Lsn(0));
             let dirty = plan.accesses(share.input, 0).filter(|a| a.3).count();
             let two_phase = share.role == TxnRole::Participant;
             bytes += dirty * (UPDATE_HEAD_BYTES + RECORD_SIZE)
@@ -610,7 +656,7 @@ impl<B: PersistenceBackend> Database<B> {
             self.probe.note_status("prefetch-loss");
         }
         let makespan = self.now.since(started_at);
-        let txns = st.issued as u64;
+        let txns = (st.issued + st.admitted) as u64;
         let secs = makespan.as_secs_f64();
         ExecReport {
             txns,
@@ -631,13 +677,13 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// The earliest *future* instant anything can happen: the next read
-    /// completion, a slot becoming free or runnable, or the group
-    /// deadline. `None` means nothing is scheduled (an undersized group
-    /// may still need forcing). `Some(t)` with `t <= now` means an
-    /// event is already ready at the current instant.
+    /// completion, a slot becoming runnable, a free slot meeting work to
+    /// admit, or the group deadline. `None` means nothing is scheduled (an
+    /// undersized group may still need forcing). `Some(t)` with
+    /// `t <= now` means an event is already ready at the current instant.
     pub(crate) fn next_event(
         &mut self,
-        input_count: usize,
+        plan_len: usize,
         cfg: &ExecConfig,
         st: &ExecState,
     ) -> Option<SimTime> {
@@ -650,11 +696,18 @@ impl<B: PersistenceBackend> Database<B> {
         };
         // the bounds say when no slot can be Idle or Run at all: a wake
         // spent waiting on reads and forces skips the scan
-        let idle = st.issued < input_count && st.idle_from < SimTime::MAX;
-        if idle || st.run_from < SimTime::MAX {
+        let admit = st
+            .admit_at(plan_len)
+            .filter(|_| st.idle_from < SimTime::MAX);
+        if admit.is_some() || st.run_from < SimTime::MAX {
             for s in &st.slots {
                 match s.state {
-                    SlotState::Idle { free_at } if idle && free_at > self.now => merge(free_at),
+                    SlotState::Idle { free_at } => {
+                        // a free slot wakes when it also has work to admit
+                        if let Some(t) = admit.map(|a| a.max(free_at)).filter(|&t| t > self.now) {
+                            merge(t);
+                        }
+                    }
                     SlotState::Run { ready_at } if ready_at > self.now => merge(ready_at),
                     _ => {}
                 }
@@ -674,7 +727,7 @@ impl<B: PersistenceBackend> Database<B> {
         loop {
             let mut progress = false;
             // refill idle slots in slot order (deterministic admission)
-            if st.idle_from <= self.now && st.issued < plan.len() {
+            if st.idle_from <= self.now && st.admit_at(plan.len()).is_some_and(|a| a <= self.now) {
                 progress |= self.refill(plan, st);
             }
             // drive runnable slots in slot order
@@ -705,23 +758,45 @@ impl<B: PersistenceBackend> Database<B> {
         }
     }
 
-    /// Start the next inputs on the idle slots free at `now`, in slot
-    /// order; true when one started.
+    /// Start the next transactions on the idle slots free at `now`, in
+    /// slot order — a due inbox share ahead of the next plan entry, so a
+    /// share starts once its home has started the input however far this
+    /// shard's plan lags; true when one started. A cross-shard input
+    /// started from the plan is reported, for the coordinator to mail its
+    /// other shares.
     fn refill(&mut self, plan: &Plan, st: &mut ExecState) -> bool {
         let mut started = false;
         st.idle_from = SimTime::MAX;
         for i in 0..st.slots.len() {
             if let SlotState::Idle { free_at } = st.slots[i].state {
-                if free_at <= self.now && st.issued < plan.len() {
-                    let first = self.wal.next_lsn();
-                    let active = plan.start(st.issued, &mut st.seen, self.now, first);
-                    st.slots[i].txn = Some(active);
-                    st.set_state(i, SlotState::Run { ready_at: self.now });
-                    st.issued += 1;
-                    started = true;
-                } else {
+                let mailed = st.inbox.front().filter(|m| m.0 <= self.now).map(|m| m.1);
+                if free_at > self.now || (mailed.is_none() && st.issued == plan.len()) {
                     st.idle_from = st.idle_from.min(free_at);
+                    continue;
                 }
+                let input = match mailed {
+                    Some(input) => {
+                        st.inbox.pop_front();
+                        st.admitted += 1;
+                        input as usize
+                    }
+                    None => {
+                        st.issued += 1;
+                        plan.input(st.issued - 1)
+                    }
+                };
+                let first = self.wal.next_lsn();
+                let active = plan.start(input, &mut st.seen, self.now, first);
+                if mailed.is_none() && active.role == TxnRole::Participant {
+                    st.outbox.push(ShardEvent::Started {
+                        txn: active.id,
+                        input: input as u32,
+                        at: self.now,
+                    });
+                }
+                st.slots[i].txn = Some(active);
+                st.set_state(i, SlotState::Run { ready_at: self.now });
+                started = true;
             }
         }
         started
@@ -1054,7 +1129,7 @@ impl<B: PersistenceBackend> Database<B> {
                 MemberKind::Decide => {
                     // slot-less: the participants' slots freed at their
                     // prepare forces; this force is the commit point
-                    st.outbox.push(ShardEvent::Committed { txn: m.txn, done });
+                    st.outbox.push(ShardEvent::Committed { txn: m.txn });
                 }
                 MemberKind::Prepare => {} // handled above
             }
@@ -1082,7 +1157,7 @@ impl<B: PersistenceBackend> Database<B> {
         read_only: bool,
         st: &mut ExecState,
     ) {
-        let commit_lsn = self.wal.append(LogRecord::Commit { txn: global });
+        let commit_lsn = self.wal.append_decision(global);
         // the participants' prepare forces already paid for the update
         // payload; the decision forces only the commit record itself
         self.wal_dev.append(commit_lsn, 32);
@@ -1458,10 +1533,7 @@ mod tests {
         }
 
         fn drained(&self) -> bool {
-            self.st.issued == self.inputs.len()
-                && self.st.all_idle()
-                && self.st.pending.is_empty()
-                && self.st.group.is_empty()
+            self.st.drained(self.inputs.len())
         }
     }
 

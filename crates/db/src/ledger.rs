@@ -21,6 +21,12 @@
 //!   their late vote arrives — deterministic, and honest about the
 //!   cost of aborts.
 //!
+//! The ledger holds a transaction only until it settles: its entry is
+//! forgotten once the decision force lands, or once an aborted
+//! transaction's last (late) vote is in, so what it holds is bounded by
+//! the transactions in flight, not by the length of the run. Its counters
+//! ([`TwoPhaseLedger::stats`]) keep the whole history.
+//!
 //! Recovery composes across shards: the committed set is the **union**
 //! of durable `Commit` records everywhere
 //! ([`Database::recover_with`](crate::Database::recover_with)), so a
@@ -78,8 +84,6 @@ pub struct LedgerEntry {
     pub started: Option<SimTime>,
     /// Current decision state.
     pub decision: TxnDecision,
-    /// When the decision became final (commit force done / first NO).
-    pub decided_at: Option<SimTime>,
 }
 
 /// What the coordinator must do after feeding the ledger one vote.
@@ -131,9 +135,9 @@ pub struct LedgerStats {
     pub aborted: u64,
 }
 
-/// Coordinator state for every in-flight (and settled) cross-shard
-/// transaction. Keyed by the global transaction id — one namespace
-/// across all shards, assigned by the coordinator.
+/// Coordinator state for every cross-shard transaction not yet settled.
+/// Keyed by the global transaction id — one namespace across all shards,
+/// assigned by the coordinator.
 #[derive(Debug, Default)]
 pub struct TwoPhaseLedger {
     entries: BTreeMap<u64, LedgerEntry>,
@@ -166,14 +170,14 @@ impl TwoPhaseLedger {
                 votes: BTreeMap::new(),
                 started: None,
                 decision: TxnDecision::Pending,
-                decided_at: None,
             },
         );
         assert!(prev.is_none(), "duplicate global transaction id {txn}");
     }
 
     /// Feed one prepare vote: shard `shard`'s prepare force for `txn`
-    /// ended at `done` with `status`; its share started at `started`.
+    /// ended at `done` with `status`; its share started at `started`. An
+    /// aborted transaction's entry is forgotten with its last vote.
     pub fn on_prepared(
         &mut self,
         txn: u64,
@@ -188,7 +192,7 @@ impl TwoPhaseLedger {
         self.stats.prepares += 1;
         e.started = Some(e.started.map_or(started, |s| s.min(started)));
         e.votes.insert(shard, status);
-        match e.decision {
+        let action = match e.decision {
             TxnDecision::Aborted => {
                 // late vote after the decision fell: the share applied
                 // (and maybe even prepared durably) for nothing
@@ -197,63 +201,62 @@ impl TwoPhaseLedger {
                 }
                 LedgerAction::UndoLate { shard }
             }
-            TxnDecision::Pending => {
-                if !status.is_success() {
-                    self.stats.prepare_failures += 1;
-                    self.stats.aborted += 1;
-                    e.decision = TxnDecision::Aborted;
-                    e.decided_at = Some(done);
-                    return LedgerAction::Abort {
-                        home: e.home,
-                        undo: e.votes.keys().copied().collect(),
-                    };
+            TxnDecision::Pending if !status.is_success() => {
+                self.stats.prepare_failures += 1;
+                self.stats.aborted += 1;
+                e.decision = TxnDecision::Aborted;
+                LedgerAction::Abort {
+                    home: e.home,
+                    undo: e.votes.keys().copied().collect(),
                 }
-                if e.votes.len() == e.participants.len() {
-                    e.decision = TxnDecision::Committing;
-                    return LedgerAction::EnlistCommit {
-                        home: e.home,
-                        at: done,
-                        started: e.started.unwrap_or(started),
-                        read_only: e.read_only,
-                    };
+            }
+            TxnDecision::Pending if e.votes.len() == e.participants.len() => {
+                e.decision = TxnDecision::Committing;
+                LedgerAction::EnlistCommit {
+                    home: e.home,
+                    at: done,
+                    started: e.started.unwrap_or(started),
+                    read_only: e.read_only,
                 }
-                LedgerAction::None
             }
             // a vote after the decision commit was enlisted cannot
             // happen (the commit needs every vote first); be defensive
-            TxnDecision::Committing | TxnDecision::Committed => LedgerAction::None,
+            _ => LedgerAction::None,
+        };
+        if e.decision == TxnDecision::Aborted && e.votes.len() == e.participants.len() {
+            self.entries.remove(&txn);
         }
+        action
     }
 
-    /// The decision commit's force landed at `done`: `txn` is globally
-    /// committed.
-    pub fn on_committed(&mut self, txn: u64, done: SimTime) {
-        if let Some(e) = self.entries.get_mut(&txn) {
-            assert!(
-                e.decision == TxnDecision::Committing,
-                "decision force for txn {txn} in state {:?}",
-                e.decision
-            );
-            e.decision = TxnDecision::Committed;
-            e.decided_at = Some(done);
-            self.stats.committed += 1;
-        }
+    /// The decision commit's force landed: `txn` is globally committed,
+    /// and its entry — returned, the participants to release — is
+    /// forgotten.
+    pub fn on_committed(&mut self, txn: u64) -> Option<LedgerEntry> {
+        let mut e = self.entries.remove(&txn)?;
+        assert!(
+            e.decision == TxnDecision::Committing,
+            "decision force for txn {txn} in state {:?}",
+            e.decision
+        );
+        e.decision = TxnDecision::Committed;
+        self.stats.committed += 1;
+        Some(e)
     }
 
-    /// True when every entry reached a final decision — part of the
-    /// coordinator's done-check.
+    /// True when every transaction settled and was forgotten — part of
+    /// the coordinator's done-check.
     pub fn is_quiescent(&self) -> bool {
-        self.entries
-            .values()
-            .all(|e| matches!(e.decision, TxnDecision::Committed | TxnDecision::Aborted))
+        self.entries.is_empty()
     }
 
-    /// The entry for global transaction `txn`, if it is cross-shard.
+    /// The entry for global transaction `txn`, while it is a cross-shard
+    /// transaction not yet settled.
     pub fn entry(&self, txn: u64) -> Option<&LedgerEntry> {
         self.entries.get(&txn)
     }
 
-    /// All entries, keyed by global transaction id.
+    /// The entries not yet settled, keyed by global transaction id.
     pub fn entries(&self) -> impl Iterator<Item = (&u64, &LedgerEntry)> {
         self.entries.iter()
     }
@@ -292,9 +295,10 @@ mod tests {
             "last YES vote triggers the decision, latency from earliest start"
         );
         assert!(!l.is_quiescent(), "committing is not final");
-        l.on_committed(7, t(400));
+        let settled = l.on_committed(7);
+        assert_eq!(settled.map(|e| e.decision), Some(TxnDecision::Committed));
         assert!(l.is_quiescent());
-        assert_eq!(l.entry(7).map(|e| e.decision), Some(TxnDecision::Committed));
+        assert!(l.entry(7).is_none(), "a settled entry is forgotten");
         assert_eq!(l.stats().committed, 1);
     }
 
@@ -312,12 +316,19 @@ mod tests {
             },
             "abort rolls back every share that already ran"
         );
-        assert!(l.is_quiescent(), "aborted is final even with a vote out");
+        let decision = l.entry(9).map(|e| e.decision);
+        assert_eq!(
+            decision,
+            Some(TxnDecision::Aborted),
+            "kept for the vote out"
+        );
+        assert!(!l.is_quiescent());
         // shard 3's share was still queued; its vote arrives later
         assert_eq!(
             l.on_prepared(9, 3, IoStatus::Ok, t(500), t(3)),
             LedgerAction::UndoLate { shard: 3 }
         );
+        assert!(l.is_quiescent(), "the last vote settles it");
         assert_eq!(l.stats().aborted, 1);
         assert_eq!(l.stats().prepare_failures, 1);
         assert_eq!(l.stats().committed, 0);

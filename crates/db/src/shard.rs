@@ -34,6 +34,18 @@
 //! global id plus the index, the role and the share's slice of the log
 //! payload follow from how many shards the input touches, and the
 //! accesses are the input's own on this shard, in local page numbers.
+//!
+//! Only the *home* shard (the first access's) holds a cross-shard input
+//! in its plan. When the home starts it, a `ShardEvent::Started` tells the
+//! coordinator, which mails the global index to every other
+//! participant's inbox, due at the home's start instant; a free slot
+//! admits a due inbox share ahead of its own next plan entry, never
+//! before its own clock. So a share starts when its transaction does,
+//! not when its shard's plan reaches the input's position — under a
+//! skewed partition the most-loaded shard falls further behind in input
+//! position with every transaction, and a share waiting for that position
+//! waited on a lag that grew with the run.
+//!
 //! Each share prepares ([`LogRecord::Prepare`]) instead of
 //! committing; prepare votes flow through the shard's
 //! `ShardEvent` outbox into the ledger; a unanimous-YES verdict posts
@@ -43,12 +55,18 @@
 //! global commit point. A NO vote (typed force failure under fault
 //! injection) aborts: an [`LogRecord::Abort`] on the home shard and an
 //! in-memory before-image rollback on every shard whose share applied.
+//! What the coordinator keeps of a transaction goes once it settles: the
+//! ledger forgets the entry, the participants drop their before-images,
+//! and the home's log keeps the decision's id past a trim for two agings
+//! of the logs — one each time every shard has checkpointed since the
+//! last — by when every participant has checkpointed above its share
+//! (DESIGN §5).
 //!
 //! ## Modeling caveat
 //!
 //! Shard clocks are loosely coupled: the coordinator steps shards in
 //! wake-time order, so a shard's clock can run ahead of a peer's by at
-//! most one step. Cross-clock messages (votes, decisions) are delivered
+//! most one step. Cross-clock messages (shares, votes, decisions) are delivered
 //! at `max(sender done, receiver now)` — never into a receiver's past —
 //! so the interleaving is causal and, because every choice flows from
 //! the core clock's deterministic pick, bit-reproducible at a fixed
@@ -228,9 +246,10 @@ impl<B: PersistenceBackend> ShardedDb<B> {
     }
 
     /// Plan global `inputs` over the shards: each shard's list of the
-    /// inputs it has a share of (global indices, in input order), and the
+    /// inputs it is home to (global indices, in input order), and the
     /// run's first global id (an input runs under it plus its index).
-    /// Cross-shard transactions are registered in the ledger. Everything
+    /// Cross-shard transactions are registered in the ledger, which names
+    /// the participants their home's start mails a share to. Everything
     /// is planned up front — the run itself makes no partitioning
     /// choices, which keeps replay deterministic — and nothing is copied:
     /// a shard reads its shares through [`Plan::shard`]'s filter.
@@ -259,21 +278,18 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                 .first()
                 .map(|&(page, _, _)| self.shard_of(page))
                 .unwrap_or(0);
+            picks[home].push(i as u32);
             if touched <= 1 {
                 // single-shard (or access-free): an ordinary local
                 // transaction on its partition, ledger never involved
                 seen[home] = false;
-                picks[home].push(i as u32);
                 continue;
             }
             // cross-shard: one participant share per touched partition in
-            // ascending shard order
+            // ascending shard order, the others mailed when home starts it
             let read_only = !input.accesses.iter().any(|a| a.2);
             let participants: Vec<usize> =
                 (0..n).filter(|&s| std::mem::take(&mut seen[s])).collect();
-            for &s in &participants {
-                picks[s].push(i as u32);
-            }
             self.ledger
                 .begin(first_id + i as u64, home, participants, read_only);
         }
@@ -285,23 +301,24 @@ impl<B: PersistenceBackend> ShardedDb<B> {
     /// slot, a ready completion, a due group), else its next future
     /// event, `None` when nothing is scheduled.
     ///
-    /// This reads the shard's own clock, slots, group, `force_horizon`
-    /// and input count, its own backend's completion instants (fixed at
-    /// submission) and the mailbox entries addressed to it — nothing a
-    /// step of another shard can move. [`ShardedDb::run`]'s wake cache
-    /// rests on that.
+    /// This reads the shard's own clock, slots, group, `force_horizon`,
+    /// plan length and inbox, its own backend's completion instants (fixed
+    /// at submission) and the mailbox entries addressed to it — nothing a
+    /// step of another shard can move but a share mailed to its inbox or
+    /// a decision to its mailbox. [`ShardedDb::run`]'s wake cache rests on
+    /// that.
     fn wake_of(
         db: &mut Database<B>,
         st: &ExecState,
         s: usize,
-        inputs: usize,
+        plan_len: usize,
         cfg: &ExecConfig,
         mailbox: &[Decision],
     ) -> Option<SimTime> {
         let now = db.now;
         let deliverable = mailbox.iter().any(|d| d.home == s && d.at <= now);
         // the executor's scan bounds rule most shards out without a scan
-        let refillable = st.issued < inputs
+        let refillable = st.admit_at(plan_len).is_some_and(|a| a <= now)
             && st.idle_from <= now
             && st
                 .slots
@@ -327,7 +344,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         }
         // quiescent at `now`: next future event, a pending force
         // completion, or a queued decision not yet deliverable
-        let mut w = db.next_event(inputs, cfg, st);
+        let mut w = db.next_event(plan_len, cfg, st);
         if st.force_horizon > now {
             let fh = st.force_horizon;
             w = Some(w.map_or(fh, |x| x.min(fh)));
@@ -381,14 +398,18 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         let mut mailbox: Vec<Decision> = Vec::new();
         // Every shard's next wake instant, kept across iterations. A
         // shard's wake moves only when the shard steps (either arm of the
-        // pick below) or a decision is mailed to it (see `wake_of`), so
-        // those three places mark it stale and only stale wakes are
-        // derived again. Debug builds derive all of them every iteration
-        // and hold the cache to the result.
+        // pick below) or a share or a decision is mailed to it (see
+        // `wake_of`), so those places mark it stale and only stale wakes
+        // are derived again. Debug builds derive all of them every
+        // iteration and hold the cache to the result.
         let mut wakes: Vec<Option<SimTime>> = vec![None; n];
         let mut stale = vec![true; n];
         // force outcomes of the shard that stepped, for the ledger
         let mut events: Vec<ShardEvent> = Vec::new();
+        // each shard's checkpoint count when the logs last aged their
+        // trimmed decisions: they age again once every shard has
+        // checkpointed since (`Wal::age_decisions`)
+        let mut aged_at: Vec<u64> = self.shards.iter().map(|db| db.stats.checkpoints).collect();
 
         loop {
             for s in 0..n {
@@ -450,9 +471,19 @@ impl<B: PersistenceBackend> ShardedDb<B> {
             stale[stepped] = true;
             events.append(&mut states[stepped].outbox);
 
-            // route force outcomes through the ledger
+            // mail shares to their inboxes, route force outcomes through
+            // the ledger
             for ev in events.drain(..) {
                 match ev {
+                    ShardEvent::Started { txn, input, at } => {
+                        let participants = self.ledger.entry(txn).map(|e| &e.participants[..]);
+                        for &p in participants.unwrap_or_default() {
+                            if p != stepped {
+                                states[p].inbox.push_back((at, input));
+                                stale[p] = true;
+                            }
+                        }
+                    }
                     ShardEvent::Prepared {
                         txn,
                         status,
@@ -489,10 +520,9 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                             self.shards[shard].undo_participant(txn, &mut states[shard]);
                         }
                     },
-                    ShardEvent::Committed { txn, done } => {
-                        self.ledger.on_committed(txn, done);
+                    ShardEvent::Committed { txn } => {
                         // committed: no share can roll back any more
-                        if let Some(entry) = self.ledger.entry(txn) {
+                        if let Some(entry) = self.ledger.on_committed(txn) {
                             for &p in &entry.participants {
                                 states[p].undo.remove(&txn);
                             }
@@ -500,15 +530,20 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                     }
                 }
             }
+
+            let checkpoints = |(db, &at): (&Database<B>, &u64)| db.stats.checkpoints > at;
+            if self.shards.iter().zip(&aged_at).all(checkpoints) {
+                for (db, at) in self.shards.iter_mut().zip(&mut aged_at) {
+                    db.wal.age_decisions();
+                    *at = db.stats.checkpoints;
+                }
+            }
         }
 
         // the loop only exits fully drained; pin that down
         for (s, st) in states.iter().enumerate() {
             assert!(
-                st.issued == plans[s].len()
-                    && st.all_idle()
-                    && st.pending.is_empty()
-                    && st.group.is_empty(),
+                st.drained(plans[s].len()),
                 "shard {s} exited the run with work outstanding"
             );
         }
@@ -593,7 +628,6 @@ mod tests {
     use super::*;
     use crate::engine::DbConfig;
     use crate::exec::TxnRole;
-    use crate::ledger::TxnDecision;
     use crate::stack_backend::BlockStackBackend;
     use crate::wal::Lsn;
     use proptest::prelude::*;
@@ -621,41 +655,43 @@ mod tests {
         role: TxnRole,
     }
 
-    /// A shard's plan read through its filter, entry by entry: each
-    /// share as the `TxnInput` and `PlannedTxn` a copying split built.
-    fn materialise(plan: &Plan) -> (Vec<TxnInput>, Vec<PlannedTxn>) {
-        let mut seen = Vec::new();
-        (0..plan.len())
-            .map(|k| {
-                let share = plan.start(k, &mut seen, SimTime::ZERO, Lsn(0));
-                let accesses = plan
-                    .accesses(share.input, 0)
-                    .map(|(_, page, slot, dirty)| (page, slot, dirty))
-                    .collect();
-                let input = TxnInput {
-                    accesses,
-                    log_bytes: share.log_bytes,
-                };
-                let planned = PlannedTxn {
-                    id: share.id,
-                    role: share.role,
-                };
-                (input, planned)
-            })
-            .unzip()
+    /// Global input `input` read through `plan`'s filter: the share as
+    /// the `TxnInput` and `PlannedTxn` a copying split built.
+    fn share(plan: &Plan, input: usize) -> (TxnInput, PlannedTxn) {
+        let share = plan.start(input, &mut Vec::new(), SimTime::ZERO, Lsn(0));
+        let accesses = plan
+            .accesses(share.input, 0)
+            .map(|(_, page, slot, dirty)| (page, slot, dirty))
+            .collect();
+        let input = TxnInput {
+            accesses,
+            log_bytes: share.log_bytes,
+        };
+        let planned = PlannedTxn {
+            id: share.id,
+            role: share.role,
+        };
+        (input, planned)
     }
+
+    /// A shard's plan read through its filter, entry by entry.
+    fn materialise(plan: &Plan) -> (Vec<TxnInput>, Vec<PlannedTxn>) {
+        (0..plan.len()).map(|k| share(plan, plan.input(k))).unzip()
+    }
+
+    /// What the tree split gives one shard: the shares its plan holds, with
+    /// their ids and roles, and the shares its inbox is mailed, by input.
+    type TreeShares = (Vec<TxnInput>, Vec<PlannedTxn>, Vec<(usize, TxnInput)>);
 
     impl<B: PersistenceBackend> ShardedDb<B> {
         /// `split` as it was when it built a `BTreeMap` of shares per
-        /// input — the reference the index plans are held to.
-        fn split_by_tree(
-            &mut self,
-            inputs: &[TxnInput],
-        ) -> (Vec<Vec<TxnInput>>, Vec<Vec<PlannedTxn>>) {
+        /// input — the reference the index plans are held to — with each
+        /// cross-shard input's shares but the home's set aside for the
+        /// inboxes, as `run` mails them.
+        fn split_by_tree(&mut self, inputs: &[TxnInput]) -> Vec<TreeShares> {
             let n = self.shards.len();
-            let mut plans: Vec<Vec<TxnInput>> = vec![Vec::new(); n];
-            let mut assigned: Vec<Vec<PlannedTxn>> = vec![Vec::new(); n];
-            for input in inputs {
+            let mut shards: Vec<TreeShares> = vec![(Vec::new(), Vec::new(), Vec::new()); n];
+            for (i, input) in inputs.iter().enumerate() {
                 let id = self.next_global;
                 self.next_global += 1;
                 let mut shares: BTreeMap<usize, Vec<(u64, u16, bool)>> = BTreeMap::new();
@@ -669,11 +705,11 @@ mod tests {
                 }
                 if shares.len() <= 1 {
                     let (s, accesses) = shares.into_iter().next().unwrap_or((0, Vec::new()));
-                    plans[s].push(TxnInput {
+                    shards[s].0.push(TxnInput {
                         accesses,
                         log_bytes: input.log_bytes,
                     });
-                    assigned[s].push(PlannedTxn {
+                    shards[s].1.push(PlannedTxn {
                         id,
                         role: TxnRole::Local,
                     });
@@ -689,17 +725,22 @@ mod tests {
                 self.ledger
                     .begin(id, home, shares.keys().copied().collect(), read_only);
                 for (s, accesses) in shares {
-                    plans[s].push(TxnInput {
+                    let share = TxnInput {
                         accesses,
                         log_bytes: (input.log_bytes / k).max(32),
-                    });
-                    assigned[s].push(PlannedTxn {
+                    };
+                    if s != home {
+                        shards[s].2.push((i, share));
+                        continue;
+                    }
+                    shards[s].0.push(share);
+                    shards[s].1.push(PlannedTxn {
                         id,
                         role: TxnRole::Participant,
                     });
                 }
             }
-            (plans, assigned)
+            shards
         }
     }
 
@@ -739,15 +780,25 @@ mod tests {
                 let (mut lists, mut tree) = (sharded_over(n, 60), sharded_over(n, 60));
                 for inputs in &batches {
                     let (picks, first_id) = lists.split(inputs);
-                    let (want_plans, want_assigned) = tree.split_by_tree(inputs);
+                    let want = tree.split_by_tree(inputs);
                     prop_assert_eq!(picks.len(), n);
                     for (s, p) in picks.iter().enumerate() {
                         let plan = Plan::shard(inputs, p, first_id, lists.data_pages, n, s);
                         let (shares, assigned) = materialise(&plan);
-                        prop_assert_eq!(&shares, &want_plans[s], "{} shards: shard {} shares", n, s);
+                        let (want_shares, want_assigned, mailed) = &want[s];
+                        prop_assert_eq!(&shares, want_shares, "{} shards: shard {} shares", n, s);
                         prop_assert_eq!(
-                            &assigned, &want_assigned[s], "{} shards: shard {} ids and roles", n, s
+                            &assigned, want_assigned, "{} shards: shard {} ids and roles", n, s
                         );
+                        // a mailed share is read through the same filter
+                        for (i, want_share) in mailed {
+                            let (got, planned) = share(&plan, *i);
+                            prop_assert_eq!(&got, want_share, "{} shards: shard {} input {}", n, s, i);
+                            prop_assert_eq!(planned.role, TxnRole::Participant);
+                            prop_assert_eq!(planned.id, first_id + *i as u64);
+                            let home = lists.ledger.entry(planned.id).map(|e| e.home);
+                            prop_assert!(home.is_some_and(|h| h != s), "input {} mailed to its home", i);
+                        }
                     }
                     prop_assert_eq!(lists.next_global, tree.next_global);
                     prop_assert_eq!(
@@ -808,11 +859,13 @@ mod tests {
         assert_eq!(report.committed, 2);
         assert_eq!(report.cross_txns, 1);
         assert_eq!(report.aborted, 0);
-        let entry = db.ledger().entry(1).expect("txn 1 is cross-shard");
-        assert_eq!(entry.decision, TxnDecision::Committed);
-        assert_eq!(entry.participants, vec![0, 1]);
-        // the commit point lives only on the home shard; both shards
-        // hold a durable prepare
+        assert_eq!(db.ledger().stats().committed, 1);
+        assert!(
+            db.ledger().entry(1).is_none(),
+            "settled: the ledger forgot it"
+        );
+        // the commit point lives only on the home shard (the first
+        // access's, shard 0); both shards hold a durable prepare
         for s in 0..2 {
             let has_prepare = db
                 .shard(s)
@@ -829,7 +882,7 @@ mod tests {
                     .any(|(_, r)| matches!(r, LogRecord::Commit { txn: 1 }))
             })
             .collect();
-        assert_eq!(commits, vec![entry.home], "commit record only on home");
+        assert_eq!(commits, vec![0], "commit record only on home");
     }
 
     #[test]

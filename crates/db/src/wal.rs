@@ -12,9 +12,10 @@
 //! its own `Update` frame, and a crash cuts the buffer to its durable
 //! prefix ([`Wal::crash`]) — all that recovery reads. A checkpoint trims
 //! the prefix no reader needs any more (`Wal::trim`): the buffer then
-//! starts at its `base` LSN, and what media redo still wants of the cut
-//! bytes is folded into the committed ids and a per-slot archive. A
-//! frame, every field little-endian:
+//! starts at its `base` LSN, what media redo still wants of the cut bytes
+//! is folded into a per-slot archive, and the ids of the cut cross-shard
+//! decisions are kept until no participant's recovery can ask for them.
+//! A frame, every field little-endian:
 //!
 //! | bytes | field | in |
 //! |---:|---|---|
@@ -327,8 +328,13 @@ pub struct Wal {
     base: u64,
     /// Every record at or below this LSN is durable.
     flushed: Option<Lsn>,
-    /// The transactions whose `Commit` records were trimmed, in log order.
-    trimmed_commits: Vec<u64>,
+    /// The LSNs of the kept decision commits ([`Wal::append_decision`]),
+    /// ascending.
+    decisions: Vec<u64>,
+    /// The ids of the decision commits trims cut, `[older, newer]`: a
+    /// participant's recovery may still replay their writes, until
+    /// [`Wal::age_decisions`] drops the older generation.
+    trimmed_decisions: [Vec<u64>; 2],
     /// The writes below `base` media redo replays.
     archive: Archive,
 }
@@ -381,6 +387,26 @@ impl Wal {
         let lsn = self.next_lsn();
         rec.encode_head(lsn.0, &mut self.bytes);
         lsn
+    }
+
+    /// Append the decision commit of cross-shard transaction `txn`: a
+    /// `Commit` whose id a trim keeps, because other shards' logs hold
+    /// the transaction's writes. Returns its LSN. Not yet durable.
+    pub(crate) fn append_decision(&mut self, txn: u64) -> Lsn {
+        let lsn = self.append(LogRecord::Commit { txn });
+        self.decisions.push(lsn.0);
+        lsn
+    }
+
+    /// Drop the older generation of trimmed decision ids, and age the
+    /// newer. Called each time every shard of the deployment has
+    /// checkpointed since the last call: a decision cut before the last
+    /// call has by now every participant's share below that participant's
+    /// last checkpoint, where no recovery reads it (DESIGN §5).
+    pub(crate) fn age_decisions(&mut self) {
+        let [older, newer] = &mut self.trimmed_decisions;
+        std::mem::swap(older, newer);
+        newer.clear();
     }
 
     /// The bytes behind a handle this log issued.
@@ -458,9 +484,12 @@ impl Wal {
     }
 
     /// The transactions whose `Commit` record survives a crash, ascending
-    /// — the set whose updates redo replays — the trimmed ones included.
+    /// — the set whose updates redo replays. Of the trimmed ones only the
+    /// decisions a participant may still ask for are listed: a local
+    /// transaction's writes lie below its `Commit`, so no recovery asks
+    /// for it once a trim cut its `Commit`.
     pub fn durable_commits(&self) -> Vec<u64> {
-        let mut txns = self.trimmed_commits.clone();
+        let mut txns = self.trimmed_decisions.concat();
         txns.extend(self.durable_records().filter_map(|(_, r)| match r {
             LogRecord::Commit { txn } => Some(txn),
             _ => None,
@@ -509,10 +538,12 @@ impl Wal {
     /// Cut the log below `to`, a record boundary at or below the durable
     /// horizon that no reader will decode again — neither crash recovery,
     /// which starts at the last durable checkpoint, nor a handle. The cut
-    /// records fold into what media redo still asks of them: their
-    /// `Commit`s into the committed ids, and the writes of transactions
-    /// whose `Commit` this log holds into the archive, the newest per
-    /// slot. The writes of every other transaction are dropped: `to` lies
+    /// records fold into what recovery still asks of them: the writes of
+    /// transactions whose `Commit` this log holds into the archive, the
+    /// newest per slot, for media redo; the ids of the decision commits
+    /// into the trimmed decisions, for the participants' recovery. A cut
+    /// local `Commit` leaves nothing: its writes were cut with it. The
+    /// writes of every other transaction are dropped: `to` lies
     /// at or below the first record of each transaction still open — one
     /// whose `Commit` is not durable yet — so those had closed without a
     /// `Commit` here, and media redo replays none of them. (A transaction
@@ -545,9 +576,11 @@ impl Wal {
                 self.archive.fold(page, slot, lsn.0, after);
             }
         }
-        let cut = commits.partition_point(|c| c.0 < to);
-        self.trimmed_commits
-            .extend(commits[..cut].iter().map(|c| c.1));
+        let cut = self.decisions.partition_point(|&lsn| lsn < to.0);
+        let decided = |c: &&(Lsn, u64)| self.decisions[..cut].binary_search(&c.0 .0).is_ok();
+        let ids = commits.iter().take_while(|c| c.0 < to).filter(decided);
+        self.trimmed_decisions[1].extend(ids.map(|c| c.1));
+        self.decisions.drain(..cut);
         self.bytes.drain(..(to.0 - self.base) as usize);
         self.base = to.0;
     }
@@ -557,6 +590,8 @@ impl Wal {
     pub fn crash(&mut self) {
         let durable = self.durable_end();
         self.bytes.truncate((durable - self.base) as usize);
+        let kept = self.decisions.partition_point(|&lsn| lsn < durable);
+        self.decisions.truncate(kept);
     }
 }
 
@@ -1179,10 +1214,10 @@ pub(crate) mod tests {
         /// decided at home, elsewhere or by an abort with compensation
         /// writes — forces, checkpoints that trim below the transactions
         /// still open, and crashes: after every step the same durable
-        /// commits, last checkpoint, durable end and next LSN, the same
-        /// durable bytes from the trimmed log's base on, the same writes
-        /// for recovery to replay, and the same media rebuild of every
-        /// page written.
+        /// commits but the local ones a trim cut, last checkpoint, durable
+        /// end and next LSN, the same durable bytes from the trimmed log's
+        /// base on, the same writes for recovery to replay, and the same
+        /// media rebuild of every page written.
         #[test]
         fn the_trimmed_log_answers_as_the_untrimmed_one_it_replaced(
             ops in proptest::collection::vec((0..12u8, 0..u16::MAX), 1..200),
@@ -1195,6 +1230,8 @@ pub(crate) mod tests {
             wal.mark_flushed(ck);
             full.flushed = Some(ck);
             let mut open: Vec<Open> = Vec::new();
+            // the transactions whose decision commit this log holds
+            let mut decided: Vec<u64> = Vec::new();
             let mut next_txn = 1;
             for (step, &(op, arg)) in ops.iter().enumerate() {
                 let pick = |n: usize| usize::from(arg) % n.max(1);
@@ -1243,8 +1280,9 @@ pub(crate) mod tests {
                             let txn = open[i].txn;
                             match arg % 3 {
                                 0 => {
-                                    let lsn = wal.append(LogRecord::Commit { txn });
-                                    full.append(LogRecord::Commit { txn });
+                                    let lsn = wal.append_decision(txn);
+                                    prop_assert_eq!(lsn, full.append(LogRecord::Commit { txn }));
+                                    decided.push(txn);
                                     open[i].state = State::Committing(lsn);
                                 }
                                 1 => {
@@ -1293,11 +1331,18 @@ pub(crate) mod tests {
                 let horizon = wal.flushed();
                 open.retain(|o| !matches!(o.state, State::Committing(lsn) if Some(lsn) <= horizon));
 
-                prop_assert_eq!(wal.durable_commits(), full.durable_commits(), "step {}", step);
+                let base = wal.base();
+                let kept = full.durable().into_iter().filter_map(|(lsn, r)| match r {
+                    LogRecord::Commit { txn } if lsn >= base || decided.contains(&txn) => Some(txn),
+                    _ => None,
+                });
+                let mut kept: Vec<u64> = kept.collect();
+                kept.sort_unstable();
+                prop_assert_eq!(wal.durable_commits(), kept, "step {}", step);
                 prop_assert_eq!(wal.last_durable_checkpoint(), full.last_durable_checkpoint(), "step {}", step);
                 prop_assert_eq!(wal.durable_end(), full.durable_end(), "step {}", step);
                 prop_assert_eq!(wal.next_lsn(), full.next_lsn(), "step {}", step);
-                let base = wal.base().0 as usize;
+                let base = base.0 as usize;
                 prop_assert_eq!(wal.durable_bytes(), &full.bytes[base..full.durable_end() as usize], "step {}", step);
                 let from = wal.last_durable_checkpoint().unwrap_or(Lsn(0));
                 let commits = wal.durable_commits();
@@ -1310,6 +1355,41 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A trim keeps no local commit's id, and a decision's through one
+    /// aging after the trim that cut it, not two.
+    #[test]
+    fn a_trim_keeps_a_decision_id_for_two_agings() {
+        let mut w = Wal::new();
+        w.append(LogRecord::Commit { txn: 1 });
+        w.append(LogRecord::Prepare { txn: 2 });
+        w.append_decision(2);
+        let ck = w.append(LogRecord::Checkpoint);
+        let local = w.append(LogRecord::Commit { txn: 3 });
+        w.mark_flushed(local);
+        w.age_decisions(); // before the trim: the decision is not cut yet
+        w.trim(ck);
+        assert_eq!(w.durable_commits(), [2, 3], "a cut local commit is gone");
+        w.age_decisions();
+        assert_eq!(w.durable_commits(), [2, 3]);
+        w.age_decisions();
+        assert_eq!(w.durable_commits(), [3]);
+    }
+
+    /// A crash cuts the mark of a decision commit it cuts: a later trim
+    /// past the same LSN keeps no id for it.
+    #[test]
+    fn a_crash_cuts_an_undurable_decision_mark() {
+        let mut w = Wal::new();
+        let at = w.append_decision(7);
+        w.crash();
+        assert_eq!(w.next_lsn(), at, "the decision was not durable");
+        w.append(LogRecord::Commit { txn: 8 });
+        let ck = w.append(LogRecord::Checkpoint);
+        w.mark_flushed(ck);
+        w.trim(ck);
+        assert!(w.durable_commits().is_empty());
     }
 
     /// A transaction the differential test keeps open, and where it

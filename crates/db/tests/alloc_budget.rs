@@ -12,6 +12,12 @@
 //! models, most of its share of a run's peak memory. Counts, not times:
 //! they hold on any runner.
 //!
+//! A second test is a law rather than a budget: what a database keeps
+//! does not grow with the length of its run. A fresh build of
+//! `db_run_qd16` and of `db_shard4` runs 2N transactions, another 4N, and
+//! the second may keep no more than the first beyond a fixed slack —
+//! retained bytes per committed transaction halve as the run doubles.
+//!
 //! What may still allocate inside the counted region, and nothing else:
 //!
 //! * **per miss** — the frozen [`PersistenceBackend`] return value
@@ -20,23 +26,24 @@
 //!   reaped through `poll_into` into the executor's one buffer, so a
 //!   miss costs no `Vec` however its completion is spread over wakes;
 //! * **per cross-shard transaction** — the ledger's entry (its
-//!   participant `Vec`, its vote and entry tree nodes) and each
-//!   participant's undo list;
+//!   participant `Vec`, its vote and entry tree nodes, freed once it
+//!   settles) and each participant's undo list;
 //! * **amortised** — `commit_order` past its reservation, a slot's first
 //!   record in its page's durable image (made when the first write-back
 //!   of that slot lands), a redo list growing past the most slots
 //!   its frame has held written at once (frames, steals and in-flight
-//!   writes keep their lists' capacity), and the log's trim state growing
-//!   past its size: the archive's slot list and image arena when a slot
-//!   is archived for the first time, and the trimmed commit ids. The
-//!   log's bytes stop growing once the checkpoints' trims hold them to
-//!   about one checkpoint interval;
+//!   writes keep their lists' capacity), a shard's inbox, and the log's
+//!   trim state growing past its size: the archive's slot list and image
+//!   arena when a slot is archived for the first time, and the trimmed
+//!   decision ids. The log's bytes stop growing once the checkpoints'
+//!   trims hold them to about one checkpoint interval;
 //! * **per checkpoint** — the dirty pages' id list, and the trim's lists
 //!   of the commits, the cut writes and the committed ids;
 //! * **per run** — executor state, the log's reservation when the run
 //!   does not checkpoint, histograms and the reports.
 
 use std::alloc::System;
+use std::sync::Mutex;
 
 use requiem_block::StackConfig;
 use requiem_db::{DbBuilder, DbConfig, GroupCommitPolicy, TxnInput, WalConfig};
@@ -49,9 +56,11 @@ use stats_alloc::{Region, StatsAlloc, INSTRUMENTED_SYSTEM};
 #[global_allocator]
 static GLOBAL: &StatsAlloc<System> = &INSTRUMENTED_SYSTEM;
 
-/// `alloc` + `realloc` calls made while `f` ran, and `f`'s result. The
-/// counters are process-wide, which is why this file holds one `#[test]`:
-/// nothing else allocates while it measures.
+/// Held by each test for its whole length. The counters are process-wide,
+/// so nothing else may allocate while a test measures.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// `alloc` + `realloc` calls made while `f` ran, and `f`'s result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let region = Region::new(GLOBAL);
     let out = f();
@@ -73,13 +82,50 @@ fn builder() -> DbBuilder {
         .checkpoint_every(2000)
 }
 
-fn qd16_inputs() -> Vec<TxnInput> {
+fn qd16_builder() -> DbBuilder {
+    builder()
+        .buffer_frames(512)
+        .concurrency(16)
+        .group(GroupCommitPolicy::batched(16))
+}
+
+fn qd16_inputs(txns: usize) -> Vec<TxnInput> {
     let gen_cfg = OltpConfig {
         data_pages: PAGES,
         theta: THETA,
         ..OltpConfig::default()
     };
-    oltp_inputs(&mut OltpGen::new(gen_cfg, SEED), (WARM_UP + COUNTED) as u64)
+    oltp_inputs(&mut OltpGen::new(gen_cfg, SEED), txns as u64)
+}
+
+fn shard4_builder() -> DbBuilder {
+    builder()
+        .buffer_frames(1024)
+        .shards(SHARDS)
+        .cross_shard_ratio(0.10)
+        .concurrency(4)
+        .group(GroupCommitPolicy::batched(4))
+}
+
+fn shard4_inputs(txns: usize) -> Vec<TxnInput> {
+    let gen_cfg = ShardedOltpConfig {
+        clients: 4096,
+        theta: THETA,
+        shards: SHARDS,
+        cross_shard_ratio: shard4_builder().cross_ratio(),
+        data_pages: PAGES,
+        ..ShardedOltpConfig::default()
+    };
+    let mut gen = ShardedOltpGen::new(gen_cfg, SEED);
+    (0..txns).map(|_| txn_to_input(&gen.next_txn())).collect()
+}
+
+/// Heap bytes held by what `f` left behind: allocated less freed while
+/// it ran. A growing `realloc` counts its growth in `bytes_allocated` and
+/// a shrinking one its shrink in `bytes_deallocated`.
+fn held(region: &Region<'_, System>) -> f64 {
+    let change = region.change();
+    change.bytes_allocated as f64 - change.bytes_deallocated as f64
 }
 
 /// One shape's figures: allocations per committed transaction of its
@@ -89,24 +135,17 @@ struct Measured {
     per_page: f64,
 }
 
-fn measured(shape: &str, allocs: u64, committed: u64, held: &Region<'_, System>) -> Measured {
+fn measured(shape: &str, allocs: u64, committed: u64, since: &Region<'_, System>) -> Measured {
     assert_eq!(committed, COUNTED as u64, "{shape}: every txn commits");
-    // a growing `realloc` counts its growth in `bytes_allocated` and a
-    // shrinking one its shrink in `bytes_deallocated`: the difference is
-    // the bytes still held
-    let held = held.change();
     Measured {
         per_txn: allocs as f64 / committed as f64,
-        per_page: (held.bytes_allocated as f64 - held.bytes_deallocated as f64) / PAGES as f64,
+        per_page: held(since) / PAGES as f64,
     }
 }
 
 fn db_run_qd16() -> Measured {
-    let b = builder()
-        .buffer_frames(512)
-        .concurrency(16)
-        .group(GroupCommitPolicy::batched(16));
-    let inputs = qd16_inputs();
+    let b = qd16_builder();
+    let inputs = qd16_inputs(WARM_UP + COUNTED);
     let held = Region::new(GLOBAL);
     let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
     let cfg = b.exec_config();
@@ -116,24 +155,8 @@ fn db_run_qd16() -> Measured {
 }
 
 fn db_shard4() -> Measured {
-    let b = builder()
-        .buffer_frames(1024)
-        .shards(SHARDS)
-        .cross_shard_ratio(0.10)
-        .concurrency(4)
-        .group(GroupCommitPolicy::batched(4));
-    let gen_cfg = ShardedOltpConfig {
-        clients: 4096,
-        theta: THETA,
-        shards: SHARDS,
-        cross_shard_ratio: b.cross_ratio(),
-        data_pages: PAGES,
-        ..ShardedOltpConfig::default()
-    };
-    let mut gen = ShardedOltpGen::new(gen_cfg, SEED);
-    let inputs: Vec<_> = (0..WARM_UP + COUNTED)
-        .map(|_| txn_to_input(&gen.next_txn()))
-        .collect();
+    let b = shard4_builder();
+    let inputs = shard4_inputs(WARM_UP + COUNTED);
     let held = Region::new(GLOBAL);
     let mut db = b.build_sharded_stack(StackConfig::blk_mq(SHARDS as u32), SsdConfig::modern());
     let cfg = b.exec_config();
@@ -148,7 +171,7 @@ fn db_coop_qd16() -> Measured {
         .concurrency(16)
         .group(GroupCommitPolicy::immediate())
         .wal(WalConfig::pcm());
-    let inputs = qd16_inputs();
+    let inputs = qd16_inputs(WARM_UP + COUNTED);
     let held = Region::new(GLOBAL);
     let mut db = b.build_coop(NamelessConfig::from(&SsdConfig::modern()));
     let cfg = b.exec_config();
@@ -159,6 +182,7 @@ fn db_coop_qd16() -> Measured {
 
 #[test]
 fn steady_state_allocations_stay_inside_their_budgets() {
+    let _one = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // (shape, figures, allocations per committed txn budget, retained
     // bytes per data page budget). At the parent of the change that
     // checked this file in the three read 7.92, 14.50 and 8.22
@@ -174,10 +198,13 @@ fn steady_state_allocations_stay_inside_their_budgets() {
     // Retained bytes per data page read 2863, 4093 and 3161 while every
     // durable image held all 16 records of its page (1 616 B); images that
     // hold only the records written to them left 1392, 2686 and 1689, and
-    // each budget is that plus about a tenth.
+    // each budget is that plus about a tenth. Shares mailed to their shard
+    // when their home starts them, a ledger that forgets what settled and
+    // a log that keeps no cut local commit's id left 1330, 1844 and 1628;
+    // db_shard4's budget is that plus about a tenth.
     let rows = [
         ("db_run_qd16", db_run_qd16(), 2.48, 1530.0),
-        ("db_shard4", db_shard4(), 2.6, 2950.0),
+        ("db_shard4", db_shard4(), 2.6, 2030.0),
         ("db_coop_qd16", db_coop_qd16(), 2.48, 1860.0),
     ];
     for (shape, got, allocs, bytes) in &rows {
@@ -193,4 +220,79 @@ fn steady_state_allocations_stay_inside_their_budgets() {
         .map(|(shape, ..)| shape)
         .collect();
     assert!(over.is_empty(), "over budget: {over:?}");
+}
+
+/// What a fresh build of `db_run_qd16` keeps after one run of `inputs`.
+fn qd16_keeps(inputs: &[TxnInput]) -> f64 {
+    let b = qd16_builder();
+    let since = Region::new(GLOBAL);
+    let mut db = b.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+    let committed = db.run_concurrent(inputs, &b.exec_config()).txns;
+    assert_eq!(
+        committed,
+        inputs.len() as u64,
+        "db_run_qd16: every txn commits"
+    );
+    held(&since)
+}
+
+/// What a fresh build of `db_shard4` keeps after one run of `inputs`.
+fn shard4_keeps(inputs: &[TxnInput]) -> f64 {
+    let b = shard4_builder();
+    let since = Region::new(GLOBAL);
+    let mut db = b.build_sharded_stack(StackConfig::blk_mq(SHARDS as u32), SsdConfig::modern());
+    let committed = db.run(inputs, &b.exec_config()).committed;
+    assert_eq!(
+        committed,
+        inputs.len() as u64,
+        "db_shard4: every txn commits"
+    );
+    held(&since)
+}
+
+/// The bounded-memory law: a run twice as long keeps no more than a fixed
+/// slack beyond the shorter one, from 2N to 4N transactions for N = 5 000
+/// and 10 000 — the slack does not scale with N, so what the database
+/// keeps per committed transaction halves as the run doubles. What still
+/// grows is the data: slots written for the first time (+44 KB and
+/// +51 KB from 10 000 to 20 000 transactions, +10 KB and +19 KB from
+/// 20 000 to 40 000). Each term that once grew with the run broke the law
+/// alone on `db_shard4`: shares held back until their shard reached the
+/// input's position (their before-images held each checkpoint's trim
+/// back, so the kept log outgrew its buffer: +1.9 MB from 10 000 to
+/// 20 000), settled ledger entries (+0.46 and +0.81 MB), and the ids of
+/// every local commit a trim cut (+0.11 and +0.27 MB; on `db_run_qd16`
+/// +0.17 and +0.27 MB).
+#[test]
+fn what_a_run_keeps_does_not_grow_with_its_length() {
+    let _one = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    const RUNS: [usize; 3] = [10_000, 20_000, 40_000];
+    const SLACK: f64 = 80.0 * 1024.0;
+    let rows = [
+        (
+            "db_run_qd16",
+            qd16_inputs(RUNS[2]),
+            qd16_keeps as fn(&[TxnInput]) -> f64,
+        ),
+        ("db_shard4", shard4_inputs(RUNS[2]), shard4_keeps),
+    ];
+    for (shape, inputs, keeps) in &rows {
+        let kept = RUNS.map(|txns| keeps(&inputs[..txns]));
+        for i in 1..RUNS.len() {
+            let grew = kept[i] - kept[i - 1];
+            println!(
+                "{shape}: {:.0} heap bytes kept after {} txns, {:.0} after {} (+{grew:.0}, slack {SLACK})",
+                kept[i - 1],
+                RUNS[i - 1],
+                kept[i],
+                RUNS[i]
+            );
+            assert!(
+                grew <= SLACK,
+                "{shape}: a run of {} txns keeps {grew:.0} bytes more than one of {}",
+                RUNS[i],
+                RUNS[i - 1]
+            );
+        }
+    }
 }

@@ -10,9 +10,16 @@
 //!    fault plans (program fails, elevated RBER), a durable `Commit`
 //!    for a cross-shard transaction implies a durable `Prepare` on
 //!    every participant, aborted transactions never leave a `Commit`
-//!    anywhere, and recovery only resurrects decided transactions.
+//!    anywhere, and recovery only resurrects decided transactions. The
+//!    oracle reads nothing the coordinator keeps (its ledger forgets a
+//!    transaction once settled): the cross-shard set, each home and each
+//!    participant follow from the inputs, and each decision from the
+//!    logs, which these runs never checkpoint, so they are whole.
 //! 3. **Deterministic replay** — the same inputs on identically built
 //!    deployments produce byte-identical schedules for N ∈ {2, 4, 8}.
+//! 4. **Stationarity** — at `oltp_shard4`'s shape, a run four times as
+//!    long keeps the short run's p99.9 latency within a fixed factor: no
+//!    share waits on a lag that grows with the run.
 //!
 //! The coordinator keeps each shard's wake instant cached between the
 //! events that can move it, and in debug builds re-derives every wake on
@@ -28,11 +35,12 @@ use requiem_db::page::PageId;
 use requiem_db::wal::{LogRecord, Lsn};
 use requiem_db::{
     BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PersistenceBackend,
-    ReadShim, ShardedDb, TxnDecision, TxnInput, WalBackend, WalForce, WalStats,
+    ReadShim, ShardedDb, TxnInput, WalBackend, WalForce, WalStats,
 };
 use requiem_sim::time::SimTime;
-use requiem_sim::{FaultPlan, IoStatus};
+use requiem_sim::{FaultPlan, Histogram, IoStatus};
 use requiem_ssd::SsdConfig;
+use requiem_workload::{txn_to_input, ShardedOltpConfig, ShardedOltpGen};
 
 const DATA_PAGES: u64 = 64;
 const SLOTS: u16 = 16;
@@ -64,6 +72,47 @@ fn arb_txn() -> impl Strategy<Value = TxnInput> {
 
 fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
     proptest::collection::vec(arb_txn(), 1..24)
+}
+
+/// A cross-shard transaction as its input defines it.
+struct Cross {
+    /// Its global id.
+    txn: u64,
+    /// The shard of its first access, which holds its decision.
+    home: usize,
+    /// Every shard it touches, ascending.
+    participants: Vec<usize>,
+}
+
+/// The cross-shard transactions of `inputs` run as the first batch of a
+/// fresh deployment of `n` shards, whose global ids start at 1.
+fn cross_shard(inputs: &[TxnInput], n: usize) -> Vec<Cross> {
+    let shard = |a: &(u64, u16, bool)| ((a.0 % DATA_PAGES) % n as u64) as usize;
+    let cross = inputs.iter().enumerate().filter_map(|(i, t)| {
+        let mut participants: Vec<usize> = t.accesses.iter().map(shard).collect();
+        participants.sort_unstable();
+        participants.dedup();
+        let home = shard(t.accesses.first()?);
+        (participants.len() > 1).then(|| Cross {
+            txn: i as u64 + 1,
+            home,
+            participants,
+        })
+    });
+    cross.collect()
+}
+
+/// How the logs decided `c`: committed by a durable `Commit` on its home,
+/// aborted by an `Abort` its home logged (in memory: nothing forces one),
+/// pending with neither. Both is a contradiction the caller reports.
+fn decided<B: PersistenceBackend>(db: &ShardedDb<B>, c: &Cross) -> (bool, bool) {
+    let home = db.shard(c.home).wal();
+    let commit = LogRecord::Commit { txn: c.txn };
+    let abort = LogRecord::Abort { txn: c.txn };
+    (
+        home.durable_records().any(|(_, r)| r == commit),
+        home.records().any(|(_, r)| r == abort),
+    )
 }
 
 /// A fault plan mixing deterministic program fails (early write indices
@@ -297,52 +346,49 @@ proptest! {
                 .any(|(_, r)| matches!(r, LogRecord::Prepare { txn: t } if t == txn))
         };
 
-        for (&txn, entry) in db.ledger().entries() {
-            match entry.decision {
-                TxnDecision::Committed => {
-                    prop_assert!(
-                        durable_commit(entry.home, txn),
-                        "committed txn {} missing its home Commit", txn
-                    );
-                    for &p in &entry.participants {
+        let cross = cross_shard(&inputs, n);
+        prop_assert_eq!(report.cross_txns, cross.len() as u64);
+        prop_assert!(db.ledger().is_quiescent(), "the ledger forgets what settled");
+        let mut aborted = Vec::new();
+        for c in &cross {
+            let txn = c.txn;
+            match decided(&db, c) {
+                (true, false) => {
+                    for &p in &c.participants {
                         prop_assert!(
                             durable_prepare(p, txn),
                             "committed txn {} has no durable Prepare on shard {}", txn, p
                         );
                     }
                 }
-                TxnDecision::Aborted => {
+                (false, true) => {
                     for s in 0..n {
                         prop_assert!(
                             !durable_commit(s, txn),
                             "aborted txn {} left a Commit on shard {}", txn, s
                         );
                     }
+                    aborted.push(txn);
                 }
-                other => prop_assert!(
+                (commit, abort) => prop_assert!(
                     false,
-                    "txn {} left undecided after the run: {:?}", txn, other
+                    "txn {} after the run: home Commit {}, home Abort {}", txn, commit, abort
                 ),
             }
             // the commit point is the home shard's force alone
-            for s in (0..n).filter(|&s| s != entry.home) {
+            for s in (0..n).filter(|&s| s != c.home) {
                 prop_assert!(
                     !durable_commit(s, txn),
                     "txn {} has a Commit off its home shard ({})", txn, s
                 );
             }
         }
+        prop_assert_eq!(report.aborted, aborted.len() as u64, "aborts the logs show");
 
         // recovery must agree: only decided-committed transactions are
         // visible after a crash
         db.crash();
         db.recover();
-        let aborted: Vec<u64> = db
-            .ledger()
-            .entries()
-            .filter(|(_, e)| e.decision == TxnDecision::Aborted)
-            .map(|(&t, _)| t)
-            .collect();
         for txn in aborted {
             for s in 0..n {
                 let local_pages = DATA_PAGES / n as u64;
@@ -378,6 +424,21 @@ proptest! {
         };
         let report = db.run(&inputs, &cfg);
         prop_assert_eq!(report.committed + report.aborted, inputs.len() as u64);
+        // each decision, read off the logs before the checkpoints below
+        // trim them
+        let cross = cross_shard(&inputs, n);
+        let mut aborted = Vec::new();
+        for c in &cross {
+            match decided(&db, c) {
+                (true, false) => {}
+                (false, true) => aborted.push(c),
+                (commit, abort) => prop_assert!(
+                    false,
+                    "txn {} after the run: home Commit {}, home Abort {}", c.txn, commit, abort
+                ),
+            }
+        }
+        prop_assert_eq!(report.aborted, aborted.len() as u64, "aborts the logs show");
         if fail_every == 1 {
             prop_assert_eq!(
                 report.aborted, report.cross_txns,
@@ -406,33 +467,22 @@ proptest! {
                 );
             }
         }
-        for (&txn, entry) in db.ledger().entries() {
-            if entry.decision == TxnDecision::Aborted {
-                for (s, ends) in ends.iter().enumerate() {
-                    let commit = ends
-                        .iter()
-                        .any(|&(_, r)| r == LogRecord::Commit { txn });
-                    let durable = db.shard(s).wal().durable_commits().contains(&txn);
-                    prop_assert!(
-                        !commit && !durable,
-                        "aborted txn {} left a Commit on shard {}", txn, s
-                    );
-                }
-                let abort_logged = ends[entry.home]
+        for c in &aborted {
+            let txn = c.txn;
+            for (s, ends) in ends.iter().enumerate() {
+                let commit = ends
                     .iter()
-                    .any(|&(_, r)| r == LogRecord::Abort { txn });
-                prop_assert!(abort_logged, "aborted txn {} has no Abort record", txn);
+                    .any(|&(_, r)| r == LogRecord::Commit { txn });
+                let durable = db.shard(s).wal().durable_commits().contains(&txn);
+                prop_assert!(
+                    !commit && !durable,
+                    "aborted txn {} left a Commit on shard {}", txn, s
+                );
             }
         }
         // rolled-back shares must be invisible in the final bytes
-        let aborted: Vec<u64> = db
-            .ledger()
-            .entries()
-            .filter(|(_, e)| e.decision == TxnDecision::Aborted)
-            .map(|(&t, _)| t)
-            .collect();
         let local_pages = DATA_PAGES / n as u64;
-        for txn in aborted {
+        for txn in aborted.iter().map(|c| c.txn) {
             for s in 0..n {
                 for page in 0..local_pages {
                     for slot in 0..SLOTS {
@@ -526,10 +576,8 @@ fn aborts_and_late_votes_keep_the_wake_cache_honest() {
             (48, 48, 0)
         );
         assert_eq!(report.prepare_failures, 96, "both votes of each are NO");
-        for (&txn, entry) in db.ledger().entries() {
-            assert_eq!(entry.decision, TxnDecision::Aborted, "txn {txn}");
-            assert_eq!(entry.votes.len(), 2, "txn {txn}: the late vote arrived too");
-        }
+        // an aborted transaction is forgotten only with its last vote
+        assert!(db.ledger().is_quiescent(), "every late vote arrived");
     }
     // every third force fails: commits, aborts and late votes interleave,
     // and decisions are mailed to shards that are not the one stepping
@@ -576,6 +624,70 @@ fn undersized_groups_are_forced_by_the_fallback() {
             shard.mean_group < 16.0,
             "no group filled: {}",
             shard.mean_group
+        );
+    }
+}
+
+/// `oltp_shard4`'s first `txns` inputs at `seed`, and the deployment and
+/// executor configuration it runs them on: 4 096 pages over four shards,
+/// a tenth of the transactions cross-shard, four slots a shard, groups of
+/// four, a checkpoint every 2 000 commits a shard.
+fn oltp_shard4(
+    seed: u64,
+    txns: usize,
+) -> (Vec<TxnInput>, ShardedDb<BlockStackBackend>, ExecConfig) {
+    let b = DbConfig::builder()
+        .data_pages(4096)
+        .log_pages(512)
+        .checkpoint_every(2000)
+        .buffer_frames(1024)
+        .shards(4)
+        .cross_shard_ratio(0.10)
+        .concurrency(4)
+        .group(GroupCommitPolicy::batched(4));
+    let gen_cfg = ShardedOltpConfig {
+        clients: 4096,
+        theta: 0.8,
+        shards: 4,
+        cross_shard_ratio: b.cross_ratio(),
+        data_pages: 4096,
+        ..ShardedOltpConfig::default()
+    };
+    let mut gen = ShardedOltpGen::new(gen_cfg, seed);
+    let inputs = (0..txns).map(|_| txn_to_input(&gen.next_txn())).collect();
+    let db = b.build_sharded_stack(StackConfig::blk_mq(4), SsdConfig::modern());
+    (inputs, db, b.exec_config())
+}
+
+/// Law 4: the tail of a run does not grow with its length. A share of a
+/// cross-shard transaction that started only when its shard reached the
+/// input's position waited out the lag between the most- and the
+/// least-loaded shard, which grows with every transaction: p99.9 of a
+/// 40 000-transaction run read 5–6× that of its first 10 000.
+#[test]
+fn a_run_four_times_as_long_keeps_its_tail() {
+    const N: usize = 10_000;
+    const FACTOR: f64 = 2.0;
+    let p999 = |txns: usize, seed: u64| {
+        let (inputs, mut db, cfg) = oltp_shard4(seed, txns);
+        let report = db.run(&inputs, &cfg);
+        assert_eq!(report.committed, txns as u64, "every txn commits");
+        let mut all = Histogram::new();
+        all.merge(&report.read_only_latency);
+        all.merge(&report.update_latency);
+        all.quantile(0.999)
+    };
+    for seed in [11, 29] {
+        let (short, long) = (p999(N, seed), p999(4 * N, seed));
+        println!(
+            "seed {seed}: p99.9 {short} ns over {N} txns, {long} ns over {}",
+            4 * N
+        );
+        assert!(
+            long as f64 <= FACTOR * short as f64,
+            "seed {seed}: p99.9 grew from {short} ns over {N} txns to {long} ns over {} \
+             (more than {FACTOR}x)",
+            4 * N
         );
     }
 }

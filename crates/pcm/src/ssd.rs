@@ -13,7 +13,7 @@
 //! this against a flash SSD.
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{Histogram, Resource, ResourceBank};
+use requiem_sim::{Resource, ResourceBank};
 
 use crate::timing::PcmTiming;
 use crate::wear::StartGap;
@@ -83,7 +83,6 @@ pub struct PcmSsd {
     channels: ResourceBank,
     banks: Vec<Resource>, // serial array access per bank
     bank_state: Vec<Bank>,
-    read_lat: Histogram,
     reads: u64,
     writes: u64,
 }
@@ -116,7 +115,6 @@ impl PcmSsd {
                 .collect(),
             bank_state,
             cfg,
-            read_lat: Histogram::new(),
             reads: 0,
             writes: 0,
         }
@@ -167,11 +165,9 @@ impl PcmSsd {
             .get_mut(chan)
             .reserve(array.end, self.cfg.transfer_per_page);
         self.reads += 1;
-        let lat = xfer.end.since(now);
-        self.read_lat.record_duration(lat);
         PcmIoDone {
             done: xfer.end,
-            latency: lat,
+            latency: xfer.end.since(now),
         }
     }
 
@@ -203,11 +199,6 @@ impl PcmSsd {
             done: array.end,
             latency: array.end.since(now),
         }
-    }
-
-    /// Read-latency histogram.
-    pub fn read_latency(&self) -> &Histogram {
-        &self.read_lat
     }
 
     /// Max page-slot write count across banks (wear metric).
@@ -316,12 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn op_counts_and_histograms() {
+    fn op_counts_count_reads_and_writes() {
         let mut s = ssd();
         s.read_page(SimTime::ZERO, 0);
         s.write_page(SimTime::ZERO, 1);
         assert_eq!(s.op_counts(), (1, 1));
-        assert_eq!(s.read_latency().count(), 1);
     }
 
     #[test]

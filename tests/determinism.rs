@@ -398,7 +398,7 @@ fn sharded_run_is_pinned() {
             report.forces,
             report.makespan.as_nanos(),
         ),
-        (2000, 210, 0, 0, 651, 269_499_420)
+        (2000, 210, 0, 0, 651, 269_520_236)
     );
     assert_eq!(
         format!("{:?}", db.ledger().stats()),
@@ -426,21 +426,21 @@ fn sharded_run_is_pinned() {
     assert_eq!(
         per_shard,
         [
-            "end 269491972 commits 567 checkpoints 3 stalls 567539984/31869692/359939544 \
-             reads 1255 steals 754 forces 754",
-            "end 269499420 commits 429 checkpoints 2 stalls 516784048/28475572/327033036 \
-             reads 1085 steals 645 forces 642",
-            "end 269346044 commits 493 checkpoints 3 stalls 513669680/29727540/338461860 \
-             reads 1154 steals 668 forces 665",
-            "end 266671904 commits 511 checkpoints 3 stalls 495365800/29345768/321883304 \
-             reads 1164 steals 680 forces 697",
+            "end 269520236 commits 567 checkpoints 3 stalls 589182684/31349656/323194920 \
+             reads 1263 steals 765 forces 776",
+            "end 269484292 commits 429 checkpoints 2 stalls 518943832/27578776/265792332 \
+             reads 1079 steals 638 forces 639",
+            "end 269505988 commits 493 checkpoints 3 stalls 542964516/28139860/286364336 \
+             reads 1155 steals 655 forces 663",
+            "end 269256036 commits 511 checkpoints 3 stalls 497271176/30158788/306928144 \
+             reads 1163 steals 679 forces 695",
         ]
     );
 
     // the first written record of sixteen transactions spread over the
     // run, across a crash
     const OWNERS: [u64; 16] = [
-        1939, 1820, 1972, 1991, 1923, 1910, 1505, 1933, 1827, 1153, 1968, 1680, 1927, 1983, 1962,
+        1939, 1820, 1970, 1991, 1923, 1910, 1505, 1933, 1827, 1153, 1968, 1680, 1927, 1983, 1962,
         1959,
     ];
     let samples: Vec<(u64, u16)> = inputs
@@ -463,11 +463,11 @@ fn sharded_run_is_pinned() {
     db.crash();
     assert_eq!(
         db.recover(),
-        48,
+        65,
         "records replayed past the last checkpoints"
     );
     assert_eq!(owners(&mut db), OWNERS);
-    assert_eq!(db.shard(0).now().as_nanos(), 274_053_956);
+    assert_eq!(db.shard(0).now().as_nanos(), 275_155_396);
 }
 
 /// `oltp_coop_pcm`'s stack at pin size, over the nameless device of

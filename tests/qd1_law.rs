@@ -419,11 +419,16 @@ fn dirty_crash_law(shape: Shape, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, V
 }
 
 /// The same over a sharded block stack.
-fn sharded_crash_law(shards: usize, qd4: bool, inputs: &[TxnInput]) -> (Vec<u64>, Vec<u64>) {
+fn sharded_crash_law(
+    shards: usize,
+    frames: usize,
+    qd4: bool,
+    inputs: &[TxnInput],
+) -> (Vec<u64>, Vec<u64>) {
     let mut db = DbConfig::builder()
         .data_pages(DATA_PAGES)
         .log_pages(LOG_PAGES)
-        .buffer_frames(32)
+        .buffer_frames(frames)
         .checkpoint_every(CHECKPOINT_EVERY / 2)
         .shards(shards)
         .build_sharded_stack(StackConfig::blk_mq(shards as u32), device(0));
@@ -478,9 +483,11 @@ proptest! {
                 let (before, after) = crash_law(shape, qd4, &inputs);
                 prop_assert_eq!(after, before, "{:?}, QD 4: {}", shape, qd4);
             }
-            for shards in [2, 4] {
-                let (before, after) = sharded_crash_law(shards, qd4, &inputs);
-                prop_assert_eq!(after, before, "{} shards, QD 4: {}", shards, qd4);
+            // 8 frames over 4 shards steal on nearly every miss, inside
+            // the window of a group force still in flight
+            for (shards, frames) in [(2, 32), (4, 32), (2, 8), (4, 8)] {
+                let (before, after) = sharded_crash_law(shards, frames, qd4, &inputs);
+                prop_assert_eq!(after, before, "{} shards, {} frames, QD 4: {}", shards, frames, qd4);
             }
         }
     }
