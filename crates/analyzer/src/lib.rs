@@ -1,4 +1,4 @@
-//! # requiem-lint — domain-aware static analysis for the requiem workspace
+//! # analyzer — domain-aware static analysis for the requiem workspace
 //!
 //! The paper's myth-busting experiments are only falsifiable because they
 //! are bit-reproducible; the workspace's architecture only mirrors
@@ -17,17 +17,15 @@
 //!   matches token streams. That is less precise than type-resolved
 //!   analysis and deliberately biased toward *no false negatives on the
 //!   patterns that have bitten this codebase* (wall-clock reads, raw
-//!   nanosecond arithmetic, layer inversions); the checked-in allowlist
-//!   ([`allow`], `lint.allow.toml`) absorbs the rare justified exception.
-//! * **Machine-readable diagnostics.** Every finding is
-//!   `rule id, file:line, message, suggestion` ([`diag`]), with `--json`
-//!   for tooling.
-//! * **Deny by default.** Any non-allowlisted diagnostic fails the run;
-//!   CI gates on it.
-//!
-//! Run it as `cargo run -p analyzer -- --workspace`.
+//!   nanosecond arithmetic, layer inversions). There are no exceptions:
+//!   a finding is fixed, not allowlisted.
+//! * **One way to run it: `cargo test`.** `tests/rules.rs`'s
+//!   `workspace_self_check_is_clean` lints the whole workspace with
+//!   [`run`] and fails on any [`Diagnostic`], printed as
+//!   `rule id, file:line, message, suggestion` ([`diag`]). The root
+//!   manifest's `default-members` covers `crates/*`, so the root's
+//!   `cargo test -q` runs it.
 
-pub mod allow;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
@@ -36,37 +34,17 @@ pub mod workspace;
 use std::fs;
 use std::path::Path;
 
-use allow::AllowList;
 use diag::Diagnostic;
 use rules::FileCtx;
 use workspace::{FileCat, Workspace};
 
-/// Outcome of a whole-workspace run.
-#[derive(Debug, Default)]
-pub struct Report {
-    /// Every diagnostic, paired with whether the allowlist covers it.
-    pub diagnostics: Vec<(Diagnostic, bool)>,
-    /// Allowlist entries that matched nothing (stale).
-    pub unused_allows: Vec<allow::AllowEntry>,
-}
-
-/// Lint the workspace rooted at `root` against `allowlist`.
-pub fn run(root: &Path, mut allowlist: AllowList) -> Result<Report, String> {
+/// Lint the workspace rooted at `root`: every diagnostic, sorted by
+/// path, line and rule.
+pub fn run(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let ws = workspace::discover(root)?;
     let mut diags = collect_diagnostics(&ws)?;
-    // Stable output: sort by path, line, rule.
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    let diagnostics = diags
-        .into_iter()
-        .map(|d| {
-            let allowed = allowlist.check(&d);
-            (d, allowed)
-        })
-        .collect();
-    Ok(Report {
-        diagnostics,
-        unused_allows: allowlist.unused().into_iter().cloned().collect(),
-    })
+    Ok(diags)
 }
 
 /// One in-memory source file for [`lint_files`]: the multi-file entry
@@ -148,13 +126,4 @@ pub fn lint_source(crate_name: &str, rel: &str, cat: FileCat, text: &str) -> Vec
         cat,
         text: text.to_string(),
     }])
-}
-
-/// Load the allowlist at `path`; a missing file yields an empty list.
-pub fn load_allowlist(path: &Path) -> Result<AllowList, String> {
-    match fs::read_to_string(path) {
-        Ok(text) => AllowList::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(AllowList::empty()),
-        Err(e) => Err(format!("read {}: {e}", path.display())),
-    }
 }

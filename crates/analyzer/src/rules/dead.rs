@@ -17,6 +17,29 @@
 //! binding or a struct-literal key). So an accessor named like the field
 //! it returns is not kept alive by that field. The pass can miss dead
 //! items but never reports a live one.
+//!
+//! ```text
+//! bad: pub fn mean_erase_count(&self) -> f64 { … }
+//!      #[cfg(test)]
+//!      mod tests {
+//!          #[test]
+//!          fn mean() { assert_eq!(lun().mean_erase_count(), 0.0); }
+//!      }
+//! ok:  pub fn max_erase_count(&self) -> u32 { … }
+//!      // crates/ssd/src/wear.rs
+//!      let worst = lun.max_erase_count();
+//! ```
+//!
+//! Why it matters here: rustc's `dead_code` lint trusts `pub`, so
+//! exported API outlives its last caller — the paper's point about
+//! interfaces, applied to our own.
+//!
+//! The blind spot is a shared name. `PcmSsd::read_latency`, an accessor
+//! only its own unit test called (over a histogram that recorded every
+//! PCM read for nothing), went unreported because a local closure in
+//! `crates/iface/tests/nameless_faults.rs` is also named `read_latency`;
+//! it was found by grep and deleted by hand. Telling the two apart needs
+//! name resolution, which a token pass does not have.
 
 use std::collections::{BTreeMap, BTreeSet};
 

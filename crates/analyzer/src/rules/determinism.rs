@@ -8,6 +8,11 @@
 //! from the seeded, splittable `SimRng`. DET02 applies everywhere, tests
 //! included — a flaky test is still a broken promise.
 //!
+//! ```text
+//! bad: let t0 = std::time::Instant::now();
+//! ok:  let t0 = self.now; // SimTime from the event clock
+//! ```
+//!
 //! The other determinism hazard, iterating a `HashMap`/`HashSet` (whose
 //! order `RandomState` seeds per process), is clippy's: `crates/clippy.toml`
 //! lists both types under `disallowed-types`.

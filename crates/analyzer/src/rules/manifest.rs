@@ -23,11 +23,33 @@
 //! `[dev-dependencies]` are exempt: integration tests may drive a crate
 //! from above.
 //!
-//! **UNS02, the lint inheritance.** `unsafe_code = "forbid"` (and the
-//! `unused_must_use = "deny"` that keeps a dropped `IoStatus` or
-//! `WalForce` from compiling) live in the root's `[workspace.lints]`;
-//! they bind a member only when its manifest says `[lints] workspace =
-//! true`.
+//! ```text
+//! bad: # crates/flash/Cargo.toml
+//!      [dependencies]
+//!      requiem-ssd = { workspace = true }
+//! ok:  # crates/flash/Cargo.toml
+//!      [dependencies]
+//!      requiem-sim = { workspace = true }
+//! ```
+//!
+//! **UNS02, the lint inheritance.** The simulator needs no `unsafe`.
+//! `unsafe_code = "forbid"` (and the `unused_must_use = "deny"` that
+//! keeps a dropped `IoStatus` or `WalForce` from compiling) live in the
+//! root's `[workspace.lints]` and hold for every target, bins, tests and
+//! examples included; but they bind a member only when its manifest
+//! says `[lints] workspace = true`.
+//!
+//! ```text
+//! bad: # crates/x/Cargo.toml
+//!      [dependencies]
+//!      requiem-sim = { workspace = true }
+//! ok:  # crates/x/Cargo.toml
+//!      [dependencies]
+//!      requiem-sim = { workspace = true }
+//!
+//!      [lints]
+//!      workspace = true
+//! ```
 
 use super::short_name;
 use crate::diag::Diagnostic;

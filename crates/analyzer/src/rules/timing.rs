@@ -15,6 +15,13 @@
 //!   raw integer/float nanosecond carriers. Accumulate `SimDuration`s
 //!   instead.
 //!
+//! ```text
+//! TIM01 bad: let gap = done.as_nanos() - start.as_nanos();
+//! TIM01 ok:  let gap = done.since(start);
+//! TIM02 bad: let mean_gap_ns = 1e9 / iops;
+//! TIM02 ok:  let mean_gap = SimDuration::from_nanos(1_000_000_000 / iops);
+//! ```
+//!
 //! Scope: sim-path crates except `sim` itself (which implements the
 //! types) and `bench` (report formatting legitimately unpacks counts at
 //! the JSON/table boundary). Test regions are exempt (asserts compare

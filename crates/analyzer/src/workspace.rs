@@ -97,28 +97,10 @@ pub struct CrateInfo {
 /// The discovered workspace.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Absolute workspace root.
-    pub root: PathBuf,
     /// Member crates (root package included, name `requiem`).
     pub crates: Vec<CrateInfo>,
     /// Files of the reference-only roots ([`FileCat::Reference`]).
     pub references: Vec<SourceFile>,
-}
-
-/// Walk upward from `start` to the first directory whose `Cargo.toml`
-/// declares `[workspace]`.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
-    let mut cur = Some(start.to_path_buf());
-    while let Some(dir) = cur {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        cur = dir.parent().map(|p| p.to_path_buf());
-    }
-    None
 }
 
 /// Discover every member crate under `root`.
@@ -154,11 +136,7 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
         }
     }
     references.sort_by(|a, b| a.rel.cmp(&b.rel));
-    Ok(Workspace {
-        root: root.to_path_buf(),
-        crates,
-        references,
-    })
+    Ok(Workspace { crates, references })
 }
 
 fn load_crate(root: &Path, dir: &Path, manifest_rel: &str) -> Result<CrateInfo, String> {

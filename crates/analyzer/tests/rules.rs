@@ -3,9 +3,9 @@
 //! Each rule family gets a violating fixture and a clean twin under
 //! `tests/fixtures/` (the workspace walker skips that directory — the
 //! fixtures *deliberately* break the rules and are never compiled). The
-//! final test lints the real workspace against the checked-in
-//! `lint.allow.toml` and requires zero denied diagnostics: the linter
-//! gates CI, so the tree must always be self-clean.
+//! final test lints the real workspace and requires zero diagnostics:
+//! this test is the analyzer's only gate, so the tree must always be
+//! self-clean.
 
 use std::path::Path;
 
@@ -61,7 +61,7 @@ fn det_fixture_fires_and_twin_is_clean() {
 
 #[test]
 fn det_rules_exempt_test_regions_and_test_files() {
-    // hash iteration is no requiem-lint rule (clippy's `disallowed-types`
+    // hash iteration is no analyzer rule (clippy's `disallowed-types`
     // bans the types, tests included), so a test region iterating one is
     // clean; DET02 ambient authority (Instant) stays flagged even in
     // tests — wall-clock reads make test timing assertions flaky
@@ -295,32 +295,19 @@ fn dead_rule_sees_through_a_field_named_like_its_accessor() {
     );
 }
 
-/// The real workspace must lint *completely* clean: zero diagnostics —
-/// not merely zero denied — and zero stale allowlist entries. This is
-/// the `-D --deny-stale` contract CI enforces.
+/// The real workspace must lint clean: zero diagnostics, with no
+/// exceptions to grant.
 #[test]
 fn workspace_self_check_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let allow = analyzer::load_allowlist(&root.join("lint.allow.toml")).expect("allowlist parses");
-    let report = analyzer::run(&root, allow).expect("lint runs");
-    let all: Vec<String> = report
-        .diagnostics
+    let all: Vec<String> = analyzer::run(&root)
+        .expect("lint runs")
         .iter()
-        .map(|(d, _)| d.to_string())
+        .map(|d| d.to_string())
         .collect();
     assert!(
         all.is_empty(),
-        "workspace has diagnostics (the tree must be clean under -D):\n{}",
+        "workspace has diagnostics (the tree must be clean):\n{}",
         all.join("\n")
-    );
-    let stale: Vec<String> = report
-        .unused_allows
-        .iter()
-        .map(|e| format!("{} {} ({})", e.rule, e.path, e.reason))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "stale allowlist entries:\n{}",
-        stale.join("\n")
     );
 }

@@ -23,7 +23,7 @@
 //!
 //! Everything is virtual-time deterministic: the binary's stdout is
 //! double-run diffed in CI (short preset) and the full trajectory is
-//! checked in as `BENCH_exp16.json`.
+//! pinned in `golden/exp16_aging.txt`.
 
 use crate::series::{Series, V};
 use requiem_sim::time::SimTime;
@@ -35,7 +35,7 @@ use requiem_workload::pattern::{AddressPattern, Pattern};
 pub const SEED: u64 = 16;
 
 /// Campaign scale: the short preset exists so CI can double-run the
-/// binary in seconds; the full preset is what `BENCH_exp16.json` records.
+/// binary in seconds; the full preset is what `golden/exp16_aging.txt` pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgingPreset {
     /// Operations per sampling window.
@@ -373,7 +373,7 @@ fn point_series<'a>() -> Series<'a, AgingPoint> {
 }
 
 /// What is reported per run: E16a's steady-state table and the JSON
-/// object `BENCH_exp16.json` records.
+/// object `golden/exp16_aging.txt` pins.
 pub fn run_series<'a>() -> Series<'a, AgingRun> {
     Series::new()
         .col("config", "config", |r: &AgingRun| {

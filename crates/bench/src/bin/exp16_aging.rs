@@ -18,8 +18,9 @@
 //!   peak and end-of-run.
 //! * **16c** — the aged tail: p99/p99.9 of the mixed phase, where
 //!   demand reads queue behind steady-state collection.
-//! * Trailing JSON (the full trajectories) feeds `BENCH_exp16.json`
-//!   and the determinism CI diff (short preset).
+//! * Trailing JSON (the full trajectories) is pinned in
+//!   `golden/exp16_aging.txt` (the short preset's in
+//!   `golden/exp16_aging.short.txt`).
 //!
 //! `--short` selects the CI preset (same phases, ~1/8 the ops).
 

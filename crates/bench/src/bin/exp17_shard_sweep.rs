@@ -28,7 +28,7 @@
 //!
 //! Every run is a [`requiem_bench::campaign`] spec. `--short` selects
 //! the CI preset (same phases, fewer transactions).
-//! The trailing JSON feeds the determinism diff and `BENCH_exp17.json`.
+//! The trailing JSON is pinned in `golden/exp17_shard_sweep.txt`.
 
 use requiem_bench::campaign::{self, RunSpec, ShardedStack, Stack, Workload};
 use requiem_bench::{all_txns, note, section, serialized_identity, Series, V};

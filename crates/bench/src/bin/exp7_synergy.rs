@@ -23,7 +23,7 @@ use requiem_workload::oltp::{OltpConfig, OltpGen};
 
 /// One route's row in each OLTP table: throughput, latencies and
 /// steals; then where its time went.
-fn rows(label: &str, r: RunResult<Database<BlockStackBackend>>) -> [Vec<String>; 2] {
+fn rows(label: &str, r: &RunResult<Database<BlockStackBackend>>) -> [Vec<String>; 2] {
     let (txn, commit) = (r.engine.txn_latency(), r.engine.commit_latency());
     [
         vec![
@@ -64,11 +64,11 @@ fn main() {
     };
 
     section("OLTP (2 000 txns, zipf 0.8, 4 pages/txn, 50% dirty, checkpoint every 500)");
-    let results = [
+    let runs = [
         // legacy, conservative: no write cache trusted
-        rows("legacy (flash, no write cache)", campaign::run(&legacy)),
+        ("legacy (flash, no write cache)", campaign::run(&legacy)),
         // legacy with a battery-backed write cache (ablation)
-        rows(
+        (
             "legacy (flash + battery cache)",
             campaign::run(&RunSpec {
                 manager: Stack(StackConfig::bare(1), SsdConfig::modern()),
@@ -76,7 +76,7 @@ fn main() {
             }),
         ),
         // vision: PCM log + extended flash
-        rows(
+        (
             "vision (PCM log + atomic flash)",
             campaign::run(&legacy.clone().over(Vision(modern_unbuffered()))),
         ),
@@ -92,13 +92,42 @@ fn main() {
     ])
     .align(0, Align::Left);
     let mut stalls = Table::new(["backend", "read stall", "commit stall"]).align(0, Align::Left);
-    for [l, s] in results {
+    for (label, r) in &runs {
+        let [l, s] = rows(label, r);
         latency.row(l);
         stalls.row(s);
     }
     println!("{latency}");
+    let [(_, raw), (_, cached), (_, vision)] = &runs;
+    assert!(
+        vision.report.tps > raw.report.tps && vision.report.tps > cached.report.tps,
+        "vision must out-run both legacy rows ({:.0} vs {:.0} and {:.0} txns/s)",
+        vision.report.tps,
+        raw.report.tps,
+        cached.report.tps
+    );
+    let commit_p50 = |r: &RunResult<Database<BlockStackBackend>>| r.engine.commit_latency().p50();
+    assert!(
+        commit_p50(vision) < commit_p50(cached) && commit_p50(cached) < commit_p50(raw),
+        "commit p50 must rank vision < legacy + battery cache < legacy ({} / {} / {} ns)",
+        commit_p50(vision),
+        commit_p50(cached),
+        commit_p50(raw)
+    );
     section("Where the time goes (stall decomposition)");
     println!("{stalls}");
+    assert!(
+        raw.delta.commit_stall > raw.delta.read_stall,
+        "legacy without a cache must stall on commits more than on reads ({} vs {})",
+        raw.delta.commit_stall,
+        raw.delta.read_stall
+    );
+    assert!(
+        vision.delta.commit_stall <= vision.delta.read_stall,
+        "vision must leave reads, not commits, as the larger stall ({} vs {})",
+        vision.delta.commit_stall,
+        vision.delta.read_stall
+    );
     note("Expected shape: legacy commit forces cost hundreds of µs each and dominate; the PCM path cuts the commit force to ~1µs, leaving reads as the async bottleneck — 'synchronous patterns should be directed to PCM, asynchronous patterns to flash-based SSDs'.");
 
     section("Memory-pressure ablation (buffer pool 32 frames, 1 000 txns)");
@@ -138,5 +167,13 @@ fn main() {
         );
     }
     println!("{tbl}");
+    assert!(
+        pcm.delta.steal_stall < flash.delta.steal_stall && pcm.report.tps > flash.report.tps,
+        "PCM staging must cut the steal stall ({} vs {}) and raise throughput ({:.0} vs {:.0})",
+        pcm.delta.steal_stall,
+        flash.delta.steal_stall,
+        pcm.report.tps,
+        flash.report.tps
+    );
     note("Buffer steals are the second synchronous pattern P1 names; staging them in PCM removes the flash program from the blocking path.");
 }

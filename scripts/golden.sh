@@ -16,10 +16,9 @@
 #
 # Usage:
 #   scripts/golden.sh check   # build, run the 19 and the examples, cmp
-#                             # against golden/, and BENCH_exp13..17.json
-#                             # against them
+#                             # against golden/
 #   scripts/golden.sh write   # build, run the 19 and the examples, replace
-#                             # golden/, rewrite stale BENCH_exp13..17.json
+#                             # golden/
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,30 +73,4 @@ else
     echo "golden: $ok of ${#RUNS[@]} outputs byte-identical"
 fi
 
-# BENCH_exp13..17.json are the trailing JSON block of their experiment's
-# golden file beside hand-kept `_regenerate` and `_perf` prose. Compare
-# the two with `_regenerate` and `_perf` dropped on both sides (exp16
-# prints its own `_regenerate`). `check` fails on a stale snapshot;
-# `write` rewrites its deterministic block from the golden file and keeps
-# its `_regenerate` and `_perf` as they were.
-json_of() { jq -S 'del(._regenerate, ._perf)' "$@"; }
-block_of() { awk '/^```json$/{f=1;next} /^```$/{f=0} f' "$1"; }
-stale=0
-for bench in BENCH_exp1[3-7].json; do
-    n=${bench#BENCH_exp}
-    src=$(echo crates/bench/src/bin/exp"${n%.json}"_*.rs)
-    gold=golden/$(basename "$src" .rs).txt
-    if cmp -s <(json_of "$bench") <(block_of "$gold" | json_of); then
-        continue
-    elif [ "$MODE" = write ]; then
-        fresh=$(block_of "$gold" | jq --slurpfile old "$bench" \
-            '($old[0] | with_entries(select(.key == "_regenerate" or .key == "_perf")))
-             + del(._regenerate, ._perf)')
-        printf '%s\n' "$fresh" >"$bench"
-        echo "golden: rewrote $bench from the JSON block of $gold"
-    else
-        echo "golden: STALE $bench differs from the JSON block of $gold"
-        stale=$((stale + 1))
-    fi
-done
-[ $((fail + stale)) -eq 0 ]
+[ "$fail" -eq 0 ]
