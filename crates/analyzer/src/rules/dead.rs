@@ -39,7 +39,17 @@
 //! PCM read for nothing), went unreported because a local closure in
 //! `crates/iface/tests/nameless_faults.rs` is also named `read_latency`;
 //! it was found by grep and deleted by hand. Telling the two apart needs
-//! name resolution, which a token pass does not have.
+//! name resolution, which a token pass does not have. A name shared by
+//! two dead items hides both: nothing called `ResourceBank::reset`, and
+//! it was the only caller of `Resource::reset`, yet each `reset` kept
+//! the other alive until both were deleted by hand.
+//!
+//! Fields are out of reach altogether. A `pub` field that the program
+//! writes and nothing reads — a histogram recorded on every host write,
+//! a counter of an event another struct already counts — is named at
+//! each write, and a write is an occurrence like any other. Such
+//! write-only stats were swept by hand too: grep each field for a read
+//! outside its own file's tests.
 
 use std::collections::{BTreeMap, BTreeSet};
 

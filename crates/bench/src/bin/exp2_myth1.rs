@@ -167,5 +167,5 @@ fn main() {
         m.gc_pages_moved,
         m.gc_runs
     );
-    note("The host issued writes only; the controller's GC and wear leveling generated the rest — traffic no chip datasheet predicts.");
+    note("The host issued writes only; the controller's GC generated the rest — traffic no chip datasheet predicts. Wear leveling moved nothing: static wear leveling is off in this preset (`wl.static_threshold` = 0), and dynamic wear leveling only picks which free block to fill next.");
 }

@@ -11,13 +11,33 @@
 use requiem_bench::{note, section};
 use requiem_block::{
     BackendOp, CompletionMode, CpuCosts, Disk, DiskConfig, IoRequest, IoStack, NullDevice,
-    QueueMode, StackConfig,
+    QueueMode, StackConfig, StorageBackend,
 };
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::Table;
+use requiem_sim::{Histogram, Table};
 use requiem_ssd::{BufferConfig, Ssd, SsdConfig};
 use requiem_workload::driver::precondition_sequential;
+
+/// Submit `reqs` on core 0 one after another from `t`, each once the
+/// last has completed: their latency distribution, and the share of
+/// their summed latency spent outside the device.
+fn serialized<B: StorageBackend>(
+    stack: &mut IoStack<B>,
+    mut t: SimTime,
+    reqs: impl IntoIterator<Item = IoRequest>,
+) -> (Histogram, f64) {
+    let mut latency = Histogram::new();
+    let (mut device, mut total) = (SimDuration::ZERO, SimDuration::ZERO);
+    for req in reqs {
+        let c = stack.submit(t, 0, req);
+        t = c.done;
+        latency.record_duration(c.latency);
+        device += c.device_time;
+        total += c.latency;
+    }
+    (latency, 1.0 - device / total)
+}
 
 fn main() {
     println!("# E9 — block-layer overhead: disk-era invisibility, SSD-era tax");
@@ -36,22 +56,18 @@ fn main() {
 
     // disk, random reads
     let mut stack = IoStack::new(StackConfig::legacy(1), Disk::new(DiskConfig::hdd_7200()));
-    let mut t = SimTime::ZERO;
-    let mut s = 99u64;
-    for _ in 0..64 {
-        s = (s.wrapping_mul(999983)) % (1 << 20);
-        t = stack.submit(t, 0, IoRequest::read(s)).done;
-    }
-    let share = stack.software_share();
+    let reads = (0..64).scan(99u64, |s, _| {
+        *s = (s.wrapping_mul(999983)) % (1 << 20);
+        Some(IoRequest::read(*s))
+    });
+    let (latency, share) = serialized(&mut stack, SimTime::ZERO, reads);
     assert!(share < 0.01, "the disk's software share is {share:.4}");
+    let p50 = SimDuration::from_nanos(latency.p50());
     tbl.row([
         "hdd-7200".to_string(),
         "random read".to_string(),
-        format!(
-            "{}",
-            SimDuration::from_nanos(stack.latency().p50()) - stack.config().cpu.per_io_interrupt()
-        ),
-        format!("{}", SimDuration::from_nanos(stack.latency().p50())),
+        format!("{}", p50 - stack.config().cpu.per_io_interrupt()),
+        format!("{p50}"),
         format!("{:.2}%", share * 100.0),
     ]);
 
@@ -66,18 +82,16 @@ fn main() {
         }
         let mut stack = IoStack::new(StackConfig::legacy(1), Ssd::new(cfg));
         // precondition some pages for reads
-        let mut last = precondition_sequential(stack.backend_mut(), 64, SimTime::ZERO);
-        for lpn in 0..64u64 {
-            last = stack.submit(last, 0, IoRequest::new(op, lpn)).done;
-        }
-        let share = stack.software_share();
+        let last = precondition_sequential(stack.backend_mut(), 64, SimTime::ZERO);
+        let reqs = (0..64u64).map(|lpn| IoRequest::new(op, lpn));
+        let (latency, share) = serialized(&mut stack, last, reqs);
         // on a buffered SSD write the software path is a large share
         assert!(!buffered || share > 0.25, "{label}: {share:.3}");
         tbl.row([
             label.to_string(),
             format!("{op:?}").to_lowercase(),
             "-".to_string(),
-            format!("{}", SimDuration::from_nanos(stack.latency().p50())),
+            format!("{}", SimDuration::from_nanos(latency.p50())),
             format!("{:.1}%", share * 100.0),
         ]);
     }
@@ -119,7 +133,7 @@ fn main() {
         let cpu = match mode {
             CompletionMode::Interrupt => stack.config().cpu.per_io_interrupt(),
             CompletionMode::Polling => {
-                stack.config().cpu.per_io_polling() + SimDuration::from_nanos(stack.latency().p50())
+                stack.config().cpu.per_io_polling() + SimDuration::from_nanos(r.latency.p50())
             }
         };
         tbl.row([

@@ -329,7 +329,8 @@ mod tests {
         assert_eq!(a.report.forces, b.report.forces);
         assert_eq!(a.report.read_only_latency, b.report.read_only_latency);
         assert_eq!(a.report.update_latency, b.report.update_latency);
-        assert_eq!(a.report.commit_order, b.report.commit_order);
+        assert!(a.engine.wal().records().eq(b.engine.wal().records()));
+        assert_eq!(a.engine.stats(), b.engine.stats());
         assert_eq!(a.delta, b.delta);
         assert_eq!(a.probe, b.probe);
         assert_eq!(a.engine.now(), b.engine.now());

@@ -164,34 +164,24 @@ struct Pending {
     status: IoStatus,
 }
 
-/// Aggregated result of a stack run.
+/// What [`IoStack::run_per_core_loop`] measured.
 #[derive(Debug, Clone)]
 pub struct StackReport {
-    /// I/Os completed.
-    pub ios: u64,
     /// I/Os per second of virtual time.
     pub iops: f64,
     /// Latency distribution.
     pub latency: Histogram,
-    /// Mean share of end-to-end latency spent in software (1 − device/total).
-    pub software_share: f64,
-    /// Makespan of the run.
-    pub makespan: SimDuration,
 }
 
-/// The composed stack over a backend.
+/// The composed stack over a backend. It keeps no record of the
+/// commands it served: each [`StackCompletion`] carries its latency and
+/// device time, and the caller measures what it drove.
 pub struct IoStack<B: StorageBackend> {
     cfg: StackConfig,
     backend: B,
     cores: ResourceBank,
     queues: Vec<Resource>,
     probe: Probe,
-    latency: Histogram,
-    /// Accumulated device-side busy time across all completed I/Os.
-    device_busy: SimDuration,
-    /// Accumulated end-to-end latency across all completed I/Os.
-    total_latency: SimDuration,
-    ios: u64,
     /// The queue-pair path's queue pairs, one per core: each submission
     /// context bounds its own outstanding commands, so shards on
     /// different cores throttle independently.
@@ -205,7 +195,6 @@ impl<B: StorageBackend> std::fmt::Debug for IoStack<B> {
         f.debug_struct("IoStack")
             .field("backend", &self.backend.label())
             .field("cores", &self.cfg.cores)
-            .field("ios", &self.ios)
             .finish()
     }
 }
@@ -226,10 +215,6 @@ impl<B: StorageBackend> IoStack<B> {
             cfg,
             backend,
             probe: Probe::disabled(),
-            latency: Histogram::new(),
-            device_busy: SimDuration::ZERO,
-            total_latency: SimDuration::ZERO,
-            ios: 0,
             reaped: Vec::new(),
         }
     }
@@ -374,15 +359,10 @@ impl<B: StorageBackend> IoStack<B> {
                 .span(Layer::Block, Cause::Overhead, "irq", dev_done, done);
         }
         scope.close(done);
-        let latency = done.since(now);
-        self.latency.record_duration(latency);
-        self.device_busy += device_time;
-        self.total_latency += latency;
-        self.ios += 1;
         StackCompletion {
             tag,
             done,
-            latency,
+            latency: done.since(now),
             device_time,
             status: dev_c.status,
         }
@@ -540,15 +520,10 @@ impl<B: StorageBackend> IoStack<B> {
                 }
                 scope.close(done);
             }
-            let latency = done.since(p.submitted);
-            self.latency.record_duration(latency);
-            self.device_busy += p.device_time;
-            self.total_latency += latency;
-            self.ios += 1;
             out.push(StackCompletion {
                 tag: p.tag,
                 done,
-                latency,
+                latency: done.since(p.submitted),
                 device_time: p.device_time,
                 status: p.status,
             });
@@ -577,7 +552,6 @@ impl<B: StorageBackend> IoStack<B> {
             heap.push(Reverse((start_at, c, 0)));
         }
         let mut last_done = start_at;
-        let before_ios = self.ios;
         let mut lat = Histogram::new();
         while let Some(Reverse((t, core, i))) = heap.pop() {
             if i >= ops_per_core {
@@ -589,29 +563,11 @@ impl<B: StorageBackend> IoStack<B> {
             last_done = last_done.max(c.done);
             heap.push(Reverse((c.done, core, i + 1)));
         }
-        let ios = self.ios - before_ios;
-        let makespan = last_done.since(start_at);
-        let secs = makespan.as_secs_f64().max(1e-12);
+        let secs = last_done.since(start_at).as_secs_f64().max(1e-12);
         StackReport {
-            ios,
-            iops: ios as f64 / secs,
+            iops: lat.count() as f64 / secs,
             latency: lat,
-            software_share: self.software_share(),
-            makespan,
         }
-    }
-
-    /// Mean fraction of end-to-end latency spent outside the device.
-    pub fn software_share(&self) -> f64 {
-        if self.total_latency.is_zero() {
-            return 0.0;
-        }
-        1.0 - self.device_busy / self.total_latency
-    }
-
-    /// Latency distribution.
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
     }
 }
 
@@ -627,6 +583,14 @@ mod tests {
         IoStack::new(cfg, Ssd::new(SsdConfig::modern()))
     }
 
+    /// Mean fraction of end-to-end latency spent outside the device,
+    /// over `done`.
+    fn software_share(done: &[StackCompletion]) -> f64 {
+        let device: SimDuration = done.iter().map(|c| c.device_time).sum();
+        let total: SimDuration = done.iter().map(|c| c.latency).sum();
+        1.0 - device / total
+    }
+
     #[test]
     fn software_share_tiny_on_disk_large_on_ssd() {
         // E9's core claim in miniature
@@ -634,18 +598,24 @@ mod tests {
             IoStack::new(StackConfig::legacy(1), Disk::new(DiskConfig::hdd_7200()));
         let mut t = SimTime::ZERO;
         let mut s = 99u64;
+        let mut done = Vec::new();
         for _ in 0..32 {
             s = (s.wrapping_mul(999983)) % (1 << 20);
-            t = disk_stack.submit(t, 0, IoRequest::read(s)).done;
+            let c = disk_stack.submit(t, 0, IoRequest::read(s));
+            t = c.done;
+            done.push(c);
         }
-        let disk_share = disk_stack.software_share();
+        let disk_share = software_share(&done);
 
         let mut ssd_stack = ssd_stack(StackConfig::legacy(1));
         let mut t = SimTime::ZERO;
+        done.clear();
         for lba in 0..32u64 {
-            t = ssd_stack.submit(t, 0, IoRequest::write(lba)).done;
+            let c = ssd_stack.submit(t, 0, IoRequest::write(lba));
+            t = c.done;
+            done.push(c);
         }
-        let ssd_share = ssd_stack.software_share();
+        let ssd_share = software_share(&done);
         assert!(disk_share < 0.01, "disk software share {disk_share}");
         assert!(ssd_share > 0.2, "ssd software share {ssd_share}");
     }
@@ -717,7 +687,6 @@ mod tests {
             |c, i| (c as u64) * 64 + i,
             SimTime::ZERO,
         );
-        assert_eq!(r.ios, 64);
         assert_eq!(r.latency.count(), 64);
         assert!(r.iops > 0.0);
     }
@@ -757,7 +726,6 @@ mod tests {
         let mut seen: Vec<u64> = got.iter().map(|c| c.tag.0).collect();
         seen.sort();
         assert_eq!(seen, [1, 2, 3, 4, 100, 102, 104, 106]);
-        assert_eq!(st.latency().count(), 8);
     }
 
     #[test]
@@ -832,13 +800,10 @@ mod tests {
     /// Rounds of one batch and the polls after it, then a drain.
     type Script = Vec<(Vec<Req>, Vec<u8>)>;
 
-    /// What a run shows: every reaped completion in reap order, the
-    /// latency histogram, and the software share's bits.
-    type Run = (Vec<Fields>, Histogram, u64);
-
     /// Drive `script` through the batch path at window `depth`, reaping
-    /// through the lent batch or through the reference.
-    fn drive(depth: usize, polling: bool, script: &Script, lend: bool) -> Run {
+    /// through the lent batch or through the reference: every reaped
+    /// completion in reap order.
+    fn drive(depth: usize, polling: bool, script: &Script, lend: bool) -> Vec<Fields> {
         let mut cfg = SsdConfig::modern();
         cfg.shape.channels = 2;
         cfg.shape.chips_per_channel = 2;
@@ -897,8 +862,7 @@ mod tests {
             now = now.max(t);
             reap(&mut st, now);
         }
-        let share = st.software_share().to_bits();
-        (got, st.latency().clone(), share)
+        got
     }
 
     /// The tags `script`'s completions must carry: each request's own,
@@ -939,7 +903,7 @@ mod tests {
         ) {
             let lent = drive(depth, polling == 1, &script, true);
             let reference = drive(depth, polling == 1, &script, false);
-            let mut tags: Vec<u64> = lent.0.iter().map(|f| f.0 .0).collect();
+            let mut tags: Vec<u64> = lent.iter().map(|f| f.0 .0).collect();
             tags.sort_unstable();
             prop_assert_eq!(tags, assigned_tags(&script));
             prop_assert_eq!(lent, reference);

@@ -138,7 +138,9 @@ pub struct Database<B: PersistenceBackend> {
 /// oldest first. A group force under the shard coordinator marks the log
 /// flushed when it is issued and ends later ([`crate::exec`]), so a steal
 /// finds here when its frame's records became durable. Debug builds also
-/// hold every page write and commit acknowledgement to the WAL law.
+/// hold every page write and commit acknowledgement to the WAL law, and
+/// every build holds acknowledgements to log order
+/// ([`Durability::acknowledge`]).
 ///
 /// The law: a page write carries only records that are durable, and is
 /// submitted no earlier than the end of the force that made its newest
@@ -153,6 +155,8 @@ pub(crate) struct Durability {
     /// The horizon of the newest force that left the window: the force
     /// behind a record at or below it is no longer known.
     forgotten: Option<Lsn>,
+    /// The record of the newest commit acknowledged.
+    acked: Option<Lsn>,
 }
 
 impl Durability {
@@ -179,6 +183,26 @@ impl Durability {
         }
         let covering = self.forces.partition_point(|&(h, _)| h < lsn);
         self.forces.get(covering).map(|&(_, end)| end)
+    }
+
+    /// The commit whose record is at `lsn` is acknowledged at `at`. It is
+    /// held to the WAL law, and to log order: its record lies above every
+    /// commit acknowledged before it, so the order in which commits are
+    /// acknowledged is the order of their records in the log. A crash
+    /// keeps every acknowledged record (the durable horizon covers it), so
+    /// the order holds across recovery too.
+    ///
+    /// # Panics
+    /// Panics when an earlier acknowledgement named a record at or above
+    /// `lsn`.
+    pub(crate) fn acknowledge(&mut self, wal: &Wal, lsn: Lsn, at: SimTime) {
+        self.assert_durable(wal, lsn.0, at, "a commit's acknowledgement");
+        assert!(
+            Some(lsn) > self.acked,
+            "commit order: the commit at {lsn:?} is acknowledged at {at:?} after the one at {:?}",
+            self.acked
+        );
+        self.acked = Some(lsn);
     }
 
     /// Assert that the record at `lsn` is durable for what `what` does
@@ -450,12 +474,7 @@ impl<B: PersistenceBackend> Database<B> {
         // a failed force is counted, and the commit still acknowledged
         let forced = self.force_log(self.now, commit_lsn);
         self.now = self.now.max(forced.unwrap_or_else(|f| f.done));
-        self.durability.assert_durable(
-            &self.wal,
-            commit_lsn.0,
-            self.now,
-            "a commit's acknowledgement",
-        );
+        self.durability.acknowledge(&self.wal, commit_lsn, self.now);
         let commit_force = self.now.since(commit_started);
         self.stats.commit_stall += commit_force;
         self.stats.commits += 1;
@@ -823,6 +842,9 @@ mod tests {
         forge: requiem_sim::IoStatus,
         /// Parks the batched reads, each served by `page_read`.
         shim: crate::backend::ReadShim,
+        /// Every write-back, in order: whether it was a checkpoint's
+        /// batch, and its pages.
+        writes: Vec<(bool, Vec<PageId>)>,
     }
 
     impl PersistenceBackend for FlakyBackend {
@@ -833,9 +855,11 @@ mod tests {
             self.inner.make_wal()
         }
         fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+            self.writes.push((false, vec![page]));
             self.inner.page_write(now, page)
         }
         fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+            self.writes.push((false, vec![page]));
             self.inner.steal_write(now, page)
         }
         fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, requiem_sim::IoStatus) {
@@ -847,6 +871,7 @@ mod tests {
             (done, status)
         }
         fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
+            self.writes.push((true, pages.to_vec()));
             self.inner.page_batch(now, pages)
         }
         fn free_page(&mut self, now: SimTime, page: PageId) {
@@ -884,10 +909,24 @@ mod tests {
             fail_page: None,
             forge,
             shim: crate::backend::ReadShim::default(),
+            writes: Vec::new(),
         };
         let mut db = Database::new(cfg, be);
         db.load();
         db
+    }
+
+    #[test]
+    #[should_panic(expected = "commit order")]
+    fn an_acknowledgement_below_the_last_one_panics() {
+        let mut wal = Wal::new();
+        let first = wal.append(LogRecord::Commit { txn: 1 });
+        let second = wal.append(LogRecord::Commit { txn: 2 });
+        wal.mark_flushed(second);
+        let mut durability = Durability::default();
+        let at = SimTime::from_micros(10);
+        durability.acknowledge(&wal, second, at);
+        durability.acknowledge(&wal, first, at);
     }
 
     #[test]
@@ -961,25 +1000,27 @@ mod tests {
             (11, 4, true),
         ])];
         inputs.extend((0..15).map(|i| input(vec![(100 + i, 0, true), (150 + i, 0, false)])));
-        let report = db.run_concurrent(&inputs, &cfg);
-        let commits = &report.commit_order;
-        let at = commits
-            .iter()
-            .position(|c| c.0 == 1)
-            .expect("txn 1 commits");
+        db.backend.writes.clear(); // the load's
+        db.run_concurrent(&inputs, &cfg);
+        // only txn 1 writes pages 10 and 11, each once: a checkpoint
+        // batch between their first write-backs found page 10 written
+        // and page 11 not yet (a dirty page 11 would have been in it)
+        let writes = &db.backend.writes;
+        let first = |page| {
+            writes
+                .iter()
+                .position(|(_, pages)| pages.contains(&PageId(page)))
+                .expect("written back")
+        };
         assert!(
-            at >= 4,
-            "a checkpoint fired while txn 1 was open: {commits:?}"
+            writes[first(10)..first(11)].iter().any(|&(batch, _)| batch),
+            "a checkpoint fired between txn 1's writes: {writes:?}"
         );
-        let (first, second) = (db.durable_page(10).lsn(), db.durable_page(11).lsn());
+        assert_eq!(db.stats().commits, 16);
         assert!(
-            first < commits[3].1 .0 && commits[3].1 < Lsn(second),
-            "txn 1's writes at {first} and {second} straddle the commit at {:?} \
-             that checkpointed",
-            commits[3].1
-        );
-        assert!(
-            db.wal.base() > commits[at].1,
+            !db.wal
+                .records()
+                .any(|(_, r)| r == LogRecord::Commit { txn: 1 }),
             "txn 1's records were trimmed"
         );
 

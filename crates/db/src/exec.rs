@@ -119,9 +119,6 @@ pub struct ExecReport {
     pub read_only_latency: Histogram,
     /// End-to-end latency of updating transactions.
     pub update_latency: Histogram,
-    /// `(txn, commit LSN)` in durability order — group commit must keep
-    /// this consistent with WAL order (asserted by the proptests).
-    pub commit_order: Vec<(u64, Lsn)>,
 }
 
 /// Where one executor slot is in its transaction's life.
@@ -448,7 +445,6 @@ pub(crate) struct ExecState {
     pub(crate) admitted: usize,
     pub(crate) forces: u64,
     pub(crate) grouped: u64,
-    pub(crate) commit_order: Vec<(u64, Lsn)>,
     pub(crate) read_only_latency: Histogram,
     pub(crate) update_latency: Histogram,
     /// Scratch for [`Plan::start`]'s shard count (reused).
@@ -471,14 +467,8 @@ pub(crate) struct ExecState {
 }
 
 impl ExecState {
-    /// Fresh state for a `depth`-slot closed loop over `inputs`
-    /// transactions starting at `now`.
-    pub(crate) fn new(
-        depth: usize,
-        now: SimTime,
-        prefetch: &PrefetchConfig,
-        inputs: usize,
-    ) -> Self {
+    /// Fresh state for a `depth`-slot closed loop starting at `now`.
+    pub(crate) fn new(depth: usize, now: SimTime, prefetch: &PrefetchConfig) -> Self {
         ExecState {
             slots: vec![
                 Slot {
@@ -500,9 +490,6 @@ impl ExecState {
             admitted: 0,
             forces: 0,
             grouped: 0,
-            // one entry per input at most: a prepare records none, and a
-            // decision commit stands in for its home share
-            commit_order: Vec::with_capacity(inputs),
             read_only_latency: Histogram::new(),
             update_latency: Histogram::new(),
             seen: Vec::new(),
@@ -571,7 +558,7 @@ impl<B: PersistenceBackend> Database<B> {
             .set_read_window(depth + cfg.prefetch.depth as usize);
         let started_at = self.now;
         let coalesced_before = self.pool.stats().coalesced;
-        let mut st = ExecState::new(depth, self.now, &cfg.prefetch, inputs.len());
+        let mut st = ExecState::new(depth, self.now, &cfg.prefetch);
         // the executor allocates the run's ids: one per input, in order
         let plan = Plan::all(inputs, self.next_txn, self.cfg.data_pages);
         self.next_txn += inputs.len() as u64;
@@ -672,7 +659,6 @@ impl<B: PersistenceBackend> Database<B> {
             coalesced: self.pool.stats().coalesced - coalesced_before,
             read_only_latency: st.read_only_latency,
             update_latency: st.update_latency,
-            commit_order: st.commit_order,
         }
     }
 
@@ -1107,8 +1093,7 @@ impl<B: PersistenceBackend> Database<B> {
                 st.slots[m.slot].txn = None;
                 continue;
             }
-            self.durability
-                .assert_durable(&self.wal, m.lsn.0, done, "a commit's acknowledgement");
+            self.durability.acknowledge(&self.wal, m.lsn, done);
             let commit_force = done.since(m.enlisted);
             self.stats.commit_stall += commit_force;
             self.stats.commits += 1;
@@ -1120,7 +1105,6 @@ impl<B: PersistenceBackend> Database<B> {
             } else {
                 st.update_latency.record_duration(latency);
             }
-            st.commit_order.push((m.txn, m.lsn));
             match m.kind {
                 MemberKind::Commit => {
                     st.set_state(m.slot, SlotState::Idle { free_at: done });
@@ -1490,7 +1474,7 @@ mod tests {
         /// `inputs` name the database's own (local) pages.
         fn new(frames: usize, inputs: Vec<TxnInput>) -> Self {
             let db = legacy_db(frames);
-            let st = ExecState::new(1, db.now, &PrefetchConfig::off(), inputs.len());
+            let st = ExecState::new(1, db.now, &PrefetchConfig::off());
             let mut inputs: Vec<TxnInput> = inputs
                 .into_iter()
                 .map(|t| TxnInput {

@@ -21,21 +21,6 @@ use requiem_iface::nameless::{NamelessCompletion, NamelessError, NamelessSsd, Ph
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Histogram;
 
-/// Statistics of a [`NamelessKv`].
-#[derive(Debug, Default, Clone)]
-pub struct KvStats {
-    /// Puts served.
-    pub puts: u64,
-    /// Gets served (hit or miss).
-    pub gets: u64,
-    /// Gets that found the key.
-    pub hits: u64,
-    /// Deletes served.
-    pub deletes: u64,
-    /// Index updates applied from device migration upcalls.
-    pub migrations_applied: u64,
-}
-
 /// A page-granular KV store on a [`NamelessSsd`].
 ///
 /// Keys are `u64`; each value occupies one device page (SILT-style stores
@@ -45,7 +30,6 @@ pub struct NamelessKv {
     dev: NamelessSsd,
     index: BTreeMap<u64, PhysName>,
     now: SimTime,
-    stats: KvStats,
     get_latency: Histogram,
 }
 
@@ -53,7 +37,6 @@ impl std::fmt::Debug for NamelessKv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NamelessKv")
             .field("keys", &self.index.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -65,7 +48,6 @@ impl NamelessKv {
             dev,
             index: BTreeMap::new(),
             now: SimTime::ZERO,
-            stats: KvStats::default(),
             get_latency: Histogram::new(),
         }
     }
@@ -83,11 +65,6 @@ impl NamelessKv {
     /// True if the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// Statistics.
-    pub fn stats(&self) -> &KvStats {
-        &self.stats
     }
 
     /// Get-latency distribution.
@@ -115,7 +92,6 @@ impl NamelessKv {
                 // (the key may have been overwritten or deleted since)
                 if self.index.get(&tag) == Some(&old) {
                     self.index.insert(tag, new);
-                    self.stats.migrations_applied += 1;
                 }
             }
         }
@@ -124,7 +100,6 @@ impl NamelessKv {
     /// Insert or overwrite a key. The device chooses the location.
     pub fn put(&mut self, key: u64) -> Result<NamelessCompletion, NamelessError> {
         self.sync_upcalls();
-        self.stats.puts += 1;
         // free the previous version first (exact, not a trim hint)
         if let Some(old) = self.index.get(&key).copied() {
             let t = self.dev.free(self.now, old, key)?;
@@ -139,7 +114,6 @@ impl NamelessKv {
     /// Look up a key: exactly one flash read on a hit.
     pub fn get(&mut self, key: u64) -> Result<Option<SimDuration>, NamelessError> {
         self.sync_upcalls();
-        self.stats.gets += 1;
         let Some(name) = self.index.get(&key).copied() else {
             return Ok(None);
         };
@@ -148,7 +122,6 @@ impl NamelessKv {
         // a parity-rebuilt page was re-homed by the device; the Migrated
         // upcall is applied before the next operation via sync_upcalls()
         debug_assert!(status.is_success(), "kv get hit unrecoverable media");
-        self.stats.hits += 1;
         self.get_latency.record_duration(lat);
         Ok(Some(lat))
     }
@@ -156,7 +129,6 @@ impl NamelessKv {
     /// Delete a key (exact free on the device).
     pub fn delete(&mut self, key: u64) -> Result<bool, NamelessError> {
         self.sync_upcalls();
-        self.stats.deletes += 1;
         let Some(name) = self.index.remove(&key) else {
             return Ok(false);
         };
@@ -190,9 +162,6 @@ mod tests {
         assert!(!kv.delete(7).unwrap());
         assert!(kv.get(7).unwrap().is_none());
         assert!(kv.is_empty());
-        assert_eq!(kv.stats().puts, 1);
-        assert_eq!(kv.stats().gets, 3);
-        assert_eq!(kv.stats().hits, 1);
     }
 
     #[test]
@@ -237,10 +206,11 @@ mod tests {
         }
         assert!(kv.device().metrics().gc_runs > 0, "churn must trigger GC");
         assert!(
-            kv.stats().migrations_applied > 0,
+            kv.device().metrics().gc_pages_moved > 0,
             "GC must have migrated live keys"
         );
-        // every key still readable at its (possibly migrated) name
+        // every key still readable at its (possibly migrated) name: a
+        // read or free at a stale name is refused
         for k in 0..keys {
             assert!(kv.get(k).unwrap().is_some(), "key {k} lost");
         }

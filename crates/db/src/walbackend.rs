@@ -51,8 +51,6 @@ use crate::wal::Lsn;
 pub struct WalStats {
     /// Records enlisted via [`WalBackend::append`].
     pub appends: u64,
-    /// Bytes enlisted (force-accounting bytes, not encoded record bytes).
-    pub append_bytes: u64,
     /// Forces that reached the device (an empty drain costs nothing and
     /// is not counted).
     pub log_forces: u64,
@@ -65,13 +63,6 @@ pub struct WalStats {
     pub logical_writes: u64,
     /// Segments released by checkpoint truncation.
     pub log_trims: u64,
-    /// Recovery scans performed.
-    pub scans: u64,
-    /// Bytes covered by recovery scans.
-    pub scan_bytes: u64,
-    /// Forces whose combined completion status was a failure
-    /// (rejected/unrecoverable) rather than clean or recovered.
-    pub force_failures: u64,
 }
 
 /// Completion of a [`WalBackend::force`]: when the log became durable and
@@ -234,7 +225,6 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
             "WAL appends must arrive in LSN order"
         );
         self.stats.appends += 1;
-        self.stats.append_bytes += u64::from(bytes);
         self.pending.push((lsn, bytes));
     }
 
@@ -271,9 +261,6 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
                 break;
             }
         }
-        if !status.is_success() {
-            self.stats.force_failures += 1;
-        }
         WalForce::new(t, status)
     }
 
@@ -297,8 +284,6 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
     }
 
     fn recover_scan(&mut self, now: SimTime, offset: u64, bytes: u32) -> (SimTime, IoStatus) {
-        self.stats.scans += 1;
-        self.stats.scan_bytes += u64::from(bytes);
         if bytes == 0 {
             return (now, IoStatus::Ok);
         }
@@ -494,7 +479,6 @@ impl WalBackend for PcmWal {
             "WAL appends must arrive in LSN order"
         );
         self.stats.appends += 1;
-        self.stats.append_bytes += u64::from(bytes);
         self.pending.push((lsn, bytes));
     }
 
@@ -537,8 +521,6 @@ impl WalBackend for PcmWal {
     }
 
     fn recover_scan(&mut self, now: SimTime, offset: u64, bytes: u32) -> (SimTime, IoStatus) {
-        self.stats.scans += 1;
-        self.stats.scan_bytes += u64::from(bytes);
         if bytes == 0 {
             return (now, IoStatus::Ok);
         }
@@ -634,7 +616,6 @@ mod tests {
             SimTime::from_micros(100),
             "the time is still spent"
         );
-        assert_eq!(w.stats().force_failures, 1);
     }
 
     #[test]
@@ -709,8 +690,12 @@ mod tests {
         let (done, st) = p.recover_scan(f.done, 0, 1024);
         assert!(done > f.done);
         assert_eq!(st, IoStatus::Ok);
-        assert_eq!(p.stats().scans, 1);
-        assert_eq!(p.stats().scan_bytes, 1024);
+        // the scan's time follows its bytes: an empty one is free, a
+        // shorter one is quicker
+        assert_eq!(p.recover_scan(done, 0, 0), (done, IoStatus::Ok));
+        let (short, st) = p.recover_scan(done, 0, 64);
+        assert_eq!(st, IoStatus::Ok);
+        assert!(short.since(done) < done.since(f.done));
     }
 
     #[test]

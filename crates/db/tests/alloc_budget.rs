@@ -28,11 +28,11 @@
 //! * **per cross-shard transaction** — the ledger's entry (its
 //!   participant `Vec`, its vote and entry tree nodes, freed once it
 //!   settles) and each participant's undo list;
-//! * **amortised** — `commit_order` past its reservation, a slot's first
-//!   record in its page's durable image (made when the first write-back
-//!   of that slot lands), a redo list growing past the most slots
-//!   its frame has held written at once (frames, steals and in-flight
-//!   writes keep their lists' capacity), a shard's inbox, and the log's
+//! * **amortised** — a slot's first record in its page's durable image
+//!   (made when the first write-back of that slot lands), a redo list
+//!   growing past the most slots its frame has held written at once
+//!   (frames, steals and in-flight writes keep their lists' capacity), a
+//!   shard's inbox, and the log's
 //!   trim state growing past its size: the archive's slot list and image
 //!   arena when a slot is archived for the first time, and the trimmed
 //!   decision ids. The log's bytes stop growing once the checkpoints'

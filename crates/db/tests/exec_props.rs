@@ -1,8 +1,8 @@
 //! Property tests for the completion-driven executor (ISSUE 5):
 //!
-//! 1. **Group commit never reorders LSNs** — the durability order the
-//!    executor reports is exactly WAL order, for any mix, concurrency,
-//!    and batching policy.
+//! 1. **Group commit never reorders LSNs** — the engine acknowledges
+//!    commits in WAL order (an assert at each acknowledgement), for any
+//!    mix, concurrency, and batching policy.
 //! 2. **Coalesced fetches return identical bytes** — a workload
 //!    engineered so concurrent transactions pile onto the same in-flight
 //!    page reads must leave the database byte-for-byte where independent
@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 use requiem_block::StackConfig;
+use requiem_db::wal::{LogRecord, Lsn};
 use requiem_db::{
     BlockStackBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PersistenceBackend,
     TxnInput,
@@ -43,6 +44,17 @@ fn small_db(buffer_frames: usize) -> Database<BlockStackBackend> {
     db
 }
 
+/// The transactions whose `Commit` record is among `records`, in log
+/// order.
+fn commits(records: impl Iterator<Item = (Lsn, LogRecord)>) -> Vec<u64> {
+    records
+        .filter_map(|(_, r)| match r {
+            LogRecord::Commit { txn } => Some(txn),
+            _ => None,
+        })
+        .collect()
+}
+
 fn arb_txn() -> impl Strategy<Value = TxnInput> {
     (
         proptest::collection::vec((0..DATA_PAGES, 0..SLOTS, 0u8..2), 1..6),
@@ -64,9 +76,11 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Durability order == WAL order: the executor's reported
-    /// `commit_order` is strictly increasing in LSN, covers every
-    /// transaction exactly once, and every reported LSN is flushed.
+    /// Durability order == WAL order: the engine asserts, at each
+    /// acknowledgement, that the commit's record lies above the last
+    /// acknowledged one's, so a run that returns acknowledged its commits
+    /// in log order. Every transaction commits exactly once, and every
+    /// commit record is durable.
     #[test]
     fn group_commit_never_reorders_lsns(
         inputs in arb_inputs(),
@@ -79,24 +93,17 @@ proptest! {
             group: GroupCommitPolicy::batched(batch),
             ..ExecConfig::serialized()
         };
-        let report = db.run_concurrent(&inputs, &cfg);
-        prop_assert_eq!(report.commit_order.len(), inputs.len());
-        for w in report.commit_order.windows(2) {
-            prop_assert!(
-                w[0].1 < w[1].1,
-                "durability order must be strictly increasing in LSN: {:?} then {:?}",
-                w[0], w[1]
-            );
-        }
-        let mut txns: Vec<u64> = report.commit_order.iter().map(|&(t, _)| t).collect();
-        txns.sort_unstable();
-        txns.dedup();
-        prop_assert_eq!(txns.len(), inputs.len(), "each txn commits exactly once");
-        let flushed = db.wal().flushed();
-        let max_lsn = report.commit_order.iter().map(|&(_, l)| l).max();
-        if let (Some(f), Some(m)) = (flushed, max_lsn) {
-            prop_assert!(m <= f, "every reported commit LSN must be durable");
-        }
+        db.run_concurrent(&inputs, &cfg);
+        prop_assert_eq!(db.stats().commits, inputs.len() as u64);
+        let mut logged = commits(db.wal().records());
+        prop_assert_eq!(
+            &logged,
+            &commits(db.wal().durable_records()),
+            "every commit record must be durable"
+        );
+        logged.sort_unstable();
+        logged.dedup();
+        prop_assert_eq!(logged.len(), inputs.len(), "each txn commits exactly once");
     }
 
     /// A deadline group sized past the queue (never due by count) holds
@@ -123,10 +130,15 @@ proptest! {
         };
         let mut horizon = db.wal().flushed();
         for chunk in inputs.chunks(6) {
-            let report = db.run_concurrent(chunk, &cfg);
+            db.run_concurrent(chunk, &cfg);
             let flushed = db.wal().flushed();
             prop_assert!(flushed >= horizon, "horizon fell from {:?} to {:?}", horizon, flushed);
-            let acked = report.commit_order.iter().map(|&(_, l)| l).max();
+            // a run acknowledges every commit it logs
+            let acked = db
+                .wal()
+                .records()
+                .filter_map(|(lsn, r)| matches!(r, LogRecord::Commit { .. }).then_some(lsn))
+                .max();
             prop_assert!(acked <= flushed, "acknowledged {:?} past the horizon {:?}", acked, flushed);
             horizon = flushed;
         }

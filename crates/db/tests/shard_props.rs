@@ -516,10 +516,17 @@ proptest! {
             prop_assert_eq!(ra.committed, rb.committed, "{} shards: committed", n);
             prop_assert_eq!(ra.forces, rb.forces, "{} shards: forces", n);
             for s in 0..n {
+                // the engine acknowledges commits in log order, so equal
+                // logs are equal durability orders
                 prop_assert_eq!(
-                    &ra.per_shard[s].commit_order,
-                    &rb.per_shard[s].commit_order,
-                    "{} shards: shard {} durability order", n, s
+                    a.shard(s).wal().records().collect::<Vec<_>>(),
+                    b.shard(s).wal().records().collect::<Vec<_>>(),
+                    "{} shards: shard {} log", n, s
+                );
+                prop_assert_eq!(
+                    a.shard(s).stats(),
+                    b.shard(s).stats(),
+                    "{} shards: shard {} engine stats", n, s
                 );
                 prop_assert_eq!(
                     a.shard(s).now(),
@@ -576,6 +583,10 @@ fn aborts_and_late_votes_keep_the_wake_cache_honest() {
             (48, 48, 0)
         );
         assert_eq!(report.prepare_failures, 96, "both votes of each are NO");
+        // the engine counts every failed force, each group force among
+        // them
+        let failures: u64 = (0..n).map(|s| db.shard(s).stats().wal_force_failures).sum();
+        assert!(failures >= report.forces, "{failures} of {}", report.forces);
         // an aborted transaction is forgotten only with its last vote
         assert!(db.ledger().is_quiescent(), "every late vote arrived");
     }

@@ -17,33 +17,21 @@ use requiem_sim::SimRng;
 pub struct EccConfig {
     /// Correctable bits per 1 KiB sector.
     pub correctable_per_1k: u32,
-    /// Human-readable scheme name (reporting only).
-    pub scheme: EccScheme,
-}
-
-/// ECC scheme family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EccScheme {
-    /// Bose–Chaudhuri–Hocquenghem, the 2012-era standard.
-    Bch,
-    /// Low-density parity check, higher capability.
-    Ldpc,
 }
 
 impl EccConfig {
-    /// 24-bit BCH per 1 KiB — MLC-class (c. 2012).
+    /// 24-bit BCH (Bose–Chaudhuri–Hocquenghem) per 1 KiB — MLC-class,
+    /// the 2012-era standard.
     pub fn bch_24_per_1k() -> Self {
         EccConfig {
             correctable_per_1k: 24,
-            scheme: EccScheme::Bch,
         }
     }
 
-    /// 40-bit LDPC per 1 KiB — TLC-class.
+    /// 40-bit LDPC (low-density parity check) per 1 KiB — TLC-class.
     pub fn ldpc_40_per_1k() -> Self {
         EccConfig {
             correctable_per_1k: 40,
-            scheme: EccScheme::Ldpc,
         }
     }
 

@@ -31,16 +31,18 @@
 //! let spec = FlashSpec::mlc_small();
 //! let mut lun = Lun::new(0, spec.clone(), 42);
 //! let block = lun.geometry().block_addr(0, 0);
-//! // C3: program pages in order
+//! // C3: program pages in order, each with the logical page an FTL
+//! // stores in its out-of-band area
 //! for page in 0..4 {
 //!     let addr = lun.geometry().page_addr(0, 0, page);
-//!     let outcome = lun.program(addr, PagePayload::Tag(page as u64)).unwrap();
+//!     let oob = PagePayload::Oob { lpn: page as u64, seq: page as u64 };
+//!     let outcome = lun.program(addr, oob).unwrap();
 //!     assert_eq!(outcome.duration, spec.timing.program(page));
 //! }
 //! let addr = lun.geometry().page_addr(0, 0, 2);
 //! let read = lun.read(addr).unwrap();
 //! assert_eq!(read.duration, spec.timing.read);
-//! assert_eq!(*lun.payload(addr), PagePayload::Tag(2));
+//! assert_eq!(*lun.payload(addr), PagePayload::Oob { lpn: 2, seq: 2 });
 //! lun.erase(block).unwrap();
 //! assert_eq!(lun.block_state(block).erase_count, 1);
 //! ```

@@ -27,17 +27,15 @@ pub enum PageState {
 }
 
 /// What a page holds. Real chips hold 4 KiB of bytes plus out-of-band
-/// metadata; simulations rarely need the bytes. [`PagePayload::Tag`] carries
-/// a compact token (e.g. the logical page number an FTL stored there, which
-/// is how real FTLs rebuild their mapping after power loss). Byte payloads
-/// are available for end-to-end data-integrity tests.
+/// metadata; the simulation keeps only the metadata an FTL stores there
+/// ([`PagePayload::Oob`]), which is how real FTLs rebuild their mapping
+/// after power loss. The host's bytes live above the device (the
+/// database's page images).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PagePayload {
     /// Erased / never written.
     #[default]
     Empty,
-    /// Compact token payload (cheap, the common case in experiments).
-    Tag(u64),
     /// FTL out-of-band metadata: the logical page stored here plus a
     /// monotonic write sequence number — exactly what real FTLs keep in
     /// the spare area so the mapping can be rebuilt after power loss.
@@ -47,8 +45,6 @@ pub enum PagePayload {
         /// Global write sequence (newest wins during rebuild).
         seq: u64,
     },
-    /// Full byte payload (used by the database integrity tests).
-    Bytes(Box<[u8]>),
 }
 
 /// Outcome of a program or erase: how long the die is busy.
@@ -436,6 +432,11 @@ mod tests {
         Lun::new(0, FlashSpec::mlc_small(), 7)
     }
 
+    /// The out-of-band record of logical page `lpn`'s first write.
+    fn oob(lpn: u64) -> PagePayload {
+        PagePayload::Oob { lpn, seq: 0 }
+    }
+
     proptest! {
         /// The layout the flat arrays replaced, kept as the reference: a
         /// `Vec` of `(state, payload)` per block, and RBER priced from the
@@ -513,9 +514,9 @@ mod tests {
     fn program_then_read_roundtrips_payload() {
         let mut l = lun();
         let a = l.geometry().page_addr(1, 3, 0);
-        l.program(a, PagePayload::Tag(99)).unwrap();
+        l.program(a, oob(99)).unwrap();
         l.read(a).unwrap();
-        assert_eq!(*l.payload(a), PagePayload::Tag(99));
+        assert_eq!(*l.payload(a), oob(99));
         assert_eq!(l.page_state(a), PageState::Programmed);
     }
 
@@ -523,8 +524,8 @@ mod tests {
     fn c2_program_dirty_page_rejected() {
         let mut l = lun();
         let a = l.geometry().page_addr(0, 0, 0);
-        l.program(a, PagePayload::Tag(1)).unwrap();
-        let err = l.program(a, PagePayload::Tag(2)).unwrap_err();
+        l.program(a, oob(1)).unwrap();
+        let err = l.program(a, oob(2)).unwrap_err();
         assert!(matches!(err, FlashError::ProgramDirtyPage { .. }));
     }
 
@@ -533,10 +534,10 @@ mod tests {
         let mut l = lun();
         // skipping ahead is legal (ONFI allows gaps)…
         let skip = l.geometry().page_addr(0, 0, 5);
-        l.program(skip, PagePayload::Tag(1)).unwrap();
+        l.program(skip, oob(1)).unwrap();
         // …but going back below the write point is not
         let back = l.geometry().page_addr(0, 0, 2);
-        let err = l.program(back, PagePayload::Tag(2)).unwrap_err();
+        let err = l.program(back, oob(2)).unwrap_err();
         assert_eq!(
             err,
             FlashError::NonSequentialProgram {
@@ -556,21 +557,17 @@ mod tests {
         let g = l.geometry().clone();
         let b = g.block_addr(0, 2);
         for p in 0..g.pages_per_block {
-            l.program(g.page_addr(0, 2, p), PagePayload::Tag(p as u64))
-                .unwrap();
+            l.program(g.page_addr(0, 2, p), oob(p as u64)).unwrap();
         }
         // block full: next program violates C2
-        assert!(l
-            .program(g.page_addr(0, 2, 0), PagePayload::Tag(0))
-            .is_err());
+        assert!(l.program(g.page_addr(0, 2, 0), oob(0)).is_err());
         l.erase(b).unwrap();
         assert_eq!(l.block_state(b).erase_count, 1);
         assert_eq!(l.block_state(b).write_point, 0);
         l.read(g.page_addr(0, 2, 3)).unwrap();
         assert_eq!(*l.payload(g.page_addr(0, 2, 3)), PagePayload::Empty);
         // and the block can be rewritten from page 0
-        l.program(g.page_addr(0, 2, 0), PagePayload::Tag(42))
-            .unwrap();
+        l.program(g.page_addr(0, 2, 0), oob(42)).unwrap();
     }
 
     #[test]
@@ -622,10 +619,7 @@ mod tests {
         let t = l.spec().timing.clone();
         assert_eq!(l.read(g.page_addr(0, 0, 0)).unwrap().duration, t.read);
         for p in 0..4 {
-            let d = l
-                .program(g.page_addr(0, 1, p), PagePayload::Tag(0))
-                .unwrap()
-                .duration;
+            let d = l.program(g.page_addr(0, 1, p), oob(0)).unwrap().duration;
             assert_eq!(d, t.program(p));
         }
         assert_eq!(l.erase(g.block_addr(0, 1)).unwrap().duration, t.erase);
@@ -635,8 +629,7 @@ mod tests {
     fn op_counts_track() {
         let mut l = lun();
         let g = l.geometry().clone();
-        l.program(g.page_addr(0, 0, 0), PagePayload::Tag(0))
-            .unwrap();
+        l.program(g.page_addr(0, 0, 0), oob(0)).unwrap();
         l.read(g.page_addr(0, 0, 0)).unwrap();
         l.read(g.page_addr(0, 0, 0)).unwrap();
         l.erase(g.block_addr(0, 0)).unwrap();
@@ -648,24 +641,13 @@ mod tests {
         let mut l = lun();
         let g = l.geometry().clone();
         let b = g.block_addr(0, 0);
-        l.program(g.page_addr(0, 0, 0), PagePayload::Tag(1))
-            .unwrap();
+        l.program(g.page_addr(0, 0, 0), oob(1)).unwrap();
         for _ in 0..5 {
             l.read(g.page_addr(0, 0, 0)).unwrap();
         }
         assert_eq!(l.block_state(b).reads_since_erase, 5);
         l.erase(b).unwrap();
         assert_eq!(l.block_state(b).reads_since_erase, 0);
-    }
-
-    #[test]
-    fn bytes_payload_roundtrip() {
-        let mut l = lun();
-        let a = l.geometry().page_addr(0, 0, 0);
-        let data: Box<[u8]> = vec![0xAB; 64].into_boxed_slice();
-        l.program(a, PagePayload::Bytes(data.clone())).unwrap();
-        l.read(a).unwrap();
-        assert_eq!(*l.payload(a), PagePayload::Bytes(data));
     }
 
     #[test]
@@ -678,11 +660,9 @@ mod tests {
                     .unit_view(0),
             );
             let g = l.geometry().clone();
-            let r0 = l.program(g.page_addr(0, 0, 0), PagePayload::Tag(0)).is_ok();
-            let r1 = l
-                .program(g.page_addr(0, 0, 1), PagePayload::Tag(1))
-                .is_err();
-            let r2 = l.program(g.page_addr(0, 0, 1), PagePayload::Tag(1)).is_ok();
+            let r0 = l.program(g.page_addr(0, 0, 0), oob(0)).is_ok();
+            let r1 = l.program(g.page_addr(0, 0, 1), oob(1)).is_err();
+            let r2 = l.program(g.page_addr(0, 0, 1), oob(1)).is_ok();
             (r0, r1, r2, l.op_counts())
         };
         let a = run();
@@ -710,7 +690,7 @@ mod tests {
     fn rber_elevation_makes_reads_uncorrectable() {
         let mut l = lun();
         let a = l.geometry().page_addr(0, 0, 0);
-        l.program(a, PagePayload::Tag(7)).unwrap();
+        l.program(a, oob(7)).unwrap();
         // enormous multiplier: ECC capability is exceeded on every read
         l.apply_faults(requiem_sim::FaultPlan::uniform_rber(1e9).unit_view(0));
         assert!(matches!(
@@ -720,7 +700,7 @@ mod tests {
         // a strong-enough recovery derate brings it back
         l.recovery_read(a, 1e-9, 1.5).unwrap();
         // the bytes are in the array either way, error model or not
-        assert_eq!(*l.payload(a), PagePayload::Tag(7));
+        assert_eq!(*l.payload(a), oob(7));
     }
 
     #[test]
@@ -735,7 +715,7 @@ mod tests {
             for p in 0..4 {
                 out.push(format!(
                     "{:?}",
-                    l.program(g.page_addr(0, 0, p), PagePayload::Tag(p as u64))
+                    l.program(g.page_addr(0, 0, p), oob(p as u64))
                 ));
                 out.push(format!("{:?}", l.read(g.page_addr(0, 0, p))));
             }
@@ -754,7 +734,7 @@ mod tests {
             l.erase(b).unwrap();
         }
         let a = g.page_addr(1, 5, 0);
-        l.program(a, PagePayload::Tag(1)).unwrap();
+        l.program(a, oob(1)).unwrap();
         let corrected: u64 = (0..10_000)
             .map(|_| u64::from(l.read(a).unwrap().corrected_errors))
             .sum();

@@ -37,6 +37,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The out-of-band record an FTL would store for logical page `lpn`.
+fn oob(lpn: u64) -> PagePayload {
+    PagePayload::Oob { lpn, seq: 0 }
+}
+
 fn tiny_spec() -> FlashSpec {
     let mut spec = FlashSpec::mlc_small();
     spec.geometry = requiem_flash::Geometry::new(2, 4, 8, 512);
@@ -82,7 +87,7 @@ proptest! {
                     let a = g.page_addr(plane, block, page);
                     let bidx = g.block_index(g.block_of(a)) as usize;
                     let legal = page >= shadow[bidx].wp;
-                    let res = lun.program(a, PagePayload::Tag(u64::from(page) + 1));
+                    let res = lun.program(a, oob(u64::from(page) + 1));
                     if legal {
                         prop_assert!(res.is_ok(), "legal program rejected: {:?}", res);
                         shadow[bidx].wp = page + 1;
@@ -147,7 +152,7 @@ proptest! {
                     expected.retain(|&(b, _), _| b != block);
                     continue;
                 }
-                lun.program(g.page_addr(0, block, wp), PagePayload::Tag(token)).unwrap();
+                lun.program(g.page_addr(0, block, wp), oob(token)).unwrap();
                 expected.insert((block, wp), token);
                 token += 1;
             }
@@ -155,7 +160,7 @@ proptest! {
         for ((block, page), tok) in expected {
             let a = g.page_addr(0, block, page);
             lun.read(a).unwrap();
-            prop_assert_eq!(lun.payload(a), &PagePayload::Tag(tok));
+            prop_assert_eq!(lun.payload(a), &oob(tok));
         }
     }
 

@@ -493,8 +493,6 @@ impl DeviceInterface for NamelessSsd {
 /// What [`tag_churn`] measured during its churn phase.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnReport {
-    /// Tags kept live.
-    pub live_tags: u64,
     /// Rewrites issued during the churn phase.
     pub rewrites: u64,
     /// Wall-clock of the churn phase.
@@ -567,7 +565,6 @@ pub fn tag_churn<D: DeviceInterface>(
     let makespan = t.since(t0);
     let secs = makespan.as_secs_f64();
     ChurnReport {
-        live_tags: live,
         rewrites,
         makespan,
         delta,

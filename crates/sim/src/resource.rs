@@ -268,14 +268,6 @@ impl Resource {
         }
         self.busy.as_nanos() as f64 / horizon.as_nanos() as f64
     }
-
-    /// Reset the timeline to idle at t = 0, clearing statistics.
-    pub fn reset(&mut self) {
-        self.next_free = SimTime::ZERO;
-        self.busy = SimDuration::ZERO;
-        self.grants = 0;
-        self.recent.clear();
-    }
 }
 
 /// A serial timeline for transfers on a shared bus — a flash channel, the
@@ -542,14 +534,6 @@ impl ResourceBank {
             .map(|r| r.next_free())
             .fold(SimTime::ZERO, SimTime::max)
     }
-
-    /// Reset all members.
-    pub fn reset(&mut self) {
-        for r in &mut self.members {
-            r.reset();
-        }
-        self.rr_next = 0;
-    }
 }
 
 #[cfg(test)]
@@ -715,16 +699,6 @@ mod tests {
             // whatever the last query left behind is gone
             assert_eq!(scratch, blame_of(&r, req, grant), "req={req} grant={grant}");
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new("x");
-        r.reserve(SimTime::ZERO, MICROSECOND);
-        r.reset();
-        assert_eq!(r.next_free(), SimTime::ZERO);
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.grant_count(), 0);
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl SimDuration {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// True if this duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Scale by a non-negative float, truncating to whole nanoseconds.
     ///
     /// This is the one sanctioned way to apply a fractional factor to a

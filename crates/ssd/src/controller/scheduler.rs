@@ -501,10 +501,7 @@ impl Ssd {
                 ECC_ESCALATION_DERATE,
                 ECC_ESCALATION_BOOST,
             ) {
-                Ok(_) => {
-                    recovered = true;
-                    self.metrics.recovery.ecc_recovered += 1;
-                }
+                Ok(_) => recovered = true,
                 Err(FlashError::UncorrectableRead { .. }) => {}
                 Err(e) => {
                     return Err(SsdError::FlashProtocol {
@@ -529,7 +526,6 @@ impl Ssd {
                         continue;
                     }
                     steps += 1;
-                    self.metrics.recovery.rebuild_page_reads += 1;
                     self.metrics.flash_reads.bump(OpCause::Recovery);
                     let peer_chan = self.shape().channel_of(LunId(peer as u32)) as usize;
                     let pg = self.sched.lun_res[peer].reserve_tagged(

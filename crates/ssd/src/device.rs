@@ -851,7 +851,6 @@ impl Ssd {
             IoStatus::Ok
         };
         let latency = done.since(now);
-        self.metrics.write_latency.record_duration(latency);
         self.sched.probe.note_status(status.as_str());
         scope.close(done);
         let c = Completion {

@@ -88,12 +88,8 @@ pub struct RecoveryMetrics {
     pub retry_recovered: u64,
     /// Soft-decision ECC escalations attempted after the ladder ran dry.
     pub ecc_escalations: u64,
-    /// Reads recovered by ECC escalation.
-    pub ecc_recovered: u64,
     /// Stripe parity rebuilds attempted (the last resort).
     pub parity_rebuilds: u64,
-    /// Peer-LUN page reads issued by parity rebuilds.
-    pub rebuild_page_reads: u64,
     /// Pages relocated off a suspect block after a parity rebuild.
     pub rebuild_relocations: u64,
     /// Program failures salvaged into a fresh block by `append_page`.
@@ -151,8 +147,6 @@ pub struct SsdMetrics {
 
     /// End-to-end host read latency.
     pub read_latency: Histogram,
-    /// End-to-end host write latency.
-    pub write_latency: Histogram,
     /// Time host reads spent waiting for a busy LUN (myth 3's stalls).
     pub read_lun_wait: Histogram,
 }

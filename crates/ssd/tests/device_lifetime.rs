@@ -75,7 +75,6 @@ fn worn_device_reports_uncorrectable_reads_but_recovers() {
     // wear, well before blocks retire
     cfg.flash.ecc = requiem_flash::EccConfig {
         correctable_per_1k: 2,
-        scheme: requiem_flash::ecc::EccScheme::Bch,
     };
     cfg.flash.endurance_override = Some(10);
     let mut ssd = Ssd::new(cfg);
@@ -187,7 +186,6 @@ fn read_disturb_scrubbing_caps_error_accumulation() {
         cfg.flash.geometry = requiem_flash::Geometry::new(1, 16, 8, 4096);
         cfg.flash.ecc = requiem_flash::EccConfig {
             correctable_per_1k: 2,
-            scheme: requiem_flash::ecc::EccScheme::Bch,
         };
         cfg.buffer = BufferConfig { capacity_pages: 0 };
         cfg.op_ratio = 0.25;

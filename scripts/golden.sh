@@ -9,6 +9,9 @@
 # documentation rather than prose that drifts. A change that must not move a
 # simulated number is checked by one command: equal to the checked-in
 # bytes on every run, which also subsumes "equal to the previous run".
+# `cargo test` asks the same question in its own profile
+# (crates/bench/tests/golden.rs and tests/examples.rs); this script is
+# how the files are written, and a quick release-only check.
 # The bytes were written on one machine and are compared on every other:
 # that assumes float formatting and libm agree across hosts, as the
 # BENCH_* checksums already do — a platform that disagrees shows up here
