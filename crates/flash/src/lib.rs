@@ -42,7 +42,7 @@
 //! let addr = lun.geometry().page_addr(0, 0, 2);
 //! let read = lun.read(addr).unwrap();
 //! assert_eq!(read.duration, spec.timing.read);
-//! assert_eq!(*lun.payload(addr), PagePayload::Oob { lpn: 2, seq: 2 });
+//! assert_eq!(lun.payload(addr), PagePayload::Oob { lpn: 2, seq: 2 });
 //! lun.erase(block).unwrap();
 //! assert_eq!(lun.block_state(block).erase_count, 1);
 //! ```

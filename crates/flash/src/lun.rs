@@ -31,7 +31,13 @@ pub enum PageState {
 /// ([`PagePayload::Oob`]), which is how real FTLs rebuild their mapping
 /// after power loss. The host's bytes live above the device (the
 /// database's page images).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// The die stores one 16-byte record per page, and that record is the
+/// one copy of what the page holds: the controller's directory keeps only
+/// a valid bit beside it and reads the LPN here. An erased page's record
+/// is all ones, as erased flash reads; [`Lun::payload`] hands it out as
+/// [`PagePayload::Empty`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PagePayload {
     /// Erased / never written.
     #[default]
@@ -39,12 +45,48 @@ pub enum PagePayload {
     /// FTL out-of-band metadata: the logical page stored here plus a
     /// monotonic write sequence number — exactly what real FTLs keep in
     /// the spare area so the mapping can be rebuilt after power loss.
+    /// The all-ones record (`lpn` and `seq` both `u64::MAX`) is the erased
+    /// pattern, not a record a program may store.
     Oob {
         /// Logical page number.
         lpn: u64,
         /// Global write sequence (newest wins during rebuild).
         seq: u64,
     },
+}
+
+/// One page's out-of-band record as the die stores it: 16 bytes, all ones
+/// while the page is erased ([`OobRecord::ERASED`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OobRecord {
+    lpn: u64,
+    seq: u64,
+}
+
+impl OobRecord {
+    /// What an erased page reads: every bit set.
+    const ERASED: OobRecord = OobRecord {
+        lpn: u64::MAX,
+        seq: u64::MAX,
+    };
+
+    fn of(payload: PagePayload) -> Self {
+        match payload {
+            PagePayload::Empty => OobRecord::ERASED,
+            PagePayload::Oob { lpn, seq } => OobRecord { lpn, seq },
+        }
+    }
+
+    fn payload(self) -> PagePayload {
+        if self == OobRecord::ERASED {
+            PagePayload::Empty
+        } else {
+            PagePayload::Oob {
+                lpn: self.lpn,
+                seq: self.seq,
+            }
+        }
+    }
 }
 
 /// Outcome of a program or erase: how long the die is busy.
@@ -92,10 +134,9 @@ pub struct Lun {
     id: u32,
     spec: FlashSpec,
     blocks: Vec<Block>,
-    /// State of every page of the die, indexed by [`Geometry::ppn`].
-    pages: Vec<PageState>,
-    /// What every page holds, indexed likewise.
-    payloads: Vec<PagePayload>,
+    /// Every page's out-of-band record, indexed by [`Geometry::ppn`]: a
+    /// page is free while its record is [`OobRecord::ERASED`].
+    oob: Vec<OobRecord>,
     rng: SimRng,
     /// Counters for reporting.
     reads: u64,
@@ -136,8 +177,7 @@ impl Lun {
         Lun {
             id,
             blocks: vec![fresh; spec.geometry.total_blocks() as usize],
-            pages: vec![PageState::Free; npages],
-            payloads: vec![PagePayload::Empty; npages],
+            oob: vec![OobRecord::ERASED; npages],
             spec,
             rng,
             reads: 0,
@@ -185,12 +225,12 @@ impl Lun {
         &self.block(b).state
     }
 
-    /// Where page `a` sits in the per-page arrays.
+    /// Where page `a` sits in the per-page array.
     fn slot_of(&self, a: PageAddr) -> usize {
         self.spec.geometry.ppn(a).0 as usize
     }
 
-    /// Where block `b`'s pages sit in the per-page arrays.
+    /// Where block `b`'s pages sit in the per-page array.
     fn slots_of(&self, b: BlockAddr) -> std::ops::Range<usize> {
         let ppb = self.spec.geometry.pages_per_block as usize;
         let first = self.spec.geometry.block_index(b) as usize * ppb;
@@ -199,7 +239,11 @@ impl Lun {
 
     /// State of one page.
     pub fn page_state(&self, a: PageAddr) -> PageState {
-        self.pages[self.slot_of(a)]
+        if self.oob[self.slot_of(a)] == OobRecord::ERASED {
+            PageState::Free
+        } else {
+            PageState::Programmed
+        }
     }
 
     /// What page `a` holds, read off the array without touching the
@@ -211,12 +255,12 @@ impl Lun {
     ///
     /// # Panics
     /// Panics if `a` lies outside the geometry.
-    pub fn payload(&self, a: PageAddr) -> &PagePayload {
+    pub fn payload(&self, a: PageAddr) -> PagePayload {
         assert!(
             self.spec.geometry.contains(a),
             "payload of {a}: out of range"
         );
-        &self.payloads[self.slot_of(a)]
+        self.oob[self.slot_of(a)].payload()
     }
 
     /// Wear ratio of a block: `erase_count / endurance`.
@@ -304,6 +348,10 @@ impl Lun {
 
     /// Program one page (C1; enforces C2 and C3).
     ///
+    /// Programming [`PagePayload::Empty`] stores the erased pattern: the
+    /// page goes on reading as free, as a page programmed with all ones
+    /// does on real flash, though the write point moves past it.
+    ///
     /// Past rated endurance, programs fail probabilistically
     /// ([`FlashError::ProgramFailed`]); the controller is expected to
     /// retire the block.
@@ -319,7 +367,7 @@ impl Lun {
         if block.state.bad {
             return Err(FlashError::BadBlock { block: baddr });
         }
-        if self.pages[slot] != PageState::Free {
+        if self.oob[slot] != OobRecord::ERASED {
             return Err(FlashError::ProgramDirtyPage { addr: a });
         }
         // C3: pages must be programmed in ascending order within a block.
@@ -350,8 +398,11 @@ impl Lun {
                 return Err(FlashError::ProgramFailed { addr: a });
             }
         }
-        self.pages[slot] = PageState::Programmed;
-        self.payloads[slot] = payload;
+        debug_assert!(
+            payload == PagePayload::Empty || OobRecord::of(payload) != OobRecord::ERASED,
+            "program of {a} with the erased pattern as its record"
+        );
+        self.oob[slot] = OobRecord::of(payload);
         self.block_mut(baddr).state.write_point = a.page + 1;
         self.programs += 1;
         Ok(OpOutcome {
@@ -404,8 +455,7 @@ impl Lun {
         block.state.write_point = 0;
         block.state.reads_since_erase = 0;
         let slots = self.slots_of(b);
-        self.pages[slots.clone()].fill(PageState::Free);
-        self.payloads[slots].fill(PagePayload::Empty);
+        self.oob[slots].fill(OobRecord::ERASED);
         Ok(OpOutcome {
             duration: self.spec.timing.erase,
         })
@@ -438,8 +488,10 @@ mod tests {
     }
 
     proptest! {
-        /// The layout the flat arrays replaced, kept as the reference: a
-        /// `Vec` of `(state, payload)` per block, and RBER priced from the
+        /// The layout the one record array replaced, kept as the reference:
+        /// a `Vec` of `(state, payload)` per block (a state and a 24-byte
+        /// payload per page, where the die now stores a 16-byte record
+        /// whose erased pattern is the state), and RBER priced from the
         /// erase count whenever it is asked for. A die of 2 × 3 blocks of
         /// 5 pages (nothing a power of two) rated for 8 cycles, so blocks
         /// wear past their endurance and die on their own as well as on
@@ -469,7 +521,7 @@ mod tests {
                 match kind {
                     0..=2 => {
                         let payload = PagePayload::Oob { lpn: u64::from(p), seq: step as u64 };
-                        if l.program(a, payload.clone()).is_ok() {
+                        if l.program(a, payload).is_ok() {
                             blocks[b as usize][p as usize] = (PageState::Programmed, payload);
                         }
                     }
@@ -491,7 +543,7 @@ mod tests {
                     );
                     for (a, (state, payload)) in g.pages_of(baddr).zip(pages) {
                         prop_assert_eq!(l.page_state(a), *state, "step {}: {}", step, a);
-                        prop_assert_eq!(l.payload(a), payload, "step {}: {}", step, a);
+                        prop_assert_eq!(l.payload(a), *payload, "step {}: {}", step, a);
                     }
                 }
             }
@@ -507,7 +559,7 @@ mod tests {
             assert!(!l.block_state(b).bad);
         }
         l.read(g.page_addr(0, 0, 0)).unwrap();
-        assert_eq!(*l.payload(g.page_addr(0, 0, 0)), PagePayload::Empty);
+        assert_eq!(l.payload(g.page_addr(0, 0, 0)), PagePayload::Empty);
     }
 
     #[test]
@@ -516,8 +568,29 @@ mod tests {
         let a = l.geometry().page_addr(1, 3, 0);
         l.program(a, oob(99)).unwrap();
         l.read(a).unwrap();
-        assert_eq!(*l.payload(a), oob(99));
+        assert_eq!(l.payload(a), oob(99));
         assert_eq!(l.page_state(a), PageState::Programmed);
+    }
+
+    /// The erased record is the free state: programming it (the all-ones
+    /// `Empty`) moves the write point but leaves the page reading free,
+    /// and any other record makes the page programmed.
+    #[test]
+    fn the_erased_record_is_the_free_state() {
+        let mut l = lun();
+        let g = l.geometry().clone();
+        let (a, b) = (g.page_addr(0, 0, 0), g.page_addr(0, 0, 1));
+        l.program(a, PagePayload::Empty).unwrap();
+        assert_eq!(l.page_state(a), PageState::Free);
+        assert_eq!(l.payload(a), PagePayload::Empty);
+        assert_eq!(l.block_state(g.block_addr(0, 0)).write_point, 1);
+        let last = PagePayload::Oob {
+            lpn: u64::MAX,
+            seq: 0,
+        };
+        l.program(b, last).unwrap();
+        assert_eq!(l.page_state(b), PageState::Programmed);
+        assert_eq!(l.payload(b), last);
     }
 
     #[test]
@@ -548,7 +621,7 @@ mod tests {
         // skipped pages read as empty
         let gap = l.geometry().page_addr(0, 0, 3);
         l.read(gap).unwrap();
-        assert_eq!(*l.payload(gap), PagePayload::Empty);
+        assert_eq!(l.payload(gap), PagePayload::Empty);
     }
 
     #[test]
@@ -565,7 +638,7 @@ mod tests {
         assert_eq!(l.block_state(b).erase_count, 1);
         assert_eq!(l.block_state(b).write_point, 0);
         l.read(g.page_addr(0, 2, 3)).unwrap();
-        assert_eq!(*l.payload(g.page_addr(0, 2, 3)), PagePayload::Empty);
+        assert_eq!(l.payload(g.page_addr(0, 2, 3)), PagePayload::Empty);
         // and the block can be rewritten from page 0
         l.program(g.page_addr(0, 2, 0), oob(42)).unwrap();
     }
@@ -700,7 +773,7 @@ mod tests {
         // a strong-enough recovery derate brings it back
         l.recovery_read(a, 1e-9, 1.5).unwrap();
         // the bytes are in the array either way, error model or not
-        assert_eq!(*l.payload(a), oob(7));
+        assert_eq!(l.payload(a), oob(7));
     }
 
     #[test]

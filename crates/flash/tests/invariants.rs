@@ -78,9 +78,9 @@ proptest! {
                     let bidx = g.block_index(g.block_of(a)) as usize;
                     let payload = lun.payload(a);
                     if shadow[bidx].programmed[page as usize] {
-                        prop_assert_ne!(payload, &PagePayload::Empty);
+                        prop_assert_ne!(payload, PagePayload::Empty);
                     } else {
-                        prop_assert_eq!(payload, &PagePayload::Empty);
+                        prop_assert_eq!(payload, PagePayload::Empty);
                     }
                 }
                 Op::Program { plane, block, page } => {
@@ -160,7 +160,7 @@ proptest! {
         for ((block, page), tok) in expected {
             let a = g.page_addr(0, block, page);
             lun.read(a).unwrap();
-            prop_assert_eq!(lun.payload(a), &oob(tok));
+            prop_assert_eq!(lun.payload(a), oob(tok));
         }
     }
 

@@ -2,15 +2,17 @@
 //!
 //! This is the controller-side bookkeeping behind the paper's Figure 2
 //! "shared internal data structures": which blocks are free, which pages
-//! are live (and for which LPN — mirroring the out-of-band metadata real
-//! FTLs store), where each LUN's current write frontier is, and per-block
-//! erase counts for wear-aware allocation.
+//! are live, where each LUN's current write frontier is, and per-block
+//! erase counts for wear-aware allocation. *Which* LPN a live page holds
+//! is not kept here: the page's out-of-band record on the die is the one
+//! copy ([`requiem_flash::PagePayload`]), and the directory reads it
+//! there, beside the one valid bit per page it keeps itself.
 //!
 //! Host and GC writes use **separate active blocks** per LUN so garbage
 //! collection always has a landing block even when the host stream is
 //! starved for space.
 
-use requiem_flash::{Geometry, PageAddr};
+use requiem_flash::{Geometry, Lun, PageAddr, PagePayload};
 
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::config::GcPolicyKind;
@@ -50,14 +52,25 @@ pub struct BlockInfo {
     pub opened_seq: u64,
 }
 
-/// The back-pointer word of a page holding no live data. Not an LPN:
-/// [`BlockDirectory::mark_valid`] refuses it, and whoever reads a word
-/// asks [`held`] what it names before comparing it with anything.
+/// The LPN word of an erased page's out-of-band record (all ones). Not an
+/// LPN: [`BlockDirectory::mark_valid`] refuses it.
 const NO_LPN: u64 = u64::MAX;
 
-/// The LPN a back-pointer word names, if it names one.
-fn held(word: u64) -> Option<Lpn> {
-    (word != NO_LPN).then_some(Lpn(word))
+/// The LPN page `addr`'s out-of-band record on `lun` names. Asked only
+/// of a page whose valid bit is set, which every caller programmed first.
+fn recorded_lpn(lun: &Lun, addr: PageAddr) -> Option<Lpn> {
+    match lun.payload(addr) {
+        PagePayload::Oob { lpn, .. } => Some(Lpn(lpn)),
+        PagePayload::Empty => {
+            debug_assert!(false, "valid bit on erased page {addr} of lun {}", lun.id());
+            None
+        }
+    }
+}
+
+/// Whether bit `b` is set.
+fn test_bit(words: &[u64], b: u32) -> bool {
+    words[b as usize / 64] & (1 << (b % 64)) != 0
 }
 
 /// Set bit `b`; whether it was clear before.
@@ -183,11 +196,10 @@ impl FullBlocks {
 
 struct LunDir {
     blocks: Vec<BlockInfo>,
-    /// Per-page back-pointer words, `block × pages_per_block + page`:
-    /// which LPN's data lives there ([`NO_LPN`] = invalid or unwritten).
-    /// Mirrors OOB metadata. Eight bytes each, not four: the nameless
-    /// device stores host tags here, and those run past 2³².
-    backptrs: Vec<u64>,
+    /// One valid bit per page, bit `block × pages_per_block + page`: set
+    /// while the page holds live data. Which LPN (or, under a host-held
+    /// map, which host tag) is the page's out-of-band record's to say.
+    valid_bits: Vec<u64>,
     free: Vec<u32>,
     full: FullBlocks,
     active_host: Option<(u32, u32)>, // (block index, next page)
@@ -234,7 +246,7 @@ impl BlockDirectory {
                         opened_seq: 0,
                     })
                     .collect(),
-                backptrs: vec![NO_LPN; geom.total_pages() as usize],
+                valid_bits: vec![0; (geom.total_pages() as usize).div_ceil(64)],
                 free: (0..geom.total_blocks()).collect(),
                 full: FullBlocks::new(geom.total_blocks(), geom.pages_per_block),
                 active_host: None,
@@ -253,16 +265,9 @@ impl BlockDirectory {
         self.geom.block_index(self.geom.block_of(phys.addr)) as usize
     }
 
-    /// Where `phys`'s back-pointer sits in its LUN's array.
-    fn slot_of(&self, phys: PhysPage) -> usize {
-        self.geom.ppn(phys.addr).0 as usize
-    }
-
-    /// The back-pointer slots of block `block_idx`'s pages.
-    fn slots_of(&self, block_idx: u32) -> std::ops::Range<usize> {
-        let ppb = self.geom.pages_per_block as usize;
-        let first = block_idx as usize * ppb;
-        first..first + ppb
+    /// `phys`'s valid bit in its LUN's set.
+    fn bit_of(&self, phys: PhysPage) -> u32 {
+        self.geom.ppn(phys.addr).0 as u32
     }
 
     fn lun(&self, l: LunId) -> &LunDir {
@@ -283,9 +288,18 @@ impl BlockDirectory {
         &self.lun(l).blocks[block_idx as usize]
     }
 
-    /// The LPN whose live data `phys` holds, if any.
-    pub fn backptr(&self, phys: PhysPage) -> Option<Lpn> {
-        held(self.lun(phys.lun).backptrs[self.slot_of(phys)])
+    /// Whether `phys` holds live data.
+    pub fn is_valid(&self, phys: PhysPage) -> bool {
+        test_bit(&self.lun(phys.lun).valid_bits, self.bit_of(phys))
+    }
+
+    /// The LPN whose live data `phys` holds, if any: its valid bit says
+    /// whether, and its out-of-band record on `luns[phys.lun]` says which.
+    pub fn backptr(&self, luns: &[Lun], phys: PhysPage) -> Option<Lpn> {
+        if !self.is_valid(phys) {
+            return None;
+        }
+        recorded_lpn(&luns[phys.lun.0 as usize], phys.addr)
     }
 
     /// Whether a LUN still has any usable space at all.
@@ -366,35 +380,35 @@ impl BlockDirectory {
         })
     }
 
-    /// Record that `phys` now holds live data for `lpn`.
-    pub fn mark_valid(&mut self, phys: PhysPage, lpn: Lpn) {
+    /// Record that `phys` now holds live data for `lpn`. Every caller has
+    /// just programmed `phys` with `lpn`'s record, or read it there (the
+    /// boot scan); debug builds check that the record on `luns` says so.
+    pub fn mark_valid(&mut self, luns: &[Lun], phys: PhysPage, lpn: Lpn) {
         debug_assert!(
             lpn.0 != NO_LPN,
             "mark_valid on {:?} with the word that means no LPN",
             phys
         );
-        let (bidx, slot) = (self.block_index_of(phys), self.slot_of(phys));
-        let d = self.lun_mut(phys.lun);
         debug_assert!(
-            held(d.backptrs[slot]).is_none(),
-            "double mark_valid on {:?}",
-            phys
+            matches!(luns[phys.lun.0 as usize].payload(phys.addr),
+                PagePayload::Oob { lpn: held, .. } if held == lpn.0),
+            "mark_valid of {lpn:?} on {phys:?}, whose record is {:?}",
+            luns[phys.lun.0 as usize].payload(phys.addr)
         );
-        d.backptrs[slot] = lpn.0;
+        let (bidx, bit) = (self.block_index_of(phys), self.bit_of(phys));
+        let d = self.lun_mut(phys.lun);
+        let was_clear = set_bit(&mut d.valid_bits, bit);
+        debug_assert!(was_clear, "double mark_valid on {:?}", phys);
         let valid = d.blocks[bidx].valid + 1;
         d.set_valid(bidx, valid);
     }
 
     /// Record that `phys` no longer holds live data (overwrite or trim).
     pub fn invalidate(&mut self, phys: PhysPage) {
-        let (bidx, slot) = (self.block_index_of(phys), self.slot_of(phys));
+        let (bidx, bit) = (self.block_index_of(phys), self.bit_of(phys));
         let d = self.lun_mut(phys.lun);
-        debug_assert!(
-            held(d.backptrs[slot]).is_some(),
-            "invalidate of already-invalid page {:?}",
-            phys
-        );
-        d.backptrs[slot] = NO_LPN;
+        let was_set = clear_bit(&mut d.valid_bits, bit);
+        debug_assert!(was_set, "invalidate of already-invalid page {:?}", phys);
         let valid = d.blocks[bidx].valid.saturating_sub(1);
         d.set_valid(bidx, valid);
     }
@@ -402,8 +416,8 @@ impl BlockDirectory {
     /// Invalidate `phys` only if it currently holds live data for `lpn`.
     /// Returns whether an invalidation happened. Used by the hybrid FTL,
     /// whose log-block `latest[]` pointers can outlive a trim.
-    pub fn invalidate_checked(&mut self, phys: PhysPage, lpn: Lpn) -> bool {
-        if self.backptr(phys) != Some(lpn) {
+    pub fn invalidate_checked(&mut self, luns: &[Lun], phys: PhysPage, lpn: Lpn) -> bool {
+        if self.backptr(luns, phys) != Some(lpn) {
             return false;
         }
         self.invalidate(phys);
@@ -411,43 +425,53 @@ impl BlockDirectory {
     }
 
     /// Live pages of a block, in page order, with the LPN each holds.
-    pub fn live_pages(&self, l: LunId, block_idx: u32) -> Vec<(PageAddr, Lpn)> {
+    pub fn live_pages(&self, luns: &[Lun], l: LunId, block_idx: u32) -> Vec<(PageAddr, Lpn)> {
         let mut live = Vec::new();
-        self.live_pages_into(l, block_idx, &mut live);
+        self.live_pages_into(luns, l, block_idx, &mut live);
         live
     }
 
     /// [`live_pages`](Self::live_pages) into a caller-owned buffer
     /// (cleared first) — the relocation loops run once per collected
     /// block and reuse one.
-    pub fn live_pages_into(&self, l: LunId, block_idx: u32, live: &mut Vec<(PageAddr, Lpn)>) {
-        let words = &self.lun(l).backptrs[self.slots_of(block_idx)];
+    pub fn live_pages_into(
+        &self,
+        luns: &[Lun],
+        l: LunId,
+        block_idx: u32,
+        live: &mut Vec<(PageAddr, Lpn)>,
+    ) {
+        let ppb = self.geom.pages_per_block;
+        let bits = &self.lun(l).valid_bits;
         let baddr = self.geom.block_from_index(block_idx);
         live.clear();
-        live.extend(words.iter().enumerate().filter_map(|(p, &word)| {
-            held(word).map(|lpn| {
-                (
-                    PageAddr {
-                        plane: baddr.plane,
-                        block: baddr.block,
-                        page: p as u32,
-                    },
-                    lpn,
-                )
-            })
-        }));
+        for page in 0..ppb {
+            if !test_bit(bits, block_idx * ppb + page) {
+                continue;
+            }
+            let addr = PageAddr {
+                plane: baddr.plane,
+                block: baddr.block,
+                page,
+            };
+            if let Some(lpn) = recorded_lpn(&luns[l.0 as usize], addr) {
+                live.push((addr, lpn));
+            }
+        }
     }
 
     /// Return an erased block to the free pool, bumping its erase count.
     pub fn recycle(&mut self, l: LunId, block_idx: u32) {
-        let slots = self.slots_of(block_idx);
+        let ppb = self.geom.pages_per_block;
         let d = self.lun_mut(l);
         let info = &mut d.blocks[block_idx as usize];
         debug_assert!(info.valid == 0, "recycling block with live pages");
         debug_assert!(info.state != BlockUse::Bad);
         info.state = BlockUse::Free;
         info.erase_count += 1;
-        d.backptrs[slots].fill(NO_LPN);
+        for bit in block_idx * ppb..(block_idx + 1) * ppb {
+            clear_bit(&mut d.valid_bits, bit);
+        }
         d.full.remove(block_idx, info.valid);
         d.free.push(block_idx);
         // clear a frontier that pointed at this block (possible for merges)
@@ -591,6 +615,23 @@ pub struct NextPage {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use requiem_flash::FlashSpec;
+
+    /// LUN `id` of `geometry`, every page erased.
+    fn lun_of(id: u32, geometry: Geometry) -> Lun {
+        let spec = FlashSpec {
+            geometry,
+            ..FlashSpec::mlc_small()
+        };
+        Lun::new(id, spec, 0)
+    }
+
+    /// Program `phys` with `lpn`'s record, as the controller does before
+    /// it marks a page valid.
+    fn program(luns: &mut [Lun], phys: PhysPage, lpn: Lpn) {
+        let oob = PagePayload::Oob { lpn: lpn.0, seq: 0 };
+        luns[phys.lun.0 as usize].program(phys.addr, oob).unwrap();
+    }
 
     /// What [`FullBlocks`] replaced, kept as the reference: victim and
     /// migration-source choice by a scored walk over every block of the
@@ -659,9 +700,10 @@ mod tests {
         }
     }
 
-    /// What the flat back-pointer array replaced, kept as the reference:
-    /// every block owning a `Vec<Option<Lpn>>` beside its `state` and
-    /// `valid`, told of each op by what the directory answered.
+    /// What the valid bits over the LUN's out-of-band records replaced
+    /// (and, before them, a flat back-pointer array), kept as the
+    /// reference: every block owning a `Vec<Option<Lpn>>` beside its
+    /// `state` and `valid`, told of each op by what the directory answered.
     #[derive(Clone)]
     struct VecBlock {
         state: BlockUse,
@@ -745,20 +787,20 @@ mod tests {
 
         /// The directory answers as this model does, for every block and
         /// every page of the LUN.
-        fn assert_matches(&self, d: &BlockDirectory, l: LunId, step: usize) {
+        fn assert_matches(&self, d: &BlockDirectory, luns: &[Lun], l: LunId, step: usize) {
             for (i, want) in self.blocks.iter().enumerate() {
                 let info = d.block_info(l, i as u32);
                 assert_eq!(info.state, want.state, "step {step} block {i}");
                 assert_eq!(info.valid, want.valid, "step {step} block {i}");
                 assert_eq!(
-                    d.live_pages(l, i as u32),
+                    d.live_pages(luns, l, i as u32),
                     self.live_pages(i as u32),
                     "step {step} block {i}"
                 );
                 let baddr = self.geom.block_from_index(i as u32);
                 for (addr, &lpn) in self.geom.pages_of(baddr).zip(&want.backptrs) {
                     assert_eq!(
-                        d.backptr(PhysPage { lun: l, addr }),
+                        d.backptr(luns, PhysPage { lun: l, addr }),
                         lpn,
                         "step {step} {addr}"
                     );
@@ -769,12 +811,15 @@ mod tests {
 
     /// Drive one LUN of `geom` through `ops` — `(kind, x, y)` triples read
     /// against the directory's own state, so every op is legal — and hold
-    /// the bucketed index to the scan, and the flat back-pointers to the
-    /// per-block `Vec`s, after each.
+    /// the bucketed index to the scan, and the valid bits with the die's
+    /// records to the per-block `Vec`s, after each. The die is driven as
+    /// the controller drives it: a page handed out is programmed, a block
+    /// recycled is erased.
     fn assert_matches_scan(geom: Geometry, ops: &[(u8, u32, u32)]) {
         let l = LunId(0);
         let (blocks, ppb) = (geom.total_blocks(), geom.pages_per_block);
         let mut d = BlockDirectory::new(1, geom.clone());
+        let mut luns = vec![lun_of(0, geom.clone())];
         let mut want = VecBlocks::new(geom.clone());
         let page_of = |b: u32, p: u32| {
             let baddr = geom.block_from_index(b);
@@ -787,7 +832,7 @@ mod tests {
             let (b, p) = (x % blocks, y % ppb);
             let (state, valid, held) = {
                 let info = d.block_info(l, b);
-                (info.state, info.valid, d.backptr(page_of(b, p)))
+                (info.state, info.valid, d.backptr(&luns, page_of(b, p)))
             };
             match kind {
                 // host / GC appends, most of them recorded as live
@@ -795,8 +840,9 @@ mod tests {
                     let stream = if kind < 6 { Stream::Host } else { Stream::Gc };
                     if let Some(np) = d.next_page(l, stream) {
                         want.took_page(np);
+                        program(&mut luns, np.phys, Lpn(step as u64));
                         if kind != 8 {
-                            d.mark_valid(np.phys, Lpn(step as u64));
+                            d.mark_valid(&luns, np.phys, Lpn(step as u64));
                             want.mark_valid(np.phys, Lpn(step as u64));
                         }
                     }
@@ -809,13 +855,16 @@ mod tests {
                         want.invalidate(page_of(b, p));
                     }
                 }
-                // an LPN nothing holds is the word an empty page holds
+                // an LPN nothing holds is the word an erased record holds
                 11 => {
                     let lpn = match held {
                         Some(lpn) if y % 3 != 0 => lpn,
                         _ => Lpn(u64::MAX),
                     };
-                    assert_eq!(d.invalidate_checked(page_of(b, p), lpn), held == Some(lpn));
+                    assert_eq!(
+                        d.invalidate_checked(&luns, page_of(b, p), lpn),
+                        held == Some(lpn)
+                    );
                     assert_eq!(
                         want.invalidate_checked(page_of(b, p), lpn),
                         held == Some(lpn)
@@ -830,10 +879,11 @@ mod tests {
                         GcPolicyKind::CostBenefit
                     };
                     if let Some(victim) = d.pick_victim(l, policy) {
-                        for (addr, _) in d.live_pages(l, victim) {
+                        for (addr, _) in d.live_pages(&luns, l, victim) {
                             d.invalidate(PhysPage { lun: l, addr });
                             want.invalidate(PhysPage { lun: l, addr });
                         }
+                        luns[0].erase(geom.block_from_index(victim)).unwrap();
                         d.recycle(l, victim);
                         want.recycle(victim);
                     }
@@ -841,6 +891,7 @@ mod tests {
                 // a merge erasing an emptied block, frontier or not
                 13 => {
                     if valid == 0 && matches!(state, BlockUse::Full | BlockUse::Open) {
+                        luns[0].erase(geom.block_from_index(b)).unwrap();
                         d.recycle(l, b);
                         want.recycle(b);
                     }
@@ -851,7 +902,8 @@ mod tests {
                         want.blocks[b as usize].state = BlockUse::Bad;
                     }
                 }
-                // boot scan: claim a block, then mark pages found in it;
+                // boot scan: claim a block, then mark the pages found
+                // programmed in it live under the LPN their records name;
                 // or a whole-block allocation (block / hybrid FTLs)
                 _ => match state {
                     BlockUse::Free if y % 2 == 0 => {
@@ -864,13 +916,16 @@ mod tests {
                         }
                     }
                     BlockUse::Full if held.is_none() => {
-                        d.mark_valid(page_of(b, p), Lpn(step as u64));
-                        want.mark_valid(page_of(b, p), Lpn(step as u64));
+                        let page = page_of(b, p);
+                        if let PagePayload::Oob { lpn, .. } = luns[0].payload(page.addr) {
+                            d.mark_valid(&luns, page, Lpn(lpn));
+                            want.mark_valid(page, Lpn(lpn));
+                        }
                     }
                     _ => {}
                 },
             }
-            want.assert_matches(&d, l, step);
+            want.assert_matches(&d, &luns, l, step);
             d.assert_full_index_consistent(l);
             for policy in [GcPolicyKind::Greedy, GcPolicyKind::CostBenefit] {
                 assert_eq!(
@@ -905,50 +960,76 @@ mod tests {
         }
     }
 
-    /// The word an empty page holds is not an LPN: no page holds it.
+    /// The LPN word of an erased record is not an LPN: no page holds it,
+    /// and a host tag past 2³² reads back from the record whole.
     #[test]
     fn the_no_lpn_word_is_never_held() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let n = d.next_page(LunId(0), Stream::Host).unwrap();
-        assert_eq!(d.backptr(n.phys), None);
-        assert!(!d.invalidate_checked(n.phys, Lpn(u64::MAX)));
+        assert_eq!(d.backptr(&luns, n.phys), None);
+        assert!(!d.invalidate_checked(&luns, n.phys, Lpn(u64::MAX)));
         assert_eq!(d.block_info(LunId(0), 0).valid, 0);
-        d.mark_valid(n.phys, Lpn(1 << 48));
-        assert_eq!(d.backptr(n.phys), Some(Lpn(1 << 48)));
-        assert!(!d.invalidate_checked(n.phys, Lpn(u64::MAX)));
-        assert!(d.invalidate_checked(n.phys, Lpn(1 << 48)));
+        program(&mut luns, n.phys, Lpn(1 << 48));
+        assert_eq!(d.backptr(&luns, n.phys), None, "programmed, not yet live");
+        d.mark_valid(&luns, n.phys, Lpn(1 << 48));
+        assert_eq!(d.backptr(&luns, n.phys), Some(Lpn(1 << 48)));
+        assert!(!d.invalidate_checked(&luns, n.phys, Lpn(u64::MAX)));
+        assert!(d.invalidate_checked(&luns, n.phys, Lpn(1 << 48)));
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "the word that means no LPN")]
     fn mark_valid_refuses_the_no_lpn_word() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let n = d.next_page(LunId(0), Stream::Host).unwrap();
-        d.mark_valid(n.phys, Lpn(u64::MAX));
+        program(&mut luns, n.phys, Lpn(u64::MAX));
+        d.mark_valid(&luns, n.phys, Lpn(u64::MAX));
+    }
+
+    /// A page is marked valid only for the LPN its record names.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "whose record is")]
+    fn mark_valid_refuses_a_page_whose_record_names_another_lpn() {
+        let (mut d, mut luns) = dir();
+        let n = d.next_page(LunId(0), Stream::Host).unwrap();
+        program(&mut luns, n.phys, Lpn(7));
+        d.mark_valid(&luns, n.phys, Lpn(8));
     }
 
     #[test]
     fn live_pages_into_reuses_the_buffer() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         let mut live = vec![(d.geom.page_addr(0, 7, 3), Lpn(99))];
         for i in 0..3 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
+            write(&mut d, &mut luns, l, Lpn(i));
         }
-        d.live_pages_into(l, 0, &mut live);
-        assert_eq!(live, d.live_pages(l, 0));
+        d.live_pages_into(&luns, l, 0, &mut live);
+        assert_eq!(live, d.live_pages(&luns, l, 0));
         assert_eq!(live.len(), 3);
     }
 
-    fn dir() -> BlockDirectory {
-        BlockDirectory::new(2, Geometry::new(1, 8, 4, 4096))
+    /// A directory of two LUNs of eight 4-page blocks, and the two dies.
+    fn dir() -> (BlockDirectory, Vec<Lun>) {
+        let geom = Geometry::new(1, 8, 4, 4096);
+        let luns = (0..2).map(|i| lun_of(i, geom.clone())).collect();
+        (BlockDirectory::new(2, geom), luns)
+    }
+
+    /// Take LUN `l`'s next host page, program it with `lpn` and mark it
+    /// valid: a buffer flush as the directory sees it.
+    fn write(d: &mut BlockDirectory, luns: &mut [Lun], l: LunId, lpn: Lpn) -> PhysPage {
+        let n = d.next_page(l, Stream::Host).unwrap();
+        program(luns, n.phys, lpn);
+        d.mark_valid(luns, n.phys, lpn);
+        n.phys
     }
 
     #[test]
     fn allocation_is_sequential_within_block() {
-        let mut d = dir();
+        let (mut d, _) = dir();
         let l = LunId(0);
         let a = d.next_page(l, Stream::Host).unwrap();
         let b = d.next_page(l, Stream::Host).unwrap();
@@ -961,7 +1042,7 @@ mod tests {
 
     #[test]
     fn full_frontier_opens_new_block() {
-        let mut d = dir();
+        let (mut d, _) = dir();
         let l = LunId(0);
         let mut blocks_seen = std::collections::BTreeSet::new();
         for _ in 0..8 {
@@ -975,7 +1056,7 @@ mod tests {
 
     #[test]
     fn host_and_gc_streams_use_distinct_blocks() {
-        let mut d = dir();
+        let (mut d, _) = dir();
         let l = LunId(0);
         let h = d.next_page(l, Stream::Host).unwrap();
         let g = d.next_page(l, Stream::Gc).unwrap();
@@ -984,7 +1065,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none() {
-        let mut d = dir();
+        let (mut d, _) = dir();
         let l = LunId(0);
         for _ in 0..32 {
             d.next_page(l, Stream::Host).unwrap();
@@ -994,29 +1075,26 @@ mod tests {
 
     #[test]
     fn valid_accounting_roundtrip() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
-        let n = d.next_page(l, Stream::Host).unwrap();
-        d.mark_valid(n.phys, Lpn(7));
+        let phys = write(&mut d, &mut luns, l, Lpn(7));
         let bidx = 0u32;
         assert_eq!(d.block_info(l, bidx).valid, 1);
-        let live = d.live_pages(l, bidx);
-        assert_eq!(live, vec![(n.phys.addr, Lpn(7))]);
-        d.invalidate(n.phys);
+        let live = d.live_pages(&luns, l, bidx);
+        assert_eq!(live, vec![(phys.addr, Lpn(7))]);
+        d.invalidate(phys);
         assert_eq!(d.block_info(l, bidx).valid, 0);
-        assert!(d.live_pages(l, bidx).is_empty());
+        assert!(d.live_pages(&luns, l, bidx).is_empty());
     }
 
     #[test]
     fn greedy_victim_prefers_fewest_valid() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         // fill two blocks: block A with 4 valid, block B with 1 valid
         let mut pages = Vec::new();
         for i in 0..8 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
-            pages.push(n.phys);
+            pages.push(write(&mut d, &mut luns, l, Lpn(i)));
         }
         // invalidate 3 pages of the second block
         for p in &pages[4..7] {
@@ -1029,11 +1107,10 @@ mod tests {
 
     #[test]
     fn fully_valid_only_means_no_victim() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
+            write(&mut d, &mut luns, l, Lpn(i));
         }
         // one full block, all valid → nothing worth collecting
         assert_eq!(d.pick_victim(l, GcPolicyKind::Greedy), None);
@@ -1041,13 +1118,11 @@ mod tests {
 
     #[test]
     fn cost_benefit_prefers_older_when_equally_empty() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         let mut pages = Vec::new();
         for i in 0..8 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
-            pages.push(n.phys);
+            pages.push(write(&mut d, &mut luns, l, Lpn(i)));
         }
         // both blocks now Full; invalidate 2 pages in each (same utilization)
         d.invalidate(pages[0]);
@@ -1060,11 +1135,10 @@ mod tests {
 
     #[test]
     fn recycle_returns_block_to_free_pool_and_counts_wear() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
+            write(&mut d, &mut luns, l, Lpn(i));
         }
         for i in 0..4 {
             d.invalidate(PhysPage {
@@ -1081,12 +1155,11 @@ mod tests {
 
     #[test]
     fn allocation_prefers_low_erase_count() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         // cycle block through the free list with extra wear
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
+            write(&mut d, &mut luns, l, Lpn(i));
         }
         for i in 0..4 {
             d.invalidate(PhysPage {
@@ -1102,7 +1175,7 @@ mod tests {
 
     #[test]
     fn retire_removes_from_free_pool() {
-        let mut d = dir();
+        let (mut d, _) = dir();
         let l = LunId(1);
         d.retire(l, 3);
         assert_eq!(d.free_blocks(l), 7);
@@ -1112,11 +1185,10 @@ mod tests {
 
     #[test]
     fn erase_spread_tracks_min_max() {
-        let mut d = dir();
+        let (mut d, mut luns) = dir();
         let l = LunId(0);
         for i in 0..4 {
-            let n = d.next_page(l, Stream::Host).unwrap();
-            d.mark_valid(n.phys, Lpn(i));
+            write(&mut d, &mut luns, l, Lpn(i));
         }
         for i in 0..4 {
             d.invalidate(PhysPage {

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 use requiem_sim::time::SimTime;
 
 /// Write-back buffer occupancy and residency tracking (timeline model:
-/// a slot is "busy" until its page's flash flush finishes).
+/// a slot is "busy" until its page's flush finishes).
 #[derive(Debug)]
 pub(crate) struct WriteBuffer {
     capacity: usize,
@@ -29,25 +29,41 @@ pub(crate) struct WriteBuffer {
     /// Pages readable from RAM, packed in no particular order: `(lpn,
     /// flush completion time)` — readable until then.
     resident: Vec<(u64, SimTime)>,
-    /// `lpn → its position in `resident` + 1`, 0 for a page not resident.
-    /// Dense (4 B per page up to the highest LPN committed, grown on
-    /// demand), so a lookup is one indexed load and nothing here iterates
-    /// in an order that depends on more than the call sequence.
-    slot_of: Vec<u32>,
+    /// Where each resident page sits in `resident`: an open-addressing
+    /// table of `position + 1` (0 = empty slot), probed linearly from a
+    /// multiplicative hash of the page's key, emptied by backward shift
+    /// (no tombstones). Sized once, to a power of two at least twice the
+    /// most pages `commit`'s sweep lets stand, so it holds what the
+    /// buffer holds however large the key space is; the hash is fixed, so
+    /// nothing depends on more than the call sequence.
+    index: Vec<u32>,
+    /// `64 − log₂(index.len())`: how far a key's hash is shifted down.
+    shift: u32,
     stalls: u64,
 }
+
+/// Fibonacci hashing's multiplier, 2⁶⁴ / φ.
+const HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl WriteBuffer {
     /// Create a buffer with `capacity` page slots (0 = disabled; callers
     /// should bypass a disabled buffer).
     pub fn new(capacity: usize) -> Self {
+        let slots = (2 * (Self::bound(capacity) + 1)).next_power_of_two();
         WriteBuffer {
             capacity,
             slots: BinaryHeap::with_capacity(capacity + 1),
             resident: Vec::new(),
-            slot_of: Vec::new(),
+            index: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
             stalls: 0,
         }
+    }
+
+    /// The most resident pages a commit leaves standing (DESIGN.md §5
+    /// records what the sweep past it models).
+    fn bound(capacity: usize) -> usize {
+        capacity * 8 + 64
     }
 
     /// Whether the buffer exists at all.
@@ -78,48 +94,88 @@ impl WriteBuffer {
         }
     }
 
+    /// The index slot `lpn`'s probe starts at.
+    fn home(&self, lpn: u64) -> usize {
+        (lpn.wrapping_mul(HASH) >> self.shift) as usize
+    }
+
+    /// The index slot holding `lpn`, or the empty slot where its probe
+    /// ended.
+    fn find(&self, lpn: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(lpn);
+        loop {
+            match self.index[i] {
+                0 => return Err(i),
+                s if self.resident[s as usize - 1].0 == lpn => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
     /// Position of `lpn` in `resident`, if it is there.
     fn position(&self, lpn: u64) -> Option<usize> {
-        match self.slot_of.get(lpn as usize) {
-            Some(&slot) if slot > 0 => Some(slot as usize - 1),
-            _ => None,
+        self.find(lpn).ok().map(|i| self.index[i] as usize - 1)
+    }
+
+    /// Empty index slot `hole`, shifting back each later entry of its
+    /// probe run that may sit there, so no probe meets a gap it should
+    /// have passed.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.index[i];
+            if s == 0 {
+                break;
+            }
+            // the entry may move to `hole` if `hole` lies on its probe
+            // path: no further from its home than `i` is
+            let home = self.home(self.resident[s as usize - 1].0);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.index[hole] = s;
+                hole = i;
+            }
         }
+        self.index[hole] = 0;
     }
 
     /// Drop the resident entry at `pos`; the last entry takes its place.
     fn evict(&mut self, pos: usize) {
-        let (lpn, _) = self.resident.swap_remove(pos);
-        self.slot_of[lpn as usize] = 0;
-        if let Some(&(moved, _)) = self.resident.get(pos) {
-            self.slot_of[moved as usize] = pos as u32 + 1;
+        if let Ok(i) = self.find(self.resident[pos].0) {
+            self.unindex(i);
         }
+        let last = self.resident.len() - 1;
+        if pos != last {
+            if let Ok(i) = self.find(self.resident[last].0) {
+                self.index[i] = pos as u32 + 1;
+            }
+        }
+        self.resident.swap_remove(pos);
     }
 
     /// Commit a page into the acquired slot: its flush finishes at `done`.
     pub fn commit(&mut self, lpn: u64, done: SimTime) {
         self.slots.push(Reverse(done));
-        match self.position(lpn) {
-            Some(pos) => self.resident[pos].1 = done,
-            None => {
-                if self.slot_of.len() <= lpn as usize {
-                    self.slot_of.resize(lpn as usize + 1, 0);
-                }
+        match self.find(lpn) {
+            Ok(i) => self.resident[self.index[i] as usize - 1].1 = done,
+            Err(i) => {
                 self.resident.push((lpn, done));
-                self.slot_of[lpn as usize] = self.resident.len() as u32;
+                self.index[i] = self.resident.len() as u32;
             }
         }
         // bound residency growth: keep only the pages whose flush ends
         // after this one's (DESIGN.md §5 records what that models)
-        if self.resident.len() > self.capacity * 8 + 64 {
+        if self.resident.len() > Self::bound(self.capacity) {
             let horizon = done;
-            let slot_of = &mut self.slot_of;
-            let mut kept = 0u32;
-            self.resident.retain(|&(lpn, t)| {
-                let keep = t > horizon;
-                kept += u32::from(keep);
-                slot_of[lpn as usize] = if keep { kept } else { 0 };
-                keep
-            });
+            self.resident.retain(|&(_, t)| t > horizon);
+            self.index.fill(0);
+            for pos in 0..self.resident.len() {
+                if let Err(i) = self.find(self.resident[pos].0) {
+                    self.index[i] = pos as u32 + 1;
+                }
+            }
         }
     }
 
@@ -372,7 +428,7 @@ mod tests {
                 assert_eq!(b.position(l), Some(pos), "step {step} index of {l}");
             }
             assert_eq!(
-                b.slot_of.iter().filter(|&&s| s > 0).count(),
+                b.index.iter().filter(|&&s| s > 0).count(),
                 b.resident.len(),
                 "step {step} stale index entries"
             );
@@ -380,6 +436,19 @@ mod tests {
     }
 
     const CAPACITIES: [usize; 3] = [1, 2, 256];
+
+    /// `n` host tags (from 2⁴⁸ up) whose probes all start in the last
+    /// three slots of the 256-slot index capacities 1 and 2 get, found by
+    /// search: every insert collides, probe runs wrap past the table's
+    /// end, and every eviction shifts entries back across it.
+    fn colliding_keys(n: usize) -> Vec<u64> {
+        let b = WriteBuffer::new(1);
+        assert_eq!(b.index.len(), 256);
+        (1u64 << 48..)
+            .filter(|&k| b.home(k) >= 253)
+            .take(n)
+            .collect()
+    }
 
     proptest! {
         /// Few pages, rewritten and re-read often, flushes from nothing
@@ -406,6 +475,24 @@ mod tests {
                 200..800,
             ),
         ) {
+            assert_matches_tree(CAPACITIES[capacity], &ops);
+        }
+
+        /// Pages whose keys all hash to the index's last slots (capacity
+        /// 1 and 2, whose bound the 24 keys stay under).
+        #[test]
+        fn colliding_keys_match_the_tree(
+            capacity in 0..2usize,
+            ops in proptest::collection::vec(
+                ((0..10u8, 0..24usize), (0..3_000u64, 0..40_000u64)),
+                1..400,
+            ),
+        ) {
+            let keys = colliding_keys(24);
+            let ops: Vec<Op> = ops
+                .iter()
+                .map(|&((kind, k), times)| ((kind, keys[k]), times))
+                .collect();
             assert_matches_tree(CAPACITIES[capacity], &ops);
         }
     }

@@ -72,7 +72,7 @@ impl Ssd {
         let mut cursor = t;
         for o in from..to {
             let src = self.block_phys(old, o);
-            let Some(lpn_o) = self.dir.backptr(src) else {
+            let Some(lpn_o) = self.backptr(src) else {
                 continue; // gap: C3 permits skipping ahead
             };
             let read = self.op_read(cursor, src, false, OpCause::Merge)?;
@@ -81,7 +81,7 @@ impl Ssd {
                 .op_program(read.end, dst, lpn_o, false, OpCause::Merge)
                 .map_err(|e| e.full_on(new.lun))?;
             self.dir.invalidate(src);
-            self.dir.mark_valid(dst, lpn_o);
+            self.dir.mark_valid(&self.luns, dst, lpn_o);
             cursor = end;
             copied += 1;
         }
@@ -102,7 +102,7 @@ impl Ssd {
             .write_point;
         let tail = self.repl_copy_range(t, ctx.old, ctx.new, wp_new, ppb)?;
         // anything still marked live in the old block is stale now
-        let stale = self.dir.live_pages(ctx.old.lun, ctx.old.block);
+        let stale = self.dir.live_pages(&self.luns, ctx.old.lun, ctx.old.block);
         for (a, _) in stale {
             self.dir.invalidate(PhysPage {
                 lun: ctx.old.lun,
@@ -146,12 +146,12 @@ impl Ssd {
                         c.copies += copied;
                     }
                     self.dir
-                        .invalidate_checked(self.block_phys(ctx.old, off), lpn);
+                        .invalidate_checked(&self.luns, self.block_phys(ctx.old, off), lpn);
                     let phys = self.block_phys(ctx.new, off);
                     let end = self
                         .op_program(t0, phys, lpn, true, OpCause::Host)
                         .map_err(|e| e.full_on(ctx.new.lun))?;
-                    self.dir.mark_valid(phys, lpn);
+                    self.dir.mark_valid(&self.luns, phys, lpn);
                     return Ok(end);
                 }
                 // going backwards: close this replacement and start over
@@ -174,7 +174,7 @@ impl Ssd {
                 if let MappingState::Block(m) = &mut self.map {
                     m.update(lbn, pb);
                 }
-                self.dir.mark_valid(phys, lpn);
+                self.dir.mark_valid(&self.luns, phys, lpn);
                 Ok(end)
             }
             Some(pb) => {
@@ -186,7 +186,7 @@ impl Ssd {
                     let end = self
                         .op_program(t0, phys, lpn, true, OpCause::Host)
                         .map_err(|e| e.full_on(pb.lun))?;
-                    self.dir.mark_valid(phys, lpn);
+                    self.dir.mark_valid(&self.luns, phys, lpn);
                     Ok(end)
                 } else {
                     // rewrite below the write point: open a replacement
@@ -206,12 +206,13 @@ impl Ssd {
                         new: newpb,
                         copies: copied,
                     });
-                    self.dir.invalidate_checked(self.block_phys(pb, off), lpn);
+                    self.dir
+                        .invalidate_checked(&self.luns, self.block_phys(pb, off), lpn);
                     let phys = self.block_phys(newpb, off);
                     let end = self
                         .op_program(t0, phys, lpn, true, OpCause::Host)
                         .map_err(|e| e.full_on(lun))?;
-                    self.dir.mark_valid(phys, lpn);
+                    self.dir.mark_valid(&self.luns, phys, lpn);
                     Ok(end)
                 }
             }
@@ -242,7 +243,7 @@ impl Ssd {
         candidates
             .into_iter()
             .map(|pb| self.block_phys(pb, off))
-            .find(|&phys| self.dir.backptr(phys) == Some(lpn))
+            .find(|&phys| self.backptr(phys) == Some(lpn))
     }
 
     /// Trim under block mapping: kill whichever candidate holds `lpn`.
@@ -264,7 +265,7 @@ impl Ssd {
         }
         for pb in candidates {
             let phys = self.block_phys(pb, off);
-            if self.dir.invalidate_checked(phys, lpn) {
+            if self.dir.invalidate_checked(&self.luns, phys, lpn) {
                 break;
             }
         }

@@ -21,12 +21,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use requiem_flash::PagePayload;
 use requiem_sim::time::SimTime;
 
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::block_dir::Stream;
-use crate::device::{MappingState, ReadRecovery, Ssd, SsdError};
+use crate::device::{MappingState, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
 
@@ -155,7 +154,7 @@ impl Ssd {
         // the list is taken for the walk: a program failure inside it
         // salvages another block through this same function
         let mut live = std::mem::take(&mut self.live_scratch);
-        self.dir.live_pages_into(lun, block, &mut live);
+        self.dir.live_pages_into(&self.luns, lun, block, &mut live);
         let mut outcome = Ok(());
         for &(addr, lpn) in &live {
             let moved = self.relocate_page(PhysPage { lun, addr }, lpn, t, cause);
@@ -179,20 +178,11 @@ impl Ssd {
         cause: OpCause,
     ) -> Result<(), SsdError> {
         // on-die copyback: the page is sensed and reprogrammed without
-        // crossing the channel
+        // crossing the channel. `lpn` is what the page's out-of-band
+        // record names (the live list reads it there); a read the whole
+        // recovery pipeline failed to decode relocates from assumed
+        // redundancy all the same
         let read = self.op_read(t, old, false, cause)?;
-        // consistency check: the OOB tag must match the directory — unless
-        // the whole recovery pipeline failed to decode the page, in which
-        // case the relocation proceeds from assumed redundancy
-        debug_assert!(
-            read.status == ReadRecovery::Lost
-                || matches!(self.luns[old.lun.0 as usize].payload(old.addr),
-                    PagePayload::Oob { lpn: l, .. } if *l == lpn.0),
-            "GC read of {:?} expected lpn {} got {:?}",
-            old,
-            lpn.0,
-            self.luns[old.lun.0 as usize].payload(old.addr)
-        );
         let (new, _end) = self.append_page(read.end, old.lun, Stream::Gc, lpn, false, cause)?;
         let prev = self.remap(lpn, old, new, t);
         debug_assert_eq!(

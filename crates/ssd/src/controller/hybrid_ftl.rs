@@ -39,7 +39,7 @@ impl Ssd {
             if let MappingState::Hybrid(h) = &mut self.map {
                 h.data.update(lbn, pbref);
             }
-            self.dir.mark_valid(phys, lpn);
+            self.dir.mark_valid(&self.luns, phys, lpn);
             return Ok(end);
         };
         let baddr = self.cfg.flash.geometry.block_from_index(pb.block);
@@ -51,7 +51,7 @@ impl Ssd {
             let end = self
                 .op_program(t0, phys, lpn, true, OpCause::Host)
                 .map_err(|e| e.full_on(pb.lun))?;
-            self.dir.mark_valid(phys, lpn);
+            self.dir.mark_valid(&self.luns, phys, lpn);
             return Ok(end);
         }
         // need the log block path
@@ -107,17 +107,17 @@ impl Ssd {
         // may already have killed it while log.latest still points there)
         if let Some(prev_page) = prev_version {
             let prev = self.block_phys(log_pb, prev_page);
-            self.dir.invalidate_checked(prev, lpn);
+            self.dir.invalidate_checked(&self.luns, prev, lpn);
         } else {
             // previous version may live in the data block
             let prev = self.block_phys(pb, off);
-            self.dir.invalidate_checked(prev, lpn);
+            self.dir.invalidate_checked(&self.luns, prev, lpn);
         }
         let phys = self.block_phys(log_pb, log_page);
         let end = self
             .op_program(t, phys, lpn, true, OpCause::Host)
             .map_err(|e| e.full_on(log_pb.lun))?;
-        self.dir.mark_valid(phys, lpn);
+        self.dir.mark_valid(&self.luns, phys, lpn);
         Ok(end)
     }
 
@@ -160,7 +160,7 @@ impl Ssd {
             let mut end = t;
             if let Some(old) = data {
                 // old data block is entirely superseded
-                let live = self.dir.live_pages(old.lun, old.block);
+                let live = self.dir.live_pages(&self.luns, old.lun, old.block);
                 for (a, _) in live {
                     self.dir.invalidate(PhysPage {
                         lun: old.lun,
@@ -184,7 +184,7 @@ impl Ssd {
         let data_live: std::collections::BTreeMap<u32, Lpn> = match data {
             Some(pb) => self
                 .dir
-                .live_pages(pb.lun, pb.block)
+                .live_pages(&self.luns, pb.lun, pb.block)
                 .into_iter()
                 .map(|(a, l)| (a.page, l))
                 .collect(),
@@ -194,7 +194,7 @@ impl Ssd {
         for o in 0..ppb {
             let (src, lpn_o) = if let Some(logpage) = log.latest[o as usize] {
                 let src = self.block_phys(log.phys, logpage);
-                let Some(l) = self.dir.backptr(src) else {
+                let Some(l) = self.backptr(src) else {
                     continue;
                 };
                 (src, l)
@@ -213,18 +213,18 @@ impl Ssd {
                 .op_program(read.end, dst, lpn_o, false, OpCause::Merge)
                 .map_err(|e| e.full_on(lun))?;
             self.dir.invalidate(src);
-            self.dir.mark_valid(dst, lpn_o);
+            self.dir.mark_valid(&self.luns, dst, lpn_o);
             cursor = end;
         }
         // stale log pages (superseded versions) die with the log block
-        let stale = self.dir.live_pages(lun, log.phys.block);
+        let stale = self.dir.live_pages(&self.luns, lun, log.phys.block);
         for (a, _) in stale {
             self.dir.invalidate(PhysPage { lun, addr: a });
         }
         let mut end = self.op_erase(cursor, lun, log.phys.block, OpCause::Merge)?;
         if let Some(pb) = data {
             // anything left in the data block is stale now
-            let stale = self.dir.live_pages(pb.lun, pb.block);
+            let stale = self.dir.live_pages(&self.luns, pb.lun, pb.block);
             for (a, _) in stale {
                 self.dir.invalidate(PhysPage {
                     lun: pb.lun,
@@ -257,11 +257,11 @@ impl Ssd {
                 // if it is not there: trimmed in the log; the data-block
                 // copy (if any) was also invalidated at append time
                 let phys = self.block_phys(log.phys, log_page);
-                return (self.dir.backptr(phys) == Some(lpn)).then_some(phys);
+                return (self.backptr(phys) == Some(lpn)).then_some(phys);
             }
         }
         let phys = self.block_phys(h.data.lookup(lbn)?, off);
-        (self.dir.backptr(phys) == Some(lpn)).then_some(phys)
+        (self.backptr(phys) == Some(lpn)).then_some(phys)
     }
 
     /// Trim under the hybrid FTL: kill the log-block version (if any) and
@@ -281,12 +281,12 @@ impl Ssd {
         }
         if let Some(pb) = h.data.lookup(lbn) {
             let phys = self.block_phys(pb, off);
-            if self.dir.backptr(phys) == Some(lpn) {
+            if self.backptr(phys) == Some(lpn) {
                 invalidations.push(phys);
             }
         }
         for p in invalidations {
-            self.dir.invalidate_checked(p, lpn);
+            self.dir.invalidate_checked(&self.luns, p, lpn);
         }
     }
 }

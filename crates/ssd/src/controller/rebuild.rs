@@ -83,8 +83,7 @@ impl Ssd {
                     if read.status == ReadRecovery::Lost {
                         continue; // nothing decoded: the page has no OOB to go by
                     }
-                    if let PagePayload::Oob { lpn, seq } = *self.luns[lun_i as usize].payload(addr)
-                    {
+                    if let PagePayload::Oob { lpn, seq } = self.luns[lun_i as usize].payload(addr) {
                         match best.entry(lpn) {
                             std::collections::btree_map::Entry::Occupied(mut e) => {
                                 if e.get().0 < seq {
@@ -102,7 +101,7 @@ impl Ssd {
         for (lpn, (_, phys)) in best {
             if lpn < self.capacity.exported_pages {
                 map.update(Lpn(lpn), phys);
-                fresh.mark_valid(phys, Lpn(lpn));
+                fresh.mark_valid(&self.luns, phys, Lpn(lpn));
             }
         }
         self.dir = fresh;

@@ -100,7 +100,7 @@ impl Ssd {
         if let Some(o) = old {
             self.dir.invalidate(o);
         }
-        self.dir.mark_valid(phys, lpn);
+        self.dir.mark_valid(&self.luns, phys, lpn);
         Ok((phys, end))
     }
 }

@@ -53,7 +53,7 @@
 //!
 //! Host commands must be submitted in non-decreasing time order.
 
-use requiem_flash::{Lun, PageAddr};
+use requiem_flash::{Lun, PageAddr, PageState};
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, IoStatus, Layer, Probe};
 
@@ -567,7 +567,7 @@ impl Ssd {
         at: SimTime,
     ) -> Option<PhysPage> {
         self.dir.invalidate(old);
-        self.dir.mark_valid(new, lpn);
+        self.dir.mark_valid(&self.luns, new, lpn);
         match &mut self.map {
             MappingState::Page(m) => m.update(lpn, new),
             MappingState::Dftl(m) => m.relocate(lpn, new),
@@ -613,7 +613,7 @@ impl Ssd {
     /// A named command's page must still hold the tag it was written with.
     fn check_named(&self, lpn: Lpn, named: Option<PhysPage>) -> Result<(), SsdError> {
         match named {
-            Some(phys) if self.dir.backptr(phys) != Some(lpn) => Err(SsdError::StaleName { phys }),
+            Some(phys) if self.backptr(phys) != Some(lpn) => Err(SsdError::StaleName { phys }),
             _ => Ok(()),
         }
     }
@@ -862,17 +862,92 @@ impl Ssd {
         Ok((c, phys))
     }
 
-    /// Snapshot of the logical→physical mapping (diagnostics; page-mapped
-    /// FTLs only, `None` entries for unmapped pages).
+    /// Snapshot of the logical→physical mapping (diagnostics; `None`
+    /// under a host-held map, `None` entries for unmapped pages).
     pub fn debug_mapping(&self) -> Option<Vec<Option<PhysPage>>> {
-        match &self.map {
-            MappingState::Page(m) => Some(
-                (0..self.capacity.exported_pages)
-                    .map(|l| m.lookup(Lpn(l)))
-                    .collect(),
-            ),
-            _ => None,
+        if matches!(self.map, MappingState::Host(_)) {
+            return None;
         }
+        Some(
+            (0..self.capacity.exported_pages)
+                .map(|l| self.mapped(Lpn(l)))
+                .collect(),
+        )
+    }
+
+    /// The LPN — under a host-held map, the host tag — whose live data
+    /// `phys` holds, if any: the block directory's valid bit says whether,
+    /// the page's out-of-band record on the die says which.
+    pub fn backptr(&self, phys: PhysPage) -> Option<Lpn> {
+        self.dir.backptr(&self.luns, phys)
+    }
+
+    /// Where the map has `lpn`, asking nothing of the flash: `None` under
+    /// a host-held map. The one diagnostic lookup (`debug_mapping`,
+    /// `audit_metadata`).
+    fn mapped(&self, lpn: Lpn) -> Option<PhysPage> {
+        match &self.map {
+            MappingState::Page(m) => m.lookup(lpn),
+            MappingState::Dftl(m) => m.peek(lpn),
+            MappingState::Block(_) => self.resolve_read_block(lpn),
+            MappingState::Hybrid(_) => self.resolve_read_hybrid(lpn),
+            MappingState::Host(_) => None,
+        }
+    }
+
+    /// Check that the controller's per-page metadata and the flash agree
+    /// (diagnostics for tests): each block's live-page count equals its
+    /// valid bits, no valid bit sits on an erased page, and under a
+    /// device-held map every mapped LPN's page is valid with an
+    /// out-of-band record naming that LPN, and no other page is valid.
+    /// Returns the number of live pages, or the first disagreement.
+    pub fn audit_metadata(&self) -> Result<u64, String> {
+        let geom = &self.cfg.flash.geometry;
+        let mut live = 0u64;
+        for l in 0..self.total_luns() {
+            let lun = LunId(l);
+            for block in geom.blocks() {
+                let mut bits = 0u32;
+                for addr in geom.pages_of(block) {
+                    let phys = PhysPage { lun, addr };
+                    if !self.dir.is_valid(phys) {
+                        continue;
+                    }
+                    bits += 1;
+                    if self.luns[l as usize].page_state(addr) == PageState::Free {
+                        return Err(format!("valid bit on erased page {phys:?}"));
+                    }
+                }
+                let valid = self.dir.block_info(lun, geom.block_index(block)).valid;
+                if valid != bits {
+                    return Err(format!(
+                        "lun {l} block {block}: {valid} live pages counted, {bits} valid bits"
+                    ));
+                }
+                live += u64::from(bits);
+            }
+        }
+        if matches!(self.map, MappingState::Host(_)) {
+            return Ok(live);
+        }
+        let mut mapped = 0u64;
+        for lpn in (0..self.capacity.exported_pages).map(Lpn) {
+            let Some(phys) = self.mapped(lpn) else {
+                continue;
+            };
+            mapped += 1;
+            if self.backptr(phys) != Some(lpn) {
+                return Err(format!(
+                    "{lpn:?} mapped to {phys:?}, which holds {:?} (valid: {})",
+                    self.luns[phys.lun.0 as usize].payload(phys.addr),
+                    self.dir.is_valid(phys)
+                ));
+            }
+        }
+        if mapped != live {
+            return Err(format!("{mapped} mapped LPNs, {live} valid pages"));
+        }
+        Ok(live)
     }
 
     /// Trim (unmap) one logical page — the command the paper highlights as

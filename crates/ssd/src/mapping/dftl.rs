@@ -178,6 +178,12 @@ impl DftlMap {
         self.truth.lookup(lpn)
     }
 
+    /// Where `lpn` is mapped, read off the ground truth: no cache traffic,
+    /// nothing counted (diagnostics).
+    pub(crate) fn peek(&self, lpn: Lpn) -> Option<PhysPage> {
+        self.truth.lookup(lpn)
+    }
+
     /// Update `lpn → phys`, recording translation traffic; returns the old
     /// physical page for invalidation.
     pub fn update(&mut self, lpn: Lpn, phys: PhysPage, ios: &mut Vec<TransIo>) -> Option<PhysPage> {

@@ -1,11 +1,18 @@
 //! Property-based tests: the device must keep its mapping, block
 //! directory, and flash state mutually consistent under arbitrary
-//! workloads, for every FTL.
+//! workloads, for every FTL and under a host-held map.
+//!
+//! The coherence law, checked after every case: every mapped LPN's page
+//! is valid and its out-of-band record names that LPN, no other page is
+//! valid, each block's live-page count equals its valid bits, and no
+//! valid bit sits on an erased page (`Ssd::audit_metadata`). The page's
+//! record on the die is the one copy of which LPN it holds, so a valid
+//! bit set or cleared out of step with the map shows here.
 
 use proptest::prelude::*;
 use requiem_sim::time::SimTime;
-use requiem_ssd::{BufferConfig, FtlKind, Lpn, Served, Ssd, SsdConfig};
-use std::collections::BTreeSet;
+use requiem_ssd::{BufferConfig, FtlKind, Lpn, PhysPage, Served, Ssd, SsdConfig};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum HostOp {
@@ -34,10 +41,38 @@ fn small_cfg(ftl: FtlKind) -> SsdConfig {
     cfg
 }
 
+/// [`small_cfg`] on dies of 16 blocks of 8 pages: 256 physical pages, so
+/// a few thousand ops over 160 LPNs reach garbage collection and merges.
+fn tiny_cfg(ftl: FtlKind) -> SsdConfig {
+    let mut cfg = small_cfg(ftl);
+    cfg.flash.geometry = requiem_flash::Geometry::new(1, 16, 8, 4096);
+    cfg
+}
+
+/// `n` ops over `space` pages drawn from a fixed LCG, three writes to two
+/// reads to one trim.
+fn long_ops(n: usize, space: u64, seed: u64) -> Vec<HostOp> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let page = (x >> 33) % space;
+            match (x >> 20) % 6 {
+                0..=2 => HostOp::Write(page),
+                3 | 4 => HostOp::Read(page),
+                _ => HostOp::Trim(page),
+            }
+        })
+        .collect()
+}
+
 /// Drive the device and a trivial shadow model (set of written lpns);
-/// check read servedness matches the shadow at every step.
-fn check_ftl(ftl: FtlKind, ops: &[HostOp]) -> Result<(), TestCaseError> {
-    let mut ssd = Ssd::new(small_cfg(ftl));
+/// check read servedness matches the shadow at every step, and the
+/// coherence law at the end. Returns the device.
+fn check_ftl(cfg: SsdConfig, ops: &[HostOp]) -> Result<Ssd, TestCaseError> {
+    let mut ssd = Ssd::new(cfg);
     let space = 256u64.min(ssd.capacity().exported_pages);
     let mut written: BTreeSet<u64> = BTreeSet::new();
     let mut t = SimTime::ZERO;
@@ -88,7 +123,65 @@ fn check_ftl(ftl: FtlKind, ops: &[HostOp]) -> Result<(), TestCaseError> {
         m.host_writes + m.host_reads + m.host_trims,
         ops.len() as u64 + written.len() as u64
     );
-    Ok(())
+    let live = ssd.audit_metadata().map_err(TestCaseError::fail)?;
+    prop_assert_eq!(live, written.len() as u64, "live pages");
+    Ok(ssd)
+}
+
+/// The same ops under a host-held map (the nameless device's): writes
+/// return names the host keeps, reads and trims present them, and moves
+/// the controller makes are patched in from its map events. After the
+/// run every name the host holds must still hold its tag, and no other
+/// page may be live. Returns the device.
+fn check_host_map(cfg: SsdConfig, ops: &[HostOp]) -> Result<Ssd, TestCaseError> {
+    let mut ssd = Ssd::with_host_map(cfg);
+    let space = 256u64.min(ssd.capacity().exported_pages);
+    let mut names: BTreeMap<u64, PhysPage> = BTreeMap::new();
+    let mut t = SimTime::ZERO;
+    let patch = |ssd: &mut Ssd, names: &mut BTreeMap<u64, PhysPage>| {
+        for event in ssd.drain_map_events() {
+            if let requiem_ssd::MapEvent::Moved { tag, old, new, .. } = event {
+                if names.get(&tag.0) == Some(&old) {
+                    names.insert(tag.0, new);
+                }
+            }
+        }
+    };
+    for op in ops {
+        match op {
+            HostOp::Write(tag) => {
+                let tag = tag % space;
+                if let Some(old) = names.remove(&tag) {
+                    t = ssd.free_named(t, old, Lpn(tag)).expect("free").done;
+                }
+                let (phys, c) = ssd.write_named(t, Lpn(tag)).expect("write failed");
+                t = c.done;
+                patch(&mut ssd, &mut names);
+                names.insert(tag, phys);
+            }
+            HostOp::Read(tag) => {
+                let tag = tag % space;
+                if let Some(&phys) = names.get(&tag) {
+                    let c = ssd.read_named(t, phys, Lpn(tag)).expect("read failed");
+                    prop_assert!(matches!(c.served, Served::Flash | Served::Buffer));
+                    t = c.done;
+                    patch(&mut ssd, &mut names);
+                }
+            }
+            HostOp::Trim(tag) => {
+                let tag = tag % space;
+                if let Some(phys) = names.remove(&tag) {
+                    t = ssd.free_named(t, phys, Lpn(tag)).expect("free").done;
+                }
+            }
+        }
+    }
+    for (&tag, &phys) in &names {
+        prop_assert_eq!(ssd.backptr(phys), Some(Lpn(tag)), "name {:?}", phys);
+    }
+    let live = ssd.audit_metadata().map_err(TestCaseError::fail)?;
+    prop_assert_eq!(live, names.len() as u64, "live pages");
+    Ok(ssd)
 }
 
 /// The two shrunk `ops` sequences proptest once recorded against these
@@ -127,10 +220,43 @@ fn recorded_counter_examples_stay_consistent() {
         FtlKind::Hybrid { log_blocks: 4 },
     ] {
         for ops in recorded {
-            if let Err(e) = check_ftl(ftl.clone(), ops) {
+            if let Err(e) = check_ftl(small_cfg(ftl.clone()), ops) {
                 panic!("{ftl:?}: {e:?}");
             }
         }
+    }
+    for ops in recorded {
+        if let Err(e) = check_host_map(small_cfg(FtlKind::PageMap), ops) {
+            panic!("host map: {e:?}");
+        }
+    }
+}
+
+/// Long runs on [`tiny_cfg`]'s dies, which reach garbage collection (page
+/// maps), merges (block and hybrid maps) and, under the host map, moves
+/// the host patches in from map events: the coherence law holds after
+/// each, on two op streams.
+#[test]
+fn coherence_holds_through_collection_and_merges() {
+    for seed in [7, 11] {
+        let ops = long_ops(4000, 160, seed);
+        for ftl in [
+            FtlKind::PageMap,
+            FtlKind::Dftl { cached_entries: 32 },
+            FtlKind::BlockMap,
+            FtlKind::Hybrid { log_blocks: 4 },
+        ] {
+            let ssd = check_ftl(tiny_cfg(ftl.clone()), &ops)
+                .unwrap_or_else(|e| panic!("{ftl:?} seed {seed}: {e:?}"));
+            let m = ssd.metrics();
+            assert!(
+                m.gc_pages_moved + m.merges_full + m.merges_switch > 0,
+                "{ftl:?} seed {seed}: no page moved"
+            );
+        }
+        let ssd = check_host_map(tiny_cfg(FtlKind::PageMap), &ops)
+            .unwrap_or_else(|e| panic!("host map seed {seed}: {e:?}"));
+        assert!(ssd.metrics().gc_pages_moved > 0, "host map seed {seed}");
     }
 }
 
@@ -139,22 +265,27 @@ proptest! {
 
     #[test]
     fn page_map_consistency(ops in ops(256)) {
-        check_ftl(FtlKind::PageMap, &ops)?;
+        check_ftl(small_cfg(FtlKind::PageMap), &ops)?;
     }
 
     #[test]
     fn dftl_consistency(ops in ops(256)) {
-        check_ftl(FtlKind::Dftl { cached_entries: 32 }, &ops)?;
+        check_ftl(small_cfg(FtlKind::Dftl { cached_entries: 32 }), &ops)?;
     }
 
     #[test]
     fn block_map_consistency(ops in ops(256)) {
-        check_ftl(FtlKind::BlockMap, &ops)?;
+        check_ftl(small_cfg(FtlKind::BlockMap), &ops)?;
     }
 
     #[test]
     fn hybrid_consistency(ops in ops(256)) {
-        check_ftl(FtlKind::Hybrid { log_blocks: 4 }, &ops)?;
+        check_ftl(small_cfg(FtlKind::Hybrid { log_blocks: 4 }), &ops)?;
+    }
+
+    #[test]
+    fn host_map_consistency(ops in ops(256)) {
+        check_host_map(small_cfg(FtlKind::PageMap), &ops)?;
     }
 
     /// Write amplification is never below 1 once any write happened, for
