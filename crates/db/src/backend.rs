@@ -188,8 +188,10 @@ pub trait PersistenceBackend {
     /// Switch the underlying device to multi-queue submission semantics:
     /// commands from different submitters may arrive out of global time
     /// order (NVMe only orders within one submission queue). Called by
-    /// the sharded coordinator on every shard backend; backends without
-    /// a device-level submit-order check ignore it.
+    /// [`ShardedDb::new`](crate::ShardedDb::new) on every shard backend
+    /// when there is more than one shard; a lone shard submits in time
+    /// order. Backends without a device-level submit-order check ignore
+    /// it.
     fn relax_submit_order(&mut self) {}
 
     // -- batched asynchronous read path (completion-driven engine) ------

@@ -110,8 +110,8 @@ impl DbBuilder {
     }
 
     /// Executor shards for [`Self::build_sharded_stack`] (default 1:
-    /// the single-executor path, bit-identical to before the knob
-    /// existed). Must divide `data_pages` evenly.
+    /// the single executor, which is the driver's one-shard case). Must
+    /// divide `data_pages` evenly.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = n;
@@ -172,7 +172,7 @@ impl DbBuilder {
     /// submission core, LBA stripe, and `data_pages / N` keyspace
     /// partition, with `buffer_frames / N` pool frames. At the default
     /// single shard this is `build_stack` wrapped in a one-element
-    /// coordinator (the QD-1 × 1-shard identity anchor).
+    /// coordinator, whose runs are `run_concurrent`'s.
     pub fn build_sharded_stack(
         &self,
         mut stack: StackConfig,

@@ -21,6 +21,10 @@
 //!   probe decomposes each commit into its *group wait* (`wal/queue`)
 //!   and the *shared force* (`wal/transfer`).
 //!
+//! This module holds the steps; the one loop that drives them is the
+//! shard driver's (`shard.rs`), and `run_concurrent` is its one-shard
+//! case.
+//!
 //! ## The QD-1 identity
 //!
 //! With `concurrency = 1`, prefetching off, and
@@ -52,8 +56,10 @@ use requiem_sim::{Cause, Histogram, IoStatus, Layer};
 
 use crate::backend::{PageRead, PersistenceBackend};
 use crate::engine::Database;
+use crate::ledger::TwoPhaseLedger;
 use crate::page::{PageId, RECORD_SIZE, SLOTS_PER_PAGE};
 use crate::prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
+use crate::shard::drive;
 use crate::wal::{
     GroupCommit, GroupCommitPolicy, GroupMember, LogRecord, Lsn, MemberKind, TXN_RECORD_BYTES,
     UPDATE_HEAD_BYTES,
@@ -155,8 +161,8 @@ pub(crate) struct Slot {
 /// How a transaction terminates on this executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum TxnRole {
-    /// Single-shard: append `Commit` and finish locally (the only role
-    /// `run_concurrent` ever uses).
+    /// Single-shard: append `Commit` and finish locally (every share of
+    /// a one-shard run is one).
     #[default]
     Local,
     /// One participant's share of a cross-shard transaction: append
@@ -455,14 +461,15 @@ pub(crate) struct ExecState {
     /// with the share's [`Active::first`]: consumed on abort, dropped once
     /// the home shard's decision force lands.
     pub(crate) undo: BTreeMap<u64, (Lsn, Vec<UndoEntry>)>,
-    /// Under a sharded coordinator, a group force does *not* advance the
-    /// shard's event clock synchronously (other shards keep submitting
-    /// into the overlap window); the completion instant is parked here
-    /// and the coordinator wakes the shard at it. `run_concurrent`
+    /// Set by the driver when the run has more than one shard: a group
+    /// force (and install-side device work) then does *not* advance the
+    /// shard's event clock synchronously, so the peers keep submitting
+    /// into the overlap window; the completion instant is parked in
+    /// `force_horizon` and the driver wakes the shard at it. A lone shard
     /// keeps the synchronous single-submitter discipline.
     pub(crate) async_force: bool,
-    /// Latest pending force completion (only meaningful when
-    /// `async_force` is set; the coordinator treats it as a wake).
+    /// Latest pending force completion (moves only when `async_force` is
+    /// set; the driver treats it as a wake).
     pub(crate) force_horizon: SimTime,
 }
 
@@ -549,52 +556,14 @@ impl ExecState {
 impl<B: PersistenceBackend> Database<B> {
     /// Run `inputs` to completion as a closed loop of
     /// `cfg.concurrency` transactions over the batched asynchronous
-    /// read path. See the module docs for the state machine and the
-    /// QD-1 identity.
+    /// read path: the shard coordinator's driver over this one engine.
+    /// See the module docs for the state machine and the QD-1 identity.
     pub fn run_concurrent(&mut self, inputs: &[TxnInput], cfg: &ExecConfig) -> ExecReport {
-        assert!(self.loaded, "call load() before executing transactions");
-        let depth = cfg.concurrency.max(1);
-        self.backend
-            .set_read_window(depth + cfg.prefetch.depth as usize);
-        let started_at = self.now;
-        let coalesced_before = self.pool.stats().coalesced;
-        let mut st = ExecState::new(depth, self.now, &cfg.prefetch);
         // the executor allocates the run's ids: one per input, in order
         let plan = Plan::all(inputs, self.next_txn, self.cfg.data_pages);
         self.next_txn += inputs.len() as u64;
-        self.reserve_log(&plan);
-
-        loop {
-            // 1. run everything that can run at the current instant
-            self.quiesce(&plan, cfg, &mut st);
-
-            // 2. reap completions; if any arrived, re-quiesce first
-            if self.reap(&mut st) {
-                continue;
-            }
-
-            // 3. done?
-            if st.drained(plan.len()) {
-                break;
-            }
-
-            // 4. advance virtual time to the next event
-            match self.next_event(inputs.len(), cfg, &st) {
-                Some(t) if t > self.now => self.now = t,
-                Some(_) => {} // an event is ready at `now`: loop again
-                None => {
-                    // nothing scheduled: the only way forward is forcing
-                    // an undersized group (batched policies with too few
-                    // stragglers to fill one)
-                    if st.group.is_empty() {
-                        break; // defensive: no work, no waiters
-                    }
-                    self.force_group(self.now, &mut st);
-                }
-            }
-        }
-
-        self.finish_run(started_at, coalesced_before, st)
+        let ledger = &mut TwoPhaseLedger::new();
+        drive(std::slice::from_mut(self), ledger, &[plan], cfg).swap_remove(0)
     }
 
     /// Size the in-memory log for `plan` before running it: an update per
@@ -621,65 +590,36 @@ impl<B: PersistenceBackend> Database<B> {
         self.wal.reserve(bytes);
     }
 
-    /// Close out a closed-loop run: settle the clock on the last commit
-    /// force, finalize readahead attribution, and build the report.
-    /// Shared by `run_concurrent` and the shard coordinator so the two
-    /// paths cannot drift.
-    pub(crate) fn finish_run(
-        &mut self,
-        started_at: SimTime,
-        coalesced_before: u64,
-        mut st: ExecState,
-    ) -> ExecReport {
-        // the run ends when the last commit force (or checkpoint) lands
-        for s in &st.slots {
-            if let SlotState::Idle { free_at } = s.state {
-                self.now = self.now.max(free_at);
-            }
-        }
-
-        let prefetch = st.prefetcher.finalize();
-        for _ in 0..prefetch.losses {
-            self.probe.note_status("prefetch-loss");
-        }
-        let makespan = self.now.since(started_at);
-        let txns = (st.issued + st.admitted) as u64;
-        let secs = makespan.as_secs_f64();
-        ExecReport {
-            txns,
-            makespan,
-            tps: if secs > 0.0 { txns as f64 / secs } else { 0.0 },
-            forces: st.forces,
-            mean_group: if st.forces > 0 {
-                st.grouped as f64 / st.forces as f64
-            } else {
-                0.0
-            },
-            prefetch,
-            coalesced: self.pool.stats().coalesced - coalesced_before,
-            read_only_latency: st.read_only_latency,
-            update_latency: st.update_latency,
-        }
-    }
-
-    /// The earliest *future* instant anything can happen: the next read
-    /// completion, a slot becoming runnable, a free slot meeting work to
-    /// admit, or the group deadline. `None` means nothing is scheduled (an
-    /// undersized group may still need forcing). `Some(t)` with
-    /// `t <= now` means an event is already ready at the current instant.
-    pub(crate) fn next_event(
+    /// This loop's next wake instant: `Some(now)` while it has work at
+    /// its current clock (a refillable or runnable slot, a ready
+    /// completion, a due group, or `mail` — its earliest decision commit —
+    /// already deliverable), else the earliest future instant anything
+    /// can happen: a read completion, a slot turning runnable, a free slot
+    /// meeting work to admit, the group deadline, a parked force's end or
+    /// `mail`. `None` means nothing is scheduled (an undersized group may
+    /// still need forcing).
+    ///
+    /// This reads the loop's own clock, slots, group, `force_horizon`,
+    /// plan length and inbox and its own backend's completion instants
+    /// (fixed at submission) — nothing a step of another shard can move
+    /// but a share mailed to its inbox. The driver's wake cache rests on
+    /// that.
+    pub(crate) fn wake(
         &mut self,
         plan_len: usize,
         cfg: &ExecConfig,
         st: &ExecState,
+        mail: Option<SimTime>,
     ) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.backend.next_read_done();
-        let mut merge = |t: SimTime| {
-            next = Some(match next {
-                Some(n) => n.min(t),
-                None => t,
-            });
-        };
+        let now = self.now;
+        let mut next = self.backend.next_read_done();
+        if next.is_some_and(|t| t <= now)
+            || mail.is_some_and(|t| t <= now)
+            || st.group.due(&cfg.group, now)
+        {
+            return Some(now);
+        }
+        let mut merge = |t: SimTime| next = Some(next.map_or(t, |n| n.min(t)));
         // the bounds say when no slot can be Idle or Run at all: a wake
         // spent waiting on reads and forces skips the scan
         let admit = st
@@ -687,22 +627,29 @@ impl<B: PersistenceBackend> Database<B> {
             .filter(|_| st.idle_from < SimTime::MAX);
         if admit.is_some() || st.run_from < SimTime::MAX {
             for s in &st.slots {
-                match s.state {
-                    SlotState::Idle { free_at } => {
-                        // a free slot wakes when it also has work to admit
-                        if let Some(t) = admit.map(|a| a.max(free_at)).filter(|&t| t > self.now) {
-                            merge(t);
-                        }
-                    }
-                    SlotState::Run { ready_at } if ready_at > self.now => merge(ready_at),
-                    _ => {}
+                let t = match s.state {
+                    // a free slot wakes when it also has work to admit
+                    SlotState::Idle { free_at } => match admit {
+                        Some(a) => a.max(free_at),
+                        None => continue,
+                    },
+                    SlotState::Run { ready_at } => ready_at,
+                    SlotState::WaitPage { .. } | SlotState::WaitCommit => continue,
+                };
+                if t <= now {
+                    return Some(now);
                 }
+                merge(t);
             }
         }
-        if let Some(d) = st.group.deadline(&cfg.group) {
-            if d > self.now {
-                merge(d);
-            }
+        if let Some(d) = st.group.deadline(&cfg.group).filter(|&d| d > now) {
+            merge(d);
+        }
+        if st.force_horizon > now {
+            merge(st.force_horizon);
+        }
+        if let Some(at) = mail {
+            merge(at);
         }
         next
     }
@@ -993,8 +940,8 @@ impl<B: PersistenceBackend> Database<B> {
         // install-side device work (media redo, steal) drove the device
         // to `end`
         if st.async_force {
-            // sharded coordinator: park the horizon instead of
-            // advancing the clock — the waiters' `ready_at = end` gates
+            // peer shards: park the horizon instead of advancing the
+            // clock — the waiters' `ready_at = end` gates
             // execution, and the multi-queue device accepts the
             // out-of-order submissions peer overlap produces
             st.force_horizon = st.force_horizon.max(end);
@@ -1052,11 +999,11 @@ impl<B: PersistenceBackend> Database<B> {
             Err(failed) => (failed.done, failed.status),
         };
         if st.async_force {
-            // sharded coordinator: the force's outcome is already fully
+            // peer shards: the force's outcome is already fully
             // determined (slot frees, stats, and outbox all carry
             // `done`), but the clock holds so peer shards can submit
-            // into the force's latency window; the coordinator wakes
-            // this shard at the horizon
+            // into the force's latency window; the driver wakes this
+            // shard at the horizon
             st.force_horizon = st.force_horizon.max(done);
         } else {
             // the force is synchronous at the engine interface: a
@@ -1495,8 +1442,8 @@ mod tests {
             }
         }
 
-        /// `run_concurrent`'s loop, stopped the first time `until` holds
-        /// with nothing left to run at the current instant.
+        /// The driver's loop over this one shard, stopped the first time
+        /// `until` holds with nothing left to run at the current instant.
         fn drive(&mut self, until: impl Fn(&Self) -> bool) {
             let cfg = ExecConfig::serialized();
             let pages = 2 * self.db.cfg.data_pages;
@@ -1509,7 +1456,7 @@ mod tests {
                 if self.db.reap(&mut self.st) {
                     continue;
                 }
-                match self.db.next_event(plan.len(), &cfg, &self.st) {
+                match self.db.wake(plan.len(), &cfg, &self.st, None) {
                     Some(t) => self.db.now = self.db.now.max(t),
                     None => self.db.force_group(self.db.now, &mut self.st),
                 }

@@ -11,18 +11,18 @@
 //!
 //! ## The coordinator loop
 //!
-//! Each shard is the *same* completion-driven executor
-//! ([`Database::run_concurrent`]'s building blocks, not a copy): the
-//! coordinator computes every shard's next wake instant — runnable work
-//! at its current clock, its next device completion, slot/group timers,
-//! or a deliverable commit decision — and a [`CoreClock`] picks the
-//! earliest, breaking ties round-robin from the last grant. The picked
-//! shard advances to that instant and runs its `quiesce`/`reap` loop to
-//! exhaustion, exactly as the single-threaded executor would. With one
-//! shard the coordinator collapses structurally into
-//! `run_concurrent` — the same calls in the same order on the same
-//! state — which is the **QD-1 × 1-shard bit-identity** anchor the
-//! proptests pin.
+//! One driver runs every closed loop in the crate: each shard is a
+//! `cfg.concurrency`-deep completion-driven executor, the driver computes
+//! every shard's next wake instant — runnable work at its current clock,
+//! its next device completion, slot/group timers, or a deliverable commit
+//! decision — and a [`CoreClock`] picks the earliest, breaking ties
+//! round-robin from the last grant. The picked shard advances to that
+//! instant and runs its `quiesce`/`reap` loop to exhaustion.
+//! [`Database::run_concurrent`] is the driver over one shard, so a
+//! one-shard [`ShardedDb`] is the single executor itself, not a copy of
+//! it: with no peer, forces advance the shard clock and the device keeps
+//! its in-order submission check, and only more than one shard parks
+//! forces and relaxes submission order.
 //!
 //! ## Cross-shard transactions
 //!
@@ -173,10 +173,13 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                 db.cfg.data_pages == data_pages / n,
                 "each shard must be configured with data_pages / N local pages"
             );
-            // sharded submission is multi-queue by construction: a
-            // shard submits into a peer's parked force window, so the
-            // device must accept per-stream (not global) time order
-            db.backend.relax_submit_order();
+            // several shards are multi-queue submission: a shard submits
+            // into a peer's parked force window, so the device must
+            // accept per-stream (not global) time order; a lone shard
+            // submits in time order, as the single executor does
+            if n > 1 {
+                db.backend.relax_submit_order();
+            }
         }
         ShardedDb {
             shards,
@@ -302,73 +305,12 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         (picks, first_id)
     }
 
-    /// Shard `s`'s next wake instant: `Some(now)` while it has work at its
-    /// current clock (a deliverable decision, a refillable or runnable
-    /// slot, a ready completion, a due group), else its next future
-    /// event, `None` when nothing is scheduled.
-    ///
-    /// This reads the shard's own clock, slots, group, `force_horizon`,
-    /// plan length and inbox, its own backend's completion instants (fixed
-    /// at submission) and the mailbox entries addressed to it — nothing a
-    /// step of another shard can move but a share mailed to its inbox or
-    /// a decision to its mailbox. [`ShardedDb::run`]'s wake cache rests on
-    /// that.
-    fn wake_of(
-        db: &mut Database<B>,
-        st: &ExecState,
-        s: usize,
-        plan_len: usize,
-        cfg: &ExecConfig,
-        mailbox: &[Decision],
-    ) -> Option<SimTime> {
-        let now = db.now;
-        let deliverable = mailbox.iter().any(|d| d.home == s && d.at <= now);
-        // the executor's scan bounds rule most shards out without a scan
-        let refillable = st.admit_at(plan_len).is_some_and(|a| a <= now)
-            && st.idle_from <= now
-            && st
-                .slots
-                .iter()
-                .any(|sl| matches!(sl.state, SlotState::Idle { free_at } if free_at <= now));
-        let runnable = st.run_from <= now
-            && st
-                .slots
-                .iter()
-                .any(|sl| matches!(sl.state, SlotState::Run { ready_at } if ready_at <= now));
-        let completion_ready = db
-            .backend
-            .next_read_done()
-            .map(|t| t <= now)
-            .unwrap_or(false);
-        if deliverable
-            || refillable
-            || runnable
-            || completion_ready
-            || st.group.due(&cfg.group, now)
-        {
-            return Some(now);
-        }
-        // quiescent at `now`: next future event, a pending force
-        // completion, or a queued decision not yet deliverable
-        let mut w = db.next_event(plan_len, cfg, st);
-        if st.force_horizon > now {
-            let fh = st.force_horizon;
-            w = Some(w.map_or(fh, |x| x.min(fh)));
-        }
-        if let Some(at) = mailbox.iter().filter(|d| d.home == s).map(|d| d.at).min() {
-            let at = at.max(now);
-            w = Some(w.map_or(at, |x| x.min(at)));
-        }
-        w
-    }
-
-    /// Run global `inputs` to completion across the shards: each shard
-    /// a `cfg.concurrency`-deep closed loop, the core clock picking who
-    /// steps, the ledger deciding cross-shard fates. See the module
-    /// docs for the loop and the 1-shard identity.
+    /// Run global `inputs` to completion across the shards: the clocks
+    /// aligned, the inputs split into one plan per shard, the driver run
+    /// over them, and the shards' reports merged. See the module docs for
+    /// the loop.
     pub fn run(&mut self, inputs: &[TxnInput], cfg: &ExecConfig) -> ShardedReport {
         let n = self.shards.len();
-        let depth = cfg.concurrency.max(1);
         let stats_before = self.ledger.stats();
         let commits_before = self.commits();
         self.align_clocks();
@@ -383,189 +325,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
             .enumerate()
             .map(|(s, p)| Plan::shard(inputs, p, first_id, self.data_pages, n, s))
             .collect();
-
-        let mut states: Vec<ExecState> = Vec::with_capacity(n);
-        let mut coalesced_before: Vec<u64> = Vec::with_capacity(n);
-        for (db, plan) in self.shards.iter_mut().zip(&plans) {
-            assert!(db.loaded, "call load() before executing transactions");
-            db.backend
-                .set_read_window(depth + cfg.prefetch.depth as usize);
-            coalesced_before.push(db.pool.stats().coalesced);
-            let mut st = ExecState::new(depth, db.now, &cfg.prefetch);
-            db.reserve_log(plan);
-            // group forces park their completion in `force_horizon`
-            // instead of advancing the shard clock, so peer shards keep
-            // submitting into the force's latency window (the overlap a
-            // real multi-queue host gets for free)
-            st.async_force = true;
-            states.push(st);
-        }
-
-        let mut clock = CoreClock::new(n);
-        let mut mailbox: Vec<Decision> = Vec::new();
-        // Every shard's next wake instant, kept across iterations. A
-        // shard's wake moves only when the shard steps (either arm of the
-        // pick below) or a share or a decision is mailed to it (see
-        // `wake_of`), so those places mark it stale and only stale wakes
-        // are derived again. Debug builds derive all of them every
-        // iteration and hold the cache to the result.
-        let mut wakes: Vec<Option<SimTime>> = vec![None; n];
-        let mut stale = vec![true; n];
-        // force outcomes of the shard that stepped, for the ledger
-        let mut events: Vec<ShardEvent> = Vec::new();
-        // each shard's checkpoint count when the logs last aged their
-        // trimmed decisions: they age again once every shard has
-        // checkpointed since (`Wal::age_decisions`)
-        let mut aged_at: Vec<u64> = self.shards.iter().map(|db| db.stats.checkpoints).collect();
-
-        loop {
-            for s in 0..n {
-                if stale[s] || cfg!(debug_assertions) {
-                    let w = Self::wake_of(
-                        &mut self.shards[s],
-                        &states[s],
-                        s,
-                        plans[s].len(),
-                        cfg,
-                        &mailbox,
-                    );
-                    debug_assert!(
-                        stale[s] || wakes[s] == w,
-                        "shard {s}: cached wake {:?}, but its state says {w:?}",
-                        wakes[s]
-                    );
-                    wakes[s] = w;
-                    stale[s] = false;
-                }
-            }
-
-            let stepped = match clock.pick(&wakes) {
-                Some((s, t)) => {
-                    let db = &mut self.shards[s];
-                    let st = &mut states[s];
-                    db.now = db.now.max(t);
-                    // deliver due decision commits in arrival order
-                    let mut i = 0;
-                    while i < mailbox.len() {
-                        if mailbox[i].home == s && mailbox[i].at <= db.now {
-                            let d = mailbox.remove(i);
-                            db.enlist_decision(d.txn, d.started, d.read_only, st);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    // the single-executor inner loop, verbatim
-                    loop {
-                        db.quiesce(&plans[s], cfg, st);
-                        if !db.reap(st) {
-                            break;
-                        }
-                    }
-                    s
-                }
-                None => {
-                    // nothing scheduled anywhere: the only way forward
-                    // is forcing an undersized group (same fallback as
-                    // the single-executor loop, lowest shard first)
-                    let Some(s) = (0..n).find(|&s| !states[s].group.is_empty()) else {
-                        break; // all quiet: the run is complete
-                    };
-                    let t = self.shards[s].now;
-                    self.shards[s].force_group(t, &mut states[s]);
-                    s
-                }
-            };
-            stale[stepped] = true;
-            events.append(&mut states[stepped].outbox);
-
-            // mail shares to their inboxes, route force outcomes through
-            // the ledger
-            for ev in events.drain(..) {
-                match ev {
-                    ShardEvent::Started { txn, input, at } => {
-                        let participants = self.ledger.entry(txn).map(|e| &e.participants[..]);
-                        for &p in participants.unwrap_or_default() {
-                            if p != stepped {
-                                states[p].inbox.push_back((at, input));
-                                stale[p] = true;
-                            }
-                        }
-                    }
-                    ShardEvent::Prepared {
-                        txn,
-                        status,
-                        done,
-                        started,
-                    } => match self.ledger.on_prepared(txn, stepped, status, done, started) {
-                        LedgerAction::None => {}
-                        LedgerAction::EnlistCommit {
-                            home,
-                            at,
-                            started,
-                            read_only,
-                        } => {
-                            mailbox.push(Decision {
-                                home,
-                                txn,
-                                at,
-                                started,
-                                read_only,
-                            });
-                            stale[home] = true;
-                        }
-                        LedgerAction::Abort { home, undo } => {
-                            // typed abort: an informational record on the
-                            // home log (RAM append — there is no commit to
-                            // retract, so nothing forces) plus a rollback
-                            // of every share that already applied
-                            self.shards[home].wal.append(LogRecord::Abort { txn });
-                            for p in undo {
-                                self.shards[p].undo_participant(txn, &mut states[p]);
-                            }
-                        }
-                        LedgerAction::UndoLate { shard } => {
-                            self.shards[shard].undo_participant(txn, &mut states[shard]);
-                        }
-                    },
-                    ShardEvent::Committed { txn } => {
-                        // committed: no share can roll back any more
-                        if let Some(entry) = self.ledger.on_committed(txn) {
-                            for &p in &entry.participants {
-                                states[p].undo.remove(&txn);
-                            }
-                        }
-                    }
-                }
-            }
-
-            let checkpoints = |(db, &at): (&Database<B>, &u64)| db.stats.checkpoints > at;
-            if self.shards.iter().zip(&aged_at).all(checkpoints) {
-                for (db, at) in self.shards.iter_mut().zip(&mut aged_at) {
-                    db.wal.age_decisions();
-                    *at = db.stats.checkpoints;
-                }
-            }
-        }
-
-        // the loop only exits fully drained; pin that down
-        for (s, st) in states.iter().enumerate() {
-            assert!(
-                st.drained(plans[s].len()),
-                "shard {s} exited the run with work outstanding"
-            );
-        }
-        assert!(mailbox.is_empty(), "undelivered decision commits remain");
-        assert!(
-            self.ledger.is_quiescent(),
-            "cross-shard transactions left undecided"
-        );
-
-        // per-shard reports, then align the clocks on the global end
-        let mut per_shard: Vec<ExecReport> = Vec::with_capacity(n);
-        for (s, st) in states.into_iter().enumerate() {
-            let report = self.shards[s].finish_run(started_at, coalesced_before[s], st);
-            per_shard.push(report);
-        }
+        let per_shard = drive(&mut self.shards, &mut self.ledger, &plans, cfg);
         self.align_clocks();
         let end = self.shards.first().map(|db| db.now).unwrap_or(started_at);
 
@@ -628,6 +388,230 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         self.align_clocks();
         replayed
     }
+}
+
+/// The closed-loop driver, the one loop both entry points run: each of
+/// `shards` runs its `plans` entry as a `cfg.concurrency`-deep closed
+/// loop, a [`CoreClock`] picks the shard with the earliest wake to step,
+/// and `ledger` decides the fates of the cross-shard transactions the
+/// plans hold. [`Database::run_concurrent`] is the one-shard case, and
+/// [`ShardedDb::run`] the rest. Returns each shard's report, in shard
+/// order, its makespan measured from the shard's clock on entry.
+pub(crate) fn drive<B: PersistenceBackend>(
+    shards: &mut [Database<B>],
+    ledger: &mut TwoPhaseLedger,
+    plans: &[Plan],
+    cfg: &ExecConfig,
+) -> Vec<ExecReport> {
+    let n = shards.len();
+    let depth = cfg.concurrency.max(1);
+    let mut states: Vec<ExecState> = Vec::with_capacity(n);
+    // each shard's clock and coalesced-fetch count on entry
+    let mut entry: Vec<(SimTime, u64)> = Vec::with_capacity(n);
+    for (db, plan) in shards.iter_mut().zip(plans) {
+        assert!(db.loaded, "call load() before executing transactions");
+        db.backend
+            .set_read_window(depth + cfg.prefetch.depth as usize);
+        entry.push((db.now, db.pool.stats().coalesced));
+        let mut st = ExecState::new(depth, db.now, &cfg.prefetch);
+        db.reserve_log(plan);
+        // with peers, group forces park their completion in
+        // `force_horizon` instead of advancing the shard clock, so the
+        // peers keep submitting into the force's latency window (the
+        // overlap a real multi-queue host gets for free); a lone shard
+        // has no peer to overlap a force with
+        st.async_force = n > 1;
+        states.push(st);
+    }
+
+    let mut clock = CoreClock::new(n);
+    let mut mailbox: Vec<Decision> = Vec::new();
+    // Every shard's next wake instant, kept across iterations. A shard's
+    // wake moves only when the shard steps (either arm of the pick
+    // below) or a share or a decision is mailed to it (see
+    // `Database::wake`), so those places mark it stale and only stale
+    // wakes are derived again. Debug builds derive all of them every
+    // iteration and hold the cache to the result.
+    let mut wakes: Vec<Option<SimTime>> = vec![None; n];
+    let mut stale = vec![true; n];
+    // force outcomes of the shard that stepped, for the ledger
+    let mut events: Vec<ShardEvent> = Vec::new();
+    // each shard's checkpoint count when the logs last aged their
+    // trimmed decisions: they age again once every shard has
+    // checkpointed since (`Wal::age_decisions`)
+    let mut aged_at: Vec<u64> = shards.iter().map(|db| db.stats.checkpoints).collect();
+
+    loop {
+        for s in 0..n {
+            if stale[s] || cfg!(debug_assertions) {
+                let mail = mailbox.iter().filter(|d| d.home == s).map(|d| d.at).min();
+                let w = shards[s].wake(plans[s].len(), cfg, &states[s], mail);
+                debug_assert!(
+                    stale[s] || wakes[s] == w,
+                    "shard {s}: cached wake {:?}, but its state says {w:?}",
+                    wakes[s]
+                );
+                wakes[s] = w;
+                stale[s] = false;
+            }
+        }
+
+        let stepped = match clock.pick(&wakes) {
+            Some((s, t)) => {
+                let db = &mut shards[s];
+                let st = &mut states[s];
+                db.now = db.now.max(t);
+                // deliver due decision commits in arrival order
+                let mut i = 0;
+                while i < mailbox.len() {
+                    if mailbox[i].home == s && mailbox[i].at <= db.now {
+                        let d = mailbox.remove(i);
+                        db.enlist_decision(d.txn, d.started, d.read_only, st);
+                    } else {
+                        i += 1;
+                    }
+                }
+                // run everything that can run at this instant, reaping
+                // the completions it reaches
+                loop {
+                    db.quiesce(&plans[s], cfg, st);
+                    if !db.reap(st) {
+                        break;
+                    }
+                }
+                s
+            }
+            None => {
+                // nothing scheduled anywhere: the only way forward is
+                // forcing an undersized group (batched policies with too
+                // few stragglers to fill one), lowest shard first
+                let Some(s) = (0..n).find(|&s| !states[s].group.is_empty()) else {
+                    break; // all quiet: the run is complete
+                };
+                let t = shards[s].now;
+                shards[s].force_group(t, &mut states[s]);
+                s
+            }
+        };
+        stale[stepped] = true;
+        events.append(&mut states[stepped].outbox);
+
+        // mail shares to their inboxes, route force outcomes through the
+        // ledger
+        for ev in events.drain(..) {
+            match ev {
+                ShardEvent::Started { txn, input, at } => {
+                    let participants = ledger.entry(txn).map(|e| &e.participants[..]);
+                    for &p in participants.unwrap_or_default() {
+                        if p != stepped {
+                            states[p].inbox.push_back((at, input));
+                            stale[p] = true;
+                        }
+                    }
+                }
+                ShardEvent::Prepared {
+                    txn,
+                    status,
+                    done,
+                    started,
+                } => match ledger.on_prepared(txn, stepped, status, done, started) {
+                    LedgerAction::None => {}
+                    LedgerAction::EnlistCommit {
+                        home,
+                        at,
+                        started,
+                        read_only,
+                    } => {
+                        mailbox.push(Decision {
+                            home,
+                            txn,
+                            at,
+                            started,
+                            read_only,
+                        });
+                        stale[home] = true;
+                    }
+                    LedgerAction::Abort { home, undo } => {
+                        // typed abort: an informational record on the home
+                        // log (RAM append — there is no commit to retract,
+                        // so nothing forces) plus a rollback of every
+                        // share that already applied
+                        shards[home].wal.append(LogRecord::Abort { txn });
+                        for p in undo {
+                            shards[p].undo_participant(txn, &mut states[p]);
+                        }
+                    }
+                    LedgerAction::UndoLate { shard } => {
+                        shards[shard].undo_participant(txn, &mut states[shard]);
+                    }
+                },
+                ShardEvent::Committed { txn } => {
+                    // committed: no share can roll back any more
+                    if let Some(entry) = ledger.on_committed(txn) {
+                        for &p in &entry.participants {
+                            states[p].undo.remove(&txn);
+                        }
+                    }
+                }
+            }
+        }
+
+        let checkpoints = |(db, &at): (&Database<B>, &u64)| db.stats.checkpoints > at;
+        if shards.iter().zip(&aged_at).all(checkpoints) {
+            for (db, at) in shards.iter_mut().zip(&mut aged_at) {
+                db.wal.age_decisions();
+                *at = db.stats.checkpoints;
+            }
+        }
+    }
+
+    // the loop only exits fully drained; pin that down
+    for (s, st) in states.iter().enumerate() {
+        assert!(
+            st.drained(plans[s].len()),
+            "shard {s} exited the run with work outstanding"
+        );
+    }
+    assert!(mailbox.is_empty(), "undelivered decision commits remain");
+    assert!(
+        ledger.is_quiescent(),
+        "cross-shard transactions left undecided"
+    );
+
+    // close out each shard's loop: its run ends when its last commit
+    // force (or checkpoint) lands, and readahead attribution is final
+    let closed = shards.iter_mut().zip(states).zip(entry);
+    closed
+        .map(|((db, mut st), (started_at, coalesced_before))| {
+            for s in &st.slots {
+                if let SlotState::Idle { free_at } = s.state {
+                    db.now = db.now.max(free_at);
+                }
+            }
+            let prefetch = st.prefetcher.finalize();
+            for _ in 0..prefetch.losses {
+                db.probe.note_status("prefetch-loss");
+            }
+            let makespan = db.now.since(started_at);
+            let txns = (st.issued + st.admitted) as u64;
+            let secs = makespan.as_secs_f64();
+            ExecReport {
+                txns,
+                makespan,
+                tps: if secs > 0.0 { txns as f64 / secs } else { 0.0 },
+                forces: st.forces,
+                mean_group: if st.forces > 0 {
+                    st.grouped as f64 / st.forces as f64
+                } else {
+                    0.0
+                },
+                prefetch,
+                coalesced: db.pool.stats().coalesced - coalesced_before,
+                read_only_latency: st.read_only_latency,
+                update_latency: st.update_latency,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -194,12 +194,7 @@ impl BlockStackBackend {
             "stack must expose one core per shard ({} < {shards})",
             stack_cfg.cores
         );
-        let mut ssd = Ssd::new(ssd_cfg);
-        // sharded clocks are loosely coupled: commands from different
-        // queue pairs (and a shard's own submissions during a parked
-        // force window) interleave out of global time order, exactly as
-        // NVMe multi-SQ — each stream stays monotone
-        ssd.relax_submit_order();
+        let ssd = Ssd::new(ssd_cfg);
         let exported = ssd.capacity().exported_pages;
         let stripe = log_pages + 2 * data_pages;
         let needed = stripe * shards as u64;

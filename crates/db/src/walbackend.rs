@@ -49,8 +49,6 @@ use crate::wal::Lsn;
 /// `BackendStats` when the log path split off the page path.
 #[derive(Debug, Default, Clone)]
 pub struct WalStats {
-    /// Records enlisted via [`WalBackend::append`].
-    pub appends: u64,
     /// Forces that reached the device (an empty drain costs nothing and
     /// is not counted).
     pub log_forces: u64,
@@ -224,7 +222,6 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
             self.pending.last().map(|&(l, _)| l <= lsn).unwrap_or(true),
             "WAL appends must arrive in LSN order"
         );
-        self.stats.appends += 1;
         self.pending.push((lsn, bytes));
     }
 
@@ -478,7 +475,6 @@ impl WalBackend for PcmWal {
             self.pending.last().map(|&(l, _)| l <= lsn).unwrap_or(true),
             "WAL appends must arrive in LSN order"
         );
-        self.stats.appends += 1;
         self.pending.push((lsn, bytes));
     }
 

@@ -1,11 +1,12 @@
 //! Property tests for the sharded execution path (PR 10):
 //!
-//! 1. **The QD-1 × 1-shard identity** — a one-shard [`ShardedDb`] at
-//!    concurrency 1, prefetch off, immediate forces replays the
-//!    serialized `execute()` engine bit for bit: clock, stall ledger,
-//!    histograms, WAL bytes, device counters. This is the anchor that
-//!    proves the coordinator adds *nothing* until shards and queue
-//!    depth are dialed up.
+//! 1. **One shard is the single executor** — at queue depths 1 to 16,
+//!    over pools small enough to steal, a one-shard [`ShardedDb`] leaves
+//!    the engine where `run_concurrent` does: clock, stall ledger,
+//!    histograms, WAL and device counters, every record's owner. At QD 1
+//!    both also replay the serialized `execute()` engine bit for bit.
+//!    The two entry points run one driver, and the shard count alone
+//!    picks its force model; this is the law that holds them to it.
 //! 2. **No cross-shard commit without every prepare** — under arbitrary
 //!    fault plans (program fails, elevated RBER), a durable `Commit`
 //!    for a cross-shard transaction implies a durable `Prepare` on
@@ -56,9 +57,9 @@ fn sharded(n: usize, fault: FaultPlan) -> ShardedDb<BlockStackBackend> {
         .build_sharded_stack(StackConfig::blk_mq(n as u32), ssd)
 }
 
-fn arb_txn() -> impl Strategy<Value = TxnInput> {
+fn arb_txn(accesses: std::ops::Range<usize>) -> impl Strategy<Value = TxnInput> {
     (
-        proptest::collection::vec((0..DATA_PAGES, 0..SLOTS, 0u8..2), 1..6),
+        proptest::collection::vec((0..DATA_PAGES, 0..SLOTS, 0u8..2), accesses),
         32u32..512,
     )
         .prop_map(|(raw, log_bytes)| TxnInput {
@@ -71,7 +72,13 @@ fn arb_txn() -> impl Strategy<Value = TxnInput> {
 }
 
 fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
-    proptest::collection::vec(arb_txn(), 1..24)
+    proptest::collection::vec(arb_txn(1..6), 1..24)
+}
+
+/// A run long enough for a small pool to steal under every queue depth,
+/// of transactions of one to four accesses.
+fn arb_law_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
+    proptest::collection::vec(arb_txn(1..5), 400)
 }
 
 /// A cross-shard transaction as its input defines it.
@@ -260,52 +267,66 @@ fn flaky_sharded(n: usize, fail_every: u64) -> ShardedDb<FlakyWalBackend> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// QD-1 × 1-shard == serialized `execute()`, bit for bit.
+    /// One shard is the single executor: at every queue depth, with pools
+    /// small enough to steal, a one-shard `ShardedDb::run` leaves the
+    /// engine where `run_concurrent` leaves it — clock, stall ledger,
+    /// histograms, WAL and device counters, every record's owner — and at
+    /// QD 1 both leave it where the serialized `execute()` does.
     #[test]
-    fn qd1_one_shard_is_bit_identical_to_execute(inputs in arb_inputs()) {
-        let mut serial = DbConfig::builder()
-            .data_pages(DATA_PAGES)
-            .log_pages(16)
-            .buffer_frames(32)
-            .build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-
-        let mut one = sharded(1, FaultPlan::none());
-        let report = one.run(&inputs, &ExecConfig::serialized());
-
-        prop_assert_eq!(report.committed, inputs.len() as u64);
-        let shard = one.shard(0);
-        prop_assert_eq!(shard.now(), serial.now(), "virtual clocks must match");
-        prop_assert_eq!(shard.stats(), serial.stats(), "stall ledger must match");
-        prop_assert_eq!(shard.txn_latency(), serial.txn_latency());
-        prop_assert_eq!(shard.commit_latency(), serial.commit_latency());
-        prop_assert_eq!(
-            shard.wal_backend().stats().log_forces,
-            serial.wal_backend().stats().log_forces
-        );
-        prop_assert_eq!(
-            shard.wal_backend().stats().log_bytes,
-            serial.wal_backend().stats().log_bytes
-        );
-        prop_assert_eq!(
-            shard.backend().stats().page_reads,
-            serial.backend().stats().page_reads
-        );
-        prop_assert_eq!(
-            shard.backend().stats().steal_writes,
-            serial.backend().stats().steal_writes
-        );
-        // byte-level observable: identical record owners everywhere
-        let mut one = one;
-        for page in 0..DATA_PAGES {
-            for slot in 0..SLOTS {
-                prop_assert_eq!(
-                    one.shard_mut(0).visible_owner(page, slot),
-                    serial.visible_owner(page, slot),
-                    "owner mismatch at page {} slot {}", page, slot
-                );
+    fn one_shard_is_the_single_executor(inputs in arb_law_inputs()) {
+        for frames in [8usize, 64] {
+            let builder = DbConfig::builder()
+                .data_pages(DATA_PAGES)
+                .log_pages(16)
+                .buffer_frames(frames);
+            for qd in [1usize, 2, 4, 8, 16] {
+                let cfg = ExecConfig {
+                    concurrency: qd,
+                    group: GroupCommitPolicy::batched(qd.min(4) as u32),
+                    ..ExecConfig::serialized()
+                };
+                let mut single = builder.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+                single.run_concurrent(&inputs, &cfg);
+                let mut one = builder
+                    .clone()
+                    .shards(1)
+                    .build_sharded_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+                let report = one.run(&inputs, &cfg);
+                prop_assert_eq!(report.committed, inputs.len() as u64);
+                let mut serial = (qd == 1).then(|| {
+                    let mut db = builder.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
+                    for t in &inputs {
+                        db.execute(&t.accesses, t.log_bytes);
+                    }
+                    db
+                });
+                let shard = one.shard_mut(0);
+                for other in std::iter::once(&mut single).chain(serial.as_mut()) {
+                    let at = format!("{frames} frames, QD {qd}, {}", other.backend().label());
+                    prop_assert_eq!(shard.now(), other.now(), "{}: clock", at);
+                    prop_assert_eq!(shard.stats(), other.stats(), "{}: engine stats", at);
+                    prop_assert_eq!(shard.txn_latency(), other.txn_latency(), "{}", at);
+                    prop_assert_eq!(shard.commit_latency(), other.commit_latency(), "{}", at);
+                    prop_assert_eq!(
+                        format!("{:?}", shard.wal_backend().stats()),
+                        format!("{:?}", other.wal_backend().stats()),
+                        "{}: WAL stats", at
+                    );
+                    prop_assert_eq!(
+                        format!("{:?}", shard.backend().stats()),
+                        format!("{:?}", other.backend().stats()),
+                        "{}: backend stats", at
+                    );
+                    for page in 0..DATA_PAGES {
+                        for slot in 0..SLOTS {
+                            prop_assert_eq!(
+                                shard.visible_owner(page, slot),
+                                other.visible_owner(page, slot),
+                                "{}: owner of page {} slot {}", at, page, slot
+                            );
+                        }
+                    }
+                }
             }
         }
     }

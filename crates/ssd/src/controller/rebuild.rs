@@ -51,11 +51,11 @@ impl Ssd {
         self.buffer = WriteBuffer::new(self.cfg.buffer.capacity_pages as usize);
         self.repl = None;
         // scan every page of every block (OOB reads; charged as
-        // translation traffic on each LUN — LUNs scan in parallel).
-        // BTreeMap: the winner-per-lpn fold below replays in lpn order,
-        // so the rebuilt map is bit-identical run to run.
-        let mut best: std::collections::BTreeMap<u64, (u64, PhysPage)> =
-            std::collections::BTreeMap::new();
+        // translation traffic on each LUN — LUNs scan in parallel),
+        // folding each decoded page straight into the map: a copy
+        // replaces the one the map names when its sequence number is
+        // newer, and sequence numbers are unique, so the newest copy of
+        // every LPN wins whatever order the scan meets them in.
         let mut scanned = 0u64;
         for lun_i in 0..nluns {
             let lun = LunId(lun_i);
@@ -83,25 +83,25 @@ impl Ssd {
                     if read.status == ReadRecovery::Lost {
                         continue; // nothing decoded: the page has no OOB to go by
                     }
-                    if let PagePayload::Oob { lpn, seq } = self.luns[lun_i as usize].payload(addr) {
-                        match best.entry(lpn) {
-                            std::collections::btree_map::Entry::Occupied(mut e) => {
-                                if e.get().0 < seq {
-                                    e.insert((seq, phys));
-                                }
-                            }
-                            std::collections::btree_map::Entry::Vacant(e) => {
-                                e.insert((seq, phys));
-                            }
-                        }
+                    let PagePayload::Oob { lpn, seq } = self.luns[lun_i as usize].payload(addr)
+                    else {
+                        continue;
+                    };
+                    if lpn >= self.capacity.exported_pages {
+                        continue;
+                    }
+                    let held = map.lookup(Lpn(lpn));
+                    let held = held.map(|p| self.luns[p.lun.0 as usize].payload(p.addr));
+                    if !matches!(held, Some(PagePayload::Oob { seq: s, .. }) if s >= seq) {
+                        map.update(Lpn(lpn), phys);
                     }
                 }
             }
         }
-        for (lpn, (_, phys)) in best {
-            if lpn < self.capacity.exported_pages {
-                map.update(Lpn(lpn), phys);
-                fresh.mark_valid(&self.luns, phys, Lpn(lpn));
+        // the directory learns the winners in LPN order
+        for lpn in (0..self.capacity.exported_pages).map(Lpn) {
+            if let Some(phys) = map.lookup(lpn) {
+                fresh.mark_valid(&self.luns, phys, lpn);
             }
         }
         self.dir = fresh;

@@ -17,8 +17,10 @@
 # Prints, per metric, each side's median and quartiles, the pairs the
 # working tree won (in the metric's "better" direction from
 # BENCHMARK.json), and whether the median gain clears the base's
-# interquartile range; then whether every run of both sides printed the
-# same sim_fingerprint. Exits 1 when a fingerprint differs, 2 on a usage
+# interquartile range, and a 90 % bootstrap interval of the median of the
+# paired working-tree/base ratios (resampled pairs, fixed resampling
+# seed, so the same runs always print the same interval); then whether
+# every run of both sides printed the same sim_fingerprint. Exits 1 when a fingerprint differs, 2 on a usage
 # error or a run that printed no value for a metric.
 #
 # The scratch directory is $AB_DIR if set (kept), else a fresh temporary
@@ -102,7 +104,7 @@ done
 
 python3 - "$repo/BENCHMARK.json" "$scratch/runs" "$workload" "$metric" "$base_sha" "$seed" \
   "$pairs" <<'PY'
-import json, statistics, sys
+import json, random, statistics, sys
 
 spec, runs, workload, metrics, base_sha, seed, pairs = sys.argv[1:]
 declared = json.load(open(spec))
@@ -125,6 +127,15 @@ def quartiles(xs):
     return q1, med, q3
 
 
+def bootstrap(ratios, rounds=2000, seed=1):
+    """90 % interval of the median ratio over `rounds` resamples of the pairs."""
+    rng = random.Random(seed)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(rounds)
+    )
+    return medians[int(0.05 * rounds)], medians[int(0.95 * rounds) - 1]
+
+
 sides = {s: [printed(s, i) for i in range(1, int(pairs) + 1)] for s in ("base", "head")}
 print(f"{workload}, seed {seed}, {pairs} pairs: base {base_sha[:12]} vs the working tree")
 for metric in metrics.split(","):
@@ -145,6 +156,11 @@ for metric in metrics.split(","):
     print(f"  working tree: median {hq[1]:.6g}  quartiles {hq[0]:.6g} .. {hq[2]:.6g}")
     print(f"  pairs won {won} of {len(base)}; median gain {gain:.6g} ({rel:+.2%}); "
           f"clears base IQR {iqr:.6g}: {'yes' if gain > iqr else 'no'}")
+    ratios = [h / b for b, h in zip(base, head) if b]
+    if ratios:
+        lo, hi = bootstrap(ratios)
+        print(f"  paired working tree/base ratio: median {statistics.median(ratios):.4f}, "
+              f"90 % bootstrap interval {lo:.4f} .. {hi:.4f} ({lo - 1:+.2%} .. {hi - 1:+.2%})")
 fps = {r.get("sim_fingerprint") for s in sides.values() for r in s}
 same = len(fps) == 1 and None not in fps
 print(f"sim_fingerprint: {'equal' if same else 'DIFFERS'} ({', '.join(sorted(map(str, fps)))})")
