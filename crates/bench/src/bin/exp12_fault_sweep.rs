@@ -19,8 +19,8 @@
 //!   handle (requiem-db rebuilds the page from its WAL), not a panic.
 //!
 //! Every fault schedule is expanded from a seed at construction, so the
-//! whole experiment is bit-replayable: the CI determinism job runs it
-//! twice and diffs the output.
+//! whole experiment is bit-replayable: `crates/bench/tests/golden.rs`
+//! holds its stdout to `golden/exp12_fault_sweep.txt`.
 
 use requiem_bench::{modern_unbuffered, note, section, Series, V};
 use requiem_sim::table::Align;

@@ -275,8 +275,8 @@ mod tests {
         let mut pcm = b.clone().wal(WalConfig::pcm()).build_stack(bare, ssd);
         assert_eq!(pcm.wal_backend().label(), "pcm-wal");
         // both are loaded and immediately executable
-        flash.execute(&[(1, 0, true)], 128);
-        pcm.execute(&[(1, 0, true)], 128);
+        flash.execute(&[(1, 0, true)], 128).expect("committed");
+        pcm.execute(&[(1, 0, true)], 128).expect("committed");
         assert_eq!(flash.stats().commits, 1);
         assert_eq!(pcm.stats().commits, 1);
     }

@@ -94,10 +94,8 @@ pub struct EngineStats {
     /// Page reads the device could NOT recover: the engine rebuilt the
     /// page image from the durable log (media-failure redo).
     pub media_failures: u64,
-    /// Log forces whose combined device status was a failure. The stall
-    /// was still paid and the in-memory ledger advances (this simulation
-    /// models timing and status, not host-RAM data loss) — the counter
-    /// makes the broken durability promise visible.
+    /// Log forces that failed: the first one on the device, every later
+    /// one at once ([`Database::log_failure`]).
     pub wal_force_failures: u64,
 }
 
@@ -119,6 +117,8 @@ pub struct Database<B: PersistenceBackend> {
     /// When each recent force made the log durable: what a steal waits
     /// for, and the WAL law's evidence.
     pub(crate) durability: Durability,
+    /// See [`Database::log_failure`].
+    pub(crate) log_failure: Option<ForceFailed>,
     pub(crate) now: SimTime,
     /// Host-side model of the page images that are durable on the device
     /// or on their way there (the devices themselves model timing and
@@ -139,8 +139,8 @@ pub struct Database<B: PersistenceBackend> {
 /// flushed when it is issued and ends later ([`crate::exec`]), so a steal
 /// finds here when its frame's records became durable. Debug builds also
 /// hold every page write and commit acknowledgement to the WAL law, and
-/// every build holds acknowledgements to log order
-/// ([`Durability::acknowledge`]).
+/// every build holds acknowledgements to the durable horizon and to log
+/// order ([`Durability::acknowledge`]).
 ///
 /// The law: a page write carries only records that are durable, and is
 /// submitted no earlier than the end of the force that made its newest
@@ -193,8 +193,8 @@ impl Durability {
     /// the order holds across recovery too.
     ///
     /// # Panics
-    /// Panics when an earlier acknowledgement named a record at or above
-    /// `lsn`.
+    /// Panics when the record lies above the durable horizon, or when an
+    /// earlier acknowledgement named a record at or above `lsn`.
     pub(crate) fn acknowledge(&mut self, wal: &Wal, lsn: Lsn, at: SimTime) {
         self.assert_durable(wal, lsn.0, at, "a commit's acknowledgement");
         assert!(
@@ -206,19 +206,16 @@ impl Durability {
     }
 
     /// Assert that the record at `lsn` is durable for what `what` does
-    /// with it at `at`.
+    /// with it at `at`: at or below the durable horizon in every build (one
+    /// comparison), and no earlier than its force's end in debug builds.
     pub(crate) fn assert_durable(&self, wal: &Wal, lsn: u64, at: SimTime, what: &str) {
-        if !cfg!(debug_assertions) || lsn == 0 {
-            return;
-        }
-        let end = self.end_of(lsn);
         let lsn = Lsn(lsn);
-        debug_assert!(
-            wal.flushed() >= Some(lsn),
+        assert!(
+            lsn == Lsn(0) || wal.flushed() >= Some(lsn),
             "WAL law: {what} at {at:?} carries record {lsn:?} above the durable horizon {:?}",
             wal.flushed()
         );
-        if let Some(end) = end {
+        if let Some(end) = cfg!(debug_assertions).then(|| self.end_of(lsn.0)).flatten() {
             debug_assert!(
                 at >= end,
                 "WAL law: {what} at {at:?} precedes the end {end:?} of the force that made \
@@ -251,6 +248,7 @@ impl<B: PersistenceBackend> Database<B> {
             pool: BufferPool::new(cfg.buffer_frames, cfg.data_pages),
             wal: Wal::new(),
             durability: Durability::default(),
+            log_failure: None,
             now: SimTime::ZERO,
             images: PageImages::new(cfg.data_pages),
             txn_latency: Histogram::new(),
@@ -280,37 +278,72 @@ impl<B: PersistenceBackend> Database<B> {
         &*self.wal_dev
     }
 
+    /// The first log force that failed since the last [`Self::crash`], if
+    /// any: from it on the log makes nothing durable and commits nothing.
+    pub fn log_failure(&self) -> Option<ForceFailed> {
+        self.log_failure
+    }
+
     /// Force the log to `lsn`, starting at `at`: the one way records
-    /// become durable. Returns when the force ended, or its failure. A
-    /// failure is counted into the engine ledger, and the durable horizon
-    /// moves to `lsn` whatever the status; what the clock does with the
-    /// end is the caller's policy.
+    /// become durable, and the one place a failure is decided. A failed
+    /// force makes nothing durable, and the log stays failed until
+    /// [`Self::crash`]: every later force of a record not yet durable fails
+    /// at once, with no device call (DESIGN §5). Returns when the force
+    /// ended, or its failure.
     pub(crate) fn force_log(&mut self, at: SimTime, lsn: Lsn) -> Result<SimTime, ForceFailed> {
-        let forced = self.wal_dev.force(at, lsn).settle();
-        if forced.is_err() {
-            self.stats.wal_force_failures += 1;
+        let forced = match self.log_failure {
+            // a record an earlier force made durable stays durable
+            Some(_) if self.wal.flushed() >= Some(lsn) => Ok(at),
+            Some(failed) => Err(ForceFailed {
+                done: at.max(failed.done),
+                ..failed
+            }),
+            None => self.wal_dev.force(at, lsn).settle(),
+        };
+        match forced {
+            Ok(end) if self.wal.flushed() < Some(lsn) => {
+                self.durability.note(lsn, end);
+                self.wal.mark_flushed(lsn);
+            }
+            Ok(_) => {}
+            Err(failed) => {
+                self.stats.wal_force_failures += 1;
+                self.log_failure.get_or_insert(failed);
+            }
         }
-        if self.wal.flushed() < Some(lsn) {
-            self.durability.note(lsn, forced.unwrap_or_else(|f| f.done));
-        }
-        self.wal.mark_flushed(lsn);
         forced
+    }
+
+    /// [`Self::force_log`] from the engine's clock, which waits the force
+    /// out, landed or not.
+    fn force_now(&mut self, lsn: Lsn) -> Result<(), ForceFailed> {
+        let forced = self.force_log(self.now, lsn);
+        let (Ok(done) | Err(ForceFailed { done, .. })) = forced;
+        self.now = self.now.max(done);
+        forced.map(drop)
+    }
+
+    /// Enlist a record's force cost with the log device, unless the log
+    /// has failed: then no force drains it.
+    pub(crate) fn enlist(&mut self, lsn: Lsn, bytes: u32) {
+        if self.log_failure.is_none() {
+            self.wal_dev.append(lsn, bytes);
+        }
     }
 
     /// The WAL rule before a page write at `at` whose newest log record
     /// is `newest`: unless that record is durable, force the whole log
     /// first. Returns the instant the write may be submitted and the
     /// horizon of the force it issued (0 when none), which the write
-    /// waits for too.
-    fn force_ahead(&mut self, at: SimTime, newest: Lsn) -> (SimTime, u64) {
+    /// waits for too — or that force's failure, and then no write.
+    fn force_ahead(&mut self, at: SimTime, newest: Lsn) -> Result<(SimTime, u64), ForceFailed> {
         if self.wal.flushed() >= Some(newest) {
-            return (at, 0);
+            return Ok((at, 0));
         }
         let unflushed = self.wal.next_lsn();
-        self.wal_dev.append(unflushed, 512);
-        // a failed force still ends the wait (counted in `force_log`)
-        let forced = self.force_log(at, unflushed);
-        (at.max(forced.unwrap_or_else(|f| f.done)), unflushed.0)
+        self.enlist(unflushed, 512);
+        let done = self.force_log(at, unflushed)?;
+        Ok((at.max(done), unflushed.0))
     }
 
     /// Attach a cross-layer [`Probe`](requiem_sim::Probe) to the backend's
@@ -373,10 +406,9 @@ impl<B: PersistenceBackend> Database<B> {
             self.now = self.now.max(done);
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
-        self.wal_dev
-            .append(lsn, LogRecord::Checkpoint.encoded_len());
-        let forced = self.force_log(self.now, lsn);
-        self.now = self.now.max(forced.unwrap_or_else(|f| f.done));
+        self.enlist(lsn, LogRecord::Checkpoint.encoded_len());
+        // a failure is the log's from here on (`log_failure`)
+        self.force_now(lsn).ok();
         self.loaded = true;
     }
 
@@ -414,11 +446,14 @@ impl<B: PersistenceBackend> Database<B> {
     /// first — the stolen page's updates must be durable in the log
     /// before its frame turns — then the page write, which applies the
     /// frame's redo to the durable image. Returns the instant the device
-    /// is done.
+    /// is done. When the force fails, neither happens.
     pub(crate) fn write_back_stolen(&mut self, at: SimTime, page_id: PageId) -> SimTime {
         // a steal forces whatever the log holds past the horizon, not
         // only the stolen page's records
-        let (mut end, forced) = self.force_ahead(at, self.wal.next_lsn());
+        let (mut end, forced) = match self.force_ahead(at, self.wal.next_lsn()) {
+            Ok(ahead) => ahead,
+            Err(failed) => return at.max(failed.done),
+        };
         // the log may be flushed already by a group force still in flight
         // (sharded runs): the frame's records are durable at its end
         if let Some(covered) = self.durability.end_of(self.pool.stolen().lsn) {
@@ -445,8 +480,13 @@ impl<B: PersistenceBackend> Database<B> {
     /// exactly where a loop of these calls ends, on every backend — the
     /// identity `tests/qd1_law.rs` holds. Workloads run on the executor.
     ///
-    /// `accesses` is a list of `(page, slot, dirty)`.
-    pub fn execute(&mut self, accesses: &[(u64, u16, bool)], log_bytes: u32) -> TxnOutcome {
+    /// `accesses` is a list of `(page, slot, dirty)`. A commit whose force
+    /// failed is not acknowledged, counted or timed: `Err` is the failure.
+    pub fn execute(
+        &mut self,
+        accesses: &[(u64, u16, bool)],
+        log_bytes: u32,
+    ) -> Result<TxnOutcome, ForceFailed> {
         assert!(self.loaded, "call load() before executing transactions");
         let txn = self.next_txn;
         self.next_txn += 1;
@@ -470,10 +510,8 @@ impl<B: PersistenceBackend> Database<B> {
         let commit_started = self.now;
         let commit_lsn = self.wal.append(LogRecord::Commit { txn });
         let force_bytes = if wrote { log_bytes.max(32) } else { 32 };
-        self.wal_dev.append(commit_lsn, force_bytes);
-        // a failed force is counted, and the commit still acknowledged
-        let forced = self.force_log(self.now, commit_lsn);
-        self.now = self.now.max(forced.unwrap_or_else(|f| f.done));
+        self.enlist(commit_lsn, force_bytes);
+        self.force_now(commit_lsn)?;
         self.durability.acknowledge(&self.wal, commit_lsn, self.now);
         let commit_force = self.now.since(commit_started);
         self.stats.commit_stall += commit_force;
@@ -484,11 +522,11 @@ impl<B: PersistenceBackend> Database<B> {
         if self.cfg.checkpoint_every > 0 && self.stats.commits % self.cfg.checkpoint_every == 0 {
             self.checkpoint();
         }
-        TxnOutcome {
+        Ok(TxnOutcome {
             txn,
             latency,
             commit_force,
-        }
+        })
     }
 
     /// Log `txn`'s write of `(pid, slot)` and name it in the page's redo;
@@ -511,7 +549,8 @@ impl<B: PersistenceBackend> Database<B> {
     /// wait for it, then log the checkpoint — so the checkpoint record is
     /// an honest redo lower bound — and, once it is durable, trim the log
     /// below it (DESIGN §2.7). No transaction may be open: between runs,
-    /// or after a serialized commit.
+    /// or after a serialized commit. Past a failed force, none of it is
+    /// done and the checkpoint is not counted.
     pub fn checkpoint(&mut self) {
         self.checkpoint_keeping(None);
     }
@@ -522,21 +561,22 @@ impl<B: PersistenceBackend> Database<B> {
         let ids = self.pool.dirty_pages();
         let mut landed = self.now;
         if !ids.is_empty() {
-            let (at, forced) = self.force_ahead(self.now, Lsn(self.pool.dirty_lsn()));
-            let what = "a checkpoint batch's page";
-            self.durability.assert_durable(&self.wal, forced, at, what);
-            let done = self.backend.page_batch(at, &ids);
-            landed = done;
-            self.now = self.now.max(done);
-            let (images, durability, wal) = (&mut self.images, &self.durability, &self.wal);
-            self.pool.take_dirty(|pid, redo| {
-                durability.assert_durable(wal, redo.lsn, at, what);
-                images.write(done, pid, redo)
-            });
+            // no batch past a failed force (the record's force fails too)
+            if let Ok((at, forced)) = self.force_ahead(self.now, Lsn(self.pool.dirty_lsn())) {
+                let what = "a checkpoint batch's page";
+                self.durability.assert_durable(&self.wal, forced, at, what);
+                let done = self.backend.page_batch(at, &ids);
+                landed = done;
+                self.now = self.now.max(done);
+                let (images, durability, wal) = (&mut self.images, &self.durability, &self.wal);
+                self.pool.take_dirty(|pid, redo| {
+                    durability.assert_durable(wal, redo.lsn, at, what);
+                    images.write(done, pid, redo)
+                });
+            }
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
-        self.wal_dev
-            .append(lsn, LogRecord::Checkpoint.encoded_len());
+        self.enlist(lsn, LogRecord::Checkpoint.encoded_len());
         // the record is an honest redo lower bound only once the batch
         // has landed: its force starts no earlier
         debug_assert!(
@@ -545,8 +585,9 @@ impl<B: PersistenceBackend> Database<B> {
              {landed:?}",
             self.now
         );
-        let force = self.force_log(self.now, lsn);
-        self.now = self.now.max(force.unwrap_or_else(|f| f.done));
+        if self.force_now(lsn).is_err() {
+            return;
+        }
         self.stats.checkpoints += 1;
         // every log byte before the checkpoint record is now outside the
         // redo horizon: release those segments eagerly so the device's
@@ -559,15 +600,14 @@ impl<B: PersistenceBackend> Database<B> {
         // the batch has landed, so no frame and no write in flight names
         // a byte below the checkpoint: the host log keeps what the
         // medium keeps, and what the open transactions may still commit
-        if force.is_ok() {
-            self.wal.trim(open.map_or(lsn, |o| o.min(lsn)));
-        }
+        self.wal.trim(open.map_or(lsn, |o| o.min(lsn)));
     }
 
     /// Simulated crash: volatile state (buffer pool, in-flight promotions,
     /// the log past its durable prefix) vanishes; the durable log and page
-    /// images survive.
+    /// images survive. A failed log comes back as its durable prefix.
     pub fn crash(&mut self) {
+        self.log_failure = None;
         self.pool.crash();
         self.images.crash(self.now, &self.wal);
         self.wal.crash();
@@ -704,6 +744,8 @@ mod tests {
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn legacy_db() -> Database<BlockStackBackend> {
         let cfg = DbConfig {
@@ -734,7 +776,9 @@ mod tests {
     #[test]
     fn txn_executes_and_commits() {
         let mut db = legacy_db();
-        let out = db.execute(&[(1, 0, true), (2, 1, false)], 256);
+        let out = db
+            .execute(&[(1, 0, true), (2, 1, false)], 256)
+            .expect("committed");
         assert_eq!(out.txn, 1);
         assert!(out.latency >= out.commit_force);
         assert!(out.commit_force > SimDuration::ZERO);
@@ -747,8 +791,8 @@ mod tests {
     fn vision_commit_force_is_much_cheaper() {
         let mut l = legacy_db();
         let mut v = vision_db();
-        let lo = l.execute(&[(1, 0, true)], 256);
-        let vo = v.execute(&[(1, 0, true)], 256);
+        let lo = l.execute(&[(1, 0, true)], 256).expect("committed");
+        let vo = v.execute(&[(1, 0, true)], 256).expect("committed");
         assert!(
             lo.commit_force.as_nanos() > 10 * vo.commit_force.as_nanos(),
             "legacy force {} vs vision {}",
@@ -774,7 +818,7 @@ mod tests {
         db.load();
         // touch many distinct pages with writes → dirty evictions
         for i in 0..64u64 {
-            db.execute(&[(i, 0, true)], 128);
+            db.execute(&[(i, 0, true)], 128).expect("committed");
         }
         assert!(db.backend().stats().steal_writes > 0, "expected steals");
         assert!(db.stats().steal_stall > SimDuration::ZERO);
@@ -783,8 +827,8 @@ mod tests {
     #[test]
     fn committed_work_survives_crash_and_recovery() {
         let mut db = legacy_db();
-        db.execute(&[(10, 3, true)], 256); // txn 1
-        db.execute(&[(11, 4, true)], 256); // txn 2
+        db.execute(&[(10, 3, true)], 256).expect("committed"); // txn 1
+        db.execute(&[(11, 4, true)], 256).expect("committed"); // txn 2
         db.crash();
         let replayed = db.recover();
         assert!(replayed >= 2, "replayed {replayed}");
@@ -795,7 +839,7 @@ mod tests {
     #[test]
     fn recovery_is_idempotent() {
         let mut db = legacy_db();
-        db.execute(&[(10, 3, true)], 256);
+        db.execute(&[(10, 3, true)], 256).expect("committed");
         db.crash();
         let first = db.recover();
         let second = db.recover();
@@ -807,7 +851,7 @@ mod tests {
     #[test]
     fn checkpoint_flushes_dirty_pages() {
         let mut db = vision_db();
-        db.execute(&[(5, 0, true)], 256);
+        db.execute(&[(5, 0, true)], 256).expect("committed");
         db.checkpoint();
         assert_eq!(db.stats().checkpoints, 1);
         // after checkpoint + crash, data is in the durable image even
@@ -822,8 +866,8 @@ mod tests {
         // simulates it by crashing mid-transaction: append update, no
         // commit, no force
         let mut db = legacy_db();
-        db.execute(&[(1, 0, true)], 256); // txn 1 commits
-                                          // hand-craft an unflushed, uncommitted update for txn 99
+        db.execute(&[(1, 0, true)], 256).expect("committed"); // txn 1 commits
+                                                              // hand-craft an unflushed, uncommitted update for txn 99
         db.wal.append_update(99, PageId(2), 0, 100, |image| {
             image[..8].copy_from_slice(&99u64.to_le_bytes())
         });
@@ -896,6 +940,17 @@ mod tests {
         frames: usize,
         checkpoint_every: u64,
     ) -> Database<FlakyBackend> {
+        let mut db = flaky_db_unloaded(forge, frames, checkpoint_every);
+        db.load();
+        db
+    }
+
+    /// `flaky_db_checkpointing` before its `load()`.
+    fn flaky_db_unloaded(
+        forge: requiem_sim::IoStatus,
+        frames: usize,
+        checkpoint_every: u64,
+    ) -> Database<FlakyBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: frames, // tiny: pages get evicted and re-read
@@ -911,9 +966,7 @@ mod tests {
             shim: crate::backend::ReadShim::default(),
             writes: Vec::new(),
         };
-        let mut db = Database::new(cfg, be);
-        db.load();
-        db
+        Database::new(cfg, be)
     }
 
     #[test]
@@ -932,15 +985,15 @@ mod tests {
     #[test]
     fn unrecoverable_read_rebuilds_page_from_durable_log() {
         let mut db = flaky_db(requiem_sim::IoStatus::Unrecoverable);
-        db.execute(&[(10, 3, true)], 256); // txn 1 commits, log is durable
-                                           // churn the tiny pool until page 10 is evicted
+        db.execute(&[(10, 3, true)], 256).expect("committed"); // txn 1 commits, log is durable
+                                                               // churn the tiny pool until page 10 is evicted
         for i in 100..140u64 {
-            db.execute(&[(i, 0, false)], 32);
+            db.execute(&[(i, 0, false)], 32).expect("committed");
         }
         assert!(!db.pool.contains(PageId(10)), "page 10 should be evicted");
         // next fetch of page 10 hits forged unrecoverable media
         db.backend.fail_page = Some(PageId(10));
-        db.execute(&[(10, 3, false)], 32);
+        db.execute(&[(10, 3, false)], 32).expect("committed");
         assert_eq!(db.stats().media_failures, 1);
         assert_eq!(
             db.visible_owner(10, 3),
@@ -958,15 +1011,15 @@ mod tests {
     #[test]
     fn unrecoverable_read_rebuilds_page_from_a_trimmed_log() {
         let mut db = flaky_db_checkpointing(requiem_sim::IoStatus::Unrecoverable, 8, 2);
-        db.execute(&[(10, 3, true)], 256); // txn 1 commits
+        db.execute(&[(10, 3, true)], 256).expect("committed"); // txn 1 commits
         for i in 100..140u64 {
-            db.execute(&[(i, 0, false)], 32);
+            db.execute(&[(i, 0, false)], 32).expect("committed");
         }
         assert!(db.stats().checkpoints >= 20, "{:?}", db.stats());
         assert!(db.wal.archived() >= 1, "txn 1's write was archived");
         assert!(!db.pool.contains(PageId(10)), "page 10 should be evicted");
         db.backend.fail_page = Some(PageId(10));
-        db.execute(&[(10, 3, false)], 32);
+        db.execute(&[(10, 3, false)], 32).expect("committed");
         assert_eq!(db.stats().media_failures, 1);
         assert_eq!(db.visible_owner(10, 3), 1, "redone from the archive");
         db.crash();
@@ -1073,7 +1126,7 @@ mod tests {
     #[test]
     fn a_lost_recovery_scan_is_counted_and_replay_proceeds() {
         let mut db = flaky_db_losing_log_scans();
-        db.execute(&[(10, 3, true)], 256);
+        db.execute(&[(10, 3, true)], 256).expect("committed");
         db.crash();
         assert!(db.recover() >= 1, "replay proceeds over the durable prefix");
         assert_eq!(db.stats().media_failures, 1, "the scan's loss is counted");
@@ -1083,12 +1136,12 @@ mod tests {
     #[test]
     fn a_lost_media_redo_scan_is_counted() {
         let mut db = flaky_db_losing_log_scans();
-        db.execute(&[(10, 3, true)], 256);
+        db.execute(&[(10, 3, true)], 256).expect("committed");
         for i in 100..140u64 {
-            db.execute(&[(i, 0, false)], 32);
+            db.execute(&[(i, 0, false)], 32).expect("committed");
         }
         db.backend.fail_page = Some(PageId(10));
-        db.execute(&[(10, 3, false)], 32);
+        db.execute(&[(10, 3, false)], 32).expect("committed");
         assert_eq!(
             db.stats().media_failures,
             2,
@@ -1097,15 +1150,235 @@ mod tests {
         assert_eq!(db.visible_owner(10, 3), 1);
     }
 
+    /// A log device that fails one force and serves every other one: the
+    /// force `n` from when `n` is set in the shared countdown (0: none)
+    /// reads back unrecoverable.
+    struct FailingForce(Box<dyn WalBackend>, Rc<Cell<u64>>);
+
+    impl WalBackend for FailingForce {
+        fn append(&mut self, lsn: Lsn, bytes: u32) {
+            self.0.append(lsn, bytes)
+        }
+        fn force(&mut self, now: SimTime, to: Lsn) -> crate::walbackend::WalForce {
+            let forced = self.0.force(now, to);
+            let left = self.1.get();
+            self.1.set(left.saturating_sub(1));
+            if left != 1 {
+                return forced;
+            }
+            let (Ok(done) | Err(ForceFailed { done, .. })) = forced.settle();
+            crate::walbackend::WalForce::new(done, IoStatus::Unrecoverable)
+        }
+        fn truncate(&mut self, now: SimTime, up_to_byte: u64) {
+            self.0.truncate(now, up_to_byte)
+        }
+        fn recover_scan(&mut self, now: SimTime, offset: u64, bytes: u32) -> (SimTime, IoStatus) {
+            self.0.recover_scan(now, offset, bytes)
+        }
+        fn stats(&self) -> &crate::walbackend::WalStats {
+            self.0.stats()
+        }
+        fn label(&self) -> &'static str {
+            "failing-force"
+        }
+    }
+
+    /// Put a [`FailingForce`] under `db`'s log; the countdown it returns
+    /// starts at 0.
+    fn fail_a_force<B: PersistenceBackend>(db: &mut Database<B>) -> Rc<Cell<u64>> {
+        let countdown = Rc::new(Cell::new(0));
+        let log = std::mem::replace(&mut db.wal_dev, db.backend.make_wal());
+        db.wal_dev = Box::new(FailingForce(log, countdown.clone()));
+        countdown
+    }
+
+    /// The `Commit` records `db`'s log holds at or below its durable
+    /// horizon, and above it.
+    fn commits_around_the_horizon<B: PersistenceBackend>(db: &Database<B>) -> (Vec<u64>, Vec<u64>) {
+        let horizon = db.wal.flushed();
+        let commits = db.wal.records().filter_map(|(lsn, r)| match r {
+            LogRecord::Commit { txn } => Some((Some(lsn) <= horizon, txn)),
+            _ => None,
+        });
+        let (durable, lost): (Vec<_>, Vec<_>) = commits.partition(|&(durable, _)| durable);
+        let txns = |v: Vec<(bool, u64)>| v.into_iter().map(|(_, txn)| txn).collect();
+        (txns(durable), txns(lost))
+    }
+
+    /// The serialized reference over a log whose 5th commit force fails
+    /// (the device would serve the 6th): transactions 5 to 9 are neither
+    /// acknowledged nor counted, the horizon stays below transaction 5's
+    /// commit, and a crash keeps exactly the four acknowledged commits.
+    #[test]
+    fn a_failed_commit_force_acknowledges_nothing_after_it() {
+        let mut db = legacy_db();
+        let countdown = fail_a_force(&mut db);
+        countdown.set(5);
+        let outcomes: Vec<_> = (1..10u64)
+            .map(|txn| db.execute(&[(txn, 0, true)], 256).map(|o| o.txn))
+            .collect();
+        let acked: Vec<u64> = outcomes.iter().filter_map(|o| o.ok()).collect();
+        assert_eq!(acked, [1, 2, 3, 4], "{outcomes:?}");
+        assert_eq!(db.stats().commits, 4);
+        assert_eq!(db.stats().wal_force_failures, 5, "each later force fails");
+        assert_eq!(
+            db.log_failure().map(|f| f.status),
+            Some(IoStatus::Unrecoverable)
+        );
+        let (durable, lost) = commits_around_the_horizon(&db);
+        assert_eq!((durable, lost), (acked.clone(), vec![5, 6, 7, 8, 9]));
+        assert_eq!(
+            db.txn_latency().count(),
+            4,
+            "only acknowledged commits are timed"
+        );
+
+        db.crash();
+        assert_eq!(db.log_failure(), None, "a crash clears the failure");
+        db.recover();
+        assert_eq!(db.wal.durable_commits(), acked);
+        for page in 1..10u64 {
+            let owner = if page < 5 { page } else { 0 };
+            assert_eq!(db.visible_owner(page, 0), owner, "page {page}");
+        }
+        let after = db
+            .execute(&[(20, 0, true)], 256)
+            .expect("the recovered log commits");
+        assert_eq!(db.wal.durable_commits(), [1, 2, 3, 4, after.txn]);
+    }
+
+    /// The executor at concurrency 4 with batched group commit over a log
+    /// whose 3rd group force fails: only the members of the first two
+    /// groups are acknowledged, and nothing later becomes durable.
+    #[test]
+    fn a_failed_group_force_acknowledges_nothing_after_it() {
+        use crate::exec::{ExecConfig, TxnInput};
+        use crate::wal::GroupCommitPolicy;
+        let mut db = legacy_db();
+        let countdown = fail_a_force(&mut db);
+        countdown.set(3);
+        let inputs: Vec<TxnInput> = (0..24u64)
+            .map(|i| TxnInput {
+                accesses: vec![(i, 0, true)],
+                log_bytes: 128,
+            })
+            .collect();
+        let cfg = ExecConfig {
+            concurrency: 4,
+            group: GroupCommitPolicy::batched(4),
+            ..ExecConfig::serialized()
+        };
+        let report = db.run_concurrent(&inputs, &cfg);
+        assert_eq!(report.txns, 24, "the run drains");
+        assert!(db.log_failure().is_some());
+        let (durable, lost) = commits_around_the_horizon(&db);
+        assert_eq!(db.stats().commits, durable.len() as u64, "{durable:?}");
+        assert_eq!(durable, (1..=8).collect::<Vec<_>>(), "two groups of four");
+        assert_eq!(lost.len(), 16, "{lost:?}");
+        assert_eq!(db.txn_latency().count(), 8);
+
+        db.crash();
+        db.recover();
+        assert_eq!(db.wal.durable_commits(), durable);
+        for (i, txn) in (0..24u64).zip(1..) {
+            let owner = if durable.contains(&txn) { txn } else { 0 };
+            assert_eq!(db.visible_owner(i, 0), owner, "page {i}");
+        }
+    }
+
+    /// A steal whose log force fails writes no page and leaves every
+    /// durable image as it was: the frame's updates are the log's alone.
+    #[test]
+    fn a_failed_steal_force_writes_no_page() {
+        let mut db = flaky_db(IoStatus::Ok);
+        for page in 0..8 {
+            db.execute(&[(page, 0, true)], 64).expect("committed");
+        }
+        assert!(db.write_record(99, PageId(0), 1), "an update left unforced");
+        let countdown = fail_a_force(&mut db);
+        countdown.set(1);
+        let images: Vec<PageImage> = (0..256).map(|p| db.durable_page(p).clone()).collect();
+        let (writes, steals) = (db.backend.writes.len(), db.backend.stats().steal_writes);
+        db.fetch_page(PageId(200));
+        assert!(db.log_failure().is_some(), "the steal's force failed");
+        assert_eq!(
+            db.backend.writes.len(),
+            writes,
+            "{:?}",
+            &db.backend.writes[writes..]
+        );
+        assert_eq!(db.backend.stats().steal_writes, steals);
+        for (p, image) in (0..256).zip(&images) {
+            assert_eq!(db.durable_page(p), image, "page {p}");
+        }
+    }
+
+    /// A checkpoint past a failed force is not taken: with an unforced
+    /// update its batch is not written, and when its own record's force
+    /// fails the log is neither trimmed nor truncated. The first case is
+    /// the control: the same checkpoint, its force landing, trims both.
+    #[test]
+    fn a_failed_checkpoint_force_neither_trims_nor_truncates() {
+        for (unforced, fails) in [(false, false), (false, true), (true, true)] {
+            let mut db = flaky_db_checkpointing(IoStatus::Ok, 64, 0);
+            for page in 0..40 {
+                db.execute(&[(page, 0, true)], 512).expect("committed");
+            }
+            if unforced {
+                assert!(db.write_record(99, PageId(0), 1), "an update left unforced");
+            }
+            fail_a_force(&mut db).set(u64::from(fails));
+            let flushed = db.wal.flushed();
+            let records = db.wal.records().count();
+            let writes = db.backend.writes.len();
+            db.checkpoint();
+            let case = format!("unforced {unforced}, fails {fails}");
+            assert_eq!(db.log_failure().is_some(), fails, "{case}");
+            assert_eq!(db.stats().checkpoints, u64::from(!fails), "{case}");
+            let trims = db.wal_backend().stats().log_trims;
+            assert_eq!(trims > 0, !fails, "{case}: truncated");
+            assert_eq!(db.wal.flushed() == flushed, fails, "{case}");
+            let kept = db.wal.records().count();
+            assert_eq!(kept == records + 1, fails, "{case}: trimmed");
+            let batches = db.backend.writes[writes..].iter().filter(|w| w.0).count();
+            assert_eq!(batches, usize::from(!unforced), "{case}");
+        }
+    }
+
+    /// A failed force at `load()` fails the log for the whole run: every
+    /// later commit fails at once, with no device force.
+    #[test]
+    fn a_failed_load_force_fails_every_later_commit() {
+        let mut db = flaky_db_unloaded(IoStatus::Ok, 64, 0);
+        fail_a_force(&mut db).set(1);
+        db.load();
+        let failed = db.log_failure().expect("the load's force failed");
+        let log_forces = db.wal_backend().stats().log_forces;
+        for page in 0..20u64 {
+            let at = db.now();
+            let err = db.execute(&[(page, 0, true)], 128).expect_err("no commit");
+            assert_eq!(err.status, failed.status);
+            assert!(err.done <= db.now() && err.done >= at);
+        }
+        assert_eq!(db.stats().commits, 0);
+        assert_eq!(db.stats().wal_force_failures, 21);
+        assert_eq!(
+            db.wal_backend().stats().log_forces,
+            log_forces,
+            "no device force"
+        );
+        assert_eq!(db.wal.flushed(), None);
+    }
+
     #[test]
     fn recovered_read_counts_but_keeps_the_image() {
         let mut db = flaky_db(requiem_sim::IoStatus::RecoveredAfterRetry { steps: 2 });
-        db.execute(&[(10, 3, true)], 256);
+        db.execute(&[(10, 3, true)], 256).expect("committed");
         for i in 100..140u64 {
-            db.execute(&[(i, 0, false)], 32);
+            db.execute(&[(i, 0, false)], 32).expect("committed");
         }
         db.backend.fail_page = Some(PageId(10));
-        db.execute(&[(10, 3, false)], 32);
+        db.execute(&[(10, 3, false)], 32).expect("committed");
         assert_eq!(db.stats().media_recoveries, 1);
         assert_eq!(db.stats().media_failures, 0);
         assert_eq!(db.visible_owner(10, 3), 1);
@@ -1117,8 +1390,8 @@ mod tests {
         let mut v = vision_db();
         let n = 100u64;
         for i in 0..n {
-            l.execute(&[(i % 50, 0, true)], 128);
-            v.execute(&[(i % 50, 0, true)], 128);
+            l.execute(&[(i % 50, 0, true)], 128).expect("committed");
+            v.execute(&[(i % 50, 0, true)], 128).expect("committed");
         }
         let tl = l.now();
         let tv = v.now();
@@ -1172,20 +1445,20 @@ mod group_commit_tests {
     #[test]
     fn frame_writes_never_leak_into_the_durable_images_they_share() {
         let mut db = db(8);
-        db.execute(&[(5, 0, true)], 128); // txn 1
+        db.execute(&[(5, 0, true)], 128).expect("committed"); // txn 1
         db.checkpoint(); // page 5's frame now reads the durable image
-        db.execute(&[(5, 0, true)], 128); // txn 2
+        db.execute(&[(5, 0, true)], 128).expect("committed"); // txn 2
         assert_eq!(db.visible_owner(5, 0), 2);
         assert_eq!(durable_owner(&db, 5, 0), 1, "write leaked past the log");
 
         // churn the tiny pool: page 5 is stolen, then read back showing
         // the stolen image
         for i in 100..140u64 {
-            db.execute(&[(i, 0, false)], 32);
+            db.execute(&[(i, 0, false)], 32).expect("committed");
         }
         assert!(!db.pool.contains(PageId(5)), "page 5 should be evicted");
         assert_eq!(durable_owner(&db, 5, 0), 2);
-        let last = db.execute(&[(5, 0, true)], 128).txn;
+        let last = db.execute(&[(5, 0, true)], 128).expect("committed").txn;
         assert_eq!(db.visible_owner(5, 0), last);
         assert_eq!(durable_owner(&db, 5, 0), 2, "write leaked past the log");
 
@@ -1206,7 +1479,7 @@ mod group_commit_tests {
     fn a_crash_keeps_the_record_at_a_steal_horizon_and_cuts_the_rest() {
         let mut db = db(4);
         for page in 0..4 {
-            db.execute(&[(page, 0, true)], 64);
+            db.execute(&[(page, 0, true)], 64).expect("committed");
         }
         assert!(db.write_record(99, PageId(0), 1), "an update left unforced");
         let steals = db.backend().stats().steal_writes;
@@ -1245,12 +1518,12 @@ mod group_commit_tests {
     #[test]
     fn frame_writes_never_leak_into_an_in_flight_checkpoint_image() {
         let mut db = db(64);
-        db.execute(&[(7, 0, true)], 128); // txn 1
+        db.execute(&[(7, 0, true)], 128).expect("committed"); // txn 1
         let landed = db.now + SimDuration::from_micros(500);
         let images = &mut db.images;
         db.pool
             .take_dirty(|pid, redo| images.write(landed, pid, redo));
-        db.execute(&[(7, 0, true)], 128); // txn 2 writes the cleaned frame
+        db.execute(&[(7, 0, true)], 128).expect("committed"); // txn 2 writes the cleaned frame
         db.now = db.now.max(landed);
         db.crash(); // the write-back had landed: its image is durable
         assert_eq!(db.visible_owner(7, 0), 1);

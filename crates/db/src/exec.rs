@@ -385,11 +385,13 @@ pub(crate) enum ShardEvent {
         /// When this participant's share started (latency base).
         started: SimTime,
     },
-    /// The coordinator's decision force completed: the global commit
-    /// point for a cross-shard transaction.
-    Committed {
+    /// The coordinator's decision force ended: once it has landed, the
+    /// global commit point for a cross-shard transaction.
+    Decided {
         /// The global transaction.
         txn: u64,
+        /// The force's typed outcome — a failure aborts the transaction.
+        status: IoStatus,
     },
 }
 
@@ -769,7 +771,7 @@ impl<B: PersistenceBackend> Database<B> {
                 // enlist the force-accounting cost with the WAL backend
                 // now; the shared force drains everything at or below
                 // the group's horizon in one device interaction
-                self.wal_dev.append(commit_lsn, force_bytes);
+                self.enlist(commit_lsn, force_bytes);
                 let probe_id = if self.probe.is_enabled() {
                     self.probe.open_command(label, self.now).detach()
                 } else {
@@ -976,7 +978,9 @@ impl<B: PersistenceBackend> Database<B> {
     /// into *group wait* and *shared force*. `Commit` members complete
     /// their slot's transaction; `Prepare` members free the slot and
     /// report their durability vote; `Decide` members are the slot-less
-    /// commit point of a cross-shard transaction.
+    /// commit point of a cross-shard transaction. A failed force
+    /// acknowledges nothing: a `Prepare` votes NO, a `Commit` frees its
+    /// slot unacknowledged, and a `Decide` reports the failure.
     pub(crate) fn force_group(&mut self, t: SimTime, st: &mut ExecState) {
         if st.group.is_empty() {
             return;
@@ -993,9 +997,6 @@ impl<B: PersistenceBackend> Database<B> {
         let horizon = members.iter().map(|m| m.lsn).max().unwrap_or(Lsn(0));
         let (done, status) = match self.force_log(t, horizon) {
             Ok(done) => (done, IoStatus::Ok),
-            // a failed force still resolves the group at its end: a
-            // `Prepare` member votes NO, but a `Commit` member is
-            // acknowledged anyway — the failure is only counted
             Err(failed) => (failed.done, failed.status),
         };
         if st.async_force {
@@ -1026,18 +1027,30 @@ impl<B: PersistenceBackend> Database<B> {
                 }
                 scope.close(done);
             }
-            if m.kind == MemberKind::Prepare {
+            // the log's horizon says what landed: a failed force makes
+            // nothing durable, but an earlier one may have made this record so
+            let landed = self.wal.flushed() >= Some(m.lsn);
+            let status = if landed { IoStatus::Ok } else { status };
+            match m.kind {
                 // the vote: a failed force is a NO — the coordinator
-                // turns it into a typed abort. The slot frees either
-                // way; commit accounting waits for the decision.
-                st.outbox.push(ShardEvent::Prepared {
+                // turns it into a typed abort; commit accounting waits
+                // for the decision
+                MemberKind::Prepare => st.outbox.push(ShardEvent::Prepared {
                     txn: m.txn,
                     status,
                     done,
                     started: m.started,
-                });
+                }),
+                MemberKind::Commit => {}
+                // slot-less: the participants' slots freed at their
+                // prepare forces; this force is the commit point
+                MemberKind::Decide => st.outbox.push(ShardEvent::Decided { txn: m.txn, status }),
+            }
+            if m.kind != MemberKind::Decide {
                 st.set_state(m.slot, SlotState::Idle { free_at: done });
                 st.slots[m.slot].txn = None;
+            }
+            if m.kind == MemberKind::Prepare || !landed {
                 continue;
             }
             self.durability.acknowledge(&self.wal, m.lsn, done);
@@ -1051,18 +1064,6 @@ impl<B: PersistenceBackend> Database<B> {
                 st.read_only_latency.record_duration(latency);
             } else {
                 st.update_latency.record_duration(latency);
-            }
-            match m.kind {
-                MemberKind::Commit => {
-                    st.set_state(m.slot, SlotState::Idle { free_at: done });
-                    st.slots[m.slot].txn = None;
-                }
-                MemberKind::Decide => {
-                    // slot-less: the participants' slots freed at their
-                    // prepare forces; this force is the commit point
-                    st.outbox.push(ShardEvent::Committed { txn: m.txn });
-                }
-                MemberKind::Prepare => {} // handled above
             }
             if self.cfg.checkpoint_every > 0 && self.stats.commits % self.cfg.checkpoint_every == 0
             {
@@ -1091,7 +1092,7 @@ impl<B: PersistenceBackend> Database<B> {
         let commit_lsn = self.wal.append_decision(global);
         // the participants' prepare forces already paid for the update
         // payload; the decision forces only the commit record itself
-        self.wal_dev.append(commit_lsn, 32);
+        self.enlist(commit_lsn, 32);
         let probe_id = if self.probe.is_enabled() {
             self.probe.open_command("decide", self.now).detach()
         } else {
@@ -1212,7 +1213,7 @@ mod tests {
         let inputs = mixed_inputs(60, 256, 3);
         let mut serial = legacy_db(32);
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = legacy_db(32);
         let report = conc.run_concurrent(&inputs, &ExecConfig::serialized());
@@ -1245,7 +1246,7 @@ mod tests {
         let inputs = mixed_inputs(40, 256, 2);
         let mut serial = vision_db(32);
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = vision_db(32);
         conc.run_concurrent(&inputs, &ExecConfig::serialized());
@@ -1509,8 +1510,8 @@ mod tests {
 
         // and it stays rolled back: a committed write to another slot of
         // the frame, a steal of it, a crash
-        let later = db.execute(&[(p, 1, true)], 64).txn;
-        db.execute(&[(q, 0, false)], 32);
+        let later = db.execute(&[(p, 1, true)], 64).expect("committed").txn;
+        db.execute(&[(q, 0, false)], 32).expect("committed");
         assert!(!db.pool.contains(PageId(p)), "p was stolen again");
         db.crash();
         db.recover();

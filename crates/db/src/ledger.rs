@@ -20,6 +20,8 @@
 //!   still queued run to a wasted prepare and are rolled back when
 //!   their late vote arrives — deterministic, and honest about the
 //!   cost of aborts.
+//! * **a failed decision force** → the same abort, of every share: the
+//!   home's log has failed, so its `Commit` never becomes durable.
 //!
 //! The ledger holds a transaction only until it settles: its entry is
 //! forgotten once the decision force lands, or once an aborted
@@ -63,8 +65,6 @@ pub enum TxnDecision {
     /// All votes YES; the decision commit is enlisted (or in the home
     /// shard's mailbox) but its force has not landed yet.
     Committing,
-    /// The decision force landed: globally committed.
-    Committed,
     /// A vote was NO: globally aborted.
     Aborted,
 }
@@ -86,7 +86,7 @@ pub struct LedgerEntry {
     pub decision: TxnDecision,
 }
 
-/// What the coordinator must do after feeding the ledger one vote.
+/// What the coordinator must do after feeding the ledger one vote or decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LedgerAction {
     /// Keep collecting votes.
@@ -103,9 +103,9 @@ pub enum LedgerAction {
         /// True when no share dirtied a page.
         read_only: bool,
     },
-    /// First NO vote: append the `Abort` record on `home` and roll back
-    /// the shares on `undo` (every shard that already voted — their
-    /// updates are applied; late voters are rolled back as they arrive).
+    /// First NO vote or a failed decision: append the `Abort` record on
+    /// `home` and roll back the shares on `undo` (every shard that voted —
+    /// their updates are applied; later voters roll back as they arrive).
     Abort {
         /// Home shard for the `Abort` record.
         home: usize,
@@ -117,6 +117,11 @@ pub enum LedgerAction {
     UndoLate {
         /// The late-voting shard.
         shard: usize,
+    },
+    /// The decision force landed: no share can roll back any more.
+    Release {
+        /// Every shard with a share.
+        participants: Vec<usize>,
     },
 }
 
@@ -131,7 +136,7 @@ pub struct LedgerStats {
     pub prepare_failures: u64,
     /// Transactions whose decision commit force landed.
     pub committed: u64,
-    /// Transactions aborted on a NO vote.
+    /// Transactions aborted on a NO vote or a failed decision force.
     pub aborted: u64,
 }
 
@@ -229,19 +234,30 @@ impl TwoPhaseLedger {
         action
     }
 
-    /// The decision commit's force landed: `txn` is globally committed,
-    /// and its entry — returned, the participants to release — is
-    /// forgotten.
-    pub fn on_committed(&mut self, txn: u64) -> Option<LedgerEntry> {
-        let mut e = self.entries.remove(&txn)?;
+    /// The decision commit's force ended with `status`: it commits `txn`,
+    /// or aborts every share when the home's failed log never makes its
+    /// `Commit` durable. The entry is forgotten.
+    pub fn on_decided(&mut self, txn: u64, status: IoStatus) -> LedgerAction {
+        let Some(e) = self.entries.remove(&txn) else {
+            return LedgerAction::None;
+        };
         assert!(
             e.decision == TxnDecision::Committing,
             "decision force for txn {txn} in state {:?}",
             e.decision
         );
-        e.decision = TxnDecision::Committed;
-        self.stats.committed += 1;
-        Some(e)
+        if status.is_success() {
+            self.stats.committed += 1;
+            LedgerAction::Release {
+                participants: e.participants,
+            }
+        } else {
+            self.stats.aborted += 1;
+            LedgerAction::Abort {
+                home: e.home,
+                undo: e.participants,
+            }
+        }
     }
 
     /// True when every transaction settled and was forgotten — part of
@@ -295,8 +311,13 @@ mod tests {
             "last YES vote triggers the decision, latency from earliest start"
         );
         assert!(!l.is_quiescent(), "committing is not final");
-        let settled = l.on_committed(7);
-        assert_eq!(settled.map(|e| e.decision), Some(TxnDecision::Committed));
+        let settled = l.on_decided(7, IoStatus::Ok);
+        assert_eq!(
+            settled,
+            LedgerAction::Release {
+                participants: vec![0, 2]
+            }
+        );
         assert!(l.is_quiescent());
         assert!(l.entry(7).is_none(), "a settled entry is forgotten");
         assert_eq!(l.stats().committed, 1);
@@ -332,6 +353,25 @@ mod tests {
         assert_eq!(l.stats().aborted, 1);
         assert_eq!(l.stats().prepare_failures, 1);
         assert_eq!(l.stats().committed, 0);
+    }
+
+    #[test]
+    fn a_failed_decision_aborts_every_share() {
+        let mut l = TwoPhaseLedger::new();
+        l.begin(5, 2, vec![1, 2], false);
+        l.on_prepared(5, 1, IoStatus::Ok, t(40), t(4));
+        l.on_prepared(5, 2, IoStatus::Ok, t(60), t(6));
+        assert_eq!(
+            l.on_decided(5, IoStatus::Unrecoverable),
+            LedgerAction::Abort {
+                home: 2,
+                undo: vec![1, 2],
+            }
+        );
+        assert!(l.is_quiescent(), "a failed decision settles it");
+        let stats = l.stats();
+        assert_eq!((stats.committed, stats.aborted), (0, 1));
+        assert_eq!(stats.prepare_failures, 0, "every vote was YES");
     }
 
     #[test]

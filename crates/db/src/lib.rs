@@ -51,7 +51,9 @@
 //! dropped in statement position (the workspace's `unused_must_use`);
 //! clippy denies one bound to `_` in this crate and its unit tests. A `WalForce`
 //! yields its instant only through [`WalForce::settle`], which hands a
-//! failed force to the caller.
+//! failed force to the caller; [`Database`]'s one force path decides what
+//! the failure means: nothing it carried is durable, and the log stays
+//! failed until a crash ([`Database::log_failure`]).
 
 #![warn(missing_docs)]
 #![deny(clippy::let_underscore_must_use)]

@@ -55,6 +55,8 @@
 //! global commit point. A NO vote (typed force failure under fault
 //! injection) aborts: an [`LogRecord::Abort`] on the home shard and an
 //! in-memory before-image rollback on every shard whose share applied.
+//! So does a failed decision force: the home's failed log never makes
+//! its `Commit` durable.
 //! What the coordinator keeps of a transaction goes once it settles: the
 //! ledger forgets the entry, the participants drop their before-images,
 //! and the home's log keeps the decision's id past a trim for two agings
@@ -123,7 +125,7 @@ pub struct ShardedReport {
     pub committed: u64,
     /// Cross-shard transactions attempted.
     pub cross_txns: u64,
-    /// Cross-shard transactions aborted on a NO vote.
+    /// Cross-shard transactions aborted: a NO vote, a failed decision.
     pub aborted: u64,
     /// Prepare forces that came back as typed failures.
     pub prepare_failures: u64,
@@ -499,7 +501,7 @@ pub(crate) fn drive<B: PersistenceBackend>(
         // mail shares to their inboxes, route force outcomes through the
         // ledger
         for ev in events.drain(..) {
-            match ev {
+            let (txn, action) = match ev {
                 ShardEvent::Started { txn, input, at } => {
                     let participants = ledger.entry(txn).map(|e| &e.participants[..]);
                     for &p in participants.unwrap_or_default() {
@@ -508,49 +510,49 @@ pub(crate) fn drive<B: PersistenceBackend>(
                             stale[p] = true;
                         }
                     }
+                    continue;
                 }
                 ShardEvent::Prepared {
                     txn,
                     status,
                     done,
                     started,
-                } => match ledger.on_prepared(txn, stepped, status, done, started) {
-                    LedgerAction::None => {}
-                    LedgerAction::EnlistCommit {
+                } => (txn, ledger.on_prepared(txn, stepped, status, done, started)),
+                ShardEvent::Decided { txn, status } => (txn, ledger.on_decided(txn, status)),
+            };
+            match action {
+                LedgerAction::None => {}
+                LedgerAction::EnlistCommit {
+                    home,
+                    at,
+                    started,
+                    read_only,
+                } => {
+                    mailbox.push(Decision {
                         home,
+                        txn,
                         at,
                         started,
                         read_only,
-                    } => {
-                        mailbox.push(Decision {
-                            home,
-                            txn,
-                            at,
-                            started,
-                            read_only,
-                        });
-                        stale[home] = true;
+                    });
+                    stale[home] = true;
+                }
+                LedgerAction::Abort { home, undo } => {
+                    // typed abort: an informational record on the home
+                    // log (RAM append — there is no commit to retract,
+                    // so nothing forces) plus a rollback of every share
+                    // that already applied
+                    shards[home].wal.append(LogRecord::Abort { txn });
+                    for p in undo {
+                        shards[p].undo_participant(txn, &mut states[p]);
                     }
-                    LedgerAction::Abort { home, undo } => {
-                        // typed abort: an informational record on the home
-                        // log (RAM append — there is no commit to retract,
-                        // so nothing forces) plus a rollback of every
-                        // share that already applied
-                        shards[home].wal.append(LogRecord::Abort { txn });
-                        for p in undo {
-                            shards[p].undo_participant(txn, &mut states[p]);
-                        }
-                    }
-                    LedgerAction::UndoLate { shard } => {
-                        shards[shard].undo_participant(txn, &mut states[shard]);
-                    }
-                },
-                ShardEvent::Committed { txn } => {
-                    // committed: no share can roll back any more
-                    if let Some(entry) = ledger.on_committed(txn) {
-                        for &p in &entry.participants {
-                            states[p].undo.remove(&txn);
-                        }
+                }
+                LedgerAction::UndoLate { shard } => {
+                    shards[shard].undo_participant(txn, &mut states[shard]);
+                }
+                LedgerAction::Release { participants } => {
+                    for p in participants {
+                        states[p].undo.remove(&txn);
                     }
                 }
             }

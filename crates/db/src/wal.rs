@@ -448,9 +448,9 @@ impl Wal {
         self.flushed
     }
 
-    /// Mark everything up to `lsn` durable (called after every force,
-    /// whatever its status: the engine counts a failed force but does
-    /// not hold the horizon back). The horizon never moves backwards: a
+    /// Mark everything up to `lsn` durable (called after every force that
+    /// landed: a failed one makes nothing durable, and the engine's log
+    /// stays failed until a crash). The horizon never moves backwards: a
     /// force to an LSN already covered — a group's members enlisted
     /// before a steal forced the whole log — leaves it where it is.
     pub fn mark_flushed(&mut self, lsn: Lsn) {

@@ -99,8 +99,9 @@ impl WalForce {
 
 /// A [`WalForce`] whose device writes failed: the time was spent, the
 /// durability was not established. The engine counts it
-/// ([`EngineStats::wal_force_failures`](crate::engine::EngineStats)) and still
-/// moves its durable horizon past the records.
+/// ([`EngineStats::wal_force_failures`](crate::engine::EngineStats)), keeps
+/// its durable horizon where it was, and fails every later force with it
+/// until a crash ([`Database::log_failure`](crate::Database::log_failure)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForceFailed {
     /// When the failed force ended.

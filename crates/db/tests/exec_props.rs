@@ -170,7 +170,7 @@ proptest! {
             .collect();
         let mut serial = small_db(4);
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = small_db(4);
         conc.run_concurrent(&inputs, &ExecConfig {
@@ -196,7 +196,7 @@ proptest! {
     fn qd1_identity_under_random_mixes(inputs in arb_inputs()) {
         let mut serial = small_db(16);
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = small_db(16);
         conc.run_concurrent(&inputs, &ExecConfig::serialized());

@@ -42,6 +42,7 @@ use requiem_sim::time::SimTime;
 use requiem_sim::{FaultPlan, Histogram, IoStatus};
 use requiem_ssd::SsdConfig;
 use requiem_workload::{txn_to_input, ShardedOltpConfig, ShardedOltpGen};
+use std::collections::BTreeSet;
 
 const DATA_PAGES: u64 = 64;
 const SLOTS: u16 = 16;
@@ -145,14 +146,16 @@ fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-/// A WAL that forges `Unrecoverable` on every `fail_every`-th force:
-/// the device's write path self-heals program failures, so genuinely
-/// failing a prepare force — the NO vote the ledger must handle — needs
-/// a forged status, exactly like the engine's own flaky-read tests.
+/// A WAL that forges `Unrecoverable` on its `fail_at`-th force (0:
+/// never) and serves every other: the device's write path self-heals
+/// program failures, so genuinely failing a prepare force — the NO vote
+/// the ledger must handle — needs a forged status, exactly like the
+/// engine's own flaky-read tests. The engine forces a failed log no more,
+/// so a later force that the device would serve is never asked for.
 struct FlakyWal {
     inner: Box<dyn WalBackend>,
     forces: u64,
-    fail_every: u64,
+    fail_at: u64,
 }
 
 impl WalBackend for FlakyWal {
@@ -162,7 +165,7 @@ impl WalBackend for FlakyWal {
     fn force(&mut self, now: SimTime, to: Lsn) -> WalForce {
         let f = self.inner.force(now, to);
         self.forces += 1;
-        if self.fail_every > 0 && self.forces % self.fail_every == 0 {
+        if self.forces == self.fail_at {
             let done = f.settle().unwrap_or_else(|failed| failed.done);
             return WalForce::new(done, IoStatus::Unrecoverable);
         }
@@ -184,7 +187,7 @@ impl WalBackend for FlakyWal {
 
 struct FlakyWalBackend {
     inner: BlockStackBackend,
-    fail_every: u64,
+    fail_at: u64,
 }
 
 impl PersistenceBackend for FlakyWalBackend {
@@ -192,7 +195,7 @@ impl PersistenceBackend for FlakyWalBackend {
         Box::new(FlakyWal {
             inner: self.inner.make_wal(),
             forces: 0,
-            fail_every: self.fail_every,
+            fail_at: self.fail_at,
         })
     }
     fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
@@ -239,12 +242,13 @@ impl PersistenceBackend for FlakyWalBackend {
     }
 }
 
-/// A sharded deployment whose every shard drops each `fail_every`-th
-/// WAL force (1 = every force fails, every prepare is a NO vote).
-fn flaky_sharded(n: usize, fail_every: u64) -> ShardedDb<FlakyWalBackend> {
+/// A sharded deployment whose shard `s` fails its `fail_at(s)`-th WAL
+/// force, its `load()` being the first (1 = the log fails at the load,
+/// every prepare is a NO vote; 0 = never).
+fn flaky_sharded(n: usize, fail_at: impl Fn(usize) -> u64) -> ShardedDb<FlakyWalBackend> {
     let local_pages = DATA_PAGES / n as u64;
     let dbs = (0..n)
-        .map(|_| {
+        .map(|s| {
             let cfg = requiem_db::DbConfig {
                 data_pages: local_pages,
                 buffer_frames: 16,
@@ -254,7 +258,7 @@ fn flaky_sharded(n: usize, fail_every: u64) -> ShardedDb<FlakyWalBackend> {
             ssd.buffer.capacity_pages = 0;
             let be = FlakyWalBackend {
                 inner: BlockStackBackend::new(StackConfig::bare(1), ssd, local_pages, 64),
-                fail_every,
+                fail_at: fail_at(s),
             };
             let mut db = Database::new(cfg, be);
             db.load();
@@ -296,7 +300,7 @@ proptest! {
                 let mut serial = (qd == 1).then(|| {
                     let mut db = builder.build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
                     for t in &inputs {
-                        db.execute(&t.accesses, t.log_bytes);
+                        db.execute(&t.accesses, t.log_bytes).expect("committed");
                     }
                     db
                 });
@@ -427,24 +431,26 @@ proptest! {
         }
     }
 
-    /// Typed aborts under forged force failures: a NO vote can never be
-    /// followed by a durable commit, every aborted share is rolled
-    /// back, and with every force failing, *every* cross-shard
-    /// transaction aborts.
+    /// Typed aborts under forged force failures: a NO vote or a failed
+    /// decision force can never be followed by a durable commit, every
+    /// aborted share is rolled back, a commit whose force failed is
+    /// neither acknowledged nor durable, and with the load's force
+    /// failing, *every* cross-shard transaction aborts. Each shard's log
+    /// fails at its `fail_at`-th force and stays failed: the forces after
+    /// it fail at once.
     #[test]
     fn forged_prepare_failures_abort_without_commits(
         inputs in arb_inputs(),
         n in prop_oneof![Just(2usize), Just(4usize)],
-        fail_every in 1u64..5,
+        fail_at in 1u64..16,
         concurrency in 1usize..5,
     ) {
-        let mut db = flaky_sharded(n, fail_every);
+        let mut db = flaky_sharded(n, |_| fail_at);
         let cfg = ExecConfig {
             concurrency,
             ..ExecConfig::serialized()
         };
         let report = db.run(&inputs, &cfg);
-        prop_assert_eq!(report.committed + report.aborted, inputs.len() as u64);
         // each decision, read off the logs before the checkpoints below
         // trim them
         let cross = cross_shard(&inputs, n);
@@ -460,14 +466,39 @@ proptest! {
             }
         }
         prop_assert_eq!(report.aborted, aborted.len() as u64, "aborts the logs show");
-        if fail_every == 1 {
+        if fail_at == 1 {
             prop_assert_eq!(
                 report.aborted, report.cross_txns,
-                "with every force failing, every cross-shard txn must abort"
+                "with every log failed from the load, every cross-shard txn must abort"
             );
         }
+        // a commit is acknowledged exactly when its record is durable; the
+        // rest of the inputs neither committed nor aborted: their commit
+        // force failed, and their `Commit` lies above the horizon
+        let durable: BTreeSet<u64> = (0..n)
+            .flat_map(|s| db.shard(s).wal().durable_commits())
+            .collect();
+        prop_assert_eq!(durable.len() as u64, report.committed, "{:?}", durable);
+        let aborted_ids: BTreeSet<u64> = aborted.iter().map(|c| c.txn).collect();
+        let unacked: Vec<u64> = (1..=inputs.len() as u64)
+            .filter(|t| !durable.contains(t) && !aborted_ids.contains(t))
+            .collect();
+        prop_assert_eq!(
+            unacked.len() as u64,
+            inputs.len() as u64 - report.committed - report.aborted
+        );
+        for &txn in &unacked {
+            let lost = (0..n).any(|s| {
+                let wal = db.shard(s).wal();
+                let commit = LogRecord::Commit { txn };
+                db.shard(s).log_failure().is_some()
+                    && wal.records().any(|(lsn, r)| r == commit && Some(lsn) > wal.flushed())
+            });
+            prop_assert!(lost, "unacknowledged txn {} has no commit past a failed log", txn);
+        }
         // every `Commit` and `Abort` each log holds, forced or not, before
-        // a checkpoint forces the log whole and trims it
+        // a checkpoint forces the log whole and trims it — unless the log
+        // has failed, when the checkpoint forces nothing
         let ends: Vec<Vec<(Lsn, LogRecord)>> = (0..n)
             .map(|s| {
                 db.shard(s)
@@ -477,26 +508,34 @@ proptest! {
                     .collect()
             })
             .collect();
+        let mut horizons = Vec::new();
         for (s, ends) in ends.iter().enumerate() {
+            let before = db.shard(s).wal().flushed();
             db.shard_mut(s).checkpoint();
             let horizon = db.shard(s).wal().flushed();
-            for &(lsn, rec) in ends {
-                prop_assert!(
-                    Some(lsn) <= horizon,
-                    "{:?} at {:?} on shard {} is past the checkpoint's force to {:?}",
-                    rec, lsn, s, horizon
-                );
+            if db.shard(s).log_failure().is_some() {
+                prop_assert_eq!(horizon, before, "shard {}: a failed log moved its horizon", s);
+            } else {
+                for &(lsn, rec) in ends {
+                    prop_assert!(
+                        Some(lsn) <= horizon,
+                        "{:?} at {:?} on shard {} is past the checkpoint's force to {:?}",
+                        rec, lsn, s, horizon
+                    );
+                }
             }
+            horizons.push(horizon);
         }
+        // an aborted transaction's `Commit` is its failed decision force's
+        // alone, on a failed home log and above its horizon
         for c in &aborted {
             let txn = c.txn;
             for (s, ends) in ends.iter().enumerate() {
-                let commit = ends
-                    .iter()
-                    .any(|&(_, r)| r == LogRecord::Commit { txn });
+                let commit = ends.iter().find(|&&(_, r)| r == LogRecord::Commit { txn });
                 let durable = db.shard(s).wal().durable_commits().contains(&txn);
+                let failed_home = s == c.home && db.shard(s).log_failure().is_some();
                 prop_assert!(
-                    !commit && !durable,
+                    !durable && commit.is_none_or(|&(lsn, _)| failed_home && Some(lsn) > horizons[s]),
                     "aborted txn {} left a Commit on shard {}", txn, s
                 );
             }
@@ -513,6 +552,20 @@ proptest! {
                             "aborted txn {} still visible on shard {}", txn, s
                         );
                     }
+                }
+            }
+        }
+        // and after a crash, nothing but the acknowledged commits
+        db.crash();
+        db.recover();
+        for s in 0..n {
+            for page in 0..local_pages {
+                for slot in 0..SLOTS {
+                    let owner = db.shard_mut(s).visible_owner(page, slot);
+                    prop_assert!(
+                        owner == 0 || durable.contains(&owner),
+                        "unacknowledged txn {} visible after recovery (shard {})", owner, s
+                    );
                 }
             }
         }
@@ -584,7 +637,8 @@ fn all_cross_inputs(n: u64, shards: u64) -> Vec<TxnInput> {
 }
 
 /// Every prepare force fails (the forged status stands in for a fault
-/// plan: the device heals injected program failures itself): the first
+/// plan: the device heals injected program failures itself; the load's
+/// force failed, so the logs fail every force after it at once): the first
 /// vote of each transaction aborts it and rolls back whoever voted, every
 /// later vote is an `UndoLate`, and no decision is ever mailed. In a debug
 /// build the coordinator's cached wakes are checked against fresh ones all
@@ -592,7 +646,7 @@ fn all_cross_inputs(n: u64, shards: u64) -> Vec<TxnInput> {
 #[test]
 fn aborts_and_late_votes_keep_the_wake_cache_honest() {
     for (n, concurrency) in [(2usize, 1usize), (4, 3)] {
-        let mut db = flaky_sharded(n, 1);
+        let mut db = flaky_sharded(n, |_| 1);
         let inputs = all_cross_inputs(48, n as u64);
         let cfg = ExecConfig {
             concurrency,
@@ -611,9 +665,12 @@ fn aborts_and_late_votes_keep_the_wake_cache_honest() {
         // an aborted transaction is forgotten only with its last vote
         assert!(db.ledger().is_quiescent(), "every late vote arrived");
     }
-    // every third force fails: commits, aborts and late votes interleave,
-    // and decisions are mailed to shards that are not the one stepping
-    let mut db = flaky_sharded(4, 3);
+    // the logs fail at their FAIL_AT-th force, at different points of the
+    // run: until a log fails its shard's transactions commit, after it
+    // those touching it abort while the others commit on, and decisions
+    // are mailed to shards that are not the one stepping
+    const FAIL_AT: u64 = 12;
+    let mut db = flaky_sharded(4, |_| FAIL_AT);
     let report = db.run(
         &all_cross_inputs(60, 4),
         &ExecConfig {
@@ -623,6 +680,64 @@ fn aborts_and_late_votes_keep_the_wake_cache_honest() {
     );
     assert_eq!(report.committed + report.aborted, 60);
     assert!(report.committed > 0 && report.aborted > 0, "{report:?}");
+}
+
+/// A cross-shard transaction whose decision force fails is aborted: its
+/// home's log failed, so the `Commit` it logged never becomes durable, and
+/// both shares roll back; the other shard commits on.
+#[test]
+fn a_failed_decision_force_aborts_the_transaction() {
+    // shard 0's forces: its load, the prepare of txn 1, txn 1's decision
+    let mut db = flaky_sharded(2, |s| if s == 0 { 3 } else { 0 });
+    let inputs = vec![
+        TxnInput {
+            accesses: vec![(0, 1, true), (1, 1, true)],
+            log_bytes: 128,
+        },
+        TxnInput {
+            accesses: vec![(3, 2, true)],
+            log_bytes: 128,
+        },
+    ];
+    let report = db.run(&inputs, &ExecConfig::serialized());
+    assert_eq!(
+        (
+            report.cross_txns,
+            report.prepare_failures,
+            report.aborted,
+            report.committed
+        ),
+        (1, 0, 1, 1),
+        "{report:?}"
+    );
+    assert!(db.shard(0).log_failure().is_some());
+    assert!(db.shard(1).log_failure().is_none());
+    let txn1 = Cross {
+        txn: 1,
+        home: 0,
+        participants: vec![0, 1],
+    };
+    assert_eq!(decided(&db, &txn1), (false, true), "aborted by its home");
+    let home = db.shard(0).wal();
+    let commit = home
+        .records()
+        .find(|&(_, r)| r == LogRecord::Commit { txn: 1 });
+    assert!(
+        commit.is_some_and(|(lsn, _)| Some(lsn) > home.flushed()),
+        "the decision's Commit lies past the failed force: {commit:?}"
+    );
+    // global page 0 is shard 0's local page 0, 1 and 3 shard 1's 0 and 1
+    let owners = |db: &mut ShardedDb<FlakyWalBackend>| {
+        [
+            db.shard_mut(0).visible_owner(0, 1),
+            db.shard_mut(1).visible_owner(0, 1),
+            db.shard_mut(1).visible_owner(1, 2),
+        ]
+    };
+    assert_eq!(owners(&mut db), [0, 0, 2], "both shares rolled back");
+    db.crash();
+    db.recover();
+    assert_eq!(owners(&mut db), [0, 0, 2], "and stay rolled back");
 }
 
 /// A group-commit threshold no shard can reach (two slots and the odd

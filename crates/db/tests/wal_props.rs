@@ -119,8 +119,8 @@ proptest! {
         let mut flash = db(WalConfig::Flash);
         let mut byte = db(pcm(PcmTiming::gen1()));
         for t in &inputs {
-            flash.execute(&t.accesses, t.log_bytes);
-            byte.execute(&t.accesses, t.log_bytes);
+            flash.execute(&t.accesses, t.log_bytes).expect("committed");
+            byte.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         prop_assert_eq!(flash.stats().commits, byte.stats().commits);
         flash.crash();
@@ -141,8 +141,8 @@ proptest! {
         let mut flash = db(WalConfig::Flash);
         let mut byte = db(pcm(PcmTiming::zero()));
         for t in &inputs {
-            flash.execute(&t.accesses, t.log_bytes);
-            byte.execute(&t.accesses, t.log_bytes);
+            flash.execute(&t.accesses, t.log_bytes).expect("committed");
+            byte.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         prop_assert_eq!(flash.stats().commits, byte.stats().commits);
         prop_assert!(
@@ -157,7 +157,7 @@ proptest! {
     fn qd1_identity_holds_on_the_pcm_wal(inputs in arb_inputs()) {
         let mut serial = db(pcm(PcmTiming::gen1()));
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = db(pcm(PcmTiming::gen1()));
         conc.run_concurrent(&inputs, &ExecConfig::serialized());

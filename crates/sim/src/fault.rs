@@ -3,8 +3,9 @@
 //! The paper's Myth 1 (§2.3.1) hinges on error management happening
 //! *inside* the device controller, and Myth 3 on reads stalling behind
 //! hidden recovery work. To measure either, media failures must be
-//! injectable — and injectable *reproducibly*, or the double-run
-//! determinism discipline (CI diffs two runs of every experiment) dies.
+//! injectable — and injectable *reproducibly*, or the golden tests die:
+//! `crates/bench/tests/golden.rs` compares every experiment's stdout,
+//! and `tests/examples.rs` every example's, with checked-in bytes.
 //!
 //! A [`FaultPlan`] is pure configuration: a raw-bit-error-rate
 //! multiplier, per-unit *schedules* of program and erase failures

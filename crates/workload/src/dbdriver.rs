@@ -108,7 +108,7 @@ mod tests {
         let inputs = oltp_inputs(&mut oltp(), 40);
         let mut serial = small_db();
         for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+            serial.execute(&t.accesses, t.log_bytes).expect("committed");
         }
         let mut conc = small_db();
         conc.run_concurrent(&inputs, &ExecConfig::serialized());

@@ -59,7 +59,7 @@ fn run_tracked<B: PersistenceBackend>(
             .iter()
             .map(|a| (a.page, (a.page % 16) as u16, a.dirty))
             .collect();
-        let out = db.execute(&acc, txn.log_bytes);
+        let out = db.execute(&acc, txn.log_bytes).expect("committed");
         for &(page, slot, dirty) in &acc {
             if dirty {
                 expected.insert((page % 512, slot % 16), out.txn);

@@ -22,7 +22,8 @@
 //!    block device, vision, block stack, cooperating logs with and
 //!    without the device buffer), both
 //!    WAL media, with and without checkpoints, in a pool that steals and
-//!    one that does not.
+//!    one that does not — and over a flash log whose k-th force fails,
+//!    where both must also keep the same durable commits.
 //! 3. **A drained run survives a crash bit for bit.** Once
 //!    `run_concurrent` (or `ShardedDb::run`) returns, every commit it
 //!    acknowledged is durable, so `crash()` + `recover()` leaves every
@@ -34,16 +35,18 @@
 
 use proptest::prelude::*;
 use requiem::block::{IoStack, StackConfig};
-use requiem::db::backend::PersistenceBackend;
+use requiem::db::backend::{BackendStats, PersistenceBackend};
 use requiem::db::engine::EngineStats;
+use requiem::db::wal::Lsn;
 use requiem::db::{
-    BlockStackBackend, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig,
-    GroupCommitPolicy, PageId, PageImage, ShardedDb, TxnInput, WalConfig,
+    BlockStackBackend, CommandTag, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig,
+    ForceFailed, GroupCommitPolicy, PageId, PageImage, PageRead, ReadShim, ShardedDb, TxnInput,
+    WalBackend, WalConfig, WalForce, WalStats,
 };
 use requiem::iface::NamelessConfig;
 use requiem::pcm::WearSnapshot;
 use requiem::sim::time::SimTime;
-use requiem::sim::{Histogram, IoStatus, Probe};
+use requiem::sim::{Cause, Histogram, IoStatus, Probe};
 use requiem::ssd::{IoRequest, QueuePair, Ssd, SsdConfig};
 use requiem::workload::oltp::{OltpConfig, OltpGen};
 use requiem::workload::oltp_inputs;
@@ -273,40 +276,166 @@ fn device(buffer_pages: u32) -> SsdConfig {
     cfg
 }
 
-/// Bind `$build` to a closure that returns a fresh, loaded database of
+/// Bind `$backend` to a closure that returns a fresh storage manager of
 /// `shape`, then evaluate `$body`: generic code over the five managers.
-macro_rules! with_builder {
-    ($shape:expr, |$build:ident| $body:expr) => {{
+macro_rules! with_backend {
+    ($shape:expr, |$backend:ident| $body:expr) => {{
         let shape: Shape = $shape;
-        let b = shape.builder();
         match shape.manager {
             Manager::Bare => {
-                let $build = || b.build_stack(StackConfig::bare(1), device(0));
-                $body
-            }
-            Manager::Vision => {
-                let $build = || {
-                    let be = BlockStackBackend::vision(device(0), DATA_PAGES, 1 << 22);
-                    let mut db = Database::new(b.db_config(), be);
-                    db.load();
-                    db
+                let $backend = || {
+                    BlockStackBackend::new(StackConfig::bare(1), device(0), DATA_PAGES, LOG_PAGES)
                 };
                 $body
             }
+            Manager::Vision => {
+                let $backend = || BlockStackBackend::vision(device(0), DATA_PAGES, 1 << 22);
+                $body
+            }
             Manager::Stack => {
-                let $build = || b.build_stack(StackConfig::blk_mq(1), device(0));
+                let $backend = || {
+                    BlockStackBackend::new(StackConfig::blk_mq(1), device(0), DATA_PAGES, LOG_PAGES)
+                };
                 $body
             }
             Manager::Coop => {
-                let $build = || b.build_coop(NamelessConfig::from(&device(0)));
+                let $backend =
+                    || CoopLogBackend::new(NamelessConfig::from(&device(0)), DATA_PAGES, LOG_PAGES);
                 $body
             }
             Manager::CoopBuffered => {
-                let $build = || b.build_coop(NamelessConfig::from(&device(4)));
+                let $backend =
+                    || CoopLogBackend::new(NamelessConfig::from(&device(4)), DATA_PAGES, LOG_PAGES);
                 $body
             }
         }
     }};
+}
+
+/// Bind `$build` to a closure that returns a fresh, loaded database of
+/// `shape`, then evaluate `$body`.
+macro_rules! with_builder {
+    ($shape:expr, |$build:ident| $body:expr) => {{
+        let shape: Shape = $shape;
+        with_backend!(shape, |backend| {
+            let $build = || loaded(&shape, backend());
+            $body
+        })
+    }};
+}
+
+/// A database of `shape` over `backend`, loaded.
+fn loaded<B: PersistenceBackend>(shape: &Shape, backend: B) -> Database<B> {
+    let mut db = Database::new(shape.builder().db_config(), backend);
+    db.load();
+    db
+}
+
+/// The log device of a [`FailingLog`]: its `fail_at`-th force (the
+/// load's is the first) takes its time and comes back unrecoverable.
+struct FailAt {
+    inner: Box<dyn WalBackend>,
+    forces: u64,
+    fail_at: u64,
+}
+
+impl WalBackend for FailAt {
+    fn append(&mut self, lsn: Lsn, bytes: u32) {
+        self.inner.append(lsn, bytes)
+    }
+    fn force(&mut self, now: SimTime, to: Lsn) -> WalForce {
+        let forced = self.inner.force(now, to);
+        self.forces += 1;
+        if self.forces != self.fail_at {
+            return forced;
+        }
+        let (Ok(done) | Err(ForceFailed { done, .. })) = forced.settle();
+        WalForce::new(done, IoStatus::Unrecoverable)
+    }
+    fn truncate(&mut self, now: SimTime, up_to_byte: u64) {
+        self.inner.truncate(now, up_to_byte)
+    }
+    fn recover_scan(&mut self, now: SimTime, offset: u64, bytes: u32) -> (SimTime, IoStatus) {
+        self.inner.recover_scan(now, offset, bytes)
+    }
+    fn stats(&self) -> &WalStats {
+        self.inner.stats()
+    }
+    fn label(&self) -> &'static str {
+        self.inner.label()
+    }
+    fn force_cause(&self) -> Cause {
+        self.inner.force_cause()
+    }
+    fn wear(&self) -> Option<WearSnapshot> {
+        self.inner.wear()
+    }
+}
+
+/// A storage manager whose log fails at its `fail_at`-th force.
+struct FailingLog<B> {
+    inner: B,
+    fail_at: u64,
+}
+
+impl<B: PersistenceBackend> PersistenceBackend for FailingLog<B> {
+    fn make_wal(&mut self) -> Box<dyn WalBackend> {
+        let inner = self.inner.make_wal();
+        let fail_at = self.fail_at;
+        Box::new(FailAt {
+            inner,
+            forces: 0,
+            fail_at,
+        })
+    }
+    fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+        self.inner.page_write(now, page)
+    }
+    fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
+        self.inner.steal_write(now, page)
+    }
+    fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
+        self.inner.page_read(now, page)
+    }
+    fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
+        self.inner.page_batch(now, pages)
+    }
+    fn free_page(&mut self, now: SimTime, page: PageId) {
+        self.inner.free_page(now, page)
+    }
+    fn stats(&self) -> &BackendStats {
+        self.inner.stats()
+    }
+    fn label(&self) -> &'static str {
+        self.inner.label()
+    }
+    fn attach_probe(&mut self, probe: Probe) {
+        self.inner.attach_probe(probe)
+    }
+    fn relax_submit_order(&mut self) {
+        self.inner.relax_submit_order()
+    }
+    fn read_shim(&mut self) -> Option<&mut ReadShim> {
+        self.inner.read_shim()
+    }
+    fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
+        self.inner.submit_reads(now, pages)
+    }
+    fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
+        self.inner.poll(now)
+    }
+    fn poll_into(&mut self, now: SimTime, out: &mut Vec<PageRead>) {
+        self.inner.poll_into(now, out)
+    }
+    fn next_read_done(&mut self) -> Option<SimTime> {
+        self.inner.next_read_done()
+    }
+    fn reads_in_flight(&mut self) -> usize {
+        self.inner.reads_in_flight()
+    }
+    fn set_read_window(&mut self, depth: usize) {
+        self.inner.set_read_window(depth)
+    }
 }
 
 /// What the QD-1 law compares.
@@ -321,6 +450,7 @@ struct Ending {
     page_reads: u64,
     steal_writes: u64,
     wear: Option<WearSnapshot>,
+    durable_commits: Vec<u64>,
 }
 
 fn ending<B: PersistenceBackend>(db: &Database<B>) -> Ending {
@@ -334,18 +464,19 @@ fn ending<B: PersistenceBackend>(db: &Database<B>) -> Ending {
         page_reads: db.backend().stats().page_reads,
         steal_writes: db.backend().stats().steal_writes,
         wear: db.wal_backend().wear(),
+        durable_commits: db.wal().durable_commits(),
     }
 }
 
 /// Where an `execute()` loop ends, then where the executor at QD 1 ends,
-/// each on a fresh database.
+/// each on a fresh database. A commit whose force failed is no outcome.
 fn reference_and_executor<B: PersistenceBackend>(
     mut serial: Database<B>,
     mut executor: Database<B>,
     inputs: &[TxnInput],
 ) -> (Ending, Ending) {
     for t in inputs {
-        serial.execute(&t.accesses, t.log_bytes);
+        serial.execute(&t.accesses, t.log_bytes).ok();
     }
     executor.run_concurrent(inputs, &ExecConfig::serialized());
     (ending(&serial), ending(&executor))
@@ -357,6 +488,17 @@ fn qd1_law(shape: Shape, inputs: &[TxnInput]) -> (Ending, Ending) {
         build(),
         inputs
     ))
+}
+
+/// [`qd1_law`] over a log whose `fail_at`-th force fails.
+fn faulted_qd1_law(shape: Shape, fail_at: u64, inputs: &[TxnInput]) -> (Ending, Ending) {
+    with_backend!(shape, |backend| {
+        let build = || {
+            let inner = backend();
+            loaded(&shape, FailingLog { inner, fail_at })
+        };
+        reference_and_executor(build(), build(), inputs)
+    })
 }
 
 /// Every `(page, slot)`'s visible owner.
@@ -472,7 +614,25 @@ proptest! {
     fn the_executor_at_qd1_is_execute_on_every_manager(inputs in arb_inputs()) {
         for shape in Shape::all() {
             let (reference, executor) = qd1_law(shape, &inputs);
+            prop_assert_eq!(reference.stats.wal_force_failures, 0, "{:?}", shape);
             prop_assert_eq!(executor, reference, "{:?}", shape);
+        }
+    }
+
+    /// The law holds past a failed force too, on the 20 shapes whose log
+    /// is the manager's (a PCM log is the engine's own DIMM): every input
+    /// list forces at least 17 times (the load, a commit each), so the
+    /// log fails in each run, at the load or after up to 14 commits.
+    #[test]
+    fn the_executor_at_qd1_is_execute_on_a_failing_log(
+        inputs in arb_inputs(),
+        fail_at in 1u64..16,
+    ) {
+        for shape in Shape::all().filter(|s| !s.pcm_wal) {
+            let (reference, executor) = faulted_qd1_law(shape, fail_at, &inputs);
+            prop_assert!(reference.stats.wal_force_failures > 0, "{:?}", shape);
+            prop_assert!(reference.stats.commits < fail_at, "{:?}", shape);
+            prop_assert_eq!(executor, reference, "{:?}, force {}", shape, fail_at);
         }
     }
 
